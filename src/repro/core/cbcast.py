@@ -33,17 +33,36 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from ..errors import CodecError
 from ..msg.address import Address
 from ..msg.message import Message
 from .vectorclock import (
     Context,
+    ContextDelta,
+    PackedContext,
     VectorClock,
+    advanced_context,
+    apply_context_delta,
     decode_context,
-    decode_context_compact,
+    parse_context_delta,
 )
 
 #: A pending CBCAST is identified by (sender process, per-view seq).
 PendingKey = Tuple[Address, int]
+
+
+class SenderChain:
+    """One sender's ``cb_ctx`` delta chain at one receiver."""
+
+    __slots__ = ("context", "installs")
+
+    def __init__(self) -> None:
+        #: The sender's absolute context as of its last message delivered
+        #: here, advanced in place at each delivery.
+        self.context: PackedContext = {}
+        #: The kernel's group-install count when that message's context
+        #: check passed (see ``check_delta_and_register``).
+        self.installs = -1
 
 
 class CausalReceiver:
@@ -52,37 +71,48 @@ class CausalReceiver:
     Compact (bytes-form) ``cb_ctx`` fields are delta-chained per sender:
     message *n* encodes only what changed since message *n-1*.  Because
     the FIFO rule already forces delivery in contiguous ``cb_seq`` order,
-    the predecessor's absolute context is always known when a message
-    becomes a delivery candidate; reconstructed contexts are cached per
-    (sender, seq) so re-evaluating a blocked message never re-decodes.
+    a message becomes a delivery candidate only once its predecessor was
+    delivered here, so the receiver keeps one absolute context per
+    sender (:class:`SenderChain`), advanced in place at delivery, and a
+    pending message keeps its ``cb_ctx`` parsed once as a flat delta.
 
     ``ctx_check(context, key)`` (indexed mode) must behave like
     ``is_deliverable_ctx`` but, on failure, register ``key`` against the
     first unsatisfied threshold so a later advance re-marks the message
     as a candidate (see ``ProtocolsProcess.check_context_and_register``).
+    ``delta_check(chain, delta, key)`` is the same contract for a
+    chained context — ``chain`` advanced by ``delta`` — which the kernel
+    answers from the delta alone (``check_delta_and_register``).
     ``on_advance(sender, seq)`` tells the kernel this group's delivered
     vector advanced, waking cross-group waiters.
     """
 
-    __slots__ = ("delivered", "_pending", "_is_deliverable_ctx",
-                 "_ctx_chain", "_ctx_cache", "_indexed", "_ctx_check",
-                 "_on_advance", "_arrival", "_next_arrival", "_ready",
-                 "_ready_set", "peak_pending")
+    __slots__ = ("delivered", "delivered_packed", "_pending",
+                 "_is_deliverable_ctx",
+                 "_chains", "_deltas", "_indexed", "_ctx_check",
+                 "_delta_check", "_on_advance", "_arrival", "_next_arrival",
+                 "_ready", "_ready_set", "peak_pending")
 
     def __init__(self, is_deliverable_ctx: Callable[[Context], bool],
                  indexed: bool = False,
                  ctx_check: Optional[Callable[[Context, PendingKey], bool]] = None,
-                 on_advance: Optional[Callable[[Address, int], None]] = None):
+                 on_advance: Optional[Callable[[Address, int], None]] = None,
+                 delta_check: Optional[Callable[
+                     [SenderChain, ContextDelta, PendingKey], bool]] = None):
         #: Delivered CBCAST count per sending member (resets per view).
         self.delivered = VectorClock()
+        #: The same counts keyed by packed member: the form compact
+        #: contexts are encoded from and checked against.
+        self.delivered_packed: Dict[bytes, int] = {}
         #: Callback asking the kernel whether a cross-group causal context
         #: is satisfied (the kernel checks the *other* groups we belong to).
         self._is_deliverable_ctx = is_deliverable_ctx
         self._indexed = indexed
         self._ctx_check = ctx_check
+        self._delta_check = delta_check
         self._on_advance = on_advance
         if indexed:
-            assert ctx_check is not None
+            assert ctx_check is not None and delta_check is not None
             #: (sender, seq) -> pending message.
             self._pending: Dict[PendingKey, Message] = {}
             #: (sender, seq) -> arrival index (drain evaluates in this order).
@@ -93,10 +123,10 @@ class CausalReceiver:
             self._ready_set: Set[PendingKey] = set()
         else:
             self._pending: List[Message] = []  # type: ignore[no-redef]
-        #: Per-sender absolute context after their last delivered message.
-        self._ctx_chain: Dict[Address, Context] = {}
-        #: (sender, seq) -> reconstructed context awaiting delivery.
-        self._ctx_cache: Dict[PendingKey, Context] = {}
+        #: Per-sender delta chain (compact contexts only).
+        self._chains: Dict[Address, SenderChain] = {}
+        #: (sender, seq) -> parsed ``cb_ctx`` of a pending message.
+        self._deltas: Dict[PendingKey, ContextDelta] = {}
         #: High-water mark of the pending buffer (kernel stats).
         self.peak_pending = 0
 
@@ -150,15 +180,18 @@ class CausalReceiver:
             if seq != self.delivered.get(sender) + 1:
                 # FIFO-blocked: the predecessor's delivery re-marks it.
                 continue
-            context = self._context_of(msg, sender, seq)
-            if not self._ctx_check(context, key):
-                # Blocked on a cross-group threshold; ctx_check registered
+            raw = msg.get("cb_ctx")
+            if isinstance(raw, (bytes, bytearray)):
+                satisfied = self._delta_check(*self._chained(raw, key), key)
+            else:
+                satisfied = self._ctx_check(_absolute_context(raw), key)
+            if not satisfied:
+                # Blocked on a cross-group threshold; the check registered
                 # the precise wait, whose crossing re-marks the candidate.
                 continue
             del self._pending[key]
             del self._arrival[key]
-            self.delivered.set(sender, seq)
-            self._advance_chain(msg)
+            self._note_delivered(key)
             out.append(msg)
             successor = (sender, seq + 1)
             if successor in self._pending:
@@ -176,8 +209,8 @@ class CausalReceiver:
             for i, msg in enumerate(self._pending):
                 if self._deliverable(msg):
                     self._pending.pop(i)
-                    self.delivered.set(msg["cb_sender"], msg["cb_seq"])
-                    self._advance_chain(msg)
+                    self._note_delivered(
+                        (msg["cb_sender"].process(), msg["cb_seq"]))
                     out.append(msg)
                     progress = True
                     break
@@ -188,28 +221,35 @@ class CausalReceiver:
         seq: int = msg["cb_seq"]
         if seq != self.delivered.get(sender) + 1:
             return False
-        return self._is_deliverable_ctx(self._context_of(msg, sender, seq))
-
-    def _context_of(self, msg: Message, sender: Address, seq: int) -> Context:
         raw = msg.get("cb_ctx")
-        if raw is None:
-            return {}
-        if not isinstance(raw, (bytes, bytearray)):
-            return decode_context(raw)  # legacy dict encoding
-        key = (sender.process(), seq)
-        context = self._ctx_cache.get(key)
-        if context is None:
-            context = decode_context_compact(
-                bytes(raw), self._ctx_chain.get(key[0]))
-            self._ctx_cache[key] = context
-        return context
+        if isinstance(raw, (bytes, bytearray)):
+            # The scan engine is the oracle: it walks the whole context.
+            chain, delta = self._chained(raw, (sender.process(), seq))
+            return self._is_deliverable_ctx(
+                advanced_context(chain.context, delta))
+        return self._is_deliverable_ctx(_absolute_context(raw))
 
-    def _advance_chain(self, msg: Message) -> None:
-        """A message was delivered: its context becomes the chain base."""
-        key = (msg["cb_sender"].process(), msg["cb_seq"])
-        context = self._ctx_cache.pop(key, None)
-        if context is not None:
-            self._ctx_chain[key[0]] = context
+    def _chained(self, raw: bytes,
+                 key: PendingKey) -> Tuple[SenderChain, ContextDelta]:
+        """The sender's chain and this message's delta (parsed once)."""
+        delta = self._deltas.get(key)
+        if delta is None:
+            delta = self._deltas[key] = parse_context_delta(bytes(raw))
+        chain = self._chains.get(key[0])
+        if chain is None:
+            if not delta.full:
+                raise CodecError("delta context without a predecessor")
+            chain = self._chains[key[0]] = SenderChain()
+        return chain, delta
+
+    def _note_delivered(self, key: PendingKey) -> None:
+        """Count the delivery; its context becomes the chain base."""
+        sender, seq = key
+        self.delivered.set(sender, seq)
+        self.delivered_packed[sender.pack()] = seq
+        delta = self._deltas.pop(key, None)
+        if delta is not None:
+            apply_context_delta(self._chains[key[0]].context, delta)
 
     # -- view transitions ----------------------------------------------------
     def on_new_view(self) -> None:
@@ -223,9 +263,10 @@ class CausalReceiver:
         numbers, so no entry can carry over.
         """
         self.delivered = VectorClock()
+        self.delivered_packed = {}
         self._pending.clear()
-        self._ctx_chain.clear()
-        self._ctx_cache.clear()
+        self._chains.clear()
+        self._deltas.clear()
         if self._indexed:
             self._arrival.clear()
             self._ready.clear()
@@ -243,5 +284,10 @@ class CausalReceiver:
                 sorted(self._pending, key=self._arrival.__getitem__)]
 
     def cache_sizes(self) -> Tuple[int, int]:
-        """(ctx chain entries, ctx cache entries) — bounded-growth stats."""
-        return len(self._ctx_chain), len(self._ctx_cache)
+        """(sender chains, parsed pending deltas) — bounded-growth stats."""
+        return len(self._chains), len(self._deltas)
+
+
+def _absolute_context(raw) -> Context:
+    """A ``cb_ctx`` that is not chained: absent, or the dict encoding."""
+    return {} if raw is None else decode_context(raw)

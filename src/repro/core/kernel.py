@@ -38,6 +38,7 @@ from ..runtime.process import IsisProcess
 from ..runtime.site import KERNEL_LOCAL_ID, Site
 from ..sim.core import Timer
 from ..sim.tasks import Promise, all_of
+from .cbcast import SenderChain
 from .engine import ABCAST, CBCAST, GroupEngine
 from .flush import FlushReason
 from .namespace import Namespace
@@ -48,6 +49,12 @@ from .shards import (
     WaiterKey,
     WaitIndex,
     shard_of,
+)
+from .vectorclock import (
+    ContextDelta,
+    PackedContext,
+    advanced_context,
+    first_in_walk_order,
 )
 from .view import View
 from .wal import WalManager
@@ -297,6 +304,16 @@ class ProtocolsProcess:
         #: this order, matching the legacy scan's engines-dict order.
         self._engine_order: Dict[Address, int] = {}
         self._next_engine_rank = 0
+        #: Groups that became installed here since boot.  A sender chain
+        #: checked before the latest install may hold an entry that was
+        #: skipped as "not a member" and is testable now.
+        self._group_installs = 0
+        #: ``engines`` keyed by packed gid, in packed order — how the
+        #: compact ``cb_ctx`` names and orders groups; rebuilt when the
+        #: group table changes.
+        self._engines_packed: Optional[Dict[bytes, GroupEngine]] = None
+        self._ctx_delta_entries = 0
+        self._ctx_full_walks = 0
         #: Pending-depth high-water mark of engines retired since boot
         #: (stats must not drop when a group leaves this kernel).
         self._retired_peak_pending = 0
@@ -574,6 +591,7 @@ class ProtocolsProcess:
             self._engine_order[key] = self._next_engine_rank
             self._next_engine_rank += 1
         self._shard(key).add(key)
+        self._engines_packed = None
 
     def _shard(self, key: Address) -> GroupShard:
         return self.shards[shard_of(key, len(self.shards))]
@@ -592,13 +610,29 @@ class ProtocolsProcess:
     # Services used by GroupEngine
     # ------------------------------------------------------------------
     def causal_context(self) -> Dict[Address, Tuple[int, Any]]:
-        """Snapshot of delivered vectors across our groups (for CBCAST)."""
+        """Snapshot of delivered vectors across our groups: the absolute
+        context the dict encoding (``compact_contexts=False``) carries."""
         context = {}
         for gid, engine in self.engines.items():
             if engine.installed and engine.view is not None:
                 context[gid] = (engine.view.view_id,
                                 engine.causal.delivered.copy())
         return context
+
+    def _packed_engines(self) -> Dict[bytes, GroupEngine]:
+        table = self._engines_packed
+        if table is None:
+            table = self._engines_packed = dict(sorted(
+                (gid.pack(), engine) for gid, engine in self.engines.items()))
+        return table
+
+    def causal_groups(self) -> List[Tuple[bytes, int, Dict[bytes, int]]]:
+        """Our installed groups' *live* delivered counts, as ``(packed
+        gid, view id, packed member -> count)`` in gid order: what a
+        :class:`~repro.core.vectorclock.ContextEncoder` diffs."""
+        return [(gid, engine.view.view_id, engine.causal.delivered_packed)
+                for gid, engine in self._packed_engines().items()
+                if engine.installed and engine.view is not None]
 
     def check_context(self, context: Dict[Address, Tuple[int, Any]]) -> bool:
         """Is this causal context satisfied at our kernel?"""
@@ -642,6 +676,75 @@ class ProtocolsProcess:
                         key, deficit[0], deficit[1], waiter)
                 return False
         return True
+
+    def check_delta_and_register(self, chain: SenderChain,
+                                 delta: ContextDelta,
+                                 waiter: WaiterKey) -> bool:
+        """:meth:`check_context_and_register` for a chained context:
+        ``chain.context`` advanced by ``delta``, never materialised.
+
+        The message is a candidate, so its predecessor passed this check
+        here.  An entry the delta does not name was satisfied then and
+        still is: delivered vectors only grow within a view, and a newer
+        local view (or a retired group) satisfies by rule.  So only the
+        delta's entries are tested.  The one exception is an entry
+        skipped then because the group was not installed here: if any
+        group was installed since, the whole context is walked.
+        """
+        self.wait_index.remove(waiter)
+        if delta.full or chain.installs == self._group_installs:
+            satisfied = self._check_delta(chain.context, delta, waiter)
+        else:
+            self._ctx_full_walks += 1
+            satisfied = self._check_context(
+                advanced_context(chain.context, delta), waiter)
+        if satisfied:
+            chain.installs = self._group_installs
+        return satisfied
+
+    def _check_delta(self, base: PackedContext, delta: ContextDelta,
+                     waiter: WaiterKey) -> bool:
+        """:meth:`_check_context` restricted to the delta's entries.
+
+        On failure the waiter goes on the threshold the full walk of
+        ``base`` advanced by ``delta`` would have met first.
+        """
+        engines = self._packed_engines()
+        failed: Optional[Dict[bytes, Tuple[int, Any]]] = None
+        for gid, view_id, counters in delta.entries:
+            engine = engines.get(gid)
+            if engine is None or not engine.installed:
+                continue
+            view = engine.view
+            if view is None or view.view_id > view_id:
+                continue
+            short = None    # a view threshold, unless the views match
+            if view.view_id == view_id:
+                have = engine.causal.delivered_packed
+                short = [mc for mc in counters if have.get(mc[0], 0) < mc[1]]
+                if not short:
+                    continue
+            if failed is None:
+                failed = {}
+            failed[gid] = (view_id, short)
+        self._ctx_delta_entries += len(delta.entries)
+        if failed is None:
+            return True
+        if delta.full:
+            base = {}
+        gid = first_in_walk_order(list(failed), base)
+        view_id, short = failed[gid]
+        key = Address.unpack(gid).process()
+        if short is None:
+            self.wait_index.register_view(key, waiter)
+            return False
+        held = base.get(gid)
+        member = first_in_walk_order(
+            [m for m, _ in short],
+            held[1] if held is not None and held[0] == view_id else ())
+        self.wait_index.register_counter(
+            key, Address.unpack(member), dict(short)[member], waiter)
+        return False
 
     def note_causal_advance(self, gid: Address, sender: Address,
                             seq: int) -> None:
@@ -795,6 +898,7 @@ class ProtocolsProcess:
         """No local members remain in the group's current view."""
         key = engine.gid.process()
         self.engines.pop(key, None)
+        self._engines_packed = None
         self._causal_wakes.discard(key)
         self._engine_order.pop(key, None)
         self._shard(key).remove(key)
@@ -897,6 +1001,7 @@ class ProtocolsProcess:
         engine = GroupEngine(self, gid, name)
         self.engines[gid] = engine
         self._note_engine(gid)
+        self._group_installs += 1
         view = engine.create(process.address)
         if self.wal is not None:
             self.wal.arm_create(engine, process, name)
@@ -1015,6 +1120,9 @@ class ProtocolsProcess:
         engine = self._engine_for(gid, create=True)
         assert engine is not None
         if not engine.installed:
+            # Counted first: installing drains held envelopes, whose
+            # deliveries re-evaluate contexts in other groups.
+            self._group_installs += 1
             engine.install_from_welcome(view, gated=False)
         self.contact_cache[gid.process()] = view.coordinator().site
         state = self._joins.get(gid.process())
@@ -1682,6 +1790,8 @@ class ProtocolsProcess:
             "causal.pending": 0,
             "causal.peak_pending": self._retired_peak_pending,
             "causal.ctx_cache": 0,
+            "causal.ctx_delta_entries": self._ctx_delta_entries,
+            "causal.ctx_full_walks": self._ctx_full_walks,
             "wait_index.size": len(self.wait_index),
             "wait_index.peak": self.wait_index.peak_size,
             "flush.wedged_seconds": self._retired_flush["wedged_seconds"],

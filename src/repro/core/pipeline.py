@@ -54,7 +54,7 @@ from .ordering import (  # noqa: F401  (re-exported: long-standing import site)
     make_ordering,
 )
 from .tree import SpanningTree, min_merge_have_vectors
-from .vectorclock import encode_context, encode_context_compact
+from .vectorclock import ContextEncoder, encode_context
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import GroupEngine
@@ -540,8 +540,10 @@ class CausalOrdering:
     sender carries only the context entries that changed since its
     message *n-1* (packed addresses + varints), instead of the generic
     nested-dict encoding whose hex keys dominate ``g.cb`` frame bytes.
-    The receiver reconstructs absolute contexts in ``cb_seq`` order (see
-    :class:`~repro.core.cbcast.CausalReceiver`).
+    Each local sender owns one :class:`~repro.core.vectorclock.
+    ContextEncoder` per view, which diffs the kernel's live delivered
+    vectors in place; the receiver advances one chain per sender in
+    ``cb_seq`` order (see :class:`~repro.core.cbcast.CausalReceiver`).
     """
 
     def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
@@ -555,6 +557,8 @@ class CausalOrdering:
                 indexed=True,
                 ctx_check=lambda ctx, key: kernel.check_context_and_register(
                     ctx, (gid, key)),
+                delta_check=lambda chain, delta, key:
+                    kernel.check_delta_and_register(chain, delta, (gid, key)),
                 on_advance=lambda sender, seq: kernel.note_causal_advance(
                     gid, sender, seq),
             )
@@ -562,8 +566,8 @@ class CausalOrdering:
             self.receiver = CausalReceiver(kernel.check_context)
         #: Per-sender CBCAST count within the current view (send side).
         self._counts: Dict[Address, int] = {}
-        #: Per-sender context as of the last envelope sent (delta base).
-        self._last_ctx: Dict[Address, Dict] = {}
+        #: Per-sender ``cb_ctx`` delta chain of the current view.
+        self._encoders: Dict[Address, ContextEncoder] = {}
 
     def stamp(self, env: Message, sender: Address) -> None:
         """Send side: attach causal metadata to an outgoing envelope."""
@@ -572,13 +576,14 @@ class CausalOrdering:
         self._counts[key] = count
         env["cb_sender"] = key
         env["cb_seq"] = count
-        context = self.engine.kernel.causal_context()
-        if self.engine.kernel.config.compact_contexts:
-            env["cb_ctx"] = encode_context_compact(
-                context, self._last_ctx.get(key))
-            self._last_ctx[key] = context
+        kernel = self.engine.kernel
+        if kernel.config.compact_contexts:
+            encoder = self._encoders.get(key)
+            if encoder is None:
+                encoder = self._encoders[key] = ContextEncoder()
+            env["cb_ctx"] = encoder.encode(kernel.causal_groups())
         else:
-            env["cb_ctx"] = encode_context(context)
+            env["cb_ctx"] = encode_context(kernel.causal_context())
 
     def ingest(self, env: Message) -> None:
         """Receive side: queue, deliver whatever became deliverable."""
@@ -589,7 +594,7 @@ class CausalOrdering:
     def on_new_view(self) -> None:
         self.receiver.on_new_view()
         self._counts.clear()
-        self._last_ctx.clear()
+        self._encoders.clear()
         kernel = self.engine.kernel
         if kernel.config.indexed_delivery:
             # The pending buffer just reset: registrations made by this
@@ -1033,12 +1038,14 @@ class StabilityStage:
         if answers is None or engine.view is None:
             return
         member_sites = set(engine.view.member_sites())
-        if set(answers) < member_sites:
+        # Every member must have answered; an answer from a site outside
+        # the view (just removed, not yet installed) counts for nothing.
+        if not member_sites <= set(answers):
             return
         stable: Dict[int, int] = {}
         origins: set = set()
-        for have in answers.values():
-            origins |= set(have)
+        for site in member_sites:
+            origins |= set(answers[site])
         for origin in origins:
             stable[origin] = min(
                 answers[site].get(origin, 0) for site in member_sites)

@@ -25,7 +25,16 @@ Delivery rule for message ``m`` from sender ``p`` in group ``g``:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import CodecError
 from ..msg.address import ADDRESS_SIZE, Address
@@ -160,14 +169,213 @@ def decode_context(value: Mapping[str, Mapping]) -> Dict[Address, "tuple[int, Ve
 # dominates CBCAST frame bytes.  The compact form packs addresses raw
 # (8 bytes) and counters as LEB128 varints, and chains consecutive
 # messages of one sender: message *n* carries only the entries that
-# changed since message *n-1*.  The receiver reconstructs the absolute
-# context at delivery time — per-sender FIFO delivery (``cb_seq``
-# contiguity) guarantees the predecessor context is always known.
+# changed since message *n-1*.  Per-sender FIFO delivery (``cb_seq``
+# contiguity) guarantees the predecessor context is known at delivery.
+#
+# Both ends keep one absolute context per chain and move it *in place*:
+# the sender diffs the live delivered vectors against it
+# (:class:`ContextEncoder`), the receiver parses a ``cb_ctx`` once
+# (:func:`parse_context_delta`) and applies it at delivery
+# (:func:`apply_context_delta`).  Nothing is rebuilt per message, and
+# on this path groups and members stay in their packed 8-byte form
+# (:class:`PackedContext`): a packed address is its own sort key and
+# wire form, and hashes without a call into :class:`Address`.
 
 Context = Dict[Address, Tuple[int, "VectorClock"]]
 
+#: A context keyed by packed addresses: gid -> (view id, member -> count).
+PackedContext = Dict[bytes, Tuple[int, Dict[bytes, int]]]
+
+#: ``(packed member, count)`` pairs of one context entry, in wire order.
+Counters = List[Tuple[bytes, int]]
+
 _CTX_FULL = 0
 _CTX_DELTA = 1
+
+#: The one-byte varints: every counter below 128 is a table lookup.
+_UVARINT1 = [bytes([n]) for n in range(0x80)]
+
+
+class ContextDelta(NamedTuple):
+    """One parsed ``cb_ctx``: what changed since the sender's last one.
+
+    ``full`` marks the head of a chain, which names every group.  An
+    entry whose group the predecessor context holds *in the same view*
+    lists only the counters that moved; any other entry is that group's
+    whole vector (vectors reset per view).
+    """
+
+    full: bool
+    entries: List[Tuple[bytes, int, Counters]]
+    removed: List[bytes]
+
+
+def parse_context_delta(data: bytes) -> ContextDelta:
+    """Decode a compact ``cb_ctx`` into its flat delta form."""
+    if not data:
+        raise CodecError("empty compact context")
+    kind = data[0]
+    if kind not in (_CTX_FULL, _CTX_DELTA):
+        raise CodecError(f"unknown compact-context kind {kind}")
+    entries: List[Tuple[bytes, int, Counters]] = []
+    removed: List[bytes] = []
+    try:
+        count, offset = _read_uvarint(data, 1)
+        for _ in range(count):
+            end = offset + ADDRESS_SIZE
+            gid = data[offset:end]
+            view_id, offset = _read_uvarint(data, end)
+            n, offset = _read_uvarint(data, offset)
+            counters: Counters = []
+            for _ in range(n):
+                end = offset + ADDRESS_SIZE
+                member = data[offset:end]
+                value = data[end]
+                if value < 0x80:        # the common one-byte varint
+                    offset = end + 1
+                else:
+                    value, offset = decode_uvarint(data, end)
+                counters.append((member, value))
+            entries.append((gid, view_id, counters))
+        if kind == _CTX_DELTA:
+            count, offset = _read_uvarint(data, offset)
+            for _ in range(count):
+                removed.append(data[offset:offset + ADDRESS_SIZE])
+                offset += ADDRESS_SIZE
+    except IndexError:
+        raise CodecError("truncated compact context") from None
+    if offset > len(data):      # a removal's slice ran off the end
+        raise CodecError("truncated compact context")
+    if offset != len(data):
+        raise CodecError(f"{len(data) - offset} trailing bytes after "
+                         "compact context")
+    return ContextDelta(kind == _CTX_FULL, entries, removed)
+
+
+def _read_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
+    value = data[offset]
+    if value < 0x80:
+        return value, offset + 1
+    return decode_uvarint(data, offset)
+
+
+def apply_context_delta(context: PackedContext, delta: ContextDelta) -> None:
+    """Advance an absolute context in place by one parsed ``cb_ctx``.
+
+    Existing keys keep their dictionary position and new ones append, in
+    groups and in counters alike, so walking the advanced context meets
+    thresholds in one reproducible order.
+    """
+    chained = not delta.full
+    if not chained:
+        context.clear()
+    for gid, view_id, counters in delta.entries:
+        entry = context.get(gid)
+        if chained and entry is not None and entry[0] == view_id:
+            entry[1].update(counters)
+        else:
+            context[gid] = (view_id, dict(counters))
+    for gid in delta.removed:
+        context.pop(gid, None)
+
+
+def advanced_context(context: PackedContext, delta: ContextDelta) -> Context:
+    """``context`` advanced by ``delta``, as a new :data:`Context` (the
+    full walk's input; the chains themselves advance in place)."""
+    out = {gid: (view_id, dict(counters))
+           for gid, (view_id, counters) in context.items()}
+    apply_context_delta(out, delta)
+    unpack = Address.unpack
+    return {
+        unpack(gid): (view_id, VectorClock(
+            {unpack(member): count for member, count in counters.items()}))
+        for gid, (view_id, counters) in out.items()
+    }
+
+
+def first_in_walk_order(candidates: List[bytes],
+                        existing: Iterable[bytes]) -> bytes:
+    """Which candidate a walk meets first once they are applied.
+
+    :func:`apply_context_delta` keeps ``existing`` keys in place and
+    appends the new ones in delta (= ``candidates``) order.
+    """
+    if len(candidates) > 1:
+        wanted = set(candidates)
+        for key in existing:
+            if key in wanted:
+                return key
+    return candidates[0]
+
+
+class ContextEncoder:
+    """Send side of one delta chain (one sender in one group view).
+
+    Keeps the absolute context of the previous ``cb_ctx`` and diffs the
+    caller's *live* vectors against it, updating it in place — no
+    snapshot of the live state is taken and nothing unchanged is
+    touched beyond one comparison per counter.
+    """
+
+    __slots__ = ("_base",)
+
+    def __init__(self, base: Optional[PackedContext] = None):
+        #: Context as of the last encode (owned; ``None``: chain head).
+        self._base = base
+
+    def encode(self,
+               groups: Sequence[Tuple[bytes, int, Dict[bytes, int]]]) -> bytes:
+        """The next ``cb_ctx`` of the chain: ``groups`` lists ``(packed
+        gid, view id, live packed member -> count)`` in gid order."""
+        base = self._base
+        full = base is None
+        if full:
+            base = self._base = {}
+        entries: List[bytes] = []
+        for gid, view_id, live in groups:
+            slot = base.get(gid)
+            if slot is not None and slot[0] == view_id:
+                seen = slot[1]
+                changed = [mc for mc in live.items()
+                           if seen.get(mc[0], 0) != mc[1]]
+                if not changed:
+                    continue
+                seen.update(changed)
+                changed.sort()
+            else:
+                base[gid] = (view_id, dict(live))
+                changed = sorted(live.items())
+            parts = [gid, _uvarint(view_id), _uvarint(len(changed))]
+            for member, count in changed:
+                parts.append(member)
+                parts.append(_uvarint(count))
+            entries.append(b"".join(parts))
+        if full:
+            return b"".join(
+                [_UVARINT1[_CTX_FULL], _uvarint(len(groups)), *entries])
+        parts = [_UVARINT1[_CTX_DELTA], _uvarint(len(entries)), *entries]
+        if len(base) > len(groups):
+            # Every listed group is in the base by now: the surplus left.
+            listed = {row[0] for row in groups}
+            gone = sorted(gid for gid in base if gid not in listed)
+            for gid in gone:
+                del base[gid]
+            parts.append(_uvarint(len(gone)))
+            parts.extend(gone)
+        else:
+            parts.append(_UVARINT1[0])
+        return b"".join(parts)
+
+
+def _uvarint(n: int) -> bytes:
+    return _UVARINT1[n] if 0 <= n < 0x80 else encode_uvarint(n)
+
+
+def _packed_context(context: Context) -> PackedContext:
+    return {
+        gid.pack(): (view_id, {m.pack(): c for m, c in vc.items()})
+        for gid, (view_id, vc) in context.items()
+    }
 
 
 def encode_context_compact(context: Context,
@@ -180,40 +388,9 @@ def encode_context_compact(context: Context,
     whole entry, since vectors reset per view).  Groups absent from
     ``context`` but present in ``prev`` are listed as removals.
     """
-    if prev is None:
-        parts = [bytes([_CTX_FULL]), encode_uvarint(len(context))]
-        for gid, (view_id, vc) in sorted(context.items(),
-                                         key=lambda kv: kv[0].pack()):
-            parts.append(_encode_ctx_entry(gid, view_id, dict(vc.items())))
-        return b"".join(parts)
-    entries = []
-    for gid, (view_id, vc) in sorted(context.items(),
-                                     key=lambda kv: kv[0].pack()):
-        prev_entry = prev.get(gid)
-        if prev_entry is not None and prev_entry[0] == view_id:
-            prev_vc = prev_entry[1]
-            changed = {m: c for m, c in vc.items() if prev_vc.get(m) != c}
-            if changed:
-                entries.append(_encode_ctx_entry(gid, view_id, changed))
-        else:
-            entries.append(_encode_ctx_entry(gid, view_id, dict(vc.items())))
-    removed = [gid for gid in prev if gid not in context]
-    parts = [bytes([_CTX_DELTA]), encode_uvarint(len(entries))]
-    parts.extend(entries)
-    parts.append(encode_uvarint(len(removed)))
-    parts.extend(gid.pack() for gid in sorted(removed,
-                                              key=lambda g: g.pack()))
-    return b"".join(parts)
-
-
-def _encode_ctx_entry(gid: Address, view_id: int,
-                      counters: Dict[Address, int]) -> bytes:
-    parts = [gid.pack(), encode_uvarint(view_id),
-             encode_uvarint(len(counters))]
-    for member, count in sorted(counters.items(), key=lambda kv: kv[0].pack()):
-        parts.append(member.pack())
-        parts.append(encode_uvarint(count))
-    return b"".join(parts)
+    encoder = ContextEncoder(None if prev is None else _packed_context(prev))
+    packed = _packed_context(context)
+    return encoder.encode([(gid, *packed[gid]) for gid in sorted(packed)])
 
 
 def decode_context_compact(data: bytes,
@@ -221,55 +398,12 @@ def decode_context_compact(data: bytes,
     """Inverse of :func:`encode_context_compact`.
 
     ``prev`` must be the absolute context reconstructed from the same
-    sender's previous message when ``data`` is a delta.  Unchanged
-    entries alias ``prev``'s vector clocks, which is safe because
-    reconstructed contexts are never mutated in place.
+    sender's previous message when ``data`` is a delta; it is left
+    untouched (the result shares no vector with it).
     """
-    if not data:
-        raise CodecError("empty compact context")
-    kind = data[0]
-    offset = 1
-    if kind not in (_CTX_FULL, _CTX_DELTA):
-        raise CodecError(f"unknown compact-context kind {kind}")
-    if kind == _CTX_DELTA and prev is None:
-        raise CodecError("delta context without a predecessor")
-    count, offset = decode_uvarint(data, offset)
-    out: Context = dict(prev) if kind == _CTX_DELTA else {}
-    for _ in range(count):
-        gid, view_id, counters, offset = _decode_ctx_entry(data, offset)
-        prev_entry = out.get(gid)
-        if (kind == _CTX_DELTA and prev_entry is not None
-                and prev_entry[0] == view_id):
-            vc = prev_entry[1].copy()
-            for member, value in counters.items():
-                vc.set(member, value)
-        else:
-            vc = VectorClock(counters)
-        out[gid] = (view_id, vc)
-    if kind == _CTX_DELTA:
-        removed, offset = decode_uvarint(data, offset)
-        for _ in range(removed):
-            gid, offset = _read_address(data, offset)
-            out.pop(gid, None)
-    if offset != len(data):
-        raise CodecError(f"{len(data) - offset} trailing bytes after "
-                         "compact context")
-    return out
-
-
-def _decode_ctx_entry(data: bytes, offset: int):
-    gid, offset = _read_address(data, offset)
-    view_id, offset = decode_uvarint(data, offset)
-    n, offset = decode_uvarint(data, offset)
-    counters: Dict[Address, int] = {}
-    for _ in range(n):
-        member, offset = _read_address(data, offset)
-        counters[member], offset = decode_uvarint(data, offset)
-    return gid, view_id, counters, offset
-
-
-def _read_address(data: bytes, offset: int) -> Tuple[Address, int]:
-    if offset + ADDRESS_SIZE > len(data):
-        raise CodecError("truncated address in compact context")
-    addr = Address.unpack(data[offset:offset + ADDRESS_SIZE])
-    return addr, offset + ADDRESS_SIZE
+    delta = parse_context_delta(bytes(data))
+    if prev is None:
+        if not delta.full:
+            raise CodecError("delta context without a predecessor")
+        prev = {}
+    return advanced_context(_packed_context(prev), delta)

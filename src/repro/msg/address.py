@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from typing import Dict
 
 from ..errors import AddressError
 
@@ -46,6 +47,12 @@ ENTRY_CC_REPLY = 3       # GENERIC_CC_REPLY of §6
 ENTRY_STATE_SEND = 4
 ENTRY_STATE_RECV = 5
 ENTRY_USER_BASE = 16
+
+#: :meth:`Address.unpack` hands out one shared instance per distinct
+#: packed form.  Live addresses are processes + groups + incarnations
+#: (tens to hundreds); the table is cleared, not grown, past this cap.
+_INTERN_CAP = 4096
+_interned: Dict[bytes, "Address"] = {}
 
 
 @dataclass(frozen=True, order=True)
@@ -82,11 +89,23 @@ class Address:
 
     @classmethod
     def unpack(cls, data: bytes) -> "Address":
-        """Decode from 8 bytes."""
+        """Decode from 8 bytes.
+
+        Addresses are immutable, so equal packed forms share one
+        instance (a bounded intern table): decoding the same member for
+        the thousandth time is a dictionary hit, not a construction.
+        """
+        try:
+            addr = _interned.get(data)
+        except TypeError:           # an unhashable buffer (bytearray)
+            data = bytes(data)
+            addr = _interned.get(data)
+        if addr is not None:
+            return addr
         if len(data) != ADDRESS_SIZE:
             raise AddressError(f"address must be {ADDRESS_SIZE} bytes, got {len(data)}")
         flags, site, inc, local_id, entry, _reserved = struct.unpack(_FORMAT, data)
-        return cls(
+        addr = cls(
             site=site,
             incarnation=inc,
             local_id=local_id,
@@ -94,6 +113,10 @@ class Address:
             is_group=bool(flags & _FLAG_GROUP),
             is_null=bool(flags & _FLAG_NULL),
         )
+        if len(_interned) >= _INTERN_CAP:
+            _interned.clear()
+        _interned[bytes(data)] = addr    # never pin a caller's buffer
+        return addr
 
     # -- derivation ------------------------------------------------------
     def with_entry(self, entry: int) -> "Address":
@@ -102,7 +125,15 @@ class Address:
 
     def process(self) -> "Address":
         """Identity of the process/group, ignoring the entry byte."""
-        return replace(self, entry=0)
+        if self.entry == 0:
+            return self
+        twin = self.__dict__.get("_process")
+        if twin is None:
+            twin = replace(self, entry=0)
+            # Frozen dataclass: the memo is not a field, so equality,
+            # ordering, hashing and ``replace`` never see it.
+            object.__setattr__(self, "_process", twin)
+        return twin
 
     @classmethod
     def null(cls) -> "Address":

@@ -3,8 +3,18 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.vectorclock import VectorClock
-from repro.msg import make_process_address
+from repro.core.vectorclock import (
+    ContextDelta,
+    ContextEncoder,
+    VectorClock,
+    advanced_context,
+    apply_context_delta,
+    decode_context_compact,
+    encode_context_compact,
+    parse_context_delta,
+)
+from repro.msg import Address, make_group_address, make_process_address
+from repro.msg.fields import decode_uvarint, encode_uvarint
 
 MEMBERS = [make_process_address(s, 0, i) for s in range(3) for i in range(3)]
 
@@ -85,3 +95,143 @@ def test_restrict_is_projection(a, keep):
         assert restricted.get(member) == vc.get(member)
     for member in set(MEMBERS) - set(keep):
         assert restricted.get(member) == 0
+
+
+# ----------------------------------------------------------------------
+# Compact context chains: the in-place ends against the absolute codec
+# ----------------------------------------------------------------------
+# Reference: the codec as it was when every message snapshotted, sorted
+# and re-packed every vector and the receiver rebuilt an absolute context
+# per message.  The wire format is pinned to what this produces.
+
+GROUPS = [make_group_address(s, n) for s in range(2) for n in range(1, 4)]
+
+
+def reference_encode(context, prev):
+    def entry(gid, view_id, counters):
+        parts = [gid.pack(), encode_uvarint(view_id),
+                 encode_uvarint(len(counters))]
+        for member, count in sorted(counters.items(),
+                                    key=lambda kv: kv[0].pack()):
+            parts += [member.pack(), encode_uvarint(count)]
+        return b"".join(parts)
+
+    ordered = sorted(context.items(), key=lambda kv: kv[0].pack())
+    if prev is None:
+        return b"".join([b"\x00", encode_uvarint(len(context))] + [
+            entry(gid, v, dict(vc.items())) for gid, (v, vc) in ordered])
+    entries = []
+    for gid, (view_id, vc) in ordered:
+        before = prev.get(gid)
+        if before is not None and before[0] == view_id:
+            changed = {m: c for m, c in vc.items() if before[1].get(m) != c}
+            if changed:
+                entries.append(entry(gid, view_id, changed))
+        else:
+            entries.append(entry(gid, view_id, dict(vc.items())))
+    removed = sorted(g.pack() for g in prev if g not in context)
+    return b"".join([b"\x01", encode_uvarint(len(entries))] + entries
+                    + [encode_uvarint(len(removed))] + removed)
+
+
+def reference_decode(data, prev):
+    """The absolute context the old receiver rebuilt per message."""
+    def address(offset):
+        return Address.unpack(data[offset:offset + 8]), offset + 8
+
+    out = dict(prev) if data[0] == 1 else {}
+    count, offset = decode_uvarint(data, 1)
+    for _ in range(count):
+        gid, offset = address(offset)
+        view_id, offset = decode_uvarint(data, offset)
+        n, offset = decode_uvarint(data, offset)
+        counters = {}
+        for _ in range(n):
+            member, offset = address(offset)
+            counters[member], offset = decode_uvarint(data, offset)
+        before = out.get(gid)
+        if data[0] == 1 and before is not None and before[0] == view_id:
+            vc = before[1].copy()
+            for member, value in counters.items():
+                vc.set(member, value)
+        else:
+            vc = VectorClock(counters)
+        out[gid] = (view_id, vc)
+    if data[0] == 1:
+        count, offset = decode_uvarint(data, offset)
+        for _ in range(count):
+            gid, offset = address(offset)
+            out.pop(gid, None)
+    assert offset == len(data)
+    return out
+
+
+#: One step of a sender's life between two of its multicasts.
+history_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("advance"), st.sampled_from(GROUPS),
+                  st.sampled_from(MEMBERS), st.integers(1, 200)),
+        st.tuples(st.just("view"), st.sampled_from(GROUPS)),
+        st.tuples(st.just("join"), st.sampled_from(GROUPS)),
+        st.tuples(st.just("leave"), st.sampled_from(GROUPS)),
+        st.tuples(st.just("send")),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+def replay(steps):
+    """Yield ``(live rows for ContextEncoder, absolute snapshot)`` at
+    every send of a multi-group history."""
+    live = {}                       # gid -> [view id, packed member -> count]
+    for step in steps + [("send",)]:
+        kind = step[0]
+        if kind == "join":
+            live.setdefault(step[1], [1, {}])
+        elif kind == "leave":
+            live.pop(step[1], None)
+        elif kind == "view" and step[1] in live:
+            # A new view resets the delivered vector (a fresh dict, as
+            # CausalReceiver.on_new_view does).
+            live[step[1]] = [live[step[1]][0] + 1, {}]
+        elif kind == "advance" and step[1] in live:
+            counts = live[step[1]][1]
+            key = step[2].pack()
+            counts[key] = counts.get(key, 0) + step[3]
+        elif kind == "send":
+            rows = [(gid.pack(), live[gid][0], live[gid][1])
+                    for gid in sorted(live, key=Address.pack)]
+            snapshot = {
+                gid: (view_id, VectorClock(
+                    {Address.unpack(m): c for m, c in counts.items()}))
+                for gid, (view_id, counts) in live.items()}
+            yield rows, snapshot
+
+
+@given(history_steps)
+def test_in_place_chain_ends_match_the_absolute_codec(steps):
+    encoder = ContextEncoder()
+    chain = {}                      # receiver side, advanced in place
+    sent = None                     # sender's previous absolute context
+    expected = rebuilt = None       # receiver's, by the reference / by us
+    for rows, absolute in replay(steps):
+        data = encoder.encode(rows)
+        assert data == reference_encode(absolute, sent)
+        assert data == encode_context_compact(absolute, sent)
+        expected = reference_decode(data, expected or {})
+        rebuilt = decode_context_compact(data, rebuilt)
+        delta = parse_context_delta(data)
+        walked = advanced_context(chain, delta)
+        apply_context_delta(chain, delta)
+        in_place = advanced_context(chain, ContextDelta(False, [], []))
+        for got in (walked, in_place, rebuilt):
+            # Same groups, views and counters *in the same order*: the
+            # order is what the full walk registers waits by.
+            assert list(got) == list(expected)
+            for gid, (view_id, vc) in expected.items():
+                assert got[gid][0] == view_id
+                assert list(got[gid][1].items()) == list(vc.items())
+        assert set(expected) == set(absolute)
+        for gid, (view_id, vc) in absolute.items():
+            assert expected[gid] == (view_id, vc)
+        sent = absolute

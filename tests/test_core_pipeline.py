@@ -153,6 +153,28 @@ class TestPiggybackedStability:
         assert system.kernel(0).stats()["buffered_messages"] == 0
 
 
+class TestStabilityRound:
+    def test_round_waits_for_every_member_despite_outsider_answers(self):
+        """An answer from a site outside the view (just removed, not yet
+        installed) must neither finish the round nor stand in for a
+        member that has not answered."""
+        from repro.core.pipeline import _decode_pairs
+
+        system, _, _ = _two_member_group(IsisConfig(), n_sites=3)
+        (engine,) = system.kernel(0).engines.values()
+        assert set(engine.view.member_sites()) == {0, 1, 2}
+        stage = engine.pipeline.stability
+        trims = []
+        stage.on_trim = trims.append
+        stage._round_answers = {0: {0: 5}, 1: {0: 4}, 9: {0: 1, 7: 9}}
+        stage._maybe_finish_round()
+        assert trims == [] and stage._round_answers is not None
+        stage._round_answers[2] = {0: 3}
+        stage._maybe_finish_round()
+        assert stage._round_answers is None
+        assert [_decode_pairs(t["stable"]) for t in trims] == [{0: 3}]
+
+
 class TestKernelStats:
     def test_stats_shape_and_transport_counters(self):
         system, members, _ = _two_member_group(IsisConfig())

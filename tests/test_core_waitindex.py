@@ -209,3 +209,80 @@ class TestIndexedDeliveryKernel:
         peaks = [system.kernel(s).stats()["causal.peak_pending"]
                  for s in range(3)]
         assert max(peaks) >= 1  # some message waited on a predecessor
+
+
+class TestContextCheckCost:
+    """A clock-free guard on what one CBCAST's causal context costs: the
+    receiver tests the entries the sender's delta names, never the whole
+    groups × members context, and a steady membership needs no full walk."""
+
+    N_SITES, N_GROUPS, SPAN, RUN = 8, 16, 4, 4
+
+    def _ring(self):
+        system = IsisCluster(n_sites=self.N_SITES, seed=11)
+        members = [system.spawn(s, f"m{s}") for s in range(self.N_SITES)]
+        deliveries = []
+        for proc, _ in members:
+            proc.bind(16, lambda msg: deliveries.append(msg["tag"]))
+        sites_of = [[(g * self.N_SITES // self.N_GROUPS + k) % self.N_SITES
+                     for k in range(self.SPAN)] for g in range(self.N_GROUPS)]
+        for g, sites in enumerate(sites_of):
+            def create(isis=members[sites[0]][1], g=g):
+                yield isis.pg_create(f"ring{g}")
+
+            members[sites[0]][0].spawn(create(), f"create{g}")
+        system.run_for(5.0)
+        for hop in range(1, self.SPAN):
+            for g, sites in enumerate(sites_of):
+                def join(isis=members[sites[hop]][1], g=g):
+                    gid = yield isis.pg_lookup(f"ring{g}")
+                    yield isis.pg_join(gid)
+
+                members[sites[hop]][0].spawn(join(), f"join{g}.{hop}")
+            system.run_for(30.0)
+        return system, members, sites_of, deliveries
+
+    def _drive(self, system, members, sites_of, rounds):
+        """Every site walks its groups ``rounds`` times, ``RUN`` CBCASTs
+        in a row to each — so successive contexts differ in few groups."""
+        for site, (proc, isis) in enumerate(members):
+            mine = [g for g, sites in enumerate(sites_of) if site in sites]
+
+            def gen(isis=isis, mine=mine, site=site):
+                gids = []
+                for g in mine:
+                    gid = yield isis.pg_lookup(f"ring{g}")
+                    gids.append(gid)
+                for r in range(rounds):
+                    for gid in gids:
+                        for k in range(self.RUN):
+                            yield isis.cbcast(gid, 16, tag=f"{site}.{r}.{k}")
+
+            proc.spawn(gen(), f"send{site}")
+        system.run_for(120.0)
+
+    def _totals(self, system):
+        stats = [system.kernel(s).stats() for s in range(self.N_SITES)]
+        return {key: sum(s[key] for s in stats) for key in (
+            "causal.ctx_delta_entries", "causal.ctx_full_walks",
+            "causal.pending", "wait_index.size")}
+
+    def test_steady_ring_checks_deltas_only(self):
+        system, members, sites_of, deliveries = self._ring()
+        groups_per_site = self.N_GROUPS * self.SPAN // self.N_SITES
+        assert all(len(system.kernel(s).engines) == groups_per_site
+                   for s in range(self.N_SITES))
+        self._drive(system, members, sites_of, rounds=1)     # warm-up
+        before, handed = self._totals(system), len(deliveries)
+        self._drive(system, members, sites_of, rounds=2)
+        after = self._totals(system)
+        checked = len(deliveries) - handed
+        assert checked == 2 * self.RUN * self.N_GROUPS * self.SPAN * self.SPAN
+        assert after["causal.pending"] == after["wait_index.size"] == 0
+        assert after["causal.ctx_full_walks"] == \
+            before["causal.ctx_full_walks"] == 0
+        entries = (after["causal.ctx_delta_entries"]
+                   - before["causal.ctx_delta_entries"])
+        # A sender's context spans 8 groups × 4 members; a check names
+        # about half the groups here, and only their moved counters.
+        assert entries / checked < groups_per_site * self.SPAN / 4

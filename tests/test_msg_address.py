@@ -81,3 +81,55 @@ def test_str_forms():
     assert "grp" in str(make_group_address(1, 2))
     assert "proc" in str(make_process_address(1, 0, 2))
     assert str(Address.null()) == "<null>"
+
+
+def test_process_of_entryless_address_is_itself():
+    addr = make_process_address(1, 0, 5)
+    assert addr.process() is addr
+    gid = make_group_address(2, 9)
+    assert gid.process() is gid
+
+
+def test_process_and_with_entry_keep_value_semantics():
+    base = make_process_address(1, 2, 3)
+    entry9 = base.with_entry(9)
+    twin = entry9.process()
+    assert twin == base and hash(twin) == hash(base)
+    assert twin.entry == 0 and entry9.entry == 9
+    assert entry9.process() is twin            # memoised, not rebuilt
+    assert entry9 != base and entry9 == make_process_address(1, 2, 3, entry=9)
+    assert hash(entry9) == hash(make_process_address(1, 2, 3, entry=9))
+    assert sorted([entry9, base]) == [base, entry9]
+    assert len({base, twin, entry9}) == 2
+
+
+def test_unpack_shares_one_instance_per_packed_form():
+    raw = make_process_address(7, 1, 42, entry=3).pack()
+    assert Address.unpack(raw) is Address.unpack(bytes(raw))
+    assert Address.unpack(bytearray(raw)) is Address.unpack(raw)
+    assert Address.unpack(raw) == make_process_address(7, 1, 42, entry=3)
+
+
+def test_intern_table_stays_bounded():
+    from repro.msg import address as address_module
+
+    cap = address_module._INTERN_CAP
+    for n in range(cap + 500):
+        addr = Address.unpack(
+            make_process_address(n & 0xFFFF, n >> 16, 1).pack())
+        assert addr.site == n & 0xFFFF
+        assert len(address_module._interned) <= cap
+    # Cleared, not corrupted: a dropped form decodes to an equal address.
+    assert Address.unpack(make_process_address(0, 0, 1).pack()) == \
+        make_process_address(0, 0, 1)
+
+
+def test_unpack_still_rejects_malformed_input():
+    good = make_process_address(1, 0, 1).pack()
+    for bad in (b"", good[:7], good + b"\x00", bytearray(good[:3])):
+        with pytest.raises(AddressError):
+            Address.unpack(bad)
+    with pytest.raises(AddressError):
+        make_process_address(1, 0, 1).with_entry(256)
+    with pytest.raises(AddressError):
+        make_process_address(1, 0, 1).with_entry(-1)
