@@ -264,7 +264,7 @@ class ProtocolsProcess:
         site.kernel = self  # type: ignore[attr-defined]
         site.set_message_handler(self._on_transport_message)
         site.set_raw_handler(self._on_raw)
-        site.set_bulk_handler(self._on_bulk_data)
+        site.set_bulk_handler(self._on_transport_message)
         site.on_crash(lambda _site: self.shutdown())
         # Failure detection + site views.
         self.heartbeat = HeartbeatMonitor(
@@ -478,13 +478,8 @@ class ProtocolsProcess:
         """
         return self.site.send_bulk(dst_site, msg.encode())
 
-    def _on_bulk_data(self, src_site: int, data: bytes) -> None:
-        """A bulk blob landed: decode and dispatch like any message."""
-        if not self.alive:
-            return
-        self._dispatch(src_site, Message.decode(data))
-
     def _on_transport_message(self, src_site: int, data: bytes) -> None:
+        """A message or a bulk blob landed: decode and dispatch it."""
         if not self.alive:
             return
         try:

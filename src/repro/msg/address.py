@@ -51,6 +51,9 @@ ENTRY_USER_BASE = 16
 #: :meth:`Address.unpack` hands out one shared instance per distinct
 #: packed form.  Live addresses are processes + groups + incarnations
 #: (tens to hundreds); the table is cleared, not grown, past this cap.
+#: The message decoder looks hits up here directly (a miss goes through
+#: ``unpack``), so it stays keyed by the 8 packed bytes and is emptied in
+#: place, never rebound.
 _INTERN_CAP = 4096
 _interned: Dict[bytes, "Address"] = {}
 
@@ -104,7 +107,11 @@ class Address:
             return addr
         if len(data) != ADDRESS_SIZE:
             raise AddressError(f"address must be {ADDRESS_SIZE} bytes, got {len(data)}")
-        flags, site, inc, local_id, entry, _reserved = struct.unpack(_FORMAT, data)
+        flags, site, inc, local_id, entry, reserved = struct.unpack(_FORMAT, data)
+        if reserved or flags & ~(_FLAG_GROUP | _FLAG_NULL):
+            # pack() never sets them, and a decoded message keeps its
+            # input bytes as its encoding: only the canonical form passes.
+            raise AddressError(f"address has reserved bits set: {bytes(data).hex()}")
         addr = cls(
             site=site,
             incarnation=inc,

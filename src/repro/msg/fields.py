@@ -20,15 +20,18 @@ tag     python       payload encoding (big-endian)
 8       list/tuple   u32 count + encoded values (recursive)
 9       dict         u32 count + (u16 keylen + key utf8 + value) pairs
 ====== ============ =====================================================
+
+A message is ``u16 magic 0x49D2 + u16 field count`` followed by that many
+``u16 name length + name UTF-8 + value`` entries.  This table and the
+have-vector format below are the wire specification; the codec that
+implements it for whole messages is in ``message.py``.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Any, Tuple
+from typing import Iterable, Tuple
 
 from ..errors import CodecError
-from .address import ADDRESS_SIZE, Address
 
 T_NONE = 0
 T_BOOL = 1
@@ -40,114 +43,6 @@ T_ADDR = 6
 T_MSG = 7
 T_LIST = 8
 T_DICT = 9
-
-_U32 = struct.Struct(">I")
-_U16 = struct.Struct(">H")
-_I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
-
-
-def encode_value(value: Any) -> bytes:
-    """Encode one field value, including its leading type tag."""
-    # Imported here to avoid a cycle: Message encodes via fields.
-    from .message import Message
-
-    if value is None:
-        return bytes([T_NONE])
-    if isinstance(value, bool):  # must precede int: bool is an int subtype
-        return bytes([T_BOOL, 1 if value else 0])
-    if isinstance(value, int):
-        try:
-            return bytes([T_INT]) + _I64.pack(value)
-        except struct.error as err:
-            raise CodecError(f"integer {value} exceeds 64 bits") from err
-    if isinstance(value, float):
-        return bytes([T_FLOAT]) + _F64.pack(value)
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        return bytes([T_STR]) + _U32.pack(len(raw)) + raw
-    if isinstance(value, (bytes, bytearray)):
-        raw = bytes(value)
-        return bytes([T_BYTES]) + _U32.pack(len(raw)) + raw
-    if isinstance(value, Address):
-        return bytes([T_ADDR]) + value.pack()
-    if isinstance(value, Message):
-        raw = value.encode()
-        return bytes([T_MSG]) + _U32.pack(len(raw)) + raw
-    if isinstance(value, (list, tuple)):
-        parts = [bytes([T_LIST]), _U32.pack(len(value))]
-        parts.extend(encode_value(item) for item in value)
-        return b"".join(parts)
-    if isinstance(value, dict):
-        parts = [bytes([T_DICT]), _U32.pack(len(value))]
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise CodecError(f"dict keys must be str, got {key!r}")
-            raw_key = key.encode("utf-8")
-            if len(raw_key) > 0xFFFF:
-                raise CodecError(f"dict key too long: {key[:32]!r}...")
-            parts.append(_U16.pack(len(raw_key)))
-            parts.append(raw_key)
-            parts.append(encode_value(item))
-        return b"".join(parts)
-    raise CodecError(f"unencodable field value of type {type(value).__name__}")
-
-
-def decode_value(data: bytes, offset: int) -> Tuple[Any, int]:
-    """Decode one value at ``offset``; return (value, next_offset)."""
-    from .message import Message
-
-    if offset >= len(data):
-        raise CodecError("truncated value: missing type tag")
-    tag = data[offset]
-    offset += 1
-    if tag == T_NONE:
-        return None, offset
-    if tag == T_BOOL:
-        _need(data, offset, 1)
-        return data[offset] != 0, offset + 1
-    if tag == T_INT:
-        _need(data, offset, 8)
-        return _I64.unpack_from(data, offset)[0], offset + 8
-    if tag == T_FLOAT:
-        _need(data, offset, 8)
-        return _F64.unpack_from(data, offset)[0], offset + 8
-    if tag == T_STR:
-        raw, offset = _read_block(data, offset)
-        return raw.decode("utf-8"), offset
-    if tag == T_BYTES:
-        return _read_block(data, offset)
-    if tag == T_ADDR:
-        _need(data, offset, ADDRESS_SIZE)
-        addr = Address.unpack(data[offset:offset + ADDRESS_SIZE])
-        return addr, offset + ADDRESS_SIZE
-    if tag == T_MSG:
-        raw, offset = _read_block(data, offset)
-        return Message.decode(raw), offset
-    if tag == T_LIST:
-        _need(data, offset, 4)
-        count = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        items = []
-        for _ in range(count):
-            item, offset = decode_value(data, offset)
-            items.append(item)
-        return items, offset
-    if tag == T_DICT:
-        _need(data, offset, 4)
-        count = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        out = {}
-        for _ in range(count):
-            _need(data, offset, 2)
-            key_len = _U16.unpack_from(data, offset)[0]
-            offset += 2
-            _need(data, offset, key_len)
-            key = data[offset:offset + key_len].decode("utf-8")
-            offset += key_len
-            out[key], offset = decode_value(data, offset)
-        return out, offset
-    raise CodecError(f"unknown field type tag {tag}")
 
 
 # ----------------------------------------------------------------------
@@ -172,36 +67,40 @@ def modular_newer(a: int, b: int, modulus: int = 256) -> bool:
     return 0 < (a - b) % modulus < modulus // 2
 
 
+def _encode_uvarints(numbers: Iterable[int]) -> bytes:
+    """Back-to-back unsigned LEB128 of ``numbers`` (all >= 0)."""
+    out = bytearray()
+    for n in numbers:
+        while n > 0x7F:
+            out.append((n & 0x7F) | 0x80)
+            n >>= 7
+        out.append(n)
+    return bytes(out)
+
+
 def encode_uvarint(n: int) -> bytes:
     """Unsigned LEB128."""
     if n < 0:
         raise CodecError(f"uvarint cannot encode negative value {n}")
-    out = bytearray()
-    while True:
-        byte = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    return _encode_uvarints((n,))
 
 
 def decode_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
     """Inverse of :func:`encode_uvarint`; returns (value, next_offset)."""
     result = 0
     shift = 0
-    while True:
-        if offset >= len(data):
-            raise CodecError("truncated uvarint")
-        byte = data[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
-        if shift > 63:
-            raise CodecError("uvarint exceeds 64 bits")
+    try:
+        while True:
+            byte = data[offset]
+            offset += 1
+            if byte < 0x80:
+                return result | (byte << shift), offset
+            result |= (byte & 0x7F) << shift
+            shift += 7
+            if shift > 63:
+                raise CodecError("uvarint exceeds 64 bits")
+    except IndexError:
+        raise CodecError("truncated uvarint") from None
 
 
 def encode_have_vector(have: "dict[int, int]") -> bytes:
@@ -213,16 +112,15 @@ def encode_have_vector(have: "dict[int, int]") -> bytes:
     ``g.stab.dn``'s global stable cut — see ``core/tree.py``'s
     ``min_merge_have_vectors``).
     """
-    parts = [encode_uvarint(len(have))]
+    numbers = [len(have)]
     prev_site = 0
     for site in sorted(have):
-        if site < 0 or have[site] < 0:
-            raise CodecError(f"have-vector entries must be >= 0: "
-                             f"{site}:{have[site]}")
-        parts.append(encode_uvarint(site - prev_site))
-        parts.append(encode_uvarint(have[site]))
+        top = have[site]
+        if site < 0 or top < 0:
+            raise CodecError(f"have-vector entries must be >= 0: {site}:{top}")
+        numbers += (site - prev_site, top)
         prev_site = site
-    return b"".join(parts)
+    return _encode_uvarints(numbers)
 
 
 def diff_have_vector(prev: "dict[int, int]",
@@ -268,32 +166,33 @@ def apply_have_diff(base: "dict[int, int]",
 
 
 def decode_have_vector(data: bytes) -> "dict[int, int]":
-    """Inverse of :func:`encode_have_vector`."""
-    count, offset = decode_uvarint(data, 0)
+    """Inverse of :func:`encode_have_vector`.
+
+    One loop over the bytes: the vector is nothing but uvarints — the
+    entry count, then a (site delta, top) pair per entry.
+    """
     out: "dict[int, int]" = {}
-    site = 0
-    for _ in range(count):
-        delta, offset = decode_uvarint(data, offset)
-        top, offset = decode_uvarint(data, offset)
-        site += delta
-        out[site] = top
-    if offset != len(data):
-        raise CodecError(f"{len(data) - offset} trailing bytes after "
-                         "have-vector")
+    count = delta = None
+    site = entries = result = shift = 0
+    for byte in data:
+        if byte > 0x7F:
+            result |= (byte & 0x7F) << shift
+            shift += 7
+            if shift > 63:
+                raise CodecError("uvarint exceeds 64 bits")
+            continue
+        value = result | (byte << shift)
+        result = shift = 0
+        if delta is not None:
+            site += delta
+            out[site] = value
+            delta = None
+            entries += 1
+        elif count is None:
+            count = value
+        else:
+            delta = value
+    if shift or delta is not None or count != entries:
+        raise CodecError(f"truncated or overlong have-vector: {count} entries "
+                         f"announced, {entries} complete")
     return out
-
-
-def _need(data: bytes, offset: int, count: int) -> None:
-    if offset + count > len(data):
-        raise CodecError(
-            f"truncated value: need {count} bytes at offset {offset}, "
-            f"have {len(data) - offset}"
-        )
-
-
-def _read_block(data: bytes, offset: int) -> Tuple[bytes, int]:
-    _need(data, offset, 4)
-    length = _U32.unpack_from(data, offset)[0]
-    offset += 4
-    _need(data, offset, length)
-    return data[offset:offset + length], offset + length

@@ -23,6 +23,10 @@ from .trace import Trace
 class Timer:
     """Handle for a scheduled callback; supports cancellation.
 
+    The simulator's heap holds ``(time, seq, timer)`` tuples, so ordering
+    is decided on the first two items (``seq`` is unique) and timers
+    themselves are never compared.
+
     Cancellation is lazy: the heap entry stays in place and is discarded
     when popped.  This keeps :meth:`cancel` O(1).  The simulator counts
     cancelled entries still sitting in its heap and compacts once they
@@ -54,9 +58,6 @@ class Timer:
         self.fn = None  # type: ignore[assignment]
         self.args = ()
 
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "armed"
         return f"<Timer t={self.time:.6f} seq={self.seq} {state}>"
@@ -78,7 +79,7 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         self._now: float = 0.0
-        self._heap: list[Timer] = []
+        self._heap: list[tuple[float, int, Timer]] = []
         self._seq: int = 0
         self._running = False
         self._rngs = RngRegistry(seed)
@@ -111,9 +112,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, now is t={self._now:.6f}"
             )
-        timer = Timer(time, self._seq, fn, args, sim=self)
-        self._seq += 1
-        heapq.heappush(self._heap, timer)
+        seq = self._seq
+        self._seq = seq + 1
+        timer = Timer(time, seq, fn, args, sim=self)
+        heapq.heappush(self._heap, (time, seq, timer))
         return timer
 
     def _note_cancelled(self) -> None:
@@ -121,7 +123,7 @@ class Simulator:
         self._cancelled += 1
         if (len(self._heap) >= self.COMPACT_MIN_HEAP
                 and self._cancelled * 2 > len(self._heap)):
-            self._heap = [t for t in self._heap if not t.cancelled]
+            self._heap = [e for e in self._heap if not e[2].cancelled]
             heapq.heapify(self._heap)
             self._cancelled = 0
             self._compactions += 1
@@ -142,7 +144,7 @@ class Simulator:
     def step(self) -> bool:
         """Run the single next event.  Returns False if the heap is empty."""
         while self._heap:
-            timer = heapq.heappop(self._heap)
+            timer = heapq.heappop(self._heap)[2]
             timer._sim = None  # out of the heap: cancels no longer counted
             if timer.cancelled:
                 self._cancelled -= 1
@@ -175,7 +177,7 @@ class Simulator:
             while self._heap:
                 if max_events is not None and executed >= max_events:
                     break
-                head = self._heap[0]
+                head = self._heap[0][2]
                 if head.cancelled:
                     heapq.heappop(self._heap)
                     head._sim = None

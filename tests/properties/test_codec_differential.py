@@ -1,0 +1,111 @@
+"""Differential properties: the one-pass codec against the recursive one.
+
+``reference_codec.py`` is the codec the library used before; both must
+produce the same bytes from the same fields and the same fields from the
+same bytes, including for the subclass inputs the encoder's dispatch
+table does not list.
+"""
+
+import collections
+import enum
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_codec as reference
+from repro.errors import CodecError
+from repro.msg import Message
+from repro.msg.fields import decode_have_vector, encode_have_vector
+from test_codec_properties import _message, field_names, scalars, values
+
+
+class Kind(enum.IntEnum):
+    CB = 1
+    AB = 2
+
+
+def _keyed(children):
+    return st.dictionaries(st.text(min_size=1, max_size=8), children,
+                           max_size=3)
+
+
+# Values whose type is a subclass of (or a stand-in for) a wire type.
+subclassed = st.recursive(
+    st.one_of(
+        scalars,
+        st.sampled_from(list(Kind)),
+        st.binary(max_size=16).map(bytearray),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3).map(tuple),
+        _keyed(children).map(collections.OrderedDict),
+        _keyed(children).map(_message),
+    ),
+    max_leaves=10,
+)
+
+
+def _same(a, b):
+    """Equal values of equal types, field and key order included."""
+    if isinstance(a, Message):
+        return (isinstance(b, Message) and list(a) == list(b)
+                and all(_same(a[name], b[name]) for name in a))
+    if isinstance(a, list):
+        return (isinstance(b, list) and len(a) == len(b)
+                and all(map(_same, a, b)))
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and list(a) == list(b)
+                and all(_same(a[key], b[key]) for key in a))
+    return type(a) is type(b) and a == b
+
+
+@given(st.dictionaries(field_names, st.one_of(values, subclassed), max_size=8))
+@settings(max_examples=300)
+def test_same_bytes_and_same_values_both_ways(fields):
+    raw = _message(fields).encode()
+    assert raw == reference.encode_message(_message(fields))
+    ours = Message.decode(raw)
+    assert _same(ours, reference.decode_message(raw))
+    assert ours.encode() is raw
+
+
+@given(st.integers(min_value=2**63) | st.integers(max_value=-(2**63) - 1))
+def test_an_int_wider_than_64_bits_is_a_codec_error_on_both(n):
+    with pytest.raises(CodecError):
+        reference.encode_message(Message(n=n))
+    with pytest.raises(CodecError):
+        Message(n=n).encode()
+    with pytest.raises(CodecError):
+        Message(v=[(n,)]).encode()
+
+
+@given(st.binary(max_size=48))
+@settings(max_examples=300)
+def test_arbitrary_bytes_decode_alike_or_raise_codec_error(data):
+    """The decoder may be stricter than the reference (canonical input
+    only), never looser, and never raises anything but CodecError."""
+    raw = b"\x49\xd2" + data
+    try:
+        ours = Message.decode(raw)
+    except CodecError:
+        return
+    assert reference.encode_message(ours) == raw     # NaN-proof equality
+    assert reference.encode_message(reference.decode_message(raw)) == raw
+
+
+@given(st.binary(max_size=24))
+@settings(max_examples=300)
+def test_have_vector_decoders_agree_on_arbitrary_bytes(data):
+    try:
+        expected = reference.decode_have_vector(data)
+    except CodecError:
+        with pytest.raises(CodecError):
+            decode_have_vector(data)
+        return
+    assert decode_have_vector(data) == expected
+
+
+@given(st.dictionaries(st.integers(0, 2**40), st.integers(0, 2**62), max_size=12))
+def test_have_vector_encoders_agree(have):
+    assert encode_have_vector(have) == reference.encode_have_vector(have)

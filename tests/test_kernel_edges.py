@@ -18,6 +18,16 @@ def test_undecodable_transport_message_counted_not_fatal():
     assert system.kernel(1).alive
 
 
+def test_undecodable_bulk_blob_counted_not_fatal():
+    system = IsisCluster(n_sites=2, seed=100)
+    system.run_for(1.0)
+    # Header says one field; the field's name is not UTF-8.
+    system.site(0).send_bulk(1, b"\x49\xd2\x00\x01\x00\x02\xff\xfe\x00")
+    system.run_for(2.0)
+    assert system.sim.trace.value("kernel.undecodable") == 1
+    assert system.kernel(1).alive
+
+
 def test_unknown_protocol_counted_not_fatal():
     system = IsisCluster(n_sites=2, seed=101)
     system.run_for(1.0)

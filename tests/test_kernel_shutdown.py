@@ -17,7 +17,7 @@ SINK = 9
 
 
 def _armed_timers(sim):
-    return [t for t in sim._heap if not t.cancelled]
+    return [t for _time, _seq, t in sim._heap if not t.cancelled]
 
 
 def _deploy_three(system):
