@@ -3,6 +3,7 @@
 from .bulk import BulkChannel, BulkConfig
 from .lan import Lan, LanConfig
 from .packet import FRAME_HEADER_BYTES, KIND_ACK, KIND_DATA, Frame, Reassembler, fragment
+from .reliable import ReliableEndpoint
 from .transport import Transport
 
 __all__ = [
@@ -16,5 +17,6 @@ __all__ = [
     "FRAME_HEADER_BYTES",
     "KIND_DATA",
     "KIND_ACK",
+    "ReliableEndpoint",
     "Transport",
 ]
