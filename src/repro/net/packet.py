@@ -32,7 +32,8 @@ class Frame:
     dst_site: int
     epoch: int = 0           # sender incarnation; stale epochs are ignored
     seq: int = 0             # per-channel sequence number (data frames)
-    ack: int = -1            # cumulative ack (ack frames)
+    ack: int = -1            # cumulative ack (ack frames, or riding data)
+    ack_epoch: int = 0       # incarnation of the peer whose frames ``ack`` counts
     msg_id: int = 0          # message this fragment belongs to
     frag_index: int = 0
     frag_total: int = 1
@@ -40,6 +41,7 @@ class Frame:
     #: Copy riding a hardware-broadcast transmission already charged to
     #: the sender (the [Babaoglu] optimization): token send cost only.
     cheap: bool = False
+    syn: bool = False        # first data frame of a numbering (net/reliable.py)
 
     @property
     def wire_size(self) -> int:
@@ -67,10 +69,10 @@ class Frame:
 #
 # Header layout (network byte order):
 #   kind      u8   (0=data, 1=ack, 2=raw)
-#   flags     u8   (bit 0: cheap/piggyback copy)
+#   flags     u8   (bit 0: cheap/piggyback copy, bit 1: syn)
 #   src_site  u16
 #   dst_site  u16
-#   epoch     u16  (sender incarnation)
+#   epoch     u16  (low byte: sender incarnation; high byte: ack_epoch)
 #   seq       u32
 #   ack       i32  (-1 = no ack piggybacked)
 #   msg_id    u32
@@ -97,9 +99,10 @@ def encode_frame(frame: Frame) -> bytes:
     code = _KIND_TO_CODE.get(frame.kind)
     if code is None:
         raise NetworkError(f"unknown frame kind {frame.kind!r}")
-    flags = 1 if frame.cheap else 0
+    flags = (1 if frame.cheap else 0) | (2 if frame.syn else 0)
     header = _FRAME_STRUCT.pack(
-        code, flags, frame.src_site, frame.dst_site, frame.epoch,
+        code, flags, frame.src_site, frame.dst_site,
+        frame.epoch | frame.ack_epoch << 8,
         frame.seq, frame.ack, frame.msg_id, frame.frag_index,
         frame.frag_total, len(frame.payload),
     )
@@ -120,9 +123,10 @@ def decode_frame(buf: bytes, offset: int = 0) -> Tuple[Frame, int]:
         raise NetworkError("truncated frame payload")
     payload = bytes(buf[end:end + payload_len])
     frame = Frame(
-        kind=kind, src_site=src, dst_site=dst, epoch=epoch, seq=seq,
-        ack=ack, msg_id=msg_id, frag_index=frag_index,
+        kind=kind, src_site=src, dst_site=dst, epoch=epoch & 0xFF, seq=seq,
+        ack=ack, ack_epoch=epoch >> 8, msg_id=msg_id, frag_index=frag_index,
         frag_total=frag_total, payload=payload, cheap=bool(flags & 1),
+        syn=bool(flags & 2),
     )
     return frame, end + payload_len
 

@@ -6,18 +6,21 @@ loss (§2.1: "Our system tolerates message loss").  This module is that
 substrate, the textbook fair-loss -> reliable-link construction: a
 sliding window with cumulative acknowledgements, a retransmission probe
 on timeout with exponential backoff, and fragmentation of messages
-larger than the MTU.
+larger than the MTU.  :class:`ReliableEndpoint` owns all of it and knows
+nothing of sockets, CPUs or event loops; an adapter subclasses it and
+supplies the wire (the hooks at the end of the class).
 
-:class:`ReliableEndpoint` owns the whole protocol and knows nothing of
-sockets, CPUs or event loops.  An adapter subclasses it and supplies the
-wire (see the hooks at the end of the class); the simulator's
-:class:`~repro.net.transport.Transport` and the real-socket
-:class:`~repro.net.udp.UdpTransport` are the two in the tree, and a test
-can be a third with an in-memory list for a wire.
-
-Epochs: a restarting site gets a new incarnation number; frames from a
-previous incarnation are discarded, and receiver-side channel state is
-reset when a higher epoch is seen, so a recovered site starts clean.
+Channel identity.  Every data and ACK frame carries its sender's
+incarnation, and an endpoint remembers the newest one heard from each
+peer: a newer one resets both directions of the channel, an older one is
+dropped.  An ACK also names the incarnation whose frames it counts, and
+any other ignores it.  Sequence numbers to one destination never restart
+while the sender lives: ``reset_channel`` abandons what is unacked and
+numbering goes on from there, the next frame flagged ``syn``.  A
+receiver delivers nothing before it has seen a ``syn`` frame, and on
+seeing a later one jumps to it, discarding what it still held of the
+numbering before.  So neither a frame nor an ACK of an abandoned
+numbering is ever taken for one of its successor.
 """
 
 from __future__ import annotations
@@ -34,16 +37,19 @@ from .packet import KIND_ACK, KIND_DATA, KIND_RAW, Frame, Reassembler, fragment
 class _SendChannel:
     """Sender-side state for one destination site."""
 
-    __slots__ = ("next_seq", "unacked", "backlog", "retx_timer", "msg_done",
-                 "rto", "wire_times")
+    __slots__ = ("first_seq", "next_seq", "unacked", "backlog", "retx_timer",
+                 "msg_done", "rto", "wire_times")
 
     def __init__(self, base_rto: float) -> None:
+        #: Where the current numbering starts (its ``syn`` frame) and
+        #: continues.  ``reset_channel`` moves the first up to the second.
+        self.first_seq = 0
         self.next_seq = 0
         self.unacked: "OrderedDict[int, Frame]" = OrderedDict()
         self.backlog: Deque[Frame] = deque()
         self.retx_timer: Optional[Any] = None
-        #: msg_id -> (last_seq, promise) resolved when last frame acked.
-        self.msg_done: Dict[int, Tuple[int, Promise]] = {}
+        #: (last_seq, promise) per message, resolved when that seq is acked.
+        self.msg_done: Deque[Tuple[int, Promise]] = deque()
         #: Current retransmission timeout (exponential backoff on loss,
         #: reset on ack progress).
         self.rto = base_rto
@@ -53,13 +59,14 @@ class _SendChannel:
 
 
 class _RecvChannel:
-    """Receiver-side state for one (source site, epoch)."""
+    """Receiver-side state for one incarnation of one source site."""
 
-    __slots__ = ("epoch", "expected", "out_of_order")
+    __slots__ = ("expected", "out_of_order")
 
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
-        self.expected = 0
+    def __init__(self) -> None:
+        #: Next seq to deliver; ``None`` until a ``syn`` frame says where
+        #: the sender's numbering starts.
+        self.expected: Optional[int] = None
         self.out_of_order: Dict[int, Frame] = {}
 
 
@@ -83,15 +90,22 @@ class ReliableEndpoint:
         Ceiling of the retransmission backoff.
     """
 
-    def __init__(
-        self,
-        clock: Any,
-        config: Any,
-        site_id: int,
-        epoch: int,
-        on_message: Callable[[int, bytes], None],
-        max_rto: float,
-    ):
+    #: Per-endpoint wire counters, the keys of :meth:`stats` (the global
+    #: trace counters cannot attribute frames to a site; benchmarks and
+    #: kernel stats can).
+    COUNTERS: Tuple[str, ...] = (
+        "msgs_sent", "bytes_sent",
+        # The next two and ``acks_pure`` are counted by the adapter, in
+        # the units of its wire.
+        "frames_sent", "frames_received",
+        "msgs_received", "retransmits",
+        "acks_pure",         # stand-alone ACK frames sent
+        "acks_coalesced",    # data frames whose ACK merged into one owed
+        "acks_piggybacked",  # ACKs that rode a reverse data frame
+    )
+
+    def __init__(self, clock: Any, config: Any, site_id: int, epoch: int,
+                 on_message: Callable[[int, bytes], None], max_rto: float):
         self.clock = clock
         self.config = config
         self.site_id = site_id
@@ -102,29 +116,19 @@ class ReliableEndpoint:
         self.on_raw: Optional[Callable[[int, bytes], None]] = None
         self._send_channels: Dict[int, _SendChannel] = {}
         self._recv_channels: Dict[int, _RecvChannel] = {}
+        #: Newest incarnation heard from each peer, on any reliable frame.
+        self._peer_epoch: Dict[int, int] = {}
         self._reassembler = Reassembler()
         self._next_msg_id = 0
         self._alive = True
-        #: Delayed cumulative ACKs: dst site -> highest ack owed.
+        #: Delayed cumulative ACKs: dst site -> highest ack owed, and the
+        #: timer that will send it.
         self._ack_pending: Dict[int, int] = {}
         self._ack_timers: Dict[int, Any] = {}
-        #: Per-endpoint wire counters (the global trace counters cannot
-        #: attribute frames to a site; benchmarks and kernel stats can).
-        #: ``frames_sent``, ``frames_received`` and ``acks_pure`` are
-        #: counted by the adapter, in the units of its wire.
-        self.msgs_sent = 0
-        self.bytes_sent = 0
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.msgs_received = 0
-        self.retransmits = 0
-        self.acks_pure = 0          # stand-alone ACK frames sent
-        self.acks_coalesced = 0     # data frames whose ACK merged into one
-        self.acks_piggybacked = 0   # ACKs that rode a reverse data frame
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
-    # ------------------------------------------------------------------
-    # Sending
-    # ------------------------------------------------------------------
+    # -- Sending -------------------------------------------------------
     def send(self, dst_site: int, data: bytes,
              piggyback: bool = False) -> Promise:
         """Queue ``data`` for reliable delivery to ``dst_site``.
@@ -137,36 +141,30 @@ class ReliableEndpoint:
         transmission already paid for (the [Babaoglu] optimization of
         the paper's footnote 1): the simulator charges it a token CPU
         cost instead of a full per-destination send.  Real UDP has no
-        such fast path and carries the flag only.
+        such fast path and only carries the flag.
         """
         if not self._alive:
             promise = Promise(label="send-on-dead-transport")
             promise.reject(SiteDown(f"site {self.site_id} is down"))
             return promise
-        channel = self._send_channels.setdefault(
-            dst_site, _SendChannel(self.config.rto))
+        channel = self._send_channels.get(dst_site)
+        if channel is None:
+            channel = self._send_channels[dst_site] = _SendChannel(
+                self.config.rto)
         msg_id = self._next_msg_id
         self._next_msg_id += 1
         chunks = fragment(data, self.config.mtu)
-        frames = []
-        for index, chunk in enumerate(chunks):
-            frames.append(
-                Frame(
-                    kind=KIND_DATA,
-                    src_site=self.site_id,
-                    dst_site=dst_site,
-                    epoch=self.epoch,
-                    seq=channel.next_seq,
-                    msg_id=msg_id,
-                    frag_index=index,
-                    frag_total=len(chunks),
-                    payload=chunk,
-                    cheap=piggyback,
-                )
-            )
-            channel.next_seq += 1
+        first = channel.next_seq
+        frames = [
+            Frame(kind=KIND_DATA, src_site=self.site_id, dst_site=dst_site,
+                  epoch=self.epoch, seq=first + index, msg_id=msg_id,
+                  frag_index=index, frag_total=len(chunks), payload=chunk,
+                  cheap=piggyback, syn=first + index == channel.first_seq)
+            for index, chunk in enumerate(chunks)
+        ]
+        channel.next_seq += len(chunks)
         promise = Promise(label=f"send:{self.site_id}->{dst_site}:{msg_id}")
-        channel.msg_done[msg_id] = (frames[-1].seq, promise)
+        channel.msg_done.append((frames[-1].seq, promise))
         self.clock.trace.bump("transport.messages")
         self.clock.trace.bump("transport.bytes", len(data))
         self.msgs_sent += 1
@@ -180,19 +178,13 @@ class ReliableEndpoint:
 
     def send_raw(self, dst_site: int, payload: bytes) -> None:
         """Fire-and-forget datagram: no ordering, no retransmission.
-
         Used for heartbeats, where a lost probe *should* look like
         silence rather than be masked by the reliable channel.
         """
-        if not self._alive:
-            return
-        self._wire(Frame(
-            kind=KIND_RAW,
-            src_site=self.site_id,
-            dst_site=dst_site,
-            epoch=self.epoch,
-            payload=payload,
-        ))
+        if self._alive:
+            self._wire(Frame(kind=KIND_RAW, src_site=self.site_id,
+                             dst_site=dst_site, epoch=self.epoch,
+                             payload=payload))
 
     def _transmit(self, channel: _SendChannel, frame: Frame) -> None:
         channel.unacked[frame.seq] = frame
@@ -206,25 +198,23 @@ class ReliableEndpoint:
         frames it has not yet transmitted and melt down in a
         retransmission storm.
         """
-        if not self._alive:
-            return
-        pending_ack = self._ack_pending.pop(frame.dst_site, None)
-        if pending_ack is not None:
+        if frame.seq not in channel.unacked:
+            return  # the channel was reset (or we went down) meanwhile
+        dst_site = frame.dst_site
+        if dst_site in self._ack_pending:
             # Reverse-direction data absorbs the delayed ACK entirely.
-            frame.ack = max(frame.ack, pending_ack)
-            self._cancel_ack_timer(frame.dst_site)
+            frame.ack = max(frame.ack, self._take_owed_ack(dst_site))
+            frame.ack_epoch = self._peer_epoch[dst_site]
             self.acks_piggybacked += 1
             self.clock.trace.bump("transport.acks_piggybacked")
         self._wire(frame)
         channel.wire_times.setdefault(frame.seq, self.clock.now)
-        self._arm_retransmit(channel, frame.dst_site)
+        self._arm_retransmit(channel, dst_site)
 
     def _arm_retransmit(self, channel: _SendChannel, dst_site: int) -> None:
-        if channel.retx_timer is not None or not channel.unacked:
-            return
-        channel.retx_timer = self.clock.call_after(
-            channel.rto, self._retransmit, dst_site
-        )
+        if channel.retx_timer is None and channel.unacked:
+            channel.retx_timer = self.clock.call_after(
+                channel.rto, self._retransmit, dst_site)
 
     def _retransmit(self, dst_site: int) -> None:
         """Probe with the *oldest transmitted* unacked frame only.
@@ -238,7 +228,7 @@ class ReliableEndpoint:
         if channel is None:
             return
         channel.retx_timer = None
-        if not self._alive or not channel.unacked:
+        if not channel.unacked:
             return
         oldest_seq = next(iter(channel.unacked))
         sent_at = channel.wire_times.get(oldest_seq)
@@ -258,70 +248,111 @@ class ReliableEndpoint:
         self._wire_probe(channel.unacked[oldest_seq])
         self._arm_retransmit(channel, dst_site)
 
-    # ------------------------------------------------------------------
-    # Receiving
-    # ------------------------------------------------------------------
-    def _process_raw(self, frame: Frame) -> None:
-        if self.on_raw is not None:
+    # -- Receiving -----------------------------------------------------
+    def _receive(self, frame: Frame) -> None:
+        """A frame came off the wire (the simulator charges CPU first)."""
+        if not self._alive:
+            return
+        self.frames_received += 1
+        if frame.kind == KIND_ACK:
+            self._process_ack(frame)
+        elif frame.kind != KIND_RAW:
+            self._process_data(frame)
+        elif self.on_raw is not None:
             self.on_raw(frame.src_site, frame.payload)
 
+    def _new_epoch(self, src_site: int, epoch: int) -> bool:
+        """A data or ACK frame came from an incarnation other than the
+        one on record: note a newer one; False for a dead one's frame."""
+        known = self._peer_epoch.get(src_site)
+        if known is not None:
+            # Epochs wrap modulo 256 with the incarnation byte, so
+            # newness is a modular half-window, not ``>``.
+            if not modular_newer(epoch, known):
+                self.clock.trace.bump("transport.stale_epoch")
+                return False
+            # The peer restarted.  Inbound state goes, and with it any
+            # ACK still owed to the previous incarnation.  So does
+            # outbound: the fresh receiver saw none of our numbering and
+            # can only take up a channel from its ``syn`` frame.
+            self.clock.trace.bump("transport.peer_restarts")
+            self.reset_channel(src_site)
+            self._recv_channels.pop(src_site, None)
+            self._reassembler.forget((src_site,))
+            self._take_owed_ack(src_site)
+        self._peer_epoch[src_site] = epoch
+        return True
+
     def _process_ack(self, frame: Frame) -> None:
+        src_site = frame.src_site
+        if (frame.epoch == self._peer_epoch.get(src_site)
+                or self._new_epoch(src_site, frame.epoch)):
+            self._apply_ack(frame)
+
+    def _apply_ack(self, frame: Frame) -> None:
+        """Take ``frame.ack`` (of an ACK frame, or riding a data frame)."""
+        if frame.ack_epoch != self.epoch:
+            # It counts frames of our previous incarnation, whose
+            # numbering also started at 0: not ours to be acknowledged.
+            self.clock.trace.bump("transport.stale_epoch")
+            return
         channel = self._send_channels.get(frame.src_site)
         if channel is None:
             return
-        progressed = any(s <= frame.ack for s in channel.unacked)
-        if progressed:
+        # ``unacked`` is in seq order and ``msg_done`` in order of last
+        # seq, so both are acknowledged from the front.
+        ack = frame.ack
+        unacked = channel.unacked
+        while unacked:
+            seq = next(iter(unacked))
+            if seq > ack:
+                break
+            del unacked[seq]
+            channel.wire_times.pop(seq, None)  # None: acked unsent (bogus)
             channel.rto = self.config.rto  # backoff resets on progress
-        for seq in [s for s in channel.unacked if s <= frame.ack]:
-            del channel.unacked[seq]
-            channel.wire_times.pop(seq, None)
-        for msg_id in [
-            m for m, (last_seq, _) in channel.msg_done.items() if last_seq <= frame.ack
-        ]:
-            _, promise = channel.msg_done.pop(msg_id)
-            promise.resolve(None)
-        while channel.backlog and len(channel.unacked) < self.config.window:
+        done = channel.msg_done
+        while done and done[0][0] <= ack:
+            done.popleft()[1].resolve(None)
+        while channel.backlog and len(unacked) < self.config.window:
             self._transmit(channel, channel.backlog.popleft())
-        if channel.retx_timer is not None and not channel.unacked:
+        if channel.retx_timer is not None and not unacked:
             channel.retx_timer.cancel()
             channel.retx_timer = None
 
     def _process_data(self, frame: Frame) -> None:
-        channel = self._recv_channels.get(frame.src_site)
-        if channel is None or modular_newer(frame.epoch, channel.epoch):
-            # New incarnation of the source: reset channel state,
-            # including any ACK still owed to the previous incarnation —
-            # replaying it against the new incarnation's send channel
-            # would silently "acknowledge" frames we never received.
-            # Epochs wrap modulo 256 with the incarnation byte, so
-            # newness is a modular half-window, not ``>``.
-            if channel is not None:
-                # The restart is otherwise invisible to our *send* side:
-                # frame epochs name the sender's incarnation only, so a
-                # surviving send channel keeps numbering frames where the
-                # dead incarnation left off, and the fresh receiver
-                # (expecting seq 0) buffers them as out-of-order forever.
-                # Restart outbound numbering along with inbound state.
-                self.clock.trace.bump("transport.peer_restarts")
-                self.reset_channel(frame.src_site)
-            channel = _RecvChannel(frame.epoch)
-            self._recv_channels[frame.src_site] = channel
-            self._reassembler.forget((frame.src_site,))
-            self._ack_pending.pop(frame.src_site, None)
-            self._cancel_ack_timer(frame.src_site)
-        elif frame.epoch != channel.epoch:
-            self.clock.trace.bump("transport.stale_epoch")
+        src_site = frame.src_site
+        if (frame.epoch != self._peer_epoch.get(src_site)
+                and not self._new_epoch(src_site, frame.epoch)):
             return
+        channel = self._recv_channels.get(src_site)
+        if channel is None:
+            channel = self._recv_channels[src_site] = _RecvChannel()
         if frame.ack >= 0:
             # A delayed ACK rode this reverse-direction data frame.
-            # Processed only after the epoch checks above: an ACK from a
-            # dead incarnation must not touch the live send channel.
-            self._process_ack(frame)
-        if frame.seq < channel.expected:
+            # Taken only after the incarnation check above: an ACK from
+            # a dead incarnation must not touch the live send channel.
+            self._apply_ack(frame)
+        expected = channel.expected
+        if frame.syn and (expected is None or frame.seq > expected):
+            # The sender opened a channel here: all it numbered before
+            # is abandoned, whatever of it we still hold or miss.
+            channel.expected = expected = frame.seq
+            for seq in [s for s in channel.out_of_order if s < expected]:
+                del channel.out_of_order[seq]
+            self._reassembler.forget((src_site,))
+        if expected is None:
+            # Mid-channel frames reached a receiver that never saw the
+            # channel open (we restarted under it).  Hold them, and
+            # answer at once: the reply carries our incarnation, which
+            # is what tells the sender to open a new channel.
+            channel.out_of_order.setdefault(frame.seq, frame)
+            self._note_ack(src_site, -1, urgent=True)
+            return
+        if frame.seq < expected:
             # A duplicate means the sender timed out: answer right away
             # (an ACK delayed here would only invite more retransmits).
             self.clock.trace.bump("transport.duplicates")
-            self._note_ack(frame.src_site, channel.expected - 1, urgent=True)
+            self._note_ack(src_site, expected - 1, urgent=True)
             return
         channel.out_of_order.setdefault(frame.seq, frame)
         delivered = False
@@ -330,17 +361,14 @@ class ReliableEndpoint:
             channel.expected += 1
             delivered = True
             whole = self._reassembler.add(
-                (frame.src_site, ready.msg_id),
-                ready.frag_index,
-                ready.frag_total,
-                ready.payload,
-            )
+                (src_site, ready.msg_id), ready.frag_index,
+                ready.frag_total, ready.payload)
             if whole is not None:
                 self.msgs_received += 1
-                self.on_message(frame.src_site, whole)
+                self.on_message(src_site, whole)
         if delivered or frame.seq >= channel.expected:
             # Gaps (nothing delivered) signal loss: ACK those urgently.
-            self._note_ack(frame.src_site, channel.expected - 1,
+            self._note_ack(src_site, channel.expected - 1,
                            urgent=not delivered)
 
     def _note_ack(self, dst_site: int, cumulative: int,
@@ -356,68 +384,43 @@ class ReliableEndpoint:
         if not self._alive:
             return  # a CPU-queued frame processed post-crash: stay silent
         delay = self.config.ack_delay
-        if delay <= 0:
-            self._send_ack(dst_site, cumulative)
-            return
         pending = self._ack_pending.get(dst_site)
-        if urgent:
-            self._ack_pending.pop(dst_site, None)
-            self._cancel_ack_timer(dst_site)
+        if delay <= 0 or urgent:
             if pending is not None:
-                cumulative = max(cumulative, pending)
+                cumulative = max(cumulative, self._take_owed_ack(dst_site))
             self._send_ack(dst_site, cumulative)
-            return
-        if pending is not None:
+        elif pending is not None:
             self._ack_pending[dst_site] = max(pending, cumulative)
             self.acks_coalesced += 1
             self.clock.trace.bump("transport.acks_coalesced")
         else:
             self._ack_pending[dst_site] = cumulative
-        if dst_site not in self._ack_timers:
             self._ack_timers[dst_site] = self.clock.call_after(
                 delay, self._flush_ack, dst_site)
 
     def _flush_ack(self, dst_site: int) -> None:
-        self._ack_timers.pop(dst_site, None)
-        cumulative = self._ack_pending.pop(dst_site, None)
-        if cumulative is not None and self._alive:
-            self._send_ack(dst_site, cumulative)
+        self._send_ack(dst_site, self._take_owed_ack(dst_site))
 
-    def _cancel_ack_timer(self, dst_site: int) -> None:
+    def _take_owed_ack(self, dst_site: int) -> Optional[int]:
+        """Stop owing ``dst_site`` an ACK; returns what was owed."""
         timer = self._ack_timers.pop(dst_site, None)
         if timer is not None:
             timer.cancel()
+        return self._ack_pending.pop(dst_site, None)
 
     def _send_ack(self, dst_site: int, cumulative: int) -> None:
-        self._wire(Frame(
-            kind=KIND_ACK,
-            src_site=self.site_id,
-            dst_site=dst_site,
-            epoch=self.epoch,
-            ack=cumulative,
-        ))
+        self._wire(Frame(kind=KIND_ACK, src_site=self.site_id,
+                         dst_site=dst_site, epoch=self.epoch, ack=cumulative,
+                         ack_epoch=self._peer_epoch.get(dst_site, 0)))
 
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
+    # -- Statistics and lifecycle --------------------------------------
     def stats(self) -> Dict[str, int]:
         """Wire activity of this endpoint since boot."""
-        return {
-            "msgs_sent": self.msgs_sent,
-            "bytes_sent": self.bytes_sent,
-            "frames_sent": self.frames_sent,
-            "frames_received": self.frames_received,
-            "msgs_received": self.msgs_received,
-            "retransmits": self.retransmits,
-            "acks_pure": self.acks_pure,
-            "acks_coalesced": self.acks_coalesced,
-            "acks_piggybacked": self.acks_piggybacked,
-        }
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
     def outbound_idle(self) -> bool:
         """True once nothing is owed to any peer: every frame sent so
         far is acked, nothing is queued, and no ACK is being delayed.
-
         Lets a departing site linger until its peers hold everything it
         said — exiting with unacked frames kills their retransmit path.
         """
@@ -425,17 +428,25 @@ class ReliableEndpoint:
             not ch.unacked and not ch.backlog
             for ch in self._send_channels.values())
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def reset_channel(self, dst_site: int) -> None:
         """Abandon traffic to a (failed) site; reject its pending sends."""
-        channel = self._send_channels.pop(dst_site, None)
+        channel = self._send_channels.get(dst_site)
         if channel is None:
             return
         if channel.retx_timer is not None:
             channel.retx_timer.cancel()
-        for _, promise in channel.msg_done.values():
+            channel.retx_timer = None
+        abandoned = list(channel.msg_done)
+        # Emptied in place: a frame of it still waiting to be emitted then
+        # finds itself gone from ``unacked``.  Numbering goes on, so that
+        # nothing of the old one can be taken for the new (module doc).
+        channel.unacked.clear()
+        channel.backlog.clear()
+        channel.msg_done.clear()
+        channel.wire_times.clear()
+        channel.first_seq = channel.next_seq
+        channel.rto = self.config.rto
+        for _, promise in abandoned:
             promise.reject(SiteDown(f"site {dst_site} declared down"))
 
     def shutdown(self) -> None:
@@ -444,39 +455,34 @@ class ReliableEndpoint:
             return
         self._alive = False
         self._detach()
-        for dst_site in list(self._ack_timers):
-            self._cancel_ack_timer(dst_site)
-        self._ack_pending.clear()
-        for dst_site in list(self._send_channels):
+        for dst_site in list(self._ack_pending):
+            self._take_owed_ack(dst_site)
+        for dst_site in self._send_channels:
             self.reset_channel(dst_site)
 
     @property
     def alive(self) -> bool:
         return self._alive
 
-    # ------------------------------------------------------------------
-    # What an adapter supplies.  Inbound, it hands each frame of a live
-    # endpoint to _process_data / _process_ack / _process_raw, counting
-    # frames_received.
-    # ------------------------------------------------------------------
+    # -- What an adapter supplies: the two hooks that raise, and the three
+    # before them if frames wait in a queue (a CPU's) before its wire ------
     def _emit(self, channel: _SendChannel, frame: Frame) -> None:
         """Start a data frame's first transmission: call ``_on_wire``
         with the same arguments at the moment it reaches the wire."""
-        raise NotImplementedError
+        self._on_wire(channel, frame)
+
+    def _wire_probe(self, frame: Frame) -> None:
+        """Put a retransmission of data ``frame`` on the wire."""
+        self._wire(frame)
+
+    def _after_emitted(self, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` once all frames emitted so far are wired."""
+        fn(*args)
 
     def _wire(self, frame: Frame) -> None:
         """Put ``frame`` (any kind) on the wire now, counting it in
         ``frames_sent`` / ``acks_pure`` as this wire counts frames."""
         raise NotImplementedError
-
-    def _wire_probe(self, frame: Frame) -> None:
-        """Put a retransmission of data ``frame`` on the wire."""
-        raise NotImplementedError
-
-    def _after_emitted(self, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` once every frame emitted so far has reached
-        the wire.  A wire whose ``_emit`` is synchronous never asks."""
-        fn(*args)
 
     def _detach(self) -> None:
         """Stop receiving and release the wire (part of ``shutdown``)."""

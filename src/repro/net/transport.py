@@ -31,20 +31,13 @@ class Transport(ReliableEndpoint):
         cost paid.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        lan: Lan,
-        site_id: int,
-        epoch: int,
-        cpu: Cpu,
-        on_message: Callable[[int, bytes], None],
-    ):
+    def __init__(self, sim: Simulator, lan: Lan, site_id: int, epoch: int,
+                 cpu: Cpu, on_message: Callable[[int, bytes], None]):
         super().__init__(sim, lan.config, site_id, epoch, on_message,
                          max_rto=8 * lan.config.rto)
         self.lan = lan
         self.cpu = cpu
-        lan.attach(site_id, self._on_frame)
+        lan.attach(site_id, self._receive)
 
     # bench/trace.py wraps ``vars(Transport)["send"]``: it must be named
     # in this class body, not only inherited.
@@ -58,11 +51,10 @@ class Transport(ReliableEndpoint):
 
     def _wire(self, frame: Frame) -> None:
         # ACK and raw frames bypass the CPU work queue.  For raw frames
-        # that is the point (the failure detector runs at kernel
-        # priority): §3.7 requires that an *overloaded* site not be
-        # mistaken for a dead one, so its probes must not queue behind
-        # its application traffic.  ``frames_sent`` counts data frames
-        # and their retransmissions only.
+        # that is the point (the failure detector runs at kernel priority):
+        # §3.7 requires that an *overloaded* site not be mistaken for a
+        # dead one, so its probes must not queue behind its application
+        # traffic.  ``frames_sent`` counts data frames and probes only.
         if frame.kind == KIND_DATA:
             self.frames_sent += 1
         elif frame.kind == KIND_ACK:
@@ -80,13 +72,13 @@ class Transport(ReliableEndpoint):
         self.lan.detach(self.site_id)
 
     # -- frames arriving --------------------------------------------------
-    def _on_frame(self, frame: Frame) -> None:
+    def _receive(self, frame: Frame) -> None:
         if not self._alive:
             return
         self.frames_received += 1
         if frame.kind == KIND_ACK:
             self.cpu.submit(self.config.ack_cpu, self._process_ack, frame)
-        elif frame.kind == KIND_RAW:
-            self._process_raw(frame)  # kernel priority: see _wire
-        else:
+        elif frame.kind != KIND_RAW:
             self.cpu.submit(self.lan.recv_cpu_cost(frame), self._process_data, frame)
+        elif self.on_raw is not None:
+            self.on_raw(frame.src_site, frame.payload)  # kernel priority: see _wire

@@ -4,12 +4,11 @@ Two classes mirror the simulator's network substrate over real sockets:
 
 * :class:`UdpTransport` is the real-wire adapter of
   :class:`repro.net.reliable.ReliableEndpoint`, the one reliable FIFO
-  protocol the simulator's :class:`repro.net.transport.Transport` also
-  runs.  What this module adds is the wire: frames travel as UDP
-  datagrams (binary codec in ``net/packet.py``) instead of simulator
-  events, bundled per destination per event-loop tick, with optional
-  packet fault injection.  Raw frames (heartbeats) share the bundle and
-  stay fire-and-forget so a lost probe looks like silence.
+  protocol the simulator's :class:`repro.net.transport.Transport` runs
+  too.  It adds the wire: frames travel as UDP datagrams (binary codec
+  in ``net/packet.py``), bundled per destination per event-loop tick,
+  with optional fault injection.  Raw frames (heartbeats) share the
+  bundle and stay fire-and-forget so a lost probe looks like silence.
 
 * :class:`TcpBulk` plays the role of :class:`repro.net.bulk.BulkChannel`:
   large blobs (join-state snapshots and their streamed chunks) travel
@@ -40,7 +39,6 @@ from .packet import (
     DATAGRAM_HEADER_BYTES,
     FRAME_WIRE_HEADER_BYTES,
     KIND_ACK,
-    KIND_RAW,
     MAX_FRAMES_PER_DATAGRAM,
     Frame,
     decode_datagram,
@@ -87,16 +85,16 @@ class UdpTransport(ReliableEndpoint):
         endpoints registered after construction are picked up.
     """
 
-    def __init__(
-        self,
-        scheduler: Any,
-        site_id: int,
-        epoch: int,
-        sock: socket.socket,
-        peers: Mapping[int, Tuple[str, int]],
-        on_message: Callable[[int, bytes], None],
-        config: Optional[UdpConfig] = None,
-    ):
+    #: The datagram counters beside the core's.  Here ``frames_sent``
+    #: counts every frame handed to ``sendto``, ACK and raw included.
+    COUNTERS = ReliableEndpoint.COUNTERS + (
+        "datagrams_sent", "datagrams_received", "datagram_bytes_sent",
+        "send_errors", "faults_lost", "faults_duped", "faults_reordered")
+
+    def __init__(self, scheduler: Any, site_id: int, epoch: int,
+                 sock: socket.socket, peers: Mapping[int, Tuple[str, int]],
+                 on_message: Callable[[int, bytes], None],
+                 config: Optional[UdpConfig] = None):
         config = config or UdpConfig()
         super().__init__(scheduler, config, site_id, epoch, on_message,
                          max_rto=config.max_rto)
@@ -105,16 +103,6 @@ class UdpTransport(ReliableEndpoint):
         self._peers = peers
         #: Per-destination frames awaiting the end-of-tick bundle flush.
         self._out: Dict[int, List[Frame]] = {}
-        self._flush_scheduled: Set[int] = set()
-        # Datagram counters, beside the core's; here ``frames_sent``
-        # counts every frame handed to ``sendto``, ACK and raw included.
-        self.datagrams_sent = 0
-        self.datagrams_received = 0
-        self.datagram_bytes_sent = 0
-        self.send_errors = 0
-        self.faults_lost = 0
-        self.faults_duped = 0
-        self.faults_reordered = 0
         self._fault_rng: Optional[random.Random] = None
         if config.loss_rate > 0 or config.dup_rate > 0 or config.reorder > 0:
             self._fault_rng = random.Random(
@@ -126,31 +114,29 @@ class UdpTransport(ReliableEndpoint):
     send = ReliableEndpoint.send
 
     # -- frames leaving: datagram bundling ---------------------------------
-    # A socket write does not wait for a CPU: emitted is on the wire.
-    _emit = ReliableEndpoint._on_wire
+    _emit = ReliableEndpoint._on_wire   # the default, less one call a frame
 
     def _wire(self, frame: Frame) -> None:
         """Queue a frame for the wire; bundle per destination per tick."""
         dst_site = frame.dst_site
-        out = self._out.setdefault(dst_site, [])
+        out = self._out.get(dst_site)
         if frame.kind == KIND_ACK:
             # ACK frames enter the same per-tick bundle as data frames, so
             # under bidirectional traffic they ride data datagrams for free.
-            if out and self.config.coalesce:
-                self.acks_piggybacked += 1
-            else:
+            if out is None:
                 self.acks_pure += 1
-        out.append(frame)
-        if not self.config.coalesce:
-            self._flush_dst(dst_site)
-        elif dst_site not in self._flush_scheduled:
-            self._flush_scheduled.add(dst_site)
+            else:
+                self.acks_piggybacked += 1
+        if out is not None:
+            out.append(frame)   # this tick's flush is already scheduled
+            return
+        self._out[dst_site] = [frame]
+        if self.config.coalesce:
             self.loop.call_soon(self._flush_dst, dst_site)
-
-    _wire_probe = _wire
+        else:
+            self._flush_dst(dst_site)
 
     def _flush_dst(self, dst_site: int) -> None:
-        self._flush_scheduled.discard(dst_site)
         frames = self._out.pop(dst_site, None)
         if not frames or not self._alive:
             return
@@ -200,7 +186,7 @@ class UdpTransport(ReliableEndpoint):
             return
         try:
             self._sock.sendto(data, addr)
-        except (BlockingIOError, InterruptedError, OSError):
+        except OSError:
             # Treated as loss: the retransmit machinery recovers data
             # frames; raw frames are allowed to vanish.
             self.send_errors += 1
@@ -214,9 +200,7 @@ class UdpTransport(ReliableEndpoint):
         while self._alive:
             try:
                 data, _addr = self._sock.recvfrom(65535)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
+            except OSError:  # would block: drained; or the socket is gone
                 return
             self.datagrams_received += 1
             try:
@@ -225,40 +209,11 @@ class UdpTransport(ReliableEndpoint):
                 self.clock.trace.bump("transport.bad_datagrams")
                 continue
             for frame in frames:
-                self._on_frame(frame)
+                self._receive(frame)
 
-    def _on_frame(self, frame: Frame) -> None:
-        if not self._alive:
-            return
-        self.frames_received += 1
-        if frame.kind == KIND_ACK:
-            self._process_ack(frame)
-        elif frame.kind == KIND_RAW:
-            self._process_raw(frame)
-        else:
-            self._process_data(frame)
-
-    # -- statistics / lifecycle --------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        """Wire activity of this endpoint since boot."""
-        out = super().stats()
-        out.update(
-            datagrams_sent=self.datagrams_sent,
-            datagrams_received=self.datagrams_received,
-            datagram_bytes_sent=self.datagram_bytes_sent,
-            send_errors=self.send_errors,
-            faults_lost=self.faults_lost,
-            faults_duped=self.faults_duped,
-            faults_reordered=self.faults_reordered,
-        )
-        return out
-
+    # -- lifecycle -----------------------------------------------------------
     def outbound_idle(self) -> bool:
         return not any(self._out.values()) and super().outbound_idle()
-
-    def reset_channel(self, dst_site: int) -> None:
-        self._out.pop(dst_site, None)
-        super().reset_channel(dst_site)
 
     def _detach(self) -> None:
         try:
@@ -267,7 +222,6 @@ class UdpTransport(ReliableEndpoint):
             pass
         self._sock.close()
         self._out.clear()
-        self._flush_scheduled.clear()
 
 
 # ----------------------------------------------------------------------
@@ -288,6 +242,12 @@ class TcpBulk:
     sender's promise resolves only after the receiving site's bulk
     handler has consumed the blob, matching the simulator's semantics.
     """
+
+    #: The datagram counters beside the core's.  Here ``frames_sent``
+    #: counts every frame handed to ``sendto``, ACK and raw included.
+    COUNTERS = ReliableEndpoint.COUNTERS + (
+        "datagrams_sent", "datagrams_received", "datagram_bytes_sent",
+        "send_errors", "faults_lost", "faults_duped", "faults_reordered")
 
     def __init__(
         self,

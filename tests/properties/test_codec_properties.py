@@ -179,14 +179,16 @@ frames = st.builds(
     kind=st.sampled_from([KIND_DATA, KIND_ACK, KIND_RAW]),
     src_site=st.integers(0, 0xFFFF),
     dst_site=st.integers(0, 0xFFFF),
-    epoch=st.integers(0, 0xFFFF),
+    epoch=st.integers(0, 0xFF),      # the two incarnation bytes share a u16
     seq=st.integers(0, 2**32 - 1),
     ack=st.integers(-(2**31), 2**31 - 1),
+    ack_epoch=st.integers(0, 0xFF),
     msg_id=st.integers(0, 2**32 - 1),
     frag_index=st.integers(0, 0xFFFF),
     frag_total=st.integers(1, 0xFFFF),
     payload=st.binary(max_size=256),
     cheap=st.booleans(),
+    syn=st.booleans(),
 )
 
 
@@ -195,7 +197,8 @@ def _same_frame(a: Frame, b: Frame) -> bool:
             and a.dst_site == b.dst_site and a.epoch == b.epoch
             and a.seq == b.seq and a.ack == b.ack and a.msg_id == b.msg_id
             and a.frag_index == b.frag_index and a.frag_total == b.frag_total
-            and a.payload == b.payload and a.cheap == b.cheap)
+            and a.payload == b.payload and a.cheap == b.cheap
+            and a.ack_epoch == b.ack_epoch and a.syn == b.syn)
 
 
 @given(frames)

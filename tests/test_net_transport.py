@@ -220,6 +220,53 @@ class TestTransport:
         assert sim.trace.value("transport.stale_epoch") == 1
 
 
+class TestPeerRestart:
+    """The two restart bugs the twin transports shared (ISSUE 15), once
+    through the simulator adapter; ``tests/properties/
+    test_reliable_channel_properties.py`` has them on the bare core."""
+
+    def _restart_under_traffic(self, b_had_spoken):
+        """``A`` sends m0..m2 to ``B``; ``B`` crashes; ``A`` sends ``old``
+        and keeps probing; ``B'`` boots and one probe reaches it."""
+        sim = Simulator()
+        lan = Lan(sim)
+        inbox = []
+        a = Transport(sim, lan, 0, 0, Cpu(sim, "a"), lambda s, d: None)
+        b = Transport(sim, lan, 1, 0, Cpu(sim, "b"), lambda s, d: None)
+        if b_had_spoken:
+            b.send(0, b"hello")
+        for i in range(3):
+            a.send(1, b"m%d" % i)
+        sim.run(until=1.0)
+        b.shutdown()
+        old = a.send(1, b"old")
+        sim.run(until=2.0)
+        b2 = Transport(sim, lan, 1, 1, Cpu(sim, "b2"),
+                       lambda s, d: inbox.append(d))
+        sim.run(until=4.0)
+        return sim, a, b2, old, inbox
+
+    def test_stale_frame_does_not_shadow_the_successor_channel(self):
+        sim, a, b2, old, inbox = self._restart_under_traffic(True)
+        b2.send(0, b"hello again")
+        sim.run(until=5.0)
+        assert old.rejected
+        news = [a.send(1, b"n%d" % i) for i in range(6)]
+        sim.run(until=30.0)
+        assert inbox == [b"n%d" % i for i in range(6)]
+        assert all(p.done and not p.rejected for p in news)
+
+    def test_ack_from_a_restarted_peer_resets_the_channel(self):
+        sim, a, b2, old, inbox = self._restart_under_traffic(False)
+        assert old.rejected
+        assert sim.trace.value("transport.peer_restarts") == 1
+        news = [a.send(1, b"n%d" % i) for i in range(6)]
+        sim.run(until=30.0)
+        assert inbox == [b"n%d" % i for i in range(6)]
+        assert all(p.done and not p.rejected for p in news)
+        assert a.outbound_idle()
+
+
 class TestDelayedAcks:
     def test_default_acks_every_frame(self):
         sim = Simulator()
@@ -245,8 +292,7 @@ class TestDelayedAcks:
         assert stats["acks_pure"] < 8
         assert stats["acks_coalesced"] > 0
         # Sender saw the cumulative ack: nothing left unacked.
-        channel = transports[0]._send_channels[1]
-        assert not channel.unacked
+        assert transports[0].outbound_idle()
 
     def test_pending_ack_piggybacks_on_reverse_data(self):
         sim = Simulator()
@@ -260,7 +306,7 @@ class TestDelayedAcks:
         stats = transports[1].stats()
         assert stats["acks_piggybacked"] == 1
         assert stats["acks_pure"] == 0
-        assert not transports[0]._send_channels[1].unacked
+        assert transports[0].outbound_idle()
 
     def test_duplicate_frames_ack_immediately(self):
         sim = Simulator()
@@ -275,7 +321,7 @@ class TestDelayedAcks:
         # The duplicate triggered an immediate (urgent) cumulative ACK.
         assert transports[1].acks_pure >= 1
         sim.run()
-        assert not transports[0]._send_channels[1].unacked
+        assert transports[0].outbound_idle()
         assert len(inboxes[1]) == 1
 
     def test_reliable_under_loss_with_delayed_acks(self):
@@ -325,4 +371,4 @@ class TestDelayedAcks:
         # now reflects only the new incarnation's frames (seqs 0..2).
         assert transports[1]._ack_pending.get(0) == 2
         sim.run(until=10.0)
-        assert not t0._send_channels[1].unacked
+        assert t0.outbound_idle()
