@@ -114,8 +114,6 @@ class UdpTransport(ReliableEndpoint):
     send = ReliableEndpoint.send
 
     # -- frames leaving: datagram bundling ---------------------------------
-    _emit = ReliableEndpoint._on_wire   # the default, less one call a frame
-
     def _wire(self, frame: Frame) -> None:
         """Queue a frame for the wire; bundle per destination per tick."""
         dst_site = frame.dst_site

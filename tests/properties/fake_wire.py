@@ -70,20 +70,17 @@ class FakeWire:
     def __init__(self, sim, fates: Iterable = (), latency: float = 0.1):
         self.sim = sim
         self.latency = latency
-        self._fates = iter(fates)
+        #: What happens to the frames carried next; exhausted, they arrive.
+        self.fates = iter(fates)
         self.endpoints: Dict[int, "FakeEndpoint"] = {}
-        self.carried = 0
-        self.dropped = 0
 
     def heal(self) -> None:
         """Every frame from now on is delivered, once and in order."""
-        self._fates = iter(())
+        self.fates = iter(())
 
     def carry(self, frame: Frame) -> None:
-        self.carried += 1
-        fate = next(self._fates, DELIVER)
+        fate = next(self.fates, DELIVER)
         if fate == DROP:
-            self.dropped += 1
             return
         held = fate if isinstance(fate, int) else 0
         self.sim.call_after(self.latency * (1 + held), self._arrive, frame)

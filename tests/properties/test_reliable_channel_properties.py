@@ -248,7 +248,7 @@ def test_late_ack_of_an_abandoned_numbering_acknowledges_nothing():
     harness.run(0.15)                   # delivered at B, its ACK in flight
     harness.reset(A)
     news = [harness.send(A) for _ in range(3)]
-    harness.wire._fates = iter([DROP, DROP, DROP])
+    harness.wire.fates = iter([DROP, DROP, DROP])
     harness.run(0.9)                    # the old ACK lands; the new frames were lost
     assert not any(p.done for p in news)
     harness.settle()
