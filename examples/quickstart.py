@@ -22,11 +22,9 @@ def main() -> None:
     # routes ABCAST ordering through the view's token site (one-phase,
     # batched order stamps) instead of the paper's two-phase priorities
     # — ~2x ABCAST throughput at 4 sites; see BENCH_abcast.json.
-    # Causal delivery is dependency-indexed by default
-    # (IsisConfig.indexed_delivery): each delivery wakes exactly the
-    # messages it unblocks, so deep pending buffers drain in O(1) per
-    # message.  indexed_delivery=False selects the legacy rescan engine
-    # (same trajectories, byte for byte) — see BENCH_delivery.json.
+    # Causal delivery is dependency-indexed: each delivery wakes exactly
+    # the messages it unblocks, so deep pending buffers drain in O(1)
+    # per message (ARCHITECTURE.md, "Causal delivery").
     # View changes use the fast flush by default (IsisConfig.fast_flush):
     # site failures commit in a single round trip via unsolicited
     # pre-reports, reports are delta-encoded and pruned, and large join

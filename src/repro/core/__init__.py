@@ -10,13 +10,7 @@ from .kernel import CC_REPLY_ENTRY, KILL_ENTRY, IsisConfig, ProtocolsProcess
 from .namespace import Namespace
 from .rpc import ALL, Session, SessionTable
 from .store import MessageStore
-from .vectorclock import (
-    VectorClock,
-    decode_context,
-    decode_context_compact,
-    encode_context,
-    encode_context_compact,
-)
+from .vectorclock import VectorClock
 from .view import View
 
 __all__ = [
@@ -28,10 +22,6 @@ __all__ = [
     "GroupEngine",
     "View",
     "VectorClock",
-    "encode_context",
-    "decode_context",
-    "encode_context_compact",
-    "decode_context_compact",
     "MessageStore",
     "CausalReceiver",
     "SequencerReceiver",

@@ -88,26 +88,22 @@ class _QueueEntry:
 class TotalOrderReceiver:
     """Receiver-side ABCAST state for one group at one kernel.
 
-    With ``indexed=True`` (the default, mirroring
-    ``IsisConfig.indexed_delivery``) the drain tracks the queue minimum
-    in a lazy-deletion priority heap: every (re)prioritisation pushes an
-    entry, and stale heap heads — entries whose ref was delivered or
-    whose priority has since changed — are discarded on pop.  Priorities
-    are globally unique, so the heap order matches the legacy
-    scan-for-minimum exactly while costing O(log pending) per delivery
-    instead of O(pending).
+    The drain tracks the queue minimum in a lazy-deletion priority heap:
+    every (re)prioritisation pushes an entry, and stale heap heads —
+    entries whose ref was delivered or whose priority has since changed
+    — are discarded on pop.  Priorities are globally unique, so the heap
+    order is the order a scan for the minimum would find, at
+    O(log pending) per delivery instead of O(pending).
     """
 
-    __slots__ = ("site_id", "_counter", "_queue", "_delivered_refs",
-                 "_indexed", "_heap")
+    __slots__ = ("site_id", "_counter", "_queue", "_delivered_refs", "_heap")
 
-    def __init__(self, site_id: int, indexed: bool = True):
+    def __init__(self, site_id: int):
         self.site_id = site_id
         self._counter = 0
         self._queue: Dict[MsgRef, _QueueEntry] = {}
         #: ref -> final priority it was delivered with.
         self._delivered_refs: Dict[MsgRef, Priority] = {}
-        self._indexed = indexed
         #: Lazy min-heap of (priority, ref); stale entries skipped on pop.
         self._heap: List[Tuple[Priority, MsgRef]] = []
 
@@ -120,8 +116,7 @@ class TotalOrderReceiver:
         self._counter += 1
         priority = (self._counter, self.site_id)
         self._queue[ref] = _QueueEntry(ref=ref, msg=msg, priority=priority)
-        if self._indexed:
-            heapq.heappush(self._heap, (priority, ref))
+        heapq.heappush(self._heap, (priority, ref))
         return priority
 
     # -- phase 3: finalize ---------------------------------------------------
@@ -135,24 +130,10 @@ class TotalOrderReceiver:
         entry.priority = final
         entry.final = True
         self._counter = max(self._counter, final[0])
-        if self._indexed:
-            heapq.heappush(self._heap, (final, ref))
+        heapq.heappush(self._heap, (final, ref))
         return self._drain()
 
     def _drain(self) -> List[Message]:
-        if self._indexed:
-            return self._drain_indexed()
-        out: List[Message] = []
-        while self._queue:
-            head = min(self._queue.values(), key=lambda e: e.priority)
-            if not head.final:
-                break
-            del self._queue[head.ref]
-            self._delivered_refs[head.ref] = head.priority
-            out.append(head.msg)
-        return out
-
-    def _drain_indexed(self) -> List[Message]:
         out: List[Message] = []
         heap = self._heap
         while self._queue and heap:
@@ -207,8 +188,7 @@ class TotalOrderReceiver:
             if entry is not None:
                 entry.priority = (prio_raw[0], prio_raw[1])
                 entry.final = True
-                if self._indexed:
-                    heapq.heappush(self._heap, (entry.priority, ref))
+                heapq.heappush(self._heap, (entry.priority, ref))
         return self._drain()
 
     def has_delivered(self, ref: MsgRef) -> bool:

@@ -12,8 +12,7 @@ multicast data path through the layered
   messages when ``IsisConfig.batch_window > 0``; local members receive
   deliveries through the kernel's intra-site hop;
 * **ordering** — causal (vector clocks) and total (two-phase priority
-  or sequencer-stamp) delivery queues; with
-  ``IsisConfig.indexed_delivery`` both are dependency-indexed — a
+  or sequencer-stamp) delivery queues, both dependency-indexed — a
   delivery wakes exactly the messages it unblocks (FIFO successors and
   kernel WaitIndex threshold waiters) instead of re-scanning buffers;
 * **stability** — every message is buffered until known everywhere, so a
@@ -94,8 +93,6 @@ class GroupEngine:
         self.sim = kernel.sim
         self.gid = gid
         self.name = name
-        #: Canonical key for the kernel's shard/dirty-set bookkeeping.
-        self.shard_key = gid.process()
         self.site_id = kernel.site_id
         self.view: Optional[View] = None
         self.installed = False
@@ -281,7 +278,7 @@ class GroupEngine:
             self._delivery_floor = final
             # An unannounced floor is stability work: keep the group in
             # the kernel's dirty set until peers learn it.
-            self.kernel.note_group_dirty(self.shard_key)
+            self.kernel.note_group_dirty(self.gid)
 
     @property
     def delivery_floor(self) -> Tuple[int, int]:
@@ -918,7 +915,7 @@ class GroupEngine:
         # 6. The view install can satisfy cross-group causal waits
         # elsewhere (per-view vectors reset, so old-view thresholds are
         # void): drain them now rather than at the next unrelated
-        # arrival.  Runs identically under both delivery engines.
+        # arrival.
         self.kernel.recheck_causal(exclude=self.gid)
 
     def _reset_for_new_view(self) -> None:

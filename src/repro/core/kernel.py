@@ -43,14 +43,9 @@ from .engine import ABCAST, CBCAST, GroupEngine
 from .flush import FlushReason
 from .namespace import Namespace
 from .rpc import ALL, SessionTable
-from .shards import (
-    GroupShard,
-    ShardedWaitIndex,
-    WaiterKey,
-    WaitIndex,
-    shard_of,
-)
+from .shards import WaiterKey, WaitIndex
 from .vectorclock import (
+    Context,
     ContextDelta,
     PackedContext,
     advanced_context,
@@ -138,20 +133,6 @@ class IsisConfig:
     #: path.  With ``durability`` on, votes are weighed by WAL position
     #: (a site whose log holds data counts double).
     membership: str = "primary"
-    #: Delta-encode CBCAST causal contexts (and batch have-vectors)
-    #: against the last value sent: packed addresses + varints instead of
-    #: the generic nested-dict field.  ``False`` reproduces the original
-    #: wire encoding byte for byte.
-    compact_contexts: bool = True
-    #: Dependency-indexed causal delivery (the default): pending CBCASTs
-    #: are keyed by (sender, seq) so a delivery wakes exactly its FIFO
-    #: successor, and cross-group causal waits register precise
-    #: thresholds in the kernel :class:`WaitIndex` — O(1) per arrival
-    #: regardless of pending depth.  ``False`` selects the legacy
-    #: re-scan engine (O(pending²) per arrival, every group re-scanned
-    #: on every delivery); both produce byte-identical delivery
-    #: trajectories, which differential tests exploit.
-    indexed_delivery: bool = True
     #: Fast view-change engine (the default).  Three mechanisms shrink
     #: the unavailability window of the flush: (1) *pre-reports* — when
     #: a site view removes group members, every surviving participant
@@ -195,11 +176,6 @@ class IsisConfig:
     #: before forwarding them one hop rootward as a ``g.fl.okb`` batch.
     #: A few of these fit well inside ``flush_prereport_grace``.
     flush_okb_window: float = 0.06
-    #: Number of shards the kernel's group table (and WaitIndex) is
-    #: partitioned into.  Periodic work (stability ticks) walks only the
-    #: dirty groups of each shard, so thousands of idle groups cost
-    #: nothing per tick.  Purely kernel-local: no wire impact.
-    kernel_shards: int = 8
     #: Write-ahead delivery logging (§5 recovery).  Off by default: the
     #: hot path gains no disk events and trajectories are identical to
     #: the crash-stop system.  On, every group delivery and installed
@@ -216,9 +192,9 @@ class IsisConfig:
     wal_trim_min: int = 16
 
 
-# WaitIndex / WaiterKey live in :mod:`repro.core.shards` (the sharded
-# kernel-state layer) and are re-exported here: the index remains a
-# kernel-level concept and tests/tools import it from this module.
+# WaitIndex / WaiterKey live in :mod:`repro.core.shards` and are
+# re-exported here: the index remains a kernel-level concept and
+# tests/tools import it from this module.
 
 
 class _JoinState:
@@ -289,28 +265,27 @@ class ProtocolsProcess:
         self.sessions = SessionTable(self.sim, resolve_delay=intra)
         # Groups.
         self.engines: Dict[Address, GroupEngine] = {}
-        #: Sharded group-table bookkeeping: occupancy + stability dirty
-        #: sets, so periodic scans touch only groups needing attention.
-        self.shards: List[GroupShard] = [
-            GroupShard(i) for i in range(max(1, self.config.kernel_shards))
-        ]
+        #: Groups needing attention at the next stability tick, so the
+        #: tick touches only those.
+        self._stab_dirty: Set[Address] = set()
         self._stab_idle_skipped = 0
-        #: Cross-group causal wait thresholds (indexed delivery),
-        #: partitioned by the watched group's shard.
-        self.wait_index = ShardedWaitIndex(len(self.shards))
+        #: Most groups hosted at once (``kernel.peak_groups_per_shard``).
+        self._peak_groups = 0
+        #: Cross-group causal wait thresholds.
+        self.wait_index = WaitIndex()
         #: Groups owed a candidate drain (a wake marked candidates there).
         self._causal_wakes: Set[Address] = set()
         #: gid -> creation rank; recheck passes visit woken groups in
-        #: this order, matching the legacy scan's engines-dict order.
+        #: this order (the ``engines`` dict's).
         self._engine_order: Dict[Address, int] = {}
         self._next_engine_rank = 0
         #: Groups that became installed here since boot.  A sender chain
         #: checked before the latest install may hold an entry that was
         #: skipped as "not a member" and is testable now.
         self._group_installs = 0
-        #: ``engines`` keyed by packed gid, in packed order — how the
-        #: compact ``cb_ctx`` names and orders groups; rebuilt when the
-        #: group table changes.
+        #: ``engines`` keyed by packed gid, in packed order — how a
+        #: ``cb_ctx`` names and orders groups; rebuilt when the group
+        #: table changes.
         self._engines_packed: Optional[Dict[bytes, GroupEngine]] = None
         self._ctx_delta_entries = 0
         self._ctx_full_walks = 0
@@ -585,11 +560,8 @@ class ProtocolsProcess:
         if key not in self._engine_order:
             self._engine_order[key] = self._next_engine_rank
             self._next_engine_rank += 1
-        self._shard(key).add(key)
+        self._peak_groups = max(self._peak_groups, len(self.engines))
         self._engines_packed = None
-
-    def _shard(self, key: Address) -> GroupShard:
-        return self.shards[shard_of(key, len(self.shards))]
 
     def note_group_dirty(self, key: Address) -> None:
         """Mark a group as needing the next stability tick.
@@ -599,21 +571,11 @@ class ProtocolsProcess:
         periodic stability pass must look at.  Groups never marked are
         skipped entirely (``stab.idle_skipped``).
         """
-        self._shard(key).stab_dirty.add(key)
+        self._stab_dirty.add(key)
 
     # ------------------------------------------------------------------
     # Services used by GroupEngine
     # ------------------------------------------------------------------
-    def causal_context(self) -> Dict[Address, Tuple[int, Any]]:
-        """Snapshot of delivered vectors across our groups: the absolute
-        context the dict encoding (``compact_contexts=False``) carries."""
-        context = {}
-        for gid, engine in self.engines.items():
-            if engine.installed and engine.view is not None:
-                context[gid] = (engine.view.view_id,
-                                engine.causal.delivered.copy())
-        return context
-
     def _packed_engines(self) -> Dict[bytes, GroupEngine]:
         table = self._engines_packed
         if table is None:
@@ -629,13 +591,10 @@ class ProtocolsProcess:
                 for gid, engine in self._packed_engines().items()
                 if engine.installed and engine.view is not None]
 
-    def check_context(self, context: Dict[Address, Tuple[int, Any]]) -> bool:
-        """Is this causal context satisfied at our kernel?"""
-        return self._check_context(context, waiter=None)
-
-    def check_context_and_register(self, context: Dict[Address, Tuple[int, Any]],
+    def check_context_and_register(self, context: Context,
                                    waiter: WaiterKey) -> bool:
-        """Indexed variant of :meth:`check_context`.
+        """Is this causal context satisfied at our kernel?  (The full
+        walk: every group the context names.)
 
         On failure the waiter is registered in the :class:`WaitIndex`
         against the first unsatisfied threshold, so the matching advance
@@ -643,16 +602,6 @@ class ProtocolsProcess:
         slot from a previous evaluation is dropped first.
         """
         self.wait_index.remove(waiter)
-        return self._check_context(context, waiter)
-
-    def _check_context(self, context: Dict[Address, Tuple[int, Any]],
-                       waiter: Optional[WaiterKey]) -> bool:
-        """One satisfaction rule for both delivery engines.
-
-        The legacy and indexed engines must agree on this predicate for
-        their trajectories to stay byte-identical; registration is the
-        only difference, so it hangs off the shared walk.
-        """
         for gid, (view_id, vc) in context.items():
             key = gid.process()
             engine = self.engines.get(key)
@@ -661,14 +610,12 @@ class ProtocolsProcess:
             if engine.view.view_id > view_id:
                 continue  # older view fully flushed: satisfied
             if engine.view.view_id < view_id:
-                if waiter is not None:
-                    self.wait_index.register_view(key, waiter)
+                self.wait_index.register_view(key, waiter)
                 return False  # we have not even reached that view yet
             deficit = engine.causal.delivered.first_deficit(vc)
             if deficit is not None:
-                if waiter is not None:
-                    self.wait_index.register_counter(
-                        key, deficit[0], deficit[1], waiter)
+                self.wait_index.register_counter(
+                    key, deficit[0], deficit[1], waiter)
                 return False
         return True
 
@@ -686,12 +633,12 @@ class ProtocolsProcess:
         skipped then because the group was not installed here: if any
         group was installed since, the whole context is walked.
         """
-        self.wait_index.remove(waiter)
         if delta.full or chain.installs == self._group_installs:
+            self.wait_index.remove(waiter)
             satisfied = self._check_delta(chain.context, delta, waiter)
         else:
             self._ctx_full_walks += 1
-            satisfied = self._check_context(
+            satisfied = self.check_context_and_register(
                 advanced_context(chain.context, delta), waiter)
         if satisfied:
             chain.installs = self._group_installs
@@ -699,7 +646,7 @@ class ProtocolsProcess:
 
     def _check_delta(self, base: PackedContext, delta: ContextDelta,
                      waiter: WaiterKey) -> bool:
-        """:meth:`_check_context` restricted to the delta's entries.
+        """The full walk restricted to the delta's entries.
 
         On failure the waiter goes on the threshold the full walk of
         ``base`` advanced by ``delta`` would have met first.
@@ -760,47 +707,37 @@ class ProtocolsProcess:
     def recheck_causal(self, exclude: Optional[Address] = None) -> None:
         """A group advanced: unblock cross-group causal waits elsewhere.
 
-        Indexed mode drains only groups whose WaitIndex thresholds were
-        actually crossed (candidate marks), visiting them in engine
-        order — O(1) when nothing woke.  Legacy mode re-scans every
-        group's whole pending buffer.
+        Drains only groups whose WaitIndex thresholds were actually
+        crossed (candidate marks), visiting them in engine order — O(1)
+        when nothing woke.
         """
-        if self.config.indexed_delivery:
-            if not self._causal_wakes:
-                return
-            exclude_key = exclude.process() if exclude is not None else None
-            # One pass in engine-creation order over the *live* wake set
-            # (never the whole engines dict): a group woken mid-pass at a
-            # later rank is drained this pass, one at an earlier rank
-            # waits for the next trigger — exactly the legacy scan's
-            # single-pass semantics, at O(woken groups) per call.
-            last_rank = -1
-            while True:
-                best = None
-                best_rank = -1
-                for gid in self._causal_wakes:
-                    if gid == exclude_key:
-                        continue
-                    rank = self._engine_order.get(gid, -1)
-                    if rank > last_rank and (best is None
-                                             or rank < best_rank):
-                        best, best_rank = gid, rank
-                if best is None:
-                    break
-                last_rank = best_rank
-                self._causal_wakes.discard(best)
-                engine = self.engines.get(best)
-                if engine is None:
-                    continue
-                for ready in engine.causal.recheck():
-                    engine.deliver_env(ready)
+        if not self._causal_wakes:
             return
-        for gid, engine in list(self.engines.items()):
-            if exclude is not None and gid == exclude.process():
+        exclude_key = exclude.process() if exclude is not None else None
+        # One pass in engine-creation order over the *live* wake set
+        # (never the whole engines dict): a group woken mid-pass at a
+        # later rank is drained this pass, one at an earlier rank waits
+        # for the next trigger — the semantics of one pass over the
+        # engines dict, at O(woken groups) per call.
+        last_rank = -1
+        while True:
+            best = None
+            best_rank = -1
+            for gid in self._causal_wakes:
+                if gid == exclude_key:
+                    continue
+                rank = self._engine_order.get(gid, -1)
+                if rank > last_rank and (best is None or rank < best_rank):
+                    best, best_rank = gid, rank
+            if best is None:
+                break
+            last_rank = best_rank
+            self._causal_wakes.discard(best)
+            engine = self.engines.get(best)
+            if engine is None:
                 continue
-            if engine.causal.pending_count:
-                for ready in engine.causal.recheck():
-                    engine.deliver_env(ready)
+            for ready in engine.causal.recheck():
+                engine.deliver_env(ready)
 
     def deliver_to_local_members(self, engine: GroupEngine,
                                  user: Message) -> None:
@@ -896,7 +833,7 @@ class ProtocolsProcess:
         self._engines_packed = None
         self._causal_wakes.discard(key)
         self._engine_order.pop(key, None)
-        self._shard(key).remove(key)
+        self._stab_dirty.discard(key)
         self._retired_peak_pending = max(self._retired_peak_pending,
                                          engine.causal.peak_pending)
         self._retired_flush["wedged_seconds"] += engine.wedged_seconds
@@ -1798,9 +1735,7 @@ class ProtocolsProcess:
             "state_transfer.stream_bytes": self._xfer_stream_bytes,
             "state_transfer.streams_aborted": self._xfer_streams_aborted,
             "state_transfer.streams_active": len(self._out_streams),
-            "kernel.shards": len(self.shards),
-            "kernel.peak_groups_per_shard": max(
-                shard.peak_groups for shard in self.shards),
+            "kernel.peak_groups_per_shard": self._peak_groups,
             "stab.idle_skipped": self._stab_idle_skipped,
             "tree.fanout": self.config.tree_fanout
             if self.config.dissemination == "tree" else 0,
@@ -1877,24 +1812,23 @@ class ProtocolsProcess:
     def _stability_tick(self) -> None:
         if not self.alive:
             return
-        # Walk only the dirty groups of each shard: a group is marked
-        # dirty when it buffers a message, advances its delivery floor,
-        # or receives aggregation traffic, and re-marks itself below for
-        # as long as it still holds unstable state.  Idle groups cost
-        # nothing per tick, whatever their number.
+        # Walk only the dirty groups, in the order they were created
+        # here (as recheck passes do): a group is marked dirty when it
+        # buffers a message, advances its delivery floor, or receives
+        # aggregation traffic, and re-marks itself below for as long as
+        # it still holds unstable state.  Idle groups cost nothing per
+        # tick, whatever their number.
         visited = 0
-        for shard in self.shards:
-            if not shard.stab_dirty:
+        dirty, self._stab_dirty = self._stab_dirty, set()
+        for key in sorted(dirty,
+                          key=lambda gid: self._engine_order.get(gid, -1)):
+            engine = self.engines.get(key)
+            if engine is None:
                 continue
-            dirty, shard.stab_dirty = shard.stab_dirty, set()
-            for key in dirty:
-                engine = self.engines.get(key)
-                if engine is None:
-                    continue
-                visited += 1
-                engine.start_stability_round()
-                if engine.stability_pending():
-                    shard.stab_dirty.add(key)
+            visited += 1
+            engine.start_stability_round()
+            if engine.stability_pending():
+                self._stab_dirty.add(key)
         skipped = len(self.engines) - visited
         if skipped > 0:
             self._stab_idle_skipped += skipped

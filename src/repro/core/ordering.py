@@ -185,9 +185,7 @@ class TotalOrdering(OrderingEngine):
     """ABCAST stage: two-phase priority total order."""
 
     def _make_receiver(self) -> TotalOrderReceiver:
-        return TotalOrderReceiver(
-            self.engine.site_id,
-            indexed=self.engine.kernel.config.indexed_delivery)
+        return TotalOrderReceiver(self.engine.site_id)
 
     def shutdown(self) -> None:
         """Two-phase mode keeps no standing timers; nothing to disarm."""

@@ -54,7 +54,7 @@ from .ordering import (  # noqa: F401  (re-exported: long-standing import site)
     make_ordering,
 )
 from .tree import SpanningTree, min_merge_have_vectors
-from .vectorclock import ContextEncoder, encode_context
+from .vectorclock import ContextEncoder
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import GroupEngine
@@ -206,8 +206,6 @@ class DisseminationStage:
             return None, None
         have = self.engine.store.have_vector()
         view_id = self.engine.view.view_id
-        if not self.kernel.config.compact_contexts:
-            return have, view_id  # legacy: full vector on every batch
         prev = self._last_stab.get(dst_site)
         if prev is not None and prev[0] == view_id:
             send = diff_have_vector(prev[1], have)
@@ -535,11 +533,9 @@ class TreeDissemination(DisseminationStage):
 class CausalOrdering:
     """CBCAST stage: vector-clock causal delivery.
 
-    With ``IsisConfig.compact_contexts`` (the default) the causal
-    context rides as a delta-chained binary field: message *n* of a
-    sender carries only the context entries that changed since its
-    message *n-1* (packed addresses + varints), instead of the generic
-    nested-dict encoding whose hex keys dominate ``g.cb`` frame bytes.
+    The causal context rides as a delta-chained binary field: message
+    *n* of a sender carries only the context entries that changed since
+    its message *n-1* (packed addresses + varints).
     Each local sender owns one :class:`~repro.core.vectorclock.
     ContextEncoder` per view, which diffs the kernel's live delivered
     vectors in place; the receiver advances one chain per sender in
@@ -550,20 +546,13 @@ class CausalOrdering:
         self.engine = engine
         self.pipeline = pipeline
         kernel = engine.kernel
-        if kernel.config.indexed_delivery:
-            gid = engine.gid.process()
-            self.receiver = CausalReceiver(
-                kernel.check_context,
-                indexed=True,
-                ctx_check=lambda ctx, key: kernel.check_context_and_register(
-                    ctx, (gid, key)),
-                delta_check=lambda chain, delta, key:
-                    kernel.check_delta_and_register(chain, delta, (gid, key)),
-                on_advance=lambda sender, seq: kernel.note_causal_advance(
-                    gid, sender, seq),
-            )
-        else:
-            self.receiver = CausalReceiver(kernel.check_context)
+        gid = engine.gid.process()
+        self.receiver = CausalReceiver(
+            delta_check=lambda chain, delta, key:
+                kernel.check_delta_and_register(chain, delta, (gid, key)),
+            on_advance=lambda sender, seq: kernel.note_causal_advance(
+                gid, sender, seq),
+        )
         #: Per-sender CBCAST count within the current view (send side).
         self._counts: Dict[Address, int] = {}
         #: Per-sender ``cb_ctx`` delta chain of the current view.
@@ -576,14 +565,10 @@ class CausalOrdering:
         self._counts[key] = count
         env["cb_sender"] = key
         env["cb_seq"] = count
-        kernel = self.engine.kernel
-        if kernel.config.compact_contexts:
-            encoder = self._encoders.get(key)
-            if encoder is None:
-                encoder = self._encoders[key] = ContextEncoder()
-            env["cb_ctx"] = encoder.encode(kernel.causal_groups())
-        else:
-            env["cb_ctx"] = encode_context(kernel.causal_context())
+        encoder = self._encoders.get(key)
+        if encoder is None:
+            encoder = self._encoders[key] = ContextEncoder()
+        env["cb_ctx"] = encoder.encode(self.engine.kernel.causal_groups())
 
     def ingest(self, env: Message) -> None:
         """Receive side: queue, deliver whatever became deliverable."""
@@ -595,14 +580,13 @@ class CausalOrdering:
         self.receiver.on_new_view()
         self._counts.clear()
         self._encoders.clear()
+        # The pending buffer just reset: registrations made by this
+        # group are stale (their messages are gone), and thresholds
+        # other groups registered on us are satisfied by the view
+        # advance (delivered vectors reset per view).
         kernel = self.engine.kernel
-        if kernel.config.indexed_delivery:
-            # The pending buffer just reset: registrations made by this
-            # group are stale (their messages are gone), and thresholds
-            # other groups registered on us are satisfied by the view
-            # advance (delivered vectors reset per view).
-            kernel.wait_index.purge_engine(self.engine.gid.process())
-            kernel.note_group_view_event(self.engine.gid)
+        kernel.wait_index.purge_engine(self.engine.gid.process())
+        kernel.note_group_view_event(self.engine.gid)
 
 
 # ----------------------------------------------------------------------
@@ -910,7 +894,7 @@ class StabilityStage:
             return
         df = msg["df"]
         self._child_up[src_site] = (have, int(msg["n"]), (df[0], df[1]))
-        self.kernel.note_group_dirty(engine.shard_key)
+        self.kernel.note_group_dirty(engine.gid)
         # Re-aggregate immediately: fresh child state propagates one hop
         # per event, so a full wave costs depth hops, not depth ticks.
         self.tree_push()
@@ -972,7 +956,7 @@ class StabilityStage:
     def pending_work(self) -> bool:
         """Does this group need the kernel's next stability tick?
 
-        The kernel's sharded dirty sets use this to decide whether to
+        The kernel's dirty set uses this to decide whether to
         re-arm a group after visiting it; idle groups drop out of the
         tick entirely (``stab.idle_skipped``).
         """
@@ -1135,7 +1119,7 @@ class DeliveryPipeline:
             # itself; batched sends carry one per batch container.
             self.stability.attach(env)
         engine.store.record(engine.site_id, env["gseq"], env)
-        engine.kernel.note_group_dirty(engine.shard_key)
+        engine.kernel.note_group_dirty(engine.gid)
         sender_key = env.get("cb_sender") or env.get("ab_sender")
         self.dissemination.fan_out(env, sender_key)
 
@@ -1196,7 +1180,7 @@ class DeliveryPipeline:
             self._pre_view.append((view_id, env))
             return
         if engine.store.record(env["origin"], env["gseq"], env):
-            engine.kernel.note_group_dirty(engine.shard_key)
+            engine.kernel.note_group_dirty(engine.gid)
             self.stability.note_received()
             self.process(env)
             # In-flight data arriving mid-flush can be exactly what the
@@ -1216,7 +1200,7 @@ class DeliveryPipeline:
             engine.sim.trace.bump("engine.stale_refill_drop")
             return False
         if engine.store.record(env["origin"], env["gseq"], env):
-            engine.kernel.note_group_dirty(engine.shard_key)
+            engine.kernel.note_group_dirty(engine.gid)
             self.process(env)
             return True
         return False

@@ -1,20 +1,10 @@
-"""Sharded per-group kernel state: the :class:`GroupShard` layer.
+"""The kernel's cross-group causal wait index.
 
-A kernel hosting thousands of groups must not pay O(groups) for every
-periodic tick or statistic scan.  Group engines are hashed into a fixed
-number of shards; each shard tracks its member groups, its own occupancy
-high-water mark, and a *dirty set* of groups that actually need the next
-stability tick (buffered messages, unannounced delivery floors, pending
-aggregation work).  The kernel's stability tick then walks only dirty
-groups — idle groups are skipped and counted (``stab.idle_skipped``).
-
-The cross-group causal :class:`WaitIndex` is partitioned the same way
-(:class:`ShardedWaitIndex`): registrations are bucketed by the *watched*
-group's shard, so the hot-path operations — register, advance, view
-event — touch one shard's dictionaries regardless of how many groups
-the kernel hosts.  ``purge_engine`` sweeps all shards (a waiter's engine
-and its watched group can live in different shards), which is O(shards),
-a small constant.
+A CBCAST blocked on another group's progress must be found again when
+that progress happens, without scanning every group's pending buffer on
+every delivery.  :class:`WaitIndex` holds one slot per blocked message,
+keyed by the *watched* group, so register, advance and view event touch
+only that group's dictionaries however many groups the kernel hosts.
 """
 
 from __future__ import annotations
@@ -28,40 +18,6 @@ from ..msg.address import Address
 WaiterKey = Tuple[Address, Tuple[Address, int]]
 
 
-def shard_of(key: Address, n_shards: int) -> int:
-    """Deterministic shard index for a group address.
-
-    Mixes the creator site and per-site group number with a fixed odd
-    multiplier — stable across runs and interpreters (unlike ``hash``
-    on composite objects), so simulated trajectories are reproducible.
-    """
-    return ((key.site * 1000003) ^ key.local_id) % n_shards
-
-
-class GroupShard:
-    """Bookkeeping for one shard of the kernel's group table."""
-
-    __slots__ = ("index", "keys", "stab_dirty", "peak_groups")
-
-    def __init__(self, index: int):
-        self.index = index
-        #: Group keys currently hosted in this shard.
-        self.keys: Set[Address] = set()
-        #: Groups needing attention at the next stability tick.
-        self.stab_dirty: Set[Address] = set()
-        #: Occupancy high-water mark (``kernel.peak_groups_per_shard``).
-        self.peak_groups = 0
-
-    def add(self, key: Address) -> None:
-        self.keys.add(key)
-        if len(self.keys) > self.peak_groups:
-            self.peak_groups = len(self.keys)
-
-    def remove(self, key: Address) -> None:
-        self.keys.discard(key)
-        self.stab_dirty.discard(key)
-
-
 class WaitIndex:
     """Cross-group causal wait thresholds, kernel-wide.
 
@@ -73,8 +29,7 @@ class WaitIndex:
     (vectors reset per view, so any view event can only satisfy waits).
     Each waiter holds at most one slot; on wake it re-evaluates its full
     context and either delivers or re-registers on the next failing
-    threshold.  This replaces the legacy broadcast re-scan of every
-    group's pending buffer on every delivery.
+    threshold.
     """
 
     __slots__ = ("_counter_waits", "_view_waits", "_slots", "_by_engine",
@@ -184,52 +139,3 @@ class WaitIndex:
             engine_waiters.discard(waiter)
             if not engine_waiters:
                 del self._by_engine[waiter[0]]
-
-
-class ShardedWaitIndex:
-    """A :class:`WaitIndex` partitioned by the watched group's shard.
-
-    API-compatible with :class:`WaitIndex`; every per-gid operation
-    resolves one partition in O(1).  ``purge_engine`` fans out over all
-    partitions because a waiter's own engine may live in a different
-    shard than the group it watches.
-    """
-
-    __slots__ = ("_parts",)
-
-    def __init__(self, n_shards: int):
-        self._parts = [WaitIndex() for _ in range(max(1, n_shards))]
-
-    def _part(self, gid: Address) -> WaitIndex:
-        return self._parts[shard_of(gid, len(self._parts))]
-
-    def __len__(self) -> int:
-        return sum(len(p) for p in self._parts)
-
-    @property
-    def peak_size(self) -> int:
-        return max(p.peak_size for p in self._parts)
-
-    def register_counter(self, gid: Address, member: Address, needed: int,
-                         waiter: WaiterKey) -> None:
-        self.remove(waiter)
-        self._part(gid).register_counter(gid, member, needed, waiter)
-
-    def register_view(self, gid: Address, waiter: WaiterKey) -> None:
-        self.remove(waiter)
-        self._part(gid).register_view(gid, waiter)
-
-    def remove(self, waiter: WaiterKey) -> None:
-        for part in self._parts:
-            part.remove(waiter)
-
-    def on_advance(self, gid: Address, member: Address,
-                   seq: int) -> List[WaiterKey]:
-        return self._part(gid).on_advance(gid, member, seq)
-
-    def on_view_event(self, gid: Address) -> List[WaiterKey]:
-        return self._part(gid).on_view_event(gid)
-
-    def purge_engine(self, engine_gid: Address) -> None:
-        for part in self._parts:
-            part.purge_engine(engine_gid)

@@ -106,17 +106,6 @@ class VectorClock:
     def drop(self, member: Address) -> None:
         self._clock.pop(member.process(), None)
 
-    # -- wire form --------------------------------------------------------
-    def to_value(self) -> Dict[str, int]:
-        """Message-embeddable form (addresses hex-packed as dict keys)."""
-        return {m.pack().hex(): v for m, v in self._clock.items()}
-
-    @classmethod
-    def from_value(cls, value: Mapping[str, int]) -> "VectorClock":
-        return cls({
-            Address.unpack(bytes.fromhex(key)): v for key, v in value.items()
-        })
-
     def items(self):
         return self._clock.items()
 
@@ -137,40 +126,15 @@ class VectorClock:
         return f"VC({parts})"
 
 
-def encode_context(
-    context: Mapping[Address, "tuple[int, VectorClock]"],
-) -> Dict[str, Dict]:
-    """Encode a causal context (gid → (view_id, VectorClock)) for a message.
-
-    Delivered vectors reset at every view change (the flush has already
-    delivered everything older), so a context entry is only comparable
-    against the *same* view: the view id rides along.
-    """
-    return {
-        gid.pack().hex(): {"v": view_id, "vc": vc.to_value()}
-        for gid, (view_id, vc) in context.items()
-    }
-
-
-def decode_context(value: Mapping[str, Mapping]) -> Dict[Address, "tuple[int, VectorClock]"]:
-    return {
-        Address.unpack(bytes.fromhex(key)): (
-            entry["v"], VectorClock.from_value(entry["vc"])
-        )
-        for key, entry in value.items()
-    }
-
-
 # ----------------------------------------------------------------------
-# Compact binary context codec (delta-chained)
+# The ``cb_ctx`` wire form: binary, delta-chained
 # ----------------------------------------------------------------------
-# The generic dict encoding above costs ~45 bytes per vector-clock entry
-# (hex-string keys, nested dict framing); at scale the ``cb_ctx`` header
-# dominates CBCAST frame bytes.  The compact form packs addresses raw
-# (8 bytes) and counters as LEB128 varints, and chains consecutive
-# messages of one sender: message *n* carries only the entries that
-# changed since message *n-1*.  Per-sender FIFO delivery (``cb_seq``
-# contiguity) guarantees the predecessor context is known at delivery.
+# At scale the ``cb_ctx`` header dominates CBCAST frame bytes, so
+# addresses are packed raw (8 bytes), counters are LEB128 varints, and
+# consecutive messages of one sender are chained: message *n* carries
+# only the entries that changed since message *n-1*.  Per-sender FIFO
+# delivery (``cb_seq`` contiguity) guarantees the predecessor context is
+# known at delivery.
 #
 # Both ends keep one absolute context per chain and move it *in place*:
 # the sender diffs the live delivered vectors against it
@@ -319,9 +283,9 @@ class ContextEncoder:
 
     __slots__ = ("_base",)
 
-    def __init__(self, base: Optional[PackedContext] = None):
-        #: Context as of the last encode (owned; ``None``: chain head).
-        self._base = base
+    def __init__(self) -> None:
+        #: Context as of the last encode (``None``: chain head).
+        self._base: Optional[PackedContext] = None
 
     def encode(self,
                groups: Sequence[Tuple[bytes, int, Dict[bytes, int]]]) -> bytes:
@@ -369,41 +333,3 @@ class ContextEncoder:
 
 def _uvarint(n: int) -> bytes:
     return _UVARINT1[n] if 0 <= n < 0x80 else encode_uvarint(n)
-
-
-def _packed_context(context: Context) -> PackedContext:
-    return {
-        gid.pack(): (view_id, {m.pack(): c for m, c in vc.items()})
-        for gid, (view_id, vc) in context.items()
-    }
-
-
-def encode_context_compact(context: Context,
-                           prev: Optional[Context] = None) -> bytes:
-    """Binary context encoding; delta against ``prev`` when given.
-
-    A delta entry for a group present in ``prev`` *with the same view*
-    carries only the counters that changed; a group that is new or whose
-    view advanced carries its full vector (the receiver replaces the
-    whole entry, since vectors reset per view).  Groups absent from
-    ``context`` but present in ``prev`` are listed as removals.
-    """
-    encoder = ContextEncoder(None if prev is None else _packed_context(prev))
-    packed = _packed_context(context)
-    return encoder.encode([(gid, *packed[gid]) for gid in sorted(packed)])
-
-
-def decode_context_compact(data: bytes,
-                           prev: Optional[Context] = None) -> Context:
-    """Inverse of :func:`encode_context_compact`.
-
-    ``prev`` must be the absolute context reconstructed from the same
-    sender's previous message when ``data`` is a delta; it is left
-    untouched (the result shares no vector with it).
-    """
-    delta = parse_context_delta(bytes(data))
-    if prev is None:
-        if not delta.full:
-            raise CodecError("delta context without a predecessor")
-        prev = {}
-    return advanced_context(_packed_context(prev), delta)

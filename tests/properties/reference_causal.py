@@ -1,0 +1,275 @@
+"""References the causal-delivery path is compared against.
+
+``repro.core`` once carried each of these behind a configuration switch;
+the switches are gone and the simple sides live here, written the
+obvious way, as what the differential tests hold the library to:
+
+* :class:`ScanCausalReceiver` — the CBCAST delivery rule as a re-scan of
+  the whole pending buffer until a pass makes no progress (O(pending²)
+  per arrival).  :class:`~repro.core.cbcast.CausalReceiver` must deliver
+  the same messages in the same order.
+* :class:`ScanTotalOrder` — two-phase ABCAST delivery as a scan for the
+  minimum priority.  :class:`~repro.core.abcast.TotalOrderReceiver`'s
+  lazy heap must agree.
+* :func:`encode_context_compact` / :func:`decode_context_compact` — the
+  binary ``cb_ctx`` codec with absolute contexts at both ends: every
+  message snapshots, sorts and re-packs every vector, and the receiver
+  rebuilds a whole context per message.  The wire format is pinned to
+  what this produces; :class:`~repro.core.vectorclock.ContextEncoder`
+  and ``parse_context_delta`` + ``apply_context_delta`` are the in-place
+  ends that must match it byte for byte.
+* :func:`encode_context` / :func:`decode_context` — the nested-dict
+  ``cb_ctx`` the system used before the binary form (hex-string keys,
+  ~45 bytes per vector entry): the size baseline.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
+
+from repro.core.vectorclock import VectorClock
+from repro.errors import CodecError
+from repro.msg.address import Address
+from repro.msg.fields import decode_uvarint, encode_uvarint
+from repro.msg.message import Message
+
+#: gid -> (view id, delivered vector).
+Context = Dict[Address, Tuple[int, VectorClock]]
+
+
+# ----------------------------------------------------------------------
+# The nested-dict context codec
+# ----------------------------------------------------------------------
+def encode_context(context: Mapping[Address, Tuple[int, VectorClock]]) -> Dict:
+    """Delivered vectors reset at every view change, so an entry is only
+    comparable against the *same* view: the view id rides along."""
+    return {
+        gid.pack().hex(): {
+            "v": view_id,
+            "vc": {m.pack().hex(): c for m, c in vc.items()},
+        }
+        for gid, (view_id, vc) in context.items()
+    }
+
+
+def decode_context(value: Mapping[str, Mapping]) -> Context:
+    def address(key: str) -> Address:
+        return Address.unpack(bytes.fromhex(key))
+
+    return {
+        address(key): (entry["v"], VectorClock(
+            {address(m): c for m, c in entry["vc"].items()}))
+        for key, entry in value.items()
+    }
+
+
+# ----------------------------------------------------------------------
+# The binary context codec, absolute at both ends
+# ----------------------------------------------------------------------
+def encode_context_compact(context: Context,
+                           prev: Optional[Context] = None) -> bytes:
+    """``cb_ctx`` bytes for ``context``; a delta against ``prev`` (the
+    sender's previous context) when given.
+
+    A delta entry for a group ``prev`` holds *in the same view* carries
+    only the counters that changed; a group that is new or whose view
+    advanced carries its whole vector.  Groups ``prev`` holds and
+    ``context`` does not are listed as removals.
+    """
+    def entry(gid, view_id, counters):
+        parts = [gid.pack(), encode_uvarint(view_id),
+                 encode_uvarint(len(counters))]
+        for member, count in sorted(counters.items(),
+                                    key=lambda kv: kv[0].pack()):
+            parts += [member.pack(), encode_uvarint(count)]
+        return b"".join(parts)
+
+    ordered = sorted(context.items(), key=lambda kv: kv[0].pack())
+    if prev is None:
+        return b"".join([b"\x00", encode_uvarint(len(context))] + [
+            entry(gid, v, dict(vc.items())) for gid, (v, vc) in ordered])
+    entries = []
+    for gid, (view_id, vc) in ordered:
+        before = prev.get(gid)
+        if before is not None and before[0] == view_id:
+            changed = {m: c for m, c in vc.items() if before[1].get(m) != c}
+            if changed:
+                entries.append(entry(gid, view_id, changed))
+        else:
+            entries.append(entry(gid, view_id, dict(vc.items())))
+    removed = sorted(g.pack() for g in prev if g not in context)
+    return b"".join([b"\x01", encode_uvarint(len(entries))] + entries
+                    + [encode_uvarint(len(removed))] + removed)
+
+
+def decode_context_compact(data: bytes,
+                           prev: Optional[Context] = None) -> Context:
+    """The absolute context a ``cb_ctx`` stands for; ``prev`` is the one
+    rebuilt from the same sender's previous message (left untouched)."""
+    def address(offset):
+        return Address.unpack(data[offset:offset + 8]), offset + 8
+
+    chained = data[0] == 1
+    if chained and prev is None:
+        raise CodecError("delta context without a predecessor")
+    out = dict(prev) if chained else {}
+    count, offset = decode_uvarint(data, 1)
+    for _ in range(count):
+        gid, offset = address(offset)
+        view_id, offset = decode_uvarint(data, offset)
+        n, offset = decode_uvarint(data, offset)
+        counters = {}
+        for _ in range(n):
+            member, offset = address(offset)
+            counters[member], offset = decode_uvarint(data, offset)
+        before = out.get(gid)
+        if chained and before is not None and before[0] == view_id:
+            vc = before[1].copy()
+            for member, value in counters.items():
+                vc.set(member, value)
+        else:
+            vc = VectorClock(counters)
+        out[gid] = (view_id, vc)
+    if chained:
+        count, offset = decode_uvarint(data, offset)
+        for _ in range(count):
+            gid, offset = address(offset)
+            out.pop(gid, None)
+    if offset != len(data):
+        raise CodecError("trailing bytes after compact context")
+    return out
+
+
+def context_rows(context: Context) -> List[Tuple[bytes, int, Dict[bytes, int]]]:
+    """``context`` as :meth:`ContextEncoder.encode` takes it: ``(packed
+    gid, view id, packed member -> count)`` in gid order."""
+    return sorted(
+        (gid.pack(), view_id, {m.pack(): c for m, c in vc.items()})
+        for gid, (view_id, vc) in context.items())
+
+
+def unpacked_context(packed) -> Context:
+    """A receiver chain's :data:`PackedContext` with addresses unpacked,
+    entries in the chain's order."""
+    return {
+        Address.unpack(gid): (view_id, VectorClock(
+            {Address.unpack(m): c for m, c in counters.items()}))
+        for gid, (view_id, counters) in packed.items()
+    }
+
+
+# ----------------------------------------------------------------------
+# CBCAST delivery as a scan of the pending buffer
+# ----------------------------------------------------------------------
+class ScanCausalReceiver:
+    """Deliver a pending message when it is its sender's next (FIFO) and
+    ``is_deliverable_ctx(context)`` says its whole causal context is
+    satisfied; after each delivery, scan again from the oldest arrival.
+
+    ``cb_ctx`` may be absent (an empty context), the nested-dict form, or
+    the binary form, which is rebuilt against the context of the sender's
+    previous message delivered here.
+    """
+
+    def __init__(self, is_deliverable_ctx: Callable[[Context], bool]):
+        self.delivered = VectorClock()
+        self._is_deliverable_ctx = is_deliverable_ctx
+        self._pending: List[Message] = []
+        #: sender -> absolute context of its last message delivered here.
+        self._contexts: Dict[Address, Context] = {}
+        self.peak_pending = 0
+
+    def offer(self, msg: Message) -> List[Message]:
+        self._pending.append(msg)
+        self.peak_pending = max(self.peak_pending, len(self._pending))
+        return self.recheck()
+
+    def recheck(self) -> List[Message]:
+        out: List[Message] = []
+        progress = True
+        while progress:
+            progress = False
+            for i, msg in enumerate(self._pending):
+                sender, seq = msg["cb_sender"].process(), msg["cb_seq"]
+                if seq != self.delivered.get(sender) + 1:
+                    continue
+                context = self._context_of(sender, msg.get("cb_ctx"))
+                if not self._is_deliverable_ctx(context):
+                    continue
+                self._pending.pop(i)
+                self.delivered.set(sender, seq)
+                self._contexts[sender] = context
+                out.append(msg)
+                progress = True
+                break
+        return out
+
+    def _context_of(self, sender: Address, raw) -> Context:
+        if raw is None:
+            return {}
+        if isinstance(raw, (bytes, bytearray)):
+            return decode_context_compact(bytes(raw),
+                                          self._contexts.get(sender))
+        return decode_context(raw)
+
+    def on_new_view(self) -> None:
+        self.delivered = VectorClock()
+        self._pending.clear()
+        self._contexts.clear()
+
+    @property
+    def pending_count(self) -> int:
+        return len(self._pending)
+
+    def pending_messages(self) -> List[Message]:
+        return list(self._pending)
+
+
+# ----------------------------------------------------------------------
+# Two-phase ABCAST delivery as a scan for the minimum
+# ----------------------------------------------------------------------
+class ScanTotalOrder:
+    """Deliver the queue's minimum-priority message while it is final."""
+
+    def __init__(self, site_id: int):
+        self.site_id = site_id
+        self._counter = 0
+        #: ref -> [priority, final?, message]
+        self._queue: Dict[Tuple[int, int], list] = {}
+
+    def propose(self, ref, msg: Message):
+        if ref not in self._queue:
+            self._counter += 1
+            self._queue[ref] = [(self._counter, self.site_id), False, msg]
+        return self._queue[ref][0]
+
+    def finalize(self, ref, final) -> List[Message]:
+        if ref not in self._queue:
+            return []
+        self._queue[ref][:2] = [final, True]
+        self._counter = max(self._counter, final[0])
+        return self._drain()
+
+    def force_order(self, order) -> List[Message]:
+        for ref, priority in order:
+            if tuple(ref) in self._queue:
+                self._queue[tuple(ref)][:2] = [tuple(priority), True]
+        return self._drain()
+
+    def _drain(self) -> List[Message]:
+        out: List[Message] = []
+        while self._queue:
+            ref = min(self._queue, key=lambda r: self._queue[r][0])
+            _, final, msg = self._queue[ref]
+            if not final:
+                break
+            del self._queue[ref]
+            out.append(msg)
+        return out
+
+    def on_new_view(self) -> None:
+        self._queue.clear()
+
+    @property
+    def pending_count(self) -> int:
+        return len(self._queue)

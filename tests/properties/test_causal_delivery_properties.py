@@ -1,0 +1,780 @@
+"""Causal delivery: the one engine against its references and its spec.
+
+``repro.core`` has one CBCAST drain (dependency-indexed: FIFO wake-ups,
+WaitIndex thresholds, view-change wakes) and one two-phase ABCAST drain
+(a lazy heap).  The simple versions they replaced live in
+``reference_causal.py``; here the two are compared where the code
+differs, at the receiver, on random arrival orders.  At system level
+the random workloads (multi-group, loss, a mid-stream crash) are checked
+against what virtual synchrony promises, and two fixed-seed workloads
+against per-site delivery digests recorded from the scan engine at the
+last commit that had one.
+"""
+
+import hashlib
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_causal as reference
+from repro import IsisCluster, LanConfig
+from repro.core.abcast import TotalOrderReceiver
+from repro.core.cbcast import CausalReceiver, SenderChain
+from repro.core.vectorclock import (
+    ContextEncoder,
+    VectorClock,
+    apply_context_delta,
+    parse_context_delta,
+)
+from repro.msg import Message, make_group_address, make_process_address
+
+
+# ----------------------------------------------------------------------
+# System level: two fully overlapping groups
+# ----------------------------------------------------------------------
+def _run_workload(seed, plan, loss, crash_site=None, crash_after=None,
+                  n_sites=3):
+    """Returns per-site ordered deliveries ``(group, tag)``, the final
+    views (:func:`_final_views`), and whether the traffic ran without
+    any view change."""
+    system = IsisCluster(n_sites=n_sites, seed=seed,
+                         lan_config=LanConfig(loss_rate=loss))
+    deliveries = {s: [] for s in range(n_sites)}
+    members = []
+    for site in range(n_sites):
+        proc, isis = system.spawn(site, f"m{site}")
+        proc.bind(16, lambda msg, s=site: deliveries[s].append(
+            (_group_key(msg["_group"]), msg["tag"])))
+        members.append((proc, isis))
+
+    def create():
+        yield members[0][1].pg_create("da")
+        yield members[0][1].pg_create("db")
+
+    members[0][0].spawn(create(), "create")
+    system.run_for(3.0)
+    for i in range(1, n_sites):
+        if not members[i][0].alive:
+            continue    # loss can evict a site during set-up
+
+        def join(isis=members[i][1]):
+            for name in ("da", "db"):
+                gid = yield isis.pg_lookup(name)
+                yield isis.pg_join(gid)
+
+        members[i][0].spawn(join(), f"join{i}")
+        system.run_for(25.0)
+
+    for task_id, (sender_idx, group_pattern, kind, burst) in enumerate(plan):
+        proc, isis = members[sender_idx]
+        if not proc.alive:
+            continue
+
+        def blast(isis=isis, task_id=task_id, pattern=group_pattern,
+                  kind=kind, burst=burst):
+            ga = yield isis.pg_lookup("da")
+            gb = yield isis.pg_lookup("db")
+            groups = {"a": [ga], "b": [gb], "ab": [ga, gb]}[pattern]
+            for i in range(burst):
+                gid = groups[i % len(groups)]
+                yield isis.bcast(gid, 16, kind=kind,
+                                 tag=f"{kind[:2]}:{task_id}:{i}")
+
+        proc.spawn(blast(), f"blast{task_id}")
+    views_before = _final_views(system, members)
+    if crash_site is not None:
+        system.run_for(crash_after)
+        system.crash_site(crash_site)
+    system.run_for(250.0)
+    _settle(system, members)
+    views = _final_views(system, members)
+    return deliveries, views, views == views_before
+
+
+def _settle(system, members):
+    """Give every live kernel the recheck passes a further arrival would.
+
+    ``recheck_causal`` makes one pass over the woken groups in creation
+    order, so a candidate woken in a group the pass has already visited
+    (or in the group whose arrival started it) waits for the next
+    arrival or view install.  A workload's last messages get none, and
+    can sit deliverable but undelivered for good: a liveness gap this
+    suite found (the ``xfail`` below pins it down), left for its own
+    change.  The checks here are about order and agreement, so they
+    supply the trigger.
+    """
+    for site, (proc, _) in enumerate(members):
+        if proc.alive:
+            kernel = system.kernel(site)
+            for _ in range(len(kernel.engines) + 1):
+                kernel.recheck_causal()
+    system.run_for(1.0)
+
+
+def _group_key(gid):
+    return (gid.site, gid.local_id)
+
+
+def _final_views(system, members):
+    """``site -> {group: (view id, members)}`` over the groups its member
+    is in, for every site whose member process is alive (the others
+    crashed with their site or self-destructed, and hold a prefix) and
+    has been handed everything delivered so far (under loss a joiner's
+    state transfer can outlast the run; its deliveries stay queued)."""
+    return {
+        site: {_group_key(gid): (engine.view.view_id, engine.view.members)
+               for gid, engine in system.kernel(site).engines.items()
+               if engine.installed and engine.view.contains(proc.address)}
+        for site, (proc, _) in enumerate(members)
+        if proc.alive
+        and proc.address not in system.kernel(site)._awaiting_state}
+
+
+def _assert_conforms(deliveries, final_views, cross_group_tasks=()):
+    """What CBCAST/ABCAST promise, stated on the delivered streams:
+
+    * no message is delivered twice at a site;
+    * per-sender FIFO: one task's messages to one group arrive in send
+      order, at every site (a dead site holds a prefix of its stream);
+    * cross-group causal order, for ``cross_group_tasks``: a CBCAST task
+      alternating between the two groups is delivered in send order
+      *across* them — each send's context names the previous one.  Only
+      a run without view changes promises this: a flush cut delivers a
+      group's leftovers whatever other groups they wait on (see
+      ``GroupEngine._on_flush_commit``);
+    * two sites that end in the same view of a group delivered the same
+      set in it (under loss the failure detector can split a group
+      during set-up; each side is then a group of its own).
+    """
+    for site, stream in deliveries.items():
+        assert len(set(stream)) == len(stream), f"duplicate at site {site}"
+        last = {}
+        for group, tag in stream:
+            kind, task, index = tag.split(":")
+            keys = [(task, group)]
+            if task in cross_group_tasks:
+                keys.append((task, "both"))
+            for key in keys:
+                assert last.get(key, -1) < int(index), (
+                    f"site {site} delivered {tag} after #{last[key]} "
+                    f"of the same task")
+                last[key] = int(index)
+    for a, views in final_views.items():
+        for b in final_views:
+            for group, view in views.items():
+                if final_views[b].get(group) == view:
+                    assert ({d for d in deliveries[a] if d[0] == group}
+                            == {d for d in deliveries[b] if d[0] == group}), (
+                        f"sites {a} and {b} delivered different sets "
+                        f"in {group}")
+
+
+def _causal_tasks(plan):
+    return {str(task_id) for task_id, (_, pattern, kind, _) in enumerate(plan)
+            if pattern == "ab" and kind == "cbcast"}
+
+
+@given(
+    seed=st.integers(0, 500),
+    loss=st.sampled_from([0.0, 0.03, 0.08]),
+    plan=st.lists(
+        st.tuples(st.integers(0, 2),                    # sender index
+                  st.sampled_from(["a", "b", "ab"]),    # group pattern
+                  st.sampled_from(["cbcast", "abcast"]),
+                  st.integers(1, 5)),                   # burst length
+        min_size=1, max_size=4,
+    ),
+)
+@settings(max_examples=10, deadline=None)
+def test_multi_group_workloads_conform(seed, loss, plan):
+    deliveries, final_views, steady = _run_workload(seed, plan, loss)
+    _assert_conforms(deliveries, final_views,
+                     _causal_tasks(plan) if steady else ())
+    if loss == 0.0:
+        assert steady
+        sent = sum(burst for _, _, _, burst in plan)
+        assert all(len(deliveries[s]) == sent for s in range(3))
+
+
+@given(
+    seed=st.integers(0, 500),
+    crash_site=st.integers(1, 2),
+    crash_after=st.floats(0.05, 1.5),
+)
+@settings(max_examples=6, deadline=None)
+def test_workloads_conform_across_view_changes(seed, crash_site, crash_after):
+    plan = [(i, "ab", "cbcast", 6) for i in range(3)]
+    deliveries, final_views, _ = _run_workload(
+        seed, plan, 0.05, crash_site=crash_site, crash_after=crash_after)
+    assert crash_site not in final_views and final_views
+    _assert_conforms(deliveries, final_views)
+    # Everything a survivor sent reaches every survivor it ends with.
+    for site, views in final_views.items():
+        for sender in final_views:
+            if len(views) == 2 and final_views[sender] == views:
+                assert sum(1 for _, tag in deliveries[site]
+                           if tag.startswith(f"cb:{sender}:")) == 6
+
+
+def _digests(deliveries):
+    return {site: hashlib.sha256(repr(stream).encode()).hexdigest()[:16]
+            for site, stream in deliveries.items()}
+
+
+def test_deep_backlog_partition_heal_matches_recorded_scan_order():
+    """Deterministic deep-buffer case: a partition builds a causal
+    backlog, the heal floods it in.  The engine drains it in the order
+    the scan engine did, and leaves no index state."""
+    system = IsisCluster(n_sites=4, seed=77,
+                         lan_config=LanConfig(loss_rate=0.02))
+    deliveries = {s: [] for s in range(4)}
+    members = []
+    for site in range(4):
+        proc, isis = system.spawn(site, f"m{site}")
+        proc.bind(16, lambda msg, s=site: deliveries[s].append(msg["tag"]))
+        members.append((proc, isis))
+
+    def create():
+        yield members[0][1].pg_create("ph")
+
+    members[0][0].spawn(create(), "create")
+    system.run_for(3.0)
+    for i in range(1, 4):
+        def join(isis=members[i][1]):
+            gid = yield isis.pg_lookup("ph")
+            yield isis.pg_join(gid)
+
+        members[i][0].spawn(join(), f"j{i}")
+        system.run_for(20.0)
+    for idx in range(4):
+        proc, isis = members[idx]
+
+        def gen(isis=isis, idx=idx):
+            gid = yield isis.pg_lookup("ph")
+            for i in range(25):
+                yield isis.cbcast(gid, 16, tag=f"d{idx}:{i}")
+
+        proc.spawn(gen(), f"d{idx}")
+    system.run_for(0.3)
+    # Short split (below failure-detection timeouts): traffic queues.
+    system.cluster.lan.partition([[0, 1], [2, 3]])
+    system.run_for(1.0)
+    system.cluster.lan.heal()
+    system.run_for(120.0)
+    for site in range(4):
+        stats = system.kernel(site).stats()
+        assert stats["wait_index.size"] == 0
+        assert stats["causal.pending"] == 0
+        # Everyone got all 100 messages.
+        assert len(deliveries[site]) == 100
+    assert _digests(deliveries) == DEEP_BACKLOG_DIGESTS
+
+
+# ----------------------------------------------------------------------
+# System level: ring-overlapping groups of partial membership
+# ----------------------------------------------------------------------
+def _run_ring(seed, loss, burst, crash_site, crash_after, n_sites=4, span=3):
+    """Group *i* spans sites *i .. i+span-1* (mod n): every site sits in
+    ``span`` groups, no two groups have the same members, and a sender's
+    context names groups most of its receivers are not in."""
+    system = IsisCluster(n_sites=n_sites, seed=seed,
+                         lan_config=LanConfig(loss_rate=loss))
+    deliveries = {s: [] for s in range(n_sites)}
+    members = []
+    for site in range(n_sites):
+        proc, isis = system.spawn(site, f"m{site}")
+        proc.bind(16, lambda msg, s=site: deliveries[s].append(
+            (_group_key(msg["_group"]), msg["tag"])))
+        members.append((proc, isis))
+    for site in range(n_sites):
+        def create(isis=members[site][1], name=f"ring{site}"):
+            yield isis.pg_create(name)
+
+        members[site][0].spawn(create(), f"create{site}")
+    system.run_for(3.0)
+    for hop in range(1, span):
+        for group in range(n_sites):
+            joiner = (group + hop) % n_sites
+            if not members[joiner][0].alive:
+                continue    # evicted by loss during set-up
+
+            def join(isis=members[joiner][1], name=f"ring{group}"):
+                gid = yield isis.pg_lookup(name)
+                yield isis.pg_join(gid)
+
+            members[joiner][0].spawn(join(), f"join{group}.{joiner}")
+        system.run_for(25.0)
+    for site in range(n_sites):
+        proc, isis = members[site]
+        if not proc.alive:
+            continue
+
+        def blast(isis=isis, site=site):
+            gids = []
+            for back in range(span):
+                gid = yield isis.pg_lookup(f"ring{(site - back) % n_sites}")
+                gids.append(gid)
+            for i in range(burst):
+                yield isis.cbcast(gids[i % span], 16, tag=f"cb:{site}:{i}")
+
+        proc.spawn(blast(), f"blast{site}")
+    system.run_for(crash_after)
+    system.crash_site(crash_site)
+    system.run_for(250.0)
+    _settle(system, members)
+    return deliveries, _final_views(system, members)
+
+
+@given(
+    seed=st.integers(0, 500),
+    loss=st.sampled_from([0.0, 0.03, 0.06]),
+    burst=st.integers(3, 9),
+    crash_site=st.integers(0, 3),
+    crash_after=st.floats(0.05, 2.0),
+)
+@settings(max_examples=8, deadline=None)
+def test_ring_overlapping_groups_conform(seed, loss, burst, crash_site,
+                                         crash_after):
+    deliveries, final_views = _run_ring(seed, loss, burst, crash_site,
+                                        crash_after)
+    assert any(deliveries.values())
+    assert crash_site not in final_views
+    _assert_conforms(deliveries, final_views)
+
+
+def test_ring_with_crash_matches_recorded_scan_order():
+    deliveries, final_views = _run_ring(seed=7, loss=0.03, burst=9,
+                                        crash_site=2, crash_after=0.8)
+    assert sorted(final_views) == [0, 1, 3]
+    assert _digests(deliveries) == RING_DIGESTS
+
+
+#: Per-site digests of the ordered delivery streams of the two fixed-seed
+#: workloads above, recorded at commit 200a7b1 with the scan engine
+#: selected: the order it delivered in, frozen when it left ``src/``.
+DEEP_BACKLOG_DIGESTS = {0: "cdd1630c04739be6", 1: "00d5934764e2d447",
+                        2: "7ce0840f692d61f2", 3: "e35ea5858e493a68"}
+RING_DIGESTS = {0: "9a8cf05e59bd3323", 1: "4c974e9b48bde899",
+                2: "f348ae62a5992550", 3: "f6ecff9f2e21c60b"}
+
+
+# ----------------------------------------------------------------------
+# Receiver level: CausalReceiver == the scan, on one message stream
+# ----------------------------------------------------------------------
+CTX_GROUPS = [make_group_address(0, n) for n in range(1, 5)]
+CTX_MEMBERS = [make_process_address(s, 0, 7) for s in range(3)]
+#: The group whose receiver is under test; the kernel also hosts
+#: CTX_GROUPS[1:3], and may join CTX_GROUPS[3] late.
+HERE = CTX_GROUPS[0]
+
+
+class _LocalGroup:
+    """What the context check reads of a group engine."""
+
+    def __init__(self, view_id, counts):
+        self.installed = True
+        self.view = SimpleNamespace(view_id=view_id)
+        self.causal = SimpleNamespace(delivered=VectorClock(),
+                                      delivered_packed={})
+        for member, count in counts.items():
+            self.deliver(member, count)
+
+    def deliver(self, member, count):
+        self.causal.delivered.set(member, count)
+        self.causal.delivered_packed[member.pack()] = count
+
+    def new_view(self, view_id):
+        self.view = SimpleNamespace(view_id=view_id)
+        self.causal = SimpleNamespace(delivered=VectorClock(),
+                                      delivered_packed={})
+
+
+def _install(kernel, gid, view_id, counts):
+    """A group becomes installed at the kernel, as a join's welcome does."""
+    kernel._group_installs += 1
+    kernel.engines[gid] = _LocalGroup(view_id, counts)
+    kernel._note_engine(gid)
+
+
+def _install_receiver(kernel, gid, sink):
+    """``gid`` becomes installed with the library's receiver, wired to the
+    kernel's context check and WaitIndex as ``CausalOrdering`` wires it;
+    what a recheck pass delivers goes to ``sink``."""
+    receiver = CausalReceiver(
+        delta_check=lambda chain, delta, key:
+            kernel.check_delta_and_register(chain, delta, (gid, key)),
+        on_advance=lambda sender, seq:
+            kernel.note_causal_advance(gid, sender, seq))
+    kernel._group_installs += 1
+    kernel.engines[gid] = SimpleNamespace(
+        installed=True, view=SimpleNamespace(view_id=1),
+        causal=receiver, deliver_env=sink)
+    kernel._note_engine(gid)
+    return receiver
+
+
+class _Sender:
+    """One member's send side: its live delivered counts in every group
+    it belongs to, and its ``cb_ctx`` chain in HERE's current view."""
+
+    def __init__(self, member, view_id):
+        self.member = member
+        self.seq = 0
+        self.encoder = ContextEncoder()
+        #: packed gid -> [view id, packed member -> count]
+        self.live = {HERE.pack(): [view_id, {}]}
+
+    def send(self, tag):
+        rows = [(gid, view_id, counts)
+                for gid, (view_id, counts) in sorted(self.live.items())]
+        self.seq += 1
+        msg = Message(_proto="g.cb", cb_sender=self.member, cb_seq=self.seq,
+                      cb_ctx=self.encoder.encode(rows), tag=tag)
+        self.live[HERE.pack()][1][self.member.pack()] = self.seq
+        return msg
+
+
+def _draw_stream(data, view_id):
+    """A causally consistent send history of the three members in HERE's
+    view ``view_id``: between sends they deliver each other's messages
+    and see other groups move (counters, views, joins, leaves)."""
+    senders = [_Sender(member, view_id) for member in CTX_MEMBERS]
+    stream = []
+    for _ in range(data.draw(st.integers(1, 14), label="history steps")):
+        sender = data.draw(st.sampled_from(senders))
+        what = data.draw(st.sampled_from(
+            ["send", "send", "deliver", "observe", "view", "leave"]))
+        other = data.draw(st.sampled_from(CTX_GROUPS[1:])).pack()
+        if what == "send":
+            stream.append(sender.send(f"v{view_id}:{len(stream)}"))
+        elif what == "deliver":
+            peer = data.draw(st.sampled_from(senders))
+            seen = sender.live[HERE.pack()][1]
+            if seen.get(peer.member.pack(), 0) < peer.seq:
+                seen[peer.member.pack()] = seen.get(peer.member.pack(), 0) + 1
+        elif what == "observe":
+            counts = sender.live.setdefault(other, [1, {}])[1]
+            member = data.draw(st.sampled_from(CTX_MEMBERS)).pack()
+            counts[member] = counts.get(member, 0) + data.draw(
+                st.integers(1, 3))
+        elif what == "view" and other in sender.live:
+            sender.live[other] = [sender.live[other][0] + 1, {}]
+        elif what == "leave":
+            sender.live.pop(other, None)
+    return stream
+
+
+class _ReceiverPair:
+    """One kernel's HERE receiver twice over the same inputs: the
+    library's, wired to the real context check and WaitIndex, and the
+    scan, given the delivery rule as a plain walk of the whole context."""
+
+    def __init__(self):
+        self.kernel = kernel = IsisCluster(n_sites=1, seed=0).kernel(0)
+        self.got, self.want = [], []
+        self.engine = _install_receiver(kernel, HERE, self.got.append)
+        self.scan = reference.ScanCausalReceiver(self._satisfied)
+        self.view_id = 1
+        for gid in CTX_GROUPS[1:3]:
+            _install(kernel, gid, 1, {})
+
+    def _satisfied(self, context):
+        for gid, (view_id, vc) in context.items():
+            group = self.kernel.engines.get(gid)
+            if group is None:
+                continue            # not a member: cannot wait
+            have = (self.scan.delivered if gid == HERE
+                    else group.causal.delivered)
+            if group.view.view_id < view_id:
+                return False
+            if group.view.view_id == view_id and not have.dominates(vc):
+                return False
+        return True
+
+    def offer(self, msg):
+        self.got += self.engine.offer(msg)
+        self.kernel.recheck_causal(exclude=HERE)
+        self.want += self.scan.offer(msg)
+
+    def other_group_moved(self, gid, member=None, count=0):
+        """HERE's kernel delivered up to ``count`` of ``member`` in
+        ``gid``, or (no member) installed its next view."""
+        group = self.kernel.engines[gid]
+        if member is None:
+            group.new_view(group.view.view_id + 1)
+            self.kernel.note_group_view_event(gid)
+        else:
+            for seq in range(group.causal.delivered.get(member) + 1,
+                             count + 1):
+                group.deliver(member, seq)
+                self.kernel.note_causal_advance(gid, member, seq)
+        self.kernel.recheck_causal()
+        self.want += self.scan.recheck()
+
+    def new_view(self):
+        """As ``CausalOrdering.on_new_view`` does at a flush commit."""
+        self.view_id += 1
+        self.kernel.engines[HERE].view = SimpleNamespace(view_id=self.view_id)
+        self.engine.on_new_view()
+        self.kernel.wait_index.purge_engine(HERE)
+        self.kernel.note_group_view_event(HERE)
+        self.scan.on_new_view()
+
+    def assert_same(self):
+        def tags(msgs):
+            return [m["tag"] for m in msgs]
+
+        assert tags(self.got) == tags(self.want)
+        assert (tags(self.engine.pending_messages())
+                == tags(self.scan.pending_messages()))
+        assert self.engine.peak_pending == self.scan.peak_pending
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_receiver_matches_scan_on_random_arrival_orders(data):
+    pair = _ReceiverPair()
+    for view_id in (1, 2):
+        stream = data.draw(st.permutations(_draw_stream(data, view_id)))
+        if view_id == 1:
+            # The view ends mid-stream: the rest is never offered (the
+            # pipeline drops old-view envelopes).
+            stream = stream[:data.draw(st.integers(0, len(stream)))]
+        for msg in stream:
+            pair.offer(msg)
+            pair.assert_same()
+            # Meanwhile the kernel's other groups move on a schedule of
+            # their own, and it may join a group the contexts name.
+            move = data.draw(st.sampled_from(
+                ["none", "none", "counter", "view", "join"]))
+            gid = data.draw(st.sampled_from(CTX_GROUPS[1:3]))
+            if move == "counter":
+                pair.other_group_moved(
+                    gid, data.draw(st.sampled_from(CTX_MEMBERS)),
+                    data.draw(st.integers(1, 9)))
+            elif move == "view":
+                pair.other_group_moved(gid)
+            elif move == "join" and CTX_GROUPS[3] not in pair.kernel.engines:
+                _install(pair.kernel, CTX_GROUPS[3],
+                         data.draw(st.integers(1, 3)), {})
+            pair.assert_same()
+        if view_id == 1:
+            pair.new_view()
+            pair.assert_same()
+            assert len(pair.kernel.wait_index) == 0
+    # Every other group moves past anything a context can name: what is
+    # left depends on HERE alone, and a consistent history drains.
+    for gid in CTX_GROUPS[1:]:
+        if gid in pair.kernel.engines:
+            for _ in range(16):
+                pair.other_group_moved(gid)
+    pair.assert_same()
+    assert pair.engine.pending_count == 0
+    assert len(pair.kernel.wait_index) == 0
+    assert pair.engine.cache_sizes()[1] == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "recheck_causal makes one pass and skips the arriving group, so a "
+    "candidate woken behind it waits for the next arrival or view "
+    "install (CHANGES.md, PR 16: found, not fixed)"))
+def test_last_message_is_not_stranded_behind_the_recheck_pass():
+    """A waits (in the first group) on B, B (in the second) on P; P
+    arrives in the first group.  All three are deliverable at once."""
+    kernel = IsisCluster(n_sites=1, seed=0).kernel(0)
+    first, second = CTX_GROUPS[:2]          # creation order = pass order
+    p, q, r = CTX_MEMBERS
+    got = []
+    receivers = {gid: _install_receiver(kernel, gid, got.append)
+                 for gid in (first, second)}
+
+    def arrive(gid, sender, context, tag):  # as CausalOrdering.ingest does
+        got.extend(receivers[gid].offer(Message(
+            cb_sender=sender, cb_seq=1, tag=tag,
+            cb_ctx=reference.encode_context_compact(context))))
+        kernel.recheck_causal(exclude=gid)
+
+    arrive(first, q, {second: (1, VectorClock({r: 1}))}, "A")
+    arrive(second, r, {first: (1, VectorClock({p: 1}))}, "B")
+    assert got == []
+    arrive(first, p, {}, "P")
+    assert [m["tag"] for m in got] == ["P", "B", "A"]
+
+
+# ----------------------------------------------------------------------
+# Receiver level: TotalOrderReceiver's heap == a scan for the minimum
+# ----------------------------------------------------------------------
+REFS = [(origin, gseq) for origin in range(3) for gseq in range(1, 5)]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_total_order_heap_matches_min_scan(data):
+    heap, scan = TotalOrderReceiver(site_id=0), reference.ScanTotalOrder(0)
+    proposed, used = {}, set()
+
+    def same(got, want):
+        assert [m["ref"] for m in got] == [m["ref"] for m in want]
+        assert heap.pending_count == scan.pending_count
+
+    for _ in range(data.draw(st.integers(1, 30))):
+        op = data.draw(st.sampled_from(
+            ["propose", "propose", "finalize", "finalize", "cut", "view"]))
+        ref = data.draw(st.sampled_from(REFS))
+        if op == "propose":
+            msg = Message(ref=list(ref))
+            proposed[ref] = heap.propose(ref, msg)
+            assert proposed[ref] == scan.propose(ref, msg)
+        elif op == "finalize" and ref in proposed:
+            # The maximum over all sites' proposals: ours, or a larger
+            # one another site made (priorities are globally unique).
+            final = data.draw(st.one_of(
+                st.just(proposed[ref]),
+                st.tuples(st.integers(proposed[ref][0], proposed[ref][0] + 4),
+                          st.integers(1, 2))))
+            if final in used:
+                continue
+            used.add(final)
+            same(heap.finalize(ref, final), scan.finalize(ref, final))
+        elif op == "cut":
+            # A flush's agreed order for whatever is still queued.
+            order = [[list(r), [100 + i, 1]] for i, r in enumerate(
+                data.draw(st.permutations(sorted(proposed))))]
+            same(heap.force_order(order), scan.force_order(order))
+        elif op == "view":
+            heap.on_new_view()
+            scan.on_new_view()
+            proposed.clear()
+    same([], [])
+
+
+# ----------------------------------------------------------------------
+# Delta-only context check == full walk of the absolute context
+# ----------------------------------------------------------------------
+#: The two evaluations of one message, as WaitIndex waiters.
+DELTA_WAITER = (CTX_GROUPS[0], (CTX_MEMBERS[0], 1))
+WALK_WAITER = (CTX_GROUPS[0], (CTX_MEMBERS[0], 2))
+
+
+def _slot(kernel, waiter):
+    return kernel.wait_index._slots.get(waiter)
+
+
+def _check_both_ways(kernel, chain, data, absolute):
+    """One evaluation of one message: delta-only on the chain, full walk
+    on the rebuilt absolute context.  Same verdict, same threshold."""
+    delta = parse_context_delta(data)
+    by_delta = kernel.check_delta_and_register(chain, delta, DELTA_WAITER)
+    by_walk = kernel.check_context_and_register(absolute, WALK_WAITER)
+    assert by_delta == by_walk
+    assert _slot(kernel, DELTA_WAITER) == _slot(kernel, WALK_WAITER)
+    return by_delta, delta
+
+
+counts_st = st.dictionaries(st.sampled_from(CTX_MEMBERS), st.integers(1, 6))
+context_st = st.dictionaries(
+    st.sampled_from(CTX_GROUPS), st.tuples(st.integers(1, 3), counts_st),
+    min_size=1)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_delta_only_check_matches_full_walk(data):
+    system = IsisCluster(n_sites=1, seed=0)
+    kernel = system.kernel(0)
+    # The receiver: member of some groups, its view of each behind, level
+    # with or ahead of what the sender will name.
+    for gid, (view_id, counts) in data.draw(context_st).items():
+        _install(kernel, gid, view_id, counts)
+    chain = SenderChain()
+    sent = None         # sender's absolute context, as last encoded
+    rebuilt = None      # the same, as the old receiver rebuilt it
+    context = {}
+    for _ in range(data.draw(st.integers(1, 5))):
+        # The sender's state moves on: counters grow, views advance,
+        # groups come and go.
+        for gid, (view_id, counts) in data.draw(context_st).items():
+            before = context.get(gid)
+            if before is not None and before[0] >= view_id:
+                merged = dict(before[1].items())
+                for member, count in counts.items():
+                    merged[member] = merged.get(member, 0) + count
+                context[gid] = (before[0], VectorClock(merged))
+            else:
+                context[gid] = (view_id, VectorClock(counts))
+        for gid in data.draw(st.sets(st.sampled_from(CTX_GROUPS),
+                                     max_size=1)):
+            if len(context) > 1:
+                context.pop(gid, None)
+        wire = reference.encode_context_compact(context, sent)
+        rebuilt = reference.decode_context_compact(wire, rebuilt)
+        sent = {gid: (v, vc.copy()) for gid, (v, vc) in context.items()}
+        # The receiver evaluates, and re-evaluates as each registered
+        # threshold is crossed, until the message is deliverable.
+        for _ in range(64):
+            satisfied, delta = _check_both_ways(kernel, chain, wire, rebuilt)
+            if satisfied:
+                break
+            gid, counter = _slot(kernel, DELTA_WAITER)
+            group = kernel.engines[gid]
+            if counter is None:
+                group.new_view(rebuilt[gid][0])
+            else:
+                group.deliver(*counter)
+            if data.draw(st.booleans()):
+                # Meanwhile the receiver joins a group this chain may
+                # already name (skipped so far as "not a member").
+                late = data.draw(st.sampled_from(CTX_GROUPS))
+                if late not in kernel.engines:
+                    _install(kernel, late, data.draw(st.integers(1, 3)),
+                             data.draw(counts_st))
+        else:
+            raise AssertionError("context never became satisfiable")
+        assert chain.installs == kernel._group_installs
+        apply_context_delta(chain.context, delta)
+        if data.draw(st.booleans()):
+            late = data.draw(st.sampled_from(CTX_GROUPS))
+            if late not in kernel.engines:
+                _install(kernel, late, data.draw(st.integers(1, 3)),
+                         data.draw(counts_st))
+    assert len(kernel.wait_index) == 0
+
+
+def test_group_installed_mid_chain_forces_one_full_walk():
+    """The delta-only check's one exception: an entry skipped as "not a
+    member" when the predecessor was checked, testable now."""
+    system = IsisCluster(n_sites=1, seed=0)
+    kernel = system.kernel(0)
+    g_here, g_late = CTX_GROUPS[:2]
+    m = CTX_MEMBERS[0]
+    _install(kernel, g_here, 1, {m: 1})
+    chain = SenderChain()
+    first = {g_here: (1, VectorClock({m: 1})),
+             g_late: (1, VectorClock({m: 5}))}
+    wire = reference.encode_context_compact(first)
+    satisfied, delta = _check_both_ways(
+        kernel, chain, wire, reference.decode_context_compact(wire))
+    assert satisfied            # g_late: not a member, cannot wait
+    apply_context_delta(chain.context, delta)
+    _install(kernel, g_late, 1, {m: 2})
+    second = {g_here: (1, VectorClock({m: 1})),
+              g_late: (1, VectorClock({m: 5}))}
+    wire2 = reference.encode_context_compact(second, first)
+    assert parse_context_delta(wire2).entries == []     # names nothing
+    satisfied, delta = _check_both_ways(
+        kernel, chain, wire2, reference.decode_context_compact(
+            wire2, reference.decode_context_compact(wire)))
+    assert not satisfied
+    assert _slot(kernel, DELTA_WAITER) == (g_late, (m, 5))
+    assert kernel._ctx_full_walks == 1
+    kernel.engines[g_late].deliver(m, 5)
+    satisfied, delta = _check_both_ways(
+        kernel, chain, wire2, reference.decode_context_compact(
+            wire2, reference.decode_context_compact(wire)))
+    assert satisfied and chain.installs == kernel._group_installs
+    # Once it passed, the chain is checked by delta alone again.
+    _check_both_ways(kernel, chain, wire2, reference.decode_context_compact(
+        wire2, reference.decode_context_compact(wire)))
+    assert kernel._ctx_full_walks == 2

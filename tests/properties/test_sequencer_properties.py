@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_causal as reference
 from repro import IsisCluster, IsisConfig
 from repro.core.vectorclock import (
+    ContextEncoder,
     VectorClock,
-    decode_context_compact,
-    encode_context_compact,
+    apply_context_delta,
+    parse_context_delta,
 )
 from repro.msg.address import make_group_address, make_process_address
 
@@ -139,14 +141,15 @@ def _context_history(draw):
 @given(history=_context_history())
 @settings(max_examples=50, deadline=None)
 def test_compact_context_delta_chain_roundtrip(history):
+    encoder, held = ContextEncoder(), {}
     prev_sent = None
-    prev_abs = None
     for context in history:
-        data = encode_context_compact(context, prev_sent)
-        decoded = decode_context_compact(data, prev_abs)
+        data = encoder.encode(reference.context_rows(context))
+        assert data == reference.encode_context_compact(context, prev_sent)
+        apply_context_delta(held, parse_context_delta(data))
+        decoded = reference.unpacked_context(held)
         assert set(decoded) == set(context)
         for gid in context:
             assert decoded[gid][0] == context[gid][0]
             assert decoded[gid][1] == context[gid][1]
         prev_sent = context
-        prev_abs = decoded

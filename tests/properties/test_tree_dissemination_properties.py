@@ -212,7 +212,6 @@ def test_tree_trims_buffers_and_counts():
     for s, stats in result["stats"].items():
         assert stats["buffered_messages"] == 0, (
             f"site {s} still buffers {stats['buffered_messages']}")
-        assert stats["kernel.shards"] >= 1
         assert stats["kernel.peak_groups_per_shard"] >= 1
         assert stats["tree.fanout"] == 2
         assert stats["tree.depth"] >= 1

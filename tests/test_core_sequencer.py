@@ -2,13 +2,14 @@
 
 import pytest
 
+import reference_causal as reference
 from repro import IsisCluster, IsisConfig, Message
 from repro.core.abcast import UNSTAMPED_BASE, SequencerReceiver
 from repro.core.vectorclock import (
+    ContextEncoder,
     VectorClock,
-    decode_context_compact,
-    encode_context,
-    encode_context_compact,
+    apply_context_delta,
+    parse_context_delta,
 )
 from repro.errors import CodecError
 from repro.msg.address import make_group_address, make_process_address
@@ -116,50 +117,56 @@ def _same_ctx(a, b):
 
 
 class TestCompactContextCodec:
+    """The in-place chain ends (:class:`ContextEncoder`; ``parse_context_
+    delta`` + ``apply_context_delta``) on hand-written contexts."""
+
+    @staticmethod
+    def _chain(contexts):
+        """Send ``contexts`` down one chain; yield ``(wire, context the
+        receiver holds after applying it)``."""
+        encoder, held = ContextEncoder(), {}
+        for ctx in contexts:
+            wire = encoder.encode(reference.context_rows(ctx))
+            apply_context_delta(held, parse_context_delta(wire))
+            yield wire, reference.unpacked_context(held)
+
     def test_full_roundtrip(self):
         ctx = _ctx((1, 3, {7: 2, 8: 5}), (2, 1, {9: 1}))
-        decoded = decode_context_compact(encode_context_compact(ctx))
+        (wire, decoded), = self._chain([ctx])
         _same_ctx(decoded, ctx)
+        assert wire == reference.encode_context_compact(ctx)
 
     def test_full_is_much_smaller_than_dict_encoding(self):
         ctx = _ctx((1, 3, {m: m for m in range(1, 9)}))
-        compact = Message(c=encode_context_compact(ctx)).size_bytes
-        legacy = Message(c=encode_context(ctx)).size_bytes
+        (wire, _), = self._chain([ctx])
+        compact = Message(c=wire).size_bytes
+        legacy = Message(c=reference.encode_context(ctx)).size_bytes
         assert compact < legacy / 2.5
 
     def test_delta_chain_reconstructs_absolute_contexts(self):
         c1 = _ctx((1, 1, {7: 1}))
         c2 = _ctx((1, 1, {7: 2, 8: 1}), (2, 1, {9: 4}))   # counts grow, group added
         c3 = _ctx((1, 2, {7: 1}))                          # view advance + removal
-        prev_abs = None
-        prev_sent = None
-        for cur in (c1, c2, c3):
-            data = encode_context_compact(cur, prev_sent)
-            decoded = decode_context_compact(data, prev_abs)
+        sent = None
+        for cur, (wire, decoded) in zip((c1, c2, c3),
+                                        self._chain([c1, c2, c3])):
             _same_ctx(decoded, cur)
-            prev_abs = decoded
-            prev_sent = cur
+            assert wire == reference.encode_context_compact(cur, sent)
+            sent = cur
 
     def test_delta_smaller_than_full(self):
         c1 = _ctx((1, 1, {m: 10 for m in range(1, 9)}))
         counts = {m: 10 for m in range(1, 9)}
         counts[3] = 11
         c2 = _ctx((1, 1, counts))
-        full = encode_context_compact(c2)
-        delta = encode_context_compact(c2, c1)
+        (full, _), = self._chain([c2])
+        _, (delta, _) = self._chain([c1, c2])
         assert len(delta) < len(full)
 
-    def test_delta_without_predecessor_raises(self):
-        c1 = _ctx((1, 1, {7: 1}))
-        c2 = _ctx((1, 1, {7: 2}))
-        delta = encode_context_compact(c2, c1)
-        with pytest.raises(CodecError):
-            decode_context_compact(delta, None)
-
     def test_trailing_garbage_raises(self):
-        data = encode_context_compact(_ctx((1, 1, {7: 1})))
+        (wire, _), = self._chain([_ctx((1, 1, {7: 1}))])
         with pytest.raises(CodecError):
-            decode_context_compact(data + b"\x00")
+            parse_context_delta(wire + b"\x00")
 
 
 class TestMessageEncodeCache:

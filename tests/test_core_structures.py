@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.errors import GroupError
+import reference_causal as reference
+from repro.errors import CodecError, GroupError
 from repro.msg import Message, make_group_address, make_process_address
 from repro.core.abcast import TotalOrderReceiver, TotalOrderSender
 from repro.core.cbcast import CausalReceiver
 from repro.core.store import MessageStore
-from repro.core.vectorclock import VectorClock, decode_context, encode_context
+from repro.core.vectorclock import ContextEncoder, VectorClock
 from repro.core.view import View
 
 GID = make_group_address(0, 1)
@@ -123,18 +124,13 @@ class TestVectorClock:
         a.set(P0, 0)
         assert a == b
 
-    def test_wire_roundtrip(self):
-        vc = VectorClock()
-        vc.set(P0, 7)
-        msg = Message(vc=vc.to_value())
-        assert VectorClock.from_value(Message.decode(msg.encode())["vc"]) == vc
-
-    def test_context_roundtrip(self):
+    def test_context_roundtrip_over_the_wire(self):
         vc = VectorClock()
         vc.set(P1, 4)
-        ctx = {GID: (3, vc)}
-        msg = Message(ctx=encode_context(ctx))
-        decoded = decode_context(Message.decode(msg.encode())["ctx"])
+        wire = ContextEncoder().encode(reference.context_rows({GID: (3, vc)}))
+        msg = Message(ctx=wire)
+        decoded = reference.decode_context_compact(
+            Message.decode(msg.encode())["ctx"])
         assert decoded[GID][0] == 3
         assert decoded[GID][1] == vc
 
@@ -183,43 +179,106 @@ class TestMessageStore:
         assert store.have_vector() == {}
 
 
-def _cb(sender, seq, ctx=None):
-    msg = Message(cb_sender=sender, cb_seq=seq)
-    if ctx:
-        msg["cb_ctx"] = encode_context(ctx)
-    return msg
+def _cb(sender, seq, ctx=None, prev=None):
+    """A ``g.cb`` envelope's causal fields; ``prev`` is the context of
+    the sender's previous message (``cb_ctx`` chains per sender)."""
+    return Message(cb_sender=sender, cb_seq=seq,
+                   cb_ctx=reference.encode_context_compact(ctx or {}, prev))
+
+
+def _receiver(satisfied=lambda: True):
+    """A :class:`CausalReceiver` on its own: the kernel's context check is
+    ``satisfied()``, and a failed check parks the message in ``blocked``
+    (what the WaitIndex does) until the test wakes it."""
+    blocked = []
+
+    def delta_check(chain, delta, key):
+        if not satisfied():
+            blocked.append(key)
+        return satisfied()
+
+    return CausalReceiver(delta_check, lambda sender, seq: None), blocked
+
+
+@pytest.fixture(params=["engine", "scan"])
+def make_rx(request):
+    """Both the library's receiver and the reference scan pass the
+    receiver's unit contract."""
+    if request.param == "scan":
+        return lambda: reference.ScanCausalReceiver(lambda ctx: True)
+    return lambda: _receiver()[0]
 
 
 class TestCausalReceiver:
-    def test_fifo_per_sender(self):
-        rx = CausalReceiver(lambda ctx: True)
-        assert rx.offer(_cb(P0, 2)) == []          # gap: seq 1 missing
+    def test_fifo_per_sender(self, make_rx):
+        rx = make_rx()
+        assert rx.offer(_cb(P0, 2, prev={})) == []     # gap: seq 1 missing
         delivered = rx.offer(_cb(P0, 1))
         assert [m["cb_seq"] for m in delivered] == [1, 2]
 
-    def test_senders_independent(self):
-        rx = CausalReceiver(lambda ctx: True)
+    def test_senders_independent(self, make_rx):
+        rx = make_rx()
         assert len(rx.offer(_cb(P0, 1))) == 1
         assert len(rx.offer(_cb(P1, 1))) == 1
 
-    def test_context_blocks_until_satisfied(self):
-        satisfied = {"ok": False}
-        rx = CausalReceiver(lambda ctx: satisfied["ok"])
+    def test_context_blocks_until_woken(self):
+        ok = {"now": False}
+        rx, blocked = _receiver(lambda: ok["now"])
         vc = VectorClock()
         vc.set(P1, 1)
         assert rx.offer(_cb(P0, 1, ctx={GID: (1, vc)})) == []
-        satisfied["ok"] = True
+        assert blocked == [(P0, 1)]
+        ok["now"] = True
+        assert rx.recheck() == []           # nothing marked: nothing walked
+        assert rx.mark_candidate((P0, 1))
+        assert not rx.mark_candidate((P0, 1))       # already marked
         assert len(rx.recheck()) == 1
 
-    def test_new_view_resets(self):
-        rx = CausalReceiver(lambda ctx: True)
+    def test_new_view_resets(self, make_rx):
+        rx = make_rx()
         rx.offer(_cb(P0, 1))
-        rx.offer(_cb(P1, 2))  # stuck on gap
+        rx.offer(_cb(P1, 2, prev={}))  # stuck on gap
         rx.on_new_view()
         assert rx.pending_count == 0
         assert rx.delivered.get(P0) == 0
         # Sequence numbers restart in the new view.
         assert len(rx.offer(_cb(P0, 1))) == 1
+
+    @pytest.mark.parametrize("bad", [
+        None,                                   # field absent
+        {"00": {"v": 1, "vc": {}}},             # the retired dict encoding
+        b"",                                    # empty
+        b"\x02\x00",                            # unknown kind
+    ])
+    def test_malformed_context_is_rejected_at_arrival(self, bad):
+        rx, _ = _receiver()
+        msg = Message(cb_sender=P0, cb_seq=1)
+        if bad is not None:
+            msg["cb_ctx"] = bad
+        with pytest.raises(CodecError):
+            rx.offer(msg)
+        assert rx.pending_count == 0 and rx.cache_sizes() == (0, 0)
+
+    def test_truncated_context_is_rejected_at_arrival(self):
+        vc = VectorClock()
+        vc.set(P1, 300)     # a two-byte varint at the very end
+        good = _cb(P0, 1, ctx={GID: (1, vc)})
+        whole = bytes(good["cb_ctx"])
+        rx, _ = _receiver()
+        for cut in range(len(whole)):
+            with pytest.raises(CodecError):
+                rx.offer(Message(cb_sender=P0, cb_seq=1, cb_ctx=whole[:cut]))
+        with pytest.raises(CodecError):
+            rx.offer(Message(cb_sender=P0, cb_seq=1, cb_ctx=whole + b"\x00"))
+        assert rx.pending_count == 0
+        # Nothing of the rejects stuck: the intact message still delivers.
+        assert len(rx.offer(good)) == 1
+
+    def test_delta_without_a_predecessor_is_rejected(self):
+        rx, _ = _receiver()
+        with pytest.raises(CodecError):
+            rx.offer(_cb(P0, 1, prev={}))       # seq 1 must head a chain
+        assert rx.pending_count == 0
 
 
 class TestTotalOrder:

@@ -1,15 +1,10 @@
-"""Unit tests for the spanning-tree and shard layers behind tree mode.
+"""Unit tests for the spanning tree behind tree mode.
 
 The :class:`SpanningTree` is a pure function of a sorted site list, so
-these tests pin down the rotation/heap math every member must agree on;
-the shard tests pin the deterministic hash (reproducible trajectories —
-no interpreter ``hash``) and the :class:`ShardedWaitIndex` API parity
-with the flat :class:`WaitIndex`.
+these tests pin down the rotation/heap math every member must agree on.
 """
 
-from repro.core.shards import GroupShard, ShardedWaitIndex, shard_of
 from repro.core.tree import SpanningTree, min_merge_have_vectors
-from repro.msg.address import make_group_address, make_process_address
 
 
 class TestSpanningTree:
@@ -82,60 +77,3 @@ class TestMinMergeHaveVectors:
         # so it must not survive the merge (the subtree has nothing).
         merged = min_merge_have_vectors([{1: 4, 2: 7}, {1: 6}])
         assert merged == {1: 4}
-
-
-G1 = make_group_address(0, 1)
-G2 = make_group_address(3, 1)
-M1 = make_process_address(1, 0, 7)
-W1 = (G2, (M1, 1))
-W2 = (G1, (M1, 2))
-
-
-class TestShards:
-    def test_shard_of_is_deterministic_and_in_range(self):
-        for n in (1, 4, 8):
-            for gid in (G1, G2):
-                idx = shard_of(gid, n)
-                assert 0 <= idx < n
-                assert idx == shard_of(gid, n)
-        assert shard_of(G1, 8) == ((G1.site * 1000003) ^ G1.local_id) % 8
-
-    def test_group_shard_peak_tracks_high_water(self):
-        shard = GroupShard(0)
-        shard.add(G1)
-        shard.add(G2)
-        assert shard.peak_groups == 2
-        shard.stab_dirty.add(G1)
-        shard.remove(G1)
-        assert shard.keys == {G2}
-        assert G1 not in shard.stab_dirty
-        assert shard.peak_groups == 2  # high-water survives removal
-
-    def test_sharded_wait_index_api_parity(self):
-        wi = ShardedWaitIndex(4)
-        wi.register_counter(G1, M1, 3, W1)
-        wi.register_view(G2, W2)
-        assert len(wi) == 2
-        assert wi.peak_size >= 1
-        assert wi.on_advance(G1, M1, 2) == []
-        assert wi.on_advance(G1, M1, 3) == [W1]
-        assert wi.on_view_event(G2) == [W2]
-        assert len(wi) == 0
-
-    def test_sharded_wait_index_one_slot_across_partitions(self):
-        # Re-registration against a group in a *different* partition must
-        # still migrate the single slot, not leak the old one.
-        wi = ShardedWaitIndex(4)
-        wi.register_counter(G1, M1, 3, W1)
-        wi.register_view(G2, W1)
-        assert len(wi) == 1
-        assert wi.on_advance(G1, M1, 3) == []
-        assert wi.on_view_event(G2) == [W1]
-
-    def test_purge_engine_sweeps_all_partitions(self):
-        wi = ShardedWaitIndex(4)
-        wi.register_counter(G1, M1, 3, W1)   # waiter of engine G2
-        wi.register_view(G2, W2)             # waiter of engine G1
-        wi.purge_engine(G2)
-        assert len(wi) == 1
-        assert wi.on_view_event(G2) == [W2]

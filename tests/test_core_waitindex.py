@@ -1,4 +1,4 @@
-"""Unit tests for the kernel WaitIndex and the indexed delivery stats.
+"""Unit tests for the kernel WaitIndex and the causal delivery stats.
 
 The WaitIndex is the kernel-wide registry of cross-group causal wait
 thresholds: a CBCAST blocked on another group's progress holds exactly
@@ -9,7 +9,7 @@ threshold on ``gid`` — and is woken only when that threshold crosses.
 import pytest
 
 from repro import IsisCluster
-from repro.core.kernel import IsisConfig, WaitIndex
+from repro.core.kernel import WaitIndex
 from repro.msg.address import make_group_address, make_process_address
 
 G1 = make_group_address(0, 1)
@@ -69,7 +69,17 @@ class TestWaitIndex:
         assert len(wi) == 1
         assert wi.on_advance(G1, M1, 3) == [W2]
 
+    def test_reregistration_against_another_group_migrates_the_slot(self):
+        wi = WaitIndex()
+        wi.register_counter(G1, M1, 3, W1)
+        wi.register_view(G2, W1)
+        assert len(wi) == 1
+        assert wi.on_advance(G1, M1, 3) == []
+        assert wi.on_view_event(G2) == [W1]
+
     def test_peak_size_high_water_mark(self):
+        """The peak counts every slot held at once, whatever groups the
+        waits are on: it is the kernel's ``wait_index.peak``."""
         wi = WaitIndex()
         wi.register_counter(G1, M1, 1, W1)
         wi.register_counter(G1, M1, 2, W2)
@@ -80,10 +90,9 @@ class TestWaitIndex:
         assert len(wi) == 0 and wi.peak_size == 3
 
 
-def _two_group_cluster(indexed=True, n_sites=3, seed=21):
+def _two_group_cluster(n_sites=3, seed=21):
     """Two fully overlapping groups; returns (system, members, deliveries)."""
-    system = IsisCluster(n_sites=n_sites, seed=seed,
-                         isis_config=IsisConfig(indexed_delivery=indexed))
+    system = IsisCluster(n_sites=n_sites, seed=seed)
     deliveries = {s: [] for s in range(n_sites)}
     members = []
     for site in range(n_sites):
@@ -108,7 +117,7 @@ def _two_group_cluster(indexed=True, n_sites=3, seed=21):
     return system, members, deliveries
 
 
-class TestIndexedDeliveryKernel:
+class TestCausalDeliveryKernel:
     def test_cross_group_chains_deliver_and_index_drains(self):
         system, members, deliveries = _two_group_cluster()
 
@@ -133,14 +142,24 @@ class TestIndexedDeliveryKernel:
         for site in range(3):
             assert len(deliveries[site]) == 18
             for idx in range(3):
+                # In send order *across* the two groups: each context
+                # names the sender's previous message in the other one.
                 seq = [int(t.split(":")[1]) for t in deliveries[site]
                        if t.startswith(f"c{idx}:")]
-                assert seq == sorted(seq)
+                assert seq == list(range(6))
         for site in range(3):
             stats = system.kernel(site).stats()
             # All waits resolved; nothing leaked in the index.
             assert stats["wait_index.size"] == 0
             assert stats["causal.pending"] == 0
+
+    def test_wait_index_peak_stat_counts_waits_on_every_group(self):
+        kernel = IsisCluster(n_sites=1, seed=0).kernel(0)
+        kernel.wait_index.register_counter(G1, M1, 1, W1)
+        kernel.wait_index.register_counter(G1, M1, 2, W2)
+        kernel.wait_index.register_view(G2, W3)
+        stats = kernel.stats()
+        assert stats["wait_index.size"] == stats["wait_index.peak"] == 3
 
     def test_view_change_wakes_threshold_waiters(self):
         """A waiter blocked on a group's progress is released when that
@@ -270,8 +289,12 @@ class TestContextCheckCost:
     def test_steady_ring_checks_deltas_only(self):
         system, members, sites_of, deliveries = self._ring()
         groups_per_site = self.N_GROUPS * self.SPAN // self.N_SITES
-        assert all(len(system.kernel(s).engines) == groups_per_site
-                   for s in range(self.N_SITES))
+        for s in range(self.N_SITES):
+            assert len(system.kernel(s).engines) == groups_per_site
+            stats = system.kernel(s).stats()
+            # One table of groups per kernel: the peak is the hosted count.
+            assert stats["kernel.peak_groups_per_shard"] == groups_per_site
+            assert "kernel.shards" not in stats
         self._drive(system, members, sites_of, rounds=1)     # warm-up
         before, handed = self._totals(system), len(deliveries)
         self._drive(system, members, sites_of, rounds=2)

@@ -1,11 +1,28 @@
 """Edge-case coverage for the kernel and toolkit stubs."""
 
+import dataclasses
+
 import pytest
 
-from repro import IsisCluster, Message
+from repro import IsisCluster, IsisConfig, Message
 from repro.errors import SiteDown
 from repro.msg import make_group_address
 from repro.net.packet import KIND_DATA, Frame
+
+
+def test_isis_config_field_set_is_pinned():
+    """Every field multiplies the configurations tests and benchmarks
+    must cover, so adding (or retiring) one is a deliberate edit here."""
+    assert sorted(f.name for f in dataclasses.fields(IsisConfig)) == [
+        "abcast_mode", "batch_max_bytes", "batch_window", "bulk_threshold",
+        "dissemination", "durability", "fast_flush", "flush_okb_window",
+        "flush_prereport_grace", "fwd_retries", "fwd_timeout",
+        "gbcast_batching", "heartbeat", "join_retry", "local_delivery_cpu",
+        "membership", "piggyback_stability", "siteview",
+        "stab_announce_every", "stability_interval", "transfer_chunk_bytes",
+        "transfer_retry", "tree_fanout", "wal_checkpoint_every",
+        "wal_trim_min",
+    ]
 
 
 def test_undecodable_transport_message_counted_not_fatal():
