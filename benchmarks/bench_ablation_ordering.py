@@ -1,13 +1,9 @@
-"""Ablation A9 — ordering-engine three-way + membership availability.
+"""Ablation A9 — membership availability: primary partition vs quorum.
 
-Part one races the three ``OrderingEngine`` implementations behind the
-``abcast_mode`` seam — the paper's two-phase protocol, the token-site
-sequencer, and the epoch-leader engine (ZAB-style: epoch bump per view,
-leader discovery/synchronization, batched order broadcasts) — on the
-same streamed-ABCAST workload as ablation A3: throughput, protocol
-messages per multicast, wire frames, sender CPU.
+(The two ordering engines are raced by ablation A3,
+``bench_ablation_abcast.py``.)
 
-Part two scripts the partition the membership seam exists for: a 5-site
+Scripts the partition the membership seam exists for: a 5-site
 deployment split 3|2, and a 4-site deployment split 2|2, each run under
 ``membership="primary"`` and ``membership="quorum"``.  Measured per
 policy: ABCASTs committed by each component *during* the partition,
@@ -24,9 +20,9 @@ or standalone::
 
     PYTHONPATH=src python benchmarks/bench_ablation_ordering.py
 
-``ORDERING_BENCH_SMOKE=1`` runs the CI smoke variant (4 sites, short
-window) and fails if the leader engine underperforms two-phase or the
-quorum majority fails to commit through the scripted partition.
+``ORDERING_BENCH_SMOKE=1`` runs the CI smoke variant (short window) and
+fails if the quorum majority fails to commit through the scripted
+partition.
 """
 
 from __future__ import annotations
@@ -41,61 +37,11 @@ from repro import IsisCluster, IsisConfig
 
 from harness import SINK_ENTRY, deploy_group, print_table, run_one
 
-STREAMS_PER_SITE = 4
-PAYLOAD = 200
 SMOKE = os.environ.get("ORDERING_BENCH_SMOKE") == "1"
-MEASURE_SECONDS = 6.0 if SMOKE else 30.0
-DRAIN_SECONDS = 8.0
-BATCH_WINDOW = 0.010
 PARTITION_SECONDS = 10.0 if SMOKE else 40.0
 
 _RESULTS_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                              "BENCH_ordering.json")
-
-_PROTO_COUNTERS = ("abcast.proposals", "abcast.finals", "abcast.seq_stamps")
-
-
-def _stream_workload(sites: int, mode: str) -> Dict:
-    """All sites stream async ABCASTs; returns protocol-cost metrics."""
-    config = IsisConfig(abcast_mode=mode, batch_window=BATCH_WINDOW)
-    system = IsisCluster(n_sites=sites, seed=909, isis_config=config)
-    members = deploy_group(system, list(range(sites)), name="abl9")
-    stop = {"done": False}
-    sent = {"n": 0}
-
-    def stream(member):
-        gid = yield member.isis.pg_lookup("abl9")
-        while not stop["done"]:
-            yield member.isis.abcast(gid, SINK_ENTRY, payload=bytes(PAYLOAD))
-            sent["n"] += 1
-
-    for member in members:
-        for i in range(STREAMS_PER_SITE):
-            member.process.spawn(stream(member), f"stream{i}")
-    trace = system.sim.trace
-    before = {name: trace.value(name) for name in _PROTO_COUNTERS}
-    frames_before = trace.value("lan.frames.inter")
-    meter = system.site(0).cpu.meter()
-    start = system.now
-    system.run_for(MEASURE_SECONDS)
-    elapsed = system.now - start
-    msgs = sent["n"]
-    frames = trace.value("lan.frames.inter") - frames_before
-    proto = {
-        name: trace.value(name) - before[name] for name in _PROTO_COUNTERS
-    }
-    cpu = meter.utilization()
-    stop["done"] = True
-    system.run_for(DRAIN_SECONDS)
-    return {
-        "msgs": msgs,
-        "msgs_per_sec": msgs / elapsed,
-        "wire_frames": frames,
-        "proto_msgs_per_abcast": sum(proto.values()) / max(msgs, 1),
-        "cpu_utilization": cpu,
-        "leader_discoveries": trace.value("abcast.leader_discoveries"),
-        "leader_synced": trace.value("abcast.leader_synced"),
-    }
 
 
 def _availability_workload(membership: str, sites: int,
@@ -154,26 +100,6 @@ def _availability_workload(membership: str, sites: int,
 
 
 def ablation_workload() -> Dict:
-    site_counts = [4] if SMOKE else [4, 8]
-    modes = ["two_phase", "sequencer", "leader"]
-    ordering: Dict[str, Dict] = {}
-    for sites in site_counts:
-        for mode in modes:
-            ordering[f"{sites}s:{mode}"] = _stream_workload(sites, mode)
-
-    rows = []
-    for key, m in ordering.items():
-        rows.append((key, m["msgs"], f"{m['msgs_per_sec']:,.0f}",
-                     f"{m['proto_msgs_per_abcast']:.2f}",
-                     m["wire_frames"], f"{m['cpu_utilization']:.2f}"))
-    print_table(
-        f"Ablation A9 — ordering engines, {PAYLOAD} B payloads, "
-        f"{STREAMS_PER_SITE} streams/site, {MEASURE_SECONDS:.0f}s window",
-        ["config", "msgs", "msgs/s", "proto msgs/abcast", "wire frames",
-         "site-0 CPU"],
-        rows,
-    )
-
     availability = {
         "majority_3_2": {
             m: _availability_workload(m, 5, [(0, 1, 2), (3, 4)])
@@ -198,21 +124,16 @@ def ablation_workload() -> Dict:
         rows,
     )
 
-    two = ordering["4s:two_phase"]
-    leader = ordering["4s:leader"]
-    speedup = leader["msgs_per_sec"] / max(two["msgs_per_sec"], 1e-9)
     quorum_majority = availability["majority_3_2"]["quorum"]
     primary_split = availability["even_split_2_2"]["primary"]
     quorum_split = availability["even_split_2_2"]["quorum"]
-    print(f"\n4-site leader vs two-phase: {speedup:.2f}x throughput; "
-          f"quorum majority committed "
+    print(f"\nquorum majority committed "
           f"{quorum_majority['delivered_during_partition'][0]} ABCASTs "
           f"through the partition; even split: "
           f"primary {primary_split['committing_components']} committing "
           f"components, quorum {quorum_split['committing_components']}")
 
     metrics = {
-        "abl9:leader_speedup_4s": round(speedup, 2),
         "abl9:quorum_majority_committed":
             quorum_majority["delivered_during_partition"][0],
         "abl9:quorum_minority_committed":
@@ -222,27 +143,14 @@ def ablation_workload() -> Dict:
         "abl9:quorum_split_components":
             quorum_split["committing_components"],
     }
-    for key, m in ordering.items():
-        metrics[f"abl9:{key}:tput"] = round(m["msgs_per_sec"], 1)
-        metrics[f"abl9:{key}:proto_per_abcast"] = round(
-            m["proto_msgs_per_abcast"], 2)
     if SMOKE:
         # Short-window runs (CI smoke) must not clobber the canonical
         # results recorded in BENCH_ordering.json.
         return metrics
     with open(_RESULTS_PATH, "w") as fh:
         json.dump({
-            "workload": {
-                "streams_per_site": STREAMS_PER_SITE,
-                "payload_bytes": PAYLOAD,
-                "measure_seconds": MEASURE_SECONDS,
-                "batch_window": BATCH_WINDOW,
-                "partition_seconds": PARTITION_SECONDS,
-                "site_counts": site_counts,
-            },
-            "ordering": ordering,
+            "workload": {"partition_seconds": PARTITION_SECONDS},
             "availability": availability,
-            "leader_speedup_4site": round(speedup, 2),
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return metrics
@@ -251,9 +159,6 @@ def ablation_workload() -> Dict:
 @pytest.mark.benchmark(group="ablation")
 def test_ordering_ablation(benchmark):
     metrics = run_one(benchmark, ablation_workload)
-    # Acceptance: the leader engine is at least on par with the paper's
-    # two-phase protocol (it batches order stamps like the sequencer).
-    assert metrics["abl9:leader_speedup_4s"] >= 1.0
     # The quorum majority commits *through* the partition; the minority
     # commits nothing; an even split never split-brains under quorum.
     assert metrics["abl9:quorum_majority_committed"] > 0

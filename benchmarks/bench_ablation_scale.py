@@ -67,7 +67,6 @@ def _config(dissemination: str) -> IsisConfig:
         dissemination=dissemination,
         tree_fanout=8,
         abcast_mode="sequencer",   # the scale-friendly ordering mode
-        fast_flush=True,
         # Damp the failure detector: probe traffic out of the windows,
         # and nothing dies in this workload.
         heartbeat=HeartbeatConfig(interval=5.0, min_timeout=90.0,

@@ -25,13 +25,11 @@ def main() -> None:
     # Causal delivery is dependency-indexed: each delivery wakes exactly
     # the messages it unblocks, so deep pending buffers drain in O(1)
     # per message (ARCHITECTURE.md, "Causal delivery").
-    # View changes use the fast flush by default (IsisConfig.fast_flush):
-    # site failures commit in a single round trip via unsolicited
-    # pre-reports, reports are delta-encoded and pruned, and large join
-    # snapshots stream in chunks so the group never wedges behind a
-    # transfer — ~4x lower unavailability per view change; fast_flush=
-    # False reproduces the paper's 4-phase flush wire protocol exactly
-    # (see BENCH_viewchange.json).
+    # View changes run one flush protocol: site failures commit in a
+    # single round trip via unsolicited pre-reports, reports are
+    # delta-encoded and pruned, and large joiner state streams in chunks
+    # so the group never wedges behind a transfer (ARCHITECTURE.md,
+    # "View changes").
     # Past ~32 sites, switch dissemination to the spanning tree:
     #   IsisCluster(n_sites=64, seed=7,
     #               isis_config=IsisConfig(dissemination="tree",

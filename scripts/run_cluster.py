@@ -53,7 +53,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--payload-bytes", type=int, default=64)
     parser.add_argument("--inflight", type=int, default=8)
     parser.add_argument("--abcast-mode", default="sequencer",
-                        choices=["sequencer", "two_phase", "leader"])
+                        choices=["sequencer", "two_phase"])
     parser.add_argument("--no-coalesce", action="store_true")
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="hard deadline for the whole run")

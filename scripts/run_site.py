@@ -56,7 +56,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--inflight", type=int, default=8,
                         help="max multicasts in flight per sender")
     parser.add_argument("--abcast-mode", default="sequencer",
-                        choices=["sequencer", "two_phase", "leader"])
+                        choices=["sequencer", "two_phase"])
     parser.add_argument("--no-coalesce", action="store_true",
                         help="disable datagram bundling (ablation)")
     parser.add_argument("--join-timeout", type=float, default=15.0)

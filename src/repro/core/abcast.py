@@ -32,11 +32,6 @@ identically for both modes: survivors union the stamped prefix and
 order any still-unstamped messages after it with the deterministic
 :data:`UNSTAMPED_BASE` priorities.
 
-:class:`LeaderReceiver` extends the sequencer state for the ZAB-style
-leader engine (``abcast_mode = "leader"``): the same dense stamps, but
-reported to the flush as epoch-tagged priorities so a new leader's
-stamps always sort after its predecessor's.
-
 How a stamp message reaches the members is the dissemination stage's
 concern, not this module's: with ``IsisConfig.dissemination = "tree"``
 the token's ``g.abs`` broadcasts relay down the view's spanning tree
@@ -62,19 +57,6 @@ MsgRef = Tuple[int, int]         # (origin_site, gseq) within the view
 #: prefix first and the unstamped tail after it, deterministically
 #: (``(UNSTAMPED_BASE + gseq, origin_site)`` is the same at every site).
 UNSTAMPED_BASE = 1 << 32
-
-#: Leader mode: stamps are epoch-tagged priorities
-#: ``(epoch * EPOCH_SPAN + seq, 0)``.  The span bounds the stamps one
-#: epoch can issue; priorities from a later epoch always sort after
-#: every priority of an earlier one, so the flush cut's max/lift
-#: arithmetic stays sound across leader changes (Python ints are
-#: unbounded, so overflow is not a concern).
-EPOCH_SPAN = 1 << 26
-
-#: Leader mode: unstamped-tail base.  Far above any reachable
-#: ``epoch * EPOCH_SPAN + seq``, playing the same role as
-#: :data:`UNSTAMPED_BASE` does for the plain sequencer.
-LEADER_UNSTAMPED_BASE = 1 << 53
 
 
 @dataclass(slots=True)
@@ -291,18 +273,6 @@ class SequencerReceiver:
         #: ref -> (stamp, 0) priority it was delivered with.
         self._delivered_refs: Dict[MsgRef, Priority] = {}
 
-    # -- priority encoding (template methods) -------------------------------
-    # The flush cut only sees *priorities*; these two methods are the
-    # entire difference between the plain sequencer's encoding and the
-    # leader engine's epoch-tagged one (:class:`LeaderReceiver`).
-    def stamp_priority(self, seq: int) -> Priority:
-        """The cut priority a stamp ``seq`` is reported/delivered with."""
-        return (seq, 0)
-
-    def unstamped_priority(self, ref: MsgRef) -> Priority:
-        """Deterministic tail priority for a ref the token never stamped."""
-        return (UNSTAMPED_BASE + ref[1], ref[0])
-
     # -- data and stamps ----------------------------------------------------
     def hold(self, ref: MsgRef, msg: Message) -> List[Message]:
         """Buffer an arriving ABCAST; return messages now deliverable."""
@@ -335,29 +305,10 @@ class SequencerReceiver:
             del self._held[ref]
             del self._ref_at[self._next_deliver]
             seq = self._stamps.pop(ref)
-            self._delivered_refs[ref] = self.stamp_priority(seq)
+            self._delivered_refs[ref] = (seq, 0)
             self._next_deliver += 1
             out.append(msg)
         return out
-
-    def unstamped_refs(self) -> List[MsgRef]:
-        """Held refs with no stamp yet, in arrival order.
-
-        The leader engine stamps exactly this backlog once its
-        synchronization phase completes (dict insertion order preserves
-        the arrival order senders observed).
-        """
-        return [ref for ref in self._held if ref not in self._stamps]
-
-    def highest_stamp(self) -> int:
-        """Highest stamp seq applied or delivered this view (0 if none).
-
-        Leader discovery: a prospective leader asks every survivor for
-        this value and resumes numbering above the maximum, so stamps it
-        issues can never collide with ones already applied anywhere.
-        """
-        applied = max(self._ref_at, default=0)
-        return max(self._next_deliver - 1, applied)
 
     # -- flush support ------------------------------------------------------
     def pending_state(self) -> List[Dict]:
@@ -371,15 +322,11 @@ class SequencerReceiver:
         for ref in sorted(set(self._held) | set(self._stamps)):
             seq = self._stamps.get(ref)
             if seq is not None:
-                entry = {"ref": list(ref),
-                         "prio": list(self.stamp_priority(seq)),
-                         "final": True}
+                entry = {"ref": list(ref), "prio": [seq, 0], "final": True}
             else:
-                entry = {
-                    "ref": list(ref),
-                    "prio": list(self.unstamped_priority(ref)),
-                    "final": False,
-                }
+                entry = {"ref": list(ref),
+                         "prio": [UNSTAMPED_BASE + ref[1], ref[0]],
+                         "final": False}
             out.append(entry)
         return out
 
@@ -425,31 +372,3 @@ class SequencerReceiver:
     @property
     def pending_count(self) -> int:
         return len(self._held)
-
-
-class LeaderReceiver(SequencerReceiver):
-    """Receiver state for the ZAB-style leader engine.
-
-    Identical hold/stamp/drain mechanics to the plain sequencer — stamps
-    are still a dense per-view sequence delivered in contiguous order —
-    but the *cut priorities* are epoch-tagged: stamp ``seq`` of epoch
-    ``e`` is reported and delivered as ``(e * EPOCH_SPAN + seq, 0)``,
-    and unstamped refs take the ``LEADER_UNSTAMPED_BASE`` tail.  The
-    epoch is the group view id (views already give every member an
-    agreed, monotone epoch sequence), so priorities issued under an old
-    leader always sort before those of its successor and the flush
-    cut's finals-win/max-proposal/lift logic applies unchanged.
-    """
-
-    __slots__ = ("epoch",)
-
-    def __init__(self, site_id: int):
-        super().__init__(site_id)
-        #: Current epoch (the group view id); kept fresh by the engine.
-        self.epoch = 0
-
-    def stamp_priority(self, seq: int) -> Priority:
-        return (self.epoch * EPOCH_SPAN + seq, 0)
-
-    def unstamped_priority(self, ref: MsgRef) -> Priority:
-        return (LEADER_UNSTAMPED_BASE + ref[1], ref[0])

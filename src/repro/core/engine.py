@@ -18,8 +18,10 @@ multicast data path through the layered
 * **stability** — every message is buffered until known everywhere, so a
   flush can refill any member that missed something; have-vectors
   piggyback on data and ack envelopes so buffers trim continuously;
-* **the flush** — wedging, union cut, refill, agreed ABCAST order,
-  event application (view change / user GBCAST / config update);
+* **the flush** — the one view-change protocol: wedging (pre-reports
+  after a site death, else a ``g.fl.begin`` round), union cut, refill,
+  agreed ABCAST order, event application (view change / user GBCAST /
+  config update);
 * **coordinator duties** — the oldest member's site batches flush
   reasons (joins, removals, GBCASTs), runs the flush, answers join
   requests, runs fallback stability rounds, and pushes view updates to
@@ -33,16 +35,12 @@ optional piggybacked have-vector on data and ack envelopes):
 ``g.batch``             several same-destination data envelopes packed into
                         one wire message (+ piggybacked ``stab`` have-vector)
 ``g.abp`` / ``g.abf``   ABCAST proposal / final priority (+ ``stab``)
-``g.abs``               sequencer/leader modes: batched order stamps from
-                        the token/leader site (``view``, ``stamps=[[origin,
-                        gseq, seq], ...]`` + ``stab``); in leader mode the
-                        ``view`` field doubles as the epoch tag
-``g.abl.d``             leader mode: leader→member epoch discovery query
-                        (``epoch``)
-``g.abl.a``             leader mode: member→leader discovery answer
-                        (``epoch``, ``high`` = highest applied stamp)
-``g.fl.begin``          wedge request (fid)
-``g.fl.ok``             participant report: have-vector + ABCAST state
+``g.abs``               sequencer mode: batched order stamps from the token
+                        site (``view``, ``stamps=[[origin, gseq, seq],
+                        ...]`` + ``stab``)
+``g.fl.begin``          wedge request (fid, ``base_b`` = expected union)
+``g.fl.ok``             participant report: have-vector + ABCAST state;
+                        unsolicited (``pre``) after a site death
 ``g.fl.expect``         union cut a refilled site must reach
 ``g.fl.pull``           coordinator→holder: forward these tags to that site
 ``g.fl.data``           holder→needy: the messages themselves
@@ -84,6 +82,15 @@ if TYPE_CHECKING:  # pragma: no cover
 CBCAST = "cbcast"
 ABCAST = "abcast"
 
+#: How long a coordinator waits for the pre-reports a site death
+#: triggers before it falls back to an explicit ``g.fl.begin`` round for
+#: the stragglers.  Sized at a few inter-site round trips.
+PREREPORT_GRACE = 0.25
+#: Tree mode: how long an interior site coalesces pre-reports before it
+#: forwards them one hop rootward as a ``g.fl.okb`` batch.  A few of
+#: these fit well inside :data:`PREREPORT_GRACE`.
+OKB_WINDOW = 0.06
+
 
 class GroupEngine:
     """All protocol state for one group at one member site."""
@@ -112,7 +119,7 @@ class GroupEngine:
         # Flush participant state.
         self._participant_fid: FlushId = (0, 0, 0)
         self._expect_union: Optional[Dict[int, int]] = None
-        #: Base union from the last fast ``g.fl.begin`` (delta reports).
+        #: Base union the last ``g.fl.begin`` announced (delta reports).
         self._begin_base: Optional[Dict[int, int]] = None
         #: (target view, coordinator site) we last pushed a pre-report to.
         self._pre_reported: Optional[Tuple[int, int]] = None
@@ -312,7 +319,7 @@ class GroupEngine:
         (re-)excluded by the delivered-everywhere rule.  This keeps
         ``g.fl.ok`` reports from scaling with the view's ABCAST history.
         """
-        if not self.kernel.config.fast_flush or self.view is None:
+        if self.view is None:
             return 0
         if self.kernel.config.dissemination == "tree":
             # Tree mode carries no per-peer floors; the aggregated
@@ -407,13 +414,11 @@ class GroupEngine:
             # always answers True here.
             self.sim.trace.bump("flush.membership_blocked")
             return
-        config = self.kernel.config
         # Taking over a flush another coordinator began (it died
         # mid-flush): run a conservative explicit-begin round with full
         # reports instead of trusting pre-reports addressed elsewhere.
         takeover = (self.wedged and self._participant_fid[1] > 0
                     and self._participant_fid[2] != self.site_id)
-        fast = config.fast_flush and not takeover
         if takeover:
             self.sim.trace.bump("flush.takeover_full")
         self._attempt += 1
@@ -439,7 +444,7 @@ class GroupEngine:
             s for s in self.view.member_sites() if s in alive
         }
         participants.add(self.site_id)
-        base = self._flush_base() if fast else None
+        base = None if takeover else self._flush_base()
         self._active = FlushCoordinator(flush_id, self.view, reasons,
                                         participants=participants, base=base)
         self.flush_rounds += 1
@@ -447,7 +452,7 @@ class GroupEngine:
         self.sim.trace.log("flush.begin", (str(self.gid), flush_id))
         self._wedge(flush_id)
         stragglers = sorted(participants - {self.site_id})
-        if fast:
+        if not takeover:
             stash = self._pre_reports.pop(self.view.view_id + 1, {})
             for site in list(stragglers):
                 snap = stash.get(site)
@@ -456,17 +461,14 @@ class GroupEngine:
                     self.sim.trace.bump("flush.prereports_used")
                     self._offer_report(site, snap[0], snap[1], snap[2])
         if stragglers:
-            expect_pre = (fast and config.flush_prereport_grace > 0
-                          and any(r.site_death for r in reasons))
-            if expect_pre:
+            if not takeover and any(r.site_death for r in reasons):
                 # Survivors observed the same site-view change and are
                 # pushing pre-reports right now: wait briefly instead
                 # of paying the begin round.  The window scales with the
                 # fan-in — N reports serialize through our receive CPU.
-                grace = (config.flush_prereport_grace
-                         + 0.01 * len(participants))
                 self._grace_timer = self.sim.call_after(
-                    grace, self._begin_stragglers, flush_id)
+                    PREREPORT_GRACE + 0.01 * len(participants),
+                    self._begin_stragglers, flush_id)
             else:
                 self._send_begins(stragglers, flush_id)
         self._send_flush_ok(self.site_id, flush_id)
@@ -521,7 +523,7 @@ class GroupEngine:
             self._reasons.append(FlushReason(kind="remove",
                                              removals=extra_removals,
                                              site_death=True))
-        if self.kernel.config.fast_flush and self.view is not None:
+        if self.view is not None:
             # Reuse the survivors' reports: each reporter has been
             # wedged since its snapshot (nothing new initiated) and
             # stores never trim while wedged, so the snapshot is still
@@ -534,45 +536,59 @@ class GroupEngine:
         self.maybe_start_flush()
 
     def _on_flush_ok(self, src_site: int, msg: Message) -> None:
-        fid: FlushId = (msg["fid"][0], msg["fid"][1], msg["fid"][2])
+        """A report that came direct (or is our own)."""
+        try:
+            report = self._decode_report(msg)
+        except CodecError:
+            self.sim.trace.bump("flush.bad_report")
+            return
+        self._take_report(src_site, *report)
+
+    def _take_report(self, src_site: int, fid: FlushId,
+                     have: Dict[int, int], abp: List[Dict],
+                     abd: List) -> None:
+        """Route one decoded ``g.fl.ok``: solicited, pre-report or stale."""
         active = self._active
         if active is not None and active.flush_id == fid:
-            have, abp, abd = self._decode_report(msg, active.base)
             self._offer_report(src_site, have, abp, abd)
             return
-        if (not self.kernel.config.fast_flush or fid[1] != 0
-                or fid[2] != self.site_id):
+        if fid[1] != 0 or fid[2] != self.site_id:
             return
         # Unsolicited pre-report (attempt 0, addressed to us).
         if (active is not None and active.flush_id[0] == fid[0]
                 and active.phase == "collect"):
-            have, abp, abd = self._decode_report(msg, None)
             self._offer_report(src_site, have, abp, abd)
         elif (self.view is not None and self.installed
                 and fid[0] > self.view.view_id):
             self._pre_reports.setdefault(fid[0], {}).setdefault(
-                src_site, self._decode_report(msg, None))
+                src_site, (have, abp, abd))
 
-    def _decode_report(self, msg: Message,
-                       base: Optional[Dict[int, int]]) -> Tuple:
-        """Normalize the three report have-vector encodings.
+    def _decode_report(self, msg: Message) -> Tuple:
+        """``(fid, have, ab_pending, ab_delivered)`` of one ``g.fl.ok``.
 
-        ``have``: legacy pair list; ``have_b``: varint-compact full
-        vector (pre-reports and full rounds); ``have_d``: exact diff
-        against the base union announced in ``g.fl.begin``.
+        ``have_b`` is a varint-compact full vector (pre-reports and full
+        rounds), ``have_d`` an exact diff against the base union that
+        the active flush announced in ``g.fl.begin``.  A report is
+        outside input: any other shape is a :class:`CodecError`.
         """
-        if "have" in msg:
-            have = _decode_pairs(msg["have"])
-        elif "have_d" in msg:
-            have = apply_have_diff(
-                base or {}, decode_have_vector(bytes(msg["have_d"])))
-        else:
-            have = decode_have_vector(bytes(msg["have_b"]))
-        return (
-            have,
-            msg["abp"],
-            [[(r[0][0], r[0][1]), (r[1][0], r[1][1])] for r in msg["abd"]],
-        )
+        try:
+            fid: FlushId = (msg["fid"][0], msg["fid"][1], msg["fid"][2])
+            if "have_d" in msg:
+                active = self._active
+                base = (active.base if active is not None
+                        and active.flush_id == fid else None)
+                have = apply_have_diff(
+                    base or {}, decode_have_vector(bytes(msg["have_d"])))
+            else:
+                have = decode_have_vector(bytes(msg["have_b"]))
+            abp = [{"ref": [e["ref"][0], e["ref"][1]],
+                    "prio": [e["prio"][0], e["prio"][1]],
+                    "final": bool(e["final"])} for e in msg["abp"]]
+            abd = [[(r[0][0], r[0][1]), (r[1][0], r[1][1])]
+                   for r in msg["abd"]]
+        except (KeyError, IndexError, TypeError) as err:
+            raise CodecError(f"malformed g.fl.ok: {err!r}") from None
+        return fid, have, abp, abd
 
     def _offer_report(self, site: int, have: Dict[int, int],
                       ab_pending: List[Dict], ab_delivered: List) -> None:
@@ -694,10 +710,7 @@ class GroupEngine:
             # comes from the *current* acting coordinator targeting the
             # same (or a later) view: the previous coordinator died
             # mid-flush and its successor's attempt counter restarted.
-            # (fast_flush only: legacy mode keeps the original exact
-            # fid-ordering acceptance, wire behavior unchanged.)
-            acting = self.acting_coordinator() \
-                if self.kernel.config.fast_flush else None
+            acting = self.acting_coordinator()
             if (acting is None or acting.site != src_site
                     or fid[0] < self._participant_fid[0]):
                 return
@@ -715,18 +728,15 @@ class GroupEngine:
                  for ref, prio in sorted(self._delivered_finals.items())],
         )
         have = self.store.have_vector()
-        if self.kernel.config.fast_flush:
-            if self._begin_base is not None and not pre:
-                # Delta against the begin's announced union: usually
-                # empty (the "ack"), a handful of entries otherwise.
-                report["have_d"] = encode_have_vector(
-                    exact_diff_have_vector(self._begin_base, have))
-            else:
-                report["have_b"] = encode_have_vector(have)
-            if pre:
-                report["pre"] = True
+        if self._begin_base is not None and not pre:
+            # Delta against the begin's announced union: usually
+            # empty (the "ack"), a handful of entries otherwise.
+            report["have_d"] = encode_have_vector(
+                exact_diff_have_vector(self._begin_base, have))
         else:
-            report["have"] = _encode_pairs(have)
+            report["have_b"] = encode_have_vector(have)
+        if pre:
+            report["pre"] = True
         if to_site == self.site_id:
             self._on_flush_ok(self.site_id, report)
         elif pre and self.kernel.config.dissemination == "tree":
@@ -745,7 +755,7 @@ class GroupEngine:
         self._okb_buf.setdefault(root, []).append([src_site, raw])
         if self._okb_timer is None:
             self._okb_timer = self.sim.call_after(
-                self.kernel.config.flush_okb_window, self._okb_flush)
+                OKB_WINDOW, self._okb_flush)
 
     def _okb_flush(self) -> None:
         """Forward coalesced pre-reports one hop rootward."""
@@ -782,11 +792,11 @@ class GroupEngine:
         if root == self.site_id:
             for src, raw in msg["reports"]:
                 try:
-                    report = Message.decode(bytes(raw))
+                    report = self._decode_report(Message.decode(bytes(raw)))
                 except CodecError:
                     self.sim.trace.bump("flush.okb_bad_report")
                     continue
-                self._on_flush_ok(src, report)
+                self._take_report(src, *report)
             return
         # Interior relay: coalesce with whatever we are already holding
         # (our own pre-report typically rides the same batch upward).
@@ -804,8 +814,7 @@ class GroupEngine:
             # deposed coordinator's delayed expect must not hijack the
             # participant fid (its data/filled exchange would then be
             # ignored, stalling the successor's flush).
-            acting = self.acting_coordinator() \
-                if self.kernel.config.fast_flush else None
+            acting = self.acting_coordinator()
             if (acting is None or acting.site != fid[2] or not self.wedged
                     or fid < self._participant_fid
                     or fid[0] != self._participant_fid[0]):
@@ -960,7 +969,7 @@ class GroupEngine:
                 self.enqueue_reason(FlushReason(kind="remove",
                                                 removals=dead_members,
                                                 site_death=True))
-        elif self.kernel.config.fast_flush:
+        else:
             self._push_pre_report()
 
     def _push_pre_report(self) -> None:

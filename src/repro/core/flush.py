@@ -6,10 +6,11 @@ configuration update, or a user-level GBCAST), the group's traffic is
 brought to a consistent cut:
 
 1. ``g.fl.begin`` — the coordinator (the oldest member's kernel) tells
-   every member site to **wedge**: stop initiating new multicasts.
+   every member site to **wedge**: stop initiating new multicasts.  It
+   announces the union it expects, so step 2 can answer with a diff.
 2. ``g.fl.ok`` — each site reports its have-vector, its undelivered
    ABCAST state (proposals / finals) and the finals of ABCASTs it has
-   already delivered.
+   delivered that are not yet known delivered everywhere.
 3. The coordinator computes the **union cut** — every message held
    anywhere — and directs holders to refill sites that miss messages
    (``g.fl.pull`` → ``g.fl.data`` → ``g.fl.filled``).
@@ -20,15 +21,17 @@ brought to a consistent cut:
 Failures *during* the flush restart it: a new coordinator (the oldest
 survivor) raises the flush id and reruns; all steps are idempotent.
 
-Two config-gated report paths feed the same ``offer_report`` entry:
-``fast_flush`` replaces step 1-2 on a site death with unsolicited
-*pre-reports* pushed to the predicted coordinator, and with
-``dissemination = "tree"`` those pre-reports additionally coalesce up
-the coordinator-rooted spanning tree as ``g.fl.okb`` bundles (interior
-sites buffer for ``flush_okb_window`` and forward one message rootward)
-so the coordinator's fan-in stops being O(n) frames.  Solicited reports
-always travel direct — the explicit begin round stays a relay-
-independent fallback.  The coordinator below is agnostic to all of it.
+After a site death steps 1-2 collapse: every survivor saw the same site
+view change, wedges at once and pushes its report to the predicted
+coordinator unsolicited (a *pre-report*), and the begin round runs only
+for stragglers whose pre-report missed the coordinator's grace, or when
+a new coordinator takes over a flush its predecessor began.  With
+``dissemination = "tree"`` pre-reports additionally coalesce up the
+coordinator-rooted spanning tree as ``g.fl.okb`` bundles so the
+coordinator's fan-in stops being O(n) frames.  Solicited reports always
+travel direct — the explicit begin round stays a relay-independent
+fallback.  Every path feeds the same ``offer_report`` entry; the
+coordinator below is agnostic to all of it.
 
 This module holds the coordinator's bookkeeping; the per-site participant
 behaviour lives in :mod:`repro.core.engine`.
@@ -58,8 +61,8 @@ class FlushReason:
     user_entry: int = 0
     transfer_state: bool = True        # joins: run state transfer?
     reply_site: Optional[int] = None   # site to notify when done (join/leave)
-    #: Removal caused by a *site-view* change: with ``fast_flush`` every
-    #: surviving participant observed the same change and is pushing an
+    #: Removal caused by a *site-view* change: every surviving
+    #: participant observed the same change and is pushing an
     #: unsolicited pre-report, so the coordinator can skip the
     #: ``g.fl.begin`` round and wait for the reports directly.
     site_death: bool = False
@@ -96,11 +99,12 @@ class FlushCoordinator:
         self._filled: Set[int] = set()
         self.union: Dict[int, int] = {}
         self.phase = "collect"  # collect -> fill -> done
-        #: Fast flush: the expected union announced in ``g.fl.begin``;
-        #: participants delta-encode their have-vectors against it.
+        #: The expected union announced in ``g.fl.begin``; participants
+        #: delta-encode their have-vectors against it (``None``: a
+        #: takeover round, which asks for full vectors).
         self.base: Optional[Dict[int, int]] = base
         #: ``g.fl.begin`` messages actually sent (0 = pure pre-report
-        #: round: the fast path's single-round wedge→commit).
+        #: round: single-round wedge→commit).
         self.begins_sent = 0
 
     # -- phase 1: collect reports ------------------------------------------

@@ -61,6 +61,13 @@ CC_REPLY_ENTRY = 3
 
 _HEARTBEAT_PAYLOAD = b"hb"
 
+#: Joiner state (snapshot or WAL suffix) up to this size rides one
+#: ordered message; above it, an ``st.chunk`` stream on the bulk channel.
+BULK_THRESHOLD = 32768
+#: Size of one ``st.chunk``: small enough that neither endpoint's CPU
+#: nor the wire is held by a snapshot-sized block.
+TRANSFER_CHUNK_BYTES = 65536
+
 
 def _event_joiners(event: Dict) -> List[Address]:
     """Joiners a flush commit admitted (legacy single-joiner compat)."""
@@ -82,7 +89,6 @@ class IsisConfig:
     transfer_retry: float = 4.0        # gated joiner re-requests its state
     fwd_retries: int = 5               # client multicast forwarding attempts
     fwd_timeout: float = 5.0           # re-forward if no dispatch heard
-    bulk_threshold: int = 32768        # state blobs beyond this use TCP
     local_delivery_cpu: float = 0.0005 # CPU per local delivery hand-off
     #: Batch concurrent GBCAST payloads into one flush.  On by default
     #: (a throughput optimization over the original system); turn off to
@@ -112,13 +118,6 @@ class IsisConfig:
     #: broadcasts batched ``g.abs`` order stamps: one phase, O(1) extra
     #: messages per ABCAST in steady state.  Token handoff rides the
     #: flush, preserving virtual synchrony across view changes.
-    #: ``"leader"`` is the ZAB-style epoch/leader engine: structurally
-    #: the sequencer (same ``g.abs`` stamp codec, same token choice) but
-    #: each view is an *epoch* — on view change the new leader first
-    #: discovers the highest stamp any majority of members applied
-    #: (``g.abl.d``/``g.abl.a``), synchronizes its counter above it, and
-    #: only then issues new stamps; flush-cut priorities are epoch-tagged
-    #: so cut entries from a deposed leader sort before its successor's.
     abcast_mode: str = "two_phase"
     #: Partition policy for site-view membership (see fd/membership.py).
     #: ``"primary"`` (default) is the paper's rule: a component may
@@ -133,30 +132,6 @@ class IsisConfig:
     #: path.  With ``durability`` on, votes are weighed by WAL position
     #: (a site whose log holds data counts double).
     membership: str = "primary"
-    #: Fast view-change engine (the default).  Three mechanisms shrink
-    #: the unavailability window of the flush: (1) *pre-reports* — when
-    #: a site view removes group members, every surviving participant
-    #: wedges immediately and pushes its FLUSH_OK to the predicted
-    #: coordinator unsolicited, collapsing wedge→commit to a single
-    #: round trip (no ``g.fl.begin`` round); (2) *delta reports* —
-    #: ``g.fl.begin`` carries the coordinator's expected union
-    #: (varint-compact) and participants reply with only the entries
-    #: that differ, while delivered ABCAST finals are continuously
-    #: pruned via piggybacked delivery floors so reports stop scaling
-    #: with the view's multicast history; (3) *streaming joins* — large
-    #: snapshots stream to joiners in chunks over the bulk channel
-    #: (concurrent joiners share one encode) instead of one blob.
-    #: ``False`` reproduces the original 4-phase flush wire protocol
-    #: exactly (kept for differential testing).
-    fast_flush: bool = True
-    #: How long a fast-flush coordinator waits for expected pre-reports
-    #: before falling back to an explicit ``g.fl.begin`` round for the
-    #: stragglers.  Sized at a few inter-site round trips.
-    flush_prereport_grace: float = 0.25
-    #: Chunk size for streaming join state transfer (fast_flush only);
-    #: snapshots above ``bulk_threshold`` ship as a sequence of
-    #: ``st.chunk`` bulk transfers of this size instead of one blob.
-    transfer_chunk_bytes: int = 65536
     #: Dissemination topology.  ``"flat"`` (default) fans every multicast
     #: out to all member sites directly — the original wire behavior and
     #: the differential oracle.  ``"tree"`` relays envelopes, sequencer
@@ -172,10 +147,6 @@ class IsisConfig:
     dissemination: str = "flat"
     #: Branching factor of the dissemination/aggregation spanning tree.
     tree_fanout: int = 4
-    #: Tree mode: how long an interior site coalesces flush pre-reports
-    #: before forwarding them one hop rootward as a ``g.fl.okb`` batch.
-    #: A few of these fit well inside ``flush_prereport_grace``.
-    flush_okb_window: float = 0.06
     #: Write-ahead delivery logging (§5 recovery).  Off by default: the
     #: hot path gains no disk events and trajectories are identical to
     #: the crash-stop system.  On, every group delivery and installed
@@ -213,7 +184,7 @@ class _JoinState:
         self.welcomed = False
         #: Contact sites already tried (rotate when the contact is dead).
         self.tried: Set[int] = set()
-        #: Streaming state transfer reassembly (fast_flush).
+        #: Streaming state transfer reassembly.
         self.stream_xid: Optional[int] = None
         self.stream_buf: List[bytes] = []
         #: Rejoin position from our replayed WAL: (view, delivered enc).
@@ -443,18 +414,8 @@ class ProtocolsProcess:
             promise.reject(SiteDown(f"site {dst_site} down"))
             return promise
 
-    def bulk_to_site(self, dst_site: int, msg: Message) -> Promise:
-        """Ship a large message over the TCP-like bulk channel.
-
-        Returns the transfer promise (resolved once the receiver has
-        dispatched the message, rejected on a crashed endpoint) so
-        callers can chain sequential transfers — the streaming state
-        transfer sends its next chunk only when the previous landed.
-        """
-        return self.site.send_bulk(dst_site, msg.encode())
-
     def _on_transport_message(self, src_site: int, data: bytes) -> None:
-        """A message or a bulk blob landed: decode and dispatch it."""
+        """A message or a bulk chunk landed: decode and dispatch it."""
         if not self.alive:
             return
         try:
@@ -1160,22 +1121,8 @@ class ProtocolsProcess:
                     "transfer.log_assisted_bytes_saved", saved)
                 self.sim.trace.bump(
                     "transfer.snapshot_bytes", payload.size_bytes)
-        streaming = (self.config.fast_flush
-                     and payload.size_bytes > self.config.bulk_threshold)
-        data = payload.encode() if streaming else None
         for joiner in joiners:
-            if streaming:
-                # Chunked over the bulk channel: the group committed the
-                # new view already, and neither the source CPU nor the
-                # wire is occupied by one snapshot-sized block, so a
-                # concurrent flush never stalls behind the transfer.
-                assert data is not None
-                self._start_state_stream(engine.gid, joiner, data)
-            elif payload.size_bytes > self.config.bulk_threshold:
-                self.sim.trace.bump("state_transfer.bulk")
-                self.bulk_to_site(joiner.site, payload)
-            else:
-                self.send_to_site(joiner.site, payload)
+            self._ship_state(joiner, payload)
 
     def _send_log_suffix(self, engine: GroupEngine,
                          joiner: Address) -> Optional[int]:
@@ -1197,12 +1144,22 @@ class ProtocolsProcess:
                           wal_suffix=[bytes(r) for r in suffix])
         self.sim.trace.bump("transfer.log_assisted")
         self.sim.trace.bump("transfer.suffix_bytes", payload.size_bytes)
-        if payload.size_bytes > self.config.bulk_threshold:
-            self.sim.trace.bump("state_transfer.bulk")
-            self.bulk_to_site(joiner.site, payload)
+        self._ship_state(joiner, payload)
+        return payload.size_bytes
+
+    def _ship_state(self, joiner: Address, payload: Message) -> None:
+        """Send one ``st.data`` (snapshot or WAL suffix) to a joiner.
+
+        Large state goes chunked over the bulk channel: the group
+        committed the new view already, and neither the source CPU nor
+        the wire is occupied by one state-sized block, so a concurrent
+        flush never stalls behind the transfer.  Concurrent joiners
+        share one encode (``Message.encode`` caches its bytes).
+        """
+        if payload.size_bytes > BULK_THRESHOLD:
+            self._start_state_stream(payload["gid"], joiner, payload.encode())
         else:
             self.send_to_site(joiner.site, payload)
-        return payload.size_bytes
 
     def _start_state_stream(self, gid: Address, joiner: Address,
                             data: bytes) -> None:
@@ -1217,9 +1174,8 @@ class ProtocolsProcess:
             return
         xid = self._next_xfer_id
         self._next_xfer_id += 1
-        chunk = max(1, self.config.transfer_chunk_bytes)
-        chunks = [data[i:i + chunk] for i in range(0, len(data), chunk)] \
-            or [b""]
+        chunks = [data[i:i + TRANSFER_CHUNK_BYTES]
+                  for i in range(0, len(data), TRANSFER_CHUNK_BYTES)]
         self._out_streams[key] = {
             "xid": xid, "chunks": chunks, "idx": 0, "site": joiner.site,
             "conn": conn,

@@ -1,7 +1,7 @@
 """Total-order engines behind the explicit :class:`OrderingEngine` seam.
 
-Three engines plug into the delivery pipeline's ordering slot
-(``IsisConfig.abcast_mode``), all honouring one contract so the group
+Two engines plug into the delivery pipeline's ordering slot
+(``IsisConfig.abcast_mode``), both honouring one contract so the group
 engine, the flush machinery and the stats layer never branch on the
 mode:
 
@@ -24,8 +24,8 @@ mode:
   them identically at every survivor.
 * **Unstamped-tail rule** — refs the engine never ordered are reported
   with deterministic priorities above every assignable one
-  (``UNSTAMPED_BASE`` / ``LEADER_UNSTAMPED_BASE``), so the cut appends
-  them in the same order everywhere.
+  (``UNSTAMPED_BASE``), so the cut appends them in the same order
+  everywhere.
 
 Engines register themselves in :data:`ORDERING_ENGINES`;
 :func:`make_ordering` is the pipeline's only construction path, so a
@@ -38,13 +38,6 @@ new engine is one subclass plus one decorator away.
 ``sequencer``   :class:`SequencerOrdering` — the view's lowest-ranked
                 member's site holds the token and broadcasts batched
                 ``g.abs`` stamps; one phase, O(1) messages per ABCAST.
-``leader``      :class:`LeaderOrdering` — ZAB-style epoch/leader engine:
-                the leader (same deterministic choice as the token)
-                runs a discovery round (``g.abl.d`` / ``g.abl.a``) to
-                learn the highest stamp any survivor applied in the
-                epoch, synchronizes its counter above it, then
-                broadcasts the same batched ``g.abs`` stamps with
-                epoch-tagged cut priorities.
 =============== ==============================================================
 """
 
@@ -57,7 +50,6 @@ from ..msg.address import Address
 from ..msg.message import Message
 from ..sim.core import Timer
 from .abcast import (
-    LeaderReceiver,
     MsgRef,
     Priority,
     SequencerReceiver,
@@ -147,12 +139,6 @@ class OrderingEngine:
         self.engine.sim.trace.bump("abcast.unexpected_control")
 
     def on_stamps(self, src_site: int, msg: Message) -> None:
-        self.engine.sim.trace.bump("abcast.unexpected_control")
-
-    def on_discovery(self, src_site: int, msg: Message) -> None:
-        self.engine.sim.trace.bump("abcast.unexpected_control")
-
-    def on_discovery_answer(self, src_site: int, msg: Message) -> None:
         self.engine.sim.trace.bump("abcast.unexpected_control")
 
     def disseminate_final(self, ref: MsgRef, final: Priority) -> None:
@@ -448,192 +434,5 @@ class SequencerOrdering(OrderingEngine):
                     self._deliver(env)
 
 
-#: Leader mode: how often an unsynchronized leader re-solicits
-#: discovery answers (covers followers that lag installing the view).
-DISCOVERY_RETRY = 0.25
-
-
-@register_ordering("leader")
 class LeaderOrdering(SequencerOrdering):
-    """ABCAST stage: ZAB-style epoch/leader total order.
-
-    Structurally the sequencer engine — one deterministic orderer per
-    view (the lowest-ranked member's site) broadcasting batched
-    ``g.abs`` stamps — but following ZAB's three-phase life cycle per
-    epoch, where the *epoch* is the group view id:
-
-    1. **Discovery** — before issuing its first stamp of a view, the
-       leader asks every other member site for the highest stamp it has
-       applied in this epoch (``g.abl.d`` → ``g.abl.a``).  Answers are
-       read-only and permitted even from wedged followers.
-    2. **Synchronization** — once a strict majority of member sites
-       (counting itself) has answered, the leader resumes numbering
-       *above* the maximum it heard, then stamps the backlog of
-       envelopes that arrived while it was discovering, in arrival
-       order.  Until then it assigns nothing: envelopes stay held and,
-       if a flush intervenes, take the deterministic unstamped tail.
-    3. **Broadcast** — steady state is byte-identical to the sequencer:
-       dense stamps batched into ``g.abs`` notes, the same wedge rules.
-       The ``view`` field on every stamp note doubles as the epoch tag;
-       followers apply only current-epoch stamps.
-
-    The difference the flush sees: stamps are reported as epoch-tagged
-    priorities ``(epoch * EPOCH_SPAN + seq, 0)`` (see
-    :class:`~repro.core.abcast.LeaderReceiver`), so cut entries from a
-    deposed leader's epoch always sort before the successor's — the
-    union cut stays sound across leader changes without knowing the
-    engine exists.
-    """
-
-    def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
-        super().__init__(engine, pipeline)
-        #: View id whose synchronization phase has completed.
-        self._synced_view = -1
-        #: View id a discovery round is running for (-1: none).
-        self._discovering_view = -1
-        #: Discovery answers: site -> highest applied stamp.
-        self._answers: Dict[int, int] = {}
-        self._disc_timer: Optional[Timer] = None
-        self.discoveries = 0
-
-    def _make_receiver(self) -> LeaderReceiver:
-        return LeaderReceiver(self.engine.site_id)
-
-    def _epoch(self) -> int:
-        """Current epoch (= view id), pushed into the receiver.
-
-        Refreshed lazily because ``GroupEngine.create`` installs view 1
-        without running the pipeline's ``on_new_view``.
-        """
-        view = self.engine.view
-        epoch = view.view_id if view is not None else 0
-        self.receiver.epoch = epoch
-        return epoch
-
-    def shutdown(self) -> None:
-        super().shutdown()
-        if self._disc_timer is not None:
-            self._disc_timer.cancel()
-            self._disc_timer = None
-
-    # -- receive side ------------------------------------------------------
-    def ingest(self, env: Message) -> None:
-        self._epoch()
-        super().ingest(env)
-
-    def on_stamps(self, src_site: int, msg: Message) -> None:
-        self._epoch()
-        super().on_stamps(src_site, msg)
-
-    def _assign_stamp(self, ref: MsgRef) -> None:
-        """Leader side: stamp only once this epoch is synchronized."""
-        if self._synced_view != self._epoch():
-            # The ref stays held (unstamped); `_complete_sync` stamps
-            # the whole backlog in arrival order.
-            self._start_discovery()
-            return
-        super()._assign_stamp(ref)
-
-    # -- phase 1: discovery ------------------------------------------------
-    def _start_discovery(self) -> None:
-        view = self.engine.view
-        if view is None:
-            return
-        epoch = view.view_id
-        if self._discovering_view != epoch:
-            self._discovering_view = epoch
-            self._answers = {
-                self.engine.site_id: self.receiver.highest_stamp()}
-            self.discoveries += 1
-            self.engine.sim.trace.bump("abcast.leader_discoveries")
-        self._send_discovery_round(epoch)
-        self._maybe_complete_sync()
-
-    def _send_discovery_round(self, epoch: int) -> None:
-        view = self.engine.view
-        if view is None or view.view_id != epoch:
-            return
-        note = Message(_proto="g.abl.d", gid=self.engine.gid, epoch=epoch)
-        for site in view.member_sites():
-            if site != self.engine.site_id and site not in self._answers:
-                self.engine.sim.trace.bump("abcast.leader_disc_msgs")
-                self.engine.kernel.send_to_site(site, note)
-        if self._disc_timer is None:
-            self._disc_timer = self.engine.sim.call_after(
-                DISCOVERY_RETRY, self._retry_discovery)
-
-    def _retry_discovery(self) -> None:
-        """Re-solicit missing answers (a follower lagged the view)."""
-        self._disc_timer = None
-        view = self.engine.view
-        if (view is None or self._discovering_view != view.view_id
-                or self._synced_view == view.view_id):
-            return
-        self.engine.sim.trace.bump("abcast.leader_disc_retries")
-        self._send_discovery_round(view.view_id)
-
-    def on_discovery(self, src_site: int, msg: Message) -> None:
-        """Follower side: report our highest applied stamp of the epoch.
-
-        Read-only, so answering is safe even while wedged — the answer
-        changes no delivery state, and a leader that completes sync
-        mid-flush still refuses to stamp until unwedged.
-        """
-        engine = self.engine
-        view = engine.view
-        if (view is None or not engine.installed
-                or msg["epoch"] != view.view_id):
-            engine.sim.trace.bump("abcast.stale_discovery")
-            return
-        self._epoch()
-        engine.kernel.send_to_site(src_site, Message(
-            _proto="g.abl.a", gid=engine.gid, epoch=msg["epoch"],
-            high=self.receiver.highest_stamp()))
-
-    def on_discovery_answer(self, src_site: int, msg: Message) -> None:
-        view = self.engine.view
-        if (view is None or msg["epoch"] != view.view_id
-                or self._discovering_view != view.view_id
-                or self._synced_view == view.view_id):
-            self.engine.sim.trace.bump("abcast.stale_discovery")
-            return
-        self._answers[src_site] = msg["high"]
-        self._maybe_complete_sync()
-
-    # -- phase 2: synchronization ------------------------------------------
-    def _maybe_complete_sync(self) -> None:
-        view = self.engine.view
-        if view is None or self._discovering_view != view.view_id:
-            return
-        member_sites = view.member_sites()
-        if 2 * len(self._answers) > len(member_sites):
-            self._complete_sync(view.view_id)
-
-    def _complete_sync(self, epoch: int) -> None:
-        high = max(self._answers.values(), default=0)
-        self._synced_view = epoch
-        self._discovering_view = -1
-        self._answers = {}
-        if self._disc_timer is not None:
-            self._disc_timer.cancel()
-            self._disc_timer = None
-        self._next_stamp = max(self._next_stamp, high + 1)
-        self.engine.sim.trace.bump("abcast.leader_synced")
-        if self.engine.wedged:
-            # The flush's cut will order the backlog deterministically;
-            # stamping it now would be invisible to our sent report.
-            return
-        # Phase 3 begins: stamp the backlog in arrival order.
-        for ref in list(self.receiver.unstamped_refs()):
-            SequencerOrdering._assign_stamp(self, ref)
-
-    # -- view lifecycle ----------------------------------------------------
-    def on_new_view(self) -> None:
-        super().on_new_view()
-        self._synced_view = -1
-        self._discovering_view = -1
-        self._answers = {}
-        if self._disc_timer is not None:
-            self._disc_timer.cancel()
-            self._disc_timer = None
-        self._epoch()
+    """Unregistered and bodiless: frozen ``bench/trace.py`` imports the name."""

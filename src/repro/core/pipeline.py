@@ -16,9 +16,8 @@ through the narrow :class:`DeliveryPipeline` interface:
   total-order engines live behind the explicit
   :class:`~repro.core.ordering.OrderingEngine` seam in
   ``core/ordering.py`` — ``abcast_mode`` selects ``two_phase`` (the
-  paper's two-phase priorities), ``sequencer`` (token-site batched
-  ``g.abs`` stamps) or ``leader`` (ZAB-style epoch/leader stamps with
-  discovery + synchronization on view change).
+  paper's two-phase priorities) or ``sequencer`` (token-site batched
+  ``g.abs`` stamps).
 * :class:`StabilityStage` — tracks which messages are known received
   everywhere.  Have-vectors piggyback on outgoing data envelopes,
   batches and ABCAST acks, so :meth:`MessageStore.trim_stable` advances
@@ -47,7 +46,6 @@ from ..sim.core import Timer
 from ..sim.tasks import Promise
 from .cbcast import CausalReceiver
 from .ordering import (  # noqa: F401  (re-exported: long-standing import site)
-    LeaderOrdering,
     OrderingEngine,
     SequencerOrdering,
     TotalOrdering,
@@ -611,7 +609,7 @@ class StabilityStage:
         self.kernel = engine.kernel
         #: Peer site -> best-known have-vector (monotone max-merged).
         self._peer_have: Dict[int, Dict[int, int]] = {}
-        #: Peer site -> best-known ABCAST delivery floor (fast_flush).
+        #: Peer site -> best-known ABCAST delivery floor.
         self._peer_floor: Dict[int, Tuple[int, int]] = {}
         #: Highest own delivery floor already announced to the group.
         self._floor_announced: Tuple[int, int] = (0, 0)
@@ -645,10 +643,9 @@ class StabilityStage:
             return
         msg["stab"] = encode_have_vector(self.engine.store.have_vector())
         msg["stab_view"] = view.view_id
-        if self.kernel.config.fast_flush:
-            floor = self.engine.delivery_floor
-            if floor > (0, 0):
-                msg["stab_df"] = list(floor)
+        floor = self.engine.delivery_floor
+        if floor > (0, 0):
+            msg["stab_df"] = list(floor)
 
     # -- piggyback: ingest -------------------------------------------------
     def ingest_env(self, src_site: int, msg: Message) -> None:
@@ -673,8 +670,7 @@ class StabilityStage:
         floors are merely conservative.
         """
         view = self.engine.view
-        if (floor is None or view is None or stab_view != view.view_id
-                or not self.kernel.config.fast_flush):
+        if floor is None or view is None or stab_view != view.view_id:
             return
         value = (floor[0], floor[1])
         known = self._peer_floor.get(src_site, (0, 0))
@@ -683,7 +679,7 @@ class StabilityStage:
             self.engine.prune_delivered_finals()
 
     def peer_have_vectors(self) -> Dict[int, Dict[int, int]]:
-        """Best-known reception state per peer (fast-flush base union)."""
+        """Best-known reception state per peer (the flush's base union)."""
         return self._peer_have
 
     def peer_delivery_floors(self) -> Dict[int, Tuple[int, int]]:
@@ -773,18 +769,17 @@ class StabilityStage:
         note = Message(_proto="g.stab.a", gid=engine.gid,
                        have=_encode_pairs(engine.store.have_vector()),
                        stab_view=view.view_id)
-        if self.kernel.config.fast_flush:
-            floor = engine.delivery_floor
-            if floor > (0, 0):
-                note["df"] = list(floor)
-                self._floor_announced = floor
+        floor = engine.delivery_floor
+        if floor > (0, 0):
+            note["df"] = list(floor)
+            self._floor_announced = floor
         engine.sim.trace.bump("stability.announcements")
         for site in view.member_sites():
             if site != engine.site_id:
                 self.kernel.send_to_site(site, note)
 
     def maybe_announce_floors(self) -> None:
-        """Idle-group floor exchange (fast_flush, periodic tick).
+        """Idle-group floor exchange (periodic tick).
 
         Under traffic, delivery floors ride the regular piggybacks; a
         group that goes quiet right after a multicast burst would
@@ -793,8 +788,7 @@ class StabilityStage:
         per advance, stopping as soon as everyone's caught up.
         """
         engine = self.engine
-        if (not self.kernel.config.fast_flush or engine.wedged
-                or engine.view is None or not engine.installed):
+        if engine.wedged or engine.view is None or not engine.installed:
             return
         if engine.delivery_floor > self._floor_announced:
             self.announce()
@@ -971,8 +965,7 @@ class StabilityStage:
             if self._dn_last is not None:
                 return engine.delivery_floor > self._dn_last[1]
             return engine.delivery_floor > (0, 0)
-        return (self.kernel.config.fast_flush
-                and engine.delivery_floor > self._floor_announced)
+        return engine.delivery_floor > self._floor_announced
 
     # -- fallback rounds (coordinator-driven garbage collection) -----------
     def start_round(self) -> None:
@@ -1070,7 +1063,6 @@ class DeliveryPipeline:
     #: Wire protocols the pipeline consumes (engine routes these here).
     WIRE_PROTOS = frozenset({
         BATCH_PROTO, "g.cb", "g.ab", "g.abp", "g.abf", "g.abs",
-        "g.abl.d", "g.abl.a",
         "g.stab.q", "g.stab.a", "g.stab.trim",
         TREE_PROTO, "g.stab.up", "g.stab.dn",
     })
@@ -1146,10 +1138,6 @@ class DeliveryPipeline:
         elif proto == "g.abs":
             self.stability.ingest_env(src_site, msg)
             self.total.on_stamps(src_site, msg)
-        elif proto == "g.abl.d":
-            self.total.on_discovery(src_site, msg)
-        elif proto == "g.abl.a":
-            self.total.on_discovery_answer(src_site, msg)
         elif proto == "g.stab.q":
             self.stability.on_query(src_site, msg)
         elif proto == "g.stab.a":

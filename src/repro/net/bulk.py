@@ -42,23 +42,6 @@ class BulkChannel:
         self.lan = lan
         self.config = config or BulkConfig()
 
-    def transfer(
-        self,
-        src_site: int,
-        dst_site: int,
-        data: bytes,
-        src_cpu: Cpu,
-        dst_cpu: Cpu,
-    ) -> Promise:
-        """Ship ``data`` from ``src_site`` to ``dst_site``.
-
-        Resolves with the data at the receiver once the stream completes;
-        rejects with :class:`SiteDown` if either endpoint is detached when
-        the stream would finish (TCP reset).
-        """
-        return self._ship(src_site, dst_site, data, src_cpu, dst_cpu,
-                          self.config.setup_latency)
-
     def stream(self, src_site: int, dst_site: int,
                src_cpu: Cpu, dst_cpu: Cpu) -> "BulkStream":
         """Open a persistent connection for chunked transfers.
@@ -73,6 +56,9 @@ class BulkChannel:
 
     def _ship(self, src_site: int, dst_site: int, data: bytes,
               src_cpu: Cpu, dst_cpu: Cpu, setup: float) -> Promise:
+        """Ship ``data``; resolves with it at the receiver once the
+        stream completes, rejects with :class:`SiteDown` if either
+        endpoint is detached by then (TCP reset)."""
         promise = Promise(label=f"bulk:{src_site}->{dst_site}")
         nbytes = len(data)
         wire_time = setup + nbytes / self.config.bandwidth

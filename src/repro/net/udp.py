@@ -11,9 +11,9 @@ Two classes mirror the simulator's network substrate over real sockets:
   bundle and stay fire-and-forget so a lost probe looks like silence.
 
 * :class:`TcpBulk` plays the role of :class:`repro.net.bulk.BulkChannel`:
-  large blobs (join-state snapshots and their streamed chunks) travel
-  over asyncio TCP connections, each blob acknowledged by the receiver
-  only after the site's bulk handler has consumed it.
+  the chunks of a large joiner-state stream travel over an asyncio TCP
+  connection, each acknowledged by the receiver only after the site's
+  bulk handler has consumed it.
 
 The syscall-batching optimization the real driver exposes: with
 ``UdpConfig.coalesce`` (default on), frames queued to one destination
@@ -223,7 +223,7 @@ class UdpTransport(ReliableEndpoint):
 
 
 # ----------------------------------------------------------------------
-# TCP bulk channel (join-state snapshots and streamed chunks)
+# TCP bulk channel (streamed joiner-state chunks)
 # ----------------------------------------------------------------------
 #: Connection preamble: magic (u16) + source site id (u16).
 _BULK_HELLO = struct.Struct("!HH")
@@ -304,13 +304,6 @@ class TcpBulk:
     def open_stream(self, dst_site: int) -> "TcpBulkStream":
         """Open a persistent connection for chunked transfers."""
         return TcpBulkStream(self, dst_site)
-
-    def send_blob(self, dst_site: int, data: bytes) -> Promise:
-        """One-shot transfer: connect, send one blob, close."""
-        stream = self.open_stream(dst_site)
-        promise = stream.send(data)
-        promise.add_done_callback(lambda _p: stream.close())
-        return promise
 
     def shutdown(self) -> None:
         """Close the server, every open connection and worker task."""

@@ -292,14 +292,6 @@ class NetSite(BaseSite):
         if self.up and self.transport is not None:
             self.transport.send_raw(dst_site, payload)
 
-    def send_bulk(self, dst_site: int, data: bytes) -> Promise:
-        """One-shot blob over TCP; resolves after the receiver consumed it."""
-        if not self.up or self._bulk is None:
-            promise = Promise(label=f"bulk-from-down-site:{self.site_id}")
-            promise.reject(SiteDown(f"site {self.site_id} is down"))
-            return promise
-        return self._bulk.send_blob(dst_site, data)
-
     def open_bulk_stream(self, dst_site: int) -> Optional[TcpBulkStream]:
         """Persistent TCP connection for chunked state transfer.
 

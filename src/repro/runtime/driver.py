@@ -103,9 +103,9 @@ class SiteLike(Protocol):
 
     Process hosting (``spawn_process``/``process_by_id``), handler
     installation for the three inbound paths (ordered messages, raw
-    datagrams, bulk blobs), and the three outbound paths (``send_bytes``
-    for ordered FIFO, ``send_raw`` for datagrams, ``send_bulk`` /
-    ``open_bulk_stream`` for the TCP-like channel).
+    datagrams, bulk chunks), and the three outbound paths (``send_bytes``
+    for ordered FIFO, ``send_raw`` for datagrams, ``open_bulk_stream``
+    for the TCP-like channel).
     """
 
     site_id: int
@@ -125,8 +125,6 @@ class SiteLike(Protocol):
     def send_bytes(self, dst_site: int, data: bytes, piggyback: bool = False) -> Any: ...
 
     def send_raw(self, dst_site: int, payload: bytes) -> None: ...
-
-    def send_bulk(self, dst_site: int, data: bytes) -> Any: ...
 
     def open_bulk_stream(self, dst_site: int) -> Optional[BulkStreamLike]: ...
 

@@ -9,7 +9,7 @@ that outlives any individual site incarnation.
 
 :class:`BaseSite` carries everything that is *driver-independent*:
 process hosting and the handler plumbing for the three inbound paths
-(ordered messages, raw datagrams, bulk blobs).  :class:`Site` adds the
+(ordered messages, raw datagrams, bulk chunks).  :class:`Site` adds the
 simulator specifics (modeled CPU, the simulated LAN transport, the
 simulated bulk channel); the asyncio driver's site
 (:class:`repro.runtime.asyncio_driver.NetSite`) adds real sockets
@@ -202,31 +202,6 @@ class Site(BaseSite):
             self.transport.send_raw(dst_site, payload)
 
     # -- bulk channel ---------------------------------------------------------
-    def send_bulk(self, dst_site: int, data: bytes) -> Promise:
-        """Ship a large blob over the TCP-like bulk channel.
-
-        Resolves once the receiving site's bulk handler has consumed the
-        blob; rejects with :class:`SiteDown` if either endpoint crashes
-        before the stream completes (TCP reset).
-        """
-        dst = self.cluster.sites.get(dst_site)
-        if dst is None or not dst.up:
-            promise = Promise(label=f"bulk-to-down-site:{dst_site}")
-            promise.reject(SiteDown(f"site {dst_site} down"))
-            return promise
-        promise = self.cluster.bulk.transfer(
-            self.site_id, dst_site, data, self.cpu, dst.cpu)
-
-        def arrived(p: Promise) -> None:
-            if p.rejected:
-                return
-            target = self.cluster.sites.get(dst_site)
-            if target is not None:
-                target.deliver_bulk(self.site_id, p.value)
-
-        promise.add_done_callback(arrived)
-        return promise
-
     def open_bulk_stream(self, dst_site: int) -> Optional["SimBulkStream"]:
         """Open a persistent bulk connection (chunked state transfer).
 

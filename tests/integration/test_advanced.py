@@ -90,34 +90,9 @@ class TestBulkStateTransfer:
         system.run_for(60.0)
         assert task.done and not task.rejected
         assert got["blob"] == big
-        # fast_flush (default): the snapshot streams over the TCP
-        # channel in chunks instead of one blob.
+        # The snapshot streams over the TCP channel in chunks.
         assert system.sim.trace.value("bulk.transfers") >= 2
         assert system.sim.trace.value("state_transfer.chunks") >= 2
-        assert system.sim.trace.value("state_transfer.bulk") == 0
-
-    def test_large_state_single_blob_without_fast_flush(self):
-        """Legacy path: one monolithic bulk transfer."""
-        system = IsisCluster(n_sites=2, seed=62,
-                             isis_config=IsisConfig(fast_flush=False))
-        members, _ = deploy_pair(system, (0,))
-        big = bytes(range(256)) * 1024
-        register_raw_state(members[0][1], "blob", lambda: big, lambda b: None)
-        got = {}
-        joiner, joiner_isis = system.spawn(1, "joiner")
-        register_raw_state(joiner_isis, "blob", lambda: b"",
-                           lambda b: got.update(blob=b))
-
-        def join():
-            gid = yield joiner_isis.pg_lookup("adv")
-            yield joiner_isis.pg_join(gid)
-
-        task = joiner.spawn(join(), "join")
-        system.run_for(60.0)
-        assert task.done and not task.rejected
-        assert got["blob"] == big
-        assert system.sim.trace.value("state_transfer.bulk") == 1
-        assert system.sim.trace.value("state_transfer.chunks") == 0
 
     def test_transfer_restarts_when_source_dies(self):
         system = IsisCluster(n_sites=3, seed=63)

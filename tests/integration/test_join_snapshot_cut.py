@@ -16,12 +16,7 @@ import pytest
 
 from repro import IsisCluster, IsisConfig
 
-ENGINE_GRID = [
-    ("two_phase", True),
-    ("two_phase", False),
-    ("sequencer", True),
-    ("sequencer", False),
-]
+MODES = ["two_phase", "sequencer"]
 
 
 def _attach(system, site, pname, counts):
@@ -37,10 +32,10 @@ def _attach(system, site, pname, counts):
     return process, isis
 
 
-@pytest.mark.parametrize("mode,fast", ENGINE_GRID)
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("kind", ["abcast", "cbcast"])
-def test_concurrent_joins_under_load_lose_nothing(mode, fast, kind):
-    config = IsisConfig(abcast_mode=mode, fast_flush=fast)
+def test_concurrent_joins_under_load_lose_nothing(mode, kind):
+    config = IsisConfig(abcast_mode=mode)
     system = IsisCluster(n_sites=4, seed=2, isis_config=config)
     counts = {}
     handles = {s: _attach(system, s, f"m{s}", counts) for s in range(4)}

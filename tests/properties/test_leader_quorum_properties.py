@@ -1,14 +1,12 @@
-"""Leader-engine and quorum-membership properties under churn.
+"""Ordering-engine and quorum-membership properties under churn.
 
 Two families of differential checks over the ordering/membership seams:
 
-* **Three-way engine differential under churn** — with the same seed
-  and workload, the two-phase, sequencer, and leader engines must carry
-  a crash of a group member to the *same* execution: every survivor
-  delivers the identical ABCAST order within a mode, the delivered
-  message set is identical across modes, and all modes agree on the
-  final site view.  The leader engine additionally has to survive the
-  epoch bump mid-stream (discovery + sync + backlog restamp).
+* **Engine differential under churn** — with the same seed and
+  workload, the two-phase and sequencer engines must carry a crash of a
+  group member to the *same* execution: every survivor delivers the
+  identical ABCAST order within a mode, the delivered message set is
+  identical across modes, and both modes agree on the final site view.
 * **Quorum-membership invariants** — under an asymmetric partition the
   majority component keeps installing views and delivering while the
   minority wedges (at most one committing component); under an exact
@@ -24,7 +22,7 @@ import pytest
 
 from repro import IsisCluster, IsisConfig
 
-MODES = ["two_phase", "sequencer", "leader"]
+MODES = ["two_phase", "sequencer"]
 
 
 def attach(system, site_id, deliveries, name="app"):
@@ -67,7 +65,7 @@ def drive(system, handles, gid, start, count, kind="abcast", gap=1.2):
 
 
 # ----------------------------------------------------------------------
-# Three-way engine differential under churn
+# Engine differential under churn
 # ----------------------------------------------------------------------
 def _churn_run(mode, seed):
     system = IsisCluster(n_sites=4, seed=seed,
@@ -90,7 +88,7 @@ def _churn_run(mode, seed):
 
 
 @pytest.mark.parametrize("seed", [11, 47])
-def test_three_way_differential_under_churn(seed):
+def test_engine_differential_under_churn(seed):
     sets_by_mode = {}
     views_by_mode = {}
     for mode in MODES:
@@ -104,10 +102,8 @@ def test_three_way_differential_under_churn(seed):
         sets_by_mode[mode] = set(logs[0])
         views_by_mode[mode] = next(iter(views.values()))[1]
     # Across modes: same delivered set, same final membership.
-    assert (sets_by_mode["two_phase"] == sets_by_mode["sequencer"]
-            == sets_by_mode["leader"])
-    assert (views_by_mode["two_phase"] == views_by_mode["sequencer"]
-            == views_by_mode["leader"])
+    assert sets_by_mode["two_phase"] == sets_by_mode["sequencer"]
+    assert views_by_mode["two_phase"] == views_by_mode["sequencer"]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -118,7 +114,7 @@ def test_churn_deterministic_same_seed(mode):
 # ----------------------------------------------------------------------
 # Quorum membership: at most one committing component
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["two_phase", "leader"])
+@pytest.mark.parametrize("mode", MODES)
 def test_quorum_majority_commits_minority_wedges(mode):
     system = IsisCluster(
         n_sites=5, seed=77,

@@ -1,12 +1,11 @@
-"""Property tests: the three total-order engines against each other.
+"""Property tests: the two total-order engines against each other.
 
-Under a fixed seed with no failures, every ordering engine (two-phase,
-sequencer, epoch leader) must give a *valid* virtually synchronous
-execution: every member delivers the same ABCAST sequence, per-task
-FIFO holds, and the delivered message set is identical between the
-modes (the chosen interleavings may differ — priority order vs
-token-arrival order vs leader-stamp order — but none may lose,
-duplicate, or diverge).  The compact causal-context codec is also
+Under a fixed seed with no failures, both ordering engines (two-phase,
+sequencer) must give a *valid* virtually synchronous execution: every
+member delivers the same ABCAST sequence, per-task FIFO holds, and the
+delivered message set is identical between the modes (the chosen
+interleavings may differ — priority order vs token-arrival order — but
+neither may lose, duplicate, or diverge).  The compact causal-context codec is also
 chain-checked here against randomly grown contexts.
 """
 
@@ -73,7 +72,7 @@ def _run_workload(seed, plan, mode, batch_window):
 @settings(max_examples=8, deadline=None)
 def test_modes_agree_on_set_and_internal_order(seed, plan):
     by_mode = {}
-    for mode in ("two_phase", "sequencer", "leader"):
+    for mode in ("two_phase", "sequencer"):
         deliveries = _run_workload(seed, plan, mode, batch_window=0.010)
         # Every member of this mode delivered the identical ABCAST order.
         ab = [[t for t in deliveries[s] if t.startswith("ab")]
@@ -89,10 +88,9 @@ def test_modes_agree_on_set_and_internal_order(seed, plan):
         sets = [set(deliveries[s]) for s in range(3)]
         assert sets[0] == sets[1] == sets[2], mode
         by_mode[mode] = sets[0]
-    # All engines deliver exactly the same message set: the sequencer
-    # and the epoch leader change the interleaving, never the membership
-    # of the execution.
-    assert by_mode["two_phase"] == by_mode["sequencer"] == by_mode["leader"]
+    # Both engines deliver exactly the same message set: the sequencer
+    # changes the interleaving, never the membership of the execution.
+    assert by_mode["two_phase"] == by_mode["sequencer"]
 
 
 def test_sequencer_deterministic_same_seed():

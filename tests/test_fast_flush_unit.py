@@ -1,15 +1,13 @@
-"""Unit tests for the fast view-change engine (``IsisConfig.fast_flush``).
+"""Unit tests for the view-change flush.
 
-Covers the pieces the differential property sweep cannot pin down
+Covers the pieces the churn property sweep cannot pin down
 individually: the single-round pre-report path, the takeover fallback
 to full reports when a coordinator dies mid-flush, delta report codecs,
-delivered-finals pruning, and the streaming join state transfer
-(including a joiner dying mid-stream).
+malformed reports, delivered-finals pruning, and the streaming join
+state transfer (including a joiner dying mid-stream).
 """
 
-import pytest
-
-from repro import IsisCluster, IsisConfig
+from repro import IsisCluster
 from repro.msg import Message
 from repro.msg.fields import (
     apply_have_diff,
@@ -216,10 +214,51 @@ class TestCoordinatorFailure:
         assert len(engine.view.members) == 2
 
 
+class TestMalformedReports:
+    """A ``g.fl.ok`` is outside input: a bad one is counted, not raised."""
+
+    def _setup(self):
+        system = IsisCluster(n_sites=4, seed=49)
+        build_group(system, [0, 1, 2, 3])
+        engine = group_engine(system, 0)
+        target = engine.view.view_id + 1
+
+        def report(**fields):
+            return Message(_proto="g.fl.ok", gid=engine.gid,
+                           fid=[target, 0, 0], pre=True, **fields)
+
+        good = report(have_b=encode_have_vector({0: 3}), abp=[], abd=[])
+        return system, engine, target, report, good
+
+    def test_bad_report_in_a_relayed_batch_spares_its_siblings(self):
+        system, engine, target, report, good = self._setup()
+        no_vector = report(abp=[], abd=[])
+        batch = Message(
+            _proto="g.fl.okb", gid=engine.gid, root=0,
+            reports=[[1, good.encode()], [2, no_vector.encode()],
+                     [3, good.encode()]])
+        engine.handle(1, Message.decode(batch.encode()))
+        assert sorted(engine._pre_reports[target]) == [1, 3]
+        assert system.sim.trace.value("flush.okb_bad_report") == 1
+
+    def test_bad_direct_reports_are_counted(self):
+        system, engine, target, report, good = self._setup()
+        vector = encode_have_vector({0: 3})
+        for bad in (report(have_b=vector, abd=[]),              # no abp
+                    report(have_b=vector, abp=[]),              # no abd
+                    report(have_b=vector, abp=[{"ref": [0, 1]}], abd=[]),
+                    Message(_proto="g.fl.ok", gid=engine.gid,   # no fid
+                            have_b=vector, abp=[], abd=[])):
+            engine.handle(1, Message.decode(bad.encode()))
+        assert system.sim.trace.value("flush.bad_report") == 4
+        assert target not in engine._pre_reports
+        engine.handle(1, Message.decode(good.encode()))
+        assert sorted(engine._pre_reports[target]) == [1]
+
+
 class TestDeliveredFinalsPruning:
-    def _run(self, fast):
-        system = IsisCluster(
-            n_sites=3, seed=46, isis_config=IsisConfig(fast_flush=fast))
+    def _run(self):
+        system = IsisCluster(n_sites=3, seed=46)
         members = build_group(system, [0, 1, 2])
 
         def blast():
@@ -232,17 +271,11 @@ class TestDeliveredFinalsPruning:
         return system
 
     def test_fast_mode_prunes_delivered_finals(self):
-        system = self._run(fast=True)
+        system = self._run()
         total = sum(len(group_engine(system, s)._delivered_finals)
                     for s in range(3))
         assert total <= 6, f"{total} delivered finals left unpruned"
         assert system.sim.trace.value("flush.finals_pruned") > 0
-
-    def test_legacy_mode_keeps_full_history(self):
-        system = self._run(fast=False)
-        for site in range(3):
-            assert len(group_engine(system, site)._delivered_finals) == 30
-        assert system.sim.trace.value("flush.finals_pruned") == 0
 
 
 class TestStreamingJoinTransfer:

@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 from repro import IsisCluster, IsisConfig, Message
-from repro.errors import SiteDown
+from repro.core.engine import GroupEngine
+from repro.errors import GroupError, SiteDown
 from repro.msg import make_group_address
 from repro.net.packet import KIND_DATA, Frame
 
@@ -14,15 +15,23 @@ def test_isis_config_field_set_is_pinned():
     """Every field multiplies the configurations tests and benchmarks
     must cover, so adding (or retiring) one is a deliberate edit here."""
     assert sorted(f.name for f in dataclasses.fields(IsisConfig)) == [
-        "abcast_mode", "batch_max_bytes", "batch_window", "bulk_threshold",
-        "dissemination", "durability", "fast_flush", "flush_okb_window",
-        "flush_prereport_grace", "fwd_retries", "fwd_timeout",
-        "gbcast_batching", "heartbeat", "join_retry", "local_delivery_cpu",
-        "membership", "piggyback_stability", "siteview",
-        "stab_announce_every", "stability_interval", "transfer_chunk_bytes",
-        "transfer_retry", "tree_fanout", "wal_checkpoint_every",
-        "wal_trim_min",
+        "abcast_mode", "batch_max_bytes", "batch_window", "dissemination",
+        "durability", "fwd_retries", "fwd_timeout", "gbcast_batching",
+        "heartbeat", "join_retry", "local_delivery_cpu", "membership",
+        "piggyback_stability", "siteview", "stab_announce_every",
+        "stability_interval", "transfer_retry", "tree_fanout",
+        "wal_checkpoint_every", "wal_trim_min",
     ]
+    # The view-change knobs retired with the second flush engine are
+    # constants now; the third ordering engine is gone.
+    for retired in ("fast_flush", "flush_prereport_grace", "flush_okb_window",
+                    "transfer_chunk_bytes", "bulk_threshold"):
+        with pytest.raises(TypeError):
+            IsisConfig(**{retired: 1})
+    system = IsisCluster(n_sites=1, seed=0,
+                         isis_config=IsisConfig(abcast_mode="leader"))
+    with pytest.raises(GroupError):
+        GroupEngine(system.kernel(0), make_group_address(0, 1))
 
 
 def test_undecodable_transport_message_counted_not_fatal():
@@ -39,7 +48,8 @@ def test_undecodable_bulk_blob_counted_not_fatal():
     system = IsisCluster(n_sites=2, seed=100)
     system.run_for(1.0)
     # Header says one field; the field's name is not UTF-8.
-    system.site(0).send_bulk(1, b"\x49\xd2\x00\x01\x00\x02\xff\xfe\x00")
+    system.site(0).open_bulk_stream(1).send(
+        b"\x49\xd2\x00\x01\x00\x02\xff\xfe\x00")
     system.run_for(2.0)
     assert system.sim.trace.value("kernel.undecodable") == 1
     assert system.kernel(1).alive

@@ -19,7 +19,7 @@ def test_transfer_delivers_data():
     sim = Simulator()
     _, bulk, cpu0, cpu1 = setup_bulk(sim)
     data = b"S" * 100_000
-    promise = bulk.transfer(0, 1, data, cpu0, cpu1)
+    promise = bulk.stream(0, 1, cpu0, cpu1).send(data)
     sim.run()
     assert promise.value == data
 
@@ -29,7 +29,7 @@ def test_transfer_time_is_bandwidth_bound():
     _, bulk, cpu0, cpu1 = setup_bulk(sim, bandwidth=1_000_000.0)
     data = b"x" * 1_000_000  # 1 MB at 1 MB/s ~ 1 second + setup
     done_at = []
-    promise = bulk.transfer(0, 1, data, cpu0, cpu1)
+    promise = bulk.stream(0, 1, cpu0, cpu1).send(data)
     promise.add_done_callback(lambda p: done_at.append(sim.now))
     sim.run()
     assert done_at[0] == pytest.approx(1.0, rel=0.2)
@@ -38,7 +38,7 @@ def test_transfer_time_is_bandwidth_bound():
 def test_transfer_fails_if_receiver_crashes():
     sim = Simulator()
     lan, bulk, cpu0, cpu1 = setup_bulk(sim)
-    promise = bulk.transfer(0, 1, b"y" * 500_000, cpu0, cpu1)
+    promise = bulk.stream(0, 1, cpu0, cpu1).send(b"y" * 500_000)
     sim.call_after(0.1, lan.detach, 1)
     sim.run()
     assert promise.rejected
@@ -48,7 +48,7 @@ def test_transfer_fails_if_receiver_crashes():
 def test_transfer_fails_if_sender_crashes():
     sim = Simulator()
     lan, bulk, cpu0, cpu1 = setup_bulk(sim)
-    promise = bulk.transfer(0, 1, b"z" * 500_000, cpu0, cpu1)
+    promise = bulk.stream(0, 1, cpu0, cpu1).send(b"z" * 500_000)
     sim.call_after(0.1, lan.detach, 0)
     sim.run()
     assert promise.rejected
@@ -57,7 +57,7 @@ def test_transfer_fails_if_sender_crashes():
 def test_bulk_counters():
     sim = Simulator()
     _, bulk, cpu0, cpu1 = setup_bulk(sim)
-    bulk.transfer(0, 1, b"a" * 1000, cpu0, cpu1)
+    bulk.stream(0, 1, cpu0, cpu1).send(b"a" * 1000)
     sim.run()
     assert sim.trace.value("bulk.transfers") == 1
     assert sim.trace.value("bulk.bytes") == 1000
