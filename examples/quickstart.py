@@ -49,8 +49,8 @@ def main() -> None:
     # (localhost UDP/TCP, wall-clock timers; use run_until(predicate)
     # instead of fixed run_for windows since real timing varies), or run
     # one OS process per site with scripts/run_cluster.py — see the
-    # "One kernel, two drivers" section of ARCHITECTURE.md and
-    # BENCH_realnet.json.
+    # "One kernel, two drivers" section of ARCHITECTURE.md and the
+    # rn-cbcast workload of bench/.
     system = IsisCluster(n_sites=3, seed=7)
 
     # --- one member process per site -----------------------------------

@@ -54,7 +54,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--inflight", type=int, default=8)
     parser.add_argument("--abcast-mode", default="sequencer",
                         choices=["sequencer", "two_phase"])
-    parser.add_argument("--no-coalesce", action="store_true")
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="hard deadline for the whole run")
     parser.add_argument("--out", default=None,
@@ -97,8 +96,6 @@ def run_cluster(args: argparse.Namespace) -> dict:
             cmd.extend(["--hosts", hosts])
         if loss_rate:
             cmd.extend(["--loss-rate", str(loss_rate)])
-        if args.no_coalesce:
-            cmd.append("--no-coalesce")
         procs.append(subprocess.Popen(cmd))
 
     def teardown(sig=signal.SIGTERM):
@@ -144,7 +141,6 @@ def run_cluster(args: argparse.Namespace) -> dict:
         "n_sites": args.n_sites,
         "workload": args.workload,
         "abcast_mode": args.abcast_mode,
-        "coalesce": not args.no_coalesce,
         "duration": args.duration,
         "payload_bytes": args.payload_bytes,
         "exit_codes": exit_codes,

@@ -57,8 +57,6 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="max multicasts in flight per sender")
     parser.add_argument("--abcast-mode", default="sequencer",
                         choices=["sequencer", "two_phase"])
-    parser.add_argument("--no-coalesce", action="store_true",
-                        help="disable datagram bundling (ablation)")
     parser.add_argument("--join-timeout", type=float, default=15.0)
     parser.add_argument("--drain", type=float, default=1.0,
                         help="quiet seconds after load before reporting")
@@ -82,8 +80,7 @@ def parse_hosts(spec):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    udp_config = UdpConfig(coalesce=not args.no_coalesce,
-                           loss_rate=args.loss_rate)
+    udp_config = UdpConfig(loss_rate=args.loss_rate)
     isis_config = IsisConfig(abcast_mode=args.abcast_mode)
     cluster = AsyncioCluster(
         n_sites=args.n_sites,
@@ -299,7 +296,6 @@ def report(args, cluster, delivered, latencies, sent, wall=0.0,
         "latency_p99": pct(0.99),
         "latency_cdf": cdf,
         "latency_samples": len(latencies),
-        "coalesce": not args.no_coalesce,
         "loss_rate": args.loss_rate,
         "transport": transport,
         "scheduler": cluster.runtime.scheduler.stats(),

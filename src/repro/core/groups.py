@@ -50,7 +50,6 @@ class Isis:
         """Charge the local hop, then run ``op(kernel)``; chain results."""
         out = Promise(label="isis.call")
         site = self.process.site
-        intra = site.cluster.lan.config.intra_site_delay
 
         def run() -> None:
             try:
@@ -66,7 +65,8 @@ class Isis:
             else:
                 out.resolve(result)
 
-        site.cpu.submit(_STUB_CPU, self.sim.call_after, intra, run)
+        site.cpu.submit(_STUB_CPU, self.sim.call_after,
+                        site.local_hop_delay, run)
         return out
 
     # ------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .cbcast import SenderChain
 from .engine import ABCAST, CBCAST, GroupEngine
 from .flush import FlushReason
 from .namespace import Namespace
+from .pipeline import STABILITY_INTERVAL
 from .rpc import ALL, SessionTable
 from .shards import WaiterKey, WaitIndex
 from .vectorclock import (
@@ -52,7 +53,7 @@ from .vectorclock import (
     first_in_walk_order,
 )
 from .view import View
-from .wal import WalManager
+from .wal import LOCAL_DELIVERY_CPU, WalManager
 
 #: Entry number reserved for pg_kill (the "send UNIX signal" of Table I).
 KILL_ENTRY = 255
@@ -67,6 +68,14 @@ BULK_THRESHOLD = 32768
 #: Size of one ``st.chunk``: small enough that neither endpoint's CPU
 #: nor the wire is held by a snapshot-sized block.
 TRANSFER_CHUNK_BYTES = 65536
+#: A joiner re-sends ``g.join`` at this cadence until welcomed, and a
+#: welcomed but still gated joiner re-requests its state at the second.
+JOIN_RETRY = 2.0
+TRANSFER_RETRY = 4.0
+#: A client's forwarded multicast is re-forwarded if no dispatch notice
+#: is heard within the timeout, at most this many times.
+FWD_RETRIES = 5
+FWD_TIMEOUT = 5.0
 
 
 def _event_joiners(event: Dict) -> List[Address]:
@@ -84,32 +93,20 @@ class IsisConfig:
 
     heartbeat: HeartbeatConfig = field(default_factory=HeartbeatConfig)
     siteview: SiteViewConfig = field(default_factory=SiteViewConfig)
-    stability_interval: float = 2.0    # buffer GC cadence
-    join_retry: float = 2.0            # joiner re-request cadence
-    transfer_retry: float = 4.0        # gated joiner re-requests its state
-    fwd_retries: int = 5               # client multicast forwarding attempts
-    fwd_timeout: float = 5.0           # re-forward if no dispatch heard
-    local_delivery_cpu: float = 0.0005 # CPU per local delivery hand-off
     #: Batch concurrent GBCAST payloads into one flush.  On by default
     #: (a throughput optimization over the original system); turn off to
     #: reproduce the paper's per-update GBCAST costs.
     gbcast_batching: bool = True
     #: Envelope batching: data envelopes bound for the same (group,
     #: site) coalesce into one ``g.batch`` wire message, flushed after
-    #: this window (seconds) or at ``batch_max_bytes``.  ``0`` disables
-    #: batching and reproduces the one-envelope-per-message wire
-    #: behavior of the original system exactly.
+    #: this window (seconds) or at ``pipeline.BATCH_MAX_BYTES``.  ``0``
+    #: disables batching and reproduces the one-envelope-per-message
+    #: wire behavior of the original system exactly.
     batch_window: float = 0.0
-    #: Flush a coalescing buffer early once this many envelope bytes
-    #: accumulate (sized so a full batch still fits one 4 KB MTU frame).
-    batch_max_bytes: int = 3072
     #: Piggyback have-vectors on outgoing data/ack envelopes so buffer
     #: GC advances continuously; the periodic stability round then only
     #: runs for idle groups.
     piggyback_stability: bool = True
-    #: A site that only receives pushes its have-vector to the group
-    #: every N data messages (0 disables receiver-side announcements).
-    stab_announce_every: int = 32
     #: Total-order engine.  ``"two_phase"`` (default) is the paper's
     #: ABCAST: every receiver proposes a priority, the sender unions and
     #: rebroadcasts the final — ~2 wire rounds and O(n) protocol messages
@@ -232,8 +229,8 @@ class ProtocolsProcess:
         )
         # Namespace + RPC.
         self.namespace = Namespace(self.sim, self.site_id, self.send_to_site)
-        intra = site.cluster.lan.config.intra_site_delay
-        self.sessions = SessionTable(self.sim, resolve_delay=intra)
+        self.sessions = SessionTable(
+            self.sim, resolve_delay=site.local_hop_delay)
         # Groups.
         self.engines: Dict[Address, GroupEngine] = {}
         #: Groups needing attention at the next stability tick, so the
@@ -397,8 +394,7 @@ class ProtocolsProcess:
     # ------------------------------------------------------------------
     # Transport plumbing
     # ------------------------------------------------------------------
-    def send_to_site(self, dst_site: int, msg: Message,
-                     piggyback: bool = False) -> Promise:
+    def send_to_site(self, dst_site: int, msg: Message) -> Promise:
         """Reliable FIFO send of a control/data message to a site kernel."""
         if dst_site == self.site_id:
             promise = Promise(label="loopback")
@@ -407,8 +403,7 @@ class ProtocolsProcess:
             promise.resolve(None)
             return promise
         try:
-            return self.site.send_bytes(dst_site, msg.encode(),
-                                        piggyback=piggyback)
+            return self.site.send_bytes(dst_site, msg.encode())
         except SiteDown:
             promise = Promise(label="send-to-down-site")
             promise.reject(SiteDown(f"site {dst_site} down"))
@@ -710,7 +705,7 @@ class ProtocolsProcess:
                     self.sim.trace.bump("pg_kill.signals")
                     process.kill()
             return
-        intra = self.site.cluster.lan.config.intra_site_delay
+        intra = self.site.local_hop_delay
         for member in engine.local_members():
             copy = user.copy()
             if member.process() in self._awaiting_state:
@@ -720,7 +715,7 @@ class ProtocolsProcess:
             if process is None or not process.alive:
                 continue
             self.site.cpu.submit(
-                self.config.local_delivery_cpu,
+                LOCAL_DELIVERY_CPU,
                 self.sim.call_after, intra, process.deliver, copy)
 
     def on_view_installed(self, engine: GroupEngine, old_view: View,
@@ -966,7 +961,7 @@ class ProtocolsProcess:
             request["wal_dlv"] = state.hint[1]
         self.send_to_site(contact, request)
         state.timer = self.sim.call_after(
-            self.config.join_retry, self._send_join_request, state)
+            JOIN_RETRY, self._send_join_request, state)
 
     def _on_join_request(self, src_site: int, msg: Message) -> None:
         gid: Address = msg["gid"]
@@ -1029,7 +1024,7 @@ class ProtocolsProcess:
             self._watch_member(engine, member)
         if msg["transfer"]:
             state.transfer_timer = self.sim.call_after(
-                self.config.transfer_retry, self._rerequest_state, state)
+                TRANSFER_RETRY, self._rerequest_state, state)
         else:
             self._finish_join(state, view)
 
@@ -1046,8 +1041,8 @@ class ProtocolsProcess:
             if engine is not None:
                 self.wal.arm_member(engine, state.process)
         self._release_gate(state.process.address, deliver=True)
-        intra = self.site.cluster.lan.config.intra_site_delay
-        self.sim.call_after(intra, state.promise.resolve, view)
+        self.sim.call_after(self.site.local_hop_delay,
+                            state.promise.resolve, view)
 
     def _release_gate(self, member: Address, deliver: bool) -> None:
         queued = self._awaiting_state.pop(member.process(), [])
@@ -1056,10 +1051,10 @@ class ProtocolsProcess:
         process = self.site.process_by_id(member.local_id)
         if process is None or not process.alive:
             return
-        intra = self.site.cluster.lan.config.intra_site_delay
+        intra = self.site.local_hop_delay
         for msg in queued:
             self.site.cpu.submit(
-                self.config.local_delivery_cpu,
+                LOCAL_DELIVERY_CPU,
                 self.sim.call_after, intra, process.deliver, msg)
 
     # -- state transfer -----------------------------------------------------
@@ -1091,10 +1086,9 @@ class ProtocolsProcess:
         # dispatched before this install is ahead of us in the queue
         # (lands in the snapshot), everything after is behind (reaches
         # the joiner directly in the new view).
-        intra = self.site.cluster.lan.config.intra_site_delay
         self.site.cpu.submit(
-            self.config.local_delivery_cpu,
-            self.sim.call_after, intra,
+            LOCAL_DELIVERY_CPU,
+            self.sim.call_after, self.site.local_hop_delay,
             self._encode_and_send_snapshot, engine, process, pending,
             suffix_sizes)
 
@@ -1244,7 +1238,7 @@ class ProtocolsProcess:
         if state.transfer_timer is not None:
             state.transfer_timer.cancel()
             state.transfer_timer = self.sim.call_after(
-                self.config.transfer_retry, self._rerequest_state, state)
+                TRANSFER_RETRY, self._rerequest_state, state)
         if msg["idx"] + 1 < msg["n"]:
             return
         blob = b"".join(state.stream_buf)
@@ -1295,7 +1289,7 @@ class ProtocolsProcess:
             joiner=state.process.address.process(),
         ))
         state.transfer_timer = self.sim.call_after(
-            self.config.transfer_retry, self._rerequest_state, state)
+            TRANSFER_RETRY, self._rerequest_state, state)
 
     def _on_state_rerequest(self, src_site: int, msg: Message) -> None:
         gid: Address = msg["gid"]
@@ -1406,7 +1400,7 @@ class ProtocolsProcess:
     def _forward_mcast(self, session_id: int, gid: Address, kind: str,
                        user: Message, entry: int, nwant: int) -> None:
         attempts = self._fwd_attempts.get(session_id, 0)
-        if attempts >= self.config.fwd_retries:
+        if attempts >= FWD_RETRIES:
             self._fwd_attempts.pop(session_id, None)
             self.sessions.note_session_failed(
                 session_id, NoSuchGroup(f"cannot reach group {gid}"))
@@ -1427,7 +1421,7 @@ class ProtocolsProcess:
         # notice arrives (the attempt counter bounds this, after which
         # a waiting caller gets its error code).
         self.sim.call_after(
-            self.config.fwd_timeout,
+            FWD_TIMEOUT,
             self._refwd_if_undispatched, session_id, gid, kind, user,
             entry, nwant)
 
@@ -1763,7 +1757,7 @@ class ProtocolsProcess:
         if not self.alive:
             return
         self._stability_timer = self.sim.call_after(
-            self.config.stability_interval, self._stability_tick)
+            STABILITY_INTERVAL, self._stability_tick)
 
     def _stability_tick(self) -> None:
         if not self.alive:

@@ -7,7 +7,7 @@ through the narrow :class:`DeliveryPipeline` interface:
 * :class:`DisseminationStage` — fans data envelopes out to every member
   site.  With ``IsisConfig.batch_window > 0`` it coalesces envelopes
   bound for the same site into one wire message (``g.batch``), flushed
-  when the window expires or ``batch_max_bytes`` accumulate; with a zero
+  when the window expires or ``BATCH_MAX_BYTES`` accumulate; with a zero
   window every envelope is its own wire message, byte-for-byte what the
   unbatched system sent.
 * **Ordering** — :class:`CausalOrdering` (CBCAST: vector clocks,
@@ -58,12 +58,32 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import GroupEngine
 
 
+#: Early-flush cap of a batch buffer (a full batch fits one 4 KB MTU frame).
+BATCH_MAX_BYTES = 3072
+#: A receive-only site pushes its have-vector every this many messages.
+STAB_ANNOUNCE_EVERY = 32
+#: Cadence of the kernel's stability tick (buffer GC); the fallback round
+#: is skipped for a group whose piggybacks trimmed within one interval.
+STABILITY_INTERVAL = 2.0
+
+
 def _encode_pairs(mapping: Dict[int, int]) -> List[List[int]]:
     return [[k, v] for k, v in sorted(mapping.items())]
 
 
-def _decode_pairs(pairs: List[List[int]]) -> Dict[int, int]:
-    return {k: v for k, v in pairs}
+def _int_pair(value: object) -> Tuple[int, int]:
+    """A two-integer list off the wire, else :class:`CodecError`."""
+    if not (isinstance(value, list) and len(value) == 2
+            and type(value[0]) is int and type(value[1]) is int):
+        raise CodecError(f"not an integer pair: {value!r}")
+    return value[0], value[1]
+
+
+def _decode_pairs(pairs: object) -> Dict[int, int]:
+    """Inverse of :func:`_encode_pairs` for a field off the wire."""
+    if not isinstance(pairs, list):
+        raise CodecError(f"not a list of integer pairs: {pairs!r}")
+    return dict(map(_int_pair, pairs))
 
 
 # ----------------------------------------------------------------------
@@ -72,15 +92,12 @@ def _decode_pairs(pairs: List[List[int]]) -> Dict[int, int]:
 class _BatchBuffer:
     """Envelopes coalescing for one (group, destination site)."""
 
-    __slots__ = ("entries", "bytes", "timer", "all_cheap")
+    __slots__ = ("entries", "bytes", "timer")
 
     def __init__(self) -> None:
         self.entries: List[Tuple[Message, Promise]] = []
         self.bytes = 0
         self.timer: Optional[Timer] = None
-        #: A batch rides a hardware-broadcast transmission only if every
-        #: envelope in it was a piggybacked copy.
-        self.all_cheap = True
 
 
 class DisseminationStage:
@@ -125,25 +142,18 @@ class DisseminationStage:
         view = self.engine.view
         assert view is not None
         window = self.kernel.config.batch_window
-        hw = self.kernel.site.cluster.lan.config.hw_multicast
-        first_remote = True
         for site in view.member_sites():
             if site == self.engine.site_id:
                 continue
-            # With a hardware-broadcast LAN ([Babaoglu]), one
-            # transmission reaches every destination: copies after the
-            # first cost only a token amount of sender CPU.
-            cheap = hw and not first_remote
-            first_remote = False
             if window > 0:
-                promise = self._enqueue(site, env, cheap)
+                promise = self._enqueue(site, env)
             else:
-                promise = self.kernel.send_to_site(site, env, piggyback=cheap)
+                promise = self.kernel.send_to_site(site, env)
             if sender_key is not None:
                 self.kernel.note_outstanding(sender_key, promise)
 
     # -- coalescing --------------------------------------------------------
-    def _enqueue(self, dst_site: int, env: Message, cheap: bool) -> Promise:
+    def _enqueue(self, dst_site: int, env: Message) -> Promise:
         buf = self._buffers.get(dst_site)
         if buf is None:
             buf = _BatchBuffer()
@@ -151,8 +161,7 @@ class DisseminationStage:
         promise = Promise(label=f"batched:{self.engine.gid}->{dst_site}")
         buf.entries.append((env, promise))
         buf.bytes += env.size_bytes
-        buf.all_cheap = buf.all_cheap and cheap
-        if buf.bytes >= self.kernel.config.batch_max_bytes:
+        if buf.bytes >= BATCH_MAX_BYTES:
             self._flush(dst_site)
         elif buf.timer is None:
             buf.timer = self.engine.sim.call_after(
@@ -177,8 +186,7 @@ class DisseminationStage:
         self.envelopes_batched += len(envelopes)
         self.engine.sim.trace.bump("batch.sent")
         self.engine.sim.trace.bump("batch.envelopes", len(envelopes))
-        sent = self.kernel.send_to_site(dst_site, batch,
-                                        piggyback=buf.all_cheap)
+        sent = self.kernel.send_to_site(dst_site, batch)
 
         def settle(p: Promise) -> None:
             for _, entry_promise in buf.entries:
@@ -369,14 +377,7 @@ class TreeDissemination(DisseminationStage):
         if not children:
             return []
         wrapped = self._wrap(inner)
-        hw = self.kernel.site.cluster.lan.config.hw_multicast
-        promises = []
-        first = True
-        for site in children:
-            promises.append(self.kernel.send_to_site(
-                site, wrapped, piggyback=hw and not first))
-            first = False
-        return promises
+        return [self.kernel.send_to_site(site, wrapped) for site in children]
 
     def _enqueue_tree(self, env: Message) -> Promise:
         buf = self._buffers.get(self._TREE_DST)
@@ -386,7 +387,7 @@ class TreeDissemination(DisseminationStage):
         promise = Promise(label=f"treebatch:{self.engine.gid}")
         buf.entries.append((env, promise))
         buf.bytes += env.size_bytes
-        if buf.bytes >= self.kernel.config.batch_max_bytes:
+        if buf.bytes >= BATCH_MAX_BYTES:
             self._flush(self._TREE_DST)
         elif buf.timer is None:
             buf.timer = self.engine.sim.call_after(
@@ -488,16 +489,12 @@ class TreeDissemination(DisseminationStage):
         tree = self.tree()
         me = engine.site_id
         if tree is not None and root in tree:
-            hw = self.kernel.site.cluster.lan.config.hw_multicast
-            first = True
             for child in tree.children(root, me):
                 if child == me or child == root:
                     continue
                 self.tree_relayed += 1
                 engine.sim.trace.bump("tree.relayed")
-                self.kernel.send_to_site(child, msg,
-                                         piggyback=hw and not first)
-                first = False
+                self.kernel.send_to_site(child, msg)
         try:
             inner = Message.decode(bytes(msg["inner"]))
         except CodecError:
@@ -598,7 +595,7 @@ class StabilityStage:
     learns peers' have-vectors from piggybacked fields and advances the
     local trim floor — the pointwise minimum over all member sites —
     whenever that knowledge grows.  A site that only *receives* pushes
-    its have-vector to the group every ``stab_announce_every`` messages;
+    its have-vector to the group every ``STAB_ANNOUNCE_EVERY`` messages;
     the coordinator's periodic query round remains as the fallback that
     catches idle tails.
     """
@@ -744,19 +741,16 @@ class StabilityStage:
     # -- receiver-side announcements ---------------------------------------
     def note_received(self, count: int = 1) -> None:
         """Count received data; push our have-vector every N messages."""
-        every = self.kernel.config.stab_announce_every
-        if every <= 0:
-            return
         if self._tree_mode:
             self._recv_since_announce += count
-            if self._recv_since_announce >= every:
+            if self._recv_since_announce >= STAB_ANNOUNCE_EVERY:
                 self._recv_since_announce = 0
                 self.tree_push()
             return
         if not self.kernel.config.piggyback_stability:
             return
         self._recv_since_announce += count
-        if self._recv_since_announce >= every:
+        if self._recv_since_announce >= STAB_ANNOUNCE_EVERY:
             self.announce()
 
     def announce(self) -> None:
@@ -883,11 +877,13 @@ class StabilityStage:
             return
         try:
             have = decode_have_vector(bytes(msg["have_b"]))
+            floor = _int_pair(msg.get("df"))
+            if type(msg.get("n")) is not int:
+                raise CodecError("g.stab.up without a site count")
         except CodecError:
-            engine.sim.trace.bump("stability.bad_piggyback")
+            engine.sim.trace.bump("stability.bad_note")
             return
-        df = msg["df"]
-        self._child_up[src_site] = (have, int(msg["n"]), (df[0], df[1]))
+        self._child_up[src_site] = (have, msg["n"], floor)
         self.kernel.note_group_dirty(engine.gid)
         # Re-aggregate immediately: fresh child state propagates one hop
         # per event, so a full wave costs depth hops, not depth ticks.
@@ -903,11 +899,11 @@ class StabilityStage:
             return
         try:
             stable = decode_have_vector(bytes(msg["stable_b"]))
+            floor = _int_pair(msg.get("df"))
         except CodecError:
-            engine.sim.trace.bump("stability.bad_piggyback")
+            engine.sim.trace.bump("stability.bad_note")
             return
-        df = msg["df"]
-        self._apply_dn(stable, (df[0], df[1]))
+        self._apply_dn(stable, floor)
         tree = self.pipeline.dissemination.tree()
         root = self._stab_root()
         me = engine.site_id
@@ -975,8 +971,7 @@ class StabilityStage:
                 or engine.store.buffered_count == 0):
             return
         if (self.kernel.config.piggyback_stability
-                and engine.sim.now - self._last_advance
-                < self.kernel.config.stability_interval):
+                and engine.sim.now - self._last_advance < STABILITY_INTERVAL):
             # Piggybacked stability is trimming continuously; the round
             # only runs for groups that have gone quiet with a buffered
             # tail.
@@ -998,12 +993,17 @@ class StabilityStage:
         self.kernel.send_to_site(src_site, note)
 
     def on_answer(self, src_site: int, msg: Message) -> None:
-        have = _decode_pairs(msg["have"])
+        try:
+            have = _decode_pairs(msg.get("have"))
+            floor = _int_pair(msg["df"]) if "df" in msg else None
+        except CodecError:
+            self.engine.sim.trace.bump("stability.bad_note")
+            return
         view = self.engine.view
         if view is not None:
             # Answers double as announcements (solicited or not).
             stab_view = msg.get("stab_view", view.view_id)
-            self.ingest_floor(src_site, msg.get("df"), stab_view)
+            self.ingest_floor(src_site, floor, stab_view)
             self.ingest(src_site, have, stab_view)
         if self._round_answers is not None:
             self._round_answers[src_site] = have
@@ -1035,7 +1035,12 @@ class StabilityStage:
         self.on_trim(trim)
 
     def on_trim(self, msg: Message) -> None:
-        dropped = self.engine.store.trim_stable(_decode_pairs(msg["stable"]))
+        try:
+            stable = _decode_pairs(msg.get("stable"))
+        except CodecError:
+            self.engine.sim.trace.bump("stability.bad_note")
+            return
+        dropped = self.engine.store.trim_stable(stable)
         if dropped:
             self._last_advance = self.engine.sim.now
             self.engine.sim.trace.bump("stability.trimmed", dropped)

@@ -1,11 +1,8 @@
-"""The LAN: link delays, loss, partitions, hardware multicast.
+"""The LAN: link delays, loss, partitions.
 
 Link constants come from Figure 3 of the paper: a single traversal of a
 link costs **10 ms within a site** (kernel IPC hop) and **16 ms between
-sites** (one Ethernet packet).  An optional *hardware multicast* mode
-models the [Babaoglu] optimization the paper's footnote mentions: a frame
-addressed to several sites costs the sender one transmission instead of
-one per destination (used only by the ablation benchmark).
+sites** (one Ethernet packet).
 
 Partitions: the paper's failure model (§2.1) excludes partition
 tolerance — *"Partitioning could cause parts of our system to hang until
@@ -45,16 +42,6 @@ class LanConfig:
     rto: float = 0.400
     #: Sliding-window size (outstanding unacked frames per channel).
     window: int = 64
-    #: Delayed-ACK window (seconds).  In-order data frames batch one
-    #: cumulative ACK per source behind this delay, and a reverse-
-    #: direction data frame absorbs the pending ACK entirely (piggyback)
-    #: — cutting pure-ACK wire frames under bidirectional traffic.
-    #: Duplicates and gaps still ACK immediately (retransmit control).
-    #: ``0`` (the default) acknowledges every data frame, reproducing
-    #: the original wire behavior exactly.  Keep well below ``rto``.
-    ack_delay: float = 0.0
-    #: Hardware-broadcast ablation (paper footnote 1 / [Babaoglu]).
-    hw_multicast: bool = False
 
 
 class Lan:
@@ -124,32 +111,6 @@ class Lan:
             delay = self.config.intra_site_delay
         self.sim.call_after(delay, self._arrive, frame)
 
-    def multicast(self, frame: Frame, dst_sites: Sequence[int]) -> int:
-        """Send copies of ``frame`` to several sites.
-
-        Returns the number of *transmissions* charged to the sender: with
-        ``hw_multicast`` one Ethernet transmission reaches every remote
-        site; otherwise each destination costs its own send.
-        """
-        remote = [s for s in dst_sites if s != frame.src_site]
-        local = [s for s in dst_sites if s == frame.src_site]
-        transmissions = 0
-        for site in local:
-            copy = _clone_for(frame, site)
-            self.send(copy)
-            transmissions += 1
-        if not remote:
-            return transmissions
-        if self.config.hw_multicast:
-            # One transmission; per-destination loss is still independent
-            # (receivers can miss a broadcast individually).
-            for site in remote:
-                self.send(_clone_for(frame, site))
-            return transmissions + 1
-        for site in remote:
-            self.send(_clone_for(frame, site))
-        return transmissions + len(remote)
-
     def _arrive(self, frame: Frame) -> None:
         endpoint = self._endpoints.get(frame.dst_site)
         if endpoint is None:
@@ -165,19 +126,3 @@ class Lan:
     def recv_cpu_cost(self, frame: Frame) -> float:
         cfg = self.config
         return cfg.recv_cpu_per_frame + cfg.recv_cpu_per_byte * len(frame.payload)
-
-
-def _clone_for(frame: Frame, dst_site: int) -> Frame:
-    """Copy a frame, retargeting the destination site."""
-    return Frame(
-        kind=frame.kind,
-        src_site=frame.src_site,
-        dst_site=dst_site,
-        epoch=frame.epoch,
-        seq=frame.seq,
-        ack=frame.ack,
-        msg_id=frame.msg_id,
-        frag_index=frame.frag_index,
-        frag_total=frame.frag_total,
-        payload=frame.payload,
-    )

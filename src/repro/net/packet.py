@@ -32,15 +32,12 @@ class Frame:
     dst_site: int
     epoch: int = 0           # sender incarnation; stale epochs are ignored
     seq: int = 0             # per-channel sequence number (data frames)
-    ack: int = -1            # cumulative ack (ack frames, or riding data)
+    ack: int = -1            # cumulative ack (ack frames only)
     ack_epoch: int = 0       # incarnation of the peer whose frames ``ack`` counts
     msg_id: int = 0          # message this fragment belongs to
     frag_index: int = 0
     frag_total: int = 1
     payload: bytes = b""
-    #: Copy riding a hardware-broadcast transmission already charged to
-    #: the sender (the [Babaoglu] optimization): token send cost only.
-    cheap: bool = False
     syn: bool = False        # first data frame of a numbering (net/reliable.py)
 
     @property
@@ -63,18 +60,18 @@ class Frame:
 # ----------------------------------------------------------------------
 # The simulator hands Frame *objects* to the modeled LAN, so no byte
 # encoding is needed there.  The asyncio/UDP driver puts the same frames
-# on real sockets; this codec is the wire format.  Several frames can be
-# coalesced into one datagram (see encode_datagram), which is the
-# syscall-batching optimization measured by bench_realnet.
+# on real sockets; this codec is the wire format.  Several frames are
+# bundled into one datagram (see encode_datagram): one ``sendto`` per
+# bundle instead of one per frame.
 #
 # Header layout (network byte order):
 #   kind      u8   (0=data, 1=ack, 2=raw)
-#   flags     u8   (bit 0: cheap/piggyback copy, bit 1: syn)
+#   flags     u8   (bit 1: syn; every other bit reserved, must be zero)
 #   src_site  u16
 #   dst_site  u16
 #   epoch     u16  (low byte: sender incarnation; high byte: ack_epoch)
 #   seq       u32
-#   ack       i32  (-1 = no ack piggybacked)
+#   ack       i32  (ack frames: cumulative ack; others: -1, ignored)
 #   msg_id    u32
 #   frag_index u16
 #   frag_total u16
@@ -84,6 +81,7 @@ FRAME_WIRE_HEADER_BYTES = _FRAME_STRUCT.size
 
 _KIND_TO_CODE = {KIND_DATA: 0, KIND_ACK: 1, KIND_RAW: 2}
 _CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
+_FLAG_SYN = 0x02
 
 #: Datagram prefix: magic (u16), version (u8), frame count (u8).
 _DGRAM_STRUCT = struct.Struct("!HBB")
@@ -99,9 +97,8 @@ def encode_frame(frame: Frame) -> bytes:
     code = _KIND_TO_CODE.get(frame.kind)
     if code is None:
         raise NetworkError(f"unknown frame kind {frame.kind!r}")
-    flags = (1 if frame.cheap else 0) | (2 if frame.syn else 0)
     header = _FRAME_STRUCT.pack(
-        code, flags, frame.src_site, frame.dst_site,
+        code, _FLAG_SYN if frame.syn else 0, frame.src_site, frame.dst_site,
         frame.epoch | frame.ack_epoch << 8,
         frame.seq, frame.ack, frame.msg_id, frame.frag_index,
         frame.frag_total, len(frame.payload),
@@ -119,14 +116,15 @@ def decode_frame(buf: bytes, offset: int = 0) -> Tuple[Frame, int]:
     kind = _CODE_TO_KIND.get(code)
     if kind is None:
         raise NetworkError(f"unknown frame kind code {code}")
+    if flags & ~_FLAG_SYN:
+        raise NetworkError(f"reserved frame flag bits set: 0x{flags:02x}")
     if end + payload_len > len(buf):
         raise NetworkError("truncated frame payload")
     payload = bytes(buf[end:end + payload_len])
     frame = Frame(
         kind=kind, src_site=src, dst_site=dst, epoch=epoch & 0xFF, seq=seq,
         ack=ack, ack_epoch=epoch >> 8, msg_id=msg_id, frag_index=frag_index,
-        frag_total=frag_total, payload=payload, cheap=bool(flags & 1),
-        syn=bool(flags & 2),
+        frag_total=frag_total, payload=payload, syn=bool(flags & _FLAG_SYN),
     )
     return frame, end + payload_len
 

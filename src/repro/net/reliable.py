@@ -4,11 +4,11 @@ The multicast protocols of [Birman-a] assume that sites communicate over
 channels that deliver messages reliably and in FIFO order despite packet
 loss (§2.1: "Our system tolerates message loss").  This module is that
 substrate, the textbook fair-loss -> reliable-link construction: a
-sliding window with cumulative acknowledgements, a retransmission probe
-on timeout with exponential backoff, and fragmentation of messages
-larger than the MTU.  :class:`ReliableEndpoint` owns all of it and knows
-nothing of sockets, CPUs or event loops; an adapter subclasses it and
-supplies the wire (the hooks at the end of the class).
+sliding window, one cumulative ACK frame sent at once for every data
+frame received, a retransmission probe on timeout with exponential
+backoff, and fragmentation above the MTU.  :class:`ReliableEndpoint`
+owns all of it and knows nothing of sockets, CPUs or event loops; an
+adapter subclasses it and supplies the wire (the hooks at the end).
 
 Channel identity.  Every data and ACK frame carries its sender's
 incarnation, and an endpoint remembers the newest one heard from each
@@ -80,7 +80,7 @@ class ReliableEndpoint:
         ``cancel()``, and ``trace.bump(name, amount)``: the simulator or
         the asyncio scheduler.
     config:
-        Read live for ``mtu``, ``window``, ``rto`` and ``ack_delay``
+        Read live for ``mtu``, ``window`` and ``rto``
         (:class:`~repro.net.lan.LanConfig` and
         :class:`~repro.net.udp.UdpConfig` both carry them).
     on_message:
@@ -100,8 +100,6 @@ class ReliableEndpoint:
         "frames_sent", "frames_received",
         "msgs_received", "retransmits",
         "acks_pure",         # stand-alone ACK frames sent
-        "acks_coalesced",    # data frames whose ACK merged into one owed
-        "acks_piggybacked",  # ACKs that rode a reverse data frame
     )
 
     def __init__(self, clock: Any, config: Any, site_id: int, epoch: int,
@@ -121,27 +119,16 @@ class ReliableEndpoint:
         self._reassembler = Reassembler()
         self._next_msg_id = 0
         self._alive = True
-        #: Delayed cumulative ACKs: dst site -> highest ack owed, and the
-        #: timer that will send it.
-        self._ack_pending: Dict[int, int] = {}
-        self._ack_timers: Dict[int, Any] = {}
         for name in self.COUNTERS:
             setattr(self, name, 0)
 
     # -- Sending -------------------------------------------------------
-    def send(self, dst_site: int, data: bytes,
-             piggyback: bool = False) -> Promise:
+    def send(self, dst_site: int, data: bytes) -> Promise:
         """Queue ``data`` for reliable delivery to ``dst_site``.
 
         Returns a promise resolved when every fragment has been
         acknowledged (i.e. the message is stable at the destination), or
         rejected if the channel is torn down first.
-
-        ``piggyback=True`` marks a copy that rides a hardware-broadcast
-        transmission already paid for (the [Babaoglu] optimization of
-        the paper's footnote 1): the simulator charges it a token CPU
-        cost instead of a full per-destination send.  Real UDP has no
-        such fast path and only carries the flag.
         """
         if not self._alive:
             promise = Promise(label="send-on-dead-transport")
@@ -159,7 +146,7 @@ class ReliableEndpoint:
             Frame(kind=KIND_DATA, src_site=self.site_id, dst_site=dst_site,
                   epoch=self.epoch, seq=first + index, msg_id=msg_id,
                   frag_index=index, frag_total=len(chunks), payload=chunk,
-                  cheap=piggyback, syn=first + index == channel.first_seq)
+                  syn=first + index == channel.first_seq)
             for index, chunk in enumerate(chunks)
         ]
         channel.next_seq += len(chunks)
@@ -200,16 +187,9 @@ class ReliableEndpoint:
         """
         if frame.seq not in channel.unacked:
             return  # the channel was reset (or we went down) meanwhile
-        dst_site = frame.dst_site
-        if dst_site in self._ack_pending:
-            # Reverse-direction data absorbs the delayed ACK entirely.
-            frame.ack = max(frame.ack, self._take_owed_ack(dst_site))
-            frame.ack_epoch = self._peer_epoch[dst_site]
-            self.acks_piggybacked += 1
-            self.clock.trace.bump("transport.acks_piggybacked")
         self._wire(frame)
         channel.wire_times.setdefault(frame.seq, self.clock.now)
-        self._arm_retransmit(channel, dst_site)
+        self._arm_retransmit(channel, frame.dst_site)
 
     def _arm_retransmit(self, channel: _SendChannel, dst_site: int) -> None:
         if channel.retx_timer is None and channel.unacked:
@@ -271,32 +251,27 @@ class ReliableEndpoint:
             if not modular_newer(epoch, known):
                 self.clock.trace.bump("transport.stale_epoch")
                 return False
-            # The peer restarted.  Inbound state goes, and with it any
-            # ACK still owed to the previous incarnation.  So does
+            # The peer restarted.  Inbound state goes.  So does
             # outbound: the fresh receiver saw none of our numbering and
             # can only take up a channel from its ``syn`` frame.
             self.clock.trace.bump("transport.peer_restarts")
             self.reset_channel(src_site)
             self._recv_channels.pop(src_site, None)
             self._reassembler.forget((src_site,))
-            self._take_owed_ack(src_site)
         self._peer_epoch[src_site] = epoch
         return True
 
     def _process_ack(self, frame: Frame) -> None:
         src_site = frame.src_site
-        if (frame.epoch == self._peer_epoch.get(src_site)
-                or self._new_epoch(src_site, frame.epoch)):
-            self._apply_ack(frame)
-
-    def _apply_ack(self, frame: Frame) -> None:
-        """Take ``frame.ack`` (of an ACK frame, or riding a data frame)."""
+        if (frame.epoch != self._peer_epoch.get(src_site)
+                and not self._new_epoch(src_site, frame.epoch)):
+            return
         if frame.ack_epoch != self.epoch:
             # It counts frames of our previous incarnation, whose
             # numbering also started at 0: not ours to be acknowledged.
             self.clock.trace.bump("transport.stale_epoch")
             return
-        channel = self._send_channels.get(frame.src_site)
+        channel = self._send_channels.get(src_site)
         if channel is None:
             return
         # ``unacked`` is in seq order and ``msg_done`` in order of last
@@ -327,11 +302,6 @@ class ReliableEndpoint:
         channel = self._recv_channels.get(src_site)
         if channel is None:
             channel = self._recv_channels[src_site] = _RecvChannel()
-        if frame.ack >= 0:
-            # A delayed ACK rode this reverse-direction data frame.
-            # Taken only after the incarnation check above: an ACK from
-            # a dead incarnation must not touch the live send channel.
-            self._apply_ack(frame)
         expected = channel.expected
         if frame.syn and (expected is None or frame.seq > expected):
             # The sender opened a channel here: all it numbered before
@@ -346,69 +316,29 @@ class ReliableEndpoint:
             # answer at once: the reply carries our incarnation, which
             # is what tells the sender to open a new channel.
             channel.out_of_order.setdefault(frame.seq, frame)
-            self._note_ack(src_site, -1, urgent=True)
+            self._note_ack(src_site, -1)
             return
         if frame.seq < expected:
-            # A duplicate means the sender timed out: answer right away
-            # (an ACK delayed here would only invite more retransmits).
+            # A duplicate means the sender timed out: tell it again.
             self.clock.trace.bump("transport.duplicates")
-            self._note_ack(src_site, expected - 1, urgent=True)
+            self._note_ack(src_site, expected - 1)
             return
         channel.out_of_order.setdefault(frame.seq, frame)
-        delivered = False
         while channel.expected in channel.out_of_order:
             ready = channel.out_of_order.pop(channel.expected)
             channel.expected += 1
-            delivered = True
             whole = self._reassembler.add(
                 (src_site, ready.msg_id), ready.frag_index,
                 ready.frag_total, ready.payload)
             if whole is not None:
                 self.msgs_received += 1
                 self.on_message(src_site, whole)
-        if delivered or frame.seq >= channel.expected:
-            # Gaps (nothing delivered) signal loss: ACK those urgently.
-            self._note_ack(src_site, channel.expected - 1,
-                           urgent=not delivered)
+        self._note_ack(src_site, channel.expected - 1)
 
-    def _note_ack(self, dst_site: int, cumulative: int,
-                  urgent: bool = False) -> None:
-        """Owe ``dst_site`` a cumulative ACK; send now or batch it.
-
-        With ``ack_delay == 0`` (default) every ACK goes out immediately
-        as its own frame.  With a window, in-order ACKs coalesce: one
-        timer per source, the owed value monotonically maxed, flushed by
-        the timer or absorbed by the next reverse-direction data frame
-        (see ``_on_wire``).
-        """
+    def _note_ack(self, dst_site: int, cumulative: int) -> None:
+        """Tell ``dst_site`` how far its frames have been delivered."""
         if not self._alive:
             return  # a CPU-queued frame processed post-crash: stay silent
-        delay = self.config.ack_delay
-        pending = self._ack_pending.get(dst_site)
-        if delay <= 0 or urgent:
-            if pending is not None:
-                cumulative = max(cumulative, self._take_owed_ack(dst_site))
-            self._send_ack(dst_site, cumulative)
-        elif pending is not None:
-            self._ack_pending[dst_site] = max(pending, cumulative)
-            self.acks_coalesced += 1
-            self.clock.trace.bump("transport.acks_coalesced")
-        else:
-            self._ack_pending[dst_site] = cumulative
-            self._ack_timers[dst_site] = self.clock.call_after(
-                delay, self._flush_ack, dst_site)
-
-    def _flush_ack(self, dst_site: int) -> None:
-        self._send_ack(dst_site, self._take_owed_ack(dst_site))
-
-    def _take_owed_ack(self, dst_site: int) -> Optional[int]:
-        """Stop owing ``dst_site`` an ACK; returns what was owed."""
-        timer = self._ack_timers.pop(dst_site, None)
-        if timer is not None:
-            timer.cancel()
-        return self._ack_pending.pop(dst_site, None)
-
-    def _send_ack(self, dst_site: int, cumulative: int) -> None:
         self._wire(Frame(kind=KIND_ACK, src_site=self.site_id,
                          dst_site=dst_site, epoch=self.epoch, ack=cumulative,
                          ack_epoch=self._peer_epoch.get(dst_site, 0)))
@@ -419,14 +349,13 @@ class ReliableEndpoint:
         return {name: getattr(self, name) for name in self.COUNTERS}
 
     def outbound_idle(self) -> bool:
-        """True once nothing is owed to any peer: every frame sent so
-        far is acked, nothing is queued, and no ACK is being delayed.
-        Lets a departing site linger until its peers hold everything it
-        said — exiting with unacked frames kills their retransmit path.
+        """True once every frame sent so far is acked and nothing is
+        queued.  Lets a departing site linger until its peers hold
+        everything it said — exiting with unacked frames kills their
+        retransmit path.
         """
-        return not self._ack_pending and all(
-            not ch.unacked and not ch.backlog
-            for ch in self._send_channels.values())
+        return all(not ch.unacked and not ch.backlog
+                   for ch in self._send_channels.values())
 
     def reset_channel(self, dst_site: int) -> None:
         """Abandon traffic to a (failed) site; reject its pending sends."""
@@ -455,8 +384,6 @@ class ReliableEndpoint:
             return
         self._alive = False
         self._detach()
-        for dst_site in list(self._ack_pending):
-            self._take_owed_ack(dst_site)
         for dst_site in self._send_channels:
             self.reset_channel(dst_site)
 

@@ -45,9 +45,8 @@ class Transport(ReliableEndpoint):
 
     # -- frames leaving ---------------------------------------------------
     def _emit(self, channel: _SendChannel, frame: Frame) -> None:
-        cost = (self.config.ack_cpu if frame.cheap
-                else self.lan.send_cpu_cost(frame))
-        self.cpu.submit(cost, self._on_wire, channel, frame)
+        self.cpu.submit(self.lan.send_cpu_cost(frame),
+                        self._on_wire, channel, frame)
 
     def _wire(self, frame: Frame) -> None:
         # ACK and raw frames bypass the CPU work queue.  For raw frames

@@ -15,13 +15,11 @@ Two classes mirror the simulator's network substrate over real sockets:
   connection, each acknowledged by the receiver only after the site's
   bulk handler has consumed it.
 
-The syscall-batching optimization the real driver exposes: with
-``UdpConfig.coalesce`` (default on), frames queued to one destination
-within a single event-loop tick are bundled into as few datagrams as fit
+Syscall batching: frames queued to one destination within a single
+event-loop tick are bundled into as few datagrams as fit
 ``max_datagram`` — one ``sendto`` per bundle instead of one per frame.
 ACKs enter the same per-tick buffer, so they piggyback on data bundles
-for free.  ``coalesce=False`` restores frame-per-datagram for the
-before/after measurement in ``benchmarks/bench_realnet.py``.
+for free.
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ class UdpConfig:
     window: int = 64             # outstanding unacked frames per channel
     rto: float = 0.05            # initial retransmission timeout
     max_rto: float = 2.0         # backoff ceiling
-    ack_delay: float = 0.0       # 0 = cumulative ACK per delivered batch
-    coalesce: bool = True        # bundle frames per destination per loop tick
     max_datagram: int = 1400     # bundle size ceiling (stay under typical MTU)
     # Packet fault injection (localhost loses nothing, so without these
     # the retransmit path only exercises under overload).  Each outgoing
@@ -66,8 +62,11 @@ class UdpConfig:
     loss_rate: float = 0.0       # drop the datagram entirely
     dup_rate: float = 0.0        # send it twice
     reorder: float = 0.0         # hold it so later datagrams overtake it
-    reorder_delay: float = 0.02  # how long a reordered datagram is held
     fault_seed: int = 0          # deterministic fault schedule
+
+
+#: How long a datagram picked by ``UdpConfig.reorder`` is held back.
+REORDER_DELAY = 0.02
 
 
 class UdpTransport(ReliableEndpoint):
@@ -86,8 +85,10 @@ class UdpTransport(ReliableEndpoint):
     """
 
     #: The datagram counters beside the core's.  Here ``frames_sent``
-    #: counts every frame handed to ``sendto``, ACK and raw included.
+    #: counts every frame handed to ``sendto``, ACK and raw included, and
+    #: an ACK that joined a bundle already queued is not ``acks_pure``.
     COUNTERS = ReliableEndpoint.COUNTERS + (
+        "acks_piggybacked",
         "datagrams_sent", "datagrams_received", "datagram_bytes_sent",
         "send_errors", "faults_lost", "faults_duped", "faults_reordered")
 
@@ -129,10 +130,7 @@ class UdpTransport(ReliableEndpoint):
             out.append(frame)   # this tick's flush is already scheduled
             return
         self._out[dst_site] = [frame]
-        if self.config.coalesce:
-            self.loop.call_soon(self._flush_dst, dst_site)
-        else:
-            self._flush_dst(dst_site)
+        self.loop.call_soon(self._flush_dst, dst_site)
 
     def _flush_dst(self, dst_site: int) -> None:
         frames = self._out.pop(dst_site, None)
@@ -170,8 +168,7 @@ class UdpTransport(ReliableEndpoint):
                 # out of order, exercising the receive-window reassembly.
                 self.faults_reordered += 1
                 self.clock.call_after(
-                    self.config.reorder_delay,
-                    self._raw_send, data, addr, len(frames))
+                    REORDER_DELAY, self._raw_send, data, addr, len(frames))
                 return
             if rng.random() < self.config.dup_rate:
                 self.faults_duped += 1
@@ -240,12 +237,6 @@ class TcpBulk:
     sender's promise resolves only after the receiving site's bulk
     handler has consumed the blob, matching the simulator's semantics.
     """
-
-    #: The datagram counters beside the core's.  Here ``frames_sent``
-    #: counts every frame handed to ``sendto``, ACK and raw included.
-    COUNTERS = ReliableEndpoint.COUNTERS + (
-        "datagrams_sent", "datagrams_received", "datagram_bytes_sent",
-        "send_errors", "faults_lost", "faults_duped", "faults_reordered")
 
     def __init__(
         self,

@@ -23,8 +23,8 @@ Pieces:
   :class:`~repro.runtime.site.Site`.
 * :class:`AsyncioRuntime` — per-OS-process driver state: the loop, the
   scheduler, the peer endpoint tables and the locally hosted sites.  It
-  also plays the *cluster facade* role (``.lan.config``, ``.programs``)
-  the kernel reads tuning constants from.
+  also holds the program registry the tools read through
+  ``site.cluster.programs``.
 * :class:`AsyncioCluster` — in-process mirror of
   :class:`repro.core.bootstrap.IsisCluster` (same ``spawn`` / ``kernel``
   / ``run_for`` helpers) hosting all N sites on one loop with real
@@ -42,7 +42,6 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import IsisError, SiteDown
-from ..net.lan import LanConfig
 from ..net.udp import TcpBulk, TcpBulkStream, UdpConfig, UdpTransport
 from ..sim.rand import RngRegistry
 from ..sim.tasks import Promise
@@ -189,20 +188,6 @@ class RealCpu:
         return RealCpuMeter()
 
 
-class _NetProfile:
-    """Plays the :class:`~repro.net.lan.Lan` role for config reads.
-
-    The kernel and tools read a handful of tuning constants through
-    ``site.cluster.lan.config``; on the real network there is no modeled
-    LAN, so ``intra_site_delay`` is zero and ``hw_multicast`` is off
-    (there is no modeled broadcast medium to exploit).
-    """
-
-    def __init__(self, config: Optional[LanConfig] = None):
-        self.config = config or LanConfig(intra_site_delay=0.0,
-                                          hw_multicast=False)
-
-
 class NetSite(BaseSite):
     """A computing site whose NIC is a real UDP socket pair.
 
@@ -214,7 +199,8 @@ class NetSite(BaseSite):
     def __init__(self, runtime: "AsyncioRuntime", site_id: int):
         super().__init__(site_id)
         self.runtime = runtime
-        self.cluster = runtime  # facade: .lan.config, .programs
+        self.cluster = runtime  # the tools' program registry
+        self.local_hop_delay = 0.0  # a real host: no modeled IPC hop
         self.sim = runtime.scheduler
         self.cpu = RealCpu(runtime.scheduler, name=f"cpu{site_id}")
         self.stable = StableStore(self.sim, site_id)
@@ -281,11 +267,11 @@ class NetSite(BaseSite):
         return process
 
     # -- networking ------------------------------------------------------
-    def send_bytes(self, dst_site: int, data: bytes, piggyback: bool = False):
+    def send_bytes(self, dst_site: int, data: bytes):
         """Reliable FIFO send to another site (kernel use)."""
         if not self.up or self.transport is None:
             raise SiteDown(f"site {self.site_id} is down")
-        return self.transport.send(dst_site, data, piggyback=piggyback)
+        return self.transport.send(dst_site, data)
 
     def send_raw(self, dst_site: int, payload: bytes) -> None:
         """Fire-and-forget datagram (heartbeats); silent no-op when down."""
@@ -311,9 +297,8 @@ class NetSite(BaseSite):
 class AsyncioRuntime:
     """Driver state for one OS process hosting one or more sites.
 
-    Also the *cluster facade* the kernel reads through ``site.cluster``:
-    ``.lan.config`` (tuning constants) and ``.programs`` (rexec
-    registry).
+    Also what the tools read through ``site.cluster``: ``.programs``
+    (the rexec registry).
 
     Endpoints: with ``base_port`` set, site *i* is at
     ``(host, base_port + 2i)`` for UDP and ``(host, base_port + 2i + 1)``
@@ -334,7 +319,6 @@ class AsyncioRuntime:
         base_port: Optional[int] = None,
         hosts: Optional[Dict[int, str]] = None,
         udp_config: Optional[UdpConfig] = None,
-        lan_config: Optional[LanConfig] = None,
         loop: Optional[asyncio.AbstractEventLoop] = None,
     ):
         self.n_sites = n_sites
@@ -343,7 +327,6 @@ class AsyncioRuntime:
         self.hosts = dict(hosts or {})
         self.loop = loop or asyncio.new_event_loop()
         self.scheduler = AsyncioScheduler(self.loop, seed=seed)
-        self.lan = _NetProfile(lan_config)
         self.programs = ProgramRegistry()
         self.udp_config = udp_config or UdpConfig()
         self.udp_peers: Dict[int, Tuple[str, int]] = {}

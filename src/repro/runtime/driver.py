@@ -5,7 +5,8 @@ small, duck-typed surface rather than against the simulator: a *clock /
 scheduler* (``now``, ``call_at``/``call_after``/``call_soon`` returning
 cancellable handles, a :class:`~repro.sim.trace.Trace`, named RNG
 streams) and a *site* (process hosting, reliable FIFO byte messages,
-unreliable raw datagrams, and a bulk channel for large transfers).
+unreliable raw datagrams, a bulk channel for large transfers, and the
+delay of the hop between a local process and the kernel).
 
 Two drivers satisfy this surface:
 
@@ -71,7 +72,7 @@ class SiteTransport(Protocol):
 
     on_raw: Optional[Callable[[int, bytes], None]]
 
-    def send(self, dst_site: int, data: bytes, piggyback: bool = False) -> Any: ...
+    def send(self, dst_site: int, data: bytes) -> Any: ...
 
     def send_raw(self, dst_site: int, payload: bytes) -> None: ...
 
@@ -105,12 +106,15 @@ class SiteLike(Protocol):
     installation for the three inbound paths (ordered messages, raw
     datagrams, bulk chunks), and the three outbound paths (``send_bytes``
     for ordered FIFO, ``send_raw`` for datagrams, ``open_bulk_stream``
-    for the TCP-like channel).
+    for the TCP-like channel).  ``local_hop_delay`` is what one crossing
+    between a hosted process and the kernel costs: the paper's 10 ms in
+    the simulator, nothing on a real host.
     """
 
     site_id: int
     incarnation: int
     up: bool
+    local_hop_delay: float
 
     def spawn_process(self, name: str, local_id: Optional[int] = None) -> Any: ...
 
@@ -122,7 +126,7 @@ class SiteLike(Protocol):
 
     def set_bulk_handler(self, handler: Callable[[int, bytes], None]) -> None: ...
 
-    def send_bytes(self, dst_site: int, data: bytes, piggyback: bool = False) -> Any: ...
+    def send_bytes(self, dst_site: int, data: bytes) -> Any: ...
 
     def send_raw(self, dst_site: int, payload: bytes) -> None: ...
 

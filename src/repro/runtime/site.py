@@ -135,6 +135,7 @@ class Site(BaseSite):
     def __init__(self, cluster: "Cluster", site_id: int):
         super().__init__(site_id)
         self.cluster = cluster
+        self.local_hop_delay = cluster.lan.config.intra_site_delay
         self.sim: Simulator = cluster.sim
         self.cpu = Cpu(self.sim, name=f"cpu{site_id}")
         self.stable: StableStore = cluster.stable_store(site_id)
@@ -189,12 +190,11 @@ class Site(BaseSite):
         return process
 
     # -- networking ----------------------------------------------------------
-    def send_bytes(self, dst_site: int, data: bytes,
-                   piggyback: bool = False):
+    def send_bytes(self, dst_site: int, data: bytes):
         """Reliable FIFO send to another site (kernel use)."""
         if not self.up or self.transport is None:
             raise SiteDown(f"site {self.site_id} is down")
-        return self.transport.send(dst_site, data, piggyback=piggyback)
+        return self.transport.send(dst_site, data)
 
     def send_raw(self, dst_site: int, payload: bytes) -> None:
         """Fire-and-forget datagram (heartbeats); silent no-op when down."""

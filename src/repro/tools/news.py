@@ -149,8 +149,8 @@ class NewsClient:
                 if process is not None and process.alive:
                     copy = msg.copy()
                     copy["_entry"] = NEWS_DELIVERY_ENTRY
-                    intra = kernel.site.cluster.lan.config.intra_site_delay
-                    kernel.sim.call_after(intra, process.deliver, copy)
+                    kernel.sim.call_after(kernel.site.local_hop_delay,
+                                          process.deliver, copy)
                 return
             original(src_site, msg)
 

@@ -9,6 +9,7 @@ nowhere.
 import pytest
 
 from repro import ALL, IsisCluster, IsisConfig, LanConfig
+from repro.core import pipeline as pipeline_mod
 from repro.errors import BroadcastFailed
 
 
@@ -203,8 +204,11 @@ class TestBatchedVirtualSynchrony:
     every survivor.
     """
 
-    CONFIG = dict(batch_window=0.010, piggyback_stability=True,
-                  stab_announce_every=8)
+    CONFIG = dict(batch_window=0.010, piggyback_stability=True)
+
+    @pytest.fixture(autouse=True)
+    def _announce_every_eighth(self, monkeypatch):
+        monkeypatch.setattr(pipeline_mod, "STAB_ANNOUNCE_EVERY", 8)
 
     def _system(self, n_sites, seed):
         return IsisCluster(n_sites=n_sites, seed=seed,

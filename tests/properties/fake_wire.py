@@ -22,12 +22,11 @@ DELIVER, DROP, DUPLICATE = "deliver", "drop", "duplicate"
 
 @dataclass
 class ChannelConfig:
-    """The four tunables the core reads, sized for fast tests."""
+    """The three tunables the core reads, sized for fast tests."""
 
     mtu: int = 8
     window: int = 64
     rto: float = 1.0
-    ack_delay: float = 0.0
 
 
 class _Armed:

@@ -187,7 +187,6 @@ frames = st.builds(
     frag_index=st.integers(0, 0xFFFF),
     frag_total=st.integers(1, 0xFFFF),
     payload=st.binary(max_size=256),
-    cheap=st.booleans(),
     syn=st.booleans(),
 )
 
@@ -197,7 +196,7 @@ def _same_frame(a: Frame, b: Frame) -> bool:
             and a.dst_site == b.dst_site and a.epoch == b.epoch
             and a.seq == b.seq and a.ack == b.ack and a.msg_id == b.msg_id
             and a.frag_index == b.frag_index and a.frag_total == b.frag_total
-            and a.payload == b.payload and a.cheap == b.cheap
+            and a.payload == b.payload
             and a.ack_epoch == b.ack_epoch and a.syn == b.syn)
 
 

@@ -157,7 +157,6 @@ OPS = st.one_of(
 
 @given(
     window=st.sampled_from([1, 2, 64]),
-    ack_delay=st.sampled_from([0.0, 0.25]),
     emit_delay=st.sampled_from([0.0, 0.02]),
     first_epoch=st.sampled_from([0, 254]),   # 254: restarts wrap 255 -> 0
     fates=st.lists(FATES, max_size=120),
@@ -165,8 +164,8 @@ OPS = st.one_of(
 )
 @settings(max_examples=300, deadline=None)
 def test_channel_promises_hold_under_faults_resets_and_restarts(
-        window, ack_delay, emit_delay, first_epoch, fates, ops):
-    harness = Harness(ChannelConfig(window=window, ack_delay=ack_delay),
+        window, emit_delay, first_epoch, fates, ops):
+    harness = Harness(ChannelConfig(window=window),
                       fates, emit_delay, first_epoch)
     for op, *args in ops:
         getattr(harness, op)(*args)
@@ -176,15 +175,14 @@ def test_channel_promises_hold_under_faults_resets_and_restarts(
 
 @given(
     window=st.sampled_from([1, 2, 64]),
-    ack_delay=st.sampled_from([0.0, 0.25]),
     fates=st.lists(FATES, max_size=200),
     sizes=st.lists(st.integers(0, 40), min_size=1, max_size=20),
 )
 @settings(max_examples=100, deadline=None)
-def test_any_size_arrives_intact_in_order(window, ack_delay, fates, sizes):
+def test_any_size_arrives_intact_in_order(window, fates, sizes):
     """0 to 5x ``mtu`` bytes, empty messages included: with no reset in
     play what arrives is exactly what was sent."""
-    harness = Harness(ChannelConfig(window=window, ack_delay=ack_delay), fates)
+    harness = Harness(ChannelConfig(window=window), fates)
     rng = random.Random(len(fates))
     messages = [bytes(rng.randrange(256) for _ in range(n)) for n in sizes]
     promises = [harness.live[A].send(B, m) for m in messages]

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import IsisCluster, IsisConfig
+from repro.core import kernel as kernel_mod
+from repro.core import pipeline as pipeline_mod
 
 
 def _two_member_group(config, n_sites=2, seed=31):
@@ -70,9 +72,10 @@ class TestBatchingWireBehavior:
                    if t.startswith(f"t{stream_no}.")]
             assert seq == sorted(seq)
 
-    def test_max_bytes_flushes_before_window(self):
-        """A buffer hitting ``batch_max_bytes`` does not wait the window."""
-        config = IsisConfig(batch_window=5.0, batch_max_bytes=2000)
+    def test_max_bytes_flushes_before_window(self, monkeypatch):
+        """A buffer hitting ``BATCH_MAX_BYTES`` does not wait the window."""
+        monkeypatch.setattr(pipeline_mod, "BATCH_MAX_BYTES", 2000)
+        config = IsisConfig(batch_window=5.0)
         system, members, deliveries = _two_member_group(config)
 
         def stream():
@@ -113,9 +116,11 @@ class TestBatchingWireBehavior:
 
 
 class TestPiggybackedStability:
-    def test_trim_advances_without_rounds(self):
-        config = IsisConfig(batch_window=0.010, stab_announce_every=8,
-                            stability_interval=1e9)  # rounds never fire
+    def test_trim_advances_without_rounds(self, monkeypatch):
+        monkeypatch.setattr(pipeline_mod, "STAB_ANNOUNCE_EVERY", 8)
+        for module in (kernel_mod, pipeline_mod):   # rounds never fire
+            monkeypatch.setattr(module, "STABILITY_INTERVAL", 1e9)
+        config = IsisConfig(batch_window=0.010)
         system, members, _ = _two_member_group(config, n_sites=3)
         _burst(system, members, 0, 20)
         system.run_for(30.0)
@@ -126,8 +131,9 @@ class TestPiggybackedStability:
             assert stats["buffered_bytes"] == 0
             assert stats["trimmed_messages"] > 0
 
-    def test_fallback_round_skipped_under_traffic(self):
-        config = IsisConfig(batch_window=0.010, stab_announce_every=8)
+    def test_fallback_round_skipped_under_traffic(self, monkeypatch):
+        monkeypatch.setattr(pipeline_mod, "STAB_ANNOUNCE_EVERY", 8)
+        config = IsisConfig(batch_window=0.010)
         system, members, _ = _two_member_group(config, n_sites=3)
 
         def stream(stop):
@@ -145,7 +151,7 @@ class TestPiggybackedStability:
         assert system.sim.trace.value("stability.round_skipped") > 0
 
     def test_piggyback_disabled_still_trims_via_rounds(self):
-        config = IsisConfig(piggyback_stability=False, stab_announce_every=0)
+        config = IsisConfig(piggyback_stability=False)
         system, members, _ = _two_member_group(config)
         _burst(system, members, 0, 10)
         system.run_for(30.0)  # several stability intervals

@@ -4,30 +4,59 @@ import dataclasses
 
 import pytest
 
-from repro import IsisCluster, IsisConfig, Message
+from repro import IsisCluster, IsisConfig, LanConfig, Message
 from repro.core.engine import GroupEngine
 from repro.errors import GroupError, SiteDown
+from repro.fd.heartbeat import HeartbeatConfig
+from repro.fd.siteview import SiteViewConfig
 from repro.msg import make_group_address
+from repro.net.bulk import BulkConfig
 from repro.net.packet import KIND_DATA, Frame
+from repro.net.udp import UdpConfig
+
+
+#: Every field multiplies the configurations tests and benchmarks must
+#: cover, so adding (or retiring) one is a deliberate edit here.
+CONFIG_FIELDS = {
+    IsisConfig: [
+        "abcast_mode", "batch_window", "dissemination", "durability",
+        "gbcast_batching", "heartbeat", "membership", "piggyback_stability",
+        "siteview", "tree_fanout", "wal_checkpoint_every", "wal_trim_min"],
+    HeartbeatConfig: [
+        "interval", "max_timeout", "min_timeout", "nstddev",
+        "tick_bucket_size"],
+    SiteViewConfig: [
+        "ack_timeout", "bootstrap_timeout", "join_retry", "suspicion_settle"],
+    LanConfig: [
+        "ack_cpu", "inter_site_delay", "intra_site_delay", "loss_rate", "mtu",
+        "recv_cpu_per_byte", "recv_cpu_per_frame", "rto", "send_cpu_per_byte",
+        "send_cpu_per_frame", "window"],
+    UdpConfig: [
+        "dup_rate", "fault_seed", "loss_rate", "max_datagram", "max_rto",
+        "mtu", "reorder", "rto", "window"],
+    BulkConfig: ["bandwidth", "cpu_per_byte", "setup_latency"],
+}
+#: Knobs no caller ever set: constants beside their readers now, or gone
+#: with the side path they selected.
+RETIRED = {
+    IsisConfig: [
+        "fast_flush", "flush_prereport_grace", "flush_okb_window",
+        "transfer_chunk_bytes", "bulk_threshold", "stability_interval",
+        "join_retry", "transfer_retry", "fwd_retries", "fwd_timeout",
+        "local_delivery_cpu", "batch_max_bytes", "stab_announce_every"],
+    LanConfig: ["hw_multicast", "ack_delay"],
+    UdpConfig: ["ack_delay", "coalesce", "reorder_delay"],
+}
 
 
 def test_isis_config_field_set_is_pinned():
-    """Every field multiplies the configurations tests and benchmarks
-    must cover, so adding (or retiring) one is a deliberate edit here."""
-    assert sorted(f.name for f in dataclasses.fields(IsisConfig)) == [
-        "abcast_mode", "batch_max_bytes", "batch_window", "dissemination",
-        "durability", "fwd_retries", "fwd_timeout", "gbcast_batching",
-        "heartbeat", "join_retry", "local_delivery_cpu", "membership",
-        "piggyback_stability", "siteview", "stab_announce_every",
-        "stability_interval", "transfer_retry", "tree_fanout",
-        "wal_checkpoint_every", "wal_trim_min",
-    ]
-    # The view-change knobs retired with the second flush engine are
-    # constants now; the third ordering engine is gone.
-    for retired in ("fast_flush", "flush_prereport_grace", "flush_okb_window",
-                    "transfer_chunk_bytes", "bulk_threshold"):
-        with pytest.raises(TypeError):
-            IsisConfig(**{retired: 1})
+    for cls, names in CONFIG_FIELDS.items():
+        assert sorted(f.name for f in dataclasses.fields(cls)) == names, cls
+    for cls, names in RETIRED.items():
+        for retired in names:
+            with pytest.raises(TypeError):
+                cls(**{retired: 1})
+    # The third ordering engine is gone.
     system = IsisCluster(n_sites=1, seed=0,
                          isis_config=IsisConfig(abcast_mode="leader"))
     with pytest.raises(GroupError):
@@ -100,6 +129,37 @@ def test_group_data_for_unknown_group_buffers_quietly():
     assert system.kernel(1).alive
     engine = system.kernel(1).engines.get(ghost.process())
     assert engine is not None and not engine.installed
+
+
+@pytest.mark.parametrize("fields", [
+    dict(_proto="g.stab.a"),
+    dict(_proto="g.stab.a", have=7),
+    dict(_proto="g.stab.a", have=[[1, 2]], df=[3]),
+    dict(_proto="g.stab.trim"),
+    dict(_proto="g.stab.trim", stable=[[1]]),
+    dict(_proto="g.stab.up", have_b=b"", n=1),
+    dict(_proto="g.stab.up", have_b=b"", n="1", df=[0, 0]),
+    dict(_proto="g.stab.dn", stable_b=b"", df=[0]),
+])
+def test_misshapen_stability_note_counted_not_fatal(fields):
+    """A well-formed message of the wrong shape is outside input like
+    undecodable bytes: counted, dropped, and the kernel carries on."""
+    system = IsisCluster(n_sites=2, seed=109,
+                         isis_config=IsisConfig(dissemination="tree"))
+    process, isis = system.spawn(1, "m1")
+    box = {}
+
+    def create():
+        box["gid"] = yield isis.pg_create("notes")
+
+    process.spawn(create(), "create")
+    system.run_for(3.0)
+    view = system.kernel(1).engines[box["gid"].process()].view
+    system.kernel(0).send_to_site(1, Message(
+        gid=box["gid"], stab_view=view.view_id, **fields))
+    system.run_for(2.0)
+    assert system.sim.trace.value("stability.bad_note") == 1
+    assert system.kernel(1).alive
 
 
 def test_stale_group_message_dropped():

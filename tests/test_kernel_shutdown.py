@@ -12,6 +12,7 @@ stays empty.
 from __future__ import annotations
 
 from repro import IsisCluster, IsisConfig
+from repro.core import kernel as kernel_mod
 
 SINK = 9
 
@@ -42,13 +43,14 @@ def _deploy_three(system):
     return gid_box["gid"], p0, i0
 
 
-def test_shutdown_mid_flush_cancels_every_timer():
+def test_shutdown_mid_flush_cancels_every_timer(monkeypatch):
     # Retry periods far beyond the settle window below: a join retry
     # timer that shutdown fails to cancel is still armed at assert time.
+    monkeypatch.setattr(kernel_mod, "JOIN_RETRY", 30.0)
+    monkeypatch.setattr(kernel_mod, "TRANSFER_RETRY", 30.0)
     system = IsisCluster(
         n_sites=3, seed=11,
-        isis_config=IsisConfig(batch_window=0.05, abcast_mode="sequencer",
-                               join_retry=30.0, transfer_retry=30.0))
+        isis_config=IsisConfig(batch_window=0.05, abcast_mode="sequencer"))
     gid, p0, i0 = _deploy_three(system)
     p0.bind(SINK, lambda msg: None)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net import Frame, Reassembler, fragment
-from repro.net.packet import FRAME_HEADER_BYTES
+from repro.net.packet import FRAME_HEADER_BYTES, decode_frame, encode_frame
 
 
 class TestFragment:
@@ -86,3 +86,15 @@ class TestReassembler:
 def test_frame_wire_size_includes_header():
     frame = Frame(kind="data", src_site=0, dst_site=1, payload=b"x" * 10)
     assert frame.wire_size == FRAME_HEADER_BYTES + 10
+
+
+@pytest.mark.parametrize("bit", [0, 2, 3, 4, 5, 6, 7])
+def test_reserved_flag_bits_are_refused(bit):
+    """Only bit 1 (``syn``) of the flags byte means anything; a frame
+    with any other set came from a sender this decoder does not know."""
+    wire = bytearray(encode_frame(
+        Frame(kind="data", src_site=0, dst_site=1, syn=True, payload=b"x")))
+    assert decode_frame(bytes(wire))[0].syn
+    wire[1] |= 1 << bit
+    with pytest.raises(NetworkError):
+        decode_frame(bytes(wire))

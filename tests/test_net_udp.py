@@ -10,10 +10,12 @@ import socket
 
 import pytest
 
-from repro.net.packet import (DATAGRAM_MAGIC, KIND_RAW, MAX_FRAMES_PER_DATAGRAM,
-                              Frame, decode_datagram, encode_datagram)
+from repro.net.packet import (DATAGRAM_HEADER_BYTES, DATAGRAM_MAGIC, KIND_RAW,
+                              MAX_FRAMES_PER_DATAGRAM, Frame, decode_datagram,
+                              encode_datagram)
 from repro.net.udp import UdpConfig, UdpTransport
 from repro.runtime.asyncio_driver import AsyncioScheduler
+from repro.runtime.driver import SiteTransport
 
 
 def _bound_socket() -> socket.socket:
@@ -71,6 +73,10 @@ def loopback(request):
     net.close()
 
 
+def test_udp_transport_satisfies_the_seam(loopback):
+    assert isinstance(loopback.transport, SiteTransport)
+
+
 @pytest.mark.parametrize(
     "loopback", [UdpConfig(mtu=100, max_datagram=400, rto=5.0)], indirect=True)
 def test_bundle_splits_at_max_datagram(loopback):
@@ -99,28 +105,31 @@ def test_bundle_splits_at_255_frames(loopback):
 def test_malformed_datagram_is_counted_and_reading_goes_on(loopback):
     good = encode_datagram([Frame(kind=KIND_RAW, src_site=1, dst_site=0,
                                   payload=b"beat")])
+    # Flags bit 0 (byte 1 of the frame header) is reserved: must be zero.
+    flagged = good[:DATAGRAM_HEADER_BYTES + 1] + b"\x01" \
+        + good[DATAGRAM_HEADER_BYTES + 2:]
     for data in (b"", b"\x00\x01\x02", good[:-2], good + b"x",
                  bytes([DATAGRAM_MAGIC >> 8, DATAGRAM_MAGIC & 0xFF, 9, 1]),
-                 good):
+                 flagged, good):
         loopback.peer.sendto(data, loopback.address)
     loopback.run()
-    assert loopback.scheduler.trace.value("transport.bad_datagrams") == 5
+    assert loopback.scheduler.trace.value("transport.bad_datagrams") == 6
     assert loopback.raws == [b"beat"]
-    assert loopback.transport.stats()["datagrams_received"] == 6
+    assert loopback.transport.stats()["datagrams_received"] == 7
     assert loopback.transport.alive
 
 
 @pytest.mark.parametrize(
-    "loopback", [UdpConfig(ack_delay=5.0, rto=5.0)], indirect=True)
+    "loopback", [UdpConfig(rto=5.0)], indirect=True)
 def test_shutdown_leaves_no_reader_or_timer(loopback):
     transport = loopback.transport
     doomed = transport.send(1, b"never acknowledged")      # arms the probe
     loopback.peer.sendto(encode_datagram([Frame(
-        kind="data", src_site=1, dst_site=0, syn=True, payload=b"hi")]),
-        loopback.address)                                   # owes an ACK
+        kind="data", src_site=1, dst_site=0, syn=True, payload=b"hi",
+        ack=0)]), loopback.address)     # only ACK frames acknowledge
     loopback.run()
     assert loopback.messages == [b"hi"]
-    assert loopback.scheduler.outstanding_timers() == 2
+    assert loopback.scheduler.outstanding_timers() == 1
     assert not transport.outbound_idle()
     transport.shutdown()
     assert doomed.rejected

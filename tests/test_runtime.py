@@ -1,10 +1,18 @@
 """Unit tests for sites, processes, programs and stable storage."""
 
+import inspect
+
 import pytest
 
+from repro.core.kernel import ProtocolsProcess
 from repro.errors import IsisError, SiteDown, TaskKilled
 from repro.msg import Message
+from repro.net.lan import LanConfig
+from repro.net.transport import Transport
+from repro.net.udp import UdpTransport
 from repro.runtime import Cluster, Site
+from repro.runtime.asyncio_driver import AsyncioRuntime, NetSite
+from repro.runtime.driver import SiteLike, SiteTransport
 from repro.sim import Simulator, sleep
 
 
@@ -230,3 +238,38 @@ class TestStableStore:
         store.write("other", b"3")
         sim.run()
         assert store.keys("grp/") == ["grp/a", "grp/b"]
+
+
+class TestDriverSeam:
+    """Both drivers offer the kernel what ``runtime/driver.py`` declares:
+    every member, ``local_hop_delay`` included, and no argument more."""
+
+    def test_sim_site_satisfies_the_seam(self):
+        cluster = Cluster(Simulator(), n_sites=1,
+                          lan_config=LanConfig(intra_site_delay=0.004))
+        cluster.boot_all()
+        site = cluster.site(0)
+        assert isinstance(site, SiteLike)
+        assert isinstance(site.transport, SiteTransport)
+        assert site.local_hop_delay == 0.004
+
+    def test_net_site_satisfies_the_seam(self):
+        runtime = AsyncioRuntime(n_sites=1)   # not booted: no socket yet
+        try:
+            site = runtime.site(0)
+            assert isinstance(site, SiteLike)
+            assert site.local_hop_delay == 0.0
+        finally:
+            runtime.loop.close()
+
+    @pytest.mark.parametrize("send, params", [
+        (ProtocolsProcess.send_to_site, ["self", "dst_site", "msg"]),
+        (SiteLike.send_bytes, ["self", "dst_site", "data"]),
+        (Site.send_bytes, ["self", "dst_site", "data"]),
+        (NetSite.send_bytes, ["self", "dst_site", "data"]),
+        (SiteTransport.send, ["self", "dst_site", "data"]),
+        (Transport.send, ["self", "dst_site", "data"]),
+        (UdpTransport.send, ["self", "dst_site", "data"]),
+    ])
+    def test_a_send_takes_a_destination_and_a_message_only(self, send, params):
+        assert list(inspect.signature(send).parameters) == params
