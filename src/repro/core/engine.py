@@ -113,9 +113,6 @@ class GroupEngine:
         self.tsender = self.pipeline.total.sender
         self.wedged = False
         self._outbox: List[Callable[[], None]] = []
-        #: Joiner gate: deliveries queue here until state transfer completes.
-        self.gated = False
-        self._gate_queue: List[Message] = []
         # Flush participant state.
         self._participant_fid: FlushId = (0, 0, 0)
         self._expect_union: Optional[Dict[int, int]] = None
@@ -142,13 +139,8 @@ class GroupEngine:
         #: final order), piggybacked so peers can prune their reports.
         self._delivery_floor: Tuple[int, int] = (0, 0)
         self._pruned_floor: Tuple[int, int] = (0, 0)
-        # Flush observability (aggregated by ProtocolsProcess.stats()).
-        self.wedged_seconds = 0.0
+        #: When the wedge in progress began (``flush.wedged_seconds``).
         self._wedged_at: Optional[float] = None
-        self.flush_rounds = 0
-        self.fast_path_hits = 0
-        self.fast_path_misses = 0
-        self.refill_bytes = 0
         #: Client kernels to push view updates to.
         self.watcher_sites: Set[int] = set()
         #: Local pg_monitor callbacks: callback(view).
@@ -192,11 +184,10 @@ class GroupEngine:
         self.sim.trace.log("group.create", (str(self.gid), str(creator)))
         return self.view
 
-    def install_from_welcome(self, view: View, gated: bool) -> None:
+    def install_from_welcome(self, view: View) -> None:
         """Joiner side: adopt the view the coordinator committed."""
         self.view = view
         self.installed = True
-        self.gated = gated
         self._reset_for_new_view()
         self.pipeline.drain_pre_view()
 
@@ -363,21 +354,11 @@ class GroupEngine:
         self.sim.trace.bump("deliver.group")
         if self.kernel.wal is not None:
             self.kernel.wal.note_deliver(self, env, user)
-        if self.gated:
-            self._gate_queue.append(user)
-            return
         self.kernel.deliver_to_local_members(self, user)
         if self.kernel.wal is not None:
             # After the dispatch: a periodic-checkpoint snapshot must
             # queue behind the delivery its position already counts.
             self.kernel.wal.maybe_checkpoint(self)
-
-    def release_gate(self) -> None:
-        """State transfer finished: deliver everything that queued up."""
-        self.gated = False
-        queued, self._gate_queue = self._gate_queue, []
-        for user in queued:
-            self.kernel.deliver_to_local_members(self, user)
 
     # ------------------------------------------------------------------
     # Flush: coordinator side
@@ -447,8 +428,7 @@ class GroupEngine:
         base = None if takeover else self._flush_base()
         self._active = FlushCoordinator(flush_id, self.view, reasons,
                                         participants=participants, base=base)
-        self.flush_rounds += 1
-        self.sim.trace.bump("flush.runs")
+        self.kernel.counters.bump("flush.runs")
         self.sim.trace.log("flush.begin", (str(self.gid), flush_id))
         self._wedge(flush_id)
         stragglers = sorted(participants - {self.site_id})
@@ -669,10 +649,9 @@ class GroupEngine:
             event["source"] = active.view.coordinator()
         if active.base is not None:
             if active.begins_sent == 0:
-                self.fast_path_hits += 1
-                self.sim.trace.bump("flush.fast_path")
+                self.kernel.counters.bump("flush.fast_path")
             else:
-                self.fast_path_misses += 1
+                self.kernel.counters.bump("flush.fast_path_misses")
         commit = Message(
             _proto="g.fl.commit", gid=self.gid,
             fid=list(active.flush_id),
@@ -833,8 +812,7 @@ class GroupEngine:
             data = Message(_proto="g.fl.data", gid=self.gid,
                            fid=msg["fid"], msgs=envs)
             nbytes = sum(env.size_bytes for env in envs)
-            self.refill_bytes += nbytes
-            self.sim.trace.bump("flush.refill_bytes", nbytes)
+            self.kernel.counters.bump("flush.refill_bytes", nbytes)
             if needy == self.site_id:
                 self._on_flush_data(data)
             else:
@@ -894,10 +872,7 @@ class GroupEngine:
             self.sim.trace.bump("deliver.gbcast")
             if self.kernel.wal is not None:
                 self.kernel.wal.note_gbcast(self, new_view.view_id, idx, user)
-            if self.gated:
-                self._gate_queue.append(user)
-            else:
-                self.kernel.deliver_to_local_members(self, user)
+            self.kernel.deliver_to_local_members(self, user)
         # 4. Install the new view.
         self.view = new_view
         self._reset_for_new_view()
@@ -912,7 +887,8 @@ class GroupEngine:
         # 5. Resume.
         self.wedged = False
         if self._wedged_at is not None:
-            self.wedged_seconds += self.sim.now - self._wedged_at
+            self.kernel.counters.bump("flush.wedged_seconds",
+                                      self.sim.now - self._wedged_at)
             self._wedged_at = None
         outbox, self._outbox = self._outbox, []
         if still_member:

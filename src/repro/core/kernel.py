@@ -77,6 +77,34 @@ TRANSFER_RETRY = 4.0
 FWD_RETRIES = 5
 FWD_TIMEOUT = 5.0
 
+#: Every event :meth:`ProtocolsProcess.stats` reports: stats key ->
+#: counter name.  Such an event is bumped on ``kernel.counters`` and
+#: nowhere else, which feeds both this site's ``stats()`` and the
+#: cluster's ``sim.trace.value(name)``.  Five keys predate their
+#: counter's name and keep their spelling; the rest are the name.
+KERNEL_COUNTERS: Dict[str, str] = {
+    "trimmed_messages": "stability.trimmed",
+    "batches_sent": "batch.sent",
+    "envelopes_batched": "batch.envelopes",
+    "flush.rounds": "flush.runs",
+    "flush.fast_path_hits": "flush.fast_path",
+    **{name: name for name in (
+        "abcast.proposals", "abcast.finals", "abcast.seq_stamps",
+        "abcast.token_handoffs",
+        "causal.ctx_delta_entries", "causal.ctx_full_walks",
+        "flush.fast_path_misses", "flush.refill_bytes",
+        "flush.wedged_seconds",     # the one float; completed wedges only
+        "state_transfer.chunks", "state_transfer.stream_bytes",
+        "state_transfer.streams_aborted",
+        "stab.idle_skipped", "stab.up_sent", "stab.dn_sent",
+        "tree.relayed", "tree.dup_drops", "tree.flat_fallbacks",
+        "wal.appends", "wal.bytes", "wal.truncations", "wal.replayed",
+        "checkpoint.writes", "checkpoint.bytes",
+        "recovery.torn_tails", "recovery.rejoins", "recovery.total_restarts",
+        "transfer.log_assisted_bytes_saved",
+    )},
+}
+
 
 def _event_joiners(event: Dict) -> List[Address]:
     """Joiners a flush commit admitted (legacy single-joiner compat)."""
@@ -199,6 +227,9 @@ class ProtocolsProcess:
         self.site_id = site.site_id
         self.config = config or IsisConfig()
         self.alive = True
+        #: This kernel's events (:data:`KERNEL_COUNTERS`), also counted
+        #: cluster-wide.  Made before the WAL, which counts its replay.
+        self.counters = self.sim.trace.child()
         #: Sites named in the deployment configuration (the kernel's
         #: pre-genesis world view; the site view replaces it after
         #: genesis).  Stored here so the kernel never needs to reach
@@ -236,7 +267,6 @@ class ProtocolsProcess:
         #: Groups needing attention at the next stability tick, so the
         #: tick touches only those.
         self._stab_dirty: Set[Address] = set()
-        self._stab_idle_skipped = 0
         #: Most groups hosted at once (``kernel.peak_groups_per_shard``).
         self._peak_groups = 0
         #: Cross-group causal wait thresholds.
@@ -255,10 +285,8 @@ class ProtocolsProcess:
         #: ``cb_ctx`` names and orders groups; rebuilt when the group
         #: table changes.
         self._engines_packed: Optional[Dict[bytes, GroupEngine]] = None
-        self._ctx_delta_entries = 0
-        self._ctx_full_walks = 0
         #: Pending-depth high-water mark of engines retired since boot
-        #: (stats must not drop when a group leaves this kernel).
+        #: (a peak is not an event, so ``counters`` cannot hold it).
         self._retired_peak_pending = 0
         self.contact_cache: Dict[Address, int] = {}
         self._next_group_no = 1
@@ -279,14 +307,6 @@ class ProtocolsProcess:
         #: Outgoing join-snapshot streams: (gid, joiner process) -> state.
         self._out_streams: Dict[Tuple[Address, Address], Dict[str, Any]] = {}
         self._next_xfer_id = 1
-        self._xfer_chunks_sent = 0
-        self._xfer_stream_bytes = 0
-        self._xfer_streams_aborted = 0
-        #: Flush counters of engines since retired from this kernel
-        #: (stats must not drop when a group leaves).
-        self._retired_flush = {"wedged_seconds": 0.0, "rounds": 0,
-                               "fast_hits": 0, "fast_misses": 0,
-                               "refill_bytes": 0}
         # Extension hooks for the tools layer.
         self.view_hooks: List[Callable] = []
         self.site_view_hooks: List[Callable] = []
@@ -511,6 +531,18 @@ class ProtocolsProcess:
             self._note_engine(key)
         return engine
 
+    def _coordinating_engine(self, msg: Message) -> Optional[GroupEngine]:
+        """The engine a coordinator-bound request is for, if we are to
+        act on it: not when the group is not installed here (dropped) or
+        its coordinator is at another site (``msg`` relayed there)."""
+        engine = self.engines.get(msg["gid"].process())
+        if engine is None or not engine.installed or engine.view is None:
+            return None
+        if not engine.is_coordinator_site():
+            self.send_to_site(engine.view.coordinator().site, msg)
+            return None
+        return engine
+
     def _note_engine(self, key: Address) -> None:
         """Record a group's creation rank (recheck pass ordering)."""
         if key not in self._engine_order:
@@ -593,7 +625,7 @@ class ProtocolsProcess:
             self.wait_index.remove(waiter)
             satisfied = self._check_delta(chain.context, delta, waiter)
         else:
-            self._ctx_full_walks += 1
+            self.counters.bump("causal.ctx_full_walks")
             satisfied = self.check_context_and_register(
                 advanced_context(chain.context, delta), waiter)
         if satisfied:
@@ -625,7 +657,7 @@ class ProtocolsProcess:
             if failed is None:
                 failed = {}
             failed[gid] = (view_id, short)
-        self._ctx_delta_entries += len(delta.entries)
+        self.counters.bump("causal.ctx_delta_entries", len(delta.entries))
         if failed is None:
             return True
         if delta.full:
@@ -792,11 +824,6 @@ class ProtocolsProcess:
         self._stab_dirty.discard(key)
         self._retired_peak_pending = max(self._retired_peak_pending,
                                          engine.causal.peak_pending)
-        self._retired_flush["wedged_seconds"] += engine.wedged_seconds
-        self._retired_flush["rounds"] += engine.flush_rounds
-        self._retired_flush["fast_hits"] += engine.fast_path_hits
-        self._retired_flush["fast_misses"] += engine.fast_path_misses
-        self._retired_flush["refill_bytes"] += engine.refill_bytes
         # Its pending buffer is gone, and contexts naming it are now
         # trivially satisfied ("not a member: cannot wait").
         self.wait_index.purge_engine(key)
@@ -966,15 +993,13 @@ class ProtocolsProcess:
     def _on_join_request(self, src_site: int, msg: Message) -> None:
         gid: Address = msg["gid"]
         joiner: Address = msg["joiner"]
-        engine = self.engines.get(gid.process())
-        if engine is None or not engine.installed or engine.view is None:
-            self.send_to_site(joiner.site, Message(
-                _proto="g.fwd.nak", gid=gid, session=-1,
-                hint=self.contact_cache.get(gid.process()),
-            ))
-            return
-        if not engine.is_coordinator_site():
-            self.send_to_site(engine.view.coordinator().site, msg)
+        engine = self._coordinating_engine(msg)
+        if engine is None:
+            if self.current_view(gid) is None:   # not relayed: no group here
+                self.send_to_site(joiner.site, Message(
+                    _proto="g.fwd.nak", gid=gid, session=-1,
+                    hint=self.contact_cache.get(gid.process()),
+                ))
             return
         if engine.view.contains(joiner):
             # Already a member (duplicate request): re-welcome.
@@ -1011,7 +1036,7 @@ class ProtocolsProcess:
             # Counted first: installing drains held envelopes, whose
             # deliveries re-evaluate contexts in other groups.
             self._group_installs += 1
-            engine.install_from_welcome(view, gated=False)
+            engine.install_from_welcome(view)
         self.contact_cache[gid.process()] = view.coordinator().site
         state = self._joins.get(gid.process())
         if state is None:
@@ -1110,8 +1135,7 @@ class ProtocolsProcess:
             # the snapshot they avoided has a size.
             for suffix_bytes in suffix_sizes:
                 saved = max(0, payload.size_bytes - suffix_bytes)
-                self.wal.log_assisted_saved += saved
-                self.sim.trace.bump(
+                self.counters.bump(
                     "transfer.log_assisted_bytes_saved", saved)
                 self.sim.trace.bump(
                     "transfer.snapshot_bytes", payload.size_bytes)
@@ -1186,10 +1210,8 @@ class ProtocolsProcess:
         chunks = stream["chunks"]
         note = Message(_proto="st.chunk", gid=key[0], xid=xid,
                        idx=idx, n=len(chunks), data=chunks[idx])
-        self._xfer_chunks_sent += 1
-        self._xfer_stream_bytes += len(chunks[idx])
-        self.sim.trace.bump("state_transfer.chunks")
-        self.sim.trace.bump("state_transfer.stream_bytes", len(chunks[idx]))
+        self.counters.bump("state_transfer.chunks")
+        self.counters.bump("state_transfer.stream_bytes", len(chunks[idx]))
         promise = stream["conn"].send(note.encode())
 
         def sent(p: Promise) -> None:
@@ -1213,8 +1235,7 @@ class ProtocolsProcess:
                                        None)
         if stream is not None:
             stream["conn"].close()
-            self._xfer_streams_aborted += 1
-            self.sim.trace.bump("state_transfer.streams_aborted")
+            self.counters.bump("state_transfer.streams_aborted")
 
     def _on_state_chunk(self, msg: Message) -> None:
         gid: Address = msg["gid"]
@@ -1266,8 +1287,7 @@ class ProtocolsProcess:
             self.wal.replay_to(gid, process)
             self.wal.absorb_suffix(gid, [bytes(r) for r in suffix],
                                    process)
-            self.wal.rejoins += 1
-            self.sim.trace.bump("recovery.rejoins")
+            self.counters.bump("recovery.rejoins")
         else:
             decoders = getattr(process, "xfer_segments", {})
             for name, blocks in msg["segments"].items():
@@ -1292,16 +1312,12 @@ class ProtocolsProcess:
             TRANSFER_RETRY, self._rerequest_state, state)
 
     def _on_state_rerequest(self, src_site: int, msg: Message) -> None:
-        gid: Address = msg["gid"]
-        engine = self.engines.get(gid.process())
-        if engine is None or engine.view is None or not engine.installed:
-            return
-        if not engine.is_coordinator_site():
-            self.send_to_site(engine.view.coordinator().site, msg)
+        engine = self._coordinating_engine(msg)
+        if engine is None:
             return
         source = engine.view.coordinator()
-        order = Message(_proto="st.send", gid=gid, joiner=msg["joiner"],
-                        source=source)
+        order = Message(_proto="st.send", gid=msg["gid"],
+                        joiner=msg["joiner"], source=source)
         self.send_to_site(source.site, order)
 
     def _on_state_send_order(self, msg: Message) -> None:
@@ -1352,14 +1368,10 @@ class ProtocolsProcess:
         return promise
 
     def _on_leave_request(self, src_site: int, msg: Message) -> None:
-        engine = self.engines.get(msg["gid"].process())
-        if engine is None or not engine.installed or engine.view is None:
-            return
-        if not engine.is_coordinator_site():
-            self.send_to_site(engine.view.coordinator().site, msg)
-            return
-        engine.enqueue_reason(FlushReason(kind="remove",
-                                          removals=(msg["member"],)))
+        engine = self._coordinating_engine(msg)
+        if engine is not None:
+            engine.enqueue_reason(FlushReason(kind="remove",
+                                              removals=(msg["member"],)))
 
     def _on_member_dead_notice(self, msg: Message) -> None:
         engine = self.engines.get(msg["gid"].process())
@@ -1528,15 +1540,11 @@ class ProtocolsProcess:
         return session.promise
 
     def _on_gbcast_request(self, src_site: int, msg: Message) -> None:
-        engine = self.engines.get(msg["gid"].process())
-        if engine is None or not engine.installed or engine.view is None:
-            return
-        if not engine.is_coordinator_site():
-            self.send_to_site(engine.view.coordinator().site, msg)
-            return
-        engine.enqueue_reason(FlushReason(
-            kind="gbcast", payload=msg["m"].encode(),
-            user_entry=msg["entry"]))
+        engine = self._coordinating_engine(msg)
+        if engine is not None:
+            engine.enqueue_reason(FlushReason(
+                kind="gbcast", payload=msg["m"].encode(),
+                user_entry=msg["entry"]))
 
     # -- replies -----------------------------------------------------------------
     def send_reply(self, process: IsisProcess, request: Message,
@@ -1594,11 +1602,8 @@ class ProtocolsProcess:
         return promise
 
     def _on_watch_request(self, src_site: int, msg: Message) -> None:
-        engine = self.engines.get(msg["gid"].process())
-        if engine is None or not engine.installed or engine.view is None:
-            return
-        if not engine.is_coordinator_site():
-            self.send_to_site(engine.view.coordinator().site, msg)
+        engine = self._coordinating_engine(msg)
+        if engine is None:
             return
         engine.watcher_sites.add(src_site)
         self.send_to_site(src_site, Message(
@@ -1649,104 +1654,49 @@ class ProtocolsProcess:
             ]
 
     # -- kernel statistics -------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        """Aggregate data-path counters across this kernel's groups.
+    def stats(self) -> Dict[str, float]:
+        """What this kernel has done and what it holds, by stable key.
 
-        Surfaces what the trace counters cannot attribute per kernel:
-        buffer occupancy and GC progress (so tests and benchmarks can
-        assert that stability actually reclaims memory), plus batching
-        and transport activity for wire-efficiency comparisons.
+        *Events* are the :data:`KERNEL_COUNTERS` keys, read from
+        ``self.counters``: counted since boot, kept when a group retires
+        or the kernel dies, summing over kernels to ``sim.trace.value``
+        of the same counter.  The rest are *gauges*, computed here from
+        live state: buffer occupancy (so tests can assert that stability
+        reclaims memory), pending depths, the failure detector's and the
+        transport's own ``stats()``.
         """
-        out = {
-            "groups": len(self.engines),
-            "buffered_messages": 0,
-            "buffered_bytes": 0,
-            "trimmed_messages": 0,
-            "batches_sent": 0,
-            "envelopes_batched": 0,
-            "batch_pending": 0,
-            "abcast.proposals": 0,
-            "abcast.finals": 0,
-            "abcast.seq_stamps": 0,
-            "abcast.token_handoffs": 0,
-            "causal.pending": 0,
-            "causal.peak_pending": self._retired_peak_pending,
-            "causal.ctx_cache": 0,
-            "causal.ctx_delta_entries": self._ctx_delta_entries,
-            "causal.ctx_full_walks": self._ctx_full_walks,
+        out = {key: self.counters.value(name)
+               for key, name in KERNEL_COUNTERS.items()}
+        engines = list(self.engines.values())
+        # Completed wedges are counted; these are the ones in progress.
+        out["flush.wedged_seconds"] += sum(
+            self.sim.now - e._wedged_at for e in engines
+            if e.wedged and e._wedged_at is not None)
+        out.update({
+            "groups": len(engines),
+            "buffered_messages": sum(e.store.buffered_count for e in engines),
+            "buffered_bytes": sum(e.store.buffered_bytes for e in engines),
+            "batch_pending": sum(
+                e.pipeline.dissemination.pending_batched for e in engines),
+            "causal.pending": sum(e.causal.pending_count for e in engines),
+            "causal.peak_pending": max(
+                [self._retired_peak_pending]
+                + [e.causal.peak_pending for e in engines]),
+            "causal.ctx_cache": sum(
+                sum(e.causal.cache_sizes()) for e in engines),
             "wait_index.size": len(self.wait_index),
             "wait_index.peak": self.wait_index.peak_size,
-            "flush.wedged_seconds": self._retired_flush["wedged_seconds"],
-            "flush.rounds": self._retired_flush["rounds"],
-            "flush.fast_path_hits": self._retired_flush["fast_hits"],
-            "flush.fast_path_misses": self._retired_flush["fast_misses"],
-            "flush.refill_bytes": self._retired_flush["refill_bytes"],
-            "state_transfer.chunks": self._xfer_chunks_sent,
-            "state_transfer.stream_bytes": self._xfer_stream_bytes,
-            "state_transfer.streams_aborted": self._xfer_streams_aborted,
             "state_transfer.streams_active": len(self._out_streams),
             "kernel.peak_groups_per_shard": self._peak_groups,
-            "stab.idle_skipped": self._stab_idle_skipped,
             "tree.fanout": self.config.tree_fanout
             if self.config.dissemination == "tree" else 0,
-            "tree.depth": 0,
-            "tree.relayed": 0,
-            "tree.dup_drops": 0,
-            "tree.flat_fallbacks": 0,
-            "stab.up_sent": 0,
-            "stab.dn_sent": 0,
-        }
-        for key, value in self.heartbeat.stats().items():
-            out[key] = value
-        for engine in self.engines.values():
-            wedged = engine.wedged_seconds
-            if engine.wedged and engine._wedged_at is not None:
-                wedged += self.sim.now - engine._wedged_at
-            out["flush.wedged_seconds"] += wedged
-            out["flush.rounds"] += engine.flush_rounds
-            out["flush.fast_path_hits"] += engine.fast_path_hits
-            out["flush.fast_path_misses"] += engine.fast_path_misses
-            out["flush.refill_bytes"] += engine.refill_bytes
-            causal = engine.causal
-            out["causal.pending"] += causal.pending_count
-            out["causal.peak_pending"] = max(out["causal.peak_pending"],
-                                             causal.peak_pending)
-            chain, cache = causal.cache_sizes()
-            out["causal.ctx_cache"] += chain + cache
-            out["buffered_messages"] += engine.store.buffered_count
-            out["buffered_bytes"] += engine.store.buffered_bytes
-            out["trimmed_messages"] += engine.store.trimmed_total
-            dissemination = engine.pipeline.dissemination
-            out["batches_sent"] += dissemination.batches_sent
-            out["envelopes_batched"] += dissemination.envelopes_batched
-            out["batch_pending"] += dissemination.pending_batched
-            ordering = engine.pipeline.total
-            out["abcast.proposals"] += ordering.proposals_sent
-            out["abcast.finals"] += ordering.finals_sent
-            out["abcast.seq_stamps"] += ordering.stamps_sent
-            out["abcast.token_handoffs"] += ordering.token_handoffs
-            out["tree.depth"] = max(out["tree.depth"],
-                                    dissemination.tree_depth())
-            out["tree.relayed"] += dissemination.tree_relayed
-            out["tree.dup_drops"] += dissemination.tree_dup_drops
-            out["tree.flat_fallbacks"] += dissemination.tree_flat_fallbacks
-            stability = engine.pipeline.stability
-            out["stab.up_sent"] += stability.up_sent
-            out["stab.dn_sent"] += stability.dn_sent
+            "tree.depth": max(
+                [e.pipeline.dissemination.tree_depth() for e in engines],
+                default=0),
+        })
+        out.update(self.heartbeat.stats())
         if self.wal is not None:
-            for key, value in self.wal.stats().items():
-                out[key] = value
-        else:
-            out["wal.appends"] = 0
-            out["wal.bytes"] = 0
-            out["wal.truncations"] = 0
-            out["wal.replayed"] = 0
-            out["checkpoint.writes"] = 0
-            out["checkpoint.bytes"] = 0
-            out["recovery.torn_tails"] = 0
-            out["recovery.rejoins"] = 0
-            out["recovery.total_restarts"] = 0
-            out["transfer.log_assisted_bytes_saved"] = 0
+            out["wal.groups"] = len(self.wal.groups)
         if self.site.transport is not None:
             for key, value in self.site.transport.stats().items():
                 out[f"transport.{key}"] = value
@@ -1781,6 +1731,5 @@ class ProtocolsProcess:
                 self._stab_dirty.add(key)
         skipped = len(self.engines) - visited
         if skipped > 0:
-            self._stab_idle_skipped += skipped
-            self.sim.trace.bump("stab.idle_skipped", skipped)
+            self.counters.bump("stab.idle_skipped", skipped)
         self._schedule_stability()

@@ -27,9 +27,7 @@ mode:
   (``UNSTAMPED_BASE``), so the cut appends them in the same order
   everywhere.
 
-Engines register themselves in :data:`ORDERING_ENGINES`;
-:func:`make_ordering` is the pipeline's only construction path, so a
-new engine is one subclass plus one decorator away.
+:func:`make_ordering` is the pipeline's only construction path.
 
 =============== ==============================================================
 ``two_phase``   :class:`TotalOrdering` — the paper's ABCAST: every
@@ -43,7 +41,7 @@ new engine is one subclass plus one decorator away.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Type
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 from ..errors import GroupError
 from ..msg.address import Address
@@ -62,32 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import DeliveryPipeline
 
 
-#: abcast_mode name -> engine class (filled by @register_ordering).
-ORDERING_ENGINES: Dict[str, Type["OrderingEngine"]] = {}
-
-
-def register_ordering(name: str):
-    """Class decorator: expose an engine under ``abcast_mode = name``."""
-
-    def deco(cls: Type["OrderingEngine"]) -> Type["OrderingEngine"]:
-        cls.mode = name
-        ORDERING_ENGINES[name] = cls
-        return cls
-
-    return deco
-
-
-def make_ordering(mode: str, engine: "GroupEngine",
-                  pipeline: "DeliveryPipeline") -> "OrderingEngine":
-    """Instantiate the configured total-order engine for one group."""
-    cls = ORDERING_ENGINES.get(mode)
-    if cls is None:
-        known = ", ".join(repr(k) for k in sorted(ORDERING_ENGINES))
-        raise GroupError(f"unknown abcast_mode {mode!r} "
-                         f"(expected one of {known})")
-    return cls(engine, pipeline)
-
-
 class OrderingEngine:
     """Base class and contract for a pipeline total-order stage.
 
@@ -95,11 +67,9 @@ class OrderingEngine:
     control traffic (a proposal reaching a sequencer-mode kernel, etc.)
     lands in the defaults below, which count it as noise — modes are a
     cluster-wide configuration, so a mismatch is a misconfiguration,
-    never a protocol state.
+    never a protocol state.  What an engine sends it counts on
+    ``engine.kernel.counters`` (``abcast.*``), like every other stage.
     """
-
-    #: Registry name (set by :func:`register_ordering`).
-    mode = "?"
 
     def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
         self.engine = engine
@@ -109,11 +79,6 @@ class OrderingEngine:
         #: it inert so the flush/failure paths stay mode-agnostic
         #: (``drop_site`` on an inert sender completes nothing).
         self.sender = TotalOrderSender()
-        #: Wire counters, aggregated by ``ProtocolsProcess.stats()``.
-        self.proposals_sent = 0
-        self.finals_sent = 0
-        self.stamps_sent = 0
-        self.token_handoffs = 0
 
     def _make_receiver(self):
         raise NotImplementedError
@@ -166,7 +131,6 @@ class OrderingEngine:
         self.sender.abandon_all()
 
 
-@register_ordering("two_phase")
 class TotalOrdering(OrderingEngine):
     """ABCAST stage: two-phase priority total order."""
 
@@ -193,8 +157,7 @@ class TotalOrdering(OrderingEngine):
             note = Message(_proto="g.abp", gid=self.engine.gid,
                            ref=list(ref), prio=list(priority))
             self.pipeline.stability.attach(note)
-            self.proposals_sent += 1
-            self.engine.sim.trace.bump("abcast.proposals")
+            self.engine.kernel.counters.bump("abcast.proposals")
             self.engine.kernel.send_to_site(env["origin"], note)
 
     def on_proposal(self, src_site: int, msg: Message) -> None:
@@ -215,8 +178,7 @@ class TotalOrdering(OrderingEngine):
         self.pipeline.stability.attach(note)
         for site in self.engine.view.member_sites():
             if site != self.engine.site_id:
-                self.finals_sent += 1
-                self.engine.sim.trace.bump("abcast.finals")
+                self.engine.kernel.counters.bump("abcast.finals")
                 self.engine.kernel.send_to_site(site, note)
         self.apply_final(ref, final)
 
@@ -251,7 +213,6 @@ class TotalOrdering(OrderingEngine):
             self.engine.deliver_env(ready)
 
 
-@register_ordering("sequencer")
 class SequencerOrdering(OrderingEngine):
     """ABCAST stage: one-phase total order via a token-site sequencer.
 
@@ -400,8 +361,7 @@ class SequencerOrdering(OrderingEngine):
         engine.sim.trace.bump("abcast.stamped_refs", len(stamps))
         sent = self.pipeline.dissemination.broadcast_note(note)
         if sent:
-            self.stamps_sent += sent
-            engine.sim.trace.bump("abcast.seq_stamps", sent)
+            engine.kernel.counters.bump("abcast.seq_stamps", sent)
 
     # -- view lifecycle ----------------------------------------------------
     def on_wedge(self) -> None:
@@ -419,8 +379,7 @@ class SequencerOrdering(OrderingEngine):
         self._token_site = self.token_site()
         if (self._token_site == self.engine.site_id
                 and old_token is not None and old_token != self._token_site):
-            self.token_handoffs += 1
-            self.engine.sim.trace.bump("abcast.token_handoffs")
+            self.engine.kernel.counters.bump("abcast.token_handoffs")
         # Replay stamps that raced ahead of our view installation.
         if self._future_stamps and self.engine.view is not None:
             current = self.engine.view.view_id
@@ -435,4 +394,18 @@ class SequencerOrdering(OrderingEngine):
 
 
 class LeaderOrdering(SequencerOrdering):
-    """Unregistered and bodiless: frozen ``bench/trace.py`` imports the name."""
+    """Unselectable and bodiless: frozen ``bench/trace.py`` imports the name."""
+
+
+_ENGINES = {"two_phase": TotalOrdering, "sequencer": SequencerOrdering}
+
+
+def make_ordering(mode: str, engine: "GroupEngine",
+                  pipeline: "DeliveryPipeline") -> OrderingEngine:
+    """Instantiate the configured total-order engine for one group."""
+    cls = _ENGINES.get(mode)
+    if cls is None:
+        known = ", ".join(repr(k) for k in sorted(_ENGINES))
+        raise GroupError(f"unknown abcast_mode {mode!r} "
+                         f"(expected one of {known})")
+    return cls(engine, pipeline)

@@ -79,6 +79,14 @@ def _int_pair(value: object) -> Tuple[int, int]:
     return value[0], value[1]
 
 
+def _bytes_field(msg: Message, name: str) -> bytes:
+    """A bytes field off the wire, else :class:`CodecError`."""
+    value = msg.get(name)
+    if not isinstance(value, (bytes, bytearray)):
+        raise CodecError(f"{name} is not bytes: {value!r}")
+    return bytes(value)
+
+
 def _decode_pairs(pairs: object) -> Dict[int, int]:
     """Inverse of :func:`_encode_pairs` for a field off the wire."""
     if not isinstance(pairs, list):
@@ -101,7 +109,13 @@ class _BatchBuffer:
 
 
 class DisseminationStage:
-    """Fan-out of data envelopes, with optional wire-level batching."""
+    """Fan-out of data envelopes, with optional wire-level batching.
+
+    One batch buffer per destination key serves both topologies: a
+    stage supplies only :meth:`_send_batch`, "put this batch on the wire
+    for that key".  What it sends it counts on ``kernel.counters``
+    (``batch.*``; the tree stage also ``tree.*``).
+    """
 
     def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
         self.engine = engine
@@ -113,13 +127,6 @@ class DisseminationStage:
         #: destination site -> (view_id, have-vector) last piggybacked on
         #: a batch to that peer; batch stabs are delta-encoded against it.
         self._last_stab: Dict[int, Tuple[int, Dict[int, int]]] = {}
-        self.batches_sent = 0
-        self.envelopes_batched = 0
-        #: Tree-mode counters; the flat stage keeps them at zero so the
-        #: kernel's stats scan is mode-agnostic.
-        self.tree_relayed = 0
-        self.tree_dup_drops = 0
-        self.tree_flat_fallbacks = 0
 
     def next_gseq(self) -> int:
         self._send_seq += 1
@@ -180,22 +187,35 @@ class DisseminationStage:
                     SiteDown(f"site {self.engine.site_id} is down"))
             return
         envelopes = [env for env, _ in buf.entries]
-        stab, stab_view = self._stab_for(dst_site)
-        batch = pack_batch(self.engine.gid, envelopes, stab, stab_view)
-        self.batches_sent += 1
-        self.envelopes_batched += len(envelopes)
-        self.engine.sim.trace.bump("batch.sent")
-        self.engine.sim.trace.bump("batch.envelopes", len(envelopes))
-        sent = self.kernel.send_to_site(dst_site, batch)
+        self.kernel.counters.bump("batch.sent")
+        self.kernel.counters.bump("batch.envelopes", len(envelopes))
+        sends = self._send_batch(dst_site, envelopes)
+        if not sends:
+            for _, entry_promise in buf.entries:
+                entry_promise.resolve(None)
+            return
+        state = {"left": len(sends), "failed": None}
 
         def settle(p: Promise) -> None:
-            for _, entry_promise in buf.entries:
-                if p.rejected:
-                    entry_promise.reject(p.exception)
-                else:
-                    entry_promise.resolve(None)
+            if p.rejected and state["failed"] is None:
+                state["failed"] = p.exception
+            state["left"] -= 1
+            if state["left"] == 0:
+                for _, entry_promise in buf.entries:
+                    if state["failed"] is not None:
+                        entry_promise.reject(state["failed"])
+                    else:
+                        entry_promise.resolve(None)
 
-        sent.add_done_callback(settle)
+        for send in sends:
+            send.add_done_callback(settle)
+
+    def _send_batch(self, dst_site: int,
+                    envelopes: List[Message]) -> List[Promise]:
+        """Put one batch for ``dst_site`` on the wire: the send promises."""
+        stab, stab_view = self._stab_for(dst_site)
+        batch = pack_batch(self.engine.gid, envelopes, stab, stab_view)
+        return [self.kernel.send_to_site(dst_site, batch)]
 
     def _stab_for(self, dst_site: int):
         """Have-vector to piggyback on a batch to ``dst_site``.
@@ -356,17 +376,15 @@ class TreeDissemination(DisseminationStage):
             # Wedge-safe fallback: mid-flush, relays may be wedged or
             # already reporting; flat fan-out keeps the envelope's fate
             # in the sender's own hands (and in the flush's union cut).
-            self.tree_flat_fallbacks += 1
-            self.engine.sim.trace.bump("tree.flat_fallbacks")
+            self.kernel.counters.bump("tree.flat_fallbacks")
             super().fan_out(env, sender_key)
             return
         if self.kernel.config.batch_window > 0:
-            promise = self._enqueue_tree(env)
-            if sender_key is not None:
-                self.kernel.note_outstanding(sender_key, promise)
-            return
-        for promise in self._send_down(env):
-            if sender_key is not None:
+            promises = [self._enqueue(self._TREE_DST, env)]
+        else:
+            promises = self._send_down(env)
+        if sender_key is not None:
+            for promise in promises:
                 self.kernel.note_outstanding(sender_key, promise)
 
     def _send_down(self, inner: Message) -> List[Promise]:
@@ -379,74 +397,24 @@ class TreeDissemination(DisseminationStage):
         wrapped = self._wrap(inner)
         return [self.kernel.send_to_site(site, wrapped) for site in children]
 
-    def _enqueue_tree(self, env: Message) -> Promise:
-        buf = self._buffers.get(self._TREE_DST)
-        if buf is None:
-            buf = _BatchBuffer()
-            self._buffers[self._TREE_DST] = buf
-        promise = Promise(label=f"treebatch:{self.engine.gid}")
-        buf.entries.append((env, promise))
-        buf.bytes += env.size_bytes
-        if buf.bytes >= BATCH_MAX_BYTES:
-            self._flush(self._TREE_DST)
-        elif buf.timer is None:
-            buf.timer = self.engine.sim.call_after(
-                self.kernel.config.batch_window, self._flush, self._TREE_DST)
-        return promise
-
-    def _flush(self, dst_site: int) -> None:
+    def _send_batch(self, dst_site: int,
+                    envelopes: List[Message]) -> List[Promise]:
         if dst_site != self._TREE_DST:
-            super()._flush(dst_site)  # flat-fallback per-peer buffers
-            return
-        buf = self._buffers.pop(self._TREE_DST, None)
-        if buf is None or not buf.entries:
-            return
-        if buf.timer is not None:
-            buf.timer.cancel()
-        if not self.kernel.alive:
-            for _, entry_promise in buf.entries:
-                entry_promise.reject(
-                    SiteDown(f"site {self.engine.site_id} is down"))
-            return
-        envelopes = [env for env, _ in buf.entries]
+            # A flat-fallback per-peer buffer.
+            return super()._send_batch(dst_site, envelopes)
         # One batch serves every subtree destination, so no per-peer
         # delta stab can ride it — tree mode moves stability tracking to
         # the aggregation channel (``g.stab.up`` / ``g.stab.dn``).
         batch = pack_batch(self.engine.gid, envelopes, None, None)
-        self.batches_sent += 1
-        self.envelopes_batched += len(envelopes)
-        self.engine.sim.trace.bump("batch.sent")
-        self.engine.sim.trace.bump("batch.envelopes", len(envelopes))
-        if self.engine.wedged:
-            self.tree_flat_fallbacks += 1
-            self.engine.sim.trace.bump("tree.flat_fallbacks")
-            sends = []
-            view = self.engine.view
-            if view is not None:
-                for site in view.member_sites():
-                    if site != self.engine.site_id:
-                        sends.append(self.kernel.send_to_site(site, batch))
-        else:
-            sends = self._send_down(batch)
-        if not sends:
-            for _, entry_promise in buf.entries:
-                entry_promise.resolve(None)
-            return
-        state = {"left": len(sends), "failed": None}
-
-        def settle(p: Promise) -> None:
-            if p.rejected and state["failed"] is None:
-                state["failed"] = p.exception
-            state["left"] -= 1
-            if state["left"] == 0:
-                for _, entry_promise in buf.entries:
-                    if state["failed"] is not None:
-                        entry_promise.reject(state["failed"])
-                    else:
-                        entry_promise.resolve(None)
-
-        for send in sends:
-            send.add_done_callback(settle)
+        if not self.engine.wedged:
+            return self._send_down(batch)
+        self.kernel.counters.bump("tree.flat_fallbacks")
+        view = self.engine.view
+        if view is None:
+            return []
+        return [self.kernel.send_to_site(site, batch)
+                for site in view.member_sites()
+                if site != self.engine.site_id]
 
     def broadcast_note(self, note: Message) -> int:
         """Relay a control note (token stamps) down our own tree."""
@@ -454,8 +422,7 @@ class TreeDissemination(DisseminationStage):
             # Stamps flushed at wedge time must stay ahead of the flush
             # begin on the same FIFO channels; an interior relay hop
             # would let the begin overtake them.
-            self.tree_flat_fallbacks += 1
-            self.engine.sim.trace.bump("tree.flat_fallbacks")
+            self.kernel.counters.bump("tree.flat_fallbacks")
             return super().broadcast_note(note)
         return len(self._send_down(note))
 
@@ -478,8 +445,7 @@ class TreeDissemination(DisseminationStage):
         seen = self._seen.setdefault(root, set())
         tid = msg["tid"]
         if tid in seen:
-            self.tree_dup_drops += 1
-            engine.sim.trace.bump("tree.dup_drops")
+            self.kernel.counters.bump("tree.dup_drops")
             return
         seen.add(tid)
         # Forward to our children in the origin-rooted tree *before*
@@ -492,8 +458,7 @@ class TreeDissemination(DisseminationStage):
             for child in tree.children(root, me):
                 if child == me or child == root:
                     continue
-                self.tree_relayed += 1
-                engine.sim.trace.bump("tree.relayed")
+                self.kernel.counters.bump("tree.relayed")
                 self.kernel.send_to_site(child, msg)
         try:
             inner = Message.decode(bytes(msg["inner"]))
@@ -624,8 +589,6 @@ class StabilityStage:
         self._dn_last: Optional[Tuple] = None
         #: Group-wide min delivery floor per the last full aggregation.
         self._tree_floor: Optional[Tuple[int, int]] = None
-        self.up_sent = 0
-        self.dn_sent = 0
 
     # -- piggyback: attach -------------------------------------------------
     def attach(self, msg: Message) -> None:
@@ -650,7 +613,7 @@ class StabilityStage:
         if "stab" not in msg:
             return
         try:
-            have = decode_have_vector(bytes(msg["stab"]))
+            have = decode_have_vector(_bytes_field(msg, "stab"))
         except CodecError:
             self.engine.sim.trace.bump("stability.bad_piggyback")
             return
@@ -733,7 +696,7 @@ class StabilityStage:
         dropped = engine.store.trim_stable(stable)
         if dropped:
             self._last_advance = engine.sim.now
-            engine.sim.trace.bump("stability.trimmed", dropped)
+            self.kernel.counters.bump("stability.trimmed", dropped)
             engine.sim.trace.bump("stability.piggyback_trimmed", dropped)
             if self.kernel.wal is not None:
                 self.kernel.wal.note_stable_trim(engine)
@@ -848,8 +811,7 @@ class StabilityStage:
                            stable_b=encode_have_vector(agg),
                            df=list(floor))
             for child in children:
-                self.dn_sent += 1
-                engine.sim.trace.bump("stab.dn_sent")
+                self.kernel.counters.bump("stab.dn_sent")
                 self.kernel.send_to_site(child, note)
             return
         state = (tuple(sorted(agg.items())), count, floor)
@@ -863,8 +825,7 @@ class StabilityStage:
                        stab_view=view.view_id,
                        have_b=encode_have_vector(agg),
                        n=count, df=list(floor))
-        self.up_sent += 1
-        engine.sim.trace.bump("stab.up_sent")
+        self.kernel.counters.bump("stab.up_sent")
         self.kernel.send_to_site(parent, note)
 
     def on_up(self, src_site: int, msg: Message) -> None:
@@ -876,7 +837,7 @@ class StabilityStage:
             engine.sim.trace.bump("stab.stale_up")
             return
         try:
-            have = decode_have_vector(bytes(msg["have_b"]))
+            have = decode_have_vector(_bytes_field(msg, "have_b"))
             floor = _int_pair(msg.get("df"))
             if type(msg.get("n")) is not int:
                 raise CodecError("g.stab.up without a site count")
@@ -898,7 +859,7 @@ class StabilityStage:
             engine.sim.trace.bump("stab.stale_dn")
             return
         try:
-            stable = decode_have_vector(bytes(msg["stable_b"]))
+            stable = decode_have_vector(_bytes_field(msg, "stable_b"))
             floor = _int_pair(msg.get("df"))
         except CodecError:
             engine.sim.trace.bump("stability.bad_note")
@@ -912,8 +873,7 @@ class StabilityStage:
         for child in tree.children(root, me):
             if child == root:
                 continue
-            self.dn_sent += 1
-            engine.sim.trace.bump("stab.dn_sent")
+            self.kernel.counters.bump("stab.dn_sent")
             self.kernel.send_to_site(child, msg)
 
     def _apply_dn(self, stable: Dict[int, int],
@@ -928,7 +888,7 @@ class StabilityStage:
             dropped = engine.store.trim_stable(stable)
             if dropped:
                 self._last_advance = engine.sim.now
-                engine.sim.trace.bump("stability.trimmed", dropped)
+                self.kernel.counters.bump("stability.trimmed", dropped)
                 engine.sim.trace.bump("stability.tree_trimmed", dropped)
                 if self.kernel.wal is not None:
                     self.kernel.wal.note_stable_trim(engine)
@@ -1043,7 +1003,7 @@ class StabilityStage:
         dropped = self.engine.store.trim_stable(stable)
         if dropped:
             self._last_advance = self.engine.sim.now
-            self.engine.sim.trace.bump("stability.trimmed", dropped)
+            self.kernel.counters.bump("stability.trimmed", dropped)
             if self.kernel.wal is not None:
                 self.kernel.wal.note_stable_trim(self.engine)
 

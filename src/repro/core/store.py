@@ -31,7 +31,7 @@ class MessageStore:
     """Buffered group messages for one group at one member kernel."""
 
     __slots__ = ("_messages", "_contiguous", "_gapped", "_sizes",
-                 "_buffered_bytes", "trimmed_total")
+                 "_buffered_bytes")
 
     def __init__(self) -> None:
         self._messages: Dict[Tag, Message] = {}
@@ -43,9 +43,6 @@ class MessageStore:
         self._sizes: Dict[Tag, int] = {}
         #: Encoded bytes currently buffered (kept incrementally).
         self._buffered_bytes = 0
-        #: Messages garbage-collected over this store's lifetime (across
-        #: views); lets benchmarks and tests assert buffer GC happens.
-        self.trimmed_total = 0
 
     # -- recording ---------------------------------------------------------
     def record(self, origin_site: int, gseq: int, msg: Message) -> bool:
@@ -130,7 +127,6 @@ class MessageStore:
         for tag in victims:
             del self._messages[tag]
             self._buffered_bytes -= self._sizes.pop(tag, 0)
-        self.trimmed_total += len(victims)
         return len(victims)
 
     def reset(self) -> None:

@@ -309,7 +309,12 @@ class GroupWal:
 
 
 class WalManager:
-    """All group WALs of one kernel incarnation, backed by the site disk."""
+    """All group WALs of one kernel incarnation, backed by the site disk.
+
+    What it does (``wal.*``, ``checkpoint.*``, ``recovery.*``) is counted
+    on ``kernel.counters``, the boot replay in the constructor included;
+    ``ProtocolsProcess.stats()`` reads it back from there.
+    """
 
     def __init__(self, kernel: "ProtocolsProcess"):
         self.kernel = kernel
@@ -323,17 +328,6 @@ class WalManager:
         #: (its *live* position restarts at view 1 and would make every
         #: other contender look better mid-election).
         self.boot_positions: Dict[str, Tuple[int, int]] = {}
-        # Observability (mirrored into kernel.stats()).
-        self.appends = 0
-        self.append_bytes = 0
-        self.truncations = 0
-        self.replayed = 0
-        self.ck_writes = 0
-        self.ck_bytes = 0
-        self.torn_tails = 0
-        self.rejoins = 0
-        self.total_restarts = 0
-        self.log_assisted_saved = 0
         self._load()
 
     # ------------------------------------------------------------------
@@ -375,8 +369,7 @@ class WalManager:
                 if rec is None:
                     # Torn/corrupt tail: truncate here — everything
                     # after a damaged record is unordered garbage.
-                    self.torn_tails += 1
-                    self.sim.trace.bump("recovery.torn_tails")
+                    self.kernel.counters.bump("recovery.torn_tails")
                     break
                 if gw.covered_by_base(rec):
                     continue  # pre-base leftovers carry no information
@@ -386,8 +379,7 @@ class WalManager:
                     continue  # retained to serve rejoining peers; the
                     # checkpoint already captures its effect here
                 self._track(gw, rec)
-                self.replayed += 1
-                self.sim.trace.bump("wal.replayed")
+                self.kernel.counters.bump("wal.replayed")
             if len(gw.records) != len(raw):
                 # Drop torn tails and pre-base leftovers from the disk
                 # log so it mirrors the in-memory record list (indexes
@@ -592,10 +584,8 @@ class WalManager:
     # ------------------------------------------------------------------
     def _append(self, gw: GroupWal, framed: bytes) -> None:
         gw.records.append(framed)
-        self.appends += 1
-        self.append_bytes += len(framed)
-        self.sim.trace.bump("wal.appends")
-        self.sim.trace.bump("wal.bytes", len(framed))
+        self.kernel.counters.bump("wal.appends")
+        self.kernel.counters.bump("wal.bytes", len(framed))
         gen = gw.gen
         promise = self.store.append(gw.log_key(), framed)
         promise.add_done_callback(
@@ -718,10 +708,8 @@ class WalManager:
             for block in blocks:
                 blob += encode_uvarint(len(block)) + block
         data = bytes(blob)
-        self.ck_writes += 1
-        self.ck_bytes += len(data)
-        self.sim.trace.bump("checkpoint.writes")
-        self.sim.trace.bump("checkpoint.bytes", len(data))
+        self.kernel.counters.bump("checkpoint.writes")
+        self.kernel.counters.bump("checkpoint.bytes", len(data))
         promise = self.store.write(_CK_PREFIX + gw.key, data)
         promise.add_done_callback(
             lambda p: self._checkpoint_committed(gw, pos, segments,
@@ -760,8 +748,7 @@ class WalManager:
         gw.base_index = cut
         gw.base_view = pos["base_view"]
         gw.base_delivered = pos["base_delivered"]
-        self.truncations += 1
-        self.sim.trace.bump("wal.truncations")
+        self.kernel.counters.bump("wal.truncations")
 
     # ------------------------------------------------------------------
     # Naming (for total-failure restore, which starts from a name)
@@ -900,8 +887,7 @@ class WalManager:
             self.sim.trace.bump("wal.bad_replay")
             return
         user["_replay"] = True
-        self.replayed += 1
-        self.sim.trace.bump("wal.replayed")
+        self.kernel.counters.bump("wal.replayed")
         process.deliver(user)
 
     # ------------------------------------------------------------------
@@ -937,8 +923,7 @@ class WalManager:
         gw = self._named(group_name)
         if gw is None:
             return None
-        self.total_restarts += 1
-        self.sim.trace.bump("recovery.total_restarts")
+        self.kernel.counters.bump("recovery.total_restarts")
         return self._apply(gw, process)
 
     def _named(self, group_name: str) -> Optional[GroupWal]:
@@ -951,19 +936,3 @@ class WalManager:
             if gw.name == group_name:
                 return gw
         return None
-
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        return {
-            "wal.groups": len(self.groups),
-            "wal.appends": self.appends,
-            "wal.bytes": self.append_bytes,
-            "wal.truncations": self.truncations,
-            "wal.replayed": self.replayed,
-            "checkpoint.writes": self.ck_writes,
-            "checkpoint.bytes": self.ck_bytes,
-            "recovery.torn_tails": self.torn_tails,
-            "recovery.rejoins": self.rejoins,
-            "recovery.total_restarts": self.total_restarts,
-            "transfer.log_assisted_bytes_saved": self.log_assisted_saved,
-        }

@@ -4,7 +4,8 @@ Two facilities:
 
 * **Counters** — cheap named integers (``trace.bump("abcast.sent")``).
   The Table I benchmark audits *logical multicast counts* per toolkit
-  routine through these.
+  routine through these.  :meth:`Trace.child` gives one site its own
+  set: a bump there counts for the site and for the cluster, once.
 * **Event log** — optional append-only list of ``(time, kind, detail)``
   records, enabled per-kind, used by the Figure 3 breakdown bench and by
   the determinism tests (same seed ⇒ same trace hash).
@@ -22,8 +23,32 @@ if TYPE_CHECKING:  # pragma: no cover
 TraceRecord = Tuple[float, str, Any]
 
 
+class SiteCounters:
+    """One site's counters; every bump also counts cluster-wide.
+
+    The cluster's book is the sum of the sites' by construction, so a
+    per-site reader (``ProtocolsProcess.stats()``) and a cluster-wide
+    one (``Trace.value``) can never disagree about an event.
+    """
+
+    __slots__ = ("counters", "_cluster")
+
+    def __init__(self, cluster: Counter):
+        self.counters: Counter = Counter()
+        self._cluster = cluster
+
+    def bump(self, name: str, amount: float = 1) -> None:
+        """Increment ``name`` here and in the cluster's counters."""
+        self.counters[name] += amount
+        self._cluster[name] += amount
+
+    def value(self, name: str) -> float:
+        """This site's value of ``name`` (0 if never bumped)."""
+        return self.counters.get(name, 0)
+
+
 class Trace:
-    """Per-simulator metrics hub."""
+    """Per-cluster metrics hub: one per simulator or asyncio scheduler."""
 
     def __init__(self, sim: "Simulator"):
         self._sim = sim
@@ -40,6 +65,10 @@ class Trace:
     def value(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never bumped)."""
         return self.counters.get(name, 0)
+
+    def child(self) -> SiteCounters:
+        """A site-scoped counter set feeding these cluster counters."""
+        return SiteCounters(self.counters)
 
     def snapshot(self, prefix: str = "") -> Dict[str, int]:
         """Copy of all counters whose name starts with ``prefix``."""

@@ -768,7 +768,7 @@ def test_group_installed_mid_chain_forces_one_full_walk():
             wire2, reference.decode_context_compact(wire)))
     assert not satisfied
     assert _slot(kernel, DELTA_WAITER) == (g_late, (m, 5))
-    assert kernel._ctx_full_walks == 1
+    assert kernel.counters.value("causal.ctx_full_walks") == 1
     kernel.engines[g_late].deliver(m, 5)
     satisfied, delta = _check_both_ways(
         kernel, chain, wire2, reference.decode_context_compact(
@@ -777,4 +777,4 @@ def test_group_installed_mid_chain_forces_one_full_walk():
     # Once it passed, the chain is checked by delta alone again.
     _check_both_ways(kernel, chain, wire2, reference.decode_context_compact(
         wire2, reference.decode_context_compact(wire)))
-    assert kernel._ctx_full_walks == 2
+    assert kernel.counters.value("causal.ctx_full_walks") == 2

@@ -209,7 +209,6 @@ class TestStoreAccounting:
         assert store.record(0, 2, env2)
         assert store.buffered_bytes == env1.size_bytes + env2.size_bytes
         assert store.trim_stable({0: 1}) == 1
-        assert store.trimmed_total == 1
         assert store.buffered_bytes == env2.size_bytes
         store.reset()
         assert store.buffered_bytes == 0

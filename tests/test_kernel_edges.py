@@ -140,6 +140,10 @@ def test_group_data_for_unknown_group_buffers_quietly():
     dict(_proto="g.stab.up", have_b=b"", n=1),
     dict(_proto="g.stab.up", have_b=b"", n="1", df=[0, 0]),
     dict(_proto="g.stab.dn", stable_b=b"", df=[0]),
+    # A field that should be bytes and is not, or is not there.
+    dict(_proto="g.abp", ref=[1, 1], prio=[1, 1], stab="x"),
+    dict(_proto="g.stab.up", n=1, df=[0, 0]),
+    dict(_proto="g.stab.dn", stable_b="x", df=[0, 0]),
 ])
 def test_misshapen_stability_note_counted_not_fatal(fields):
     """A well-formed message of the wrong shape is outside input like
@@ -158,7 +162,10 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
     system.kernel(0).send_to_site(1, Message(
         gid=box["gid"], stab_view=view.view_id, **fields))
     system.run_for(2.0)
-    assert system.sim.trace.value("stability.bad_note") == 1
+    # On a note the have-vector is the message; on an ack it rides along.
+    counter = ("stability.bad_piggyback" if fields["_proto"] == "g.abp"
+               else "stability.bad_note")
+    assert system.sim.trace.value(counter) == 1
     assert system.kernel(1).alive
 
 
