@@ -78,14 +78,14 @@ class TotalOrderReceiver:
     O(log pending) per delivery instead of O(pending).
     """
 
-    __slots__ = ("site_id", "_counter", "_queue", "_delivered_refs", "_heap")
+    __slots__ = ("site_id", "_counter", "_queue", "_drained", "_heap")
 
     def __init__(self, site_id: int):
         self.site_id = site_id
         self._counter = 0
         self._queue: Dict[MsgRef, _QueueEntry] = {}
-        #: ref -> final priority it was delivered with.
-        self._delivered_refs: Dict[MsgRef, Priority] = {}
+        #: (ref, final priority) drained since :meth:`take_delivered`.
+        self._drained: List[Tuple[MsgRef, Priority]] = []
         #: Lazy min-heap of (priority, ref); stale entries skipped on pop.
         self._heap: List[Tuple[Priority, MsgRef]] = []
 
@@ -109,10 +109,11 @@ class TotalOrderReceiver:
             # Final for a message we never saw (it was delivered at a
             # flush cut, or this is a duplicate) — nothing to do.
             return []
-        entry.priority = final
         entry.final = True
         self._counter = max(self._counter, final[0])
-        heapq.heappush(self._heap, (final, ref))
+        if entry.priority != final:  # else its heap entry already says so
+            entry.priority = final
+            heapq.heappush(self._heap, (final, ref))
         return self._drain()
 
     def _drain(self) -> List[Message]:
@@ -128,7 +129,7 @@ class TotalOrderReceiver:
                 break
             heapq.heappop(heap)
             del self._queue[ref]
-            self._delivered_refs[ref] = entry.priority
+            self._drained.append((ref, entry.priority))
             out.append(entry.msg)
         return out
 
@@ -144,17 +145,16 @@ class TotalOrderReceiver:
             for entry in self._queue.values()
         ]
 
-    def delivered_refs(self) -> List[MsgRef]:
-        return sorted(self._delivered_refs)
-
-    def delivered_priority(self, ref: MsgRef) -> Optional[Priority]:
-        """The final priority ``ref`` was delivered with.
+    def take_delivered(self) -> List[Tuple[MsgRef, Priority]]:
+        """``(ref, final priority)`` of every message drained since the
+        last call, in delivery order; the receiver then forgets them.
 
         A drain can deliver several queued messages at once; each must be
         reported (e.g. to a flush) with its *own* final priority, not the
         priority of the finalize call that unblocked the queue.
         """
-        return self._delivered_refs.get(ref)
+        taken, self._drained = self._drained, []
+        return taken
 
     def force_order(self, order: List[Tuple[MsgRef, Priority]]) -> List[Message]:
         """Apply a flush coordinator's final cut ordering.
@@ -173,13 +173,10 @@ class TotalOrderReceiver:
                 heapq.heappush(self._heap, (entry.priority, ref))
         return self._drain()
 
-    def has_delivered(self, ref: MsgRef) -> bool:
-        return ref in self._delivered_refs
-
     def on_new_view(self) -> None:
         """Reset for a new view (old-view messages all settled by flush)."""
         self._queue.clear()
-        self._delivered_refs.clear()
+        self._drained.clear()
         self._heap.clear()
         # The counter survives: priorities stay monotone across views,
         # which keeps late duplicate finals harmless.
@@ -253,13 +250,13 @@ class SequencerReceiver:
     knowledge is always a prefix of the token's order.
 
     Exposes the same flush-facing surface as :class:`TotalOrderReceiver`
-    (``pending_state`` / ``delivered_priority`` / ``force_order`` / ...)
+    (``pending_state`` / ``take_delivered`` / ``force_order`` / ...)
     with stamps encoded as ``(seq, 0)`` priorities, so the engine and
     :class:`~repro.core.flush.FlushCoordinator` are mode-agnostic.
     """
 
     __slots__ = ("site_id", "_held", "_stamps", "_ref_at", "_next_deliver",
-                 "_delivered_refs")
+                 "_drained")
 
     def __init__(self, site_id: int):
         self.site_id = site_id
@@ -270,24 +267,29 @@ class SequencerReceiver:
         #: stamp -> ref (inverse of _stamps).
         self._ref_at: Dict[int, MsgRef] = {}
         self._next_deliver = 1
-        #: ref -> (stamp, 0) priority it was delivered with.
-        self._delivered_refs: Dict[MsgRef, Priority] = {}
+        #: (ref, (stamp, 0)) drained since :meth:`take_delivered`.
+        self._drained: List[Tuple[MsgRef, Priority]] = []
 
     # -- data and stamps ----------------------------------------------------
     def hold(self, ref: MsgRef, msg: Message) -> List[Message]:
-        """Buffer an arriving ABCAST; return messages now deliverable."""
-        if ref in self._delivered_refs or ref in self._held:
+        """Buffer an arriving ABCAST; return messages now deliverable.
+
+        The message store lets a ref through once per view, so a copy of
+        a delivered message never gets here.
+        """
+        if ref in self._held:
             return []
         self._held[ref] = msg
         return self._drain()
 
     def has_stamp(self, ref: MsgRef) -> bool:
-        return ref in self._stamps or ref in self._delivered_refs
+        """A stamp is known for the undelivered ``ref``."""
+        return ref in self._stamps
 
     def apply_stamps(self, pairs: List[Tuple[MsgRef, int]]) -> List[Message]:
         """Record token-site stamps; return messages now deliverable."""
         for ref, seq in pairs:
-            if ref in self._delivered_refs or ref in self._stamps:
+            if seq < self._next_deliver or ref in self._stamps:
                 continue  # duplicate stamp (retransmit / flush overlap)
             self._stamps[ref] = seq
             self._ref_at[seq] = ref
@@ -305,7 +307,7 @@ class SequencerReceiver:
             del self._held[ref]
             del self._ref_at[self._next_deliver]
             seq = self._stamps.pop(ref)
-            self._delivered_refs[ref] = (seq, 0)
+            self._drained.append((ref, (seq, 0)))
             self._next_deliver += 1
             out.append(msg)
         return out
@@ -330,14 +332,10 @@ class SequencerReceiver:
             out.append(entry)
         return out
 
-    def delivered_refs(self) -> List[MsgRef]:
-        return sorted(self._delivered_refs)
-
-    def delivered_priority(self, ref: MsgRef) -> Optional[Priority]:
-        return self._delivered_refs.get(ref)
-
-    def has_delivered(self, ref: MsgRef) -> bool:
-        return ref in self._delivered_refs
+    def take_delivered(self) -> List[Tuple[MsgRef, Priority]]:
+        """See :meth:`TotalOrderReceiver.take_delivered`."""
+        taken, self._drained = self._drained, []
+        return taken
 
     def force_order(self, order: List[Tuple[MsgRef, Priority]]) -> List[Message]:
         """Apply a flush coordinator's final cut ordering.
@@ -357,7 +355,7 @@ class SequencerReceiver:
             seq = self._stamps.pop(ref, None)
             if seq is not None:
                 self._ref_at.pop(seq, None)
-            self._delivered_refs[ref] = (prio_raw[0], prio_raw[1])
+            self._drained.append((ref, (prio_raw[0], prio_raw[1])))
             out.append(msg)
         return out
 
@@ -367,7 +365,7 @@ class SequencerReceiver:
         self._stamps.clear()
         self._ref_at.clear()
         self._next_deliver = 1
-        self._delivered_refs.clear()
+        self._drained.clear()
 
     @property
     def pending_count(self) -> int:

@@ -1,10 +1,17 @@
 """Cluster bootstrap: wire kernels to sites and install the genesis view.
 
 ISIS was started from a configuration file naming the participating
-sites; :class:`IsisCluster` plays that role.  It builds the simulator,
-the LAN, the sites, attaches a protocols process to every site boot, and
-installs the initial site view.  Sites that boot *later* (recoveries)
-join the running system through the site-view join protocol instead.
+sites; :class:`Deployment` plays that role, once, for both drivers.  It
+attaches a protocols process to every site boot, installs the initial
+site view and holds the helpers a workload drives a deployment through
+(``site`` / ``kernel`` / ``spawn`` / ``crash_site`` / ``restart_site``).
+Sites that boot *later* (recoveries) join the running system through the
+site-view join protocol instead.
+
+A subclass builds the sites and runs its clock: :class:`IsisCluster`
+the simulator, the LAN and simulated sites;
+:class:`repro.runtime.asyncio_driver.AsyncioCluster` an event loop and
+sites on real sockets.
 """
 
 from __future__ import annotations
@@ -13,16 +20,86 @@ from typing import Dict, List, Optional, Tuple
 
 from ..net.bulk import BulkConfig
 from ..net.lan import LanConfig
+from ..runtime.driver import Scheduler
 from ..runtime.process import IsisProcess
-from ..runtime.site import Cluster, Site
+from ..runtime.site import BaseSite, Cluster
 from ..runtime.stable import StorageFaults
 from ..sim.core import Simulator
 from .groups import Isis
 from .kernel import IsisConfig, ProtocolsProcess
 
 
-class IsisCluster:
+class Deployment:
+    """``n_sites`` configured sites, of which ``sites`` are hosted here."""
+
+    def __init__(self, sim: Scheduler, sites: Dict[int, BaseSite],
+                 n_sites: int, isis_config: Optional[IsisConfig] = None,
+                 boot: bool = True):
+        self.sim = sim
+        self.sites = sites
+        self.config = isis_config or IsisConfig()
+        self._genesis_done = False
+        self._all_sites = list(range(n_sites))
+        for site in sites.values():
+            site.on_boot(self._boot_kernel)
+        if boot:
+            self.boot()
+
+    def _boot_kernel(self, site: BaseSite) -> None:
+        ProtocolsProcess(
+            site,
+            all_sites=self._all_sites,
+            config=self.config,
+            join_existing=self._genesis_done,
+        )
+
+    def boot(self, genesis_members: Optional[List[Tuple[int, int]]] = None
+             ) -> None:
+        """Boot the hosted sites and install the genesis site view.
+
+        A process-per-site launcher hosts one site per process but must
+        install a genesis naming *all* sites; it passes
+        ``genesis_members=[(i, 0) for i in range(n)]`` explicitly.
+        """
+        for site in self.sites.values():
+            if not site.up:
+                site.boot()
+        members = genesis_members if genesis_members is not None else [
+            (site.site_id, site.incarnation) for site in self.sites.values()]
+        for site in self.sites.values():
+            site.kernel.genesis(members)
+        self._genesis_done = True
+
+    # -- access helpers --------------------------------------------------
+    def site(self, site_id: int) -> BaseSite:
+        return self.sites[site_id]
+
+    def kernel(self, site_id: int) -> ProtocolsProcess:
+        kernel = self.sites[site_id].kernel
+        if kernel is None:
+            raise RuntimeError(f"site {site_id} has no kernel (down?)")
+        return kernel
+
+    def spawn(self, site_id: int, name: str) -> Tuple[IsisProcess, Isis]:
+        """Create an application process and its toolkit handle."""
+        process = self.sites[site_id].spawn_process(name)
+        return process, Isis(process)
+
+    def crash_site(self, site_id: int) -> None:
+        self.sites[site_id].crash()
+
+    def restart_site(self, site_id: int) -> None:
+        self.sites[site_id].boot()
+
+    @property
+    def now(self) -> float:
+        return self.sim.now
+
+
+class IsisCluster(Deployment):
     """A ready-to-use simulated ISIS deployment."""
+
+    sim: Simulator
 
     def __init__(
         self,
@@ -34,73 +111,17 @@ class IsisCluster:
         boot: bool = True,
         storage_faults: Optional[StorageFaults] = None,
     ):
-        self.sim = Simulator(seed=seed)
-        self.cluster = Cluster(self.sim, n_sites=n_sites,
+        sim = Simulator(seed=seed)
+        self.cluster = Cluster(sim, n_sites=n_sites,
                                lan_config=lan_config,
                                bulk_config=bulk_config,
                                storage_faults=storage_faults)
-        self.config = isis_config or IsisConfig()
-        self._genesis_done = False
-        self._all_sites = list(range(n_sites))
-        for site in self.cluster.sites.values():
-            site.on_boot(self._boot_kernel)
-        if boot:
-            self.boot()
+        super().__init__(sim, self.cluster.sites, n_sites, isis_config, boot)
 
-    # ------------------------------------------------------------------
-    def _boot_kernel(self, site: Site) -> None:
-        ProtocolsProcess(
-            site,
-            all_sites=self._all_sites,
-            config=self.config,
-            join_existing=self._genesis_done,
-        )
-
-    def boot(self) -> None:
-        """Boot all sites and install the genesis site view."""
-        self.cluster.boot_all()
-        members = [
-            (site.site_id, site.incarnation)
-            for site in self.cluster.sites.values() if site.up
-        ]
-        for site in self.cluster.sites.values():
-            if site.up:
-                self.kernel(site.site_id).genesis(members)
-        self._genesis_done = True
-
-    # ------------------------------------------------------------------
-    # Access helpers
-    # ------------------------------------------------------------------
-    def site(self, site_id: int) -> Site:
-        return self.cluster.site(site_id)
-
-    def kernel(self, site_id: int) -> ProtocolsProcess:
-        kernel = getattr(self.cluster.site(site_id), "kernel", None)
-        if kernel is None:
-            raise RuntimeError(f"site {site_id} has no kernel (down?)")
-        return kernel
-
-    def spawn(self, site_id: int, name: str) -> Tuple[IsisProcess, Isis]:
-        """Create an application process and its toolkit handle."""
-        process = self.cluster.site(site_id).spawn_process(name)
-        return process, Isis(process)
-
-    # ------------------------------------------------------------------
-    # Simulation control
-    # ------------------------------------------------------------------
+    # -- simulation control ----------------------------------------------
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
         return self.sim.run(until=until, max_events=max_events)
 
     def run_for(self, duration: float) -> int:
         return self.sim.run(until=self.sim.now + duration)
-
-    def crash_site(self, site_id: int) -> None:
-        self.cluster.site(site_id).crash()
-
-    def restart_site(self, site_id: int) -> None:
-        self.cluster.site(site_id).boot()
-
-    @property
-    def now(self) -> float:
-        return self.sim.now

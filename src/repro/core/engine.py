@@ -92,6 +92,16 @@ PREREPORT_GRACE = 0.25
 OKB_WINDOW = 0.06
 
 
+def _fid(msg: Message) -> FlushId:
+    """The flush id a ``g.fl.*`` message names: three integers.  Outside
+    input, so any other shape is a :class:`CodecError`."""
+    fid = msg.get("fid")
+    if (isinstance(fid, (list, tuple)) and len(fid) == 3
+            and all(type(part) is int for part in fid)):
+        return (fid[0], fid[1], fid[2])
+    raise CodecError(f"malformed flush id {fid!r}")
+
+
 class GroupEngine:
     """All protocol state for one group at one member site."""
 
@@ -248,24 +258,28 @@ class GroupEngine:
         proto = msg["_proto"]
         if proto in DeliveryPipeline.WIRE_PROTOS:
             self.pipeline.receive(src_site, proto, msg)
-        elif proto == "g.fl.begin":
-            self._on_flush_begin(src_site, msg)
-        elif proto == "g.fl.ok":
-            self._on_flush_ok(src_site, msg)
-        elif proto == "g.fl.expect":
-            self._on_flush_expect(msg)
-        elif proto == "g.fl.pull":
-            self._on_flush_pull(msg)
-        elif proto == "g.fl.data":
-            self._on_flush_data(msg)
-        elif proto == "g.fl.filled":
-            self._on_flush_filled(src_site, msg)
-        elif proto == "g.fl.commit":
-            self._on_flush_commit(msg)
-        elif proto == "g.fl.okb":
-            self._on_flush_okb(src_site, msg)
-        else:
-            self.sim.trace.bump("engine.unknown_proto")
+            return
+        try:
+            if proto == "g.fl.begin":
+                self._on_flush_begin(src_site, msg)
+            elif proto == "g.fl.ok":
+                self._on_flush_ok(src_site, msg)
+            elif proto == "g.fl.expect":
+                self._on_flush_expect(msg)
+            elif proto == "g.fl.pull":
+                self._on_flush_pull(msg)
+            elif proto == "g.fl.data":
+                self._on_flush_data(msg)
+            elif proto == "g.fl.filled":
+                self._on_flush_filled(src_site, msg)
+            elif proto == "g.fl.commit":
+                self._on_flush_commit(msg)
+            elif proto == "g.fl.okb":
+                self._on_flush_okb(src_site, msg)
+            else:
+                self.sim.trace.bump("engine.unknown_proto")
+        except CodecError:  # wrong shape: each handler parses its fid first
+            self.sim.trace.bump("flush.bad_message")
 
     # -- delivery to local members ---------------------------------------------
     def note_final_delivered(self, ref: Tuple[int, int],
@@ -292,9 +306,7 @@ class GroupEngine:
 
     def shutdown(self) -> None:
         """Disarm the flush-grace and okb-batch timers and the pipeline."""
-        if self._grace_timer is not None:
-            self._grace_timer.cancel()
-            self._grace_timer = None
+        self._cancel_grace()
         if self._okb_timer is not None:
             self._okb_timer.cancel()
             self._okb_timer = None
@@ -483,6 +495,11 @@ class GroupEngine:
             self.sim.trace.bump("flush.grace_begins")
             self._send_begins(missing, flush_id)
 
+    def _cancel_grace(self) -> None:
+        if self._grace_timer is not None:
+            self._grace_timer.cancel()
+            self._grace_timer = None
+
     def _send_flush_msg(self, site: int, msg: Message) -> None:
         self.sim.trace.bump("flush.wire_msgs")
         self.sim.trace.bump("flush.wire_bytes", msg.size_bytes)
@@ -494,9 +511,7 @@ class GroupEngine:
             return
         old = self._active
         self._active = None
-        if self._grace_timer is not None:
-            self._grace_timer.cancel()
-            self._grace_timer = None
+        self._cancel_grace()
         self.sim.trace.bump("flush.restarts")
         self._reasons = old.reasons + self._reasons
         if extra_removals:
@@ -551,8 +566,8 @@ class GroupEngine:
         the active flush announced in ``g.fl.begin``.  A report is
         outside input: any other shape is a :class:`CodecError`.
         """
+        fid = _fid(msg)
         try:
-            fid: FlushId = (msg["fid"][0], msg["fid"][1], msg["fid"][2])
             if "have_d" in msg:
                 active = self._active
                 base = (active.base if active is not None
@@ -579,9 +594,7 @@ class GroupEngine:
     def _start_fill_phase(self) -> None:
         assert self._active is not None
         active = self._active
-        if self._grace_timer is not None:
-            self._grace_timer.cancel()
-            self._grace_timer = None
+        self._cancel_grace()
         complete = active.complete_sites()
         pulls = active.compute_pulls()
         if pulls:
@@ -615,15 +628,14 @@ class GroupEngine:
             self._commit_flush()
 
     def _on_flush_filled(self, src_site: int, msg: Message) -> None:
-        if self._active is not None and list(self._active.flush_id) == msg["fid"]:
+        fid = _fid(msg)
+        if self._active is not None and self._active.flush_id == fid:
             self._note_filled(src_site)
 
     def _commit_flush(self) -> None:
         assert self._active is not None
         active = self._active
-        if self._grace_timer is not None:
-            self._grace_timer.cancel()
-            self._grace_timer = None
+        self._cancel_grace()
         new_view = active.next_view()
         event: Dict = {"view": new_view.to_value()}
         joiners: List[Address] = []
@@ -683,7 +695,7 @@ class GroupEngine:
         self.pipeline.on_wedge()
 
     def _on_flush_begin(self, src_site: int, msg: Message) -> None:
-        fid: FlushId = (msg["fid"][0], msg["fid"][1], msg["fid"][2])
+        fid = _fid(msg)
         if fid < self._participant_fid:
             # A lower fid is normally a stale coordinator's — unless it
             # comes from the *current* acting coordinator targeting the
@@ -784,7 +796,7 @@ class GroupEngine:
             self._okb_enqueue(root, src, raw)
 
     def _on_flush_expect(self, msg: Message) -> None:
-        fid: FlushId = (msg["fid"][0], msg["fid"][1], msg["fid"][2])
+        fid = _fid(msg)
         if fid != self._participant_fid:
             # A coordinator that consumed our unsolicited pre-report
             # (attempt 0) runs its flush under a higher fid than the one
@@ -803,6 +815,7 @@ class GroupEngine:
         self._check_filled(fid)
 
     def _on_flush_pull(self, msg: Message) -> None:
+        fid = list(_fid(msg))
         batches: Dict[int, List[Message]] = {}
         for origin, gseq, needy in ((s[0], s[1], s[2]) for s in msg["sends"]):
             held = self.store.get(origin, gseq)
@@ -810,7 +823,7 @@ class GroupEngine:
                 batches.setdefault(needy, []).append(held)
         for needy, envs in batches.items():
             data = Message(_proto="g.fl.data", gid=self.gid,
-                           fid=msg["fid"], msgs=envs)
+                           fid=fid, msgs=envs)
             nbytes = sum(env.size_bytes for env in envs)
             self.kernel.counters.bump("flush.refill_bytes", nbytes)
             if needy == self.site_id:
@@ -819,9 +832,9 @@ class GroupEngine:
                 self._send_flush_msg(needy, data)
 
     def _on_flush_data(self, msg: Message) -> None:
+        fid = _fid(msg)
         for env in msg["msgs"]:
             self.pipeline.accept_refill(env)
-        fid: FlushId = (msg["fid"][0], msg["fid"][1], msg["fid"][2])
         self._check_filled(fid)
 
     def maybe_flush_filled(self) -> None:
@@ -843,7 +856,7 @@ class GroupEngine:
         self._expect_union = None
 
     def _on_flush_commit(self, msg: Message) -> None:
-        fid: FlushId = (msg["fid"][0], msg["fid"][1], msg["fid"][2])
+        _fid(msg)  # shape only: the view id of the event names the flush
         if self.view is None or not self.installed:
             return
         event = msg["event"]

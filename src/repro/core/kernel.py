@@ -53,7 +53,7 @@ from .vectorclock import (
     first_in_walk_order,
 )
 from .view import View
-from .wal import LOCAL_DELIVERY_CPU, WalManager
+from .wal import WalManager
 
 #: Entry number reserved for pg_kill (the "send UNIX signal" of Table I).
 KILL_ENTRY = 255
@@ -61,6 +61,10 @@ KILL_ENTRY = 255
 CC_REPLY_ENTRY = 3
 
 _HEARTBEAT_PAYLOAD = b"hb"
+
+#: CPU charged per hand-off to a local process: a delivery, or a state
+#: capture queued behind them (:meth:`ProtocolsProcess.after_local_hop`).
+LOCAL_DELIVERY_CPU = 0.0005
 
 #: Joiner state (snapshot or WAL suffix) up to this size rides one
 #: ordered message; above it, an ``st.chunk`` stream on the bulk channel.
@@ -215,6 +219,13 @@ class _JoinState:
         #: Rejoin position from our replayed WAL: (view, delivered enc).
         self.hint: Optional[Tuple[int, bytes]] = None
 
+    def disarm(self) -> None:
+        """Cancel the request-retry and the transfer-retry timer."""
+        for timer in (self.timer, self.transfer_timer):
+            if timer is not None:
+                timer.cancel()
+        self.timer = self.transfer_timer = None
+
 
 class ProtocolsProcess:
     """The kernel at one site."""
@@ -236,7 +247,7 @@ class ProtocolsProcess:
         #: into driver internals to enumerate the cluster.
         self._all_sites = list(all_sites)
         self.process = site.spawn_process("protocols", local_id=KERNEL_LOCAL_ID)
-        site.kernel = self  # type: ignore[attr-defined]
+        site.kernel = self
         site.set_message_handler(self._on_transport_message)
         site.set_raw_handler(self._on_raw)
         site.set_bulk_handler(self._on_transport_message)
@@ -343,12 +354,7 @@ class ProtocolsProcess:
         # Join attempts in flight: their retry/transfer timers would
         # otherwise fire into a dead kernel.
         for state in self._joins.values():
-            if state.timer is not None:
-                state.timer.cancel()
-                state.timer = None
-            if state.transfer_timer is not None:
-                state.transfer_timer.cancel()
-                state.transfer_timer = None
+            state.disarm()
             if not state.promise.done:
                 state.promise.reject(
                     SiteDown(f"site {self.site_id} is down"))
@@ -737,7 +743,6 @@ class ProtocolsProcess:
                     self.sim.trace.bump("pg_kill.signals")
                     process.kill()
             return
-        intra = self.site.local_hop_delay
         for member in engine.local_members():
             copy = user.copy()
             if member.process() in self._awaiting_state:
@@ -746,9 +751,14 @@ class ProtocolsProcess:
             process = self.site.process_by_id(member.local_id)
             if process is None or not process.alive:
                 continue
-            self.site.cpu.submit(
-                LOCAL_DELIVERY_CPU,
-                self.sim.call_after, intra, process.deliver, copy)
+            self.after_local_hop(process.deliver, copy)
+
+    def after_local_hop(self, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` one kernel-to-process hop from now: behind
+        every hand-off already queued on the CPU, ahead of any later one."""
+        self.site.cpu.submit(
+            LOCAL_DELIVERY_CPU,
+            self.sim.call_after, self.site.local_hop_delay, fn, *args)
 
     def on_view_installed(self, engine: GroupEngine, old_view: View,
                           new_view: View, event: Dict) -> None:
@@ -846,10 +856,7 @@ class ProtocolsProcess:
             self._awaiting_state.pop(proc.address.process(), None)
             for gid, join_state in list(self._joins.items()):
                 if join_state.process is proc:
-                    if join_state.timer is not None:
-                        join_state.timer.cancel()
-                    if join_state.transfer_timer is not None:
-                        join_state.transfer_timer.cancel()
+                    join_state.disarm()
                     del self._joins[gid]
             for eng in list(self.engines.values()):
                 if eng.view is not None and eng.view.contains(proc.address):
@@ -969,15 +976,8 @@ class ProtocolsProcess:
     def _send_join_request(self, state: _JoinState) -> None:
         if state.promise.done or not self.alive:
             return
-        # Rotate through alive sites when the cached contact is silent:
-        # any member site forwards the request to the acting coordinator.
-        cached = self.contact_cache.get(state.gid, state.gid.site)
-        candidates = [cached] + sorted(self.alive_sites())
-        contact = next((s for s in candidates if s not in state.tried), None)
-        if contact is None:
-            state.tried.clear()
-            contact = cached
-        state.tried.add(contact)
+        # Any member site forwards the request to the acting coordinator.
+        contact = self._pick_contact(state.tried, state.gid)
         request = Message(
             _proto="g.join", gid=state.gid,
             joiner=state.process.address.process(),
@@ -1022,8 +1022,7 @@ class ProtocolsProcess:
     def _on_join_refused(self, msg: Message) -> None:
         state = self._joins.pop(msg["gid"].process(), None)
         if state is not None:
-            if state.timer is not None:
-                state.timer.cancel()
+            state.disarm()
             self._release_gate(state.process.address, deliver=False)
             state.promise.reject(JoinRefused(f"join to {msg['gid']} refused"))
 
@@ -1042,9 +1041,7 @@ class ProtocolsProcess:
         if state is None:
             return
         state.welcomed = True
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
+        state.disarm()
         for member in view.members_at(self.site_id):
             self._watch_member(engine, member)
         if msg["transfer"]:
@@ -1055,8 +1052,7 @@ class ProtocolsProcess:
 
     def _finish_join(self, state: _JoinState, view: View) -> None:
         self._joins.pop(state.gid, None)
-        if state.transfer_timer is not None:
-            state.transfer_timer.cancel()
+        state.disarm()
         if self.wal is not None:
             # Arm before the gate opens: the checkpoint written here
             # captures exactly the transferred state, and the gated
@@ -1076,11 +1072,8 @@ class ProtocolsProcess:
         process = self.site.process_by_id(member.local_id)
         if process is None or not process.alive:
             return
-        intra = self.site.local_hop_delay
         for msg in queued:
-            self.site.cpu.submit(
-                LOCAL_DELIVERY_CPU,
-                self.sim.call_after, intra, process.deliver, msg)
+            self.after_local_hop(process.deliver, msg)
 
     # -- state transfer -----------------------------------------------------
     def _send_state(self, engine: GroupEngine, source: Address,
@@ -1111,11 +1104,8 @@ class ProtocolsProcess:
         # dispatched before this install is ahead of us in the queue
         # (lands in the snapshot), everything after is behind (reaches
         # the joiner directly in the new view).
-        self.site.cpu.submit(
-            LOCAL_DELIVERY_CPU,
-            self.sim.call_after, self.site.local_hop_delay,
-            self._encode_and_send_snapshot, engine, process, pending,
-            suffix_sizes)
+        self.after_local_hop(self._encode_and_send_snapshot, engine, process,
+                             pending, suffix_sizes)
 
     def _encode_and_send_snapshot(self, engine: GroupEngine,
                                   process: IsisProcess,
@@ -1419,7 +1409,8 @@ class ProtocolsProcess:
             return
         self._fwd_attempts[session_id] = attempts + 1
         self._fwd_unacked.add(session_id)
-        contact = self._pick_contact(session_id, gid)
+        contact = self._pick_contact(
+            self._fwd_tried.setdefault(session_id, set()), gid)
         self.send_to_site(contact, Message(
             _proto="g.fwd", gid=gid.process(), kind=kind, m=user,
             entry=entry, session=session_id, caller_site=self.site_id,
@@ -1437,14 +1428,14 @@ class ProtocolsProcess:
             self._refwd_if_undispatched, session_id, gid, kind, user,
             entry, nwant)
 
-    def _pick_contact(self, session_id: int, gid: Address) -> int:
-        """Best contact site: the cache, then untried alive sites.
+    def _pick_contact(self, tried: Set[int], gid: Address) -> int:
+        """Best site to reach ``gid`` through: the cache, then alive
+        sites not in ``tried`` (this attempt is added to it).
 
         A dead or stale contact is marked tried and the next attempt
-        rotates to another operational site — any member site dispatches,
-        non-members nak with a hint.
+        rotates to another operational site — any member site dispatches
+        or forwards, non-members nak with a hint.
         """
-        tried = self._fwd_tried.setdefault(session_id, set())
         cached = self.contact_cache.get(gid.process(), gid.site)
         candidates = [cached] + sorted(self.alive_sites())
         for site in candidates:

@@ -17,7 +17,7 @@ mode:
   cannot see.  ``on_wedge()`` is the hook to push buffered order out
   *ahead* of the report.
 * **Flush-cut contribution** — the engine's ``receiver`` exposes
-  ``pending_state()`` / ``delivered_priority()`` / ``force_order()``:
+  ``pending_state()`` / ``take_delivered()`` / ``force_order()``:
   undelivered state is reported as ``(priority, final?)`` entries and
   the coordinator's union cut (finals win; otherwise max proposal;
   refs unseen at some survivor are lifted above every final) orders
@@ -110,6 +110,20 @@ class OrderingEngine:
         """Broadcast a completed final (two-phase only; noise elsewhere)."""
         self.engine.sim.trace.bump("abcast.unexpected_control")
 
+    def _deliver(self, ready: List[Message]) -> None:
+        """Hand on what the receiver just drained.
+
+        One drain can unblock several messages; each is recorded with
+        its own final priority (a flush cut built from a wrong priority
+        would diverge between survivors).  The engine's floor-pruned
+        book is then the one record of what was delivered at which.
+        """
+        if not ready:
+            return
+        for env, (ref, priority) in zip(ready, self.receiver.take_delivered()):
+            self.engine.note_final_delivered(ref, priority)
+            self.engine.deliver_env(env)
+
     # -- failure events ----------------------------------------------------
     def on_sites_died(self, dead_sites: Set[int]) -> None:
         """Member sites left the site view mid-collection.
@@ -136,9 +150,6 @@ class TotalOrdering(OrderingEngine):
 
     def _make_receiver(self) -> TotalOrderReceiver:
         return TotalOrderReceiver(self.engine.site_id)
-
-    def shutdown(self) -> None:
-        """Two-phase mode keeps no standing timers; nothing to disarm."""
 
     def stamp(self, env: Message, sender: Address) -> None:
         """Send side: open a proposal collection for this envelope."""
@@ -201,16 +212,7 @@ class TotalOrdering(OrderingEngine):
         if self.engine.wedged:
             self.engine.sim.trace.bump("abcast.wedged_finals_dropped")
             return
-        for ready in self.receiver.finalize(ref, final):
-            ready_ref: MsgRef = (ready["origin"], ready["gseq"])
-            # One finalize can unblock several queued messages; each is
-            # recorded with its own final priority (a flush cut built
-            # from a wrong priority would diverge between survivors).
-            delivered_with = self.receiver.delivered_priority(ready_ref)
-            self.engine.note_final_delivered(
-                ready_ref, delivered_with if delivered_with is not None
-                else final)
-            self.engine.deliver_env(ready)
+        self._deliver(self.receiver.finalize(ref, final))
 
 
 class SequencerOrdering(OrderingEngine):
@@ -282,8 +284,7 @@ class SequencerOrdering(OrderingEngine):
         *before* the wedge are in the report and may keep delivering.
         """
         ref: MsgRef = (env["origin"], env["gseq"])
-        for ready in self.receiver.hold(ref, env):
-            self._deliver(ready)
+        self._deliver(self.receiver.hold(ref, env))
         if (self.is_token() and not self.engine.wedged
                 and not self.receiver.has_stamp(ref)):
             self._assign_stamp(ref)
@@ -293,8 +294,7 @@ class SequencerOrdering(OrderingEngine):
         seq = self._next_stamp
         self._next_stamp += 1
         self._queue_stamp(ref, seq)
-        for ready in self.receiver.apply_stamps([(ref, seq)]):
-            self._deliver(ready)
+        self._deliver(self.receiver.apply_stamps([(ref, seq)]))
 
     def on_stamps(self, src_site: int, msg: Message) -> None:
         """A ``g.abs`` arrived: apply its (ref, seq) pairs.
@@ -323,15 +323,7 @@ class SequencerOrdering(OrderingEngine):
             engine.sim.trace.bump("abcast.wedged_stamps_dropped")
             return
         pairs = [((s[0], s[1]), s[2]) for s in msg["stamps"]]
-        for ready in self.receiver.apply_stamps(pairs):
-            self._deliver(ready)
-
-    def _deliver(self, env: Message) -> None:
-        ref: MsgRef = (env["origin"], env["gseq"])
-        prio = self.receiver.delivered_priority(ref)
-        if prio is not None:
-            self.engine.note_final_delivered(ref, prio)
-        self.engine.deliver_env(env)
+        self._deliver(self.receiver.apply_stamps(pairs))
 
     # -- stamp batching ----------------------------------------------------
     def _queue_stamp(self, ref: MsgRef, seq: int) -> None:
@@ -389,8 +381,7 @@ class SequencerOrdering(OrderingEngine):
             ]
             for stamps in ready:
                 pairs = [((s[0], s[1]), s[2]) for s in stamps]
-                for env in self.receiver.apply_stamps(pairs):
-                    self._deliver(env)
+                self._deliver(self.receiver.apply_stamps(pairs))
 
 
 class LeaderOrdering(SequencerOrdering):

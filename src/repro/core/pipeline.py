@@ -693,11 +693,18 @@ class StabilityStage:
                 stable[origin] = floor
         if not stable:
             return
+        self._trim(stable, "stability.piggyback_trimmed")
+
+    def _trim(self, stable: Dict[int, int], learnt_by: Optional[str]) -> None:
+        """Drop what ``stable`` covers; ``learnt_by`` is the trace counter
+        of the path that learnt it (the fallback round has none)."""
+        engine = self.engine
         dropped = engine.store.trim_stable(stable)
         if dropped:
             self._last_advance = engine.sim.now
             self.kernel.counters.bump("stability.trimmed", dropped)
-            engine.sim.trace.bump("stability.piggyback_trimmed", dropped)
+            if learnt_by is not None:
+                engine.sim.trace.bump(learnt_by, dropped)
             if self.kernel.wal is not None:
                 self.kernel.wal.note_stable_trim(engine)
 
@@ -885,13 +892,7 @@ class StabilityStage:
                 and engine.store.buffered_count):
             # Wedged: defer exactly like maybe_trim — mid-flush trims
             # could empty a pending refill the coordinator counts on.
-            dropped = engine.store.trim_stable(stable)
-            if dropped:
-                self._last_advance = engine.sim.now
-                self.kernel.counters.bump("stability.trimmed", dropped)
-                engine.sim.trace.bump("stability.tree_trimmed", dropped)
-                if self.kernel.wal is not None:
-                    self.kernel.wal.note_stable_trim(engine)
+            self._trim(stable, "stability.tree_trimmed")
         engine.prune_delivered_finals()
 
     def tree_floor(self) -> Optional[Tuple[int, int]]:
@@ -1000,12 +1001,7 @@ class StabilityStage:
         except CodecError:
             self.engine.sim.trace.bump("stability.bad_note")
             return
-        dropped = self.engine.store.trim_stable(stable)
-        if dropped:
-            self._last_advance = self.engine.sim.now
-            self.kernel.counters.bump("stability.trimmed", dropped)
-            if self.kernel.wal is not None:
-                self.kernel.wal.note_stable_trim(self.engine)
+        self._trim(stable, None)
 
     def on_new_view(self) -> None:
         self._peer_have.clear()

@@ -66,10 +66,6 @@ REC_DELIVER = 1
 REC_VIEW = 2
 REC_GBCAST = 3
 
-#: CPU charged per hand-off to a local process: a delivery, or a checkpoint
-#: capture queued behind them.  Here because the kernel imports this module.
-LOCAL_DELIVERY_CPU = 0.0005
-
 _LOG_PREFIX = "wal/g/"
 _CK_PREFIX = "wal/ck/"
 _NAME_PREFIX = "wal/name/"
@@ -656,10 +652,7 @@ class WalManager:
             return
         gw.ck_inflight = True
         pos = self._pos_of(gw)
-        kernel = self.kernel
-        kernel.site.cpu.submit(
-            LOCAL_DELIVERY_CPU,
-            self.sim.call_after, kernel.site.local_hop_delay,
+        self.kernel.after_local_hop(
             self._deferred_checkpoint, gw, process, pos)
 
     def _deferred_checkpoint(self, gw: GroupWal, process: "IsisProcess",

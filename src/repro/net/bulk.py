@@ -15,7 +15,7 @@ view-change flush).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import SiteDown
 from ..sim.core import Simulator
@@ -42,40 +42,19 @@ class BulkChannel:
         self.lan = lan
         self.config = config or BulkConfig()
 
-    def stream(self, src_site: int, dst_site: int,
-               src_cpu: Cpu, dst_cpu: Cpu) -> "BulkStream":
+    def stream(self, src_site: int, dst_site: int, src_cpu: Cpu, dst_cpu: Cpu,
+               deliver: Optional[Callable[[int, bytes], None]] = None,
+               ) -> "BulkStream":
         """Open a persistent connection for chunked transfers.
 
         A :class:`BulkStream` pays connection setup once; each chunk
         then costs only its bandwidth share and per-byte CPU.  Used by
         the streaming join state transfer, where one snapshot travels
         as many small sends so neither endpoint's CPU is occupied by a
-        snapshot-sized block.
+        snapshot-sized block.  ``deliver(src_site, chunk)`` is the
+        receiving site's bulk handler.
         """
-        return BulkStream(self, src_site, dst_site, src_cpu, dst_cpu)
-
-    def _ship(self, src_site: int, dst_site: int, data: bytes,
-              src_cpu: Cpu, dst_cpu: Cpu, setup: float) -> Promise:
-        """Ship ``data``; resolves with it at the receiver once the
-        stream completes, rejects with :class:`SiteDown` if either
-        endpoint is detached by then (TCP reset)."""
-        promise = Promise(label=f"bulk:{src_site}->{dst_site}")
-        nbytes = len(data)
-        wire_time = setup + nbytes / self.config.bandwidth
-        cpu_cost = self.config.cpu_per_byte * nbytes
-        self.sim.trace.bump("bulk.transfers")
-        self.sim.trace.bump("bulk.bytes", nbytes)
-
-        def finish() -> None:
-            if not (self.lan.attached(src_site) and self.lan.attached(dst_site)):
-                promise.reject(SiteDown(
-                    f"bulk transfer {src_site}->{dst_site} reset by crash"))
-                return
-            dst_cpu.submit(cpu_cost, promise.resolve, data)
-
-        # Sender pays its copy cost, then the stream occupies the wire.
-        src_cpu.submit(cpu_cost, self.sim.call_after, wire_time, finish)
-        return promise
+        return BulkStream(self, src_site, dst_site, src_cpu, dst_cpu, deliver)
 
 
 class BulkStream:
@@ -84,24 +63,57 @@ class BulkStream:
     The first :meth:`send` pays connection establishment; subsequent
     chunks ride the open connection.  Callers chain sends (next chunk
     on the previous promise) so chunk order is the stream order.
+    After :meth:`close`, chunks in flight still resolve but are handed
+    to nobody (connection reset semantics).
     """
 
     __slots__ = ("channel", "src_site", "dst_site", "src_cpu", "dst_cpu",
-                 "_established")
+                 "_deliver", "_established", "_closed")
 
     def __init__(self, channel: BulkChannel, src_site: int, dst_site: int,
-                 src_cpu: Cpu, dst_cpu: Cpu):
+                 src_cpu: Cpu, dst_cpu: Cpu,
+                 deliver: Optional[Callable[[int, bytes], None]] = None):
         self.channel = channel
         self.src_site = src_site
         self.dst_site = dst_site
         self.src_cpu = src_cpu
         self.dst_cpu = dst_cpu
+        self._deliver = deliver
         self._established = False
+        self._closed = False
 
     def send(self, data: bytes) -> Promise:
-        setup = 0.0 if self._established \
-            else self.channel.config.setup_latency
+        """Ship one chunk; resolves with it once the receiver has taken
+        it, rejects with :class:`SiteDown` if either endpoint is detached
+        by the time the wire is done (TCP reset)."""
+        channel, sim = self.channel, self.channel.sim
+        setup = 0.0 if self._established else channel.config.setup_latency
         self._established = True
-        self.channel.sim.trace.bump("bulk.stream_chunks")
-        return self.channel._ship(self.src_site, self.dst_site, data,
-                                  self.src_cpu, self.dst_cpu, setup)
+        promise = Promise(label=f"bulk:{self.src_site}->{self.dst_site}")
+        nbytes = len(data)
+        wire_time = setup + nbytes / channel.config.bandwidth
+        cpu_cost = channel.config.cpu_per_byte * nbytes
+        sim.trace.bump("bulk.stream_chunks")
+        sim.trace.bump("bulk.transfers")
+        sim.trace.bump("bulk.bytes", nbytes)
+
+        def arrive() -> None:
+            # Hand over first, resolve second: the sender's next chunk
+            # (chained on the promise) leaves after this one was taken.
+            if self._deliver is not None and not self._closed:
+                self._deliver(self.src_site, data)
+            promise.resolve(data)
+
+        def finish() -> None:
+            if not (channel.lan.attached(self.src_site)
+                    and channel.lan.attached(self.dst_site)):
+                promise.reject(SiteDown(f"{promise.label} reset by crash"))
+                return
+            self.dst_cpu.submit(cpu_cost, arrive)
+
+        # Sender pays its copy cost, then the stream occupies the wire.
+        self.src_cpu.submit(cpu_cost, sim.call_after, wire_time, finish)
+        return promise
+
+    def close(self) -> None:
+        self._closed = True

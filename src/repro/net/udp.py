@@ -324,7 +324,7 @@ class TcpBulkStream:
     Each :meth:`send` resolves once the receiver has acknowledged the
     chunk (its bulk handler ran).  After :meth:`close`, in-flight chunks
     are abandoned — connection-reset semantics, matching
-    :class:`repro.runtime.site.SimBulkStream`.
+    :class:`repro.net.bulk.BulkStream`.
     """
 
     def __init__(self, bulk: TcpBulk, dst_site: int):

@@ -15,19 +15,17 @@ Pieces:
   to the :class:`~repro.runtime.driver.Scheduler` protocol, with a
   :class:`~repro.sim.trace.Trace` and seeded RNG streams.  It tracks
   outstanding timer handles so teardown tests can assert none leak.
-* :class:`RealCpu` — API twin of :class:`repro.sim.cpu.Cpu`: work runs
-  immediately (cost is advisory on real hardware), utilization metering
-  uses ``time.process_time``.
-* :class:`NetSite` — :class:`repro.runtime.site.BaseSite` over real
-  sockets; satisfies the same surface the kernel uses on the sim
-  :class:`~repro.runtime.site.Site`.
+* :class:`RealCpu` — ``submit`` on real hardware: the work runs on the
+  next loop tick (its cost is what it costs).
+* :class:`NetSite` — :class:`repro.runtime.site.BaseSite` whose wire is
+  a UDP socket plus a TCP bulk endpoint.
 * :class:`AsyncioRuntime` — per-OS-process driver state: the loop, the
   scheduler, the peer endpoint tables and the locally hosted sites.  It
   also holds the program registry the tools read through
   ``site.cluster.programs``.
-* :class:`AsyncioCluster` — in-process mirror of
-  :class:`repro.core.bootstrap.IsisCluster` (same ``spawn`` / ``kernel``
-  / ``run_for`` helpers) hosting all N sites on one loop with real
+* :class:`AsyncioCluster` — the :class:`repro.core.bootstrap.Deployment`
+  (same ``spawn`` / ``kernel`` / ``crash_site`` / ``restart_site`` as
+  :class:`~repro.core.bootstrap.IsisCluster`) on one loop with real
   localhost sockets: what the differential tests drive.
 
 The simulator remains the default everywhere; this driver is reached
@@ -38,10 +36,10 @@ from __future__ import annotations
 
 import asyncio
 import socket
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..errors import IsisError, SiteDown
+from ..core.bootstrap import Deployment
+from ..core.kernel import IsisConfig
 from ..net.udp import TcpBulk, TcpBulkStream, UdpConfig, UdpTransport
 from ..sim.rand import RngRegistry
 from ..sim.tasks import Promise
@@ -139,35 +137,21 @@ class AsyncioScheduler:
         }
 
 
-class RealCpuMeter:
-    """Utilization between two points of real process time."""
-
-    def __init__(self) -> None:
-        self._wall0 = time.monotonic()
-        self._cpu0 = time.process_time()
-
-    def utilization(self) -> float:
-        wall = max(1e-9, time.monotonic() - self._wall0)
-        return (time.process_time() - self._cpu0) / wall
-
-
 class RealCpu:
-    """API twin of the simulated :class:`~repro.sim.cpu.Cpu`.
+    """The real host's CPU behind :class:`~repro.runtime.driver.CpuLike`.
 
     On real hardware the modeled per-frame costs are advisory: ``submit``
     runs the work on the next loop tick regardless of ``cost`` (charging
     fake delays would double-count the real CPU the work already burns).
     """
 
-    def __init__(self, scheduler: AsyncioScheduler, name: str = "cpu"):
+    def __init__(self, scheduler: AsyncioScheduler):
         self.scheduler = scheduler
-        self.sim = scheduler  # sim-compat alias (Cpu exposes .sim)
-        self.name = name
 
     def submit(self, cost: float, fn: Optional[Callable] = None,
                *args: Any) -> Promise:
         """Run ``fn(*args)`` on the next tick; resolve with its result."""
-        promise = Promise(label=f"{self.name}.work")
+        promise = Promise(label="cpu.work")
 
         def run() -> None:
             result = fn(*args) if fn is not None else None
@@ -176,25 +160,9 @@ class RealCpu:
         self.scheduler.call_soon(run)
         return promise
 
-    @property
-    def backlog(self) -> float:
-        return 0.0
-
-    @property
-    def ready_at(self) -> float:
-        return self.scheduler.now
-
-    def meter(self) -> RealCpuMeter:
-        return RealCpuMeter()
-
 
 class NetSite(BaseSite):
-    """A computing site whose NIC is a real UDP socket pair.
-
-    Satisfies the same seam as the simulator's
-    :class:`~repro.runtime.site.Site`; the kernel cannot tell them
-    apart.
-    """
+    """A computing site whose NIC is a real UDP socket pair."""
 
     def __init__(self, runtime: "AsyncioRuntime", site_id: int):
         super().__init__(site_id)
@@ -202,19 +170,14 @@ class NetSite(BaseSite):
         self.cluster = runtime  # the tools' program registry
         self.local_hop_delay = 0.0  # a real host: no modeled IPC hop
         self.sim = runtime.scheduler
-        self.cpu = RealCpu(runtime.scheduler, name=f"cpu{site_id}")
+        self.cpu = RealCpu(runtime.scheduler)
         self.stable = StableStore(self.sim, site_id)
-        self.transport: Optional[UdpTransport] = None
         self._bulk: Optional[TcpBulk] = None
 
-    # -- lifecycle -------------------------------------------------------
-    def boot(self) -> None:
-        """Bind real sockets and start (or restart) the site."""
-        if self.up:
-            raise IsisError(f"site {self.site_id} is already up")
-        self._reset_for_boot()
+    def _open_wire(self) -> UdpTransport:
+        """Bind this incarnation's sockets: UDP first, then TCP bulk."""
         udp_sock, tcp_sock = self.runtime.bind_site_sockets(self.site_id)
-        self.transport = UdpTransport(
+        transport = UdpTransport(
             self.sim,
             self.site_id,
             epoch=self.incarnation,
@@ -223,7 +186,6 @@ class NetSite(BaseSite):
             on_message=self._on_transport_message,
             config=self.runtime.udp_config,
         )
-        self.transport.on_raw = self._on_transport_raw
         self._bulk = TcpBulk(
             self.sim,
             self.site_id,
@@ -231,52 +193,11 @@ class NetSite(BaseSite):
             peers=self.runtime.bulk_peers,
             on_blob=self.deliver_bulk,
         )
-        self.up = True
-        self.sim.trace.log("site.boot", (self.site_id, self.incarnation))
-        for hook in self._boot_hooks:
-            hook(self)
+        return transport
 
-    def crash(self) -> None:
-        """Fail-stop the site: processes die, sockets close."""
-        if not self.up:
-            return
-        self.up = False
-        self.sim.trace.log("site.crash", (self.site_id, self.incarnation))
-        for process in list(self.processes.values()):
-            process.kill()
-        self.processes = {}
-        if self.transport is not None:
-            self.transport.shutdown()
-            self.transport = None
-        if self._bulk is not None:
-            self._bulk.shutdown()
-            self._bulk = None
-        self._clear_handlers()
-        for hook in self._crash_hooks:
-            hook(self)
-
-    def _note_dropped_no_kernel(self) -> None:
-        self.sim.trace.bump("site.dropped.nokernel")
-
-    # -- processes -------------------------------------------------------
-    def run_program(self, program: str, *args: Any, **kwargs: Any):
-        """Instantiate a registered program as a new process (rexec)."""
-        factory = self.runtime.programs.lookup(program)
-        process = self.spawn_process(name=program)
-        factory(process, *args, **kwargs)
-        return process
-
-    # -- networking ------------------------------------------------------
-    def send_bytes(self, dst_site: int, data: bytes):
-        """Reliable FIFO send to another site (kernel use)."""
-        if not self.up or self.transport is None:
-            raise SiteDown(f"site {self.site_id} is down")
-        return self.transport.send(dst_site, data)
-
-    def send_raw(self, dst_site: int, payload: bytes) -> None:
-        """Fire-and-forget datagram (heartbeats); silent no-op when down."""
-        if self.up and self.transport is not None:
-            self.transport.send_raw(dst_site, payload)
+    def _close_wire(self) -> None:
+        self._bulk.shutdown()
+        self._bulk = None
 
     def open_bulk_stream(self, dst_site: int) -> Optional[TcpBulkStream]:
         """Persistent TCP connection for chunked state transfer.
@@ -285,13 +206,9 @@ class NetSite(BaseSite):
         (connection refused / reset) rather than ``None`` — the kernel
         treats both as an aborted transfer.
         """
-        if not self.up or self._bulk is None:
+        if not self.up:
             return None
         return self._bulk.open_stream(dst_site)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.up else "down"
-        return f"<NetSite {self.site_id} inc={self.incarnation} {state}>"
 
 
 class AsyncioRuntime:
@@ -360,17 +277,8 @@ class AsyncioRuntime:
         self.bulk_peers[site_id] = tcp_sock.getsockname()
         return udp_sock, tcp_sock
 
-    # -- site access / lifecycle ----------------------------------------
     def site(self, site_id: int) -> NetSite:
         return self.sites[site_id]
-
-    def boot_all(self) -> None:
-        for site in self.sites.values():
-            if not site.up:
-                site.boot()
-
-    def up_sites(self) -> List[int]:
-        return sorted(s.site_id for s in self.sites.values() if s.up)
 
     # -- loop control ----------------------------------------------------
     def run_for(self, duration: float) -> None:
@@ -391,17 +299,13 @@ class AsyncioRuntime:
 
         return self.loop.run_until_complete(wait())
 
-    def drain(self, settle: float = 0.05) -> None:
-        """Let closing connections and cancelled tasks unwind."""
-        self.loop.run_until_complete(asyncio.sleep(settle))
-
     def shutdown(self, close_loop: bool = True) -> None:
         """Crash every local site, unwind tasks, optionally close the loop."""
         for site in self.sites.values():
             site.crash()
         if not self.loop.is_closed():
-            try:
-                self.drain()
+            try:  # let closing connections and cancelled tasks unwind
+                self.run_for(0.05)
             except RuntimeError:  # pragma: no cover - loop already running
                 pass
             pending = [t for t in asyncio.all_tasks(self.loop) if not t.done()]
@@ -414,19 +318,22 @@ class AsyncioRuntime:
                 self.loop.close()
 
 
-class AsyncioCluster:
+class AsyncioCluster(Deployment):
     """In-process N-site deployment on one asyncio loop + real sockets.
 
-    Mirrors :class:`repro.core.bootstrap.IsisCluster`'s helper API
-    (``spawn``, ``kernel``, ``run_for`` …) so one workload function can
-    drive either driver — the basis of the differential smoke tests.
+    The same :class:`~repro.core.bootstrap.Deployment` helpers as
+    :class:`~repro.core.bootstrap.IsisCluster`, so one workload function
+    can drive either driver — the basis of the differential smoke tests.
+    A process-per-site launcher hosts one site per process
+    (``local_sites=[i], boot=False``) and installs a genesis naming all
+    of them (``boot(genesis_members=...)``).
     """
 
     def __init__(
         self,
         n_sites: int = 4,
         seed: int = 0,
-        isis_config: Optional["IsisConfig"] = None,
+        isis_config: Optional[IsisConfig] = None,
         udp_config: Optional[UdpConfig] = None,
         host: str = "127.0.0.1",
         base_port: Optional[int] = None,
@@ -434,62 +341,11 @@ class AsyncioCluster:
         local_sites: Optional[List[int]] = None,
         boot: bool = True,
     ):
-        from ..core.kernel import IsisConfig, ProtocolsProcess
-
-        self._kernel_cls = ProtocolsProcess
         self.runtime = AsyncioRuntime(
             n_sites=n_sites, local_sites=local_sites, seed=seed, host=host,
             base_port=base_port, hosts=hosts, udp_config=udp_config)
-        self.config = isis_config or IsisConfig()
-        self._genesis_done = False
-        self._all_sites = list(range(n_sites))
-        for site in self.runtime.sites.values():
-            site.on_boot(self._boot_kernel)
-        if boot:
-            self.boot()
-
-    def _boot_kernel(self, site: BaseSite) -> None:
-        self._kernel_cls(
-            site,
-            all_sites=self._all_sites,
-            config=self.config,
-            join_existing=self._genesis_done,
-        )
-
-    def boot(self, genesis_members: Optional[List[Tuple[int, int]]] = None
-             ) -> None:
-        """Boot local sites and install the genesis site view.
-
-        A process-per-site launcher hosts one site per process but must
-        install a genesis naming *all* sites; it passes
-        ``genesis_members=[(i, 0) for i in range(n)]`` explicitly.
-        """
-        self.runtime.boot_all()
-        members = genesis_members if genesis_members is not None else [
-            (site.site_id, site.incarnation)
-            for site in self.runtime.sites.values() if site.up
-        ]
-        for site in self.runtime.sites.values():
-            if site.up:
-                self.kernel(site.site_id).genesis(members)
-        self._genesis_done = True
-
-    # -- access helpers --------------------------------------------------
-    def site(self, site_id: int) -> NetSite:
-        return self.runtime.site(site_id)
-
-    def kernel(self, site_id: int):
-        kernel = getattr(self.runtime.site(site_id), "kernel", None)
-        if kernel is None:
-            raise RuntimeError(f"site {site_id} has no kernel (down?)")
-        return kernel
-
-    def spawn(self, site_id: int, name: str):
-        """Create an application process and its toolkit handle."""
-        from ..core.groups import Isis
-
-        process = self.runtime.site(site_id).spawn_process(name)
-        return process, Isis(process)
+        super().__init__(self.runtime.scheduler, self.runtime.sites,
+                         n_sites, isis_config, boot)
 
     # -- loop control ----------------------------------------------------
     def run_for(self, duration: float) -> None:
@@ -499,12 +355,5 @@ class AsyncioCluster:
                   poll: float = 0.005) -> bool:
         return self.runtime.run_until(predicate, timeout, poll=poll)
 
-    def crash_site(self, site_id: int) -> None:
-        self.runtime.site(site_id).crash()
-
     def shutdown(self, close_loop: bool = True) -> None:
         self.runtime.shutdown(close_loop=close_loop)
-
-    @property
-    def now(self) -> float:
-        return self.runtime.scheduler.now

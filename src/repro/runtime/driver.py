@@ -21,14 +21,17 @@ Two drivers satisfy this surface:
 
 The kernel cannot tell which driver it is running on; everything above
 the seam (group engines, pipelines, flush, failure detection, tools,
-applications) runs unmodified under both.  The protocols below document
-the seam precisely and are ``runtime_checkable`` so tests can assert
-that each driver still satisfies them.
+applications) runs unmodified under both.  The protocols below are what
+that code *reads* — every ``site.<name>`` in ``core/``, ``tools/``,
+``apps/`` and ``fd/`` (``TestDriverSeam`` holds the census) — and are
+``runtime_checkable`` so tests can assert that each driver satisfies
+them; :class:`repro.runtime.site.BaseSite` is the site itself and lists
+what a driver *supplies*.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Dict, Optional, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -78,10 +81,20 @@ class SiteTransport(Protocol):
 
     def reset_channel(self, dst_site: int) -> None: ...
 
+    def stats(self) -> Dict[str, int]: ...
+
     def shutdown(self) -> None: ...
 
     @property
     def alive(self) -> bool: ...
+
+
+@runtime_checkable
+class CpuLike(Protocol):
+    """The site's CPU: ``fn(*args)`` runs after ``cost`` seconds of it."""
+
+    def submit(self, cost: float, fn: Optional[Callable] = None,
+               *args: Any) -> Any: ...
 
 
 @runtime_checkable
@@ -102,19 +115,34 @@ class BulkStreamLike(Protocol):
 class SiteLike(Protocol):
     """What the kernel requires of the site hosting it.
 
-    Process hosting (``spawn_process``/``process_by_id``), handler
-    installation for the three inbound paths (ordered messages, raw
-    datagrams, bulk chunks), and the three outbound paths (``send_bytes``
-    for ordered FIFO, ``send_raw`` for datagrams, ``open_bulk_stream``
-    for the TCP-like channel).  ``local_hop_delay`` is what one crossing
-    between a hosted process and the kernel costs: the paper's 10 ms in
-    the simulator, nothing on a real host.
+    Process hosting (``spawn_process``/``process_by_id``/``run_program``),
+    handler installation for the three inbound paths (ordered messages,
+    raw datagrams, bulk chunks), and the three outbound paths
+    (``send_bytes`` for ordered FIFO, ``send_raw`` for datagrams,
+    ``open_bulk_stream`` for the TCP-like channel).  ``local_hop_delay``
+    is what one crossing between a hosted process and the kernel costs:
+    the paper's 10 ms in the simulator, nothing on a real host.
+    ``transport`` is ``None`` while the site is down, ``kernel`` the
+    protocols process of the latest incarnation, ``cluster.programs`` the
+    tools' program registry, ``stable`` the disk (a ``StableStore``).
     """
 
     site_id: int
     incarnation: int
     up: bool
     local_hop_delay: float
+    sim: Scheduler
+    cpu: CpuLike
+    stable: Any
+    transport: Optional[SiteTransport]
+    kernel: Any
+    cluster: Any
+
+    def boot(self) -> None: ...
+
+    def crash(self) -> None: ...
+
+    def run_program(self, program: str, *args: Any, **kwargs: Any) -> Any: ...
 
     def spawn_process(self, name: str, local_id: Optional[int] = None) -> Any: ...
 
@@ -131,5 +159,7 @@ class SiteLike(Protocol):
     def send_raw(self, dst_site: int, payload: bytes) -> None: ...
 
     def open_bulk_stream(self, dst_site: int) -> Optional[BulkStreamLike]: ...
+
+    def on_boot(self, hook: Callable[[Any], None]) -> None: ...
 
     def on_crash(self, hook: Callable[[Any], None]) -> None: ...

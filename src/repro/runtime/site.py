@@ -7,14 +7,14 @@ registered programs).  The :class:`Cluster` owns the LAN, the bulk
 channel, the per-site stable stores and the program registry — everything
 that outlives any individual site incarnation.
 
-:class:`BaseSite` carries everything that is *driver-independent*:
-process hosting and the handler plumbing for the three inbound paths
-(ordered messages, raw datagrams, bulk chunks).  :class:`Site` adds the
-simulator specifics (modeled CPU, the simulated LAN transport, the
-simulated bulk channel); the asyncio driver's site
-(:class:`repro.runtime.asyncio_driver.NetSite`) adds real sockets
-instead.  The kernel sees only the shared surface — see
-:mod:`repro.runtime.driver`.
+:class:`BaseSite` is the site: the boot / crash lifecycle, process
+hosting, the handler plumbing for the three inbound paths (ordered
+messages, raw datagrams, bulk chunks) and the two sends exist there
+once.  A driver's subclass supplies only its wire, its CPU and its
+clock: :class:`Site` the simulated LAN transport, the modeled CPU and
+the simulated bulk channel, the asyncio driver's
+:class:`repro.runtime.asyncio_driver.NetSite` real sockets.  What the
+kernel reads of either is declared in :mod:`repro.runtime.driver`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from ..net.lan import Lan, LanConfig
 from ..net.transport import Transport
 from ..sim.core import Simulator
 from ..sim.cpu import Cpu
-from ..sim.tasks import Promise
+from .driver import SiteTransport
 from .process import IsisProcess
 from .program import ProgramRegistry
 from .stable import StableStore, StorageFaults
@@ -37,7 +37,15 @@ KERNEL_LOCAL_ID = 0
 
 
 class BaseSite:
-    """Driver-independent site surface: processes and inbound handlers."""
+    """One computing site: lifecycle, hosted processes, handlers, sends.
+
+    A driver subclasses this and supplies, from its constructor,
+    ``sim`` (clock, timers, trace), ``cpu`` (``submit``), ``stable``
+    (the disk that outlives incarnations), ``cluster`` (its
+    ``.programs`` is the tools' program registry) and
+    ``local_hop_delay``; and three methods: :meth:`_open_wire`,
+    :meth:`_close_wire` and ``open_bulk_stream(dst_site)``.
+    """
 
     def __init__(self, site_id: int):
         self.site_id = site_id
@@ -49,6 +57,11 @@ class BaseSite:
         self.incarnations_total = 0
         self.processes: Dict[int, IsisProcess] = {}
         self.up = False
+        #: This incarnation's transport; ``None`` exactly while down.
+        self.transport: Optional[SiteTransport] = None
+        #: The protocols process of the latest incarnation (it installs
+        #: itself; a dead one stays readable for its counters).
+        self.kernel: Any = None
         self._next_local_id = KERNEL_LOCAL_ID + 1
         self._message_handler: Optional[Callable[[int, bytes], None]] = None
         self._raw_handler: Optional[Callable[[int, bytes], None]] = None
@@ -56,7 +69,16 @@ class BaseSite:
         self._boot_hooks: List[Callable[["BaseSite"], None]] = []
         self._crash_hooks: List[Callable[["BaseSite"], None]] = []
 
-    # -- lifecycle hooks ---------------------------------------------------
+    # -- what a driver supplies ---------------------------------------------
+    def _open_wire(self) -> SiteTransport:
+        """Build this incarnation's transport (feeding
+        :meth:`_on_transport_message`) and whatever else listens."""
+        raise NotImplementedError
+
+    def _close_wire(self) -> None:
+        """Close what :meth:`_open_wire` opened besides the transport."""
+
+    # -- lifecycle ----------------------------------------------------------
     def on_boot(self, hook: Callable[["BaseSite"], None]) -> None:
         """Run ``hook(site)`` at every boot (the core layer installs its
         protocols process through this)."""
@@ -65,16 +87,39 @@ class BaseSite:
     def on_crash(self, hook: Callable[["BaseSite"], None]) -> None:
         self._crash_hooks.append(hook)
 
-    def _reset_for_boot(self) -> None:
+    def boot(self) -> None:
+        """Start (or restart) the site with a fresh incarnation."""
+        if self.up:
+            raise IsisError(f"site {self.site_id} is already up")
         self.incarnations_total += 1
         self.incarnation = (self.incarnation + 1) & 0xFF
         self.processes = {}
         self._next_local_id = KERNEL_LOCAL_ID + 1
+        self.transport = self._open_wire()
+        self.transport.on_raw = self._on_transport_raw
+        self.up = True
+        self.sim.trace.log("site.boot", (self.site_id, self.incarnation))
+        for hook in self._boot_hooks:
+            hook(self)
 
-    def _clear_handlers(self) -> None:
+    def crash(self) -> None:
+        """Fail-stop the whole site: all processes die, the NIC goes dark."""
+        if not self.up:
+            return
+        self.up = False
+        self.sim.trace.log("site.crash", (self.site_id, self.incarnation))
+        for process in list(self.processes.values()):
+            process.kill()
+        self.processes = {}
+        self.transport.shutdown()
+        self.transport = None
+        self._close_wire()
         self._message_handler = None
         self._raw_handler = None
         self._bulk_handler = None
+        self.stable.note_crash()
+        for hook in self._crash_hooks:
+            hook(self)
 
     # -- processes ----------------------------------------------------------
     def spawn_process(self, name: str, local_id: Optional[int] = None) -> IsisProcess:
@@ -97,6 +142,13 @@ class BaseSite:
     def process_by_id(self, local_id: int) -> Optional[IsisProcess]:
         return self.processes.get(local_id)
 
+    def run_program(self, program: str, *args: Any, **kwargs: Any) -> IsisProcess:
+        """Instantiate a registered program as a new process (rexec)."""
+        factory = self.cluster.programs.lookup(program)
+        process = self.spawn_process(name=program)
+        factory(process, *args, **kwargs)
+        return process
+
     # -- inbound handler plumbing -------------------------------------------
     def set_message_handler(self, handler: Callable[[int, bytes], None]) -> None:
         """Install the kernel's handler for inbound transport messages."""
@@ -114,7 +166,7 @@ class BaseSite:
         if self._message_handler is not None:
             self._message_handler(src_site, data)
         else:
-            self._note_dropped_no_kernel()
+            self.sim.trace.bump("site.dropped.nokernel")
 
     def _on_transport_raw(self, src_site: int, payload: bytes) -> None:
         if self._raw_handler is not None:
@@ -125,12 +177,26 @@ class BaseSite:
         if self._bulk_handler is not None:
             self._bulk_handler(src_site, data)
 
-    def _note_dropped_no_kernel(self) -> None:  # pragma: no cover - hook
-        pass
+    # -- outbound -----------------------------------------------------------
+    def send_bytes(self, dst_site: int, data: bytes):
+        """Reliable FIFO send to another site (kernel use)."""
+        if not self.up:
+            raise SiteDown(f"site {self.site_id} is down")
+        return self.transport.send(dst_site, data)
+
+    def send_raw(self, dst_site: int, payload: bytes) -> None:
+        """Fire-and-forget datagram (heartbeats); silent no-op when down."""
+        if self.up:
+            self.transport.send_raw(dst_site, payload)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "up" if self.up else "down"
+        return (f"<{type(self).__name__} {self.site_id} "
+                f"inc={self.incarnation} {state}>")
 
 
 class Site(BaseSite):
-    """One computing site: CPU, transport endpoint, hosted processes."""
+    """A simulated site: modeled CPU, a NIC on the simulated LAN."""
 
     def __init__(self, cluster: "Cluster", site_id: int):
         super().__init__(site_id)
@@ -138,16 +204,10 @@ class Site(BaseSite):
         self.local_hop_delay = cluster.lan.config.intra_site_delay
         self.sim: Simulator = cluster.sim
         self.cpu = Cpu(self.sim, name=f"cpu{site_id}")
-        self.stable: StableStore = cluster.stable_store(site_id)
-        self.transport: Optional[Transport] = None
+        self.stable = cluster.stable_store(site_id)
 
-    # -- lifecycle ---------------------------------------------------------
-    def boot(self) -> None:
-        """Start (or restart) the site with a fresh incarnation."""
-        if self.up:
-            raise IsisError(f"site {self.site_id} is already up")
-        self._reset_for_boot()
-        self.transport = Transport(
+    def _open_wire(self) -> Transport:
+        return Transport(
             self.sim,
             self.cluster.lan,
             self.site_id,
@@ -155,99 +215,20 @@ class Site(BaseSite):
             cpu=self.cpu,
             on_message=self._on_transport_message,
         )
-        self.transport.on_raw = self._on_transport_raw
-        self.up = True
-        self.sim.trace.log("site.boot", (self.site_id, self.incarnation))
-        for hook in self._boot_hooks:
-            hook(self)
 
-    def crash(self) -> None:
-        """Fail-stop the whole site: all processes die, the NIC goes dark."""
-        if not self.up:
-            return
-        self.up = False
-        self.sim.trace.log("site.crash", (self.site_id, self.incarnation))
-        for process in list(self.processes.values()):
-            process.kill()
-        self.processes = {}
-        if self.transport is not None:
-            self.transport.shutdown()
-            self.transport = None
-        self._clear_handlers()
-        self.stable.note_crash()
-        for hook in self._crash_hooks:
-            hook(self)
-
-    def _note_dropped_no_kernel(self) -> None:
-        self.sim.trace.bump("site.dropped.nokernel")
-
-    # -- processes ----------------------------------------------------------
-    def run_program(self, program: str, *args: Any, **kwargs: Any) -> IsisProcess:
-        """Instantiate a registered program as a new process (rexec)."""
-        factory = self.cluster.programs.lookup(program)
-        process = self.spawn_process(name=program)
-        factory(process, *args, **kwargs)
-        return process
-
-    # -- networking ----------------------------------------------------------
-    def send_bytes(self, dst_site: int, data: bytes):
-        """Reliable FIFO send to another site (kernel use)."""
-        if not self.up or self.transport is None:
-            raise SiteDown(f"site {self.site_id} is down")
-        return self.transport.send(dst_site, data)
-
-    def send_raw(self, dst_site: int, payload: bytes) -> None:
-        """Fire-and-forget datagram (heartbeats); silent no-op when down."""
-        if self.up and self.transport is not None:
-            self.transport.send_raw(dst_site, payload)
-
-    # -- bulk channel ---------------------------------------------------------
-    def open_bulk_stream(self, dst_site: int) -> Optional["SimBulkStream"]:
+    def open_bulk_stream(self, dst_site: int) -> Optional[BulkStream]:
         """Open a persistent bulk connection (chunked state transfer).
 
         Returns ``None`` when the destination is unreachable.  Chunk
         sends resolve once the receiver's bulk handler has consumed the
-        chunk; after :meth:`SimBulkStream.close`, in-flight chunks are
-        dropped without delivery (connection reset semantics).
+        chunk; after ``close()``, in-flight chunks are dropped without
+        delivery (connection reset semantics).
         """
         dst = self.cluster.sites.get(dst_site)
         if dst is None or not dst.up:
             return None
-        conn = self.cluster.bulk.stream(
-            self.site_id, dst_site, self.cpu, dst.cpu)
-        return SimBulkStream(self, dst_site, conn)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.up else "down"
-        return f"<Site {self.site_id} inc={self.incarnation} {state}>"
-
-
-class SimBulkStream:
-    """Driver-side wrapper of a :class:`BulkStream`: delivery + reset."""
-
-    __slots__ = ("site", "dst_site", "_conn", "_closed")
-
-    def __init__(self, site: Site, dst_site: int, conn: BulkStream):
-        self.site = site
-        self.dst_site = dst_site
-        self._conn = conn
-        self._closed = False
-
-    def send(self, data: bytes) -> Promise:
-        promise = self._conn.send(data)
-
-        def arrived(p: Promise) -> None:
-            if p.rejected or self._closed:
-                return  # reset connections deliver nothing
-            target = self.site.cluster.sites.get(self.dst_site)
-            if target is not None:
-                target.deliver_bulk(self.site.site_id, p.value)
-
-        promise.add_done_callback(arrived)
-        return promise
-
-    def close(self) -> None:
-        self._closed = True
+        return self.cluster.bulk.stream(
+            self.site_id, dst_site, self.cpu, dst.cpu, dst.deliver_bulk)
 
 
 class Cluster:

@@ -252,3 +252,29 @@ def test_asyncio_driver_clean_teardown():
     assert scheduler.outstanding_timers() == 0, \
         "teardown left timers armed"
     cluster.runtime.loop.close()
+
+
+@realnet
+def test_asyncio_site_restarts_and_rejoins():
+    """A crashed site leaves the site view and its next incarnation
+    joins it again: the restart path of this driver, end to end."""
+    cluster = AsyncioCluster(n_sites=3, seed=5)
+
+    def view_at(site_id):
+        view = cluster.kernel(site_id).site_view
+        return None if view is None else tuple(view.members)
+
+    try:
+        cluster.crash_site(2)
+        assert cluster.run_until(
+            lambda: view_at(0) == view_at(1) == ((0, 0), (1, 0)), timeout=10.0)
+        cluster.restart_site(2)
+        assert cluster.site(2).incarnation == 1
+        rejoined = ((0, 0), (1, 0), (2, 1))
+        assert cluster.run_until(
+            lambda: all(view_at(s) == rejoined for s in range(3)),
+            timeout=10.0)
+    finally:
+        cluster.shutdown(close_loop=False)
+    assert cluster.runtime.scheduler.outstanding_timers() == 0
+    cluster.runtime.loop.close()

@@ -25,7 +25,8 @@ class TestSequencerReceiver:
         assert rx.hold((0, 1), _env(0, 1)) == []
         out = rx.apply_stamps([((0, 1), 1)])
         assert [(m["origin"], m["gseq"]) for m in out] == [(0, 1)]
-        assert rx.delivered_priority((0, 1)) == (1, 0)
+        assert rx.take_delivered() == [((0, 1), (1, 0))]
+        assert rx.take_delivered() == []      # taken once, then forgotten
 
     def test_stamp_then_data_delivers(self):
         rx = SequencerReceiver(site_id=1)
@@ -49,17 +50,20 @@ class TestSequencerReceiver:
         rx.apply_stamps([((0, 1), 1), ((0, 2), 2)])
         rx.hold((0, 2), _env(0, 2))  # data for stamp 2 only
         assert rx.pending_count == 1
-        assert rx.delivered_refs() == []
+        assert rx.take_delivered() == []
         out = rx.hold((0, 1), _env(0, 1))
         assert [(m["origin"], m["gseq"]) for m in out] == [(0, 1), (0, 2)]
 
     def test_duplicate_stamps_and_data_ignored(self):
         rx = SequencerReceiver(site_id=1)
         rx.hold((0, 1), _env(0, 1))
-        rx.apply_stamps([((0, 1), 1)])
-        assert rx.apply_stamps([((0, 1), 1)]) == []
+        # A second copy of held data.  (A copy of *delivered* data is the
+        # message store's to refuse: a ref reaches this stage once a view.)
         assert rx.hold((0, 1), _env(0, 1)) == []
-        assert rx.delivered_refs() == [(0, 1)]
+        rx.apply_stamps([((0, 1), 1)])
+        assert rx.apply_stamps([((0, 1), 1)]) == []   # stamp of a delivered ref
+        assert rx.take_delivered() == [((0, 1), (1, 0))]
+        assert rx.pending_count == 0 and rx.pending_state() == []
 
     def test_pending_state_shape(self):
         rx = SequencerReceiver(site_id=1)
@@ -83,7 +87,8 @@ class TestSequencerReceiver:
         ])
         assert [(m["origin"], m["gseq"]) for m in out] == [(2, 1), (0, 1)]
         assert rx.pending_count == 0
-        assert rx.delivered_priority((0, 1)) == (UNSTAMPED_BASE + 1, 0)
+        assert rx.take_delivered() == [((2, 1), (7, 0)),
+                                       ((0, 1), (UNSTAMPED_BASE + 1, 0))]
 
     def test_on_new_view_resets(self):
         rx = SequencerReceiver(site_id=1)
@@ -91,7 +96,7 @@ class TestSequencerReceiver:
         rx.apply_stamps([((0, 1), 1), ((0, 2), 2)])
         rx.on_new_view()
         assert rx.pending_count == 0
-        assert rx.delivered_refs() == []
+        assert rx.take_delivered() == []
         # Fresh view: stamp numbering restarts at 1.
         rx.hold((0, 1), _env(0, 1))
         assert len(rx.apply_stamps([((0, 1), 1)])) == 1

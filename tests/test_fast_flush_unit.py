@@ -7,7 +7,9 @@ malformed reports, delivered-finals pruning, and the streaming join
 state transfer (including a joiner dying mid-stream).
 """
 
-from repro import IsisCluster
+import pytest
+
+from repro import IsisCluster, IsisConfig
 from repro.msg import Message
 from repro.msg.fields import (
     apply_have_diff,
@@ -276,6 +278,35 @@ class TestDeliveredFinalsPruning:
                     for s in range(3))
         assert total <= 6, f"{total} delivered finals left unpruned"
         assert system.sim.trace.value("flush.finals_pruned") > 0
+
+    @pytest.mark.parametrize("mode", ["two_phase", "sequencer"])
+    def test_receivers_hold_pending_state_only(self, mode):
+        """The engine's pruned book is the one record of what was
+        delivered at which priority: the receiver forgets a ref once the
+        ordering stage has taken it, so a quiet one holds nothing however
+        long the view has lived."""
+        system = IsisCluster(n_sites=4, seed=3,
+                             isis_config=IsisConfig(abcast_mode=mode))
+        members = build_group(system, [0, 1, 2, 3])
+
+        def held(site):
+            receiver = group_engine(system, site).total
+            return sum(len(getattr(receiver, slot))
+                       for slot in type(receiver).__slots__
+                       if hasattr(getattr(receiver, slot), "__len__"))
+
+        def blast(isis, rnd):
+            gid = yield isis.pg_lookup("ff")
+            for i in range(25):
+                yield isis.abcast(gid, ENTRY, tag=(rnd, i))
+
+        for rnd in range(4):
+            for proc, isis in members:
+                proc.spawn(blast(isis, rnd), "blast")
+            system.run_for(60.0)
+            assert system.sim.trace.value("deliver.group") == \
+                4 * 100 * (rnd + 1)
+            assert [held(s) for s in range(4)] == [0, 0, 0, 0]
 
 
 class TestStreamingJoinTransfer:

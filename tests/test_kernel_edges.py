@@ -144,6 +144,12 @@ def test_group_data_for_unknown_group_buffers_quietly():
     dict(_proto="g.abp", ref=[1, 1], prio=[1, 1], stab="x"),
     dict(_proto="g.stab.up", n=1, df=[0, 0]),
     dict(_proto="g.stab.dn", stable_b="x", df=[0, 0]),
+    # A flush id that is not three integers, or is not there.
+    dict(_proto="g.fl.commit", fid=[1]),
+    dict(_proto="g.fl.begin"),
+    dict(_proto="g.fl.begin", fid=[1, 2]),
+    dict(_proto="g.fl.expect", fid="x"),
+    dict(_proto="g.fl.data", fid=[3]),
 ])
 def test_misshapen_stability_note_counted_not_fatal(fields):
     """A well-formed message of the wrong shape is outside input like
@@ -163,7 +169,9 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
         gid=box["gid"], stab_view=view.view_id, **fields))
     system.run_for(2.0)
     # On a note the have-vector is the message; on an ack it rides along.
-    counter = ("stability.bad_piggyback" if fields["_proto"] == "g.abp"
+    proto = fields["_proto"]
+    counter = ("flush.bad_message" if proto.startswith("g.fl.")
+               else "stability.bad_piggyback" if proto == "g.abp"
                else "stability.bad_note")
     assert system.sim.trace.value(counter) == 1
     assert system.kernel(1).alive

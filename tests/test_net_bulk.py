@@ -61,3 +61,24 @@ def test_bulk_counters():
     sim.run()
     assert sim.trace.value("bulk.transfers") == 1
     assert sim.trace.value("bulk.bytes") == 1000
+
+
+def test_closed_bulk_stream_delivers_nothing():
+    """An open stream hands a chunk to the receiving site before the
+    chunk's promise resolves (the sender chains its next chunk on it); a
+    chunk in flight when the stream is closed resolves all the same and
+    is handed to nobody (connection reset)."""
+    sim = Simulator()
+    _, bulk, cpu0, cpu1 = setup_bulk(sim)
+    events = []
+    stream = bulk.stream(0, 1, cpu0, cpu1,
+                         lambda src, data: events.append(("taken", src, data)))
+    first = stream.send(b"one")
+    first.add_done_callback(lambda p: events.append(("resolved", p.value)))
+    sim.run()
+    assert events == [("taken", 0, b"one"), ("resolved", b"one")]
+    second = stream.send(b"two")
+    stream.close()
+    sim.run()
+    assert second.value == b"two"
+    assert len(events) == 2

@@ -1,9 +1,13 @@
 """Unit tests for sites, processes, programs and stable storage."""
 
 import inspect
+import pathlib
+import re
 
 import pytest
 
+import repro
+from repro.core.bootstrap import Deployment, IsisCluster
 from repro.core.kernel import ProtocolsProcess
 from repro.errors import IsisError, SiteDown, TaskKilled
 from repro.msg import Message
@@ -11,8 +15,13 @@ from repro.net.lan import LanConfig
 from repro.net.transport import Transport
 from repro.net.udp import UdpTransport
 from repro.runtime import Cluster, Site
-from repro.runtime.asyncio_driver import AsyncioRuntime, NetSite
-from repro.runtime.driver import SiteLike, SiteTransport
+from repro.runtime.asyncio_driver import (
+    AsyncioCluster,
+    AsyncioRuntime,
+    NetSite,
+)
+from repro.runtime.driver import CpuLike, SiteLike, SiteTransport
+from repro.runtime.site import BaseSite
 from repro.sim import Simulator, sleep
 
 
@@ -273,3 +282,49 @@ class TestDriverSeam:
     ])
     def test_a_send_takes_a_destination_and_a_message_only(self, send, params):
         assert list(inspect.signature(send).parameters) == params
+
+    #: Every ``site.<name>`` that ``core/``, ``tools/``, ``apps/`` and
+    #: ``fd/`` read (``grep -rnoE "\bsite\.[a-z_]+"`` over those four).
+    CENSUS = [
+        "boot", "cluster", "cpu", "crash", "incarnation", "kernel",
+        "local_hop_delay", "on_boot", "on_crash", "open_bulk_stream",
+        "process_by_id", "run_program", "send_bytes", "send_raw",
+        "set_bulk_handler", "set_message_handler", "set_raw_handler",
+        "sim", "site_id", "spawn_process", "stable", "transport", "up",
+    ]
+
+    def test_the_seam_declares_everything_the_kernel_reads(self):
+        """The census resolves on a booted site of either driver and is
+        declared by ``SiteLike``; what the kernel calls on ``site.cpu``
+        and ``site.transport`` by the protocols ``SiteLike`` names."""
+        declared = set(SiteLike.__annotations__) | {
+            name for name in vars(SiteLike) if not name.startswith("_")}
+        assert "submit" in vars(CpuLike)
+        assert {"reset_channel", "stats"} <= set(vars(SiteTransport))
+        assert [n for n in self.CENSUS if n not in declared] == []
+        read = set()
+        for layer in ("core", "tools", "apps", "fd"):
+            for path in (pathlib.Path(repro.__file__).parent / layer).rglob("*.py"):
+                read |= set(re.findall(r"\bsite\.([a-z_]+)", path.read_text()))
+        assert sorted(read) == self.CENSUS
+        sim_site = Cluster(Simulator(), n_sites=1).site(0)
+        runtime = AsyncioRuntime(n_sites=1)
+        try:
+            for site in (sim_site, runtime.site(0)):
+                site.boot()
+                assert [n for n in self.CENSUS if not hasattr(site, n)] == []
+                assert isinstance(site, SiteLike)
+                assert isinstance(site.cpu, CpuLike)
+                assert isinstance(site.transport, SiteTransport)
+                assert hasattr(site.cluster, "programs")
+        finally:
+            runtime.shutdown()
+
+    def test_the_lifecycle_and_the_bootstrap_exist_once(self):
+        for name in ("boot", "crash", "send_bytes", "send_raw", "run_program"):
+            assert name in vars(BaseSite)
+            assert name not in vars(Site) and name not in vars(NetSite), name
+        for name in ("boot", "kernel", "spawn", "crash_site", "restart_site"):
+            assert name in vars(Deployment)
+            assert name not in vars(IsisCluster), name
+            assert name not in vars(AsyncioCluster), name
