@@ -27,17 +27,19 @@ multicast data path through the layered
   requests, runs fallback stability rounds, and pushes view updates to
   watcher sites (client kernels with sessions or monitors on the group).
 
-Wire protocol (all messages carry ``gid``; ``stab``/``stab_view`` is an
-optional piggybacked have-vector on data and ack envelopes):
+Wire protocol (all messages carry ``gid``; ``stab`` is the optional
+stability piggyback — one blob: view id, ABCAST delivery floor,
+have-vector, see ``msg/fields.py`` — and rides on data only):
 
 ======================= ======================================================
-``g.cb`` / ``g.ab``     data envelope (view, origin, gseq, payload ``m``)
+``g.cb`` / ``g.ab``     data envelope (view, origin, gseq, payload ``m``;
+                        unbatched: + ``stab``)
 ``g.batch``             several same-destination data envelopes packed into
-                        one wire message (+ piggybacked ``stab`` have-vector)
-``g.abp`` / ``g.abf``   ABCAST proposal / final priority (+ ``stab``)
+                        one wire message (+ one ``stab`` for the batch)
+``g.abp`` / ``g.abf``   ABCAST proposal / final priority (``ref``, ``prio``)
 ``g.abs``               sequencer mode: batched order stamps from the token
                         site (``view``, ``stamps=[[origin, gseq, seq],
-                        ...]`` + ``stab``)
+                        ...]``)
 ``g.fl.begin``          wedge request (fid, ``base_b`` = expected union)
 ``g.fl.ok``             participant report: have-vector + ABCAST state;
                         unsolicited (``pre``) after a site death

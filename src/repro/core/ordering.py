@@ -167,7 +167,6 @@ class TotalOrdering(OrderingEngine):
         else:
             note = Message(_proto="g.abp", gid=self.engine.gid,
                            ref=list(ref), prio=list(priority))
-            self.pipeline.stability.attach(note)
             self.engine.kernel.counters.bump("abcast.proposals")
             self.engine.kernel.send_to_site(env["origin"], note)
 
@@ -186,7 +185,6 @@ class TotalOrdering(OrderingEngine):
             return
         note = Message(_proto="g.abf", gid=self.engine.gid,
                        ref=list(ref), prio=list(final))
-        self.pipeline.stability.attach(note)
         for site in self.engine.view.member_sites():
             if site != self.engine.site_id:
                 self.engine.kernel.counters.bump("abcast.finals")
@@ -349,7 +347,6 @@ class SequencerOrdering(OrderingEngine):
             return
         note = Message(_proto="g.abs", gid=engine.gid,
                        view=view.view_id, stamps=stamps)
-        self.pipeline.stability.attach(note)
         engine.sim.trace.bump("abcast.stamped_refs", len(stamps))
         sent = self.pipeline.dissemination.broadcast_note(note)
         if sent:

@@ -19,10 +19,12 @@ through the narrow :class:`DeliveryPipeline` interface:
   paper's two-phase priorities) or ``sequencer`` (token-site batched
   ``g.abs`` stamps).
 * :class:`StabilityStage` — tracks which messages are known received
-  everywhere.  Have-vectors piggyback on outgoing data envelopes,
-  batches and ABCAST acks, so :meth:`MessageStore.trim_stable` advances
-  continuously under traffic; the periodic ``g.stab.q/a/trim`` round is
-  demoted to a fallback for idle groups.
+  everywhere.  Have-vectors piggyback on outgoing data envelopes and
+  batches — never on the ordering notes an ABCAST waits for — so
+  :meth:`MessageStore.trim_stable` advances continuously under traffic;
+  a site that only receives announces (``g.stab.a``) every
+  ``STAB_ANNOUNCE_EVERY`` receptions, and the periodic
+  ``g.stab.q/a/trim`` round is demoted to a fallback for idle groups.
 
 The engine keeps what is *not* the data path: the flush protocol, view
 installation, and local delivery.  New protocol variants (sharded
@@ -37,11 +39,20 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from ..errors import CodecError, GroupError, SiteDown
 from ..msg.address import Address
 from ..msg.fields import (
+    Stab,
     decode_have_vector,
+    decode_stab,
     diff_have_vector,
     encode_have_vector,
+    encode_stab,
 )
-from ..msg.message import BATCH_PROTO, Message, pack_batch, unpack_batch
+from ..msg.message import (
+    BATCH_PROTO,
+    Message,
+    bytes_field,
+    pack_batch,
+    unpack_batch,
+)
 from ..sim.core import Timer
 from ..sim.tasks import Promise
 from .cbcast import CausalReceiver
@@ -56,6 +67,7 @@ from .vectorclock import ContextEncoder
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import GroupEngine
+    from .view import View
 
 
 #: Early-flush cap of a batch buffer (a full batch fits one 4 KB MTU frame).
@@ -77,14 +89,6 @@ def _int_pair(value: object) -> Tuple[int, int]:
             and type(value[0]) is int and type(value[1]) is int):
         raise CodecError(f"not an integer pair: {value!r}")
     return value[0], value[1]
-
-
-def _bytes_field(msg: Message, name: str) -> bytes:
-    """A bytes field off the wire, else :class:`CodecError`."""
-    value = msg.get(name)
-    if not isinstance(value, (bytes, bytearray)):
-        raise CodecError(f"{name} is not bytes: {value!r}")
-    return bytes(value)
 
 
 def _decode_pairs(pairs: object) -> Dict[int, int]:
@@ -213,12 +217,12 @@ class DisseminationStage:
     def _send_batch(self, dst_site: int,
                     envelopes: List[Message]) -> List[Promise]:
         """Put one batch for ``dst_site`` on the wire: the send promises."""
-        stab, stab_view = self._stab_for(dst_site)
-        batch = pack_batch(self.engine.gid, envelopes, stab, stab_view)
+        batch = pack_batch(self.engine.gid, envelopes,
+                           self._stab_for(dst_site))
         return [self.kernel.send_to_site(dst_site, batch)]
 
-    def _stab_for(self, dst_site: int):
-        """Have-vector to piggyback on a batch to ``dst_site``.
+    def _stab_for(self, dst_site: int) -> Optional[Stab]:
+        """Stability piggyback for a batch to ``dst_site``, if any.
 
         Delta-encoded against the last vector sent to that peer within
         the same view: only origins whose top advanced are included (the
@@ -229,7 +233,7 @@ class DisseminationStage:
         """
         if (not self.kernel.config.piggyback_stability
                 or self.engine.view is None):
-            return None, None
+            return None
         have = self.engine.store.have_vector()
         view_id = self.engine.view.view_id
         prev = self._last_stab.get(dst_site)
@@ -239,8 +243,8 @@ class DisseminationStage:
             send = have
         self._last_stab[dst_site] = (view_id, have)
         if not send:
-            return None, None
-        return send, view_id
+            return None
+        return view_id, self.engine.delivery_floor, send
 
     def flush_all(self) -> None:
         """Drain every coalescing buffer now (wedge / urgent points)."""
@@ -405,7 +409,7 @@ class TreeDissemination(DisseminationStage):
         # One batch serves every subtree destination, so no per-peer
         # delta stab can ride it — tree mode moves stability tracking to
         # the aggregation channel (``g.stab.up`` / ``g.stab.dn``).
-        batch = pack_batch(self.engine.gid, envelopes, None, None)
+        batch = pack_batch(self.engine.gid, envelopes)
         if not self.engine.wedged:
             return self._send_down(batch)
         self.kernel.counters.bump("tree.flat_fallbacks")
@@ -573,6 +577,10 @@ class StabilityStage:
         self._peer_have: Dict[int, Dict[int, int]] = {}
         #: Peer site -> best-known ABCAST delivery floor.
         self._peer_floor: Dict[int, Tuple[int, int]] = {}
+        #: The other member sites of view ``_peers_of`` (worked out once
+        #: a view, not once a trim).
+        self._peers_of: Optional["View"] = None
+        self._peers: Tuple[int, ...] = ()
         #: Highest own delivery floor already announced to the group.
         self._floor_announced: Tuple[int, int] = (0, 0)
         self._recv_since_announce = 0
@@ -591,34 +599,37 @@ class StabilityStage:
         self._tree_floor: Optional[Tuple[int, int]] = None
 
     # -- piggyback: attach -------------------------------------------------
-    def attach(self, msg: Message) -> None:
-        """Piggyback our have-vector on an outgoing data/ack envelope."""
+    def attach(self, env: Message) -> None:
+        """Piggyback our reception state on an outgoing data envelope."""
         if not self.kernel.config.piggyback_stability or self._tree_mode:
             # Tree mode: one wire copy serves many destinations, so no
             # per-peer stab can ride it — stability moves to the O(fanout)
             # aggregation channel (``g.stab.up`` / ``g.stab.dn``).
             return
-        view = self.engine.view
-        if view is None:
-            return
-        msg["stab"] = encode_have_vector(self.engine.store.have_vector())
-        msg["stab_view"] = view.view_id
-        floor = self.engine.delivery_floor
-        if floor > (0, 0):
-            msg["stab_df"] = list(floor)
+        engine = self.engine
+        if engine.view is not None:
+            env["stab"] = encode_stab(engine.view.view_id,
+                                      engine.delivery_floor,
+                                      engine.store.have_vector())
 
     # -- piggyback: ingest -------------------------------------------------
-    def ingest_env(self, src_site: int, msg: Message) -> None:
-        """Absorb a have-vector riding on a received envelope."""
-        if "stab" not in msg:
+    def ingest_env(self, src_site: int, env: Message) -> None:
+        """Absorb the stability blob riding on a received data envelope."""
+        if "stab" not in env:
             return
         try:
-            have = decode_have_vector(_bytes_field(msg, "stab"))
+            stab = decode_stab(bytes_field(env, "stab"))
         except CodecError:
             self.engine.sim.trace.bump("stability.bad_piggyback")
             return
-        self.ingest_floor(src_site, msg.get("stab_df"), msg.get("stab_view"))
-        self.ingest(src_site, have, msg.get("stab_view"))
+        self.ingest_stab(src_site, stab)
+
+    def ingest_stab(self, src_site: int, stab: Stab) -> None:
+        """Merge a decoded blob: the floor (if any), then the vector."""
+        view_id, floor, have = stab
+        if floor != (0, 0):
+            self.ingest_floor(src_site, floor, view_id)
+        self.ingest(src_site, have, view_id)
 
     def ingest_floor(self, src_site: int, floor, stab_view) -> None:
         """Merge a peer's piggybacked ABCAST delivery floor.
@@ -680,20 +691,23 @@ class StabilityStage:
             return
         if engine.store.buffered_count == 0:
             return
-        others = set(view.member_sites()) - {engine.site_id}
-        if any(site not in self._peer_have for site in others):
+        if self._peers_of is not view:
+            self._peers_of = view
+            self._peers = tuple(site for site in view.member_sites()
+                                if site != engine.site_id)
+        vectors = [self._peer_have.get(site) for site in self._peers]
+        if None in vectors:
             return  # someone's reception state is still unknown
-        own = engine.store.have_vector()
         stable: Dict[int, int] = {}
-        for origin, top in own.items():
-            floor = top
-            for site in others:
-                floor = min(floor, self._peer_have[site].get(origin, 0))
-            if floor > 0:
-                stable[origin] = floor
-        if not stable:
-            return
-        self._trim(stable, "stability.piggyback_trimmed")
+        for origin, top in engine.store.have_vector().items():
+            for have in vectors:
+                theirs = have.get(origin, 0)
+                if theirs < top:
+                    top = theirs
+            if top > 0:
+                stable[origin] = top
+        if stable:
+            self._trim(stable, "stability.piggyback_trimmed")
 
     def _trim(self, stable: Dict[int, int], learnt_by: Optional[str]) -> None:
         """Drop what ``stable`` covers; ``learnt_by`` is the trace counter
@@ -844,7 +858,7 @@ class StabilityStage:
             engine.sim.trace.bump("stab.stale_up")
             return
         try:
-            have = decode_have_vector(_bytes_field(msg, "have_b"))
+            have = decode_have_vector(bytes_field(msg, "have_b"))
             floor = _int_pair(msg.get("df"))
             if type(msg.get("n")) is not int:
                 raise CodecError("g.stab.up without a site count")
@@ -866,7 +880,7 @@ class StabilityStage:
             engine.sim.trace.bump("stab.stale_dn")
             return
         try:
-            stable = decode_have_vector(_bytes_field(msg, "stable_b"))
+            stable = decode_have_vector(bytes_field(msg, "stable_b"))
             floor = _int_pair(msg.get("df"))
         except CodecError:
             engine.sim.trace.bump("stability.bad_note")
@@ -1081,23 +1095,21 @@ class DeliveryPipeline:
         """Wire ingress for every pipeline protocol."""
         if proto == BATCH_PROTO:
             try:
-                envelopes, stab, stab_view = unpack_batch(msg)
+                envelopes, stab = unpack_batch(msg)
             except CodecError:
                 self.engine.sim.trace.bump("pipeline.bad_batch")
                 return
-            self.stability.ingest(src_site, stab, stab_view)
+            if stab is not None:
+                self.stability.ingest_stab(src_site, stab)
             for env in envelopes:
                 self.ingest_data(src_site, env)
         elif proto in ("g.cb", "g.ab"):
             self.ingest_data(src_site, msg)
         elif proto == "g.abp":
-            self.stability.ingest_env(src_site, msg)
             self.total.on_proposal(src_site, msg)
         elif proto == "g.abf":
-            self.stability.ingest_env(src_site, msg)
             self.total.on_final(msg)
         elif proto == "g.abs":
-            self.stability.ingest_env(src_site, msg)
             self.total.on_stamps(src_site, msg)
         elif proto == "g.stab.q":
             self.stability.on_query(src_site, msg)

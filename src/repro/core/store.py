@@ -31,7 +31,7 @@ class MessageStore:
     """Buffered group messages for one group at one member kernel."""
 
     __slots__ = ("_messages", "_contiguous", "_gapped", "_sizes",
-                 "_buffered_bytes")
+                 "_buffered_bytes", "_trimmed")
 
     def __init__(self) -> None:
         self._messages: Dict[Tag, Message] = {}
@@ -43,6 +43,10 @@ class MessageStore:
         self._sizes: Dict[Tag, int] = {}
         #: Encoded bytes currently buffered (kept incrementally).
         self._buffered_bytes = 0
+        #: Per origin site: the stable cut already applied.  Nothing at
+        #: or below it is buffered, and nothing can be again: it never
+        #: passes the contiguous top, below which ``record`` refuses.
+        self._trimmed: Dict[int, int] = {}
 
     # -- recording ---------------------------------------------------------
     def record(self, origin_site: int, gseq: int, msg: Message) -> bool:
@@ -118,16 +122,29 @@ class MessageStore:
 
     # -- stability / lifecycle -----------------------------------------------------
     def trim_stable(self, stable: Dict[int, int]) -> int:
-        """Drop messages known received everywhere; returns count dropped."""
-        victims = [
-            (origin_site, gseq)
-            for (origin_site, gseq) in self._messages
-            if gseq <= stable.get(origin_site, 0)
-        ]
-        for tag in victims:
-            del self._messages[tag]
-            self._buffered_bytes -= self._sizes.pop(tag, 0)
-        return len(victims)
+        """Drop messages known received everywhere; returns count dropped.
+
+        Costs what the cut advanced, not what is buffered: per origin
+        only ``applied + 1 … new`` can still be here.  A stable cut is a
+        minimum that includes this site's own have-vector, so it is
+        capped at the contiguous top (which also bounds the work a
+        misshapen ``g.stab.trim`` can ask for).
+        """
+        dropped = 0
+        for origin_site, top in stable.items():
+            applied = self._trimmed.get(origin_site, 0)
+            if top <= applied:
+                continue
+            ceiling = self._contiguous.get(origin_site, 0)
+            if top > ceiling:
+                top = ceiling
+            self._trimmed[origin_site] = top
+            for gseq in range(applied + 1, top + 1):
+                tag = (origin_site, gseq)
+                del self._messages[tag]
+                self._buffered_bytes -= self._sizes.pop(tag)
+            dropped += top - applied
+        return dropped
 
     def reset(self) -> None:
         """New view installed: all old-view messages are settled."""
@@ -136,6 +153,7 @@ class MessageStore:
         self._gapped.clear()
         self._sizes.clear()
         self._buffered_bytes = 0
+        self._trimmed.clear()
 
     @property
     def buffered_count(self) -> int:

@@ -22,14 +22,15 @@ tag     python       payload encoding (big-endian)
 ====== ============ =====================================================
 
 A message is ``u16 magic 0x49D2 + u16 field count`` followed by that many
-``u16 name length + name UTF-8 + value`` entries.  This table and the
-have-vector format below are the wire specification; the codec that
-implements it for whole messages is in ``message.py``.
+``u16 name length + name UTF-8 + value`` entries.  This table, the
+have-vector format and the stability blob below are the wire
+specification; the codec that implements it for whole messages is in
+``message.py``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..errors import CodecError
 
@@ -49,10 +50,20 @@ T_DICT = 9
 # Have-vector piggyback codec
 # ----------------------------------------------------------------------
 # Stability information (per-origin-site "highest contiguous gseq
-# received") rides on data and ack envelopes, so it must be cheap:
+# received") rides on data envelopes and batches, so it must be cheap:
 # a sorted run of (site, top) pairs, sites delta-encoded, everything in
 # unsigned LEB128 varints.  A 4-site vector costs ~9 bytes instead of
 # the ~80 a generic dict field would.
+#
+# The piggyback itself is one bytes field, ``stab``: the uvarints
+# ``view id, floor counter, floor site`` and then the have-vector as
+# above.  The view id says which view's gseq counters the vector counts
+# (a buffered envelope re-sent by a flush refill still carries the blob
+# of its first send); the floor is the sender's ABCAST delivery floor,
+# ``(0, 0)`` for "none".
+
+#: What a ``stab`` blob says: ``(view_id, delivery floor, have-vector)``.
+Stab = Tuple[int, Tuple[int, int], Dict[int, int]]
 
 
 def modular_newer(a: int, b: int, modulus: int = 256) -> bool:
@@ -103,15 +114,8 @@ def decode_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
         raise CodecError("truncated uvarint") from None
 
 
-def encode_have_vector(have: "dict[int, int]") -> bytes:
-    """Compact encoding of a per-origin-site have-vector.
-
-    Sites are delta-encoded in sorted order, values are varints.  The
-    same codec carries flat-mode piggybacks/announcements and the
-    tree-mode aggregation frames (``g.stab.up``'s subtree minimum and
-    ``g.stab.dn``'s global stable cut — see ``core/tree.py``'s
-    ``min_merge_have_vectors``).
-    """
+def _have_vector_numbers(have: "dict[int, int]") -> "list[int]":
+    """The uvarints of a have-vector: count, then (site delta, top)s."""
     numbers = [len(have)]
     prev_site = 0
     for site in sorted(have):
@@ -120,7 +124,28 @@ def encode_have_vector(have: "dict[int, int]") -> bytes:
             raise CodecError(f"have-vector entries must be >= 0: {site}:{top}")
         numbers += (site - prev_site, top)
         prev_site = site
-    return _encode_uvarints(numbers)
+    return numbers
+
+
+def encode_have_vector(have: "dict[int, int]") -> bytes:
+    """Compact encoding of a per-origin-site have-vector.
+
+    Sites are delta-encoded in sorted order, values are varints.  The
+    same codec carries flat-mode piggybacks (inside the ``stab`` blob)
+    and the tree-mode aggregation frames (``g.stab.up``'s subtree
+    minimum and ``g.stab.dn``'s global stable cut — see
+    ``core/tree.py``'s ``min_merge_have_vectors``).
+    """
+    return _encode_uvarints(_have_vector_numbers(have))
+
+
+def encode_stab(view_id: int, floor: "Tuple[int, int]",
+                have: "dict[int, int]") -> bytes:
+    """The ``stab`` piggyback blob of a data envelope or a batch."""
+    if view_id < 0 or floor[0] < 0 or floor[1] < 0:
+        raise CodecError(f"stab header must be >= 0: {view_id}, {floor}")
+    return _encode_uvarints(
+        [view_id, floor[0], floor[1]] + _have_vector_numbers(have))
 
 
 def diff_have_vector(prev: "dict[int, int]",
@@ -165,15 +190,18 @@ def apply_have_diff(base: "dict[int, int]",
     return {origin: top for origin, top in out.items() if top > 0}
 
 
-def decode_have_vector(data: bytes) -> "dict[int, int]":
-    """Inverse of :func:`encode_have_vector`.
+def _decode_uvarint_run(data: bytes,
+                        header: int) -> "Tuple[list[int], dict[int, int]]":
+    """``header`` leading uvarints, then a have-vector, and nothing else.
 
-    One loop over the bytes: the vector is nothing but uvarints — the
-    entry count, then a (site delta, top) pair per entry.
+    One loop over the bytes: the run is nothing but uvarints — the
+    header values, the entry count, then a (site delta, top) pair per
+    entry.
     """
+    head = [0] * header
     out: "dict[int, int]" = {}
     count = delta = None
-    site = entries = result = shift = 0
+    site = entries = result = shift = filled = 0
     for byte in data:
         if byte > 0x7F:
             result |= (byte & 0x7F) << shift
@@ -188,11 +216,25 @@ def decode_have_vector(data: bytes) -> "dict[int, int]":
             out[site] = value
             delta = None
             entries += 1
-        elif count is None:
-            count = value
-        else:
+        elif count is not None:
             delta = value
+        elif filled < header:
+            head[filled] = value
+            filled += 1
+        else:
+            count = value
     if shift or delta is not None or count != entries:
         raise CodecError(f"truncated or overlong have-vector: {count} entries "
                          f"announced, {entries} complete")
-    return out
+    return head, out
+
+
+def decode_have_vector(data: bytes) -> "dict[int, int]":
+    """Inverse of :func:`encode_have_vector`."""
+    return _decode_uvarint_run(data, 0)[1]
+
+
+def decode_stab(data: bytes) -> Stab:
+    """Inverse of :func:`encode_stab`."""
+    (view_id, counter, site), have = _decode_uvarint_run(data, 3)
+    return view_id, (counter, site), have

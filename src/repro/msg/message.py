@@ -43,8 +43,9 @@ from .fields import (
     T_MSG,
     T_NONE,
     T_STR,
-    decode_have_vector,
-    encode_have_vector,
+    Stab,
+    decode_stab,
+    encode_stab,
 )
 
 # System field names.  Only kernel code should write these.
@@ -454,7 +455,7 @@ def _read_value(data: bytes, offset: int, depth: int) -> Tuple[Any, int]:
 # ----------------------------------------------------------------------
 # A batch is one wire message carrying several group data envelopes bound
 # for the same destination site, plus an optional piggybacked stability
-# have-vector.  Envelopes are stored pre-encoded so packing and unpacking
+# blob.  Envelopes are stored pre-encoded so packing and unpacking
 # never re-walk nested field trees, and so the wire bytes of each
 # envelope are exactly what an unbatched send would have produced.
 
@@ -462,18 +463,24 @@ def _read_value(data: bytes, offset: int, depth: int) -> Tuple[Any, int]:
 BATCH_PROTO = "g.batch"
 
 
+def bytes_field(msg: Message, name: str) -> bytes:
+    """A bytes field off the wire, else :class:`CodecError`."""
+    value = msg._fields.get(name)
+    if not isinstance(value, (bytes, bytearray)):
+        raise CodecError(f"{name} is not bytes: {value!r}")
+    return bytes(value)
+
+
 def pack_batch(
     gid: Address,
     envelopes: List[Message],
-    stab: Optional[Dict[int, int]] = None,
-    stab_view: Optional[int] = None,
+    stab: Optional[Stab] = None,
 ) -> Message:
     """Pack ``envelopes`` (in order) into one ``g.batch`` wire message.
 
-    ``stab`` is a have-vector piggybacked alongside the data (present
-    only when the sender has stability information to share); it is
-    tagged with ``stab_view`` because have-vectors are meaningless
-    across view changes (gseq counters restart per view).
+    ``stab`` is the stability piggyback riding alongside the data
+    (present only when the sender has something to share), in the same
+    blob an unbatched data envelope carries (``fields.encode_stab``).
     """
     if not envelopes:
         raise CodecError("cannot pack an empty envelope batch")
@@ -483,26 +490,27 @@ def pack_batch(
         envs=[env.encode() for env in envelopes],
     )
     if stab is not None:
-        msg["stab"] = encode_have_vector(stab)
-        msg["stab_view"] = stab_view
+        msg["stab"] = encode_stab(*stab)
     return msg
 
 
-def unpack_batch(
-    msg: Message,
-) -> "tuple[List[Message], Optional[Dict[int, int]], Optional[int]]":
-    """Inverse of :func:`pack_batch`.
+def unpack_batch(msg: Message) -> "tuple[List[Message], Optional[Stab]]":
+    """Inverse of :func:`pack_batch`; raises :class:`CodecError` only.
 
-    Returns ``(envelopes, stab, stab_view)`` with envelope order
-    preserved; ``stab`` is ``None`` when nothing was piggybacked.
+    Returns ``(envelopes, stab)`` with envelope order preserved;
+    ``stab`` is ``None`` when nothing was piggybacked.
     """
     if msg.get(F_PROTO) != BATCH_PROTO:
         raise CodecError(f"not a batch message: {msg.get(F_PROTO)!r}")
-    envelopes = [Message.decode(bytes(raw)) for raw in msg["envs"]]
+    raws = msg.get("envs")
+    if not isinstance(raws, list) or not all(
+            isinstance(raw, (bytes, bytearray)) for raw in raws):
+        raise CodecError(f"envs is not a list of bytes: {raws!r}")
+    envelopes = [Message.decode(raw) for raw in raws]
     stab = None
     if "stab" in msg:
-        stab = decode_have_vector(bytes(msg["stab"]))
-    return envelopes, stab, msg.get("stab_view")
+        stab = decode_stab(bytes_field(msg, "stab"))
+    return envelopes, stab
 
 
 def system_copy(msg: Message) -> Message:

@@ -1,17 +1,21 @@
-"""Property-based tests: envelope batch codec + have-vector piggyback.
+"""Property-based tests: envelope batch codec + stability piggyback.
 
 The wire-level guarantees the delivery pipeline's batching relies on:
 
+* the ``stab`` blob (view id, delivery floor, have-vector) round-trips,
+  and its decoder accepts an encoding and nothing shorter or longer;
 * ``pack_batch``/``unpack_batch`` round-trip arbitrary envelope lists and
-  piggybacked have-vectors through the real binary codec;
+  piggybacked blobs through the real binary codec;
 * splitting an envelope stream into consecutive batches (what the
   coalescing buffer does) never reorders envelopes of the same sender —
   the FIFO property the causal layer depends on.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CodecError
 from repro.msg import (
     Address,
     Message,
@@ -20,6 +24,7 @@ from repro.msg import (
     pack_batch,
     unpack_batch,
 )
+from repro.msg.fields import decode_stab, encode_stab
 
 addresses = st.builds(
     Address,
@@ -33,6 +38,14 @@ addresses = st.builds(
 
 have_vectors = st.dictionaries(
     st.integers(0, 2**32), st.integers(0, 2**40), max_size=16
+)
+
+#: ``(view id, delivery floor, have-vector)``; floor ``(0, 0)`` is "none".
+stabs = st.tuples(
+    st.integers(0, 2**31),
+    st.one_of(st.just((0, 0)),
+              st.tuples(st.integers(0, 2**40), st.integers(0, 0xFFFF))),
+    have_vectors,
 )
 
 
@@ -86,23 +99,50 @@ def test_have_vector_encoding_is_compact_and_deterministic(have):
 
 
 # ----------------------------------------------------------------------
+# Stability blob codec
+# ----------------------------------------------------------------------
+@given(stabs)
+def test_stab_roundtrip(stab):
+    blob = encode_stab(*stab)
+    assert decode_stab(blob) == stab
+    # The header is three uvarints; the rest is the have-vector's form.
+    assert blob.endswith(encode_have_vector(stab[2]))
+
+
+@given(stabs, st.integers(0, 255))
+def test_stab_decoder_accepts_an_encoding_and_nothing_else(stab, extra):
+    """Every proper prefix and every one-byte extension is a
+    ``CodecError`` — no other exception, and never a value."""
+    blob = encode_stab(*stab)
+    for cut in range(len(blob)):
+        with pytest.raises(CodecError):
+            decode_stab(blob[:cut])
+    with pytest.raises(CodecError):
+        decode_stab(blob + bytes([extra]))
+
+
+def test_stab_encoder_refuses_negative_header():
+    for stab in ((-1, (0, 0), {}), (1, (-1, 0), {}), (1, (0, -1), {})):
+        with pytest.raises(CodecError):
+            encode_stab(*stab)
+
+
+# ----------------------------------------------------------------------
 # Batch codec
 # ----------------------------------------------------------------------
-@given(envelope_specs, st.one_of(st.none(), have_vectors))
+@given(envelope_specs, st.one_of(st.none(), stabs))
 @settings(max_examples=200)
 def test_batch_roundtrip(specs, stab):
     stream = _build_stream(specs)
     gid = stream[0]["gid"]
-    stab_view = 1 if stab is not None else None
-    batch = pack_batch(gid, stream, stab, stab_view)
+    batch = pack_batch(gid, stream, stab)
     # Through the real wire codec, as the transport would carry it.
     decoded = Message.decode(batch.encode())
-    envelopes, got_stab, got_view = unpack_batch(decoded)
+    envelopes, got_stab = unpack_batch(decoded)
     assert len(envelopes) == len(stream)
     for original, copy in zip(stream, envelopes):
         assert copy.encode() == original.encode()
     assert got_stab == stab
-    assert got_view == stab_view
 
 
 @given(envelope_specs)
@@ -136,7 +176,7 @@ def test_batching_never_reorders_same_sender_envelopes(specs, data):
             start = cut
     received = []
     for batch in batches:
-        envelopes, _, _ = unpack_batch(Message.decode(batch.encode()))
+        envelopes, _ = unpack_batch(Message.decode(batch.encode()))
         received.extend(envelopes)
     assert len(received) == len(stream)
     per_sender = {}

@@ -80,3 +80,60 @@ def test_trim_never_breaks_have_vector(recorded, cut):
     store.trim_stable({o: cut for o in before})
     # Trimming only drops stable prefixes; contiguity metadata survives.
     assert store.have_vector() == before
+
+
+# ----------------------------------------------------------------------
+# trim_stable pays for what the cut advanced, and drops what the filter
+# over every buffered tag used to drop
+# ----------------------------------------------------------------------
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), st.integers(0, 3), st.integers(1, 12),
+                  st.integers(0, 40)),                      # payload size
+        st.tuples(st.just("trim"), st.dictionaries(
+            st.integers(0, 4), st.integers(0, 14), max_size=4)),
+    ),
+    min_size=1, max_size=80,
+)
+
+
+class _Untouchable(dict):
+    """A ``_messages`` that may be measured and nothing else."""
+
+    def _touched(self, *args):
+        raise AssertionError("an unchanged cut touched the buffered messages")
+
+    __iter__ = __delitem__ = pop = items = keys = _touched
+
+
+@given(steps)
+@settings(max_examples=200)
+def test_trim_matches_the_filter_over_every_tag(script):
+    store = MessageStore()
+    held = {}                       # the model: tag -> encoded size
+    for step in script:
+        if step[0] == "record":
+            _, origin, gseq, size = step
+            msg = Message(p=bytes(size))
+            if store.record(origin, gseq, msg):
+                held[(origin, gseq)] = msg.size_bytes
+            continue
+        # A stable cut is a minimum that includes this site's own vector:
+        # the store holds it to that, the model's filter is given it.
+        have = store.have_vector()
+        cut = {o: min(top, have.get(o, 0)) for o, top in step[1].items()}
+        victims = [tag for tag in held if tag[1] <= cut.get(tag[0], 0)]
+        for tag in victims:
+            del held[tag]
+        assert store.trim_stable(step[1]) == len(victims)
+        assert store.all_tags() == sorted(held)
+        assert store.buffered_bytes == sum(held.values())
+        assert store.have_vector() == have
+        # The same cut again is settled work: no scan, no pop.
+        live, store._messages = store._messages, _Untouchable(store._messages)
+        assert store.trim_stable(step[1]) == 0
+        assert store.buffered_count == len(held)
+        store._messages = live
+    store.reset()
+    assert store.buffered_count == store.buffered_bytes == 0
+    assert store.record(0, 1, Message()) and store.trim_stable({0: 1}) == 1

@@ -7,13 +7,13 @@ from repro.core import kernel as kernel_mod
 from repro.core import pipeline as pipeline_mod
 
 
-def _two_member_group(config, n_sites=2, seed=31):
+def _two_member_group(config, n_sites=2, seed=31, field="tag"):
     system = IsisCluster(n_sites=n_sites, seed=seed, isis_config=config)
     deliveries = {s: [] for s in range(n_sites)}
     members = []
     for site in range(n_sites):
         proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(16, lambda msg, s=site: deliveries[s].append(msg["tag"]))
+        proc.bind(16, lambda msg, s=site: deliveries[s].append(msg[field]))
         members.append((proc, isis))
 
     def create():
@@ -157,6 +157,95 @@ class TestPiggybackedStability:
         system.run_for(30.0)  # several stability intervals
         assert system.sim.trace.value("stability.piggyback_trimmed") == 0
         assert system.kernel(0).stats()["buffered_messages"] == 0
+
+
+def _tap_wire(system, n_sites):
+    """Every message a kernel hands to ``send_to_site`` from now on."""
+    sent = []
+    for site in range(n_sites):
+        kernel = system.kernel(site)
+
+        def tapped(dst_site, msg, send=kernel.send_to_site):
+            sent.append(msg)
+            return send(dst_site, msg)
+
+        kernel.send_to_site = tapped
+    return sent
+
+
+class TestStabilityRidesOnData:
+    """The piggyback is one blob on data envelopes; the ordering notes
+    an ABCAST waits for carry none, and nobody's buffers notice."""
+
+    #: Bytes on the ABCAST critical path, 4 members, 200 B payload sent
+    #: as ``bench/harness.py`` sends it.  With ``stab`` / ``stab_view`` /
+    #: ``stab_df`` on every message these read 483 / 169 / 169.
+    AB_BUDGET = 440
+    NOTE_BUDGET = 96
+
+    @pytest.mark.parametrize("mode", ["two_phase", "sequencer"])
+    def test_abcast_wire_budget(self, mode):
+        system, members, deliveries = _two_member_group(
+            IsisConfig(abcast_mode=mode), n_sites=4, field="n")
+        sent = _tap_wire(system, 4)
+
+        def stream(isis, base):
+            gid = yield isis.pg_lookup("pipe")
+            for i in range(40):      # past the warm-up: floors, 2-byte gseqs
+                yield isis.abcast(gid, 16, 0, n=base + i, p=bytes(200))
+
+        for idx in (1, 2):
+            members[idx][0].spawn(stream(members[idx][1], 1000 * idx), "ab")
+        system.run_for(30.0)
+        assert all(len(deliveries[s]) == 80 for s in range(4))
+        sizes = {}
+        for msg in sent:
+            proto = msg["_proto"]
+            sizes[proto] = max(sizes.get(proto, 0), msg.size_bytes)
+            if proto in ("g.abp", "g.abf", "g.abs"):
+                assert not [name for name in msg if name.startswith("stab")]
+        assert sizes["g.ab"] <= self.AB_BUDGET, sizes
+        if mode == "two_phase":
+            assert sizes["g.abp"] <= self.NOTE_BUDGET, sizes
+            assert sizes["g.abf"] <= self.NOTE_BUDGET, sizes
+        else:
+            assert "g.abs" in sizes
+
+    @pytest.mark.parametrize("mode", ["two_phase", "sequencer"])
+    def test_single_sender_abcast_buffers_stay_bounded(self, mode):
+        """Three receive-only sites: the sender learns their vectors from
+        their announcements alone (it used to read them off ``g.abp``)."""
+        window, total = 4, 200
+        system, members, deliveries = _two_member_group(
+            IsisConfig(abcast_mode=mode), n_sites=4, field="n")
+        proc, isis = members[1]
+        (engine,) = system.kernel(1).engines.values()
+        box = {"next": 0, "peak": 0}
+
+        def send():
+            if box["next"] < total:
+                box["next"] += 1
+                isis.abcast(box["gid"], 16, 0, n=box["next"], p=bytes(200))
+
+        def delivered(msg):          # closed loop: one out, one in
+            deliveries[1].append(msg["n"])
+            box["peak"] = max(box["peak"], engine.store.buffered_count)
+            send()
+
+        proc.bind(16, delivered)
+
+        def start():
+            box["gid"] = yield isis.pg_lookup("pipe")
+            for _ in range(window):
+                send()
+
+        proc.spawn(start(), "start")
+        system.run_for(60.0)
+        assert all(len(deliveries[s]) == total for s in range(4))
+        assert 0 < box["peak"] <= (2 * pipeline_mod.STAB_ANNOUNCE_EVERY
+                                   + window)
+        for site in range(4):
+            assert system.kernel(site).stats()["buffered_messages"] == 0
 
 
 class TestStabilityRound:

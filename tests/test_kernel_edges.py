@@ -131,6 +131,10 @@ def test_group_data_for_unknown_group_buffers_quietly():
     assert engine is not None and not engine.installed
 
 
+#: One data envelope, encoded: what a well-formed ``g.batch`` carries.
+_BATCHED = Message(_proto="g.cb", view=0, origin=0, gseq=1).encode()
+
+
 @pytest.mark.parametrize("fields", [
     dict(_proto="g.stab.a"),
     dict(_proto="g.stab.a", have=7),
@@ -141,7 +145,7 @@ def test_group_data_for_unknown_group_buffers_quietly():
     dict(_proto="g.stab.up", have_b=b"", n="1", df=[0, 0]),
     dict(_proto="g.stab.dn", stable_b=b"", df=[0]),
     # A field that should be bytes and is not, or is not there.
-    dict(_proto="g.abp", ref=[1, 1], prio=[1, 1], stab="x"),
+    dict(_proto="g.cb", view=0, origin=0, gseq=1, stab="x"),
     dict(_proto="g.stab.up", n=1, df=[0, 0]),
     dict(_proto="g.stab.dn", stable_b="x", df=[0, 0]),
     # A flush id that is not three integers, or is not there.
@@ -150,6 +154,14 @@ def test_group_data_for_unknown_group_buffers_quietly():
     dict(_proto="g.fl.begin", fid=[1, 2]),
     dict(_proto="g.fl.expect", fid="x"),
     dict(_proto="g.fl.data", fid=[3]),
+    # A batch whose blob is not bytes, or not a blob, or whose envelope
+    # list is not one: the whole batch is dropped, nothing is believed.
+    dict(_proto="g.batch", envs=[_BATCHED], stab="x"),
+    dict(_proto="g.batch", envs=[_BATCHED], stab=None),
+    dict(_proto="g.batch", envs=[_BATCHED], stab=1.5),
+    dict(_proto="g.batch", envs=[_BATCHED], stab=1),    # was bytes(1): {}
+    dict(_proto="g.batch", envs=[_BATCHED], stab=[1, 0, 7]),
+    dict(_proto="g.batch", envs=7),
 ])
 def test_misshapen_stability_note_counted_not_fatal(fields):
     """A well-formed message of the wrong shape is outside input like
@@ -168,10 +180,11 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
     system.kernel(0).send_to_site(1, Message(
         gid=box["gid"], stab_view=view.view_id, **fields))
     system.run_for(2.0)
-    # On a note the have-vector is the message; on an ack it rides along.
+    # On a note the have-vector is the message; on data it rides along.
     proto = fields["_proto"]
     counter = ("flush.bad_message" if proto.startswith("g.fl.")
-               else "stability.bad_piggyback" if proto == "g.abp"
+               else "stability.bad_piggyback" if proto == "g.cb"
+               else "pipeline.bad_batch" if proto == "g.batch"
                else "stability.bad_note")
     assert system.sim.trace.value(counter) == 1
     assert system.kernel(1).alive

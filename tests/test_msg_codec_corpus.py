@@ -64,8 +64,9 @@ def test_golden_message_reencodes_to_identical_bytes(tag):
 
 
 def test_golden_batch_unpacks_to_its_envelopes():
-    envelopes, stab, stab_view = unpack_batch(Message.decode(CORPUS["g.batch"]))
-    assert len(envelopes) >= 2 and stab is not None and stab_view is not None
+    envelopes, stab = unpack_batch(Message.decode(CORPUS["g.batch"]))
+    assert len(envelopes) >= 2
+    assert stab == (3, (0, 0), {0: 3})      # view, no floor, have-vector
     for env in envelopes:
         assert env["_proto"] == "g.cb"
         assert _rebuilt(env).encode() == env.encode()
