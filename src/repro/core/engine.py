@@ -17,19 +17,20 @@ multicast data path through the layered
   kernel WaitIndex threshold waiters) instead of re-scanning buffers;
 * **stability** — every message is buffered until known everywhere, so a
   flush can refill any member that missed something; have-vectors
-  piggyback on data and ack envelopes so buffers trim continuously;
+  piggyback on data envelopes so buffers trim continuously;
 * **the flush** — the one view-change protocol: wedging (pre-reports
   after a site death, else a ``g.fl.begin`` round), union cut, refill,
   agreed ABCAST order, event application (view change / user GBCAST /
   config update);
 * **coordinator duties** — the oldest member's site batches flush
   reasons (joins, removals, GBCASTs), runs the flush, answers join
-  requests, runs fallback stability rounds, and pushes view updates to
-  watcher sites (client kernels with sessions or monitors on the group).
+  requests, and pushes view updates to watcher sites (client kernels
+  with sessions or monitors on the group).
 
-Wire protocol (all messages carry ``gid``; ``stab`` is the optional
-stability piggyback — one blob: view id, ABCAST delivery floor,
-have-vector, see ``msg/fields.py`` — and rides on data only):
+Wire protocol (all messages carry ``gid``; ``stab`` is the one form a
+stability have-vector takes — a blob: view id, ABCAST delivery floor,
+have-vector, see ``msg/fields.py`` — optional on data, the whole
+content of a ``g.stab.*`` note):
 
 ======================= ======================================================
 ``g.cb`` / ``g.ab``     data envelope (view, origin, gseq, payload ``m``;
@@ -43,19 +44,23 @@ have-vector, see ``msg/fields.py`` — and rides on data only):
 ``g.fl.begin``          wedge request (fid, ``base_b`` = expected union)
 ``g.fl.ok``             participant report: have-vector + ABCAST state;
                         unsolicited (``pre``) after a site death
-``g.fl.expect``         union cut a refilled site must reach
+``g.fl.expect``         union cut a refilled site must reach (``union_b``)
 ``g.fl.pull``           coordinator→holder: forward these tags to that site
 ``g.fl.data``           holder→needy: the messages themselves
 ``g.fl.filled``         needy→coordinator: I hold the union now
 ``g.fl.commit``         the cut order + the event (view / payload)
 ``g.fl.okb``            tree mode: pre-reports aggregated up the spanning
                         tree (``root``, ``reports=[[site, bytes], ...]``)
-``g.stab.q/a/trim``     fallback stability round; unsolicited ``g.stab.a``
-                        announcements push reception state under traffic
+``g.stab.q``            flat: the coordinator asks an idle group's members
+``g.stab.a``            a site's own ``stab``: the answer to ``g.stab.q``,
+                        and unsolicited every 32 receptions under traffic
+``g.stab.up``           tree: a subtree's minimum, one hop rootward
+                        (``stab``, ``n`` = sites covered)
+``g.stab.dn``           the stable cut (``stab``): from the coordinator to
+                        every member, or relayed down the tree
 ``g.tr``                tree mode: relayed wrapper around a data envelope,
-                        batch, or stamp note (``root``, ``tid``, ``inner``)
-``g.stab.up/dn``        tree mode: aggregated subtree stability report /
-                        the root's stable cut relayed back down
+                        batch, or stamp note (``view``, ``root``, ``tid``,
+                        ``inner``)
 ======================= ======================================================
 """
 
@@ -71,10 +76,10 @@ from ..msg.fields import (
     encode_have_vector,
     exact_diff_have_vector,
 )
-from ..msg.message import Message
+from ..msg.message import Message, bytes_field, int_tuple
 from ..sim.core import Timer
 from .flush import FlushCoordinator, FlushId, FlushReason
-from .pipeline import DeliveryPipeline, _decode_pairs, _encode_pairs
+from .pipeline import DeliveryPipeline
 from .store import MessageStore
 from .view import View
 
@@ -97,11 +102,7 @@ OKB_WINDOW = 0.06
 def _fid(msg: Message) -> FlushId:
     """The flush id a ``g.fl.*`` message names: three integers.  Outside
     input, so any other shape is a :class:`CodecError`."""
-    fid = msg.get("fid")
-    if (isinstance(fid, (list, tuple)) and len(fid) == 3
-            and all(type(part) is int for part in fid)):
-        return (fid[0], fid[1], fid[2])
-    raise CodecError(f"malformed flush id {fid!r}")
+    return int_tuple(msg.get("fid"), 3)
 
 
 class GroupEngine:
@@ -258,7 +259,7 @@ class GroupEngine:
     # ------------------------------------------------------------------
     def handle(self, src_site: int, msg: Message) -> None:
         proto = msg["_proto"]
-        if proto in DeliveryPipeline.WIRE_PROTOS:
+        if proto in DeliveryPipeline.HANDLERS:
             self.pipeline.receive(src_site, proto, msg)
             return
         try:
@@ -317,34 +318,16 @@ class GroupEngine:
     def prune_delivered_finals(self) -> int:
         """Drop delivered finals known delivered at every member site.
 
-        The pointwise minimum over all members' piggybacked delivery
-        floors bounds a prefix of the view's final order that everyone
-        has delivered: such refs are pending nowhere, so the flush cut
+        The minimum over all members' delivery floors, as the stability
+        stage knows them, bounds a prefix of the view's final order that
+        everyone has delivered: such refs are pending nowhere, so the flush cut
         never needs their priorities — reporting them would only be
         (re-)excluded by the delivered-everywhere rule.  This keeps
         ``g.fl.ok`` reports from scaling with the view's ABCAST history.
         """
         if self.view is None:
             return 0
-        if self.kernel.config.dissemination == "tree":
-            # Tree mode carries no per-peer floors; the aggregated
-            # group-wide minimum from the last ``g.stab.dn`` wave plays
-            # the same role (it already includes our own floor).
-            known = self.pipeline.stability.tree_floor()
-            if known is None:
-                return 0
-            floor = min(self._delivery_floor, known)
-        else:
-            floors = self.pipeline.stability.peer_delivery_floors()
-            floor = self._delivery_floor
-            for site in self.view.member_sites():
-                if site == self.site_id:
-                    continue
-                peer = floors.get(site)
-                if peer is None:
-                    return 0  # a member's delivery progress is unknown
-                if peer < floor:
-                    floor = peer
+        floor = self.pipeline.stability.group_floor()
         if floor <= self._pruned_floor:
             return 0
         self._pruned_floor = floor
@@ -603,7 +586,8 @@ class GroupEngine:
             self.sim.trace.bump("flush.refills")
         expect = Message(
             _proto="g.fl.expect", gid=self.gid,
-            fid=list(active.flush_id), union=_encode_pairs(active.union),
+            fid=list(active.flush_id),
+            union_b=encode_have_vector(active.union),
         )
         for site in active.member_sites - complete:
             if site == self.site_id:
@@ -799,6 +783,7 @@ class GroupEngine:
 
     def _on_flush_expect(self, msg: Message) -> None:
         fid = _fid(msg)
+        union = decode_have_vector(bytes_field(msg, "union_b"))
         if fid != self._participant_fid:
             # A coordinator that consumed our unsolicited pre-report
             # (attempt 0) runs its flush under a higher fid than the one
@@ -813,7 +798,7 @@ class GroupEngine:
                     or fid[0] != self._participant_fid[0]):
                 return
             self._participant_fid = fid
-        self._expect_union = _decode_pairs(msg["union"])
+        self._expect_union = union
         self._check_filled(fid)
 
     def _on_flush_pull(self, msg: Message) -> None:
@@ -1014,27 +999,3 @@ class GroupEngine:
             acting.site,
             Message(_proto="g.dead", gid=self.gid, member=member),
         )
-
-    # ------------------------------------------------------------------
-    # Stability rounds (buffer garbage collection)
-    # ------------------------------------------------------------------
-    def start_stability_round(self) -> None:
-        """Fallback GC round; a no-op while piggybacked stability trims.
-
-        Tree mode replaces both the query round and the floor
-        announcements with an aggregation wave up the spanning tree.
-        """
-        if self.kernel.config.dissemination == "tree":
-            self.pipeline.stability.tree_push()
-            return
-        self.pipeline.stability.start_round()
-        self.pipeline.stability.maybe_announce_floors()
-
-    def stability_pending(self) -> bool:
-        """Sharded tick: does this group still need periodic attention?
-
-        ``False`` drops the group out of the kernel's dirty set; any
-        later buffered message, floor advance, or child report re-arms
-        it via :meth:`ProtocolsProcess.note_group_dirty`.
-        """
-        return self.pipeline.stability.pending_work()

@@ -125,19 +125,18 @@ class IsisConfig:
 
     heartbeat: HeartbeatConfig = field(default_factory=HeartbeatConfig)
     siteview: SiteViewConfig = field(default_factory=SiteViewConfig)
-    #: Batch concurrent GBCAST payloads into one flush.  On by default
-    #: (a throughput optimization over the original system); turn off to
+    #: Batch concurrent GBCAST payloads into one flush; turn off to
     #: reproduce the paper's per-update GBCAST costs.
     gbcast_batching: bool = True
     #: Envelope batching: data envelopes bound for the same (group,
     #: site) coalesce into one ``g.batch`` wire message, flushed after
     #: this window (seconds) or at ``pipeline.BATCH_MAX_BYTES``.  ``0``
-    #: disables batching and reproduces the one-envelope-per-message
-    #: wire behavior of the original system exactly.
+    #: disables batching: every envelope is its own wire message.
     batch_window: float = 0.0
-    #: Piggyback have-vectors on outgoing data/ack envelopes so buffer
-    #: GC advances continuously; the periodic stability round then only
-    #: runs for idle groups.
+    #: Piggyback the ``stab`` blob (have-vector, delivery floor) on
+    #: outgoing data envelopes and batches so buffer GC advances
+    #: continuously; the coordinator's round then only runs for idle
+    #: groups.  Off, the round is the only collector.
     piggyback_stability: bool = True
     #: Total-order engine.  ``"two_phase"`` (default) is the paper's
     #: ABCAST: every receiver proposes a priority, the sender unions and
@@ -152,7 +151,7 @@ class IsisConfig:
     #: ``"primary"`` (default) is the paper's rule: a component may
     #: install the next view iff it holds at least half of the *previous
     #: view*; the losing side stalls until the winner's commit excludes
-    #: it (§2.1/§3.7).  Byte-identical to the pre-seam behaviour.
+    #: it (§2.1/§3.7).
     #: ``"quorum"`` requires a strict weighted majority of the *static
     #: deployment*: the majority component keeps installing views and
     #: committing group events through a partition, every minority
@@ -162,13 +161,12 @@ class IsisConfig:
     #: (a site whose log holds data counts double).
     membership: str = "primary"
     #: Dissemination topology.  ``"flat"`` (default) fans every multicast
-    #: out to all member sites directly — the original wire behavior and
-    #: the differential oracle.  ``"tree"`` relays envelopes, sequencer
-    #: stamps and stability traffic along a deterministic k-ary spanning
-    #: tree computed from the view (each origin roots its own rotation of
-    #: the same tree), cutting per-site wire cost from O(n) to O(fanout)
-    #: per multicast; stability likewise aggregates up the coordinator's
-    #: tree instead of every site telling every other site.  Flushes
+    #: out to all member sites directly.  ``"tree"`` relays envelopes,
+    #: sequencer stamps and stability traffic along a deterministic k-ary
+    #: spanning tree computed from the view (each origin roots its own
+    #: rotation of the same tree), cutting per-site wire cost from O(n)
+    #: to O(fanout) per multicast; stability likewise aggregates up the
+    #: token site's tree instead of every site telling every other.  Flushes
     #: always fall back to flat sends (commits must not depend on
     #: relays), so virtual synchrony guarantees are unchanged — a dead
     #: relay's subtree hole is repaired by the very view-change flush
@@ -177,8 +175,7 @@ class IsisConfig:
     #: Branching factor of the dissemination/aggregation spanning tree.
     tree_fanout: int = 4
     #: Write-ahead delivery logging (§5 recovery).  Off by default: the
-    #: hot path gains no disk events and trajectories are identical to
-    #: the crash-stop system.  On, every group delivery and installed
+    #: hot path has no disk events.  On, every group delivery and installed
     #: view appends a checksummed record to the site's stable store, so
     #: a restarted site can rejoin with log-assisted state transfer and
     #: a total failure can be recovered from the best surviving log.
@@ -1717,8 +1714,7 @@ class ProtocolsProcess:
             if engine is None:
                 continue
             visited += 1
-            engine.start_stability_round()
-            if engine.stability_pending():
+            if engine.pipeline.stability.tick():
                 self._stab_dirty.add(key)
         skipped = len(self.engines) - visited
         if skipped > 0:

@@ -43,9 +43,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
-from ..errors import GroupError
+from ..errors import CodecError, GroupError
 from ..msg.address import Address
-from ..msg.message import Message
+from ..msg.message import Message, int_fields, int_tuple
 from ..sim.core import Timer
 from .abcast import (
     MsgRef,
@@ -58,6 +58,12 @@ from .abcast import (
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import GroupEngine
     from .pipeline import DeliveryPipeline
+
+
+def _ref_prio(msg: Message) -> Tuple[MsgRef, Priority]:
+    """What a ``g.abp`` / ``g.abf`` names: two integer pairs.  Outside
+    input, so any other shape is a :class:`CodecError`."""
+    return int_tuple(msg.get("ref"), 2), int_tuple(msg.get("prio"), 2)
 
 
 class OrderingEngine:
@@ -100,7 +106,7 @@ class OrderingEngine:
     def on_proposal(self, src_site: int, msg: Message) -> None:
         self.engine.sim.trace.bump("abcast.unexpected_control")
 
-    def on_final(self, msg: Message) -> None:
+    def on_final(self, src_site: int, msg: Message) -> None:
         self.engine.sim.trace.bump("abcast.unexpected_control")
 
     def on_stamps(self, src_site: int, msg: Message) -> None:
@@ -171,8 +177,8 @@ class TotalOrdering(OrderingEngine):
             self.engine.kernel.send_to_site(env["origin"], note)
 
     def on_proposal(self, src_site: int, msg: Message) -> None:
-        ref = (msg["ref"][0], msg["ref"][1])
-        self.offer_proposal(ref, src_site, (msg["prio"][0], msg["prio"][1]))
+        ref, priority = _ref_prio(msg)
+        self.offer_proposal(ref, src_site, priority)
 
     def offer_proposal(self, ref: MsgRef, site: int,
                        priority: Priority) -> None:
@@ -191,9 +197,8 @@ class TotalOrdering(OrderingEngine):
                 self.engine.kernel.send_to_site(site, note)
         self.apply_final(ref, final)
 
-    def on_final(self, msg: Message) -> None:
-        self.apply_final((msg["ref"][0], msg["ref"][1]),
-                         (msg["prio"][0], msg["prio"][1]))
+    def on_final(self, src_site: int, msg: Message) -> None:
+        self.apply_final(*_ref_prio(msg))
 
     def apply_final(self, ref: MsgRef, final: Priority) -> None:
         """Record a final priority and deliver whatever it unblocks.
@@ -241,8 +246,8 @@ class SequencerOrdering(OrderingEngine):
         #: Token side: stamps accumulating for the next ``g.abs``.
         self._pending: List[List[int]] = []
         self._stamp_timer: Optional[Timer] = None
-        #: Stamps for views we have not installed yet.
-        self._future_stamps: List[Tuple[int, List[List[int]]]] = []
+        #: ``(ref, seq)`` stamps for views we have not installed yet.
+        self._future_stamps: List[Tuple[int, List[Tuple[MsgRef, int]]]] = []
         #: Token site of the view at the last view change (handoff count).
         self._token_site: Optional[int] = None
 
@@ -307,12 +312,17 @@ class SequencerOrdering(OrderingEngine):
         the cut settles every such ref deterministically anyway.
         """
         engine = self.engine
-        view_id = msg["view"]
+        (view_id,) = int_fields(msg, "view")
+        stamps = msg.get("stamps")
+        if not isinstance(stamps, list):
+            raise CodecError(f"stamps is not a list: {stamps!r}")
+        pairs = [((origin, gseq), seq) for origin, gseq, seq
+                 in (int_tuple(stamp, 3) for stamp in stamps)]
         if not engine.installed or engine.view is None \
                 or view_id > engine.view.view_id:
             # Stamps for a view we have not installed yet: hold them
             # (dropping would stall those refs until the next flush).
-            self._future_stamps.append((view_id, msg["stamps"]))
+            self._future_stamps.append((view_id, pairs))
             return
         if view_id < engine.view.view_id:
             engine.sim.trace.bump("abcast.stale_stamps")
@@ -320,7 +330,6 @@ class SequencerOrdering(OrderingEngine):
         if engine.wedged:
             engine.sim.trace.bump("abcast.wedged_stamps_dropped")
             return
-        pairs = [((s[0], s[1]), s[2]) for s in msg["stamps"]]
         self._deliver(self.receiver.apply_stamps(pairs))
 
     # -- stamp batching ----------------------------------------------------
@@ -376,8 +385,7 @@ class SequencerOrdering(OrderingEngine):
             self._future_stamps = [
                 (v, s) for v, s in self._future_stamps if v > current
             ]
-            for stamps in ready:
-                pairs = [((s[0], s[1]), s[2]) for s in stamps]
+            for pairs in ready:
                 self._deliver(self.receiver.apply_stamps(pairs))
 
 

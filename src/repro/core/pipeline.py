@@ -19,12 +19,15 @@ through the narrow :class:`DeliveryPipeline` interface:
   paper's two-phase priorities) or ``sequencer`` (token-site batched
   ``g.abs`` stamps).
 * :class:`StabilityStage` — tracks which messages are known received
-  everywhere.  Have-vectors piggyback on outgoing data envelopes and
-  batches — never on the ordering notes an ABCAST waits for — so
-  :meth:`MessageStore.trim_stable` advances continuously under traffic;
-  a site that only receives announces (``g.stab.a``) every
-  ``STAB_ANNOUNCE_EVERY`` receptions, and the periodic
-  ``g.stab.q/a/trim`` round is demoted to a fallback for idle groups.
+  everywhere.  A have-vector travels one way, the ``stab`` blob of
+  ``msg/fields.py`` (view id, ABCAST delivery floor, vector): on
+  outgoing data envelopes and batches — never on the ordering notes an
+  ABCAST waits for — so :meth:`MessageStore.trim_stable` advances
+  continuously under traffic; on the ``g.stab.a`` a receive-only site
+  announces every ``STAB_ANNOUNCE_EVERY`` receptions; and on the notes
+  of whichever topology collects for idle groups — the coordinator's
+  ``g.stab.q`` / ``g.stab.a`` round or the tree's ``g.stab.up`` wave —
+  both of which end in the same cut, ``g.stab.dn``.
 
 The engine keeps what is *not* the data path: the flush protocol, view
 installation, and local delivery.  New protocol variants (sharded
@@ -34,22 +37,17 @@ interfaces without touching the engine.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import CodecError, GroupError, SiteDown
 from ..msg.address import Address
-from ..msg.fields import (
-    Stab,
-    decode_have_vector,
-    decode_stab,
-    diff_have_vector,
-    encode_have_vector,
-    encode_stab,
-)
+from ..msg.fields import Stab, decode_stab, encode_stab
 from ..msg.message import (
     BATCH_PROTO,
     Message,
     bytes_field,
+    int_fields,
     pack_batch,
     unpack_batch,
 )
@@ -77,25 +75,6 @@ STAB_ANNOUNCE_EVERY = 32
 #: Cadence of the kernel's stability tick (buffer GC); the fallback round
 #: is skipped for a group whose piggybacks trimmed within one interval.
 STABILITY_INTERVAL = 2.0
-
-
-def _encode_pairs(mapping: Dict[int, int]) -> List[List[int]]:
-    return [[k, v] for k, v in sorted(mapping.items())]
-
-
-def _int_pair(value: object) -> Tuple[int, int]:
-    """A two-integer list off the wire, else :class:`CodecError`."""
-    if not (isinstance(value, list) and len(value) == 2
-            and type(value[0]) is int and type(value[1]) is int):
-        raise CodecError(f"not an integer pair: {value!r}")
-    return value[0], value[1]
-
-
-def _decode_pairs(pairs: object) -> Dict[int, int]:
-    """Inverse of :func:`_encode_pairs` for a field off the wire."""
-    if not isinstance(pairs, list):
-        raise CodecError(f"not a list of integer pairs: {pairs!r}")
-    return dict(map(_int_pair, pairs))
 
 
 # ----------------------------------------------------------------------
@@ -128,9 +107,6 @@ class DisseminationStage:
         self._send_seq = 0
         #: destination site -> coalescing buffer.
         self._buffers: Dict[int, _BatchBuffer] = {}
-        #: destination site -> (view_id, have-vector) last piggybacked on
-        #: a batch to that peer; batch stabs are delta-encoded against it.
-        self._last_stab: Dict[int, Tuple[int, Dict[int, int]]] = {}
 
     def next_gseq(self) -> int:
         self._send_seq += 1
@@ -218,33 +194,8 @@ class DisseminationStage:
                     envelopes: List[Message]) -> List[Promise]:
         """Put one batch for ``dst_site`` on the wire: the send promises."""
         batch = pack_batch(self.engine.gid, envelopes,
-                           self._stab_for(dst_site))
+                           self.pipeline.stability.piggyback())
         return [self.kernel.send_to_site(dst_site, batch)]
-
-    def _stab_for(self, dst_site: int) -> Optional[Stab]:
-        """Stability piggyback for a batch to ``dst_site``, if any.
-
-        Delta-encoded against the last vector sent to that peer within
-        the same view: only origins whose top advanced are included (the
-        receiver max-merges, so a subset is always safe).  The first
-        batch of a view carries the full vector.  A peer that misses a
-        delta (e.g. it lagged installing the view) merely trims later —
-        announcements and the fallback round carry full vectors.
-        """
-        if (not self.kernel.config.piggyback_stability
-                or self.engine.view is None):
-            return None
-        have = self.engine.store.have_vector()
-        view_id = self.engine.view.view_id
-        prev = self._last_stab.get(dst_site)
-        if prev is not None and prev[0] == view_id:
-            send = diff_have_vector(prev[1], have)
-        else:
-            send = have
-        self._last_stab[dst_site] = (view_id, have)
-        if not send:
-            return None
-        return view_id, self.engine.delivery_floor, send
 
     def flush_all(self) -> None:
         """Drain every coalescing buffer now (wedge / urgent points)."""
@@ -256,10 +207,8 @@ class DisseminationStage:
         return sum(len(buf.entries) for buf in self._buffers.values())
 
     def on_new_view(self) -> None:
-        # Buffers were drained at wedge time; per-view sequence restarts,
-        # and stab delta chains restart (have-vectors are per-view).
+        # Buffers were drained at wedge time; per-view sequence restarts.
         self._send_seq = 0
-        self._last_stab.clear()
 
     # -- tree hooks (no-ops for the flat stage) ----------------------------
     def tree_depth(self) -> int:
@@ -291,12 +240,9 @@ class DisseminationStage:
         happens under a misconfiguration; unwrap and ingest the payload
         without forwarding so no data is lost.
         """
-        try:
-            inner = Message.decode(bytes(msg["inner"]))
-        except (CodecError, KeyError):
-            self.engine.sim.trace.bump("tree.bad_inner")
-            return
-        self.pipeline.receive(msg["root"], inner["_proto"], inner)
+        (root,) = int_fields(msg, "root")
+        inner = Message.decode(bytes_field(msg, "inner"))
+        self.pipeline.receive(root, inner.get("_proto"), inner)
 
     def drain_pre_view_wrappers(self) -> None:
         """Replay tree wrappers held for a view now installed (no-op)."""
@@ -406,9 +352,8 @@ class TreeDissemination(DisseminationStage):
         if dst_site != self._TREE_DST:
             # A flat-fallback per-peer buffer.
             return super()._send_batch(dst_site, envelopes)
-        # One batch serves every subtree destination, so no per-peer
-        # delta stab can ride it — tree mode moves stability tracking to
-        # the aggregation channel (``g.stab.up`` / ``g.stab.dn``).
+        # One batch serves every subtree destination: it carries no
+        # ``stab`` (see :meth:`StabilityStage.piggyback`).
         batch = pack_batch(self.engine.gid, envelopes)
         if not self.engine.wedged:
             return self._send_down(batch)
@@ -435,7 +380,7 @@ class TreeDissemination(DisseminationStage):
         """A ``g.tr`` wrapper arrived: dedup, forward, ingest."""
         engine = self.engine
         view = engine.view
-        view_id = msg["view"]
+        view_id, root, tid = int_fields(msg, "view", "root", "tid")
         if not engine.installed or view is None or view_id > view.view_id:
             self._pre_view_wrappers.append((view_id, msg))
             return
@@ -445,9 +390,7 @@ class TreeDissemination(DisseminationStage):
         if self._seen_view != view.view_id:
             self._seen.clear()
             self._seen_view = view.view_id
-        root = msg["root"]
         seen = self._seen.setdefault(root, set())
-        tid = msg["tid"]
         if tid in seen:
             self.kernel.counters.bump("tree.dup_drops")
             return
@@ -464,12 +407,8 @@ class TreeDissemination(DisseminationStage):
                     continue
                 self.kernel.counters.bump("tree.relayed")
                 self.kernel.send_to_site(child, msg)
-        try:
-            inner = Message.decode(bytes(msg["inner"]))
-        except CodecError:
-            engine.sim.trace.bump("tree.bad_inner")
-            return
-        self.pipeline.receive(root, inner["_proto"], inner)
+        inner = Message.decode(bytes_field(msg, "inner"))
+        self.pipeline.receive(root, inner.get("_proto"), inner)
 
     def drain_pre_view_wrappers(self) -> None:
         view = self.engine.view
@@ -480,7 +419,7 @@ class TreeDissemination(DisseminationStage):
         self._pre_view_wrappers = [
             (v, m) for v, m in self._pre_view_wrappers if v > view.view_id]
         for _, m in ready:
-            self.on_relay(m["root"], m)
+            self.pipeline.receive(m["root"], TREE_PROTO, m)
 
     def on_new_view(self) -> None:
         super().on_new_view()
@@ -557,16 +496,24 @@ class CausalOrdering:
 # Stability
 # ----------------------------------------------------------------------
 class StabilityStage:
-    """Continuous, piggybacked stability tracking + fallback rounds.
+    """Continuous, piggybacked stability tracking + collection for idle tails.
 
     Every member site buffers every data message until it is known
     received everywhere (the flush may need it for refill).  This stage
-    learns peers' have-vectors from piggybacked fields and advances the
-    local trim floor — the pointwise minimum over all member sites —
-    whenever that knowledge grows.  A site that only *receives* pushes
-    its have-vector to the group every ``STAB_ANNOUNCE_EVERY`` messages;
-    the coordinator's periodic query round remains as the fallback that
-    catches idle tails.
+    learns peers' have-vectors from the ``stab`` blobs riding on data and
+    advances the local trim floor — the pointwise minimum over all
+    member sites — whenever that knowledge grows.  A site that only
+    *receives* pushes its blob to the group every ``STAB_ANNOUNCE_EVERY``
+    messages (``g.stab.a``).  What traffic leaves behind, the kernel's
+    tick collects: flat, the coordinator queries (``g.stab.q``) and every
+    member answers with the same ``g.stab.a``; tree, subtree minima
+    climb the token-rooted tree (``g.stab.up``).  Either collector ends
+    by sending the stable cut, ``g.stab.dn``.
+
+    Every note carries one ``stab`` blob and nothing else about
+    reception (``g.stab.up`` adds ``n``, the sites its minimum covers);
+    :meth:`_stab_of` is where a note's blob is decoded and its view
+    checked.
     """
 
     def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
@@ -585,9 +532,9 @@ class StabilityStage:
         self._floor_announced: Tuple[int, int] = (0, 0)
         self._recv_since_announce = 0
         self._last_advance = float("-inf")
-        #: Fallback-round state (coordinator only): site -> have-vector.
+        #: Open round (flat coordinator only): site -> have-vector.
         self._round_answers: Optional[Dict[int, Dict[int, int]]] = None
-        #: Tree-aggregated stability (``dissemination == "tree"``).
+        #: Tree-aggregated collection (``dissemination == "tree"``).
         self._tree_mode = self.kernel.config.dissemination == "tree"
         #: child site -> (subtree min have-vector, sites covered, min floor).
         self._child_up: Dict[int, Tuple[Dict[int, int], int,
@@ -595,24 +542,51 @@ class StabilityStage:
         #: Last state pushed to the parent / broadcast down (dedup).
         self._up_last: Optional[Tuple] = None
         self._dn_last: Optional[Tuple] = None
-        #: Group-wide min delivery floor per the last full aggregation.
-        self._tree_floor: Optional[Tuple[int, int]] = None
+        #: Group-wide min delivery floor per the last cut that named one.
+        self._cut_floor: Tuple[int, int] = (0, 0)
 
-    # -- piggyback: attach -------------------------------------------------
+    def _peer_sites(self) -> Tuple[int, ...]:
+        """The other member sites of the installed view."""
+        view = self.engine.view
+        if self._peers_of is not view:
+            self._peers_of = view
+            self._peers = tuple(site for site in view.member_sites()
+                                if site != self.engine.site_id)
+        return self._peers
+
+    # -- the blob: out -----------------------------------------------------
+    def piggyback(self) -> Optional[Stab]:
+        """Our reception state for an outgoing envelope or batch, if any.
+
+        None in tree mode: one wire copy serves many destinations there,
+        and stability is the aggregation wave's job.
+        """
+        engine = self.engine
+        if (not self.kernel.config.piggyback_stability or self._tree_mode
+                or engine.view is None):
+            return None
+        return (engine.view.view_id, engine.delivery_floor,
+                engine.store.have_vector())
+
     def attach(self, env: Message) -> None:
         """Piggyback our reception state on an outgoing data envelope."""
-        if not self.kernel.config.piggyback_stability or self._tree_mode:
-            # Tree mode: one wire copy serves many destinations, so no
-            # per-peer stab can ride it — stability moves to the O(fanout)
-            # aggregation channel (``g.stab.up`` / ``g.stab.dn``).
-            return
-        engine = self.engine
-        if engine.view is not None:
-            env["stab"] = encode_stab(engine.view.view_id,
-                                      engine.delivery_floor,
-                                      engine.store.have_vector())
+        stab = self.piggyback()
+        if stab is not None:
+            env["stab"] = encode_stab(*stab)
 
-    # -- piggyback: ingest -------------------------------------------------
+    def _note(self, proto: str, floor: Tuple[int, int],
+              have: Dict[int, int], **fields) -> Message:
+        """A ``g.stab.*`` note about the installed view."""
+        return Message(_proto=proto, gid=self.engine.gid,
+                       stab=encode_stab(self.engine.view.view_id, floor, have),
+                       **fields)
+
+    def _report(self) -> Message:
+        """``g.stab.a``: what this site has received and delivered."""
+        return self._note("g.stab.a", self.engine.delivery_floor,
+                          self.engine.store.have_vector())
+
+    # -- the blob: in ------------------------------------------------------
     def ingest_env(self, src_site: int, env: Message) -> None:
         """Absorb the stability blob riding on a received data envelope."""
         if "stab" not in env:
@@ -622,52 +596,46 @@ class StabilityStage:
         except CodecError:
             self.engine.sim.trace.bump("stability.bad_piggyback")
             return
-        self.ingest_stab(src_site, stab)
+        self.merge(src_site, stab)
 
-    def ingest_stab(self, src_site: int, stab: Stab) -> None:
-        """Merge a decoded blob: the floor (if any), then the vector."""
-        view_id, floor, have = stab
-        if floor != (0, 0):
-            self.ingest_floor(src_site, floor, view_id)
-        self.ingest(src_site, have, view_id)
+    def _stab_of(self, msg: Message) -> Optional[Stab]:
+        """The blob of a ``g.stab.*`` note, or None with the refusal counted.
 
-    def ingest_floor(self, src_site: int, floor, stab_view) -> None:
-        """Merge a peer's piggybacked ABCAST delivery floor.
-
-        Floors are per-view like have-vectors; the pointwise minimum
-        over all members bounds the prefix of the final order delivered
-        everywhere, which lets :meth:`GroupEngine.prune_delivered_finals`
-        cap flush-report sizes.  Monotone max-merge, so stale or lost
-        floors are merely conservative.
+        A note is outside input (any shape but the blob's is refused) and
+        can be late: gseq counters and floors restart in every view, so
+        one that counts another view says nothing about this one.
         """
+        try:
+            stab = decode_stab(bytes_field(msg, "stab"))
+        except CodecError:
+            self.engine.sim.trace.bump("stability.bad_note")
+            return None
         view = self.engine.view
-        if floor is None or view is None or stab_view != view.view_id:
-            return
-        value = (floor[0], floor[1])
-        known = self._peer_floor.get(src_site, (0, 0))
-        if value > known:
-            self._peer_floor[src_site] = value
-            self.engine.prune_delivered_finals()
+        if view is None or stab[0] != view.view_id:
+            self.engine.sim.trace.bump("stability.stale_note")
+            return None
+        return stab
 
-    def peer_have_vectors(self) -> Dict[int, Dict[int, int]]:
-        """Best-known reception state per peer (the flush's base union)."""
-        return self._peer_have
+    def merge(self, src_site: int, stab: Stab) -> None:
+        """Max-merge what ``src_site`` says of itself; trim and prune.
 
-    def peer_delivery_floors(self) -> Dict[int, Tuple[int, int]]:
-        return self._peer_floor
-
-    def ingest(self, src_site: int, have: Optional[Dict[int, int]],
-               stab_view: Optional[int]) -> None:
-        """Merge a peer's have-vector (monotone) and maybe trim.
-
-        Have-vectors are per-view (gseq counters restart when a view
-        installs), so a vector tagged with any other view is ignored.
+        The floor: the pointwise minimum over all members bounds the
+        prefix of the final order delivered everywhere, which lets
+        :meth:`GroupEngine.prune_delivered_finals` cap flush-report
+        sizes.  The vector: the minimum over all members is stable.
+        Both are monotone within a view, so a lost or late blob is
+        merely conservative; one of another view (a piggyback on a
+        future view's data, say) is ignored.
         """
+        view_id, floor, have = stab
+        view = self.engine.view
+        if view is None or view_id != view.view_id:
+            return
+        if floor > self._peer_floor.get(src_site, (0, 0)):
+            self._peer_floor[src_site] = floor
+            self.engine.prune_delivered_finals()
         if not self.kernel.config.piggyback_stability:
             return  # off: buffer GC is the fallback round's job alone
-        view = self.engine.view
-        if have is None or view is None or stab_view != view.view_id:
-            return
         known = self._peer_have.setdefault(src_site, {})
         advanced = False
         for origin, top in have.items():
@@ -677,11 +645,26 @@ class StabilityStage:
         if advanced:
             self.maybe_trim()
 
+    def peer_have_vectors(self) -> Dict[int, Dict[int, int]]:
+        """Best-known reception state per peer (the flush's base union)."""
+        return self._peer_have
+
+    def group_floor(self) -> Tuple[int, int]:
+        """The ABCAST delivery floor every member site is known to have
+        reached; ``(0, 0)`` while some member's is unknown."""
+        floor = self.engine.delivery_floor
+        if self._tree_mode:
+            # No per-peer floors: the aggregated minimum of the last
+            # complete wave plays the same role.
+            return min(floor, self._cut_floor)
+        for site in self._peer_sites():
+            floor = min(floor, self._peer_floor.get(site, (0, 0)))
+        return floor
+
     def maybe_trim(self) -> None:
         """Trim the store up to the pointwise-min cut, if it advanced."""
         engine = self.engine
-        view = engine.view
-        if view is None or not engine.installed:
+        if engine.view is None or not engine.installed:
             return
         if engine.wedged:
             # Mid-flush, the coordinator's pull plan assumes any site
@@ -691,11 +674,7 @@ class StabilityStage:
             return
         if engine.store.buffered_count == 0:
             return
-        if self._peers_of is not view:
-            self._peers_of = view
-            self._peers = tuple(site for site in view.member_sites()
-                                if site != engine.site_id)
-        vectors = [self._peer_have.get(site) for site in self._peers]
+        vectors = [self._peer_have.get(site) for site in self._peer_sites()]
         if None in vectors:
             return  # someone's reception state is still unknown
         stable: Dict[int, int] = {}
@@ -709,69 +688,128 @@ class StabilityStage:
         if stable:
             self._trim(stable, "stability.piggyback_trimmed")
 
-    def _trim(self, stable: Dict[int, int], learnt_by: Optional[str]) -> None:
+    def _trim(self, stable: Dict[int, int], learnt_by: str) -> None:
         """Drop what ``stable`` covers; ``learnt_by`` is the trace counter
-        of the path that learnt it (the fallback round has none)."""
+        of the path that learnt it."""
         engine = self.engine
         dropped = engine.store.trim_stable(stable)
         if dropped:
             self._last_advance = engine.sim.now
             self.kernel.counters.bump("stability.trimmed", dropped)
-            if learnt_by is not None:
-                engine.sim.trace.bump(learnt_by, dropped)
+            engine.sim.trace.bump(learnt_by, dropped)
             if self.kernel.wal is not None:
                 self.kernel.wal.note_stable_trim(engine)
 
     # -- receiver-side announcements ---------------------------------------
-    def note_received(self, count: int = 1) -> None:
-        """Count received data; push our have-vector every N messages."""
-        if self._tree_mode:
-            self._recv_since_announce += count
-            if self._recv_since_announce >= STAB_ANNOUNCE_EVERY:
+    def note_received(self) -> None:
+        """Count received data; push our state every N messages."""
+        if not (self._tree_mode or self.kernel.config.piggyback_stability):
+            return
+        self._recv_since_announce += 1
+        if self._recv_since_announce >= STAB_ANNOUNCE_EVERY:
+            if self._tree_mode:
                 self._recv_since_announce = 0
                 self.tree_push()
-            return
-        if not self.kernel.config.piggyback_stability:
-            return
-        self._recv_since_announce += count
-        if self._recv_since_announce >= STAB_ANNOUNCE_EVERY:
-            self.announce()
+            else:
+                self.announce()
 
     def announce(self) -> None:
         """Unsolicited ``g.stab.a``: tell peers what we have received."""
         engine = self.engine
-        view = engine.view
-        if view is None or not engine.installed or engine.wedged:
+        if engine.view is None or not engine.installed or engine.wedged:
             return
         self._recv_since_announce = 0
-        note = Message(_proto="g.stab.a", gid=engine.gid,
-                       have=_encode_pairs(engine.store.have_vector()),
-                       stab_view=view.view_id)
-        floor = engine.delivery_floor
-        if floor > (0, 0):
-            note["df"] = list(floor)
-            self._floor_announced = floor
+        self._floor_announced = engine.delivery_floor
+        note = self._report()
         engine.sim.trace.bump("stability.announcements")
-        for site in view.member_sites():
-            if site != engine.site_id:
-                self.kernel.send_to_site(site, note)
+        for site in self._peer_sites():
+            self.kernel.send_to_site(site, note)
 
-    def maybe_announce_floors(self) -> None:
-        """Idle-group floor exchange (periodic tick).
+    # -- the kernel's tick -------------------------------------------------
+    def tick(self) -> bool:
+        """Collect what traffic left behind; is there more for next time?
 
-        Under traffic, delivery floors ride the regular piggybacks; a
-        group that goes quiet right after a multicast burst would
-        otherwise leave the tail of its delivered-finals unprunable
-        (peers never learn the last floor advances).  One announcement
-        per advance, stopping as soon as everyone's caught up.
+        Flat: the coordinator opens a round, and a floor peers have not
+        heard is announced once — a group that goes quiet right after a
+        burst would otherwise leave the tail of its delivered finals
+        unprunable.  Tree: one aggregation push does both.  ``False``
+        drops the group out of the kernel's dirty set until a buffered
+        message, a floor advance or a child report re-arms it
+        (``stab.idle_skipped``).
         """
         engine = self.engine
-        if engine.wedged or engine.view is None or not engine.installed:
-            return
-        if engine.delivery_floor > self._floor_announced:
-            self.announce()
+        if self._tree_mode:
+            self.tree_push()
+        else:
+            self.start_round()
+            if engine.delivery_floor > self._floor_announced:
+                self.announce()
+        if engine.store.buffered_count or self._round_answers is not None:
+            return True
+        # Otherwise: a floor the group has not heard from us yet — by
+        # ``g.stab.up`` (tree, interior), in our own cut (tree, root) or
+        # by ``g.stab.a`` (flat; in a tree this one stays ``(0, 0)``).
+        if self._up_last is not None:
+            return engine.delivery_floor > self._up_last[2]
+        if self._dn_last is not None:
+            return engine.delivery_floor > self._dn_last[1]
+        return engine.delivery_floor > self._floor_announced
 
-    # -- tree-aggregated stability (dissemination == "tree") ---------------
+    # -- collection, flat: the coordinator's round -------------------------
+    def start_round(self) -> None:
+        engine = self.engine
+        if (not engine.is_coordinator_site() or engine.wedged
+                or engine.view is None
+                or engine.store.buffered_count == 0):
+            return
+        if (self.kernel.config.piggyback_stability
+                and engine.sim.now - self._last_advance < STABILITY_INTERVAL):
+            # Piggybacked stability is trimming continuously; the round
+            # only runs for groups that have gone quiet with a buffered
+            # tail.
+            engine.sim.trace.bump("stability.round_skipped")
+            return
+        self._round_answers = {engine.site_id: engine.store.have_vector()}
+        query = Message(_proto="g.stab.q", gid=engine.gid)
+        for site in self._peer_sites():
+            self.kernel.send_to_site(site, query)
+        self._maybe_finish_round()
+
+    def on_query(self, src_site: int, msg: Message) -> None:
+        if self.engine.view is not None:
+            self.kernel.send_to_site(src_site, self._report())
+
+    def on_answer(self, src_site: int, msg: Message) -> None:
+        """A ``g.stab.a``: an announcement, and an answer if a round is open."""
+        stab = self._stab_of(msg)
+        if stab is None:
+            return
+        self.merge(src_site, stab)
+        if self._round_answers is not None:
+            self._round_answers[src_site] = stab[2]
+            self._maybe_finish_round()
+
+    def _maybe_finish_round(self) -> None:
+        engine = self.engine
+        answers = self._round_answers
+        if answers is None or engine.view is None:
+            return
+        member_sites = set(engine.view.member_sites())
+        # Every member must have answered; an answer from a site outside
+        # the view (just removed, not yet installed) counts for nothing.
+        if not member_sites <= set(answers):
+            return
+        stable: Dict[int, int] = {}
+        origins: set = set()
+        for site in member_sites:
+            origins |= set(answers[site])
+        for origin in origins:
+            stable[origin] = min(
+                answers[site].get(origin, 0) for site in member_sites)
+        self._round_answers = None
+        self._send_cut(self._peer_sites(), stable, (0, 0))
+
+    # -- collection, tree: the aggregation wave ----------------------------
     def _stab_root(self) -> Optional[int]:
         """The aggregation root: the lowest-ranked member's site.
 
@@ -790,11 +828,10 @@ class StabilityStage:
         Interior nodes min-merge their own have-vector and delivery
         floor with the cached reports of their children in the
         root-rooted tree; the root, once its covered-site count reaches
-        the whole view, broadcasts the stable cut back down the same
-        tree (``g.stab.dn``).  Per-site stability traffic is O(fanout)
-        per aggregation wave regardless of group size — this is what
-        replaces both the per-peer piggybacks and the O(n) fallback
-        round at scale.
+        the whole view, sends the stable cut back down the same tree.
+        Per-site stability traffic is O(fanout) per aggregation wave
+        regardless of group size — this is what replaces both the
+        per-peer piggybacks and the O(n) round at scale.
         """
         engine = self.engine
         view = engine.view
@@ -823,17 +860,9 @@ class StabilityStage:
             if count < len(tree):
                 return  # some subtree has not reported yet
             state = (tuple(sorted(agg.items())), floor)
-            if state == self._dn_last:
-                return
-            self._dn_last = state
-            self._apply_dn(agg, floor)
-            note = Message(_proto="g.stab.dn", gid=engine.gid,
-                           stab_view=view.view_id,
-                           stable_b=encode_have_vector(agg),
-                           df=list(floor))
-            for child in children:
-                self.kernel.counters.bump("stab.dn_sent")
-                self.kernel.send_to_site(child, note)
+            if state != self._dn_last:
+                self._dn_last = state
+                self._send_cut(children, agg, floor)
             return
         state = (tuple(sorted(agg.items())), count, floor)
         if state == self._up_last:
@@ -842,180 +871,59 @@ class StabilityStage:
         parent = tree.parent(root, me)
         if parent is None:
             return
-        note = Message(_proto="g.stab.up", gid=engine.gid,
-                       stab_view=view.view_id,
-                       have_b=encode_have_vector(agg),
-                       n=count, df=list(floor))
         self.kernel.counters.bump("stab.up_sent")
-        self.kernel.send_to_site(parent, note)
+        self.kernel.send_to_site(
+            parent, self._note("g.stab.up", floor, agg, n=count))
 
     def on_up(self, src_site: int, msg: Message) -> None:
         """A child's aggregated subtree report (``g.stab.up``)."""
-        engine = self.engine
-        view = engine.view
-        if (not self._tree_mode or view is None
-                or msg.get("stab_view") != view.view_id):
-            engine.sim.trace.bump("stab.stale_up")
+        (count,) = int_fields(msg, "n")
+        stab = self._stab_of(msg)
+        if stab is None:
             return
-        try:
-            have = decode_have_vector(bytes_field(msg, "have_b"))
-            floor = _int_pair(msg.get("df"))
-            if type(msg.get("n")) is not int:
-                raise CodecError("g.stab.up without a site count")
-        except CodecError:
-            engine.sim.trace.bump("stability.bad_note")
-            return
-        self._child_up[src_site] = (have, msg["n"], floor)
-        self.kernel.note_group_dirty(engine.gid)
+        self._child_up[src_site] = (stab[2], count, stab[1])
+        self.kernel.note_group_dirty(self.engine.gid)
         # Re-aggregate immediately: fresh child state propagates one hop
         # per event, so a full wave costs depth hops, not depth ticks.
         self.tree_push()
 
+    # -- the cut -----------------------------------------------------------
+    def _send_cut(self, sites: Iterable[int], stable: Dict[int, int],
+                  floor: Tuple[int, int]) -> None:
+        """The collector's last step: ``g.stab.dn`` to ``sites``, and here."""
+        self._apply_cut(stable, floor)
+        note = self._note("g.stab.dn", floor, stable)
+        for site in sites:
+            self.kernel.counters.bump("stab.dn_sent")
+            self.kernel.send_to_site(site, note)
+
     def on_dn(self, src_site: int, msg: Message) -> None:
-        """The root's stable cut, relayed down the tree (``g.stab.dn``)."""
-        engine = self.engine
-        view = engine.view
-        if (not self._tree_mode or view is None
-                or msg.get("stab_view") != view.view_id):
-            engine.sim.trace.bump("stab.stale_dn")
+        """The stable cut: apply it, and in a tree relay it downward."""
+        stab = self._stab_of(msg)
+        if stab is None:
             return
-        try:
-            stable = decode_have_vector(bytes_field(msg, "stable_b"))
-            floor = _int_pair(msg.get("df"))
-        except CodecError:
-            engine.sim.trace.bump("stability.bad_note")
-            return
-        self._apply_dn(stable, floor)
+        self._apply_cut(stab[2], stab[1])
         tree = self.pipeline.dissemination.tree()
         root = self._stab_root()
-        me = engine.site_id
         if tree is None or root is None:
             return
-        for child in tree.children(root, me):
+        for child in tree.children(root, self.engine.site_id):
             if child == root:
                 continue
             self.kernel.counters.bump("stab.dn_sent")
             self.kernel.send_to_site(child, msg)
 
-    def _apply_dn(self, stable: Dict[int, int],
-                  floor: Tuple[int, int]) -> None:
+    def _apply_cut(self, stable: Dict[int, int],
+                   floor: Tuple[int, int]) -> None:
         engine = self.engine
-        if self._tree_floor is None or floor > self._tree_floor:
-            self._tree_floor = floor
+        if floor > self._cut_floor:
+            self._cut_floor = floor
         if (stable and engine.installed and not engine.wedged
                 and engine.store.buffered_count):
             # Wedged: defer exactly like maybe_trim — mid-flush trims
             # could empty a pending refill the coordinator counts on.
-            self._trim(stable, "stability.tree_trimmed")
+            self._trim(stable, "stability.cut_trimmed")
         engine.prune_delivered_finals()
-
-    def tree_floor(self) -> Optional[Tuple[int, int]]:
-        """Group-wide min ABCAST delivery floor per the last full wave.
-
-        ``None`` until the first complete aggregation of the view; used
-        by :meth:`GroupEngine.prune_delivered_finals` in tree mode in
-        place of the per-peer floor map the piggybacks would have built.
-        """
-        return self._tree_floor
-
-    def pending_work(self) -> bool:
-        """Does this group need the kernel's next stability tick?
-
-        The kernel's dirty set uses this to decide whether to
-        re-arm a group after visiting it; idle groups drop out of the
-        tick entirely (``stab.idle_skipped``).
-        """
-        engine = self.engine
-        if engine.store.buffered_count:
-            return True
-        if self._round_answers is not None:
-            return True
-        if self._tree_mode:
-            if self._up_last is not None:
-                return engine.delivery_floor > self._up_last[2]
-            if self._dn_last is not None:
-                return engine.delivery_floor > self._dn_last[1]
-            return engine.delivery_floor > (0, 0)
-        return engine.delivery_floor > self._floor_announced
-
-    # -- fallback rounds (coordinator-driven garbage collection) -----------
-    def start_round(self) -> None:
-        engine = self.engine
-        if (not engine.is_coordinator_site() or engine.wedged
-                or engine.view is None
-                or engine.store.buffered_count == 0):
-            return
-        if (self.kernel.config.piggyback_stability
-                and engine.sim.now - self._last_advance < STABILITY_INTERVAL):
-            # Piggybacked stability is trimming continuously; the round
-            # only runs for groups that have gone quiet with a buffered
-            # tail.
-            engine.sim.trace.bump("stability.round_skipped")
-            return
-        self._round_answers = {engine.site_id: engine.store.have_vector()}
-        query = Message(_proto="g.stab.q", gid=engine.gid)
-        for site in engine.view.member_sites():
-            if site != engine.site_id:
-                self.kernel.send_to_site(site, query)
-        self._maybe_finish_round()
-
-    def on_query(self, src_site: int, msg: Message) -> None:
-        engine = self.engine
-        note = Message(_proto="g.stab.a", gid=engine.gid,
-                       have=_encode_pairs(engine.store.have_vector()))
-        if engine.view is not None:
-            note["stab_view"] = engine.view.view_id
-        self.kernel.send_to_site(src_site, note)
-
-    def on_answer(self, src_site: int, msg: Message) -> None:
-        try:
-            have = _decode_pairs(msg.get("have"))
-            floor = _int_pair(msg["df"]) if "df" in msg else None
-        except CodecError:
-            self.engine.sim.trace.bump("stability.bad_note")
-            return
-        view = self.engine.view
-        if view is not None:
-            # Answers double as announcements (solicited or not).
-            stab_view = msg.get("stab_view", view.view_id)
-            self.ingest_floor(src_site, floor, stab_view)
-            self.ingest(src_site, have, stab_view)
-        if self._round_answers is not None:
-            self._round_answers[src_site] = have
-            self._maybe_finish_round()
-
-    def _maybe_finish_round(self) -> None:
-        engine = self.engine
-        answers = self._round_answers
-        if answers is None or engine.view is None:
-            return
-        member_sites = set(engine.view.member_sites())
-        # Every member must have answered; an answer from a site outside
-        # the view (just removed, not yet installed) counts for nothing.
-        if not member_sites <= set(answers):
-            return
-        stable: Dict[int, int] = {}
-        origins: set = set()
-        for site in member_sites:
-            origins |= set(answers[site])
-        for origin in origins:
-            stable[origin] = min(
-                answers[site].get(origin, 0) for site in member_sites)
-        self._round_answers = None
-        trim = Message(_proto="g.stab.trim", gid=engine.gid,
-                       stable=_encode_pairs(stable))
-        for site in member_sites:
-            if site != engine.site_id:
-                self.kernel.send_to_site(site, trim)
-        self.on_trim(trim)
-
-    def on_trim(self, msg: Message) -> None:
-        try:
-            stable = _decode_pairs(msg.get("stable"))
-        except CodecError:
-            self.engine.sim.trace.bump("stability.bad_note")
-            return
-        self._trim(stable, None)
 
     def on_new_view(self) -> None:
         self._peer_have.clear()
@@ -1026,7 +934,7 @@ class StabilityStage:
         self._child_up.clear()
         self._up_last = None
         self._dn_last = None
-        self._tree_floor = None
+        self._cut_floor = (0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -1035,12 +943,21 @@ class StabilityStage:
 class DeliveryPipeline:
     """The stack the engine drives; owns the whole multicast data path."""
 
-    #: Wire protocols the pipeline consumes (engine routes these here).
-    WIRE_PROTOS = frozenset({
-        BATCH_PROTO, "g.cb", "g.ab", "g.abp", "g.abf", "g.abs",
-        "g.stab.q", "g.stab.a", "g.stab.trim",
-        TREE_PROTO, "g.stab.up", "g.stab.dn",
-    })
+    #: The wire protocols the pipeline consumes (the engine routes these
+    #: here) and, from the pipeline, the ``handler(src_site, msg)`` of each.
+    HANDLERS = {
+        BATCH_PROTO: attrgetter("ingest_batch"),
+        "g.cb": attrgetter("ingest_data"),
+        "g.ab": attrgetter("ingest_data"),
+        "g.abp": attrgetter("total.on_proposal"),
+        "g.abf": attrgetter("total.on_final"),
+        "g.abs": attrgetter("total.on_stamps"),
+        "g.stab.q": attrgetter("stability.on_query"),
+        "g.stab.a": attrgetter("stability.on_answer"),
+        "g.stab.up": attrgetter("stability.on_up"),
+        "g.stab.dn": attrgetter("stability.on_dn"),
+        TREE_PROTO: attrgetter("dissemination.on_relay"),
+    }
 
     def __init__(self, engine: "GroupEngine"):
         self.engine = engine
@@ -1092,39 +1009,28 @@ class DeliveryPipeline:
 
     # -- receive path ------------------------------------------------------
     def receive(self, src_site: int, proto: str, msg: Message) -> None:
-        """Wire ingress for every pipeline protocol."""
-        if proto == BATCH_PROTO:
-            try:
-                envelopes, stab = unpack_batch(msg)
-            except CodecError:
-                self.engine.sim.trace.bump("pipeline.bad_batch")
-                return
-            if stab is not None:
-                self.stability.ingest_stab(src_site, stab)
-            for env in envelopes:
-                self.ingest_data(src_site, env)
-        elif proto in ("g.cb", "g.ab"):
-            self.ingest_data(src_site, msg)
-        elif proto == "g.abp":
-            self.total.on_proposal(src_site, msg)
-        elif proto == "g.abf":
-            self.total.on_final(msg)
-        elif proto == "g.abs":
-            self.total.on_stamps(src_site, msg)
-        elif proto == "g.stab.q":
-            self.stability.on_query(src_site, msg)
-        elif proto == "g.stab.a":
-            self.stability.on_answer(src_site, msg)
-        elif proto == "g.stab.trim":
-            self.stability.on_trim(msg)
-        elif proto == TREE_PROTO:
-            self.dissemination.on_relay(src_site, msg)
-        elif proto == "g.stab.up":
-            self.stability.on_up(src_site, msg)
-        elif proto == "g.stab.dn":
-            self.stability.on_dn(src_site, msg)
-        else:  # pragma: no cover - engine only routes WIRE_PROTOS here
+        """Wire ingress for every pipeline protocol.
+
+        A message off the wire is outside input: a handler parses the
+        fields it is about to trust first, and its refusal
+        (:class:`CodecError`) is counted here and the message dropped.
+        """
+        handler = self.HANDLERS.get(proto)
+        if handler is None:  # only a ``g.tr`` wrapper can bring one
             self.engine.sim.trace.bump("engine.unknown_proto")
+            return
+        try:
+            handler(self)(src_site, msg)
+        except CodecError:
+            self.engine.sim.trace.bump("pipeline.bad_message")
+
+    def ingest_batch(self, src_site: int, msg: Message) -> None:
+        """A ``g.batch``: its blob, then its envelopes in order."""
+        envelopes, stab = unpack_batch(msg)
+        if stab is not None:
+            self.stability.merge(src_site, stab)
+        for env in envelopes:
+            self.ingest_data(src_site, env)
 
     def ingest_data(self, src_site: int, env: Message) -> None:
         """One data envelope off the wire: gate by view, buffer, order."""

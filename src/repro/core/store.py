@@ -128,7 +128,7 @@ class MessageStore:
         only ``applied + 1 … new`` can still be here.  A stable cut is a
         minimum that includes this site's own have-vector, so it is
         capped at the contiguous top (which also bounds the work a
-        misshapen ``g.stab.trim`` can ask for).
+        made-up ``g.stab.dn`` can ask for).
         """
         dropped = 0
         for origin_site, top in stable.items():

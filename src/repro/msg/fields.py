@@ -47,20 +47,20 @@ T_DICT = 9
 
 
 # ----------------------------------------------------------------------
-# Have-vector piggyback codec
+# Have-vector and stability-blob codec
 # ----------------------------------------------------------------------
-# Stability information (per-origin-site "highest contiguous gseq
-# received") rides on data envelopes and batches, so it must be cheap:
+# A have-vector (per-origin-site "highest contiguous gseq received") is
 # a sorted run of (site, top) pairs, sites delta-encoded, everything in
 # unsigned LEB128 varints.  A 4-site vector costs ~9 bytes instead of
-# the ~80 a generic dict field would.
+# the ~80 a generic dict field would.  The flush sends bare vectors
+# (``base_b``, ``have_b``, ``have_d``, ``union_b``).
 #
-# The piggyback itself is one bytes field, ``stab``: the uvarints
-# ``view id, floor counter, floor site`` and then the have-vector as
-# above.  The view id says which view's gseq counters the vector counts
-# (a buffered envelope re-sent by a flush refill still carries the blob
-# of its first send); the floor is the sender's ABCAST delivery floor,
-# ``(0, 0)`` for "none".
+# Stability sends a have-vector one way, as one bytes field ``stab`` —
+# on data envelopes, batches and every ``g.stab.*`` note alike: the
+# uvarints ``view id, floor counter, floor site`` and then the vector.
+# The view id says which view's gseq counters the vector counts (they
+# restart in every view, so a receiver refuses any other view's blob);
+# the floor is an ABCAST delivery floor, ``(0, 0)`` for "none".
 
 #: What a ``stab`` blob says: ``(view_id, delivery floor, have-vector)``.
 Stab = Tuple[int, Tuple[int, int], Dict[int, int]]
@@ -130,36 +130,18 @@ def _have_vector_numbers(have: "dict[int, int]") -> "list[int]":
 def encode_have_vector(have: "dict[int, int]") -> bytes:
     """Compact encoding of a per-origin-site have-vector.
 
-    Sites are delta-encoded in sorted order, values are varints.  The
-    same codec carries flat-mode piggybacks (inside the ``stab`` blob)
-    and the tree-mode aggregation frames (``g.stab.up``'s subtree
-    minimum and ``g.stab.dn``'s global stable cut — see
-    ``core/tree.py``'s ``min_merge_have_vectors``).
+    Sites are delta-encoded in sorted order, values are varints.
     """
     return _encode_uvarints(_have_vector_numbers(have))
 
 
 def encode_stab(view_id: int, floor: "Tuple[int, int]",
                 have: "dict[int, int]") -> bytes:
-    """The ``stab`` piggyback blob of a data envelope or a batch."""
+    """The ``stab`` blob: a have-vector, its view and a delivery floor."""
     if view_id < 0 or floor[0] < 0 or floor[1] < 0:
         raise CodecError(f"stab header must be >= 0: {view_id}, {floor}")
     return _encode_uvarints(
         [view_id, floor[0], floor[1]] + _have_vector_numbers(have))
-
-
-def diff_have_vector(prev: "dict[int, int]",
-                     cur: "dict[int, int]") -> "dict[int, int]":
-    """Entries of ``cur`` that advanced past ``prev``.
-
-    Have-vectors are monotone within a view and receivers max-merge what
-    they learn, so piggybacking only the advanced entries (delta against
-    the last vector sent to that peer) is always safe — a peer that
-    misses a delta merely trims later, repaired by the next full vector
-    (announcements and fallback rounds are never delta-encoded).
-    """
-    return {site: top for site, top in cur.items()
-            if top > prev.get(site, 0)}
 
 
 def exact_diff_have_vector(base: "dict[int, int]",
@@ -167,12 +149,11 @@ def exact_diff_have_vector(base: "dict[int, int]",
     """Entries of ``cur`` that *differ* from ``base`` — in either
     direction.
 
-    Unlike :func:`diff_have_vector` (monotone piggyback deltas, where a
-    subset is always safe), this diff supports exact reconstruction:
-    ``base`` overridden by the returned entries equals ``cur`` (entries
-    at 0 mark origins present in ``base`` but absent from ``cur``).
-    Used by fast-flush reports, where a participant's have-vector may
-    also be *behind* the coordinator's announced base union.
+    The diff supports exact reconstruction: ``base`` overridden by the
+    returned entries equals ``cur`` (entries at 0 mark origins present
+    in ``base`` but absent from ``cur``).  Used by flush reports, where
+    a participant's have-vector may also be *behind* the coordinator's
+    announced base union.
     """
     out = {}
     for origin in set(base) | set(cur):

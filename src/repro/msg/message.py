@@ -471,6 +471,19 @@ def bytes_field(msg: Message, name: str) -> bytes:
     return bytes(value)
 
 
+def int_tuple(value: object, count: int) -> "tuple[int, ...]":
+    """A list of ``count`` integers off the wire, else :class:`CodecError`."""
+    if (isinstance(value, (list, tuple)) and len(value) == count
+            and all(type(item) is int for item in value)):
+        return tuple(value)
+    raise CodecError(f"not {count} integers: {value!r}")
+
+
+def int_fields(msg: Message, *names: str) -> "tuple[int, ...]":
+    """The named integer fields off the wire, else :class:`CodecError`."""
+    return int_tuple([msg._fields.get(name) for name in names], len(names))
+
+
 def pack_batch(
     gid: Address,
     envelopes: List[Message],

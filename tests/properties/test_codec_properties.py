@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.msg import Address, Message
-from repro.msg.fields import decode_have_vector, encode_have_vector
+from repro.msg.fields import (
+    decode_have_vector,
+    decode_stab,
+    encode_have_vector,
+    encode_stab,
+)
 from repro.net.packet import (
     KIND_ACK,
     KIND_DATA,
@@ -122,33 +127,27 @@ def test_tree_wrapper_roundtrip(gid, view, root, tid, fields):
     assert relayed.fields() == _normalize(inner.fields())
 
 
-@given(gid=addresses, stab_view=st.integers(0, 2**31), have=have_vectors,
+@given(gid=addresses, view=st.integers(0, 2**31), have=have_vectors,
        n=st.integers(1, 0xFFFF), floor=floors)
-def test_stability_up_roundtrip(gid, stab_view, have, n, floor):
-    """``g.stab.up``: aggregated subtree report (have-vector nested)."""
-    note = Message(_proto="g.stab.up", gid=gid, stab_view=stab_view,
-                   have_b=encode_have_vector(have), n=n, df=list(floor))
+def test_stability_up_roundtrip(gid, view, have, n, floor):
+    """``g.stab.up``: a subtree's blob and the sites it covers."""
+    note = Message(_proto="g.stab.up", gid=gid,
+                   stab=encode_stab(view, floor, have), n=n)
     decoded = Message.decode(note.encode())
     assert decoded["_proto"] == "g.stab.up"
-    assert decoded["stab_view"] == stab_view
-    assert decode_have_vector(bytes(decoded["have_b"])) == have
+    assert decode_stab(bytes(decoded["stab"])) == (view, floor, have)
     assert int(decoded["n"]) == n
-    df = decoded["df"]
-    assert (df[0], df[1]) == floor
 
 
-@given(gid=addresses, stab_view=st.integers(0, 2**31), stable=have_vectors,
+@given(gid=addresses, view=st.integers(0, 2**31), stable=have_vectors,
        floor=floors)
-def test_stability_dn_roundtrip(gid, stab_view, stable, floor):
-    """``g.stab.dn``: the root's stable cut relayed down the tree."""
-    note = Message(_proto="g.stab.dn", gid=gid, stab_view=stab_view,
-                   stable_b=encode_have_vector(stable), df=list(floor))
+def test_stability_dn_roundtrip(gid, view, stable, floor):
+    """``g.stab.dn``: the stable cut, the same blob and nothing else."""
+    note = Message(_proto="g.stab.dn", gid=gid,
+                   stab=encode_stab(view, floor, stable))
     decoded = Message.decode(note.encode())
     assert decoded["_proto"] == "g.stab.dn"
-    assert decoded["stab_view"] == stab_view
-    assert decode_have_vector(bytes(decoded["stable_b"])) == stable
-    df = decoded["df"]
-    assert (df[0], df[1]) == floor
+    assert decode_stab(bytes(decoded["stab"])) == (view, floor, stable)
 
 
 @given(gid=addresses, root=st.integers(0, 0xFFFF),

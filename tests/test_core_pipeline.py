@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro import IsisCluster, IsisConfig
+from repro import IsisCluster, IsisConfig, Message
 from repro.core import kernel as kernel_mod
 from repro.core import pipeline as pipeline_mod
+from repro.msg.fields import decode_stab, encode_stab
+from repro.msg.message import unpack_batch
+from repro.sim.tasks import Promise
 
 
 def _two_member_group(config, n_sites=2, seed=31, field="tag"):
@@ -248,26 +251,175 @@ class TestStabilityRidesOnData:
             assert system.kernel(site).stats()["buffered_messages"] == 0
 
 
+def _stab_notes(sent, proto):
+    """The decoded blobs of the ``proto`` notes among ``sent``."""
+    return [decode_stab(bytes(msg["stab"])) for msg in sent
+            if msg["_proto"] == proto]
+
+
 class TestStabilityRound:
     def test_round_waits_for_every_member_despite_outsider_answers(self):
         """An answer from a site outside the view (just removed, not yet
         installed) must neither finish the round nor stand in for a
         member that has not answered."""
-        from repro.core.pipeline import _decode_pairs
-
         system, _, _ = _two_member_group(IsisConfig(), n_sites=3)
         (engine,) = system.kernel(0).engines.values()
         assert set(engine.view.member_sites()) == {0, 1, 2}
         stage = engine.pipeline.stability
-        trims = []
-        stage.on_trim = trims.append
-        stage._round_answers = {0: {0: 5}, 1: {0: 4}, 9: {0: 1, 7: 9}}
-        stage._maybe_finish_round()
-        assert trims == [] and stage._round_answers is not None
-        stage._round_answers[2] = {0: 3}
-        stage._maybe_finish_round()
+        view_id = engine.view.view_id
+        sent = _tap_wire(system, 3)
+
+        def answer(site, have):
+            engine.handle(site, Message(
+                _proto="g.stab.a", gid=engine.gid,
+                stab=encode_stab(view_id, (0, 0), have)))
+
+        stage._round_answers = {0: {0: 5}}
+        answer(1, {0: 4})
+        answer(9, {0: 1, 7: 9})
+        assert _stab_notes(sent, "g.stab.dn") == []
+        assert stage._round_answers is not None
+        answer(2, {0: 3})
         assert stage._round_answers is None
-        assert [_decode_pairs(t["stable"]) for t in trims] == [{0: 3}]
+        # One cut per peer, the view's and the members' minimum on it.
+        assert _stab_notes(sent, "g.stab.dn") == [
+            (view_id, (0, 0), {0: 3})] * 2
+
+    def test_previous_views_answer_and_cut_change_nothing(self, monkeypatch):
+        """gseq counters restart in every view: a late ``g.stab.a`` or cut
+        of the previous one is counted and refused — it neither finishes
+        an open round nor trims, and says nothing about its sender."""
+        for module in (kernel_mod, pipeline_mod):   # no round of its own
+            monkeypatch.setattr(module, "STABILITY_INTERVAL", 1e9)
+        system, members, _ = _two_member_group(
+            IsisConfig(piggyback_stability=False), n_sites=3)
+        _burst(system, members, 0, 5)
+        system.run_for(10.0)
+        (engine,) = system.kernel(0).engines.values()
+        stage = engine.pipeline.stability
+        view_id = engine.view.view_id
+        have = engine.store.have_vector()
+        buffered = engine.store.buffered_count
+        assert have == {0: 20} and buffered == 20 and view_id > 1
+
+        def note(proto, view):
+            return Message(_proto=proto, gid=engine.gid,
+                           stab=encode_stab(view, (0, 0), have))
+
+        stage._round_answers = {0: have, 1: have}   # site 2 is still out
+        engine.handle(2, note("g.stab.a", view_id - 1))
+        assert stage._round_answers == {0: have, 1: have}
+        engine.handle(1, note("g.stab.dn", view_id - 1))
+        assert engine.store.buffered_count == buffered
+        assert stage.peer_have_vectors() == {}
+        assert system.sim.trace.value("stability.stale_note") == 2
+        # The same two notes about this view do finish and trim.
+        engine.handle(2, note("g.stab.a", view_id))
+        assert stage._round_answers is None
+        assert engine.store.buffered_count == 0
+        assert system.sim.trace.value("stability.stale_note") == 2
+
+    def test_cut_is_refused_while_wedged(self):
+        system, members, _ = _two_member_group(
+            IsisConfig(piggyback_stability=False), n_sites=2)
+        _burst(system, members, 0, 5)
+        system.run_for(1.0)
+        (engine,) = system.kernel(1).engines.values()
+        buffered = engine.store.buffered_count
+        assert buffered
+        cut = Message(_proto="g.stab.dn", gid=engine.gid,
+                      stab=encode_stab(engine.view.view_id, (0, 0),
+                                       engine.store.have_vector()))
+        engine.wedged = True
+        engine.handle(0, cut)
+        assert engine.store.buffered_count == buffered
+        engine.wedged = False
+        engine.handle(0, cut)
+        assert engine.store.buffered_count == 0
+
+
+class TestStabilityWireBudget:
+    """A have-vector reaches the wire one way: every stability note and
+    the flush's union cut are a few varints, whoever sends them."""
+
+    #: 4 member sites, every one an origin, floors past their first byte.
+    NOTE_BUDGET = 64
+    EXPECT_BUDGET = 104
+    LOOSE_FIELDS = {"have", "stable", "union", "stab_view", "df"}
+
+    @pytest.mark.parametrize("piggyback", [True, False])
+    def test_notes_and_union_cut_within_budget(self, monkeypatch, piggyback):
+        """On: receive-side announcements (``g.stab.a``, unsolicited).
+        Off: the coordinator's round (``g.stab.q``, ``g.stab.a`` as the
+        answer, the cut).  Either way a crash whose last sends reached
+        only some survivors makes the flush send its union cut."""
+        monkeypatch.setattr(pipeline_mod, "STAB_ANNOUNCE_EVERY", 8)
+        system, members, deliveries = _two_member_group(
+            IsisConfig(piggyback_stability=piggyback), n_sites=4, field="n")
+        sent = _tap_wire(system, 4)
+
+        def stream(isis, base, kind):
+            gid = yield isis.pg_lookup("pipe")
+            for i in range(40):
+                yield isis.bcast(gid, 16, kind=kind, n=base + i, p=bytes(64))
+
+        def burst(base):
+            for idx in range(4):
+                members[idx][0].spawn(
+                    stream(members[idx][1], base + 1000 * idx,
+                           "abcast" if idx % 2 else "cbcast"), "mix")
+
+        burst(0)
+        system.run_for(20.0)
+        burst(10_000)
+        system.run_for(1.0)
+        send = system.kernel(3).send_to_site    # site 2 misses the last ones
+        system.kernel(3).send_to_site = (
+            lambda dst, msg: Promise() if dst == 2 else send(dst, msg))
+        system.run_for(0.2)
+        system.crash_site(3)
+        system.run_for(60.0)
+        assert len({tuple(sorted(deliveries[s])) for s in range(3)}) == 1
+        sizes = {}
+        for msg in sent:
+            proto = msg["_proto"]
+            if proto.startswith(("g.stab.", "g.fl.")):
+                sizes[proto] = max(sizes.get(proto, 0), msg.size_bytes)
+                assert not self.LOOSE_FIELDS & set(msg), (proto, list(msg))
+                if proto.startswith("g.stab.") and proto != "g.stab.q":
+                    assert [n for n in msg if n not in ("_proto", "gid")] \
+                        == ["stab"], (proto, list(msg))
+        assert "g.stab.trim" not in sizes
+        assert ("g.stab.q" in sizes) is not piggyback
+        assert sizes["g.stab.a"] <= self.NOTE_BUDGET, sizes
+        if not piggyback:
+            assert sizes["g.stab.dn"] <= self.NOTE_BUDGET, sizes
+        assert sizes["g.fl.expect"] <= self.EXPECT_BUDGET, sizes
+
+    def test_batch_carries_the_senders_full_vector(self):
+        """No per-destination delta: every batch says all the sender has."""
+        system, members, _ = _two_member_group(
+            IsisConfig(batch_window=0.010), n_sites=3)
+        kernel = system.kernel(0)
+        (engine,) = kernel.engines.values()
+        seen = []
+
+        def tapped(dst_site, msg, send=kernel.send_to_site):
+            if msg["_proto"] == "g.batch":
+                seen.append((msg, engine.store.have_vector()))
+            return send(dst_site, msg)
+
+        _burst(system, members, 1, 10)      # an origin that then stands still
+        system.run_for(20.0)
+        kernel.send_to_site = tapped
+        _burst(system, members, 0, 10)
+        system.run_for(20.0)
+        assert len(seen) > 4 and all(have[1] == 40 for _, have in seen)
+        view_id = engine.view.view_id
+        for batch, have in seen:
+            assert bytes(batch["stab"]) == encode_stab(view_id, (0, 0), have)
+            _, stab = unpack_batch(Message.decode(batch.encode()))
+            assert stab == (view_id, (0, 0), have)
 
 
 class TestKernelStats:

@@ -10,6 +10,7 @@ from repro.errors import GroupError, SiteDown
 from repro.fd.heartbeat import HeartbeatConfig
 from repro.fd.siteview import SiteViewConfig
 from repro.msg import make_group_address
+from repro.msg.fields import encode_stab
 from repro.net.bulk import BulkConfig
 from repro.net.packet import KIND_DATA, Frame
 from repro.net.udp import UdpConfig
@@ -133,21 +134,28 @@ def test_group_data_for_unknown_group_buffers_quietly():
 
 #: One data envelope, encoded: what a well-formed ``g.batch`` carries.
 _BATCHED = Message(_proto="g.cb", view=0, origin=0, gseq=1).encode()
+#: A well-formed ``stab`` blob about view 1, the view the probe runs in.
+_BLOB = encode_stab(1, (2, 1), {0: 3, 1: 5})
+#: Not bytes, a proper prefix of a blob, a blob and one byte more.
+_NOT_A_BLOB = ("x", _BLOB[:-1], _BLOB + b"\x00")
+_TR = dict(_proto="g.tr", view=1, root=0, tid=1)
 
 
 @pytest.mark.parametrize("fields", [
     dict(_proto="g.stab.a"),
-    dict(_proto="g.stab.a", have=7),
-    dict(_proto="g.stab.a", have=[[1, 2]], df=[3]),
-    dict(_proto="g.stab.trim"),
-    dict(_proto="g.stab.trim", stable=[[1]]),
-    dict(_proto="g.stab.up", have_b=b"", n=1),
-    dict(_proto="g.stab.up", have_b=b"", n="1", df=[0, 0]),
-    dict(_proto="g.stab.dn", stable_b=b"", df=[0]),
+    dict(_proto="g.stab.a", stab=7),
+    dict(_proto="g.stab.a", stab=_BLOB[:3]),            # no vector
+    dict(_proto="g.stab.dn"),
+    dict(_proto="g.stab.dn", stab=_BLOB + _BLOB),
+    dict(_proto="g.stab.up", stab=_BLOB,                # no site count
+         counter="pipeline.bad_message"),
+    dict(_proto="g.stab.up", stab=_BLOB, n="1",
+         counter="pipeline.bad_message"),
+    dict(_proto="g.stab.dn", stab=[[0, 3]]),
     # A field that should be bytes and is not, or is not there.
     dict(_proto="g.cb", view=0, origin=0, gseq=1, stab="x"),
-    dict(_proto="g.stab.up", n=1, df=[0, 0]),
-    dict(_proto="g.stab.dn", stable_b="x", df=[0, 0]),
+    dict(_proto="g.stab.up", n=1),
+    dict(_proto="g.stab.dn", stab=None),
     # A flush id that is not three integers, or is not there.
     dict(_proto="g.fl.commit", fid=[1]),
     dict(_proto="g.fl.begin"),
@@ -162,12 +170,43 @@ _BATCHED = Message(_proto="g.cb", view=0, origin=0, gseq=1).encode()
     dict(_proto="g.batch", envs=[_BATCHED], stab=1),    # was bytes(1): {}
     dict(_proto="g.batch", envs=[_BATCHED], stab=[1, 0, 7]),
     dict(_proto="g.batch", envs=7),
+    # Every note kind x every way its one field is not a blob.
+    *[dict(_proto=proto, stab=bad, n=1)
+      for proto in ("g.stab.a", "g.stab.up", "g.stab.dn")
+      for bad in _NOT_A_BLOB],
+    dict(_proto="g.batch", envs=[_BATCHED], stab=_BLOB[:-1]),
+    dict(_proto="g.batch", envs=[_BATCHED], stab=_BLOB + b"\x00"),
+    # The union cut of a flush is a have-vector in bytes.
+    dict(_proto="g.fl.expect", fid=[2, 1, 0]),
+    dict(_proto="g.fl.expect", fid=[2, 1, 0], union_b=[[0, 3]]),
+    dict(_proto="g.fl.expect", fid=[2, 1, 0], union_b=b"\x02\x00\x03"),
+    # ABCAST ordering notes: a ref and a priority are integer pairs, a
+    # stamp an integer triple.
+    dict(_proto="g.abp", prio=[1, 0]),
+    dict(_proto="g.abp", ref=[0], prio=[1, 0]),
+    dict(_proto="g.abf", ref=[0], prio=[1, 0]),
+    dict(_proto="g.abf", ref=[0, 1]),
+    dict(mode="sequencer", _proto="g.abs", stamps=[[0, 1, 1]]),
+    dict(mode="sequencer", _proto="g.abs", view=1),
+    dict(mode="sequencer", _proto="g.abs", view=1, stamps=[[0]]),
+    dict(mode="sequencer", _proto="g.abs", view=1, stamps=7),
+    # A tree wrapper names its view, root and id, and wraps a message.
+    {k: v for k, v in _TR.items() if k != "view"},
+    {k: v for k, v in _TR.items() if k != "tid"},
+    dict(_TR, root="0", inner=_BATCHED),
+    dict(_TR),
+    dict(_TR, inner="x"),
+    dict(_TR, inner=b"\x49\xd2\x00"),
+    dict(_TR, inner=Message(x=1).encode(), counter="engine.unknown_proto"),
+    dict(_TR, inner=Message(_proto="g.abp", ref=[0]).encode()),
 ])
 def test_misshapen_stability_note_counted_not_fatal(fields):
     """A well-formed message of the wrong shape is outside input like
     undecodable bytes: counted, dropped, and the kernel carries on."""
-    system = IsisCluster(n_sites=2, seed=109,
-                         isis_config=IsisConfig(dissemination="tree"))
+    fields = dict(fields)
+    mode = fields.pop("mode", "two_phase")
+    system = IsisCluster(n_sites=2, seed=109, isis_config=IsisConfig(
+        dissemination="tree", abcast_mode=mode))
     process, isis = system.spawn(1, "m1")
     box = {}
 
@@ -176,16 +215,16 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
 
     process.spawn(create(), "create")
     system.run_for(3.0)
-    view = system.kernel(1).engines[box["gid"].process()].view
-    system.kernel(0).send_to_site(1, Message(
-        gid=box["gid"], stab_view=view.view_id, **fields))
-    system.run_for(2.0)
-    # On a note the have-vector is the message; on data it rides along.
+    assert system.kernel(1).engines[box["gid"].process()].view.view_id == 1
     proto = fields["_proto"]
-    counter = ("flush.bad_message" if proto.startswith("g.fl.")
-               else "stability.bad_piggyback" if proto == "g.cb"
-               else "pipeline.bad_batch" if proto == "g.batch"
-               else "stability.bad_note")
+    # On a note the have-vector is the message; on data it rides along.
+    counter = fields.pop("counter", None) or (
+        "flush.bad_message" if proto.startswith("g.fl.")
+        else "stability.bad_piggyback" if proto == "g.cb"
+        else "stability.bad_note" if proto.startswith("g.stab.")
+        else "pipeline.bad_message")
+    system.kernel(0).send_to_site(1, Message(gid=box["gid"], **fields))
+    system.run_for(2.0)
     assert system.sim.trace.value(counter) == 1
     assert system.kernel(1).alive
 

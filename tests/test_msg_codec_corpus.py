@@ -17,6 +17,7 @@ import pytest
 
 from repro.errors import CodecError
 from repro.msg import Message, unpack_batch
+from repro.msg.fields import decode_stab
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -70,6 +71,13 @@ def test_golden_batch_unpacks_to_its_envelopes():
     for env in envelopes:
         assert env["_proto"] == "g.cb"
         assert _rebuilt(env).encode() == env.encode()
+
+
+def test_golden_announcement_is_one_stab_blob():
+    note = Message.decode(CORPUS["g.stab.a"])
+    assert list(note) == ["_proto", "gid", "stab"]
+    assert decode_stab(bytes(note["stab"])) == (
+        4, (6, 5), {0: 13, 1: 7, 2: 12})    # view, floor, have-vector
 
 
 @pytest.mark.parametrize("tag", WIRE_TAGS)
