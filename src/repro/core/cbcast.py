@@ -31,17 +31,45 @@ from typing import Callable, Dict, List, Set, Tuple
 
 from ..errors import CodecError
 from ..msg.address import Address
-from ..msg.message import Message
+from ..msg.message import Message, fields_reader
 from .vectorclock import (
+    ChainContext,
     ContextDelta,
-    PackedContext,
     VectorClock,
     apply_context_delta,
+    check_delta_positions,
     parse_context_delta,
 )
 
 #: A pending CBCAST is identified by (sender process, per-view seq).
 PendingKey = Tuple[Address, int]
+
+
+#: What a ``g.cb`` adds to a data envelope: who sent it, its number in
+#: that sender's stream, and what the sender had delivered by then.
+CausalFields = Tuple[PendingKey, ContextDelta]
+
+_read_causal = fields_reader("cb_sender", "cb_seq", "cb_ctx")
+
+
+def causal_fields(msg: Message) -> CausalFields:
+    """What a ``g.cb`` off the wire says of its place in causal order:
+    its pending key and its ``cb_ctx``, parsed.  A sender that is not an
+    address, a sequence number that is not a positive integer, a context
+    that is absent, not bytes or does not parse, or a delta with no
+    predecessor to chain from is :class:`CodecError`.
+    """
+    sender, seq, raw = _read_causal(msg)
+    if not isinstance(sender, Address):
+        raise CodecError(f"cb_sender is not an address: {sender!r}")
+    if seq.__class__ is not int or seq < 1:
+        raise CodecError(f"cb_seq is not a sequence number: {seq!r}")
+    if not isinstance(raw, (bytes, bytearray)):
+        raise CodecError(f"cb_ctx is not a compact context: {raw!r}")
+    delta = parse_context_delta(bytes(raw))
+    if seq == 1 and not delta.full:
+        raise CodecError("delta context without a predecessor")
+    return (sender.process(), seq), delta
 
 
 class SenderChain:
@@ -52,7 +80,7 @@ class SenderChain:
     def __init__(self) -> None:
         #: The sender's absolute context as of its last message delivered
         #: here, advanced in place at each delivery.
-        self.context: PackedContext = {}
+        self.context = ChainContext()
         #: The kernel's group-install count when that message's context
         #: check passed (see ``check_delta_and_register``).
         self.installs = -1
@@ -68,7 +96,11 @@ class CausalReceiver:
     here, so the receiver keeps one absolute context per sender
     (:class:`SenderChain`), advanced in place at delivery, and a pending
     message keeps its ``cb_ctx`` parsed once, on arrival, as a flat
-    delta.
+    delta.  A delta names what the predecessor context holds by position
+    there, so its positions can only be judged once it is a candidate:
+    one that names nothing is malformed outside input found late — the
+    message leaves the pending buffer, ``on_refuse()`` counts it, and
+    chain, delivered vector and wait index stay as they were.
 
     ``delta_check(chain, delta, key)`` says whether the context ``chain``
     advanced by ``delta`` is satisfied and, if not, registers ``key``
@@ -80,13 +112,14 @@ class CausalReceiver:
     """
 
     __slots__ = ("delivered", "delivered_packed", "_pending", "_chains",
-                 "_delta_check", "_on_advance", "_next_arrival", "_ready",
-                 "_ready_set", "peak_pending")
+                 "_delta_check", "_on_advance", "_on_refuse",
+                 "_next_arrival", "_ready", "_ready_set", "peak_pending")
 
     def __init__(self,
                  delta_check: Callable[
                      [SenderChain, ContextDelta, PendingKey], bool],
-                 on_advance: Callable[[Address, int], None]):
+                 on_advance: Callable[[Address, int], None],
+                 on_refuse: Callable[[], None]):
         #: Delivered CBCAST count per sending member (resets per view).
         self.delivered = VectorClock()
         #: The same counts keyed by packed member: the form contexts are
@@ -94,6 +127,7 @@ class CausalReceiver:
         self.delivered_packed: Dict[bytes, int] = {}
         self._delta_check = delta_check
         self._on_advance = on_advance
+        self._on_refuse = on_refuse
         #: (sender, seq) -> (arrival index, pending message, its parsed
         #: ``cb_ctx``); the drain evaluates in arrival order.
         self._pending: Dict[
@@ -107,20 +141,12 @@ class CausalReceiver:
         #: High-water mark of the pending buffer (kernel stats).
         self.peak_pending = 0
 
-    def offer(self, msg: Message) -> List[Message]:
-        """Feed one received CBCAST; return messages now deliverable, in
-        order.  A ``cb_ctx`` that is absent, not bytes, or does not parse
-        is malformed outside input: :class:`CodecError`, nothing queued.
-        """
-        key = (msg["cb_sender"].process(), msg["cb_seq"])
+    def offer(self, msg: Message, causal: CausalFields) -> List[Message]:
+        """Feed one received CBCAST, with its :func:`causal_fields`;
+        return messages now deliverable, in order."""
+        key, delta = causal
         if key in self._pending:
             return []
-        raw = msg.get("cb_ctx")
-        if not isinstance(raw, (bytes, bytearray)):
-            raise CodecError("cb_ctx is not a compact context")
-        delta = parse_context_delta(bytes(raw))
-        if key[1] == 1 and not delta.full:
-            raise CodecError("delta context without a predecessor")
         self._pending[key] = (self._next_arrival, msg, delta)
         self._next_arrival += 1
         if len(self._pending) > self.peak_pending:
@@ -160,6 +186,14 @@ class CausalReceiver:
             chain = self._chains.get(sender)
             if chain is None:
                 chain = self._chains[sender] = SenderChain()
+            try:
+                # Its predecessor was delivered here: the chain is this
+                # delta's base, whose positions can be judged at last.
+                check_delta_positions(chain.context, delta)
+            except CodecError:
+                del self._pending[key]
+                self._on_refuse()
+                continue
             if not self._delta_check(chain, delta, key):
                 # Blocked on a cross-group threshold; the check registered
                 # the precise wait, whose crossing re-marks the candidate.

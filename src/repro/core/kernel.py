@@ -46,9 +46,9 @@ from .pipeline import STABILITY_INTERVAL
 from .rpc import ALL, SessionTable
 from .shards import WaiterKey, WaitIndex
 from .vectorclock import (
+    ChainContext,
     Context,
     ContextDelta,
-    PackedContext,
     advanced_context,
     first_in_walk_order,
 )
@@ -574,13 +574,13 @@ class ProtocolsProcess:
                 (gid.pack(), engine) for gid, engine in self.engines.items()))
         return table
 
-    def causal_groups(self) -> List[Tuple[bytes, int, Dict[bytes, int]]]:
-        """Our installed groups' *live* delivered counts, as ``(packed
-        gid, view id, packed member -> count)`` in gid order: what a
+    def causal_groups(self) -> Dict[bytes, Tuple[int, Dict[bytes, int]]]:
+        """Our installed groups' *live* delivered counts, as ``packed
+        gid -> (view id, packed member -> count)`` in gid order: what a
         :class:`~repro.core.vectorclock.ContextEncoder` diffs."""
-        return [(gid, engine.view.view_id, engine.causal.delivered_packed)
+        return {gid: (engine.view.view_id, engine.causal.delivered_packed)
                 for gid, engine in self._packed_engines().items()
-                if engine.installed and engine.view is not None]
+                if engine.installed and engine.view is not None}
 
     def check_context_and_register(self, context: Context,
                                    waiter: WaiterKey) -> bool:
@@ -635,16 +635,19 @@ class ProtocolsProcess:
             chain.installs = self._group_installs
         return satisfied
 
-    def _check_delta(self, base: PackedContext, delta: ContextDelta,
+    def _check_delta(self, base: ChainContext, delta: ContextDelta,
                      waiter: WaiterKey) -> bool:
         """The full walk restricted to the delta's entries.
 
         On failure the waiter goes on the threshold the full walk of
-        ``base`` advanced by ``delta`` would have met first.
+        ``base`` advanced by ``delta`` would have met first: the chain's
+        order, which a moved entry's counters are already in.
         """
         engines = self._packed_engines()
+        #: gid -> (view id, the (member, count)s we are short of; None
+        #: for a view threshold).
         failed: Optional[Dict[bytes, Tuple[int, Any]]] = None
-        for gid, view_id, counters in delta.entries:
+        for gid, view_id, members, counts in delta.named:
             engine = engines.get(gid)
             if engine is None or not engine.installed:
                 continue
@@ -654,29 +657,53 @@ class ProtocolsProcess:
             short = None    # a view threshold, unless the views match
             if view.view_id == view_id:
                 have = engine.causal.delivered_packed
-                short = [mc for mc in counters if have.get(mc[0], 0) < mc[1]]
+                short = [mc for mc in zip(members, counts)
+                         if have.get(mc[0], 0) < mc[1]]
                 if not short:
                     continue
             if failed is None:
                 failed = {}
             failed[gid] = (view_id, short)
-        self.counters.bump("causal.ctx_delta_entries", len(delta.entries))
+        # The same test for what the delta names by position: the group,
+        # its view and the members are the chain's.
+        gids = base.gids
+        for gpos, counters, gained in delta.moved:
+            gid = gids[gpos]
+            view_id = base.views[gpos]
+            engine = engines.get(gid)
+            if engine is None or not engine.installed:
+                continue
+            view = engine.view
+            if view is None or view.view_id > view_id:
+                continue
+            short = None
+            if view.view_id == view_id:
+                have = engine.causal.delivered_packed
+                members = base.members[gpos]
+                short = [(members[mpos], count) for mpos, count in counters
+                         if have.get(members[mpos], 0) < count]
+                if gained:
+                    short += [mc for mc in gained
+                              if have.get(mc[0], 0) < mc[1]]
+                if not short:
+                    continue
+            if failed is None:
+                failed = {}
+            failed[gid] = (view_id, short)
+        self.counters.bump("causal.ctx_delta_entries",
+                           len(delta.named) + len(delta.moved))
         if failed is None:
             return True
-        if delta.full:
-            base = {}
-        gid = first_in_walk_order(list(failed), base)
+        gid = first_in_walk_order(list(failed),
+                                  () if delta.full else gids)
         view_id, short = failed[gid]
         key = Address.unpack(gid).process()
         if short is None:
             self.wait_index.register_view(key, waiter)
-            return False
-        held = base.get(gid)
-        member = first_in_walk_order(
-            [m for m, _ in short],
-            held[1] if held is not None and held[0] == view_id else ())
-        self.wait_index.register_counter(
-            key, Address.unpack(member), dict(short)[member], waiter)
+        else:
+            member, count = short[0]
+            self.wait_index.register_counter(
+                key, Address.unpack(member), count, waiter)
         return False
 
     def note_causal_advance(self, gid: Address, sender: Address,

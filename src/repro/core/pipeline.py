@@ -47,13 +47,14 @@ from ..msg.message import (
     BATCH_PROTO,
     Message,
     bytes_field,
+    fields_reader,
     int_fields,
     pack_batch,
     unpack_batch,
 )
 from ..sim.core import Timer
 from ..sim.tasks import Promise
-from .cbcast import CausalReceiver
+from .cbcast import CausalFields, CausalReceiver, causal_fields
 from .ordering import (  # noqa: F401  (re-exported: long-standing import site)
     OrderingEngine,
     SequencerOrdering,
@@ -438,11 +439,14 @@ class CausalOrdering:
 
     The causal context rides as a delta-chained binary field: message
     *n* of a sender carries only the context entries that changed since
-    its message *n-1* (packed addresses + varints).
+    its message *n-1*, and names what *n-1* held by its position there
+    (varints; a packed address only for what *n-1* did not hold).
     Each local sender owns one :class:`~repro.core.vectorclock.
     ContextEncoder` per view, which diffs the kernel's live delivered
     vectors in place; the receiver advances one chain per sender in
-    ``cb_seq`` order (see :class:`~repro.core.cbcast.CausalReceiver`).
+    ``cb_seq`` order (see :class:`~repro.core.cbcast.CausalReceiver`),
+    and counts a delta whose positions name nothing in that chain as
+    ``pipeline.bad_message`` when it finds out.
     """
 
     def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
@@ -455,6 +459,7 @@ class CausalOrdering:
                 kernel.check_delta_and_register(chain, delta, (gid, key)),
             on_advance=lambda sender, seq: kernel.note_causal_advance(
                 gid, sender, seq),
+            on_refuse=lambda: engine.sim.trace.bump("pipeline.bad_message"),
         )
         #: Per-sender CBCAST count within the current view (send side).
         self._counts: Dict[Address, int] = {}
@@ -473,9 +478,10 @@ class CausalOrdering:
             encoder = self._encoders[key] = ContextEncoder()
         env["cb_ctx"] = encoder.encode(self.engine.kernel.causal_groups())
 
-    def ingest(self, env: Message) -> None:
-        """Receive side: queue, deliver whatever became deliverable."""
-        for ready in self.receiver.offer(env):
+    def ingest(self, env: Message, causal: CausalFields) -> None:
+        """Receive side: queue ``env`` under its :func:`~repro.core.
+        cbcast.causal_fields`, deliver whatever became deliverable."""
+        for ready in self.receiver.offer(env, causal):
             self.engine.deliver_env(ready)
         self.engine.kernel.recheck_causal(exclude=self.engine.gid)
 
@@ -940,6 +946,33 @@ class StabilityStage:
 # ----------------------------------------------------------------------
 # The pipeline
 # ----------------------------------------------------------------------
+_read_data = fields_reader("view", "origin", "gseq", "entry", "m", "_proto")
+
+
+def data_fields(env: Message) -> Tuple[int, int, int, Optional[CausalFields]]:
+    """What a data envelope off the wire (``g.cb`` / ``g.ab``: alone, in
+    a batch or in a flush refill) must say before anything believes it:
+    ``(view id, origin site, gseq, causal fields of a g.cb)``.
+
+    Checked here, for the store, the view gate and the delivery sink:
+    ``view``, ``origin``, ``gseq`` and ``entry`` integers, ``m`` a
+    message, and for a ``g.cb`` its sender, sequence number and context
+    (parsed once, handed on).  Any other shape is :class:`CodecError`.
+    """
+    view_id, origin, gseq, entry, user, proto = _read_data(env)
+    if not (view_id.__class__ is origin.__class__ is gseq.__class__
+            is entry.__class__ is int):     # each of the four an int
+        raise CodecError("view, origin, gseq, entry are not integers: "
+                         f"{view_id!r}, {origin!r}, {gseq!r}, {entry!r}")
+    if not isinstance(user, Message):
+        raise CodecError(f"m is not a message: {user!r}")
+    if proto == "g.cb":
+        return view_id, origin, gseq, causal_fields(env)
+    if proto != "g.ab":
+        raise CodecError(f"not a data envelope: {proto!r}")
+    return view_id, origin, gseq, None
+
+
 class DeliveryPipeline:
     """The stack the engine drives; owns the whole multicast data path."""
 
@@ -1033,23 +1066,25 @@ class DeliveryPipeline:
             self.ingest_data(src_site, env)
 
     def ingest_data(self, src_site: int, env: Message) -> None:
-        """One data envelope off the wire: gate by view, buffer, order."""
+        """One data envelope off the wire: parse, gate by view, buffer,
+        order.  What does not parse is refused before the store, the
+        have-vector or stability have heard of it."""
         engine = self.engine
+        view_id, origin, gseq, causal = data_fields(env)
         self.stability.ingest_env(src_site, env)
         if not engine.installed or engine.view is None:
-            self._pre_view.append((env["view"], env))
+            self._pre_view.append((view_id, env))
             return
-        view_id = env["view"]
         if view_id < engine.view.view_id:
             engine.sim.trace.bump("engine.stale_view_drop")
             return
         if view_id > engine.view.view_id:
             self._pre_view.append((view_id, env))
             return
-        if engine.store.record(env["origin"], env["gseq"], env):
+        if engine.store.record(origin, gseq, env):
             engine.kernel.note_group_dirty(engine.gid)
             self.stability.note_received()
-            self.process(env)
+            self._order(env, causal)
             # In-flight data arriving mid-flush can be exactly what the
             # union cut is waiting for (a holder may have trimmed it and
             # be unable to refill): re-check our fill obligation.
@@ -1063,19 +1098,27 @@ class DeliveryPipeline:
         must not leak into the successor view's fresh ordering state.
         """
         engine = self.engine
-        if engine.view is None or env["view"] != engine.view.view_id:
+        if not isinstance(env, Message):    # whatever ``msgs`` listed
+            raise CodecError(f"not a data envelope: {env!r}")
+        view_id, origin, gseq, causal = data_fields(env)
+        if engine.view is None or view_id != engine.view.view_id:
             engine.sim.trace.bump("engine.stale_refill_drop")
             return False
-        if engine.store.record(env["origin"], env["gseq"], env):
+        if engine.store.record(origin, gseq, env):
             engine.kernel.note_group_dirty(engine.gid)
-            self.process(env)
+            self._order(env, causal)
             return True
         return False
 
     def process(self, env: Message) -> None:
+        """Hand our own copy of a send to its ordering stage."""
+        self._order(env, causal_fields(env)
+                    if env["_proto"] == "g.cb" else None)
+
+    def _order(self, env: Message, causal: Optional[CausalFields]) -> None:
         """Hand a newly buffered envelope to its ordering stage."""
-        if env["_proto"] == "g.cb":
-            self.causal.ingest(env)
+        if causal is not None:
+            self.causal.ingest(env, causal)
         else:
             self.total.ingest(env)
 

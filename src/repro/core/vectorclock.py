@@ -26,6 +26,7 @@ Delivery rule for message ``m`` from sender ``p`` in group ``g``:
 from __future__ import annotations
 
 from typing import (
+    Callable,
     Dict,
     Iterable,
     List,
@@ -127,31 +128,49 @@ class VectorClock:
 
 
 # ----------------------------------------------------------------------
-# The ``cb_ctx`` wire form: binary, delta-chained
+# The ``cb_ctx`` wire form: binary, delta-chained, positional
 # ----------------------------------------------------------------------
 # At scale the ``cb_ctx`` header dominates CBCAST frame bytes, so
-# addresses are packed raw (8 bytes), counters are LEB128 varints, and
 # consecutive messages of one sender are chained: message *n* carries
-# only the entries that changed since message *n-1*.  Per-sender FIFO
-# delivery (``cb_seq`` contiguity) guarantees the predecessor context is
-# known at delivery.
+# only what changed since message *n-1*, and names what message *n-1*
+# already named by its *position* there.  Per-sender FIFO delivery
+# (``cb_seq`` contiguity) guarantees the predecessor context is known at
+# delivery.  Everything is an unsigned LEB128 varint except an address,
+# which is its packed 8 bytes::
 #
-# Both ends keep one absolute context per chain and move it *in place*:
-# the sender diffs the live delivered vectors against it
-# (:class:`ContextEncoder`), the receiver parses a ``cb_ctx`` once
-# (:func:`parse_context_delta`) and applies it at delivery
-# (:func:`apply_context_delta`).  Nothing is rebuilt per message, and
-# on this path groups and members stay in their packed 8-byte form
-# (:class:`PackedContext`): a packed address is its own sort key and
-# wire form, and hashes without a call into :class:`Address`.
+#     head (kind 0)   0x00  n  n x named
+#     delta (kind 1)  0x01  n  n x named  m  m x moved  r  r x gid8
+#
+#     named    gid8 view k  k x (member8 count)
+#     moved    gpos k  k x (mpos count)  a  a x (member8 count)
+#
+# A group the predecessor does not hold *in the same view* is **named**:
+# its whole vector, addresses packed (vectors reset per view).  A group
+# it does hold in that view is **moved**: ``gpos`` is the group's
+# position in the predecessor, each ``mpos`` a member's position in that
+# group's entry, and the ``a`` members are the ones the vector gained.
+# Groups the predecessor holds and this context does not are removed.
+# Named and removed groups and gained members are listed in packed
+# order, positions ascending.
+#
+# Both ends keep one absolute context per chain (:class:`ChainContext`)
+# and move it *in place*, in one canonical order — positions are wire
+# data: groups, and the members of a group's entry, stay in the order
+# the chain first listed them; what a delta adds is appended in the
+# delta's order, a group named again keeps its place with the new
+# vector, a removal closes the gap.  The sender diffs the live delivered
+# vectors against it (:class:`ContextEncoder`); the receiver parses a
+# ``cb_ctx`` once on arrival (:func:`parse_context_delta`: structure,
+# positions ascending, nothing trailing), checks its positions against
+# the chain when the predecessor has been delivered
+# (:func:`check_delta_positions`) and applies it at delivery
+# (:func:`apply_context_delta`).  Nothing is rebuilt per message — no
+# position table either: a position is a list index — and on this path
+# groups and members stay in their packed 8-byte form: a packed address
+# is its own sort key and wire form, and hashes without a call into
+# :class:`Address`.
 
 Context = Dict[Address, Tuple[int, "VectorClock"]]
-
-#: A context keyed by packed addresses: gid -> (view id, member -> count).
-PackedContext = Dict[bytes, Tuple[int, Dict[bytes, int]]]
-
-#: ``(packed member, count)`` pairs of one context entry, in wire order.
-Counters = List[Tuple[bytes, int]]
 
 _CTX_FULL = 0
 _CTX_DELTA = 1
@@ -160,17 +179,113 @@ _CTX_DELTA = 1
 _UVARINT1 = [bytes([n]) for n in range(0x80)]
 
 
+class ChainContext:
+    """An absolute causal context in canonical order, by position.
+
+    Group ``gpos`` is ``gids[gpos]`` in view ``views[gpos]``; its
+    members are the tuple ``members[gpos]`` and member ``mpos`` of it
+    has delivered ``counts[starts[gpos] + mpos]``.  Columns, and one
+    flat list of counts, because a kernel holds one of these per sender
+    and group with an entry per group the sender is in: laid out so,
+    an entry is a tuple of addresses and a few list slots — nothing the
+    garbage collector tracks — where a list per entry would be most of
+    the objects it walks.
+    """
+
+    __slots__ = ("gids", "views", "members", "starts", "counts")
+
+    def __init__(self) -> None:
+        self.gids: List[bytes] = []
+        self.views: List[int] = []
+        self.members: List[Tuple[bytes, ...]] = []
+        self.starts: List[int] = []
+        self.counts: List[int] = []
+
+    def name(self, gid: bytes, view_id: int, members: Iterable[bytes],
+             counts: List[int]) -> None:
+        """``gid`` is now this vector: in place if held, else appended."""
+        try:
+            gpos = self.gids.index(gid)
+        except ValueError:
+            self.append(gid, view_id, members, counts)
+        else:
+            self.views[gpos] = view_id
+            self._splice(gpos, tuple(members), counts)
+
+    def append(self, gid: bytes, view_id: int, members: Iterable[bytes],
+               counts: List[int]) -> None:
+        """A group not held so far, after the others."""
+        self.gids.append(gid)
+        self.views.append(view_id)
+        self.members.append(tuple(members))
+        self.starts.append(len(self.counts))
+        self.counts += counts
+
+    def gain(self, gpos: int, member: bytes, count: int) -> None:
+        """Group ``gpos``'s vector gains a member, after the others."""
+        held = self.members[gpos]
+        self.members[gpos] = held + (member,)
+        self.counts.insert(self.starts[gpos] + len(held), count)
+        self._shift(gpos, 1)
+
+    def remove(self, gid: bytes) -> None:
+        """``gid`` goes, if held; what came after it moves up."""
+        try:
+            gpos = self.gids.index(gid)
+        except ValueError:
+            return
+        self._splice(gpos, (), [])
+        for column in (self.gids, self.views, self.members, self.starts):
+            del column[gpos]
+
+    def _splice(self, gpos: int, members: Tuple[bytes, ...],
+                counts: List[int]) -> None:
+        """Group ``gpos``'s vector becomes ``members`` / ``counts``."""
+        start = self.starts[gpos]
+        held = len(self.members[gpos])
+        self.members[gpos] = members
+        self.counts[start:start + held] = counts
+        if len(members) != held:
+            self._shift(gpos, len(members) - held)
+
+    def _shift(self, gpos: int, by: int) -> None:
+        """Group ``gpos``'s vector grew ``by`` counts: the later ones
+        start that much further on."""
+        starts = self.starts
+        starts[gpos + 1:] = [start + by for start in starts[gpos + 1:]]
+
+    def clear(self) -> None:
+        for column in self.__slots__:
+            getattr(self, column).clear()
+
+    def entries(self) -> List[Tuple[bytes, int, Tuple[bytes, ...], List[int]]]:
+        """``(gid, view id, members, counts)`` per group, in order."""
+        return [(gid, view_id, members, self.counts[start:start + len(members)])
+                for gid, view_id, members, start
+                in zip(self.gids, self.views, self.members, self.starts)]
+
+    def copy(self) -> "ChainContext":
+        out = ChainContext()
+        for column in self.__slots__:
+            setattr(out, column, list(getattr(self, column)))
+        return out
+
+
 class ContextDelta(NamedTuple):
     """One parsed ``cb_ctx``: what changed since the sender's last one.
 
-    ``full`` marks the head of a chain, which names every group.  An
-    entry whose group the predecessor context holds *in the same view*
-    lists only the counters that moved; any other entry is that group's
-    whole vector (vectors reset per view).
+    ``full`` marks the head of a chain, which names every group and
+    moves none.  Positions are the predecessor context's, so they mean
+    nothing until it is known (:func:`check_delta_positions`).
     """
 
     full: bool
-    entries: List[Tuple[bytes, int, Counters]]
+    #: ``(gid, view id, members, counts)``: whole vectors.
+    named: List[Tuple[bytes, int, List[bytes], List[int]]]
+    #: ``(gpos, [(mpos, count)], [(member, count)])``: counters that
+    #: moved, and members the vector gained, in a group held by position.
+    moved: List[Tuple[int, List[Tuple[int, int]],
+                      Sequence[Tuple[bytes, int]]]]
     removed: List[bytes]
 
 
@@ -181,28 +296,87 @@ def parse_context_delta(data: bytes) -> ContextDelta:
     kind = data[0]
     if kind not in (_CTX_FULL, _CTX_DELTA):
         raise CodecError(f"unknown compact-context kind {kind}")
-    entries: List[Tuple[bytes, int, Counters]] = []
+    named: List[Tuple[bytes, int, List[bytes], List[int]]] = []
+    moved: List[Tuple[int, List[Tuple[int, int]],
+                      Sequence[Tuple[bytes, int]]]] = []
     removed: List[bytes] = []
+    # On the steady path (a delta that only moves counters) every varint
+    # is one byte: those are read in line, a call apiece otherwise.
     try:
-        count, offset = _read_uvarint(data, 1)
+        count = data[1]
+        offset = 2
+        if count >= 0x80:
+            count, offset = decode_uvarint(data, 1)
         for _ in range(count):
             end = offset + ADDRESS_SIZE
             gid = data[offset:end]
             view_id, offset = _read_uvarint(data, end)
             n, offset = _read_uvarint(data, offset)
-            counters: Counters = []
+            members: List[bytes] = []
+            counts: List[int] = []
             for _ in range(n):
                 end = offset + ADDRESS_SIZE
-                member = data[offset:end]
+                members.append(data[offset:end])
                 value = data[end]
                 if value < 0x80:        # the common one-byte varint
                     offset = end + 1
                 else:
                     value, offset = decode_uvarint(data, end)
-                counters.append((member, value))
-            entries.append((gid, view_id, counters))
+                counts.append(value)
+            named.append((gid, view_id, members, counts))
         if kind == _CTX_DELTA:
-            count, offset = _read_uvarint(data, offset)
+            count = data[offset]
+            offset += 1
+            if count >= 0x80:
+                count, offset = decode_uvarint(data, offset - 1)
+            last_gpos = -1
+            for _ in range(count):
+                gpos = data[offset]
+                n = data[offset + 1]
+                offset += 2
+                if gpos >= 0x80 or n >= 0x80:
+                    gpos, offset = decode_uvarint(data, offset - 2)
+                    n, offset = decode_uvarint(data, offset)
+                if gpos <= last_gpos:
+                    raise CodecError("group positions do not ascend")
+                last_gpos = gpos
+                counters: List[Tuple[int, int]] = []
+                last = -1
+                for _ in range(n):
+                    # Position and count each on their own: a count
+                    # past 127 says nothing about the position's size.
+                    mpos = data[offset]
+                    if mpos < 0x80:
+                        offset += 1
+                    else:
+                        mpos, offset = decode_uvarint(data, offset)
+                    value = data[offset]
+                    if value < 0x80:
+                        offset += 1
+                    else:
+                        value, offset = decode_uvarint(data, offset)
+                    if mpos <= last:
+                        raise CodecError("member positions do not ascend")
+                    last = mpos
+                    counters.append((mpos, value))
+                n = data[offset]
+                offset += 1
+                if n == 0:
+                    moved.append((gpos, counters, ()))
+                    continue
+                if n >= 0x80:
+                    n, offset = decode_uvarint(data, offset - 1)
+                gained: List[Tuple[bytes, int]] = []
+                for _ in range(n):
+                    end = offset + ADDRESS_SIZE
+                    member = data[offset:end]
+                    value, offset = _read_uvarint(data, end)
+                    gained.append((member, value))
+                moved.append((gpos, counters, gained))
+            count = data[offset]
+            offset += 1
+            if count >= 0x80:
+                count, offset = decode_uvarint(data, offset - 1)
             for _ in range(count):
                 removed.append(data[offset:offset + ADDRESS_SIZE])
                 offset += ADDRESS_SIZE
@@ -213,7 +387,7 @@ def parse_context_delta(data: bytes) -> ContextDelta:
     if offset != len(data):
         raise CodecError(f"{len(data) - offset} trailing bytes after "
                          "compact context")
-    return ContextDelta(kind == _CTX_FULL, entries, removed)
+    return ContextDelta(kind == _CTX_FULL, named, moved, removed)
 
 
 def _read_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
@@ -223,45 +397,72 @@ def _read_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
     return decode_uvarint(data, offset)
 
 
-def apply_context_delta(context: PackedContext, delta: ContextDelta) -> None:
-    """Advance an absolute context in place by one parsed ``cb_ctx``.
+def check_delta_positions(context: ChainContext, delta: ContextDelta) -> None:
+    """Does every position in ``delta`` name something ``context``
+    holds?  :class:`CodecError` if not, with nothing touched.
 
-    Existing keys keep their dictionary position and new ones append, in
-    groups and in counters alike, so walking the advanced context meets
-    thresholds in one reproducible order.
+    ``context`` must be the delta's predecessor, which a receiver has
+    once the message is its sender's next.  Positions ascend (the parser
+    saw to it), so the last of a run speaks for all of it.
     """
-    chained = not delta.full
-    if not chained:
+    members = context.members
+    held = len(members)
+    for gpos, counters, _ in delta.moved:
+        if gpos >= held:
+            raise CodecError(f"context names group {gpos} of {held}")
+        if counters and counters[-1][0] >= len(members[gpos]):
+            raise CodecError(
+                f"context names member {counters[-1][0]} of "
+                f"{len(members[gpos])} in group {gpos}")
+
+
+def apply_context_delta(context: ChainContext, delta: ContextDelta) -> None:
+    """Advance an absolute context in place by one parsed ``cb_ctx``
+    whose positions :func:`check_delta_positions` has passed.
+
+    Positions are resolved first, against the context as the sender's
+    previous message left it; then the named groups take their places
+    and the removed ones go.
+    """
+    if delta.full:
         context.clear()
-    for gid, view_id, counters in delta.entries:
-        entry = context.get(gid)
-        if chained and entry is not None and entry[0] == view_id:
-            entry[1].update(counters)
-        else:
-            context[gid] = (view_id, dict(counters))
+        for row in delta.named:
+            context.append(*row)
+        return
+    starts = context.starts
+    counts = context.counts
+    for gpos, counters, gained in delta.moved:
+        start = starts[gpos]
+        for mpos, value in counters:
+            counts[start + mpos] = value
+        for member, value in gained:
+            context.gain(gpos, member, value)
+    for gid, view_id, members, values in delta.named:
+        context.name(gid, view_id, members, values)
     for gid in delta.removed:
-        context.pop(gid, None)
+        context.remove(gid)
 
 
-def advanced_context(context: PackedContext, delta: ContextDelta) -> Context:
-    """``context`` advanced by ``delta``, as a new :data:`Context` (the
-    full walk's input; the chains themselves advance in place)."""
-    out = {gid: (view_id, dict(counters))
-           for gid, (view_id, counters) in context.items()}
+def advanced_context(context: ChainContext, delta: ContextDelta) -> Context:
+    """``context`` advanced by ``delta``, as a new :data:`Context` in
+    the chain's order (the full walk's input; the chains themselves
+    advance in place)."""
+    out = context.copy()
     apply_context_delta(out, delta)
     unpack = Address.unpack
     return {
         unpack(gid): (view_id, VectorClock(
-            {unpack(member): count for member, count in counters.items()}))
-        for gid, (view_id, counters) in out.items()
+            {unpack(member): count
+             for member, count in zip(members, counts)}))
+        for gid, view_id, members, counts in out.entries()
     }
 
 
 def first_in_walk_order(candidates: List[bytes],
                         existing: Iterable[bytes]) -> bytes:
-    """Which candidate a walk meets first once they are applied.
+    """Which candidate group a walk meets first once a delta is applied.
 
-    :func:`apply_context_delta` keeps ``existing`` keys in place and
+    :func:`apply_context_delta` keeps ``existing`` groups in place and
     appends the new ones in delta (= ``candidates``) order.
     """
     if len(candidates) > 1:
@@ -278,57 +479,117 @@ class ContextEncoder:
     Keeps the absolute context of the previous ``cb_ctx`` and diffs the
     caller's *live* vectors against it, updating it in place — no
     snapshot of the live state is taken and nothing unchanged is
-    touched beyond one comparison per counter.
+    touched beyond one comparison per counter.  Within one view a live
+    vector only grows (a new view brings a new view id), so a held
+    entry's members are all still there.
     """
 
     __slots__ = ("_base",)
 
     def __init__(self) -> None:
         #: Context as of the last encode (``None``: chain head).
-        self._base: Optional[PackedContext] = None
+        self._base: Optional[ChainContext] = None
 
     def encode(self,
-               groups: Sequence[Tuple[bytes, int, Dict[bytes, int]]]) -> bytes:
-        """The next ``cb_ctx`` of the chain: ``groups`` lists ``(packed
-        gid, view id, live packed member -> count)`` in gid order."""
+               groups: Mapping[bytes, Tuple[int, Dict[bytes, int]]]) -> bytes:
+        """The next ``cb_ctx`` of the chain: ``groups`` maps ``packed
+        gid -> (view id, live packed member -> count)`` in gid order."""
         base = self._base
-        full = base is None
-        if full:
-            base = self._base = {}
-        entries: List[bytes] = []
-        for gid, view_id, live in groups:
-            slot = base.get(gid)
-            if slot is not None and slot[0] == view_id:
-                seen = slot[1]
-                changed = [mc for mc in live.items()
-                           if seen.get(mc[0], 0) != mc[1]]
-                if not changed:
-                    continue
-                seen.update(changed)
-                changed.sort()
+        if base is None:
+            base = self._base = ChainContext()
+            out = bytearray((_CTX_FULL,))
+            out += _uvarint(len(groups))
+            for gid, (view_id, live) in groups.items():
+                _name(base.append, out, gid, view_id, live)
+            return bytes(out)
+        named: List[bytes] = []
+        gone: List[bytes] = []
+        moved = bytearray()
+        n_moved = 0
+        counters = bytearray()
+        views, starts, counts = base.views, base.starts, base.counts
+        gpos = -1
+        for gid in base.gids:
+            gpos += 1
+            row = groups.get(gid)
+            if row is None:
+                gone.append(gid)
+                continue
+            if row[0] != views[gpos]:
+                named.append(gid)
+                continue
+            live = row[1]
+            members = base.members[gpos]
+            at = start = starts[gpos]
+            n = 0
+            for member in members:
+                value = live.get(member, 0)
+                if value != counts[at]:
+                    counts[at] = value
+                    n += 1
+                    # Position and count each on their own: a count
+                    # past 127 says nothing about the position's size.
+                    if at - start < 0x80:
+                        counters.append(at - start)
+                    else:
+                        counters += encode_uvarint(at - start)
+                    if value < 0x80:
+                        counters.append(value)
+                    else:
+                        counters += encode_uvarint(value)
+                at += 1
+            if len(live) > len(members):
+                gained = sorted(m for m in live if m not in members)
+            elif n:
+                gained = ()
             else:
-                base[gid] = (view_id, dict(live))
-                changed = sorted(live.items())
-            parts = [gid, _uvarint(view_id), _uvarint(len(changed))]
-            for member, count in changed:
-                parts.append(member)
-                parts.append(_uvarint(count))
-            entries.append(b"".join(parts))
-        if full:
-            return b"".join(
-                [_UVARINT1[_CTX_FULL], _uvarint(len(groups)), *entries])
-        parts = [_UVARINT1[_CTX_DELTA], _uvarint(len(entries)), *entries]
-        if len(base) > len(groups):
-            # Every listed group is in the base by now: the surplus left.
-            listed = {row[0] for row in groups}
-            gone = sorted(gid for gid in base if gid not in listed)
-            for gid in gone:
-                del base[gid]
-            parts.append(_uvarint(len(gone)))
-            parts.extend(gone)
-        else:
-            parts.append(_UVARINT1[0])
-        return b"".join(parts)
+                continue
+            n_moved += 1
+            if gpos < 0x80 and n < 0x80 and not gained:
+                moved.append(gpos)      # the steady case, call-free
+                moved.append(n)
+                moved += counters
+                moved.append(0)
+            else:
+                moved += _uvarint(gpos)
+                moved += _uvarint(n)
+                moved += counters
+                moved += _uvarint(len(gained))
+                for member in gained:
+                    base.gain(gpos, member, live[member])
+                    moved += member
+                    moved += _uvarint(live[member])
+            counters.clear()
+        if len(groups) > len(base.gids) - len(gone):
+            held = set(base.gids)
+            named.extend(gid for gid in groups if gid not in held)
+        out = bytearray((_CTX_DELTA,))
+        out += _uvarint(len(named))
+        for gid in sorted(named):
+            _name(base.name, out, gid, *groups[gid])
+        out += _uvarint(n_moved)
+        out += moved
+        out += _uvarint(len(gone))
+        for gid in sorted(gone):
+            base.remove(gid)
+            out += gid
+        return bytes(out)
+
+
+def _name(hold: Callable[[bytes, int, List[bytes], List[int]], None],
+          out: bytearray, gid: bytes, view_id: int,
+          live: Dict[bytes, int]) -> None:
+    """Name ``gid`` whole: on the wire, and to the chain's base through
+    its ``name`` (or, at the head, ``append``)."""
+    members = sorted(live)
+    counts = [live[member] for member in members]
+    hold(gid, view_id, members, counts)
+    out += gid
+    out += _uvarint(view_id)
+    out += _uvarint(len(members))
+    for member, value in zip(members, counts):
+        out += member
+        out += _uvarint(value)
 
 
 def _uvarint(n: int) -> bytes:

@@ -27,6 +27,7 @@ decoded message keeps its input as its encoding.
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import CodecError
@@ -482,6 +483,22 @@ def int_tuple(value: object, count: int) -> "tuple[int, ...]":
 def int_fields(msg: Message, *names: str) -> "tuple[int, ...]":
     """The named integer fields off the wire, else :class:`CodecError`."""
     return int_tuple([msg._fields.get(name) for name in names], len(names))
+
+
+def fields_reader(*names: str) -> Callable[[Message], tuple]:
+    """``read(msg)``: the values of these (two or more) fields of a message
+    off the wire, in this order, in one lookup; a message that lacks
+    one is :class:`CodecError`.  What the values are is the caller's to
+    check — this is for the envelope every multicast arrives in."""
+    pick = itemgetter(*names)
+
+    def read(msg: Message) -> tuple:
+        try:
+            return pick(msg._fields)
+        except KeyError as err:
+            raise CodecError(f"message has no field {err}") from None
+
+    return read
 
 
 def pack_batch(

@@ -13,10 +13,11 @@ obvious way, as what the differential tests hold the library to:
   lazy heap must agree.
 * :func:`encode_context_compact` / :func:`decode_context_compact` — the
   binary ``cb_ctx`` codec with absolute contexts at both ends: every
-  message snapshots, sorts and re-packs every vector, and the receiver
-  rebuilds a whole context per message.  The wire format is pinned to
-  what this produces; :class:`~repro.core.vectorclock.ContextEncoder`
-  and ``parse_context_delta`` + ``apply_context_delta`` are the in-place
+  message snapshots, sorts and re-packs every vector and looks every
+  position up in a list, and the receiver rebuilds a whole context per
+  message.  The wire format is pinned to what this produces;
+  :class:`~repro.core.vectorclock.ContextEncoder` and
+  ``parse_context_delta`` + ``apply_context_delta`` are the in-place
   ends that must match it byte for byte.
 * :func:`encode_context` / :func:`decode_context` — the nested-dict
   ``cb_ctx`` the system used before the binary form (hex-string keys,
@@ -66,46 +67,77 @@ def decode_context(value: Mapping[str, Mapping]) -> Context:
 # ----------------------------------------------------------------------
 # The binary context codec, absolute at both ends
 # ----------------------------------------------------------------------
+# Canonical order: a chain's context keeps its groups, and each group's
+# members, in the order the chain first listed them -- what a delta adds
+# goes after what was there, in the delta's (packed-address) order; a
+# group named again keeps its place and takes the new vector; a removed
+# group's place closes up.  Contexts here are plain ordered dicts of
+# ordered vectors, so "position" is ``list(...).index(...)``: this is
+# where the table per message lives.
+def _packed(address: Address) -> bytes:
+    return address.pack()
+
+
+def _named(gid: Address, view_id: int, vc: VectorClock) -> bytes:
+    """A group's whole vector, addresses packed, members in packed order."""
+    counters = sorted(vc.items(), key=lambda kv: kv[0].pack())
+    parts = [gid.pack(), encode_uvarint(view_id), encode_uvarint(len(counters))]
+    for member, count in counters:
+        parts += [member.pack(), encode_uvarint(count)]
+    return b"".join(parts)
+
+
 def encode_context_compact(context: Context,
                            prev: Optional[Context] = None) -> bytes:
-    """``cb_ctx`` bytes for ``context``; a delta against ``prev`` (the
-    sender's previous context) when given.
+    """``cb_ctx`` bytes for ``context``; a delta against ``prev`` when
+    given: the sender's previous context *in canonical order*, which is
+    what :func:`decode_context_compact` returned for its previous bytes.
 
-    A delta entry for a group ``prev`` holds *in the same view* carries
-    only the counters that changed; a group that is new or whose view
-    advanced carries its whole vector.  Groups ``prev`` holds and
+    A group ``prev`` holds in the same view is named by its position in
+    ``prev``, and carries the counters that moved, each by its member's
+    position in ``prev``'s vector, then the members the vector gained,
+    by address.  A group that is new or whose view advanced is named by
+    address and carries its whole vector.  Groups ``prev`` holds and
     ``context`` does not are listed as removals.
     """
-    def entry(gid, view_id, counters):
-        parts = [gid.pack(), encode_uvarint(view_id),
-                 encode_uvarint(len(counters))]
-        for member, count in sorted(counters.items(),
-                                    key=lambda kv: kv[0].pack()):
-            parts += [member.pack(), encode_uvarint(count)]
-        return b"".join(parts)
-
-    ordered = sorted(context.items(), key=lambda kv: kv[0].pack())
     if prev is None:
-        return b"".join([b"\x00", encode_uvarint(len(context))] + [
-            entry(gid, v, dict(vc.items())) for gid, (v, vc) in ordered])
-    entries = []
-    for gid, (view_id, vc) in ordered:
-        before = prev.get(gid)
-        if before is not None and before[0] == view_id:
-            changed = {m: c for m, c in vc.items() if before[1].get(m) != c}
-            if changed:
-                entries.append(entry(gid, view_id, changed))
-        else:
-            entries.append(entry(gid, view_id, dict(vc.items())))
+        return b"".join(
+            [b"\x00", encode_uvarint(len(context))]
+            + [_named(gid, *context[gid]) for gid in sorted(context, key=_packed)])
+    named, moved = [], []
+    for gid in sorted(context, key=_packed):
+        if gid not in prev or prev[gid][0] != context[gid][0]:
+            named.append(_named(gid, *context[gid]))
+    for gid in prev:                        # positions ascend
+        if gid not in context or prev[gid][0] != context[gid][0]:
+            continue
+        before, vc = prev[gid][1], context[gid][1]
+        members = [member for member, _ in before.items()]
+        counters = [(members.index(member), vc.get(member))
+                    for member in members
+                    if vc.get(member) != before.get(member)]
+        gained = sorted((member for member, _ in vc.items()
+                         if member not in members), key=_packed)
+        if counters or gained:
+            parts = [encode_uvarint(list(prev).index(gid)),
+                     encode_uvarint(len(counters))]
+            for mpos, count in counters:
+                parts += [encode_uvarint(mpos), encode_uvarint(count)]
+            parts.append(encode_uvarint(len(gained)))
+            for member in gained:
+                parts += [member.pack(), encode_uvarint(vc.get(member))]
+            moved.append(b"".join(parts))
     removed = sorted(g.pack() for g in prev if g not in context)
-    return b"".join([b"\x01", encode_uvarint(len(entries))] + entries
+    return b"".join([b"\x01", encode_uvarint(len(named))] + named
+                    + [encode_uvarint(len(moved))] + moved
                     + [encode_uvarint(len(removed))] + removed)
 
 
 def decode_context_compact(data: bytes,
                            prev: Optional[Context] = None) -> Context:
-    """The absolute context a ``cb_ctx`` stands for; ``prev`` is the one
-    rebuilt from the same sender's previous message (left untouched)."""
+    """The absolute context a ``cb_ctx`` stands for, in canonical order;
+    ``prev`` is the one rebuilt from the same sender's previous message
+    (left untouched)."""
     def address(offset):
         return Address.unpack(data[offset:offset + 8]), offset + 8
 
@@ -113,6 +145,7 @@ def decode_context_compact(data: bytes,
     if chained and prev is None:
         raise CodecError("delta context without a predecessor")
     out = dict(prev) if chained else {}
+    named = []
     count, offset = decode_uvarint(data, 1)
     for _ in range(count):
         gid, offset = address(offset)
@@ -122,14 +155,28 @@ def decode_context_compact(data: bytes,
         for _ in range(n):
             member, offset = address(offset)
             counters[member], offset = decode_uvarint(data, offset)
-        before = out.get(gid)
-        if chained and before is not None and before[0] == view_id:
-            vc = before[1].copy()
-            for member, value in counters.items():
+        named.append((gid, view_id, counters))
+    if chained:
+        count, offset = decode_uvarint(data, offset)
+        for _ in range(count):
+            gpos, offset = decode_uvarint(data, offset)
+            gid = list(prev)[gpos]
+            view_id, before = prev[gid]
+            members = [member for member, _ in before.items()]
+            vc = before.copy()
+            n, offset = decode_uvarint(data, offset)
+            for _ in range(n):
+                mpos, offset = decode_uvarint(data, offset)
+                value, offset = decode_uvarint(data, offset)
+                vc.set(members[mpos], value)
+            n, offset = decode_uvarint(data, offset)
+            for _ in range(n):
+                member, offset = address(offset)
+                value, offset = decode_uvarint(data, offset)
                 vc.set(member, value)
-        else:
-            vc = VectorClock(counters)
-        out[gid] = (view_id, vc)
+            out[gid] = (view_id, vc)
+    for gid, view_id, counters in named:
+        out[gid] = (view_id, VectorClock(counters))
     if chained:
         count, offset = decode_uvarint(data, offset)
         for _ in range(count):
@@ -140,21 +187,21 @@ def decode_context_compact(data: bytes,
     return out
 
 
-def context_rows(context: Context) -> List[Tuple[bytes, int, Dict[bytes, int]]]:
-    """``context`` as :meth:`ContextEncoder.encode` takes it: ``(packed
-    gid, view id, packed member -> count)`` in gid order."""
-    return sorted(
-        (gid.pack(), view_id, {m.pack(): c for m, c in vc.items()})
-        for gid, (view_id, vc) in context.items())
+def context_rows(context: Context) -> Dict[bytes, Tuple[int, Dict[bytes, int]]]:
+    """``context`` as :meth:`ContextEncoder.encode` takes it: ``packed
+    gid -> (view id, packed member -> count)`` in gid order."""
+    return dict(sorted(
+        (gid.pack(), (view_id, {m.pack(): c for m, c in vc.items()}))
+        for gid, (view_id, vc) in context.items()))
 
 
-def unpacked_context(packed) -> Context:
-    """A receiver chain's :data:`PackedContext` with addresses unpacked,
-    entries in the chain's order."""
+def unpacked_context(chain) -> Context:
+    """A :class:`~repro.core.vectorclock.ChainContext` with addresses
+    unpacked, groups and members in the chain's order."""
     return {
         Address.unpack(gid): (view_id, VectorClock(
-            {Address.unpack(m): c for m, c in counters.items()}))
-        for gid, (view_id, counters) in packed.items()
+            {Address.unpack(m): c for m, c in zip(members, counts)}))
+        for gid, view_id, members, counts in chain.entries()
     }
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import reference_causal as reference
 from repro import IsisCluster, LanConfig
 from repro.core.abcast import TotalOrderReceiver
-from repro.core.cbcast import CausalReceiver, SenderChain
+from repro.core.cbcast import CausalReceiver, SenderChain, causal_fields
 from repro.core.vectorclock import (
     ContextEncoder,
     VectorClock,
@@ -361,17 +361,30 @@ def test_ring_with_crash_matches_recorded_scan_order():
 #: Per-site digests of the ordered delivery streams of the two fixed-seed
 #: workloads above, recorded at commit 200a7b1 with the scan engine
 #: selected: the order it delivered in, frozen when it left ``src/``.
-DEEP_BACKLOG_DIGESTS = {0: "cdd1630c04739be6", 1: "00d5934764e2d447",
-                        2: "7ce0840f692d61f2", 3: "e35ea5858e493a68"}
-#: ``RING_DIGESTS[3]`` re-recorded (f6ecff9f2e21c60b -> afe7cd3e8878ed59)
-#: when the stability piggyback shrank to one blob: the LAN is lossy (3 %)
-#: and CPU time is charged per byte, so a 21-byte-shorter ``g.cb`` moves
-#: which retransmission lands first, and site 3 swaps two pairs of
-#: *concurrent* messages (its own ``cb:3:7`` / ``cb:3:8`` against site 2's
-#: ``cb:2:6`` / ``cb:2:7``).  Sites 0-2 and the deep-backlog run kept
-#: theirs; the new order passed ``_assert_conforms`` before it was frozen.
+#:
+#: Both LANs are lossy and CPU time is charged per byte, so a shorter
+#: ``g.cb`` moves which retransmission lands first; what moves is the
+#: interleaving of *concurrent* messages, never a sender's own order, and
+#: each new order passed ``_assert_conforms`` before it was frozen.
+#:
+#: * When the stability piggyback shrank to one blob (21 bytes a ``g.cb``),
+#:   ``RING_DIGESTS[3]`` f6ecff9f2e21c60b -> afe7cd3e8878ed59: site 3 swapped
+#:   its own ``cb:3:7`` / ``cb:3:8`` against site 2's ``cb:2:6`` / ``cb:2:7``.
+#: * When a chained ``cb_ctx`` took positions for addresses (13 bytes a
+#:   single-group ``g.cb``), ``RING_DIGESTS[3]`` -> 1677888c360ed601: site 3
+#:   delivers ``cb:3:7`` before ``cb:2:6`` in group (2, 1), nothing else
+#:   moves; and the deep backlog's sites 0-2 (cdd1630c04739be6,
+#:   00d5934764e2d447, 7ce0840f692d61f2 before): site 0 swaps ``d2:11`` and
+#:   ``d3:11``; site 1 takes ``d2:k`` before ``d0:k`` for k = 2, 3,
+#:   ``d1:24`` before ``d0:23`` and ``d2:k`` before ``d3:k`` from k = 10 on;
+#:   site 2 takes ``d2:2`` before ``d0:1`` and ``d2:3`` before ``d3:2``,
+#:   alternates ``d2`` / ``d3`` through 21 where it ran ``d2:14-24`` ahead,
+#:   and sees ``d1:8`` one place sooner.  Site 3 kept its digest, as did
+#:   ring sites 0-2.
+DEEP_BACKLOG_DIGESTS = {0: "b04d479ae56ea874", 1: "1928a3db33bcec66",
+                        2: "431e8721f5e04fec", 3: "e35ea5858e493a68"}
 RING_DIGESTS = {0: "9a8cf05e59bd3323", 1: "4c974e9b48bde899",
-                2: "f348ae62a5992550", 3: "afe7cd3e8878ed59"}
+                2: "f348ae62a5992550", 3: "1677888c360ed601"}
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +433,8 @@ def _install_receiver(kernel, gid, sink):
         delta_check=lambda chain, delta, key:
             kernel.check_delta_and_register(chain, delta, (gid, key)),
         on_advance=lambda sender, seq:
-            kernel.note_causal_advance(gid, sender, seq))
+            kernel.note_causal_advance(gid, sender, seq),
+        on_refuse=lambda: kernel.sim.trace.bump("pipeline.bad_message"))
     kernel._group_installs += 1
     kernel.engines[gid] = SimpleNamespace(
         installed=True, view=SimpleNamespace(view_id=1),
@@ -439,13 +453,15 @@ class _Sender:
         self.encoder = ContextEncoder()
         #: packed gid -> [view id, packed member -> count]
         self.live = {HERE.pack(): [view_id, {}]}
+        #: packed gid -> the view it left that group in: joining is a
+        #: view change, so it comes back in a later one.
+        self.left = {}
 
     def send(self, tag):
-        rows = [(gid, view_id, counts)
-                for gid, (view_id, counts) in sorted(self.live.items())]
+        groups = {gid: tuple(self.live[gid]) for gid in sorted(self.live)}
         self.seq += 1
         msg = Message(_proto="g.cb", cb_sender=self.member, cb_seq=self.seq,
-                      cb_ctx=self.encoder.encode(rows), tag=tag)
+                      cb_ctx=self.encoder.encode(groups), tag=tag)
         self.live[HERE.pack()][1][self.member.pack()] = self.seq
         return msg
 
@@ -469,14 +485,16 @@ def _draw_stream(data, view_id):
             if seen.get(peer.member.pack(), 0) < peer.seq:
                 seen[peer.member.pack()] = seen.get(peer.member.pack(), 0) + 1
         elif what == "observe":
-            counts = sender.live.setdefault(other, [1, {}])[1]
+            if other not in sender.live:
+                sender.live[other] = [sender.left.pop(other, 0) + 1, {}]
+            counts = sender.live[other][1]
             member = data.draw(st.sampled_from(CTX_MEMBERS)).pack()
             counts[member] = counts.get(member, 0) + data.draw(
                 st.integers(1, 3))
         elif what == "view" and other in sender.live:
             sender.live[other] = [sender.live[other][0] + 1, {}]
-        elif what == "leave":
-            sender.live.pop(other, None)
+        elif what == "leave" and other in sender.live:
+            sender.left[other] = sender.live.pop(other)[0]
     return stream
 
 
@@ -508,7 +526,7 @@ class _ReceiverPair:
         return True
 
     def offer(self, msg):
-        self.got += self.engine.offer(msg)
+        self.got += self.engine.offer(msg, causal_fields(msg))
         self.kernel.recheck_causal(exclude=HERE)
         self.want += self.scan.offer(msg)
 
@@ -605,9 +623,9 @@ def test_last_message_is_not_stranded_behind_the_recheck_pass():
                  for gid in (first, second)}
 
     def arrive(gid, sender, context, tag):  # as CausalOrdering.ingest does
-        got.extend(receivers[gid].offer(Message(
-            cb_sender=sender, cb_seq=1, tag=tag,
-            cb_ctx=reference.encode_context_compact(context))))
+        msg = Message(cb_sender=sender, cb_seq=1, tag=tag,
+                      cb_ctx=reference.encode_context_compact(context))
+        got.extend(receivers[gid].offer(msg, causal_fields(msg)))
         kernel.recheck_causal(exclude=gid)
 
     arrive(first, q, {second: (1, VectorClock({r: 1}))}, "A")
@@ -703,8 +721,10 @@ def test_delta_only_check_matches_full_walk(data):
     for gid, (view_id, counts) in data.draw(context_st).items():
         _install(kernel, gid, view_id, counts)
     chain = SenderChain()
-    sent = None         # sender's absolute context, as last encoded
-    rebuilt = None      # the same, as the old receiver rebuilt it
+    #: The sender's absolute context as last encoded, in the chain's
+    #: order: what the next delta's positions count from, and what the
+    #: absolute receiver rebuilds.
+    rebuilt = None
     context = {}
     for _ in range(data.draw(st.integers(1, 5))):
         # The sender's state moves on: counters grow, views advance,
@@ -722,9 +742,8 @@ def test_delta_only_check_matches_full_walk(data):
                                      max_size=1)):
             if len(context) > 1:
                 context.pop(gid, None)
-        wire = reference.encode_context_compact(context, sent)
+        wire = reference.encode_context_compact(context, rebuilt)
         rebuilt = reference.decode_context_compact(wire, rebuilt)
-        sent = {gid: (v, vc.copy()) for gid, (v, vc) in context.items()}
         # The receiver evaluates, and re-evaluates as each registered
         # threshold is crossed, until the message is deliverable.
         for _ in range(64):
@@ -775,8 +794,9 @@ def test_group_installed_mid_chain_forces_one_full_walk():
     _install(kernel, g_late, 1, {m: 2})
     second = {g_here: (1, VectorClock({m: 1})),
               g_late: (1, VectorClock({m: 5}))}
-    wire2 = reference.encode_context_compact(second, first)
-    assert parse_context_delta(wire2).entries == []     # names nothing
+    wire2 = reference.encode_context_compact(
+        second, reference.decode_context_compact(wire))
+    assert wire2 == b"\x01\x00\x00\x00"                 # names nothing
     satisfied, delta = _check_both_ways(
         kernel, chain, wire2, reference.decode_context_compact(
             wire2, reference.decode_context_compact(wire)))
@@ -792,3 +812,66 @@ def test_group_installed_mid_chain_forces_one_full_walk():
     _check_both_ways(kernel, chain, wire2, reference.decode_context_compact(
         wire2, reference.decode_context_compact(wire)))
     assert kernel.counters.value("causal.ctx_full_walks") == 2
+
+
+# ----------------------------------------------------------------------
+# A position that names nothing, whoever runs the recheck
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("caller", ["offer", "recheck_causal", "flush"])
+@pytest.mark.parametrize("moved", [
+    b"\x01\x01\x00\x02\x00",        # group 1 of 1
+    b"\x00\x01\x01\x02\x00",        # member 1 of 1, in group 0
+])
+def test_position_naming_nothing_is_dropped_whoever_rechecks(caller, moved):
+    """Positions can only be judged once the predecessor is delivered,
+    which any of ``recheck``'s three callers may be the one to see: the
+    arrival itself, ``kernel.recheck_causal`` when another group's
+    advance wakes the predecessor, or the flush's first step.  Two of
+    them have no ``CodecError`` handler above them."""
+    kernel = IsisCluster(n_sites=1, seed=0).kernel(0)
+    first, second = CTX_GROUPS[:2]
+    _, q, r = CTX_MEMBERS
+    got = []
+    receiver = _install_receiver(kernel, first, got.append)
+    _install(kernel, second, 1, {})
+    context = {second: (1, VectorClock({r: 1}))}    # waits for r's first
+    head = Message(cb_sender=q, cb_seq=1, tag="head",
+                   cb_ctx=reference.encode_context_compact(context))
+    bad = Message(cb_sender=q, cb_seq=2, tag="bad",
+                  cb_ctx=b"\x01\x00\x01" + moved + b"\x00")
+    after = Message(cb_sender=q, cb_seq=3, tag="after",
+                    cb_ctx=b"\x01\x00\x00\x00")
+
+    def arrive(msg):                    # as CausalOrdering.ingest does
+        got.extend(receiver.offer(msg, causal_fields(msg)))
+        kernel.recheck_causal(exclude=first)
+
+    def r_delivers():
+        kernel.engines[second].deliver(r, 1)
+        kernel.note_causal_advance(second, r, 1)
+
+    if caller == "offer":
+        r_delivers()
+        arrive(head)
+        arrive(after)
+        arrive(bad)                     # refused by its own arrival
+    else:
+        arrive(bad)                     # before its predecessor
+        arrive(after)
+        arrive(head)
+        assert got == [] and len(kernel.wait_index) == 1
+        r_delivers()                    # wakes the head
+        if caller == "recheck_causal":
+            kernel.recheck_causal()
+        else:
+            got.extend(receiver.recheck())      # engine.py, flush step 1
+    assert [m["tag"] for m in got] == ["head"]
+    assert kernel.sim.trace.value("pipeline.bad_message") == 1
+    # Everything is where the head's delivery left it.
+    assert [m["tag"] for m in receiver.pending_messages()] == ["after"]
+    assert not receiver._ready and not receiver._ready_set
+    assert receiver.delivered_packed == {q.pack(): 1}
+    held = reference.unpacked_context(receiver._chains[q].context)
+    assert list(held) == [second] and held[second] == context[second]
+    assert len(kernel.wait_index) == 0
+    assert receiver.recheck() == []

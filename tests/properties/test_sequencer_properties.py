@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 import reference_causal as reference
 from repro import IsisCluster, IsisConfig
 from repro.core.vectorclock import (
+    ChainContext,
     ContextEncoder,
     VectorClock,
     apply_context_delta,
+    check_delta_positions,
     parse_context_delta,
 )
 from repro.msg.address import make_group_address, make_process_address
@@ -139,15 +141,17 @@ def _context_history(draw):
 @given(history=_context_history())
 @settings(max_examples=50, deadline=None)
 def test_compact_context_delta_chain_roundtrip(history):
-    encoder, held = ContextEncoder(), {}
-    prev_sent = None
+    encoder, held = ContextEncoder(), ChainContext()
+    prev_sent = None        # the previous context, in the chain's order
     for context in history:
         data = encoder.encode(reference.context_rows(context))
         assert data == reference.encode_context_compact(context, prev_sent)
-        apply_context_delta(held, parse_context_delta(data))
+        delta = parse_context_delta(data)
+        check_delta_positions(held, delta)
+        apply_context_delta(held, delta)
         decoded = reference.unpacked_context(held)
         assert set(decoded) == set(context)
         for gid in context:
             assert decoded[gid][0] == context[gid][0]
             assert decoded[gid][1] == context[gid][1]
-        prev_sent = context
+        prev_sent = decoded

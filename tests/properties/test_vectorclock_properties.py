@@ -5,13 +5,16 @@ from hypothesis import strategies as st
 
 import reference_causal as reference
 from repro.core.vectorclock import (
-    ContextDelta,
+    ChainContext,
     ContextEncoder,
     VectorClock,
     advanced_context,
     apply_context_delta,
+    check_delta_positions,
     parse_context_delta,
 )
+from repro.errors import CodecError
+from repro.msg.fields import encode_uvarint
 from repro.msg import Address, make_group_address, make_process_address
 
 MEMBERS = [make_process_address(s, 0, i) for s in range(3) for i in range(3)]
@@ -92,10 +95,10 @@ def test_restrict_is_projection(a, keep):
 # ----------------------------------------------------------------------
 # Context chains: the in-place ends against the absolute codec
 # ----------------------------------------------------------------------
-# ``reference_causal`` holds the codec as it was when every message
-# snapshotted, sorted and re-packed every vector and the receiver rebuilt
-# an absolute context per message.  The wire format is pinned to what
-# that produces.
+# ``reference_causal`` holds the codec written the obvious way: every
+# message snapshots, sorts and re-packs every vector, every position is a
+# ``list(...).index(...)``, and the receiver rebuilds an absolute context
+# per message.  The wire format is pinned to what that produces.
 
 GROUPS = [make_group_address(s, n) for s in range(2) for n in range(1, 4)]
 
@@ -115,15 +118,19 @@ history_steps = st.lists(
 
 
 def replay(steps):
-    """Yield ``(live rows for ContextEncoder, absolute snapshot)`` at
-    every send of a multi-group history."""
+    """Yield ``(live groups for ContextEncoder, absolute snapshot)`` at
+    every send of a multi-group history: groups appear, views advance,
+    members send for the first time mid-view, groups leave."""
     live = {}                       # gid -> [view id, packed member -> count]
+    left = {}                       # gid -> the view it was left in
     for step in steps + [("send",)]:
         kind = step[0]
-        if kind == "join":
-            live.setdefault(step[1], [1, {}])
-        elif kind == "leave":
-            live.pop(step[1], None)
+        if kind == "join" and step[1] not in live:
+            # Joining is a view change: a group left in view v is
+            # rejoined in a later one, never in v with a shorter vector.
+            live[step[1]] = [left.pop(step[1], 0) + 1, {}]
+        elif kind == "leave" and step[1] in live:
+            left[step[1]] = live.pop(step[1])[0]
         elif kind == "view" and step[1] in live:
             # A new view resets the delivered vector (a fresh dict, as
             # CausalReceiver.on_new_view does).
@@ -133,37 +140,114 @@ def replay(steps):
             key = step[2].pack()
             counts[key] = counts.get(key, 0) + step[3]
         elif kind == "send":
-            rows = [(gid.pack(), live[gid][0], live[gid][1])
-                    for gid in sorted(live, key=Address.pack)]
+            groups = {gid.pack(): tuple(live[gid])
+                      for gid in sorted(live, key=Address.pack)}
             snapshot = {
                 gid: (view_id, VectorClock(
                     {Address.unpack(m): c for m, c in counts.items()}))
                 for gid, (view_id, counts) in live.items()}
-            yield rows, snapshot
+            yield groups, snapshot
+
+
+def _assert_same_in_order(got, expected):
+    """Same groups, views and counters *in the same order*: the order is
+    what positions on the wire and the full walk's waits go by."""
+    assert list(got) == list(expected)
+    for gid, (view_id, vc) in expected.items():
+        assert got[gid][0] == view_id
+        assert list(got[gid][1].items()) == list(vc.items())
 
 
 @given(history_steps)
 def test_in_place_chain_ends_match_the_absolute_codec(steps):
     encoder = ContextEncoder()
-    chain = {}                      # receiver side, advanced in place
-    sent = None                     # sender's previous absolute context
-    expected = None                 # receiver's, by the reference
-    for rows, absolute in replay(steps):
-        data = encoder.encode(rows)
-        assert data == reference.encode_context_compact(absolute, sent)
+    chain = ChainContext()          # receiver side, advanced in place
+    expected = None                 # the same, by the reference
+    for groups, absolute in replay(steps):
+        data = encoder.encode(groups)
+        # ``expected`` is also the sender's previous context in
+        # canonical order: what the positions in ``data`` count from.
+        assert data == reference.encode_context_compact(absolute, expected)
         expected = reference.decode_context_compact(data, expected)
         delta = parse_context_delta(data)
+        check_delta_positions(chain, delta)
         walked = advanced_context(chain, delta)
         apply_context_delta(chain, delta)
-        in_place = advanced_context(chain, ContextDelta(False, [], []))
-        for got in (walked, in_place):
-            # Same groups, views and counters *in the same order*: the
-            # order is what the full walk registers waits by.
-            assert list(got) == list(expected)
-            for gid, (view_id, vc) in expected.items():
-                assert got[gid][0] == view_id
-                assert list(got[gid][1].items()) == list(vc.items())
+        _assert_same_in_order(walked, expected)
+        _assert_same_in_order(reference.unpacked_context(chain), expected)
+        # Both ends hold the one canonical order, position for position.
+        assert encoder._base.entries() == chain.entries()
         assert set(expected) == set(absolute)
         for gid, (view_id, vc) in absolute.items():
             assert expected[gid] == (view_id, vc)
-        sent = absolute
+
+
+# ----------------------------------------------------------------------
+# A damaged delta is refused: at parse, or at first candidacy
+# ----------------------------------------------------------------------
+def _refused(chain, data):
+    """Is ``data`` refused — by the parser, or by the position check
+    against ``chain`` — and by :class:`CodecError` alone?"""
+    try:
+        check_delta_positions(chain, parse_context_delta(data))
+    except CodecError:
+        return True
+    return False
+
+
+@given(history_steps)
+def test_damaged_deltas_are_refused_by_codec_error_only(steps):
+    encoder, chain = ContextEncoder(), ChainContext()
+    for groups, _ in replay(steps):
+        data = encoder.encode(groups)
+        delta = parse_context_delta(data)
+        check_delta_positions(chain, delta)     # the valid one passes
+        assert delta.full or _encode(delta) == data
+        for cut in range(len(data)):
+            assert _refused(chain, data[:cut]), cut
+        assert _refused(chain, data + b"\x00")
+        held = len(chain.gids)
+        for i, (gpos, counters, gained) in enumerate(delta.moved):
+            size = len(chain.members[gpos])
+
+            def damaged(gpos=gpos, counters=counters):
+                moved = list(delta.moved)
+                moved[i] = (gpos, counters, gained)
+                return _encode(delta._replace(moved=moved))
+
+            # Each position bumped past its bound ...
+            assert _refused(chain, damaged(gpos=held + gpos))
+            for j, (mpos, value) in enumerate(counters):
+                bumped = list(counters)
+                bumped[j] = (size + mpos, value)
+                assert _refused(chain, damaged(counters=bumped)), (i, j)
+            # ... and each adjacent pair swapped.
+            for j in range(len(counters) - 1):
+                swapped = list(counters)
+                swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
+                assert _refused(chain, damaged(counters=swapped)), (i, j)
+        for i in range(len(delta.moved) - 1):
+            moved = list(delta.moved)
+            moved[i], moved[i + 1] = moved[i + 1], moved[i]
+            assert _refused(chain, _encode(delta._replace(moved=moved))), i
+        apply_context_delta(chain, delta)
+
+
+def _encode(delta):
+    """A parsed kind-1 ``cb_ctx`` back on the wire, as it stands."""
+    uv = encode_uvarint
+    parts = [b"\x01", uv(len(delta.named))]
+    for gid, view_id, members, counts in delta.named:
+        parts += [gid, uv(view_id), uv(len(members))]
+        for member, count in zip(members, counts):
+            parts += [member, uv(count)]
+    parts.append(uv(len(delta.moved)))
+    for gpos, counters, gained in delta.moved:
+        parts += [uv(gpos), uv(len(counters))]
+        for mpos, value in counters:
+            parts += [uv(mpos), uv(value)]
+        parts.append(uv(len(gained)))
+        for member, value in gained:
+            parts += [member, uv(value)]
+    parts.append(uv(len(delta.removed)))
+    return b"".join(parts + delta.removed)

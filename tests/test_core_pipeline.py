@@ -2,9 +2,12 @@
 
 import pytest
 
+import reference_causal as reference
 from repro import IsisCluster, IsisConfig, Message
 from repro.core import kernel as kernel_mod
 from repro.core import pipeline as pipeline_mod
+from repro.core.vectorclock import ContextEncoder, VectorClock
+from repro.msg import make_group_address, make_process_address
 from repro.msg.fields import decode_stab, encode_stab
 from repro.msg.message import unpack_batch
 from repro.sim.tasks import Promise
@@ -420,6 +423,33 @@ class TestStabilityWireBudget:
             assert bytes(batch["stab"]) == encode_stab(view_id, (0, 0), have)
             _, stab = unpack_batch(Message.decode(batch.encode()))
             assert stab == (view_id, (0, 0), have)
+
+
+class TestCausalContextWireBudget:
+    """A chained ``cb_ctx`` names what its predecessor holds by position:
+    a moved counter is two bytes, not an 8-byte address and a varint."""
+
+    @staticmethod
+    def _steady(n_groups, moves):
+        """Bytes of the ``cb_ctx`` after the chain head, when ``moves``
+        says which of a group's 4 members delivered since."""
+        members = [make_process_address(s, 0, 1) for s in range(4)]
+        encoder = ContextEncoder()
+        base = [5, 6, 7, 8]
+        for counts in (base, [c + m for c, m in zip(base, moves)]):
+            wire = encoder.encode(reference.context_rows({
+                make_group_address(0, g + 1): (3, VectorClock(
+                    dict(zip(members, counts))))
+                for g in range(n_groups)}))
+        return len(wire)
+
+    def test_every_counter_of_32_groups_moved(self):
+        """``sim-groups``: a sender round-robins over its 32 groups, so
+        between two of its sends in one group all 128 counters moved."""
+        assert self._steady(32, [5, 6, 7, 8]) <= 400        # was 1 475
+
+    def test_one_counter_of_one_group_moved(self):
+        assert self._steady(1, [0, 0, 1, 0]) <= 10          # was 22
 
 
 class TestKernelStats:

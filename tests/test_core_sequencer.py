@@ -6,9 +6,11 @@ import reference_causal as reference
 from repro import IsisCluster, IsisConfig, Message
 from repro.core.abcast import UNSTAMPED_BASE, SequencerReceiver
 from repro.core.vectorclock import (
+    ChainContext,
     ContextEncoder,
     VectorClock,
     apply_context_delta,
+    check_delta_positions,
     parse_context_delta,
 )
 from repro.errors import CodecError
@@ -129,10 +131,12 @@ class TestCompactContextCodec:
     def _chain(contexts):
         """Send ``contexts`` down one chain; yield ``(wire, context the
         receiver holds after applying it)``."""
-        encoder, held = ContextEncoder(), {}
+        encoder, held = ContextEncoder(), ChainContext()
         for ctx in contexts:
             wire = encoder.encode(reference.context_rows(ctx))
-            apply_context_delta(held, parse_context_delta(wire))
+            delta = parse_context_delta(wire)
+            check_delta_positions(held, delta)
+            apply_context_delta(held, delta)
             yield wire, reference.unpacked_context(held)
 
     def test_full_roundtrip(self):
@@ -152,12 +156,12 @@ class TestCompactContextCodec:
         c1 = _ctx((1, 1, {7: 1}))
         c2 = _ctx((1, 1, {7: 2, 8: 1}), (2, 1, {9: 4}))   # counts grow, group added
         c3 = _ctx((1, 2, {7: 1}))                          # view advance + removal
-        sent = None
+        sent = None         # the previous context, in the chain's order
         for cur, (wire, decoded) in zip((c1, c2, c3),
                                         self._chain([c1, c2, c3])):
             _same_ctx(decoded, cur)
             assert wire == reference.encode_context_compact(cur, sent)
-            sent = cur
+            sent = decoded
 
     def test_delta_smaller_than_full(self):
         c1 = _ctx((1, 1, {m: 10 for m in range(1, 9)}))

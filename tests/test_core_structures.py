@@ -6,7 +6,7 @@ import reference_causal as reference
 from repro.errors import CodecError, GroupError
 from repro.msg import Message, make_group_address, make_process_address
 from repro.core.abcast import TotalOrderReceiver, TotalOrderSender
-from repro.core.cbcast import CausalReceiver
+from repro.core.cbcast import CausalReceiver, causal_fields
 from repro.core.store import MessageStore
 from repro.core.vectorclock import ContextEncoder, VectorClock
 from repro.core.view import View
@@ -186,18 +186,30 @@ def _cb(sender, seq, ctx=None, prev=None):
                    cb_ctx=reference.encode_context_compact(ctx or {}, prev))
 
 
+class _Arrivals(CausalReceiver):
+    """The receiver as the pipeline feeds it: an envelope's causal fields
+    are parsed, or refused, before it is offered."""
+
+    def offer(self, msg):
+        return super().offer(msg, causal_fields(msg))
+
+
 def _receiver(satisfied=lambda: True):
     """A :class:`CausalReceiver` on its own: the kernel's context check is
     ``satisfied()``, and a failed check parks the message in ``blocked``
-    (what the WaitIndex does) until the test wakes it."""
-    blocked = []
+    (what the WaitIndex does) until the test wakes it; ``refused`` counts
+    what was dropped at first candidacy."""
+    blocked, refused = [], []
 
     def delta_check(chain, delta, key):
         if not satisfied():
             blocked.append(key)
         return satisfied()
 
-    return CausalReceiver(delta_check, lambda sender, seq: None), blocked
+    rx = _Arrivals(delta_check, lambda sender, seq: None,
+                   lambda: refused.append(1))
+    rx.refused = refused
+    return rx, blocked
 
 
 @pytest.fixture(params=["engine", "scan"])
@@ -279,6 +291,35 @@ class TestCausalReceiver:
         with pytest.raises(CodecError):
             rx.offer(_cb(P0, 1, prev={}))       # seq 1 must head a chain
         assert rx.pending_count == 0
+
+    @pytest.mark.parametrize("moved", [
+        b"\x01\x01\x00\x02\x00",       # group 1 of 1
+        b"\x00\x01\x01\x02\x00",       # member 1 of 1, in group 0
+        b"\x00\x02\x00\x02\x03\x02\x00",     # members 0 and 3 of 1
+    ])
+    def test_position_naming_nothing_is_refused_at_first_candidacy(
+            self, moved):
+        """A delta parses on its own; whether its positions name anything
+        is known once its predecessor is delivered.  It arrives first
+        here, is refused when the head lets it become a candidate, and
+        leaves everything as it was."""
+        rx, _ = _receiver()
+        vc = VectorClock()
+        vc.set(P1, 1)
+        head = _cb(P0, 1, ctx={GID: (1, vc)})
+        assert rx.offer(Message(cb_sender=P0, cb_seq=2,
+                                cb_ctx=b"\x01\x00\x01" + moved + b"\x00")) == []
+        assert rx.offer(_cb(P0, 3, ctx={GID: (1, vc)},
+                            prev={GID: (1, vc)})) == []
+        assert rx.pending_count == 2 and rx.refused == []
+        assert [m["cb_seq"] for m in rx.offer(head)] == [1]
+        assert rx.refused == [1]
+        # The chain is the head's, the successor still waits its turn.
+        chain = rx._chains[P0]
+        assert reference.unpacked_context(chain.context) == {GID: (1, vc)}
+        assert rx.delivered_packed == {P0.pack(): 1}
+        assert [m["cb_seq"] for m in rx.pending_messages()] == [3]
+        assert rx.recheck() == [] and not rx._ready
 
 
 class TestTotalOrder:

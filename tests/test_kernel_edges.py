@@ -9,7 +9,7 @@ from repro.core.engine import GroupEngine
 from repro.errors import GroupError, SiteDown
 from repro.fd.heartbeat import HeartbeatConfig
 from repro.fd.siteview import SiteViewConfig
-from repro.msg import make_group_address
+from repro.msg import make_group_address, make_process_address
 from repro.msg.fields import encode_stab
 from repro.net.bulk import BulkConfig
 from repro.net.packet import KIND_DATA, Frame
@@ -124,12 +124,14 @@ def test_group_data_for_unknown_group_buffers_quietly():
     system.run_for(1.0)
     ghost = make_group_address(0, 42)
     env = Message(_proto="g.cb", gid=ghost, view=3, origin=0, gseq=1,
-                  m=Message(x=1), entry=16, cb_sender=ghost, cb_seq=1)
+                  m=Message(x=1), entry=16, cb_sender=ghost, cb_seq=1,
+                  cb_ctx=b"\x00\x00")
     system.kernel(0).send_to_site(1, env)
     system.run_for(2.0)
     assert system.kernel(1).alive
     engine = system.kernel(1).engines.get(ghost.process())
     assert engine is not None and not engine.installed
+    assert [view for view, _ in engine.pipeline._pre_view] == [3]
 
 
 #: One data envelope, encoded: what a well-formed ``g.batch`` carries.
@@ -139,6 +141,24 @@ _BLOB = encode_stab(1, (2, 1), {0: 3, 1: 5})
 #: Not bytes, a proper prefix of a blob, a blob and one byte more.
 _NOT_A_BLOB = ("x", _BLOB[:-1], _BLOB + b"\x00")
 _TR = dict(_proto="g.tr", view=1, root=0, tid=1)
+#: A well-formed ``g.cb`` of the probe's view 1 from site 0, the head of
+#: its sender's chain: one group (not one the probe hosts) of one member.
+_SENDER = make_process_address(0, 0, 9)
+_HEAD = (b"\x00\x01" + make_group_address(0, 42).pack() + b"\x01\x01"
+         + _SENDER.pack() + b"\x01")
+_CB = dict(_proto="g.cb", view=1, origin=0, gseq=1, m=Message(x=1), entry=16,
+           cb_sender=_SENDER, cb_seq=1, cb_ctx=_HEAD)
+
+
+def _next(moved, have):
+    """The next of that chain, ``moved`` being its one moved entry:
+    refused, at the parser (``have`` as the head left it) or, if only
+    its positions are wrong, once its predecessor is known (in the store
+    by then)."""
+    return dict(_CB, gseq=2, cb_seq=2, before=_CB, have=have,
+                cb_ctx=b"\x01\x00\x01" + moved + b"\x00")
+
+
 
 
 @pytest.mark.parametrize("fields", [
@@ -153,7 +173,7 @@ _TR = dict(_proto="g.tr", view=1, root=0, tid=1)
          counter="pipeline.bad_message"),
     dict(_proto="g.stab.dn", stab=[[0, 3]]),
     # A field that should be bytes and is not, or is not there.
-    dict(_proto="g.cb", view=0, origin=0, gseq=1, stab="x"),
+    dict(_CB, stab="x", counter="stability.bad_piggyback"),
     dict(_proto="g.stab.up", n=1),
     dict(_proto="g.stab.dn", stab=None),
     # A flush id that is not three integers, or is not there.
@@ -199,10 +219,28 @@ _TR = dict(_proto="g.tr", view=1, root=0, tid=1)
     dict(_TR, inner=b"\x49\xd2\x00"),
     dict(_TR, inner=Message(x=1).encode(), counter="engine.unknown_proto"),
     dict(_TR, inner=Message(_proto="g.abp", ref=[0]).encode()),
+    # A data envelope names its view, origin, gseq and entry and carries a
+    # message, and a ``g.cb`` its sender, its sequence number and a
+    # context that parses: refused before the store hears of it.
+    *[dict({k: v for k, v in _CB.items() if k != gone}, have={})
+      for gone in ("gseq", "view", "origin", "cb_sender", "cb_seq", "m",
+                   "entry", "cb_ctx")],
+    dict(_CB, cb_ctx="x", have={}),
+    dict(_CB, cb_ctx=_HEAD[:-1], have={}),
+    dict(_CB, cb_ctx=b"\x01\x00\x00\x00", have={}),     # a delta at cb_seq 1
+    dict(_CB, cb_seq=0, have={}),
+    dict(_CB, _proto="g.xx", have={}, via_batch=True),
+    # A delta whose positions do not ascend, or name nothing its
+    # predecessor holds: group 1 of 1, member 1 of 1.
+    _next(b"\x00\x02\x01\x02\x00\x02\x00", have={0: 1}),
+    _next(b"\x01\x01\x00\x02\x00", have={0: 2}),
+    _next(b"\x00\x01\x01\x02\x00", have={0: 2}),
 ])
 def test_misshapen_stability_note_counted_not_fatal(fields):
     """A well-formed message of the wrong shape is outside input like
-    undecodable bytes: counted, dropped, and the kernel carries on."""
+    undecodable bytes: counted, dropped, and the kernel carries on.  With
+    ``have``, what the store vouches for afterwards: a refused data
+    envelope must not be in it."""
     fields = dict(fields)
     mode = fields.pop("mode", "two_phase")
     system = IsisCluster(n_sites=2, seed=109, isis_config=IsisConfig(
@@ -220,13 +258,31 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
     # On a note the have-vector is the message; on data it rides along.
     counter = fields.pop("counter", None) or (
         "flush.bad_message" if proto.startswith("g.fl.")
-        else "stability.bad_piggyback" if proto == "g.cb"
         else "stability.bad_note" if proto.startswith("g.stab.")
         else "pipeline.bad_message")
-    system.kernel(0).send_to_site(1, Message(gid=box["gid"], **fields))
+    have = fields.pop("have", None)
+    before = fields.pop("before", None)
+    if before is not None:
+        system.kernel(0).send_to_site(1, Message(gid=box["gid"], **before))
+    via_batch = fields.pop("via_batch", False)
+    msg = Message(gid=box["gid"], **fields)
+    if via_batch:       # the only way in for an envelope of another tag
+        msg = Message(_proto="g.batch", gid=box["gid"], envs=[msg.encode()])
+    system.kernel(0).send_to_site(1, msg)
     system.run_for(2.0)
     assert system.sim.trace.value(counter) == 1
     assert system.kernel(1).alive
+    if have is not None:
+        engine = system.kernel(1).engines[box["gid"].process()]
+        assert engine.store.have_vector() == have
+        assert engine.causal.pending_count == 0
+        assert engine.causal.delivered_packed == (
+            {_SENDER.pack(): 1} if before else {})
+        assert len(system.kernel(1).wait_index) == 0
+        if before:      # the chain is as the head left it
+            chain = engine.causal._chains[_SENDER.process()]
+            assert [entry[1:] for entry in chain.context.entries()] == [
+                (1, (_SENDER.pack(),), [1])]
 
 
 def test_stale_group_message_dropped():
@@ -246,7 +302,8 @@ def test_stale_group_message_dropped():
     # Hand the engine a message from an obsolete view.
     env = Message(_proto="g.cb", gid=gid_box["gid"], view=0, origin=1,
                   gseq=1, m=Message(x=1), entry=16,
-                  cb_sender=p0.address.process(), cb_seq=1)
+                  cb_sender=p0.address.process(), cb_seq=1,
+                  cb_ctx=b"\x00\x00")
     engine.handle(1, env)
     system.run_for(2.0)
     assert deliveries == []

@@ -15,6 +15,12 @@ import sys
 
 import pytest
 
+from repro.core.vectorclock import (
+    ChainContext,
+    apply_context_delta,
+    check_delta_positions,
+    parse_context_delta,
+)
 from repro.errors import CodecError
 from repro.msg import Message, unpack_batch
 from repro.msg.fields import decode_stab
@@ -71,6 +77,23 @@ def test_golden_batch_unpacks_to_its_envelopes():
     for env in envelopes:
         assert env["_proto"] == "g.cb"
         assert _rebuilt(env).encode() == env.encode()
+
+
+def test_golden_contexts_parse_as_positions():
+    """The ``cb_ctx`` of the golden ``g.cb`` is a delta that names its
+    predecessor's one group, and two of its members, by position; the
+    batch is a chain from its head on."""
+    delta = parse_context_delta(bytes(Message.decode(CORPUS["g.cb"])["cb_ctx"]))
+    assert delta == (False, [], [(0, [(0, 128), (1, 129)], ())], [])
+    envelopes, _ = unpack_batch(Message.decode(CORPUS["g.batch"]))
+    chain = ChainContext()
+    for env in envelopes:
+        delta = parse_context_delta(bytes(env["cb_ctx"]))
+        check_delta_positions(chain, delta)
+        apply_context_delta(chain, delta)
+    sender = envelopes[0]["cb_sender"]
+    assert chain.entries() == [
+        (envelopes[0]["gid"].pack(), 3, (sender.pack(),), [2])]
 
 
 def test_golden_announcement_is_one_stab_blob():
