@@ -10,7 +10,6 @@ from .kernel import CC_REPLY_ENTRY, KILL_ENTRY, IsisConfig, ProtocolsProcess
 from .namespace import Namespace
 from .rpc import ALL, Session, SessionTable
 from .store import MessageStore
-from .vectorclock import VectorClock
 from .view import View
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "ProtocolsProcess",
     "GroupEngine",
     "View",
-    "VectorClock",
     "MessageStore",
     "CausalReceiver",
     "SequencerReceiver",

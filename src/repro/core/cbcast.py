@@ -35,14 +35,14 @@ from ..msg.message import Message, fields_reader
 from .vectorclock import (
     ChainContext,
     ContextDelta,
-    VectorClock,
     apply_context_delta,
     check_delta_positions,
     parse_context_delta,
 )
 
-#: A pending CBCAST is identified by (sender process, per-view seq).
-PendingKey = Tuple[Address, int]
+#: A pending CBCAST is identified by (packed sender process, per-view
+#: seq): the sender in the form delivered counts and contexts key it by.
+PendingKey = Tuple[bytes, int]
 
 
 #: What a ``g.cb`` adds to a data envelope: who sent it, its number in
@@ -69,7 +69,7 @@ def causal_fields(msg: Message) -> CausalFields:
     delta = parse_context_delta(bytes(raw))
     if seq == 1 and not delta.full:
         raise CodecError("delta context without a predecessor")
-    return (sender.process(), seq), delta
+    return (sender.process().pack(), seq), delta
 
 
 class SenderChain:
@@ -102,6 +102,10 @@ class CausalReceiver:
     message leaves the pending buffer, ``on_refuse()`` counts it, and
     chain, delivered vector and wait index stay as they were.
 
+    One delivered vector, ``delivered``, read by the FIFO rule, the
+    kernel's context check and the send side's encoder.  It, the pending
+    buffer and the chains key a sender packed, as a ``cb_ctx`` does.
+
     ``delta_check(chain, delta, key)`` says whether the context ``chain``
     advanced by ``delta`` is satisfied and, if not, registers ``key``
     against the first unsatisfied threshold so a later advance re-marks
@@ -111,20 +115,17 @@ class CausalReceiver:
     waiters.
     """
 
-    __slots__ = ("delivered", "delivered_packed", "_pending", "_chains",
+    __slots__ = ("delivered", "_pending", "_chains",
                  "_delta_check", "_on_advance", "_on_refuse",
                  "_next_arrival", "_ready", "_ready_set", "peak_pending")
 
     def __init__(self,
                  delta_check: Callable[
                      [SenderChain, ContextDelta, PendingKey], bool],
-                 on_advance: Callable[[Address, int], None],
+                 on_advance: Callable[[bytes, int], None],
                  on_refuse: Callable[[], None]):
-        #: Delivered CBCAST count per sending member (resets per view).
-        self.delivered = VectorClock()
-        #: The same counts keyed by packed member: the form contexts are
-        #: encoded from and checked against.
-        self.delivered_packed: Dict[bytes, int] = {}
+        #: Delivered CBCAST count per packed sender (resets per view).
+        self.delivered: Dict[bytes, int] = {}
         self._delta_check = delta_check
         self._on_advance = on_advance
         self._on_refuse = on_refuse
@@ -137,7 +138,7 @@ class CausalReceiver:
         self._ready: List[Tuple[int, PendingKey]] = []
         self._ready_set: Set[PendingKey] = set()
         #: Per-sender delta chain.
-        self._chains: Dict[Address, SenderChain] = {}
+        self._chains: Dict[bytes, SenderChain] = {}
         #: High-water mark of the pending buffer (kernel stats).
         self.peak_pending = 0
 
@@ -180,7 +181,7 @@ class CausalReceiver:
                 continue  # stale wake: delivered or dropped meanwhile
             _, msg, delta = entry
             sender, seq = key
-            if seq != self.delivered.get(sender) + 1:
+            if seq != self.delivered.get(sender, 0) + 1:
                 # FIFO-blocked: the predecessor's delivery re-marks it.
                 continue
             chain = self._chains.get(sender)
@@ -200,8 +201,7 @@ class CausalReceiver:
                 continue
             del self._pending[key]
             # Count the delivery; its context becomes the chain base.
-            self.delivered.set(sender, seq)
-            self.delivered_packed[sender.pack()] = seq
+            self.delivered[sender] = seq
             apply_context_delta(chain.context, delta)
             out.append(msg)
             successor = (sender, seq + 1)
@@ -221,8 +221,7 @@ class CausalReceiver:
         are evicted here: delta chains restart with the view's sequence
         numbers, so no entry can carry over.
         """
-        self.delivered = VectorClock()
-        self.delivered_packed = {}
+        self.delivered = {}
         self._pending.clear()
         self._chains.clear()
         self._ready.clear()

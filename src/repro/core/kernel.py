@@ -20,7 +20,9 @@ exactly as ISIS clients called into their local protocols process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..errors import (
     CodecError,
@@ -33,7 +35,8 @@ from ..fd.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from ..fd.membership import make_membership_policy
 from ..fd.siteview import SiteView, SiteViewAgent, SiteViewConfig
 from ..msg.address import Address, make_group_address
-from ..msg.message import Message
+from ..msg.message import (Message, address_fields, bytes_field, bytes_list,
+                           int_fields)
 from ..runtime.process import IsisProcess
 from ..runtime.site import KERNEL_LOCAL_ID, Site
 from ..sim.core import Timer
@@ -47,9 +50,8 @@ from .rpc import ALL, SessionTable
 from .shards import WaiterKey, WaitIndex
 from .vectorclock import (
     ChainContext,
-    Context,
     ContextDelta,
-    advanced_context,
+    apply_context_delta,
     first_in_walk_order,
 )
 from .view import View
@@ -189,9 +191,29 @@ class IsisConfig:
     wal_trim_min: int = 16
 
 
-# WaitIndex / WaiterKey live in :mod:`repro.core.shards` and are
-# re-exported here: the index remains a kernel-level concept and
-# tests/tools import it from this module.
+def _shortfall(engine: Optional[GroupEngine], view_id: int,
+               members: Sequence[bytes],
+               by_position: Iterable[Tuple[int, int]],
+               by_address: Iterable[Tuple[bytes, int]],
+               ) -> Optional[Sequence[Tuple[bytes, int]]]:
+    """One causal-context entry of view ``view_id`` (counters by position
+    in ``members`` and by address) against ``engine``, its group here:
+    the ``(member, count)``s we are short of, in order, or None if our
+    view is older.  Not installed here (cannot, and need not, wait) or a
+    newer view (the old one was flushed) satisfies."""
+    if engine is None or not engine.installed:
+        return ()
+    view = engine.view
+    if view is None or view.view_id > view_id:
+        return ()
+    if view.view_id < view_id:
+        return None
+    have = engine.causal.delivered
+    short = [(members[mpos], count) for mpos, count in by_position
+             if have.get(members[mpos], 0) < count]
+    if by_address:
+        short += [mc for mc in by_address if have.get(mc[0], 0) < mc[1]]
+    return short
 
 
 class _JoinState:
@@ -463,6 +485,16 @@ class ProtocolsProcess:
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
+    #: Requests whose handler parses what it trusts before anything
+    #: moves: a wrong shape is counted (``kernel.bad_message``), dropped.
+    PARSED_FIRST = {
+        "g.join": attrgetter("_on_join_request"),
+        "st.req": attrgetter("_on_state_rerequest"),
+        "st.send": attrgetter("_on_state_send_order"),
+        "st.data": attrgetter("_on_state_data"),
+        "st.chunk": attrgetter("_on_state_chunk"),
+    }
+
     def _dispatch(self, src_site: int, msg: Message) -> None:
         if not self.alive:
             return
@@ -478,8 +510,11 @@ class ProtocolsProcess:
             self._fwd_unacked.discard(msg["session"])
             self.sessions.on_dispatched(msg["session"], msg["members"],
                                         via_site=msg.get("via"))
-        elif proto == "g.join":
-            self._on_join_request(src_site, msg)
+        elif proto in self.PARSED_FIRST:
+            try:
+                self.PARSED_FIRST[proto](self)(src_site, msg)
+            except CodecError:
+                self.sim.trace.bump("kernel.bad_message")
         elif proto == "g.join.refused":
             self._on_join_refused(msg)
         elif proto == "g.welcome":
@@ -498,14 +533,6 @@ class ProtocolsProcess:
             self._on_watch_request(src_site, msg)
         elif proto == "g.view_update":
             self._on_view_update(msg)
-        elif proto == "st.data":
-            self._on_state_data(msg)
-        elif proto == "st.chunk":
-            self._on_state_chunk(msg)
-        elif proto == "st.req":
-            self._on_state_rerequest(src_site, msg)
-        elif proto == "st.send":
-            self._on_state_send_order(msg)
         elif proto.startswith("g."):
             engine = self._engine_for(msg.get("gid"), create=True)
             if engine is not None:
@@ -578,43 +605,20 @@ class ProtocolsProcess:
         """Our installed groups' *live* delivered counts, as ``packed
         gid -> (view id, packed member -> count)`` in gid order: what a
         :class:`~repro.core.vectorclock.ContextEncoder` diffs."""
-        return {gid: (engine.view.view_id, engine.causal.delivered_packed)
+        return {gid: (engine.view.view_id, engine.causal.delivered)
                 for gid, engine in self._packed_engines().items()
                 if engine.installed and engine.view is not None}
 
-    def check_context_and_register(self, context: Context,
-                                   waiter: WaiterKey) -> bool:
-        """Is this causal context satisfied at our kernel?  (The full
-        walk: every group the context names.)
+    def check_delta_and_register(self, chain: SenderChain,
+                                 delta: ContextDelta,
+                                 waiter: WaiterKey) -> bool:
+        """Is the causal context ``chain.context`` advanced by ``delta``
+        satisfied at our kernel?
 
         On failure the waiter is registered in the :class:`WaitIndex`
         against the first unsatisfied threshold, so the matching advance
         (or view event) re-marks it as a delivery candidate; any stale
         slot from a previous evaluation is dropped first.
-        """
-        self.wait_index.remove(waiter)
-        for gid, (view_id, vc) in context.items():
-            key = gid.process()
-            engine = self.engines.get(key)
-            if engine is None or not engine.installed or engine.view is None:
-                continue  # not a member: cannot (and need not) wait
-            if engine.view.view_id > view_id:
-                continue  # older view fully flushed: satisfied
-            if engine.view.view_id < view_id:
-                self.wait_index.register_view(key, waiter)
-                return False  # we have not even reached that view yet
-            deficit = engine.causal.delivered.first_deficit(vc)
-            if deficit is not None:
-                self.wait_index.register_counter(
-                    key, deficit[0], deficit[1], waiter)
-                return False
-        return True
-
-    def check_delta_and_register(self, chain: SenderChain,
-                                 delta: ContextDelta,
-                                 waiter: WaiterKey) -> bool:
-        """:meth:`check_context_and_register` for a chained context:
-        ``chain.context`` advanced by ``delta``, never materialised.
 
         The message is a candidate, so its predecessor passed this check
         here.  An entry the delta does not name was satisfied then and
@@ -622,99 +626,75 @@ class ProtocolsProcess:
         local view (or a retired group) satisfies by rule.  So only the
         delta's entries are tested.  The one exception is an entry
         skipped then because the group was not installed here: if any
-        group was installed since, the whole context is walked.
+        group was installed since, the same test runs over a copy of the
+        advanced context taken as a chain head, which names every entry.
         """
+        self.wait_index.remove(waiter)
         if delta.full or chain.installs == self._group_installs:
-            self.wait_index.remove(waiter)
+            self.counters.bump("causal.ctx_delta_entries",
+                               len(delta.named) + len(delta.moved))
             satisfied = self._check_delta(chain.context, delta, waiter)
         else:
             self.counters.bump("causal.ctx_full_walks")
-            satisfied = self.check_context_and_register(
-                advanced_context(chain.context, delta), waiter)
+            context = chain.context.copy()
+            apply_context_delta(context, delta)
+            satisfied = self._check_delta(
+                context, ContextDelta(True, context.entries(), [], []), waiter)
         if satisfied:
             chain.installs = self._group_installs
         return satisfied
 
     def _check_delta(self, base: ChainContext, delta: ContextDelta,
                      waiter: WaiterKey) -> bool:
-        """The full walk restricted to the delta's entries.
+        """The context check restricted to the delta's entries.
 
-        On failure the waiter goes on the threshold the full walk of
-        ``base`` advanced by ``delta`` would have met first: the chain's
-        order, which a moved entry's counters are already in.
+        On failure the waiter goes on the threshold a walk of ``base``
+        advanced by ``delta`` would meet first: the chain's order, which
+        a moved entry's counters are already in.
         """
         engines = self._packed_engines()
-        #: gid -> (view id, the (member, count)s we are short of; None
-        #: for a view threshold).
-        failed: Optional[Dict[bytes, Tuple[int, Any]]] = None
+        #: gid -> the (member, count)s we are short of; None for a view
+        #: threshold.
+        failed: Dict[bytes, Optional[Sequence[Tuple[bytes, int]]]] = {}
         for gid, view_id, members, counts in delta.named:
-            engine = engines.get(gid)
-            if engine is None or not engine.installed:
-                continue
-            view = engine.view
-            if view is None or view.view_id > view_id:
-                continue
-            short = None    # a view threshold, unless the views match
-            if view.view_id == view_id:
-                have = engine.causal.delivered_packed
-                short = [mc for mc in zip(members, counts)
-                         if have.get(mc[0], 0) < mc[1]]
-                if not short:
-                    continue
-            if failed is None:
-                failed = {}
-            failed[gid] = (view_id, short)
-        # The same test for what the delta names by position: the group,
-        # its view and the members are the chain's.
-        gids = base.gids
+            short = _shortfall(engines.get(gid), view_id, (), (),
+                               zip(members, counts))
+            if short is None or short:
+                failed[gid] = short
+        # What the delta names by position: the group, its view and the
+        # members are the chain's.
+        gids, views, held = base.gids, base.views, base.members
         for gpos, counters, gained in delta.moved:
             gid = gids[gpos]
-            view_id = base.views[gpos]
-            engine = engines.get(gid)
-            if engine is None or not engine.installed:
-                continue
-            view = engine.view
-            if view is None or view.view_id > view_id:
-                continue
-            short = None
-            if view.view_id == view_id:
-                have = engine.causal.delivered_packed
-                members = base.members[gpos]
-                short = [(members[mpos], count) for mpos, count in counters
-                         if have.get(members[mpos], 0) < count]
-                if gained:
-                    short += [mc for mc in gained
-                              if have.get(mc[0], 0) < mc[1]]
-                if not short:
-                    continue
-            if failed is None:
-                failed = {}
-            failed[gid] = (view_id, short)
-        self.counters.bump("causal.ctx_delta_entries",
-                           len(delta.named) + len(delta.moved))
-        if failed is None:
+            short = _shortfall(engines.get(gid), views[gpos], held[gpos],
+                               counters, gained)
+            if short is None or short:
+                failed[gid] = short
+        if not failed:
             return True
-        gid = first_in_walk_order(list(failed),
-                                  () if delta.full else gids)
-        view_id, short = failed[gid]
-        key = Address.unpack(gid).process()
+        gid = first_in_walk_order(list(failed), () if delta.full else gids)
+        short = failed[gid]
         if short is None:
-            self.wait_index.register_view(key, waiter)
+            self.wait_index.register_view(gid, waiter)
         else:
             member, count = short[0]
-            self.wait_index.register_counter(
-                key, Address.unpack(member), count, waiter)
+            self.wait_index.register_counter(gid, member, count, waiter)
         return False
 
-    def note_causal_advance(self, gid: Address, sender: Address,
+    def note_causal_advance(self, gid: bytes, sender: bytes,
                             seq: int) -> None:
-        """Group ``gid`` delivered (sender, seq): wake threshold waiters."""
+        """Group ``gid`` (packed) delivered (sender, seq): wake threshold
+        waiters."""
         self._wake_waiters(self.wait_index.on_advance(gid, sender, seq))
 
     def note_group_view_event(self, gid: Address) -> None:
-        """Group ``gid`` installed a view (or retired): its old-view
-        thresholds are all satisfied now — wake everything keyed on it."""
-        self._wake_waiters(self.wait_index.on_view_event(gid.process()))
+        """Group ``gid`` installed a view (or retired) here: the waits
+        its pending messages held are gone with its buffer, and the
+        thresholds others wait on in it are all satisfied now — wake
+        everything keyed on it."""
+        key = gid.process()
+        self.wait_index.purge_engine(key)
+        self._wake_waiters(self.wait_index.on_view_event(key.pack()))
 
     def _wake_waiters(self, waiters: List[WaiterKey]) -> None:
         for engine_gid, key in waiters:
@@ -860,7 +840,6 @@ class ProtocolsProcess:
                                          engine.causal.peak_pending)
         # Its pending buffer is gone, and contexts naming it are now
         # trivially satisfied ("not a member: cannot wait").
-        self.wait_index.purge_engine(key)
         self.note_group_view_event(key)
 
     def _watch_member(self, engine: GroupEngine, member: Address) -> None:
@@ -1015,8 +994,7 @@ class ProtocolsProcess:
             JOIN_RETRY, self._send_join_request, state)
 
     def _on_join_request(self, src_site: int, msg: Message) -> None:
-        gid: Address = msg["gid"]
-        joiner: Address = msg["joiner"]
+        gid, joiner = address_fields(msg, "gid", "joiner")
         engine = self._coordinating_engine(msg)
         if engine is None:
             if self.current_view(gid) is None:   # not relayed: no group here
@@ -1251,22 +1229,24 @@ class ProtocolsProcess:
             stream["conn"].close()
             self.counters.bump("state_transfer.streams_aborted")
 
-    def _on_state_chunk(self, msg: Message) -> None:
-        gid: Address = msg["gid"]
+    def _on_state_chunk(self, src_site: int, msg: Message) -> None:
+        gid, = address_fields(msg, "gid")
+        xid, idx, n = int_fields(msg, "xid", "idx", "n")
+        data = bytes_field(msg, "data")
         state = self._joins.get(gid.process())
         if state is None:
             return  # join finished or abandoned; drop the orphan chunk
-        if state.stream_xid != msg["xid"]:
+        if state.stream_xid != xid:
             # A restarted stream (source death + re-request): reset.
-            state.stream_xid = msg["xid"]
+            state.stream_xid = xid
             state.stream_buf = []
-        if msg["idx"] != len(state.stream_buf):
+        if idx != len(state.stream_buf):
             # Bulk chunks are chained sequentially, so a gap means the
             # stream restarted out from under us: wait for the retry.
             state.stream_buf = []
             state.stream_xid = None
             return
-        state.stream_buf.append(bytes(msg["data"]))
+        state.stream_buf.append(data)
         # Chunk progress counts as transfer progress: re-arm the
         # re-request timer so a slow large snapshot is not re-requested
         # (and re-sent in full) mid-stream.
@@ -1274,7 +1254,7 @@ class ProtocolsProcess:
             state.transfer_timer.cancel()
             state.transfer_timer = self.sim.call_after(
                 TRANSFER_RETRY, self._rerequest_state, state)
-        if msg["idx"] + 1 < msg["n"]:
+        if idx + 1 < n:
             return
         blob = b"".join(state.stream_buf)
         state.stream_buf = []
@@ -1284,30 +1264,38 @@ class ProtocolsProcess:
         except CodecError:
             self.sim.trace.bump("state_transfer.bad_stream")
             return  # the re-request loop will restart the stream
-        self._on_state_data(payload)
+        self._on_state_data(src_site, payload)
 
-    def _on_state_data(self, msg: Message) -> None:
-        gid: Address = msg["gid"]
+    def _on_state_data(self, src_site: int, msg: Message) -> None:
+        gid, = address_fields(msg, "gid")
+        suffix = msg.get("wal_suffix")
+        if suffix is not None and self.wal is not None:
+            records = [bytes(r) for r in bytes_list(suffix, "wal_suffix")]
+        else:
+            records = None
+            segments = msg.get("segments")
+            if not isinstance(segments, dict):
+                raise CodecError(f"segments is not a dict: {segments!r}")
+            segments = {name: [bytes(b) for b in bytes_list(blocks, name)]
+                        for name, blocks in segments.items()}
         state = self._joins.get(gid.process())
         if state is None:
             return
         process = state.process
-        suffix = msg.get("wal_suffix")
-        if suffix is not None and self.wal is not None:
+        if records is not None:
             # Log-assisted rejoin: rebuild the pre-crash state from our
             # own checkpoint + replayed log, then apply the records the
             # source says we missed.  Both replays run synchronously so
             # the arm-time checkpoint in _finish_join sees the result.
             self.wal.replay_to(gid, process)
-            self.wal.absorb_suffix(gid, [bytes(r) for r in suffix],
-                                   process)
+            self.wal.absorb_suffix(gid, records, process)
             self.counters.bump("recovery.rejoins")
         else:
             decoders = getattr(process, "xfer_segments", {})
-            for name, blocks in msg["segments"].items():
+            for name, blocks in segments.items():
                 entry = decoders.get(name)
                 if entry is not None:
-                    entry[1]([bytes(b) for b in blocks])
+                    entry[1](blocks)
         engine = self.engines.get(gid.process())
         view = engine.view if engine is not None else None
         if view is not None:
@@ -1326,18 +1314,20 @@ class ProtocolsProcess:
             TRANSFER_RETRY, self._rerequest_state, state)
 
     def _on_state_rerequest(self, src_site: int, msg: Message) -> None:
+        gid, joiner = address_fields(msg, "gid", "joiner")
         engine = self._coordinating_engine(msg)
         if engine is None:
             return
         source = engine.view.coordinator()
-        order = Message(_proto="st.send", gid=msg["gid"],
-                        joiner=msg["joiner"], source=source)
+        order = Message(_proto="st.send", gid=gid, joiner=joiner,
+                        source=source)
         self.send_to_site(source.site, order)
 
-    def _on_state_send_order(self, msg: Message) -> None:
-        engine = self.engines.get(msg["gid"].process())
+    def _on_state_send_order(self, src_site: int, msg: Message) -> None:
+        gid, joiner, source = address_fields(msg, "gid", "joiner", "source")
+        engine = self.engines.get(gid.process())
         if engine is not None:
-            self._send_state(engine, msg["source"], [msg["joiner"]])
+            self._send_state(engine, source, [joiner])
 
     # -- total-failure recovery (paper §5) ----------------------------------
     def restore_from_wal(self, process: IsisProcess,

@@ -55,12 +55,7 @@ from ..msg.message import (
 from ..sim.core import Timer
 from ..sim.tasks import Promise
 from .cbcast import CausalFields, CausalReceiver, causal_fields
-from .ordering import (  # noqa: F401  (re-exported: long-standing import site)
-    OrderingEngine,
-    SequencerOrdering,
-    TotalOrdering,
-    make_ordering,
-)
+from .ordering import make_ordering
 from .tree import SpanningTree, min_merge_have_vectors
 from .vectorclock import ContextEncoder
 
@@ -454,11 +449,12 @@ class CausalOrdering:
         self.pipeline = pipeline
         kernel = engine.kernel
         gid = engine.gid.process()
+        packed = gid.pack()
         self.receiver = CausalReceiver(
             delta_check=lambda chain, delta, key:
                 kernel.check_delta_and_register(chain, delta, (gid, key)),
             on_advance=lambda sender, seq: kernel.note_causal_advance(
-                gid, sender, seq),
+                packed, sender, seq),
             on_refuse=lambda: engine.sim.trace.bump("pipeline.bad_message"),
         )
         #: Per-sender CBCAST count within the current view (send side).
@@ -493,9 +489,7 @@ class CausalOrdering:
         # group are stale (their messages are gone), and thresholds
         # other groups registered on us are satisfied by the view
         # advance (delivered vectors reset per view).
-        kernel = self.engine.kernel
-        kernel.wait_index.purge_engine(self.engine.gid.process())
-        kernel.note_group_view_event(self.engine.gid)
+        self.engine.kernel.note_group_view_event(self.engine.gid)
 
 
 # ----------------------------------------------------------------------

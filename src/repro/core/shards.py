@@ -5,17 +5,19 @@ that progress happens, without scanning every group's pending buffer on
 every delivery.  :class:`WaitIndex` holds one slot per blocked message,
 keyed by the *watched* group, so register, advance and view event touch
 only that group's dictionaries however many groups the kernel hosts.
+
+The index compares keys and nothing else: the kernel hands it groups and
+members packed, as a ``cb_ctx`` names them, and a waiter as the key of
+the receiver it is pending in.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
-
-from ..msg.address import Address
+from typing import Dict, Hashable, List, Optional, Tuple
 
 #: A blocked CBCAST is identified kernel-wide by the group it is pending
 #: in plus its (sender, seq) key within that group's causal receiver.
-WaiterKey = Tuple[Address, Tuple[Address, int]]
+WaiterKey = Tuple[Hashable, Tuple[bytes, int]]
 
 
 class WaitIndex:
@@ -32,110 +34,90 @@ class WaitIndex:
     threshold.
     """
 
-    __slots__ = ("_counter_waits", "_view_waits", "_slots", "_by_engine",
-                 "peak_size")
+    __slots__ = ("_counter_waits", "_view_waits", "_slots", "peak_size")
 
     def __init__(self) -> None:
         #: gid -> (member, needed_seq) -> ordered waiters (dict-as-set).
         self._counter_waits: Dict[
-            Address, Dict[Tuple[Address, int], Dict[WaiterKey, None]]] = {}
+            bytes, Dict[Tuple[bytes, int], Dict[WaiterKey, None]]] = {}
         #: gid -> ordered waiters blocked on a future view of gid.
-        self._view_waits: Dict[Address, Dict[WaiterKey, None]] = {}
+        self._view_waits: Dict[bytes, Dict[WaiterKey, None]] = {}
         #: waiter -> (gid, bucket key or None-for-view) reverse map.
-        self._slots: Dict[WaiterKey, Tuple[Address,
-                                           Optional[Tuple[Address, int]]]] = {}
-        #: waiters registered by each engine (purged at its view changes).
-        self._by_engine: Dict[Address, Set[WaiterKey]] = {}
+        self._slots: Dict[WaiterKey, Tuple[bytes,
+                                           Optional[Tuple[bytes, int]]]] = {}
         self.peak_size = 0
 
     def __len__(self) -> int:
         return len(self._slots)
 
-    def register_counter(self, gid: Address, member: Address, needed: int,
+    def register_counter(self, gid: bytes, member: bytes, needed: int,
                          waiter: WaiterKey) -> None:
         """Wake ``waiter`` when gid's delivered[member] reaches ``needed``."""
         self.remove(waiter)
-        bucket_key = (member.process(), needed)
+        bucket_key = (member, needed)
         self._counter_waits.setdefault(gid, {}).setdefault(
             bucket_key, {})[waiter] = None
-        self._slots[waiter] = (gid, bucket_key)
-        self._by_engine.setdefault(waiter[0], set()).add(waiter)
-        if len(self._slots) > self.peak_size:
-            self.peak_size = len(self._slots)
+        self._hold(waiter, gid, bucket_key)
 
-    def register_view(self, gid: Address, waiter: WaiterKey) -> None:
+    def register_view(self, gid: bytes, waiter: WaiterKey) -> None:
         """Wake ``waiter`` when ``gid`` installs a newer view."""
         self.remove(waiter)
         self._view_waits.setdefault(gid, {})[waiter] = None
-        self._slots[waiter] = (gid, None)
-        self._by_engine.setdefault(waiter[0], set()).add(waiter)
+        self._hold(waiter, gid, None)
+
+    def _hold(self, waiter: WaiterKey, gid: bytes,
+              bucket_key: Optional[Tuple[bytes, int]]) -> None:
+        self._slots[waiter] = (gid, bucket_key)
         if len(self._slots) > self.peak_size:
             self.peak_size = len(self._slots)
 
     def remove(self, waiter: WaiterKey) -> None:
         """Drop a waiter's slot (delivered, re-registering, or discarded)."""
-        slot = self._slots.get(waiter)
+        slot = self._slots.pop(waiter, None)
         if slot is None:
             return
         gid, bucket_key = slot
         if bucket_key is None:
-            bucket = self._view_waits.get(gid)
-            if bucket is not None:
-                bucket.pop(waiter, None)
-                if not bucket:
-                    del self._view_waits[gid]
+            bucket = self._view_waits[gid]
+            del bucket[waiter]
+            if not bucket:
+                del self._view_waits[gid]
         else:
-            buckets = self._counter_waits.get(gid)
-            if buckets is not None:
-                bucket = buckets.get(bucket_key)
-                if bucket is not None:
-                    bucket.pop(waiter, None)
-                    if not bucket:
-                        del buckets[bucket_key]
+            buckets = self._counter_waits[gid]
+            bucket = buckets[bucket_key]
+            del bucket[waiter]
+            if not bucket:
+                del buckets[bucket_key]
                 if not buckets:
                     del self._counter_waits[gid]
-        self._discard_slot(waiter)
 
-    def on_advance(self, gid: Address, member: Address,
+    def on_advance(self, gid: bytes, member: bytes,
                    seq: int) -> List[WaiterKey]:
         """Group ``gid`` delivered ``member``'s message ``seq``."""
         buckets = self._counter_waits.get(gid)
         if buckets is None:
             return []
-        bucket = buckets.pop((member.process(), seq), None)
+        bucket = buckets.pop((member, seq), None)
         if bucket is None:
             return []
         if not buckets:
             del self._counter_waits[gid]
-        woken = list(bucket)
-        for waiter in woken:
-            self._discard_slot(waiter)
-        return woken
+        return self._release(bucket)
 
-    def on_view_event(self, gid: Address) -> List[WaiterKey]:
+    def on_view_event(self, gid: bytes) -> List[WaiterKey]:
         """Group ``gid`` installed a new view (or was retired)."""
         woken: List[WaiterKey] = []
-        buckets = self._counter_waits.pop(gid, None)
-        if buckets is not None:
-            for bucket in buckets.values():
-                woken.extend(bucket)
-        view_bucket = self._view_waits.pop(gid, None)
-        if view_bucket is not None:
-            woken.extend(view_bucket)
-        for waiter in woken:
-            self._discard_slot(waiter)
-        return woken
+        for bucket in self._counter_waits.pop(gid, {}).values():
+            woken += self._release(bucket)
+        return woken + self._release(self._view_waits.pop(gid, {}))
 
-    def purge_engine(self, engine_gid: Address) -> None:
+    def purge_engine(self, engine_gid: Hashable) -> None:
         """An engine's pending buffer reset: drop its registrations."""
-        for waiter in list(self._by_engine.get(engine_gid, ())):
+        for waiter in [w for w in self._slots if w[0] == engine_gid]:
             self.remove(waiter)
 
-    def _discard_slot(self, waiter: WaiterKey) -> None:
-        """Bookkeeping removal after a bucket was already popped."""
-        self._slots.pop(waiter, None)
-        engine_waiters = self._by_engine.get(waiter[0])
-        if engine_waiters is not None:
-            engine_waiters.discard(waiter)
-            if not engine_waiters:
-                del self._by_engine[waiter[0]]
+    def _release(self, bucket: Dict[WaiterKey, None]) -> List[WaiterKey]:
+        """A popped bucket's waiters, their slots gone."""
+        for waiter in bucket:
+            del self._slots[waiter]
+        return list(bucket)

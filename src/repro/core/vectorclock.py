@@ -1,26 +1,25 @@
-"""Vector timestamps for causal (CBCAST) delivery.
+"""The causal context a CBCAST carries: the ``cb_ctx`` codec and
+:class:`ChainContext`.
 
 The paper's CBCAST implementation piggybacked buffered messages
 ([Birman-a]); we track *potential causality* (§3.1, after [Lamport-b])
-with vector clocks instead — the delivery **semantics** are identical
-(see DESIGN.md, substitutions table).
+with vector timestamps instead — the delivery **semantics** are identical
+(see DESIGN.md, substitutions table).  Per group, a kernel counts the
+CBCASTs it delivered from each sending member (``CausalReceiver
+.delivered``, reset per view).  A CBCAST carries its per-sender sequence
+number in the group and the sender's *causal context*: those counts, with
+their view id, in every group the sender belongs to, as of the send.
+Message ``m`` from ``p`` in group ``g`` is delivered when
 
-Per group, each kernel keeps the vector of CBCAST sequence numbers it has
-delivered, indexed by sending member.  A CBCAST carries
+1. FIFO: ``m.seq == delivered_g[p] + 1``, and
+2. causality: for every group ``h`` in ``m.ctx`` that we belong to, our
+   counts in ``h`` dominate ``m.ctx[h]`` if our view of ``h`` is the one
+   named; an older one waits, a newer one satisfies (its flush delivered
+   the old view's messages).
 
-* its own per-sender sequence number within the group, and
-* the sender's *causal context*: a map ``group → delivered-vector``
-  snapshot taken at send time (covering every group the sender belongs
-  to, so causality created by multi-group chains is honoured for common
-  members).
-
-Delivery rule for message ``m`` from sender ``p`` in group ``g``:
-
-1. FIFO: ``m.seq == delivered_g[p] + 1``;
-2. Causality: for every group ``h`` in ``m.ctx`` that we belong to, our
-   delivered vector in ``h`` dominates ``m.ctx[h]`` (restricted to
-   current members — departed members' messages were flushed before the
-   view we are in).
+This module holds the context's wire form and both its ends; the kernel's
+``check_delta_and_register`` applies rule 2.  Groups and members are
+their packed 8-byte addresses throughout.
 """
 
 from __future__ import annotations
@@ -38,93 +37,8 @@ from typing import (
 )
 
 from ..errors import CodecError
-from ..msg.address import ADDRESS_SIZE, Address
+from ..msg.address import ADDRESS_SIZE
 from ..msg.fields import decode_uvarint, encode_uvarint
-
-
-class VectorClock:
-    """Mutable map Address → int with lattice operations."""
-
-    __slots__ = ("_clock",)
-
-    def __init__(self, initial: Optional[Mapping[Address, int]] = None):
-        self._clock: Dict[Address, int] = dict(initial or {})
-
-    def get(self, member: Address) -> int:
-        return self._clock.get(member.process(), 0)
-
-    def set(self, member: Address, value: int) -> None:
-        self._clock[member.process()] = value
-
-    def increment(self, member: Address) -> int:
-        """Bump and return the member's counter."""
-        key = member.process()
-        self._clock[key] = self._clock.get(key, 0) + 1
-        return self._clock[key]
-
-    def merge(self, other: "VectorClock") -> None:
-        """Pointwise maximum (join)."""
-        for member, value in other._clock.items():
-            if value > self._clock.get(member, 0):
-                self._clock[member] = value
-
-    def first_deficit(
-        self, other: "VectorClock",
-    ) -> Optional[Tuple[Address, int]]:
-        """First ``(member, value)`` of ``other`` not yet covered by self.
-
-        Returns None when ``self`` dominates ``other``.  The scan order is
-        ``other``'s (deterministic) insertion order, so repeated calls as
-        ``self`` advances walk the deficits one threshold at a time —
-        this is what the kernel's WaitIndex registers delivery waits on.
-        """
-        clock = self._clock
-        for member, value in other._clock.items():
-            if clock.get(member, 0) < value:
-                return member, value
-        return None
-
-    def dominates(self, other: "VectorClock",
-                  restrict_to: Optional[Iterable[Address]] = None) -> bool:
-        """self >= other pointwise (optionally over a member subset)."""
-        if restrict_to is None:
-            items = other._clock.items()
-        else:
-            keys = {m.process() for m in restrict_to}
-            items = [(k, v) for k, v in other._clock.items() if k in keys]
-        return all(self._clock.get(member, 0) >= value for member, value in items)
-
-    def restrict(self, members: Iterable[Address]) -> "VectorClock":
-        """Copy containing only the given members' entries."""
-        keys = {m.process() for m in members}
-        return VectorClock(
-            {m: v for m, v in self._clock.items() if m in keys}
-        )
-
-    def copy(self) -> "VectorClock":
-        return VectorClock(self._clock)
-
-    def drop(self, member: Address) -> None:
-        self._clock.pop(member.process(), None)
-
-    def items(self):
-        return self._clock.items()
-
-    def __len__(self) -> int:
-        return len(self._clock)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorClock):
-            return NotImplemented
-        keys = set(self._clock) | set(other._clock)
-        return all(
-            self._clock.get(k, 0) == other._clock.get(k, 0) for k in keys
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{m}:{v}" for m, v in sorted(
-            self._clock.items(), key=lambda kv: str(kv[0])))
-        return f"VC({parts})"
 
 
 # ----------------------------------------------------------------------
@@ -168,9 +82,7 @@ class VectorClock:
 # position table either: a position is a list index — and on this path
 # groups and members stay in their packed 8-byte form: a packed address
 # is its own sort key and wire form, and hashes without a call into
-# :class:`Address`.
-
-Context = Dict[Address, Tuple[int, "VectorClock"]]
+# ``Address``.
 
 _CTX_FULL = 0
 _CTX_DELTA = 1
@@ -441,21 +353,6 @@ def apply_context_delta(context: ChainContext, delta: ContextDelta) -> None:
         context.name(gid, view_id, members, values)
     for gid in delta.removed:
         context.remove(gid)
-
-
-def advanced_context(context: ChainContext, delta: ContextDelta) -> Context:
-    """``context`` advanced by ``delta``, as a new :data:`Context` in
-    the chain's order (the full walk's input; the chains themselves
-    advance in place)."""
-    out = context.copy()
-    apply_context_delta(out, delta)
-    unpack = Address.unpack
-    return {
-        unpack(gid): (view_id, VectorClock(
-            {unpack(member): count
-             for member, count in zip(members, counts)}))
-        for gid, view_id, members, counts in out.entries()
-    }
 
 
 def first_in_walk_order(candidates: List[bytes],

@@ -485,6 +485,24 @@ def int_fields(msg: Message, *names: str) -> "tuple[int, ...]":
     return int_tuple([msg._fields.get(name) for name in names], len(names))
 
 
+def address_fields(msg: Message, *names: str) -> "tuple[Address, ...]":
+    """The named address fields off the wire, else :class:`CodecError`."""
+    values = tuple(msg._fields.get(name) for name in names)
+    for name, value in zip(names, values):
+        if not isinstance(value, Address):
+            raise CodecError(f"{name} is not an address: {value!r}")
+    return values
+
+
+def bytes_list(value: object, name: str) -> List[bytes]:
+    """``value``, field ``name`` off the wire, if a list of bytes, else
+    :class:`CodecError`."""
+    if isinstance(value, list) and all(
+            isinstance(item, (bytes, bytearray)) for item in value):
+        return value
+    raise CodecError(f"{name} is not a list of bytes: {value!r}")
+
+
 def fields_reader(*names: str) -> Callable[[Message], tuple]:
     """``read(msg)``: the values of these (two or more) fields of a message
     off the wire, in this order, in one lookup; a message that lacks
@@ -532,11 +550,8 @@ def unpack_batch(msg: Message) -> "tuple[List[Message], Optional[Stab]]":
     """
     if msg.get(F_PROTO) != BATCH_PROTO:
         raise CodecError(f"not a batch message: {msg.get(F_PROTO)!r}")
-    raws = msg.get("envs")
-    if not isinstance(raws, list) or not all(
-            isinstance(raw, (bytes, bytearray)) for raw in raws):
-        raise CodecError(f"envs is not a list of bytes: {raws!r}")
-    envelopes = [Message.decode(raw) for raw in raws]
+    envelopes = [Message.decode(raw)
+                 for raw in bytes_list(msg.get("envs"), "envs")]
     stab = None
     if "stab" in msg:
         stab = decode_stab(bytes_field(msg, "stab"))

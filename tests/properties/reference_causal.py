@@ -22,20 +22,126 @@ obvious way, as what the differential tests hold the library to:
 * :func:`encode_context` / :func:`decode_context` — the nested-dict
   ``cb_ctx`` the system used before the binary form (hex-string keys,
   ~45 bytes per vector entry): the size baseline.
+* :func:`walk_context` — the causal-context check as a walk of the whole
+  absolute context.  The kernel's ``check_delta_and_register``, which
+  tests what a delta names against packed delivered vectors, must reach
+  the same verdict and register the same first threshold.
+* :class:`VectorClock` — the ``Address``-keyed vector these are written
+  in (the library keeps packed ``member -> count`` dicts).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
-from repro.core.vectorclock import VectorClock
 from repro.errors import CodecError
 from repro.msg.address import Address
 from repro.msg.fields import decode_uvarint, encode_uvarint
 from repro.msg.message import Message
 
+class VectorClock:
+    """Mutable map Address → int with lattice operations."""
+
+    __slots__ = ("_clock",)
+
+    def __init__(self, initial: Optional[Mapping[Address, int]] = None):
+        self._clock: Dict[Address, int] = dict(initial or {})
+
+    def get(self, member: Address) -> int:
+        return self._clock.get(member.process(), 0)
+
+    def set(self, member: Address, value: int) -> None:
+        self._clock[member.process()] = value
+
+    def increment(self, member: Address) -> int:
+        """Bump and return the member's counter."""
+        key = member.process()
+        self._clock[key] = self._clock.get(key, 0) + 1
+        return self._clock[key]
+
+    def merge(self, other: "VectorClock") -> None:
+        """Pointwise maximum (join)."""
+        for member, value in other._clock.items():
+            if value > self._clock.get(member, 0):
+                self._clock[member] = value
+
+    def dominates(self, other: "VectorClock",
+                  restrict_to: Optional[Iterable[Address]] = None) -> bool:
+        """self >= other pointwise (optionally over a member subset)."""
+        if restrict_to is None:
+            items = other._clock.items()
+        else:
+            keys = {m.process() for m in restrict_to}
+            items = [(k, v) for k, v in other._clock.items() if k in keys]
+        return all(self._clock.get(member, 0) >= value for member, value in items)
+
+    def restrict(self, members: Iterable[Address]) -> "VectorClock":
+        """Copy containing only the given members' entries."""
+        keys = {m.process() for m in members}
+        return VectorClock(
+            {m: v for m, v in self._clock.items() if m in keys}
+        )
+
+    def copy(self) -> "VectorClock":
+        return VectorClock(self._clock)
+
+    def items(self):
+        return self._clock.items()
+
+    def __len__(self) -> int:
+        return len(self._clock)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VectorClock):
+            return NotImplemented
+        keys = set(self._clock) | set(other._clock)
+        return all(
+            self._clock.get(k, 0) == other._clock.get(k, 0) for k in keys
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        parts = ", ".join(f"{m}:{v}" for m, v in sorted(
+            self._clock.items(), key=lambda kv: str(kv[0])))
+        return f"VC({parts})"
+
+
 #: gid -> (view id, delivered vector).
 Context = Dict[Address, Tuple[int, VectorClock]]
+
+#: Where a context check that fails waits: ``(gid, None)`` for a newer
+#: view of ``gid``, ``(gid, (member, count))`` for ``member``'s
+#: ``count``-th delivery in it.
+Threshold = Tuple[Address, Optional[Tuple[Address, int]]]
+
+
+# ----------------------------------------------------------------------
+# The context check as a walk of the whole context
+# ----------------------------------------------------------------------
+def walk_context(context: Context, local: Context
+                 ) -> Tuple[bool, Optional[Threshold]]:
+    """Is ``context`` satisfied by ``local``, the view id and delivered
+    vector of every group installed here?  Groups in ``context``'s order,
+    members in each vector's: the first entry that fails is the threshold
+    to wait on, and ``(True, None)`` means deliverable.
+
+    A group not installed here is skipped (not a member: cannot, and need
+    not, wait), a newer local view satisfies (the old one was flushed),
+    an older one waits for a newer view, and the same view compares
+    counters.
+    """
+    for gid, (view_id, wanted) in context.items():
+        if gid not in local:
+            continue
+        local_view, have = local[gid]
+        if local_view > view_id:
+            continue
+        if local_view < view_id:
+            return False, (gid, None)
+        for member, count in wanted.items():
+            if have.get(member) < count:
+                return False, (gid, (member, count))
+    return True, None
 
 
 # ----------------------------------------------------------------------

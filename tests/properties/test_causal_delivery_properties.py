@@ -19,16 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_causal as reference
+from reference_causal import VectorClock
 from repro import IsisCluster, LanConfig
 from repro.core.abcast import TotalOrderReceiver
 from repro.core.cbcast import CausalReceiver, SenderChain, causal_fields
 from repro.core.vectorclock import (
     ContextEncoder,
-    VectorClock,
     apply_context_delta,
     parse_context_delta,
 )
-from repro.msg import Message, make_group_address, make_process_address
+from repro.msg import (Address, Message, make_group_address,
+                       make_process_address)
 
 
 # ----------------------------------------------------------------------
@@ -398,24 +399,36 @@ HERE = CTX_GROUPS[0]
 
 
 class _LocalGroup:
-    """What the context check reads of a group engine."""
+    """What the context check reads of a group engine: its view id and
+    its delivered vector, packed member -> count."""
 
     def __init__(self, view_id, counts):
         self.installed = True
-        self.view = SimpleNamespace(view_id=view_id)
-        self.causal = SimpleNamespace(delivered=VectorClock(),
-                                      delivered_packed={})
+        self.new_view(view_id)
         for member, count in counts.items():
-            self.deliver(member, count)
+            self.deliver(member.pack(), count)
 
     def deliver(self, member, count):
-        self.causal.delivered.set(member, count)
-        self.causal.delivered_packed[member.pack()] = count
+        self.causal.delivered[member] = count
 
     def new_view(self, view_id):
         self.view = SimpleNamespace(view_id=view_id)
-        self.causal = SimpleNamespace(delivered=VectorClock(),
-                                      delivered_packed={})
+        self.causal = SimpleNamespace(delivered={})
+
+
+def _local_vectors(kernel, here=None):
+    """The view id and delivered vector of every group installed at
+    ``kernel``, addresses unpacked: what :func:`reference.walk_context`
+    takes.  ``here``, if given, stands in for HERE's vector."""
+    local = {}
+    for gid, group in kernel.engines.items():
+        if group.installed and group.view is not None:
+            local[gid] = (group.view.view_id, VectorClock(
+                {Address.unpack(m): c
+                 for m, c in group.causal.delivered.items()}))
+    if here is not None:
+        local[HERE] = (local[HERE][0], here)
+    return local
 
 
 def _install(kernel, gid, view_id, counts):
@@ -433,7 +446,7 @@ def _install_receiver(kernel, gid, sink):
         delta_check=lambda chain, delta, key:
             kernel.check_delta_and_register(chain, delta, (gid, key)),
         on_advance=lambda sender, seq:
-            kernel.note_causal_advance(gid, sender, seq),
+            kernel.note_causal_advance(gid.pack(), sender, seq),
         on_refuse=lambda: kernel.sim.trace.bump("pipeline.bad_message"))
     kernel._group_installs += 1
     kernel.engines[gid] = SimpleNamespace(
@@ -501,7 +514,8 @@ def _draw_stream(data, view_id):
 class _ReceiverPair:
     """One kernel's HERE receiver twice over the same inputs: the
     library's, wired to the real context check and WaitIndex, and the
-    scan, given the delivery rule as a plain walk of the whole context."""
+    scan, given the delivery rule as the reference walk of the whole
+    context."""
 
     def __init__(self):
         self.kernel = kernel = IsisCluster(n_sites=1, seed=0).kernel(0)
@@ -513,17 +527,8 @@ class _ReceiverPair:
             _install(kernel, gid, 1, {})
 
     def _satisfied(self, context):
-        for gid, (view_id, vc) in context.items():
-            group = self.kernel.engines.get(gid)
-            if group is None:
-                continue            # not a member: cannot wait
-            have = (self.scan.delivered if gid == HERE
-                    else group.causal.delivered)
-            if group.view.view_id < view_id:
-                return False
-            if group.view.view_id == view_id and not have.dominates(vc):
-                return False
-        return True
+        return reference.walk_context(
+            context, _local_vectors(self.kernel, here=self.scan.delivered))[0]
 
     def offer(self, msg):
         self.got += self.engine.offer(msg, causal_fields(msg))
@@ -538,10 +543,11 @@ class _ReceiverPair:
             group.new_view(group.view.view_id + 1)
             self.kernel.note_group_view_event(gid)
         else:
-            for seq in range(group.causal.delivered.get(member) + 1,
+            member = member.pack()
+            for seq in range(group.causal.delivered.get(member, 0) + 1,
                              count + 1):
                 group.deliver(member, seq)
-                self.kernel.note_causal_advance(gid, member, seq)
+                self.kernel.note_causal_advance(gid.pack(), member, seq)
         self.kernel.recheck_causal()
         self.want += self.scan.recheck()
 
@@ -550,7 +556,6 @@ class _ReceiverPair:
         self.view_id += 1
         self.kernel.engines[HERE].view = SimpleNamespace(view_id=self.view_id)
         self.engine.on_new_view()
-        self.kernel.wait_index.purge_engine(HERE)
         self.kernel.note_group_view_event(HERE)
         self.scan.on_new_view()
 
@@ -683,26 +688,39 @@ def test_total_order_heap_matches_min_scan(data):
 
 
 # ----------------------------------------------------------------------
-# Delta-only context check == full walk of the absolute context
+# Delta-only context check == the reference walk of the absolute context
 # ----------------------------------------------------------------------
-#: The two evaluations of one message, as WaitIndex waiters.
-DELTA_WAITER = (CTX_GROUPS[0], (CTX_MEMBERS[0], 1))
-WALK_WAITER = (CTX_GROUPS[0], (CTX_MEMBERS[0], 2))
+#: The evaluated message, as a WaitIndex waiter.
+WAITER = (CTX_GROUPS[0], (CTX_MEMBERS[0].pack(), 1))
 
 
-def _slot(kernel, waiter):
-    return kernel.wait_index._slots.get(waiter)
+def _slot(kernel):
+    """Where the waiter waits: ``(packed gid, (packed member, count))``,
+    ``(packed gid, None)`` for a view, or None."""
+    return kernel.wait_index._slots.get(WAITER)
+
+
+def _packed(threshold):
+    """A :data:`reference.Threshold` as the kernel's wait index keys it."""
+    if threshold is None:
+        return None
+    gid, counter = threshold
+    if counter is None:
+        return gid.pack(), None
+    return gid.pack(), (counter[0].pack(), counter[1])
 
 
 def _check_both_ways(kernel, chain, data, absolute):
-    """One evaluation of one message: delta-only on the chain, full walk
-    on the rebuilt absolute context.  Same verdict, same threshold."""
+    """One evaluation of one message: the kernel's check on the chain,
+    and the reference walk of the rebuilt absolute context.  Same
+    verdict, same threshold."""
     delta = parse_context_delta(data)
-    by_delta = kernel.check_delta_and_register(chain, delta, DELTA_WAITER)
-    by_walk = kernel.check_context_and_register(absolute, WALK_WAITER)
-    assert by_delta == by_walk
-    assert _slot(kernel, DELTA_WAITER) == _slot(kernel, WALK_WAITER)
-    return by_delta, delta
+    satisfied = kernel.check_delta_and_register(chain, delta, WAITER)
+    walked, threshold = reference.walk_context(absolute,
+                                               _local_vectors(kernel))
+    assert satisfied == walked
+    assert _slot(kernel) == _packed(threshold)
+    return satisfied, delta
 
 
 counts_st = st.dictionaries(st.sampled_from(CTX_MEMBERS), st.integers(1, 6))
@@ -714,6 +732,8 @@ context_st = st.dictionaries(
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_delta_only_check_matches_full_walk(data):
+    """The kernel's one check — on the delta, or after a group install
+    on the advanced chain taken as a head — against the reference walk."""
     system = IsisCluster(n_sites=1, seed=0)
     kernel = system.kernel(0)
     # The receiver: member of some groups, its view of each behind, level
@@ -750,7 +770,8 @@ def test_delta_only_check_matches_full_walk(data):
             satisfied, delta = _check_both_ways(kernel, chain, wire, rebuilt)
             if satisfied:
                 break
-            gid, counter = _slot(kernel, DELTA_WAITER)
+            packed_gid, counter = _slot(kernel)
+            gid = Address.unpack(packed_gid)
             group = kernel.engines[gid]
             if counter is None:
                 group.new_view(rebuilt[gid][0])
@@ -777,7 +798,9 @@ def test_delta_only_check_matches_full_walk(data):
 
 def test_group_installed_mid_chain_forces_one_full_walk():
     """The delta-only check's one exception: an entry skipped as "not a
-    member" when the predecessor was checked, testable now."""
+    member" when the predecessor was checked, testable now.  The same
+    check runs over the whole advanced chain, counted as a full walk and
+    not as delta entries."""
     system = IsisCluster(n_sites=1, seed=0)
     kernel = system.kernel(0)
     g_here, g_late = CTX_GROUPS[:2]
@@ -801,9 +824,10 @@ def test_group_installed_mid_chain_forces_one_full_walk():
         kernel, chain, wire2, reference.decode_context_compact(
             wire2, reference.decode_context_compact(wire)))
     assert not satisfied
-    assert _slot(kernel, DELTA_WAITER) == (g_late, (m, 5))
+    assert _slot(kernel) == (g_late.pack(), (m.pack(), 5))
     assert kernel.counters.value("causal.ctx_full_walks") == 1
-    kernel.engines[g_late].deliver(m, 5)
+    assert kernel.counters.value("causal.ctx_delta_entries") == 2
+    kernel.engines[g_late].deliver(m.pack(), 5)
     satisfied, delta = _check_both_ways(
         kernel, chain, wire2, reference.decode_context_compact(
             wire2, reference.decode_context_compact(wire)))
@@ -812,6 +836,7 @@ def test_group_installed_mid_chain_forces_one_full_walk():
     _check_both_ways(kernel, chain, wire2, reference.decode_context_compact(
         wire2, reference.decode_context_compact(wire)))
     assert kernel.counters.value("causal.ctx_full_walks") == 2
+    assert kernel.counters.value("causal.ctx_delta_entries") == 2
 
 
 # ----------------------------------------------------------------------
@@ -847,8 +872,8 @@ def test_position_naming_nothing_is_dropped_whoever_rechecks(caller, moved):
         kernel.recheck_causal(exclude=first)
 
     def r_delivers():
-        kernel.engines[second].deliver(r, 1)
-        kernel.note_causal_advance(second, r, 1)
+        kernel.engines[second].deliver(r.pack(), 1)
+        kernel.note_causal_advance(second.pack(), r.pack(), 1)
 
     if caller == "offer":
         r_delivers()
@@ -870,8 +895,8 @@ def test_position_naming_nothing_is_dropped_whoever_rechecks(caller, moved):
     # Everything is where the head's delivery left it.
     assert [m["tag"] for m in receiver.pending_messages()] == ["after"]
     assert not receiver._ready and not receiver._ready_set
-    assert receiver.delivered_packed == {q.pack(): 1}
-    held = reference.unpacked_context(receiver._chains[q].context)
+    assert receiver.delivered == {q.pack(): 1}
+    held = reference.unpacked_context(receiver._chains[q.pack()].context)
     assert list(held) == [second] and held[second] == context[second]
     assert len(kernel.wait_index) == 0
     assert receiver.recheck() == []

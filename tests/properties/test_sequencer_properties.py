@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_causal as reference
+from reference_causal import VectorClock
 from repro import IsisCluster, IsisConfig
 from repro.core.vectorclock import (
     ChainContext,
     ContextEncoder,
-    VectorClock,
     apply_context_delta,
     check_delta_positions,
     parse_context_delta,

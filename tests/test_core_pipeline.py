@@ -3,10 +3,11 @@
 import pytest
 
 import reference_causal as reference
+from reference_causal import VectorClock
 from repro import IsisCluster, IsisConfig, Message
 from repro.core import kernel as kernel_mod
 from repro.core import pipeline as pipeline_mod
-from repro.core.vectorclock import ContextEncoder, VectorClock
+from repro.core.vectorclock import ContextEncoder
 from repro.msg import make_group_address, make_process_address
 from repro.msg.fields import decode_stab, encode_stab
 from repro.msg.message import unpack_batch

@@ -3,12 +3,12 @@
 import pytest
 
 import reference_causal as reference
+from reference_causal import VectorClock
 from repro import IsisCluster, IsisConfig, Message
 from repro.core.abcast import UNSTAMPED_BASE, SequencerReceiver
 from repro.core.vectorclock import (
     ChainContext,
     ContextEncoder,
-    VectorClock,
     apply_context_delta,
     check_delta_positions,
     parse_context_delta,

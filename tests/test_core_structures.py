@@ -3,12 +3,13 @@
 import pytest
 
 import reference_causal as reference
+from reference_causal import VectorClock
 from repro.errors import CodecError, GroupError
 from repro.msg import Message, make_group_address, make_process_address
 from repro.core.abcast import TotalOrderReceiver, TotalOrderSender
 from repro.core.cbcast import CausalReceiver, causal_fields
 from repro.core.store import MessageStore
-from repro.core.vectorclock import ContextEncoder, VectorClock
+from repro.core.vectorclock import ContextEncoder
 from repro.core.view import View
 
 GID = make_group_address(0, 1)
@@ -239,11 +240,11 @@ class TestCausalReceiver:
         vc = VectorClock()
         vc.set(P1, 1)
         assert rx.offer(_cb(P0, 1, ctx={GID: (1, vc)})) == []
-        assert blocked == [(P0, 1)]
+        assert blocked == [(P0.pack(), 1)]
         ok["now"] = True
         assert rx.recheck() == []           # nothing marked: nothing walked
-        assert rx.mark_candidate((P0, 1))
-        assert not rx.mark_candidate((P0, 1))       # already marked
+        assert rx.mark_candidate((P0.pack(), 1))
+        assert not rx.mark_candidate((P0.pack(), 1))    # already marked
         assert len(rx.recheck()) == 1
 
     def test_new_view_resets(self, make_rx):
@@ -252,7 +253,7 @@ class TestCausalReceiver:
         rx.offer(_cb(P1, 2, prev={}))  # stuck on gap
         rx.on_new_view()
         assert rx.pending_count == 0
-        assert rx.delivered.get(P0) == 0
+        assert len(rx.delivered) == 0
         # Sequence numbers restart in the new view.
         assert len(rx.offer(_cb(P0, 1))) == 1
 
@@ -315,9 +316,9 @@ class TestCausalReceiver:
         assert [m["cb_seq"] for m in rx.offer(head)] == [1]
         assert rx.refused == [1]
         # The chain is the head's, the successor still waits its turn.
-        chain = rx._chains[P0]
+        chain = rx._chains[P0.pack()]
         assert reference.unpacked_context(chain.context) == {GID: (1, vc)}
-        assert rx.delivered_packed == {P0.pack(): 1}
+        assert rx.delivered == {P0.pack(): 1}
         assert [m["cb_seq"] for m in rx.pending_messages()] == [3]
         assert rx.recheck() == [] and not rx._ready
 

@@ -12,15 +12,20 @@ from repro import IsisCluster
 from repro.core.kernel import WaitIndex
 from repro.msg.address import make_group_address, make_process_address
 
-G1 = make_group_address(0, 1)
-G2 = make_group_address(0, 2)
-M1 = make_process_address(1, 0, 7)
-M2 = make_process_address(2, 0, 9)
+#: Watched groups and members are packed, as a ``cb_ctx`` names them.
+G1 = make_group_address(0, 1).pack()
+G2 = make_group_address(0, 2).pack()
+M1 = make_process_address(1, 0, 7).pack()
+M2 = make_process_address(2, 0, 9).pack()
+#: The engines holding blocked messages, as the kernel keys its engines.
+E1 = make_group_address(0, 1)
+E2 = make_group_address(0, 2)
 
-#: waiter = (gid of the engine holding the blocked message, (sender, seq))
-W1 = (G2, (M1, 1))
-W2 = (G2, (M1, 2))
-W3 = (G1, (M2, 5))
+#: waiter = (gid of the engine holding the blocked message, (packed
+#: sender, seq))
+W1 = (E2, (M1, 1))
+W2 = (E2, (M1, 2))
+W3 = (E1, (M2, 5))
 
 
 class TestWaitIndex:
@@ -37,7 +42,7 @@ class TestWaitIndex:
         wi.register_counter(G1, M1, 3, W1)
         # Re-evaluation found a different failing threshold: slot moves.
         wi.register_counter(G1, M2, 5, W1)
-        assert len(wi) == 1
+        assert len(wi) == 1 and wi._slots[W1] == (G1, (M2, 5))
         assert wi.on_advance(G1, M1, 3) == []
         assert wi.on_advance(G1, M2, 5) == [W1]
 
@@ -53,9 +58,9 @@ class TestWaitIndex:
 
     def test_purge_engine_drops_only_its_registrations(self):
         wi = WaitIndex()
-        wi.register_counter(G1, M1, 3, W1)   # waiter of engine G2
-        wi.register_counter(G2, M2, 2, W3)   # waiter of engine G1
-        wi.purge_engine(G2)
+        wi.register_counter(G1, M1, 3, W1)   # waiter of engine E2
+        wi.register_counter(G2, M2, 2, W3)   # waiter of engine E1
+        wi.purge_engine(E2)
         assert len(wi) == 1
         assert wi.on_advance(G2, M2, 2) == [W3]
         assert wi.on_advance(G1, M1, 3) == []
@@ -73,7 +78,7 @@ class TestWaitIndex:
         wi = WaitIndex()
         wi.register_counter(G1, M1, 3, W1)
         wi.register_view(G2, W1)
-        assert len(wi) == 1
+        assert len(wi) == 1 and wi._slots[W1] == (G2, None)
         assert wi.on_advance(G1, M1, 3) == []
         assert wi.on_view_event(G2) == [W1]
 

@@ -235,6 +235,18 @@ def _next(moved, have):
     _next(b"\x00\x02\x01\x02\x00\x02\x00", have={0: 1}),
     _next(b"\x01\x01\x00\x02\x00", have={0: 2}),
     _next(b"\x00\x01\x01\x02\x00", have={0: 2}),
+    # A join or state-transfer request names its group, joiner and
+    # source by address, a state chunk its place in the stream by
+    # integers: parsed before any join state, stream buffer or timer.
+    dict(_proto="st.chunk", xid=1, idx=0, n=1, data=b"x", without="gid"),
+    dict(_proto="st.chunk", xid=1, idx="0", n=1, data=b"x"),
+    dict(_proto="st.data", segments={}, without="gid"),
+    dict(_proto="st.data", segments={"s": [1]}),
+    dict(_proto="st.req"),                          # no joiner
+    dict(_proto="st.req", gid=5, joiner=_SENDER),
+    dict(_proto="st.send", joiner=_SENDER),         # no source
+    dict(_proto="g.join"),                          # no joiner
+    dict(_proto="g.join", joiner=7),
 ])
 def test_misshapen_stability_note_counted_not_fatal(fields):
     """A well-formed message of the wrong shape is outside input like
@@ -259,13 +271,18 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
     counter = fields.pop("counter", None) or (
         "flush.bad_message" if proto.startswith("g.fl.")
         else "stability.bad_note" if proto.startswith("g.stab.")
+        else "kernel.bad_message" if proto in ("g.join", "st.chunk",
+                                               "st.data", "st.req", "st.send")
         else "pipeline.bad_message")
     have = fields.pop("have", None)
     before = fields.pop("before", None)
     if before is not None:
         system.kernel(0).send_to_site(1, Message(gid=box["gid"], **before))
     via_batch = fields.pop("via_batch", False)
-    msg = Message(gid=box["gid"], **fields)
+    without = fields.pop("without", None)
+    msg = Message(**{"gid": box["gid"], **fields})
+    if without is not None:
+        del msg[without]
     if via_batch:       # the only way in for an envelope of another tag
         msg = Message(_proto="g.batch", gid=box["gid"], envs=[msg.encode()])
     system.kernel(0).send_to_site(1, msg)
@@ -276,11 +293,11 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
         engine = system.kernel(1).engines[box["gid"].process()]
         assert engine.store.have_vector() == have
         assert engine.causal.pending_count == 0
-        assert engine.causal.delivered_packed == (
+        assert engine.causal.delivered == (
             {_SENDER.pack(): 1} if before else {})
         assert len(system.kernel(1).wait_index) == 0
         if before:      # the chain is as the head left it
-            chain = engine.causal._chains[_SENDER.process()]
+            chain = engine.causal._chains[_SENDER.pack()]
             assert [entry[1:] for entry in chain.context.entries()] == [
                 (1, (_SENDER.pack(),), [1])]
 
