@@ -30,14 +30,12 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Set, Tuple
 
 from ..errors import CodecError
-from ..msg.address import Address
-from ..msg.message import Message, fields_reader
+from ..msg.message import Message
 from .vectorclock import (
     ChainContext,
     ContextDelta,
     apply_context_delta,
     check_delta_positions,
-    parse_context_delta,
 )
 
 #: A pending CBCAST is identified by (packed sender process, per-view
@@ -45,32 +43,10 @@ from .vectorclock import (
 PendingKey = Tuple[bytes, int]
 
 
-#: What a ``g.cb`` adds to a data envelope: who sent it, its number in
-#: that sender's stream, and what the sender had delivered by then.
+#: What a ``g.cb`` adds to a data envelope (``msg/wire.py`` parses it):
+#: who sent it, its number in that sender's stream, and what the sender
+#: had delivered by then.
 CausalFields = Tuple[PendingKey, ContextDelta]
-
-_read_causal = fields_reader("cb_sender", "cb_seq", "cb_ctx")
-
-
-def causal_fields(msg: Message) -> CausalFields:
-    """What a ``g.cb`` off the wire says of its place in causal order:
-    its pending key and its ``cb_ctx``, parsed.  A sender that is not an
-    address, a sequence number that is not a positive integer, a context
-    that is absent, not bytes or does not parse, or a delta with no
-    predecessor to chain from is :class:`CodecError`.
-    """
-    sender, seq, raw = _read_causal(msg)
-    if not isinstance(sender, Address):
-        raise CodecError(f"cb_sender is not an address: {sender!r}")
-    if seq.__class__ is not int or seq < 1:
-        raise CodecError(f"cb_seq is not a sequence number: {seq!r}")
-    if not isinstance(raw, (bytes, bytearray)):
-        raise CodecError(f"cb_ctx is not a compact context: {raw!r}")
-    delta = parse_context_delta(bytes(raw))
-    if seq == 1 and not delta.full:
-        raise CodecError("delta context without a predecessor")
-    return (sender.process().pack(), seq), delta
-
 
 class SenderChain:
     """One sender's ``cb_ctx`` delta chain at one receiver."""
@@ -143,8 +119,8 @@ class CausalReceiver:
         self.peak_pending = 0
 
     def offer(self, msg: Message, causal: CausalFields) -> List[Message]:
-        """Feed one received CBCAST, with its :func:`causal_fields`;
-        return messages now deliverable, in order."""
+        """Feed one received CBCAST, with its causal fields; return
+        messages now deliverable, in order."""
         key, delta = causal
         if key in self._pending:
             return []

@@ -27,40 +27,26 @@ multicast data path through the layered
   requests, and pushes view updates to watcher sites (client kernels
   with sessions or monitors on the group).
 
-Wire protocol (all messages carry ``gid``; ``stab`` is the one form a
-stability have-vector takes — a blob: view id, ABCAST delivery floor,
-have-vector, see ``msg/fields.py`` — optional on data, the whole
-content of a ``g.stab.*`` note):
+Wire protocol (each message's fields: its row in ``msg/wire.py``):
 
 ======================= ======================================================
-``g.cb`` / ``g.ab``     data envelope (view, origin, gseq, payload ``m``;
-                        unbatched: + ``stab``)
-``g.batch``             several same-destination data envelopes packed into
-                        one wire message (+ one ``stab`` for the batch)
-``g.abp`` / ``g.abf``   ABCAST proposal / final priority (``ref``, ``prio``)
-``g.abs``               sequencer mode: batched order stamps from the token
-                        site (``view``, ``stamps=[[origin, gseq, seq],
-                        ...]``)
-``g.fl.begin``          wedge request (fid, ``base_b`` = expected union)
+``g.cb`` / ``g.ab``     data envelope; ``g.batch`` packs several
+``g.abp`` / ``g.abf``   ABCAST proposal / final priority
+``g.abs``               sequencer mode: order stamps from the token site
+``g.fl.begin``          wedge request, announcing the expected union
 ``g.fl.ok``             participant report: have-vector + ABCAST state;
                         unsolicited (``pre``) after a site death
-``g.fl.expect``         union cut a refilled site must reach (``union_b``)
+``g.fl.expect``         union cut a refilled site must reach
 ``g.fl.pull``           coordinator→holder: forward these tags to that site
 ``g.fl.data``           holder→needy: the messages themselves
 ``g.fl.filled``         needy→coordinator: I hold the union now
 ``g.fl.commit``         the cut order + the event (view / payload)
-``g.fl.okb``            tree mode: pre-reports aggregated up the spanning
-                        tree (``root``, ``reports=[[site, bytes], ...]``)
-``g.stab.q``            flat: the coordinator asks an idle group's members
-``g.stab.a``            a site's own ``stab``: the answer to ``g.stab.q``,
-                        and unsolicited every 32 receptions under traffic
-``g.stab.up``           tree: a subtree's minimum, one hop rootward
-                        (``stab``, ``n`` = sites covered)
-``g.stab.dn``           the stable cut (``stab``): from the coordinator to
-                        every member, or relayed down the tree
-``g.tr``                tree mode: relayed wrapper around a data envelope,
-                        batch, or stamp note (``view``, ``root``, ``tid``,
-                        ``inner``)
+``g.fl.okb``            tree mode: pre-reports aggregated up the tree
+``g.stab.q`` / ``.a``   flat: the coordinator's round for an idle group, and
+                        a site's ``stab`` (also unsolicited under traffic)
+``g.stab.up`` / ``.dn`` tree: a subtree's minimum rootward; the stable cut
+``g.tr``                tree mode: relayed wrapper around any of the above
+                        pipeline messages
 ======================= ======================================================
 """
 
@@ -68,15 +54,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
-from ..errors import CodecError, GroupError
 from ..msg.address import Address
 from ..msg.fields import (
     apply_have_diff,
-    decode_have_vector,
     encode_have_vector,
     exact_diff_have_vector,
 )
-from ..msg.message import Message, bytes_field, int_tuple
+from ..msg.message import Message
 from ..sim.core import Timer
 from .flush import FlushCoordinator, FlushId, FlushReason
 from .pipeline import DeliveryPipeline
@@ -97,12 +81,6 @@ PREREPORT_GRACE = 0.25
 #: forwards them one hop rootward as a ``g.fl.okb`` batch.  A few of
 #: these fit well inside :data:`PREREPORT_GRACE`.
 OKB_WINDOW = 0.06
-
-
-def _fid(msg: Message) -> FlushId:
-    """The flush id a ``g.fl.*`` message names: three integers.  Outside
-    input, so any other shape is a :class:`CodecError`."""
-    return int_tuple(msg.get("fid"), 3)
 
 
 class GroupEngine:
@@ -255,35 +233,10 @@ class GroupEngine:
         self.pipeline.process(env)
 
     # ------------------------------------------------------------------
-    # Receive dispatch
+    # Receive: the kernel routes each ``g.fl.*`` record to its
+    # ``_on_flush_*`` handler below; a flush message this site sends
+    # itself takes the same path (``kernel._dispatch``).
     # ------------------------------------------------------------------
-    def handle(self, src_site: int, msg: Message) -> None:
-        proto = msg["_proto"]
-        if proto in DeliveryPipeline.HANDLERS:
-            self.pipeline.receive(src_site, proto, msg)
-            return
-        try:
-            if proto == "g.fl.begin":
-                self._on_flush_begin(src_site, msg)
-            elif proto == "g.fl.ok":
-                self._on_flush_ok(src_site, msg)
-            elif proto == "g.fl.expect":
-                self._on_flush_expect(msg)
-            elif proto == "g.fl.pull":
-                self._on_flush_pull(msg)
-            elif proto == "g.fl.data":
-                self._on_flush_data(msg)
-            elif proto == "g.fl.filled":
-                self._on_flush_filled(src_site, msg)
-            elif proto == "g.fl.commit":
-                self._on_flush_commit(msg)
-            elif proto == "g.fl.okb":
-                self._on_flush_okb(src_site, msg)
-            else:
-                self.sim.trace.bump("engine.unknown_proto")
-        except CodecError:  # wrong shape: each handler parses its fid first
-            self.sim.trace.bump("flush.bad_message")
-
     # -- delivery to local members ---------------------------------------------
     def note_final_delivered(self, ref: Tuple[int, int],
                              final: Tuple[int, int]) -> None:
@@ -515,21 +468,21 @@ class GroupEngine:
                     self.sim.trace.bump("flush.reports_reused")
         self.maybe_start_flush()
 
-    def _on_flush_ok(self, src_site: int, msg: Message) -> None:
-        """A report that came direct (or is our own)."""
-        try:
-            report = self._decode_report(msg)
-        except CodecError:
-            self.sim.trace.bump("flush.bad_report")
-            return
-        self._take_report(src_site, *report)
+    def _on_flush_ok(self, src_site: int, record: tuple) -> None:
+        """One report, direct, our own or out of a ``g.fl.okb``: taken
+        if solicited, stashed if a pre-report, else stale.
 
-    def _take_report(self, src_site: int, fid: FlushId,
-                     have: Dict[int, int], abp: List[Dict],
-                     abd: List) -> None:
-        """Route one decoded ``g.fl.ok``: solicited, pre-report or stale."""
+        ``have_b`` is a full vector (pre-reports and full rounds),
+        ``have_d`` an exact diff against the base union that the active
+        flush announced in ``g.fl.begin``.
+        """
+        _, _, fid, abp, abd, have, have_d, _pre = record
         active = self._active
-        if active is not None and active.flush_id == fid:
+        current = active is not None and active.flush_id == fid
+        if have_d is not None:
+            have = apply_have_diff(active.base or {} if current else {},
+                                   have_d)
+        if current:
             self._offer_report(src_site, have, abp, abd)
             return
         if fid[1] != 0 or fid[2] != self.site_id:
@@ -543,35 +496,8 @@ class GroupEngine:
             self._pre_reports.setdefault(fid[0], {}).setdefault(
                 src_site, (have, abp, abd))
 
-    def _decode_report(self, msg: Message) -> Tuple:
-        """``(fid, have, ab_pending, ab_delivered)`` of one ``g.fl.ok``.
-
-        ``have_b`` is a varint-compact full vector (pre-reports and full
-        rounds), ``have_d`` an exact diff against the base union that
-        the active flush announced in ``g.fl.begin``.  A report is
-        outside input: any other shape is a :class:`CodecError`.
-        """
-        fid = _fid(msg)
-        try:
-            if "have_d" in msg:
-                active = self._active
-                base = (active.base if active is not None
-                        and active.flush_id == fid else None)
-                have = apply_have_diff(
-                    base or {}, decode_have_vector(bytes(msg["have_d"])))
-            else:
-                have = decode_have_vector(bytes(msg["have_b"]))
-            abp = [{"ref": [e["ref"][0], e["ref"][1]],
-                    "prio": [e["prio"][0], e["prio"][1]],
-                    "final": bool(e["final"])} for e in msg["abp"]]
-            abd = [[(r[0][0], r[0][1]), (r[1][0], r[1][1])]
-                   for r in msg["abd"]]
-        except (KeyError, IndexError, TypeError) as err:
-            raise CodecError(f"malformed g.fl.ok: {err!r}") from None
-        return fid, have, abp, abd
-
     def _offer_report(self, site: int, have: Dict[int, int],
-                      ab_pending: List[Dict], ab_delivered: List) -> None:
+                      ab_pending: List, ab_delivered: List) -> None:
         assert self._active is not None
         if self._active.offer_report(site, have, ab_pending, ab_delivered):
             self._start_fill_phase()
@@ -591,7 +517,7 @@ class GroupEngine:
         )
         for site in active.member_sites - complete:
             if site == self.site_id:
-                self._on_flush_expect(expect)
+                self.kernel._dispatch(site, expect)
             else:
                 self._send_flush_msg(site, expect)
         for holder, sends in pulls.items():
@@ -601,7 +527,7 @@ class GroupEngine:
                 sends=[list(s) for s in sends],
             )
             if holder == self.site_id:
-                self._on_flush_pull(pull)
+                self.kernel._dispatch(holder, pull)
             else:
                 self._send_flush_msg(holder, pull)
         for site in complete:
@@ -613,8 +539,8 @@ class GroupEngine:
         if self._active.note_filled(site):
             self._commit_flush()
 
-    def _on_flush_filled(self, src_site: int, msg: Message) -> None:
-        fid = _fid(msg)
+    def _on_flush_filled(self, src_site: int, record: tuple) -> None:
+        fid = record[2]
         if self._active is not None and self._active.flush_id == fid:
             self._note_filled(src_site)
 
@@ -662,8 +588,8 @@ class GroupEngine:
             if site != self.site_id:
                 self._send_flush_msg(site, commit)
         self._active = None
-        self.kernel.on_flush_committed(self, active, new_view, event)
-        self._on_flush_commit(commit)
+        self.kernel.on_flush_committed(self, new_view, joiners, transfer)
+        self.kernel._dispatch(self.site_id, commit)
         self.maybe_start_flush()
 
     # ------------------------------------------------------------------
@@ -680,8 +606,8 @@ class GroupEngine:
         # their reports shrinks the refill the coordinator must arrange.
         self.pipeline.on_wedge()
 
-    def _on_flush_begin(self, src_site: int, msg: Message) -> None:
-        fid = _fid(msg)
+    def _on_flush_begin(self, src_site: int, record: tuple) -> None:
+        _, _, fid, base = record
         if fid < self._participant_fid:
             # A lower fid is normally a stale coordinator's — unless it
             # comes from the *current* acting coordinator targeting the
@@ -692,8 +618,8 @@ class GroupEngine:
                     or fid[0] < self._participant_fid[0]):
                 return
         self._wedge(fid)
-        if "base_b" in msg:
-            self._begin_base = decode_have_vector(bytes(msg["base_b"]))
+        if base is not None:
+            self._begin_base = base
         self._send_flush_ok(src_site, fid)
 
     def _send_flush_ok(self, to_site: int, fid: FlushId,
@@ -715,7 +641,7 @@ class GroupEngine:
         if pre:
             report["pre"] = True
         if to_site == self.site_id:
-            self._on_flush_ok(self.site_id, report)
+            self.kernel._dispatch(to_site, report)
         elif pre and self.kernel.config.dissemination == "tree":
             # Pre-reports aggregate up the coordinator-rooted tree so
             # the coordinator's fan-in is O(fanout) batches, not n-1
@@ -749,12 +675,9 @@ class GroupEngine:
                 # We are the root ourselves (coordinator duties moved to
                 # us mid-wave) or the tree is unknown: finish direct.
                 for src, raw in reports:
-                    try:
-                        report = Message.decode(bytes(raw))
-                    except CodecError:
-                        continue
+                    report = Message.decode(raw)
                     if root == self.site_id:
-                        self._on_flush_ok(src, report)
+                        self.kernel._dispatch(src, report)
                     else:
                         self._send_flush_msg(root, report)
                 continue
@@ -763,27 +686,22 @@ class GroupEngine:
             self.sim.trace.bump("flush.okb_sent")
             self._send_flush_msg(parent, batch)
 
-    def _on_flush_okb(self, src_site: int, msg: Message) -> None:
-        """Aggregated pre-reports arrived: unpack at the root, else relay."""
-        root = msg["root"]
+    def _on_flush_okb(self, src_site: int, record: tuple) -> None:
+        """Aggregated pre-reports arrived: take them at the root, else
+        relay them as they came."""
+        _, _, root, reports = record
         if root == self.site_id:
-            for src, raw in msg["reports"]:
-                try:
-                    report = self._decode_report(Message.decode(bytes(raw)))
-                except CodecError:
-                    self.sim.trace.bump("flush.okb_bad_report")
-                    continue
-                self._take_report(src, *report)
+            for src, report in reports:
+                self._on_flush_ok(src, report)
             return
         # Interior relay: coalesce with whatever we are already holding
         # (our own pre-report typically rides the same batch upward).
         self.sim.trace.bump("flush.okb_relayed")
-        for src, raw in msg["reports"]:
-            self._okb_enqueue(root, src, raw)
+        for src, report in reports:
+            self._okb_enqueue(root, src, report[0].encode())
 
-    def _on_flush_expect(self, msg: Message) -> None:
-        fid = _fid(msg)
-        union = decode_have_vector(bytes_field(msg, "union_b"))
+    def _on_flush_expect(self, src_site: int, record: tuple) -> None:
+        _, _, fid, union = record
         if fid != self._participant_fid:
             # A coordinator that consumed our unsolicited pre-report
             # (attempt 0) runs its flush under a higher fid than the one
@@ -801,10 +719,11 @@ class GroupEngine:
         self._expect_union = union
         self._check_filled(fid)
 
-    def _on_flush_pull(self, msg: Message) -> None:
-        fid = list(_fid(msg))
+    def _on_flush_pull(self, src_site: int, record: tuple) -> None:
+        _, _, fid, sends = record
+        fid = list(fid)
         batches: Dict[int, List[Message]] = {}
-        for origin, gseq, needy in ((s[0], s[1], s[2]) for s in msg["sends"]):
+        for origin, gseq, needy in sends:
             held = self.store.get(origin, gseq)
             if held is not None:
                 batches.setdefault(needy, []).append(held)
@@ -814,14 +733,14 @@ class GroupEngine:
             nbytes = sum(env.size_bytes for env in envs)
             self.kernel.counters.bump("flush.refill_bytes", nbytes)
             if needy == self.site_id:
-                self._on_flush_data(data)
+                self.kernel._dispatch(needy, data)
             else:
                 self._send_flush_msg(needy, data)
 
-    def _on_flush_data(self, msg: Message) -> None:
-        fid = _fid(msg)
-        for env in msg["msgs"]:
-            self.pipeline.accept_refill(env)
+    def _on_flush_data(self, src_site: int, record: tuple) -> None:
+        _, _, fid, envelopes = record
+        for envelope in envelopes:
+            self.pipeline.accept_refill(envelope)
         self._check_filled(fid)
 
     def maybe_flush_filled(self) -> None:
@@ -837,17 +756,17 @@ class GroupEngine:
         filled = Message(_proto="g.fl.filled", gid=self.gid, fid=list(fid))
         coordinator_site = fid[2]
         if coordinator_site == self.site_id:
-            self._on_flush_filled(self.site_id, filled)
+            self.kernel._dispatch(coordinator_site, filled)
         else:
             self._send_flush_msg(coordinator_site, filled)
         self._expect_union = None
 
-    def _on_flush_commit(self, msg: Message) -> None:
-        _fid(msg)  # shape only: the view id of the event names the flush
+    def _on_flush_commit(self, src_site: int, record: tuple) -> None:
+        # The view id of the event names the flush, not the fid.
+        _, _, _fid, ab_order, event = record
         if self.view is None or not self.installed:
             return
-        event = msg["event"]
-        new_view = View.from_value(event["view"])
+        new_view, payloads = event[0], event[1]
         if new_view.view_id <= self.view.view_id:
             return  # duplicate commit
         old_view = self.view
@@ -860,15 +779,15 @@ class GroupEngine:
             # synchrony fixes.
             self.deliver_env(leftover)
         # 2. Deliver the agreed ABCAST cut.
-        for ready in self.total.force_order(msg["ab_order"]):
+        for ready in self.total.force_order(ab_order):
             self.deliver_env(ready)
         # 3. Deliver GBCAST / configuration payloads.
-        for idx, payload in enumerate(event.get("payloads", [])):
-            user = payload["m"].copy()
+        for idx, (kind, payload, entry) in enumerate(payloads or ()):
+            user = payload.copy()
             user["_group"] = self.gid
             user["_view_id"] = new_view.view_id
-            user["_entry"] = payload["entry"]
-            user["_gb_kind"] = payload["kind"]
+            user["_entry"] = entry
+            user["_gb_kind"] = kind
             self.sim.trace.bump("deliver.gbcast")
             if self.kernel.wal is not None:
                 self.kernel.wal.note_gbcast(self, new_view.view_id, idx, user)

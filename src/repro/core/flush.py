@@ -68,10 +68,14 @@ class FlushReason:
     site_death: bool = False
 
 
+#: An undelivered ABCAST in a report: ``(ref, priority, final?)``.
+Pending = Tuple[Tuple[int, int], Tuple[int, int], bool]
+
+
 @dataclass
 class _SiteReport:
     have: Dict[int, int]
-    ab_pending: List[Dict]
+    ab_pending: List[Pending]
     ab_delivered: List[Tuple[Tuple[int, int], Tuple[int, int]]]
 
 
@@ -109,17 +113,13 @@ class FlushCoordinator:
 
     # -- phase 1: collect reports ------------------------------------------
     def offer_report(self, site: int, have: Dict[int, int],
-                     ab_pending: List[Dict],
+                     ab_pending: List[Pending],
                      ab_delivered: List) -> bool:
-        """Record one FLUSH_OK; True when all reports are in."""
+        """Record one FLUSH_OK (as ``msg/wire.py`` parses it); True when
+        all reports are in."""
         if site not in self.member_sites or self.phase != "collect":
             return False
-        self._reports[site] = _SiteReport(
-            have=have,
-            ab_pending=ab_pending,
-            ab_delivered=[((r[0][0], r[0][1]), (r[1][0], r[1][1]))
-                          for r in ab_delivered],
-        )
+        self._reports[site] = _SiteReport(have, ab_pending, ab_delivered)
         if set(self._reports) == self.member_sites:
             self.union = MessageStore.union(
                 r.have for r in self._reports.values())
@@ -224,10 +224,8 @@ class FlushCoordinator:
         for report in self._reports.values():
             for ref, prio in report.ab_delivered:
                 finals[ref] = prio
-            for entry in report.ab_pending:
-                ref = (entry["ref"][0], entry["ref"][1])
-                prio = (entry["prio"][0], entry["prio"][1])
-                if entry["final"]:
+            for ref, prio, final in report.ab_pending:
+                if final:
                     finals[ref] = prio
                 else:
                     proposals.setdefault(ref, []).append(prio)
@@ -235,8 +233,8 @@ class FlushCoordinator:
         # only if *every* site delivered it; otherwise it must be ordered.
         pending_refs = set(proposals)
         for report in self._reports.values():
-            for entry in report.ab_pending:
-                pending_refs.add((entry["ref"][0], entry["ref"][1]))
+            for ref, _, _ in report.ab_pending:
+                pending_refs.add(ref)
         for ref in list(finals):
             if ref not in pending_refs:
                 if all(

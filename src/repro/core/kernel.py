@@ -26,7 +26,6 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
 
 from ..errors import (
     CodecError,
-    GroupError,
     JoinRefused,
     NoSuchGroup,
     SiteDown,
@@ -35,8 +34,8 @@ from ..fd.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from ..fd.membership import make_membership_policy
 from ..fd.siteview import SiteView, SiteViewAgent, SiteViewConfig
 from ..msg.address import Address, make_group_address
-from ..msg.message import (Message, address_fields, bytes_field, bytes_list,
-                           int_fields)
+from ..msg.message import Message
+from ..msg.wire import PIPELINE, protocols
 from ..runtime.process import IsisProcess
 from ..runtime.site import KERNEL_LOCAL_ID, Site
 from ..sim.core import Timer
@@ -46,13 +45,14 @@ from .engine import ABCAST, CBCAST, GroupEngine
 from .flush import FlushReason
 from .namespace import Namespace
 from .pipeline import STABILITY_INTERVAL
-from .rpc import ALL, SessionTable
+from .rpc import SessionTable
 from .shards import WaiterKey, WaitIndex
 from .vectorclock import (
     ChainContext,
     ContextDelta,
     apply_context_delta,
     first_in_walk_order,
+    parse_context_delta,
 )
 from .view import View
 from .wal import WalManager
@@ -110,15 +110,6 @@ KERNEL_COUNTERS: Dict[str, str] = {
         "transfer.log_assisted_bytes_saved",
     )},
 }
-
-
-def _event_joiners(event: Dict) -> List[Address]:
-    """Joiners a flush commit admitted (legacy single-joiner compat)."""
-    joiners = event.get("joiners")
-    if joiners:
-        return list(joiners)
-    joiner = event.get("joiner")
-    return [joiner] if joiner is not None else []
 
 
 @dataclass
@@ -485,64 +476,30 @@ class ProtocolsProcess:
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
-    #: Requests whose handler parses what it trusts before anything
-    #: moves: a wrong shape is counted (``kernel.bad_message``), dropped.
-    PARSED_FIRST = {
-        "g.join": attrgetter("_on_join_request"),
-        "st.req": attrgetter("_on_state_rerequest"),
-        "st.send": attrgetter("_on_state_send_order"),
-        "st.data": attrgetter("_on_state_data"),
-        "st.chunk": attrgetter("_on_state_chunk"),
-    }
-
     def _dispatch(self, src_site: int, msg: Message) -> None:
+        """Route one message off the wire (or a loopback).
+
+        Every routed protocol is declared in ``msg/wire.py``: the message
+        is parsed against its row before any handler runs, and the
+        handler gets the record.  A wrong shape is refused here, and only
+        here: counted (``kernel.bad_message``) and dropped whole.
+        """
         if not self.alive:
             return
         proto = msg.get("_proto", "")
-        if proto.startswith("sv."):
-            self.agent.handle(src_site, msg)
-        elif proto.startswith("ns."):
-            self.namespace.handle(src_site, msg)
-        elif proto == "rpc.reply":
-            self.sessions.on_reply(
-                msg["session"], msg["responder"], msg["m"], msg["null"])
-        elif proto == "rpc.dispatched":
-            self._fwd_unacked.discard(msg["session"])
-            self.sessions.on_dispatched(msg["session"], msg["members"],
-                                        via_site=msg.get("via"))
-        elif proto in self.PARSED_FIRST:
+        route = _ROUTES.get(proto)
+        if route is not None:
+            read, deliver = route
             try:
-                self.PARSED_FIRST[proto](self)(src_site, msg)
+                deliver(self, src_site, proto, read(msg))
             except CodecError:
                 self.sim.trace.bump("kernel.bad_message")
-        elif proto == "g.join.refused":
-            self._on_join_refused(msg)
-        elif proto == "g.welcome":
-            self._on_welcome(msg)
-        elif proto == "g.dead":
-            self._on_member_dead_notice(msg)
-        elif proto == "g.leave":
-            self._on_leave_request(src_site, msg)
-        elif proto == "g.gb":
-            self._on_gbcast_request(src_site, msg)
-        elif proto == "g.fwd":
-            self._on_forwarded_mcast(src_site, msg)
-        elif proto == "g.fwd.nak":
-            self._on_forward_nak(msg)
-        elif proto == "g.watch":
-            self._on_watch_request(src_site, msg)
-        elif proto == "g.view_update":
-            self._on_view_update(msg)
-        elif proto.startswith("g."):
-            engine = self._engine_for(msg.get("gid"), create=True)
-            if engine is not None:
-                engine.handle(src_site, msg)
-        else:
-            for prefix, handler in self._services.items():
-                if proto.startswith(prefix):
-                    handler(src_site, msg)
-                    return
-            self.sim.trace.bump("kernel.unknown_proto")
+            return
+        for prefix, handler in self._services.items():
+            if proto.startswith(prefix):
+                handler(src_site, msg)
+                return
+        self.sim.trace.bump("kernel.unknown_proto")
 
     def register_service(self, prefix: str,
                          handler: Callable[[int, Message], None]) -> None:
@@ -561,11 +518,13 @@ class ProtocolsProcess:
             self._note_engine(key)
         return engine
 
-    def _coordinating_engine(self, msg: Message) -> Optional[GroupEngine]:
-        """The engine a coordinator-bound request is for, if we are to
-        act on it: not when the group is not installed here (dropped) or
-        its coordinator is at another site (``msg`` relayed there)."""
-        engine = self.engines.get(msg["gid"].process())
+    def _coordinating_engine(self, gid: Address,
+                             msg: Message) -> Optional[GroupEngine]:
+        """The engine of group ``gid`` a coordinator-bound request is
+        for, if we are to act on it: not when the group is not installed
+        here (dropped) or its coordinator is at another site (``msg``
+        relayed there)."""
+        engine = self.engines.get(gid.process())
         if engine is None or not engine.installed or engine.view is None:
             return None
         if not engine.is_coordinator_site():
@@ -765,8 +724,11 @@ class ProtocolsProcess:
             self.sim.call_after, self.site.local_hop_delay, fn, *args)
 
     def on_view_installed(self, engine: GroupEngine, old_view: View,
-                          new_view: View, event: Dict) -> None:
-        """Every member site runs this when a flush commit installs."""
+                          new_view: View, event: tuple) -> None:
+        """Every member site runs this when a flush commit installs;
+        ``event`` is the commit's, parsed (``msg/wire.py``)."""
+        _view, payloads, joiners, transfer, source = event
+        joiners = joiners or []
         gid = engine.gid
         if new_view.members:
             self.contact_cache[gid] = new_view.coordinator().site
@@ -783,10 +745,8 @@ class ProtocolsProcess:
             self._watch_member(engine, member)
         # State transfer: the designated source ships state to every
         # joiner this flush admitted (one shared snapshot encode).
-        joiners = _event_joiners(event)
-        source = event.get("source")
-        if (joiners and event.get("transfer")
-                and source is not None and source.site == self.site_id):
+        if (joiners and transfer and source is not None
+                and source.site == self.site_id):
             self._send_state(engine, source, joiners)
         # Stale rejoin hints (transfer-less admission, or a source at
         # another site consumed its own copy) must not leak.
@@ -797,8 +757,7 @@ class ProtocolsProcess:
         for member in removed:
             self._abort_state_stream(engine.gid, member.process())
         # GBCAST payload sessions: the caller learns the delivery view.
-        for payload in event.get("payloads", []):
-            m = payload["m"]
+        for _kind, m, _entry in payloads or ():
             session = m.get("_session")
             reply_to = m.get("_reply_to")
             if session is not None and reply_to is not None \
@@ -812,14 +771,13 @@ class ProtocolsProcess:
         for hook in self.view_hooks:
             hook(engine, old_view, new_view, event)
 
-    def on_flush_committed(self, engine: GroupEngine, active, new_view: View,
-                           event: Dict) -> None:
+    def on_flush_committed(self, engine: GroupEngine, new_view: View,
+                           joiners: List[Address], transfer: bool) -> None:
         """Coordinator-only duties at commit time."""
-        for joiner in _event_joiners(event):
+        for joiner in joiners:
             welcome = Message(
                 _proto="g.welcome", gid=engine.gid,
-                view=new_view.to_value(),
-                transfer=bool(event.get("transfer")),
+                view=new_view.to_value(), transfer=transfer,
             )
             self.send_to_site(joiner.site, welcome)
         update = Message(_proto="g.view_update", gid=engine.gid,
@@ -993,9 +951,9 @@ class ProtocolsProcess:
         state.timer = self.sim.call_after(
             JOIN_RETRY, self._send_join_request, state)
 
-    def _on_join_request(self, src_site: int, msg: Message) -> None:
-        gid, joiner = address_fields(msg, "gid", "joiner")
-        engine = self._coordinating_engine(msg)
+    def _on_join_request(self, src_site: int, record: tuple) -> None:
+        msg, gid, joiner, cred, wal_view, wal_dlv = record
+        engine = self._coordinating_engine(gid, msg)
         if engine is None:
             if self.current_view(gid) is None:   # not relayed: no group here
                 self.send_to_site(joiner.site, Message(
@@ -1011,26 +969,26 @@ class ProtocolsProcess:
             ))
             return
         for validator in self._join_validators.get(gid.process(), []):
-            if not validator(joiner, msg.get("cred")):
+            if not validator(joiner, cred):
                 self.sim.trace.bump("protection.joins_refused")
                 self.send_to_site(joiner.site, Message(
                     _proto="g.join.refused", gid=gid, joiner=joiner))
                 return
-        if self.wal is not None and msg.get("wal_dlv") is not None:
+        if self.wal is not None and wal_dlv is not None:
             self._join_hints[(gid.process(), joiner.process())] = (
-                msg.get("wal_view") or 0, bytes(msg["wal_dlv"]))
+                wal_view or 0, wal_dlv)
         engine.enqueue_reason(FlushReason(kind="join", joiner=joiner))
 
-    def _on_join_refused(self, msg: Message) -> None:
-        state = self._joins.pop(msg["gid"].process(), None)
+    def _on_join_refused(self, src_site: int, record: tuple) -> None:
+        _, gid, _joiner = record
+        state = self._joins.pop(gid.process(), None)
         if state is not None:
             state.disarm()
             self._release_gate(state.process.address, deliver=False)
-            state.promise.reject(JoinRefused(f"join to {msg['gid']} refused"))
+            state.promise.reject(JoinRefused(f"join to {gid} refused"))
 
-    def _on_welcome(self, msg: Message) -> None:
-        gid: Address = msg["gid"]
-        view = View.from_value(msg["view"])
+    def _on_welcome(self, src_site: int, record: tuple) -> None:
+        _, gid, view, transfer = record
         engine = self._engine_for(gid, create=True)
         assert engine is not None
         if not engine.installed:
@@ -1046,7 +1004,7 @@ class ProtocolsProcess:
         state.disarm()
         for member in view.members_at(self.site_id):
             self._watch_member(engine, member)
-        if msg["transfer"]:
+        if transfer:
             state.transfer_timer = self.sim.call_after(
                 TRANSFER_RETRY, self._rerequest_state, state)
         else:
@@ -1229,10 +1187,8 @@ class ProtocolsProcess:
             stream["conn"].close()
             self.counters.bump("state_transfer.streams_aborted")
 
-    def _on_state_chunk(self, src_site: int, msg: Message) -> None:
-        gid, = address_fields(msg, "gid")
-        xid, idx, n = int_fields(msg, "xid", "idx", "n")
-        data = bytes_field(msg, "data")
+    def _on_state_chunk(self, src_site: int, record: tuple) -> None:
+        _, gid, xid, idx, n, data = record
         state = self._joins.get(gid.process())
         if state is None:
             return  # join finished or abandoned; drop the orphan chunk
@@ -1264,22 +1220,14 @@ class ProtocolsProcess:
         except CodecError:
             self.sim.trace.bump("state_transfer.bad_stream")
             return  # the re-request loop will restart the stream
-        self._on_state_data(src_site, payload)
+        self._on_state_data(src_site, PROTOCOLS["st.data"].read(payload))
 
-    def _on_state_data(self, src_site: int, msg: Message) -> None:
-        gid, = address_fields(msg, "gid")
-        suffix = msg.get("wal_suffix")
-        if suffix is not None and self.wal is not None:
-            records = [bytes(r) for r in bytes_list(suffix, "wal_suffix")]
-        else:
-            records = None
-            segments = msg.get("segments")
-            if not isinstance(segments, dict):
-                raise CodecError(f"segments is not a dict: {segments!r}")
-            segments = {name: [bytes(b) for b in bytes_list(blocks, name)]
-                        for name, blocks in segments.items()}
+    def _on_state_data(self, src_site: int, record: tuple) -> None:
+        _, gid, segments, records = record
         state = self._joins.get(gid.process())
-        if state is None:
+        # A log suffix answers a join that offered a log position, which
+        # only a kernel with a WAL does.
+        if state is None or (records is not None and self.wal is None):
             return
         process = state.process
         if records is not None:
@@ -1313,9 +1261,9 @@ class ProtocolsProcess:
         state.transfer_timer = self.sim.call_after(
             TRANSFER_RETRY, self._rerequest_state, state)
 
-    def _on_state_rerequest(self, src_site: int, msg: Message) -> None:
-        gid, joiner = address_fields(msg, "gid", "joiner")
-        engine = self._coordinating_engine(msg)
+    def _on_state_rerequest(self, src_site: int, record: tuple) -> None:
+        msg, gid, joiner = record
+        engine = self._coordinating_engine(gid, msg)
         if engine is None:
             return
         source = engine.view.coordinator()
@@ -1323,8 +1271,8 @@ class ProtocolsProcess:
                         source=source)
         self.send_to_site(source.site, order)
 
-    def _on_state_send_order(self, src_site: int, msg: Message) -> None:
-        gid, joiner, source = address_fields(msg, "gid", "joiner", "source")
+    def _on_state_send_order(self, src_site: int, record: tuple) -> None:
+        _, gid, joiner, source = record
         engine = self.engines.get(gid.process())
         if engine is not None:
             self._send_state(engine, source, [joiner])
@@ -1371,17 +1319,19 @@ class ProtocolsProcess:
                 _proto="g.leave", gid=key, member=member))
         return promise
 
-    def _on_leave_request(self, src_site: int, msg: Message) -> None:
-        engine = self._coordinating_engine(msg)
+    def _on_leave_request(self, src_site: int, record: tuple) -> None:
+        msg, gid, member = record
+        engine = self._coordinating_engine(gid, msg)
         if engine is not None:
             engine.enqueue_reason(FlushReason(kind="remove",
-                                              removals=(msg["member"],)))
+                                              removals=(member,)))
 
-    def _on_member_dead_notice(self, msg: Message) -> None:
-        engine = self.engines.get(msg["gid"].process())
+    def _on_member_dead_notice(self, src_site: int, record: tuple) -> None:
+        _, gid, member = record
+        engine = self.engines.get(gid.process())
         if engine is not None and engine.is_coordinator_site():
             engine.enqueue_reason(FlushReason(kind="remove",
-                                              removals=(msg["member"],)))
+                                              removals=(member,)))
 
     # -- multicast -------------------------------------------------------------
     def group_mcast(self, process: IsisProcess, gid: Address, kind: str,
@@ -1477,18 +1427,15 @@ class ProtocolsProcess:
             return
         self._forward_mcast(session_id, gid, kind, user, entry, nwant)
 
-    def _on_forwarded_mcast(self, src_site: int, msg: Message) -> None:
-        gid: Address = msg["gid"]
+    def _on_forwarded_mcast(self, src_site: int, record: tuple) -> None:
+        _, gid, kind, user, entry, session_id, caller_site, _nwant = record
         engine = self.engines.get(gid.process())
         if engine is None or not engine.installed or engine.view is None:
             self.send_to_site(src_site, Message(
-                _proto="g.fwd.nak", gid=gid, session=msg["session"],
+                _proto="g.fwd.nak", gid=gid, session=session_id,
                 hint=self.contact_cache.get(gid.process()),
             ))
             return
-        caller_site = msg["caller_site"]
-        session_id = msg["session"]
-        user: Message = msg["m"]
         local = engine.local_members()
         disseminator = local[0] if local else engine.view.coordinator()
 
@@ -1503,16 +1450,15 @@ class ProtocolsProcess:
                     members=list(view.members), via=self.site_id,
                 ))
 
-        engine.mcast(msg["kind"], disseminator, user, msg["entry"],
+        engine.mcast(kind, disseminator, user, entry,
                      on_dispatched=dispatched)
 
-    def _on_forward_nak(self, msg: Message) -> None:
-        session_id = msg["session"]
+    def _on_forward_nak(self, src_site: int, record: tuple) -> None:
+        _, gid, session_id, hint = record
         if session_id < 0:
             return  # join-request nak: the join retry loop handles it
-        hint = msg.get("hint")
         if hint is not None:
-            self.contact_cache[msg["gid"].process()] = hint
+            self.contact_cache[gid.process()] = hint
             self._fwd_tried.get(session_id, set()).discard(hint)
         self.sim.trace.bump("fwd.naks")
         # The timeout-driven retry loop will re-forward (to the hint or
@@ -1544,12 +1490,12 @@ class ProtocolsProcess:
             self.sessions.on_dispatched(session.id, [])
         return session.promise
 
-    def _on_gbcast_request(self, src_site: int, msg: Message) -> None:
-        engine = self._coordinating_engine(msg)
+    def _on_gbcast_request(self, src_site: int, record: tuple) -> None:
+        msg, gid, user, entry = record
+        engine = self._coordinating_engine(gid, msg)
         if engine is not None:
             engine.enqueue_reason(FlushReason(
-                kind="gbcast", payload=msg["m"].encode(),
-                user_entry=msg["entry"]))
+                kind="gbcast", payload=user.encode(), user_entry=entry))
 
     # -- replies -----------------------------------------------------------------
     def send_reply(self, process: IsisProcess, request: Message,
@@ -1582,6 +1528,15 @@ class ProtocolsProcess:
                 engine.mcast(CBCAST, process.address.process(), copy,
                              CC_REPLY_ENTRY, audited=False)
 
+    def _on_reply(self, src_site: int, record: tuple) -> None:
+        _, session, responder, reply, null = record
+        self.sessions.on_reply(session, responder, reply, null)
+
+    def _on_dispatched(self, src_site: int, record: tuple) -> None:
+        _, session, members, via = record
+        self._fwd_unacked.discard(session)
+        self.sessions.on_dispatched(session, members, via_site=via)
+
     # -- monitors / watchers --------------------------------------------------------
     def current_view(self, gid: Address) -> Optional[View]:
         """The local replica's view of a group (None if not a member here)."""
@@ -1606,8 +1561,9 @@ class ProtocolsProcess:
         promise.resolve(None)
         return promise
 
-    def _on_watch_request(self, src_site: int, msg: Message) -> None:
-        engine = self._coordinating_engine(msg)
+    def _on_watch_request(self, src_site: int, record: tuple) -> None:
+        msg, gid = record
+        engine = self._coordinating_engine(gid, msg)
         if engine is None:
             return
         engine.watcher_sites.add(src_site)
@@ -1616,9 +1572,8 @@ class ProtocolsProcess:
             view=engine.view.to_value(),
         ))
 
-    def _on_view_update(self, msg: Message) -> None:
-        gid: Address = msg["gid"]
-        view = View.from_value(msg["view"])
+    def _on_view_update(self, src_site: int, record: tuple) -> None:
+        _, gid, view = record
         key = gid.process()
         if view.members:
             self.contact_cache[key] = view.coordinator().site
@@ -1737,3 +1692,55 @@ class ProtocolsProcess:
         if skipped > 0:
             self.counters.bump("stab.idle_skipped", skipped)
         self._schedule_stability()
+
+
+# ----------------------------------------------------------------------
+# The routing table
+# ----------------------------------------------------------------------
+#: Every protocol ``_dispatch`` routes, declared (``msg/wire.py``) with
+#: this package's codecs.
+PROTOCOLS = protocols(context=parse_context_delta, view=View.from_wire)
+
+
+#: proto -> its handler, ``handler(src_site, record)``: the kernel's
+#: own, a part's (``agent.``, ``namespace.``), the group's engine's
+#: (``engine.``; the engine is made here on first word of its group) or
+#: the group's pipeline's one entry (``pipeline``, which takes the proto).
+_HANDLERS = {
+    **dict.fromkeys(("sv.join", "sv.suspect", "sv.propose", "sv.ack",
+                     "sv.commit", "sv.probe"), "agent.handle"),
+    "ns.reg": "namespace._on_reg", "ns.unreg": "namespace._on_unreg",
+    "ns.upd": "namespace._on_update", "ns.snap": "namespace._on_snapshot",
+    "ns.q": "namespace._on_query", "ns.qr": "namespace._on_answer",
+    "rpc.reply": "_on_reply", "rpc.dispatched": "_on_dispatched",
+    "g.join": "_on_join_request", "g.join.refused": "_on_join_refused",
+    "g.welcome": "_on_welcome", "g.dead": "_on_member_dead_notice",
+    "g.leave": "_on_leave_request", "g.gb": "_on_gbcast_request",
+    "g.fwd": "_on_forwarded_mcast", "g.fwd.nak": "_on_forward_nak",
+    "g.watch": "_on_watch_request", "g.view_update": "_on_view_update",
+    "st.req": "_on_state_rerequest", "st.send": "_on_state_send_order",
+    "st.data": "_on_state_data", "st.chunk": "_on_state_chunk",
+    **{proto: "engine._on_flush_" + proto[5:] for proto in (
+        "g.fl.begin", "g.fl.ok", "g.fl.expect", "g.fl.pull", "g.fl.data",
+        "g.fl.filled", "g.fl.commit", "g.fl.okb")},
+    **dict.fromkeys(PIPELINE, "pipeline"),
+}
+
+
+def _deliver(path: str):
+    """``deliver(kernel, src_site, proto, record)`` for a handler path."""
+    if path == "pipeline":
+        return lambda kernel, src_site, proto, record: kernel._engine_for(
+            record[1], create=True).pipeline.receive(src_site, proto, record)
+    if path.startswith("engine."):
+        method = getattr(GroupEngine, path[len("engine."):])
+        return lambda kernel, src_site, proto, record: method(
+            kernel._engine_for(record[1], create=True), src_site, record)
+    handler = attrgetter(path)
+    return lambda kernel, src_site, proto, record: handler(kernel)(
+        src_site, record)
+
+
+#: proto -> (reader, ``deliver``): the one table ``_dispatch`` routes by.
+_ROUTES = {proto: (PROTOCOLS[proto].read, _deliver(path))
+           for proto, path in _HANDLERS.items()}

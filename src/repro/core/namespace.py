@@ -32,7 +32,8 @@ class Namespace:
         self._names: Dict[str, Address] = {}
         self._contacts: Dict[str, int] = {}
         self._applied_seq = 0
-        self._pending: Dict[int, Message] = {}       # out-of-order updates
+        #: Out-of-order updates: seq -> (seq, op, name, gid, contact).
+        self._pending: Dict[int, tuple] = {}
         self._waiting_reg: Dict[Tuple[str, str], List[Promise]] = {}
         self._queries: Dict[int, Promise] = {}
         self._next_query = 1
@@ -58,19 +59,18 @@ class Namespace:
         """Ask the coordinator to register; resolves when applied locally."""
         promise = Promise(label=f"ns.register({name})")
         self._waiting_reg.setdefault(("reg", name), []).append(promise)
-        request = Message(_proto="ns.reg", name=name, gid=gid, contact=contact)
         if coordinator_site == self.site_id:
-            self.handle(self.site_id, request)
+            self._serialize("reg", name, gid=gid, contact=contact)
         else:
-            self.send(coordinator_site, request)
+            self.send(coordinator_site, Message(
+                _proto="ns.reg", name=name, gid=gid, contact=contact))
         return promise
 
     def unregister(self, name: str, coordinator_site: int) -> None:
-        request = Message(_proto="ns.unreg", name=name)
         if coordinator_site == self.site_id:
-            self.handle(self.site_id, request)
+            self._serialize("unreg", name)
         else:
-            self.send(coordinator_site, request)
+            self.send(coordinator_site, Message(_proto="ns.unreg", name=name))
 
     def query(self, name: str, coordinator_site: int) -> Promise:
         """Ask the coordinator directly (cache miss)."""
@@ -121,69 +121,71 @@ class Namespace:
     # ------------------------------------------------------------------
     # Wire protocol
     # ------------------------------------------------------------------
-    def handle(self, src_site: int, msg: Message) -> None:
-        proto = msg["_proto"]
-        if proto == "ns.reg" and self._is_coordinator:
-            update = Message(
-                _proto="ns.upd", seq=self._next_seq, op="reg",
-                name=msg["name"], gid=msg["gid"], contact=msg["contact"],
-            )
-            self._next_seq += 1
-            self._fan_out(update)
-        elif proto == "ns.unreg" and self._is_coordinator:
-            update = Message(_proto="ns.upd", seq=self._next_seq, op="unreg",
-                             name=msg["name"])
-            self._next_seq += 1
-            self._fan_out(update)
-        elif proto == "ns.upd":
-            self._offer_update(msg)
-        elif proto == "ns.snap":
-            self._apply_snapshot(msg)
-        elif proto == "ns.q":
-            self.send(src_site, Message(
-                _proto="ns.qr", q=msg["q"],
-                gid=self._names.get(msg["name"]),
-            ))
-        elif proto == "ns.qr":
-            promise = self._queries.pop(msg["q"], None)
-            if promise is not None:
-                promise.resolve(msg.get("gid"))
+    def _on_reg(self, src_site: int, record: tuple) -> None:
+        _, name, gid, contact = record
+        self._serialize("reg", name, gid=gid, contact=contact)
 
-    def _fan_out(self, update: Message) -> None:
+    def _on_unreg(self, src_site: int, record: tuple) -> None:
+        self._serialize("unreg", record[1])
+
+    def _serialize(self, op: str, name: str, **fields) -> None:
+        """Coordinator: number an update and send it to every replica."""
+        if not self._is_coordinator:
+            return
+        update = Message(_proto="ns.upd", seq=self._next_seq, op=op,
+                         name=name, **fields)
+        self._next_seq += 1
         for site in self._sites:
             if site != self.site_id:
                 self.send(site, update)
-        self._offer_update(update)
+        self._offer_update(
+            (self._next_seq - 1, op, name, fields.get("gid"),
+             fields.get("contact")))
 
-    def _offer_update(self, update: Message) -> None:
-        seq = update["seq"]
+    def _on_update(self, src_site: int, record: tuple) -> None:
+        self._offer_update(record[1:])
+
+    def _on_query(self, src_site: int, record: tuple) -> None:
+        _, name, query = record
+        self.send(src_site, Message(_proto="ns.qr", q=query,
+                                    gid=self._names.get(name)))
+
+    def _on_answer(self, src_site: int, record: tuple) -> None:
+        _, query, gid = record
+        promise = self._queries.pop(query, None)
+        if promise is not None:
+            promise.resolve(gid)
+
+    def _offer_update(self, update: tuple) -> None:
+        """``(seq, op, name, gid, contact)`` of one ``ns.upd``."""
+        seq = update[0]
         if seq <= self._applied_seq:
             return
         self._pending[seq] = update
         while self._applied_seq + 1 in self._pending:
             self._apply(self._pending.pop(self._applied_seq + 1))
 
-    def _apply(self, update: Message) -> None:
-        self._applied_seq = update["seq"]
-        name = update["name"]
-        if update["op"] == "reg":
-            self._names[name] = update["gid"]
-            self._contacts[name] = update["contact"]
+    def _apply(self, update: tuple) -> None:
+        self._applied_seq, op, name, gid, contact = update
+        if op == "reg":
+            self._names[name] = gid
+            self._contacts[name] = contact
         else:
             self._names.pop(name, None)
             self._contacts.pop(name, None)
         for promise in self._waiting_reg.pop(("reg", name), []):
             promise.resolve(self._names.get(name))
 
-    def _apply_snapshot(self, snap: Message) -> None:
-        if snap["seq"] < self._applied_seq:
+    def _on_snapshot(self, src_site: int, record: tuple) -> None:
+        _, seq, entries = record
+        if seq < self._applied_seq:
             return
         self._names = {}
         self._contacts = {}
-        for name, gid, contact in ((e[0], e[1], e[2]) for e in snap["entries"]):
+        for name, gid, contact in entries:
             self._names[name] = gid
             self._contacts[name] = contact
-        self._applied_seq = max(self._applied_seq, snap["seq"])
+        self._applied_seq = max(self._applied_seq, seq)
         self._pending = {s: u for s, u in self._pending.items()
                          if s > self._applied_seq}
         for (kind, name), promises in list(self._waiting_reg.items()):

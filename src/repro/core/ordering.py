@@ -43,9 +43,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
-from ..errors import CodecError, GroupError
+from ..errors import GroupError
 from ..msg.address import Address
-from ..msg.message import Message, int_fields, int_tuple
+from ..msg.message import Message
 from ..sim.core import Timer
 from .abcast import (
     MsgRef,
@@ -58,12 +58,6 @@ from .abcast import (
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import GroupEngine
     from .pipeline import DeliveryPipeline
-
-
-def _ref_prio(msg: Message) -> Tuple[MsgRef, Priority]:
-    """What a ``g.abp`` / ``g.abf`` names: two integer pairs.  Outside
-    input, so any other shape is a :class:`CodecError`."""
-    return int_tuple(msg.get("ref"), 2), int_tuple(msg.get("prio"), 2)
 
 
 class OrderingEngine:
@@ -103,13 +97,16 @@ class OrderingEngine:
         """Buffer a data envelope and drive whatever delivery it allows."""
         raise NotImplementedError
 
-    def on_proposal(self, src_site: int, msg: Message) -> None:
+    # The ordering notes arrive parsed (``msg/wire.py``): a ``g.abp`` /
+    # ``g.abf`` record is ``(msg, gid, ref, prio)``, a ``g.abs`` one
+    # ``(msg, gid, view, stamps)``.
+    def on_proposal(self, src_site: int, note: tuple) -> None:
         self.engine.sim.trace.bump("abcast.unexpected_control")
 
-    def on_final(self, src_site: int, msg: Message) -> None:
+    def on_final(self, src_site: int, note: tuple) -> None:
         self.engine.sim.trace.bump("abcast.unexpected_control")
 
-    def on_stamps(self, src_site: int, msg: Message) -> None:
+    def on_stamps(self, src_site: int, note: tuple) -> None:
         self.engine.sim.trace.bump("abcast.unexpected_control")
 
     def disseminate_final(self, ref: MsgRef, final: Priority) -> None:
@@ -176,8 +173,8 @@ class TotalOrdering(OrderingEngine):
             self.engine.kernel.counters.bump("abcast.proposals")
             self.engine.kernel.send_to_site(env["origin"], note)
 
-    def on_proposal(self, src_site: int, msg: Message) -> None:
-        ref, priority = _ref_prio(msg)
+    def on_proposal(self, src_site: int, note: tuple) -> None:
+        _, _, ref, priority = note
         self.offer_proposal(ref, src_site, priority)
 
     def offer_proposal(self, ref: MsgRef, site: int,
@@ -197,8 +194,9 @@ class TotalOrdering(OrderingEngine):
                 self.engine.kernel.send_to_site(site, note)
         self.apply_final(ref, final)
 
-    def on_final(self, src_site: int, msg: Message) -> None:
-        self.apply_final(*_ref_prio(msg))
+    def on_final(self, src_site: int, note: tuple) -> None:
+        _, _, ref, final = note
+        self.apply_final(ref, final)
 
     def apply_final(self, ref: MsgRef, final: Priority) -> None:
         """Record a final priority and deliver whatever it unblocks.
@@ -299,7 +297,7 @@ class SequencerOrdering(OrderingEngine):
         self._queue_stamp(ref, seq)
         self._deliver(self.receiver.apply_stamps([(ref, seq)]))
 
-    def on_stamps(self, src_site: int, msg: Message) -> None:
+    def on_stamps(self, src_site: int, note: tuple) -> None:
         """A ``g.abs`` arrived: apply its (ref, seq) pairs.
 
         Current-view stamps arriving while wedged are dropped, mirroring
@@ -312,12 +310,8 @@ class SequencerOrdering(OrderingEngine):
         the cut settles every such ref deterministically anyway.
         """
         engine = self.engine
-        (view_id,) = int_fields(msg, "view")
-        stamps = msg.get("stamps")
-        if not isinstance(stamps, list):
-            raise CodecError(f"stamps is not a list: {stamps!r}")
-        pairs = [((origin, gseq), seq) for origin, gseq, seq
-                 in (int_tuple(stamp, 3) for stamp in stamps)]
+        _, _, view_id, stamps = note
+        pairs = [((origin, gseq), seq) for origin, gseq, seq in stamps]
         if not engine.installed or engine.view is None \
                 or view_id > engine.view.view_id:
             # Stamps for a view we have not installed yet: hold them

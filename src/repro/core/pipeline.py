@@ -40,24 +40,16 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..errors import CodecError, GroupError, SiteDown
+from ..errors import GroupError, SiteDown
 from ..msg.address import Address
-from ..msg.fields import Stab, decode_stab, encode_stab
-from ..msg.message import (
-    BATCH_PROTO,
-    Message,
-    bytes_field,
-    fields_reader,
-    int_fields,
-    pack_batch,
-    unpack_batch,
-)
+from ..msg.fields import Stab, encode_stab
+from ..msg.message import BATCH_PROTO, Message, pack_batch
 from ..sim.core import Timer
 from ..sim.tasks import Promise
-from .cbcast import CausalFields, CausalReceiver, causal_fields
+from .cbcast import CausalFields, CausalReceiver
 from .ordering import make_ordering
 from .tree import SpanningTree, min_merge_have_vectors
-from .vectorclock import ContextEncoder
+from .vectorclock import ContextEncoder, parse_context_delta
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import GroupEngine
@@ -229,16 +221,15 @@ class DisseminationStage:
                 sent += 1
         return sent
 
-    def on_relay(self, src_site: int, msg: Message) -> None:
+    def on_relay(self, src_site: int, record: tuple) -> None:
         """A ``g.tr`` wrapper reached a flat-mode stage.
 
         Dissemination mode is a cluster-wide configuration, so this only
-        happens under a misconfiguration; unwrap and ingest the payload
-        without forwarding so no data is lost.
+        happens under a misconfiguration; ingest the payload (parsed with
+        its wrapper) without forwarding so no data is lost.
         """
-        (root,) = int_fields(msg, "root")
-        inner = Message.decode(bytes_field(msg, "inner"))
-        self.pipeline.receive(root, inner.get("_proto"), inner)
+        _, _, _, root, _, inner = record
+        self.pipeline.receive(root, inner[0]["_proto"], inner)
 
     def drain_pre_view_wrappers(self) -> None:
         """Replay tree wrappers held for a view now installed (no-op)."""
@@ -288,8 +279,9 @@ class TreeDissemination(DisseminationStage):
         #: root site -> wrapper ids already seen (current view only).
         self._seen: Dict[int, Set[int]] = {}
         self._seen_view = -1
-        #: Wrappers for views we have not installed yet.
-        self._pre_view_wrappers: List[Tuple[int, Message]] = []
+        #: Wrappers (records, their payload parsed) for views we have not
+        #: installed yet.
+        self._pre_view_wrappers: List[Tuple[int, tuple]] = []
 
     # -- the tree ----------------------------------------------------------
     def tree(self) -> Optional[SpanningTree]:
@@ -372,13 +364,15 @@ class TreeDissemination(DisseminationStage):
         return len(self._send_down(note))
 
     # -- relay path --------------------------------------------------------
-    def on_relay(self, src_site: int, msg: Message) -> None:
-        """A ``g.tr`` wrapper arrived: dedup, forward, ingest."""
+    def on_relay(self, src_site: int, record: tuple) -> None:
+        """A ``g.tr`` wrapper arrived: dedup, forward, ingest.  Its
+        payload was parsed with it, so one held for a later view is
+        already known to be well formed."""
         engine = self.engine
         view = engine.view
-        view_id, root, tid = int_fields(msg, "view", "root", "tid")
+        msg, _, view_id, root, tid, inner = record
         if not engine.installed or view is None or view_id > view.view_id:
-            self._pre_view_wrappers.append((view_id, msg))
+            self._pre_view_wrappers.append((view_id, record))
             return
         if view_id < view.view_id:
             engine.sim.trace.bump("engine.stale_view_drop")
@@ -403,8 +397,7 @@ class TreeDissemination(DisseminationStage):
                     continue
                 self.kernel.counters.bump("tree.relayed")
                 self.kernel.send_to_site(child, msg)
-        inner = Message.decode(bytes_field(msg, "inner"))
-        self.pipeline.receive(root, inner.get("_proto"), inner)
+        self.pipeline.receive(root, inner[0]["_proto"], inner)
 
     def drain_pre_view_wrappers(self) -> None:
         view = self.engine.view
@@ -414,8 +407,8 @@ class TreeDissemination(DisseminationStage):
                  if v <= view.view_id]
         self._pre_view_wrappers = [
             (v, m) for v, m in self._pre_view_wrappers if v > view.view_id]
-        for _, m in ready:
-            self.pipeline.receive(m["root"], TREE_PROTO, m)
+        for _, record in ready:
+            self.pipeline.receive(record[3], TREE_PROTO, record)
 
     def on_new_view(self) -> None:
         super().on_new_view()
@@ -441,7 +434,7 @@ class CausalOrdering:
     vectors in place; the receiver advances one chain per sender in
     ``cb_seq`` order (see :class:`~repro.core.cbcast.CausalReceiver`),
     and counts a delta whose positions name nothing in that chain as
-    ``pipeline.bad_message`` when it finds out.
+    ``kernel.bad_message`` when it finds out.
     """
 
     def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
@@ -455,7 +448,7 @@ class CausalOrdering:
                 kernel.check_delta_and_register(chain, delta, (gid, key)),
             on_advance=lambda sender, seq: kernel.note_causal_advance(
                 packed, sender, seq),
-            on_refuse=lambda: engine.sim.trace.bump("pipeline.bad_message"),
+            on_refuse=lambda: engine.sim.trace.bump("kernel.bad_message"),
         )
         #: Per-sender CBCAST count within the current view (send side).
         self._counts: Dict[Address, int] = {}
@@ -474,9 +467,15 @@ class CausalOrdering:
             encoder = self._encoders[key] = ContextEncoder()
         env["cb_ctx"] = encoder.encode(self.engine.kernel.causal_groups())
 
+    @staticmethod
+    def own(env: Message) -> CausalFields:
+        """The causal fields :meth:`stamp` gave our own ``env``."""
+        return ((env["cb_sender"].pack(), env["cb_seq"]),
+                parse_context_delta(env["cb_ctx"]))
+
     def ingest(self, env: Message, causal: CausalFields) -> None:
-        """Receive side: queue ``env`` under its :func:`~repro.core.
-        cbcast.causal_fields`, deliver whatever became deliverable."""
+        """Receive side: queue ``env`` under its causal fields, deliver
+        whatever became deliverable."""
         for ready in self.receiver.offer(env, causal):
             self.engine.deliver_env(ready)
         self.engine.kernel.recheck_causal(exclude=self.engine.gid)
@@ -512,8 +511,7 @@ class StabilityStage:
 
     Every note carries one ``stab`` blob and nothing else about
     reception (``g.stab.up`` adds ``n``, the sites its minimum covers);
-    :meth:`_stab_of` is where a note's blob is decoded and its view
-    checked.
+    :meth:`_current` is where a note's view is checked.
     """
 
     def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
@@ -587,34 +585,18 @@ class StabilityStage:
                           self.engine.store.have_vector())
 
     # -- the blob: in ------------------------------------------------------
-    def ingest_env(self, src_site: int, env: Message) -> None:
-        """Absorb the stability blob riding on a received data envelope."""
-        if "stab" not in env:
-            return
-        try:
-            stab = decode_stab(bytes_field(env, "stab"))
-        except CodecError:
-            self.engine.sim.trace.bump("stability.bad_piggyback")
-            return
-        self.merge(src_site, stab)
+    def _current(self, stab: Stab) -> bool:
+        """Does a ``g.stab.*`` note's blob count the installed view?
 
-    def _stab_of(self, msg: Message) -> Optional[Stab]:
-        """The blob of a ``g.stab.*`` note, or None with the refusal counted.
-
-        A note is outside input (any shape but the blob's is refused) and
-        can be late: gseq counters and floors restart in every view, so
-        one that counts another view says nothing about this one.
+        A note can be late: gseq counters and floors restart in every
+        view, so one that counts another view says nothing about this
+        one, and is refused (``stability.stale_note``).
         """
-        try:
-            stab = decode_stab(bytes_field(msg, "stab"))
-        except CodecError:
-            self.engine.sim.trace.bump("stability.bad_note")
-            return None
         view = self.engine.view
         if view is None or stab[0] != view.view_id:
             self.engine.sim.trace.bump("stability.stale_note")
-            return None
-        return stab
+            return False
+        return True
 
     def merge(self, src_site: int, stab: Stab) -> None:
         """Max-merge what ``src_site`` says of itself; trim and prune.
@@ -775,14 +757,14 @@ class StabilityStage:
             self.kernel.send_to_site(site, query)
         self._maybe_finish_round()
 
-    def on_query(self, src_site: int, msg: Message) -> None:
+    def on_query(self, src_site: int, record: tuple) -> None:
         if self.engine.view is not None:
             self.kernel.send_to_site(src_site, self._report())
 
-    def on_answer(self, src_site: int, msg: Message) -> None:
+    def on_answer(self, src_site: int, record: tuple) -> None:
         """A ``g.stab.a``: an announcement, and an answer if a round is open."""
-        stab = self._stab_of(msg)
-        if stab is None:
+        stab = record[2]
+        if not self._current(stab):
             return
         self.merge(src_site, stab)
         if self._round_answers is not None:
@@ -875,11 +857,10 @@ class StabilityStage:
         self.kernel.send_to_site(
             parent, self._note("g.stab.up", floor, agg, n=count))
 
-    def on_up(self, src_site: int, msg: Message) -> None:
+    def on_up(self, src_site: int, record: tuple) -> None:
         """A child's aggregated subtree report (``g.stab.up``)."""
-        (count,) = int_fields(msg, "n")
-        stab = self._stab_of(msg)
-        if stab is None:
+        _, _, stab, count = record
+        if not self._current(stab):
             return
         self._child_up[src_site] = (stab[2], count, stab[1])
         self.kernel.note_group_dirty(self.engine.gid)
@@ -897,10 +878,10 @@ class StabilityStage:
             self.kernel.counters.bump("stab.dn_sent")
             self.kernel.send_to_site(site, note)
 
-    def on_dn(self, src_site: int, msg: Message) -> None:
+    def on_dn(self, src_site: int, record: tuple) -> None:
         """The stable cut: apply it, and in a tree relay it downward."""
-        stab = self._stab_of(msg)
-        if stab is None:
+        msg, _, stab = record
+        if not self._current(stab):
             return
         self._apply_cut(stab[2], stab[1])
         tree = self.pipeline.dissemination.tree()
@@ -940,42 +921,25 @@ class StabilityStage:
 # ----------------------------------------------------------------------
 # The pipeline
 # ----------------------------------------------------------------------
-_read_data = fields_reader("view", "origin", "gseq", "entry", "m", "_proto")
-
-
-def data_fields(env: Message) -> Tuple[int, int, int, Optional[CausalFields]]:
-    """What a data envelope off the wire (``g.cb`` / ``g.ab``: alone, in
-    a batch or in a flush refill) must say before anything believes it:
-    ``(view id, origin site, gseq, causal fields of a g.cb)``.
-
-    Checked here, for the store, the view gate and the delivery sink:
-    ``view``, ``origin``, ``gseq`` and ``entry`` integers, ``m`` a
-    message, and for a ``g.cb`` its sender, sequence number and context
-    (parsed once, handed on).  Any other shape is :class:`CodecError`.
-    """
-    view_id, origin, gseq, entry, user, proto = _read_data(env)
-    if not (view_id.__class__ is origin.__class__ is gseq.__class__
-            is entry.__class__ is int):     # each of the four an int
-        raise CodecError("view, origin, gseq, entry are not integers: "
-                         f"{view_id!r}, {origin!r}, {gseq!r}, {entry!r}")
-    if not isinstance(user, Message):
-        raise CodecError(f"m is not a message: {user!r}")
-    if proto == "g.cb":
-        return view_id, origin, gseq, causal_fields(env)
-    if proto != "g.ab":
-        raise CodecError(f"not a data envelope: {proto!r}")
-    return view_id, origin, gseq, None
+def _causal(record: tuple) -> Optional[CausalFields]:
+    """What a data envelope's record (``msg/wire.py``: ``g.cb`` /
+    ``g.ab``) says of its place in causal order: a ``g.cb``'s pending
+    key and parsed ``cb_ctx``; None for a ``g.ab``."""
+    if len(record) < 11:
+        return None
+    sender, seq, delta = record[8:]
+    return (sender.process().pack(), seq), delta
 
 
 class DeliveryPipeline:
     """The stack the engine drives; owns the whole multicast data path."""
 
-    #: The wire protocols the pipeline consumes (the engine routes these
-    #: here) and, from the pipeline, the ``handler(src_site, msg)`` of each.
+    #: The protocols the pipeline consumes (``msg/wire.PIPELINE``) and,
+    #: from the pipeline, the ``handler(src_site, record)`` of each.
     HANDLERS = {
         BATCH_PROTO: attrgetter("ingest_batch"),
-        "g.cb": attrgetter("ingest_data"),
-        "g.ab": attrgetter("ingest_data"),
+        "g.cb": attrgetter("on_data"),
+        "g.ab": attrgetter("on_data"),
         "g.abp": attrgetter("total.on_proposal"),
         "g.abf": attrgetter("total.on_final"),
         "g.abs": attrgetter("total.on_stamps"),
@@ -1001,8 +965,8 @@ class DeliveryPipeline:
         self.total = make_ordering(
             engine.kernel.config.abcast_mode, engine, self)
         self.stability = StabilityStage(engine, self)
-        #: Envelopes for views we have not installed yet.
-        self._pre_view: List[Tuple[int, Message]] = []
+        #: Envelope records for views we have not installed yet.
+        self._pre_view: List[Tuple[int, tuple]] = []
 
     # -- lifecycle ---------------------------------------------------------
     def shutdown(self) -> None:
@@ -1035,78 +999,68 @@ class DeliveryPipeline:
         self.dissemination.fan_out(env, sender_key)
 
     # -- receive path ------------------------------------------------------
-    def receive(self, src_site: int, proto: str, msg: Message) -> None:
-        """Wire ingress for every pipeline protocol.
+    def receive(self, src_site: int, proto: str, record: tuple) -> None:
+        """Wire ingress for every pipeline protocol: the message's record,
+        parsed against its declaration (``msg/wire.py``) before it came
+        here, to its handler."""
+        self.HANDLERS[proto](self)(src_site, record)
 
-        A message off the wire is outside input: a handler parses the
-        fields it is about to trust first, and its refusal
-        (:class:`CodecError`) is counted here and the message dropped.
-        """
-        handler = self.HANDLERS.get(proto)
-        if handler is None:  # only a ``g.tr`` wrapper can bring one
-            self.engine.sim.trace.bump("engine.unknown_proto")
-            return
-        try:
-            handler(self)(src_site, msg)
-        except CodecError:
-            self.engine.sim.trace.bump("pipeline.bad_message")
-
-    def ingest_batch(self, src_site: int, msg: Message) -> None:
+    def ingest_batch(self, src_site: int, record: tuple) -> None:
         """A ``g.batch``: its blob, then its envelopes in order."""
-        envelopes, stab = unpack_batch(msg)
+        _, _, envelopes, stab = record
         if stab is not None:
             self.stability.merge(src_site, stab)
-        for env in envelopes:
-            self.ingest_data(src_site, env)
+        for envelope in envelopes:
+            self.ingest_data(src_site, envelope[0], record=envelope)
 
-    def ingest_data(self, src_site: int, env: Message) -> None:
-        """One data envelope off the wire: parse, gate by view, buffer,
-        order.  What does not parse is refused before the store, the
-        have-vector or stability have heard of it."""
+    def on_data(self, src_site: int, record: tuple) -> None:
+        """A ``g.cb`` / ``g.ab`` on its own."""
+        self.ingest_data(src_site, record[0], record=record)
+
+    def ingest_data(self, src_site: int, env: Message, *,
+                    record: tuple) -> None:
+        """One data envelope off the wire, ``record`` its parse: blob,
+        gate by view, buffer, order."""
         engine = self.engine
-        view_id, origin, gseq, causal = data_fields(env)
-        self.stability.ingest_env(src_site, env)
+        view_id, origin, gseq, stab = record[2], record[3], record[4], record[7]
+        if stab is not None:
+            self.stability.merge(src_site, stab)
         if not engine.installed or engine.view is None:
-            self._pre_view.append((view_id, env))
+            self._pre_view.append((view_id, record))
             return
         if view_id < engine.view.view_id:
             engine.sim.trace.bump("engine.stale_view_drop")
             return
         if view_id > engine.view.view_id:
-            self._pre_view.append((view_id, env))
+            self._pre_view.append((view_id, record))
             return
         if engine.store.record(origin, gseq, env):
             engine.kernel.note_group_dirty(engine.gid)
             self.stability.note_received()
-            self._order(env, causal)
+            self._order(env, _causal(record))
             # In-flight data arriving mid-flush can be exactly what the
             # union cut is waiting for (a holder may have trimmed it and
             # be unable to refill): re-check our fill obligation.
             engine.maybe_flush_filled()
 
-    def accept_refill(self, env: Message) -> bool:
-        """A flush holder re-sent this envelope; returns True if new.
+    def accept_refill(self, record: tuple) -> None:
+        """A flush holder re-sent this envelope (its record).
 
         Refill only ever carries current-view messages; a copy arriving
         after the flush committed (a retransmitted ``g.fl.data`` frame)
         must not leak into the successor view's fresh ordering state.
         """
         engine = self.engine
-        if not isinstance(env, Message):    # whatever ``msgs`` listed
-            raise CodecError(f"not a data envelope: {env!r}")
-        view_id, origin, gseq, causal = data_fields(env)
+        env, view_id, origin, gseq = record[0], record[2], record[3], record[4]
         if engine.view is None or view_id != engine.view.view_id:
             engine.sim.trace.bump("engine.stale_refill_drop")
-            return False
-        if engine.store.record(origin, gseq, env):
+        elif engine.store.record(origin, gseq, env):
             engine.kernel.note_group_dirty(engine.gid)
-            self._order(env, causal)
-            return True
-        return False
+            self._order(env, _causal(record))
 
     def process(self, env: Message) -> None:
         """Hand our own copy of a send to its ordering stage."""
-        self._order(env, causal_fields(env)
+        self._order(env, CausalOrdering.own(env)
                     if env["_proto"] == "g.cb" else None)
 
     def _order(self, env: Message, causal: Optional[CausalFields]) -> None:
@@ -1123,11 +1077,11 @@ class DeliveryPipeline:
         if view is None:
             return
         self.dissemination.drain_pre_view_wrappers()
-        ready = [(v, env) for v, env in self._pre_view if v <= view.view_id]
-        self._pre_view = [(v, env) for v, env in self._pre_view
+        ready = [(v, rec) for v, rec in self._pre_view if v <= view.view_id]
+        self._pre_view = [(v, rec) for v, rec in self._pre_view
                           if v > view.view_id]
-        for _, env in ready:
-            self.ingest_data(env["origin"], env)
+        for _, record in ready:
+            self.ingest_data(record[3], record[0], record=record)
 
     def on_wedge(self) -> None:
         """Flush in progress: push buffered batches and stamps out ahead

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import GroupError
+from ..errors import CodecError, GroupError
 from ..msg.address import Address
 
 
@@ -90,12 +90,14 @@ class View:
         }
 
     @classmethod
-    def from_value(cls, value: Dict) -> "View":
-        return cls(
-            gid=value["gid"],
-            view_id=value["view_id"],
-            members=tuple(value["members"]),
-        )
+    def from_wire(cls, gid: Address, view_id: int,
+                  members: List[Address]) -> "View":
+        """The view a ``to_value`` off the wire names (``msg/wire.py``'s
+        view codec): :class:`CodecError` if a member repeats."""
+        try:
+            return cls(gid=gid, view_id=view_id, members=tuple(members))
+        except GroupError as err:
+            raise CodecError(str(err)) from None
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         names = ", ".join(str(m) for m in self.members)

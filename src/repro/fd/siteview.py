@@ -222,28 +222,22 @@ class SiteViewAgent:
     # ------------------------------------------------------------------
     # Message handling (proto "sv.*")
     # ------------------------------------------------------------------
-    def handle(self, src_site: int, msg: Message) -> None:
-        if self._stopped:
-            return
-        proto = msg.get("_proto")
-        if proto == "sv.join":
-            self._on_join_request(msg["site"], msg["incarnation"])
-        elif proto == "sv.suspect":
-            if self.is_coordinator() and self.view is not None \
-                    and self.view.contains_site(msg["suspect"]):
-                self._suspected.add(msg["suspect"])
-                self._pending_removals.add(msg["suspect"])
-                self._maybe_start_round()
-        elif proto == "sv.propose":
-            self._on_propose(src_site, msg)
-        elif proto == "sv.ack":
-            self._on_ack(src_site, msg)
-        elif proto == "sv.commit":
-            self._on_commit(msg)
-        elif proto == "sv.probe":
-            self._on_probe(src_site, msg)
+    def handle(self, src_site: int, record: tuple) -> None:
+        """One ``sv.<name>`` message, parsed against its declaration
+        (``msg/wire.py``: the message, then its fields), to ``_on_<name>``."""
+        if not self._stopped:
+            getattr(self, "_on_" + record[0]["_proto"][3:])(src_site, record)
 
-    def _on_join_request(self, site: int, incarnation: int) -> None:
+    def _on_suspect(self, src_site: int, record: tuple) -> None:
+        suspect = record[1]
+        if self.is_coordinator() and self.view is not None \
+                and self.view.contains_site(suspect):
+            self._suspected.add(suspect)
+            self._pending_removals.add(suspect)
+            self._maybe_start_round()
+
+    def _on_join(self, src_site: int, record: tuple) -> None:
+        _, site, incarnation = record
         self._joins_heard[site] = self.sim.now
         if self.view is None:
             return  # still booting ourselves; the join loop handles races
@@ -353,10 +347,11 @@ class SiteViewAgent:
             self._pending_removals.add(site)
         self._maybe_start_round()
 
-    def _on_ack(self, src_site: int, msg: Message) -> None:
-        if "w" in msg:
-            self.policy.note_weight(src_site, msg["w"])
-        if self._round is not None and msg["view_id"] == self._round:
+    def _on_ack(self, src_site: int, record: tuple) -> None:
+        _, view_id, weight = record
+        if weight is not None:
+            self.policy.note_weight(src_site, weight)
+        if self._round is not None and view_id == self._round:
             self._round_acks.add(src_site)
             self._check_round_complete()
 
@@ -409,14 +404,14 @@ class SiteViewAgent:
         self._probe_timer = self.sim.call_after(
             self.config.join_retry, self._probe_round)
 
-    def _on_probe(self, src_site: int, msg: Message) -> None:
+    def _on_probe(self, src_site: int, record: tuple) -> None:
         """A hung (excluded) site asks where it stands."""
         if self.view is None or self._stalled:
             return
-        prober = (msg["site"], msg["incarnation"])
+        prober = record[1:]
         if prober not in self.view.members:
             # It was excluded: the commit tells it so, triggering recovery.
-            self.send(msg["site"], self._commit_message(self.view))
+            self.send(prober[0], self._commit_message(self.view))
 
     def _commit_message(self, view: SiteView) -> Message:
         commit = Message(
@@ -433,8 +428,8 @@ class SiteViewAgent:
         return commit
 
     # -- member side --------------------------------------------------------
-    def _on_propose(self, src_site: int, msg: Message) -> None:
-        view_id = msg["view_id"]
+    def _on_propose(self, src_site: int, record: tuple) -> None:
+        view_id = record[1]
         current = self.view.view_id if self.view is not None else 0
         if view_id <= current:
             return
@@ -445,12 +440,10 @@ class SiteViewAgent:
             ack["w"] = weight
         self.send(src_site, ack)
 
-    def _on_commit(self, msg: Message) -> None:
-        self.policy.ingest_weights(msg.get("weights"))
-        view = SiteView(
-            view_id=msg["view_id"],
-            members=tuple((s, i) for s, i in msg["members"]),
-        )
+    def _on_commit(self, src_site: int, record: tuple) -> None:
+        _, view_id, members, weights = record
+        self.policy.ingest_weights(weights)
+        view = SiteView(view_id=view_id, members=tuple(members))
         current = self.view.view_id if self.view is not None else 0
         if view.view_id <= current:
             return

@@ -27,7 +27,6 @@ decoded message keeps its input as its encoding.
 from __future__ import annotations
 
 import struct
-from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import CodecError
@@ -464,61 +463,6 @@ def _read_value(data: bytes, offset: int, depth: int) -> Tuple[Any, int]:
 BATCH_PROTO = "g.batch"
 
 
-def bytes_field(msg: Message, name: str) -> bytes:
-    """A bytes field off the wire, else :class:`CodecError`."""
-    value = msg._fields.get(name)
-    if not isinstance(value, (bytes, bytearray)):
-        raise CodecError(f"{name} is not bytes: {value!r}")
-    return bytes(value)
-
-
-def int_tuple(value: object, count: int) -> "tuple[int, ...]":
-    """A list of ``count`` integers off the wire, else :class:`CodecError`."""
-    if (isinstance(value, (list, tuple)) and len(value) == count
-            and all(type(item) is int for item in value)):
-        return tuple(value)
-    raise CodecError(f"not {count} integers: {value!r}")
-
-
-def int_fields(msg: Message, *names: str) -> "tuple[int, ...]":
-    """The named integer fields off the wire, else :class:`CodecError`."""
-    return int_tuple([msg._fields.get(name) for name in names], len(names))
-
-
-def address_fields(msg: Message, *names: str) -> "tuple[Address, ...]":
-    """The named address fields off the wire, else :class:`CodecError`."""
-    values = tuple(msg._fields.get(name) for name in names)
-    for name, value in zip(names, values):
-        if not isinstance(value, Address):
-            raise CodecError(f"{name} is not an address: {value!r}")
-    return values
-
-
-def bytes_list(value: object, name: str) -> List[bytes]:
-    """``value``, field ``name`` off the wire, if a list of bytes, else
-    :class:`CodecError`."""
-    if isinstance(value, list) and all(
-            isinstance(item, (bytes, bytearray)) for item in value):
-        return value
-    raise CodecError(f"{name} is not a list of bytes: {value!r}")
-
-
-def fields_reader(*names: str) -> Callable[[Message], tuple]:
-    """``read(msg)``: the values of these (two or more) fields of a message
-    off the wire, in this order, in one lookup; a message that lacks
-    one is :class:`CodecError`.  What the values are is the caller's to
-    check — this is for the envelope every multicast arrives in."""
-    pick = itemgetter(*names)
-
-    def read(msg: Message) -> tuple:
-        try:
-            return pick(msg._fields)
-        except KeyError as err:
-            raise CodecError(f"message has no field {err}") from None
-
-    return read
-
-
 def pack_batch(
     gid: Address,
     envelopes: List[Message],
@@ -546,16 +490,16 @@ def unpack_batch(msg: Message) -> "tuple[List[Message], Optional[Stab]]":
     """Inverse of :func:`pack_batch`; raises :class:`CodecError` only.
 
     Returns ``(envelopes, stab)`` with envelope order preserved;
-    ``stab`` is ``None`` when nothing was piggybacked.
+    ``stab`` is ``None`` when nothing was piggybacked.  What the
+    envelopes say is for their readers (``msg/wire.py``) to check.
     """
-    if msg.get(F_PROTO) != BATCH_PROTO:
-        raise CodecError(f"not a batch message: {msg.get(F_PROTO)!r}")
-    envelopes = [Message.decode(raw)
-                 for raw in bytes_list(msg.get("envs"), "envs")]
-    stab = None
-    if "stab" in msg:
-        stab = decode_stab(bytes_field(msg, "stab"))
-    return envelopes, stab
+    envs, stab = msg.get("envs"), msg.get("stab", b"")
+    if (msg.get(F_PROTO) != BATCH_PROTO or envs.__class__ is not list
+            or stab.__class__ is not bytes
+            or any(raw.__class__ is not bytes for raw in envs)):
+        raise CodecError(f"not a batch message: {msg!r}")
+    return ([Message.decode(raw) for raw in envs],
+            decode_stab(stab) if "stab" in msg else None)
 
 
 def system_copy(msg: Message) -> Message:

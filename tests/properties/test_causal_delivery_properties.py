@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_causal as reference
-from reference_causal import VectorClock
+from reference_causal import VectorClock, causal_fields
 from repro import IsisCluster, LanConfig
 from repro.core.abcast import TotalOrderReceiver
-from repro.core.cbcast import CausalReceiver, SenderChain, causal_fields
+from repro.core.cbcast import CausalReceiver, SenderChain
 from repro.core.vectorclock import (
     ContextEncoder,
     apply_context_delta,
@@ -447,7 +447,7 @@ def _install_receiver(kernel, gid, sink):
             kernel.check_delta_and_register(chain, delta, (gid, key)),
         on_advance=lambda sender, seq:
             kernel.note_causal_advance(gid.pack(), sender, seq),
-        on_refuse=lambda: kernel.sim.trace.bump("pipeline.bad_message"))
+        on_refuse=lambda: kernel.sim.trace.bump("kernel.bad_message"))
     kernel._group_installs += 1
     kernel.engines[gid] = SimpleNamespace(
         installed=True, view=SimpleNamespace(view_id=1),
@@ -891,7 +891,7 @@ def test_position_naming_nothing_is_dropped_whoever_rechecks(caller, moved):
         else:
             got.extend(receiver.recheck())      # engine.py, flush step 1
     assert [m["tag"] for m in got] == ["head"]
-    assert kernel.sim.trace.value("pipeline.bad_message") == 1
+    assert kernel.sim.trace.value("kernel.bad_message") == 1
     # Everything is where the head's delivery left it.
     assert [m["tag"] for m in receiver.pending_messages()] == ["after"]
     assert not receiver._ready and not receiver._ready_set

@@ -74,12 +74,12 @@ class TestCutOrder:
     def test_final_priorities_respected(self):
         fc = make(participants={0, 1})
         fc.offer_report(0, {}, [
-            {"ref": [0, 1], "prio": [5, 0], "final": True},
-            {"ref": [1, 1], "prio": [2, 0], "final": False},
+            ((0, 1), (5, 0), True),
+            ((1, 1), (2, 0), False),
         ], [])
         fc.offer_report(1, {}, [
-            {"ref": [0, 1], "prio": [5, 0], "final": True},
-            {"ref": [1, 1], "prio": [3, 1], "final": False},
+            ((0, 1), (5, 0), True),
+            ((1, 1), (3, 1), False),
         ], [])
         order = fc.abcast_cut_order()
         refs = [tuple(r) for r, _ in order]
@@ -90,17 +90,17 @@ class TestCutOrder:
     def test_delivered_finals_pin_the_order(self):
         fc = make(participants={0, 1})
         # Site 0 already delivered (0,1) at final (9,1).
-        fc.offer_report(0, {}, [], [[[0, 1], [9, 1]]])
+        fc.offer_report(0, {}, [], [((0, 1), (9, 1))])
         fc.offer_report(1, {}, [
-            {"ref": [0, 1], "prio": [1, 1], "final": False},
+            ((0, 1), (1, 1), False),
         ], [])
         order = fc.abcast_cut_order()
         assert order == [[[0, 1], [9, 1]]]
 
     def test_fully_delivered_messages_excluded(self):
         fc = make(participants={0, 1})
-        fc.offer_report(0, {}, [], [[[0, 1], [4, 0]]])
-        fc.offer_report(1, {}, [], [[[0, 1], [4, 0]]])
+        fc.offer_report(0, {}, [], [((0, 1), (4, 0))])
+        fc.offer_report(1, {}, [], [((0, 1), (4, 0))])
         assert fc.abcast_cut_order() == []
 
 
@@ -138,10 +138,10 @@ class TestCutOrderLift:
         # Site 0 holds (1,1) pending at a small proposal and has already
         # delivered (0,1) at a larger final; site 1 never saw (1,1).
         fc.offer_report(0, {}, [
-            {"ref": [1, 1], "prio": [2, 0], "final": False},
-        ], [[[0, 1], [11, 1]]])
+            ((1, 1), (2, 0), False),
+        ], [((0, 1), (11, 1))])
         fc.offer_report(1, {}, [
-            {"ref": [0, 1], "prio": [5, 1], "final": False},
+            ((0, 1), (5, 1), False),
         ], [])
         order = fc.abcast_cut_order()
         refs = [tuple(r) for r, _ in order]
@@ -154,12 +154,12 @@ class TestCutOrderLift:
         max-proposal priorities (cut order must stay tie-free)."""
         fc = make(participants={0, 1})
         fc.offer_report(0, {}, [
-            {"ref": [0, 1], "prio": [53, 0], "final": False},  # held by all
-            {"ref": [1, 1], "prio": [3, 0], "final": False},   # only here
-        ], [[[2, 1], [50, 1]]])
+            ((0, 1), (53, 0), False),  # held by all
+            ((1, 1), (3, 0), False),   # only here
+        ], [((2, 1), (50, 1))])
         fc.offer_report(1, {}, [
-            {"ref": [0, 1], "prio": [53, 0], "final": False},
-        ], [[[2, 1], [50, 1]]])
+            ((0, 1), (53, 0), False),
+        ], [((2, 1), (50, 1))])
         order = fc.abcast_cut_order()
         prios = [tuple(p) for _, p in order]
         assert len(set(prios)) == len(prios), f"priority collision: {order}"

@@ -2,12 +2,21 @@
 
 import pytest
 
+from repro.core.kernel import _HANDLERS, PROTOCOLS
 from repro.core.namespace import Namespace
 from repro.msg import Message, make_group_address
 from repro.sim import Simulator
 
 GID_A = make_group_address(0, 1)
 GID_B = make_group_address(1, 1)
+
+
+def deliver(node, src, msg):
+    """What the kernel's routing does with an ``ns.*`` message: parse it
+    against its declaration, hand the record to the replica's handler."""
+    proto = msg["_proto"]
+    handler = _HANDLERS[proto][len("namespace."):]
+    getattr(node, handler)(src, PROTOCOLS[proto].read(msg))
 
 
 class Bus:
@@ -21,7 +30,7 @@ class Bus:
             node = self.nodes.get(dst)
             if node is not None:
                 raw = msg.encode()
-                self.sim.call_after(self.delay, node.handle, src,
+                self.sim.call_after(self.delay, deliver, node, src,
                                     Message.decode(raw))
         return send
 
@@ -128,8 +137,8 @@ def test_out_of_order_updates_buffered():
                    contact=1)
     upd1 = Message(_proto="ns.upd", seq=1, op="reg", name="a", gid=GID_A,
                    contact=0)
-    target.handle(0, upd2)
+    deliver(target, 0, upd2)
     assert target.lookup("b") is None  # held back
-    target.handle(0, upd1)
+    deliver(target, 0, upd1)
     assert target.lookup("a") == GID_A
     assert target.lookup("b") == GID_B

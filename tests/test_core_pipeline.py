@@ -274,7 +274,7 @@ class TestStabilityRound:
         sent = _tap_wire(system, 3)
 
         def answer(site, have):
-            engine.handle(site, Message(
+            engine.kernel._dispatch(site, Message(
                 _proto="g.stab.a", gid=engine.gid,
                 stab=encode_stab(view_id, (0, 0), have)))
 
@@ -311,14 +311,14 @@ class TestStabilityRound:
                            stab=encode_stab(view, (0, 0), have))
 
         stage._round_answers = {0: have, 1: have}   # site 2 is still out
-        engine.handle(2, note("g.stab.a", view_id - 1))
+        engine.kernel._dispatch(2, note("g.stab.a", view_id - 1))
         assert stage._round_answers == {0: have, 1: have}
-        engine.handle(1, note("g.stab.dn", view_id - 1))
+        engine.kernel._dispatch(1, note("g.stab.dn", view_id - 1))
         assert engine.store.buffered_count == buffered
         assert stage.peer_have_vectors() == {}
         assert system.sim.trace.value("stability.stale_note") == 2
         # The same two notes about this view do finish and trim.
-        engine.handle(2, note("g.stab.a", view_id))
+        engine.kernel._dispatch(2, note("g.stab.a", view_id))
         assert stage._round_answers is None
         assert engine.store.buffered_count == 0
         assert system.sim.trace.value("stability.stale_note") == 2
@@ -335,10 +335,10 @@ class TestStabilityRound:
                       stab=encode_stab(engine.view.view_id, (0, 0),
                                        engine.store.have_vector()))
         engine.wedged = True
-        engine.handle(0, cut)
+        engine.kernel._dispatch(0, cut)
         assert engine.store.buffered_count == buffered
         engine.wedged = False
-        engine.handle(0, cut)
+        engine.kernel._dispatch(0, cut)
         assert engine.store.buffered_count == 0
 
 

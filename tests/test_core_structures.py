@@ -3,11 +3,11 @@
 import pytest
 
 import reference_causal as reference
-from reference_causal import VectorClock
+from reference_causal import VectorClock, causal_fields
 from repro.errors import CodecError, GroupError
 from repro.msg import Message, make_group_address, make_process_address
 from repro.core.abcast import TotalOrderReceiver, TotalOrderSender
-from repro.core.cbcast import CausalReceiver, causal_fields
+from repro.core.cbcast import CausalReceiver
 from repro.core.store import MessageStore
 from repro.core.vectorclock import ContextEncoder
 from repro.core.view import View
@@ -66,7 +66,7 @@ class TestView:
     def test_wire_roundtrip(self):
         view = View(gid=GID, view_id=5, members=(P0, P1))
         msg = Message(v=view.to_value())
-        decoded = View.from_value(Message.decode(msg.encode())["v"])
+        decoded = View.from_wire(**Message.decode(msg.encode())["v"])
         assert decoded == view
 
     def test_successor_same_members_bumps_id(self):

@@ -232,16 +232,18 @@ class TestMalformedReports:
         good = report(have_b=encode_have_vector({0: 3}), abp=[], abd=[])
         return system, engine, target, report, good
 
-    def test_bad_report_in_a_relayed_batch_spares_its_siblings(self):
+    def test_bad_report_in_a_relayed_batch_refuses_the_batch(self):
+        """A wrong field refuses the whole message: one bad report in a
+        ``g.fl.okb`` leaves its siblings untaken too."""
         system, engine, target, report, good = self._setup()
         no_vector = report(abp=[], abd=[])
         batch = Message(
             _proto="g.fl.okb", gid=engine.gid, root=0,
             reports=[[1, good.encode()], [2, no_vector.encode()],
                      [3, good.encode()]])
-        engine.handle(1, Message.decode(batch.encode()))
-        assert sorted(engine._pre_reports[target]) == [1, 3]
-        assert system.sim.trace.value("flush.okb_bad_report") == 1
+        engine.kernel._dispatch(1, Message.decode(batch.encode()))
+        assert target not in engine._pre_reports
+        assert system.sim.trace.value("kernel.bad_message") == 1
 
     def test_bad_direct_reports_are_counted(self):
         system, engine, target, report, good = self._setup()
@@ -251,10 +253,10 @@ class TestMalformedReports:
                     report(have_b=vector, abp=[{"ref": [0, 1]}], abd=[]),
                     Message(_proto="g.fl.ok", gid=engine.gid,   # no fid
                             have_b=vector, abp=[], abd=[])):
-            engine.handle(1, Message.decode(bad.encode()))
-        assert system.sim.trace.value("flush.bad_report") == 4
+            engine.kernel._dispatch(1, Message.decode(bad.encode()))
+        assert system.sim.trace.value("kernel.bad_message") == 4
         assert target not in engine._pre_reports
-        engine.handle(1, Message.decode(good.encode()))
+        engine.kernel._dispatch(1, Message.decode(good.encode()))
         assert sorted(engine._pre_reports[target]) == [1]
 
 

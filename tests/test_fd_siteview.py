@@ -6,6 +6,7 @@ with per-hop delay, isolating the protocol from the full transport stack.
 
 import pytest
 
+from repro.core.kernel import PROTOCOLS
 from repro.fd import SiteView, SiteViewAgent, SiteViewConfig
 from repro.msg import Message
 from repro.sim import Simulator
@@ -27,8 +28,10 @@ class Bus:
             agent = self.agents.get(dst)
             if agent is not None:
                 data = msg.encode()  # exercise codec fidelity
-                self.sim.call_after(
-                    self.delay, agent.handle, src, Message.decode(data))
+                msg = Message.decode(data)
+                self.sim.call_after(   # parsed as the kernel would
+                    self.delay, agent.handle, src,
+                    PROTOCOLS[msg["_proto"]].read(msg))
         return send
 
 

@@ -1,0 +1,273 @@
+"""The wire declaration (``msg/wire.py``) against the live kernel.
+
+Every protocol the kernel routes is declared, and every wrong shape the
+declaration itself implies is refused whole: counted once as
+``kernel.bad_message``, with the kernel alive and the group still
+delivering.  The wrong shapes are derived mechanically from each row: a
+well-formed instance is built from the kinds, then given exactly one
+defect — a required field missing, a field (or an item of it) of every
+wrong kind, every proper prefix of a blob, a blob with a byte too many.
+"""
+
+import os
+import re
+
+import pytest
+
+from repro import IsisCluster, IsisConfig, Message
+from repro.core.engine import GroupEngine
+from repro.core.kernel import _HANDLERS, _ROUTES, PROTOCOLS, ProtocolsProcess
+from repro.core.namespace import Namespace
+from repro.core.pipeline import TREE_PROTO, DeliveryPipeline
+from repro.core.vectorclock import parse_context_delta
+from repro.errors import CodecError
+from repro.fd.siteview import SiteViewAgent
+from repro.msg import BATCH_PROTO, make_process_address
+from repro.msg.fields import (decode_have_vector, decode_stab,
+                              encode_have_vector, encode_stab)
+from repro.msg.wire import PIPELINE
+
+_SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+_ADDRESS = make_process_address(0, 0, 9)
+#: A valid blob for every codec a row hands a blob kind.
+_BLOBS = {
+    decode_stab: encode_stab(1, (2, 1), {0: 3, 1: 5}),
+    decode_have_vector: encode_have_vector({0: 3}),
+    parse_context_delta: b"\x00\x00",                # a chain head, empty
+}
+#: Values a cross-field rule constrains beyond their kind.
+_CONSTRAINED = {"op": "reg"}
+#: One value of each type a message can carry off the wire.
+_WIRE_VALUES = (None, True, 7, -1, 1.5, "x", b"x", _ADDRESS,
+                Message(x=1), [], {})
+
+
+def _sample(kind, name=""):
+    """A well-formed value of ``kind``."""
+    if kind.name in ("optional", "nullable"):
+        return _sample(kind.of, name)
+    if kind.name == "blob":
+        if kind.of in _BLOBS:
+            return _BLOBS[kind.of]
+        return _sample(kind.of).encode()          # an encoded message
+    if kind.name == "message" and kind.of is not None:
+        return _instance(next(iter(kind.of.values())))
+    if kind.name == "list":
+        return [_sample(kind.of)]
+    if kind.name == "dict":
+        return {"k": _sample(kind.of)}
+    if kind.name == "fixed":
+        return [_sample(item) for item in kind.of]
+    if kind.name == "record":
+        return {field: _sample(item, field) for field, item in kind.of}
+    return _CONSTRAINED.get(name) or {
+        "int": 1, "uint": 1, "bool": True, "address": _ADDRESS,
+        "bytes": b"x", "str": "x", "message": Message(x=1), "any": None,
+    }[kind.name]
+
+
+def _instance(declared, **given):
+    """A well-formed message of ``declared``: every field present, but
+    an optional one whose presence breaks the row's cross-field rule."""
+    fields = {name: given.get(name, _sample(kind, name))
+              for name, kind in declared.fields}
+    msg = Message(_proto=declared.proto, **fields)
+    for name, kind in declared.fields:
+        try:
+            declared.read(Message.decode(msg.encode()))
+            return msg
+        except CodecError:
+            if kind.name == "optional":
+                del msg[name]
+    declared.read(Message.decode(msg.encode()))   # must parse by now
+    return msg
+
+
+def _refused(kind, value):
+    try:
+        kind.parse(value)
+    except CodecError:
+        return True
+    return False
+
+
+def _defects(kind, good):
+    """Wrong values for a field of ``kind`` whose good value is ``good``:
+    each one defect away from it."""
+    for value in _WIRE_VALUES:
+        if _refused(kind, value):
+            yield value
+    inner = kind.of if kind.name in ("optional", "nullable") else kind
+    if inner.name == "blob":
+        for cut in range(len(good)):
+            if _refused(kind, good[:cut]):
+                yield good[:cut]
+        yield good + b"\x00"
+    elif inner.name == "list":
+        for item in _defects(inner.of, good[0]):
+            yield [item]
+    elif inner.name == "fixed":
+        for pos, item_kind in enumerate(inner.of):
+            for item in _defects(item_kind, good[pos]):
+                yield good[:pos] + [item] + good[pos + 1:]
+    elif inner.name == "record":
+        for field, item_kind in inner.of:
+            if item_kind.name != "optional":
+                yield {k: v for k, v in good.items() if k != field}
+            for item in _defects(item_kind, good[field]):
+                yield dict(good, **{field: item})
+
+
+def _shapes(declared, gid):
+    """Every wrong shape of ``declared`` one defect from its instance."""
+    good = _instance(declared, gid=gid)
+    for name, kind in declared.fields:
+        if name not in good:
+            continue
+        if kind.name != "optional":
+            shape = good.copy()
+            del shape[name]
+            yield shape
+        for value in _defects(kind, good[name]):
+            shape = good.copy()
+            shape[name] = value
+            yield shape
+
+
+def _member_group(config):
+    system = IsisCluster(n_sites=3, seed=110, isis_config=config)
+    members = [system.spawn(site, f"m{site}") for site in (0, 1)]
+    got = {0: [], 1: []}
+    for site, (process, _) in enumerate(members):
+        process.bind(16, lambda msg, site=site: got[site].append(msg["n"]))
+    box = {}
+
+    def create():
+        box["gid"] = yield members[0][1].pg_create("fuzz")
+
+    def join():
+        yield members[1][1].pg_join(box["gid"])
+
+    members[0][0].spawn(create(), "create")
+    system.run_for(3.0)
+    members[1][0].spawn(join(), "join")
+    system.run_for(20.0)
+    return system, members, got, box["gid"]
+
+
+@pytest.mark.parametrize("config", [
+    IsisConfig(),
+    IsisConfig(abcast_mode="sequencer"),
+    IsisConfig(dissemination="tree"),
+    IsisConfig(durability=True),
+], ids=["two_phase", "sequencer", "tree", "durability"])
+def test_every_declared_wrong_shape_is_refused_once(config):
+    system, members, got, gid = _member_group(config)
+    kernel = system.kernel(1)
+    assert kernel.engines[gid.process()].view.view_id == 2
+    trace = system.sim.trace
+    sent = 0
+    for proto in sorted(PROTOCOLS):
+        for shape in _shapes(PROTOCOLS[proto], gid):
+            before = trace.value("kernel.bad_message")
+            kernel._dispatch(0, Message.decode(shape.encode()))
+            sent += 1
+            assert trace.value("kernel.bad_message") == before + 1, (
+                proto, shape.fields())
+        system.run_for(0.05)
+        assert kernel.alive and system.kernel(0).alive, proto
+    assert sent > 1000
+    assert trace.value("kernel.bad_message") == sent
+
+    def send():
+        yield members[0][1].cbcast(gid, 16, n=1)
+        yield members[0][1].abcast(gid, 16, n=2)
+
+    members[0][0].spawn(send(), "send")
+    system.run_for(10.0)
+    assert {site: sorted(ns) for site, ns in got.items()} == {
+        0: [1, 2], 1: [1, 2]}
+
+
+def test_every_routed_protocol_is_declared():
+    """What ``_dispatch`` and the pipeline can route, and every
+    ``_proto`` the kernel's parts send, has a row; every row a route to
+    a handler that is there."""
+    assert set(_ROUTES) == set(_HANDLERS) == set(PROTOCOLS)
+    assert len(PROTOCOLS) == 47
+    assert set(DeliveryPipeline.HANDLERS) == set(PIPELINE)
+    owners = {"engine": GroupEngine, "namespace": Namespace}
+    for proto, path in _HANDLERS.items():
+        owner, _, name = path.rpartition(".")
+        if proto.startswith("sv."):
+            assert hasattr(SiteViewAgent, "_on_" + proto[3:]), proto
+        elif path != "pipeline":
+            assert hasattr(owners.get(owner, ProtocolsProcess), name), proto
+    sent = {BATCH_PROTO, TREE_PROTO}
+    for folder in ("core", "fd"):
+        for name in os.listdir(os.path.join(_SRC, folder)):
+            if name.endswith(".py"):
+                with open(os.path.join(_SRC, folder, name)) as fh:
+                    sent |= set(re.findall(r'_proto="([\w.]+)"', fh.read()))
+    assert sent <= set(PROTOCOLS), sent - set(PROTOCOLS)
+
+
+def test_future_view_wrapper_is_parsed_before_it_is_held():
+    """A ``g.tr`` for a view not installed yet is held, so its payload
+    is parsed on arrival: a bad one is refused then, and cannot abort the
+    view install that would have replayed it."""
+    system = IsisCluster(n_sites=3, seed=111, isis_config=IsisConfig(
+        dissemination="tree"))
+    members = [system.spawn(site, f"m{site}") for site in (0, 1, 2)]
+    got = {site: [] for site in (0, 1, 2)}
+    for site, (process, _) in enumerate(members):
+        process.bind(16, lambda msg, site=site: got[site].append(msg["n"]))
+    box = {}
+
+    def create():
+        box["gid"] = yield members[0][1].pg_create("held")
+
+    def join(site):
+        yield members[site][1].pg_join(box["gid"])
+
+    members[0][0].spawn(create(), "create")
+    system.run_for(3.0)
+    gid = box["gid"]
+    engine = system.kernel(0).engines[gid.process()]
+    assert engine.view.view_id == 1
+    bad_inner = Message(_proto="g.cb", gid=gid, view=2, origin=1, gseq=1,
+                        m=Message(n=0), entry=16)          # no causal fields
+    system.kernel(1).send_to_site(0, Message(
+        _proto="g.tr", gid=gid, view=2, root=1, tid=1,
+        inner=bad_inner.encode()))
+    system.run_for(1.0)
+    assert system.sim.trace.value("kernel.bad_message") == 1
+    members[1][0].spawn(join(1), "join")
+    system.run_for(20.0)
+    assert engine.view.view_id == 2 and not engine.wedged
+
+    def send():
+        yield members[1][1].cbcast(gid, 16, n=1)
+
+    members[1][0].spawn(send(), "send")
+    system.run_for(10.0)
+    assert got[0] == [1] and got[1] == [1]
+    assert system.sim.trace.value("kernel.bad_message") == 1
+
+
+def test_golden_messages_parse_against_their_rows():
+    """The golden corpus is traffic an older codec wrote: each message of
+    it is well formed by its declaration — but the refill, whose
+    envelope was never restated for the one ``stab`` blob (the corpus
+    header lists what was), and whose blob is therefore refused whole."""
+    with open(os.path.join(os.path.dirname(__file__), "golden",
+                           "wire_messages.hex")) as fh:
+        corpus = [line.split() for line in fh if not line.startswith("#")]
+    assert len(corpus) == 10
+    for tag, hexed in corpus:
+        msg = Message.decode(bytes.fromhex(hexed))
+        if tag == "g.fl.data":
+            with pytest.raises(CodecError, match="g.cb stab"):
+                PROTOCOLS[tag].read(msg)
+        else:
+            assert PROTOCOLS[tag].read(msg)[0] is msg
