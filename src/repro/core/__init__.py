@@ -6,9 +6,9 @@ from .cbcast import CausalReceiver
 from .engine import ABCAST, CBCAST, GroupEngine
 from .flush import FlushCoordinator, FlushReason
 from .groups import GBCAST, Isis, toolkit
-from .kernel import CC_REPLY_ENTRY, KILL_ENTRY, IsisConfig, ProtocolsProcess
+from .kernel import KILL_ENTRY, IsisConfig, ProtocolsProcess
 from .namespace import Namespace
-from .rpc import ALL, Session, SessionTable
+from .rpc import ALL, CC_REPLY_ENTRY, Session, SessionTable
 from .store import MessageStore
 from .view import View
 

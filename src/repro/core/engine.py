@@ -588,7 +588,8 @@ class GroupEngine:
             if site != self.site_id:
                 self._send_flush_msg(site, commit)
         self._active = None
-        self.kernel.on_flush_committed(self, new_view, joiners, transfer)
+        self.kernel.joins.welcome(self, new_view, joiners, transfer)
+        self.kernel.rpc.tell_watchers(self, new_view)
         self.kernel._dispatch(self.site_id, commit)
         self.maybe_start_flush()
 
@@ -820,7 +821,7 @@ class GroupEngine:
         # elsewhere (per-view vectors reset, so old-view thresholds are
         # void): drain them now rather than at the next unrelated
         # arrival.
-        self.kernel.recheck_causal(exclude=self.gid)
+        self.kernel.causal_check.recheck(exclude=self.gid)
 
     def _reset_for_new_view(self) -> None:
         self.store.reset()

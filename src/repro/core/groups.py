@@ -83,7 +83,8 @@ class Isis:
     def pg_join(self, gid: Address, credentials: Any = None) -> Promise:
         """Join a group; resolves with the first view containing us,
         after any state transfer has completed (§3.8)."""
-        return self._hop(lambda k: k.join_group(self.process, gid, credentials))
+        return self._hop(
+            lambda k: k.joins.join_group(self.process, gid, credentials))
 
     def pg_join_by_name(self, name: str, credentials: Any = None) -> Promise:
         """pg_lookup + pg_join in one call (the §5 join-and-xfer idiom)."""
@@ -102,18 +103,19 @@ class Isis:
 
     def pg_leave(self, gid: Address) -> Promise:
         """Leave a group (resolves once the view excluding us installs)."""
-        return self._hop(lambda k: k.leave_group(self.process, gid))
+        return self._hop(lambda k: k.joins.leave_group(self.process, gid))
 
     def pg_monitor(self, gid: Address,
                    routine: Callable[[View], None]) -> Promise:
         """Invoke ``routine(view)`` on every membership change (§3.2)."""
-        return self._hop(lambda k: k.monitor_group(self.process, gid, routine))
+        return self._hop(
+            lambda k: k.rpc.monitor_group(self.process, gid, routine))
 
     def pg_kill(self, gid: Address) -> Promise:
         """Send a kill signal to every member (Table I: 1 ABCAST)."""
         def op(kernel: ProtocolsProcess) -> Promise:
             kernel.sim.trace.bump("tool.pg_kill")
-            return kernel.group_mcast(
+            return kernel.rpc.group_mcast(
                 self.process, gid, ABCAST, Message(), KILL_ENTRY, nwant=0)
         return self._hop(op)
 
@@ -121,7 +123,7 @@ class Isis:
                        routine: Callable[[Address, Any], bool]) -> Promise:
         """Register a join-validation routine (protection tool, §3.10)."""
         return self._hop(
-            lambda k: k.register_join_validator(gid, routine))
+            lambda k: k.joins.register_join_validator(gid, routine))
 
     # ------------------------------------------------------------------
     # Multicast / group RPC
@@ -138,8 +140,10 @@ class Isis:
 
         def op(kernel: ProtocolsProcess) -> Promise:
             if kind == GBCAST:
-                return kernel.group_gbcast(self.process, gid, user, entry, nwant)
-            return kernel.group_mcast(self.process, gid, kind, user, entry, nwant)
+                return kernel.rpc.group_gbcast(
+                    self.process, gid, user, entry, nwant)
+            return kernel.rpc.group_mcast(
+                self.process, gid, kind, user, entry, nwant)
 
         return self._hop(op)
 
@@ -165,21 +169,22 @@ class Isis:
         """Answer a group RPC (1 async CBCAST per Table I)."""
         answer = Message(**fields)
         return self._hop(
-            lambda k: k.send_reply(self.process, request, answer, null=False))
+            lambda k: k.rpc.send_reply(self.process, request, answer,
+                                       null=False))
 
     def null_reply(self, request: Message) -> Promise:
         """Decline to answer; releases the caller's wait for us (§3.2)."""
         return self._hop(
-            lambda k: k.send_reply(self.process, request, Message(),
-                                   null=True))
+            lambda k: k.rpc.send_reply(self.process, request, Message(),
+                                       null=True))
 
     def reply_cc(self, request: Message, cc_gid: Address,
                  **fields: Any) -> Promise:
         """Reply, with copies to the group at GENERIC_CC_REPLY (§6)."""
         answer = Message(**fields)
         return self._hop(
-            lambda k: k.send_reply(self.process, request, answer,
-                                   null=False, cc_gid=cc_gid))
+            lambda k: k.rpc.send_reply(self.process, request, answer,
+                                       null=False, cc_gid=cc_gid))
 
     # ------------------------------------------------------------------
     # Misc

@@ -440,13 +440,13 @@ class CausalOrdering:
     def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
         self.engine = engine
         self.pipeline = pipeline
-        kernel = engine.kernel
+        check = engine.kernel.causal_check
         gid = engine.gid.process()
         packed = gid.pack()
         self.receiver = CausalReceiver(
             delta_check=lambda chain, delta, key:
-                kernel.check_delta_and_register(chain, delta, (gid, key)),
-            on_advance=lambda sender, seq: kernel.note_causal_advance(
+                check.check_delta_and_register(chain, delta, (gid, key)),
+            on_advance=lambda sender, seq: check.note_advance(
                 packed, sender, seq),
             on_refuse=lambda: engine.sim.trace.bump("kernel.bad_message"),
         )
@@ -465,7 +465,8 @@ class CausalOrdering:
         encoder = self._encoders.get(key)
         if encoder is None:
             encoder = self._encoders[key] = ContextEncoder()
-        env["cb_ctx"] = encoder.encode(self.engine.kernel.causal_groups())
+        env["cb_ctx"] = encoder.encode(
+            self.engine.kernel.causal_check.groups())
 
     @staticmethod
     def own(env: Message) -> CausalFields:
@@ -478,7 +479,7 @@ class CausalOrdering:
         whatever became deliverable."""
         for ready in self.receiver.offer(env, causal):
             self.engine.deliver_env(ready)
-        self.engine.kernel.recheck_causal(exclude=self.engine.gid)
+        self.engine.kernel.causal_check.recheck(exclude=self.engine.gid)
 
     def on_new_view(self) -> None:
         self.receiver.on_new_view()
@@ -488,7 +489,7 @@ class CausalOrdering:
         # group are stale (their messages are gone), and thresholds
         # other groups registered on us are satisfied by the view
         # advance (delivered vectors reset per view).
-        self.engine.kernel.note_group_view_event(self.engine.gid)
+        self.engine.kernel.causal_check.note_view_event(self.engine.gid)
 
 
 # ----------------------------------------------------------------------

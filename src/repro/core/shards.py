@@ -1,4 +1,4 @@
-"""The kernel's cross-group causal wait index.
+"""The kernel's cross-group causal check and its wait index.
 
 A CBCAST blocked on another group's progress must be found again when
 that progress happens, without scanning every group's pending buffer on
@@ -8,12 +8,24 @@ only that group's dictionaries however many groups the kernel hosts.
 
 The index compares keys and nothing else: the kernel hands it groups and
 members packed, as a ``cb_ctx`` names them, and a waiter as the key of
-the receiver it is pending in.
+the receiver it is pending in.  :class:`CausalCheck` is the kernel's
+side: it tests a ``cb_ctx`` against the groups hosted here, files a
+failed test in the index, and drains the groups a wake marked.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
+
+from .cbcast import SenderChain
+from .vectorclock import (ChainContext, ContextDelta, apply_context_delta,
+                          first_in_walk_order)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..msg.address import Address
+    from .engine import GroupEngine
+    from .kernel import ProtocolsProcess
 
 #: A blocked CBCAST is identified kernel-wide by the group it is pending
 #: in plus its (sender, seq) key within that group's causal receiver.
@@ -121,3 +133,214 @@ class WaitIndex:
         for waiter in bucket:
             del self._slots[waiter]
         return list(bucket)
+
+
+def _shortfall(engine: Optional["GroupEngine"], view_id: int,
+               members: Sequence[bytes],
+               by_position: Iterable[Tuple[int, int]],
+               by_address: Iterable[Tuple[bytes, int]],
+               ) -> Optional[Sequence[Tuple[bytes, int]]]:
+    """One causal-context entry of view ``view_id`` (counters by position
+    in ``members`` and by address) against ``engine``, its group here:
+    the ``(member, count)``s we are short of, in order, or None if our
+    view is older.  Not installed here (cannot, and need not, wait) or a
+    newer view (the old one was flushed) satisfies."""
+    if engine is None or not engine.installed:
+        return ()
+    view = engine.view
+    if view is None or view.view_id > view_id:
+        return ()
+    if view.view_id < view_id:
+        return None
+    have = engine.causal.delivered
+    short = [(members[mpos], count) for mpos, count in by_position
+             if have.get(members[mpos], 0) < count]
+    if by_address:
+        short += [mc for mc in by_address if have.get(mc[0], 0) < mc[1]]
+    return short
+
+
+class CausalCheck:
+    """Cross-group causal delivery at one kernel.
+
+    Owns the :class:`WaitIndex`, the *wake set* (groups a wake marked
+    candidates in, owed a drain) and the count of groups installed here
+    since boot.  The kernel's group table it reads and does not own: it
+    is told when that table changes (:meth:`engines_changed`,
+    :meth:`retire`).
+    """
+
+    def __init__(self, kernel: "ProtocolsProcess"):
+        self.kernel = kernel
+        self.counters = kernel.counters
+        #: Cross-group causal wait thresholds.
+        self.wait_index = WaitIndex()
+        #: Groups owed a candidate drain (a wake marked candidates there).
+        self.wakes: Set["Address"] = set()
+        #: Groups that became installed here since boot.  A sender chain
+        #: checked before the latest install may hold an entry that was
+        #: skipped as "not a member" and is testable now.
+        self.installs = 0
+        #: ``kernel.engines`` keyed by packed gid, in packed order — how
+        #: a ``cb_ctx`` names and orders groups; rebuilt when the group
+        #: table changes.
+        self._packed: Optional[Dict[bytes, "GroupEngine"]] = None
+
+    def engines_changed(self) -> None:
+        """The kernel's group table gained or lost a group."""
+        self._packed = None
+
+    def _packed_engines(self) -> Dict[bytes, "GroupEngine"]:
+        table = self._packed
+        if table is None:
+            table = self._packed = dict(sorted(
+                (gid.pack(), engine)
+                for gid, engine in self.kernel.engines.items()))
+        return table
+
+    def groups(self) -> Dict[bytes, Tuple[int, Dict[bytes, int]]]:
+        """Our installed groups' *live* delivered counts, as ``packed
+        gid -> (view id, packed member -> count)`` in gid order: what a
+        :class:`~repro.core.vectorclock.ContextEncoder` diffs."""
+        return {gid: (engine.view.view_id, engine.causal.delivered)
+                for gid, engine in self._packed_engines().items()
+                if engine.installed and engine.view is not None}
+
+    def check_delta_and_register(self, chain: SenderChain,
+                                 delta: ContextDelta,
+                                 waiter: WaiterKey) -> bool:
+        """Is the causal context ``chain.context`` advanced by ``delta``
+        satisfied at our kernel?
+
+        On failure the waiter is registered in the :class:`WaitIndex`
+        against the first unsatisfied threshold, so the matching advance
+        (or view event) re-marks it as a delivery candidate; any stale
+        slot from a previous evaluation is dropped first.
+
+        The message is a candidate, so its predecessor passed this check
+        here.  An entry the delta does not name was satisfied then and
+        still is: delivered vectors only grow within a view, and a newer
+        local view (or a retired group) satisfies by rule.  So only the
+        delta's entries are tested.  The one exception is an entry
+        skipped then because the group was not installed here: if any
+        group was installed since, the same test runs over a copy of the
+        advanced context taken as a chain head, which names every entry.
+        """
+        self.wait_index.remove(waiter)
+        if delta.full or chain.installs == self.installs:
+            self.counters.bump("causal.ctx_delta_entries",
+                               len(delta.named) + len(delta.moved))
+            satisfied = self._check_delta(chain.context, delta, waiter)
+        else:
+            self.counters.bump("causal.ctx_full_walks")
+            context = chain.context.copy()
+            apply_context_delta(context, delta)
+            satisfied = self._check_delta(
+                context, ContextDelta(True, context.entries(), [], []), waiter)
+        if satisfied:
+            chain.installs = self.installs
+        return satisfied
+
+    def _check_delta(self, base: ChainContext, delta: ContextDelta,
+                     waiter: WaiterKey) -> bool:
+        """The context check restricted to the delta's entries.
+
+        On failure the waiter goes on the threshold a walk of ``base``
+        advanced by ``delta`` would meet first: the chain's order, which
+        a moved entry's counters are already in.
+        """
+        engines = self._packed_engines()
+        #: gid -> the (member, count)s we are short of; None for a view
+        #: threshold.
+        failed: Dict[bytes, Optional[Sequence[Tuple[bytes, int]]]] = {}
+        for gid, view_id, members, counts in delta.named:
+            short = _shortfall(engines.get(gid), view_id, (), (),
+                               zip(members, counts))
+            if short is None or short:
+                failed[gid] = short
+        # What the delta names by position: the group, its view and the
+        # members are the chain's.
+        gids, views, held = base.gids, base.views, base.members
+        for gpos, counters, gained in delta.moved:
+            gid = gids[gpos]
+            short = _shortfall(engines.get(gid), views[gpos], held[gpos],
+                               counters, gained)
+            if short is None or short:
+                failed[gid] = short
+        if not failed:
+            return True
+        gid = first_in_walk_order(list(failed), () if delta.full else gids)
+        short = failed[gid]
+        if short is None:
+            self.wait_index.register_view(gid, waiter)
+        else:
+            member, count = short[0]
+            self.wait_index.register_counter(gid, member, count, waiter)
+        return False
+
+    def note_advance(self, gid: bytes, sender: bytes, seq: int) -> None:
+        """Group ``gid`` (packed) delivered (sender, seq): wake threshold
+        waiters."""
+        self._wake_waiters(self.wait_index.on_advance(gid, sender, seq))
+
+    def note_view_event(self, gid: "Address") -> None:
+        """Group ``gid`` installed a view (or retired) here: the waits
+        its pending messages held are gone with its buffer, and the
+        thresholds others wait on in it are all satisfied now — wake
+        everything keyed on it."""
+        key = gid.process()
+        self.wait_index.purge_engine(key)
+        self._wake_waiters(self.wait_index.on_view_event(key.pack()))
+
+    def retire(self, key: "Address") -> None:
+        """Group ``key`` left the kernel's table: its pending buffer is
+        gone, and contexts naming it are now trivially satisfied ("not a
+        member: cannot wait")."""
+        self._packed = None
+        self.wakes.discard(key)
+        self.note_view_event(key)
+
+    def _wake_waiters(self, waiters: List[WaiterKey]) -> None:
+        engines = self.kernel.engines
+        for engine_gid, key in waiters:
+            engine = engines.get(engine_gid)
+            if engine is not None and engine.causal.mark_candidate(key):
+                self.wakes.add(engine_gid)
+
+    def recheck(self, exclude: Optional["Address"] = None) -> None:
+        """A group advanced: unblock cross-group causal waits elsewhere.
+
+        Drains only groups whose WaitIndex thresholds were actually
+        crossed (candidate marks), visiting them in engine order — O(1)
+        when nothing woke.
+        """
+        wakes = self.wakes
+        if not wakes:
+            return
+        exclude_key = exclude.process() if exclude is not None else None
+        order = self.kernel.engine_order
+        engines = self.kernel.engines
+        # One pass in engine-creation order over the *live* wake set
+        # (never the whole engines dict): a group woken mid-pass at a
+        # later rank is drained this pass, one at an earlier rank waits
+        # for the next trigger — the semantics of one pass over the
+        # engines dict, at O(woken groups) per call.
+        last_rank = -1
+        while True:
+            best = None
+            best_rank = -1
+            for gid in wakes:
+                if gid == exclude_key:
+                    continue
+                rank = order.get(gid, -1)
+                if rank > last_rank and (best is None or rank < best_rank):
+                    best, best_rank = gid, rank
+            if best is None:
+                break
+            last_rank = best_rank
+            wakes.discard(best)
+            engine = engines.get(best)
+            if engine is None:
+                continue
+            for ready in engine.causal.recheck():
+                engine.deliver_env(ready)

@@ -21,9 +21,9 @@ consumers:
    a full snapshot — log-assisted state transfer.
 2. **Total-failure recovery.**  The recovery manager's poll compares
    logged ``(view_id, deliveries)`` positions; the best survivor calls
-   :meth:`ProtocolsProcess.restore_from_wal` to rebuild the service
-   from its checkpoint + log before re-creating the group (paper §5,
-   the last-process-to-fail rule).
+   :meth:`WalManager.restore` to rebuild the service from its
+   checkpoint + log before re-creating the group (paper §5, the
+   last-process-to-fail rule).
 3. **Bounded replay.**  Periodic checkpoints capture the group's
    transfer segments plus the log position.  Truncation is
    *two-generation*: the log is cut back to the previous checkpoint,
@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from ..msg.address import ADDRESS_SIZE, Address
 from ..msg.fields import decode_uvarint, encode_uvarint
 from ..msg.message import Message
+from .join import apply_segments, capture_segments
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.process import IsisProcess
@@ -211,12 +212,24 @@ def _delivered_covers(delivered: Dict[int, Tuple[int, Set[int]]],
 
 def _delivered_subset(small: Dict[int, Tuple[int, Set[int]]],
                       big: Dict[int, Tuple[int, Set[int]]]) -> bool:
+    """Does ``big`` cover every gseq ``small`` does (per origin, 1 up
+    to the floor, and the extras)?  Exact for a set as decoded, whose
+    extras need not lie above its floor, at the cost of the extras: the
+    part of a floor past ``big``'s must be made of ``big``'s extras."""
     for origin, (floor, extras) in small.items():
-        for gseq in range(1, floor + 1):
-            if not _delivered_covers(big, origin, gseq):
+        entry = big.get(origin)
+        if entry is None:
+            if floor >= 1 or extras:
+                return False
+            continue
+        big_floor, big_extras = entry
+        if floor > big_floor:
+            low = max(big_floor, 0)
+            if sum(1 for gseq in big_extras
+                   if low < gseq <= floor) != floor - low:
                 return False
         for gseq in extras:
-            if not _delivered_covers(big, origin, gseq):
+            if gseq > big_floor and gseq not in big_extras:
                 return False
     return True
 
@@ -471,6 +484,12 @@ class WalManager:
         gw.armed = True
         gw.name = name or gw.name
         self._bind_name(gw)
+        self._start_log(gw, view, process, old_gen=None)
+
+    def _start_log(self, gw: GroupWal, view, process: "IsisProcess",
+                   old_gen: Optional[int]) -> None:
+        """The log starts at ``view``: its boundary record, and a
+        checkpoint of ``process``'s state there."""
         gw.view_id = view.view_id
         gw.members = view.members
         gw.delivered = {}
@@ -478,8 +497,8 @@ class WalManager:
         gw.base_delivered = {}
         self._append(gw, frame_record(encode_view(view.view_id,
                                                   view.members)))
-        self._write_checkpoint(gw, self._segments_of(process),
-                               pos=self._pos_of(gw), old_gen=None)
+        self._write_checkpoint(gw, capture_segments(process),
+                               pos=self._pos_of(gw), old_gen=old_gen)
 
     def arm_member(self, engine: "GroupEngine",
                    process: "IsisProcess") -> None:
@@ -507,15 +526,7 @@ class WalManager:
         gw.committed_abs = 0
         gw.recovered = False
         self._resolve_name(gw, engine)
-        gw.view_id = view.view_id
-        gw.members = view.members
-        gw.delivered = {}
-        gw.base_view = view.view_id
-        gw.base_delivered = {}
-        self._append(gw, frame_record(encode_view(view.view_id,
-                                                  view.members)))
-        self._write_checkpoint(gw, self._segments_of(process),
-                               pos=self._pos_of(gw), old_gen=old_gen)
+        self._start_log(gw, view, process, old_gen)
         pending, gw.pending = gw.pending, []
         for framed in pending:
             rec = parse_record(unframe_record(framed))
@@ -612,7 +623,7 @@ class WalManager:
             process = self.kernel.site.process_by_id(member.local_id)
             if process is None or not process.alive:
                 continue
-            if getattr(process, "xfer_segments", None):
+            if process.xfer_segments:
                 return process
             fallback = fallback or process
         return fallback
@@ -662,19 +673,8 @@ class WalManager:
             return
         if pos["gen"] != gw.gen:
             return  # a rebase superseded this capture
-        self._write_checkpoint(gw, self._segments_of(process), pos,
+        self._write_checkpoint(gw, capture_segments(process), pos,
                                old_gen=None)
-
-    def _segments_of(
-            self, process: Optional["IsisProcess"],
-    ) -> Dict[str, List[bytes]]:
-        segments: Dict[str, List[bytes]] = {}
-        if process is None:
-            return segments
-        for name, (encoder, _decoder) in getattr(
-                process, "xfer_segments", {}).items():
-            segments[name] = [bytes(b) for b in encoder()]
-        return segments
 
     def _write_checkpoint(self, gw: GroupWal,
                           segments: Dict[str, List[bytes]],
@@ -817,17 +817,9 @@ class WalManager:
         suffix: List[bytes] = []
         for framed in gw.records:
             rec = parse_record(unframe_record(framed))
-            if rec is None:
-                continue
-            if rec["kind"] == REC_DELIVER:
-                if rec["view"] < hint_view:
-                    continue
-                if rec["view"] == hint_view and _delivered_covers(
-                        joiner_dlv, rec["origin"], rec["gseq"]):
-                    continue
-            elif rec["view"] <= hint_view:
-                continue
-            suffix.append(framed)
+            if rec is not None and not _covered_by(hint_view, joiner_dlv,
+                                                   rec):
+                suffix.append(framed)
         return suffix
 
     def replay_to(self, gid: Address, process: "IsisProcess") -> int:
@@ -845,43 +837,32 @@ class WalManager:
         after this rebases the log anyway (view boundary record + a
         checkpoint that captures their combined effect).
         """
-        applied = 0
-        for framed in suffix:
-            rec = parse_record(unframe_record(bytes(framed)))
-            if rec is None:
-                continue
-            if rec["kind"] in (REC_DELIVER, REC_GBCAST):
-                self._deliver_replay(process, rec)
-                applied += 1
-        return applied
+        return self._replay(process, suffix)
 
     def _apply(self, gw: GroupWal, process: "IsisProcess") -> int:
-        decoders = getattr(process, "xfer_segments", {})
-        for name, blocks in gw.ck_segments.items():
-            entry = decoders.get(name)
-            if entry is not None:
-                entry[1]([bytes(b) for b in blocks])
-        applied = 0
-        for framed in gw.records:
-            rec = parse_record(unframe_record(framed))
-            if rec is None:
-                continue
-            if gw.covered_by_ck(rec):
-                continue  # retention-window record; the segments have it
-            if rec["kind"] in (REC_DELIVER, REC_GBCAST):
-                self._deliver_replay(process, rec)
-                applied += 1
-        return applied
+        apply_segments(process, gw.ck_segments)
+        # A retention-window record is skipped: the segments have it.
+        return self._replay(process, gw.records, gw.covered_by_ck)
 
-    def _deliver_replay(self, process: "IsisProcess", rec: dict) -> None:
-        try:
-            user = Message.decode(rec["user"])
-        except Exception:
-            self.sim.trace.bump("wal.bad_replay")
-            return
-        user["_replay"] = True
-        self.kernel.counters.bump("wal.replayed")
-        process.deliver(user)
+    def _replay(self, process: "IsisProcess", records: List[bytes],
+                covered=lambda rec: False) -> int:
+        """Deliver ``records``' D and G records not ``covered`` to
+        ``process``; how many were."""
+        applied = 0
+        for framed in records:
+            rec = parse_record(unframe_record(bytes(framed)))
+            if rec is None or covered(rec) or rec["kind"] == REC_VIEW:
+                continue
+            try:
+                user = Message.decode(rec["user"])
+            except Exception:
+                self.sim.trace.bump("wal.bad_replay")
+                continue
+            user["_replay"] = True
+            self.kernel.counters.bump("wal.replayed")
+            process.deliver(user)
+            applied += 1
+        return applied
 
     # ------------------------------------------------------------------
     # Total-failure restore (paper §5: last process to fail restarts)

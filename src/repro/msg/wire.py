@@ -11,14 +11,17 @@ rule is :class:`CodecError`, which refuses the whole message.  Fields a
 row does not name are ignored.
 
 The kinds are a closed set: ``int`` (``type is int``, so a bool is
-refused), ``uint`` (an int >= 0), ``bool``, ``address``, ``bytes``,
-``str``, ``message``, ``any`` (a user-opaque value that is there),
-``list_of(k)``, ``dict_of(k)`` (str keys), ``fixed(k, ...)`` (a list of
-exactly these kinds, parsed to a tuple), ``record((name, k), ...)`` (a
-dict with these fields, parsed to a tuple or what its ``make`` makes of
-one) and ``blob(codec)`` (bytes the codec parses).  In a row,
-``name:kind?`` is a field that may be absent (``None``); ``nullable(k)``
-is ``k`` or ``None``.
+refused), ``uint`` (an int >= 0), ``float``, ``bool``, ``address``,
+``bytes``, ``str``, ``message``, ``any`` (a user-opaque value that is
+there), ``list_of(k)``, ``dict_of(k)`` (str keys), ``fixed(k, ...)``
+(a list of exactly these kinds, parsed to a tuple),
+``record((name, k), ...)`` (a dict with these fields, parsed to a tuple
+or what its ``make`` makes of one) and ``blob(codec)`` (bytes the codec
+parses).  In a row, ``name:kind?`` is a field that may be absent
+(``None``); ``nullable(k)`` is ``k`` or ``None``.
+
+The toolkit's services (``tools/``) declare their protocols here too
+(:data:`TOOLS`), and the kernel routes them the same way.
 
 Codecs that live in ``core/`` (the ``cb_ctx`` parser, the view
 constructor) are handed to :func:`protocols`: this package imports
@@ -91,6 +94,7 @@ def _any(value: Any) -> Any:
 
 
 INT = _exactly("int", int)
+FLOAT = _exactly("float", float)
 BOOL = _exactly("bool", bool)
 ADDRESS = _exactly("address", Address)
 STR = _exactly("str", str)
@@ -218,12 +222,16 @@ def _encoded(kind: Kind) -> Kind:
 #: of a ``g.tr`` wrapper (which wraps any of them but itself).
 PIPELINE = (BATCH_PROTO, "g.cb", "g.ab", "g.abp", "g.abf", "g.abs",
             "g.stab.q", "g.stab.a", "g.stab.up", "g.stab.dn", "g.tr")
+#: The protocols a toolkit service (``tools/``) handles: each is routed
+#: to the handler the tool attaches at its kernel.
+TOOLS = ("rm.q", "rm.a", "rt.ask", "rt.tell", "rx.spawn", "news.item")
 
 
 def protocols(context: Callable[[bytes], Any],
               view: Callable[[Address, int, list], Any]
               ) -> Dict[str, Protocol]:
-    """Every protocol ``ProtocolsProcess._dispatch`` routes, compiled.
+    """Every protocol ``ProtocolsProcess._dispatch`` routes, compiled:
+    the kernel's, then the toolkit's (:data:`TOOLS`).
 
     ``context`` parses a ``cb_ctx`` (its value has a ``full`` flag, a
     chain head's); ``view(gid, view_id, members)`` makes a group view
@@ -232,8 +240,9 @@ def protocols(context: Callable[[bytes], Any],
     """
     pair = fixed(INT, INT)
     kinds = {
-        "int": INT, "uint": UINT, "bool": BOOL, "address": ADDRESS,
-        "bytes": BYTES, "str": STR, "message": MESSAGE, "any": ANY,
+        "int": INT, "uint": UINT, "float": FLOAT, "bool": BOOL,
+        "address": ADDRESS, "bytes": BYTES, "str": STR, "message": MESSAGE,
+        "any": ANY,
         "stab": blob(decode_stab), "have": blob(decode_have_vector),
         "ctx": blob(context), "fid": fixed(INT, INT, INT), "pair": pair,
         "view": record(("gid", ADDRESS), ("view_id", UINT),
@@ -243,6 +252,7 @@ def protocols(context: Callable[[bytes], Any],
         "triples": list_of(fixed(INT, INT, INT)),
         "cut": list_of(fixed(pair, pair)),
         "maybe_int": nullable(INT), "maybe_address": nullable(ADDRESS),
+        "values": list_of(ANY),
     }
     table: Dict[str, Protocol] = {}
 
@@ -337,4 +347,13 @@ def protocols(context: Callable[[bytes], Any],
     kinds["wrapped"] = _encoded(_messages(
         {p: table[p] for p in PIPELINE if p != "g.tr"}, "a wrapped message"))
     declare("g.tr", "gid:address view:int root:int tid:int inner:wrapped")
+    # The toolkit: recovery manager polls (tools/recovery.py), clock
+    # sync (tools/realtime.py), remote execution (tools/rexec.py) and
+    # news items to a subscriber (tools/news.py).
+    declare("rm.q", "poll:int group:str origin:int")
+    declare("rm.a", "poll:int has:int view:int cnt:int alive:int site:int")
+    declare("rt.ask", "req:int site:int")
+    declare("rt.tell", "req:int master:float")
+    declare("rx.spawn", "program:str args:values?")
+    declare("news.item", "subject:str seq:int body:any? to:address")
     return table

@@ -28,7 +28,7 @@ import inspect
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.groups import Isis
-from ..core.kernel import CC_REPLY_ENTRY
+from ..core.rpc import CC_REPLY_ENTRY
 from ..core.view import View
 from ..msg.address import Address
 from ..msg.message import Message

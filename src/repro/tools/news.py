@@ -26,6 +26,17 @@ from .entries import NEWS_CTL_ENTRY, NEWS_DELIVERY_ENTRY, NEWS_POST_ENTRY
 NEWS_GROUP = "@news"
 
 
+def _hand_to_subscriber(kernel, record: tuple) -> None:
+    """A ``news.item`` reached the subscriber's site: hand it over."""
+    msg, _subject, _seq, _body, to = record
+    process = kernel.site.process_by_id(to.local_id)
+    if process is not None and process.alive:
+        copy = msg.copy()
+        copy["_entry"] = NEWS_DELIVERY_ENTRY
+        kernel.sim.call_after(kernel.site.local_hop_delay,
+                              process.deliver, copy)
+
+
 class NewsServer:
     """One server replica of the news service."""
 
@@ -133,28 +144,8 @@ class NewsClient:
         clients.append(self)
         kernel = getattr(isis.process.site, "kernel", None)
         if kernel is not None:
-            self._install_delivery_route(kernel)
-
-    def _install_delivery_route(self, kernel) -> None:
-        """Route 'news.item' kernel messages to subscriber processes."""
-        if getattr(kernel, "_news_route_installed", False):
-            return
-        kernel._news_route_installed = True
-        original = kernel._dispatch
-
-        def dispatch(src_site: int, msg: Message) -> None:
-            if msg.get("_proto") == "news.item":
-                target: Address = msg["to"]
-                process = kernel.site.process_by_id(target.local_id)
-                if process is not None and process.alive:
-                    copy = msg.copy()
-                    copy["_entry"] = NEWS_DELIVERY_ENTRY
-                    kernel.sim.call_after(kernel.site.local_hop_delay,
-                                          process.deliver, copy)
-                return
-            original(src_site, msg)
-
-        kernel._dispatch = dispatch
+            kernel.attach("news.item", lambda src_site, record:
+                          _hand_to_subscriber(kernel, record))
 
     # -- API -----------------------------------------------------------------
     def subscribe(self, subject: str,

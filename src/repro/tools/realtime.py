@@ -75,7 +75,8 @@ class ClockSync:
         self._pending: Dict[int, float] = {}   # request id -> local send raw
         self._next_req = 1
         self._timer: Optional[Timer] = None
-        kernel.register_service("rt.", self._on_message)
+        kernel.attach("rt.ask", self._on_ask)
+        kernel.attach("rt.tell", self._on_tell)
         self._tick()
 
     def master_site(self) -> Optional[int]:
@@ -94,21 +95,21 @@ class ClockSync:
                 _proto="rt.ask", req=req, site=self.kernel.site_id))
         self._timer = self.sim.call_after(self.interval, self._tick)
 
-    def _on_message(self, src_site: int, msg: Message) -> None:
-        proto = msg["_proto"]
-        if proto == "rt.ask":
-            self.kernel.send_to_site(src_site, Message(
-                _proto="rt.tell", req=msg["req"], master=self.clock.now()))
-        elif proto == "rt.tell":
-            sent_at = self._pending.pop(msg["req"], None)
-            if sent_at is None:
-                return
-            arrived = self.clock.now()
-            round_trip = arrived - sent_at
-            # Cristian: the master's reading refers to ~half an RTT ago.
-            estimate = msg["master"] + round_trip / 2.0
-            self.clock.correction += estimate - arrived
-            self.sim.trace.bump("tool.rt_syncs")
+    def _on_ask(self, src_site: int, record: tuple) -> None:
+        self.kernel.send_to_site(src_site, Message(
+            _proto="rt.tell", req=record[1], master=self.clock.now()))
+
+    def _on_tell(self, src_site: int, record: tuple) -> None:
+        _, req, master = record
+        sent_at = self._pending.pop(req, None)
+        if sent_at is None:
+            return
+        arrived = self.clock.now()
+        round_trip = arrived - sent_at
+        # Cristian: the master's reading refers to ~half an RTT ago.
+        estimate = master + round_trip / 2.0
+        self.clock.correction += estimate - arrived
+        self.sim.trace.bump("tool.rt_syncs")
 
     def stop(self) -> None:
         if self._timer is not None:

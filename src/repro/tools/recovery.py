@@ -76,13 +76,11 @@ class RecoveryManager:
         # change under an election already in flight.
         self._boot_views: Dict[str, Tuple[int, int]] = {}
         for group in self.registered_groups():
-            raw = self.site.stable.read(_VIEW_PREFIX + group)
-            if raw:
-                try:
-                    self._boot_views[group] = (int(raw.decode("utf-8")), 0)
-                except ValueError:
-                    pass
-        kernel.register_service("rm.", self._on_message)
+            pos = self._logged_view(group)
+            if pos is not None:
+                self._boot_views[group] = pos
+        kernel.attach("rm.q", self._on_query)
+        kernel.attach("rm.a", self._on_answer)
         kernel.view_hooks.append(self._log_view)
         self._recover_registered()
 
@@ -120,24 +118,22 @@ class RecoveryManager:
         """This site's logged ``(view, deliveries)`` — or ``None`` when
         it never logged the group.  ``None`` and ``(0-ish, 0)`` are very
         different votes: only the former abstains from the election."""
-        pos = self.kernel.wal_position(group_name)
+        wal = self.kernel.wal
+        pos = wal.logged_position(group_name) if wal is not None else None
         if pos is not None:
             return pos
         pos = self._boot_views.get(group_name)
         if pos is not None:
             return pos
-        raw = self.site.stable.read(_VIEW_PREFIX + group_name)
-        if raw:
-            try:
-                return (int(raw.decode("utf-8")), 0)
-            except ValueError:
-                return None
-        return None
+        return self._logged_view(group_name)
 
-    def last_logged_view(self, group_name: str) -> int:
-        """Legacy accessor: logged view id, 0 when nothing was logged."""
-        pos = self.last_logged(group_name)
-        return pos[0] if pos else 0
+    def _logged_view(self, group_name: str) -> Optional[Tuple[int, int]]:
+        """The legacy view blob's position, ``(view, 0)``, if it holds one."""
+        raw = self.site.stable.read(_VIEW_PREFIX + group_name)
+        try:
+            return (int(raw.decode("utf-8")), 0) if raw else None
+        except ValueError:
+            return None
 
     # ------------------------------------------------------------------
     # Recovery on boot
@@ -223,13 +219,13 @@ class RecoveryManager:
         factory = self.site.cluster.programs.lookup(program)
         process = self.site.spawn_process(name=f"{program}[{mode}]")
         factory(process, mode, group_name)
-        if mode == "create":
+        if mode == "create" and self.kernel.wal is not None:
             # Election winner: rebuild the service state from the local
             # checkpoint + log (paper §5) before the factory's create
             # round installs the fresh group.  The factory has bound its
             # handlers and transfer segments by now; the replay streams
-            # straight into them.  No-op without a WAL.
-            replayed = self.kernel.restore_from_wal(process, group_name)
+            # straight into them.
+            replayed = self.kernel.wal.restore(process, group_name)
             if replayed is not None:
                 self.sim.trace.bump("tool.rm_restored")
                 self.sim.trace.log(
@@ -262,32 +258,27 @@ class RecoveryManager:
         self._pending_polls.pop(poll_id, None)
         return dict(results)
 
-    def _on_message(self, src_site: int, msg: Message) -> None:
-        proto = msg["_proto"]
-        if proto == "rm.q":
-            pos = self.last_logged(msg["group"])
-            self.kernel.send_to_site(src_site, Message(
-                _proto="rm.a", poll=msg["poll"],
-                has=1 if pos else 0,
-                view=pos[0] if pos else 0,
-                cnt=pos[1] if pos else 0,
-                alive=1 if self._group_alive(msg["group"]) else 0,
-                # Kept for cross-version peers that still read "last".
-                last=pos[0] if pos else 0,
-                site=self.site.site_id))
-        elif proto == "rm.a":
-            entry = self._pending_polls.get(msg.get("poll"))
-            if entry is None:
-                return  # the poll already closed (late vote)
-            done, waiting, results = entry
-            site = msg.get("site", src_site)
-            results[site] = (bool(msg.get("has", msg.get("last", 0))),
-                             msg.get("view", msg.get("last", 0)) or 0,
-                             msg.get("cnt", 0) or 0,
-                             bool(msg.get("alive", 0)))
-            waiting.discard(site)
-            if not waiting:
-                done.resolve(results)
+    def _on_query(self, src_site: int, record: tuple) -> None:
+        _, poll, group, _origin = record
+        pos = self.last_logged(group)
+        self.kernel.send_to_site(src_site, Message(
+            _proto="rm.a", poll=poll,
+            has=1 if pos else 0,
+            view=pos[0] if pos else 0,
+            cnt=pos[1] if pos else 0,
+            alive=1 if self._group_alive(group) else 0,
+            site=self.site.site_id))
+
+    def _on_answer(self, src_site: int, record: tuple) -> None:
+        _, poll, has, view, cnt, alive, site = record
+        entry = self._pending_polls.get(poll)
+        if entry is None:
+            return  # the poll already closed (late vote)
+        done, waiting, results = entry
+        results[site] = (bool(has), view, cnt, bool(alive))
+        waiting.discard(site)
+        if not waiting:
+            done.resolve(results)
 
     def _group_alive(self, group_name: str) -> bool:
         """Is a member of the named group running at this site now?"""

@@ -20,16 +20,14 @@ def install_rexec(system) -> None:
     def attach(site) -> None:
         kernel: ProtocolsProcess = site.kernel
 
-        def handle(src_site: int, msg: Message) -> None:
-            if msg["_proto"] != "rx.spawn":
-                return
-            program = msg["program"]
+        def spawn(src_site: int, record: tuple) -> None:
+            _, program, args = record
             if program not in site.cluster.programs:
                 return
             kernel.sim.trace.bump("tool.rexec_spawns")
-            site.run_program(program, *msg.get("args", []))
+            site.run_program(program, *(args or ()))
 
-        kernel.register_service("rx.", handle)
+        kernel.attach("rx.spawn", spawn)
 
     for site in system.cluster.sites.values():
         site.on_boot(attach)

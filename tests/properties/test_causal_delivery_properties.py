@@ -110,7 +110,7 @@ def _settle(system, members):
         if proc.alive:
             kernel = system.kernel(site)
             for _ in range(len(kernel.engines) + 1):
-                kernel.recheck_causal()
+                kernel.causal_check.recheck()
     system.run_for(1.0)
 
 
@@ -130,7 +130,7 @@ def _final_views(system, members):
                if engine.installed and engine.view.contains(proc.address)}
         for site, (proc, _) in enumerate(members)
         if proc.alive
-        and proc.address not in system.kernel(site)._awaiting_state}
+        and proc.address not in system.kernel(site).joins.gated}
 
 
 def _assert_conforms(deliveries, final_views, cross_group_tasks=()):
@@ -433,7 +433,7 @@ def _local_vectors(kernel, here=None):
 
 def _install(kernel, gid, view_id, counts):
     """A group becomes installed at the kernel, as a join's welcome does."""
-    kernel._group_installs += 1
+    kernel.causal_check.installs += 1
     kernel.engines[gid] = _LocalGroup(view_id, counts)
     kernel._note_engine(gid)
 
@@ -444,11 +444,12 @@ def _install_receiver(kernel, gid, sink):
     what a recheck pass delivers goes to ``sink``."""
     receiver = CausalReceiver(
         delta_check=lambda chain, delta, key:
-            kernel.check_delta_and_register(chain, delta, (gid, key)),
+            kernel.causal_check.check_delta_and_register(
+                chain, delta, (gid, key)),
         on_advance=lambda sender, seq:
-            kernel.note_causal_advance(gid.pack(), sender, seq),
+            kernel.causal_check.note_advance(gid.pack(), sender, seq),
         on_refuse=lambda: kernel.sim.trace.bump("kernel.bad_message"))
-    kernel._group_installs += 1
+    kernel.causal_check.installs += 1
     kernel.engines[gid] = SimpleNamespace(
         installed=True, view=SimpleNamespace(view_id=1),
         causal=receiver, deliver_env=sink)
@@ -532,7 +533,7 @@ class _ReceiverPair:
 
     def offer(self, msg):
         self.got += self.engine.offer(msg, causal_fields(msg))
-        self.kernel.recheck_causal(exclude=HERE)
+        self.kernel.causal_check.recheck(exclude=HERE)
         self.want += self.scan.offer(msg)
 
     def other_group_moved(self, gid, member=None, count=0):
@@ -541,14 +542,14 @@ class _ReceiverPair:
         group = self.kernel.engines[gid]
         if member is None:
             group.new_view(group.view.view_id + 1)
-            self.kernel.note_group_view_event(gid)
+            self.kernel.causal_check.note_view_event(gid)
         else:
             member = member.pack()
             for seq in range(group.causal.delivered.get(member, 0) + 1,
                              count + 1):
                 group.deliver(member, seq)
-                self.kernel.note_causal_advance(gid.pack(), member, seq)
-        self.kernel.recheck_causal()
+                self.kernel.causal_check.note_advance(gid.pack(), member, seq)
+        self.kernel.causal_check.recheck()
         self.want += self.scan.recheck()
 
     def new_view(self):
@@ -556,7 +557,7 @@ class _ReceiverPair:
         self.view_id += 1
         self.kernel.engines[HERE].view = SimpleNamespace(view_id=self.view_id)
         self.engine.on_new_view()
-        self.kernel.note_group_view_event(HERE)
+        self.kernel.causal_check.note_view_event(HERE)
         self.scan.on_new_view()
 
     def assert_same(self):
@@ -600,7 +601,7 @@ def test_receiver_matches_scan_on_random_arrival_orders(data):
         if view_id == 1:
             pair.new_view()
             pair.assert_same()
-            assert len(pair.kernel.wait_index) == 0
+            assert len(pair.kernel.causal_check.wait_index) == 0
     # Every other group moves past anything a context can name: what is
     # left depends on HERE alone, and a consistent history drains.
     for gid in CTX_GROUPS[1:]:
@@ -609,7 +610,7 @@ def test_receiver_matches_scan_on_random_arrival_orders(data):
                 pair.other_group_moved(gid)
     pair.assert_same()
     assert pair.engine.pending_count == 0
-    assert len(pair.kernel.wait_index) == 0
+    assert len(pair.kernel.causal_check.wait_index) == 0
     assert pair.engine.cache_sizes()[1] == 0
 
 
@@ -631,7 +632,7 @@ def test_last_message_is_not_stranded_behind_the_recheck_pass():
         msg = Message(cb_sender=sender, cb_seq=1, tag=tag,
                       cb_ctx=reference.encode_context_compact(context))
         got.extend(receivers[gid].offer(msg, causal_fields(msg)))
-        kernel.recheck_causal(exclude=gid)
+        kernel.causal_check.recheck(exclude=gid)
 
     arrive(first, q, {second: (1, VectorClock({r: 1}))}, "A")
     arrive(second, r, {first: (1, VectorClock({p: 1}))}, "B")
@@ -697,7 +698,7 @@ WAITER = (CTX_GROUPS[0], (CTX_MEMBERS[0].pack(), 1))
 def _slot(kernel):
     """Where the waiter waits: ``(packed gid, (packed member, count))``,
     ``(packed gid, None)`` for a view, or None."""
-    return kernel.wait_index._slots.get(WAITER)
+    return kernel.causal_check.wait_index._slots.get(WAITER)
 
 
 def _packed(threshold):
@@ -715,7 +716,8 @@ def _check_both_ways(kernel, chain, data, absolute):
     and the reference walk of the rebuilt absolute context.  Same
     verdict, same threshold."""
     delta = parse_context_delta(data)
-    satisfied = kernel.check_delta_and_register(chain, delta, WAITER)
+    satisfied = kernel.causal_check.check_delta_and_register(
+        chain, delta, WAITER)
     walked, threshold = reference.walk_context(absolute,
                                                _local_vectors(kernel))
     assert satisfied == walked
@@ -786,14 +788,14 @@ def test_delta_only_check_matches_full_walk(data):
                              data.draw(counts_st))
         else:
             raise AssertionError("context never became satisfiable")
-        assert chain.installs == kernel._group_installs
+        assert chain.installs == kernel.causal_check.installs
         apply_context_delta(chain.context, delta)
         if data.draw(st.booleans()):
             late = data.draw(st.sampled_from(CTX_GROUPS))
             if late not in kernel.engines:
                 _install(kernel, late, data.draw(st.integers(1, 3)),
                          data.draw(counts_st))
-    assert len(kernel.wait_index) == 0
+    assert len(kernel.causal_check.wait_index) == 0
 
 
 def test_group_installed_mid_chain_forces_one_full_walk():
@@ -831,7 +833,7 @@ def test_group_installed_mid_chain_forces_one_full_walk():
     satisfied, delta = _check_both_ways(
         kernel, chain, wire2, reference.decode_context_compact(
             wire2, reference.decode_context_compact(wire)))
-    assert satisfied and chain.installs == kernel._group_installs
+    assert satisfied and chain.installs == kernel.causal_check.installs
     # Once it passed, the chain is checked by delta alone again.
     _check_both_ways(kernel, chain, wire2, reference.decode_context_compact(
         wire2, reference.decode_context_compact(wire)))
@@ -869,11 +871,11 @@ def test_position_naming_nothing_is_dropped_whoever_rechecks(caller, moved):
 
     def arrive(msg):                    # as CausalOrdering.ingest does
         got.extend(receiver.offer(msg, causal_fields(msg)))
-        kernel.recheck_causal(exclude=first)
+        kernel.causal_check.recheck(exclude=first)
 
     def r_delivers():
         kernel.engines[second].deliver(r.pack(), 1)
-        kernel.note_causal_advance(second.pack(), r.pack(), 1)
+        kernel.causal_check.note_advance(second.pack(), r.pack(), 1)
 
     if caller == "offer":
         r_delivers()
@@ -884,10 +886,10 @@ def test_position_naming_nothing_is_dropped_whoever_rechecks(caller, moved):
         arrive(bad)                     # before its predecessor
         arrive(after)
         arrive(head)
-        assert got == [] and len(kernel.wait_index) == 1
+        assert got == [] and len(kernel.causal_check.wait_index) == 1
         r_delivers()                    # wakes the head
         if caller == "recheck_causal":
-            kernel.recheck_causal()
+            kernel.causal_check.recheck()
         else:
             got.extend(receiver.recheck())      # engine.py, flush step 1
     assert [m["tag"] for m in got] == ["head"]
@@ -898,5 +900,5 @@ def test_position_naming_nothing_is_dropped_whoever_rechecks(caller, moved):
     assert receiver.delivered == {q.pack(): 1}
     held = reference.unpacked_context(receiver._chains[q.pack()].context)
     assert list(held) == [second] and held[second] == context[second]
-    assert len(kernel.wait_index) == 0
+    assert len(kernel.causal_check.wait_index) == 0
     assert receiver.recheck() == []

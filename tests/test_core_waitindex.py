@@ -9,7 +9,7 @@ threshold on ``gid`` — and is woken only when that threshold crosses.
 import pytest
 
 from repro import IsisCluster
-from repro.core.kernel import WaitIndex
+from repro.core.shards import WaitIndex
 from repro.msg.address import make_group_address, make_process_address
 
 #: Watched groups and members are packed, as a ``cb_ctx`` names them.
@@ -160,9 +160,9 @@ class TestCausalDeliveryKernel:
 
     def test_wait_index_peak_stat_counts_waits_on_every_group(self):
         kernel = IsisCluster(n_sites=1, seed=0).kernel(0)
-        kernel.wait_index.register_counter(G1, M1, 1, W1)
-        kernel.wait_index.register_counter(G1, M1, 2, W2)
-        kernel.wait_index.register_view(G2, W3)
+        kernel.causal_check.wait_index.register_counter(G1, M1, 1, W1)
+        kernel.causal_check.wait_index.register_counter(G1, M1, 2, W2)
+        kernel.causal_check.wait_index.register_view(G2, W3)
         stats = kernel.stats()
         assert stats["wait_index.size"] == stats["wait_index.peak"] == 3
 

@@ -355,8 +355,8 @@ class TestStreamingJoinTransfer:
         # Source side: no dangling stream; joiner side: gated traffic
         # and join bookkeeping dropped cleanly.
         assert system.kernel(0).stats()["state_transfer.streams_active"] == 0
-        assert system.kernel(1)._awaiting_state == {}
-        assert system.kernel(1)._joins == {}
+        assert system.kernel(1).joins.gated == {}
+        assert system.kernel(1).joins.pending == {}
         # Group shrank back to the single original member.
         assert len(group_engine(system, 0, "big").view.members) == 1
 

@@ -310,7 +310,7 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
         assert engine.causal.pending_count == 0
         assert engine.causal.delivered == (
             {_SENDER.pack(): 1} if before else {})
-        assert len(system.kernel(1).wait_index) == 0
+        assert len(system.kernel(1).causal_check.wait_index) == 0
         if before:      # the chain is as the head left it
             chain = engine.causal._chains[_SENDER.pack()]
             assert [entry[1:] for entry in chain.context.entries()] == [
@@ -356,11 +356,12 @@ def test_loopback_send_pays_encoding():
     system = IsisCluster(n_sites=1, seed=107)
     system.run_for(1.0)
     got = []
-    system.kernel(0).register_service("t.", lambda src, msg: got.append(
-        (src, msg["payload"])))
-    system.kernel(0).send_to_site(0, Message(_proto="t.x", payload=b"\x00\x01"))
+    system.kernel(0).attach("rx.spawn", lambda src, record: got.append(
+        (src, record[2])))
+    system.kernel(0).send_to_site(0, Message(
+        _proto="rx.spawn", program="p", args=[b"\x00\x01"]))
     system.run_for(1.0)
-    assert got == [(0, b"\x00\x01")]
+    assert got == [(0, [b"\x00\x01"])]
 
 
 def test_second_member_join_same_site():

@@ -12,7 +12,7 @@ stays empty.
 from __future__ import annotations
 
 from repro import IsisCluster, IsisConfig
-from repro.core import kernel as kernel_mod
+from repro.core import join as join_mod
 
 SINK = 9
 
@@ -46,8 +46,8 @@ def _deploy_three(system):
 def test_shutdown_mid_flush_cancels_every_timer(monkeypatch):
     # Retry periods far beyond the settle window below: a join retry
     # timer that shutdown fails to cancel is still armed at assert time.
-    monkeypatch.setattr(kernel_mod, "JOIN_RETRY", 30.0)
-    monkeypatch.setattr(kernel_mod, "TRANSFER_RETRY", 30.0)
+    monkeypatch.setattr(join_mod, "JOIN_RETRY", 30.0)
+    monkeypatch.setattr(join_mod, "TRANSFER_RETRY", 30.0)
     system = IsisCluster(
         n_sites=3, seed=11,
         isis_config=IsisConfig(batch_window=0.05, abcast_mode="sequencer"))
@@ -84,9 +84,9 @@ def test_shutdown_mid_flush_cancels_every_timer(monkeypatch):
 
     p_late.spawn(late_join(), "latejoin")
     deadline = system.now + 5.0
-    while system.now < deadline and not system.kernel(1)._joins:
+    while system.now < deadline and not system.kernel(1).joins.pending:
         system.run_for(0.01)
-    assert system.kernel(1)._joins, "join not in flight"
+    assert system.kernel(1).joins.pending, "join not in flight"
 
     system.site(1).crash()  # crash hook runs kernel.shutdown()
 

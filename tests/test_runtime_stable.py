@@ -8,8 +8,11 @@ properties down in isolation.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.wal import frame_record, unframe_record
+from repro.core.wal import (_delivered_subset, decode_delivered,
+                            encode_delivered, frame_record, unframe_record)
 from repro.runtime import Cluster
 from repro.runtime.stable import StableStore, StorageFaults
 from repro.sim import Simulator
@@ -174,3 +177,61 @@ class TestWalFraming:
         framed = bytearray(frame_record(b"0123456789abcdef"))
         framed[5] ^= 0xFF
         assert unframe_record(bytes(framed)) is None
+
+
+#: A delivered set: origin -> (floor, extras).  Extras may lie at or
+#: below the floor and right above it, as a decoded set's may.
+_DELIVERED = st.dictionaries(
+    st.integers(0, 3),
+    st.tuples(st.integers(0, 12), st.sets(st.integers(0, 16), max_size=6)),
+    max_size=4)
+
+
+@st.composite
+def _delivered_pairs(draw):
+    """(small, big): ``small`` drawn on its own, or cut down from ``big``
+    (lower floors, fewer extras) with at most one gseq more."""
+    big = draw(_DELIVERED)
+    if draw(st.booleans()):
+        return draw(_DELIVERED), big
+    small = {}
+    for origin, (floor, extras) in big.items():
+        if draw(st.booleans()):
+            small[origin] = (draw(st.integers(0, floor)),
+                             {g for g in extras if draw(st.booleans())})
+    if draw(st.booleans()):
+        origin = draw(st.integers(0, 3))
+        floor, extras = small.get(origin, (0, set()))
+        small[origin] = (floor, extras | {draw(st.integers(0, 16))})
+    return small, big
+
+
+def _covers(delivered, origin, gseq):
+    entry = delivered.get(origin)
+    return entry is not None and (gseq <= entry[0] or gseq in entry[1])
+
+
+class TestDeliveredSubset:
+    @settings(max_examples=400, deadline=None)
+    @given(_delivered_pairs())
+    def test_matches_the_definition(self, pair):
+        """Every gseq ``small`` covers, 1 to its floor and its extras,
+        ``big`` covers: the brute-force reading."""
+        small, big = pair
+        expected = all(_covers(big, origin, gseq)
+                       for origin, (floor, extras) in small.items()
+                       for gseq in [*range(1, floor + 1), *extras])
+        assert _delivered_subset(small, big) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_delivered_pairs())
+    def test_matches_the_definition_on_decoded_sets(self, pair):
+        """The same after the log codec: extras kept at or above the floor
+        they were encoded with, not folded into it."""
+        small, big = (decode_delivered(encode_delivered(
+            {o: (f, {g for g in e if g >= f}) for o, (f, e) in d.items()}))[0]
+            for d in pair)
+        expected = all(_covers(big, origin, gseq)
+                       for origin, (floor, extras) in small.items()
+                       for gseq in [*range(1, floor + 1), *extras])
+        assert _delivered_subset(small, big) == expected

@@ -1,9 +1,9 @@
 """The wire declaration (``msg/wire.py``) against the live kernel.
 
-Every protocol the kernel routes is declared, and every wrong shape the
-declaration itself implies is refused whole: counted once as
-``kernel.bad_message``, with the kernel alive and the group still
-delivering.  The wrong shapes are derived mechanically from each row: a
+Every protocol the kernel routes is declared, the toolkit's services'
+included, and every wrong shape the declaration itself implies is
+refused whole: counted once as ``kernel.bad_message``, with the kernel
+alive and the group still delivering.  The wrong shapes are derived mechanically from each row: a
 well-formed instance is built from the kinds, then given exactly one
 defect — a required field missing, a field (or an item of it) of every
 wrong kind, every proper prefix of a blob, a blob with a byte too many.
@@ -16,16 +16,20 @@ import pytest
 
 from repro import IsisCluster, IsisConfig, Message
 from repro.core.engine import GroupEngine
-from repro.core.kernel import _HANDLERS, _ROUTES, PROTOCOLS, ProtocolsProcess
+from repro.core.join import Joins
+from repro.core.kernel import _HANDLERS, _ROUTES, PROTOCOLS
 from repro.core.namespace import Namespace
 from repro.core.pipeline import TREE_PROTO, DeliveryPipeline
+from repro.core.rpc import GroupRpc
 from repro.core.vectorclock import parse_context_delta
 from repro.errors import CodecError
 from repro.fd.siteview import SiteViewAgent
 from repro.msg import BATCH_PROTO, make_process_address
 from repro.msg.fields import (decode_have_vector, decode_stab,
                               encode_have_vector, encode_stab)
-from repro.msg.wire import PIPELINE
+from repro.msg.wire import PIPELINE, TOOLS
+from repro.tools import NewsClient, install_clocks, install_recovery
+from repro.tools.rexec import install_rexec
 
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 _ADDRESS = make_process_address(0, 0, 9)
@@ -61,7 +65,7 @@ def _sample(kind, name=""):
     if kind.name == "record":
         return {field: _sample(item, field) for field, item in kind.of}
     return _CONSTRAINED.get(name) or {
-        "int": 1, "uint": 1, "bool": True, "address": _ADDRESS,
+        "int": 1, "uint": 1, "float": 1.5, "bool": True, "address": _ADDRESS,
         "bytes": b"x", "str": "x", "message": Message(x=1), "any": None,
     }[kind.name]
 
@@ -135,6 +139,8 @@ def _shapes(declared, gid):
 
 
 def _member_group(config):
+    """A two-member group on sites 0 and 1, every toolkit service that
+    takes a declared protocol attached at each kernel."""
     system = IsisCluster(n_sites=3, seed=110, isis_config=config)
     members = [system.spawn(site, f"m{site}") for site in (0, 1)]
     got = {0: [], 1: []}
@@ -152,6 +158,10 @@ def _member_group(config):
     system.run_for(3.0)
     members[1][0].spawn(join(), "join")
     system.run_for(20.0)
+    install_recovery(system)
+    install_clocks(system)
+    install_rexec(system)
+    NewsClient(members[1][1], box["gid"])
     return system, members, got, box["gid"]
 
 
@@ -189,22 +199,53 @@ def test_every_declared_wrong_shape_is_refused_once(config):
         0: [1, 2], 1: [1, 2]}
 
 
+#: A tool message missing the field its handler read first: each of
+#: these once raised ``KeyError`` out of ``run_for``.
+_TOOL_ESCAPES = {
+    "rm.q-group": Message(_proto="rm.q", poll=1, origin=0),
+    "rt.ask-req": Message(_proto="rt.ask", site=0),
+    "rx.spawn-program": Message(_proto="rx.spawn", args=[]),
+    "news.item-to": Message(_proto="news.item", subject="s", seq=1,
+                            body="b"),
+}
+
+
+@pytest.mark.parametrize("escape", sorted(_TOOL_ESCAPES))
+def test_a_tool_message_missing_a_field_is_refused(escape):
+    system, members, got, gid = _member_group(IsisConfig())
+    system.kernel(0).send_to_site(1, _TOOL_ESCAPES[escape])
+    system.run_for(1.0)
+    assert system.sim.trace.value("kernel.bad_message") == 1
+    assert system.kernel(1).alive and system.kernel(0).alive
+
+    def send():
+        yield members[0][1].cbcast(gid, 16, n=1)
+
+    members[0][0].spawn(send(), "send")
+    system.run_for(10.0)
+    assert got == {0: [1], 1: [1]}
+
+
 def test_every_routed_protocol_is_declared():
     """What ``_dispatch`` and the pipeline can route, and every
-    ``_proto`` the kernel's parts send, has a row; every row a route to
-    a handler that is there."""
-    assert set(_ROUTES) == set(_HANDLERS) == set(PROTOCOLS)
-    assert len(PROTOCOLS) == 47
+    ``_proto`` the kernel's parts and the toolkit send, has a row; every
+    kernel row a route to a handler that is there, every other row is a
+    tool's."""
+    assert set(_ROUTES) == set(_HANDLERS)
+    assert set(_HANDLERS) | set(TOOLS) == set(PROTOCOLS)
+    assert not set(_HANDLERS) & set(TOOLS)
+    assert len(_HANDLERS) == 47 and len(TOOLS) == 6
     assert set(DeliveryPipeline.HANDLERS) == set(PIPELINE)
-    owners = {"engine": GroupEngine, "namespace": Namespace}
+    owners = {"engine": GroupEngine, "namespace": Namespace,
+              "joins": Joins, "rpc": GroupRpc}
     for proto, path in _HANDLERS.items():
         owner, _, name = path.rpartition(".")
         if proto.startswith("sv."):
             assert hasattr(SiteViewAgent, "_on_" + proto[3:]), proto
         elif path != "pipeline":
-            assert hasattr(owners.get(owner, ProtocolsProcess), name), proto
+            assert hasattr(owners[owner], name), proto
     sent = {BATCH_PROTO, TREE_PROTO}
-    for folder in ("core", "fd"):
+    for folder in ("core", "fd", "tools"):
         for name in os.listdir(os.path.join(_SRC, folder)):
             if name.endswith(".py"):
                 with open(os.path.join(_SRC, folder, name)) as fh:
