@@ -98,8 +98,8 @@ class OrderingEngine:
         raise NotImplementedError
 
     # The ordering notes arrive parsed (``msg/wire.py``): a ``g.abp`` /
-    # ``g.abf`` record is ``(msg, gid, ref, prio)``, a ``g.abs`` one
-    # ``(msg, gid, view, stamps)``.
+    # ``g.abf`` record is ``(msg, gid, view, ref, prio)``, a ``g.abs``
+    # one ``(msg, gid, view, stamps)``.
     def on_proposal(self, src_site: int, note: tuple) -> None:
         self.engine.sim.trace.bump("abcast.unexpected_control")
 
@@ -169,13 +169,26 @@ class TotalOrdering(OrderingEngine):
             self.offer_proposal(ref, self.engine.site_id, priority)
         else:
             note = Message(_proto="g.abp", gid=self.engine.gid,
+                           view=self.engine.view.view_id,
                            ref=list(ref), prio=list(priority))
             self.engine.kernel.counters.bump("abcast.proposals")
             self.engine.kernel.send_to_site(env["origin"], note)
 
+    def _current(self, view_id: int) -> bool:
+        """Is a ``g.abp`` / ``g.abf`` about the installed view?  Refs
+        restart in every view, and a final sent just before the flush can
+        arrive after the install: it would land on the new view's message
+        of the same ref, so it is refused (``abcast.stale_notes``)."""
+        view = self.engine.view
+        if view is None or view_id != view.view_id:
+            self.engine.sim.trace.bump("abcast.stale_notes")
+            return False
+        return True
+
     def on_proposal(self, src_site: int, note: tuple) -> None:
-        _, _, ref, priority = note
-        self.offer_proposal(ref, src_site, priority)
+        _, _, view_id, ref, priority = note
+        if self._current(view_id):
+            self.offer_proposal(ref, src_site, priority)
 
     def offer_proposal(self, ref: MsgRef, site: int,
                        priority: Priority) -> None:
@@ -187,6 +200,7 @@ class TotalOrdering(OrderingEngine):
         if self.engine.view is None:
             return
         note = Message(_proto="g.abf", gid=self.engine.gid,
+                       view=self.engine.view.view_id,
                        ref=list(ref), prio=list(final))
         for site in self.engine.view.member_sites():
             if site != self.engine.site_id:
@@ -195,8 +209,9 @@ class TotalOrdering(OrderingEngine):
         self.apply_final(ref, final)
 
     def on_final(self, src_site: int, note: tuple) -> None:
-        _, _, ref, final = note
-        self.apply_final(ref, final)
+        _, _, view_id, ref, final = note
+        if self._current(view_id):
+            self.apply_final(ref, final)
 
     def apply_final(self, ref: MsgRef, final: Priority) -> None:
         """Record a final priority and deliver whatever it unblocks.

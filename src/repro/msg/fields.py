@@ -22,10 +22,21 @@ tag     python       payload encoding (big-endian)
 ====== ============ =====================================================
 
 A message is ``u16 magic 0x49D2 + u16 field count`` followed by that many
-``u16 name length + name UTF-8 + value`` entries.  This table, the
-have-vector format and the stability blob below are the wire
-specification; the codec that implements it for whole messages is in
-``message.py``.
+``u16 name length + name UTF-8 + value`` entries.
+
+A message of a pipeline protocol (``wire.PIPELINE``) has the positional
+form instead, and no other: byte ``0xA7``, the protocol's index in
+``PIPELINE``, one presence byte if its row has optional fields (bit
+``i`` for the ``i``-th; the rest must be 0), then each field there in
+row order, no name and no tag: an ``address`` as its 8 bytes, a
+``uint`` as a uvarint, an ``int`` as a zigzag uvarint, ``bytes``, a blob
+or a message as a uvarint length and the bytes, a ``fixed`` as its items
+in order, a ``list_of`` as a uvarint count and its items.  A uvarint is
+unsigned LEB128, at most 64 bits and without a trailing zero group.
+
+This table, the positional form, the have-vector format and the
+stability blob below are the wire specification; the codec that
+implements it for whole messages is in ``message.py``.
 """
 
 from __future__ import annotations

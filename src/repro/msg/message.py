@@ -17,6 +17,13 @@ by ``type(value)``; decoding walks the buffer by tag with no bounds check
 of its own — a truncated input shows up as a short slice or a
 ``struct.error`` and is reported once, by :meth:`Message.decode`.
 
+A message whose ``_proto`` has a *layout* travels in the positional form
+instead, and only in it: its row in ``msg/wire.py`` is the layout, which
+the declaration hands to :func:`use_layouts`.  Such a message with a
+field outside its row, or a value of the wrong kind, is
+:class:`CodecError` at :meth:`Message.encode`; a symbol table that names
+such a ``_proto`` is :class:`CodecError` at :meth:`Message.decode`.
+
 The decoder's contract: **malformed input raises** :class:`CodecError`
 **and nothing else**; nesting (messages, lists, dicts) deeper than
 :data:`MAX_DEPTH` is malformed; and only *canonical* input is accepted —
@@ -140,7 +147,8 @@ class Message:
 
     # -- codec ----------------------------------------------------------------
     def encode(self) -> bytes:
-        """Binary encoding: magic, field count, then name/value pairs.
+        """Binary encoding: magic, field count, then name/value pairs (or
+        the positional form, for a protocol with a layout).
 
         Cached until a field is inserted or deleted; like
         :attr:`size_bytes`, the cache does not observe in-place mutation
@@ -229,6 +237,25 @@ def _remember(table: dict, key: Any, value: Any) -> Any:
 
 def _too_deep() -> CodecError:
     return CodecError(f"nesting deeper than {MAX_DEPTH} levels")
+
+
+#: The positional form: this byte (no flip of one bit, or of all eight,
+#: turns the symbol table's first byte 0x49 into it, nor it into 0x49),
+#: the protocol's index, then what the row's writer appends
+#: (``fields.py``).  :func:`use_layouts` fills the tables: proto ->
+#: (those two bytes, ``write(fields, buf, depth)``), and index ->
+#: ``read(data, offset, depth)`` -> ``(fields, next_offset)``.
+POSITIONAL_MAGIC = 0xA7
+_writers: Dict[str, Tuple[bytes, Callable[[dict, bytearray, int], None]]] = {}
+_readers: List[Callable[[bytes, int, int], Tuple[dict, int]]] = []
+
+
+def use_layouts(layouts: List[Tuple[str, Callable, Callable]]) -> None:
+    """Take each ``(proto, write, read)`` as that protocol's one form."""
+    _readers[:] = [read for _, _, read in layouts]
+    _writers.clear()
+    for index, (proto, write, _) in enumerate(layouts):
+        _writers[proto] = (bytes((POSITIONAL_MAGIC, index)), write)
 
 
 # Encoder.  A writer appends ``value`` to ``buf``; ``depth`` is the level
@@ -329,17 +356,23 @@ def _encode_message(msg: Message, depth: int) -> bytes:
     if depth > MAX_DEPTH:
         raise _too_deep()
     fields = msg._fields
-    buf = bytearray(_HEADER.pack(_MAGIC, len(fields)))
-    depth += 1
-    for name, value in fields.items():
-        try:
-            buf += _name_headers[name]
-        except KeyError:
-            buf += _remember(_name_headers, name, _name_header(name))
-        if type(value) is int:          # over half of all values
-            buf += _TAG_I64.pack(T_INT, value)
-        else:
-            _ENCODERS[type(value)](value, buf, depth)
+    proto = fields.get(F_PROTO)
+    layout = _writers.get(proto) if proto.__class__ is str else None
+    if layout is not None:
+        buf = bytearray(layout[0])
+        layout[1](fields, buf, depth + 1)
+    else:
+        buf = bytearray(_HEADER.pack(_MAGIC, len(fields)))
+        depth += 1
+        for name, value in fields.items():
+            try:
+                buf += _name_headers[name]
+            except KeyError:
+                buf += _remember(_name_headers, name, _name_header(name))
+            if type(value) is int:          # over half of all values
+                buf += _TAG_I64.pack(T_INT, value)
+            else:
+                _ENCODERS[type(value)](value, buf, depth)
     encoded = msg._encoded = bytes(buf)
     return encoded
 
@@ -349,29 +382,36 @@ def _read_message(cls: type, data: bytes, depth: int) -> Message:
     """Decode ``data``, all of it, as one message at level ``depth``."""
     if depth > MAX_DEPTH:
         raise _too_deep()
-    magic, count = _HEADER.unpack_from(data, 0)
-    if magic != _MAGIC:
-        raise CodecError(f"bad message magic {magic:#x}")
-    fields: Dict[str, Any] = {}
-    offset = 4
-    depth += 1
-    for _ in range(count):
-        start = offset + 2
-        offset = start + ((data[offset] << 8) | data[offset + 1])
-        raw_name = data[start:offset]
-        try:
-            name = _names[raw_name]
-        except KeyError:
-            name = _remember(_names, raw_name, raw_name.decode("utf-8"))
-        if data[offset] == T_INT:       # over half of all values
-            fields[name] = _I64.unpack_from(data, offset + 1)[0]
-            offset += 9
-        else:
-            fields[name], offset = _read_value(data, offset, depth)
+    if data[0] == POSITIONAL_MAGIC:
+        if data[1] >= len(_readers):
+            raise CodecError(f"no positional protocol at index {data[1]}")
+        fields, offset = _readers[data[1]](data, 2, depth + 1)
+    else:
+        magic, count = _HEADER.unpack_from(data, 0)
+        if magic != _MAGIC:
+            raise CodecError(f"bad message magic {magic:#x}")
+        fields, offset = {}, 4
+        depth += 1
+        for _ in range(count):
+            start = offset + 2
+            offset = start + ((data[offset] << 8) | data[offset + 1])
+            raw_name = data[start:offset]
+            try:
+                name = _names[raw_name]
+            except KeyError:
+                name = _remember(_names, raw_name, raw_name.decode("utf-8"))
+            if data[offset] == T_INT:       # over half of all values
+                fields[name] = _I64.unpack_from(data, offset + 1)[0]
+                offset += 9
+            else:
+                fields[name], offset = _read_value(data, offset, depth)
+        if len(fields) != count:
+            raise CodecError("duplicate field name")
+        proto = fields.get(F_PROTO)
+        if proto.__class__ is str and proto in _writers:
+            raise CodecError(f"a {proto} in the symbol-table form")
     if offset != len(data):
         raise CodecError(f"message is {len(data)} bytes, its fields take {offset}")
-    if len(fields) != count:
-        raise CodecError("duplicate field name")
     out = cls.__new__(cls)
     out._fields = fields
     out._encoded = data

@@ -8,7 +8,7 @@ handler runs.  A reader returns the message's *record*: the message
 itself, then each field's parsed value in row order.  A field of the
 wrong kind, a required field that is missing or a broken cross-field
 rule is :class:`CodecError`, which refuses the whole message.  Fields a
-row does not name are ignored.
+row does not name are ignored (but by a :data:`PIPELINE` row, below).
 
 The kinds are a closed set: ``int`` (``type is int``, so a bool is
 refused), ``uint`` (an int >= 0), ``float``, ``bool``, ``address``,
@@ -23,6 +23,13 @@ parses).  In a row, ``name:kind?`` is a field that may be absent
 The toolkit's services (``tools/``) declare their protocols here too
 (:data:`TOOLS`), and the kernel routes them the same way.
 
+A :data:`PIPELINE` row is also its protocol's wire layout: compiled once
+into a positional writer and reader (:func:`_layout`), which
+``Message.encode`` / ``Message.decode`` use for that protocol and for
+nothing else (``fields.py`` has the format).  Its reader reads a
+message in that form, which has every kind its row asks for: it runs
+only the blob codecs and the cross-field rule.
+
 Codecs that live in ``core/`` (the ``cb_ctx`` parser, the view
 constructor) are handed to :func:`protocols`: this package imports
 nothing from ``core/``.
@@ -30,12 +37,16 @@ nothing from ``core/``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..errors import CodecError
-from .address import Address
-from .fields import decode_have_vector, decode_stab
-from .message import BATCH_PROTO, Message
+from .address import ADDRESS_SIZE, Address
+from .address import _interned as _addresses   # packed form -> instance
+from .fields import (decode_have_vector, decode_stab, decode_uvarint,
+                     encode_uvarint)
+from .message import (BATCH_PROTO, Message, _encode_message, _read_message,
+                      use_layouts)
 
 
 class _Absent:
@@ -163,23 +174,225 @@ def nullable(item: Kind) -> Kind:
                 else parse_item(value), item)
 
 
+# ----------------------------------------------------------------------
+# The positional layout.  ``put(value, buf, depth)`` appends a value of
+# its kind or refuses it; ``take(data, offset, depth)`` returns the value
+# at ``offset`` and the offset after it, and like the symbol-table walk
+# leaves a read past the end to raise or to ``Message.decode`` to refuse.
+# ----------------------------------------------------------------------
+_UVARINT_END = 1 << 64
+
+
+def _put_uint(value: Any, buf: bytearray, depth: int) -> None:
+    if value.__class__ is not int or not 0 <= value < _UVARINT_END:
+        raise _refuse("a 64-bit uint", value)
+    if value < 0x80:
+        buf.append(value)
+    else:
+        buf += encode_uvarint(value)
+
+
+def _take_uint(data: bytes, offset: int, depth: int) -> Tuple[int, int]:
+    value = data[offset]
+    if value < 0x80:
+        return value, offset + 1
+    value, offset = decode_uvarint(data, offset)
+    if data[offset - 1] == 0 or value >= _UVARINT_END:
+        raise CodecError(f"overlong or wider than 64 bits: uvarint {value}")
+    return value, offset
+
+
+def _put_int(value: Any, buf: bytearray, depth: int) -> None:
+    if value.__class__ is not int or not -(1 << 63) <= value < 1 << 63:
+        raise _refuse("a 64-bit int", value)
+    _put_uint(value << 1 if value >= 0 else (~value << 1) | 1, buf, depth)
+
+
+def _take_int(data: bytes, offset: int, depth: int) -> Tuple[int, int]:
+    value, offset = _take_uint(data, offset, depth)
+    return (value >> 1) ^ -(value & 1), offset        # zigzag
+
+
+def _put_address(value: Any, buf: bytearray, depth: int) -> None:
+    if value.__class__ is not Address:
+        raise _refuse("address", value)
+    buf += value.pack()
+
+
+def _take_address(data: bytes, offset: int, depth: int) -> Tuple[Address, int]:
+    end = offset + ADDRESS_SIZE
+    raw = data[offset:end]
+    return _addresses.get(raw) or Address.unpack(raw), end
+
+
+def _put_bytes(value: Any, buf: bytearray, depth: int) -> None:
+    if value.__class__ is not bytes and value.__class__ is not bytearray:
+        raise _refuse("bytes", value)
+    _put_uint(len(value), buf, depth)
+    buf += value
+
+
+def _take_bytes(data: bytes, offset: int, depth: int) -> Tuple[bytes, int]:
+    size, offset = _take_uint(data, offset, depth)
+    return data[offset:offset + size], offset + size
+
+
+def _put_message(value: Any, buf: bytearray, depth: int) -> None:
+    if value.__class__ is not Message:
+        raise _refuse("a message", value)
+    _put_bytes(value._encoded or _encode_message(value, depth), buf, depth)
+
+
+def _take_message(data: bytes, offset: int, depth: int) -> Tuple[Message, int]:
+    raw, end = _take_bytes(data, offset, depth)
+    return _read_message(Message, raw, depth), end
+
+
+#: The positional ``(put, take)`` of each scalar kind; a blob is bytes.
+_FORMS = {"uint": (_put_uint, _take_uint), "int": (_put_int, _take_int),
+          "address": (_put_address, _take_address),
+          "bytes": (_put_bytes, _take_bytes), "blob": (_put_bytes, _take_bytes),
+          "message": (_put_message, _take_message)}
+
+
+def _put_items(forms: Iterable, items: Any, buf: bytearray,
+               depth: int) -> None:
+    """``items`` in order, each in its form (a ``(put, take)``)."""
+    for (put_item, _), item in zip(forms, items):
+        put_item(item, buf, depth)
+
+
+def _take_items(forms: Iterable, data: bytes, offset: int,
+                depth: int) -> Tuple[list, int]:
+    out = []
+    for _, take_item in forms:
+        item, offset = take_item(data, offset, depth)
+        out.append(item)
+    return out, offset
+
+
+def _positional(kind: Kind) -> Tuple[Callable, Callable]:
+    """``kind``'s ``(put, take)``: a ``fixed`` is its items in order, a
+    ``list_of`` its uvarint count and then its items the same way."""
+    if kind.name == "fixed":
+        forms = [_positional(item) for item in kind.of]
+
+        def put(value: Any, buf: bytearray, depth: int) -> None:
+            if value.__class__ not in (list, tuple) or len(value) != len(forms):
+                raise _refuse(kind.name, value)
+            _put_items(forms, value, buf, depth)
+        return put, lambda data, offset, depth: _take_items(
+            forms, data, offset, depth)
+    if kind.name == "list":
+        form = _positional(kind.of)
+
+        def put(value: Any, buf: bytearray, depth: int) -> None:
+            if value.__class__ not in (list, tuple):
+                raise _refuse(kind.name, value)
+            _put_uint(len(value), buf, depth)
+            _put_items(repeat(form), value, buf, depth)
+
+        def take(data: bytes, offset: int, depth: int) -> Tuple[list, int]:
+            count, offset = _take_uint(data, offset, depth)
+            return _take_items(repeat(form, count), data, offset, depth)
+        return put, take
+    return _FORMS[kind.name]
+
+
+def _layout(proto: str, fields: Tuple[Tuple[str, Kind], ...]
+            ) -> Tuple[Callable, Callable]:
+    """A row's positional writer and reader: one presence byte if the row
+    has optional fields (eight at most; bit ``i`` for the ``i``-th), then
+    every field there in row order.  No name is written; a field the row
+    does not name is refused."""
+    plan, flag = [], 1
+    for name, kind in fields:
+        optional = kind.name == "optional"
+        plan.append((name, *_positional(kind.of if optional else kind),
+                     flag if optional else 0))
+        flag <<= optional
+    assert flag <= 0x100, f"{proto}: more than eight optional fields"
+    reserved = 0x100 - flag if flag > 1 else None
+
+    def write(values: dict, buf: bytearray, depth: int) -> None:
+        at, present, bits = len(buf), 1, 0     # ``_proto`` is the index
+        if reserved is not None:
+            buf.append(0)
+        try:
+            for name, put, _, bit in plan:
+                value = values.get(name, ABSENT)
+                if value is not ABSENT:
+                    put(value, buf, depth)
+                    present, bits = present + 1, bits | bit
+                elif not bit:
+                    raise _refuse("there", value)
+        except CodecError as err:
+            raise CodecError(f"{proto} {name}: {err}") from None
+        if present != len(values):
+            raise CodecError(f"{proto}: fields outside its row: {values}")
+        if bits:
+            buf[at] = bits
+
+    def read(data: bytes, offset: int, depth: int) -> Tuple[dict, int]:
+        bits = 0
+        if reserved is not None:
+            bits, offset = data[offset], offset + 1
+            if bits & reserved:
+                raise CodecError(f"{proto}: reserved bitmap bits {bits:#x}")
+        out = {"_proto": proto}
+        for name, _, take, bit in plan:
+            if not bit or bits & bit:
+                out[name], offset = take(data, offset, depth)
+        return out, offset
+    return write, read
+
+
+def _left(kind: Kind) -> Optional[Callable[[Any], Any]]:
+    """What ``kind.parse`` still does to a value the positional form
+    carried (its writer let it through, or its reader made it): a blob's
+    codec, a ``fixed``'s tuple, a fresh list, or nothing (None).  An
+    absent optional field reads as None."""
+    if kind.name in ("blob", "bytes") or (
+            kind.name == "fixed" and any(map(_left, kind.of))):
+        return kind.parse
+    if kind.name == "fixed":
+        return tuple
+    inner = _left(kind.of) if kind.name in ("list", "optional") else None
+    if kind.name == "list":
+        return list if inner is None else (
+            lambda value: [inner(item) for item in value])
+    return None if inner is None else (
+        lambda value: None if value is None else inner(value))
+
+
 class Protocol:
     """One declared protocol: its fields, its cross-field rule
-    (``check(record)``: what is wrong, or None) and its reader."""
+    (``check(record)``: what is wrong, or None) and its reader.  A
+    ``positional`` one (:data:`PIPELINE`) also has its wire form,
+    ``layout`` (:func:`_layout`'s writer and reader), and is read from
+    it: a message with no bytes yet is encoded first, so the writer
+    refuses what the row does, and the reader runs only :func:`_left`."""
 
-    __slots__ = ("proto", "fields", "check", "read")
+    __slots__ = ("proto", "fields", "check", "read", "layout")
 
     def __init__(self, proto: str, fields: Tuple[Tuple[str, Kind], ...],
-                 check: Optional[Callable[[tuple], Optional[str]]] = None):
+                 check: Optional[Callable[[tuple], Optional[str]]] = None,
+                 positional: bool = False):
         self.proto, self.fields, self.check = proto, fields, check
-        plan = tuple((name, kind.parse) for name, kind in fields)
+        self.layout = _layout(proto, fields) if positional else None
+        plan = tuple((name, _left(kind) if positional else kind.parse)
+                     for name, kind in fields)
+        missing = None if positional else ABSENT
 
         def read(msg: Message) -> tuple:
+            if positional and msg._encoded is None:
+                msg.encode()
             get = msg._fields.get
             values = [msg]
             try:
                 for name, parse in plan:
-                    values.append(parse(get(name, ABSENT)))
+                    value = get(name, missing)
+                    values.append(value if parse is None else parse(value))
             except CodecError as err:
                 raise CodecError(f"{proto} {name}: {err}") from None
             rec = tuple(values)
@@ -231,7 +444,8 @@ def protocols(context: Callable[[bytes], Any],
               view: Callable[[Address, int, list], Any]
               ) -> Dict[str, Protocol]:
     """Every protocol ``ProtocolsProcess._dispatch`` routes, compiled:
-    the kernel's, then the toolkit's (:data:`TOOLS`).
+    the kernel's, then the toolkit's (:data:`TOOLS`); the
+    :data:`PIPELINE` rows are handed to the codec as its layouts.
 
     ``context`` parses a ``cb_ctx`` (its value has a ``full`` flag, a
     chain head's); ``view(gid, view_id, members)`` makes a group view
@@ -257,7 +471,8 @@ def protocols(context: Callable[[bytes], Any],
     table: Dict[str, Protocol] = {}
 
     def declare(proto: str, spec: str, check=None) -> None:
-        table[proto] = Protocol(proto, _row(spec, kinds), check)
+        table[proto] = Protocol(proto, _row(spec, kinds), check,
+                                positional=proto in PIPELINE)
 
     # Data envelopes (g.cb / g.ab): alone, batched, wrapped or refilled.
     data = "gid:address view:int origin:int gseq:int entry:int m:message " \
@@ -337,8 +552,8 @@ def protocols(context: Callable[[bytes], Any],
     declare("g.fl.okb", "gid:address root:int reports:reports")
     # The delivery pipeline (core/pipeline.py, core/ordering.py).
     declare(BATCH_PROTO, "gid:address envs:encoded_envelopes stab:stab?")
-    declare("g.abp", "gid:address ref:pair prio:pair")
-    declare("g.abf", "gid:address ref:pair prio:pair")
+    declare("g.abp", "gid:address view:uint ref:pair prio:pair")
+    declare("g.abf", "gid:address view:uint ref:pair prio:pair")
     declare("g.abs", "gid:address view:int stamps:triples")
     declare("g.stab.q", "gid:address")
     declare("g.stab.a", "gid:address stab:stab")
@@ -356,4 +571,5 @@ def protocols(context: Callable[[bytes], Any],
     declare("rt.tell", "req:int master:float")
     declare("rx.spawn", "program:str args:values?")
     declare("news.item", "subject:str seq:int body:any? to:address")
+    use_layouts([(proto, *table[proto].layout) for proto in PIPELINE])
     return table

@@ -3,9 +3,12 @@ one-pass codec, kept as the reference the differential tests compare
 against.  Same wire format (``repro/msg/fields.py``), written the obvious
 way: one ``bytes`` object per value, one bounds check per read.
 
-It predates the decoder's error contract, so it accepts some input the
-library now rejects (duplicate names, bool bytes above 1, any nesting
-depth); on everything :meth:`Message.encode` produces the two agree.
+The symbol-table half predates the decoder's error contract, so it
+accepts some input the library now rejects (duplicate names, bool bytes
+above 1, any nesting depth); on everything :meth:`Message.encode`
+produces the two agree.  The positional half (a pipeline protocol's
+one form) is written from the rows of ``msg/wire.py`` as they read, one
+field at a time, and is as strict as the format.
 """
 
 from __future__ import annotations
@@ -13,13 +16,16 @@ from __future__ import annotations
 import struct
 from typing import Any, Tuple
 
+from repro.core.kernel import PROTOCOLS
 from repro.errors import CodecError
 from repro.msg.address import ADDRESS_SIZE, Address
 from repro.msg.fields import (T_ADDR, T_BOOL, T_BYTES, T_DICT, T_FLOAT, T_INT,
                               T_LIST, T_MSG, T_NONE, T_STR)
 from repro.msg.message import Message
+from repro.msg.wire import PIPELINE
 
 _MAGIC = 0x49D2
+_POSITIONAL = 0xA7
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
 _I64 = struct.Struct(">q")
@@ -27,6 +33,20 @@ _F64 = struct.Struct(">d")
 
 
 def encode_message(msg: Message) -> bytes:
+    """A pipeline protocol's message positionally, any other one as a
+    symbol table."""
+    if msg.get("_proto") in PIPELINE:
+        return encode_positional(msg)
+    return encode_table(msg)
+
+
+def decode_message(data: bytes) -> Message:
+    if data[:1] == bytes([_POSITIONAL]):
+        return decode_positional(data)
+    return decode_table(data)
+
+
+def encode_table(msg: Message) -> bytes:
     parts = [_U16.pack(_MAGIC), _U16.pack(len(msg))]
     for name, value in msg.fields().items():
         raw_name = name.encode("utf-8")
@@ -38,7 +58,7 @@ def encode_message(msg: Message) -> bytes:
     return b"".join(parts)
 
 
-def decode_message(data: bytes) -> Message:
+def decode_table(data: bytes) -> Message:
     if len(data) < 4:
         raise CodecError("message too short for header")
     magic = _U16.unpack_from(data, 0)[0]
@@ -236,3 +256,129 @@ def decode_have_vector(data: bytes) -> "dict[int, int]":
         raise CodecError(f"{len(data) - offset} trailing bytes after "
                          "have-vector")
     return out
+
+
+# ----------------------------------------------------------------------
+# The positional form, field by field from the row
+# ----------------------------------------------------------------------
+def _layout(proto: str):
+    """``proto``'s row and the names of its optional fields."""
+    row = PROTOCOLS[proto].fields
+    return row, [name for name, kind in row if kind.name == "optional"]
+
+
+def encode_positional(msg: Message) -> bytes:
+    """Magic, index, a bitmap byte if the row has optional fields, then
+    every field there in row order."""
+    proto = msg["_proto"]
+    row, optional = _layout(proto)
+    if set(msg) - {"_proto"} - {name for name, _ in row}:
+        raise CodecError(f"{proto}: a field outside its row")
+    bitmap, body = 0, b""
+    for name, kind in row:
+        if kind.name == "optional":
+            if name not in msg:
+                continue
+            bitmap |= 1 << optional.index(name)
+            kind = kind.of
+        elif name not in msg:
+            raise CodecError(f"{proto}: no {name}")
+        body += encode_item(kind, msg[name])
+    head = bytes([_POSITIONAL, PIPELINE.index(proto)])
+    return head + (bytes([bitmap]) if optional else b"") + body
+
+
+def encode_item(kind, value: Any) -> bytes:
+    name = kind.name
+    if name in ("uint", "int"):
+        if type(value) is not int:
+            raise CodecError(f"not an int: {value!r}")
+        if name == "int":
+            if not -(2**63) <= value < 2**63:
+                raise CodecError(f"int {value} exceeds 64 bits")
+            value = 2 * value if value >= 0 else -2 * value - 1
+        if not 0 <= value < 2**64:
+            raise CodecError(f"uint {value} out of range")
+        return encode_uvarint(value)
+    if name == "address" and type(value) is Address:
+        return value.pack()
+    if name in ("bytes", "blob") and type(value) in (bytes, bytearray):
+        return encode_uvarint(len(value)) + bytes(value)
+    if name == "message" and type(value) is Message:
+        raw = encode_message(value)
+        return encode_uvarint(len(raw)) + raw
+    if name == "fixed" and type(value) in (list, tuple) \
+            and len(value) == len(kind.of):
+        return b"".join(encode_item(k, v) for k, v in zip(kind.of, value))
+    if name == "list" and type(value) in (list, tuple):
+        return encode_uvarint(len(value)) + b"".join(
+            encode_item(kind.of, item) for item in value)
+    raise CodecError(f"not {name}: {value!r}")
+
+
+def decode_positional(data: bytes) -> Message:
+    _need(data, 0, 2)
+    if data[0] != _POSITIONAL or data[1] >= len(PIPELINE):
+        raise CodecError(f"not a positional message: {data[:2].hex()}")
+    proto = PIPELINE[data[1]]
+    row, optional = _layout(proto)
+    offset, bitmap = 2, 0
+    if optional:
+        _need(data, offset, 1)
+        bitmap = data[offset]
+        offset += 1
+        if bitmap >> len(optional):
+            raise CodecError(f"reserved bitmap bits: {bitmap:#x}")
+    out = Message(_proto=proto)
+    for name, kind in row:
+        if kind.name == "optional":
+            if not bitmap & 1 << optional.index(name):
+                continue
+            kind = kind.of
+        out[name], offset = decode_item(kind, data, offset)
+    if offset != len(data):
+        raise CodecError(f"{len(data) - offset} trailing bytes after message")
+    return out
+
+
+def _canonical_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
+    start = offset
+    value, offset = decode_uvarint(data, offset)
+    if offset - start > 1 and data[offset - 1] == 0:
+        raise CodecError("overlong uvarint")
+    if value >= 2**64:
+        raise CodecError(f"uvarint {value} exceeds 64 bits")
+    return value, offset
+
+
+def decode_item(kind, data: bytes, offset: int) -> Tuple[Any, int]:
+    name = kind.name
+    if name == "uint":
+        return _canonical_uvarint(data, offset)
+    if name == "int":
+        value, offset = _canonical_uvarint(data, offset)
+        return (value // 2 if value % 2 == 0 else -(value + 1) // 2), offset
+    if name == "address":
+        _need(data, offset, ADDRESS_SIZE)
+        return (Address.unpack(data[offset:offset + ADDRESS_SIZE]),
+                offset + ADDRESS_SIZE)
+    if name in ("bytes", "blob", "message"):
+        size, offset = _canonical_uvarint(data, offset)
+        _need(data, offset, size)
+        raw = data[offset:offset + size]
+        return (decode_message(raw) if name == "message" else raw,
+                offset + size)
+    if name == "fixed":
+        items = []
+        for item_kind in kind.of:
+            item, offset = decode_item(item_kind, data, offset)
+            items.append(item)
+        return items, offset
+    if name == "list":
+        count, offset = _canonical_uvarint(data, offset)
+        items = []
+        for _ in range(count):
+            item, offset = decode_item(kind.of, data, offset)
+            items.append(item)
+        return items, offset
+    raise CodecError(f"no positional form for {name}")

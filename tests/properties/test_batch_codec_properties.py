@@ -62,6 +62,7 @@ def _envelope(sender_site: int, gseq: int, payload: bytes,
         entry=16,
         cb_sender=Address(site=sender_site, incarnation=0, local_id=1),
         cb_seq=gseq,
+        cb_ctx=b"\x00\x00",                 # a chain head, empty
     )
 
 

@@ -382,10 +382,20 @@ def test_ring_with_crash_matches_recorded_scan_order():
 #:   alternates ``d2`` / ``d3`` through 21 where it ran ``d2:14-24`` ahead,
 #:   and sees ``d1:8`` one place sooner.  Site 3 kept its digest, as did
 #:   ring sites 0-2.
-DEEP_BACKLOG_DIGESTS = {0: "b04d479ae56ea874", 1: "1928a3db33bcec66",
-                        2: "431e8721f5e04fec", 3: "e35ea5858e493a68"}
-RING_DIGESTS = {0: "9a8cf05e59bd3323", 1: "4c974e9b48bde899",
-                2: "f348ae62a5992550", 3: "1677888c360ed601"}
+#: * When the pipeline protocols took their positional form (a ``g.cb``
+#:   about 135 bytes shorter, an ordering or stability note a fifth of
+#:   its size), every site of both workloads moved.  Deep backlog (before:
+#:   b04d479ae56ea874, 1928a3db33bcec66, 431e8721f5e04fec,
+#:   e35ea5858e493a68): sites 0-3 flip 79 / 172 / 128 / 84 pairs of
+#:   concurrent deliveries, and 64 / 70 / 71 / 61 of their 100 take
+#:   another place.  Ring (before: 9a8cf05e59bd3323, 4c974e9b48bde899,
+#:   f348ae62a5992550, 1677888c360ed601): sites 0, 2 and 3 flip 39 / 18 /
+#:   24 pairs; site 1 only delivers ``cb:1:3`` in group (1, 1) before
+#:   ``cb:2:2`` in group (0, 1).  No two messages of one sender flip.
+DEEP_BACKLOG_DIGESTS = {0: "a79088cde560c2b2", 1: "9ed55459fafb3251",
+                        2: "a33a2064f3d1ff5b", 3: "5bce96942191f804"}
+RING_DIGESTS = {0: "2ebece2e2512de68", 1: "1f2587a51c1876b8",
+                2: "1b74cc83a136f248", 3: "56edb8b4e39c7328"}
 
 
 # ----------------------------------------------------------------------

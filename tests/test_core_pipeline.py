@@ -186,9 +186,11 @@ class TestStabilityRidesOnData:
 
     #: Bytes on the ABCAST critical path, 4 members, 200 B payload sent
     #: as ``bench/harness.py`` sends it.  With ``stab`` / ``stab_view`` /
-    #: ``stab_df`` on every message these read 483 / 169 / 169.
-    AB_BUDGET = 440
-    NOTE_BUDGET = 96
+    #: ``stab_df`` on every message these read 483 / 169 / 169; in the
+    #: symbol-table form (field names, 8-byte ints) 426 / 93 / 93; in the
+    #: positional form 315 / 16 / 16.
+    AB_BUDGET = 320
+    NOTE_BUDGET = 20
 
     @pytest.mark.parametrize("mode", ["two_phase", "sequencer"])
     def test_abcast_wire_budget(self, mode):
@@ -253,6 +255,35 @@ class TestStabilityRidesOnData:
                                    + window)
         for site in range(4):
             assert system.kernel(site).stats()["buffered_messages"] == 0
+
+
+def test_previous_views_final_moves_no_priority_of_the_new_view():
+    """Refs ``(origin, gseq)`` restart in every view, and a final its
+    origin sent just before the flush travels on another channel than
+    the commit: it can arrive after the install, naming the new view's
+    message of the same ref.  It is counted and refused."""
+    system, _, _ = _two_member_group(IsisConfig(), n_sites=3, field="n")
+    kernel = system.kernel(1)
+    (engine,) = kernel.engines.values()
+    view_id = engine.view.view_id
+    assert view_id > 1
+    receiver = engine.pipeline.total.receiver
+    kernel._dispatch(0, Message(
+        _proto="g.ab", gid=engine.gid, view=view_id, origin=0, gseq=1,
+        m=Message(n=0), entry=16, ab_sender=make_process_address(0, 0, 9)))
+
+    def priorities():
+        return {ref: (entry.priority, entry.final)
+                for ref, entry in receiver._queue.items()}
+
+    before = priorities()
+    assert before[(0, 1)][1] is False           # proposed, not final
+    kernel._dispatch(0, Message(_proto="g.abf", gid=engine.gid,
+                                view=view_id - 1, ref=[0, 1], prio=[99, 0]))
+    kernel._dispatch(2, Message(_proto="g.abp", gid=engine.gid,
+                                view=view_id - 1, ref=[1, 1], prio=[99, 2]))
+    assert priorities() == before
+    assert system.sim.trace.value("abcast.stale_notes") == 2
 
 
 def _stab_notes(sent, proto):
@@ -346,8 +377,9 @@ class TestStabilityWireBudget:
     """A have-vector reaches the wire one way: every stability note and
     the flush's union cut are a few varints, whoever sends them."""
 
-    #: 4 member sites, every one an origin, floors past their first byte.
-    NOTE_BUDGET = 64
+    #: 4 member sites, every one an origin, floors past their first byte:
+    #: a note reads 23-24 B positionally, 62-63 B as a symbol table.
+    NOTE_BUDGET = 28
     EXPECT_BUDGET = 104
     LOOSE_FIELDS = {"have", "stable", "union", "stab_view", "df"}
 
@@ -475,8 +507,8 @@ class TestStoreAccounting:
         from repro.msg.message import Message
 
         store = MessageStore()
-        env1 = Message(_proto="g.cb", origin=0, gseq=1, payload=b"a" * 50)
-        env2 = Message(_proto="g.cb", origin=0, gseq=2, payload=b"b" * 80)
+        env1 = Message(origin=0, gseq=1, payload=b"a" * 50)
+        env2 = Message(origin=0, gseq=2, payload=b"b" * 80)
         assert store.record(0, 1, env1)
         assert store.record(0, 2, env2)
         assert store.buffered_bytes == env1.size_bytes + env2.size_bytes
@@ -492,10 +524,10 @@ class TestStoreAccounting:
 
         store = MessageStore()
         for gseq in (1, 2, 3):
-            store.record(0, gseq, Message(_proto="g.cb", origin=0, gseq=gseq))
+            store.record(0, gseq, Message(origin=0, gseq=gseq))
         store.trim_stable({0: 3})
         # A late copy of a trimmed (stable) message is a duplicate, not
         # a new message — and nothing below the floor counts as missing.
-        assert not store.record(0, 2, Message(_proto="g.cb", origin=0, gseq=2))
+        assert not store.record(0, 2, Message(origin=0, gseq=2))
         assert store.complete_for({0: 3})
         assert store.missing_from({0: 5}) == [(0, 4), (0, 5)]

@@ -6,11 +6,12 @@ import pytest
 
 from repro import IsisCluster, IsisConfig, LanConfig, Message
 from repro.core.engine import GroupEngine
-from repro.errors import GroupError, SiteDown
+from repro.errors import CodecError, GroupError, SiteDown
 from repro.fd.heartbeat import HeartbeatConfig
 from repro.fd.siteview import SiteViewConfig
 from repro.msg import make_group_address, make_process_address
 from repro.msg.fields import encode_stab
+from repro.msg.wire import PIPELINE
 from repro.net.bulk import BulkConfig
 from repro.net.packet import KIND_DATA, Frame
 from repro.net.udp import UdpConfig
@@ -134,8 +135,6 @@ def test_group_data_for_unknown_group_buffers_quietly():
     assert [view for view, _ in engine.pipeline._pre_view] == [3]
 
 
-#: One data envelope, encoded: what a well-formed ``g.batch`` carries.
-_BATCHED = Message(_proto="g.cb", view=0, origin=0, gseq=1).encode()
 #: A well-formed ``stab`` blob about view 1, the view the probe runs in.
 _BLOB = encode_stab(1, (2, 1), {0: 3, 1: 5})
 #: Not bytes, a proper prefix of a blob, a blob and one byte more.
@@ -144,10 +143,15 @@ _TR = dict(_proto="g.tr", view=1, root=0, tid=1)
 #: A well-formed ``g.cb`` of the probe's view 1 from site 0, the head of
 #: its sender's chain: one group (not one the probe hosts) of one member.
 _SENDER = make_process_address(0, 0, 9)
-_HEAD = (b"\x00\x01" + make_group_address(0, 42).pack() + b"\x01\x01"
-         + _SENDER.pack() + b"\x01")
+_GHOST = make_group_address(0, 42)
+_HEAD = (b"\x00\x01" + _GHOST.pack() + b"\x01\x01" + _SENDER.pack() + b"\x01")
 _CB = dict(_proto="g.cb", view=1, origin=0, gseq=1, m=Message(x=1), entry=16,
            cb_sender=_SENDER, cb_seq=1, cb_ctx=_HEAD)
+#: One data envelope, encoded: what a well-formed ``g.batch`` carries.
+_BATCHED = Message(gid=_GHOST, **_CB).encode()
+#: A proposal, encoded and cut one byte short.
+_ABP_CUT = Message(_proto="g.abp", gid=_GHOST, view=1, ref=[0, 1],
+                   prio=[1, 0]).encode()[:-1]
 
 
 def _next(moved, have):
@@ -199,11 +203,12 @@ def _next(moved, have):
     dict(_proto="g.fl.expect", fid=[2, 1, 0], union_b=[[0, 3]]),
     dict(_proto="g.fl.expect", fid=[2, 1, 0], union_b=b"\x02\x00\x03"),
     # ABCAST ordering notes: a ref and a priority are integer pairs, a
-    # stamp an integer triple.
-    dict(_proto="g.abp", prio=[1, 0]),
-    dict(_proto="g.abp", ref=[0], prio=[1, 0]),
-    dict(_proto="g.abf", ref=[0], prio=[1, 0]),
-    dict(_proto="g.abf", ref=[0, 1]),
+    # stamp an integer triple; a proposal or a final names its view.
+    dict(_proto="g.abp", view=1, prio=[1, 0]),
+    dict(_proto="g.abp", view=1, ref=[0], prio=[1, 0]),
+    dict(_proto="g.abf", view=1, ref=[0], prio=[1, 0]),
+    dict(_proto="g.abf", view=1, ref=[0, 1]),
+    dict(_proto="g.abf", ref=[0, 1], prio=[1, 0]),
     dict(mode="sequencer", _proto="g.abs", stamps=[[0, 1, 1]]),
     dict(mode="sequencer", _proto="g.abs", view=1),
     dict(mode="sequencer", _proto="g.abs", view=1, stamps=[[0]]),
@@ -216,7 +221,7 @@ def _next(moved, have):
     dict(_TR, inner="x"),
     dict(_TR, inner=b"\x49\xd2\x00"),
     dict(_TR, inner=Message(x=1).encode()),
-    dict(_TR, inner=Message(_proto="g.abp", ref=[0]).encode()),
+    dict(_TR, inner=_ABP_CUT),
     # A data envelope names its view, origin, gseq and entry and carries a
     # message, and a ``g.cb`` its sender, its sequence number and a
     # context that parses: refused before the store hears of it.
@@ -275,7 +280,11 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
     """A well-formed message of the wrong shape is outside input like
     undecodable bytes: counted once (``kernel.bad_message``), dropped
     whole, and the kernel carries on.  With ``have``, what the store
-    vouches for afterwards: a refused data envelope must not be in it."""
+    vouches for afterwards: a refused data envelope must not be in it.
+
+    A pipeline message whose fields its row refuses has no wire form:
+    its sender's ``encode()`` refuses it, and the receiver refuses it
+    the same way when it is handed over without one (``_dispatch``)."""
     fields = dict(fields)
     mode = fields.pop("mode", "two_phase")
     system = IsisCluster(n_sites=2, seed=109, isis_config=IsisConfig(
@@ -300,7 +309,13 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
         del msg[without]
     if via_batch:       # the only way in for an envelope of another tag
         msg = Message(_proto="g.batch", gid=box["gid"], envs=[msg.encode()])
-    system.kernel(0).send_to_site(1, msg)
+    try:
+        msg.encode()
+    except CodecError:
+        assert msg["_proto"] in PIPELINE
+        system.kernel(1)._dispatch(0, msg)
+    else:
+        system.kernel(0).send_to_site(1, msg)
     system.run_for(2.0)
     assert system.sim.trace.value("kernel.bad_message") == 1
     assert system.kernel(1).alive

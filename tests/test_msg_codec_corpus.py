@@ -1,11 +1,12 @@
 """Golden wire messages: the codec is held to bytes it did not produce.
 
 ``tests/golden/wire_messages.hex`` holds one message per kernel wire tag,
-encoded by the codec this repo had before the one-pass one.  Every one
-must decode and re-encode to the identical bytes; every damaged variant
-must decode or raise :class:`CodecError`, nothing else, and whatever does
-decode must still re-encode to its input (the decoder keeps the input as
-the cached encoding).
+encoded by the codec this repo had before the one-pass one (the pipeline
+protocols' lines by its positional half).  Every one must decode and
+re-encode to the identical bytes; every damaged variant must decode or
+raise :class:`CodecError`, nothing else, and whatever does decode must
+still re-encode to its input (the decoder keeps the input as the cached
+encoding).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 
 import pytest
 
+import reference_codec as reference
 from repro.core.vectorclock import (
     ChainContext,
     apply_context_delta,
@@ -103,6 +105,16 @@ def test_golden_announcement_is_one_stab_blob():
         4, (6, 5), {0: 13, 1: 7, 2: 12})    # view, floor, have-vector
 
 
+@pytest.mark.parametrize("tag", ["g.cb", "g.abp", "g.batch"])
+def test_a_pipeline_message_as_a_symbol_table_is_a_codec_error(tag):
+    """A pipeline protocol has one form: the same fields written as a
+    symbol table (the form they had before) are refused, not read."""
+    table = reference.encode_table(Message.decode(CORPUS[tag]))
+    assert table[:2] == b"\x49\xd2"
+    with pytest.raises(CodecError, match="symbol-table form"):
+        Message.decode(table)
+
+
 @pytest.mark.parametrize("tag", WIRE_TAGS)
 def test_every_proper_prefix_is_a_codec_error(tag):
     raw = CORPUS[tag]
@@ -131,7 +143,8 @@ def test_single_byte_damage_decodes_canonically_or_raises_codec_error(tag):
 
 
 #: Python-level and C-level calls one decode of the golden ``g.cb``
-#: envelope may make.  The recursive codec made 248; this one makes 40.
+#: envelope may make.  The recursive codec made 248; the symbol-table
+#: walk 40; the positional form, which the golden one now has, 42.
 DECODE_CALL_BUDGET = 48
 
 

@@ -7,6 +7,11 @@ alive and the group still delivering.  The wrong shapes are derived mechanically
 well-formed instance is built from the kinds, then given exactly one
 defect — a required field missing, a field (or an item of it) of every
 wrong kind, every proper prefix of a blob, a blob with a byte too many.
+
+A pipeline row is also its protocol's one wire form: a shape it has no
+place for is the sender's ``CodecError`` at ``encode()``, and every
+byte-level defect of the form is the receiver's, counted once as
+``kernel.undecodable``.
 """
 
 import os
@@ -24,10 +29,10 @@ from repro.core.rpc import GroupRpc
 from repro.core.vectorclock import parse_context_delta
 from repro.errors import CodecError
 from repro.fd.siteview import SiteViewAgent
-from repro.msg import BATCH_PROTO, make_process_address
+from repro.msg import ADDRESS_SIZE, BATCH_PROTO, make_process_address
 from repro.msg.fields import (decode_have_vector, decode_stab,
                               encode_have_vector, encode_stab)
-from repro.msg.wire import PIPELINE, TOOLS
+from repro.msg.wire import ABSENT, PIPELINE, TOOLS
 from repro.tools import NewsClient, install_clocks, install_recovery
 from repro.tools.rexec import install_rexec
 
@@ -122,8 +127,19 @@ def _defects(kind, good):
                 yield dict(good, **{field: item})
 
 
+def _carried(kind, value):
+    """Has the positional form a place for ``value`` in a field of
+    ``kind``: bytes for a blob, a list of them for a list of blobs?"""
+    inner = kind.of if kind.name in ("optional", "nullable") else kind
+    if inner.name == "blob":
+        return value.__class__ is bytes
+    return inner.name == "list" and value.__class__ is list and all(
+        _carried(inner.of, item) for item in value)
+
+
 def _shapes(declared, gid):
-    """Every wrong shape of ``declared`` one defect from its instance."""
+    """Every wrong shape of ``declared`` one defect from its instance,
+    and whether a positional writer can carry it."""
     good = _instance(declared, gid=gid)
     for name, kind in declared.fields:
         if name not in good:
@@ -131,11 +147,28 @@ def _shapes(declared, gid):
         if kind.name != "optional":
             shape = good.copy()
             del shape[name]
-            yield shape
+            yield shape, False
         for value in _defects(kind, good[name]):
             shape = good.copy()
             shape[name] = value
-            yield shape
+            yield shape, _carried(kind, value)
+
+
+def _byte_defects(declared, raw):
+    """Every byte-level defect of ``raw``, a message in the positional
+    form: each proper prefix, a byte too many, the uvarint after ``gid``
+    overlong, a reserved bitmap bit, an index past the table."""
+    assert declared.fields[0][0] == "gid"
+    yield from (raw[:cut] for cut in range(len(raw)))
+    yield raw + b"\x00"
+    bitmap = any(kind.name == "optional" for _, kind in declared.fields)
+    at = 2 + bitmap + ADDRESS_SIZE          # magic, index, bitmap, gid
+    if at < len(raw):
+        assert raw[at] < 0x80
+        yield raw[:at] + bytes([raw[at] | 0x80, 0]) + raw[at + 1:]
+    if bitmap:
+        yield raw[:2] + bytes([raw[2] | 0x80]) + raw[3:]
+    yield raw[:1] + bytes([len(PIPELINE)]) + raw[2:]
 
 
 def _member_group(config):
@@ -176,17 +209,36 @@ def test_every_declared_wrong_shape_is_refused_once(config):
     kernel = system.kernel(1)
     assert kernel.engines[gid.process()].view.view_id == 2
     trace = system.sim.trace
-    sent = 0
+    sent = refused_at_encode = 0
     for proto in sorted(PROTOCOLS):
-        for shape in _shapes(PROTOCOLS[proto], gid):
+        for shape, carried in _shapes(PROTOCOLS[proto], gid):
+            if proto in PIPELINE and not carried:
+                with pytest.raises(CodecError):     # the sender's bug
+                    shape.encode()
+                refused_at_encode += 1      # and still the reader's
+            else:
+                shape = Message.decode(shape.encode())
             before = trace.value("kernel.bad_message")
-            kernel._dispatch(0, Message.decode(shape.encode()))
+            kernel._dispatch(0, shape)
             sent += 1
             assert trace.value("kernel.bad_message") == before + 1, (
                 proto, shape.fields())
         system.run_for(0.05)
         assert kernel.alive and system.kernel(0).alive, proto
-    assert sent > 1000
+    assert sent > 1000 and refused_at_encode > 100
+    assert trace.value("kernel.bad_message") == sent
+    # What a pipeline message's bytes can get wrong is the decoder's to
+    # refuse: counted as undecodable, once each, and nothing else.
+    undecodable = 0
+    for proto in PIPELINE:
+        declared = PROTOCOLS[proto]
+        for raw in _byte_defects(declared, _instance(declared, gid=gid).encode()):
+            kernel._on_transport_message(0, raw)
+            undecodable += 1
+            assert trace.value("kernel.undecodable") == undecodable, (
+                proto, raw.hex())
+        system.run_for(0.05)
+        assert kernel.alive and system.kernel(0).alive, proto
     assert trace.value("kernel.bad_message") == sent
 
     def send():
@@ -197,6 +249,26 @@ def test_every_declared_wrong_shape_is_refused_once(config):
     system.run_for(10.0)
     assert {site: sorted(ns) for site, ns in got.items()} == {
         0: [1, 2], 1: [1, 2]}
+
+
+def _plain(value):
+    """``value`` with its types spelt out and every message as its fields."""
+    if isinstance(value, Message):
+        return sorted((name, _plain(item)) for name, item in value.fields().items())
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_plain(item) for item in value]
+    return type(value).__name__, value
+
+
+@pytest.mark.parametrize("proto", PIPELINE)
+def test_positional_message_reads_to_the_parsed_record(proto):
+    """A pipeline message is read from its wire form, which vouches for
+    every kind already: its record is still what each field's kind makes
+    of the decoded fields."""
+    declared = PROTOCOLS[proto]
+    msg = Message.decode(_instance(declared).encode())
+    assert _plain(declared.read(msg)[1:]) == _plain(tuple(
+        kind.parse(msg.get(name, ABSENT)) for name, kind in declared.fields))
 
 
 #: A tool message missing the field its handler read first: each of
@@ -277,10 +349,10 @@ def test_future_view_wrapper_is_parsed_before_it_is_held():
     engine = system.kernel(0).engines[gid.process()]
     assert engine.view.view_id == 1
     bad_inner = Message(_proto="g.cb", gid=gid, view=2, origin=1, gseq=1,
-                        m=Message(n=0), entry=16)          # no causal fields
+                        m=Message(n=0), entry=16, cb_sender=_ADDRESS,
+                        cb_seq=1, cb_ctx=b"\x00\x00").encode()[:-1]   # cut
     system.kernel(1).send_to_site(0, Message(
-        _proto="g.tr", gid=gid, view=2, root=1, tid=1,
-        inner=bad_inner.encode()))
+        _proto="g.tr", gid=gid, view=2, root=1, tid=1, inner=bad_inner))
     system.run_for(1.0)
     assert system.sim.trace.value("kernel.bad_message") == 1
     members[1][0].spawn(join(1), "join")
