@@ -567,7 +567,6 @@ class GroupEngine:
         if joiners:
             # Concurrent joiners batch into one flush; they all receive
             # welcomes and share one snapshot encode at the source.
-            event["joiner"] = joiners[0]
             event["joiners"] = joiners
             event["transfer"] = transfer
             event["source"] = active.view.coordinator()

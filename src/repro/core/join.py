@@ -372,7 +372,7 @@ class Joins:
         if suffix is None:
             return None
         payload = Message(_proto="st.data", gid=engine.gid,
-                          wal_suffix=[bytes(r) for r in suffix])
+                          wal_suffix=suffix)
         self.sim.trace.bump("transfer.log_assisted")
         self.sim.trace.bump("transfer.suffix_bytes", payload.size_bytes)
         self._ship_state(joiner, payload)

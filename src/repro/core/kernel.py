@@ -366,8 +366,8 @@ class ProtocolsProcess:
         """
         if not self.alive:
             return
-        proto = msg.get("_proto", "")
-        route = self._routes.get(proto)
+        proto = msg.get("_proto")
+        route = self._routes.get(proto) if proto.__class__ is str else None
         if route is None:
             self.sim.trace.bump("kernel.unknown_proto")
             return

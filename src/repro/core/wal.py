@@ -31,7 +31,9 @@ consumers:
    records behind the newest checkpoint — that window is what makes a
    crashed peer's rejoin position servable from the log.
 
-Record framing is torn-tail honest: ``uvarint(len(body)) + body +
+A record, and a checkpoint, is a message of its row in ``msg/wire.py``
+(``wal.d``, ``wal.v``, ``wal.g``, ``wal.ck``), in that row's positional
+form.  Record framing is torn-tail honest: ``uvarint(len(body)) + body +
 crc32(body)``, so replay of a log whose final record was half-written
 by a crashing disk detects the damage and discards exactly that tail.
 
@@ -53,7 +55,8 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from ..msg.address import ADDRESS_SIZE, Address
+from ..errors import CodecError
+from ..msg.address import Address
 from ..msg.fields import decode_uvarint, encode_uvarint
 from ..msg.message import Message
 from .join import apply_segments, capture_segments
@@ -63,9 +66,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import GroupEngine
     from .kernel import ProtocolsProcess
 
-REC_DELIVER = 1
-REC_VIEW = 2
-REC_GBCAST = 3
+REC_DELIVER = "wal.d"
+REC_VIEW = "wal.v"
+REC_GBCAST = "wal.g"
 
 _LOG_PREFIX = "wal/g/"
 _CK_PREFIX = "wal/ck/"
@@ -96,97 +99,40 @@ def unframe_record(data: bytes) -> Optional[bytes]:
     return body
 
 
-def encode_deliver(view: int, origin: int, gseq: int,
-                   user_bytes: bytes) -> bytes:
-    return (bytes([REC_DELIVER]) + encode_uvarint(view)
-            + encode_uvarint(origin) + encode_uvarint(gseq)
-            + encode_uvarint(len(user_bytes)) + user_bytes)
+def _record(proto: str, **fields) -> bytes:
+    """A framed log record: the positional form of its row's message."""
+    return frame_record(Message(_proto=proto, **fields).encode())
 
 
-def encode_view(view: int, members: Tuple[Address, ...]) -> bytes:
-    out = bytearray([REC_VIEW])
-    out += encode_uvarint(view)
-    out += encode_uvarint(len(members))
-    for member in members:
-        out += member.pack()
-    return bytes(out)
-
-
-def encode_gbcast(view: int, idx: int, user_bytes: bytes) -> bytes:
-    return (bytes([REC_GBCAST]) + encode_uvarint(view)
-            + encode_uvarint(idx)
-            + encode_uvarint(len(user_bytes)) + user_bytes)
-
-
-def parse_record(body: Optional[bytes]) -> Optional[dict]:
-    """Decode a record body into a small dict (``None`` on damage)."""
-    if not body:
+def read_record(framed: bytes) -> Optional[Message]:
+    """The record a framed one holds (``None`` on damage)."""
+    body = unframe_record(framed)
+    if body is None:
         return None
     try:
-        kind = body[0]
-        if kind == REC_DELIVER:
-            view, off = decode_uvarint(body, 1)
-            origin, off = decode_uvarint(body, off)
-            gseq, off = decode_uvarint(body, off)
-            ulen, off = decode_uvarint(body, off)
-            return {"kind": kind, "view": view, "origin": origin,
-                    "gseq": gseq, "user": body[off:off + ulen]}
-        if kind == REC_VIEW:
-            view, off = decode_uvarint(body, 1)
-            count, off = decode_uvarint(body, off)
-            members = []
-            for _ in range(count):
-                members.append(Address.unpack(body[off:off + ADDRESS_SIZE]))
-                off += ADDRESS_SIZE
-            return {"kind": kind, "view": view, "members": tuple(members)}
-        if kind == REC_GBCAST:
-            view, off = decode_uvarint(body, 1)
-            idx, off = decode_uvarint(body, off)
-            ulen, off = decode_uvarint(body, off)
-            return {"kind": kind, "view": view, "idx": idx,
-                    "user": body[off:off + ulen]}
-    except Exception:
+        rec = Message.decode(body)
+    except CodecError:
         return None
-    return None
+    return rec if rec.get("_proto") in (REC_DELIVER, REC_VIEW,
+                                        REC_GBCAST) else None
 
 
 # ----------------------------------------------------------------------
-# Delivered-set codec: per-origin contiguous floor + sparse extras.
-# The two ordered queues (causal, abcast) drain one shared gseq counter
-# per origin independently, so a plain per-origin max is NOT a safe
-# floor — the set must be exact.
+# Delivered set: per-origin contiguous floor + sparse extras.  The two
+# ordered queues (causal, abcast) drain one shared gseq counter per
+# origin independently, so a plain per-origin max is NOT a safe floor —
+# the set must be exact.  On the wire and on disk it is the rows'
+# ``delivered`` kind: (origin, floor, extras) by origin.
 # ----------------------------------------------------------------------
-def encode_delivered(delivered: Dict[int, Tuple[int, Set[int]]]) -> bytes:
-    out = bytearray(encode_uvarint(len(delivered)))
-    for origin in sorted(delivered):
-        floor, extras = delivered[origin]
-        out += encode_uvarint(origin)
-        out += encode_uvarint(floor)
-        out += encode_uvarint(len(extras))
-        prev = floor
-        for gseq in sorted(extras):
-            out += encode_uvarint(gseq - prev)
-            prev = gseq
-    return bytes(out)
+def delivered_entries(delivered: Dict[int, Tuple[int, Set[int]]]) -> list:
+    """A delivered set as its ``delivered`` field carries it."""
+    return [[origin, floor, sorted(extras)]
+            for origin, (floor, extras) in sorted(delivered.items())]
 
 
-def decode_delivered(
-        data: bytes, offset: int = 0,
-) -> Tuple[Dict[int, Tuple[int, Set[int]]], int]:
-    count, off = decode_uvarint(data, offset)
-    out: Dict[int, Tuple[int, Set[int]]] = {}
-    for _ in range(count):
-        origin, off = decode_uvarint(data, off)
-        floor, off = decode_uvarint(data, off)
-        nextra, off = decode_uvarint(data, off)
-        extras: Set[int] = set()
-        prev = floor
-        for _ in range(nextra):
-            delta, off = decode_uvarint(data, off)
-            prev += delta
-            extras.add(prev)
-        out[origin] = (floor, extras)
-    return out, off
+def delivered_set(entries: list) -> Dict[int, Tuple[int, Set[int]]]:
+    """Inverse of :func:`delivered_entries`."""
+    return {origin: (floor, set(extras)) for origin, floor, extras in entries}
 
 
 def _delivered_add(delivered: Dict[int, Tuple[int, Set[int]]],
@@ -241,14 +187,14 @@ def _copy_delivered(
 
 
 def _covered_by(pos_view: int, pos_dlv: Dict[int, Tuple[int, Set[int]]],
-                rec: dict) -> bool:
+                rec: Message) -> bool:
     """Is ``rec`` at or before the position (view, delivered-set)?
 
     Record order in a log is monotone in view (leftovers of the old view
     always precede the view record installing the next), so a position
     cuts the log at a well-defined point.
     """
-    if rec["kind"] == REC_DELIVER:
+    if rec["_proto"] == REC_DELIVER:
         if rec["view"] < pos_view:
             return True
         return (rec["view"] == pos_view
@@ -310,10 +256,10 @@ class GroupWal:
         """Election key: (last installed view, deliveries ever logged)."""
         return (self.view_id, self.delivered_total)
 
-    def covered_by_ck(self, rec: dict) -> bool:
+    def covered_by_ck(self, rec: Message) -> bool:
         return _covered_by(self.ck_view, self.ck_delivered, rec)
 
-    def covered_by_base(self, rec: dict) -> bool:
+    def covered_by_base(self, rec: Message) -> bool:
         return _covered_by(self.base_view, self.base_delivered, rec)
 
 
@@ -374,7 +320,7 @@ class WalManager:
                     self.store.delete_log(gw.log_key(gen))
             raw = self.store.read_log(gw.log_key())
             for framed in raw:
-                rec = parse_record(unframe_record(framed))
+                rec = read_record(framed)
                 if rec is None:
                     # Torn/corrupt tail: truncate here — everything
                     # after a damaged record is unordered garbage.
@@ -403,55 +349,31 @@ class WalManager:
 
     def _apply_ck_blob(self, gw: GroupWal, blob: bytes) -> None:
         try:
-            gen, off = decode_uvarint(blob, 0)
-            view, off = decode_uvarint(blob, off)
-            nmem, off = decode_uvarint(blob, off)
-            members = []
-            for _ in range(nmem):
-                members.append(Address.unpack(blob[off:off + ADDRESS_SIZE]))
-                off += ADDRESS_SIZE
-            delivered, off = decode_delivered(blob, off)
-            total, off = decode_uvarint(blob, off)
-            base_view, off = decode_uvarint(blob, off)
-            base_delivered, off = decode_delivered(blob, off)
-            has_state = bool(blob[off]); off += 1
-            nlen, off = decode_uvarint(blob, off)
-            name = blob[off:off + nlen].decode("utf-8"); off += nlen
-            nseg, off = decode_uvarint(blob, off)
-            segments: Dict[str, List[bytes]] = {}
-            for _ in range(nseg):
-                klen, off = decode_uvarint(blob, off)
-                seg = blob[off:off + klen].decode("utf-8"); off += klen
-                nblk, off = decode_uvarint(blob, off)
-                blocks = []
-                for _ in range(nblk):
-                    blen, off = decode_uvarint(blob, off)
-                    blocks.append(blob[off:off + blen]); off += blen
-                segments[seg] = blocks
-        except Exception:
+            ck = Message.decode(blob)
+        except CodecError:
+            ck = None
+        if ck is None or ck.get("_proto") != "wal.ck":
             self.sim.trace.bump("recovery.bad_checkpoints")
             return
-        gw.gen = gen
-        gw.ck_view = view
-        gw.ck_delivered = delivered
-        gw.ck_total = total
-        gw.ck_has_state = has_state
-        gw.ck_segments = segments
-        gw.base_view = base_view
-        gw.base_delivered = base_delivered
-        gw.name = name
-        gw.view_id = view
-        gw.members = tuple(members)
-        gw.delivered = _copy_delivered(delivered)
-        gw.delivered_total = total
+        gw.gen = ck["gen"]
+        gw.ck_view = gw.view_id = ck["view"]
+        gw.ck_delivered = delivered_set(ck["delivered"])
+        gw.ck_total = gw.delivered_total = ck["total"]
+        gw.ck_has_state = ck["has_state"]
+        gw.ck_segments = ck["segments"]
+        gw.base_view = ck["base_view"]
+        gw.base_delivered = delivered_set(ck["base_delivered"])
+        gw.name = ck["name"]
+        gw.members = tuple(ck["members"])
+        gw.delivered = delivered_set(ck["delivered"])
 
-    def _track(self, gw: GroupWal, rec: dict) -> None:
+    def _track(self, gw: GroupWal, rec: Message) -> None:
         """Advance the live position by one record."""
-        if rec["kind"] == REC_VIEW:
+        if rec["_proto"] == REC_VIEW:
             gw.view_id = rec["view"]
-            gw.members = rec["members"]
+            gw.members = tuple(rec["members"])
             gw.delivered = {}
-        elif rec["kind"] == REC_DELIVER:
+        elif rec["_proto"] == REC_DELIVER:
             if rec["view"] == gw.view_id or gw.view_id == 0:
                 _delivered_add(gw.delivered, rec["origin"], rec["gseq"])
             gw.delivered_total += 1
@@ -495,8 +417,8 @@ class WalManager:
         gw.delivered = {}
         gw.base_view = view.view_id
         gw.base_delivered = {}
-        self._append(gw, frame_record(encode_view(view.view_id,
-                                                  view.members)))
+        self._append(gw, _record(REC_VIEW, view=view.view_id,
+                                 members=view.members))
         self._write_checkpoint(gw, capture_segments(process),
                                pos=self._pos_of(gw), old_gen=old_gen)
 
@@ -529,7 +451,7 @@ class WalManager:
         self._start_log(gw, view, process, old_gen)
         pending, gw.pending = gw.pending, []
         for framed in pending:
-            rec = parse_record(unframe_record(framed))
+            rec = read_record(framed)
             if rec is None:
                 continue
             self._append(gw, framed)
@@ -541,8 +463,8 @@ class WalManager:
     def note_deliver(self, engine: "GroupEngine", env: Message,
                      user: Message) -> None:
         gw = self._group(engine.gid)
-        framed = frame_record(encode_deliver(
-            env["view"], env["origin"], env["gseq"], user.encode()))
+        framed = _record(REC_DELIVER, view=env["view"], origin=env["origin"],
+                         gseq=env["gseq"], user=user)
         if not gw.armed:
             gw.pending.append(framed)
             return
@@ -558,7 +480,7 @@ class WalManager:
     def note_gbcast(self, engine: "GroupEngine", view_id: int, idx: int,
                     user: Message) -> None:
         gw = self._group(engine.gid)
-        framed = frame_record(encode_gbcast(view_id, idx, user.encode()))
+        framed = _record(REC_GBCAST, view=view_id, idx=idx, user=user)
         if not gw.armed:
             gw.pending.append(framed)
             return
@@ -568,8 +490,8 @@ class WalManager:
         gw = self._group(engine.gid)
         if not gw.armed:
             return  # the arm point writes the boundary record itself
-        self._append(gw, frame_record(encode_view(view.view_id,
-                                                  view.members)))
+        self._append(gw, _record(REC_VIEW, view=view.view_id,
+                                 members=view.members))
         gw.view_id = view.view_id
         gw.members = view.members
         gw.delivered = {}
@@ -679,28 +601,14 @@ class WalManager:
     def _write_checkpoint(self, gw: GroupWal,
                           segments: Dict[str, List[bytes]],
                           pos: dict, old_gen: Optional[int]) -> None:
-        has_state = bool(segments)
-        blob = bytearray()
-        blob += encode_uvarint(pos["gen"])
-        blob += encode_uvarint(pos["view"])
-        blob += encode_uvarint(len(pos["members"]))
-        for member in pos["members"]:
-            blob += member.pack()
-        blob += encode_delivered(pos["delivered"])
-        blob += encode_uvarint(pos["total"])
-        blob += encode_uvarint(pos.get("base_view", 0))
-        blob += encode_delivered(pos.get("base_delivered", {}))
-        blob.append(1 if has_state else 0)
-        name_bytes = gw.name.encode("utf-8")
-        blob += encode_uvarint(len(name_bytes)) + name_bytes
-        blob += encode_uvarint(len(segments))
-        for seg, blocks in sorted(segments.items()):
-            seg_bytes = seg.encode("utf-8")
-            blob += encode_uvarint(len(seg_bytes)) + seg_bytes
-            blob += encode_uvarint(len(blocks))
-            for block in blocks:
-                blob += encode_uvarint(len(block)) + block
-        data = bytes(blob)
+        data = Message(
+            _proto="wal.ck", gen=pos["gen"], view=pos["view"],
+            members=pos["members"],
+            delivered=delivered_entries(pos["delivered"]),
+            total=pos["total"], base_view=pos["base_view"],
+            base_delivered=delivered_entries(pos["base_delivered"]),
+            has_state=bool(segments), name=gw.name, segments=segments,
+        ).encode()
         self.kernel.counters.bump("checkpoint.writes")
         self.kernel.counters.bump("checkpoint.bytes", len(data))
         promise = self.store.write(_CK_PREFIX + gw.key, data)
@@ -782,8 +690,8 @@ class WalManager:
     # ------------------------------------------------------------------
     # Rejoin hints + log-assisted transfer
     # ------------------------------------------------------------------
-    def rejoin_hint(self, gid: Address) -> Optional[Tuple[int, bytes]]:
-        """Position to piggyback on ``g.join``: (view, delivered enc).
+    def rejoin_hint(self, gid: Address) -> Optional[Tuple[int, list]]:
+        """Position to piggyback on ``g.join``: (view, delivered entries).
 
         Only offered when the local log is *replayable* — a checkpoint
         with captured state exists, so the joining process can rebuild
@@ -792,11 +700,11 @@ class WalManager:
         gw = self.lookup(gid)
         if gw is None or gw.view_id <= 0 or not gw.ck_has_state:
             return None
-        return (gw.view_id, encode_delivered(gw.delivered))
+        return (gw.view_id, delivered_entries(gw.delivered))
 
     def build_suffix(self, gid: Address, hint_view: int,
-                     hint_dlv: bytes) -> Optional[List[bytes]]:
-        """Records this site holds past the joiner's position.
+                     hint_dlv: list) -> Optional[List[bytes]]:
+        """Records (unframed) this site holds past the joiner's position.
 
         ``None`` when our own log does not reach back far enough (its
         base position presumes something the joiner lacks): the caller
@@ -805,10 +713,7 @@ class WalManager:
         gw = self.lookup(gid)
         if gw is None or not gw.armed:
             return None
-        try:
-            joiner_dlv, _ = decode_delivered(hint_dlv)
-        except Exception:
-            return None
+        joiner_dlv = delivered_set(hint_dlv)
         if gw.base_view > hint_view:
             return None
         if gw.base_view == hint_view and not _delivered_subset(
@@ -816,10 +721,10 @@ class WalManager:
             return None
         suffix: List[bytes] = []
         for framed in gw.records:
-            rec = parse_record(unframe_record(framed))
+            rec = read_record(framed)
             if rec is not None and not _covered_by(hint_view, joiner_dlv,
                                                    rec):
-                suffix.append(framed)
+                suffix.append(rec.encode())
         return suffix
 
     def replay_to(self, gid: Address, process: "IsisProcess") -> int:
@@ -829,35 +734,32 @@ class WalManager:
             return 0
         return self._apply(gw, process)
 
-    def absorb_suffix(self, gid: Address, suffix: List[bytes],
+    def absorb_suffix(self, gid: Address, suffix: List[tuple],
                       process: "IsisProcess") -> int:
-        """Apply a source's suffix records to the rejoining process.
+        """Apply a source's suffix records (as their rows read them) to
+        the rejoining process.
 
         The records are not re-logged here: the join finishing right
         after this rebases the log anyway (view boundary record + a
         checkpoint that captures their combined effect).
         """
-        return self._replay(process, suffix)
+        return self._replay(process, [record[0] for record in suffix])
 
     def _apply(self, gw: GroupWal, process: "IsisProcess") -> int:
         apply_segments(process, gw.ck_segments)
         # A retention-window record is skipped: the segments have it.
-        return self._replay(process, gw.records, gw.covered_by_ck)
+        return self._replay(process, map(read_record, gw.records),
+                            gw.covered_by_ck)
 
-    def _replay(self, process: "IsisProcess", records: List[bytes],
+    def _replay(self, process: "IsisProcess", records,
                 covered=lambda rec: False) -> int:
         """Deliver ``records``' D and G records not ``covered`` to
         ``process``; how many were."""
         applied = 0
-        for framed in records:
-            rec = parse_record(unframe_record(bytes(framed)))
-            if rec is None or covered(rec) or rec["kind"] == REC_VIEW:
+        for rec in records:
+            if rec is None or covered(rec) or rec["_proto"] == REC_VIEW:
                 continue
-            try:
-                user = Message.decode(rec["user"])
-            except Exception:
-                self.sim.trace.bump("wal.bad_replay")
-                continue
+            user = rec["user"]
             user["_replay"] = True
             self.kernel.counters.bump("wal.replayed")
             process.deliver(user)

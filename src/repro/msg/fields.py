@@ -24,14 +24,20 @@ tag     python       payload encoding (big-endian)
 A message is ``u16 magic 0x49D2 + u16 field count`` followed by that many
 ``u16 name length + name UTF-8 + value`` entries.
 
-A message of a pipeline protocol (``wire.PIPELINE``) has the positional
-form instead, and no other: byte ``0xA7``, the protocol's index in
-``PIPELINE``, one presence byte if its row has optional fields (bit
-``i`` for the ``i``-th; the rest must be 0), then each field there in
-row order, no name and no tag: an ``address`` as its 8 bytes, a
-``uint`` as a uvarint, an ``int`` as a zigzag uvarint, ``bytes``, a blob
-or a message as a uvarint length and the bytes, a ``fixed`` as its items
-in order, a ``list_of`` as a uvarint count and its items.  A uvarint is
+A message of a declared protocol (a row of ``wire.protocols()``: the
+kernel's, the toolkit's, the write-ahead log's records) has the
+positional form instead, and no other: byte ``0xA7``, the protocol's
+index in that table (the pipeline's rows first), one presence byte if
+its row has optional fields (bit ``i`` for the ``i``-th; the rest must
+be 0), then each field there in row order, no name and no tag: an
+``address`` as its 8 bytes, a ``uint`` as a uvarint, an ``int`` as a
+zigzag uvarint, a ``float`` as an 8-byte IEEE double, a ``bool`` as a
+byte 0 or 1, ``bytes``, a blob, a ``str`` (UTF-8) or a message as a
+uvarint length and the bytes, ``any`` as a tagged value of the table
+above, a ``fixed`` as its items in order, a ``list_of`` as a uvarint
+count and its items, a ``dict_of`` as a uvarint count and each key (a
+``str``) and item, a ``record`` as a row (presence byte, fields), and a
+``nullable`` as a byte 0 (None) or 1 and the value.  A uvarint is
 unsigned LEB128, at most 64 bits and without a trailing zero group.
 
 This table, the positional form, the have-vector format and the

@@ -530,16 +530,15 @@ def unpack_batch(msg: Message) -> "tuple[List[Message], Optional[Stab]]":
     """Inverse of :func:`pack_batch`; raises :class:`CodecError` only.
 
     Returns ``(envelopes, stab)`` with envelope order preserved;
-    ``stab`` is ``None`` when nothing was piggybacked.  What the
-    envelopes say is for their readers (``msg/wire.py``) to check.
+    ``stab`` is ``None`` when nothing was piggybacked.  The batch's row
+    (``msg/wire.py``) is its one form, so its writer refuses any other
+    shape; what the envelopes say is for their readers to check.
     """
-    envs, stab = msg.get("envs"), msg.get("stab", b"")
-    if (msg.get(F_PROTO) != BATCH_PROTO or envs.__class__ is not list
-            or stab.__class__ is not bytes
-            or any(raw.__class__ is not bytes for raw in envs)):
+    if msg.get(F_PROTO) != BATCH_PROTO:
         raise CodecError(f"not a batch message: {msg!r}")
-    return ([Message.decode(raw) for raw in envs],
-            decode_stab(stab) if "stab" in msg else None)
+    msg.encode()
+    return ([Message.decode(raw) for raw in msg["envs"]],
+            decode_stab(msg["stab"]) if "stab" in msg else None)
 
 
 def system_copy(msg: Message) -> Message:

@@ -2,33 +2,36 @@
 
 §4.1: a message is a symbol table of named, typed fields.  Here each
 ``_proto`` the kernel routes has one *row*: its fields, in order, each
-with its *kind*.  :func:`protocols` compiles every row into a reader,
-once, and the kernel parses each message with its reader before any
-handler runs.  A reader returns the message's *record*: the message
-itself, then each field's parsed value in row order.  A field of the
-wrong kind, a required field that is missing or a broken cross-field
-rule is :class:`CodecError`, which refuses the whole message.  Fields a
-row does not name are ignored (but by a :data:`PIPELINE` row, below).
+with its *kind*.  A row is also its protocol's one wire form:
+:func:`protocols` compiles every row, once, into a positional writer and
+reader (``fields.py`` has the format), which ``Message.encode`` /
+``Message.decode`` use for that protocol, and into the reader the kernel
+runs on each message before any handler.  That reader returns the
+message's *record*: the message itself, then each field's value in row
+order.
 
-The kinds are a closed set: ``int`` (``type is int``, so a bool is
-refused), ``uint`` (an int >= 0), ``float``, ``bool``, ``address``,
-``bytes``, ``str``, ``message``, ``any`` (a user-opaque value that is
-there), ``list_of(k)``, ``dict_of(k)`` (str keys), ``fixed(k, ...)``
-(a list of exactly these kinds, parsed to a tuple),
-``record((name, k), ...)`` (a dict with these fields, parsed to a tuple
-or what its ``make`` makes of one) and ``blob(codec)`` (bytes the codec
-parses).  In a row, ``name:kind?`` is a field that may be absent
-(``None``); ``nullable(k)`` is ``k`` or ``None``.
+What the form cannot carry is refused where it is made: a field the row
+does not name, a required field that is missing or a value of the wrong
+kind is :class:`CodecError` at ``encode()``, the sender's; bytes that
+are not the form are :class:`CodecError` at ``decode()``.  The reader
+runs only what the bytes cannot vouch for: a blob's codec, a nested
+message's row, a record's constructor and the row's cross-field rule —
+any of which refuses the whole message.
+
+The kinds are a closed set: ``int``, ``uint`` (an int >= 0), ``float``,
+``bool``, ``address``, ``bytes``, ``str``, ``message``, ``any`` (a
+user-opaque value, in the symbol table's value form), ``list_of(k)``,
+``dict_of(k)`` (str keys), ``fixed(k, ...)`` (a list of exactly these
+kinds, read to a tuple), ``record((name, k), ...)`` (a dict with these
+fields, read to a tuple or what its ``make`` makes of one) and
+``blob(codec)`` (bytes the codec reads).  In a row or a record,
+``name:kind?`` is a field that may be absent (``None``);
+``nullable(k)`` is ``k`` or ``None``.
 
 The toolkit's services (``tools/``) declare their protocols here too
-(:data:`TOOLS`), and the kernel routes them the same way.
-
-A :data:`PIPELINE` row is also its protocol's wire layout: compiled once
-into a positional writer and reader (:func:`_layout`), which
-``Message.encode`` / ``Message.decode`` use for that protocol and for
-nothing else (``fields.py`` has the format).  Its reader reads a
-message in that form, which has every kind its row asks for: it runs
-only the blob codecs and the cross-field rule.
+(:data:`TOOLS`), and the kernel routes them the same way; so do the
+write-ahead log's records (:data:`WAL`), which ``core/wal.py`` writes to
+disk and ships in a log-assisted state transfer.
 
 Codecs that live in ``core/`` (the ``cb_ctx`` parser, the view
 constructor) are handed to :func:`protocols`: this package imports
@@ -37,150 +40,43 @@ nothing from ``core/``.
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+import struct
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import CodecError
 from .address import ADDRESS_SIZE, Address
 from .address import _interned as _addresses   # packed form -> instance
 from .fields import (decode_have_vector, decode_stab, decode_uvarint,
                      encode_uvarint)
-from .message import (BATCH_PROTO, Message, _encode_message, _read_message,
-                      use_layouts)
-
-
-class _Absent:
-    """The value of a field a message does not carry."""
-
-    def __repr__(self) -> str:
-        return "absent"
-
-
-ABSENT = _Absent()
+from .message import (_ENCODERS, BATCH_PROTO, Message, _encode_message,
+                      _read_message, _read_value, use_layouts)
 
 
 class Kind:
-    """What one field must be: ``parse(value)`` is its parsed value or
-    :class:`CodecError`.  ``name`` and ``of`` (the item kind, the fields
-    or the codec) describe it to a reader of the declaration, such as a
-    test that derives wrong shapes from it."""
+    """What one field must be, and how it travels: ``put(value, buf,
+    depth)`` appends a value of the kind or refuses it; ``take(data,
+    offset, depth)`` returns the value at ``offset`` and the offset after
+    it (a read past the end raises, or leaves ``Message.decode`` to
+    refuse); ``left(value)`` is what a record holds for a value of the
+    kind (None: the value itself).  ``name`` and ``of`` (the item kind,
+    the fields or the codec) describe it to a reader of the declaration,
+    such as a test that derives wrong shapes from it."""
 
-    __slots__ = ("name", "parse", "of")
+    __slots__ = ("name", "put", "take", "left", "of")
 
-    def __init__(self, name: str, parse: Callable[[Any], Any],
-                 of: Any = None):
-        self.name, self.parse, self.of = name, parse, of
+    def __init__(self, name: str, put: Callable, take: Callable,
+                 left: Optional[Callable[[Any], Any]] = None, of: Any = None):
+        self.name, self.put, self.take, self.left, self.of = (
+            name, put, take, left, of)
 
 
 def _refuse(what: str, value: Any) -> CodecError:
     return CodecError(f"not {what}: {value!r}")
 
 
-def _exactly(name: str, cls: type) -> Kind:
-    def parse(value: Any) -> Any:
-        if value.__class__ is cls:
-            return value
-        raise _refuse(name, value)
-    return Kind(name, parse)
-
-
-def _uint(value: Any) -> int:
-    if value.__class__ is int and value >= 0:
-        return value
-    raise _refuse("uint", value)
-
-
-def _bytes(value: Any) -> bytes:
-    if value.__class__ is bytes:
-        return value
-    if value.__class__ is bytearray:
-        return bytes(value)
-    raise _refuse("bytes", value)
-
-
-def _any(value: Any) -> Any:
-    if value is ABSENT:
-        raise _refuse("there", value)
-    return value
-
-
-INT = _exactly("int", int)
-FLOAT = _exactly("float", float)
-BOOL = _exactly("bool", bool)
-ADDRESS = _exactly("address", Address)
-STR = _exactly("str", str)
-MESSAGE = _exactly("message", Message)
-UINT = Kind("uint", _uint)
-BYTES = Kind("bytes", _bytes)
-ANY = Kind("any", _any)
-
-
-def list_of(item: Kind) -> Kind:
-    parse_item = item.parse
-
-    def parse(value: Any) -> list:
-        if value.__class__ is list or value.__class__ is tuple:
-            return [parse_item(entry) for entry in value]
-        raise _refuse("a list", value)
-    return Kind("list", parse, item)
-
-
-def dict_of(item: Kind) -> Kind:
-    parse_item = item.parse
-
-    def parse(value: Any) -> dict:
-        if value.__class__ is dict:     # the codec's keys are str
-            return {key: parse_item(entry) for key, entry in value.items()}
-        raise _refuse("a dict", value)
-    return Kind("dict", parse, item)
-
-
-def fixed(*items: Kind) -> Kind:
-    parsers = tuple(item.parse for item in items)
-
-    def parse(value: Any) -> tuple:
-        if ((value.__class__ is list or value.__class__ is tuple)
-                and len(value) == len(parsers)):
-            return tuple(p(entry) for p, entry in zip(parsers, value))
-        raise _refuse(f"a list of {len(parsers)}", value)
-    return Kind("fixed", parse, items)
-
-
-def record(*fields: Tuple[str, Kind],
-           make: Optional[Callable[..., Any]] = None) -> Kind:
-    plan = tuple((name, kind.parse) for name, kind in fields)
-
-    def parse(value: Any) -> Any:
-        if value.__class__ is not dict:
-            raise _refuse("a record", value)
-        values = tuple(p(value.get(name, ABSENT)) for name, p in plan)
-        return values if make is None else make(*values)
-    return Kind("record", parse, fields)
-
-
-def blob(codec: Callable[[bytes], Any]) -> Kind:
-    return Kind("blob", lambda value: codec(_bytes(value)), codec)
-
-
-def optional(item: Kind) -> Kind:
-    parse_item = item.parse
-    return Kind("optional", lambda value: None if value is ABSENT
-                else parse_item(value), item)
-
-
-def nullable(item: Kind) -> Kind:
-    parse_item = item.parse
-    return Kind("nullable", lambda value: None if value is None
-                else parse_item(value), item)
-
-
-# ----------------------------------------------------------------------
-# The positional layout.  ``put(value, buf, depth)`` appends a value of
-# its kind or refuses it; ``take(data, offset, depth)`` returns the value
-# at ``offset`` and the offset after it, and like the symbol-table walk
-# leaves a read past the end to raise or to ``Message.decode`` to refuse.
-# ----------------------------------------------------------------------
 _UVARINT_END = 1 << 64
+_F64 = struct.Struct(">d")
+_ABSENT = object()      # the value of a field a message does not carry
 
 
 def _put_uint(value: Any, buf: bytearray, depth: int) -> None:
@@ -213,6 +109,28 @@ def _take_int(data: bytes, offset: int, depth: int) -> Tuple[int, int]:
     return (value >> 1) ^ -(value & 1), offset        # zigzag
 
 
+def _put_float(value: Any, buf: bytearray, depth: int) -> None:
+    if value.__class__ is not float:
+        raise _refuse("float", value)
+    buf += _F64.pack(value)
+
+
+def _take_float(data: bytes, offset: int, depth: int) -> Tuple[float, int]:
+    return _F64.unpack_from(data, offset)[0], offset + 8
+
+
+def _put_bool(value: Any, buf: bytearray, depth: int) -> None:
+    if value.__class__ is not bool:
+        raise _refuse("bool", value)
+    buf.append(value)
+
+
+def _take_bool(data: bytes, offset: int, depth: int) -> Tuple[bool, int]:
+    if data[offset] > 1:
+        raise CodecError(f"bool encoded as {data[offset]}")
+    return data[offset] == 1, offset + 1
+
+
 def _put_address(value: Any, buf: bytearray, depth: int) -> None:
     if value.__class__ is not Address:
         raise _refuse("address", value)
@@ -237,6 +155,20 @@ def _take_bytes(data: bytes, offset: int, depth: int) -> Tuple[bytes, int]:
     return data[offset:offset + size], offset + size
 
 
+def _put_str(value: Any, buf: bytearray, depth: int) -> None:
+    if value.__class__ is not str:
+        raise _refuse("str", value)
+    try:
+        _put_bytes(value.encode("utf-8"), buf, depth)
+    except UnicodeEncodeError:
+        raise _refuse("UTF-8", value) from None
+
+
+def _take_str(data: bytes, offset: int, depth: int) -> Tuple[str, int]:
+    raw, offset = _take_bytes(data, offset, depth)
+    return raw.decode("utf-8"), offset
+
+
 def _put_message(value: Any, buf: bytearray, depth: int) -> None:
     if value.__class__ is not Message:
         raise _refuse("a message", value)
@@ -248,88 +180,129 @@ def _take_message(data: bytes, offset: int, depth: int) -> Tuple[Message, int]:
     return _read_message(Message, raw, depth), end
 
 
-#: The positional ``(put, take)`` of each scalar kind; a blob is bytes.
-_FORMS = {"uint": (_put_uint, _take_uint), "int": (_put_int, _take_int),
-          "address": (_put_address, _take_address),
-          "bytes": (_put_bytes, _take_bytes), "blob": (_put_bytes, _take_bytes),
-          "message": (_put_message, _take_message)}
+def _put_any(value: Any, buf: bytearray, depth: int) -> None:
+    _ENCODERS[value.__class__](value, buf, depth)
 
 
-def _put_items(forms: Iterable, items: Any, buf: bytearray,
-               depth: int) -> None:
-    """``items`` in order, each in its form (a ``(put, take)``)."""
-    for (put_item, _), item in zip(forms, items):
-        put_item(item, buf, depth)
+INT = Kind("int", _put_int, _take_int)
+UINT = Kind("uint", _put_uint, _take_uint)
+FLOAT = Kind("float", _put_float, _take_float)
+BOOL = Kind("bool", _put_bool, _take_bool)
+ADDRESS = Kind("address", _put_address, _take_address)
+BYTES = Kind("bytes", _put_bytes, _take_bytes)
+STR = Kind("str", _put_str, _take_str)
+MESSAGE = Kind("message", _put_message, _take_message)
+ANY = Kind("any", _put_any, _read_value)
 
 
-def _take_items(forms: Iterable, data: bytes, offset: int,
-                depth: int) -> Tuple[list, int]:
-    out = []
-    for _, take_item in forms:
-        item, offset = take_item(data, offset, depth)
-        out.append(item)
-    return out, offset
+def _maybe(left: Optional[Callable]) -> Optional[Callable]:
+    """``left`` for a value that may be None."""
+    return left and (lambda value: None if value is None else left(value))
 
 
-def _positional(kind: Kind) -> Tuple[Callable, Callable]:
-    """``kind``'s ``(put, take)``: a ``fixed`` is its items in order, a
-    ``list_of`` its uvarint count and then its items the same way."""
-    if kind.name == "fixed":
-        forms = [_positional(item) for item in kind.of]
+def list_of(item: Kind) -> Kind:
+    """A uvarint count, then the items."""
+    put_item, take_item, left_item = item.put, item.take, item.left
 
-        def put(value: Any, buf: bytearray, depth: int) -> None:
-            if value.__class__ not in (list, tuple) or len(value) != len(forms):
-                raise _refuse(kind.name, value)
-            _put_items(forms, value, buf, depth)
-        return put, lambda data, offset, depth: _take_items(
-            forms, data, offset, depth)
-    if kind.name == "list":
-        form = _positional(kind.of)
+    def put(value: Any, buf: bytearray, depth: int) -> None:
+        if value.__class__ is not list and value.__class__ is not tuple:
+            raise _refuse("a list", value)
+        _put_uint(len(value), buf, depth)
+        for entry in value:
+            put_item(entry, buf, depth)
 
-        def put(value: Any, buf: bytearray, depth: int) -> None:
-            if value.__class__ not in (list, tuple):
-                raise _refuse(kind.name, value)
-            _put_uint(len(value), buf, depth)
-            _put_items(repeat(form), value, buf, depth)
-
-        def take(data: bytes, offset: int, depth: int) -> Tuple[list, int]:
-            count, offset = _take_uint(data, offset, depth)
-            return _take_items(repeat(form, count), data, offset, depth)
-        return put, take
-    return _FORMS[kind.name]
+    def take(data: bytes, offset: int, depth: int) -> Tuple[list, int]:
+        count, offset = _take_uint(data, offset, depth)
+        out = []
+        for _ in range(count):
+            entry, offset = take_item(data, offset, depth)
+            out.append(entry)
+        return out, offset
+    return Kind("list", put, take, left_item and (
+        lambda value: [left_item(entry) for entry in value]), item)
 
 
-def _layout(proto: str, fields: Tuple[Tuple[str, Kind], ...]
-            ) -> Tuple[Callable, Callable]:
-    """A row's positional writer and reader: one presence byte if the row
-    has optional fields (eight at most; bit ``i`` for the ``i``-th), then
-    every field there in row order.  No name is written; a field the row
-    does not name is refused."""
+def dict_of(item: Kind) -> Kind:
+    """A uvarint count, then each key (a ``str``) and its item."""
+    put_item, take_item, left_item = item.put, item.take, item.left
+
+    def put(value: Any, buf: bytearray, depth: int) -> None:
+        if value.__class__ is not dict:
+            raise _refuse("a dict", value)
+        _put_uint(len(value), buf, depth)
+        for key, entry in value.items():
+            _put_str(key, buf, depth)
+            put_item(entry, buf, depth)
+
+    def take(data: bytes, offset: int, depth: int) -> Tuple[dict, int]:
+        count, offset = _take_uint(data, offset, depth)
+        out = {}
+        for _ in range(count):
+            key, offset = _take_str(data, offset, depth)
+            out[key], offset = take_item(data, offset, depth)
+        if len(out) != count:
+            raise CodecError("duplicate dict key")
+        return out, offset
+    return Kind("dict", put, take, left_item and (
+        lambda value: {key: left_item(entry) for key, entry in value.items()}),
+        item)
+
+
+def fixed(*items: Kind) -> Kind:
+    """The items in order, read to a tuple."""
+    forms = tuple((item.put, item.take) for item in items)
+    lefts = tuple(item.left for item in items)
+
+    def put(value: Any, buf: bytearray, depth: int) -> None:
+        if ((value.__class__ is not list and value.__class__ is not tuple)
+                or len(value) != len(forms)):
+            raise _refuse(f"a list of {len(forms)}", value)
+        for (put_item, _), entry in zip(forms, value):
+            put_item(entry, buf, depth)
+
+    def take(data: bytes, offset: int, depth: int) -> Tuple[list, int]:
+        out = []
+        for _, take_item in forms:
+            entry, offset = take_item(data, offset, depth)
+            out.append(entry)
+        return out, offset
+    left = tuple if not any(lefts) else (lambda value: tuple(
+        entry if finish is None else finish(entry)
+        for finish, entry in zip(lefts, value)))
+    return Kind("fixed", put, take, left, items)
+
+
+def _form(what: str, fields: Tuple[Tuple[str, Kind], ...],
+          start: dict) -> Tuple[Callable, Callable]:
+    """The positional writer and reader of a dict of ``fields`` (and of
+    ``start``'s, which are not written): one presence byte if any field
+    is optional (eight at most; bit ``i`` for the ``i``-th), then every
+    field there in order.  No name is written; a key outside ``fields``
+    is refused."""
     plan, flag = [], 1
     for name, kind in fields:
         optional = kind.name == "optional"
-        plan.append((name, *_positional(kind.of if optional else kind),
-                     flag if optional else 0))
+        plan.append((name, kind.put, kind.take, flag if optional else 0))
         flag <<= optional
-    assert flag <= 0x100, f"{proto}: more than eight optional fields"
+    assert flag <= 0x100, f"{what}: more than eight optional fields"
     reserved = 0x100 - flag if flag > 1 else None
 
     def write(values: dict, buf: bytearray, depth: int) -> None:
-        at, present, bits = len(buf), 1, 0     # ``_proto`` is the index
+        at, present, bits = len(buf), len(start), 0
         if reserved is not None:
             buf.append(0)
         try:
             for name, put, _, bit in plan:
-                value = values.get(name, ABSENT)
-                if value is not ABSENT:
+                value = values.get(name, _ABSENT)
+                if value is not _ABSENT:
                     put(value, buf, depth)
                     present, bits = present + 1, bits | bit
                 elif not bit:
-                    raise _refuse("there", value)
+                    raise CodecError("missing")
         except CodecError as err:
-            raise CodecError(f"{proto} {name}: {err}") from None
+            raise CodecError(f"{what} {name}: {err}") from None
         if present != len(values):
-            raise CodecError(f"{proto}: fields outside its row: {values}")
+            raise CodecError(f"{what}: fields outside its row: {values}")
         if bits:
             buf[at] = bits
 
@@ -338,8 +311,8 @@ def _layout(proto: str, fields: Tuple[Tuple[str, Kind], ...]
         if reserved is not None:
             bits, offset = data[offset], offset + 1
             if bits & reserved:
-                raise CodecError(f"{proto}: reserved bitmap bits {bits:#x}")
-        out = {"_proto": proto}
+                raise CodecError(f"{what}: reserved bitmap bits {bits:#x}")
+        out = dict(start)
         for name, _, take, bit in plan:
             if not bit or bits & bit:
                 out[name], offset = take(data, offset, depth)
@@ -347,52 +320,75 @@ def _layout(proto: str, fields: Tuple[Tuple[str, Kind], ...]
     return write, read
 
 
-def _left(kind: Kind) -> Optional[Callable[[Any], Any]]:
-    """What ``kind.parse`` still does to a value the positional form
-    carried (its writer let it through, or its reader made it): a blob's
-    codec, a ``fixed``'s tuple, a fresh list, or nothing (None).  An
-    absent optional field reads as None."""
-    if kind.name in ("blob", "bytes") or (
-            kind.name == "fixed" and any(map(_left, kind.of))):
-        return kind.parse
-    if kind.name == "fixed":
-        return tuple
-    inner = _left(kind.of) if kind.name in ("list", "optional") else None
-    if kind.name == "list":
-        return list if inner is None else (
-            lambda value: [inner(item) for item in value])
-    return None if inner is None else (
-        lambda value: None if value is None else inner(value))
+def record(*fields: Tuple[str, Kind],
+           make: Optional[Callable[..., Any]] = None) -> Kind:
+    """A dict of ``fields``, in the form of a row's (:func:`_form`)."""
+    write, read = _form("record", fields, {})
+    plan = tuple((name, kind.left) for name, kind in fields)
+
+    def put(value: Any, buf: bytearray, depth: int) -> None:
+        if value.__class__ is not dict:
+            raise _refuse("a record", value)
+        write(value, buf, depth)
+
+    def left(value: dict) -> Any:
+        values = tuple(value.get(name) if finish is None
+                       else finish(value.get(name)) for name, finish in plan)
+        return values if make is None else make(*values)
+    return Kind("record", put, read, left, fields)
+
+
+def blob(codec: Callable[[bytes], Any]) -> Kind:
+    """Bytes, read by ``codec``."""
+    return Kind("blob", _put_bytes, _take_bytes, codec, codec)
+
+
+def optional(item: Kind) -> Kind:
+    return Kind("optional", item.put, item.take, _maybe(item.left), item)
+
+
+def nullable(item: Kind) -> Kind:
+    """A byte 0 for None, or 1 and the item."""
+    put_item, take_item = item.put, item.take
+
+    def put(value: Any, buf: bytearray, depth: int) -> None:
+        buf.append(value is not None)
+        if value is not None:
+            put_item(value, buf, depth)
+
+    def take(data: bytes, offset: int, depth: int) -> Tuple[Any, int]:
+        if data[offset] > 1:
+            raise CodecError(f"nullable flag {data[offset]}")
+        if data[offset] == 0:
+            return None, offset + 1
+        return take_item(data, offset + 1, depth)
+    return Kind("nullable", put, take, _maybe(item.left), item)
 
 
 class Protocol:
     """One declared protocol: its fields, its cross-field rule
-    (``check(record)``: what is wrong, or None) and its reader.  A
-    ``positional`` one (:data:`PIPELINE`) also has its wire form,
-    ``layout`` (:func:`_layout`'s writer and reader), and is read from
-    it: a message with no bytes yet is encoded first, so the writer
-    refuses what the row does, and the reader runs only :func:`_left`."""
+    (``check(record)``: what is wrong, or None), its wire form
+    (``layout``: :func:`_form`'s writer and reader) and its reader.  A
+    message with no bytes yet is encoded first, so the writer refuses
+    what the row does; the reader then runs each field's ``left``."""
 
     __slots__ = ("proto", "fields", "check", "read", "layout")
 
     def __init__(self, proto: str, fields: Tuple[Tuple[str, Kind], ...],
-                 check: Optional[Callable[[tuple], Optional[str]]] = None,
-                 positional: bool = False):
+                 check: Optional[Callable[[tuple], Optional[str]]] = None):
         self.proto, self.fields, self.check = proto, fields, check
-        self.layout = _layout(proto, fields) if positional else None
-        plan = tuple((name, _left(kind) if positional else kind.parse)
-                     for name, kind in fields)
-        missing = None if positional else ABSENT
+        self.layout = _form(proto, fields, {"_proto": proto})
+        plan = tuple((name, kind.left) for name, kind in fields)
 
         def read(msg: Message) -> tuple:
-            if positional and msg._encoded is None:
+            if msg._encoded is None:
                 msg.encode()
             get = msg._fields.get
             values = [msg]
             try:
-                for name, parse in plan:
-                    value = get(name, missing)
-                    values.append(value if parse is None else parse(value))
+                for name, left in plan:
+                    value = get(name)
+                    values.append(value if left is None else left(value))
             except CodecError as err:
                 raise CodecError(f"{proto} {name}: {err}") from None
             rec = tuple(values)
@@ -414,21 +410,22 @@ def _row(spec: str, kinds: Dict[str, Kind]) -> Tuple[Tuple[str, Kind], ...]:
 
 
 def _messages(table: Dict[str, Protocol], what: str) -> Kind:
-    """A message of one of ``table``'s protocols, parsed to its record."""
-    def parse(value: Any) -> tuple:
-        declared = table.get(MESSAGE.parse(value)._fields.get("_proto"))
+    """A message of one of ``table``'s protocols, read to its record."""
+    def left(value: Message) -> tuple:
+        proto = value._fields.get("_proto")
+        declared = table.get(proto) if proto.__class__ is str else None
         if declared is None:
             raise _refuse(what, value)
         return declared.read(value)
-    return Kind("message", parse, table)
+    return Kind("message", _put_message, _take_message, left, table)
 
 
 def _encoded(kind: Kind) -> Kind:
     """``kind``'s message, carried encoded in a bytes field (a blob whose
     ``of`` is that kind)."""
-    parse = kind.parse
-    return Kind("blob", lambda value: parse(Message.decode(_bytes(value))),
-                kind)
+    left = kind.left
+    return Kind("blob", _put_bytes, _take_bytes,
+                lambda value: left(Message.decode(value)), kind)
 
 
 #: The protocols the delivery pipeline consumes, from the kernel or out
@@ -438,14 +435,18 @@ PIPELINE = (BATCH_PROTO, "g.cb", "g.ab", "g.abp", "g.abf", "g.abs",
 #: The protocols a toolkit service (``tools/``) handles: each is routed
 #: to the handler the tool attaches at its kernel.
 TOOLS = ("rm.q", "rm.a", "rt.ask", "rt.tell", "rx.spawn", "news.item")
+#: The write-ahead log's records (``core/wal.py``): a delivery, a view,
+#: a GBCAST payload and a checkpoint.  The kernel routes none of them.
+WAL = ("wal.d", "wal.v", "wal.g", "wal.ck")
 
 
 def protocols(context: Callable[[bytes], Any],
               view: Callable[[Address, int, list], Any]
               ) -> Dict[str, Protocol]:
-    """Every protocol ``ProtocolsProcess._dispatch`` routes, compiled:
-    the kernel's, then the toolkit's (:data:`TOOLS`); the
-    :data:`PIPELINE` rows are handed to the codec as its layouts.
+    """Every declared protocol, compiled: the :data:`PIPELINE`'s, the
+    rest of the kernel's, the toolkit's (:data:`TOOLS`) and the log's
+    (:data:`WAL`).  Each row's form is handed to the codec; a
+    protocol's index on the wire is its place in the table returned.
 
     ``context`` parses a ``cb_ctx`` (its value has a ``full`` flag, a
     chain head's); ``view(gid, view_id, members)`` makes a group view
@@ -467,12 +468,13 @@ def protocols(context: Callable[[bytes], Any],
         "cut": list_of(fixed(pair, pair)),
         "maybe_int": nullable(INT), "maybe_address": nullable(ADDRESS),
         "values": list_of(ANY),
+        # A delivered set: (origin, floor, the gseqs above it) by origin.
+        "delivered": list_of(fixed(UINT, UINT, list_of(UINT))),
     }
     table: Dict[str, Protocol] = {}
 
     def declare(proto: str, spec: str, check=None) -> None:
-        table[proto] = Protocol(proto, _row(spec, kinds), check,
-                                positional=proto in PIPELINE)
+        table[proto] = Protocol(proto, _row(spec, kinds), check)
 
     # Data envelopes (g.cb / g.ab): alone, batched, wrapped or refilled.
     data = "gid:address view:int origin:int gseq:int entry:int m:message " \
@@ -513,11 +515,12 @@ def protocols(context: Callable[[bytes], Any],
     declare("ns.snap", "seq:uint entries:names")
     declare("ns.q", "name:str q:uint")
     declare("ns.qr", "q:uint gid:maybe_address")
-    # Group RPC, joins, leaves, forwarding, watchers (core/kernel.py).
+    # Group RPC, joins, leaves, forwarding, watchers (core/rpc.py,
+    # core/join.py).
     declare("rpc.reply", "session:int responder:address m:message null:bool")
     declare("rpc.dispatched", "session:int members:addresses via:int")
     declare("g.join", "gid:address joiner:address cred:any wal_view:int? "
-            "wal_dlv:bytes?")
+            "wal_dlv:delivered?")
     declare("g.join.refused", "gid:address joiner:address")
     declare("g.welcome", "gid:address view:view transfer:bool",
             lambda r: None if r[2].members else "a view with no members")
@@ -529,10 +532,20 @@ def protocols(context: Callable[[bytes], Any],
     declare("g.fwd.nak", "gid:address session:int hint:maybe_int")
     declare("g.watch", "gid:address")
     declare("g.view_update", "gid:address view:view")
+    # The log's records; a log-assisted transfer ships the first three.
+    declare("wal.d", "view:uint origin:uint gseq:uint user:message")
+    declare("wal.v", "view:uint members:addresses")
+    declare("wal.g", "view:uint idx:uint user:message")
+    declare("wal.ck", "gen:uint view:uint members:addresses "
+            "delivered:delivered total:uint base_view:uint "
+            "base_delivered:delivered has_state:bool name:str "
+            "segments:segments")
+    kinds["records"] = list_of(_encoded(_messages(
+        {p: table[p] for p in WAL[:3]}, "a log record")))
     # State transfer.
     declare("st.req", "gid:address joiner:address")
     declare("st.send", "gid:address joiner:address source:address")
-    declare("st.data", "gid:address segments:segments? wal_suffix:blobs?",
+    declare("st.data", "gid:address segments:segments? wal_suffix:records?",
             lambda r: "not exactly one of segments and wal_suffix"
             if (r[2] is None) == (r[3] is None) else None)
     declare("st.chunk", "gid:address xid:uint idx:uint n:uint data:bytes")
@@ -571,5 +584,8 @@ def protocols(context: Callable[[bytes], Any],
     declare("rt.tell", "req:int master:float")
     declare("rx.spawn", "program:str args:values?")
     declare("news.item", "subject:str seq:int body:any? to:address")
-    use_layouts([(proto, *table[proto].layout) for proto in PIPELINE])
+    table = {proto: table[proto] for proto in PIPELINE + tuple(
+        proto for proto in table if proto not in PIPELINE)}
+    use_layouts([(proto, *declared.layout)
+                 for proto, declared in table.items()])
     return table

@@ -429,14 +429,19 @@ class ScanTotalOrder:
 
 
 def causal_fields(msg: Message):
-    """A ``g.cb``'s causal fields, parsed by its declaration's kinds
+    """A ``g.cb``'s causal fields, read by its declaration's kinds
     (``msg/wire.py``), for a receiver driven without a kernel:
     ``((packed sender, cb_seq), parsed cb_ctx)``.  Whatever the kernel's
-    reader would refuse in these three fields is :class:`CodecError`."""
+    writer or reader would refuse in these three fields is
+    :class:`CodecError`."""
     from repro.core.kernel import PROTOCOLS
     kinds = dict(PROTOCOLS["g.cb"].fields)
-    sender, seq, delta = (kinds[name].parse(msg.get(name))
-                          for name in ("cb_sender", "cb_seq", "cb_ctx"))
+
+    def read(name):
+        kind, value = kinds[name], msg.get(name)
+        kind.put(value, bytearray(), 1)
+        return value if kind.left is None else kind.left(value)
+    sender, seq, delta = map(read, ("cb_sender", "cb_seq", "cb_ctx"))
     if seq < 1 or (seq == 1 and not delta.full):
         raise CodecError(f"no place in a chain: cb_seq {seq}")
     return (sender.process().pack(), seq), delta

@@ -6,9 +6,10 @@ way: one ``bytes`` object per value, one bounds check per read.
 The symbol-table half predates the decoder's error contract, so it
 accepts some input the library now rejects (duplicate names, bool bytes
 above 1, any nesting depth); on everything :meth:`Message.encode`
-produces the two agree.  The positional half (a pipeline protocol's
+produces the two agree.  The positional half (a declared protocol's
 one form) is written from the rows of ``msg/wire.py`` as they read, one
-field at a time, and is as strict as the format.
+field at a time, and is as strict as the format; :func:`read_record`
+reads a decoded message to its record the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.msg.address import ADDRESS_SIZE, Address
 from repro.msg.fields import (T_ADDR, T_BOOL, T_BYTES, T_DICT, T_FLOAT, T_INT,
                               T_LIST, T_MSG, T_NONE, T_STR)
 from repro.msg.message import Message
-from repro.msg.wire import PIPELINE
+from repro.msg.wire import STR
 
 _MAGIC = 0x49D2
 _POSITIONAL = 0xA7
@@ -33,9 +34,9 @@ _F64 = struct.Struct(">d")
 
 
 def encode_message(msg: Message) -> bytes:
-    """A pipeline protocol's message positionally, any other one as a
+    """A declared protocol's message positionally, any other one as a
     symbol table."""
-    if msg.get("_proto") in PIPELINE:
+    if type(msg.get("_proto")) is str and msg["_proto"] in PROTOCOLS:
         return encode_positional(msg)
     return encode_table(msg)
 
@@ -268,24 +269,31 @@ def _layout(proto: str):
 
 
 def encode_positional(msg: Message) -> bytes:
-    """Magic, index, a bitmap byte if the row has optional fields, then
-    every field there in row order."""
+    """Magic, index, then the fields as :func:`encode_fields` writes
+    them."""
     proto = msg["_proto"]
-    row, optional = _layout(proto)
-    if set(msg) - {"_proto"} - {name for name, _ in row}:
-        raise CodecError(f"{proto}: a field outside its row")
+    fields = {name: msg[name] for name in msg if name != "_proto"}
+    head = bytes([_POSITIONAL, list(PROTOCOLS).index(proto)])
+    return head + encode_fields(proto, PROTOCOLS[proto].fields, fields)
+
+
+def encode_fields(what: str, row, values: dict) -> bytes:
+    """A bitmap byte if the row has optional fields, then every field
+    there in row order."""
+    optional = [name for name, kind in row if kind.name == "optional"]
+    if set(values) - {name for name, _ in row}:
+        raise CodecError(f"{what}: a field outside its row")
     bitmap, body = 0, b""
     for name, kind in row:
         if kind.name == "optional":
-            if name not in msg:
+            if name not in values:
                 continue
             bitmap |= 1 << optional.index(name)
             kind = kind.of
-        elif name not in msg:
-            raise CodecError(f"{proto}: no {name}")
-        body += encode_item(kind, msg[name])
-    head = bytes([_POSITIONAL, PIPELINE.index(proto)])
-    return head + (bytes([bitmap]) if optional else b"") + body
+        elif name not in values:
+            raise CodecError(f"{what}: no {name}")
+        body += encode_item(kind, values[name])
+    return (bytes([bitmap]) if optional else b"") + body
 
 
 def encode_item(kind, value: Any) -> bytes:
@@ -300,45 +308,67 @@ def encode_item(kind, value: Any) -> bytes:
         if not 0 <= value < 2**64:
             raise CodecError(f"uint {value} out of range")
         return encode_uvarint(value)
+    if name == "float" and type(value) is float:
+        return _F64.pack(value)
+    if name == "bool" and type(value) is bool:
+        return bytes([value])
     if name == "address" and type(value) is Address:
         return value.pack()
+    if name == "str" and type(value) is str:
+        value = value.encode("utf-8")
+        name = "bytes"
     if name in ("bytes", "blob") and type(value) in (bytes, bytearray):
         return encode_uvarint(len(value)) + bytes(value)
     if name == "message" and type(value) is Message:
         raw = encode_message(value)
         return encode_uvarint(len(raw)) + raw
+    if name == "any":
+        return encode_value(value)
+    if name == "nullable":
+        return b"\x00" if value is None else b"\x01" + encode_item(kind.of, value)
     if name == "fixed" and type(value) in (list, tuple) \
             and len(value) == len(kind.of):
         return b"".join(encode_item(k, v) for k, v in zip(kind.of, value))
     if name == "list" and type(value) in (list, tuple):
         return encode_uvarint(len(value)) + b"".join(
             encode_item(kind.of, item) for item in value)
+    if name == "dict" and type(value) is dict:
+        return encode_uvarint(len(value)) + b"".join(
+            encode_item(STR, key) + encode_item(kind.of, item)
+            for key, item in value.items())
+    if name == "record" and type(value) is dict:
+        return encode_fields("record", kind.of, value)
     raise CodecError(f"not {name}: {value!r}")
 
 
 def decode_positional(data: bytes) -> Message:
     _need(data, 0, 2)
-    if data[0] != _POSITIONAL or data[1] >= len(PIPELINE):
+    if data[0] != _POSITIONAL or data[1] >= len(PROTOCOLS):
         raise CodecError(f"not a positional message: {data[:2].hex()}")
-    proto = PIPELINE[data[1]]
-    row, optional = _layout(proto)
-    offset, bitmap = 2, 0
+    proto = list(PROTOCOLS)[data[1]]
+    fields, offset = decode_fields(PROTOCOLS[proto].fields, data, 2)
+    if offset != len(data):
+        raise CodecError(f"{len(data) - offset} trailing bytes after message")
+    return Message(_proto=proto, **fields)
+
+
+def decode_fields(row, data: bytes, offset: int) -> Tuple[dict, int]:
+    optional = [name for name, kind in row if kind.name == "optional"]
+    bitmap = 0
     if optional:
         _need(data, offset, 1)
         bitmap = data[offset]
         offset += 1
         if bitmap >> len(optional):
             raise CodecError(f"reserved bitmap bits: {bitmap:#x}")
-    out = Message(_proto=proto)
+    out = {}
     for name, kind in row:
         if kind.name == "optional":
             if not bitmap & 1 << optional.index(name):
                 continue
             kind = kind.of
         out[name], offset = decode_item(kind, data, offset)
-    if offset != len(data):
-        raise CodecError(f"{len(data) - offset} trailing bytes after message")
-    return out
+    return out, offset
 
 
 def _canonical_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
@@ -351,6 +381,13 @@ def _canonical_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
     return value, offset
 
 
+def _one_byte(data: bytes, offset: int, what: str) -> int:
+    _need(data, offset, 1)
+    if data[offset] > 1:
+        raise CodecError(f"{what} byte {data[offset]}")
+    return data[offset]
+
+
 def decode_item(kind, data: bytes, offset: int) -> Tuple[Any, int]:
     name = kind.name
     if name == "uint":
@@ -358,27 +395,93 @@ def decode_item(kind, data: bytes, offset: int) -> Tuple[Any, int]:
     if name == "int":
         value, offset = _canonical_uvarint(data, offset)
         return (value // 2 if value % 2 == 0 else -(value + 1) // 2), offset
+    if name == "float":
+        _need(data, offset, 8)
+        return _F64.unpack_from(data, offset)[0], offset + 8
+    if name == "bool":
+        return _one_byte(data, offset, "bool") == 1, offset + 1
     if name == "address":
         _need(data, offset, ADDRESS_SIZE)
         return (Address.unpack(data[offset:offset + ADDRESS_SIZE]),
                 offset + ADDRESS_SIZE)
-    if name in ("bytes", "blob", "message"):
+    if name in ("bytes", "blob", "message", "str"):
         size, offset = _canonical_uvarint(data, offset)
         _need(data, offset, size)
         raw = data[offset:offset + size]
-        return (decode_message(raw) if name == "message" else raw,
-                offset + size)
+        if name == "message":
+            raw = decode_message(raw)
+        elif name == "str":
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise CodecError(f"not UTF-8: {err}") from None
+        return raw, offset + size
+    if name == "any":
+        value, end = decode_value(data, offset)
+        if encode_value(value) != data[offset:end]:
+            raise CodecError("not the value's one encoding")
+        return value, end
+    if name == "nullable":
+        if _one_byte(data, offset, "nullable") == 0:
+            return None, offset + 1
+        return decode_item(kind.of, data, offset + 1)
     if name == "fixed":
         items = []
         for item_kind in kind.of:
             item, offset = decode_item(item_kind, data, offset)
             items.append(item)
         return items, offset
-    if name == "list":
+    if name in ("list", "dict"):
         count, offset = _canonical_uvarint(data, offset)
-        items = []
+        items = {} if name == "dict" else []
         for _ in range(count):
-            item, offset = decode_item(kind.of, data, offset)
-            items.append(item)
+            if name == "dict":
+                key, offset = decode_item(STR, data, offset)
+                if key in items:
+                    raise CodecError(f"duplicate dict key {key!r}")
+                items[key], offset = decode_item(kind.of, data, offset)
+            else:
+                item, offset = decode_item(kind.of, data, offset)
+                items.append(item)
         return items, offset
+    if name == "record":
+        return decode_fields(kind.of, data, offset)
     raise CodecError(f"no positional form for {name}")
+
+
+# ----------------------------------------------------------------------
+# The record a row's reader makes of a decoded message, the obvious way
+# ----------------------------------------------------------------------
+def read_record(msg: Message) -> tuple:
+    """The message, then each field of its row as the row's kinds read
+    it: a blob through its codec, a ``fixed`` to a tuple, a record to a
+    tuple (or its ``make``'s value), a nested message of a table to its
+    row's record.  (The row's cross-field rule is not run.)"""
+    return (msg, *(read_item(kind, msg.get(name))
+                   for name, kind in PROTOCOLS[msg["_proto"]].fields))
+
+
+def read_item(kind, value: Any) -> Any:
+    name = kind.name
+    if value is None and name in ("optional", "nullable"):
+        return None
+    if name in ("optional", "nullable"):
+        return read_item(kind.of, value)
+    if name == "blob" and callable(kind.of):
+        return kind.of(value)
+    if name == "blob":                          # a message, encoded
+        return read_item(kind.of, decode_message(value))
+    if name == "message" and kind.of is not None:
+        if value["_proto"] not in kind.of:
+            raise CodecError(f"not of {sorted(kind.of)}: {value!r}")
+        return read_record(value)
+    if name == "fixed":
+        return tuple(map(read_item, kind.of, value))
+    if name == "list":
+        return [read_item(kind.of, item) for item in value]
+    if name == "dict":
+        return {key: read_item(kind.of, item) for key, item in value.items()}
+    if name == "record":
+        return tuple(read_item(item, value.get(field))
+                     for field, item in kind.of)
+    return value

@@ -3,7 +3,7 @@
 ``reference_codec.py`` is the codec the library used before; both must
 produce the same bytes from the same fields and the same fields from the
 same bytes, including for the subclass inputs the encoder's dispatch
-table does not list.  The pipeline protocols' positional form is held
+table does not list.  The declared protocols' positional form is held
 to the reference's positional half, written from the rows, both ways.
 """
 
@@ -19,7 +19,6 @@ from repro.core.kernel import PROTOCOLS
 from repro.errors import CodecError
 from repro.msg import Message
 from repro.msg.fields import decode_have_vector, encode_have_vector
-from repro.msg.wire import PIPELINE
 from test_codec_properties import (_message, addresses, field_names,
                                    inner_fields, scalars, values)
 
@@ -116,36 +115,47 @@ def test_have_vector_encoders_agree(have):
 
 
 # ----------------------------------------------------------------------
-# The positional form of the pipeline protocols
+# The positional form of the declared protocols
 # ----------------------------------------------------------------------
 def _of_kind(kind):
-    """Values of a pipeline row's ``kind``, as a sender holds them."""
+    """Values of a row's ``kind``, as a sender holds them."""
     return {
         "uint": lambda: st.integers(0, 2**64 - 1),
         "int": lambda: st.integers(-(2**63), 2**63 - 1),
+        "float": lambda: st.floats(allow_nan=False),
+        "bool": st.booleans,
         "address": lambda: addresses,
+        "bytes": lambda: st.binary(max_size=16),
         "blob": lambda: st.binary(max_size=40),
+        "str": lambda: st.text(max_size=8),
         "message": lambda: inner_fields.map(_message),
+        "any": lambda: values,
+        "nullable": lambda: st.none() | _of_kind(kind.of),
         "fixed": lambda: st.tuples(*map(_of_kind, kind.of)).map(list),
         "list": lambda: st.lists(_of_kind(kind.of), max_size=3),
+        "dict": lambda: st.dictionaries(st.text(max_size=4),
+                                        _of_kind(kind.of), max_size=2),
+        "record": lambda: _fields(kind.of),
     }[kind.name]()
 
 
+def _fields(row):
+    """A dict of ``row``'s fields, each optional one there or not."""
+    return st.fixed_dictionaries(
+        {name: _of_kind(kind) for name, kind in row
+         if kind.name != "optional"},
+        optional={name: _of_kind(kind.of) for name, kind in row
+                  if kind.name == "optional"})
+
+
 @st.composite
-def pipeline_messages(draw):
-    proto = draw(st.sampled_from(PIPELINE))
-    msg = Message(_proto=proto)
-    for name, kind in PROTOCOLS[proto].fields:
-        if kind.name == "optional":
-            if not draw(st.booleans()):
-                continue
-            kind = kind.of
-        msg[name] = draw(_of_kind(kind))
-    return msg
+def declared_messages(draw, protos=tuple(PROTOCOLS)):
+    proto = draw(st.sampled_from(protos))
+    return Message(_proto=proto, **draw(_fields(PROTOCOLS[proto].fields)))
 
 
-@given(pipeline_messages())
-@settings(max_examples=300)
+@given(declared_messages())
+@settings(max_examples=500)
 def test_positional_same_bytes_and_same_values_both_ways(msg):
     raw = msg.encode()
     assert raw == reference.encode_message(msg)
@@ -155,7 +165,7 @@ def test_positional_same_bytes_and_same_values_both_ways(msg):
     assert ours.encode() is raw
 
 
-@given(st.integers(0, len(PIPELINE)), st.binary(max_size=48))
+@given(st.integers(0, len(PROTOCOLS)), st.binary(max_size=48))
 @settings(max_examples=500)
 def test_positional_decoders_agree_on_arbitrary_bytes(index, data):
     """Both are exactly as strict as the format: the same input is the
@@ -172,11 +182,16 @@ def test_positional_decoders_agree_on_arbitrary_bytes(index, data):
     assert reference.encode_message(ours) == raw
 
 
-@given(pipeline_messages(), st.sampled_from(["x", 1.5, None, -1, [], b"x"]))
+#: The rows whose first field is a group address.
+_GID_FIRST = tuple(proto for proto, declared in PROTOCOLS.items()
+                   if declared.fields[0][0] == "gid")
+
+
+@given(declared_messages(_GID_FIRST),
+       st.sampled_from(["x", 1.5, None, -1, [], b"x"]))
 def test_a_field_outside_the_row_or_of_the_wrong_kind_is_refused(msg, value):
     with pytest.raises(CodecError):
         Message(**msg.fields(), extra=value).encode()
-    name, kind = PROTOCOLS[msg["_proto"]].fields[0]     # gid: an address
-    msg[name] = value
+    msg["gid"] = value
     with pytest.raises(CodecError):
         msg.encode()

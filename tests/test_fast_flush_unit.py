@@ -10,6 +10,7 @@ state transfer (including a joiner dying mid-stream).
 import pytest
 
 from repro import IsisCluster, IsisConfig
+from repro.errors import CodecError
 from repro.msg import Message
 from repro.msg.fields import (
     apply_have_diff,
@@ -253,7 +254,9 @@ class TestMalformedReports:
                     report(have_b=vector, abp=[{"ref": [0, 1]}], abd=[]),
                     Message(_proto="g.fl.ok", gid=engine.gid,   # no fid
                             have_b=vector, abp=[], abd=[])):
-            engine.kernel._dispatch(1, Message.decode(bad.encode()))
+            with pytest.raises(CodecError):     # the sender's bug
+                bad.encode()
+            engine.kernel._dispatch(1, bad)     # and still the reader's
         assert system.sim.trace.value("kernel.bad_message") == 4
         assert target not in engine._pre_reports
         engine.kernel._dispatch(1, Message.decode(good.encode()))

@@ -6,12 +6,12 @@ import pytest
 
 from repro import IsisCluster, IsisConfig, LanConfig, Message
 from repro.core.engine import GroupEngine
+from repro.core.kernel import PROTOCOLS
 from repro.errors import CodecError, GroupError, SiteDown
 from repro.fd.heartbeat import HeartbeatConfig
 from repro.fd.siteview import SiteViewConfig
 from repro.msg import make_group_address, make_process_address
 from repro.msg.fields import encode_stab
-from repro.msg.wire import PIPELINE
 from repro.net.bulk import BulkConfig
 from repro.net.packet import KIND_DATA, Frame
 from repro.net.udp import UdpConfig
@@ -116,6 +116,24 @@ def test_stub_raises_when_site_has_no_kernel():
     from repro.errors import SiteDown as SD
     with pytest.raises(SD):
         isis._kernel()
+
+
+@pytest.mark.parametrize("proto", [[1], {"g": 1}])
+def test_an_unhashable_proto_names_no_protocol(proto):
+    """A symbol table whose ``_proto`` is a list or a dict names no
+    protocol, alone or as a refill's envelope: counted, never raised out
+    of the transport (it once escaped as ``TypeError``)."""
+    system = IsisCluster(n_sites=2, seed=104)
+    system.run_for(1.0)
+    kernel = system.kernel(1)
+    kernel._on_transport_message(0, Message(_proto=proto).encode())
+    kernel._on_transport_message(0, Message(
+        _proto="g.fl.data", gid=make_group_address(0, 42), fid=[2, 1, 0],
+        msgs=[Message(_proto=proto)]).encode())
+    system.run_for(1.0)
+    assert system.sim.trace.value("kernel.unknown_proto") == 1
+    assert system.sim.trace.value("kernel.bad_message") == 1
+    assert kernel.alive
 
 
 def test_group_data_for_unknown_group_buffers_quietly():
@@ -282,9 +300,9 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
     whole, and the kernel carries on.  With ``have``, what the store
     vouches for afterwards: a refused data envelope must not be in it.
 
-    A pipeline message whose fields its row refuses has no wire form:
-    its sender's ``encode()`` refuses it, and the receiver refuses it
-    the same way when it is handed over without one (``_dispatch``)."""
+    A message whose fields its row refuses has no wire form: its
+    sender's ``encode()`` refuses it, and the receiver refuses it the
+    same way when it is handed over without one (``_dispatch``)."""
     fields = dict(fields)
     mode = fields.pop("mode", "two_phase")
     system = IsisCluster(n_sites=2, seed=109, isis_config=IsisConfig(
@@ -312,7 +330,7 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
     try:
         msg.encode()
     except CodecError:
-        assert msg["_proto"] in PIPELINE
+        assert msg["_proto"] in PROTOCOLS
         system.kernel(1)._dispatch(0, msg)
     else:
         system.kernel(0).send_to_site(1, msg)

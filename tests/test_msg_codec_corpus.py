@@ -1,8 +1,8 @@
 """Golden wire messages: the codec is held to bytes it did not produce.
 
 ``tests/golden/wire_messages.hex`` holds one message per kernel wire tag,
-encoded by the codec this repo had before the one-pass one (the pipeline
-protocols' lines by its positional half).  Every one must decode and
+encoded by the codec this repo had before the one-pass one (restated in
+the positional form by its positional half).  Every one must decode and
 re-encode to the identical bytes; every damaged variant must decode or
 raise :class:`CodecError`, nothing else, and whatever does decode must
 still re-encode to its input (the decoder keeps the input as the cached
@@ -105,9 +105,10 @@ def test_golden_announcement_is_one_stab_blob():
         4, (6, 5), {0: 13, 1: 7, 2: 12})    # view, floor, have-vector
 
 
-@pytest.mark.parametrize("tag", ["g.cb", "g.abp", "g.batch"])
-def test_a_pipeline_message_as_a_symbol_table_is_a_codec_error(tag):
-    """A pipeline protocol has one form: the same fields written as a
+@pytest.mark.parametrize("tag", ["g.cb", "g.abp", "g.batch", "g.fl.ok",
+                                 "g.welcome", "g.fl.commit"])
+def test_a_declared_message_as_a_symbol_table_is_a_codec_error(tag):
+    """A declared protocol has one form: the same fields written as a
     symbol table (the form they had before) are refused, not read."""
     table = reference.encode_table(Message.decode(CORPUS[tag]))
     assert table[:2] == b"\x49\xd2"

@@ -3,15 +3,16 @@
 Every protocol the kernel routes is declared, the toolkit's services'
 included, and every wrong shape the declaration itself implies is
 refused whole: counted once as ``kernel.bad_message``, with the kernel
-alive and the group still delivering.  The wrong shapes are derived mechanically from each row: a
-well-formed instance is built from the kinds, then given exactly one
-defect — a required field missing, a field (or an item of it) of every
-wrong kind, every proper prefix of a blob, a blob with a byte too many.
+alive and the group still delivering.  The wrong shapes are derived
+mechanically from each row: a well-formed instance is built from the
+kinds, then given exactly one defect — a required field missing, a field
+(or an item of it) of every wrong kind, every proper prefix of a blob, a
+blob with a byte too many.
 
-A pipeline row is also its protocol's one wire form: a shape it has no
-place for is the sender's ``CodecError`` at ``encode()``, and every
-byte-level defect of the form is the receiver's, counted once as
-``kernel.undecodable``.
+A row is also its protocol's one wire form: a shape it has no place for
+is the sender's ``CodecError`` at ``encode()`` (as it is the reference
+codec's), and every byte-level defect of the form is the receiver's,
+counted once as ``kernel.undecodable``.
 """
 
 import os
@@ -19,6 +20,7 @@ import re
 
 import pytest
 
+import reference_codec as reference
 from repro import IsisCluster, IsisConfig, Message
 from repro.core.engine import GroupEngine
 from repro.core.join import Joins
@@ -26,13 +28,14 @@ from repro.core.kernel import _HANDLERS, _ROUTES, PROTOCOLS
 from repro.core.namespace import Namespace
 from repro.core.pipeline import TREE_PROTO, DeliveryPipeline
 from repro.core.rpc import GroupRpc
+from repro.core.view import View
 from repro.core.vectorclock import parse_context_delta
 from repro.errors import CodecError
 from repro.fd.siteview import SiteViewAgent
 from repro.msg import ADDRESS_SIZE, BATCH_PROTO, make_process_address
 from repro.msg.fields import (decode_have_vector, decode_stab,
                               encode_have_vector, encode_stab)
-from repro.msg.wire import ABSENT, PIPELINE, TOOLS
+from repro.msg.wire import PIPELINE, TOOLS, WAL
 from repro.tools import NewsClient, install_clocks, install_recovery
 from repro.tools.rexec import install_rexec
 
@@ -93,8 +96,12 @@ def _instance(declared, **given):
 
 
 def _refused(kind, value):
+    """Does the writer, or else the reader, refuse ``value`` in a field
+    of ``kind``?"""
     try:
-        kind.parse(value)
+        kind.put(value, bytearray(), 1)
+        if kind.left is not None:
+            kind.left(value)
     except CodecError:
         return True
     return False
@@ -127,19 +134,8 @@ def _defects(kind, good):
                 yield dict(good, **{field: item})
 
 
-def _carried(kind, value):
-    """Has the positional form a place for ``value`` in a field of
-    ``kind``: bytes for a blob, a list of them for a list of blobs?"""
-    inner = kind.of if kind.name in ("optional", "nullable") else kind
-    if inner.name == "blob":
-        return value.__class__ is bytes
-    return inner.name == "list" and value.__class__ is list and all(
-        _carried(inner.of, item) for item in value)
-
-
 def _shapes(declared, gid):
-    """Every wrong shape of ``declared`` one defect from its instance,
-    and whether a positional writer can carry it."""
+    """Every wrong shape of ``declared`` one defect from its instance."""
     good = _instance(declared, gid=gid)
     for name, kind in declared.fields:
         if name not in good:
@@ -147,28 +143,32 @@ def _shapes(declared, gid):
         if kind.name != "optional":
             shape = good.copy()
             del shape[name]
-            yield shape, False
+            yield shape
         for value in _defects(kind, good[name]):
             shape = good.copy()
             shape[name] = value
-            yield shape, _carried(kind, value)
+            yield shape
 
 
 def _byte_defects(declared, raw):
     """Every byte-level defect of ``raw``, a message in the positional
-    form: each proper prefix, a byte too many, the uvarint after ``gid``
-    overlong, a reserved bitmap bit, an index past the table."""
-    assert declared.fields[0][0] == "gid"
+    form: each proper prefix, a byte too many, the first uvarint overlong
+    (when only addresses precede it), a reserved bitmap bit, an index
+    past the table."""
     yield from (raw[:cut] for cut in range(len(raw)))
     yield raw + b"\x00"
     bitmap = any(kind.name == "optional" for _, kind in declared.fields)
-    at = 2 + bitmap + ADDRESS_SIZE          # magic, index, bitmap, gid
-    if at < len(raw):
-        assert raw[at] < 0x80
-        yield raw[:at] + bytes([raw[at] | 0x80, 0]) + raw[at + 1:]
+    at = 2 + bitmap                         # magic, index, bitmap
+    for _, kind in declared.fields:
+        if kind.name in ("int", "uint"):
+            assert raw[at] < 0x80
+            yield raw[:at] + bytes([raw[at] | 0x80, 0]) + raw[at + 1:]
+        if kind.name != "address":
+            break
+        at += ADDRESS_SIZE
     if bitmap:
         yield raw[:2] + bytes([raw[2] | 0x80]) + raw[3:]
-    yield raw[:1] + bytes([len(PIPELINE)]) + raw[2:]
+    yield raw[:1] + bytes([len(PROTOCOLS)]) + raw[2:]
 
 
 def _member_group(config):
@@ -210,14 +210,17 @@ def test_every_declared_wrong_shape_is_refused_once(config):
     assert kernel.engines[gid.process()].view.view_id == 2
     trace = system.sim.trace
     sent = refused_at_encode = 0
-    for proto in sorted(PROTOCOLS):
-        for shape, carried in _shapes(PROTOCOLS[proto], gid):
-            if proto in PIPELINE and not carried:
-                with pytest.raises(CodecError):     # the sender's bug
-                    shape.encode()
+    for proto in sorted(set(PROTOCOLS) - set(WAL)):
+        for shape in _shapes(PROTOCOLS[proto], gid):
+            try:
+                raw = shape.encode()
+            except CodecError:                      # the sender's bug
+                with pytest.raises(CodecError):
+                    reference.encode_message(shape)
                 refused_at_encode += 1      # and still the reader's
             else:
-                shape = Message.decode(shape.encode())
+                assert raw == reference.encode_message(shape), proto
+                shape = Message.decode(raw)
             before = trace.value("kernel.bad_message")
             kernel._dispatch(0, shape)
             sent += 1
@@ -225,12 +228,12 @@ def test_every_declared_wrong_shape_is_refused_once(config):
                 proto, shape.fields())
         system.run_for(0.05)
         assert kernel.alive and system.kernel(0).alive, proto
-    assert sent > 1000 and refused_at_encode > 100
+    assert sent > 1000 and refused_at_encode > 1000
     assert trace.value("kernel.bad_message") == sent
-    # What a pipeline message's bytes can get wrong is the decoder's to
-    # refuse: counted as undecodable, once each, and nothing else.
+    # What a message's bytes can get wrong is the decoder's to refuse:
+    # counted as undecodable, once each, and nothing else.
     undecodable = 0
-    for proto in PIPELINE:
+    for proto in PROTOCOLS:
         declared = PROTOCOLS[proto]
         for raw in _byte_defects(declared, _instance(declared, gid=gid).encode()):
             kernel._on_transport_message(0, raw)
@@ -252,7 +255,10 @@ def test_every_declared_wrong_shape_is_refused_once(config):
 
 
 def _plain(value):
-    """``value`` with its types spelt out and every message as its fields."""
+    """``value`` with its types spelt out, every message as its fields
+    and a view as the record it was made of."""
+    if isinstance(value, View):
+        value = (value.gid, value.view_id, list(value.members))
     if isinstance(value, Message):
         return sorted((name, _plain(item)) for name, item in value.fields().items())
     if isinstance(value, (list, tuple)):
@@ -260,15 +266,15 @@ def _plain(value):
     return type(value).__name__, value
 
 
-@pytest.mark.parametrize("proto", PIPELINE)
+@pytest.mark.parametrize("proto", PROTOCOLS)
 def test_positional_message_reads_to_the_parsed_record(proto):
-    """A pipeline message is read from its wire form, which vouches for
-    every kind already: its record is still what each field's kind makes
-    of the decoded fields."""
+    """A message is read from its wire form, which vouches for every kind
+    already: its record is still what the reference makes of the decoded
+    fields, kind by kind."""
     declared = PROTOCOLS[proto]
     msg = Message.decode(_instance(declared).encode())
-    assert _plain(declared.read(msg)[1:]) == _plain(tuple(
-        kind.parse(msg.get(name, ABSENT)) for name, kind in declared.fields))
+    assert _plain(declared.read(msg)[1:]) == _plain(
+        reference.read_record(msg)[1:])
 
 
 #: A tool message missing the field its handler read first: each of
@@ -285,7 +291,9 @@ _TOOL_ESCAPES = {
 @pytest.mark.parametrize("escape", sorted(_TOOL_ESCAPES))
 def test_a_tool_message_missing_a_field_is_refused(escape):
     system, members, got, gid = _member_group(IsisConfig())
-    system.kernel(0).send_to_site(1, _TOOL_ESCAPES[escape])
+    with pytest.raises(CodecError):                 # the sender's bug
+        _TOOL_ESCAPES[escape].encode()
+    system.kernel(1)._dispatch(0, _TOOL_ESCAPES[escape])
     system.run_for(1.0)
     assert system.sim.trace.value("kernel.bad_message") == 1
     assert system.kernel(1).alive and system.kernel(0).alive
@@ -302,10 +310,10 @@ def test_every_routed_protocol_is_declared():
     """What ``_dispatch`` and the pipeline can route, and every
     ``_proto`` the kernel's parts and the toolkit send, has a row; every
     kernel row a route to a handler that is there, every other row is a
-    tool's."""
+    tool's or the log's."""
     assert set(_ROUTES) == set(_HANDLERS)
-    assert set(_HANDLERS) | set(TOOLS) == set(PROTOCOLS)
-    assert not set(_HANDLERS) & set(TOOLS)
+    assert set(_HANDLERS) | set(TOOLS) | set(WAL) == set(PROTOCOLS)
+    assert not set(_HANDLERS) & set(TOOLS) and not set(_HANDLERS) & set(WAL)
     assert len(_HANDLERS) == 47 and len(TOOLS) == 6
     assert set(DeliveryPipeline.HANDLERS) == set(PIPELINE)
     owners = {"engine": GroupEngine, "namespace": Namespace,
