@@ -16,18 +16,21 @@ The drain evaluates *candidates* — pending messages whose blocking
 condition may have cleared — in arrival order, which is the order a scan
 of the whole pending buffer would discover deliverable messages in
 (``tests/properties/reference_causal.py`` holds that scan as the
-reference).  The completeness invariant is that every deliverable
-pending message is a candidate: new arrivals are candidates, a
-FIFO-blocked message is woken by its predecessor's delivery, and a
-context-blocked message always holds a WaitIndex registration on the
-first threshold its context fails.
+reference).  An arrival while no candidate is marked would be the
+drain's first and only candidate, so it is evaluated at once and enters
+the pending buffer only if it must wait: an in-order stream never
+touches the buffer or the heap.  The completeness invariant is that
+every deliverable pending message is a candidate: new arrivals are
+candidates, a FIFO-blocked message is woken by its predecessor's
+delivery, and a context-blocked message always holds a WaitIndex
+registration on the first threshold its context fails.
 """
 
 from __future__ import annotations
 
 import heapq
 from operator import itemgetter
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import CodecError
 from ..msg.message import Message
@@ -122,14 +125,25 @@ class CausalReceiver:
         """Feed one received CBCAST, with its causal fields; return
         messages now deliverable, in order."""
         key, delta = causal
-        if key in self._pending:
+        pending = self._pending
+        if key in pending:
             return []
-        self._pending[key] = (self._next_arrival, msg, delta)
+        entry = (self._next_arrival, msg, delta)
         self._next_arrival += 1
-        if len(self._pending) > self.peak_pending:
-            self.peak_pending = len(self._pending)
-        self.mark_candidate(key)
-        return self.recheck()
+        if len(pending) >= self.peak_pending:
+            self.peak_pending = len(pending) + 1
+        if self._ready:
+            # Marked candidates arrived earlier: the drain takes them first.
+            pending[key] = entry
+            self.mark_candidate(key)
+            return self.recheck()
+        # Nothing is marked, so a drain would evaluate this arrival first:
+        # evaluate it without queueing it.
+        delivered = self._evaluate(key, entry)
+        out = [] if delivered is None else [delivered]
+        if self._ready:  # its delivery woke its successor or a waiter
+            out += self.recheck()
+        return out
 
     def mark_candidate(self, key: PendingKey) -> bool:
         """A blocking condition for ``key`` may have cleared.
@@ -152,39 +166,48 @@ class CausalReceiver:
         while self._ready:
             _, key = heapq.heappop(self._ready)
             self._ready_set.discard(key)
-            entry = self._pending.get(key)
+            entry = self._pending.pop(key, None)
             if entry is None:
                 continue  # stale wake: delivered or dropped meanwhile
-            _, msg, delta = entry
-            sender, seq = key
-            if seq != self.delivered.get(sender, 0) + 1:
-                # FIFO-blocked: the predecessor's delivery re-marks it.
-                continue
-            chain = self._chains.get(sender)
-            if chain is None:
-                chain = self._chains[sender] = SenderChain()
-            try:
-                # Its predecessor was delivered here: the chain is this
-                # delta's base, whose positions can be judged at last.
-                check_delta_positions(chain.context, delta)
-            except CodecError:
-                del self._pending[key]
-                self._on_refuse()
-                continue
-            if not self._delta_check(chain, delta, key):
-                # Blocked on a cross-group threshold; the check registered
-                # the precise wait, whose crossing re-marks the candidate.
-                continue
-            del self._pending[key]
-            # Count the delivery; its context becomes the chain base.
-            self.delivered[sender] = seq
-            apply_context_delta(chain.context, delta)
-            out.append(msg)
-            successor = (sender, seq + 1)
-            if successor in self._pending:
-                self.mark_candidate(successor)
-            self._on_advance(sender, seq)
+            delivered = self._evaluate(key, entry)
+            if delivered is not None:
+                out.append(delivered)
         return out
+
+    def _evaluate(self, key: PendingKey,
+                  entry: Tuple[int, Message, ContextDelta]) -> Optional[Message]:
+        """Deliver candidate ``key``, whose ``entry`` is out of the pending
+        buffer, and return its message; or put it back to wait, or drop
+        it if its delta names nothing (``None`` for both)."""
+        _, msg, delta = entry
+        sender, seq = key
+        if seq != self.delivered.get(sender, 0) + 1:
+            # FIFO-blocked: the predecessor's delivery re-marks it.
+            self._pending[key] = entry
+            return None
+        chain = self._chains.get(sender)
+        if chain is None:
+            chain = self._chains[sender] = SenderChain()
+        try:
+            # Its predecessor was delivered here: the chain is this
+            # delta's base, whose positions can be judged at last.
+            check_delta_positions(chain.context, delta)
+        except CodecError:
+            self._on_refuse()
+            return None
+        if not self._delta_check(chain, delta, key):
+            # Blocked on a cross-group threshold; the check registered
+            # the precise wait, whose crossing re-marks the candidate.
+            self._pending[key] = entry
+            return None
+        # Count the delivery; its context becomes the chain base.
+        self.delivered[sender] = seq
+        apply_context_delta(chain.context, delta)
+        successor = (sender, seq + 1)
+        if successor in self._pending:
+            self.mark_candidate(successor)
+        self._on_advance(sender, seq)
+        return msg
 
     # -- view transitions ----------------------------------------------------
     def on_new_view(self) -> None:

@@ -80,15 +80,34 @@ class Address:
             raise AddressError(f"entry {self.entry} out of range")
 
     # -- encoding --------------------------------------------------------
+    # The memos below live in the instance dict, not in fields, so
+    # equality, ordering, ``replace`` and the intern table never see them.
     def pack(self) -> bytes:
         """Encode to the canonical 8-byte form."""
+        try:
+            return self._packed
+        except AttributeError:
+            pass
         flags = (_FLAG_GROUP if self.is_group else 0) | (
             _FLAG_NULL if self.is_null else 0
         )
-        return struct.pack(
+        packed = struct.pack(
             _FORMAT, flags, self.site, self.incarnation, self.local_id,
             self.entry, 0,
         )
+        object.__setattr__(self, "_packed", packed)
+        return packed
+
+    def __hash__(self) -> int:
+        # The hash the dataclass would derive from the fields, computed once.
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        value = hash((self.site, self.incarnation, self.local_id, self.entry,
+                      self.is_group, self.is_null))
+        object.__setattr__(self, "_hash", value)
+        return value
 
     @classmethod
     def unpack(cls, data: bytes) -> "Address":
@@ -137,9 +156,7 @@ class Address:
         twin = self.__dict__.get("_process")
         if twin is None:
             twin = replace(self, entry=0)
-            # Frozen dataclass: the memo is not a field, so equality,
-            # ordering, hashing and ``replace`` never see it.
-            object.__setattr__(self, "_process", twin)
+            object.__setattr__(self, "_process", twin)  # a memo, as above
         return twin
 
     @classmethod

@@ -23,7 +23,7 @@ KIND_RAW = "raw"  # unreliable datagram (heartbeats): no seq, no retransmit
 FRAME_HEADER_BYTES = 40
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """One LAN packet: either a data fragment or an acknowledgement."""
 
@@ -200,6 +200,8 @@ class Reassembler:
             raise NetworkError(f"frag_total must be positive, got {frag_total}")
         partial = self._partials.get(key)
         if partial is None:
+            if frag_total == 1 and frag_index == 0:
+                return payload  # the whole message: nothing to hold
             partial = _PartialMessage(total=frag_total)
             self._partials[key] = partial
         elif partial.total != frag_total:

@@ -11,10 +11,11 @@ applications are byte-for-byte the same code.
 
 Pieces:
 
-* :class:`AsyncioScheduler` — adapts ``loop.time``/``loop.call_later``
-  to the :class:`~repro.runtime.driver.Scheduler` protocol, with a
+* :class:`AsyncioScheduler` — adapts ``loop.time`` / ``loop.call_soon``
+  (work due now) / ``loop.call_later`` (timers) to the
+  :class:`~repro.runtime.driver.Scheduler` protocol, with a
   :class:`~repro.sim.trace.Trace` and seeded RNG streams.  It tracks
-  outstanding timer handles so teardown tests can assert none leak.
+  outstanding handles so teardown tests can assert none leak.
 * :class:`RealCpu` — ``submit`` on real hardware: the work runs on the
   next loop tick (its cost is what it costs).
 * :class:`NetSite` — :class:`repro.runtime.site.BaseSite` whose wire is
@@ -36,13 +37,12 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.bootstrap import Deployment
 from ..core.kernel import IsisConfig
 from ..net.udp import TcpBulk, TcpBulkStream, UdpConfig, UdpTransport
 from ..sim.rand import RngRegistry
-from ..sim.tasks import Promise
 from ..sim.trace import Trace
 from .program import ProgramRegistry
 from .site import BaseSite
@@ -50,23 +50,31 @@ from .stable import StableStore
 
 
 class AsyncioTimer:
-    """Cancellable handle over an asyncio timer callback."""
+    """Cancellable handle over an asyncio callback: a ready-queue entry
+    for work due now, a timer-heap entry for work due later."""
 
-    __slots__ = ("_handle", "_scheduler", "_key", "cancelled")
+    __slots__ = ("_handle", "_scheduler", "_fn", "_args", "cancelled")
 
-    def __init__(self, scheduler: "AsyncioScheduler", key: int,
-                 handle: asyncio.TimerHandle):
+    def __init__(self, scheduler: "AsyncioScheduler", fn: Callable,
+                 args: tuple):
         self._scheduler = scheduler
-        self._key = key
-        self._handle = handle
+        self._fn = fn
+        self._args = args
+        self._handle: Optional[asyncio.Handle] = None
         self.cancelled = False
+
+    def _fire(self) -> None:
+        scheduler = self._scheduler
+        scheduler._outstanding.discard(self)
+        scheduler._fired += 1
+        self._fn(*self._args)
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
         if not self.cancelled:
             self.cancelled = True
             self._handle.cancel()
-            self._scheduler._outstanding.pop(self._key, None)
+            self._scheduler._outstanding.discard(self)
 
 
 class AsyncioScheduler:
@@ -74,8 +82,11 @@ class AsyncioScheduler:
 
     ``now`` is monotonic seconds since scheduler creation (the kernel
     only compares and subtracts ``now`` values, so the origin is free).
-    Timers are ``loop.call_later`` under the hood; every live handle is
-    tracked so shutdown audits can assert nothing was left armed.
+    Work due now (a delay of zero or less) goes on the loop's FIFO ready
+    queue with ``loop.call_soon``; only a positive delay is a
+    ``loop.call_later`` timer on the loop's heap.  Every live handle of
+    either kind is tracked so shutdown audits can assert nothing was
+    left armed.
     """
 
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None,
@@ -85,8 +96,7 @@ class AsyncioScheduler:
         self.seed = seed
         self._rngs = RngRegistry(seed)
         self.trace = Trace(self)  # Trace only reads ._sim.now
-        self._outstanding: Dict[int, AsyncioTimer] = {}
-        self._next_key = 0
+        self._outstanding: Set[AsyncioTimer] = set()
         self._fired = 0
 
     @property
@@ -96,17 +106,12 @@ class AsyncioScheduler:
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, delay: float, fn: Callable, args: tuple) -> AsyncioTimer:
-        key = self._next_key
-        self._next_key += 1
-
-        def fire() -> None:
-            self._outstanding.pop(key, None)
-            self._fired += 1
-            fn(*args)
-
-        handle = self.loop.call_later(max(0.0, delay), fire)
-        timer = AsyncioTimer(self, key, handle)
-        self._outstanding[key] = timer
+        timer = AsyncioTimer(self, fn, args)
+        if delay > 0.0:
+            timer._handle = self.loop.call_later(delay, timer._fire)
+        else:
+            timer._handle = self.loop.call_soon(timer._fire)
+        self._outstanding.add(timer)
         return timer
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> AsyncioTimer:
@@ -127,7 +132,7 @@ class AsyncioScheduler:
 
     # -- diagnostics -----------------------------------------------------
     def outstanding_timers(self) -> int:
-        """Timers armed but not yet fired or cancelled (teardown audit)."""
+        """Callbacks armed but not yet fired or cancelled (teardown audit)."""
         return len(self._outstanding)
 
     def stats(self) -> Dict[str, int]:
@@ -149,16 +154,10 @@ class RealCpu:
         self.scheduler = scheduler
 
     def submit(self, cost: float, fn: Optional[Callable] = None,
-               *args: Any) -> Promise:
-        """Run ``fn(*args)`` on the next tick; resolve with its result."""
-        promise = Promise(label="cpu.work")
-
-        def run() -> None:
-            result = fn(*args) if fn is not None else None
-            promise.resolve(result)
-
-        self.scheduler.call_soon(run)
-        return promise
+               *args: Any) -> None:
+        """Run ``fn(*args)`` on the next tick."""
+        if fn is not None:
+            self.scheduler.call_soon(fn, *args)
 
 
 class NetSite(BaseSite):

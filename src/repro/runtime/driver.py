@@ -91,10 +91,14 @@ class SiteTransport(Protocol):
 
 @runtime_checkable
 class CpuLike(Protocol):
-    """The site's CPU: ``fn(*args)`` runs after ``cost`` seconds of it."""
+    """The site's CPU: ``fn(*args)`` runs after ``cost`` seconds of it.
+
+    No caller reads what ``submit`` returns: work that must hand on a
+    result passes it to a callback ``fn`` schedules.
+    """
 
     def submit(self, cost: float, fn: Optional[Callable] = None,
-               *args: Any) -> Any: ...
+               *args: Any) -> None: ...
 
 
 @runtime_checkable

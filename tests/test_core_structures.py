@@ -322,6 +322,48 @@ class TestCausalReceiver:
         assert [m["cb_seq"] for m in rx.pending_messages()] == [3]
         assert rx.recheck() == [] and not rx._ready
 
+    def test_in_order_stream_never_touches_the_heap(self, monkeypatch):
+        """Each arrival is its sender's next and nothing is marked: it is
+        checked and delivered at once, never queued, yet it still takes
+        an arrival index and counts as pending the instant it arrived."""
+        import heapq
+        from types import SimpleNamespace
+        from repro.core import cbcast
+        pushes = []
+        monkeypatch.setattr(cbcast, "heapq", SimpleNamespace(
+            heappush=lambda heap, item: (pushes.append(item),
+                                         heapq.heappush(heap, item)),
+            heappop=heapq.heappop))
+        rx, _ = _receiver()
+        prev = {P0: None, P1: None}
+        for seq in range(1, 11):
+            for sender in (P0, P1):
+                msg = _cb(sender, seq, prev=prev[sender])
+                prev[sender] = {}
+                assert rx.offer(msg) == [msg]
+        assert pushes == [] and rx.pending_count == 0
+        assert rx._next_arrival == 20 and rx.peak_pending == 1
+        # Out of order, the successor waits and its predecessor wakes it.
+        late = _cb(P0, 12, prev={})
+        assert rx.offer(late) == [] and rx.pending_count == 1
+        assert pushes == []
+        delivered = rx.offer(_cb(P0, 11, prev={}))
+        assert [m["cb_seq"] for m in delivered] == [11, 12]
+        assert rx.delivered == {P0.pack(): 12, P1.pack(): 10}
+        assert len(pushes) == 1 and rx.pending_count == 0
+        assert rx.peak_pending == 2
+
+    def test_in_order_arrival_naming_nothing_is_refused_at_once(self):
+        rx, _ = _receiver()
+        vc = VectorClock()
+        vc.set(P1, 1)
+        assert len(rx.offer(_cb(P0, 1, ctx={GID: (1, vc)}))) == 1
+        moved = b"\x01\x01\x00\x02\x00"       # group 1 of 1
+        assert rx.offer(Message(cb_sender=P0, cb_seq=2,
+                                cb_ctx=b"\x01\x00\x01" + moved + b"\x00")) == []
+        assert rx.refused == [1] and rx.pending_count == 0
+        assert rx._next_arrival == 2 and rx.delivered == {P0.pack(): 1}
+
 
 class TestTotalOrder:
     def test_single_message_flow(self):

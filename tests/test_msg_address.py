@@ -133,3 +133,21 @@ def test_unpack_still_rejects_malformed_input():
         make_process_address(1, 0, 1).with_entry(256)
     with pytest.raises(AddressError):
         make_process_address(1, 0, 1).with_entry(-1)
+
+
+def test_packed_bytes_and_hash_are_memos_not_fields():
+    import dataclasses
+
+    fields_before = [f.name for f in dataclasses.fields(Address)]
+    for addr in (make_process_address(3, 1, 42, entry=7),
+                 make_group_address(2, 9), Address.null()):
+        packed, hashed = addr.pack(), hash(addr)
+        assert addr.pack() is packed               # memoised, not rebuilt
+        fresh = dataclasses.replace(addr)
+        assert fresh.pack() == packed and hash(fresh) == hashed
+        # the hash a frozen dataclass derives from its fields
+        assert hashed == hash(dataclasses.astuple(addr))
+        assert fresh == addr and not fresh < addr and not addr < fresh
+        assert Address.unpack(packed) == addr
+    assert [f.name for f in dataclasses.fields(Address)] == fields_before == [
+        "site", "incarnation", "local_id", "entry", "is_group", "is_null"]

@@ -75,6 +75,15 @@ class TestReassembler:
         with pytest.raises(NetworkError):
             r.add(("ch", 1), 5, 3, b"x")
 
+    def test_single_fragment_keeps_every_refusal(self):
+        r = Reassembler()
+        with pytest.raises(NetworkError):
+            r.add(("ch", 1), 1, 1, b"x")        # index outside 0..0
+        r.add(("ch", 2), 0, 2, b"a")
+        with pytest.raises(NetworkError):
+            r.add(("ch", 2), 0, 1, b"b")        # conflicts with the held 2
+        assert r.add(("ch", 2), 1, 2, b"b") == b"ab"
+
     def test_forget_drops_channel_state(self):
         r = Reassembler()
         r.add((7, 1), 0, 2, b"a")
@@ -86,6 +95,7 @@ class TestReassembler:
 def test_frame_wire_size_includes_header():
     frame = Frame(kind="data", src_site=0, dst_site=1, payload=b"x" * 10)
     assert frame.wire_size == FRAME_HEADER_BYTES + 10
+    assert not hasattr(frame, "__dict__")      # a slotted record
 
 
 @pytest.mark.parametrize("bit", [0, 2, 3, 4, 5, 6, 7])
