@@ -42,9 +42,9 @@ Wire protocol (each message's fields: its row in ``msg/wire.py``):
 ``g.fl.filled``         needy→coordinator: I hold the union now
 ``g.fl.commit``         the cut order + the event (view / payload)
 ``g.fl.okb``            tree mode: pre-reports aggregated up the tree
-``g.stab.q`` / ``.a``   flat: the coordinator's round for an idle group, and
-                        a site's ``stab`` (also unsolicited under traffic)
-``g.stab.up`` / ``.dn`` tree: a subtree's minimum rootward; the stable cut
+``g.stab.a``            flat: a site's ``stab``, unsolicited, to every peer
+``g.stab.up`` / ``.dn`` a subtree's minimum rootward up the collection tree
+                        (flat: one level deep); the root's stable cut
 ``g.tr``                tree mode: relayed wrapper around any of the above
                         pipeline messages
 ======================= ======================================================

@@ -103,8 +103,8 @@ class IsisConfig:
     batch_window: float = 0.0
     #: Piggyback the ``stab`` blob (have-vector, delivery floor) on
     #: outgoing data envelopes and batches so buffer GC advances
-    #: continuously; the coordinator's round then only runs for idle
-    #: groups.  Off, the round is the only collector.
+    #: continuously; the collection wave then only runs for idle
+    #: groups.  Off, the wave is the only collector.
     piggyback_stability: bool = True
     #: Total-order engine.  ``"two_phase"`` (default) is the paper's
     #: ABCAST: every receiver proposes a priority, the sender unions and
@@ -665,7 +665,7 @@ class ProtocolsProcess:
                 out[f"transport.{key}"] = value
         return out
 
-    # -- periodic stability rounds -------------------------------------------------
+    # -- periodic stability ticks --------------------------------------------------
     def _schedule_stability(self) -> None:
         if not self.alive:
             return

@@ -25,9 +25,9 @@ through the narrow :class:`DeliveryPipeline` interface:
   ABCAST waits for — so :meth:`MessageStore.trim_stable` advances
   continuously under traffic; on the ``g.stab.a`` a receive-only site
   announces every ``STAB_ANNOUNCE_EVERY`` receptions; and on the notes
-  of whichever topology collects for idle groups — the coordinator's
-  ``g.stab.q`` / ``g.stab.a`` round or the tree's ``g.stab.up`` wave —
-  both of which end in the same cut, ``g.stab.dn``.
+  of the one collector for idle groups, the ``g.stab.up`` wave up a
+  collection tree (the dissemination tree, or flat a one-level tree)
+  that ends in the root's cut, ``g.stab.dn``.
 
 The engine keeps what is *not* the data path: the flush protocol, view
 installation, and local delivery.  New protocol variants (sharded
@@ -60,8 +60,8 @@ if TYPE_CHECKING:  # pragma: no cover
 BATCH_MAX_BYTES = 3072
 #: A receive-only site pushes its have-vector every this many messages.
 STAB_ANNOUNCE_EVERY = 32
-#: Cadence of the kernel's stability tick (buffer GC); the fallback round
-#: is skipped for a group whose piggybacks trimmed within one interval.
+#: Cadence of the kernel's stability tick (buffer GC); flat, a site whose
+#: piggybacks trimmed within one interval skips its collection push.
 STABILITY_INTERVAL = 2.0
 
 
@@ -504,11 +504,12 @@ class StabilityStage:
     advances the local trim floor — the pointwise minimum over all
     member sites — whenever that knowledge grows.  A site that only
     *receives* pushes its blob to the group every ``STAB_ANNOUNCE_EVERY``
-    messages (``g.stab.a``).  What traffic leaves behind, the kernel's
-    tick collects: flat, the coordinator queries (``g.stab.q``) and every
-    member answers with the same ``g.stab.a``; tree, subtree minima
-    climb the token-rooted tree (``g.stab.up``).  Either collector ends
-    by sending the stable cut, ``g.stab.dn``.
+    messages (``g.stab.a``).  What traffic leaves behind, one collector
+    gathers: subtree minima climb the *collection tree* (``g.stab.up``)
+    to its root, the lowest-ranked member's site, which sends the stable
+    cut back down (``g.stab.dn``).  In tree mode that is the
+    dissemination tree; flat, it is one level deep — every other member
+    site is a leaf of the root.
 
     Every note carries one ``stab`` blob and nothing else about
     reception (``g.stab.up`` adds ``n``, the sites its minimum covers);
@@ -527,14 +528,16 @@ class StabilityStage:
         #: a view, not once a trim).
         self._peers_of: Optional["View"] = None
         self._peers: Tuple[int, ...] = ()
+        #: Flat: every site also tells every peer its own state — on data
+        #: (with ``piggyback_stability``) and by ``g.stab.a`` — and the
+        #: trim and the group floor read that; a tree has only the wave.
+        self._per_peer = self.kernel.config.dissemination == "flat"
+        self._piggybacking = (self._per_peer
+                              and self.kernel.config.piggyback_stability)
         #: Highest own delivery floor already announced to the group.
         self._floor_announced: Tuple[int, int] = (0, 0)
         self._recv_since_announce = 0
         self._last_advance = float("-inf")
-        #: Open round (flat coordinator only): site -> have-vector.
-        self._round_answers: Optional[Dict[int, Dict[int, int]]] = None
-        #: Tree-aggregated collection (``dissemination == "tree"``).
-        self._tree_mode = self.kernel.config.dissemination == "tree"
         #: child site -> (subtree min have-vector, sites covered, min floor).
         self._child_up: Dict[int, Tuple[Dict[int, int], int,
                                         Tuple[int, int]]] = {}
@@ -553,6 +556,17 @@ class StabilityStage:
                                 if site != self.engine.site_id)
         return self._peers
 
+    def _collection_tree(self) -> SpanningTree:
+        """The tree the wave climbs in the installed view: the
+        dissemination tree, or flat a one-level tree — every member a
+        leaf of the root — built when asked for: kept, one per group and
+        site, these trees raised ``sim-groups``' peak RSS by ≈ 1 MB."""
+        tree = self.pipeline.dissemination.tree()
+        if tree is None:
+            sites = self.engine.view.member_sites()
+            tree = SpanningTree(sites, fanout=len(sites))
+        return tree
+
     # -- the blob: out -----------------------------------------------------
     def piggyback(self) -> Optional[Stab]:
         """Our reception state for an outgoing envelope or batch, if any.
@@ -561,8 +575,7 @@ class StabilityStage:
         and stability is the aggregation wave's job.
         """
         engine = self.engine
-        if (not self.kernel.config.piggyback_stability or self._tree_mode
-                or engine.view is None):
+        if not self._piggybacking or engine.view is None:
             return None
         return (engine.view.view_id, engine.delivery_floor,
                 engine.store.have_vector())
@@ -579,11 +592,6 @@ class StabilityStage:
         return Message(_proto=proto, gid=self.engine.gid,
                        stab=encode_stab(self.engine.view.view_id, floor, have),
                        **fields)
-
-    def _report(self) -> Message:
-        """``g.stab.a``: what this site has received and delivered."""
-        return self._note("g.stab.a", self.engine.delivery_floor,
-                          self.engine.store.have_vector())
 
     # -- the blob: in ------------------------------------------------------
     def _current(self, stab: Stab) -> bool:
@@ -617,8 +625,8 @@ class StabilityStage:
         if floor > self._peer_floor.get(src_site, (0, 0)):
             self._peer_floor[src_site] = floor
             self.engine.prune_delivered_finals()
-        if not self.kernel.config.piggyback_stability:
-            return  # off: buffer GC is the fallback round's job alone
+        if not self._piggybacking:
+            return  # off: buffer GC is the wave's job alone
         known = self._peer_have.setdefault(src_site, {})
         advanced = False
         for origin, top in have.items():
@@ -636,7 +644,7 @@ class StabilityStage:
         """The ABCAST delivery floor every member site is known to have
         reached; ``(0, 0)`` while some member's is unknown."""
         floor = self.engine.delivery_floor
-        if self._tree_mode:
+        if not self._per_peer:
             # No per-peer floors: the aggregated minimum of the last
             # complete wave plays the same role.
             return min(floor, self._cut_floor)
@@ -686,15 +694,15 @@ class StabilityStage:
     # -- receiver-side announcements ---------------------------------------
     def note_received(self) -> None:
         """Count received data; push our state every N messages."""
-        if not (self._tree_mode or self.kernel.config.piggyback_stability):
+        if self._per_peer and not self._piggybacking:
             return
         self._recv_since_announce += 1
         if self._recv_since_announce >= STAB_ANNOUNCE_EVERY:
-            if self._tree_mode:
+            if self._per_peer:
+                self.announce()
+            else:
                 self._recv_since_announce = 0
                 self.tree_push()
-            else:
-                self.announce()
 
     def announce(self) -> None:
         """Unsolicited ``g.stab.a``: tell peers what we have received."""
@@ -703,34 +711,45 @@ class StabilityStage:
             return
         self._recv_since_announce = 0
         self._floor_announced = engine.delivery_floor
-        note = self._report()
+        note = self._note("g.stab.a", engine.delivery_floor,
+                          engine.store.have_vector())
         engine.sim.trace.bump("stability.announcements")
         for site in self._peer_sites():
             self.kernel.send_to_site(site, note)
+
+    def on_announce(self, src_site: int, record: tuple) -> None:
+        """A peer's ``g.stab.a``."""
+        stab = record[2]
+        if self._current(stab):
+            self.merge(src_site, stab)
 
     # -- the kernel's tick -------------------------------------------------
     def tick(self) -> bool:
         """Collect what traffic left behind; is there more for next time?
 
-        Flat: the coordinator opens a round, and a floor peers have not
-        heard is announced once — a group that goes quiet right after a
-        burst would otherwise leave the tail of its delivered finals
-        unprunable.  Tree: one aggregation push does both.  ``False``
-        drops the group out of the kernel's dirty set until a buffered
-        message, a floor advance or a child report re-arms it
-        (``stab.idle_skipped``).
+        One aggregation push — skipped while piggybacks trimmed within
+        the last ``STABILITY_INTERVAL`` (``stability.round_skipped``):
+        the wave is for groups gone quiet with a buffered tail.  Flat, a
+        floor peers have not heard is announced once — a group that goes
+        quiet right after a burst would otherwise leave the tail of its
+        delivered finals unprunable.  ``False`` drops the group out of
+        the kernel's dirty set until a buffered message, a floor advance
+        or a child report re-arms it (``stab.idle_skipped``); a skipped
+        push keeps it in, so the state it holds back reaches the root.
         """
         engine = self.engine
-        if self._tree_mode:
-            self.tree_push()
+        skipped = (self._piggybacking and engine.sim.now
+                   - self._last_advance < STABILITY_INTERVAL)
+        if skipped:
+            engine.sim.trace.bump("stability.round_skipped")
         else:
-            self.start_round()
-            if engine.delivery_floor > self._floor_announced:
-                self.announce()
-        if engine.store.buffered_count or self._round_answers is not None:
+            self.tree_push()
+        if self._per_peer and engine.delivery_floor > self._floor_announced:
+            self.announce()
+        if skipped or engine.store.buffered_count:
             return True
         # Otherwise: a floor the group has not heard from us yet — by
-        # ``g.stab.up`` (tree, interior), in our own cut (tree, root) or
+        # ``g.stab.up`` (below the root), in our own cut (the root) or
         # by ``g.stab.a`` (flat; in a tree this one stays ``(0, 0)``).
         if self._up_last is not None:
             return engine.delivery_floor > self._up_last[2]
@@ -738,61 +757,7 @@ class StabilityStage:
             return engine.delivery_floor > self._dn_last[1]
         return engine.delivery_floor > self._floor_announced
 
-    # -- collection, flat: the coordinator's round -------------------------
-    def start_round(self) -> None:
-        engine = self.engine
-        if (not engine.is_coordinator_site() or engine.wedged
-                or engine.view is None
-                or engine.store.buffered_count == 0):
-            return
-        if (self.kernel.config.piggyback_stability
-                and engine.sim.now - self._last_advance < STABILITY_INTERVAL):
-            # Piggybacked stability is trimming continuously; the round
-            # only runs for groups that have gone quiet with a buffered
-            # tail.
-            engine.sim.trace.bump("stability.round_skipped")
-            return
-        self._round_answers = {engine.site_id: engine.store.have_vector()}
-        query = Message(_proto="g.stab.q", gid=engine.gid)
-        for site in self._peer_sites():
-            self.kernel.send_to_site(site, query)
-        self._maybe_finish_round()
-
-    def on_query(self, src_site: int, record: tuple) -> None:
-        if self.engine.view is not None:
-            self.kernel.send_to_site(src_site, self._report())
-
-    def on_answer(self, src_site: int, record: tuple) -> None:
-        """A ``g.stab.a``: an announcement, and an answer if a round is open."""
-        stab = record[2]
-        if not self._current(stab):
-            return
-        self.merge(src_site, stab)
-        if self._round_answers is not None:
-            self._round_answers[src_site] = stab[2]
-            self._maybe_finish_round()
-
-    def _maybe_finish_round(self) -> None:
-        engine = self.engine
-        answers = self._round_answers
-        if answers is None or engine.view is None:
-            return
-        member_sites = set(engine.view.member_sites())
-        # Every member must have answered; an answer from a site outside
-        # the view (just removed, not yet installed) counts for nothing.
-        if not member_sites <= set(answers):
-            return
-        stable: Dict[int, int] = {}
-        origins: set = set()
-        for site in member_sites:
-            origins |= set(answers[site])
-        for origin in origins:
-            stable[origin] = min(
-                answers[site].get(origin, 0) for site in member_sites)
-        self._round_answers = None
-        self._send_cut(self._peer_sites(), stable, (0, 0))
-
-    # -- collection, tree: the aggregation wave ----------------------------
+    # -- the collector: the aggregation wave -------------------------------
     def _stab_root(self) -> Optional[int]:
         """The aggregation root: the lowest-ranked member's site.
 
@@ -810,21 +775,21 @@ class StabilityStage:
 
         Interior nodes min-merge their own have-vector and delivery
         floor with the cached reports of their children in the
-        root-rooted tree; the root, once its covered-site count reaches
+        collection tree; the root, once its covered-site count reaches
         the whole view, sends the stable cut back down the same tree.
         Per-site stability traffic is O(fanout) per aggregation wave
-        regardless of group size — this is what replaces both the
-        per-peer piggybacks and the O(n) round at scale.
+        regardless of group size in a tree; flat, a wave is one report
+        per member and one cut to each.
         """
         engine = self.engine
         view = engine.view
-        if (not self._tree_mode or view is None or not engine.installed
-                or engine.wedged or not self.kernel.alive):
+        if (view is None or not engine.installed or engine.wedged
+                or not self.kernel.alive):
             return
-        tree = self.pipeline.dissemination.tree()
+        tree = self._collection_tree()
         root = self._stab_root()
         me = engine.site_id
-        if tree is None or root is None or root not in tree or me not in tree:
+        if root is None or root not in tree or me not in tree:
             return
         vectors = [engine.store.have_vector()]
         count = 1
@@ -859,9 +824,22 @@ class StabilityStage:
             parent, self._note("g.stab.up", floor, agg, n=count))
 
     def on_up(self, src_site: int, record: tuple) -> None:
-        """A child's aggregated subtree report (``g.stab.up``)."""
+        """A child's aggregated subtree report (``g.stab.up``).
+
+        ``n`` is outside input the root adds up to decide that every
+        subtree has reported: a report from a site that is not our
+        child, or one that covers more sites than the sender's subtree
+        holds, could make the root cut before some member has what the
+        cut trims.  Both are refused (``stability.refused_up``).
+        """
         _, _, stab, count = record
         if not self._current(stab):
+            return
+        tree = self._collection_tree()
+        root = self._stab_root()
+        if (tree.parent(root, src_site) != self.engine.site_id
+                or count > tree.subtree_size(root, src_site)):
+            self.engine.sim.trace.bump("stability.refused_up")
             return
         self._child_up[src_site] = (stab[2], count, stab[1])
         self.kernel.note_group_dirty(self.engine.gid)
@@ -872,7 +850,7 @@ class StabilityStage:
     # -- the cut -----------------------------------------------------------
     def _send_cut(self, sites: Iterable[int], stable: Dict[int, int],
                   floor: Tuple[int, int]) -> None:
-        """The collector's last step: ``g.stab.dn`` to ``sites``, and here."""
+        """The wave's last step: ``g.stab.dn`` to ``sites``, and here."""
         self._apply_cut(stable, floor)
         note = self._note("g.stab.dn", floor, stable)
         for site in sites:
@@ -880,18 +858,13 @@ class StabilityStage:
             self.kernel.send_to_site(site, note)
 
     def on_dn(self, src_site: int, record: tuple) -> None:
-        """The stable cut: apply it, and in a tree relay it downward."""
+        """The stable cut: apply it and relay it to our children."""
         msg, _, stab = record
         if not self._current(stab):
             return
         self._apply_cut(stab[2], stab[1])
-        tree = self.pipeline.dissemination.tree()
-        root = self._stab_root()
-        if tree is None or root is None:
-            return
-        for child in tree.children(root, self.engine.site_id):
-            if child == root:
-                continue
+        for child in self._collection_tree().children(
+                self._stab_root(), self.engine.site_id):
             self.kernel.counters.bump("stab.dn_sent")
             self.kernel.send_to_site(child, msg)
 
@@ -912,7 +885,6 @@ class StabilityStage:
         self._peer_floor.clear()
         self._floor_announced = (0, 0)
         self._recv_since_announce = 0
-        self._round_answers = None
         self._child_up.clear()
         self._up_last = None
         self._dn_last = None
@@ -944,8 +916,7 @@ class DeliveryPipeline:
         "g.abp": attrgetter("total.on_proposal"),
         "g.abf": attrgetter("total.on_final"),
         "g.abs": attrgetter("total.on_stamps"),
-        "g.stab.q": attrgetter("stability.on_query"),
-        "g.stab.a": attrgetter("stability.on_answer"),
+        "g.stab.a": attrgetter("stability.on_announce"),
         "g.stab.up": attrgetter("stability.on_up"),
         "g.stab.dn": attrgetter("stability.on_dn"),
         TREE_PROTO: attrgetter("dissemination.on_relay"),

@@ -431,7 +431,7 @@ def _encoded(kind: Kind) -> Kind:
 #: The protocols the delivery pipeline consumes, from the kernel or out
 #: of a ``g.tr`` wrapper (which wraps any of them but itself).
 PIPELINE = (BATCH_PROTO, "g.cb", "g.ab", "g.abp", "g.abf", "g.abs",
-            "g.stab.q", "g.stab.a", "g.stab.up", "g.stab.dn", "g.tr")
+            "g.stab.a", "g.stab.up", "g.stab.dn", "g.tr")
 #: The protocols a toolkit service (``tools/``) handles: each is routed
 #: to the handler the tool attaches at its kernel.
 TOOLS = ("rm.q", "rm.a", "rt.ask", "rt.tell", "rx.spawn", "news.item")
@@ -568,7 +568,6 @@ def protocols(context: Callable[[bytes], Any],
     declare("g.abp", "gid:address view:uint ref:pair prio:pair")
     declare("g.abf", "gid:address view:uint ref:pair prio:pair")
     declare("g.abs", "gid:address view:int stamps:triples")
-    declare("g.stab.q", "gid:address")
     declare("g.stab.a", "gid:address stab:stab")
     declare("g.stab.up", "gid:address stab:stab n:uint")
     declare("g.stab.dn", "gid:address stab:stab")

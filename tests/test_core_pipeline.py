@@ -7,6 +7,7 @@ from reference_causal import VectorClock
 from repro import IsisCluster, IsisConfig, Message
 from repro.core import kernel as kernel_mod
 from repro.core import pipeline as pipeline_mod
+from repro.core.tree import SpanningTree
 from repro.core.vectorclock import ContextEncoder
 from repro.msg import make_group_address, make_process_address
 from repro.msg.fields import decode_stab, encode_stab
@@ -139,6 +140,8 @@ class TestPiggybackedStability:
             assert stats["trimmed_messages"] > 0
 
     def test_fallback_round_skipped_under_traffic(self, monkeypatch):
+        """Flat, while piggybacks trim the wave's pushes are skipped; once
+        the traffic stops the wave collects what they left behind."""
         monkeypatch.setattr(pipeline_mod, "STAB_ANNOUNCE_EVERY", 8)
         config = IsisConfig(batch_window=0.010)
         system, members, _ = _two_member_group(config, n_sites=3)
@@ -156,14 +159,46 @@ class TestPiggybackedStability:
         system.run_for(30.0)
         stop["done"] = True
         assert system.sim.trace.value("stability.round_skipped") > 0
+        system.run_for(30.0)
+        for site in range(3):
+            assert system.kernel(site).stats()["buffered_messages"] == 0
 
-    def test_piggyback_disabled_still_trims_via_rounds(self):
-        config = IsisConfig(piggyback_stability=False)
-        system, members, _ = _two_member_group(config)
+    def test_skipped_push_is_made_once_piggybacks_go_quiet(self, monkeypatch):
+        """A leaf that piggybacks emptied has told the root nothing: its
+        skipped push waits for the gate to open, not for more traffic."""
+        monkeypatch.setattr(pipeline_mod, "STAB_ANNOUNCE_EVERY", 10 ** 9)
+        system, members, _ = _two_member_group(IsisConfig(), n_sites=3)
+        _burst(system, members, 0, 5)       # from the root, between ticks
+        system.run_for(0.5)
+        engines = [next(iter(system.kernel(site).engines.values()))
+                   for site in range(3)]
+        assert [e.store.have_vector() for e in engines] == [{0: 20}] * 3
+        assert system.kernel(1).counters.value("stab.up_sent") == 0
+        view_id = engines[1].view.view_id
+        for src in (0, 2):                  # what the others say they have
+            system.kernel(1)._dispatch(src, Message(
+                _proto="g.stab.a", gid=engines[1].gid,
+                stab=encode_stab(view_id, (0, 0), {0: 20})))
+        assert engines[1].store.buffered_count == 0
+        assert engines[0].store.buffered_count == 20
+        system.run_for(10.0)
+        assert system.kernel(1).counters.value("stab.up_sent") == 1
+        assert [e.store.buffered_count for e in engines] == [0, 0, 0]
+
+    @pytest.mark.parametrize("dissemination", ["flat", "tree"])
+    def test_piggyback_off_still_trims_via_the_wave(self, dissemination):
+        config = IsisConfig(piggyback_stability=False,
+                            dissemination=dissemination, tree_fanout=2)
+        system, members, _ = _two_member_group(config, n_sites=4)
         _burst(system, members, 0, 10)
         system.run_for(30.0)  # several stability intervals
-        assert system.sim.trace.value("stability.piggyback_trimmed") == 0
-        assert system.kernel(0).stats()["buffered_messages"] == 0
+        trace = system.sim.trace
+        assert trace.value("stability.piggyback_trimmed") == 0
+        assert trace.value("stability.round_skipped") == 0
+        assert trace.value("stab.up_sent") > 0
+        assert trace.value("stability.cut_trimmed") > 0
+        for site in range(4):
+            assert system.kernel(site).stats()["buffered_messages"] == 0
 
 
 def _tap_wire(system, n_sites):
@@ -292,67 +327,152 @@ def _stab_notes(sent, proto):
             if msg["_proto"] == proto]
 
 
+def _quiet_wave_group(monkeypatch, dissemination, n_sites=4):
+    """A group whose stability ticks never fire: 20 messages from site 0
+    buffered everywhere, and no ``g.stab.*`` note unless a test sends it.
+    Returns the system, site 0's engine (the collection root) and the
+    collection tree."""
+    for module in (kernel_mod, pipeline_mod):
+        monkeypatch.setattr(module, "STABILITY_INTERVAL", 1e9)
+    system, members, _ = _two_member_group(
+        IsisConfig(piggyback_stability=False, dissemination=dissemination,
+                   tree_fanout=2), n_sites=n_sites)
+    _burst(system, members, 0, 5)
+    system.run_for(10.0)
+    (engine,) = system.kernel(0).engines.values()
+    assert engine.view.members[0].site == 0
+    assert engine.store.have_vector() == {0: 20}
+    assert engine.store.buffered_count == 20
+    sites = engine.view.member_sites()
+    fanout = len(sites) if dissemination == "flat" else 2
+    return system, engine, SpanningTree(sites, fanout)
+
+
+def _up(engine, have, n, view_id=None):
+    """A ``g.stab.up`` for ``engine``'s group."""
+    view_id = engine.view.view_id if view_id is None else view_id
+    return Message(_proto="g.stab.up", gid=engine.gid,
+                   stab=encode_stab(view_id, (0, 0), have), n=n)
+
+
 class TestStabilityRound:
-    def test_round_waits_for_every_member_despite_outsider_answers(self):
-        """An answer from a site outside the view (just removed, not yet
-        installed) must neither finish the round nor stand in for a
-        member that has not answered."""
-        system, _, _ = _two_member_group(IsisConfig(), n_sites=3)
-        (engine,) = system.kernel(0).engines.values()
-        assert set(engine.view.member_sites()) == {0, 1, 2}
-        stage = engine.pipeline.stability
-        view_id = engine.view.view_id
-        sent = _tap_wire(system, 3)
+    """The one collector: ``g.stab.up`` climbs the collection tree, the
+    root cuts.  Flat, that tree is one level deep (every member a leaf);
+    the tests run on it and on a fanout-2 dissemination tree."""
 
-        def answer(site, have):
-            engine.kernel._dispatch(site, Message(
-                _proto="g.stab.a", gid=engine.gid,
-                stab=encode_stab(view_id, (0, 0), have)))
-
-        stage._round_answers = {0: {0: 5}}
-        answer(1, {0: 4})
-        answer(9, {0: 1, 7: 9})
-        assert _stab_notes(sent, "g.stab.dn") == []
-        assert stage._round_answers is not None
-        answer(2, {0: 3})
-        assert stage._round_answers is None
-        # One cut per peer, the view's and the members' minimum on it.
+    @pytest.mark.parametrize("dissemination", ["flat", "tree"])
+    def test_cut_waits_for_every_member_despite_outsiders(
+            self, monkeypatch, dissemination):
+        """A report from a site outside the view (just removed, not yet
+        installed) must neither complete the cut nor stand in for a
+        member that has not reported."""
+        system, engine, tree = _quiet_wave_group(monkeypatch, dissemination)
+        children = tree.children(0, 0)
+        assert len(children) == (3 if dissemination == "flat" else 2)
+        sent = _tap_wire(system, 4)
+        first, *rest = children
+        engine.kernel._dispatch(
+            first, _up(engine, {0: 4}, tree.subtree_size(0, first)))
+        engine.kernel._dispatch(9, _up(engine, {0: 1, 7: 9}, 1))
+        assert system.sim.trace.value("stability.refused_up") == 1
+        for child in rest:
+            assert _stab_notes(sent, "g.stab.dn") == []
+            engine.kernel._dispatch(
+                child, _up(engine, {0: 3}, tree.subtree_size(0, child)))
+        # One cut per child, the view's and the members' minimum on it.
         assert _stab_notes(sent, "g.stab.dn") == [
-            (view_id, (0, 0), {0: 3})] * 2
+            (engine.view.view_id, (0, 0), {0: 3})] * len(children)
 
-    def test_previous_views_answer_and_cut_change_nothing(self, monkeypatch):
-        """gseq counters restart in every view: a late ``g.stab.a`` or cut
-        of the previous one is counted and refused — it neither finishes
-        an open round nor trims, and says nothing about its sender."""
-        for module in (kernel_mod, pipeline_mod):   # no round of its own
-            monkeypatch.setattr(module, "STABILITY_INTERVAL", 1e9)
-        system, members, _ = _two_member_group(
-            IsisConfig(piggyback_stability=False), n_sites=3)
-        _burst(system, members, 0, 5)
-        system.run_for(10.0)
-        (engine,) = system.kernel(0).engines.values()
+    @pytest.mark.parametrize("dissemination", ["flat", "tree"])
+    def test_previous_views_report_and_cut_change_nothing(
+            self, monkeypatch, dissemination):
+        """gseq counters restart in every view: a late ``g.stab.up`` or
+        cut of the previous one is counted and refused — it neither
+        completes the cut nor trims, and says nothing about its sender."""
+        system, engine, tree = _quiet_wave_group(monkeypatch, dissemination)
         stage = engine.pipeline.stability
         view_id = engine.view.view_id
+        assert view_id > 1
+        *first, last = tree.children(0, 0)
         have = engine.store.have_vector()
-        buffered = engine.store.buffered_count
-        assert have == {0: 20} and buffered == 20 and view_id > 1
-
-        def note(proto, view):
-            return Message(_proto=proto, gid=engine.gid,
-                           stab=encode_stab(view, (0, 0), have))
-
-        stage._round_answers = {0: have, 1: have}   # site 2 is still out
-        engine.kernel._dispatch(2, note("g.stab.a", view_id - 1))
-        assert stage._round_answers == {0: have, 1: have}
-        engine.kernel._dispatch(1, note("g.stab.dn", view_id - 1))
-        assert engine.store.buffered_count == buffered
+        for child in first:
+            engine.kernel._dispatch(
+                child, _up(engine, have, tree.subtree_size(0, child)))
+        size = tree.subtree_size(0, last)
+        engine.kernel._dispatch(last, _up(engine, have, size, view_id - 1))
+        engine.kernel._dispatch(last, Message(
+            _proto="g.stab.dn", gid=engine.gid,
+            stab=encode_stab(view_id - 1, (0, 0), have)))
+        assert engine.store.buffered_count == 20
+        assert last not in stage._child_up
         assert stage.peer_have_vectors() == {}
         assert system.sim.trace.value("stability.stale_note") == 2
-        # The same two notes about this view do finish and trim.
-        engine.kernel._dispatch(2, note("g.stab.a", view_id))
-        assert stage._round_answers is None
+        # The same report about this view does complete the cut and trim.
+        engine.kernel._dispatch(last, _up(engine, have, size))
         assert engine.store.buffered_count == 0
         assert system.sim.trace.value("stability.stale_note") == 2
+
+    @pytest.mark.parametrize("dissemination", ["flat", "tree"])
+    def test_forged_subtree_size_does_not_cut_early(
+            self, monkeypatch, dissemination):
+        """``n`` is outside input the root adds up: a child claiming the
+        whole group, or a site reporting to someone not its parent, must
+        not make the root cut before every subtree has reported — the
+        cut could trim what some member lacks and the flush then could
+        not refill it."""
+        system, engine, tree = _quiet_wave_group(
+            monkeypatch, dissemination, n_sites=8)
+        sent = _tap_wire(system, 8)
+        children = tree.children(0, 0)
+        others = [s for s in tree.sites if s != 0 and s not in children]
+        assert len(others) == (0 if dissemination == "flat" else 5)
+        have = engine.store.have_vector()
+        engine.kernel._dispatch(children[0], _up(engine, have, len(tree) - 1))
+        for site in others:                 # not the root's children
+            engine.kernel._dispatch(site, _up(engine, have, 1))
+        for child in children:
+            assert _stab_notes(sent, "g.stab.dn") == []
+            assert engine.store.buffered_count == 20
+            engine.kernel._dispatch(
+                child, _up(engine, have, tree.subtree_size(0, child)))
+        assert engine.store.buffered_count == 0
+        assert len(_stab_notes(sent, "g.stab.dn")) == len(children)
+        assert system.sim.trace.value("stability.refused_up") \
+            == 1 + len(others)
+
+    @pytest.mark.parametrize("dissemination", ["flat", "tree"])
+    def test_cut_never_names_more_than_a_member_has(self, dissemination):
+        """Whenever the root sends a cut, every member already holds all
+        it names: the cut trims nothing the flush might have to refill."""
+        system, members, _ = _two_member_group(
+            IsisConfig(piggyback_stability=False, batch_window=0.010,
+                       dissemination=dissemination, tree_fanout=2),
+            n_sites=6)
+        engines = [next(iter(system.kernel(site).engines.values()))
+                   for site in range(6)]
+        root = system.kernel(0)
+        cuts = []
+
+        def tapped(dst_site, msg, send=root.send_to_site):
+            if msg["_proto"] == "g.stab.dn":
+                _, _, stable = decode_stab(bytes(msg["stab"]))
+                cuts.append(stable)
+                for engine in engines:
+                    have = engine.store.have_vector()
+                    assert all(top <= have.get(origin, 0)
+                               for origin, top in stable.items())
+            return send(dst_site, msg)
+
+        root.send_to_site = tapped
+        for idx in (0, 2, 5):
+            _burst(system, members, idx, 15, concurrency=2)
+        system.run_for(1.5)
+        for idx in (1, 3):
+            _burst(system, members, idx, 10, concurrency=2)
+        system.run_for(30.0)
+        assert len(cuts) > 1
+        assert cuts[-1] == {site: 30 if site in (0, 2, 5) else 20
+                            for site in (0, 1, 2, 3, 5)}
 
     def test_cut_is_refused_while_wedged(self):
         system, members, _ = _two_member_group(
@@ -386,9 +506,9 @@ class TestStabilityWireBudget:
     @pytest.mark.parametrize("piggyback", [True, False])
     def test_notes_and_union_cut_within_budget(self, monkeypatch, piggyback):
         """On: receive-side announcements (``g.stab.a``, unsolicited).
-        Off: the coordinator's round (``g.stab.q``, ``g.stab.a`` as the
-        answer, the cut).  Either way a crash whose last sends reached
-        only some survivors makes the flush send its union cut."""
+        Off: the collection wave (``g.stab.up`` to the root, the cut).
+        Either way a crash whose last sends reached only some survivors
+        makes the flush send its union cut."""
         monkeypatch.setattr(pipeline_mod, "STAB_ANNOUNCE_EVERY", 8)
         system, members, deliveries = _two_member_group(
             IsisConfig(piggyback_stability=piggyback), n_sites=4, field="n")
@@ -422,14 +542,15 @@ class TestStabilityWireBudget:
             if proto.startswith(("g.stab.", "g.fl.")):
                 sizes[proto] = max(sizes.get(proto, 0), msg.size_bytes)
                 assert not self.LOOSE_FIELDS & set(msg), (proto, list(msg))
-                if proto.startswith("g.stab.") and proto != "g.stab.q":
-                    assert [n for n in msg if n not in ("_proto", "gid")] \
-                        == ["stab"], (proto, list(msg))
-        assert "g.stab.trim" not in sizes
-        assert ("g.stab.q" in sizes) is not piggyback
-        assert sizes["g.stab.a"] <= self.NOTE_BUDGET, sizes
+            if proto.startswith("g.stab."):
+                assert [n for n in msg if n not in ("_proto", "gid")] == (
+                    ["stab", "n"] if proto == "g.stab.up" else ["stab"]), \
+                    (proto, list(msg))
+                assert msg.size_bytes <= self.NOTE_BUDGET, (proto, sizes)
+        assert "g.stab.trim" not in sizes and "g.stab.q" not in sizes
+        assert "g.stab.a" in sizes
         if not piggyback:
-            assert sizes["g.stab.dn"] <= self.NOTE_BUDGET, sizes
+            assert "g.stab.up" in sizes and "g.stab.dn" in sizes
         assert sizes["g.fl.expect"] <= self.EXPECT_BUDGET, sizes
 
     def test_batch_carries_the_senders_full_vector(self):

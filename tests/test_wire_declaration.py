@@ -314,7 +314,7 @@ def test_every_routed_protocol_is_declared():
     assert set(_ROUTES) == set(_HANDLERS)
     assert set(_HANDLERS) | set(TOOLS) | set(WAL) == set(PROTOCOLS)
     assert not set(_HANDLERS) & set(TOOLS) and not set(_HANDLERS) & set(WAL)
-    assert len(_HANDLERS) == 47 and len(TOOLS) == 6
+    assert len(_HANDLERS) == 46 and len(TOOLS) == 6
     assert set(DeliveryPipeline.HANDLERS) == set(PIPELINE)
     owners = {"engine": GroupEngine, "namespace": Namespace,
               "joins": Joins, "rpc": GroupRpc}
