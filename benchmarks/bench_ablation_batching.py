@@ -4,8 +4,8 @@ The paper's performance story (Figures 2/3, Table I) rests on amortizing
 protocol overhead.  This ablation measures the two wire-level
 optimizations of the delivery pipeline on a 4-site CBCAST workload:
 
-* **envelope batching** (``IsisConfig.batch_window``) — data envelopes
-  bound for the same site coalesce into one ``g.batch`` wire message;
+* **envelope batching** (``IsisConfig.batch_window``) — a group's data
+  envelopes coalesce into one ``g.batch`` wire message;
 * **piggybacked stability** (``IsisConfig.piggyback_stability``) — have
   vectors ride on data/ack envelopes so buffers trim continuously
   instead of waiting for the periodic ``g.stab.*`` round.

@@ -52,8 +52,7 @@ _RESULTS_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 
 def _config(durable: bool, checkpoint_every: int = 200) -> IsisConfig:
     return IsisConfig(durability=durable,
-                      wal_checkpoint_every=checkpoint_every,
-                      wal_trim_min=16)
+                      wal_checkpoint_every=checkpoint_every)
 
 
 def _build(sites: int, seed: int, config: IsisConfig,

@@ -234,10 +234,6 @@ class TotalOrderSender:
         """View change: in-flight collections are settled by the flush."""
         self._collecting.clear()
 
-    @property
-    def in_flight(self) -> int:
-        return len(self._collecting)
-
 
 class SequencerReceiver:
     """Receiver-side sequencer-mode ABCAST state for one group.

@@ -439,6 +439,11 @@ class GroupEngine:
             self._grace_timer = None
 
     def _send_flush_msg(self, site: int, msg: Message) -> None:
+        """``msg`` to ``site``: on the wire (counted ``flush.wire_*``),
+        or straight to our own handler when ``site`` is ours."""
+        if site == self.site_id:
+            self.kernel._dispatch(site, msg)
+            return
         self.sim.trace.bump("flush.wire_msgs")
         self.sim.trace.bump("flush.wire_bytes", msg.size_bytes)
         self.kernel.send_to_site(site, msg)
@@ -516,20 +521,14 @@ class GroupEngine:
             union_b=encode_have_vector(active.union),
         )
         for site in active.member_sites - complete:
-            if site == self.site_id:
-                self.kernel._dispatch(site, expect)
-            else:
-                self._send_flush_msg(site, expect)
+            self._send_flush_msg(site, expect)
         for holder, sends in pulls.items():
             pull = Message(
                 _proto="g.fl.pull", gid=self.gid,
                 fid=list(active.flush_id),
                 sends=[list(s) for s in sends],
             )
-            if holder == self.site_id:
-                self.kernel._dispatch(holder, pull)
-            else:
-                self._send_flush_msg(holder, pull)
+            self._send_flush_msg(holder, pull)
         for site in complete:
             self._note_filled(site)
 
@@ -640,9 +639,8 @@ class GroupEngine:
             report["have_b"] = encode_have_vector(have)
         if pre:
             report["pre"] = True
-        if to_site == self.site_id:
-            self.kernel._dispatch(to_site, report)
-        elif pre and self.kernel.config.dissemination == "tree":
+        if (pre and to_site != self.site_id
+                and self.kernel.config.dissemination == "tree"):
             # Pre-reports aggregate up the coordinator-rooted tree so
             # the coordinator's fan-in is O(fanout) batches, not n-1
             # individual reports.  Solicited reports (a begin response)
@@ -732,10 +730,7 @@ class GroupEngine:
                            fid=fid, msgs=envs)
             nbytes = sum(env.size_bytes for env in envs)
             self.kernel.counters.bump("flush.refill_bytes", nbytes)
-            if needy == self.site_id:
-                self.kernel._dispatch(needy, data)
-            else:
-                self._send_flush_msg(needy, data)
+            self._send_flush_msg(needy, data)
 
     def _on_flush_data(self, src_site: int, record: tuple) -> None:
         _, _, fid, envelopes = record
@@ -754,11 +749,7 @@ class GroupEngine:
         if not self.store.complete_for(self._expect_union):
             return
         filled = Message(_proto="g.fl.filled", gid=self.gid, fid=list(fid))
-        coordinator_site = fid[2]
-        if coordinator_site == self.site_id:
-            self.kernel._dispatch(coordinator_site, filled)
-        else:
-            self._send_flush_msg(coordinator_site, filled)
+        self._send_flush_msg(fid[2], filled)
         self._expect_union = None
 
     def _on_flush_commit(self, src_site: int, record: tuple) -> None:

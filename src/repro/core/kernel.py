@@ -96,10 +96,10 @@ class IsisConfig:
     #: Batch concurrent GBCAST payloads into one flush; turn off to
     #: reproduce the paper's per-update GBCAST costs.
     gbcast_batching: bool = True
-    #: Envelope batching: data envelopes bound for the same (group,
-    #: site) coalesce into one ``g.batch`` wire message, flushed after
-    #: this window (seconds) or at ``pipeline.BATCH_MAX_BYTES``.  ``0``
-    #: disables batching: every envelope is its own wire message.
+    #: Envelope batching: a group's data envelopes coalesce into one
+    #: ``g.batch`` wire message, flushed after this window (seconds) or
+    #: at ``pipeline.BATCH_MAX_BYTES``.  ``0`` disables batching: every
+    #: envelope is its own wire message.
     batch_window: float = 0.0
     #: Piggyback the ``stab`` blob (have-vector, delivery floor) on
     #: outgoing data envelopes and batches so buffer GC advances
@@ -150,11 +150,8 @@ class IsisConfig:
     durability: bool = False
     #: Checkpoint a group after this many logged deliveries since the
     #: last checkpoint (0 disables the count trigger; stability trims
-    #: still drive checkpoints via ``wal_trim_min``).
+    #: still drive checkpoints, see ``wal.WAL_TRIM_MIN``).
     wal_checkpoint_every: int = 200
-    #: Minimum deliveries since the last checkpoint before a stability
-    #: trim opportunistically checkpoints too.
-    wal_trim_min: int = 16
 
 
 class ProtocolsProcess:

@@ -202,10 +202,9 @@ class TotalOrdering(OrderingEngine):
         note = Message(_proto="g.abf", gid=self.engine.gid,
                        view=self.engine.view.view_id,
                        ref=list(ref), prio=list(final))
-        for site in self.engine.view.member_sites():
-            if site != self.engine.site_id:
-                self.engine.kernel.counters.bump("abcast.finals")
-                self.engine.kernel.send_to_site(site, note)
+        sent = len(self.pipeline.dissemination.to_peers(note))
+        if sent:
+            self.engine.kernel.counters.bump("abcast.finals", sent)
         self.apply_final(ref, final)
 
     def on_final(self, src_site: int, note: tuple) -> None:

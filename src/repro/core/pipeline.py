@@ -4,12 +4,14 @@ The multicast data path of a group at one member site is a composable
 stack of three stages, driven by :class:`~repro.core.engine.GroupEngine`
 through the narrow :class:`DeliveryPipeline` interface:
 
-* :class:`DisseminationStage` — fans data envelopes out to every member
-  site.  With ``IsisConfig.batch_window > 0`` it coalesces envelopes
-  bound for the same site into one wire message (``g.batch``), flushed
-  when the window expires or ``BATCH_MAX_BYTES`` accumulate; with a zero
-  window every envelope is its own wire message, byte-for-byte what the
-  unbatched system sent.
+* :class:`DisseminationStage` — gets data envelopes to every other
+  member site, straight or down a spanning tree, one method deciding
+  which.  With ``IsisConfig.batch_window > 0`` it coalesces a group's
+  envelopes into one wire message (``g.batch``), flushed when the
+  window expires or ``BATCH_MAX_BYTES`` accumulate; with a zero window
+  every envelope is its own wire message, byte-for-byte what the
+  unbatched system sent.  The other stages reach the group's peers
+  through it too.
 * **Ordering** — :class:`CausalOrdering` (CBCAST: vector clocks,
   per-sender FIFO) and a pluggable total-order engine decide *when* a
   buffered envelope may be handed to the engine's delivery sink.  The
@@ -68,24 +70,44 @@ STABILITY_INTERVAL = 2.0
 # ----------------------------------------------------------------------
 # Dissemination
 # ----------------------------------------------------------------------
-class _BatchBuffer:
-    """Envelopes coalescing for one (group, destination site)."""
-
-    __slots__ = ("entries", "bytes", "timer")
-
-    def __init__(self) -> None:
-        self.entries: List[Tuple[Message, Promise]] = []
-        self.bytes = 0
-        self.timer: Optional[Timer] = None
+#: Wire protocol tag for a tree-relayed wrapper around a pipeline message.
+TREE_PROTO = "g.tr"
 
 
 class DisseminationStage:
-    """Fan-out of data envelopes, with optional wire-level batching.
+    """Gets a group's envelopes and notes to its other member sites.
 
-    One batch buffer per destination key serves both topologies: a
-    stage supplies only :meth:`_send_batch`, "put this batch on the wire
-    for that key".  What it sends it counts on ``kernel.counters``
-    (``batch.*``; the tree stage also ``tree.*``).
+    :meth:`_send` alone picks the route, ``IsisConfig.dissemination``:
+
+    * ``"flat"`` — one copy straight to every other member site.
+    * ``"tree"`` — instead of the origin paying O(n) wire messages per
+      multicast, it wraps the message in a ``g.tr`` wrapper and sends it
+      only to its ``tree_fanout`` children in the spanning tree rooted
+      at itself; interior sites relay the wrapper onward to *their*
+      children in the same origin-rooted tree and ingest the payload
+      locally (:meth:`on_relay`).  Every site therefore sends at most
+      ``fanout`` copies per multicast regardless of group size, at the
+      price of ``depth`` extra hops of latency.  A *wedged* origin sends
+      flat (``tree.flat_fallbacks``): its envelope's fate must not
+      depend on relays that may be wedged or reporting, and token stamps
+      flushed at wedge time must stay ahead of the flush begin on the
+      same FIFO channels.
+
+    With ``IsisConfig.batch_window > 0`` envelopes coalesce in one
+    buffer per group, flushed as one ``g.batch`` when the window expires
+    or ``BATCH_MAX_BYTES`` accumulate; with a zero window every envelope
+    is its own wire message.
+
+    Wrappers are deduplicated per ``(view, root, tid)`` — retransmits
+    and rotation overlaps drop at the first repeated hop — and wrappers
+    for a view not yet installed are held and replayed at install time,
+    exactly like pre-view data envelopes (a relay cannot forward along a
+    tree it cannot compute yet).  Relays keep forwarding while wedged —
+    forwarding is stateless and the payload is view-gated at every hop.
+    A relay that dies loses its subtree's copies only until the failure
+    detector fires: the view change's union cut and refill repair
+    exactly that hole.  What the stage sends it counts on
+    ``kernel.counters`` (``batch.*``, ``tree.*``).
     """
 
     def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
@@ -93,185 +115,15 @@ class DisseminationStage:
         self.pipeline = pipeline
         self.kernel = engine.kernel
         self._send_seq = 0
-        #: destination site -> coalescing buffer.
-        self._buffers: Dict[int, _BatchBuffer] = {}
-
-    def next_gseq(self) -> int:
-        self._send_seq += 1
-        return self._send_seq
-
-    def shutdown(self) -> None:
-        """Disarm batch timers; reject envelopes still waiting in them."""
-        for buf in self._buffers.values():
-            if buf.timer is not None:
-                buf.timer.cancel()
-                buf.timer = None
-            for _, promise in buf.entries:
-                if not promise.done:
-                    promise.reject(
-                        SiteDown(f"site {self.engine.site_id} is down"))
-        self._buffers.clear()
-
-    def fan_out(self, env: Message, sender_key: Optional[Address]) -> None:
-        """Send ``env`` to every remote member site of the current view."""
-        view = self.engine.view
-        assert view is not None
-        window = self.kernel.config.batch_window
-        for site in view.member_sites():
-            if site == self.engine.site_id:
-                continue
-            if window > 0:
-                promise = self._enqueue(site, env)
-            else:
-                promise = self.kernel.send_to_site(site, env)
-            if sender_key is not None:
-                self.kernel.note_outstanding(sender_key, promise)
-
-    # -- coalescing --------------------------------------------------------
-    def _enqueue(self, dst_site: int, env: Message) -> Promise:
-        buf = self._buffers.get(dst_site)
-        if buf is None:
-            buf = _BatchBuffer()
-            self._buffers[dst_site] = buf
-        promise = Promise(label=f"batched:{self.engine.gid}->{dst_site}")
-        buf.entries.append((env, promise))
-        buf.bytes += env.size_bytes
-        if buf.bytes >= BATCH_MAX_BYTES:
-            self._flush(dst_site)
-        elif buf.timer is None:
-            buf.timer = self.engine.sim.call_after(
-                self.kernel.config.batch_window, self._flush, dst_site)
-        return promise
-
-    def _flush(self, dst_site: int) -> None:
-        buf = self._buffers.pop(dst_site, None)
-        if buf is None or not buf.entries:
-            return
-        if buf.timer is not None:
-            buf.timer.cancel()
-        if not self.kernel.alive:
-            for _, entry_promise in buf.entries:
-                entry_promise.reject(
-                    SiteDown(f"site {self.engine.site_id} is down"))
-            return
-        envelopes = [env for env, _ in buf.entries]
-        self.kernel.counters.bump("batch.sent")
-        self.kernel.counters.bump("batch.envelopes", len(envelopes))
-        sends = self._send_batch(dst_site, envelopes)
-        if not sends:
-            for _, entry_promise in buf.entries:
-                entry_promise.resolve(None)
-            return
-        state = {"left": len(sends), "failed": None}
-
-        def settle(p: Promise) -> None:
-            if p.rejected and state["failed"] is None:
-                state["failed"] = p.exception
-            state["left"] -= 1
-            if state["left"] == 0:
-                for _, entry_promise in buf.entries:
-                    if state["failed"] is not None:
-                        entry_promise.reject(state["failed"])
-                    else:
-                        entry_promise.resolve(None)
-
-        for send in sends:
-            send.add_done_callback(settle)
-
-    def _send_batch(self, dst_site: int,
-                    envelopes: List[Message]) -> List[Promise]:
-        """Put one batch for ``dst_site`` on the wire: the send promises."""
-        batch = pack_batch(self.engine.gid, envelopes,
-                           self.pipeline.stability.piggyback())
-        return [self.kernel.send_to_site(dst_site, batch)]
-
-    def flush_all(self) -> None:
-        """Drain every coalescing buffer now (wedge / urgent points)."""
-        for dst_site in list(self._buffers):
-            self._flush(dst_site)
-
-    @property
-    def pending_batched(self) -> int:
-        return sum(len(buf.entries) for buf in self._buffers.values())
-
-    def on_new_view(self) -> None:
-        # Buffers were drained at wedge time; per-view sequence restarts.
-        self._send_seq = 0
-
-    # -- tree hooks (no-ops for the flat stage) ----------------------------
-    def tree_depth(self) -> int:
-        return 0
-
-    def tree(self) -> Optional[SpanningTree]:
-        return None
-
-    def broadcast_note(self, note: Message) -> int:
-        """Send a control note to every remote member site.
-
-        Returns the number of wire sends (the tree stage overrides this
-        to relay the note instead, so callers count actual sends).
-        """
-        view = self.engine.view
-        if view is None:
-            return 0
-        sent = 0
-        for site in view.member_sites():
-            if site != self.engine.site_id:
-                self.kernel.send_to_site(site, note)
-                sent += 1
-        return sent
-
-    def on_relay(self, src_site: int, record: tuple) -> None:
-        """A ``g.tr`` wrapper reached a flat-mode stage.
-
-        Dissemination mode is a cluster-wide configuration, so this only
-        happens under a misconfiguration; ingest the payload (parsed with
-        its wrapper) without forwarding so no data is lost.
-        """
-        _, _, _, root, _, inner = record
-        self.pipeline.receive(root, inner[0]["_proto"], inner)
-
-    def drain_pre_view_wrappers(self) -> None:
-        """Replay tree wrappers held for a view now installed (no-op)."""
-
-
-#: Wire protocol tag for a tree-relayed wrapper around a pipeline message.
-TREE_PROTO = "g.tr"
-
-
-class TreeDissemination(DisseminationStage):
-    """Hierarchical fan-out over per-origin rotated spanning trees.
-
-    ``IsisConfig.dissemination = "tree"``: instead of the origin paying
-    O(n) wire messages per multicast, it wraps the envelope (or batch,
-    or token stamp note) in a ``g.tr`` wrapper and sends it only to its
-    ``tree_fanout`` children in the spanning tree rooted at itself;
-    interior sites relay the wrapper onward to *their* children in the
-    same origin-rooted tree and ingest the payload locally.  Every site
-    therefore sends at most ``fanout`` copies per multicast regardless
-    of group size, at the price of ``depth`` extra hops of latency.
-
-    Wrappers are deduplicated per ``(view, root, tid)`` — retransmits
-    and rotation overlaps drop at the first repeated hop — and wrappers
-    for a view not yet installed are buffered and replayed at install
-    time, exactly like pre-view data envelopes (a relay cannot forward
-    along a tree it cannot compute yet).
-
-    Fallbacks keep the flush protocol sound: a *wedged* origin fans out
-    flat (its envelope's fate must not depend on relays that may be
-    wedged or reporting), and token stamps flushed at wedge time go flat
-    so they stay ahead of the flush begin on the same FIFO channels.
-    Relays keep forwarding while wedged — forwarding is stateless and
-    the payload is view-gated at every hop.  A relay that dies loses its
-    subtree's copies only until the failure detector fires: the view
-    change's union cut and refill repair exactly that hole.
-    """
-
-    #: Pseudo-destination key for the single tree batch buffer.
-    _TREE_DST = -1
-
-    def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
-        super().__init__(engine, pipeline)
+        self._tree_mode = self.kernel.config.dissemination == "tree"
+        #: The coalescing buffer: envelopes with their send promises.
+        self._batch: List[Tuple[Message, Promise]] = []
+        self._batch_bytes = 0
+        self._batch_timer: Optional[Timer] = None
+        #: The other member sites of view ``_peers_of`` (worked out once
+        #: a view, not once a send).
+        self._peers_of: Optional["View"] = None
+        self._peers: Tuple[int, ...] = ()
         self._tree: Optional[SpanningTree] = None
         self._tree_view = -1
         #: Wrapper id for trees rooted here (per view; dedup key).
@@ -283,11 +135,43 @@ class TreeDissemination(DisseminationStage):
         #: installed yet.
         self._pre_view_wrappers: List[Tuple[int, tuple]] = []
 
-    # -- the tree ----------------------------------------------------------
-    def tree(self) -> Optional[SpanningTree]:
-        """The spanning tree of the current view (rebuilt per view)."""
+    def next_gseq(self) -> int:
+        self._send_seq += 1
+        return self._send_seq
+
+    def shutdown(self) -> None:
+        """Disarm the batch timer; reject envelopes still waiting on it."""
+        if self._batch_timer is not None:
+            self._batch_timer.cancel()
+            self._batch_timer = None
+        self._reject(self._batch)
+        self._batch, self._batch_bytes = [], 0
+
+    def _reject(self, entries: List[Tuple[Message, Promise]]) -> None:
+        for _, promise in entries:
+            if not promise.done:
+                promise.reject(SiteDown(f"site {self.engine.site_id} is down"))
+
+    # -- where to ----------------------------------------------------------
+    def peers(self) -> Tuple[int, ...]:
+        """The other member sites of the installed view."""
         view = self.engine.view
-        if view is None:
+        if self._peers_of is not view:
+            self._peers_of = view
+            self._peers = () if view is None else tuple(
+                site for site in view.member_sites()
+                if site != self.engine.site_id)
+        return self._peers
+
+    def to_peers(self, msg: Message) -> List[Promise]:
+        """Send ``msg`` straight to every other member site."""
+        return [self.kernel.send_to_site(site, msg) for site in self.peers()]
+
+    def tree(self) -> Optional[SpanningTree]:
+        """The spanning tree of the current view (rebuilt per view);
+        None when flat."""
+        view = self.engine.view
+        if not self._tree_mode or view is None:
             return None
         if self._tree is None or self._tree_view != view.view_id:
             self._tree = SpanningTree(view.member_sites(),
@@ -296,34 +180,17 @@ class TreeDissemination(DisseminationStage):
         return self._tree
 
     def tree_depth(self) -> int:
-        tree = self.tree() if self.engine.view is not None else None
+        tree = self.tree()
         return 0 if tree is None else tree.depth()
 
-    def _wrap(self, inner: Message) -> Message:
-        self._tid += 1
-        return Message(_proto=TREE_PROTO, gid=self.engine.gid,
-                       view=self.engine.view.view_id,
-                       root=self.engine.site_id, tid=self._tid,
-                       inner=inner.encode())
-
-    # -- send path ---------------------------------------------------------
-    def fan_out(self, env: Message, sender_key: Optional[Address]) -> None:
-        view = self.engine.view
-        assert view is not None
-        if self.engine.wedged:
-            # Wedge-safe fallback: mid-flush, relays may be wedged or
-            # already reporting; flat fan-out keeps the envelope's fate
-            # in the sender's own hands (and in the flush's union cut).
+    def _send(self, msg: Message) -> List[Promise]:
+        """Put ``msg`` on its route to every other member site: the
+        send promises."""
+        if self._tree_mode:
+            if not self.engine.wedged:
+                return self._send_down(msg)
             self.kernel.counters.bump("tree.flat_fallbacks")
-            super().fan_out(env, sender_key)
-            return
-        if self.kernel.config.batch_window > 0:
-            promises = [self._enqueue(self._TREE_DST, env)]
-        else:
-            promises = self._send_down(env)
-        if sender_key is not None:
-            for promise in promises:
-                self.kernel.note_outstanding(sender_key, promise)
+        return self.to_peers(msg)
 
     def _send_down(self, inner: Message) -> List[Promise]:
         """Wrap ``inner`` and send it to our children in our own tree."""
@@ -332,36 +199,82 @@ class TreeDissemination(DisseminationStage):
         children = [] if tree is None else tree.children(me, me)
         if not children:
             return []
-        wrapped = self._wrap(inner)
+        self._tid += 1
+        wrapped = Message(_proto=TREE_PROTO, gid=self.engine.gid,
+                          view=self.engine.view.view_id, root=me,
+                          tid=self._tid, inner=inner.encode())
         return [self.kernel.send_to_site(site, wrapped) for site in children]
 
-    def _send_batch(self, dst_site: int,
-                    envelopes: List[Message]) -> List[Promise]:
-        if dst_site != self._TREE_DST:
-            # A flat-fallback per-peer buffer.
-            return super()._send_batch(dst_site, envelopes)
-        # One batch serves every subtree destination: it carries no
-        # ``stab`` (see :meth:`StabilityStage.piggyback`).
-        batch = pack_batch(self.engine.gid, envelopes)
-        if not self.engine.wedged:
-            return self._send_down(batch)
-        self.kernel.counters.bump("tree.flat_fallbacks")
-        view = self.engine.view
-        if view is None:
-            return []
-        return [self.kernel.send_to_site(site, batch)
-                for site in view.member_sites()
-                if site != self.engine.site_id]
+    # -- send path ---------------------------------------------------------
+    def fan_out(self, env: Message, sender_key: Optional[Address]) -> None:
+        """Send ``env`` to every other member site of the current view."""
+        if not self.peers():
+            return
+        if self.kernel.config.batch_window > 0:
+            promises = [self._enqueue(env)]
+        else:
+            promises = self._send(env)
+        if sender_key is not None:
+            for promise in promises:
+                self.kernel.note_outstanding(sender_key, promise)
 
     def broadcast_note(self, note: Message) -> int:
-        """Relay a control note (token stamps) down our own tree."""
-        if self.engine.wedged or self.engine.view is None:
-            # Stamps flushed at wedge time must stay ahead of the flush
-            # begin on the same FIFO channels; an interior relay hop
-            # would let the begin overtake them.
-            self.kernel.counters.bump("tree.flat_fallbacks")
-            return super().broadcast_note(note)
-        return len(self._send_down(note))
+        """Send a control note (token stamps) on the data's route: the
+        number of wire sends."""
+        return len(self._send(note))
+
+    # -- coalescing --------------------------------------------------------
+    def _enqueue(self, env: Message) -> Promise:
+        promise = Promise(label=f"batched:{self.engine.gid}")
+        self._batch.append((env, promise))
+        self._batch_bytes += env.size_bytes
+        if self._batch_bytes >= BATCH_MAX_BYTES:
+            self.flush_batch()
+        elif self._batch_timer is None:
+            self._batch_timer = self.engine.sim.call_after(
+                self.kernel.config.batch_window, self.flush_batch)
+        return promise
+
+    def flush_batch(self) -> None:
+        """Send the coalescing buffer now (window, size cap or wedge)."""
+        entries = self._batch
+        if self._batch_timer is not None:
+            self._batch_timer.cancel()
+            self._batch_timer = None
+        if not entries:
+            return
+        self._batch, self._batch_bytes = [], 0
+        if not self.kernel.alive:
+            self._reject(entries)
+            return
+        envelopes = [env for env, _ in entries]
+        self.kernel.counters.bump("batch.sent")
+        self.kernel.counters.bump("batch.envelopes", len(envelopes))
+        sends = self._send(pack_batch(self.engine.gid, envelopes,
+                                      self.pipeline.stability.piggyback()))
+        if not sends:
+            for _, entry_promise in entries:
+                entry_promise.resolve(None)
+            return
+        state = {"left": len(sends), "failed": None}
+
+        def settle(p: Promise) -> None:
+            if p.rejected and state["failed"] is None:
+                state["failed"] = p.exception
+            state["left"] -= 1
+            if state["left"] == 0:
+                for _, entry_promise in entries:
+                    if state["failed"] is not None:
+                        entry_promise.reject(state["failed"])
+                    else:
+                        entry_promise.resolve(None)
+
+        for send in sends:
+            send.add_done_callback(settle)
+
+    @property
+    def pending_batched(self) -> int:
+        return len(self._batch)
 
     # -- relay path --------------------------------------------------------
     def on_relay(self, src_site: int, record: tuple) -> None:
@@ -411,12 +324,9 @@ class TreeDissemination(DisseminationStage):
             self.pipeline.receive(record[3], TREE_PROTO, record)
 
     def on_new_view(self) -> None:
-        super().on_new_view()
+        # The buffer was drained at wedge time; per-view sequence restarts.
+        self._send_seq = 0
         self._tid = 0
-        self._seen.clear()
-        self._seen_view = -1
-        self._tree = None
-        self._tree_view = -1
 
 
 # ----------------------------------------------------------------------
@@ -524,10 +434,6 @@ class StabilityStage:
         self._peer_have: Dict[int, Dict[int, int]] = {}
         #: Peer site -> best-known ABCAST delivery floor.
         self._peer_floor: Dict[int, Tuple[int, int]] = {}
-        #: The other member sites of view ``_peers_of`` (worked out once
-        #: a view, not once a trim).
-        self._peers_of: Optional["View"] = None
-        self._peers: Tuple[int, ...] = ()
         #: Flat: every site also tells every peer its own state — on data
         #: (with ``piggyback_stability``) and by ``g.stab.a`` — and the
         #: trim and the group floor read that; a tree has only the wave.
@@ -546,15 +452,6 @@ class StabilityStage:
         self._dn_last: Optional[Tuple] = None
         #: Group-wide min delivery floor per the last cut that named one.
         self._cut_floor: Tuple[int, int] = (0, 0)
-
-    def _peer_sites(self) -> Tuple[int, ...]:
-        """The other member sites of the installed view."""
-        view = self.engine.view
-        if self._peers_of is not view:
-            self._peers_of = view
-            self._peers = tuple(site for site in view.member_sites()
-                                if site != self.engine.site_id)
-        return self._peers
 
     def _collection_tree(self) -> SpanningTree:
         """The tree the wave climbs in the installed view: the
@@ -648,7 +545,7 @@ class StabilityStage:
             # No per-peer floors: the aggregated minimum of the last
             # complete wave plays the same role.
             return min(floor, self._cut_floor)
-        for site in self._peer_sites():
+        for site in self.pipeline.dissemination.peers():
             floor = min(floor, self._peer_floor.get(site, (0, 0)))
         return floor
 
@@ -665,7 +562,8 @@ class StabilityStage:
             return
         if engine.store.buffered_count == 0:
             return
-        vectors = [self._peer_have.get(site) for site in self._peer_sites()]
+        vectors = [self._peer_have.get(site)
+                   for site in self.pipeline.dissemination.peers()]
         if None in vectors:
             return  # someone's reception state is still unknown
         stable: Dict[int, int] = {}
@@ -714,8 +612,7 @@ class StabilityStage:
         note = self._note("g.stab.a", engine.delivery_floor,
                           engine.store.have_vector())
         engine.sim.trace.bump("stability.announcements")
-        for site in self._peer_sites():
-            self.kernel.send_to_site(site, note)
+        self.pipeline.dissemination.to_peers(note)
 
     def on_announce(self, src_site: int, record: tuple) -> None:
         """A peer's ``g.stab.a``."""
@@ -925,14 +822,10 @@ class DeliveryPipeline:
     def __init__(self, engine: "GroupEngine"):
         self.engine = engine
         dmode = engine.kernel.config.dissemination
-        if dmode == "tree":
-            self.dissemination: DisseminationStage = TreeDissemination(
-                engine, self)
-        elif dmode == "flat":
-            self.dissemination = DisseminationStage(engine, self)
-        else:
+        if dmode not in ("flat", "tree"):
             raise GroupError(f"unknown dissemination {dmode!r} "
                              "(expected 'flat' or 'tree')")
+        self.dissemination = DisseminationStage(engine, self)
         self.causal = CausalOrdering(engine, self)
         self.total = make_ordering(
             engine.kernel.config.abcast_mode, engine, self)
@@ -1058,7 +951,7 @@ class DeliveryPipeline:
     def on_wedge(self) -> None:
         """Flush in progress: push buffered batches and stamps out ahead
         of the reports."""
-        self.dissemination.flush_all()
+        self.dissemination.flush_batch()
         self.total.on_wedge()
 
     def on_new_view(self) -> None:

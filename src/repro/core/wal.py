@@ -74,6 +74,10 @@ _LOG_PREFIX = "wal/g/"
 _CK_PREFIX = "wal/ck/"
 _NAME_PREFIX = "wal/name/"
 
+#: Minimum deliveries since the last checkpoint before a stability trim
+#: opportunistically checkpoints too (:meth:`WalManager.note_stable_trim`).
+WAL_TRIM_MIN = 16
+
 
 # ----------------------------------------------------------------------
 # Record codec
@@ -505,7 +509,7 @@ class WalManager:
         if gw is None or not gw.armed:
             return
         since_ck = gw.delivered_total - gw.ck_total
-        if since_ck >= self.kernel.config.wal_trim_min:
+        if since_ck >= WAL_TRIM_MIN:
             self._schedule_checkpoint(gw, engine)
 
     # ------------------------------------------------------------------

@@ -40,10 +40,6 @@ class NetworkError(IsisError):
     """Transport-level failure (e.g. destination site is down)."""
 
 
-class ProcessDown(IsisError):
-    """The destination process has failed (and this was observed)."""
-
-
 class SiteDown(NetworkError):
     """The destination site has failed (and this was observed)."""
 
@@ -54,10 +50,6 @@ class GroupError(IsisError):
 
 class NoSuchGroup(GroupError):
     """Symbolic name lookup failed or the group no longer exists."""
-
-
-class NotAMember(GroupError):
-    """The calling process is not a member of the group it addressed."""
 
 
 class JoinRefused(GroupError):

@@ -313,10 +313,6 @@ class TcpBulk:
     def alive(self) -> bool:
         return self._alive
 
-    def outstanding_tasks(self) -> int:
-        """Worker tasks not yet finished (teardown audit)."""
-        return len(self._tasks)
-
 
 class TcpBulkStream:
     """Client side of one bulk connection; sequential chunk sends.

@@ -29,14 +29,8 @@ class EntryTable:
             raise IsisError(f"handler for entry {entry} is not callable")
         self._handlers[entry] = handler
 
-    def unbind(self, entry: int) -> None:
-        self._handlers.pop(entry, None)
-
     def lookup(self, entry: int) -> Optional[Callable]:
         return self._handlers.get(entry)
-
-    def bound_entries(self) -> list[int]:
-        return sorted(self._handlers)
 
     @staticmethod
     def spawns_task(handler: Callable) -> bool:

@@ -177,11 +177,3 @@ class StableStore:
         for op in pending:
             op.lost = True
         self.sim.trace.bump("stable.lost_unsynced", len(pending))
-
-    def wipe(self) -> None:
-        """Erase the disk (tests only — real crashes never do this)."""
-        self._blobs.clear()
-        self._logs.clear()
-        for op in self._pending:
-            op.lost = True
-        self._pending = []

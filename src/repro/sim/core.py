@@ -193,10 +193,6 @@ class Simulator:
             self._running = False
         return executed
 
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
-        """Run until no events remain (heartbeats excluded by callers)."""
-        return self.run(max_events=max_events)
-
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) heap entries; for tests/debugging."""

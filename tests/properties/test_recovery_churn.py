@@ -22,6 +22,7 @@ import json
 
 import pytest
 
+from repro.core import wal as wal_mod
 from repro.core.bootstrap import IsisCluster
 from repro.core.groups import Isis
 from repro.core.kernel import IsisConfig
@@ -39,8 +40,14 @@ def make_config(abcast_mode, durable):
         abcast_mode=abcast_mode,
         durability=durable,
         wal_checkpoint_every=12,
-        wal_trim_min=6,
     )
+
+
+@pytest.fixture
+def trim_checkpoints_early(monkeypatch):
+    """A stability trim checkpoints after 6 deliveries, not 16: the
+    short runs of the ``make_config`` tests cross several checkpoints."""
+    monkeypatch.setattr(wal_mod, "WAL_TRIM_MIN", 6)
 
 
 def attach(system, site_id, deliveries, name="app"):
@@ -74,6 +81,7 @@ def crash_consistent_prefix_of(replayed, reference):
 
 @pytest.mark.parametrize("abcast_mode", ENGINE_GRID)
 @pytest.mark.parametrize("kind", ["cbcast", "abcast"])
+@pytest.mark.usefixtures("trim_checkpoints_early")
 def test_durability_is_trajectory_neutral(abcast_mode, kind):
     def run(durable):
         system = IsisCluster(
@@ -103,6 +111,7 @@ def test_durability_is_trajectory_neutral(abcast_mode, kind):
 
 
 @pytest.mark.parametrize("abcast_mode", ENGINE_GRID)
+@pytest.mark.usefixtures("trim_checkpoints_early")
 def test_crash_replay_rejoin_converges(abcast_mode):
     system = IsisCluster(
         n_sites=4, seed=202,
@@ -201,6 +210,7 @@ def test_large_wal_suffix_arrives_as_chunks():
 
 
 @pytest.mark.parametrize("abcast_mode", ENGINE_GRID)
+@pytest.mark.usefixtures("trim_checkpoints_early")
 def test_kill_all_restart_all_elects_one_restarter(abcast_mode):
     system = IsisCluster(
         n_sites=3, seed=303,

@@ -122,6 +122,68 @@ class TestBatchingWireBehavior:
         assert [m for m in deliveries[1]] == ["pre-join"]
         assert system.kernel(0).stats()["batch_pending"] == 0
 
+    def test_one_buffer_serves_every_peer(self, monkeypatch):
+        """Flat, an envelope is packed once however many peers there are,
+        and every peer gets every batch."""
+        received = {site: 0 for site in range(4)}
+        ingest = pipeline_mod.DeliveryPipeline.ingest_batch
+
+        def counted(pipeline, src_site, record):
+            received[pipeline.engine.site_id] += 1
+            ingest(pipeline, src_site, record)
+
+        monkeypatch.setattr(pipeline_mod.DeliveryPipeline, "ingest_batch",
+                            counted)
+        system, members, deliveries = _two_member_group(
+            IsisConfig(batch_window=0.010), n_sites=4)
+        _burst(system, members, 0, 10)
+        system.run_for(20.0)
+        stats = system.kernel(0).stats()
+        assert stats["envelopes_batched"] == 40
+        assert 0 < stats["batches_sent"] < 40
+        assert received == {0: 0, 1: stats["batches_sent"],
+                            2: stats["batches_sent"],
+                            3: stats["batches_sent"]}
+        assert all(len(deliveries[s]) == 40 for s in range(4))
+
+    def test_tree_batches_relay_and_fall_back_flat_when_wedged(self):
+        """Tree mode: a batch goes down the sender's tree; one still
+        buffered when a join wedges the group goes flat, and every
+        member delivers every envelope once."""
+        config = IsisConfig(dissemination="tree", tree_fanout=2,
+                            batch_window=5.0)
+        system, members, deliveries = _two_member_group(config, n_sites=4)
+        trace = system.sim.trace
+        _burst(system, members, 0, 3)
+        system.run_for(10.0)                # the window expires
+        assert trace.value("tree.relayed") > 0
+        assert trace.value("tree.flat_fallbacks") == 0
+        assert all(len(deliveries[s]) == 12 for s in range(4))
+
+        def burst():
+            gid = yield members[0][1].pg_lookup("pipe")
+            for i in range(5):
+                yield members[0][1].cbcast(gid, 16, tag=f"w.{i}")
+
+        members[0][0].spawn(burst(), "burst")
+        system.run_for(1.0)                 # buffered, window far away
+        assert system.kernel(0).stats()["batch_pending"] == 5
+        late, late_isis = system.spawn(2, "late")
+        late.bind(16, lambda msg: None)
+
+        def join():
+            gid = yield late_isis.pg_lookup("pipe")
+            yield late_isis.pg_join(gid)
+
+        late.spawn(join(), "join")
+        system.run_for(30.0)
+        assert trace.value("tree.flat_fallbacks") > 0
+        assert system.kernel(0).stats()["batch_pending"] == 0
+        for site in range(4):
+            tags = deliveries[site]
+            assert len(tags) == len(set(tags)) == 17
+            assert {f"w.{i}" for i in range(5)} <= set(tags)
+
 
 class TestPiggybackedStability:
     def test_trim_advances_without_rounds(self, monkeypatch):

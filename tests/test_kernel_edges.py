@@ -23,7 +23,7 @@ CONFIG_FIELDS = {
     IsisConfig: [
         "abcast_mode", "batch_window", "dissemination", "durability",
         "gbcast_batching", "heartbeat", "membership", "piggyback_stability",
-        "siteview", "tree_fanout", "wal_checkpoint_every", "wal_trim_min"],
+        "siteview", "tree_fanout", "wal_checkpoint_every"],
     HeartbeatConfig: [
         "interval", "max_timeout", "min_timeout", "nstddev",
         "tick_bucket_size"],
@@ -45,7 +45,8 @@ RETIRED = {
         "fast_flush", "flush_prereport_grace", "flush_okb_window",
         "transfer_chunk_bytes", "bulk_threshold", "stability_interval",
         "join_retry", "transfer_retry", "fwd_retries", "fwd_timeout",
-        "local_delivery_cpu", "batch_max_bytes", "stab_announce_every"],
+        "local_delivery_cpu", "batch_max_bytes", "stab_announce_every",
+        "wal_trim_min"],
     LanConfig: ["hw_multicast", "ack_delay"],
     UdpConfig: ["ack_delay", "coalesce", "reorder_delay"],
 }
