@@ -325,7 +325,10 @@ class GroupEngine:
             already = {
                 r for reason2 in self._reasons for r in reason2.removals
             }
-            new = tuple(r for r in reason.removals if r not in already)
+            # A late duplicate of a removal already installed is dropped
+            # too: it would run an empty flush.
+            new = tuple(r for r in reason.removals if r not in already
+                        and self.view is not None and self.view.contains(r))
             if not new:
                 return
             reason.removals = new

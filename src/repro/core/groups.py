@@ -203,13 +203,6 @@ class Isis:
         """Register a state-transfer segment (tools do this automatically)."""
         self.process.xfer_segments[segment] = (encoder, decoder)
 
-    def my_address(self) -> Address:
-        return self.process.address.process()
-
-    def my_rank(self, view: View) -> int:
-        """This process's age rank in ``view`` (-1 if not a member)."""
-        return view.rank_of(self.process.address)
-
 
 def toolkit(process: IsisProcess) -> Isis:
     """Convenience constructor mirroring 'linking against the toolkit'."""

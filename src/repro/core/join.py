@@ -300,6 +300,10 @@ class Joins:
                 self._hints.pop((gid, joiner.process()), None)
         for member in removed:
             self._abort_state_stream(gid, member.process())
+        # A leave the old coordinator took down with it: ask the new one.
+        for leave_gid, member in list(self._leave_waiters):
+            if leave_gid == gid and engine.view.contains(member):
+                self._ask_to_leave(engine, member)
 
     # -- state transfer: the source side -----------------------------------
     def _send_state(self, engine: "GroupEngine", source: Address,
@@ -518,7 +522,13 @@ class Joins:
             wal.absorb_suffix(gid, records, process)
             self.counters.bump("recovery.rejoins")
         else:
-            apply_segments(process, segments)
+            try:
+                apply_segments(process, segments)
+            except CodecError:
+                # A segment its decoder refuses: the join's re-request
+                # loop fetches the state again.
+                self.sim.trace.bump("state_transfer.bad_stream")
+                return
         engine = self.kernel.engines.get(gid.process())
         view = engine.view if engine is not None else None
         if view is not None:
@@ -547,13 +557,17 @@ class Joins:
             promise.resolve(None)
             return promise
         self._leave_waiters[(key, member)] = promise
+        self._ask_to_leave(engine, member)
+        return promise
+
+    def _ask_to_leave(self, engine: "GroupEngine", member: Address) -> None:
+        """Ask the view's coordinator to remove ``member``."""
         if engine.is_coordinator_site():
             engine.enqueue_reason(FlushReason(kind="remove",
                                               removals=(member,)))
         else:
             self.kernel.send_to_site(engine.view.coordinator().site, Message(
-                _proto="g.leave", gid=key, member=member))
-        return promise
+                _proto="g.leave", gid=engine.gid, member=member))
 
     def _on_leave_request(self, src_site: int, record: tuple) -> None:
         msg, gid, member = record

@@ -24,10 +24,6 @@ class TaskKilled(BaseException):
     """
 
 
-class SimTimeout(IsisError):
-    """A blocking operation exceeded its deadline."""
-
-
 class CodecError(IsisError):
     """A message or address could not be encoded or decoded."""
 

@@ -540,15 +540,3 @@ def unpack_batch(msg: Message) -> "tuple[List[Message], Optional[Stab]]":
     return ([Message.decode(raw) for raw in msg["envs"]],
             decode_stab(msg["stab"]) if "stab" in msg else None)
 
-
-def system_copy(msg: Message) -> Message:
-    """Copy carrying only the *user* fields (drops routing state).
-
-    Used when re-wrapping a payload for a new send: system fields must be
-    re-stamped by the kernel, never inherited.
-    """
-    out = Message()
-    for name, value in msg._fields.items():
-        if not name.startswith("_"):
-            out[name] = value
-    return out

@@ -3,8 +3,7 @@
 from .core import Simulator, Timer
 from .cpu import Cpu, CpuMeter
 from .rand import RngRegistry, derive_seed
-from .sync import Channel, Gate, Lock
-from .tasks import Promise, Task, all_of, any_of, sleep, spawn, with_timeout
+from .tasks import Promise, Task, all_of, sleep, spawn
 from .trace import Trace
 
 __all__ = [
@@ -14,15 +13,10 @@ __all__ = [
     "CpuMeter",
     "RngRegistry",
     "derive_seed",
-    "Channel",
-    "Gate",
-    "Lock",
     "Promise",
     "Task",
     "all_of",
-    "any_of",
     "sleep",
     "spawn",
-    "with_timeout",
     "Trace",
 ]

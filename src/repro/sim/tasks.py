@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from ..errors import SimTimeout, SimulationError, TaskKilled
+from ..errors import SimulationError, TaskKilled
 from .core import Simulator
 
 _PENDING = "pending"
@@ -243,46 +243,4 @@ def all_of(promises: Iterable[Promise], label: str = "all_of") -> Promise:
 
     for i, p in enumerate(plist):
         arm(i, p)
-    return out
-
-
-def any_of(promises: Iterable[Promise], label: str = "any_of") -> Promise:
-    """Resolve with ``(index, value)`` of the first promise to resolve."""
-    plist = list(promises)
-    out = Promise(label=label)
-    if not plist:
-        raise SimulationError("any_of() of no promises")
-
-    def arm(index: int, promise: Promise) -> None:
-        def on_done(p: Promise) -> None:
-            if out.done:
-                return
-            if p.rejected:
-                out.reject(p.exception)  # type: ignore[arg-type]
-            else:
-                out.resolve((index, p._value))
-
-        promise.add_done_callback(on_done)
-
-    for i, p in enumerate(plist):
-        arm(i, p)
-    return out
-
-
-def with_timeout(sim: Simulator, promise: Promise, delay: float) -> Promise:
-    """Mirror ``promise`` but reject with :class:`SimTimeout` after ``delay``."""
-    out = Promise(label=f"timeout({promise.label})")
-    timer = sim.call_after(
-        delay, lambda: out.reject(SimTimeout(f"{promise.label or 'operation'}"
-                                             f" timed out after {delay}s"))
-    )
-
-    def on_done(p: Promise) -> None:
-        timer.cancel()
-        if p.rejected:
-            out.reject(p.exception)  # type: ignore[arg-type]
-        else:
-            out.resolve(p._value)
-
-    promise.add_done_callback(on_done)
     return out

@@ -30,6 +30,7 @@ from ..msg.address import Address
 from ..msg.message import Message
 from ..sim.tasks import Promise
 from .entries import BB_POST_ENTRY
+from .transfer import register_state
 
 
 class Posting:
@@ -59,7 +60,7 @@ class BulletinBoard:
         self._seq = 0
         self._watchers: Dict[str, List[Callable[[Posting], None]]] = {}
         isis.process.bind(BB_POST_ENTRY, self._on_post)
-        isis.register_transfer(f"bb:{gid}", self._encode, self._decode)
+        register_state(isis, f"bb:{gid}", self._snapshot, self._restore)
 
     # ------------------------------------------------------------------
     # Posting
@@ -77,17 +78,17 @@ class BulletinBoard:
                                 board=board, subject=subject, body=body)
 
     def _on_post(self, msg: Message) -> None:
-        self._seq += 1
-        posting = Posting(
-            board=msg["board"],
-            author=msg.sender,
-            subject=msg["subject"],
-            body=msg["body"],
-            seq=self._seq,
-        )
-        self._boards.setdefault(posting.board, []).append(posting)
+        posting = self._add(msg["board"], msg.sender, msg["subject"],
+                            msg["body"])
         for watcher in self._watchers.get(posting.board, []):
             watcher(posting)
+
+    def _add(self, board: str, author: Optional[Address], subject: str,
+             body: Any) -> Posting:
+        self._seq += 1
+        posting = Posting(board, author, subject, body, self._seq)
+        self._boards.setdefault(board, []).append(posting)
+        return posting
 
     # ------------------------------------------------------------------
     # Reading (local: "no cost", the point of the tool)
@@ -115,24 +116,16 @@ class BulletinBoard:
     # ------------------------------------------------------------------
     # State transfer
     # ------------------------------------------------------------------
-    def _encode(self) -> List[bytes]:
-        rows = []
-        for board, postings in sorted(self._boards.items()):
-            for p in postings:
-                author = p.author.pack().hex() if p.author else ""
-                rows.append(f"{board}\x1f{author}\x1f{p.subject}\x1f{p.body}")
-        return ["\x1e".join(rows).encode("utf-8")]
+    def _snapshot(self) -> List[list]:
+        """Every posting, in our delivery order: ``[board, author,
+        subject, body]``."""
+        postings = sorted((p for ps in self._boards.values() for p in ps),
+                          key=lambda p: p.seq)
+        return [[p.board, p.author, p.subject, p.body] for p in postings]
 
-    def _decode(self, blocks: List[bytes]) -> None:
-        blob = b"".join(blocks).decode("utf-8")
+    def _restore(self, rows: List[list]) -> None:
+        """Install a snapshot, numbering its postings 1, 2, ... again."""
         self._boards = {}
         self._seq = 0
-        if not blob:
-            return
-        for row in blob.split("\x1e"):
-            board, author_hex, subject, body = row.split("\x1f", 3)
-            self._seq += 1
-            author = (Address.unpack(bytes.fromhex(author_hex))
-                      if author_hex else None)
-            self._boards.setdefault(board, []).append(
-                Posting(board, author, subject, body, self._seq))
+        for board, author, subject, body in rows:
+            self._add(board, author, subject, body)

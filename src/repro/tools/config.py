@@ -14,7 +14,6 @@ a state-transfer segment, so joiners arrive with the current values.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.groups import Isis
@@ -22,6 +21,7 @@ from ..msg.address import Address
 from ..msg.message import Message
 from ..sim.tasks import Promise
 from .entries import CONFIG_ENTRY
+from .transfer import register_state
 
 
 class ConfigTool:
@@ -34,8 +34,7 @@ class ConfigTool:
         self._version = 0
         self._watchers: List[Callable[[str, Any], None]] = []
         isis.process.bind(CONFIG_ENTRY, self._on_update)
-        isis.register_transfer(
-            f"config:{gid}", self._encode_state, self._decode_state)
+        register_state(isis, f"config:{gid}", self._state, self._restore)
 
     # -- API ----------------------------------------------------------------
     def update(self, item: str, value: Any, nwant: int = 0) -> Promise:
@@ -71,15 +70,9 @@ class ConfigTool:
             watcher(item, value)
 
     # -- state transfer ------------------------------------------------------------
-    def _encode_state(self) -> List[bytes]:
-        payload = json.dumps(
-            {"version": self._version,
-             "config": {k: v for k, v in self._config.items()}},
-            default=str,
-        ).encode("utf-8")
-        return [payload]
+    def _state(self) -> list:
+        return [self._version, self._config]
 
-    def _decode_state(self, blocks: List[bytes]) -> None:
-        data = json.loads(b"".join(blocks).decode("utf-8"))
-        self._config = dict(data["config"])
-        self._version = data["version"]
+    def _restore(self, state: list) -> None:
+        self._version, config = state
+        self._config = dict(config)

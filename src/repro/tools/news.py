@@ -22,6 +22,7 @@ from ..msg.address import Address
 from ..msg.message import Message
 from ..sim.tasks import Promise
 from .entries import NEWS_CTL_ENTRY, NEWS_DELIVERY_ENTRY, NEWS_POST_ENTRY
+from .transfer import register_state
 
 NEWS_GROUP = "@news"
 
@@ -47,7 +48,7 @@ class NewsServer:
         self._post_seq = 0
         isis.process.bind(NEWS_POST_ENTRY, self._on_post)
         isis.process.bind(NEWS_CTL_ENTRY, self._on_control)
-        isis.register_transfer("news", self._encode, self._decode)
+        register_state(isis, "news", self._snapshot, self._restore)
 
     # -- replicated operations (delivered in the same order everywhere) --
     def _on_control(self, msg: Message) -> None:
@@ -104,21 +105,15 @@ class NewsServer:
             kernel.send_to_site(subscriber.site, note)
 
     # -- state transfer --------------------------------------------------
-    def _encode(self) -> List[bytes]:
-        rows = []
-        for subject, subs in sorted(self._subscribers.items()):
-            packed = ",".join(s.pack().hex() for s in subs)
-            rows.append(f"{subject}|{packed}")
-        return ["\n".join(rows).encode("utf-8")]
+    def _snapshot(self) -> list:
+        # The post counter travels too: a joiner that outlives us must
+        # number the next post past the ones subscribers already have.
+        return [self._post_seq, self._subscribers]
 
-    def _decode(self, blocks: List[bytes]) -> None:
-        self._subscribers = {}
-        for row in b"".join(blocks).decode("utf-8").splitlines():
-            subject, packed = row.split("|")
-            self._subscribers[subject] = [
-                Address.unpack(bytes.fromhex(p))
-                for p in packed.split(",") if p
-            ]
+    def _restore(self, state: list) -> None:
+        self._post_seq, subscribers = state
+        self._subscribers = {subject: list(subs)
+                             for subject, subs in subscribers.items()}
 
 
 class NewsClient:

@@ -34,6 +34,7 @@ from ..msg.address import Address
 from ..msg.message import Message
 from ..sim.core import Simulator, Timer
 from ..sim.tasks import Promise
+from .transfer import register_state
 
 SENSOR_ENTRY = 249
 
@@ -129,8 +130,8 @@ class RealTimeTool:
         self._readings: Dict[str, List[Tuple[float, Any]]] = {}
         isis.process.bind(SENSOR_ENTRY, self._on_reading)
         if gid is not None:
-            isis.register_transfer(
-                f"rt:{gid}", self._encode, self._decode)
+            register_state(isis, f"rt:{gid}", lambda: self._readings,
+                           self._restore)
 
     # ------------------------------------------------------------------
     # Time and scheduling
@@ -202,23 +203,9 @@ class RealTimeTool:
     # ------------------------------------------------------------------
     # State transfer
     # ------------------------------------------------------------------
-    def _encode(self) -> List[bytes]:
-        rows = []
-        for sensor, readings in sorted(self._readings.items()):
-            for ts, value in readings:
-                rows.append(f"{sensor}\x1f{ts!r}\x1f{value!r}")
-        return ["\x1e".join(rows).encode("utf-8")]
-
-    def _decode(self, blocks: List[bytes]) -> None:
-        import ast
-        blob = b"".join(blocks).decode("utf-8")
-        self._readings = {}
-        if not blob:
-            return
-        for row in blob.split("\x1e"):
-            sensor, ts, value = row.split("\x1f")
-            self._store(sensor, float(ast.literal_eval(ts)),
-                        ast.literal_eval(value))
+    def _restore(self, readings: Dict[str, list]) -> None:
+        self._readings = {sensor: [(ts, value) for ts, value in rows]
+                          for sensor, rows in readings.items()}
 
 
 def install_clocks(system, max_offset: float = 0.5,

@@ -17,8 +17,7 @@ storage with periodic checkpoints, enabling reload after total failure.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..core.engine import ABCAST, CBCAST
 from ..core.groups import Isis
@@ -27,6 +26,7 @@ from ..msg.address import Address
 from ..msg.message import Message
 from ..sim.tasks import Promise
 from .entries import REPL_READ_ENTRY, REPL_UPDATE_ENTRY
+from .transfer import decode_state, encode_state, register_state
 
 #: Checkpoint when the log grows past this many records (§3.6: "create a
 #: checkpoint if the log gets long").
@@ -64,8 +64,8 @@ class ReplicatedData:
         self._early_applied: set = set()
         isis.process.bind(REPL_UPDATE_ENTRY, self._on_update)
         isis.process.bind(REPL_READ_ENTRY, self._on_read)
-        isis.register_transfer(
-            f"repl:{name}", self._encode_state, self._decode_state)
+        register_state(isis, f"repl:{name}", lambda: self.items,
+                       self._restore)
 
     # ------------------------------------------------------------------
     # Client API
@@ -202,8 +202,7 @@ class ReplicatedData:
 
     def _checkpoint(self, store):
         self.isis.sim.trace.bump("tool.repl_checkpoints")
-        blob = json.dumps(self.items, default=str).encode("utf-8")
-        yield store.write(f"{self._log_name}/ckpt", blob)
+        yield store.write(f"{self._log_name}/ckpt", encode_state(self.items))
         store.truncate_log(self._log_name, keep_from=store.log_length(
             self._log_name))
 
@@ -216,7 +215,7 @@ class ReplicatedData:
         store = self.isis.process.site.stable
         ckpt = store.read(f"{self._log_name}/ckpt")
         if ckpt is not None:
-            self.items = dict(json.loads(ckpt.decode("utf-8")))
+            self._restore(decode_state(ckpt))
         replayed = 0
         for record in store.read_log(self._log_name):
             self._apply_update(self.items, Message.decode(record))
@@ -227,13 +226,5 @@ class ReplicatedData:
     # ------------------------------------------------------------------
     # State transfer
     # ------------------------------------------------------------------
-    def _encode_state(self) -> List[bytes]:
-        """Carve the items into blocks (§3.6: 'chunks of variable size')."""
-        blob = json.dumps(self.items, default=str).encode("utf-8")
-        block = 8192
-        return [blob[i:i + block] for i in range(0, max(len(blob), 1), block)]
-
-    def _decode_state(self, blocks: List[bytes]) -> None:
-        blob = b"".join(blocks)
-        if blob:
-            self.items = dict(json.loads(blob.decode("utf-8")))
+    def _restore(self, items: Dict[str, Any]) -> None:
+        self.items = dict(items)

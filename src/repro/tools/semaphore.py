@@ -28,19 +28,16 @@ from ..msg.message import Message
 from ..sim.tasks import Promise
 from ..core.view import View
 from .entries import SEM_ENTRY
+from .transfer import register_state
 
 
 class _SemState:
     __slots__ = ("holder", "queue")
 
     def __init__(self) -> None:
-        self.holder: Optional[Tuple[str, Message]] = None  # (key, request)
-        self.queue: List[Tuple[str, Message]] = []
-
-
-def _requester_key(msg: Message) -> str:
-    sender = msg.get("_sender")
-    return sender.pack().hex() if sender is not None else "?"
+        #: (requester, request): the requester is the request's sender.
+        self.holder: Optional[Tuple[Address, Message]] = None
+        self.queue: List[Tuple[Address, Message]] = []
 
 
 class SemaphoreManager:
@@ -54,11 +51,11 @@ class SemaphoreManager:
         self.release_on_failure = release_on_failure
         self.detect_deadlock = detect_deadlock
         self._sems: Dict[str, _SemState] = {}
-        #: requester key -> semaphores currently held (for deadlock graph).
-        self._held_by: Dict[str, Set[str]] = {}
+        #: requester -> semaphores currently held (for deadlock graph).
+        self._held_by: Dict[Address, Set[str]] = {}
         self._monitoring = False
         isis.process.bind(SEM_ENTRY, self._on_op)
-        isis.register_transfer(f"sem:{gid}", self._encode, self._decode)
+        register_state(isis, f"sem:{gid}", self._snapshot, self._restore)
         if release_on_failure:
             kernel = getattr(isis.process.site, "kernel", None)
             if kernel is not None:
@@ -72,7 +69,7 @@ class SemaphoreManager:
         op = msg["op"]
         name = msg["name"]
         state = self._sems.setdefault(name, _SemState())
-        requester = _requester_key(msg)
+        requester = msg.sender
         if op == "P":
             self._on_p(state, name, requester, msg)
         elif op == "V":
@@ -80,7 +77,7 @@ class SemaphoreManager:
         else:
             raise SemaphoreError(f"unknown semaphore op {op!r}")
 
-    def _on_p(self, state: _SemState, name: str, requester: str,
+    def _on_p(self, state: _SemState, name: str, requester: Address,
               msg: Message) -> None:
         if self.detect_deadlock and self._would_deadlock(name, requester):
             self.isis.sim.trace.bump("tool.sem_deadlocks")
@@ -99,7 +96,8 @@ class SemaphoreManager:
         else:
             state.queue.append(entry)
 
-    def _on_v(self, state: _SemState, name: str, requester: str) -> None:
+    def _on_v(self, state: _SemState, name: str,
+              requester: Address) -> None:
         if state.holder is None or state.holder[0] != requester:
             # V by a non-holder: ignored (misuse is the caller's problem,
             # but replicas must stay identical, so no exception here).
@@ -138,7 +136,7 @@ class SemaphoreManager:
     # ------------------------------------------------------------------
     # Deadlock detection: wait-for cycle over identical replicated state
     # ------------------------------------------------------------------
-    def _would_deadlock(self, wanted: str, requester: str) -> bool:
+    def _would_deadlock(self, wanted: str, requester: Address) -> bool:
         """Does requester → wanted close a cycle in the wait-for graph?"""
         visited: Set[str] = set()
         frontier = [wanted]
@@ -197,43 +195,37 @@ class SemaphoreManager:
         for name, state in self._sems.items():
             state.queue = [
                 (k, m) for (k, m) in state.queue
-                if Address.unpack(bytes.fromhex(k)).site not in departed
+                if k.site not in departed
             ]
         for name, state in list(self._sems.items()):
             if state.holder is None:
                 continue
-            holder_site = Address.unpack(bytes.fromhex(state.holder[0])).site
-            if holder_site in departed:
+            if state.holder[0].site in departed:
                 self.isis.sim.trace.bump("tool.sem_auto_release")
                 self._release(state, name)
 
     # ------------------------------------------------------------------
     # State transfer
     # ------------------------------------------------------------------
-    def _encode(self) -> List[bytes]:
-        rows = []
-        for name, state in sorted(self._sems.items()):
-            holder = state.holder[0] if state.holder else ""
-            queue = ",".join(k for k, _ in state.queue)
-            rows.append(f"{name}|{holder}|{queue}")
-        return ["\n".join(rows).encode("utf-8")]
+    def _snapshot(self) -> Dict[str, list]:
+        """Each semaphore as ``[holder's request or None, [queued
+        requests]]``: the requests themselves, so a joiner that becomes
+        the oldest manager can still grant them."""
+        return {name: [state.holder[1] if state.holder else None,
+                       [msg for _, msg in state.queue]]
+                for name, state in self._sems.items()}
 
-    def _decode(self, blocks: List[bytes]) -> None:
-        # Requests in transferred queues cannot be re-replied by a joiner
-        # (the oldest member answers), so the message bodies are not
-        # shipped — only the queue structure for failure handling.
+    def _restore(self, sems: Dict[str, list]) -> None:
         self._sems = {}
-        blob = b"".join(blocks).decode("utf-8")
-        for row in blob.splitlines():
-            name, holder, queue = row.split("|")
-            state = _SemState()
-            if holder:
-                state.holder = (holder, Message())
-                self._held_by.setdefault(holder, set()).add(name)
-            state.queue = [(k, Message()) for k in queue.split(",") if k]
-            self._sems[name] = state
+        self._held_by = {}
+        for name, (holder, queue) in sems.items():
+            state = self._sems[name] = _SemState()
+            if holder is not None:
+                state.holder = (holder.sender, holder)
+                self._held_by.setdefault(holder.sender, set()).add(name)
+            state.queue = [(msg.sender, msg) for msg in queue]
 
-    def holder_of(self, name: str) -> Optional[str]:
+    def holder_of(self, name: str) -> Optional[Address]:
         state = self._sems.get(name)
         return state.holder[0] if state is not None and state.holder else None
 

@@ -119,6 +119,35 @@ class TestBulkStateTransfer:
         assert task.done and not task.rejected
         assert got.get("blob") == payload
 
+    def test_stream_rerequested_when_source_dies_mid_stream(self):
+        """The source dies after two ``st.chunk``s: the joiner's
+        ``st.req`` has the coordinator order a new source to stream it
+        the whole state again (``st.send``)."""
+        system = IsisCluster(n_sites=3, seed=63)
+        members, _ = deploy_pair(system, (0, 1))
+        payload = bytes(range(200)) * 2000      # 400 KB: 7 chunks
+        for proc, isis in members:
+            register_raw_state(isis, "blob", lambda: payload, lambda b: None)
+        got = {}
+        joiner, joiner_isis = system.spawn(2, "joiner")
+        register_raw_state(joiner_isis, "blob", lambda: b"",
+                           lambda b: got.update(blob=b))
+
+        def join():
+            gid = yield joiner_isis.pg_lookup("adv")
+            yield joiner_isis.pg_join(gid)
+
+        task = joiner.spawn(join(), "join")
+        trace = system.sim.trace
+        while trace.value("state_transfer.chunks") < 2:
+            system.run_for(0.001)
+        assert trace.value("state_transfer.streams") == 1
+        system.crash_site(0)
+        system.run_for(60.0)
+        assert task.done and not task.rejected
+        assert trace.value("state_transfer.streams") >= 2
+        assert got.get("blob") == payload
+
 
 class TestCrossGroupCausality:
     def test_causal_chain_through_two_groups(self):

@@ -111,6 +111,45 @@ class TestMemberFailure:
         assert [m["q"] for m in deliveries[2]] == ["after"]
 
 
+    @pytest.mark.parametrize("delay", [0.0, 0.03, 0.05])
+    def test_leave_survives_coordinator_crash(self, delay):
+        """A leave whose request dies with the coordinator's site is
+        asked again of the next coordinator."""
+        system = IsisCluster(n_sites=3, seed=5)
+        procs, _ = build_group(system, [0, 1, 2])
+        left = []
+
+        def leave_main():
+            isis = procs[2][1]
+            yield isis.pg_leave((yield isis.pg_lookup("grp")))
+            left.append(system.now)
+
+        procs[2][0].spawn(leave_main(), "leave")
+        system.sim.call_after(delay, system.crash_site, 0)
+        system.run_for(60.0)
+        assert len(left) == 1
+        (engine,) = system.kernel(1).engines.values()
+        assert [m.site for m in engine.view.members] == [1]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a GBCAST whose g.gb dies with the coordinator's site is lost: "
+        "a retry needs de-duplication across coordinators"))
+    def test_gbcast_survives_coordinator_crash(self):
+        system = IsisCluster(n_sites=3, seed=5)
+        procs, deliveries = build_group(system, [0, 1, 2])
+
+        def gbcast_main():
+            isis = procs[2][1]
+            yield isis.gbcast((yield isis.pg_lookup("grp")), 16, nwant=0,
+                              q="gb")
+
+        procs[2][0].spawn(gbcast_main(), "gbcast")
+        system.sim.call_after(0.02, system.crash_site, 0)
+        system.run_for(60.0)
+        assert [m["q"] for m in deliveries[1]] == ["gb"]
+        assert [m["q"] for m in deliveries[2]] == ["gb"]
+
+
 class TestViewSynchrony:
     def test_same_deliveries_between_same_views(self):
         """Survivors deliver identical message sets despite sender crash."""

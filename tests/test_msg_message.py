@@ -8,11 +8,9 @@ import pytest
 
 from repro.errors import CodecError
 from repro.msg import (
-    F_SENDER,
     Message,
     make_group_address,
     make_process_address,
-    system_copy,
 )
 from repro.msg.message import MAX_DEPTH
 
@@ -119,14 +117,6 @@ def test_copy_is_independent():
     dup = msg.copy()
     dup["b"] = 2
     assert "b" not in msg
-
-
-def test_system_copy_strips_system_fields():
-    msg = Message(payload="keep")
-    msg[F_SENDER] = make_process_address(1, 0, 1)
-    stripped = system_copy(msg)
-    assert "payload" in stripped
-    assert F_SENDER not in stripped
 
 
 def test_system_accessors():

@@ -1,151 +1,8 @@
-"""Unit tests for channels/gates/locks and the CPU model."""
+"""Unit tests for the CPU model."""
 
 import pytest
 
-from repro.sim import Channel, Cpu, Gate, Lock, Simulator, sleep, spawn
-
-
-class TestChannel:
-    def test_put_then_get(self):
-        sim = Simulator()
-        chan = Channel(sim)
-        chan.put("a")
-
-        def body():
-            got = yield chan.get()
-            return got
-
-        task = spawn(sim, body())
-        sim.run()
-        assert task.value == "a"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        chan = Channel(sim)
-        times = []
-
-        def consumer():
-            got = yield chan.get()
-            times.append((sim.now, got))
-
-        spawn(sim, consumer())
-        sim.call_after(3.0, chan.put, "x")
-        sim.run()
-        assert times == [(3.0, "x")]
-
-    def test_fifo_order_across_waiters(self):
-        sim = Simulator()
-        chan = Channel(sim)
-        got = []
-
-        def consumer(tag):
-            item = yield chan.get()
-            got.append((tag, item))
-
-        spawn(sim, consumer("first"))
-        spawn(sim, consumer("second"))
-        sim.call_after(1.0, chan.put, 1)
-        sim.call_after(2.0, chan.put, 2)
-        sim.run()
-        assert got == [("first", 1), ("second", 2)]
-
-    def test_close_rejects_waiters(self):
-        sim = Simulator()
-        chan = Channel(sim)
-
-        def consumer():
-            try:
-                yield chan.get()
-            except EOFError:
-                return "closed"
-
-        task = spawn(sim, consumer())
-        sim.call_after(1.0, chan.close)
-        sim.run()
-        assert task.value == "closed"
-
-    def test_drain(self):
-        sim = Simulator()
-        chan = Channel(sim)
-        chan.put(1)
-        chan.put(2)
-        assert chan.drain() == [1, 2]
-        assert len(chan) == 0
-
-
-class TestGate:
-    def test_waiters_released_on_open(self):
-        sim = Simulator()
-        gate = Gate(sim)
-        passed = []
-
-        def body(tag):
-            yield gate.wait()
-            passed.append((tag, sim.now))
-
-        spawn(sim, body("a"))
-        spawn(sim, body("b"))
-        sim.call_after(5.0, gate.open)
-        sim.run()
-        assert passed == [("a", 5.0), ("b", 5.0)]
-
-    def test_open_gate_passes_immediately(self):
-        sim = Simulator()
-        gate = Gate(sim, open_=True)
-
-        def body():
-            yield gate.wait()
-            return sim.now
-
-        task = spawn(sim, body())
-        sim.run()
-        assert task.value == 0.0
-
-    def test_reset_closes_again(self):
-        sim = Simulator()
-        gate = Gate(sim, open_=True)
-        gate.reset()
-        assert not gate.is_open
-
-
-class TestLock:
-    def test_mutual_exclusion_fifo(self):
-        sim = Simulator()
-        lock = Lock(sim)
-        order = []
-
-        def body(tag, hold):
-            yield lock.acquire()
-            order.append(("in", tag, sim.now))
-            yield sleep(sim, hold)
-            order.append(("out", tag, sim.now))
-            lock.release()
-
-        spawn(sim, body("a", 2.0))
-        spawn(sim, body("b", 1.0))
-        sim.run()
-        assert order == [
-            ("in", "a", 0.0),
-            ("out", "a", 2.0),
-            ("in", "b", 2.0),
-            ("out", "b", 3.0),
-        ]
-
-    def test_release_without_waiters_unlocks(self):
-        sim = Simulator()
-        lock = Lock(sim)
-
-        def body():
-            yield lock.acquire()
-            lock.release()
-            yield lock.acquire()
-            lock.release()
-            return "ok"
-
-        task = spawn(sim, body())
-        sim.run()
-        assert task.value == "ok"
-        assert not lock.locked
+from repro.sim import Cpu, Simulator, spawn
 
 
 class TestCpu:

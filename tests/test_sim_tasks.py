@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.errors import SimTimeout, SimulationError, TaskKilled
+from repro.errors import SimulationError, TaskKilled
 from repro.sim import (
     Promise,
     Simulator,
     all_of,
-    any_of,
     sleep,
     spawn,
-    with_timeout,
 )
 
 
@@ -236,39 +234,3 @@ class TestHelpers:
 
         task = run_task(sim, body())
         assert task.rejected
-
-    def test_any_of_returns_first(self):
-        sim = Simulator()
-        p1, p2 = Promise(), Promise()
-        sim.call_after(5.0, p1.resolve, "slow")
-        sim.call_after(1.0, p2.resolve, "fast")
-
-        def body():
-            got = yield any_of([p1, p2])
-            return got
-
-        assert run_task(sim, body()).value == (1, "fast")
-
-    def test_with_timeout_passes_through_fast_result(self):
-        sim = Simulator()
-        p = Promise()
-        sim.call_after(1.0, p.resolve, "ok")
-
-        def body():
-            got = yield with_timeout(sim, p, 10.0)
-            return got
-
-        assert run_task(sim, body()).value == "ok"
-
-    def test_with_timeout_rejects_slow_result(self):
-        sim = Simulator()
-        p = Promise()
-        sim.call_after(10.0, p.resolve, "late")
-
-        def body():
-            try:
-                yield with_timeout(sim, p, 1.0)
-            except SimTimeout:
-                return "timed-out"
-
-        assert run_task(sim, body()).value == "timed-out"

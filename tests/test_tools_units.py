@@ -5,7 +5,9 @@ import pytest
 from repro.core.view import View
 from repro.msg import make_group_address, make_process_address
 from repro.tools.coordinator import pick_coordinator
-from repro.tools.transfer import carve
+from repro.errors import CodecError
+from repro.msg import Message
+from repro.tools.transfer import carve, decode_state, encode_state
 
 GID = make_group_address(0, 1)
 P_AT_0 = make_process_address(0, 0, 1)
@@ -66,3 +68,17 @@ class TestCarve:
         blocks = carve(b"x" * 1050, 100)
         assert all(len(b) <= 100 for b in blocks)
         assert len(blocks) == 11
+
+
+class TestStateCodec:
+    def test_values_arrive_as_themselves(self):
+        value = {"a|b\n": [P_AT_1, b"\x00\x01", 5, 2.5, None, {"k": [1]}]}
+        assert decode_state(encode_state(value)) == value
+
+    @pytest.mark.parametrize("blob", [
+        b"", b"\xff", b"not a message",
+        Message(other=1).encode(), Message(state=1, extra=2).encode(),
+    ])
+    def test_anything_else_is_refused(self, blob):
+        with pytest.raises(CodecError):
+            decode_state(blob)
