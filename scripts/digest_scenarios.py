@@ -13,6 +13,9 @@ armed.  Compare the output of two trees line for line:
 
     (cd TREE && PYTHONPATH=src python /path/to/scripts/digest_scenarios.py)
 
+``digest_scenarios.expected`` beside this script holds the lines as
+recorded with Python 3.11; CI diffs the output against it.
+
 The exit status is non-zero if a scenario raises or a site ends with
 another number of groups than the scenario is written to leave: in
 1-5 site 3 ends with none (in 2-5 its rejoin is spawned in the instant

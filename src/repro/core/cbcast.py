@@ -48,8 +48,9 @@ PendingKey = Tuple[bytes, int]
 
 #: What a ``g.cb`` adds to a data envelope (``msg/wire.py`` parses it):
 #: who sent it, its number in that sender's stream, and what the sender
-#: had delivered by then.
-CausalFields = Tuple[PendingKey, ContextDelta]
+#: had delivered by then — ``None`` for this kernel's own send, whose
+#: context is satisfied here by construction.
+CausalFields = Tuple[PendingKey, Optional[ContextDelta]]
 
 class SenderChain:
     """One sender's ``cb_ctx`` delta chain at one receiver."""
@@ -81,6 +82,12 @@ class CausalReceiver:
     message leaves the pending buffer, ``on_refuse()`` counts it, and
     chain, delivered vector and wait index stay as they were.
 
+    This kernel's own copy of its send carries no delta (``None``) and
+    is delivered on the FIFO rule alone, without a chain: its context is
+    our delivered counts at send time, which only grow within a view,
+    and it comes here only from the send (the store drops a refill or a
+    relay of an envelope this site stored).
+
     One delivered vector, ``delivered``, read by the FIFO rule, the
     kernel's context check and the send side's encoder.  It, the pending
     buffer and the chains key a sender packed, as a ``cb_ctx`` does.
@@ -109,14 +116,14 @@ class CausalReceiver:
         self._on_advance = on_advance
         self._on_refuse = on_refuse
         #: (sender, seq) -> (arrival index, pending message, its parsed
-        #: ``cb_ctx``); the drain evaluates in arrival order.
+        #: ``cb_ctx`` or None); the drain evaluates in arrival order.
         self._pending: Dict[
-            PendingKey, Tuple[int, Message, ContextDelta]] = {}
+            PendingKey, Tuple[int, Message, Optional[ContextDelta]]] = {}
         self._next_arrival = 0
         #: Min-heap of (arrival, key): candidates awaiting evaluation.
         self._ready: List[Tuple[int, PendingKey]] = []
         self._ready_set: Set[PendingKey] = set()
-        #: Per-sender delta chain.
+        #: Per-sender delta chain, remote senders only.
         self._chains: Dict[bytes, SenderChain] = {}
         #: High-water mark of the pending buffer (kernel stats).
         self.peak_pending = 0
@@ -175,7 +182,8 @@ class CausalReceiver:
         return out
 
     def _evaluate(self, key: PendingKey,
-                  entry: Tuple[int, Message, ContextDelta]) -> Optional[Message]:
+                  entry: Tuple[int, Message, Optional[ContextDelta]],
+                  ) -> Optional[Message]:
         """Deliver candidate ``key``, whose ``entry`` is out of the pending
         buffer, and return its message; or put it back to wait, or drop
         it if its delta names nothing (``None`` for both)."""
@@ -185,24 +193,25 @@ class CausalReceiver:
             # FIFO-blocked: the predecessor's delivery re-marks it.
             self._pending[key] = entry
             return None
-        chain = self._chains.get(sender)
-        if chain is None:
-            chain = self._chains[sender] = SenderChain()
-        try:
-            # Its predecessor was delivered here: the chain is this
-            # delta's base, whose positions can be judged at last.
-            check_delta_positions(chain.context, delta)
-        except CodecError:
-            self._on_refuse()
-            return None
-        if not self._delta_check(chain, delta, key):
-            # Blocked on a cross-group threshold; the check registered
-            # the precise wait, whose crossing re-marks the candidate.
-            self._pending[key] = entry
-            return None
-        # Count the delivery; its context becomes the chain base.
+        if delta is not None:   # a remote sender's: its context can fail
+            chain = self._chains.get(sender)
+            if chain is None:
+                chain = self._chains[sender] = SenderChain()
+            try:
+                # Its predecessor was delivered here: the chain is this
+                # delta's base, whose positions can be judged at last.
+                check_delta_positions(chain.context, delta)
+            except CodecError:
+                self._on_refuse()
+                return None
+            if not self._delta_check(chain, delta, key):
+                # Blocked on a cross-group threshold; the check registered
+                # the precise wait, whose crossing re-marks the candidate.
+                self._pending[key] = entry
+                return None
+            # Its context becomes the chain base.
+            apply_context_delta(chain.context, delta)
         self.delivered[sender] = seq
-        apply_context_delta(chain.context, delta)
         successor = (sender, seq + 1)
         if successor in self._pending:
             self.mark_candidate(successor)

@@ -233,7 +233,7 @@ class Joins:
         if not engine.installed:
             # Counted first: installing drains held envelopes, whose
             # deliveries re-evaluate contexts in other groups.
-            kernel.causal_check.installs += 1
+            kernel.causal_check.note_install()
             engine.install_from_welcome(view)
         kernel.contact_cache[gid.process()] = view.coordinator().site
         state = self.pending.get(gid.process())

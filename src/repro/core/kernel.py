@@ -552,8 +552,8 @@ class ProtocolsProcess:
         engine = GroupEngine(self, gid, name)
         self.engines[gid] = engine
         self._note_engine(gid)
-        self.causal_check.installs += 1
         view = engine.create(process.address)
+        self.causal_check.note_install()
         if self.wal is not None:
             self.wal.arm_create(engine, process, name)
         self.contact_cache[gid] = self.site_id

@@ -51,7 +51,7 @@ from ..sim.tasks import Promise
 from .cbcast import CausalFields, CausalReceiver
 from .ordering import make_ordering
 from .tree import SpanningTree, min_merge_have_vectors
-from .vectorclock import ContextEncoder, parse_context_delta
+from .vectorclock import ContextEncoder
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import GroupEngine
@@ -380,9 +380,9 @@ class CausalOrdering:
 
     @staticmethod
     def own(env: Message) -> CausalFields:
-        """The causal fields :meth:`stamp` gave our own ``env``."""
-        return ((env["cb_sender"].pack(), env["cb_seq"]),
-                parse_context_delta(env["cb_ctx"]))
+        """The causal fields :meth:`stamp` gave our own ``env``: no delta
+        (see :class:`~repro.core.cbcast.CausalReceiver`)."""
+        return (env["cb_sender"].pack(), env["cb_seq"]), None
 
     def ingest(self, env: Message, causal: CausalFields) -> None:
         """Receive side: queue ``env`` under its causal fields, deliver

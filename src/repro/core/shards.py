@@ -15,8 +15,8 @@ failed test in the index, and drains the groups a wake marked.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .cbcast import SenderChain
 from .vectorclock import (ChainContext, ContextDelta, apply_context_delta,
@@ -137,14 +137,12 @@ class WaitIndex:
 
 def _shortfall(engine: Optional["GroupEngine"], view_id: int,
                members: Sequence[bytes],
-               by_position: Iterable[Tuple[int, int]],
-               by_address: Iterable[Tuple[bytes, int]],
-               ) -> Optional[Sequence[Tuple[bytes, int]]]:
-    """One causal-context entry of view ``view_id`` (counters by position
-    in ``members`` and by address) against ``engine``, its group here:
-    the ``(member, count)``s we are short of, in order, or None if our
-    view is older.  Not installed here (cannot, and need not, wait) or a
-    newer view (the old one was flushed) satisfies."""
+               counts: Sequence[int]) -> Optional[tuple]:
+    """One named causal-context entry (a whole vector of view ``view_id``)
+    against ``engine``, its group here: ``()`` if satisfied — not
+    installed here (cannot, and need not, wait) or a newer view (the old
+    one was flushed) satisfies —, None if our view is older, else the
+    first ``(member, count)`` we are short of."""
     if engine is None or not engine.installed:
         return ()
     view = engine.view
@@ -153,11 +151,10 @@ def _shortfall(engine: Optional["GroupEngine"], view_id: int,
     if view.view_id < view_id:
         return None
     have = engine.causal.delivered
-    short = [(members[mpos], count) for mpos, count in by_position
-             if have.get(members[mpos], 0) < count]
-    if by_address:
-        short += [mc for mc in by_address if have.get(mc[0], 0) < mc[1]]
-    return short
+    for member, count in zip(members, counts):
+        if have.get(member, 0) < count:
+            return member, count
+    return ()
 
 
 class CausalCheck:
@@ -185,10 +182,19 @@ class CausalCheck:
         #: a ``cb_ctx`` names and orders groups; rebuilt when the group
         #: table changes.
         self._packed: Optional[Dict[bytes, "GroupEngine"]] = None
+        #: :meth:`groups`, rebuilt when the group table changes, a group
+        #: installs here or installs a view (a new view id and vector).
+        self._groups: Optional[
+            Dict[bytes, Tuple[int, Dict[bytes, int]]]] = None
 
     def engines_changed(self) -> None:
         """The kernel's group table gained or lost a group."""
-        self._packed = None
+        self._packed = self._groups = None
+
+    def note_install(self) -> None:
+        """A group became installed here."""
+        self.installs += 1
+        self._groups = None
 
     def _packed_engines(self) -> Dict[bytes, "GroupEngine"]:
         table = self._packed
@@ -201,10 +207,16 @@ class CausalCheck:
     def groups(self) -> Dict[bytes, Tuple[int, Dict[bytes, int]]]:
         """Our installed groups' *live* delivered counts, as ``packed
         gid -> (view id, packed member -> count)`` in gid order: what a
-        :class:`~repro.core.vectorclock.ContextEncoder` diffs."""
-        return {gid: (engine.view.view_id, engine.causal.delivered)
+        :class:`~repro.core.vectorclock.ContextEncoder` diffs.  One
+        table, reused until the set of groups or a view changes: the
+        vectors in it are the live ones."""
+        table = self._groups
+        if table is None:
+            table = self._groups = {
+                gid: (engine.view.view_id, engine.causal.delivered)
                 for gid, engine in self._packed_engines().items()
                 if engine.installed and engine.view is not None}
+        return table
 
     def check_delta_and_register(self, chain: SenderChain,
                                  delta: ContextDelta,
@@ -250,23 +262,38 @@ class CausalCheck:
         a moved entry's counters are already in.
         """
         engines = self._packed_engines()
-        #: gid -> the (member, count)s we are short of; None for a view
-        #: threshold.
-        failed: Dict[bytes, Optional[Sequence[Tuple[bytes, int]]]] = {}
+        #: gid -> the first (member, count) we are short of; None for a
+        #: view threshold.
+        failed: Dict[bytes, Optional[tuple]] = {}
         for gid, view_id, members, counts in delta.named:
-            short = _shortfall(engines.get(gid), view_id, (), (),
-                               zip(members, counts))
+            short = _shortfall(engines.get(gid), view_id, members, counts)
             if short is None or short:
                 failed[gid] = short
         # What the delta names by position: the group, its view and the
-        # members are the chain's.
+        # members are the chain's.  Tested in line — the steady path.
         gids, views, held = base.gids, base.views, base.members
         for gpos, counters, gained in delta.moved:
             gid = gids[gpos]
-            short = _shortfall(engines.get(gid), views[gpos], held[gpos],
-                               counters, gained)
-            if short is None or short:
-                failed[gid] = short
+            engine = engines.get(gid)
+            if engine is None or not engine.installed:
+                continue
+            view = engine.view
+            if view is None or view.view_id > views[gpos]:
+                continue
+            if view.view_id < views[gpos]:
+                failed[gid] = None
+                continue
+            have = engine.causal.delivered
+            members = held[gpos]
+            for mpos, count in counters:
+                if have.get(members[mpos], 0) < count:
+                    failed[gid] = (members[mpos], count)
+                    break
+            else:
+                for member, count in gained:
+                    if have.get(member, 0) < count:
+                        failed[gid] = (member, count)
+                        break
         if not failed:
             return True
         gid = first_in_walk_order(list(failed), () if delta.full else gids)
@@ -274,8 +301,7 @@ class CausalCheck:
         if short is None:
             self.wait_index.register_view(gid, waiter)
         else:
-            member, count = short[0]
-            self.wait_index.register_counter(gid, member, count, waiter)
+            self.wait_index.register_counter(gid, *short, waiter)
         return False
 
     def note_advance(self, gid: bytes, sender: bytes, seq: int) -> None:
@@ -289,6 +315,7 @@ class CausalCheck:
         thresholds others wait on in it are all satisfied now — wake
         everything keyed on it."""
         key = gid.process()
+        self._groups = None
         self.wait_index.purge_engine(key)
         self._wake_waiters(self.wait_index.on_view_event(key.pack()))
 
@@ -296,7 +323,7 @@ class CausalCheck:
         """Group ``key`` left the kernel's table: its pending buffer is
         gone, and contexts naming it are now trivially satisfied ("not a
         member: cannot wait")."""
-        self._packed = None
+        self.engines_changed()
         self.wakes.discard(key)
         self.note_view_event(key)
 

@@ -133,12 +133,14 @@ class ChainContext:
         self.starts.append(len(self.counts))
         self.counts += counts
 
-    def gain(self, gpos: int, member: bytes, count: int) -> None:
-        """Group ``gpos``'s vector gains a member, after the others."""
+    def gain(self, gpos: int, gained: Sequence[Tuple[bytes, int]]) -> None:
+        """Group ``gpos``'s vector gains ``(member, count)``s, after the
+        others, in one splice."""
         held = self.members[gpos]
-        self.members[gpos] = held + (member,)
-        self.counts.insert(self.starts[gpos] + len(held), count)
-        self._shift(gpos, 1)
+        self.members[gpos] = held + tuple(member for member, _ in gained)
+        at = self.starts[gpos] + len(held)
+        self.counts[at:at] = [count for _, count in gained]
+        self._shift(gpos, len(gained))
 
     def remove(self, gid: bytes) -> None:
         """``gid`` goes, if held; what came after it moves up."""
@@ -347,8 +349,8 @@ def apply_context_delta(context: ChainContext, delta: ContextDelta) -> None:
         start = starts[gpos]
         for mpos, value in counters:
             counts[start + mpos] = value
-        for member, value in gained:
-            context.gain(gpos, member, value)
+        if gained:
+            context.gain(gpos, gained)
     for gid, view_id, members, values in delta.named:
         context.name(gid, view_id, members, values)
     for gid in delta.removed:
@@ -436,7 +438,8 @@ class ContextEncoder:
                         counters += encode_uvarint(value)
                 at += 1
             if len(live) > len(members):
-                gained = sorted(m for m in live if m not in members)
+                gained = sorted((m, live[m]) for m in live
+                                if m not in members)
             elif n:
                 gained = ()
             else:
@@ -452,10 +455,11 @@ class ContextEncoder:
                 moved += _uvarint(n)
                 moved += counters
                 moved += _uvarint(len(gained))
-                for member in gained:
-                    base.gain(gpos, member, live[member])
+                if gained:
+                    base.gain(gpos, gained)
+                for member, value in gained:
                     moved += member
-                    moved += _uvarint(live[member])
+                    moved += _uvarint(value)
             counters.clear()
         if len(groups) > len(base.gids) - len(gone):
             held = set(base.gids)

@@ -10,6 +10,7 @@ import pytest
 
 from repro import IsisCluster
 from repro.core.shards import WaitIndex
+from repro.core.vectorclock import ContextEncoder, parse_context_delta
 from repro.msg.address import make_group_address, make_process_address
 
 #: Watched groups and members are packed, as a ``cb_ctx`` names them.
@@ -314,3 +315,116 @@ class TestContextCheckCost:
         # A sender's context spans 8 groups × 4 members; a check names
         # about half the groups here, and only their moved counters.
         assert entries / checked < groups_per_site * self.SPAN / 4
+
+
+class TestContextReadWhereItCanFail:
+    """A ``cb_ctx`` is read only where its check can fail: the sender's
+    own copy is delivered on the FIFO rule alone, and the encoder diffs a
+    group table the kernel keeps current."""
+
+    def test_own_copy_is_delivered_without_its_context(self):
+        system, members, deliveries = _two_group_cluster()
+        proc, isis = members[0]
+        sender = proc.address.process().pack()
+        before = [system.kernel(s).stats()["causal.ctx_delta_entries"]
+                  for s in range(3)]
+
+        def gen():
+            ga = yield isis.pg_lookup("wia")
+            gb = yield isis.pg_lookup("wib")
+            for i in range(8):
+                yield isis.cbcast(ga if i % 2 else gb, 16, tag=f"o:{i}")
+
+        proc.spawn(gen(), "own")
+        system.run_for(20.0)
+        for site in range(3):
+            assert deliveries[site] == [f"o:{i}" for i in range(8)]
+        checked = [system.kernel(s).stats()["causal.ctx_delta_entries"]
+                   - before[s] for s in range(3)]
+        # The sender checked no context of its own; its receivers did.
+        assert checked[0] == 0 and checked[1] > 0 and checked[2] > 0
+        for gid, engine in system.kernel(0).engines.items():
+            assert sender not in engine.causal._chains
+            assert engine.causal.cache_sizes() == (0, 0)
+            vectors = [system.kernel(s).engines[gid].causal.delivered
+                       for s in range(3)]
+            assert vectors == [{sender: 4}] * 3
+        for site in (1, 2):
+            for engine in system.kernel(site).engines.values():
+                assert sender in engine.causal._chains
+
+    def test_encoder_table_follows_joins_views_and_retirement(
+            self, monkeypatch):
+        """Between two sends in ``g``, site 0 joins ``h``, ``h`` changes
+        view by another site's leave, and ``h`` retires at site 0: each
+        next ``cb_ctx`` is the one a freshly built table encodes."""
+        system = IsisCluster(n_sites=3, seed=23)
+        members = [system.spawn(s, f"m{s}") for s in range(3)]
+        for proc, _ in members:
+            proc.bind(16, lambda msg: None)
+        kernel = system.kernel(0)
+        gids = {}
+
+        def fresh_groups():
+            return {gid.pack(): (engine.view.view_id, engine.causal.delivered)
+                    for gid, engine in sorted(kernel.engines.items(),
+                                              key=lambda kv: kv[0].pack())
+                    if engine.installed and engine.view is not None}
+
+        encoded = []
+        real_encode = ContextEncoder.encode
+
+        def checked_encode(encoder, groups):
+            twin = ContextEncoder()
+            if encoder._base is not None:
+                twin._base = encoder._base.copy()
+            out = real_encode(encoder, groups)
+            encoded.append((parse_context_delta(out),
+                            parse_context_delta(
+                                real_encode(twin, fresh_groups()))))
+            return out
+
+        monkeypatch.setattr(ContextEncoder, "encode", checked_encode)
+        # Read the table at every view install, as a send from a view
+        # hook would: only an invalidation after the install (a retire
+        # comes after it) keeps the next send's context right.
+        kernel.view_hooks.append(lambda *_: kernel.causal_check.groups())
+
+        def run(site, step):
+            members[site][0].spawn(step(members[site][1]), "step")
+            system.run_for(25.0)
+
+        def create_g(isis):
+            gids["g"] = yield isis.pg_create("g")
+
+        def create_h(isis):
+            gids["h"] = yield isis.pg_create("h")
+
+        def join_h(isis):
+            yield isis.pg_join(gids["h"])
+
+        def leave_h(isis):
+            yield isis.pg_leave(gids["h"])
+
+        def send(isis):
+            yield isis.cbcast(gids["g"], 16)
+
+        run(0, create_g)
+        run(1, create_h)
+        run(2, join_h)
+        run(0, send)
+        leaver = members[2][0].address.process()
+        steps = [(0, join_h, lambda: gids["h"] in kernel.engines),
+                 (2, leave_h, lambda: leaver not in
+                  kernel.engines[gids["h"]].view.members),
+                 (0, leave_h, lambda: gids["h"] not in kernel.engines)]
+        for site, step, done in steps:
+            named = len(encoded)
+            run(site, step)
+            assert done()
+            run(0, send)
+            assert len(encoded) == named + 1
+            sent, fresh = encoded[-1]
+            assert sent == fresh
+        # Each step changed what the next context says of ``h``.
+        assert all(sent.named or sent.removed for sent, _ in encoded[1:])
