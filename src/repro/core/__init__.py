@@ -1,6 +1,5 @@
 """Virtual synchrony core: groups, views, CBCAST/ABCAST/GBCAST, flush."""
 
-from .abcast import SequencerReceiver, TotalOrderReceiver, TotalOrderSender
 from .bootstrap import IsisCluster
 from .cbcast import CausalReceiver
 from .engine import ABCAST, CBCAST, GroupEngine
@@ -22,9 +21,6 @@ __all__ = [
     "View",
     "MessageStore",
     "CausalReceiver",
-    "SequencerReceiver",
-    "TotalOrderReceiver",
-    "TotalOrderSender",
     "FlushCoordinator",
     "FlushReason",
     "Namespace",

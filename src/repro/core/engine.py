@@ -97,11 +97,9 @@ class GroupEngine:
         self.store = MessageStore()
         #: The layered data path (dissemination → ordering → stability).
         self.pipeline = DeliveryPipeline(self)
-        # Aliases into the pipeline's ordering stages: the flush protocol
-        # reports and force-orders through the same receiver state.
+        # The ordering state the flush protocol reports and force-orders.
         self.causal = self.pipeline.causal.receiver
-        self.total = self.pipeline.total.receiver
-        self.tsender = self.pipeline.total.sender
+        self.total = self.pipeline.total
         self.wedged = False
         self._outbox: List[Callable[[], None]] = []
         # Flush participant state.
@@ -123,13 +121,6 @@ class GroupEngine:
         #: root (coordinator site) -> [[reporter site, encoded report]].
         self._okb_buf: Dict[int, List[List]] = {}
         self._okb_timer: Optional[Timer] = None
-        #: ABCAST finals this site has delivered (ref -> prio), per view.
-        self._delivered_finals: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        #: Highest final priority delivered in this view (monotone:
-        #: two-phase and sequencer deliveries both occur in increasing
-        #: final order), piggybacked so peers can prune their reports.
-        self._delivery_floor: Tuple[int, int] = (0, 0)
-        self._pruned_floor: Tuple[int, int] = (0, 0)
         #: When the wedge in progress began (``flush.wedged_seconds``).
         self._wedged_at: Optional[float] = None
         #: Client kernels to push view updates to.
@@ -238,28 +229,6 @@ class GroupEngine:
     # itself takes the same path (``kernel._dispatch``).
     # ------------------------------------------------------------------
     # -- delivery to local members ---------------------------------------------
-    def note_final_delivered(self, ref: Tuple[int, int],
-                             final: Tuple[int, int]) -> None:
-        """The total-order stage delivered ``ref`` (flush reporting)."""
-        self._delivered_finals[ref] = final
-        if final > self._delivery_floor:
-            self._delivery_floor = final
-            # An unannounced floor is stability work: keep the group in
-            # the kernel's dirty set until peers learn it.
-            self.kernel.note_group_dirty(self.gid)
-
-    @property
-    def delivery_floor(self) -> Tuple[int, int]:
-        """Highest final priority delivered in the current view.
-
-        Both total-order engines deliver in increasing final-priority
-        order (a queued smaller priority blocks everything above it, and
-        a later arrival's proposal — which lower-bounds its final —
-        exceeds every priority already delivered), so a floor of ``f``
-        means *every* ABCAST with final ≤ f has been delivered here.
-        """
-        return self._delivery_floor
-
     def shutdown(self) -> None:
         """Disarm the flush-grace and okb-batch timers and the pipeline."""
         self._cancel_grace()
@@ -267,30 +236,6 @@ class GroupEngine:
             self._okb_timer.cancel()
             self._okb_timer = None
         self.pipeline.shutdown()
-
-    def prune_delivered_finals(self) -> int:
-        """Drop delivered finals known delivered at every member site.
-
-        The minimum over all members' delivery floors, as the stability
-        stage knows them, bounds a prefix of the view's final order that
-        everyone has delivered: such refs are pending nowhere, so the flush cut
-        never needs their priorities — reporting them would only be
-        (re-)excluded by the delivered-everywhere rule.  This keeps
-        ``g.fl.ok`` reports from scaling with the view's ABCAST history.
-        """
-        if self.view is None:
-            return 0
-        floor = self.pipeline.stability.group_floor()
-        if floor <= self._pruned_floor:
-            return 0
-        self._pruned_floor = floor
-        victims = [ref for ref, prio in self._delivered_finals.items()
-                   if prio <= floor]
-        for ref in victims:
-            del self._delivered_finals[ref]
-        if victims:
-            self.sim.trace.bump("flush.finals_pruned", len(victims))
-        return len(victims)
 
     def deliver_env(self, env: Message) -> None:
         user = env["m"].copy()
@@ -630,7 +575,7 @@ class GroupEngine:
             _proto="g.fl.ok", gid=self.gid, fid=list(fid),
             abp=self.total.pending_state(),
             abd=[[list(ref), list(prio)]
-                 for ref, prio in sorted(self._delivered_finals.items())],
+                 for ref, prio in sorted(self.total.delivered.items())],
         )
         have = self.store.have_vector()
         if self._begin_base is not None and not pre:
@@ -819,9 +764,6 @@ class GroupEngine:
     def _reset_for_new_view(self) -> None:
         self.store.reset()
         self.pipeline.on_new_view()
-        self._delivered_finals.clear()
-        self._delivery_floor = (0, 0)
-        self._pruned_floor = (0, 0)
         self._pre_reported = None
         # In-flight aggregated pre-reports target the view just
         # committed; the commit supersedes them.
@@ -850,7 +792,7 @@ class GroupEngine:
         if not dead_members:
             return
         # Complete ABCAST collections that were waiting on dead sites.
-        self.pipeline.total.on_sites_died(dead_sites)
+        self.total.on_sites_died(dead_sites)
         if self.is_coordinator_site():
             if self._active is not None:
                 self.restart_flush(extra_removals=dead_members)

@@ -1,30 +1,32 @@
-"""Total-order engines behind the explicit :class:`OrderingEngine` seam.
+"""Total-order engines: one class per ``IsisConfig.abcast_mode``.
 
-Two engines plug into the delivery pipeline's ordering slot
-(``IsisConfig.abcast_mode``), both honouring one contract so the group
-engine, the flush machinery and the stats layer never branch on the
-mode:
+Two engines plug into the delivery pipeline's ordering slot, both
+honouring one contract so the group engine, the flush machinery and
+the stats layer never branch on the mode.  Each holds all of its
+group's total-order state at one site: what is queued, what it sent,
+and the book of what it delivered.
 
 * **Stamp issuance** — ``stamp(env, sender)`` attaches whatever
   send-side metadata the engine needs; ``ingest(env)`` buffers a
-  received envelope and drives delivery.  Deliveries go through
-  ``GroupEngine.note_final_delivered`` with the final priority, so the
-  delivery floor stays monotone within a view for every engine.
+  received envelope and drives delivery.  A drain yields
+  ``(msg, ref, final)`` triples and :meth:`OrderingEngine._deliver`
+  books each one with its own final priority, so the delivery floor
+  stays monotone within a view for every engine.
 * **Wedge behaviour** — while the group is wedged (flush in progress)
   an engine must neither assign new order (stamps, finals) nor apply
   order that arrives: the site's FLUSH_OK report already went out, and
   post-report deliveries would sit at positions the coordinator's cut
   cannot see.  ``on_wedge()`` is the hook to push buffered order out
   *ahead* of the report.
-* **Flush-cut contribution** — the engine's ``receiver`` exposes
-  ``pending_state()`` / ``take_delivered()`` / ``force_order()``:
-  undelivered state is reported as ``(priority, final?)`` entries and
-  the coordinator's union cut (finals win; otherwise max proposal;
-  refs unseen at some survivor are lifted above every final) orders
-  them identically at every survivor.
+* **Flush-cut contribution** — ``pending_state()`` reports undelivered
+  state as ``(priority, final?)`` entries, ``delivered`` what this view
+  delivered at which final, and the coordinator's union cut (finals
+  win; otherwise max proposal; refs unseen at some survivor are lifted
+  above every final) orders them identically at every survivor, which
+  ``force_order()`` applies.
 * **Unstamped-tail rule** — refs the engine never ordered are reported
   with deterministic priorities above every assignable one
-  (``UNSTAMPED_BASE``), so the cut appends them in the same order
+  (:data:`UNSTAMPED_BASE`), so the cut appends them in the same order
   everywhere.
 
 :func:`make_ordering` is the pipeline's only construction path.
@@ -41,23 +43,29 @@ mode:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+import heapq
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..errors import GroupError
 from ..msg.address import Address
 from ..msg.message import Message
 from ..sim.core import Timer
-from .abcast import (
-    MsgRef,
-    Priority,
-    SequencerReceiver,
-    TotalOrderReceiver,
-    TotalOrderSender,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import GroupEngine
     from .pipeline import DeliveryPipeline
+
+Priority = Tuple[int, int]       # (counter, proposer site id)
+MsgRef = Tuple[int, int]         # (origin_site, gseq) within the view
+#: What a drain hands on: the message, its ref and its final priority.
+Drained = List[Tuple[Message, MsgRef, Priority]]
+
+#: Sequencer mode: priority base for messages the token never stamped.
+#: Far above any reachable stamp, so the flush cut orders the stamped
+#: prefix first and the unstamped tail after it, deterministically
+#: (``(UNSTAMPED_BASE + gseq, origin_site)`` is the same at every site).
+UNSTAMPED_BASE = 1 << 32
 
 
 class OrderingEngine:
@@ -74,14 +82,18 @@ class OrderingEngine:
     def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
         self.engine = engine
         self.pipeline = pipeline
-        self.receiver = self._make_receiver()
-        #: Two-phase collection state.  Engines that never collect keep
-        #: it inert so the flush/failure paths stay mode-agnostic
-        #: (``drop_site`` on an inert sender completes nothing).
-        self.sender = TotalOrderSender()
-
-    def _make_receiver(self):
-        raise NotImplementedError
+        #: ref -> final priority of every ABCAST delivered in this view
+        #: that some member may not have delivered yet (flush reports).
+        self.delivered: Dict[MsgRef, Priority] = {}
+        #: Highest final priority delivered in this view, piggybacked so
+        #: peers can prune their books.  Both engines deliver in
+        #: increasing final order (a queued smaller priority blocks
+        #: everything above it, and a later arrival's proposal — which
+        #: lower-bounds its final — exceeds every priority already
+        #: delivered), so a floor of ``f`` means *every* ABCAST with
+        #: final ≤ f has been delivered here.
+        self.delivery_floor: Priority = (0, 0)
+        self._pruned_floor: Priority = (0, 0)
 
     # -- lifecycle ---------------------------------------------------------
     def shutdown(self) -> None:
@@ -109,68 +121,134 @@ class OrderingEngine:
     def on_stamps(self, src_site: int, note: tuple) -> None:
         self.engine.sim.trace.bump("abcast.unexpected_control")
 
-    def disseminate_final(self, ref: MsgRef, final: Priority) -> None:
-        """Broadcast a completed final (two-phase only; noise elsewhere)."""
-        self.engine.sim.trace.bump("abcast.unexpected_control")
+    def _deliver(self, drained: Drained) -> None:
+        """Book and hand on what a drain released.
 
-    def _deliver(self, ready: List[Message]) -> None:
-        """Hand on what the receiver just drained.
-
-        One drain can unblock several messages; each is recorded with
-        its own final priority (a flush cut built from a wrong priority
-        would diverge between survivors).  The engine's floor-pruned
-        book is then the one record of what was delivered at which.
+        One drain can unblock several messages; each is booked with its
+        own final priority (a flush cut built from a wrong priority
+        would diverge between survivors).  The floor-pruned book is the
+        one record of what was delivered at which priority.
         """
-        if not ready:
-            return
-        for env, (ref, priority) in zip(ready, self.receiver.take_delivered()):
-            self.engine.note_final_delivered(ref, priority)
+        for env, ref, final in drained:
+            self.delivered[ref] = final
+            if final > self.delivery_floor:
+                self.delivery_floor = final
+                # An unannounced floor is stability work: keep the group
+                # in the kernel's dirty set until peers learn it.
+                self.engine.kernel.note_group_dirty(self.engine.gid)
             self.engine.deliver_env(env)
+
+    def prune_delivered_finals(self) -> int:
+        """Drop delivered finals known delivered at every member site.
+
+        The minimum over all members' delivery floors, as the stability
+        stage knows them, bounds a prefix of the view's final order that
+        everyone has delivered: such refs are pending nowhere, so the flush cut
+        never needs their priorities — reporting them would only be
+        (re-)excluded by the delivered-everywhere rule.  This keeps
+        ``g.fl.ok`` reports from scaling with the view's ABCAST history.
+        """
+        if self.engine.view is None:
+            return 0
+        floor = self.pipeline.stability.group_floor()
+        if floor <= self._pruned_floor:
+            return 0
+        self._pruned_floor = floor
+        victims = [ref for ref, prio in self.delivered.items()
+                   if prio <= floor]
+        for ref in victims:
+            del self.delivered[ref]
+        if victims:
+            self.engine.sim.trace.bump("flush.finals_pruned", len(victims))
+        return len(victims)
 
     # -- failure events ----------------------------------------------------
     def on_sites_died(self, dead_sites: Set[int]) -> None:
-        """Member sites left the site view mid-collection.
-
-        Complete any proposal collections that were only waiting on the
-        dead sites; engines without a collecting sender inherit this as
-        a no-op (the inert sender completes nothing).
-        """
-        for site in dead_sites:
-            for ref, final in self.sender.drop_site(site):
-                self.disseminate_final(ref, final)
+        """Member sites left the site view (nothing waits on them here)."""
 
     # -- view lifecycle ----------------------------------------------------
     def on_wedge(self) -> None:
         """Flush starting: push any buffered order out ahead of reports."""
 
     def on_new_view(self) -> None:
-        self.receiver.on_new_view()
-        self.sender.abandon_all()
+        """Forget the old view's book; subclasses reset their own state
+        and replay what they must first, then call this."""
+        self.delivered.clear()
+        self.delivery_floor = (0, 0)
+        self._pruned_floor = (0, 0)
+
+
+@dataclass(slots=True)
+class _QueueEntry:
+    msg: Message
+    priority: Priority
+    final: bool = False
 
 
 class TotalOrdering(OrderingEngine):
-    """ABCAST stage: two-phase priority total order."""
+    """ABCAST stage: two-phase priority total order.
 
-    def _make_receiver(self) -> TotalOrderReceiver:
-        return TotalOrderReceiver(self.engine.site_id)
+    The paper's protocol of [Birman-a], as sketched in §3.1 and costed
+    in Figure 3 (3 inter-site messages on the critical path):
+
+    1. The sender's kernel disseminates the message to every member
+       site; each site assigns it a *proposed priority* — one more than
+       the highest priority it has seen, tie-broken by site id — and
+       buffers the message as undeliverable.
+    2. The sites send their proposals back to the sender's kernel, which
+       picks the **maximum** as the final priority.
+    3. The sender's kernel disseminates the final priority; each site
+       tags the message deliverable, reorders its queue by priority, and
+       delivers a message once no undeliverable message could precede it.
+
+    A message with final priority ``f`` may be delivered when every other
+    queued message has (proposed or final) priority greater than ``f`` —
+    a proposal can only grow into a larger final value, never shrink.
+    Priorities are ``(counter, site_id)`` pairs, globally unique because
+    each site's counter advances on every proposal it makes.
+
+    The drain tracks the queue minimum in a lazy-deletion priority heap:
+    every (re)prioritisation pushes an entry, and stale heap heads —
+    entries whose ref was delivered or whose priority has since changed
+    — are discarded on pop.  Priorities are globally unique, so the heap
+    order is the order a scan for the minimum would find, at
+    O(log pending) per delivery instead of O(pending).
+    """
+
+    def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
+        super().__init__(engine, pipeline)
+        #: Highest priority seen; survives views, so priorities stay
+        #: monotone and late duplicate finals harmless.
+        self._counter = 0
+        self._queue: Dict[MsgRef, _QueueEntry] = {}
+        #: Lazy min-heap of (priority, ref); stale entries skipped on pop.
+        self._heap: List[Tuple[Priority, MsgRef]] = []
+        #: Send side: ref -> (sites we still expect proposals from,
+        #: the proposals so far).
+        self._collecting: Dict[MsgRef, Tuple[Set[int], List[Priority]]] = {}
 
     def stamp(self, env: Message, sender: Address) -> None:
         """Send side: open a proposal collection for this envelope."""
         assert self.engine.view is not None
         env["ab_sender"] = sender.process()
-        self.sender.start((self.engine.site_id, env["gseq"]),
-                          list(self.engine.view.member_sites()))
+        self._collecting[(self.engine.site_id, env["gseq"])] = (
+            set(self.engine.view.member_sites()), [])
 
     def ingest(self, env: Message) -> None:
         """Receive side: buffer, propose a priority back to the origin."""
         ref: MsgRef = (env["origin"], env["gseq"])
-        priority = self.receiver.propose(ref, env)
+        entry = self._queue.get(ref)
+        if entry is None:
+            self._counter += 1
+            entry = self._queue[ref] = _QueueEntry(
+                env, (self._counter, self.engine.site_id))
+            heapq.heappush(self._heap, (entry.priority, ref))
         if env["origin"] == self.engine.site_id:
-            self.offer_proposal(ref, self.engine.site_id, priority)
+            self.offer_proposal(ref, self.engine.site_id, entry.priority)
         else:
             note = Message(_proto="g.abp", gid=self.engine.gid,
                            view=self.engine.view.view_id,
-                           ref=list(ref), prio=list(priority))
+                           ref=list(ref), prio=list(entry.priority))
             self.engine.kernel.counters.bump("abcast.proposals")
             self.engine.kernel.send_to_site(env["origin"], note)
 
@@ -192,9 +270,28 @@ class TotalOrdering(OrderingEngine):
 
     def offer_proposal(self, ref: MsgRef, site: int,
                        priority: Priority) -> None:
-        final = self.sender.offer_proposal(ref, site, priority)
-        if final is not None:
-            self.disseminate_final(ref, final)
+        """Record one proposal; the last one awaited makes the final."""
+        state = self._collecting.get(ref)
+        if state is None:
+            return
+        waiting, proposals = state
+        if site in waiting:
+            waiting.discard(site)
+            proposals.append(tuple(priority))
+        if not waiting:
+            del self._collecting[ref]
+            self.disseminate_final(ref, max(proposals))
+
+    def on_sites_died(self, dead_sites: Set[int]) -> None:
+        """Member sites left the site view mid-collection: stop waiting
+        for them, and finish what only waited on them."""
+        for site in dead_sites:
+            for ref in list(self._collecting):
+                waiting, proposals = self._collecting[ref]
+                waiting.discard(site)
+                if not waiting and proposals:
+                    del self._collecting[ref]
+                    self.disseminate_final(ref, max(proposals))
 
     def disseminate_final(self, ref: MsgRef, final: Priority) -> None:
         if self.engine.view is None:
@@ -223,36 +320,113 @@ class TotalOrdering(OrderingEngine):
         need not equal the true final).  The cut settles every wedged
         ref deterministically, so dropping here never stalls a message.
         This mirrors ``SequencerOrdering``'s no-stamps-while-wedged rule.
+        A final for a ref not queued (delivered at a cut, or a
+        duplicate) changes nothing.
         """
         if self.engine.wedged:
             self.engine.sim.trace.bump("abcast.wedged_finals_dropped")
             return
-        self._deliver(self.receiver.finalize(ref, final))
+        entry = self._queue.get(ref)
+        if entry is None:
+            return
+        entry.final = True
+        self._counter = max(self._counter, final[0])
+        if entry.priority != final:  # else its heap entry already says so
+            entry.priority = final
+            heapq.heappush(self._heap, (final, ref))
+        self._deliver(self._drain())
+
+    def _drain(self) -> Drained:
+        out: Drained = []
+        queue, heap = self._queue, self._heap
+        while queue and heap:
+            priority, ref = heap[0]
+            entry = queue.get(ref)
+            if entry is None or entry.priority != priority:
+                heapq.heappop(heap)  # delivered or re-prioritised since
+                continue
+            if not entry.final:
+                break
+            heapq.heappop(heap)
+            del queue[ref]
+            out.append((entry.msg, ref, priority))
+        return out
+
+    # -- flush support -----------------------------------------------------
+    def pending_state(self) -> List[Dict]:
+        """Wire-encodable snapshot of undelivered ABCASTs (for FLUSH_OK)."""
+        return [{"ref": list(ref), "prio": list(entry.priority),
+                 "final": entry.final}
+                for ref, entry in self._queue.items()]
+
+    def force_order(self, order: List[Tuple[MsgRef, Priority]]) -> List[Message]:
+        """Apply a flush coordinator's final cut ordering.
+
+        Every listed message we still hold becomes final with the given
+        priority; the drain then releases them all (the flush guarantees
+        we hold every listed message by now), unbooked: the view ends.
+        Unlisted queued messages cannot exist at this point — the
+        coordinator's union covers all.
+        """
+        for ref_raw, prio_raw in order:
+            ref = (ref_raw[0], ref_raw[1])
+            entry = self._queue.get(ref)
+            if entry is not None:
+                entry.priority = (prio_raw[0], prio_raw[1])
+                entry.final = True
+                heapq.heappush(self._heap, (entry.priority, ref))
+        return [env for env, _, _ in self._drain()]
+
+    def on_new_view(self) -> None:
+        """Reset for a new view (old-view messages all settled by flush;
+        in-flight collections too)."""
+        self._queue.clear()
+        self._heap.clear()
+        self._collecting.clear()
+        super().on_new_view()
 
 
 class SequencerOrdering(OrderingEngine):
     """ABCAST stage: one-phase total order via a token-site sequencer.
 
-    The lowest-ranked (oldest) member's site of the current view holds
-    the *token*.  Senders disseminate ``g.ab`` data envelopes exactly as
-    in two-phase mode, but nobody proposes priorities: the token site
-    assigns each envelope the next dense per-view sequence number and
-    broadcasts ``g.abs`` stamp messages.  Stamps batch — one ``g.abs``
-    can order many refs, accumulated over ``IsisConfig.batch_window`` —
-    so the steady-state protocol cost per ABCAST is O(1) messages
-    instead of the two-phase O(n) proposals plus finals.
+    The Isis-lineage alternative to the paper's two phases.  The
+    lowest-ranked (oldest) member's site of the current view holds the
+    *token*.  Senders disseminate ``g.ab`` data envelopes exactly as in
+    two-phase mode, but nobody proposes priorities: the token site
+    assigns each envelope the next dense per-view sequence number
+    (*stamp*) and broadcasts ``g.abs`` stamp messages.  Stamps batch —
+    one ``g.abs`` can order many refs, accumulated over
+    ``IsisConfig.batch_window`` — so the steady-state protocol cost per
+    ABCAST is O(1) messages instead of the two-phase O(n) proposals
+    plus finals.  How a ``g.abs`` reaches the members (flat, or down
+    the view's spanning tree) is the dissemination stage's concern.
+
+    Every site holds data envelopes until their stamp arrives and
+    delivers in contiguous stamp order: stamp ``s`` only after stamps
+    ``1..s-1`` — never "least priority wins" across a gap, which would
+    let two sites with different stamp knowledge diverge.  Stamps from
+    the token site travel over the FIFO transport, so each site's stamp
+    knowledge is always a prefix of the token's order.  A stamp ``s`` is
+    the priority ``(s, 0)``, so the flush's cut machinery works as for
+    two-phase.
 
     Token handoff needs no extra protocol: the token is a pure function
     of the view, and a view change runs the flush, whose reports carry
-    each survivor's stamped prefix (as ``(seq, 0)`` priorities).  The
-    coordinator's union cut orders stamped messages first, then the
-    deterministic unstamped tail, so all survivors deliver the same
-    sequence across the cut; the new view's lowest-ranked member site
-    then stamps from 1 again.
+    each survivor's stamped prefix.  The coordinator's union cut orders
+    stamped messages first, then the deterministic unstamped tail, so
+    all survivors deliver the same sequence across the cut; the new
+    view's lowest-ranked member site then stamps from 1 again.
     """
 
     def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
         super().__init__(engine, pipeline)
+        #: ref -> data envelope held but not yet delivered.
+        self._held: Dict[MsgRef, Message] = {}
+        #: ref -> stamp, for stamps known but not yet delivered.
+        self._stamps: Dict[MsgRef, int] = {}
+        #: stamp -> ref (inverse of _stamps).
+        self._ref_at: Dict[int, MsgRef] = {}
+        self._next_deliver = 1
         #: Token side: next stamp to assign (dense, per view).
         self._next_stamp = 1
         #: Token side: stamps accumulating for the next ``g.abs``.
@@ -262,9 +436,6 @@ class SequencerOrdering(OrderingEngine):
         self._future_stamps: List[Tuple[int, List[Tuple[MsgRef, int]]]] = []
         #: Token site of the view at the last view change (handoff count).
         self._token_site: Optional[int] = None
-
-    def _make_receiver(self) -> SequencerReceiver:
-        return SequencerReceiver(self.engine.site_id)
 
     def shutdown(self) -> None:
         """Disarm the token side's pending stamp-batch timer."""
@@ -290,18 +461,22 @@ class SequencerOrdering(OrderingEngine):
 
     # -- receive side ------------------------------------------------------
     def ingest(self, env: Message) -> None:
-        """Buffer a data envelope; the token site also assigns its stamp.
+        """Hold a data envelope; the token site also assigns its stamp.
 
-        No stamps are assigned while the group is wedged: the token's
-        FLUSH_OK report already went out, so a post-report stamp would be
-        invisible to the coordinator's cut — the cut itself orders (or
-        excludes) everything that arrives mid-flush.  Stamps assigned
-        *before* the wedge are in the report and may keep delivering.
+        The message store lets a ref through once per view, so a copy of
+        a delivered message never gets here.  No stamps are assigned
+        while the group is wedged: the token's FLUSH_OK report already
+        went out, so a post-report stamp would be invisible to the
+        coordinator's cut — the cut itself orders (or excludes)
+        everything that arrives mid-flush.  Stamps assigned *before* the
+        wedge are in the report and may keep delivering.
         """
         ref: MsgRef = (env["origin"], env["gseq"])
-        self._deliver(self.receiver.hold(ref, env))
+        if ref not in self._held:
+            self._held[ref] = env
+            self._deliver(self._drain())
         if (self.is_token() and not self.engine.wedged
-                and not self.receiver.has_stamp(ref)):
+                and ref not in self._stamps):
             self._assign_stamp(ref)
 
     def _assign_stamp(self, ref: MsgRef) -> None:
@@ -309,7 +484,7 @@ class SequencerOrdering(OrderingEngine):
         seq = self._next_stamp
         self._next_stamp += 1
         self._queue_stamp(ref, seq)
-        self._deliver(self.receiver.apply_stamps([(ref, seq)]))
+        self._apply_stamps([(ref, seq)])
 
     def on_stamps(self, src_site: int, note: tuple) -> None:
         """A ``g.abs`` arrived: apply its (ref, seq) pairs.
@@ -338,7 +513,31 @@ class SequencerOrdering(OrderingEngine):
         if engine.wedged:
             engine.sim.trace.bump("abcast.wedged_stamps_dropped")
             return
-        self._deliver(self.receiver.apply_stamps(pairs))
+        self._apply_stamps(pairs)
+
+    def _apply_stamps(self, pairs: List[Tuple[MsgRef, int]]) -> None:
+        """Record token-site stamps; deliver what they release."""
+        for ref, seq in pairs:
+            if seq < self._next_deliver or ref in self._stamps:
+                continue  # duplicate stamp (retransmit / flush overlap)
+            self._stamps[ref] = seq
+            self._ref_at[seq] = ref
+        self._deliver(self._drain())
+
+    def _drain(self) -> Drained:
+        out: Drained = []
+        while True:
+            ref = self._ref_at.get(self._next_deliver)
+            if ref is None:
+                break
+            msg = self._held.get(ref)
+            if msg is None:
+                break  # stamp known, data still in flight
+            del self._held[ref]
+            del self._ref_at[self._next_deliver]
+            out.append((msg, ref, (self._stamps.pop(ref), 0)))
+            self._next_deliver += 1
+        return out
 
     # -- stamp batching ----------------------------------------------------
     def _queue_stamp(self, ref: MsgRef, seq: int) -> None:
@@ -369,13 +568,60 @@ class SequencerOrdering(OrderingEngine):
         if sent:
             engine.kernel.counters.bump("abcast.seq_stamps", sent)
 
+    # -- flush support -----------------------------------------------------
+    def pending_state(self) -> List[Dict]:
+        """Wire-encodable snapshot of undelivered ABCAST state.
+
+        Includes stamps we know for data still in flight: the flush
+        coordinator must learn the stamped prefix even from sites that
+        hold the stamp but not (yet) the message.
+        """
+        out = []
+        for ref in sorted(set(self._held) | set(self._stamps)):
+            seq = self._stamps.get(ref)
+            if seq is not None:
+                entry = {"ref": list(ref), "prio": [seq, 0], "final": True}
+            else:
+                entry = {"ref": list(ref),
+                         "prio": [UNSTAMPED_BASE + ref[1], ref[0]],
+                         "final": False}
+            out.append(entry)
+        return out
+
+    def force_order(self, order: List[Tuple[MsgRef, Priority]]) -> List[Message]:
+        """Apply a flush coordinator's final cut ordering.
+
+        The cut extends the stamp order (stamped prefix first, then the
+        deterministic unstamped tail), so delivering held messages in the
+        listed order agrees with every survivor's already-delivered
+        prefix.  Contiguity gating is dropped here: a stamp whose data no
+        survivor holds is skipped identically everywhere.  What it
+        releases goes unbooked: the view ends.
+        """
+        out: List[Message] = []
+        for ref_raw, _ in order:
+            ref = (ref_raw[0], ref_raw[1])
+            msg = self._held.pop(ref, None)
+            if msg is None:
+                continue
+            seq = self._stamps.pop(ref, None)
+            if seq is not None:
+                self._ref_at.pop(seq, None)
+            out.append(msg)
+        return out
+
     # -- view lifecycle ----------------------------------------------------
     def on_wedge(self) -> None:
         """Flush starting: push pending stamps out ahead of the reports."""
         self.flush_stamps()
 
     def on_new_view(self) -> None:
-        super().on_new_view()
+        """Reset for a new view, then apply the stamps that raced ahead
+        of its installation.  The book is reset after that replay."""
+        self._held.clear()
+        self._stamps.clear()
+        self._ref_at.clear()
+        self._next_deliver = 1
         self._pending.clear()
         if self._stamp_timer is not None:
             self._stamp_timer.cancel()
@@ -386,7 +632,6 @@ class SequencerOrdering(OrderingEngine):
         if (self._token_site == self.engine.site_id
                 and old_token is not None and old_token != self._token_site):
             self.engine.kernel.counters.bump("abcast.token_handoffs")
-        # Replay stamps that raced ahead of our view installation.
         if self._future_stamps and self.engine.view is not None:
             current = self.engine.view.view_id
             ready = [s for v, s in self._future_stamps if v == current]
@@ -394,7 +639,8 @@ class SequencerOrdering(OrderingEngine):
                 (v, s) for v, s in self._future_stamps if v > current
             ]
             for pairs in ready:
-                self._deliver(self.receiver.apply_stamps(pairs))
+                self._apply_stamps(pairs)
+        super().on_new_view()
 
 
 class LeaderOrdering(SequencerOrdering):

@@ -19,7 +19,8 @@ through the narrow :class:`DeliveryPipeline` interface:
   :class:`~repro.core.ordering.OrderingEngine` seam in
   ``core/ordering.py`` — ``abcast_mode`` selects ``two_phase`` (the
   paper's two-phase priorities) or ``sequencer`` (token-site batched
-  ``g.abs`` stamps).
+  ``g.abs`` stamps).  The one it selects also keeps the view's book of
+  delivered finals and the delivery floor stability piggybacks.
 * :class:`StabilityStage` — tracks which messages are known received
   everywhere.  A have-vector travels one way, the ``stab`` blob of
   ``msg/fields.py`` (view id, ABCAST delivery floor, vector): on
@@ -32,9 +33,7 @@ through the narrow :class:`DeliveryPipeline` interface:
   that ends in the root's cut, ``g.stab.dn``.
 
 The engine keeps what is *not* the data path: the flush protocol, view
-installation, and local delivery.  New protocol variants (sharded
-dissemination, alternative orderings) plug in behind the same stage
-interfaces without touching the engine.
+installation, and local delivery.
 """
 
 from __future__ import annotations
@@ -474,7 +473,7 @@ class StabilityStage:
         engine = self.engine
         if not self._piggybacking or engine.view is None:
             return None
-        return (engine.view.view_id, engine.delivery_floor,
+        return (engine.view.view_id, self.pipeline.total.delivery_floor,
                 engine.store.have_vector())
 
     def attach(self, env: Message) -> None:
@@ -509,7 +508,7 @@ class StabilityStage:
 
         The floor: the pointwise minimum over all members bounds the
         prefix of the final order delivered everywhere, which lets
-        :meth:`GroupEngine.prune_delivered_finals` cap flush-report
+        :meth:`OrderingEngine.prune_delivered_finals` cap flush-report
         sizes.  The vector: the minimum over all members is stable.
         Both are monotone within a view, so a lost or late blob is
         merely conservative; one of another view (a piggyback on a
@@ -521,7 +520,7 @@ class StabilityStage:
             return
         if floor > self._peer_floor.get(src_site, (0, 0)):
             self._peer_floor[src_site] = floor
-            self.engine.prune_delivered_finals()
+            self.pipeline.total.prune_delivered_finals()
         if not self._piggybacking:
             return  # off: buffer GC is the wave's job alone
         known = self._peer_have.setdefault(src_site, {})
@@ -540,7 +539,7 @@ class StabilityStage:
     def group_floor(self) -> Tuple[int, int]:
         """The ABCAST delivery floor every member site is known to have
         reached; ``(0, 0)`` while some member's is unknown."""
-        floor = self.engine.delivery_floor
+        floor = self.pipeline.total.delivery_floor
         if not self._per_peer:
             # No per-peer floors: the aggregated minimum of the last
             # complete wave plays the same role.
@@ -608,8 +607,8 @@ class StabilityStage:
         if engine.view is None or not engine.installed or engine.wedged:
             return
         self._recv_since_announce = 0
-        self._floor_announced = engine.delivery_floor
-        note = self._note("g.stab.a", engine.delivery_floor,
+        self._floor_announced = floor = self.pipeline.total.delivery_floor
+        note = self._note("g.stab.a", floor,
                           engine.store.have_vector())
         engine.sim.trace.bump("stability.announcements")
         self.pipeline.dissemination.to_peers(note)
@@ -635,13 +634,14 @@ class StabilityStage:
         push keeps it in, so the state it holds back reaches the root.
         """
         engine = self.engine
+        floor = self.pipeline.total.delivery_floor
         skipped = (self._piggybacking and engine.sim.now
                    - self._last_advance < STABILITY_INTERVAL)
         if skipped:
             engine.sim.trace.bump("stability.round_skipped")
         else:
             self.tree_push()
-        if self._per_peer and engine.delivery_floor > self._floor_announced:
+        if self._per_peer and floor > self._floor_announced:
             self.announce()
         if skipped or engine.store.buffered_count:
             return True
@@ -649,10 +649,10 @@ class StabilityStage:
         # ``g.stab.up`` (below the root), in our own cut (the root) or
         # by ``g.stab.a`` (flat; in a tree this one stays ``(0, 0)``).
         if self._up_last is not None:
-            return engine.delivery_floor > self._up_last[2]
+            return floor > self._up_last[2]
         if self._dn_last is not None:
-            return engine.delivery_floor > self._dn_last[1]
-        return engine.delivery_floor > self._floor_announced
+            return floor > self._dn_last[1]
+        return floor > self._floor_announced
 
     # -- the collector: the aggregation wave -------------------------------
     def _stab_root(self) -> Optional[int]:
@@ -690,7 +690,7 @@ class StabilityStage:
             return
         vectors = [engine.store.have_vector()]
         count = 1
-        floor = engine.delivery_floor
+        floor = self.pipeline.total.delivery_floor
         children = tree.children(root, me)
         for child in children:
             snap = self._child_up.get(child)
@@ -775,7 +775,7 @@ class StabilityStage:
             # Wedged: defer exactly like maybe_trim — mid-flush trims
             # could empty a pending refill the coordinator counts on.
             self._trim(stable, "stability.cut_trimmed")
-        engine.prune_delivered_finals()
+        self.pipeline.total.prune_delivered_finals()
 
     def on_new_view(self) -> None:
         self._peer_have.clear()

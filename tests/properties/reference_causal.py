@@ -9,7 +9,7 @@ obvious way, as what the differential tests hold the library to:
   per arrival).  :class:`~repro.core.cbcast.CausalReceiver` must deliver
   the same messages in the same order.
 * :class:`ScanTotalOrder` — two-phase ABCAST delivery as a scan for the
-  minimum priority.  :class:`~repro.core.abcast.TotalOrderReceiver`'s
+  minimum priority.  :class:`~repro.core.ordering.TotalOrdering`'s
   lazy heap must agree.
 * :func:`encode_context_compact` / :func:`decode_context_compact` — the
   binary ``cb_ctx`` codec with absolute contexts at both ends: every

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 import reference_causal as reference
 from reference_causal import VectorClock, causal_fields
+from stub_engine import StubEngine
 from repro import IsisCluster, LanConfig
-from repro.core.abcast import TotalOrderReceiver
 from repro.core.cbcast import CausalReceiver, SenderChain
 from repro.core.vectorclock import (
     ContextEncoder,
@@ -670,7 +670,7 @@ def test_last_message_is_not_stranded_behind_the_recheck_pass():
 
 
 # ----------------------------------------------------------------------
-# Receiver level: TotalOrderReceiver's heap == a scan for the minimum
+# Stage level: TotalOrdering's heap == a scan for the minimum
 # ----------------------------------------------------------------------
 REFS = [(origin, gseq) for origin in range(3) for gseq in range(1, 5)]
 
@@ -678,20 +678,22 @@ REFS = [(origin, gseq) for origin in range(3) for gseq in range(1, 5)]
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_total_order_heap_matches_min_scan(data):
-    heap, scan = TotalOrderReceiver(site_id=0), reference.ScanTotalOrder(0)
+    site, scan = StubEngine("two_phase", site_id=0), reference.ScanTotalOrder(0)
+    heap = site.stage
     proposed, used = {}, set()
 
     def same(got, want):
         assert [m["ref"] for m in got] == [m["ref"] for m in want]
-        assert heap.pending_count == scan.pending_count
+        assert len(heap._queue) == scan.pending_count
 
     for _ in range(data.draw(st.integers(1, 30))):
         op = data.draw(st.sampled_from(
             ["propose", "propose", "finalize", "finalize", "cut", "view"]))
         ref = data.draw(st.sampled_from(REFS))
         if op == "propose":
-            msg = Message(ref=list(ref))
-            proposed[ref] = heap.propose(ref, msg)
+            msg = site.envelope(ref, ref=list(ref))
+            heap.ingest(msg)
+            proposed[ref] = heap._queue[ref].priority
             assert proposed[ref] == scan.propose(ref, msg)
         elif op == "finalize" and ref in proposed:
             # The maximum over all sites' proposals: ours, or a larger
@@ -703,7 +705,7 @@ def test_total_order_heap_matches_min_scan(data):
             if final in used:
                 continue
             used.add(final)
-            same(heap.finalize(ref, final), scan.finalize(ref, final))
+            same(site.final(ref, final), scan.finalize(ref, final))
         elif op == "cut":
             # A flush's agreed order for whatever is still queued.
             order = [[list(r), [100 + i, 1]] for i, r in enumerate(

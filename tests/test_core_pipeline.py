@@ -364,7 +364,7 @@ def test_previous_views_final_moves_no_priority_of_the_new_view():
     (engine,) = kernel.engines.values()
     view_id = engine.view.view_id
     assert view_id > 1
-    receiver = engine.pipeline.total.receiver
+    receiver = engine.total
     kernel._dispatch(0, Message(
         _proto="g.ab", gid=engine.gid, view=view_id, origin=0, gseq=1,
         m=Message(n=0), entry=16, ab_sender=make_process_address(0, 0, 9)))
@@ -381,6 +381,133 @@ def test_previous_views_final_moves_no_priority_of_the_new_view():
                                 view=view_id - 1, ref=[1, 1], prio=[99, 2]))
     assert priorities() == before
     assert system.sim.trace.value("abcast.stale_notes") == 2
+
+
+def _send(member, kind, tags):
+    """``member`` sends one ``kind`` multicast per tag to ``pipe``."""
+    proc, isis = member
+
+    def run():
+        gid = yield isis.pg_lookup("pipe")
+        for tag in tags:
+            yield getattr(isis, kind)(gid, 16, tag=tag)
+
+    proc.spawn(run(), f"{kind}-{tags[0]}")
+
+
+def _holding(kernel, proto, held):
+    """``kernel`` keeps each ``proto`` message that arrives in ``held``
+    instead of handling it, until ``del kernel._dispatch``."""
+    dispatch = kernel._dispatch
+
+    def hold(src_site, msg):
+        if msg.get("_proto") == proto:
+            held.append((src_site, msg))
+        else:
+            dispatch(src_site, msg)
+
+    kernel._dispatch = hold
+
+
+def _order_state(stage):
+    """What a total-order stage knows: its queue, its book, its floor."""
+    return stage.pending_state(), dict(stage.delivered), stage.delivery_floor
+
+
+@pytest.mark.parametrize("mode, protos", [
+    ("two_phase", ["g.abs"]),
+    ("sequencer", ["g.abp", "g.abf"]),
+])
+def test_the_other_modes_notes_are_noise(mode, protos):
+    """The mode is cluster-wide configuration, so a note of the other
+    mode is a misconfiguration: counted, and nothing moves."""
+    system, members, _ = _two_member_group(
+        IsisConfig(abcast_mode=mode), n_sites=3)
+    _send(members[0], "abcast", ["a", "b"])
+    system.run_for(5.0)
+    kernel = system.kernel(1)
+    (engine,) = kernel.engines.values()
+    view_id = engine.view.view_id
+    # One ABCAST queued here that nothing will order.
+    kernel._dispatch(2, Message(
+        _proto="g.ab", gid=engine.gid, view=view_id, origin=2, gseq=1000,
+        m=Message(tag="q"), entry=16,
+        ab_sender=make_process_address(2, 0, 9)))
+    before = _order_state(engine.total)
+    assert before[0] and before[2] > (0, 0)
+    delivered = system.sim.trace.value("deliver.group")
+    for proto in protos:
+        note = (Message(_proto=proto, gid=engine.gid, view=view_id,
+                        stamps=[[2, 1000, 1]]) if proto == "g.abs" else
+                Message(_proto=proto, gid=engine.gid, view=view_id,
+                        ref=[2, 1000], prio=[99, 0]))
+        kernel._dispatch(0, note)
+    assert system.sim.trace.value("abcast.unexpected_control") == len(protos)
+    assert _order_state(engine.total) == before
+    assert system.sim.trace.value("deliver.group") == delivered
+
+
+@pytest.mark.parametrize("mode, proto, counter", [
+    ("two_phase", "g.abf", "abcast.wedged_finals_dropped"),
+    ("sequencer", "g.abs", "abcast.wedged_stamps_dropped"),
+])
+def test_order_arriving_while_wedged_is_dropped_and_the_cut_settles_it(
+        mode, proto, counter):
+    """Site 1 misses the order of an ABCAST the others deliver, and it
+    arrives once a flush has wedged the group: it is dropped (our report
+    already went out), and the cut delivers the ref everywhere once."""
+    system, members, deliveries = _two_member_group(
+        IsisConfig(abcast_mode=mode), n_sites=3)
+    kernel = system.kernel(1)
+    (engine,) = kernel.engines.values()
+    held = []
+    _holding(kernel, proto, held)
+    _send(members[0], "abcast", ["a"])
+    system.run_for(2.0)
+    assert held and deliveries == {0: ["a"], 1: [], 2: ["a"]}
+    before = _order_state(engine.total)
+    _send(members[0], "gbcast", ["g"])
+    for _ in range(5000):
+        if engine.wedged:
+            break
+        system.run_for(0.001)
+    assert engine.wedged
+    del kernel._dispatch
+    dropped = system.sim.trace.value(counter)
+    for src_site, msg in held:
+        kernel._dispatch(src_site, msg)
+    assert system.sim.trace.value(counter) == dropped + len(held)
+    assert _order_state(engine.total) == before
+    system.run_for(20.0)
+    assert deliveries == {site: ["a", "g"] for site in range(3)}
+
+
+def test_stamps_ahead_of_the_install_apply_at_install():
+    """Site 1 installs a view late: the token's stamps for it arrive
+    first and are held, then applied when the view installs, and the
+    view's ABCASTs deliver there in stamp order, each once."""
+    system, members, deliveries = _two_member_group(
+        IsisConfig(abcast_mode="sequencer"), n_sites=3)
+    kernel = system.kernel(1)
+    (engine,) = kernel.engines.values()
+    old_view = engine.view.view_id
+    held = []
+    _holding(kernel, "g.fl.commit", held)
+    _send(members[0], "gbcast", ["g"])
+    system.run_for(5.0)
+    assert held and engine.view.view_id == old_view
+    for sender in (0, 2):
+        _send(members[sender], "abcast", [f"{sender}.{i}" for i in range(4)])
+    system.run_for(5.0)
+    assert engine.total._future_stamps and deliveries[1] == []
+    del kernel._dispatch
+    for src_site, msg in held:
+        kernel._dispatch(src_site, msg)
+    system.run_for(10.0)
+    assert engine.view.view_id == old_view + 1
+    assert engine.total._future_stamps == []
+    assert len(deliveries[0]) == 9 and len(set(deliveries[0])) == 9
+    assert deliveries[1] == deliveries[0] == deliveries[2]
 
 
 def _stab_notes(sent, proto):

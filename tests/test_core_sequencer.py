@@ -1,11 +1,12 @@
-"""Unit tests: sequencer-mode ABCAST state, compact contexts, caching."""
+"""Unit tests: sequencer-mode ABCAST, compact contexts, caching."""
 
 import pytest
 
 import reference_causal as reference
 from reference_causal import VectorClock
+from stub_engine import StubEngine
 from repro import IsisCluster, IsisConfig, Message
-from repro.core.abcast import UNSTAMPED_BASE, SequencerReceiver
+from repro.core.ordering import UNSTAMPED_BASE
 from repro.core.vectorclock import (
     ChainContext,
     ContextEncoder,
@@ -17,91 +18,96 @@ from repro.errors import CodecError
 from repro.msg.address import make_group_address, make_process_address
 
 
-def _env(origin, gseq):
-    return Message(_proto="g.ab", origin=origin, gseq=gseq, m=Message())
+def _refs(envs):
+    return [(m["origin"], m["gseq"]) for m in envs]
 
 
 class TestSequencerReceiver:
+    """Sequencer ABCAST at a site that does not hold the token (site 0
+    does), driven through a stub engine."""
+
     def test_data_then_stamp_delivers(self):
-        rx = SequencerReceiver(site_id=1)
-        assert rx.hold((0, 1), _env(0, 1)) == []
-        out = rx.apply_stamps([((0, 1), 1)])
-        assert [(m["origin"], m["gseq"]) for m in out] == [(0, 1)]
-        assert rx.take_delivered() == [((0, 1), (1, 0))]
-        assert rx.take_delivered() == []      # taken once, then forgotten
+        rx = StubEngine("sequencer", site_id=1)
+        assert rx.hold((0, 1)) == []
+        out = rx.stamps([((0, 1), 1)])
+        assert _refs(out) == [(0, 1)]
+        assert rx.stage.delivered == {(0, 1): (1, 0)}
+        assert rx.stage.delivery_floor == (1, 0) and rx.dirty == 1
 
     def test_stamp_then_data_delivers(self):
-        rx = SequencerReceiver(site_id=1)
-        assert rx.apply_stamps([((2, 5), 1)]) == []
-        out = rx.hold((2, 5), _env(2, 5))
-        assert [(m["origin"], m["gseq"]) for m in out] == [(2, 5)]
+        rx = StubEngine("sequencer", site_id=1)
+        assert rx.stamps([((2, 5), 1)]) == []
+        out = rx.hold((2, 5))
+        assert _refs(out) == [(2, 5)]
 
     def test_contiguous_stamp_gating(self):
         """Stamp 2 with data must wait for stamp 1 (no skipping gaps)."""
-        rx = SequencerReceiver(site_id=1)
-        rx.hold((0, 1), _env(0, 1))
-        rx.hold((3, 1), _env(3, 1))
+        rx = StubEngine("sequencer", site_id=1)
+        rx.hold((0, 1))
+        rx.hold((3, 1))
         # Stamp 2 arrives first (its data is held) — must NOT deliver.
-        assert rx.apply_stamps([((3, 1), 2)]) == []
+        assert rx.stamps([((3, 1), 2)]) == []
         # Stamp 1 unblocks both, in stamp order.
-        out = rx.apply_stamps([((0, 1), 1)])
-        assert [(m["origin"], m["gseq"]) for m in out] == [(0, 1), (3, 1)]
+        out = rx.stamps([((0, 1), 1)])
+        assert _refs(out) == [(0, 1), (3, 1)]
 
     def test_stamp_known_data_missing_blocks_later_stamps(self):
-        rx = SequencerReceiver(site_id=1)
-        rx.apply_stamps([((0, 1), 1), ((0, 2), 2)])
-        rx.hold((0, 2), _env(0, 2))  # data for stamp 2 only
-        assert rx.pending_count == 1
-        assert rx.take_delivered() == []
-        out = rx.hold((0, 1), _env(0, 1))
-        assert [(m["origin"], m["gseq"]) for m in out] == [(0, 1), (0, 2)]
+        rx = StubEngine("sequencer", site_id=1)
+        rx.stamps([((0, 1), 1), ((0, 2), 2)])
+        rx.hold((0, 2))  # data for stamp 2 only
+        assert len(rx.stage._held) == 1
+        assert rx.stage.delivered == {}
+        out = rx.hold((0, 1))
+        assert _refs(out) == [(0, 1), (0, 2)]
 
     def test_duplicate_stamps_and_data_ignored(self):
-        rx = SequencerReceiver(site_id=1)
-        rx.hold((0, 1), _env(0, 1))
+        rx = StubEngine("sequencer", site_id=1)
+        rx.hold((0, 1))
         # A second copy of held data.  (A copy of *delivered* data is the
         # message store's to refuse: a ref reaches this stage once a view.)
-        assert rx.hold((0, 1), _env(0, 1)) == []
-        rx.apply_stamps([((0, 1), 1)])
-        assert rx.apply_stamps([((0, 1), 1)]) == []   # stamp of a delivered ref
-        assert rx.take_delivered() == [((0, 1), (1, 0))]
-        assert rx.pending_count == 0 and rx.pending_state() == []
+        assert rx.hold((0, 1)) == []
+        rx.stamps([((0, 1), 1)])
+        assert rx.stamps([((0, 1), 1)]) == []   # stamp of a delivered ref
+        assert rx.stage.delivered == {(0, 1): (1, 0)}
+        assert len(rx.stage._held) == 0 and rx.stage.pending_state() == []
 
     def test_pending_state_shape(self):
-        rx = SequencerReceiver(site_id=1)
-        rx.hold((0, 3), _env(0, 3))          # unstamped, held
-        rx.apply_stamps([((2, 1), 4)])        # stamped, data in flight
-        state = {tuple(e["ref"]): e for e in rx.pending_state()}
+        rx = StubEngine("sequencer", site_id=1)
+        rx.hold((0, 3))                   # unstamped, held
+        rx.stamps([((2, 1), 4)])          # stamped, data in flight
+        state = {tuple(e["ref"]): e for e in rx.stage.pending_state()}
         assert state[(2, 1)]["final"] is True
         assert state[(2, 1)]["prio"] == [4, 0]
         assert state[(0, 3)]["final"] is False
         assert state[(0, 3)]["prio"] == [UNSTAMPED_BASE + 3, 0]
 
     def test_force_order_delivers_listed_order_skips_unheld(self):
-        rx = SequencerReceiver(site_id=1)
-        rx.hold((0, 1), _env(0, 1))
-        rx.hold((2, 1), _env(2, 1))
-        rx.apply_stamps([((2, 1), 7)])  # stamped but gated (stamps 1..6 unknown)
-        out = rx.force_order([
+        rx = StubEngine("sequencer", site_id=1)
+        rx.hold((0, 1))
+        rx.hold((2, 1))
+        rx.stamps([((2, 1), 7)])  # stamped but gated (stamps 1..6 unknown)
+        out = rx.stage.force_order([
             [(2, 1), (7, 0)],
             [(9, 9), (8, 0)],                      # held nowhere: skipped
             [(0, 1), (UNSTAMPED_BASE + 1, 0)],
         ])
-        assert [(m["origin"], m["gseq"]) for m in out] == [(2, 1), (0, 1)]
-        assert rx.pending_count == 0
-        assert rx.take_delivered() == [((2, 1), (7, 0)),
-                                       ((0, 1), (UNSTAMPED_BASE + 1, 0))]
+        assert _refs(out) == [(2, 1), (0, 1)]
+        assert len(rx.stage._held) == 0
+        # The view ends with the cut: nothing of it is booked.
+        assert rx.stage.delivered == {} and rx.dirty == 0
+        assert rx.stage.delivery_floor == (0, 0)
 
     def test_on_new_view_resets(self):
-        rx = SequencerReceiver(site_id=1)
-        rx.hold((0, 1), _env(0, 1))
-        rx.apply_stamps([((0, 1), 1), ((0, 2), 2)])
-        rx.on_new_view()
-        assert rx.pending_count == 0
-        assert rx.take_delivered() == []
+        rx = StubEngine("sequencer", site_id=1)
+        rx.hold((0, 1))
+        rx.stamps([((0, 1), 1), ((0, 2), 2)])
+        rx.stage.on_new_view()
+        assert len(rx.stage._held) == 0
+        assert rx.stage.delivered == {}
+        assert rx.stage.delivery_floor == (0, 0)
         # Fresh view: stamp numbering restarts at 1.
-        rx.hold((0, 1), _env(0, 1))
-        assert len(rx.apply_stamps([((0, 1), 1)])) == 1
+        rx.hold((0, 1))
+        assert len(rx.stamps([((0, 1), 1)])) == 1
 
 
 def _ctx(*entries):

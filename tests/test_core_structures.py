@@ -4,9 +4,9 @@ import pytest
 
 import reference_causal as reference
 from reference_causal import VectorClock, causal_fields
+from stub_engine import StubEngine
 from repro.errors import CodecError, GroupError
 from repro.msg import Message, make_group_address, make_process_address
-from repro.core.abcast import TotalOrderReceiver, TotalOrderSender
 from repro.core.cbcast import CausalReceiver
 from repro.core.store import MessageStore
 from repro.core.vectorclock import ContextEncoder
@@ -365,70 +365,89 @@ class TestCausalReceiver:
         assert rx._next_arrival == 2 and rx.delivered == {P0.pack(): 1}
 
 
+def _propose(site, ref, **fields):
+    """``ref``'s envelope reaches ``site``; the priority it proposed."""
+    site.hold(ref, **fields)
+    return site.stage._queue[ref].priority
+
+
 class TestTotalOrder:
+    """Two-phase ABCAST at one site, driven through a stub engine."""
+
     def test_single_message_flow(self):
-        rx = TotalOrderReceiver(site_id=0)
-        prio = rx.propose((0, 1), Message(x="a"))
-        delivered = rx.finalize((0, 1), prio)
+        rx = StubEngine("two_phase", site_id=0)
+        prio = _propose(rx, (0, 1), x="a")
+        delivered = rx.final((0, 1), prio)
         assert [m["x"] for m in delivered] == ["a"]
+        assert rx.stage.delivered == {(0, 1): prio}
+        assert rx.stage.delivery_floor == prio and rx.dirty == 1
 
     def test_delivery_blocks_on_unfinalized_lower_priority(self):
-        rx = TotalOrderReceiver(site_id=0)
-        rx.propose((0, 1), Message(x="first"))   # prio (1, 0)
-        rx.propose((1, 1), Message(x="second"))  # prio (2, 0)
+        rx = StubEngine("two_phase", site_id=0)
+        _propose(rx, (0, 1), x="first")   # prio (1, 0)
+        _propose(rx, (1, 1), x="second")  # prio (2, 0)
         # Finalizing the *second* at a high priority cannot deliver it:
         # the first is still unfinalized with a lower proposal.
-        assert rx.finalize((1, 1), (5, 1)) == []
-        delivered = rx.finalize((0, 1), (1, 0))
+        assert rx.final((1, 1), (5, 1)) == []
+        delivered = rx.final((0, 1), (1, 0))
         assert [m["x"] for m in delivered] == ["first", "second"]
+        assert rx.stage.delivered == {(0, 1): (1, 0), (1, 1): (5, 1)}
 
     def test_same_final_order_at_all_sites(self):
-        sender = TotalOrderSender()
-        messages = {(0, 1): Message(x="m1"), (1, 1): Message(x="m2")}
-        sites = [TotalOrderReceiver(site_id=i) for i in range(3)]
+        messages = {(0, 1): "m1", (1, 1): "m2"}
+        sites = [StubEngine("two_phase", site_id=i) for i in range(3)]
         finals = {}
-        for ref, msg in messages.items():
-            sender.start(ref, [0, 1, 2])
+        for ref, x in messages.items():
+            # The origin's kernel collects the proposals.
+            sender = StubEngine("two_phase", site_id=ref[0])
+            sender.stage.stamp(sender.envelope(ref),
+                               make_process_address(ref[0], 0, 1))
             for site in sites:
-                final = sender.offer_proposal(
-                    ref, site.site_id, site.propose(ref, msg))
-                if final is not None:
-                    finals[ref] = final
+                sender.dispatch(site.site_id, sender.note(
+                    "g.abp", ref=list(ref),
+                    prio=list(_propose(site, ref, x=x))))
+            (final,) = sender.to_peers
+            finals[ref] = tuple(final["prio"])
         orders = []
         for site in sites:
             got = []
             for ref, final in finals.items():
-                got.extend(m["x"] for m in site.finalize(ref, final))
+                got.extend(m["x"] for m in site.final(ref, final))
             orders.append(got)
         assert orders[0] == orders[1] == orders[2]
         assert sorted(orders[0]) == ["m1", "m2"]
 
     def test_sender_drop_site_completes_collection(self):
-        sender = TotalOrderSender()
-        sender.start((0, 1), [0, 1])
-        assert sender.offer_proposal((0, 1), 0, (1, 0)) is None
-        completed = sender.drop_site(1)
-        assert completed == [((0, 1), (1, 0))]
+        sender = StubEngine("two_phase", site_id=0, sites=(0, 1))
+        sender.stage.stamp(sender.envelope((0, 1)), P0)
+        sender.dispatch(0, sender.note("g.abp", ref=[0, 1], prio=[1, 0]))
+        assert sender.to_peers == []
+        sender.stage.on_sites_died({1})
+        (final,) = sender.to_peers
+        assert (final["ref"], final["prio"]) == ([0, 1], [1, 0])
 
     def test_force_order_delivers_cut(self):
-        rx = TotalOrderReceiver(site_id=0)
-        rx.propose((0, 1), Message(x="a"))
-        rx.propose((1, 1), Message(x="b"))
-        delivered = rx.force_order([
+        rx = StubEngine("two_phase", site_id=0)
+        _propose(rx, (0, 1), x="a")
+        _propose(rx, (1, 1), x="b")
+        delivered = rx.stage.force_order([
             [[1, 1], [7, 1]],
             [[0, 1], [9, 0]],
         ])
         assert [m["x"] for m in delivered] == ["b", "a"]
-        assert rx.pending_count == 0
+        assert rx.stage._queue == {}
+        # The view ends with the cut: nothing of it is booked.
+        assert rx.stage.delivered == {} and rx.dirty == 0
+        assert rx.stage.delivery_floor == (0, 0)
 
     def test_duplicate_finalize_is_noop(self):
-        rx = TotalOrderReceiver(site_id=0)
-        prio = rx.propose((0, 1), Message(x="a"))
-        rx.finalize((0, 1), prio)
-        assert rx.finalize((0, 1), prio) == []
+        rx = StubEngine("two_phase", site_id=0)
+        prio = _propose(rx, (0, 1), x="a")
+        rx.final((0, 1), prio)
+        assert rx.final((0, 1), prio) == []
 
     def test_pending_state_snapshot(self):
-        rx = TotalOrderReceiver(site_id=2)
-        rx.propose((0, 1), Message())
-        state = rx.pending_state()
+        rx = StubEngine("two_phase", site_id=2)
+        rx.hold((0, 1))
+        state = rx.stage.pending_state()
         assert state == [{"ref": [0, 1], "prio": [1, 2], "final": False}]

@@ -279,26 +279,26 @@ class TestDeliveredFinalsPruning:
 
     def test_fast_mode_prunes_delivered_finals(self):
         system = self._run()
-        total = sum(len(group_engine(system, s)._delivered_finals)
+        total = sum(len(group_engine(system, s).total.delivered)
                     for s in range(3))
         assert total <= 6, f"{total} delivered finals left unpruned"
         assert system.sim.trace.value("flush.finals_pruned") > 0
 
     @pytest.mark.parametrize("mode", ["two_phase", "sequencer"])
     def test_receivers_hold_pending_state_only(self, mode):
-        """The engine's pruned book is the one record of what was
-        delivered at which priority: the receiver forgets a ref once the
-        ordering stage has taken it, so a quiet one holds nothing however
+        """The stage's pruned book is the one record of what was
+        delivered at which priority: the queues forget a ref once it is
+        delivered, so a quiet stage holds nothing but its book however
         long the view has lived."""
         system = IsisCluster(n_sites=4, seed=3,
                              isis_config=IsisConfig(abcast_mode=mode))
         members = build_group(system, [0, 1, 2, 3])
 
         def held(site):
-            receiver = group_engine(system, site).total
-            return sum(len(getattr(receiver, slot))
-                       for slot in type(receiver).__slots__
-                       if hasattr(getattr(receiver, slot), "__len__"))
+            stage = group_engine(system, site).total
+            return sum(len(value) for name, value in vars(stage).items()
+                       if name != "delivered"
+                       and isinstance(value, (dict, list, set)))
 
         def blast(isis, rnd):
             gid = yield isis.pg_lookup("ff")
