@@ -14,7 +14,8 @@ multicast data path through the layered
 * **ordering** — causal (vector clocks) and total (two-phase priority
   or sequencer-stamp) delivery queues, both dependency-indexed — a
   delivery wakes exactly the messages it unblocks (FIFO successors and
-  kernel WaitIndex threshold waiters) instead of re-scanning buffers;
+  the threshold waiters of :class:`~repro.core.cbcast.WaitIndex`)
+  instead of re-scanning buffers;
 * **stability** — every message is buffered until known everywhere, so a
   flush can refill any member that missed something; have-vectors
   piggyback on data envelopes so buffers trim continuously;
@@ -759,7 +760,7 @@ class GroupEngine:
         # elsewhere (per-view vectors reset, so old-view thresholds are
         # void): drain them now rather than at the next unrelated
         # arrival.
-        self.kernel.causal_check.recheck(exclude=self.gid)
+        self.kernel.causal_check.recheck()
 
     def _reset_for_new_view(self) -> None:
         self.store.reset()

@@ -11,7 +11,7 @@ One :class:`ProtocolsProcess` runs at every operational site.  It
   site-view membership protocol;
 * hosts the replicated namespace, group RPC (:mod:`.rpc`), joins and
   state transfer (:mod:`.join`) and the cross-group causal check
-  (:mod:`.shards`), each a part that owns its handlers, state and timers.
+  (:mod:`.cbcast`), each a part that owns its handlers, state and timers.
 
 Client processes never touch the network directly: the toolkit stubs in
 :mod:`repro.core.groups` cross the 10 ms intra-site hop into this kernel,
@@ -39,12 +39,12 @@ from ..runtime.process import IsisProcess
 from ..runtime.site import KERNEL_LOCAL_ID, Site
 from ..sim.core import Timer
 from ..sim.tasks import Promise, all_of
+from .cbcast import CausalCheck
 from .engine import GroupEngine
 from .join import Joins
 from .namespace import Namespace
 from .pipeline import STABILITY_INTERVAL
 from .rpc import GroupRpc
-from .shards import CausalCheck
 from .vectorclock import parse_context_delta
 from .view import View
 from .wal import WalManager
@@ -204,8 +204,8 @@ class ProtocolsProcess:
         self._stab_dirty: Set[Address] = set()
         #: Most groups hosted at once (``kernel.peak_groups_per_shard``).
         self._peak_groups = 0
-        #: gid -> creation rank; recheck passes and stability ticks visit
-        #: groups in this order (the ``engines`` dict's).
+        #: gid -> creation rank; the causal drain and stability ticks
+        #: visit groups in this order (the ``engines`` dict's).
         self.engine_order: Dict[Address, int] = {}
         self._next_engine_rank = 0
         #: Pending-depth high-water mark of engines retired since boot
@@ -410,7 +410,7 @@ class ProtocolsProcess:
         return engine
 
     def _note_engine(self, key: Address) -> None:
-        """Record a group's creation rank (recheck pass ordering)."""
+        """Record a group's creation rank (the causal drain's order)."""
         if key not in self.engine_order:
             self.engine_order[key] = self._next_engine_rank
             self._next_engine_rank += 1
@@ -673,7 +673,7 @@ class ProtocolsProcess:
         if not self.alive:
             return
         # Walk only the dirty groups, in the order they were created
-        # here (as recheck passes do): a group is marked dirty when it
+        # here (as the causal drain does): a group is marked dirty when it
         # buffers a message, advances its delivery floor, or receives
         # aggregation traffic, and re-marks itself below for as long as
         # it still holds unstable state.  Idle groups cost nothing per

@@ -388,7 +388,7 @@ class CausalOrdering:
         whatever became deliverable."""
         for ready in self.receiver.offer(env, causal):
             self.engine.deliver_env(ready)
-        self.engine.kernel.causal_check.recheck(exclude=self.engine.gid)
+        self.engine.kernel.causal_check.recheck()
 
     def on_new_view(self) -> None:
         self.receiver.on_new_view()

@@ -149,6 +149,29 @@ class TestMemberFailure:
         assert [m["q"] for m in deliveries[1]] == ["gb"]
         assert [m["q"] for m in deliveries[2]] == ["gb"]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "a re-forward cannot tell a contact that died before dispatching "
+        "from one that died before its rpc.dispatched left, and nothing "
+        "downstream de-duplicates: both survivors deliver it twice"))
+    @pytest.mark.parametrize("kind,delay", [("cbcast", 0.050),
+                                            ("abcast", 0.045)])
+    def test_forwarded_multicast_survives_contact_crash(self, kind, delay):
+        """A client outside the group multicasts through its contact,
+        site 0, which crashes while the request is in flight."""
+        system = IsisCluster(n_sites=4, seed=1)
+        procs, deliveries = build_group(system, [0, 1, 2])
+        client, isis = system.spawn(3, "client")
+
+        def send_main():
+            gid = yield isis.pg_lookup("grp")
+            yield getattr(isis, kind)(gid, 16, nwant=0, q="fwd")
+
+        client.spawn(send_main(), "send")
+        system.sim.call_after(delay, system.crash_site, 0)
+        system.run_for(60.0)
+        assert [m["q"] for m in deliveries[1]] == ["fwd"]
+        assert [m["q"] for m in deliveries[2]] == ["fwd"]
+
 
 class TestViewSynchrony:
     def test_same_deliveries_between_same_views(self):

@@ -4,7 +4,9 @@
 WaitIndex thresholds, view-change wakes) and one two-phase ABCAST drain
 (a lazy heap).  The simple versions they replaced live in
 ``reference_causal.py``; here the two are compared where the code
-differs, at the receiver, on random arrival orders.  At system level
+differs, at the receiver, on random arrival orders, and at the kernel,
+whose drain over 2-3 groups must leave nothing pending that a rescan of
+every group would deliver.  At system level
 the random workloads (multi-group, loss, a mid-stream crash) are checked
 against what virtual synchrony promises, and two fixed-seed workloads
 against per-site delivery digests recorded from the scan engine at the
@@ -15,7 +17,7 @@ import hashlib
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_causal as reference
@@ -88,30 +90,9 @@ def _run_workload(seed, plan, loss, crash_site=None, crash_after=None,
     if crash_site is not None:
         system.run_for(crash_after)
         system.crash_site(crash_site)
-    system.run_for(250.0)
-    _settle(system, members)
+    system.run_for(251.0)
     views = _final_views(system, members)
     return deliveries, views, views == views_before
-
-
-def _settle(system, members):
-    """Give every live kernel the recheck passes a further arrival would.
-
-    ``recheck_causal`` makes one pass over the woken groups in creation
-    order, so a candidate woken in a group the pass has already visited
-    (or in the group whose arrival started it) waits for the next
-    arrival or view install.  A workload's last messages get none, and
-    can sit deliverable but undelivered for good: a liveness gap this
-    suite found (the ``xfail`` below pins it down), left for its own
-    change.  The checks here are about order and agreement, so they
-    supply the trigger.
-    """
-    for site, (proc, _) in enumerate(members):
-        if proc.alive:
-            kernel = system.kernel(site)
-            for _ in range(len(kernel.engines) + 1):
-                kernel.causal_check.recheck()
-    system.run_for(1.0)
 
 
 def _group_key(gid):
@@ -329,8 +310,7 @@ def _run_ring(seed, loss, burst, crash_site, crash_after, n_sites=4, span=3):
         proc.spawn(blast(), f"blast{site}")
     system.run_for(crash_after)
     system.crash_site(crash_site)
-    system.run_for(250.0)
-    _settle(system, members)
+    system.run_for(251.0)
     return deliveries, _final_views(system, members)
 
 
@@ -410,9 +390,18 @@ def test_ring_with_crash_matches_recorded_scan_order():
 #:   d3:22-24 before d2:20-22 (6 pairs, places 92-97); site 2 delivers
 #:   d1:18-21 each one place earlier among d0:19-23 (7 pairs, places
 #:   87-95).  No two messages of one sender flip; site 3 kept its order.
+#: * When the kernel's causal drain went from one pass in creation order,
+#:   skipping the arriving group, to a fixpoint (a group woken behind the
+#:   pass is drained in the same call, not at the next arrival), ring
+#:   site 1 moved (before: 1f2587a51c1876b8): of its 27 deliveries, places
+#:   15-26 take another order.  Site 3's ``cb:3:3``, ``cb:3:5``,
+#:   ``cb:3:6`` and ``cb:3:8`` each come sooner (places 17 / 19 / 23 / 25
+#:   -> 15 / 18 / 20 / 21), site 0's ``cb:0:4``, ``cb:0:6`` and ``cb:0:7``
+#:   later (18 / 21 / 24 -> 22 / 23 / 26); 12 pairs flip, each of two
+#:   senders.  Sites 0, 2 and 3 and the deep backlog kept their digests.
 DEEP_BACKLOG_DIGESTS = {0: "e1637bf46ba22c34", 1: "e5a3346d62ef7274",
                         2: "753590ddf659331f", 3: "d2e5f2924c808cad"}
-RING_DIGESTS = {0: "2ebece2e2512de68", 1: "1f2587a51c1876b8",
+RING_DIGESTS = {0: "2ebece2e2512de68", 1: "c408df4f74afa027",
                 2: "1b74cc83a136f248", 3: "56edb8b4e39c7328"}
 
 
@@ -469,7 +458,7 @@ def _install(kernel, gid, view_id, counts):
 def _install_receiver(kernel, gid, sink):
     """``gid`` becomes installed with the library's receiver, wired to the
     kernel's context check and WaitIndex as ``CausalOrdering`` wires it;
-    what a recheck pass delivers goes to ``sink``."""
+    what the kernel's drain delivers goes to ``sink``."""
     receiver = CausalReceiver(
         delta_check=lambda chain, delta, key:
             kernel.causal_check.check_delta_and_register(
@@ -561,7 +550,7 @@ class _ReceiverPair:
 
     def offer(self, msg):
         self.got += self.engine.offer(msg, causal_fields(msg))
-        self.kernel.causal_check.recheck(exclude=HERE)
+        self.kernel.causal_check.recheck()
         self.want += self.scan.offer(msg)
 
     def other_group_moved(self, gid, member=None, count=0):
@@ -642,31 +631,102 @@ def test_receiver_matches_scan_on_random_arrival_orders(data):
     assert pair.engine.cache_sizes()[1] == 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "recheck_causal makes one pass and skips the arriving group, so a "
-    "candidate woken behind it waits for the next arrival or view "
-    "install (CHANGES.md, PR 16: found, not fixed)"))
-def test_last_message_is_not_stranded_behind_the_recheck_pass():
-    """A waits (in the first group) on B, B (in the second) on P; P
-    arrives in the first group.  All three are deliverable at once."""
+# ----------------------------------------------------------------------
+# Kernel level: the drain leaves nothing deliverable pending
+# ----------------------------------------------------------------------
+@st.composite
+def _cross_group_histories(draw):
+    """``(n_groups, sends, arrivals)``: a CBCAST history over the first
+    ``n_groups`` of CTX_GROUPS and the order one kernel receives it in.
+
+    ``sends[i] = (member, group, learned)``: before its send the member
+    has delivered every send before ``learned`` (or more, if it already
+    had) and all of its own.  A prefix of the send order plus one's own
+    sends is causally closed, so each history is one a run could make,
+    and all of it is deliverable once all of it has arrived."""
+    n_groups = draw(st.integers(2, 3))
+    sends = draw(st.lists(st.tuples(st.integers(0, len(CTX_MEMBERS) - 1),
+                                    st.integers(0, n_groups - 1),
+                                    st.integers(0, 12)),
+                          min_size=1, max_size=12))
+    return n_groups, sends, draw(st.permutations(range(len(sends))))
+
+
+def _cross_group_messages(n_groups, sends):
+    """Each send's group and ``g.cb``, tagged with its index: its
+    ``cb_ctx`` is what its member had delivered in every group, chained
+    per member and group as ``CausalOrdering.stamp`` chains it."""
+    learned = [0] * len(CTX_MEMBERS)
+    encoders, out = {}, []
+    for index, (member, group, learns) in enumerate(sends):
+        learned[member] = min(index, max(learned[member], learns))
+        counts = [{} for _ in range(n_groups)]
+        for i, (m, g, _) in enumerate(sends[:index]):
+            if i < learned[member] or m == member:
+                packed = CTX_MEMBERS[m].pack()
+                counts[g][packed] = counts[g].get(packed, 0) + 1
+        groups = dict(sorted((CTX_GROUPS[g].pack(), (1, dict(sorted(
+            counts[g].items())))) for g in range(n_groups)))
+        encoder = encoders.setdefault((member, group), ContextEncoder())
+        out.append((CTX_GROUPS[group], Message(
+            _proto="g.cb", cb_sender=CTX_MEMBERS[member],
+            cb_seq=counts[group].get(CTX_MEMBERS[member].pack(), 0) + 1,
+            cb_ctx=encoder.encode(groups), tag=index)))
+    return out
+
+
+@given(history=_cross_group_histories())
+@example(history=(2, [(0, 0, 0), (2, 1, 1), (1, 0, 2)], [2, 1, 0]))
+@settings(max_examples=200, deadline=None)
+def test_drain_leaves_nothing_deliverable_pending(history):
+    """One kernel hosts 2-3 groups, each with the library's receiver, and
+    receives a cross-group history in a drawn order, calling only
+    ``causal_check.recheck()`` after each arrival.  After every arrival
+    it has delivered exactly what the reference scans, rescanned until
+    no group progresses, deliver.
+
+    The example: A (the first group's) waits on B (the second's), B on P;
+    P arrives in the first group last, and all three are deliverable.  A
+    drain that made one pass in creation order, or skipped the arriving
+    group, left A pending there."""
+    n_groups, sends, arrivals = history
+    messages = _cross_group_messages(n_groups, sends)
+    gids = CTX_GROUPS[:n_groups]
     kernel = IsisCluster(n_sites=1, seed=0).kernel(0)
-    first, second = CTX_GROUPS[:2]          # creation order = pass order
-    p, q, r = CTX_MEMBERS
     got = []
     receivers = {gid: _install_receiver(kernel, gid, got.append)
-                 for gid in (first, second)}
+                 for gid in gids}
+    scans = {}
+    for gid in gids:
+        scans[gid] = reference.ScanCausalReceiver(
+            lambda context: reference.walk_context(context, {
+                g: (1, scan.delivered) for g, scan in scans.items()})[0])
+    want = []
 
-    def arrive(gid, sender, context, tag):  # as CausalOrdering.ingest does
-        msg = Message(cb_sender=sender, cb_seq=1, tag=tag,
-                      cb_ctx=reference.encode_context_compact(context))
+    def tags(msgs):
+        return {m["tag"] for m in msgs}
+
+    for index in arrivals:
+        gid, msg = messages[index]
+        # As CausalOrdering.ingest does.
         got.extend(receivers[gid].offer(msg, causal_fields(msg)))
-        kernel.causal_check.recheck(exclude=gid)
-
-    arrive(first, q, {second: (1, VectorClock({r: 1}))}, "A")
-    arrive(second, r, {first: (1, VectorClock({p: 1}))}, "B")
-    assert got == []
-    arrive(first, p, {}, "P")
-    assert [m["tag"] for m in got] == ["P", "B", "A"]
+        kernel.causal_check.recheck()
+        want.extend(scans[gid].offer(msg))
+        progress = True
+        while progress:
+            progress = False
+            for scan in scans.values():
+                more = scan.recheck()
+                want.extend(more)
+                progress = progress or bool(more)
+        assert tags(got) == tags(want) and len(got) == len(want)
+        assert not kernel.causal_check.wakes
+        assert ({m["tag"] for rx in receivers.values()
+                 for m in rx.pending_messages()}
+                == {m["tag"] for scan in scans.values()
+                    for m in scan.pending_messages()})
+    assert len(got) == len(sends)
+    assert len(kernel.causal_check.wait_index) == 0
 
 
 # ----------------------------------------------------------------------
@@ -874,15 +934,15 @@ def test_group_installed_mid_chain_forces_one_full_walk():
 # ----------------------------------------------------------------------
 # A position that names nothing, whoever runs the recheck
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("caller", ["offer", "recheck_causal", "flush"])
+@pytest.mark.parametrize("caller", ["offer", "recheck", "flush"])
 @pytest.mark.parametrize("moved", [
     b"\x01\x01\x00\x02\x00",        # group 1 of 1
     b"\x00\x01\x01\x02\x00",        # member 1 of 1, in group 0
 ])
 def test_position_naming_nothing_is_dropped_whoever_rechecks(caller, moved):
     """Positions can only be judged once the predecessor is delivered,
-    which any of ``recheck``'s three callers may be the one to see: the
-    arrival itself, ``kernel.recheck_causal`` when another group's
+    which any of three callers may be the one to see: the arrival
+    itself, the kernel's ``causal_check.recheck`` when another group's
     advance wakes the predecessor, or the flush's first step.  Two of
     them have no ``CodecError`` handler above them."""
     kernel = IsisCluster(n_sites=1, seed=0).kernel(0)
@@ -901,7 +961,7 @@ def test_position_naming_nothing_is_dropped_whoever_rechecks(caller, moved):
 
     def arrive(msg):                    # as CausalOrdering.ingest does
         got.extend(receiver.offer(msg, causal_fields(msg)))
-        kernel.causal_check.recheck(exclude=first)
+        kernel.causal_check.recheck()
 
     def r_delivers():
         kernel.engines[second].deliver(r.pack(), 1)
@@ -918,7 +978,7 @@ def test_position_naming_nothing_is_dropped_whoever_rechecks(caller, moved):
         arrive(head)
         assert got == [] and len(kernel.causal_check.wait_index) == 1
         r_delivers()                    # wakes the head
-        if caller == "recheck_causal":
+        if caller == "recheck":
             kernel.causal_check.recheck()
         else:
             got.extend(receiver.recheck())      # engine.py, flush step 1

@@ -1,6 +1,7 @@
-"""Unit tests for the kernel WaitIndex and the causal delivery stats.
+"""Unit tests for the WaitIndex and the causal delivery stats.
 
-The WaitIndex is the kernel-wide registry of cross-group causal wait
+The WaitIndex (``core/cbcast.py``, owned by each kernel's
+``CausalCheck``) is the kernel-wide registry of cross-group causal wait
 thresholds: a CBCAST blocked on another group's progress holds exactly
 one slot — a delivery counter ``(gid, member, needed_seq)`` or a view
 threshold on ``gid`` — and is woken only when that threshold crosses.
@@ -9,7 +10,7 @@ threshold on ``gid`` — and is woken only when that threshold crosses.
 import pytest
 
 from repro import IsisCluster
-from repro.core.shards import WaitIndex
+from repro.core.cbcast import WaitIndex
 from repro.core.vectorclock import ContextEncoder, parse_context_delta
 from repro.msg.address import make_group_address, make_process_address
 
