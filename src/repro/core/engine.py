@@ -84,6 +84,12 @@ PREREPORT_GRACE = 0.25
 OKB_WINDOW = 0.06
 
 
+def _request_id(user: Message) -> Tuple[Tuple[int, int], int]:
+    """A forwarded multicast's or GBCAST's id: caller, session."""
+    sender = user["_sender"]
+    return (sender.site, sender.incarnation), user["_session"]
+
+
 class GroupEngine:
     """All protocol state for one group at one member site."""
 
@@ -124,10 +130,15 @@ class GroupEngine:
         self._okb_timer: Optional[Timer] = None
         #: When the wedge in progress began (``flush.wedged_seconds``).
         self._wedged_at: Optional[float] = None
+        #: The ``g.fl.commit`` that installed our view.
+        self._last_commit: Optional[Message] = None
         #: Client kernels to push view updates to.
         self.watcher_sites: Set[int] = set()
         #: Local pg_monitor callbacks: callback(view).
         self.monitors: List[Callable[[View], None]] = []
+        #: The forwarded multicasts and GBCASTs delivered here: caller
+        #: (site, incarnation) -> its sessions at or above its floor.
+        self.committed: Dict[Tuple[int, int], Set[int]] = {}
 
     # ------------------------------------------------------------------
     # Identity helpers
@@ -175,6 +186,27 @@ class GroupEngine:
         self.pipeline.drain_pre_view()
 
     # ------------------------------------------------------------------
+    # The committed-request record (``core/rpc.py`` states the rule)
+    # ------------------------------------------------------------------
+    def is_committed(self, user: Message) -> bool:
+        caller, session = _request_id(user)
+        return session in self.committed.get(caller, ())
+
+    def commit_request(self, user: Message) -> bool:
+        """Record the request ``user`` at its delivery, forgetting its
+        caller's sessions below the floor it carries; False (and
+        counted) if it was recorded already."""
+        caller, session = _request_id(user)
+        sessions = self.committed.setdefault(caller, set())
+        if session in sessions:
+            self.kernel.counters.bump("request.duplicates")
+            return False
+        floor = user["_floor"]
+        sessions.difference_update([s for s in sessions if s < floor])
+        sessions.add(session)
+        return True
+
+    # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
     def mcast(
@@ -185,6 +217,7 @@ class GroupEngine:
         entry: int,
         on_dispatched: Optional[Callable[[View], None]] = None,
         audited: bool = True,
+        request: bool = False,
     ) -> None:
         """Multicast ``user_msg`` to the group (CBCAST or ABCAST).
 
@@ -196,13 +229,21 @@ class GroupEngine:
         when this dissemination is part of an operation already counted
         (e.g. the group copy of a ``reply_cc``, which Table I costs as a
         single CBCAST with multiple destinations).
+
+        ``request`` marks a forwarded request: one this group delivered
+        already is answered (``on_dispatched``), not sent again.
         """
         if not self.installed or self.wedged:
             self._outbox.append(
                 lambda: self.mcast(kind, sender, user_msg, entry,
-                                   on_dispatched, audited))
+                                   on_dispatched, audited, request))
             return
         assert self.view is not None
+        if request and self.is_committed(user_msg):
+            self.kernel.counters.bump("request.duplicates")
+            assert on_dispatched is not None
+            on_dispatched(self.view)
+            return
         if audited:
             self.sim.trace.bump(f"mcast.{kind}")
         env = Message(
@@ -240,6 +281,8 @@ class GroupEngine:
 
     def deliver_env(self, env: Message) -> None:
         user = env["m"].copy()
+        if "_floor" in user and not self.commit_request(user):
+            return
         if "_sender" not in user:
             # Member sends stamp the true originator before dissemination;
             # if absent, the disseminating member is the sender.
@@ -709,6 +752,7 @@ class GroupEngine:
         new_view, payloads = event[0], event[1]
         if new_view.view_id <= self.view.view_id:
             return  # duplicate commit
+        self._last_commit = record[0]
         old_view = self.view
         # 1. Deliver the remaining causal messages of the old view.
         for ready in self.causal.recheck():
@@ -723,6 +767,8 @@ class GroupEngine:
             self.deliver_env(ready)
         # 3. Deliver GBCAST / configuration payloads.
         for idx, (kind, payload, entry) in enumerate(payloads or ()):
+            if "_floor" in payload and not self.commit_request(payload):
+                continue
             user = payload.copy()
             user["_group"] = self.gid
             user["_view_id"] = new_view.view_id
@@ -784,7 +830,10 @@ class GroupEngine:
     # Failure events
     # ------------------------------------------------------------------
     def on_sites_died(self, dead_sites: Set[int]) -> None:
-        """Site view removed sites: drop their members, maybe coordinate."""
+        """Site view removed sites: drop their members and the record of
+        their requests, maybe coordinate."""
+        for caller in [c for c in self.committed if c[0] in dead_sites]:
+            del self.committed[caller]
         if self.view is None or not self.installed:
             return
         dead_members = tuple(
@@ -792,6 +841,15 @@ class GroupEngine:
         )
         if not dead_members:
             return
+        last = self._last_commit
+        if last is not None and last["fid"][2] in dead_sites:
+            # Its coordinator may have died while sending it: pass the
+            # commit that installed our view on to every survivor (a
+            # member that has it drops it as a duplicate).
+            self._last_commit = None
+            for site in self.view.member_sites():
+                if site != self.site_id and site not in dead_sites:
+                    self._send_flush_msg(site, last)
         # Complete ABCAST collections that were waiting on dead sites.
         self.total.on_sites_died(dead_sites)
         if self.is_coordinator_site():
@@ -830,28 +888,3 @@ class GroupEngine:
         self._wedge(fid0)
         self.sim.trace.bump("flush.prereports_sent")
         self._send_flush_ok(acting.site, fid0, pre=True)
-
-    def on_local_member_died(self, member: Address) -> None:
-        """A member process at this site died (local detection)."""
-        if self.view is None or not self.view.contains(member):
-            return
-        if self.is_coordinator_site():
-            self.enqueue_reason(FlushReason(kind="remove",
-                                            removals=(member,)))
-            return
-        acting = self.acting_coordinator()
-        if acting is None:
-            return
-        if acting.process() == member.process() and len(self.view.members) > 1:
-            # The dying process IS the coordinator; route to the next
-            # oldest live member's site instead.
-            survivors = self.view.without([member])
-            if survivors.members:
-                self.kernel.send_to_site(
-                    survivors.members[0].site,
-                    Message(_proto="g.dead", gid=self.gid, member=member))
-            return
-        self.kernel.send_to_site(
-            acting.site,
-            Message(_proto="g.dead", gid=self.gid, member=member),
-        )

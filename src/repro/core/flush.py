@@ -60,7 +60,6 @@ class FlushReason:
     payload: Optional[bytes] = None    # encoded user message (gbcast/config)
     user_entry: int = 0
     transfer_state: bool = True        # joins: run state transfer?
-    reply_site: Optional[int] = None   # site to notify when done (join/leave)
     #: Removal caused by a *site-view* change: every surviving
     #: participant observed the same change and is pushing an
     #: unsolicited pre-report, so the coordinator can skip the

@@ -1,12 +1,17 @@
 """Joins, leaves and state transfer at one kernel (§3.8, §5).
 
-A join request (``g.join``) reaches the group's coordinator through any
-member site.  The admitting flush names a *source* member, whose site
+A join (``g.join``) and a leave (``g.leave``) are requests to the
+group's coordinator, sent and re-sent by the one request rule of
+:mod:`.rpc` until their commit notice: the joiner's state, a view
+without the leaver.  Both are idempotent on the view, so a retry needs
+no record.  The admitting flush names a *source* member, whose site
 ships the joiner its state (``st.data``): a snapshot of the source
 process's transfer segments, or the log suffix a rejoining site missed,
 as ``st.chunk``s on the bulk channel when large.  Until then the joiner
-is *gated*: deliveries to it are held.  A leave (``g.leave``) and a dead
-local member (``g.dead``) are removal requests to the coordinator.
+is *gated*: deliveries to it are held.  A retry from a joiner the group
+admitted is welcomed again, and the coordinator ships the state itself
+unless a stream to the joiner is on its way.  A local member that dies
+is removed by the request a leave makes.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
 from ..errors import CodecError, JoinRefused, SiteDown
 from ..msg.address import Address
 from ..msg.message import Message
-from ..sim.core import Timer
 from ..sim.tasks import Promise
 from .flush import FlushReason
 
@@ -33,10 +37,6 @@ BULK_THRESHOLD = 32768
 #: Size of one ``st.chunk``: small enough that neither endpoint's CPU
 #: nor the wire is held by a snapshot-sized block.
 TRANSFER_CHUNK_BYTES = 65536
-#: A joiner re-sends ``g.join`` at this cadence until welcomed, and a
-#: welcomed but still gated joiner re-requests its state at the second.
-JOIN_RETRY = 2.0
-TRANSFER_RETRY = 4.0
 
 
 def capture_segments(process: "IsisProcess") -> Dict[str, List[bytes]]:
@@ -57,36 +57,20 @@ def apply_segments(process: "IsisProcess",
 
 
 class _JoinState:
-    __slots__ = ("process", "gid", "credentials", "promise", "timer",
-                 "transfer_timer", "tried", "stream_xid",
-                 "stream_buf", "hint")
+    __slots__ = ("process", "gid", "promise", "stream_xid", "stream_buf")
 
-    def __init__(self, process: "IsisProcess", gid: Address, credentials: Any,
+    def __init__(self, process: "IsisProcess", gid: Address,
                  promise: Promise):
         self.process = process
         self.gid = gid
-        self.credentials = credentials
         self.promise = promise
-        self.timer: Optional[Timer] = None
-        self.transfer_timer: Optional[Timer] = None
-        #: Contact sites already tried (rotate when the contact is dead).
-        self.tried: Set[int] = set()
         #: Streaming state transfer reassembly.
         self.stream_xid: Optional[int] = None
         self.stream_buf: List[bytes] = []
-        #: Rejoin position from our replayed WAL: (view, delivered enc).
-        self.hint: Optional[Tuple[int, bytes]] = None
-
-    def disarm(self) -> None:
-        """Cancel the request-retry and the transfer-retry timer."""
-        for timer in (self.timer, self.transfer_timer):
-            if timer is not None:
-                timer.cancel()
-        self.timer = self.transfer_timer = None
 
 
 class Joins:
-    """Owns the joins in flight here and their retry timers, the gates,
+    """Owns the joins in flight here, the gates,
     the join validators, the rejoin positions held for the admitting
     flush, the outgoing ``st.chunk`` streams and the leave waiters."""
 
@@ -112,10 +96,7 @@ class Joins:
         self._leave_waiters: Dict[Tuple[Address, Address], Promise] = {}
 
     def shutdown(self) -> None:
-        # Join attempts in flight: their retry/transfer timers would
-        # otherwise fire into a dead kernel.
         for state in self.pending.values():
-            state.disarm()
             if not state.promise.done:
                 state.promise.reject(
                     SiteDown(f"site {self.site_id} is down"))
@@ -132,8 +113,8 @@ class Joins:
         self.gated.pop(process.address.process(), None)
         for gid, state in list(self.pending.items()):
             if state.process is process:
-                state.disarm()
                 del self.pending[gid]
+                self.kernel.rpc.settle(("g.join", gid))
 
     def on_sites_departed(self, departed: Set[int]) -> None:
         """Streams to a departed site die with it."""
@@ -148,16 +129,20 @@ class Joins:
         self.sim.trace.bump("tool.pg_join")
         key = gid.process()
         promise = Promise(label=f"pg_join({gid})")
-        state = _JoinState(process, key, credentials, promise)
+        state = self.pending[key] = _JoinState(process, key, promise)
+        request = Message(_proto="g.join", gid=key,
+                          joiner=process.address.process(), cred=credentials)
         wal = self.kernel.wal
-        if wal is not None and key not in self.kernel.engines:
+        hint = wal.rejoin_hint(key) if wal is not None \
+            and key not in self.kernel.engines else None
+        if hint is not None:
             # A true rejoin (no live engine here): offer our replayed
             # log position so the source can ship just the suffix.
-            state.hint = wal.rejoin_hint(key)
-        self.pending[key] = state
+            request["wal_view"], request["wal_dlv"] = hint
         # Gate deliveries to the joiner until its state arrives.
         self.gated.setdefault(process.address.process(), [])
-        self._send_join_request(state)
+        self.kernel.rpc.request(("g.join", key), key, request,
+                                lambda error: self._abandon(state, error))
         return promise
 
     def register_join_validator(self, gid: Address,
@@ -165,37 +150,18 @@ class Joins:
         """pg_join_verify: user routine validating join requests (§3.10)."""
         self._validators.setdefault(gid.process(), []).append(validator)
 
-    def _send_join_request(self, state: _JoinState) -> None:
-        if state.promise.done or not self.kernel.alive:
-            return
-        # Any member site forwards the request to the acting coordinator.
-        contact = self.kernel.rpc.pick_contact(state.tried, state.gid)
-        request = Message(
-            _proto="g.join", gid=state.gid,
-            joiner=state.process.address.process(),
-            cred=state.credentials,
-        )
-        if state.hint is not None:
-            request["wal_view"] = state.hint[0]
-            request["wal_dlv"] = state.hint[1]
-        self.kernel.send_to_site(contact, request)
-        state.timer = self.sim.call_after(
-            JOIN_RETRY, self._send_join_request, state)
-
     def _on_join_request(self, src_site: int, record: tuple) -> None:
         msg, gid, joiner, cred, wal_view, wal_dlv = record
         kernel = self.kernel
-        engine = kernel.coordinating_engine(gid, msg)
+        engine = kernel.coordinating_engine(gid, msg, src_site)
         if engine is None:
-            if kernel.current_view(gid) is None:   # not relayed: no group here
-                kernel.send_to_site(joiner.site, Message(
-                    _proto="g.fwd.nak", gid=gid, session=-1,
-                    hint=kernel.contact_cache.get(gid.process()),
-                ))
             return
         if engine.view.contains(joiner):
-            # Already a member (duplicate request): re-welcome.
-            self.welcome(engine, engine.view, [joiner], False)
+            # A retry from a member: its welcome or its state was lost.
+            if (gid.process(), joiner.process()) not in self.streams:
+                self.welcome(engine, engine.view, [joiner], True)
+                self._send_state(engine, engine.acting_coordinator(),
+                                 [joiner])
             return
         for validator in self._validators.get(gid.process(), []):
             if not validator(joiner, cred):
@@ -210,11 +176,17 @@ class Joins:
 
     def _on_join_refused(self, src_site: int, record: tuple) -> None:
         _, gid, _joiner = record
-        state = self.pending.pop(gid.process(), None)
+        state = self.pending.get(gid.process())
         if state is not None:
-            state.disarm()
+            self.kernel.rpc.settle(("g.join", state.gid))
+            self._abandon(state, JoinRefused(f"join to {gid} refused"))
+
+    def _abandon(self, state: _JoinState, error: Exception) -> None:
+        """The join failed: drop it, its gated traffic, reject it."""
+        if self.pending.get(state.gid) is state:
+            del self.pending[state.gid]
             self._release_gate(state.process.address, deliver=False)
-            state.promise.reject(JoinRefused(f"join to {gid} refused"))
+            state.promise.reject(error)
 
     def welcome(self, engine: "GroupEngine", view: "View",
                 joiners: List[Address], transfer: bool) -> None:
@@ -239,18 +211,14 @@ class Joins:
         state = self.pending.get(gid.process())
         if state is None:
             return
-        state.disarm()
         for member in view.members_at(self.site_id):
             kernel.watch_member(engine, member)
-        if transfer:
-            state.transfer_timer = self.sim.call_after(
-                TRANSFER_RETRY, self._rerequest_state, state)
-        else:
+        if not transfer:
             self._finish_join(state, view)
 
     def _finish_join(self, state: _JoinState, view: "View") -> None:
         self.pending.pop(state.gid, None)
-        state.disarm()
+        self.kernel.rpc.settle(("g.join", state.gid))
         wal = self.kernel.wal
         if wal is not None:
             # Arm before the gate opens: the checkpoint written here
@@ -278,6 +246,7 @@ class Joins:
     def release_leavers(self, gid: Address, removed: List[Address]) -> None:
         """Resolve the local leave waiters of the members ``removed``."""
         for member in removed:
+            self.kernel.rpc.settle(("g.leave", gid, member.process()))
             waiter = self._leave_waiters.pop((gid, member.process()), None)
             if waiter is not None and not waiter.done:
                 waiter.resolve(None)
@@ -300,17 +269,13 @@ class Joins:
                 self._hints.pop((gid, joiner.process()), None)
         for member in removed:
             self._abort_state_stream(gid, member.process())
-        # A leave the old coordinator took down with it: ask the new one.
-        for leave_gid, member in list(self._leave_waiters):
-            if leave_gid == gid and engine.view.contains(member):
-                self._ask_to_leave(engine, member)
 
     # -- state transfer: the source side -----------------------------------
     def _send_state(self, engine: "GroupEngine", source: Address,
                     joiners: List[Address]) -> None:
         process = self.kernel.site.process_by_id(source.local_id)
         if process is None or not process.alive:
-            return  # the flush removing us will trigger a re-request
+            return  # the joiner's retry reaches the next coordinator
         # Log-assisted sends cut *now*: the WAL advances synchronously
         # with engine dispatch, so at view install it sits exactly on
         # the V/V+1 boundary (note_view runs right after us, and no
@@ -342,7 +307,7 @@ class Joins:
                                   joiners: List[Address],
                                   suffix_sizes: List[int]) -> None:
         if not self.kernel.alive or not process.alive:
-            return  # the flush removing us will trigger a re-request
+            return  # the joiner's retry reaches the next coordinator
         if self.kernel.engines.get(engine.gid.process()) is not engine:
             return
         payload = Message(_proto="st.data", gid=engine.gid,
@@ -453,21 +418,6 @@ class Joins:
             stream["conn"].close()
             self.counters.bump("state_transfer.streams_aborted")
 
-    def _on_state_rerequest(self, src_site: int, record: tuple) -> None:
-        msg, gid, joiner = record
-        engine = self.kernel.coordinating_engine(gid, msg)
-        if engine is None:
-            return
-        source = engine.view.coordinator()
-        self.kernel.send_to_site(source.site, Message(
-            _proto="st.send", gid=gid, joiner=joiner, source=source))
-
-    def _on_state_send_order(self, src_site: int, record: tuple) -> None:
-        _, gid, joiner, source = record
-        engine = self.kernel.engines.get(gid.process())
-        if engine is not None:
-            self._send_state(engine, source, [joiner])
-
     # -- state transfer: the joiner side -----------------------------------
     def _on_state_chunk(self, src_site: int, record: tuple) -> None:
         _, gid, xid, idx, n, data = record
@@ -475,7 +425,7 @@ class Joins:
         if state is None:
             return  # join finished or abandoned; drop the orphan chunk
         if state.stream_xid != xid:
-            # A restarted stream (source death + re-request): reset.
+            # A restarted stream (source death, a retry): reset.
             state.stream_xid = xid
             state.stream_buf = []
         if idx != len(state.stream_buf):
@@ -485,13 +435,6 @@ class Joins:
             state.stream_xid = None
             return
         state.stream_buf.append(data)
-        # Chunk progress counts as transfer progress: re-arm the
-        # re-request timer so a slow large snapshot is not re-requested
-        # (and re-sent in full) mid-stream.
-        if state.transfer_timer is not None:
-            state.transfer_timer.cancel()
-            state.transfer_timer = self.sim.call_after(
-                TRANSFER_RETRY, self._rerequest_state, state)
         if idx + 1 < n:
             return
         blob = b"".join(state.stream_buf)
@@ -501,7 +444,7 @@ class Joins:
             payload = Message.decode(blob)
         except CodecError:
             self.sim.trace.bump("state_transfer.bad_stream")
-            return  # the re-request loop will restart the stream
+            return  # the join's retry fetches the state again
         self._on_state_data(src_site, self._read_state(payload))
 
     def _on_state_data(self, src_site: int, record: tuple) -> None:
@@ -525,26 +468,14 @@ class Joins:
             try:
                 apply_segments(process, segments)
             except CodecError:
-                # A segment its decoder refuses: the join's re-request
-                # loop fetches the state again.
+                # A segment its decoder refuses: the join's retry
+                # fetches the state again.
                 self.sim.trace.bump("state_transfer.bad_stream")
                 return
         engine = self.kernel.engines.get(gid.process())
         view = engine.view if engine is not None else None
         if view is not None:
             self._finish_join(state, view)
-
-    def _rerequest_state(self, state: _JoinState) -> None:
-        """The transfer source may have died: ask the coordinator again."""
-        if state.promise.done or not self.kernel.alive:
-            return
-        contact = self.kernel.contact_cache.get(state.gid, state.gid.site)
-        self.kernel.send_to_site(contact, Message(
-            _proto="st.req", gid=state.gid,
-            joiner=state.process.address.process(),
-        ))
-        state.transfer_timer = self.sim.call_after(
-            TRANSFER_RETRY, self._rerequest_state, state)
 
     # -- leaving -----------------------------------------------------------
     def leave_group(self, process: "IsisProcess", gid: Address) -> Promise:
@@ -557,28 +488,22 @@ class Joins:
             promise.resolve(None)
             return promise
         self._leave_waiters[(key, member)] = promise
-        self._ask_to_leave(engine, member)
+        self.request_removal(key, member)
         return promise
 
-    def _ask_to_leave(self, engine: "GroupEngine", member: Address) -> None:
-        """Ask the view's coordinator to remove ``member``."""
-        if engine.is_coordinator_site():
-            engine.enqueue_reason(FlushReason(kind="remove",
-                                              removals=(member,)))
-        else:
-            self.kernel.send_to_site(engine.view.coordinator().site, Message(
-                _proto="g.leave", gid=engine.gid, member=member))
+    def request_removal(self, gid: Address, member: Address) -> None:
+        """Ask ``gid``'s coordinator to remove ``member``: a leave, or a
+        local member that died.  With no live site hosting the group,
+        there is nothing left to leave."""
+        self.kernel.rpc.request(
+            ("g.leave", gid, member), gid,
+            Message(_proto="g.leave", gid=gid, member=member),
+            lambda _error: self.release_leavers(gid, [member]))
 
     def _on_leave_request(self, src_site: int, record: tuple) -> None:
         msg, gid, member = record
-        engine = self.kernel.coordinating_engine(gid, msg)
+        engine = self.kernel.coordinating_engine(gid, msg, src_site)
         if engine is not None:
             engine.enqueue_reason(FlushReason(kind="remove",
                                               removals=(member,)))
 
-    def _on_member_dead_notice(self, src_site: int, record: tuple) -> None:
-        _, gid, member = record
-        engine = self.kernel.engines.get(gid.process())
-        if engine is not None and engine.is_coordinator_site():
-            engine.enqueue_reason(FlushReason(kind="remove",
-                                              removals=(member,)))

@@ -83,6 +83,7 @@ KERNEL_COUNTERS: Dict[str, str] = {
         "checkpoint.writes", "checkpoint.bytes",
         "recovery.torn_tails", "recovery.rejoins", "recovery.total_restarts",
         "transfer.log_assisted_bytes_saved",
+        "request.duplicates",   # a retry answered, or a copy dropped
     )},
 }
 
@@ -251,6 +252,7 @@ class ProtocolsProcess:
             engine.shutdown()
         self.engines.clear()
         self.joins.shutdown()
+        self.rpc.shutdown()
 
     def _self_destruct(self) -> None:
         """We were excluded from the site view while alive (§3.7)."""
@@ -395,14 +397,17 @@ class ProtocolsProcess:
             self._note_engine(key)
         return engine
 
-    def coordinating_engine(self, gid: Address,
-                            msg: Message) -> Optional[GroupEngine]:
+    def coordinating_engine(self, gid: Address, msg: Message,
+                            src_site: int) -> Optional[GroupEngine]:
         """The engine of group ``gid`` a coordinator-bound request is
         for, if we are to act on it: not when the group is not installed
-        here (dropped) or its coordinator is at another site (``msg``
-        relayed there)."""
+        here (``src_site`` is told, ``g.fwd.nak``) or its coordinator is
+        at another site (``msg`` relayed there)."""
         engine = self.engines.get(gid.process())
         if engine is None or not engine.installed or engine.view is None:
+            self.send_to_site(src_site, Message(
+                _proto="g.fwd.nak", gid=gid.process(),
+                hint=self.contact_cache.get(gid.process())))
             return None
         if not engine.is_coordinator_site():
             self.send_to_site(engine.view.coordinator().site, msg)
@@ -476,7 +481,7 @@ class ProtocolsProcess:
             self.watch_member(engine, member)
         self.joins.on_view_installed(engine, removed, joiners, transfer,
                                      source)
-        self.rpc.note_gbcasts_dispatched(payloads, new_view)
+        self.rpc.on_view_installed(engine, payloads, new_view)
         # The WAL's view record goes in *after* the joins shipped any
         # log suffix: the suffix cut then ends exactly at the V/V+1
         # boundary the joiner resumes from.
@@ -510,7 +515,8 @@ class ProtocolsProcess:
             self.joins.member_died(proc)
             for eng in list(self.engines.values()):
                 if eng.view is not None and eng.view.contains(proc.address):
-                    eng.on_local_member_died(proc.address)
+                    self.joins.request_removal(eng.gid,
+                                               proc.address.process())
 
         process.watch_death(died)
 
@@ -531,6 +537,7 @@ class ProtocolsProcess:
             self.rpc.note_sites_failed(departed)
             for engine in list(self.engines.values()):
                 engine.on_sites_died(departed)
+            self.rpc.resend(lambda req: req.site in departed)
         if self.config.membership != "primary":
             # Quorum mode: a view install clears suspicions, which may
             # restore commit rights a gated flush was waiting on.
@@ -715,15 +722,13 @@ _HANDLERS = {
     "ns.upd": "namespace._on_update", "ns.snap": "namespace._on_snapshot",
     "ns.q": "namespace._on_query", "ns.qr": "namespace._on_answer",
     "rpc.reply": "rpc._on_reply", "rpc.dispatched": "rpc._on_dispatched",
-    "g.gb": "rpc._on_gbcast_request", "g.fwd": "rpc._on_forwarded_mcast",
+    "g.fwd": "rpc._on_request",
     "g.fwd.nak": "rpc._on_forward_nak", "g.watch": "rpc._on_watch_request",
     "g.view_update": "rpc._on_view_update",
     "g.join": "joins._on_join_request",
     "g.join.refused": "joins._on_join_refused",
-    "g.welcome": "joins._on_welcome", "g.dead": "joins._on_member_dead_notice",
+    "g.welcome": "joins._on_welcome",
     "g.leave": "joins._on_leave_request",
-    "st.req": "joins._on_state_rerequest",
-    "st.send": "joins._on_state_send_order",
     "st.data": "joins._on_state_data", "st.chunk": "joins._on_state_chunk",
     **{proto: "engine._on_flush_" + proto[5:] for proto in (
         "g.fl.begin", "g.fl.ok", "g.fl.expect", "g.fl.pull", "g.fl.data",

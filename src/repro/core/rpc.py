@@ -1,10 +1,18 @@
-"""Group RPC: multicasts from a kernel's processes, forwarding, replies.
+"""Group RPC: multicasts from a kernel's processes, requests, replies.
 
-A process's multicast to a group this kernel hosts is disseminated here;
-to any other group it is *forwarded* (``g.fwd``) to a site that hosts
-it, and re-forwarded until one says it dispatched it (``rpc.dispatched``).
-A GBCAST is a request to the group's coordinator (``g.gb``).  A kernel
-that is not a member *watches* a group (``g.watch``) to hear its views
+A multicast to a group this kernel hosts is disseminated here.  Every
+other request — a multicast to a group hosted elsewhere and any GBCAST
+(``g.fwd``), a join (``g.join``), a leave (``g.leave``) — goes to the
+group's coordinator by one rule, the request table
+(:meth:`GroupRpc.request`; ARCHITECTURE.md, "One request rule"): sent
+again when its site leaves the site view, when a new view of its group
+is learned and every :data:`REQUEST_TIMEOUT`, until its commit notice;
+failed (:class:`~repro.errors.NoSuchGroup`) only when every live site
+naks it (``g.fwd.nak``).  A forwarded multicast or GBCAST is named by
+its caller's ``(_sender, _session)``; every member records the ones it
+delivers (:meth:`~repro.core.engine.GroupEngine.commit_request`), so a
+retry of one is answered, not executed twice.  A kernel that is not a
+member *watches* a group (``g.watch``) to hear its views
 (``g.view_update``).  :class:`GroupRpc` is that part of one kernel.
 
 §3.2: the caller indicates how many responses are desired (0, 1, k, or
@@ -19,12 +27,13 @@ member; if the count becomes unreachable the caller gets an error code
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, List,
+                    Optional, Set)
 
 from ..errors import BroadcastFailed, NoSuchGroup
 from ..msg.address import Address
 from ..msg.message import Message
-from ..sim.core import Simulator
+from ..sim.core import Simulator, Timer
 from ..sim.tasks import Promise
 from .engine import CBCAST, GroupEngine
 from .flush import FlushReason
@@ -38,10 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ALL = -1
 #: Entry number for coordinator-cohort reply copies (GENERIC_CC_REPLY, §6).
 CC_REPLY_ENTRY = 3
-#: A client's forwarded multicast is re-forwarded if no dispatch notice
-#: is heard within the timeout, at most this many times.
-FWD_RETRIES = 5
-FWD_TIMEOUT = 5.0
+#: A request is sent again if its commit notice is not heard this long
+#: after it was sent.
+REQUEST_TIMEOUT = 5.0
 
 
 class Session:
@@ -125,9 +133,6 @@ class SessionTable:
         self._sessions[session.id] = session
         return session
 
-    def get(self, session_id: int) -> Optional[Session]:
-        return self._sessions.get(session_id)
-
     # -- event entry points ------------------------------------------------
     def on_dispatched(self, session_id: int, members: List[Address],
                       via_site: Optional[int] = None) -> None:
@@ -185,9 +190,27 @@ class SessionTable:
         return len(self._sessions)
 
 
+class _Request:
+    """One request of this kernel's to a group's coordinator."""
+
+    __slots__ = ("key", "gid", "msg", "fail", "site", "naked", "timer")
+
+    def __init__(self, key: Hashable, gid: Address, msg: Message,
+                 fail: Callable[[Exception], Any]):
+        self.key = key
+        self.gid = gid
+        self.msg = msg
+        self.fail = fail
+        #: Where it was last sent.
+        self.site: Optional[int] = None
+        #: Sites that said they do not host the group.
+        self.naked: Set[int] = set()
+        self.timer: Optional[Timer] = None
+
+
 class GroupRpc:
-    """Owns the session table, the forwarding attempts, the GBCAST
-    requests and the watchers of groups hosted elsewhere."""
+    """Owns the session table, the requests to coordinators and the
+    watchers of groups hosted elsewhere."""
 
     def __init__(self, kernel: "ProtocolsProcess"):
         self.kernel = kernel
@@ -195,15 +218,94 @@ class GroupRpc:
         self.site_id = kernel.site_id
         self.sessions = SessionTable(
             kernel.sim, resolve_delay=kernel.site.local_hop_delay)
-        self._fwd_attempts: Dict[int, int] = {}
-        self._fwd_tried: Dict[int, Set[int]] = {}
-        #: Forwarded multicasts not yet acknowledged by a dispatcher.
-        #: Needed for nwant=0 sends whose session resolves immediately:
-        #: the fire-and-forget message must still reach a live member.
-        self._fwd_unacked: Set[int] = set()
+        #: Every outstanding request of this kernel, by its key:
+        #: ``("g.fwd", session)``, ``("g.join", gid)`` or
+        #: ``("g.leave", gid, member)``.
+        self._requests: Dict[Hashable, _Request] = {}
         self._client_monitors: Dict[
             Address, List[Callable[["View"], None]]] = {}
         self._watched_views: Dict[Address, Set[Address]] = {}
+
+    def shutdown(self) -> None:
+        for req in self._requests.values():
+            if req.timer is not None:
+                req.timer.cancel()
+        self._requests.clear()
+
+    # -- the request table -----------------------------------------------------
+    def request(self, key: Hashable, gid: Address, msg: Message,
+                fail: Callable[[Exception], Any]) -> None:
+        """Send ``msg`` to ``gid``'s coordinator, again and again until
+        :meth:`settle` ``(key)``; ``fail(NoSuchGroup)`` when every live
+        site says it does not host the group."""
+        self.settle(key)    # a second leave of one member replaces the first
+        req = self._requests[key] = _Request(key, gid.process(), msg, fail)
+        self._send(req)
+
+    def settle(self, key: Hashable) -> None:
+        """The commit notice of request ``key`` arrived."""
+        req = self._requests.pop(key, None)
+        if req is not None and req.timer is not None:
+            req.timer.cancel()
+
+    def _send(self, req: _Request) -> None:
+        if req.timer is not None:
+            req.timer.cancel()
+        site = self._target(req)
+        if site is None:
+            self.settle(req.key)
+            req.fail(NoSuchGroup(f"no live site hosts group {req.gid}"))
+            return
+        req.site = site
+        if req.key[0] == "g.fwd":
+            user = req.msg["m"]
+            user["_floor"] = min(key[1] for key in self._requests
+                                 if key[0] == "g.fwd")
+            req.msg["m"] = user     # the nested change re-encodes
+        self.kernel.send_to_site(site, req.msg)
+        req.timer = self.sim.call_after(REQUEST_TIMEOUT, self._send, req)
+
+    def _target(self, req: _Request) -> Optional[int]:
+        """The coordinator's site if the group is installed here, else
+        the cached contact, else the lowest live site; never a site that
+        naked the request."""
+        engine = self.kernel.engines.get(req.gid)
+        acting = engine.acting_coordinator() if engine is not None else None
+        if acting is not None:
+            return acting.site
+        alive = self.kernel.alive_sites()
+        cached = self.kernel.contact_cache.get(req.gid, req.gid.site)
+        for site in [cached, *sorted(alive)]:
+            if site in alive and site not in req.naked:
+                return site
+        return None
+
+    def resend(self, match: Callable[[_Request], bool]) -> None:
+        """Send again every outstanding request ``match`` picks: those
+        that went to a site that left the site view, or were naked."""
+        for req in list(self._requests.values()):
+            if self._requests.get(req.key) is req and match(req):
+                self._send(req)
+
+    def _view_learned(self, gid: Address) -> None:
+        for req in self._requests.values():
+            if req.gid == gid:
+                req.naked.clear()
+        self.resend(lambda req: req.gid == gid)
+
+    def _on_forward_nak(self, src_site: int, record: tuple) -> None:
+        """``src_site`` does not host the group: its requests go on to
+        the hint, or to the next live site."""
+        _, gid, hint = record
+        self.sim.trace.bump("fwd.naks")
+        if hint is not None:
+            self.kernel.contact_cache[gid.process()] = hint
+
+        def naked(req: _Request) -> bool:
+            return req.gid == gid.process() and req.site == src_site
+        for req in filter(naked, self._requests.values()):
+            req.naked.add(src_site)
+        self.resend(naked)
 
     # -- multicast -------------------------------------------------------------
     def _open_session(self, process: "IsisProcess", user: Message,
@@ -227,8 +329,30 @@ class GroupRpc:
             engine.mcast(kind, self._disseminator(engine, process), user,
                          entry, on_dispatched=dispatched)
         else:
-            self._forward_mcast(session.id, gid, kind, user, entry, nwant)
+            self._forward(session, gid, kind, user, entry, nwant)
         return session.promise
+
+    def group_gbcast(self, process: "IsisProcess", gid: Address,
+                     user: Message, entry: int, nwant: int) -> Promise:
+        """GBCAST: delivered at a flush, ordered relative to everything.
+
+        The flush itself is the multicast (counted as ``flush.runs``), so
+        no separate ``mcast.gbcast`` counter is bumped here.
+        """
+        session = self._open_session(process, user, nwant)
+        self._forward(session, gid, "gbcast", user, entry, nwant)
+        return session.promise
+
+    def _forward(self, session: Session, gid: Address, kind: str,
+                 user: Message, entry: int, nwant: int) -> None:
+        self.request(("g.fwd", session.id), gid, Message(
+            _proto="g.fwd", gid=gid.process(), kind=kind, m=user,
+            entry=entry, nwant=nwant,
+        ), lambda error: self.sessions.note_session_failed(session.id, error))
+        if nwant == 0:
+            # Fire-and-forget for the *caller*; the request is still
+            # sent until its commit notice arrives.
+            self.sessions.on_dispatched(session.id, [])
 
     @staticmethod
     def _disseminator(engine: GroupEngine,
@@ -242,143 +366,59 @@ class GroupRpc:
             return local[0]
         return addr
 
-    def _forward_mcast(self, session_id: int, gid: Address, kind: str,
-                       user: Message, entry: int, nwant: int) -> None:
-        attempts = self._fwd_attempts.get(session_id, 0)
-        if attempts >= FWD_RETRIES:
-            self._fwd_attempts.pop(session_id, None)
-            self.sessions.note_session_failed(
-                session_id, NoSuchGroup(f"cannot reach group {gid}"))
+    def _on_request(self, src_site: int, record: tuple) -> None:
+        """The coordinator takes a forwarded multicast or a GBCAST: a
+        retry of one its group delivered is answered, not executed."""
+        msg, gid, kind, user, entry, _nwant = record
+        engine = self.kernel.coordinating_engine(gid, msg, src_site)
+        if engine is None:
             return
-        self._fwd_attempts[session_id] = attempts + 1
-        self._fwd_unacked.add(session_id)
-        contact = self.pick_contact(
-            self._fwd_tried.setdefault(session_id, set()), gid)
-        self.kernel.send_to_site(contact, Message(
-            _proto="g.fwd", gid=gid.process(), kind=kind, m=user,
-            entry=entry, session=session_id, caller_site=self.site_id,
-            nwant=nwant,
-        ))
-        if nwant == 0:
-            # Fire-and-forget for the *caller* — but the message must
-            # still reach a live dispatcher, so the retry loop runs on.
-            self.sessions.on_dispatched(session_id, [])
-        # The contact may be down or stale: re-forward until the dispatch
-        # notice arrives (the attempt counter bounds this, after which
-        # a waiting caller gets its error code).
-        self.sim.call_after(
-            FWD_TIMEOUT,
-            self._refwd_if_undispatched, session_id, gid, kind, user,
-            entry, nwant)
-
-    def pick_contact(self, tried: Set[int], gid: Address) -> int:
-        """Best site to reach ``gid`` through: the cache, then alive
-        sites not in ``tried`` (this attempt is added to it).
-
-        A dead or stale contact is marked tried and the next attempt
-        rotates to another operational site — any member site dispatches
-        or forwards, non-members nak with a hint.
-        """
-        cached = self.kernel.contact_cache.get(gid.process(), gid.site)
-        candidates = [cached] + sorted(self.kernel.alive_sites())
-        for site in candidates:
-            if site not in tried:
-                tried.add(site)
-                return site
-        tried.clear()  # second sweep
-        tried.add(cached)
-        return cached
-
-    def _refwd_if_undispatched(self, session_id: int, gid: Address,
-                               kind: str, user: Message, entry: int,
-                               nwant: int) -> None:
-        if not self.kernel.alive:
-            return
-        session = self.sessions.get(session_id)
-        if (session is not None and session.dispatched and nwant != 0) \
-                or session_id not in self._fwd_unacked:
-            self._fwd_attempts.pop(session_id, None)
-            self._fwd_tried.pop(session_id, None)
-            self._fwd_unacked.discard(session_id)
-            return
-        self._forward_mcast(session_id, gid, kind, user, entry, nwant)
-
-    def _on_forwarded_mcast(self, src_site: int, record: tuple) -> None:
-        _, gid, kind, user, entry, session_id, caller_site, _nwant = record
-        engine = self.kernel.engines.get(gid.process())
-        if engine is None or not engine.installed or engine.view is None:
-            self.kernel.send_to_site(src_site, Message(
-                _proto="g.fwd.nak", gid=gid, session=session_id,
-                hint=self.kernel.contact_cache.get(gid.process()),
-            ))
-            return
-        local = engine.local_members()
-        disseminator = local[0] if local else engine.view.coordinator()
+        caller, session = user["_sender"], user["_session"]
 
         def dispatched(view: "View") -> None:
-            engine.watcher_sites.add(caller_site)
-            if caller_site == self.site_id:
-                self.sessions.on_dispatched(session_id, list(view.members),
-                                            via_site=self.site_id)
-            else:
-                self.kernel.send_to_site(caller_site, Message(
-                    _proto="rpc.dispatched", session=session_id,
-                    members=list(view.members), via=self.site_id,
-                ))
+            self._tell_dispatched(engine, caller.site, session, view,
+                                  self.site_id)
 
-        engine.mcast(kind, disseminator, user, entry,
-                     on_dispatched=dispatched)
-
-    def _on_forward_nak(self, src_site: int, record: tuple) -> None:
-        _, gid, session_id, hint = record
-        if session_id < 0:
-            return  # join-request nak: the join retry loop handles it
-        if hint is not None:
-            self.kernel.contact_cache[gid.process()] = hint
-            self._fwd_tried.get(session_id, set()).discard(hint)
-        self.sim.trace.bump("fwd.naks")
-        # The timeout-driven retry loop will re-forward (to the hint or
-        # to the next untried site); naks alone never fail the session.
-
-    # -- gbcast ------------------------------------------------------------------
-    def group_gbcast(self, process: "IsisProcess", gid: Address,
-                     user: Message, entry: int, nwant: int) -> Promise:
-        """GBCAST: delivered at a flush, ordered relative to everything.
-
-        The flush itself is the multicast (counted as ``flush.runs``), so
-        no separate ``mcast.gbcast`` counter is bumped here.
-        """
-        session = self._open_session(process, user, nwant)
-        engine = self.kernel.engines.get(gid.process())
-        reason = FlushReason(kind="gbcast", payload=user.encode(),
-                             user_entry=entry)
-        if engine is not None and engine.installed and engine.is_coordinator_site():
-            engine.enqueue_reason(reason)
+        if kind != "gbcast":
+            engine.mcast(kind, engine.local_members()[0], user, entry,
+                         on_dispatched=dispatched, request=True)
+        elif engine.is_committed(user):
+            self.kernel.counters.bump("request.duplicates")
+            self._tell_dispatched(engine, caller.site, session, engine.view,
+                                  caller.site)
         else:
-            contact = self.kernel.contact_cache.get(gid.process(), gid.site)
-            self.kernel.send_to_site(contact, Message(
-                _proto="g.gb", gid=gid.process(), m=user, entry=entry))
-        if nwant == 0:
-            self.sessions.on_dispatched(session.id, [])
-        return session.promise
-
-    def _on_gbcast_request(self, src_site: int, record: tuple) -> None:
-        msg, gid, user, entry = record
-        engine = self.kernel.coordinating_engine(gid, msg)
-        if engine is not None:
             engine.enqueue_reason(FlushReason(
                 kind="gbcast", payload=user.encode(), user_entry=entry))
 
-    def note_gbcasts_dispatched(self, payloads: Optional[list],
-                                view: "View") -> None:
-        """A commit delivered ``payloads``: a GBCAST caller here learns
-        its delivery view."""
+    def _tell_dispatched(self, engine: GroupEngine, caller_site: int,
+                         session: int, view: "View", via: int) -> None:
+        """The commit notice: ``view`` delivers the caller's request,
+        which ``via``'s failure may still lose (a GBCAST, delivered at
+        its commit, names the caller's own site)."""
+        engine.watcher_sites.add(caller_site)
+        self.kernel.send_to_site(caller_site, Message(
+            _proto="rpc.dispatched", session=session,
+            members=list(view.members), via=via,
+        ))
+
+    def on_view_installed(self, engine: GroupEngine,
+                          payloads: Optional[list], view: "View") -> None:
+        """A commit installed ``view``: the callers of its GBCASTs learn
+        their delivery view — here, or from the new coordinator when not
+        at a member site — and every request still outstanding for the
+        group is asked again."""
+        coordinating = engine.is_coordinator_site()
         for _kind, m, _entry in payloads or ():
-            session = m.get("_session")
-            reply_to = m.get("_reply_to")
-            if session is not None and reply_to is not None \
-                    and reply_to.site == self.site_id:
+            caller, session = m.get("_sender"), m.get("_session")
+            if caller is None or session is None:
+                continue
+            if caller.site == self.site_id:
+                self.settle(("g.fwd", session))
                 self.sessions.on_dispatched(session, list(view.members))
+            elif coordinating and caller.site not in view.member_sites():
+                self._tell_dispatched(engine, caller.site, session, view,
+                                      caller.site)
+        self._view_learned(engine.gid)
 
     # -- replies -----------------------------------------------------------------
     def send_reply(self, process: "IsisProcess", request: Message,
@@ -417,7 +457,7 @@ class GroupRpc:
 
     def _on_dispatched(self, src_site: int, record: tuple) -> None:
         _, session, members, via = record
-        self._fwd_unacked.discard(session)
+        self.settle(("g.fwd", session))
         self.sessions.on_dispatched(session, members, via_site=via)
 
     def note_sites_failed(self, sites: Set[int]) -> None:
@@ -469,7 +509,7 @@ class GroupRpc:
 
     def _on_watch_request(self, src_site: int, record: tuple) -> None:
         msg, gid = record
-        engine = self.kernel.coordinating_engine(gid, msg)
+        engine = self.kernel.coordinating_engine(gid, msg, src_site)
         if engine is None:
             return
         engine.watcher_sites.add(src_site)
@@ -491,3 +531,4 @@ class GroupRpc:
         self._watched_views[key] = current
         for callback in self._client_monitors.get(key, []):
             callback(view)
+        self._view_learned(key)

@@ -524,12 +524,9 @@ def protocols(context: Callable[[bytes], Any],
     declare("g.join.refused", "gid:address joiner:address")
     declare("g.welcome", "gid:address view:view transfer:bool",
             lambda r: None if r[2].members else "a view with no members")
-    declare("g.dead", "gid:address member:address")
     declare("g.leave", "gid:address member:address")
-    declare("g.gb", "gid:address m:message entry:int")
-    declare("g.fwd", "gid:address kind:str m:message entry:int session:int "
-            "caller_site:int nwant:int")
-    declare("g.fwd.nak", "gid:address session:int hint:maybe_int")
+    declare("g.fwd", "gid:address kind:str m:message entry:int nwant:int")
+    declare("g.fwd.nak", "gid:address hint:maybe_int")
     declare("g.watch", "gid:address")
     declare("g.view_update", "gid:address view:view")
     # The log's records; a log-assisted transfer ships the first three.
@@ -543,8 +540,6 @@ def protocols(context: Callable[[bytes], Any],
     kinds["records"] = list_of(_encoded(_messages(
         {p: table[p] for p in WAL[:3]}, "a log record")))
     # State transfer.
-    declare("st.req", "gid:address joiner:address")
-    declare("st.send", "gid:address joiner:address source:address")
     declare("st.data", "gid:address segments:segments? wal_suffix:records?",
             lambda r: "not exactly one of segments and wal_suffix"
             if (r[2] is None) == (r[3] is None) else None)

@@ -120,9 +120,9 @@ class TestBulkStateTransfer:
         assert got.get("blob") == payload
 
     def test_stream_rerequested_when_source_dies_mid_stream(self):
-        """The source dies after two ``st.chunk``s: the joiner's
-        ``st.req`` has the coordinator order a new source to stream it
-        the whole state again (``st.send``)."""
+        """The source dies after two ``st.chunk``s: the joiner's join,
+        still outstanding, is sent again to the next coordinator, which
+        streams it the whole state again."""
         system = IsisCluster(n_sites=3, seed=63)
         members, _ = deploy_pair(system, (0, 1))
         payload = bytes(range(200)) * 2000      # 400 KB: 7 chunks

@@ -131,9 +131,6 @@ class TestMemberFailure:
         (engine,) = system.kernel(1).engines.values()
         assert [m.site for m in engine.view.members] == [1]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a GBCAST whose g.gb dies with the coordinator's site is lost: "
-        "a retry needs de-duplication across coordinators"))
     def test_gbcast_survives_coordinator_crash(self):
         system = IsisCluster(n_sites=3, seed=5)
         procs, deliveries = build_group(system, [0, 1, 2])
@@ -149,10 +146,6 @@ class TestMemberFailure:
         assert [m["q"] for m in deliveries[1]] == ["gb"]
         assert [m["q"] for m in deliveries[2]] == ["gb"]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a re-forward cannot tell a contact that died before dispatching "
-        "from one that died before its rpc.dispatched left, and nothing "
-        "downstream de-duplicates: both survivors deliver it twice"))
     @pytest.mark.parametrize("kind,delay", [("cbcast", 0.050),
                                             ("abcast", 0.045)])
     def test_forwarded_multicast_survives_contact_crash(self, kind, delay):

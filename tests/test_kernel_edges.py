@@ -257,29 +257,30 @@ def _next(moved, have):
     _next(b"\x00\x02\x01\x02\x00\x02\x00", have={0: 1}),
     _next(b"\x01\x01\x00\x02\x00", have={0: 2}),
     _next(b"\x00\x01\x01\x02\x00", have={0: 2}),
-    # A join or state-transfer request names its group, joiner and
-    # source by address, a state chunk its place in the stream by
-    # integers: parsed before any join state, stream buffer or timer.
+    # A join request names its group and joiner by address, a state
+    # transfer carries one form of state, a state chunk its place in the
+    # stream by integers: parsed before any join state, stream buffer or
+    # timer.
     dict(_proto="st.chunk", xid=1, idx=0, n=1, data=b"x", without="gid"),
     dict(_proto="st.chunk", xid=1, idx="0", n=1, data=b"x"),
     dict(_proto="st.data", segments={}, without="gid"),
     dict(_proto="st.data", segments={"s": [1]}),
-    dict(_proto="st.req"),                          # no joiner
-    dict(_proto="st.req", gid=5, joiner=_SENDER),
-    dict(_proto="st.send", joiner=_SENDER),         # no source
+    dict(_proto="st.data"),                         # neither form
+    dict(_proto="g.join", gid=5, joiner=_SENDER, cred=None),
+    dict(_proto="g.join", joiner=_SENDER, cred=None, wal_view="x"),
     dict(_proto="g.join"),                          # no joiner
     dict(_proto="g.join", joiner=7),
     # Every other routed protocol, without the field its handler reads
     # first: each of these escaped ``run_for`` before the declaration.
     dict(_proto="rpc.reply"),                       # no session
     dict(_proto="rpc.dispatched"),
-    dict(_proto="g.fwd.nak"),                       # no session
+    dict(_proto="g.fwd.nak"),                       # no hint
     dict(_proto="g.welcome"),                       # no view
     dict(_proto="g.view_update"),
-    dict(_proto="g.dead"),                          # no member
+    dict(_proto="g.leave", member=7),               # not an address
     dict(_proto="g.leave"),
-    dict(_proto="g.gb"),                            # no m
-    dict(_proto="g.fwd"),                           # no caller_site
+    dict(_proto="g.fwd"),                           # no kind
+    dict(_proto="g.fwd", kind="cbcast", entry=16, nwant=0),  # no m
     dict(_proto="g.join.refused", without="gid"),   # no gid
     dict(_proto="g.watch", without="gid"),
     dict(_proto="g.fl.commit", fid=[2, 1, 0]),      # no event

@@ -3,7 +3,7 @@
 ``ProtocolsProcess.shutdown()`` (run via the site crash hook) must
 cancel everything the kernel armed — heartbeats, the stability tick,
 batch-coalescing and sequencer stamp timers, flush grace/okb timers and
-join retry/transfer timers — and close outbound state-transfer streams.
+request retry timers — and close outbound state-transfer streams.
 A leaked periodic timer keeps re-arming forever, so the observable
 contract is simple: after every site is down, the event heap drains and
 stays empty.
@@ -12,7 +12,7 @@ stays empty.
 from __future__ import annotations
 
 from repro import IsisCluster, IsisConfig
-from repro.core import join as join_mod
+from repro.core import rpc as rpc_mod
 
 SINK = 9
 
@@ -44,10 +44,9 @@ def _deploy_three(system):
 
 
 def test_shutdown_mid_flush_cancels_every_timer(monkeypatch):
-    # Retry periods far beyond the settle window below: a join retry
+    # Retry periods far beyond the settle window below: a request
     # timer that shutdown fails to cancel is still armed at assert time.
-    monkeypatch.setattr(join_mod, "JOIN_RETRY", 30.0)
-    monkeypatch.setattr(join_mod, "TRANSFER_RETRY", 30.0)
+    monkeypatch.setattr(rpc_mod, "REQUEST_TIMEOUT", 30.0)
     system = IsisCluster(
         n_sites=3, seed=11,
         isis_config=IsisConfig(batch_window=0.05, abcast_mode="sequencer"))
@@ -72,7 +71,7 @@ def test_shutdown_mid_flush_cancels_every_timer(monkeypatch):
     # Mid-flush, pile on everything that arms kernel timers: multicasts
     # still in their batch windows, and — after killing the group's
     # contact site — a join whose request goes unanswered, leaving its
-    # 30 s retry timer armed in ``_joins``.
+    # 30 s retry timer armed in the request table.
     for i in range(4):
         i0.cbcast(gid, SINK, nwant=0, i=i)
         i0.abcast(gid, SINK, nwant=0, i=i)

@@ -29,7 +29,7 @@ EVENTS = {
         "causal.ctx_full_walks", "checkpoint.bytes", "checkpoint.writes",
         "flush.fast_path_misses", "flush.refill_bytes",
         "flush.wedged_seconds", "recovery.rejoins", "recovery.torn_tails",
-        "recovery.total_restarts", "stab.dn_sent", "stab.idle_skipped",
+        "recovery.total_restarts", "request.duplicates", "stab.dn_sent", "stab.idle_skipped",
         "stab.up_sent", "state_transfer.chunks",
         "state_transfer.stream_bytes", "state_transfer.streams_aborted",
         "transfer.log_assisted_bytes_saved", "tree.dup_drops",
