@@ -51,6 +51,7 @@ from ..msg.message import Message
 from .vectorclock import (
     ChainContext,
     ContextDelta,
+    GroupRow,
     apply_context_delta,
     check_delta_positions,
     first_in_walk_order,
@@ -98,10 +99,12 @@ class CausalReceiver:
     (:class:`SenderChain`), advanced in place at delivery, and a pending
     message keeps its ``cb_ctx`` parsed once, on arrival, as a flat
     delta.  A delta names what the predecessor context holds by position
-    there, so its positions can only be judged once it is a candidate:
-    one that names nothing is malformed outside input found late — the
-    message leaves the pending buffer, ``on_refuse()`` counts it, and
-    chain, delivered vector and wait index stay as they were.
+    there, and a member by its rank in a view of ours, so it can only be
+    judged once it is a candidate: one whose positions name nothing, or
+    whose vector does not fit our view of the id it names, is malformed
+    outside input found late — the message leaves the pending buffer,
+    ``on_refuse()`` counts it, and chain, delivered vector and wait index
+    stay as they were.
 
     This kernel's own copy of its send carries no delta (``None``) and
     is delivered on the FIFO rule alone, without a chain: its context is
@@ -116,7 +119,8 @@ class CausalReceiver:
     ``delta_check(chain, delta, key)`` says whether the context ``chain``
     advanced by ``delta`` is satisfied and, if not, registers ``key``
     against the first unsatisfied threshold so a later advance re-marks
-    the message as a candidate
+    the message as a candidate; :class:`CodecError`, with nothing
+    registered, if the delta does not fit our views
     (:meth:`CausalCheck.check_delta_and_register`).
     ``on_advance(sender, seq)`` tells the kernel this group's delivered
     vector advanced, waking cross-group waiters
@@ -223,10 +227,11 @@ class CausalReceiver:
                 # Its predecessor was delivered here: the chain is this
                 # delta's base, whose positions can be judged at last.
                 check_delta_positions(chain.context, delta)
+                satisfied = self._delta_check(chain, delta, key)
             except CodecError:
                 self._on_refuse()
                 return None
-            if not self._delta_check(chain, delta, key):
+            if not satisfied:
                 # Blocked on a cross-group threshold; the check registered
                 # the precise wait, whose crossing re-marks the candidate.
                 self._pending[key] = entry
@@ -385,22 +390,24 @@ class WaitIndex:
         return list(bucket)
 
 
-def _shortfall(engine: Optional["GroupEngine"], view_id: int,
-               members: Sequence[bytes],
+def _shortfall(row: Optional[GroupRow], view_id: int,
                counts: Sequence[int]) -> Optional[tuple]:
-    """One named causal-context entry (a whole vector of view ``view_id``)
-    against ``engine``, its group here: ``()`` if satisfied — not
-    installed here (cannot, and need not, wait) or a newer view (the old
-    one was flushed) satisfies —, None if our view is older, else the
-    first ``(member, count)`` we are short of."""
-    if engine is None or not engine.installed:
+    """One named causal-context entry (a whole vector of view ``view_id``,
+    by rank) against ``row``, its group here (:meth:`CausalCheck.groups`):
+    ``()`` if satisfied — not installed here (cannot, and need not, wait)
+    or a newer view (the old one was flushed) satisfies —, None if our
+    view is older, else the first ``(member, count)`` we are short of.
+    :class:`CodecError` if our view of that id has another size."""
+    if row is None:
         return ()
-    view = engine.view
-    if view is None or view.view_id > view_id:
+    ours, members, have = row
+    if ours > view_id:
         return ()
-    if view.view_id < view_id:
+    if ours < view_id:
         return None
-    have = engine.causal.delivered
+    if len(counts) != len(members):
+        raise CodecError(f"context names {len(counts)} members in a view "
+                         f"of {len(members)}")
     for member, count in zip(members, counts):
         if have.get(member, 0) < count:
             return member, count
@@ -434,9 +441,9 @@ class CausalCheck:
         #: table changes.
         self._packed: Optional[Dict[bytes, "GroupEngine"]] = None
         #: :meth:`groups`, rebuilt when the group table changes, a group
-        #: installs here or installs a view (a new view id and vector).
-        self._groups: Optional[
-            Dict[bytes, Tuple[int, Dict[bytes, int]]]] = None
+        #: installs here or installs a view (a new view id, member list
+        #: and vector).
+        self._groups: Optional[Dict[bytes, GroupRow]] = None
 
     def engines_changed(self) -> None:
         """The kernel's group table gained or lost a group."""
@@ -455,16 +462,20 @@ class CausalCheck:
                 for gid, engine in self.kernel.engines.items()))
         return table
 
-    def groups(self) -> Dict[bytes, Tuple[int, Dict[bytes, int]]]:
-        """Our installed groups' *live* delivered counts, as ``packed
-        gid -> (view id, packed member -> count)`` in gid order: what a
-        :class:`~repro.core.vectorclock.ContextEncoder` diffs.  One
-        table, reused until the set of groups or a view changes: the
-        vectors in it are the live ones."""
+    def groups(self) -> Dict[bytes, GroupRow]:
+        """Our installed groups' views and *live* delivered counts, as
+        ``packed gid -> (view id, packed members by rank, packed member
+        -> count)`` in gid order: what a
+        :class:`~repro.core.vectorclock.ContextEncoder` diffs, and what
+        the check maps a rank to a member through.  One table, reused
+        until the set of groups or a view changes: the vectors in it are
+        the live ones."""
         table = self._groups
         if table is None:
             table = self._groups = {
-                gid: (engine.view.view_id, engine.causal.delivered)
+                gid: (engine.view.view_id,
+                      tuple(member.pack() for member in engine.view.members),
+                      engine.causal.delivered)
                 for gid, engine in self._packed_engines().items()
                 if engine.installed and engine.view is not None}
         return table
@@ -488,6 +499,12 @@ class CausalCheck:
         skipped then because the group was not installed here: if any
         group was installed since, the same test runs over a copy of the
         advanced context taken as a chain head, which names every entry.
+
+        A named vector that does not fit our view of the id it names is
+        :class:`CodecError`, raised before anything is registered.  A
+        moved one was named, and so sized, when we held that view or
+        checked whole at an install since, and its ranks are within that
+        size (:func:`~repro.core.vectorclock.check_delta_positions`).
         """
         self.wait_index.remove(waiter)
         if delta.full or chain.installs == self.installs:
@@ -512,39 +529,33 @@ class CausalCheck:
         advanced by ``delta`` would meet first: the chain's order, which
         a moved entry's counters are already in.
         """
-        engines = self._packed_engines()
+        rows = self.groups()
         #: gid -> the first (member, count) we are short of; None for a
         #: view threshold.
         failed: Dict[bytes, Optional[tuple]] = {}
-        for gid, view_id, members, counts in delta.named:
-            short = _shortfall(engines.get(gid), view_id, members, counts)
+        for gid, view_id, counts in delta.named:
+            short = _shortfall(rows.get(gid), view_id, counts)
             if short is None or short:
                 failed[gid] = short
-        # What the delta names by position: the group, its view and the
-        # members are the chain's.  Tested in line — the steady path.
-        gids, views, held = base.gids, base.views, base.members
-        for gpos, counters, gained in delta.moved:
+        # What the delta names by position: the group and its view are
+        # the chain's, a rank names a member of our view of that id.
+        # Tested in line — the steady path.
+        gids, views = base.gids, base.views
+        for gpos, counters in delta.moved:
             gid = gids[gpos]
-            engine = engines.get(gid)
-            if engine is None or not engine.installed:
+            row = rows.get(gid)
+            if row is None:
                 continue
-            view = engine.view
-            if view is None or view.view_id > views[gpos]:
+            ours, members, have = row
+            if ours > views[gpos]:
                 continue
-            if view.view_id < views[gpos]:
+            if ours < views[gpos]:
                 failed[gid] = None
                 continue
-            have = engine.causal.delivered
-            members = held[gpos]
-            for mpos, count in counters:
-                if have.get(members[mpos], 0) < count:
-                    failed[gid] = (members[mpos], count)
+            for rank, count in counters:
+                if have.get(members[rank], 0) < count:
+                    failed[gid] = (members[rank], count)
                     break
-            else:
-                for member, count in gained:
-                    if have.get(member, 0) < count:
-                        failed[gid] = (member, count)
-                        break
         if not failed:
             return True
         gid = first_in_walk_order(list(failed), () if delta.full else gids)

@@ -223,7 +223,8 @@ class GroupEngine:
 
         If the group is wedged (flush in progress) the send is queued and
         re-executed in the successor view — exactly the "messages are
-        delivered in the view in which they were sent" rule.
+        delivered in the view in which they were sent" rule.  ``sender``
+        need not be a member: one is chosen here.
 
         ``audited=False`` suppresses the logical-multicast counter: used
         when this dissemination is part of an operation already counted
@@ -239,6 +240,15 @@ class GroupEngine:
                                    on_dispatched, audited, request))
             return
         assert self.view is not None
+        # It goes out under a member of the view, the identity a vector
+        # has a rank for: a process outside the group sends as a member
+        # at its site, and so does a send queued while wedged by a member
+        # the flush then removed.
+        sender = sender.process()
+        if sender not in self.view.members:
+            local = self.local_members()
+            if local:
+                sender = local[0]
         if request and self.is_committed(user_msg):
             self.kernel.counters.bump("request.duplicates")
             assert on_dispatched is not None

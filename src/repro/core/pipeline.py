@@ -337,13 +337,18 @@ class CausalOrdering:
     The causal context rides as a delta-chained binary field: message
     *n* of a sender carries only the context entries that changed since
     its message *n-1*, and names what *n-1* held by its position there
-    (varints; a packed address only for what *n-1* did not hold).
-    Each local sender owns one :class:`~repro.core.vectorclock.
-    ContextEncoder` per view, which diffs the kernel's live delivered
-    vectors in place; the receiver advances one chain per sender in
-    ``cb_seq`` order (see :class:`~repro.core.cbcast.CausalReceiver`),
-    and counts a delta whose positions name nothing in that chain as
-    ``kernel.bad_message`` when it finds out.
+    (varints; a packed gid only for a group *n-1* did not hold in that
+    view), a member by its rank in the view.  Each local sender owns one
+    :class:`~repro.core.vectorclock.ContextEncoder` per view, which
+    diffs the kernel's live delivered vectors in place; the receiver
+    advances one chain per sender in ``cb_seq`` order (see
+    :class:`~repro.core.cbcast.CausalReceiver`), and counts a delta
+    whose positions name nothing in that chain, or whose vector does not
+    fit its view, as ``kernel.bad_message`` when it finds out.
+
+    A sender is always a member of the view: a vector has a slot for
+    each member and none for anyone else, so a count kept for a
+    non-member would never reach a context.
     """
 
     def __init__(self, engine: "GroupEngine", pipeline: "DeliveryPipeline"):
@@ -365,8 +370,13 @@ class CausalOrdering:
         self._encoders: Dict[Address, ContextEncoder] = {}
 
     def stamp(self, env: Message, sender: Address) -> None:
-        """Send side: attach causal metadata to an outgoing envelope."""
+        """Send side: attach causal metadata to an outgoing envelope.
+        :class:`GroupError` if ``sender`` is not a member of the view."""
         key = sender.process()
+        view = self.engine.view
+        if key not in view.members:
+            raise GroupError(f"{key} is not a member of {view.gid} in "
+                             f"view {view.view_id}: no rank to count it by")
         count = self._counts.get(key, 0) + 1
         self._counts[key] = count
         env["cb_sender"] = key

@@ -326,8 +326,8 @@ class GroupRpc:
         if engine is not None and engine.installed:
             def dispatched(view: "View") -> None:
                 self.sessions.on_dispatched(session.id, list(view.members))
-            engine.mcast(kind, self._disseminator(engine, process), user,
-                         entry, on_dispatched=dispatched)
+            engine.mcast(kind, process.address, user, entry,
+                         on_dispatched=dispatched)
         else:
             self._forward(session, gid, kind, user, entry, nwant)
         return session.promise
@@ -353,18 +353,6 @@ class GroupRpc:
             # Fire-and-forget for the *caller*; the request is still
             # sent until its commit notice arrives.
             self.sessions.on_dispatched(session.id, [])
-
-    @staticmethod
-    def _disseminator(engine: GroupEngine,
-                      process: "IsisProcess") -> Address:
-        """The member identity under which we disseminate (VC dimension)."""
-        addr = process.address.process()
-        if engine.view is not None and engine.view.contains(addr):
-            return addr
-        local = engine.local_members()
-        if local:
-            return local[0]
-        return addr
 
     def _on_request(self, src_site: int, record: tuple) -> None:
         """The coordinator takes a forwarded multicast or a GBCAST: a
@@ -448,8 +436,8 @@ class GroupRpc:
                 copy["cc_session"] = session
                 # Table I costs reply_cc as ONE async CBCAST whose
                 # destination list includes the cohorts: not re-counted.
-                engine.mcast(CBCAST, process.address.process(), copy,
-                             CC_REPLY_ENTRY, audited=False)
+                engine.mcast(CBCAST, process.address, copy, CC_REPLY_ENTRY,
+                             audited=False)
 
     def _on_reply(self, src_site: int, record: tuple) -> None:
         _, session, responder, reply, null = record

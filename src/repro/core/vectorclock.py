@@ -18,8 +18,10 @@ Message ``m`` from ``p`` in group ``g`` is delivered when
    the old view's messages).
 
 This module holds the context's wire form and both its ends; the kernel's
-``check_delta_and_register`` applies rule 2.  Groups and members are
-their packed 8-byte addresses throughout.
+``check_delta_and_register`` applies rule 2.  Groups are their packed
+8-byte addresses; a member is its rank in the view the entry names
+(§3.2: the membership list is sorted by age, "the same at all members"),
+so a group's vector is a list of counts in rank order.
 """
 
 from __future__ import annotations
@@ -49,40 +51,38 @@ from ..msg.fields import decode_uvarint, encode_uvarint
 # only what changed since message *n-1*, and names what message *n-1*
 # already named by its *position* there.  Per-sender FIFO delivery
 # (``cb_seq`` contiguity) guarantees the predecessor context is known at
-# delivery.  Everything is an unsigned LEB128 varint except an address,
-# which is its packed 8 bytes::
+# delivery.  Everything is an unsigned LEB128 varint except a group
+# address, which is its packed 8 bytes::
 #
 #     head (kind 0)   0x00  n  n x named
 #     delta (kind 1)  0x01  n  n x named  m  m x moved  r  r x gid8
 #
-#     named    gid8 view k  k x (member8 count)
-#     moved    gpos k  k x (mpos count)  a  a x (member8 count)
+#     named    gid8 view k  k x count
+#     moved    gpos k  k x (rank count)
 #
 # A group the predecessor does not hold *in the same view* is **named**:
-# its whole vector, addresses packed (vectors reset per view).  A group
-# it does hold in that view is **moved**: ``gpos`` is the group's
-# position in the predecessor, each ``mpos`` a member's position in that
-# group's entry, and the ``a`` members are the ones the vector gained.
-# Groups the predecessor holds and this context does not are removed.
-# Named and removed groups and gained members are listed in packed
-# order, positions ascending.
+# its whole vector, dense, one count per member of that view in rank
+# order (vectors reset per view).  A group it does hold in that view is
+# **moved**: ``gpos`` is the group's position in the predecessor, each
+# ``rank`` a member's rank in the view, ascending.  One view id names one
+# member list, so a vector never gains a member within a view.  Groups
+# the predecessor holds and this context does not are removed.  Named
+# and removed groups are listed in packed order.
 #
 # Both ends keep one absolute context per chain (:class:`ChainContext`)
-# and move it *in place*, in one canonical order — positions are wire
-# data: groups, and the members of a group's entry, stay in the order
-# the chain first listed them; what a delta adds is appended in the
-# delta's order, a group named again keeps its place with the new
-# vector, a removal closes the gap.  The sender diffs the live delivered
-# vectors against it (:class:`ContextEncoder`); the receiver parses a
-# ``cb_ctx`` once on arrival (:func:`parse_context_delta`: structure,
-# positions ascending, nothing trailing), checks its positions against
-# the chain when the predecessor has been delivered
-# (:func:`check_delta_positions`) and applies it at delivery
-# (:func:`apply_context_delta`).  Nothing is rebuilt per message — no
-# position table either: a position is a list index — and on this path
-# groups and members stay in their packed 8-byte form: a packed address
-# is its own sort key and wire form, and hashes without a call into
-# ``Address``.
+# and move it *in place*, in one canonical order — group positions are
+# wire data: groups stay in the order the chain first listed them; what
+# a delta adds is appended in the delta's order, a group named again
+# keeps its place with the new vector, a removal closes the gap.  The
+# sender diffs the live delivered vectors against it
+# (:class:`ContextEncoder`); the receiver parses a ``cb_ctx`` once on
+# arrival (:func:`parse_context_delta`: structure, positions and ranks
+# ascending, nothing trailing), checks its positions against the chain
+# when the predecessor has been delivered (:func:`check_delta_positions`)
+# and applies it at delivery (:func:`apply_context_delta`).  Nothing is
+# rebuilt per message — no position table either: a position is a list
+# index — and the chain holds no member address: a receiver maps a rank
+# to a member through its own view, and only when the view ids match.
 
 _CTX_FULL = 0
 _CTX_DELTA = 1
@@ -94,53 +94,41 @@ _UVARINT1 = [bytes([n]) for n in range(0x80)]
 class ChainContext:
     """An absolute causal context in canonical order, by position.
 
-    Group ``gpos`` is ``gids[gpos]`` in view ``views[gpos]``; its
-    members are the tuple ``members[gpos]`` and member ``mpos`` of it
-    has delivered ``counts[starts[gpos] + mpos]``.  Columns, and one
-    flat list of counts, because a kernel holds one of these per sender
-    and group with an entry per group the sender is in: laid out so,
-    an entry is a tuple of addresses and a few list slots — nothing the
-    garbage collector tracks — where a list per entry would be most of
-    the objects it walks.
+    Group ``gpos`` is ``gids[gpos]`` in view ``views[gpos]``, a view of
+    ``sizes[gpos]`` members; the member of rank ``r`` in it has
+    delivered ``counts[starts[gpos] + r]``.  Columns, and one flat list
+    of counts, because a kernel holds one of these per sender and group
+    with an entry per group the sender is in: laid out so, an entry is a
+    few list slots — nothing the garbage collector tracks — where a list
+    per entry would be most of the objects it walks.
     """
 
-    __slots__ = ("gids", "views", "members", "starts", "counts")
+    __slots__ = ("gids", "views", "sizes", "starts", "counts")
 
     def __init__(self) -> None:
         self.gids: List[bytes] = []
         self.views: List[int] = []
-        self.members: List[Tuple[bytes, ...]] = []
+        self.sizes: List[int] = []
         self.starts: List[int] = []
         self.counts: List[int] = []
 
-    def name(self, gid: bytes, view_id: int, members: Iterable[bytes],
-             counts: List[int]) -> None:
+    def name(self, gid: bytes, view_id: int, counts: List[int]) -> None:
         """``gid`` is now this vector: in place if held, else appended."""
         try:
             gpos = self.gids.index(gid)
         except ValueError:
-            self.append(gid, view_id, members, counts)
-        else:
-            self.views[gpos] = view_id
-            self._splice(gpos, tuple(members), counts)
+            self.append(gid, view_id, counts)
+            return
+        self.views[gpos] = view_id
+        self._splice(gpos, counts)
 
-    def append(self, gid: bytes, view_id: int, members: Iterable[bytes],
-               counts: List[int]) -> None:
+    def append(self, gid: bytes, view_id: int, counts: List[int]) -> None:
         """A group not held so far, after the others."""
         self.gids.append(gid)
         self.views.append(view_id)
-        self.members.append(tuple(members))
+        self.sizes.append(len(counts))
         self.starts.append(len(self.counts))
         self.counts += counts
-
-    def gain(self, gpos: int, gained: Sequence[Tuple[bytes, int]]) -> None:
-        """Group ``gpos``'s vector gains ``(member, count)``s, after the
-        others, in one splice."""
-        held = self.members[gpos]
-        self.members[gpos] = held + tuple(member for member, _ in gained)
-        at = self.starts[gpos] + len(held)
-        self.counts[at:at] = [count for _, count in gained]
-        self._shift(gpos, len(gained))
 
     def remove(self, gid: bytes) -> None:
         """``gid`` goes, if held; what came after it moves up."""
@@ -148,35 +136,31 @@ class ChainContext:
             gpos = self.gids.index(gid)
         except ValueError:
             return
-        self._splice(gpos, (), [])
-        for column in (self.gids, self.views, self.members, self.starts):
+        self._splice(gpos, [])
+        for column in (self.gids, self.views, self.sizes, self.starts):
             del column[gpos]
 
-    def _splice(self, gpos: int, members: Tuple[bytes, ...],
-                counts: List[int]) -> None:
-        """Group ``gpos``'s vector becomes ``members`` / ``counts``."""
+    def _splice(self, gpos: int, counts: List[int]) -> None:
+        """Group ``gpos``'s vector becomes ``counts``; the later ones
+        start that much further on or back."""
         start = self.starts[gpos]
-        held = len(self.members[gpos])
-        self.members[gpos] = members
+        held = self.sizes[gpos]
+        self.sizes[gpos] = len(counts)
         self.counts[start:start + held] = counts
-        if len(members) != held:
-            self._shift(gpos, len(members) - held)
-
-    def _shift(self, gpos: int, by: int) -> None:
-        """Group ``gpos``'s vector grew ``by`` counts: the later ones
-        start that much further on."""
-        starts = self.starts
-        starts[gpos + 1:] = [start + by for start in starts[gpos + 1:]]
+        if len(counts) != held:
+            by = len(counts) - held
+            starts = self.starts
+            starts[gpos + 1:] = [at + by for at in starts[gpos + 1:]]
 
     def clear(self) -> None:
         for column in self.__slots__:
             getattr(self, column).clear()
 
-    def entries(self) -> List[Tuple[bytes, int, Tuple[bytes, ...], List[int]]]:
-        """``(gid, view id, members, counts)`` per group, in order."""
-        return [(gid, view_id, members, self.counts[start:start + len(members)])
-                for gid, view_id, members, start
-                in zip(self.gids, self.views, self.members, self.starts)]
+    def entries(self) -> List[Tuple[bytes, int, List[int]]]:
+        """``(gid, view id, counts in rank order)`` per group, in order."""
+        return [(gid, view_id, self.counts[start:start + size])
+                for gid, view_id, size, start
+                in zip(self.gids, self.views, self.sizes, self.starts)]
 
     def copy(self) -> "ChainContext":
         out = ChainContext()
@@ -194,12 +178,11 @@ class ContextDelta(NamedTuple):
     """
 
     full: bool
-    #: ``(gid, view id, members, counts)``: whole vectors.
-    named: List[Tuple[bytes, int, List[bytes], List[int]]]
-    #: ``(gpos, [(mpos, count)], [(member, count)])``: counters that
-    #: moved, and members the vector gained, in a group held by position.
-    moved: List[Tuple[int, List[Tuple[int, int]],
-                      Sequence[Tuple[bytes, int]]]]
+    #: ``(gid, view id, counts in rank order)``: whole vectors.
+    named: List[Tuple[bytes, int, List[int]]]
+    #: ``(gpos, [(rank, count)])``: counters that moved in a group held
+    #: by position.
+    moved: List[Tuple[int, List[Tuple[int, int]]]]
     removed: List[bytes]
 
 
@@ -210,9 +193,8 @@ def parse_context_delta(data: bytes) -> ContextDelta:
     kind = data[0]
     if kind not in (_CTX_FULL, _CTX_DELTA):
         raise CodecError(f"unknown compact-context kind {kind}")
-    named: List[Tuple[bytes, int, List[bytes], List[int]]] = []
-    moved: List[Tuple[int, List[Tuple[int, int]],
-                      Sequence[Tuple[bytes, int]]]] = []
+    named: List[Tuple[bytes, int, List[int]]] = []
+    moved: List[Tuple[int, List[Tuple[int, int]]]] = []
     removed: List[bytes] = []
     # On the steady path (a delta that only moves counters) every varint
     # is one byte: those are read in line, a call apiece otherwise.
@@ -226,18 +208,15 @@ def parse_context_delta(data: bytes) -> ContextDelta:
             gid = data[offset:end]
             view_id, offset = _read_uvarint(data, end)
             n, offset = _read_uvarint(data, offset)
-            members: List[bytes] = []
             counts: List[int] = []
             for _ in range(n):
-                end = offset + ADDRESS_SIZE
-                members.append(data[offset:end])
-                value = data[end]
+                value = data[offset]
                 if value < 0x80:        # the common one-byte varint
-                    offset = end + 1
+                    offset += 1
                 else:
-                    value, offset = decode_uvarint(data, end)
+                    value, offset = decode_uvarint(data, offset)
                 counts.append(value)
-            named.append((gid, view_id, members, counts))
+            named.append((gid, view_id, counts))
         if kind == _CTX_DELTA:
             count = data[offset]
             offset += 1
@@ -257,36 +236,23 @@ def parse_context_delta(data: bytes) -> ContextDelta:
                 counters: List[Tuple[int, int]] = []
                 last = -1
                 for _ in range(n):
-                    # Position and count each on their own: a count
-                    # past 127 says nothing about the position's size.
-                    mpos = data[offset]
-                    if mpos < 0x80:
+                    # Rank and count each on their own: a count past
+                    # 127 says nothing about the rank's size.
+                    rank = data[offset]
+                    if rank < 0x80:
                         offset += 1
                     else:
-                        mpos, offset = decode_uvarint(data, offset)
+                        rank, offset = decode_uvarint(data, offset)
                     value = data[offset]
                     if value < 0x80:
                         offset += 1
                     else:
                         value, offset = decode_uvarint(data, offset)
-                    if mpos <= last:
-                        raise CodecError("member positions do not ascend")
-                    last = mpos
-                    counters.append((mpos, value))
-                n = data[offset]
-                offset += 1
-                if n == 0:
-                    moved.append((gpos, counters, ()))
-                    continue
-                if n >= 0x80:
-                    n, offset = decode_uvarint(data, offset - 1)
-                gained: List[Tuple[bytes, int]] = []
-                for _ in range(n):
-                    end = offset + ADDRESS_SIZE
-                    member = data[offset:end]
-                    value, offset = _read_uvarint(data, end)
-                    gained.append((member, value))
-                moved.append((gpos, counters, gained))
+                    if rank <= last:
+                        raise CodecError("member ranks do not ascend")
+                    last = rank
+                    counters.append((rank, value))
+                moved.append((gpos, counters))
             count = data[offset]
             offset += 1
             if count >= 0x80:
@@ -316,18 +282,18 @@ def check_delta_positions(context: ChainContext, delta: ContextDelta) -> None:
     holds?  :class:`CodecError` if not, with nothing touched.
 
     ``context`` must be the delta's predecessor, which a receiver has
-    once the message is its sender's next.  Positions ascend (the parser
-    saw to it), so the last of a run speaks for all of it.
+    once the message is its sender's next.  Positions and ranks ascend
+    (the parser saw to it), so the last of a run speaks for all of it.
     """
-    members = context.members
-    held = len(members)
-    for gpos, counters, _ in delta.moved:
+    sizes = context.sizes
+    held = len(sizes)
+    for gpos, counters in delta.moved:
         if gpos >= held:
             raise CodecError(f"context names group {gpos} of {held}")
-        if counters and counters[-1][0] >= len(members[gpos]):
+        if counters and counters[-1][0] >= sizes[gpos]:
             raise CodecError(
-                f"context names member {counters[-1][0]} of "
-                f"{len(members[gpos])} in group {gpos}")
+                f"context names rank {counters[-1][0]} of "
+                f"{sizes[gpos]} in group {gpos}")
 
 
 def apply_context_delta(context: ChainContext, delta: ContextDelta) -> None:
@@ -345,14 +311,12 @@ def apply_context_delta(context: ChainContext, delta: ContextDelta) -> None:
         return
     starts = context.starts
     counts = context.counts
-    for gpos, counters, gained in delta.moved:
+    for gpos, counters in delta.moved:
         start = starts[gpos]
-        for mpos, value in counters:
-            counts[start + mpos] = value
-        if gained:
-            context.gain(gpos, gained)
-    for gid, view_id, members, values in delta.named:
-        context.name(gid, view_id, members, values)
+        for rank, value in counters:
+            counts[start + rank] = value
+    for row in delta.named:
+        context.name(*row)
     for gid in delta.removed:
         context.remove(gid)
 
@@ -372,15 +336,21 @@ def first_in_walk_order(candidates: List[bytes],
     return candidates[0]
 
 
+#: What a :class:`ContextEncoder` reads of one group: its view id, the
+#: view's members packed in rank order, and the *live* ``packed member
+#: -> count`` delivered vector.
+GroupRow = Tuple[int, Tuple[bytes, ...], Dict[bytes, int]]
+
+
 class ContextEncoder:
     """Send side of one delta chain (one sender in one group view).
 
     Keeps the absolute context of the previous ``cb_ctx`` and diffs the
     caller's *live* vectors against it, updating it in place — no
     snapshot of the live state is taken and nothing unchanged is
-    touched beyond one comparison per counter.  Within one view a live
-    vector only grows (a new view brings a new view id), so a held
-    entry's members are all still there.
+    touched beyond one comparison per counter.  Within one view the
+    members, and so the ranks, stay as they are (a new view brings a
+    new view id, and is named whole).
     """
 
     __slots__ = ("_base",)
@@ -389,17 +359,16 @@ class ContextEncoder:
         #: Context as of the last encode (``None``: chain head).
         self._base: Optional[ChainContext] = None
 
-    def encode(self,
-               groups: Mapping[bytes, Tuple[int, Dict[bytes, int]]]) -> bytes:
+    def encode(self, groups: Mapping[bytes, GroupRow]) -> bytes:
         """The next ``cb_ctx`` of the chain: ``groups`` maps ``packed
-        gid -> (view id, live packed member -> count)`` in gid order."""
+        gid -> (view id, members by rank, live counts)`` in gid order."""
         base = self._base
         if base is None:
             base = self._base = ChainContext()
             out = bytearray((_CTX_FULL,))
             out += _uvarint(len(groups))
-            for gid, (view_id, live) in groups.items():
-                _name(base.append, out, gid, view_id, live)
+            for gid, row in groups.items():
+                _name(base.append, out, gid, *row)
             return bytes(out)
         named: List[bytes] = []
         gone: List[bytes] = []
@@ -414,11 +383,10 @@ class ContextEncoder:
             if row is None:
                 gone.append(gid)
                 continue
-            if row[0] != views[gpos]:
+            view_id, members, live = row
+            if view_id != views[gpos]:
                 named.append(gid)
                 continue
-            live = row[1]
-            members = base.members[gpos]
             at = start = starts[gpos]
             n = 0
             for member in members:
@@ -426,8 +394,8 @@ class ContextEncoder:
                 if value != counts[at]:
                     counts[at] = value
                     n += 1
-                    # Position and count each on their own: a count
-                    # past 127 says nothing about the position's size.
+                    # Rank and count each on their own: a count past
+                    # 127 says nothing about the rank's size.
                     if at - start < 0x80:
                         counters.append(at - start)
                     else:
@@ -437,29 +405,16 @@ class ContextEncoder:
                     else:
                         counters += encode_uvarint(value)
                 at += 1
-            if len(live) > len(members):
-                gained = sorted((m, live[m]) for m in live
-                                if m not in members)
-            elif n:
-                gained = ()
-            else:
+            if not n:
                 continue
             n_moved += 1
-            if gpos < 0x80 and n < 0x80 and not gained:
+            if gpos < 0x80 and n < 0x80:
                 moved.append(gpos)      # the steady case, call-free
                 moved.append(n)
-                moved += counters
-                moved.append(0)
             else:
                 moved += _uvarint(gpos)
                 moved += _uvarint(n)
-                moved += counters
-                moved += _uvarint(len(gained))
-                if gained:
-                    base.gain(gpos, gained)
-                for member, value in gained:
-                    moved += member
-                    moved += _uvarint(value)
+            moved += counters
             counters.clear()
         if len(groups) > len(base.gids) - len(gone):
             held = set(base.gids)
@@ -477,19 +432,17 @@ class ContextEncoder:
         return bytes(out)
 
 
-def _name(hold: Callable[[bytes, int, List[bytes], List[int]], None],
+def _name(hold: Callable[[bytes, int, List[int]], None],
           out: bytearray, gid: bytes, view_id: int,
-          live: Dict[bytes, int]) -> None:
+          members: Sequence[bytes], live: Dict[bytes, int]) -> None:
     """Name ``gid`` whole: on the wire, and to the chain's base through
     its ``name`` (or, at the head, ``append``)."""
-    members = sorted(live)
-    counts = [live[member] for member in members]
-    hold(gid, view_id, members, counts)
+    counts = [live.get(member, 0) for member in members]
+    hold(gid, view_id, counts)
     out += gid
     out += _uvarint(view_id)
-    out += _uvarint(len(members))
-    for member, value in zip(members, counts):
-        out += member
+    out += _uvarint(len(counts))
+    for value in counts:
         out += _uvarint(value)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ALL, IsisCluster, Message
-from repro.errors import NoSuchGroup
+from repro.errors import GroupError, NoSuchGroup
 
 
 def make_system(n_sites=3, seed=0):
@@ -220,6 +220,54 @@ class TestMulticast:
         task = caller.spawn(call_main(), "call")
         system.run_for(20.0)
         assert task.value == [0, 10, 20]
+
+    def test_reply_cc_from_a_non_member_goes_out_as_the_local_member(self):
+        """A process answers a call to its own group with copies to g3,
+        which it is not in but whose member m0 shares its site: the copy
+        is m0's CBCAST, the one dimension g3's vectors have there.  The
+        stamp itself refuses a sender with no rank in the view."""
+        from repro.core.rpc import CC_REPLY_ENTRY
+        system = make_system()
+        procs, _ = self._group_of_three(system)
+        copies = {0: [], 1: [], 2: []}
+        for site, (proc, _) in enumerate(procs):
+            proc.bind(CC_REPLY_ENTRY,
+                      lambda msg, s=site: copies[s].append(msg))
+        replier, replier_isis = system.spawn(0, "replier")
+        box = {}
+
+        def answer(msg):
+            yield replier_isis.reply_cc(msg, box["g3"], answer=7)
+
+        replier.bind(17, answer)
+
+        def setup():
+            yield replier_isis.pg_create("solo")
+            box["g3"] = yield replier_isis.pg_lookup("g3")
+
+        replier.spawn(setup(), "setup")
+        system.run_for(5.0)
+        caller, caller_isis = system.spawn(1, "caller")
+
+        def call_main():
+            gid = yield caller_isis.pg_lookup("solo")
+            replies = yield caller_isis.cbcast(gid, 17, nwant=1, q="x")
+            return [r["answer"] for r in replies]
+
+        task = caller.spawn(call_main(), "call")
+        system.run_for(20.0)
+        assert task.value == [7]
+        m0 = procs[0][0].address.process()
+        assert not system.kernel(0).engines[box["g3"]].view.contains(
+            replier.address)
+        for site in range(3):
+            assert [m["answer"] for m in copies[site]] == [7]
+            assert copies[site][0]["_sender"] == replier.address.process()
+            engine = system.kernel(site).engines[box["g3"]]
+            assert engine.causal.delivered == {m0.pack(): 1}
+        with pytest.raises(GroupError, match="no rank"):
+            system.kernel(0).engines[box["g3"]].pipeline.causal.stamp(
+                Message(), replier.address)
 
     def test_null_replies_release_all_waiters(self):
         system = make_system()

@@ -13,19 +13,20 @@ obvious way, as what the differential tests hold the library to:
   lazy heap must agree.
 * :func:`encode_context_compact` / :func:`decode_context_compact` — the
   binary ``cb_ctx`` codec with absolute contexts at both ends: every
-  message snapshots, sorts and re-packs every vector and looks every
-  position up in a list, and the receiver rebuilds a whole context per
-  message.  The wire format is pinned to what this produces;
+  message snapshots every vector in rank order and looks every position
+  up in a list, and the receiver rebuilds a whole context per message.
+  The wire format is pinned to what this produces;
   :class:`~repro.core.vectorclock.ContextEncoder` and
   ``parse_context_delta`` + ``apply_context_delta`` are the in-place
   ends that must match it byte for byte.
-* :func:`encode_context` / :func:`decode_context` — the nested-dict
-  ``cb_ctx`` the system used before the binary form (hex-string keys,
-  ~45 bytes per vector entry): the size baseline.
+* :func:`encode_context` — the nested-dict ``cb_ctx`` the system used
+  before the binary form (hex-string keys, ~45 bytes per vector entry):
+  the size baseline.
 * :func:`walk_context` — the causal-context check as a walk of the whole
-  absolute context.  The kernel's ``check_delta_and_register``, which
-  tests what a delta names against packed delivered vectors, must reach
-  the same verdict and register the same first threshold.
+  absolute context, each group's counts in rank order.  The kernel's
+  ``check_delta_and_register``, which tests what a delta names against
+  packed delivered vectors, must reach the same verdict and register the
+  same first threshold.
 * :class:`VectorClock` — the ``Address``-keyed vector these are written
   in (the library keeps packed ``member -> count`` dicts).
 """
@@ -106,8 +107,13 @@ class VectorClock:
         return f"VC({parts})"
 
 
-#: gid -> (view id, delivered vector).
-Context = Dict[Address, Tuple[int, VectorClock]]
+#: gid -> (view id, the view's members by rank, delivered vector): a
+#: group as a member of it knows it.
+Context = Dict[Address, Tuple[int, Tuple[Address, ...], VectorClock]]
+
+#: gid -> (view id, counts in rank order): what a ``cb_ctx`` stands for.
+#: It names no member; a receiver reads a rank through its own view.
+Ranked = Dict[Address, Tuple[int, List[int]]]
 
 #: Where a context check that fails waits: ``(gid, None)`` for a newer
 #: view of ``gid``, ``(gid, (member, count))`` for ``member``'s
@@ -118,27 +124,38 @@ Threshold = Tuple[Address, Optional[Tuple[Address, int]]]
 # ----------------------------------------------------------------------
 # The context check as a walk of the whole context
 # ----------------------------------------------------------------------
-def walk_context(context: Context, local: Context
+def ranked(context: Context) -> Ranked:
+    """``context`` as a ``cb_ctx`` carries it: each vector dense, one
+    count per member of its view, in rank order."""
+    return {gid: (view_id, [vc.get(member) for member in members])
+            for gid, (view_id, members, vc) in context.items()}
+
+
+def walk_context(context: Ranked, local: Context
                  ) -> Tuple[bool, Optional[Threshold]]:
-    """Is ``context`` satisfied by ``local``, the view id and delivered
+    """Is ``context`` satisfied by ``local``, the view and delivered
     vector of every group installed here?  Groups in ``context``'s order,
-    members in each vector's: the first entry that fails is the threshold
+    members in rank order: the first entry that fails is the threshold
     to wait on, and ``(True, None)`` means deliverable.
 
     A group not installed here is skipped (not a member: cannot, and need
     not, wait), a newer local view satisfies (the old one was flushed),
     an older one waits for a newer view, and the same view compares
-    counters.
+    counters, rank ``r`` being our view's ``r``-th member — a vector of
+    another length than that view is :class:`CodecError`.
     """
     for gid, (view_id, wanted) in context.items():
         if gid not in local:
             continue
-        local_view, have = local[gid]
+        local_view, members, have = local[gid]
         if local_view > view_id:
             continue
         if local_view < view_id:
             return False, (gid, None)
-        for member, count in wanted.items():
+        if len(wanted) != len(members):
+            raise CodecError(f"{len(wanted)} counts for {len(members)} "
+                             "members")
+        for member, count in zip(members, wanted):
             if have.get(member) < count:
                 return False, (gid, (member, count))
     return True, None
@@ -147,7 +164,7 @@ def walk_context(context: Context, local: Context
 # ----------------------------------------------------------------------
 # The nested-dict context codec
 # ----------------------------------------------------------------------
-def encode_context(context: Mapping[Address, Tuple[int, VectorClock]]) -> Dict:
+def encode_context(context: Context) -> Dict:
     """Delivered vectors reset at every view change, so an entry is only
     comparable against the *same* view: the view id rides along."""
     return {
@@ -155,98 +172,76 @@ def encode_context(context: Mapping[Address, Tuple[int, VectorClock]]) -> Dict:
             "v": view_id,
             "vc": {m.pack().hex(): c for m, c in vc.items()},
         }
-        for gid, (view_id, vc) in context.items()
-    }
-
-
-def decode_context(value: Mapping[str, Mapping]) -> Context:
-    def address(key: str) -> Address:
-        return Address.unpack(bytes.fromhex(key))
-
-    return {
-        address(key): (entry["v"], VectorClock(
-            {address(m): c for m, c in entry["vc"].items()}))
-        for key, entry in value.items()
+        for gid, (view_id, _, vc) in context.items()
     }
 
 
 # ----------------------------------------------------------------------
 # The binary context codec, absolute at both ends
 # ----------------------------------------------------------------------
-# Canonical order: a chain's context keeps its groups, and each group's
-# members, in the order the chain first listed them -- what a delta adds
-# goes after what was there, in the delta's (packed-address) order; a
-# group named again keeps its place and takes the new vector; a removed
-# group's place closes up.  Contexts here are plain ordered dicts of
-# ordered vectors, so "position" is ``list(...).index(...)``: this is
-# where the table per message lives.
+# Canonical order: a chain's context keeps its groups in the order the
+# chain first listed them -- what a delta adds goes after what was
+# there, in the delta's (packed-address) order; a group named again
+# keeps its place and takes the new vector; a removed group's place
+# closes up.  A vector is its view's counts in rank order.  Contexts
+# here are plain ordered dicts, so a group's "position" is
+# ``list(...).index(...)``: this is where the table per message lives.
 def _packed(address: Address) -> bytes:
     return address.pack()
 
 
-def _named(gid: Address, view_id: int, vc: VectorClock) -> bytes:
-    """A group's whole vector, addresses packed, members in packed order."""
-    counters = sorted(vc.items(), key=lambda kv: kv[0].pack())
-    parts = [gid.pack(), encode_uvarint(view_id), encode_uvarint(len(counters))]
-    for member, count in counters:
-        parts += [member.pack(), encode_uvarint(count)]
-    return b"".join(parts)
+def _named(gid: Address, view_id: int, counts: List[int]) -> bytes:
+    """A group's whole vector: a count per rank."""
+    return b"".join([gid.pack(), encode_uvarint(view_id),
+                     encode_uvarint(len(counts))]
+                    + [encode_uvarint(count) for count in counts])
 
 
 def encode_context_compact(context: Context,
-                           prev: Optional[Context] = None) -> bytes:
+                           prev: Optional[Ranked] = None) -> bytes:
     """``cb_ctx`` bytes for ``context``; a delta against ``prev`` when
     given: the sender's previous context *in canonical order*, which is
     what :func:`decode_context_compact` returned for its previous bytes.
 
     A group ``prev`` holds in the same view is named by its position in
     ``prev``, and carries the counters that moved, each by its member's
-    position in ``prev``'s vector, then the members the vector gained,
-    by address.  A group that is new or whose view advanced is named by
+    rank.  A group that is new or whose view advanced is named by
     address and carries its whole vector.  Groups ``prev`` holds and
     ``context`` does not are listed as removals.
     """
+    now = ranked(context)
     if prev is None:
         return b"".join(
-            [b"\x00", encode_uvarint(len(context))]
-            + [_named(gid, *context[gid]) for gid in sorted(context, key=_packed)])
+            [b"\x00", encode_uvarint(len(now))]
+            + [_named(gid, *now[gid]) for gid in sorted(now, key=_packed)])
     named, moved = [], []
-    for gid in sorted(context, key=_packed):
-        if gid not in prev or prev[gid][0] != context[gid][0]:
-            named.append(_named(gid, *context[gid]))
+    for gid in sorted(now, key=_packed):
+        if gid not in prev or prev[gid][0] != now[gid][0]:
+            named.append(_named(gid, *now[gid]))
     for gid in prev:                        # positions ascend
-        if gid not in context or prev[gid][0] != context[gid][0]:
+        if gid not in now or prev[gid][0] != now[gid][0]:
             continue
-        before, vc = prev[gid][1], context[gid][1]
-        members = [member for member, _ in before.items()]
-        counters = [(members.index(member), vc.get(member))
-                    for member in members
-                    if vc.get(member) != before.get(member)]
-        gained = sorted((member for member, _ in vc.items()
-                         if member not in members), key=_packed)
-        if counters or gained:
+        before, counts = prev[gid][1], now[gid][1]
+        assert len(before) == len(counts), "one view, one member list"
+        counters = [(rank, count) for rank, (was, count)
+                    in enumerate(zip(before, counts)) if was != count]
+        if counters:
             parts = [encode_uvarint(list(prev).index(gid)),
                      encode_uvarint(len(counters))]
-            for mpos, count in counters:
-                parts += [encode_uvarint(mpos), encode_uvarint(count)]
-            parts.append(encode_uvarint(len(gained)))
-            for member in gained:
-                parts += [member.pack(), encode_uvarint(vc.get(member))]
+            for rank, count in counters:
+                parts += [encode_uvarint(rank), encode_uvarint(count)]
             moved.append(b"".join(parts))
-    removed = sorted(g.pack() for g in prev if g not in context)
+    removed = sorted(g.pack() for g in prev if g not in now)
     return b"".join([b"\x01", encode_uvarint(len(named))] + named
                     + [encode_uvarint(len(moved))] + moved
                     + [encode_uvarint(len(removed))] + removed)
 
 
 def decode_context_compact(data: bytes,
-                           prev: Optional[Context] = None) -> Context:
+                           prev: Optional[Ranked] = None) -> Ranked:
     """The absolute context a ``cb_ctx`` stands for, in canonical order;
     ``prev`` is the one rebuilt from the same sender's previous message
     (left untouched)."""
-    def address(offset):
-        return Address.unpack(data[offset:offset + 8]), offset + 8
-
     chained = data[0] == 1
     if chained and prev is None:
         raise CodecError("delta context without a predecessor")
@@ -254,61 +249,54 @@ def decode_context_compact(data: bytes,
     named = []
     count, offset = decode_uvarint(data, 1)
     for _ in range(count):
-        gid, offset = address(offset)
-        view_id, offset = decode_uvarint(data, offset)
+        gid = Address.unpack(data[offset:offset + 8])
+        view_id, offset = decode_uvarint(data, offset + 8)
         n, offset = decode_uvarint(data, offset)
-        counters = {}
+        counts = []
         for _ in range(n):
-            member, offset = address(offset)
-            counters[member], offset = decode_uvarint(data, offset)
-        named.append((gid, view_id, counters))
+            value, offset = decode_uvarint(data, offset)
+            counts.append(value)
+        named.append((gid, view_id, counts))
     if chained:
         count, offset = decode_uvarint(data, offset)
         for _ in range(count):
             gpos, offset = decode_uvarint(data, offset)
             gid = list(prev)[gpos]
-            view_id, before = prev[gid]
-            members = [member for member, _ in before.items()]
-            vc = before.copy()
+            view_id, counts = prev[gid][0], list(prev[gid][1])
             n, offset = decode_uvarint(data, offset)
             for _ in range(n):
-                mpos, offset = decode_uvarint(data, offset)
-                value, offset = decode_uvarint(data, offset)
-                vc.set(members[mpos], value)
-            n, offset = decode_uvarint(data, offset)
-            for _ in range(n):
-                member, offset = address(offset)
-                value, offset = decode_uvarint(data, offset)
-                vc.set(member, value)
-            out[gid] = (view_id, vc)
-    for gid, view_id, counters in named:
-        out[gid] = (view_id, VectorClock(counters))
+                rank, offset = decode_uvarint(data, offset)
+                counts[rank], offset = decode_uvarint(data, offset)
+            out[gid] = (view_id, counts)
+    for gid, view_id, counts in named:
+        out[gid] = (view_id, counts)
     if chained:
         count, offset = decode_uvarint(data, offset)
         for _ in range(count):
-            gid, offset = address(offset)
-            out.pop(gid, None)
+            out.pop(Address.unpack(data[offset:offset + 8]), None)
+            offset += 8
     if offset != len(data):
         raise CodecError("trailing bytes after compact context")
     return out
 
 
-def context_rows(context: Context) -> Dict[bytes, Tuple[int, Dict[bytes, int]]]:
+def context_rows(context: Context
+                 ) -> Dict[bytes, Tuple[int, Tuple[bytes, ...],
+                                        Dict[bytes, int]]]:
     """``context`` as :meth:`ContextEncoder.encode` takes it: ``packed
-    gid -> (view id, packed member -> count)`` in gid order."""
+    gid -> (view id, packed members by rank, packed member -> count)``
+    in gid order."""
     return dict(sorted(
-        (gid.pack(), (view_id, {m.pack(): c for m, c in vc.items()}))
-        for gid, (view_id, vc) in context.items()))
+        (gid.pack(), (view_id, tuple(m.pack() for m in members),
+                      {m.pack(): c for m, c in vc.items()}))
+        for gid, (view_id, members, vc) in context.items()))
 
 
-def unpacked_context(chain) -> Context:
-    """A :class:`~repro.core.vectorclock.ChainContext` with addresses
-    unpacked, groups and members in the chain's order."""
-    return {
-        Address.unpack(gid): (view_id, VectorClock(
-            {Address.unpack(m): c for m, c in zip(members, counts)}))
-        for gid, view_id, members, counts in chain.entries()
-    }
+def unpacked_context(chain) -> Ranked:
+    """A :class:`~repro.core.vectorclock.ChainContext` with its groups
+    unpacked, in the chain's order."""
+    return {Address.unpack(gid): (view_id, counts)
+            for gid, view_id, counts in chain.entries()}
 
 
 # ----------------------------------------------------------------------
@@ -319,17 +307,17 @@ class ScanCausalReceiver:
     ``is_deliverable_ctx(context)`` says its whole causal context is
     satisfied; after each delivery, scan again from the oldest arrival.
 
-    ``cb_ctx`` may be absent (an empty context), the nested-dict form, or
-    the binary form, which is rebuilt against the context of the sender's
-    previous message delivered here.
+    ``cb_ctx`` may be absent (an empty context) or the binary form, which
+    is rebuilt against the context of the sender's previous message
+    delivered here.
     """
 
-    def __init__(self, is_deliverable_ctx: Callable[[Context], bool]):
+    def __init__(self, is_deliverable_ctx: Callable[[Ranked], bool]):
         self.delivered = VectorClock()
         self._is_deliverable_ctx = is_deliverable_ctx
         self._pending: List[Message] = []
         #: sender -> absolute context of its last message delivered here.
-        self._contexts: Dict[Address, Context] = {}
+        self._contexts: Dict[Address, Ranked] = {}
         self.peak_pending = 0
 
     def offer(self, msg: Message) -> List[Message]:
@@ -357,13 +345,10 @@ class ScanCausalReceiver:
                 break
         return out
 
-    def _context_of(self, sender: Address, raw) -> Context:
+    def _context_of(self, sender: Address, raw) -> Ranked:
         if raw is None:
             return {}
-        if isinstance(raw, (bytes, bytearray)):
-            return decode_context_compact(bytes(raw),
-                                          self._contexts.get(sender))
-        return decode_context(raw)
+        return decode_context_compact(bytes(raw), self._contexts.get(sender))
 
     def on_new_view(self) -> None:
         self.delivered = VectorClock()

@@ -131,7 +131,7 @@ def _context_history(draw):
                 member = draw(st.sampled_from(members))
                 counts[gid][member] += draw(st.integers(1, 3))
         history.append({
-            gid: (views[gid],
+            gid: (views[gid], tuple(members),
                   VectorClock({m: c for m, c in counts[gid].items() if c}))
             for gid in present
         })
@@ -150,8 +150,5 @@ def test_compact_context_delta_chain_roundtrip(history):
         check_delta_positions(held, delta)
         apply_context_delta(held, delta)
         decoded = reference.unpacked_context(held)
-        assert set(decoded) == set(context)
-        for gid in context:
-            assert decoded[gid][0] == context[gid][0]
-            assert decoded[gid][1] == context[gid][1]
+        assert decoded == reference.ranked(context)
         prev_sent = decoded

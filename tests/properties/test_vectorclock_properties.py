@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import reference_causal as reference
 from reference_causal import VectorClock
+from repro.core.cbcast import _shortfall
 from repro.core.vectorclock import (
     ChainContext,
     ContextEncoder,
@@ -95,20 +96,23 @@ def test_restrict_is_projection(a, keep):
 # Context chains: the in-place ends against the absolute codec
 # ----------------------------------------------------------------------
 # ``reference_causal`` holds the codec written the obvious way: every
-# message snapshots, sorts and re-packs every vector, every position is a
+# message snapshots every vector in rank order, every position is a
 # ``list(...).index(...)``, and the receiver rebuilds an absolute context
 # per message.  The wire format is pinned to what that produces.
 
 GROUPS = [make_group_address(s, n) for s in range(2) for n in range(1, 4)]
 
+#: A view's members, oldest first: 1-9 of MEMBERS in a drawn order.
+view_members = st.lists(st.sampled_from(MEMBERS), min_size=1,
+                        max_size=len(MEMBERS), unique=True)
 
 #: One step of a sender's life between two of its multicasts.
 history_steps = st.lists(
     st.one_of(
         st.tuples(st.just("advance"), st.sampled_from(GROUPS),
-                  st.sampled_from(MEMBERS), st.integers(1, 200)),
-        st.tuples(st.just("view"), st.sampled_from(GROUPS)),
-        st.tuples(st.just("join"), st.sampled_from(GROUPS)),
+                  st.integers(0, len(MEMBERS) - 1), st.integers(1, 200)),
+        st.tuples(st.just("view"), st.sampled_from(GROUPS), view_members),
+        st.tuples(st.just("join"), st.sampled_from(GROUPS), view_members),
         st.tuples(st.just("leave"), st.sampled_from(GROUPS)),
         st.tuples(st.just("send")),
     ),
@@ -118,43 +122,39 @@ history_steps = st.lists(
 
 def replay(steps):
     """Yield ``(live groups for ContextEncoder, absolute snapshot)`` at
-    every send of a multi-group history: groups appear, views advance,
-    members send for the first time mid-view, groups leave."""
-    live = {}                       # gid -> [view id, packed member -> count]
-    left = {}                       # gid -> the view it was left in
+    every send of a multi-group history: groups appear, views advance
+    (with other members), members send for the first time mid-view,
+    groups leave."""
+    live = {}       # gid -> [view id, members, packed member -> count]
+    left = {}       # gid -> the view it was left in
     for step in steps + [("send",)]:
         kind = step[0]
         if kind == "join" and step[1] not in live:
             # Joining is a view change: a group left in view v is
-            # rejoined in a later one, never in v with a shorter vector.
-            live[step[1]] = [left.pop(step[1], 0) + 1, {}]
+            # rejoined in a later one, never in v with another vector.
+            live[step[1]] = [left.pop(step[1], 0) + 1, tuple(step[2]), {}]
         elif kind == "leave" and step[1] in live:
             left[step[1]] = live.pop(step[1])[0]
         elif kind == "view" and step[1] in live:
             # A new view resets the delivered vector (a fresh dict, as
             # CausalReceiver.on_new_view does).
-            live[step[1]] = [live[step[1]][0] + 1, {}]
+            live[step[1]] = [live[step[1]][0] + 1, tuple(step[2]), {}]
         elif kind == "advance" and step[1] in live:
-            counts = live[step[1]][1]
-            key = step[2].pack()
+            _, members, counts = live[step[1]]
+            key = members[step[2] % len(members)].pack()
             counts[key] = counts.get(key, 0) + step[3]
         elif kind == "send":
-            groups = {gid.pack(): tuple(live[gid])
-                      for gid in sorted(live, key=Address.pack)}
             snapshot = {
-                gid: (view_id, VectorClock(
+                gid: (view_id, members, VectorClock(
                     {Address.unpack(m): c for m, c in counts.items()}))
-                for gid, (view_id, counts) in live.items()}
-            yield groups, snapshot
+                for gid, (view_id, members, counts) in live.items()}
+            yield reference.context_rows(snapshot), snapshot
 
 
 def _assert_same_in_order(got, expected):
-    """Same groups, views and counters *in the same order*: the order is
+    """Same groups, views and counts *in the same order*: the order is
     what positions on the wire and the context check's waits go by."""
-    assert list(got) == list(expected)
-    for gid, (view_id, vc) in expected.items():
-        assert got[gid][0] == view_id
-        assert list(got[gid][1].items()) == list(vc.items())
+    assert list(got.items()) == list(expected.items())
 
 
 @given(history_steps)
@@ -180,19 +180,22 @@ def test_in_place_chain_ends_match_the_absolute_codec(steps):
         _assert_same_in_order(reference.unpacked_context(chain), expected)
         # Both ends hold the one canonical order, position for position.
         assert encoder._base.entries() == chain.entries()
-        assert set(expected) == set(absolute)
-        for gid, (view_id, vc) in absolute.items():
-            assert expected[gid] == (view_id, vc)
+        assert expected == reference.ranked(absolute)
 
 
 # ----------------------------------------------------------------------
 # A damaged delta is refused: at parse, or at first candidacy
 # ----------------------------------------------------------------------
-def _refused(chain, data):
-    """Is ``data`` refused — by the parser, or by the position check
-    against ``chain`` — and by :class:`CodecError` alone?"""
+def _refused(chain, data, views):
+    """Is ``data`` refused — by the parser, by the position check
+    against ``chain``, or by a named vector's size against ``views``
+    (:meth:`CausalCheck.groups` rows), as the kernel's check refuses it —
+    and by :class:`CodecError` alone?"""
     try:
-        check_delta_positions(chain, parse_context_delta(data))
+        delta = parse_context_delta(data)
+        check_delta_positions(chain, delta)
+        for gid, view_id, counts in delta.named:
+            _shortfall(views.get(gid), view_id, counts)
     except CodecError:
         return True
     return False
@@ -204,53 +207,62 @@ def test_damaged_deltas_are_refused_by_codec_error_only(steps):
     for groups, _ in replay(steps):
         data = encoder.encode(groups)
         delta = parse_context_delta(data)
-        check_delta_positions(chain, delta)     # the valid one passes
-        assert delta.full or _encode(delta) == data
+        assert not _refused(chain, data, groups)    # the valid one passes
+        assert _encode(delta) == data
         for cut in range(len(data)):
-            assert _refused(chain, data[:cut]), cut
-        assert _refused(chain, data + b"\x00")
+            assert _refused(chain, data[:cut], groups), cut
+        assert _refused(chain, data + b"\x00", groups)
+        # A named vector one count longer or shorter than the view it
+        # names ...
+        for i, (gid, view_id, counts) in enumerate(delta.named):
+            for wrong in (counts + [0], counts[:-1]):
+                named = list(delta.named)
+                named[i] = (gid, view_id, wrong)
+                assert _refused(chain, _encode(delta._replace(named=named)),
+                                groups), i
         held = len(chain.gids)
-        for i, (gpos, counters, gained) in enumerate(delta.moved):
-            size = len(chain.members[gpos])
+        for i, (gpos, counters) in enumerate(delta.moved):
+            size = chain.sizes[gpos]
 
             def damaged(gpos=gpos, counters=counters):
                 moved = list(delta.moved)
-                moved[i] = (gpos, counters, gained)
+                moved[i] = (gpos, counters)
                 return _encode(delta._replace(moved=moved))
 
-            # Each position bumped past its bound ...
-            assert _refused(chain, damaged(gpos=held + gpos))
-            for j, (mpos, value) in enumerate(counters):
+            # ... each position and rank bumped past its bound ...
+            assert _refused(chain, damaged(gpos=held + gpos), groups)
+            for j, (rank, value) in enumerate(counters):
                 bumped = list(counters)
-                bumped[j] = (size + mpos, value)
-                assert _refused(chain, damaged(counters=bumped)), (i, j)
+                bumped[j] = (size + rank, value)
+                assert _refused(chain, damaged(counters=bumped), groups), \
+                    (i, j)
             # ... and each adjacent pair swapped.
             for j in range(len(counters) - 1):
                 swapped = list(counters)
                 swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
-                assert _refused(chain, damaged(counters=swapped)), (i, j)
+                assert _refused(chain, damaged(counters=swapped), groups), \
+                    (i, j)
         for i in range(len(delta.moved) - 1):
             moved = list(delta.moved)
             moved[i], moved[i + 1] = moved[i + 1], moved[i]
-            assert _refused(chain, _encode(delta._replace(moved=moved))), i
+            assert _refused(chain, _encode(delta._replace(moved=moved)),
+                            groups), i
         apply_context_delta(chain, delta)
 
 
 def _encode(delta):
-    """A parsed kind-1 ``cb_ctx`` back on the wire, as it stands."""
+    """A parsed ``cb_ctx`` back on the wire, as it stands."""
     uv = encode_uvarint
-    parts = [b"\x01", uv(len(delta.named))]
-    for gid, view_id, members, counts in delta.named:
-        parts += [gid, uv(view_id), uv(len(members))]
-        for member, count in zip(members, counts):
-            parts += [member, uv(count)]
+    parts = [bytes([0 if delta.full else 1]), uv(len(delta.named))]
+    for gid, view_id, counts in delta.named:
+        parts += [gid, uv(view_id), uv(len(counts))]
+        parts += [uv(count) for count in counts]
+    if delta.full:
+        return b"".join(parts)
     parts.append(uv(len(delta.moved)))
-    for gpos, counters, gained in delta.moved:
+    for gpos, counters in delta.moved:
         parts += [uv(gpos), uv(len(counters))]
-        for mpos, value in counters:
-            parts += [uv(mpos), uv(value)]
-        parts.append(uv(len(gained)))
-        for member, value in gained:
-            parts += [member, uv(value)]
+        for rank, value in counters:
+            parts += [uv(rank), uv(value)]
     parts.append(uv(len(delta.removed)))
     return b"".join(parts + delta.removed)

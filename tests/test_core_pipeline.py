@@ -769,30 +769,39 @@ class TestStabilityWireBudget:
 
 
 class TestCausalContextWireBudget:
-    """A chained ``cb_ctx`` names what its predecessor holds by position:
-    a moved counter is two bytes, not an 8-byte address and a varint."""
+    """A chained ``cb_ctx`` names what its predecessor holds by position
+    and a member by its rank in the view: a moved counter is two bytes,
+    not an 8-byte address and a varint, and no context carries a member
+    address."""
 
     @staticmethod
-    def _steady(n_groups, moves):
-        """Bytes of the ``cb_ctx`` after the chain head, when ``moves``
-        says which of a group's 4 members delivered since."""
-        members = [make_process_address(s, 0, 1) for s in range(4)]
+    def _chain(n_groups, moves, base=(5, 6, 7, 8)):
+        """Bytes of the chain head and of the ``cb_ctx`` after it, when
+        ``moves`` says which of a group's 4 members delivered since."""
+        members = tuple(make_process_address(s, 0, 1) for s in range(4))
         encoder = ContextEncoder()
-        base = [5, 6, 7, 8]
-        for counts in (base, [c + m for c, m in zip(base, moves)]):
-            wire = encoder.encode(reference.context_rows({
-                make_group_address(0, g + 1): (3, VectorClock(
-                    dict(zip(members, counts))))
-                for g in range(n_groups)}))
-        return len(wire)
+        return [len(encoder.encode(reference.context_rows({
+            make_group_address(0, g + 1): (3, members, VectorClock(
+                dict(zip(members, counts))))
+            for g in range(n_groups)})))
+            for counts in (base, [c + m for c, m in zip(base, moves)])]
 
     def test_every_counter_of_32_groups_moved(self):
         """``sim-groups``: a sender round-robins over its 32 groups, so
         between two of its sends in one group all 128 counters moved."""
-        assert self._steady(32, [5, 6, 7, 8]) <= 400        # was 1 475
+        head, steady = self._chain(32, [5, 6, 7, 8])
+        assert head <= 450                  # 1 474 with member addresses
+        assert steady <= 330                # 356 with a gained-count byte
 
     def test_one_counter_of_one_group_moved(self):
-        assert self._steady(1, [0, 0, 1, 0]) <= 10          # was 22
+        assert self._chain(1, [0, 0, 1, 0])[1] <= 10        # was 22
+
+    def test_a_gained_member_costs_a_rank_and_a_count(self):
+        """A member's first delivery in the view is a moved counter like
+        any other: 2 bytes, where its address and count were 9."""
+        base = (5, 6, 0, 0)
+        one = self._chain(1, [0, 0, 1, 0], base)[1]
+        assert self._chain(1, [0, 0, 1, 1], base)[1] - one == 2
 
 
 class TestKernelStats:

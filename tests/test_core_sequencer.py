@@ -111,22 +111,20 @@ class TestSequencerReceiver:
 
 
 def _ctx(*entries):
-    """entries: (group_no, view_id, {member_no: count})"""
+    """entries: (group_no, view_id, {member_no: count}), the view's
+    members the dict's keys, by rank."""
     out = {}
     for group_no, view_id, counts in entries:
         gid = make_group_address(0, group_no)
-        vc = VectorClock({
-            make_process_address(0, 1, m): c for m, c in counts.items()
-        })
-        out[gid.process()] = (view_id, vc)
+        members = tuple(make_process_address(0, 1, m) for m in counts)
+        out[gid.process()] = (view_id, members, VectorClock(
+            dict(zip(members, counts.values()))))
     return out
 
 
-def _same_ctx(a, b):
-    assert set(a) == set(b)
-    for gid in a:
-        assert a[gid][0] == b[gid][0]
-        assert a[gid][1] == b[gid][1]
+def _same_ctx(decoded, ctx):
+    """The receiver's counts by rank are the sender's vectors."""
+    assert decoded == reference.ranked(ctx)
 
 
 class TestCompactContextCodec:
@@ -159,7 +157,7 @@ class TestCompactContextCodec:
         assert compact < legacy / 2.5
 
     def test_delta_chain_reconstructs_absolute_contexts(self):
-        c1 = _ctx((1, 1, {7: 1}))
+        c1 = _ctx((1, 1, {7: 1, 8: 0}))
         c2 = _ctx((1, 1, {7: 2, 8: 1}), (2, 1, {9: 4}))   # counts grow, group added
         c3 = _ctx((1, 2, {7: 1}))                          # view advance + removal
         sent = None         # the previous context, in the chain's order

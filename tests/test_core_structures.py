@@ -128,12 +128,12 @@ class TestVectorClock:
     def test_context_roundtrip_over_the_wire(self):
         vc = VectorClock()
         vc.set(P1, 4)
-        wire = ContextEncoder().encode(reference.context_rows({GID: (3, vc)}))
+        wire = ContextEncoder().encode(
+            reference.context_rows({GID: (3, (P0, P1), vc)}))
         msg = Message(ctx=wire)
         decoded = reference.decode_context_compact(
             Message.decode(msg.encode())["ctx"])
-        assert decoded[GID][0] == 3
-        assert decoded[GID][1] == vc
+        assert decoded == {GID: (3, [0, 4])}        # counts by rank
 
 
 class TestMessageStore:
@@ -180,9 +180,15 @@ class TestMessageStore:
         assert store.have_vector() == {}
 
 
+#: GID's view 1 is P1 alone: a context waiting on P1's ``count``-th.
+def _after_p1(count):
+    return {GID: (1, (P1,), VectorClock({P1: count}))}
+
+
 def _cb(sender, seq, ctx=None, prev=None):
     """A ``g.cb`` envelope's causal fields; ``prev`` is the context of
-    the sender's previous message (``cb_ctx`` chains per sender)."""
+    the sender's previous message as the receiver rebuilt it (``cb_ctx``
+    chains per sender)."""
     return Message(cb_sender=sender, cb_seq=seq,
                    cb_ctx=reference.encode_context_compact(ctx or {}, prev))
 
@@ -237,9 +243,7 @@ class TestCausalReceiver:
     def test_context_blocks_until_woken(self):
         ok = {"now": False}
         rx, blocked = _receiver(lambda: ok["now"])
-        vc = VectorClock()
-        vc.set(P1, 1)
-        assert rx.offer(_cb(P0, 1, ctx={GID: (1, vc)})) == []
+        assert rx.offer(_cb(P0, 1, ctx=_after_p1(1))) == []
         assert blocked == [(P0.pack(), 1)]
         ok["now"] = True
         assert rx.recheck() == []           # nothing marked: nothing walked
@@ -273,9 +277,7 @@ class TestCausalReceiver:
         assert rx.pending_count == 0 and rx.cache_sizes() == (0, 0)
 
     def test_truncated_context_is_rejected_at_arrival(self):
-        vc = VectorClock()
-        vc.set(P1, 300)     # a two-byte varint at the very end
-        good = _cb(P0, 1, ctx={GID: (1, vc)})
+        good = _cb(P0, 1, ctx=_after_p1(300))   # a two-byte varint last
         whole = bytes(good["cb_ctx"])
         rx, _ = _receiver()
         for cut in range(len(whole)):
@@ -294,9 +296,9 @@ class TestCausalReceiver:
         assert rx.pending_count == 0
 
     @pytest.mark.parametrize("moved", [
-        b"\x01\x01\x00\x02\x00",       # group 1 of 1
-        b"\x00\x01\x01\x02\x00",       # member 1 of 1, in group 0
-        b"\x00\x02\x00\x02\x03\x02\x00",     # members 0 and 3 of 1
+        b"\x01\x01\x00\x02",           # group 1 of 1
+        b"\x00\x01\x01\x02",           # rank 1 of 1, in group 0
+        b"\x00\x02\x00\x02\x03\x02",   # ranks 0 and 3 of 1
     ])
     def test_position_naming_nothing_is_refused_at_first_candidacy(
             self, moved):
@@ -305,19 +307,17 @@ class TestCausalReceiver:
         here, is refused when the head lets it become a candidate, and
         leaves everything as it was."""
         rx, _ = _receiver()
-        vc = VectorClock()
-        vc.set(P1, 1)
-        head = _cb(P0, 1, ctx={GID: (1, vc)})
+        head = _cb(P0, 1, ctx=_after_p1(1))
         assert rx.offer(Message(cb_sender=P0, cb_seq=2,
                                 cb_ctx=b"\x01\x00\x01" + moved + b"\x00")) == []
-        assert rx.offer(_cb(P0, 3, ctx={GID: (1, vc)},
-                            prev={GID: (1, vc)})) == []
+        assert rx.offer(_cb(P0, 3, ctx=_after_p1(1),
+                            prev={GID: (1, [1])})) == []
         assert rx.pending_count == 2 and rx.refused == []
         assert [m["cb_seq"] for m in rx.offer(head)] == [1]
         assert rx.refused == [1]
         # The chain is the head's, the successor still waits its turn.
         chain = rx._chains[P0.pack()]
-        assert reference.unpacked_context(chain.context) == {GID: (1, vc)}
+        assert reference.unpacked_context(chain.context) == {GID: (1, [1])}
         assert rx.delivered == {P0.pack(): 1}
         assert [m["cb_seq"] for m in rx.pending_messages()] == [3]
         assert rx.recheck() == [] and not rx._ready
@@ -355,10 +355,8 @@ class TestCausalReceiver:
 
     def test_in_order_arrival_naming_nothing_is_refused_at_once(self):
         rx, _ = _receiver()
-        vc = VectorClock()
-        vc.set(P1, 1)
-        assert len(rx.offer(_cb(P0, 1, ctx={GID: (1, vc)}))) == 1
-        moved = b"\x01\x01\x00\x02\x00"       # group 1 of 1
+        assert len(rx.offer(_cb(P0, 1, ctx=_after_p1(1)))) == 1
+        moved = b"\x01\x01\x00\x02"           # group 1 of 1
         assert rx.offer(Message(cb_sender=P0, cb_seq=2,
                                 cb_ctx=b"\x01\x00\x01" + moved + b"\x00")) == []
         assert rx.refused == [1] and rx.pending_count == 0

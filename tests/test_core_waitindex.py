@@ -367,7 +367,9 @@ class TestContextReadWhereItCanFail:
         gids = {}
 
         def fresh_groups():
-            return {gid.pack(): (engine.view.view_id, engine.causal.delivered)
+            return {gid.pack(): (engine.view.view_id,
+                                 tuple(m.pack() for m in engine.view.members),
+                                 engine.causal.delivered)
                     for gid, engine in sorted(kernel.engines.items(),
                                               key=lambda kv: kv[0].pack())
                     if engine.installed and engine.view is not None}

@@ -160,10 +160,11 @@ _BLOB = encode_stab(1, (2, 1), {0: 3, 1: 5})
 _NOT_A_BLOB = ("x", _BLOB[:-1], _BLOB + b"\x00")
 _TR = dict(_proto="g.tr", view=1, root=0, tid=1)
 #: A well-formed ``g.cb`` of the probe's view 1 from site 0, the head of
-#: its sender's chain: one group (not one the probe hosts) of one member.
+#: its sender's chain: one group (not one the probe hosts) of one member,
+#: counted by rank.
 _SENDER = make_process_address(0, 0, 9)
 _GHOST = make_group_address(0, 42)
-_HEAD = (b"\x00\x01" + _GHOST.pack() + b"\x01\x01" + _SENDER.pack() + b"\x01")
+_HEAD = b"\x00\x01" + _GHOST.pack() + b"\x01\x01\x01"
 _CB = dict(_proto="g.cb", view=1, origin=0, gseq=1, m=Message(x=1), entry=16,
            cb_sender=_SENDER, cb_seq=1, cb_ctx=_HEAD)
 #: One data envelope, encoded: what a well-formed ``g.batch`` carries.
@@ -252,11 +253,11 @@ def _next(moved, have):
     dict(_CB, cb_ctx=b"\x01\x00\x00\x00", have={}),     # a delta at cb_seq 1
     dict(_CB, cb_seq=0, have={}),
     dict(_CB, _proto="g.xx", have={}, via_batch=True),
-    # A delta whose positions do not ascend, or name nothing its
-    # predecessor holds: group 1 of 1, member 1 of 1.
-    _next(b"\x00\x02\x01\x02\x00\x02\x00", have={0: 1}),
-    _next(b"\x01\x01\x00\x02\x00", have={0: 2}),
-    _next(b"\x00\x01\x01\x02\x00", have={0: 2}),
+    # A delta whose ranks do not ascend, or whose positions name nothing
+    # its predecessor holds: group 1 of 1, rank 1 of 1.
+    _next(b"\x00\x02\x01\x02\x00\x02", have={0: 1}),
+    _next(b"\x01\x01\x00\x02", have={0: 2}),
+    _next(b"\x00\x01\x01\x02", have={0: 2}),
     # A join request names its group and joiner by address, a state
     # transfer carries one form of state, a state chunk its place in the
     # stream by integers: parsed before any join state, stream buffer or
@@ -349,7 +350,7 @@ def test_misshapen_stability_note_counted_not_fatal(fields):
         if before:      # the chain is as the head left it
             chain = engine.causal._chains[_SENDER.pack()]
             assert [entry[1:] for entry in chain.context.entries()] == [
-                (1, (_SENDER.pack(),), [1])]
+                (1, [1])]
 
 
 def test_stale_group_message_dropped():

@@ -83,19 +83,17 @@ def test_golden_batch_unpacks_to_its_envelopes():
 
 def test_golden_contexts_parse_as_positions():
     """The ``cb_ctx`` of the golden ``g.cb`` is a delta that names its
-    predecessor's one group, and two of its members, by position; the
-    batch is a chain from its head on."""
+    predecessor's one group by position, and two of its members by rank;
+    the batch is a chain from its head on, in a view of one member."""
     delta = parse_context_delta(bytes(Message.decode(CORPUS["g.cb"])["cb_ctx"]))
-    assert delta == (False, [], [(0, [(0, 128), (1, 129)], ())], [])
+    assert delta == (False, [], [(0, [(0, 128), (1, 129)])], [])
     envelopes, _ = unpack_batch(Message.decode(CORPUS["g.batch"]))
     chain = ChainContext()
     for env in envelopes:
         delta = parse_context_delta(bytes(env["cb_ctx"]))
         check_delta_positions(chain, delta)
         apply_context_delta(chain, delta)
-    sender = envelopes[0]["cb_sender"]
-    assert chain.entries() == [
-        (envelopes[0]["gid"].pack(), 3, (sender.pack(),), [2])]
+    assert chain.entries() == [(envelopes[0]["gid"].pack(), 3, [2])]
 
 
 def test_golden_announcement_is_one_stab_blob():
