@@ -52,6 +52,7 @@ from .vectorclock import (
     ChainContext,
     ContextDelta,
     GroupRow,
+    Layout,
     apply_context_delta,
     check_delta_positions,
     first_in_walk_order,
@@ -124,10 +125,12 @@ class CausalReceiver:
     (:meth:`CausalCheck.check_delta_and_register`).
     ``on_advance(sender, seq)`` tells the kernel this group's delivered
     vector advanced, waking cross-group waiters
-    (:meth:`CausalCheck.note_advance`).
+    (:meth:`CausalCheck.note_advance`).  ``layouts`` is the kernel's
+    table of chain layouts (the check's ``layouts``), which a chain
+    advanced to a new shape interns its layout in.
     """
 
-    __slots__ = ("delivered", "_pending", "_chains",
+    __slots__ = ("delivered", "_pending", "_chains", "_layouts",
                  "_delta_check", "_on_advance", "_on_refuse",
                  "_next_arrival", "_ready", "_ready_set", "peak_pending")
 
@@ -135,9 +138,11 @@ class CausalReceiver:
                  delta_check: Callable[
                      [SenderChain, ContextDelta, PendingKey], bool],
                  on_advance: Callable[[bytes, int], None],
-                 on_refuse: Callable[[], None]):
+                 on_refuse: Callable[[], None],
+                 layouts: Dict[Layout, Layout]):
         #: Delivered CBCAST count per packed sender (resets per view).
         self.delivered: Dict[bytes, int] = {}
+        self._layouts = layouts
         self._delta_check = delta_check
         self._on_advance = on_advance
         self._on_refuse = on_refuse
@@ -237,7 +242,7 @@ class CausalReceiver:
                 self._pending[key] = entry
                 return None
             # Its context becomes the chain base.
-            apply_context_delta(chain.context, delta)
+            apply_context_delta(chain.context, delta, self._layouts)
         self.delivered[sender] = seq
         successor = (sender, seq + 1)
         if successor in self._pending:
@@ -444,6 +449,9 @@ class CausalCheck:
         #: installs here or installs a view (a new view id, member list
         #: and vector).
         self._groups: Optional[Dict[bytes, GroupRow]] = None
+        #: Every sender chain's layout here, each shape once
+        #: (:func:`~repro.core.vectorclock.intern_layout`).
+        self.layouts: Dict[Layout, Layout] = {}
 
     def engines_changed(self) -> None:
         """The kernel's group table gained or lost a group."""
@@ -514,7 +522,7 @@ class CausalCheck:
         else:
             self.counters.bump("causal.ctx_full_walks")
             context = chain.context.copy()
-            apply_context_delta(context, delta)
+            apply_context_delta(context, delta, self.layouts)
             satisfied = self._check_delta(
                 context, ContextDelta(True, context.entries(), [], []), waiter)
         if satisfied:
@@ -540,7 +548,7 @@ class CausalCheck:
         # What the delta names by position: the group and its view are
         # the chain's, a rank names a member of our view of that id.
         # Tested in line — the steady path.
-        gids, views = base.gids, base.views
+        gids, views, _, _ = base.layout
         for gpos, counters in delta.moved:
             gid = gids[gpos]
             row = rows.get(gid)

@@ -363,6 +363,7 @@ class CausalOrdering:
             on_advance=lambda sender, seq: check.note_advance(
                 packed, sender, seq),
             on_refuse=lambda: engine.sim.trace.bump("kernel.bad_message"),
+            layouts=check.layouts,
         )
         #: Per-sender CBCAST count within the current view (send side).
         self._counts: Dict[Address, int] = {}
@@ -381,11 +382,11 @@ class CausalOrdering:
         self._counts[key] = count
         env["cb_sender"] = key
         env["cb_seq"] = count
+        check = self.engine.kernel.causal_check
         encoder = self._encoders.get(key)
         if encoder is None:
-            encoder = self._encoders[key] = ContextEncoder()
-        env["cb_ctx"] = encoder.encode(
-            self.engine.kernel.causal_check.groups())
+            encoder = self._encoders[key] = ContextEncoder(check.layouts)
+        env["cb_ctx"] = encoder.encode(check.groups())
 
     @staticmethod
     def own(env: Message) -> CausalFields:

@@ -13,6 +13,12 @@ Every group data message is tagged ``(view_id, origin_site, gseq)`` where
   site), because an unstable message may have to be re-sent to a peer
   during a flush.
 
+A message is buffered as its wire bytes: the frame a received envelope
+was decoded from, or the bytes fan-out sends for our own.  Nothing
+mutates an envelope once it is recorded, so a flush refill re-sends
+exactly what was recorded, decoded again only for that
+(:meth:`MessageStore.get`).
+
 The *have-vector* summarises reception per origin site as the maximum
 contiguous gseq, which is all a flush coordinator needs to compute the
 union cut.
@@ -20,7 +26,7 @@ union cut.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..msg.message import Message
 
@@ -30,17 +36,17 @@ Tag = Tuple[int, int]  # (origin_site, gseq) within the current view
 class MessageStore:
     """Buffered group messages for one group at one member kernel."""
 
-    __slots__ = ("_messages", "_contiguous", "_gapped", "_sizes",
+    __slots__ = ("_messages", "_contiguous", "_gapped",
                  "_buffered_bytes", "_trimmed")
 
     def __init__(self) -> None:
-        self._messages: Dict[Tag, Message] = {}
+        #: Each buffered message's wire bytes.
+        self._messages: Dict[Tag, bytes] = {}
         #: Per origin site: highest contiguous gseq seen (gseq starts at 1).
         self._contiguous: Dict[int, int] = {}
-        #: Out-of-order receptions (gaps possible during flush refill).
-        self._gapped: Dict[int, Dict[int, Message]] = {}
-        #: Encoded size of each buffered message, frozen at record time.
-        self._sizes: Dict[Tag, int] = {}
+        #: Per origin site: gseqs received above a gap (possible during
+        #: flush refill).
+        self._gapped: Dict[int, Set[int]] = {}
         #: Encoded bytes currently buffered (kept incrementally).
         self._buffered_bytes = 0
         #: Per origin site: the stable cut already applied.  Nothing at
@@ -50,7 +56,7 @@ class MessageStore:
 
     # -- recording ---------------------------------------------------------
     def record(self, origin_site: int, gseq: int, msg: Message) -> bool:
-        """Store a message; returns True if it was new."""
+        """Buffer a message as its wire bytes; returns True if it was new."""
         tag = (origin_site, gseq)
         if tag in self._messages:
             return False
@@ -59,28 +65,28 @@ class MessageStore:
             # even if since trimmed as stable: a late copy (flush refill
             # racing a trim) must not be mistaken for a new message.
             return False
-        self._messages[tag] = msg
-        # Size is captured at record time: later mutation of the envelope
-        # must not skew the accounting when the message is trimmed.
-        self._sizes[tag] = msg.size_bytes
-        self._buffered_bytes += self._sizes[tag]
+        data = self._messages[tag] = msg.encode()
+        self._buffered_bytes += len(data)
         top = self._contiguous.get(origin_site, 0)
         if gseq == top + 1:
             top = gseq
-            pending = self._gapped.get(origin_site, {})
+            pending = self._gapped.get(origin_site, ())
             while top + 1 in pending:
                 top += 1
-                del pending[top]
+                pending.remove(top)
             self._contiguous[origin_site] = top
         else:
-            self._gapped.setdefault(origin_site, {})[gseq] = msg
+            self._gapped.setdefault(origin_site, set()).add(gseq)
         return True
 
     def has(self, origin_site: int, gseq: int) -> bool:
         return (origin_site, gseq) in self._messages
 
     def get(self, origin_site: int, gseq: int) -> Optional[Message]:
-        return self._messages.get((origin_site, gseq))
+        """The buffered message, decoded from the bytes recorded (which
+        it re-encodes to), or None."""
+        data = self._messages.get((origin_site, gseq))
+        return None if data is None else Message.decode(data)
 
     # -- have-vectors -----------------------------------------------------------
     def have_vector(self) -> Dict[int, int]:
@@ -140,9 +146,8 @@ class MessageStore:
                 top = ceiling
             self._trimmed[origin_site] = top
             for gseq in range(applied + 1, top + 1):
-                tag = (origin_site, gseq)
-                del self._messages[tag]
-                self._buffered_bytes -= self._sizes.pop(tag)
+                self._buffered_bytes -= len(
+                    self._messages.pop((origin_site, gseq)))
             dropped += top - applied
         return dropped
 
@@ -151,7 +156,6 @@ class MessageStore:
         self._messages.clear()
         self._contiguous.clear()
         self._gapped.clear()
-        self._sizes.clear()
         self._buffered_bytes = 0
         self._trimmed.clear()
 

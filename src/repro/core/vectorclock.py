@@ -83,6 +83,10 @@ from ..msg.fields import decode_uvarint, encode_uvarint
 # rebuilt per message — no position table either: a position is a list
 # index — and the chain holds no member address: a receiver maps a rank
 # to a member through its own view, and only when the view ids match.
+# What a chain holds beside its counts — which groups, in which views,
+# of which sizes — is its *layout*, one per shape at a kernel: a delta
+# that only moves counters leaves it alone, one that names or removes a
+# group copies it and interns the result (:func:`intern_layout`).
 
 _CTX_FULL = 0
 _CTX_DELTA = 1
@@ -91,81 +95,114 @@ _CTX_DELTA = 1
 _UVARINT1 = [bytes([n]) for n in range(0x80)]
 
 
+#: A context's shape, one column per field: the groups' packed gids,
+#: their view ids, their vector sizes and where each vector starts in
+#: the counts.
+Layout = Tuple[Tuple[bytes, ...], Tuple[int, ...], Tuple[int, ...],
+               Tuple[int, ...]]
+
+#: Most layouts one :func:`intern_layout` table holds; past it the table
+#: is emptied, not grown (a peer can name any gid on the wire).
+LAYOUT_CAP = 256
+
+
+def intern_layout(table: Dict[Layout, Layout],
+                  columns: Sequence[Sequence]) -> Layout:
+    """``columns`` as a :data:`Layout`: the copy ``table`` holds, entered
+    if it holds none."""
+    layout = tuple(map(tuple, columns))
+    held = table.get(layout)
+    if held is None:
+        if len(table) >= LAYOUT_CAP:
+            table.clear()
+        held = table[layout] = layout
+    return held
+
+
 class ChainContext:
     """An absolute causal context in canonical order, by position.
 
     Group ``gpos`` is ``gids[gpos]`` in view ``views[gpos]``, a view of
-    ``sizes[gpos]`` members; the member of rank ``r`` in it has
-    delivered ``counts[starts[gpos] + r]``.  Columns, and one flat list
-    of counts, because a kernel holds one of these per sender and group
-    with an entry per group the sender is in: laid out so, an entry is a
-    few list slots — nothing the garbage collector tracks — where a list
-    per entry would be most of the objects it walks.
+    ``sizes[gpos]`` members, where ``gids, views, sizes, starts =
+    layout``; the member of rank ``r`` in it has delivered
+    ``counts[starts[gpos] + r]``.  A kernel holds one of these per
+    sender and group, and a sender's chains in all its groups have one
+    shape, so they hold one layout: a tuple of tuples, interned
+    (:func:`apply_context_delta`), which a mutation copies to lists of
+    the chain's own first.  Only the flat list of counts is each
+    chain's.
     """
 
-    __slots__ = ("gids", "views", "sizes", "starts", "counts")
+    __slots__ = ("layout", "counts")
 
     def __init__(self) -> None:
-        self.gids: List[bytes] = []
-        self.views: List[int] = []
-        self.sizes: List[int] = []
-        self.starts: List[int] = []
+        self.layout: Sequence[Sequence] = ((), (), (), ())
         self.counts: List[int] = []
+
+    def _columns(self) -> List[list]:
+        """The layout as lists of this chain's own, copied if shared."""
+        layout = self.layout
+        if type(layout) is tuple:
+            layout = self.layout = [list(column) for column in layout]
+        return layout   # type: ignore[return-value]
 
     def name(self, gid: bytes, view_id: int, counts: List[int]) -> None:
         """``gid`` is now this vector: in place if held, else appended."""
         try:
-            gpos = self.gids.index(gid)
+            gpos = self.layout[0].index(gid)
         except ValueError:
             self.append(gid, view_id, counts)
             return
-        self.views[gpos] = view_id
+        self._columns()[1][gpos] = view_id
         self._splice(gpos, counts)
 
     def append(self, gid: bytes, view_id: int, counts: List[int]) -> None:
         """A group not held so far, after the others."""
-        self.gids.append(gid)
-        self.views.append(view_id)
-        self.sizes.append(len(counts))
-        self.starts.append(len(self.counts))
+        gids, views, sizes, starts = self._columns()
+        gids.append(gid)
+        views.append(view_id)
+        sizes.append(len(counts))
+        starts.append(len(self.counts))
         self.counts += counts
 
     def remove(self, gid: bytes) -> None:
         """``gid`` goes, if held; what came after it moves up."""
         try:
-            gpos = self.gids.index(gid)
+            gpos = self.layout[0].index(gid)
         except ValueError:
             return
         self._splice(gpos, [])
-        for column in (self.gids, self.views, self.sizes, self.starts):
+        for column in self._columns():
             del column[gpos]
 
     def _splice(self, gpos: int, counts: List[int]) -> None:
         """Group ``gpos``'s vector becomes ``counts``; the later ones
         start that much further on or back."""
-        start = self.starts[gpos]
-        held = self.sizes[gpos]
-        self.sizes[gpos] = len(counts)
+        _, _, sizes, starts = self._columns()
+        start = starts[gpos]
+        held = sizes[gpos]
+        sizes[gpos] = len(counts)
         self.counts[start:start + held] = counts
         if len(counts) != held:
             by = len(counts) - held
-            starts = self.starts
             starts[gpos + 1:] = [at + by for at in starts[gpos + 1:]]
 
     def clear(self) -> None:
-        for column in self.__slots__:
-            getattr(self, column).clear()
+        self.layout = [[], [], [], []]
+        self.counts = []
 
     def entries(self) -> List[Tuple[bytes, int, List[int]]]:
         """``(gid, view id, counts in rank order)`` per group, in order."""
         return [(gid, view_id, self.counts[start:start + size])
-                for gid, view_id, size, start
-                in zip(self.gids, self.views, self.sizes, self.starts)]
+                for gid, view_id, size, start in zip(*self.layout)]
 
     def copy(self) -> "ChainContext":
+        """The same context, with counts of its own: a layout of tuples
+        is shared (``tuple`` of a tuple is that tuple), one of lists
+        frozen."""
         out = ChainContext()
-        for column in self.__slots__:
-            setattr(out, column, list(getattr(self, column)))
+        out.layout = tuple(map(tuple, self.layout))
+        out.counts = list(self.counts)
         return out
 
 
@@ -285,7 +322,7 @@ def check_delta_positions(context: ChainContext, delta: ContextDelta) -> None:
     once the message is its sender's next.  Positions and ranks ascend
     (the parser saw to it), so the last of a run speaks for all of it.
     """
-    sizes = context.sizes
+    sizes = context.layout[2]
     held = len(sizes)
     for gpos, counters in delta.moved:
         if gpos >= held:
@@ -296,29 +333,33 @@ def check_delta_positions(context: ChainContext, delta: ContextDelta) -> None:
                 f"{sizes[gpos]} in group {gpos}")
 
 
-def apply_context_delta(context: ChainContext, delta: ContextDelta) -> None:
+def apply_context_delta(context: ChainContext, delta: ContextDelta,
+                        layouts: Dict[Layout, Layout]) -> None:
     """Advance an absolute context in place by one parsed ``cb_ctx``
     whose positions :func:`check_delta_positions` has passed.
 
     Positions are resolved first, against the context as the sender's
     previous message left it; then the named groups take their places
-    and the removed ones go.
+    and the removed ones go, and a new layout is interned in ``layouts``.
     """
     if delta.full:
         context.clear()
         for row in delta.named:
             context.append(*row)
-        return
-    starts = context.starts
-    counts = context.counts
-    for gpos, counters in delta.moved:
-        start = starts[gpos]
-        for rank, value in counters:
-            counts[start + rank] = value
-    for row in delta.named:
-        context.name(*row)
-    for gid in delta.removed:
-        context.remove(gid)
+    else:
+        starts = context.layout[3]
+        counts = context.counts
+        for gpos, counters in delta.moved:
+            start = starts[gpos]
+            for rank, value in counters:
+                counts[start + rank] = value
+        if not (delta.named or delta.removed):
+            return
+        for row in delta.named:
+            context.name(*row)
+        for gid in delta.removed:
+            context.remove(gid)
+    context.layout = intern_layout(layouts, context.layout)
 
 
 def first_in_walk_order(candidates: List[bytes],
@@ -353,11 +394,14 @@ class ContextEncoder:
     new view id, and is named whole).
     """
 
-    __slots__ = ("_base",)
+    __slots__ = ("_base", "_layouts")
 
-    def __init__(self) -> None:
+    def __init__(self, layouts: Dict[Layout, Layout]) -> None:
         #: Context as of the last encode (``None``: chain head).
         self._base: Optional[ChainContext] = None
+        #: Where a new layout of the base is interned: the ``layouts``
+        #: of the kernel's :class:`~repro.core.cbcast.CausalCheck`.
+        self._layouts = layouts
 
     def encode(self, groups: Mapping[bytes, GroupRow]) -> bytes:
         """The next ``cb_ctx`` of the chain: ``groups`` maps ``packed
@@ -369,15 +413,17 @@ class ContextEncoder:
             out += _uvarint(len(groups))
             for gid, row in groups.items():
                 _name(base.append, out, gid, *row)
+            base.layout = intern_layout(self._layouts, base.layout)
             return bytes(out)
         named: List[bytes] = []
         gone: List[bytes] = []
         moved = bytearray()
         n_moved = 0
         counters = bytearray()
-        views, starts, counts = base.views, base.starts, base.counts
+        gids, views, _, starts = base.layout
+        counts = base.counts
         gpos = -1
-        for gid in base.gids:
+        for gid in gids:
             gpos += 1
             row = groups.get(gid)
             if row is None:
@@ -416,8 +462,8 @@ class ContextEncoder:
                 moved += _uvarint(n)
             moved += counters
             counters.clear()
-        if len(groups) > len(base.gids) - len(gone):
-            held = set(base.gids)
+        if len(groups) > len(gids) - len(gone):
+            held = set(gids)
             named.extend(gid for gid in groups if gid not in held)
         out = bytearray((_CTX_DELTA,))
         out += _uvarint(len(named))
@@ -429,6 +475,8 @@ class ContextEncoder:
         for gid in sorted(gone):
             base.remove(gid)
             out += gid
+        if named or gone:
+            base.layout = intern_layout(self._layouts, base.layout)
         return bytes(out)
 
 

@@ -252,6 +252,9 @@ class TcpBulk:
         self._peers = peers
         self.on_blob = on_blob
         self._alive = True
+        #: The listening socket, closed here if we go down before
+        #: :meth:`_serve` hands it to a server.
+        self._sock = sock
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: Set[asyncio.Task] = set()
         self._writers: Set[asyncio.StreamWriter] = set()
@@ -265,7 +268,11 @@ class TcpBulk:
         return task
 
     async def _serve(self, sock: socket.socket) -> None:
-        self._server = await asyncio.start_server(self._handle, sock=sock)
+        # Not serving yet, the server is made without a suspension point:
+        # from here on, shutdown closes it, and with it the socket.
+        self._server = await asyncio.start_server(
+            self._handle, sock=sock, start_serving=False)
+        await self._server.start_serving()
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
@@ -303,6 +310,8 @@ class TcpBulk:
         self._alive = False
         if self._server is not None:
             self._server.close()
+        else:
+            self._sock.close()
         for writer in list(self._writers):
             writer.close()
         self._writers.clear()

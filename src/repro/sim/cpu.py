@@ -19,7 +19,10 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from .core import Simulator
-from .tasks import Promise
+
+
+def _idle() -> None:
+    """What a submission without work runs when its time is up."""
 
 
 class Cpu:
@@ -47,25 +50,18 @@ class Cpu:
         cost: float,
         fn: Optional[Callable] = None,
         *args: Any,
-    ) -> Promise:
+    ) -> None:
         """Charge ``cost`` seconds of CPU, then run ``fn(*args)``.
 
-        Returns a promise resolved (with ``fn``'s return value, or None)
-        when the work completes.  Zero-cost submissions still serialize
-        behind queued work.
+        Zero-cost submissions still serialize behind queued work, and a
+        submission without ``fn`` still holds the CPU until its work
+        drains.
         """
         start = max(self.sim.now, self._ready_at)
         end = start + cost
         self._ready_at = end
         self._accum += cost
-        promise = Promise(label=f"{self.name}.work")
-
-        def run() -> None:
-            result = fn(*args) if fn is not None else None
-            promise.resolve(result)
-
-        self.sim.call_at(end, run)
-        return promise
+        self.sim.call_at(end, _idle if fn is None else fn, *args)
 
     def busy_before(self, t: float) -> float:
         """Cumulative busy seconds up to time ``t`` (t must be >= now)."""

@@ -479,7 +479,8 @@ def _install_receiver(kernel, gid, sink):
                 chain, delta, (gid, key)),
         on_advance=lambda sender, seq:
             kernel.causal_check.note_advance(gid.pack(), sender, seq),
-        on_refuse=lambda: kernel.sim.trace.bump("kernel.bad_message"))
+        on_refuse=lambda: kernel.sim.trace.bump("kernel.bad_message"),
+        layouts=kernel.causal_check.layouts)
     kernel.causal_check.installs += 1
     kernel.engines[gid] = SimpleNamespace(
         installed=True, view=_view(1), causal=receiver, deliver_env=sink)
@@ -494,7 +495,7 @@ class _Sender:
     def __init__(self, member, view_id):
         self.member = member
         self.seq = 0
-        self.encoder = ContextEncoder()
+        self.encoder = ContextEncoder({})
         #: packed gid -> [view id, packed member -> count]
         self.live = {HERE.pack(): [view_id, {}]}
         #: packed gid -> the view it left that group in: joining is a
@@ -681,7 +682,8 @@ def _cross_group_messages(n_groups, sends):
                 counts[g][packed] = counts[g].get(packed, 0) + 1
         groups = dict(sorted((CTX_GROUPS[g].pack(), (1, PACKED_VIEW, counts[g]))
                              for g in range(n_groups)))
-        encoder = encoders.setdefault((member, group), ContextEncoder())
+        encoder = encoders.setdefault((member, group),
+                                      ContextEncoder({}))
         out.append((CTX_GROUPS[group], Message(
             _proto="g.cb", cb_sender=CTX_MEMBERS[member],
             cb_seq=counts[group].get(CTX_MEMBERS[member].pack(), 0) + 1,
@@ -898,7 +900,7 @@ def test_delta_only_check_matches_full_walk(data):
         else:
             raise AssertionError("context never became satisfiable")
         assert chain.installs == kernel.causal_check.installs
-        apply_context_delta(chain.context, delta)
+        apply_context_delta(chain.context, delta, kernel.causal_check.layouts)
         if data.draw(st.booleans()):
             late = data.draw(st.sampled_from(CTX_GROUPS))
             if late not in kernel.engines:
@@ -924,7 +926,7 @@ def test_group_installed_mid_chain_forces_one_full_walk():
     satisfied, delta = _check_both_ways(
         kernel, chain, wire, reference.decode_context_compact(wire))
     assert satisfied            # g_late: not a member, cannot wait
-    apply_context_delta(chain.context, delta)
+    apply_context_delta(chain.context, delta, kernel.causal_check.layouts)
     _install(kernel, g_late, 1, {m: 2})
     second = {g_here: (1, VIEW, VectorClock({m: 1})),
               g_late: (1, VIEW, VectorClock({m: 5}))}

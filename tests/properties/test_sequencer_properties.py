@@ -141,14 +141,14 @@ def _context_history(draw):
 @given(history=_context_history())
 @settings(max_examples=50, deadline=None)
 def test_compact_context_delta_chain_roundtrip(history):
-    encoder, held = ContextEncoder(), ChainContext()
+    encoder, held = ContextEncoder({}), ChainContext()
     prev_sent = None        # the previous context, in the chain's order
     for context in history:
         data = encoder.encode(reference.context_rows(context))
         assert data == reference.encode_context_compact(context, prev_sent)
         delta = parse_context_delta(data)
         check_delta_positions(held, delta)
-        apply_context_delta(held, delta)
+        apply_context_delta(held, delta, {})
         decoded = reference.unpacked_context(held)
         assert decoded == reference.ranked(context)
         prev_sent = decoded

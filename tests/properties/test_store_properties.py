@@ -128,6 +128,12 @@ def test_trim_matches_the_filter_over_every_tag(script):
         assert store.trim_stable(step[1]) == len(victims)
         assert store.all_tags() == sorted(held)
         assert store.buffered_bytes == sum(held.values())
+        # A message is buffered as its wire bytes, and read back as the
+        # message those bytes decode to.
+        assert all(type(data) is bytes for data in store._messages.values())
+        assert store.buffered_bytes == sum(map(len, store._messages.values()))
+        for tag in held:
+            assert store.get(*tag).encode() == store._messages[tag]
         assert store.have_vector() == have
         # The same cut again is settled work: no scan, no pop.
         live, store._messages = store._messages, _Untouchable(store._messages)

@@ -23,6 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IsisCluster, IsisConfig
+from repro.core.engine import GroupEngine
+from repro.core.store import MessageStore
 
 ENTRY = 16
 N_SITES = 5
@@ -200,6 +202,44 @@ def test_tree_ancestor_crash_mid_multicast(mode):
         got = {t for t in tree["deliveries"][s]
                if isinstance(t, str) and t.startswith("s0:")}
         assert len(got) == 12, f"site {s} missed relayed traffic: {got}"
+
+
+def test_refill_resends_the_bytes_recorded(monkeypatch):
+    """The relay crash above makes the flush refill the subtree from
+    the survivors' buffers.  A store keeps each envelope as its wire
+    bytes, so every refilled envelope is byte-identical to what each
+    site recorded for it (the origin: what its fan-out sent), and
+    ``flush.refill_bytes`` is their total length."""
+    recorded = {}
+    refilled = []
+    real_record = MessageStore.record
+    real_send = GroupEngine._send_flush_msg
+
+    def key(env):
+        return env["gid"].pack(), env["view"], env["origin"], env["gseq"]
+
+    def record(store, origin, gseq, env):
+        new = real_record(store, origin, gseq, env)
+        if new:
+            assert recorded.setdefault(key(env), env.encode()) == \
+                env.encode()
+            assert store._messages[(origin, gseq)] is env.encode()
+        return new
+
+    def send_flush_msg(engine, site, msg):
+        if msg["_proto"] == "g.fl.data":
+            refilled.extend(msg["msgs"])
+        real_send(engine, site, msg)
+
+    monkeypatch.setattr(MessageStore, "record", record)
+    monkeypatch.setattr(GroupEngine, "_send_flush_msg", send_flush_msg)
+    result = _churn_run("tree", 42, "two_phase", [("crash", 1)])
+    _check_vs_invariants(result)
+    assert refilled
+    for env in refilled:
+        assert env.encode() == recorded[key(env)]
+    assert result["trace"].value("flush.refill_bytes") == \
+        sum(len(env.encode()) for env in refilled)
 
 
 def test_tree_trims_buffers_and_counts():

@@ -159,7 +159,7 @@ def _assert_same_in_order(got, expected):
 
 @given(history_steps)
 def test_in_place_chain_ends_match_the_absolute_codec(steps):
-    encoder = ContextEncoder()
+    encoder = ContextEncoder({})
     chain = ChainContext()          # receiver side, advanced in place
     expected = None                 # the same, by the reference
     for groups, absolute in replay(steps):
@@ -173,10 +173,10 @@ def test_in_place_chain_ends_match_the_absolute_codec(steps):
         # The kernel's fallback check advances a copy: the chain stays.
         before = chain.entries()
         walked = chain.copy()
-        apply_context_delta(walked, delta)
+        apply_context_delta(walked, delta, {})
         assert chain.entries() == before
         _assert_same_in_order(reference.unpacked_context(walked), expected)
-        apply_context_delta(chain, delta)
+        apply_context_delta(chain, delta, {})
         _assert_same_in_order(reference.unpacked_context(chain), expected)
         # Both ends hold the one canonical order, position for position.
         assert encoder._base.entries() == chain.entries()
@@ -203,7 +203,7 @@ def _refused(chain, data, views):
 
 @given(history_steps)
 def test_damaged_deltas_are_refused_by_codec_error_only(steps):
-    encoder, chain = ContextEncoder(), ChainContext()
+    encoder, chain = ContextEncoder({}), ChainContext()
     for groups, _ in replay(steps):
         data = encoder.encode(groups)
         delta = parse_context_delta(data)
@@ -220,9 +220,9 @@ def test_damaged_deltas_are_refused_by_codec_error_only(steps):
                 named[i] = (gid, view_id, wrong)
                 assert _refused(chain, _encode(delta._replace(named=named)),
                                 groups), i
-        held = len(chain.gids)
+        held = len(chain.layout[0])
         for i, (gpos, counters) in enumerate(delta.moved):
-            size = chain.sizes[gpos]
+            size = chain.layout[2][gpos]
 
             def damaged(gpos=gpos, counters=counters):
                 moved = list(delta.moved)
@@ -247,7 +247,7 @@ def test_damaged_deltas_are_refused_by_codec_error_only(steps):
             moved[i], moved[i + 1] = moved[i + 1], moved[i]
             assert _refused(chain, _encode(delta._replace(moved=moved)),
                             groups), i
-        apply_context_delta(chain, delta)
+        apply_context_delta(chain, delta, {})
 
 
 def _encode(delta):

@@ -779,7 +779,7 @@ class TestCausalContextWireBudget:
         """Bytes of the chain head and of the ``cb_ctx`` after it, when
         ``moves`` says which of a group's 4 members delivered since."""
         members = tuple(make_process_address(s, 0, 1) for s in range(4))
-        encoder = ContextEncoder()
+        encoder = ContextEncoder({})
         return [len(encoder.encode(reference.context_rows({
             make_group_address(0, g + 1): (3, members, VectorClock(
                 dict(zip(members, counts))))

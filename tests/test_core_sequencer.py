@@ -135,12 +135,12 @@ class TestCompactContextCodec:
     def _chain(contexts):
         """Send ``contexts`` down one chain; yield ``(wire, context the
         receiver holds after applying it)``."""
-        encoder, held = ContextEncoder(), ChainContext()
+        encoder, held = ContextEncoder({}), ChainContext()
         for ctx in contexts:
             wire = encoder.encode(reference.context_rows(ctx))
             delta = parse_context_delta(wire)
             check_delta_positions(held, delta)
-            apply_context_delta(held, delta)
+            apply_context_delta(held, delta, {})
             yield wire, reference.unpacked_context(held)
 
     def test_full_roundtrip(self):

@@ -128,7 +128,7 @@ class TestVectorClock:
     def test_context_roundtrip_over_the_wire(self):
         vc = VectorClock()
         vc.set(P1, 4)
-        wire = ContextEncoder().encode(
+        wire = ContextEncoder({}).encode(
             reference.context_rows({GID: (3, (P0, P1), vc)}))
         msg = Message(ctx=wire)
         decoded = reference.decode_context_compact(
@@ -214,7 +214,7 @@ def _receiver(satisfied=lambda: True):
         return satisfied()
 
     rx = _Arrivals(delta_check, lambda sender, seq: None,
-                   lambda: refused.append(1))
+                   lambda: refused.append(1), {})
     rx.refused = refused
     return rx, blocked
 

@@ -11,7 +11,14 @@ import pytest
 
 from repro import IsisCluster
 from repro.core.cbcast import WaitIndex
-from repro.core.vectorclock import ContextEncoder, parse_context_delta
+from repro.core.vectorclock import (
+    LAYOUT_CAP,
+    ChainContext,
+    ContextDelta,
+    ContextEncoder,
+    apply_context_delta,
+    parse_context_delta,
+)
 from repro.msg.address import make_group_address, make_process_address
 
 #: Watched groups and members are packed, as a ``cb_ctx`` names them.
@@ -318,6 +325,53 @@ class TestContextCheckCost:
         assert entries / checked < groups_per_site * self.SPAN / 4
 
 
+class TestOneLayoutPerShape:
+    """A kernel holds a sender's context shape once: its chains in every
+    group they share with us hold one layout, and so do this kernel's
+    own encoders; the table the layouts are interned in is bounded."""
+
+    def test_a_senders_chains_share_one_layout(self):
+        ring = TestContextCheckCost()
+        system, members, sites_of, _ = ring._ring()
+        ring._drive(system, members, sites_of, rounds=1)
+        for site in range(ring.N_SITES):
+            kernel = system.kernel(site)
+            by_sender = {}
+            for engine in kernel.engines.values():
+                for sender, chain in engine.causal._chains.items():
+                    by_sender.setdefault(sender, []).append(chain.context)
+                by_sender.setdefault("encoders", []).extend(
+                    encoder._base
+                    for encoder in engine.pipeline.causal._encoders.values())
+            for contexts in by_sender.values():
+                held = {}
+                for context in contexts:
+                    assert type(context.layout) is tuple
+                    first = held.setdefault(context.layout, context.layout)
+                    assert context.layout is first
+                    assert kernel.causal_check.layouts[first] is first
+                # Overlapping groups: a sender shares several with us.
+                assert len(contexts) > len(held)
+
+    def test_layout_table_is_capped_against_made_up_gids(self):
+        """A peer that names a fresh gid in each ``cb_ctx`` makes a new
+        layout each time: the table is emptied at its cap, not grown."""
+        layouts = {}
+        chain = ChainContext()
+        apply_context_delta(chain, ContextDelta(True, [(G1, 1, [0])], [], []),
+                            layouts)
+        held = G1
+        for n in range(3 * LAYOUT_CAP):
+            fresh = make_group_address(1, 1000 + n).pack()
+            apply_context_delta(
+                chain, ContextDelta(False, [(fresh, 1, [n])], [], [held]),
+                layouts)
+            held = fresh
+            assert len(layouts) <= LAYOUT_CAP
+        assert chain.entries() == [(held, 1, [3 * LAYOUT_CAP - 1])]
+        assert layouts[chain.layout] is chain.layout
+
+
 class TestContextReadWhereItCanFail:
     """A ``cb_ctx`` is read only where its check can fail: the sender's
     own copy is delivered on the FIFO rule alone, and the encoder diffs a
@@ -378,7 +432,7 @@ class TestContextReadWhereItCanFail:
         real_encode = ContextEncoder.encode
 
         def checked_encode(encoder, groups):
-            twin = ContextEncoder()
+            twin = ContextEncoder({})
             if encoder._base is not None:
                 twin._base = encoder._base.copy()
             out = real_encode(encoder, groups)

@@ -92,7 +92,7 @@ def test_golden_contexts_parse_as_positions():
     for env in envelopes:
         delta = parse_context_delta(bytes(env["cb_ctx"]))
         check_delta_positions(chain, delta)
-        apply_context_delta(chain, delta)
+        apply_context_delta(chain, delta, {})
     assert chain.entries() == [(envelopes[0]["gid"].pack(), 3, [2])]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Cpu, Simulator, spawn
+from repro.sim import Cpu, Simulator
 
 
 class TestCpu:
@@ -42,15 +42,14 @@ class TestCpu:
         sim.run(until=4.0)
         assert cpu.busy_before(4.0) == pytest.approx(4.0)
 
-    def test_submit_resolves_with_result(self):
+    def test_submit_hands_its_result_to_a_callback(self):
+        # ``submit`` returns nothing (the CpuLike seam): work that must
+        # hand on a result passes it to a callback it schedules.
         sim = Simulator()
         cpu = Cpu(sim)
-
-        def body():
-            got = yield cpu.submit(1.5, lambda: "result")
-            return got
-
-        task = spawn(sim, body())
+        got = []
+        assert cpu.submit(1.5, lambda: got.append(("result", sim.now))) \
+            is None
         sim.run()
-        assert task.value == "result"
+        assert got == [("result", 1.5)]
         assert sim.now == 1.5
