@@ -166,7 +166,7 @@ def replay(deliveries: int, checkpoint_every: int) -> Dict:
         "rejoin_seconds": round(system.now - restart_at, 3),
         "checkpoint_writes": stats["checkpoint.writes"],
         "log_records_on_disk": sum(
-            kernel.site.stable.log_length(name)
+            len(kernel.site.stable.read_log(name))
             for name in kernel.site.stable.log_names("wal/g/")),
     }
 

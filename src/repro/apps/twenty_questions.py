@@ -20,8 +20,10 @@ and selectable through :class:`TwentyQuestionsServer` options:
    ranked beyond NMEMBERS and take over instantly when a member fails.
 5. **Dynamic updates** — queries are CBCASTs, updates are GBCASTs (the
    paper's chosen mix for query-heavy workloads).
-6. **Restart from total failure** — the update log on stable storage is
-   replayed by the recovery manager's restart path.
+6. **Restart from total failure** — run with ``IsisConfig.durability``:
+   the kernel's write-ahead log holds every update the group delivered,
+   and the recovery manager's restart path replays it (see
+   :func:`register_program`).
 7. **Dynamic load balancing** — the configuration tool re-maps member
    numbers at run time (``shuffle``).
 
@@ -31,8 +33,7 @@ reproduced verbatim in :data:`DEFAULT_DATABASE`).
 
 from __future__ import annotations
 
-import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.groups import Isis
 from ..core.view import View
@@ -76,7 +77,6 @@ DEFAULT_DATABASE: List[Dict[str, Any]] = [
 ]
 
 YES, NO, SOMETIMES = "yes", "no", "sometimes"
-_LOG = "twenty/updates"
 
 
 def parse_query(text: str) -> Tuple[bool, str, str, Any]:
@@ -140,7 +140,6 @@ class TwentyQuestionsServer:
         process: IsisProcess,
         nmembers: int = 4,
         standby: bool = False,
-        logging: bool = False,
         auto_restart: bool = False,
         database: Optional[List[Dict[str, Any]]] = None,
     ):
@@ -148,7 +147,6 @@ class TwentyQuestionsServer:
         self.isis = Isis(process)
         self.nmembers = nmembers
         self.standby = standby
-        self.logging = logging
         self.auto_restart = auto_restart
         self.database: List[Dict[str, Any]] = [
             dict(row) for row in (database or DEFAULT_DATABASE)
@@ -168,13 +166,10 @@ class TwentyQuestionsServer:
         self.database = [dict(row) for row in rows]
 
     # ------------------------------------------------------------------
-    # Startup (create / join / recover)
+    # Startup (create / join)
     # ------------------------------------------------------------------
     def start(self, mode: str = "create", group_name: str = GROUP_NAME):
-        """Generator: create the service or join it ('join'/'recover')."""
-        if mode == "recover":
-            self.replay_log()
-            mode = "create"
+        """Generator: create the service or join it."""
         if mode == "create":
             self.gid = yield self.isis.pg_create(group_name)
         else:
@@ -258,28 +253,15 @@ class TwentyQuestionsServer:
                 yield self.isis.null_reply(msg)
 
     # ------------------------------------------------------------------
-    # Updates (§5 step 5) and the update log (step 6)
+    # Updates (§5 step 5)
     # ------------------------------------------------------------------
     def _on_update(self, msg: Message):
-        row = dict(msg["row"])
-        self.database.append(row)
-        if self.logging:
-            yield self.process.site.stable.append(
-                _LOG, json.dumps(row).encode("utf-8"))
+        self.database.append(dict(msg["row"]))
         if self.view is not None and \
                 self.view.rank_of(self.process.address) == 0:
             yield self.isis.reply(msg, ok=True, size=len(self.database))
         else:
             yield self.isis.null_reply(msg)
-
-    def replay_log(self) -> int:
-        """§5 step 6: reload dynamic updates after a total failure."""
-        store = self.process.site.stable
-        replayed = 0
-        for record in store.read_log(_LOG):
-            self.database.append(json.loads(record.decode("utf-8")))
-            replayed += 1
-        return replayed
 
     # ------------------------------------------------------------------
     # Game management: the secret category
@@ -372,21 +354,20 @@ class TwentyQuestionsClient:
         return replies[0]["size"] if replies else None
 
 
-def register_program(cluster, nmembers: int = 4, logging: bool = False,
+def register_program(cluster, nmembers: int = 4,
                      auto_restart: bool = False) -> None:
-    """Register the server as a spawnable program (steps 3 and 6)."""
+    """Register the server as a spawnable program (steps 3 and 6).
+
+    Step 6: the recovery manager calls the factory with ``mode="create"``
+    at the site that restarts the service after a total failure, and
+    then replays that site's write-ahead log into the new server.
+    """
 
     def factory(process: IsisProcess, mode: str = "join",
                 group_name: str = GROUP_NAME) -> None:
         server = TwentyQuestionsServer(
-            process, nmembers=nmembers, logging=logging,
-            auto_restart=auto_restart)
-
-        def main():
-            yield from server.start(
-                mode="recover" if mode == "create" else "join",
-                group_name=group_name)
-
-        process.spawn(main(), "twenty.start")
+            process, nmembers=nmembers, auto_restart=auto_restart)
+        process.spawn(server.start(mode=mode, group_name=group_name),
+                      "twenty.start")
 
     cluster.programs.register(TwentyQuestionsServer.PROGRAM, factory)

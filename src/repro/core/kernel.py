@@ -223,8 +223,7 @@ class ProtocolsProcess:
         #: proto -> (reader, deliver): the one table ``_dispatch`` routes
         #: by — every kernel route, and what a tool attached.
         self._routes = dict(_ROUTES)
-        # Extension hooks for the tools layer.
-        self.view_hooks: List[Callable] = []
+        # Extension hook for the tools layer.
         self.site_view_hooks: List[Callable] = []
         #: Write-ahead delivery log; ``None`` keeps every hot-path hook
         #: a no-op so default trajectories match the crash-stop system.
@@ -487,8 +486,6 @@ class ProtocolsProcess:
         # boundary the joiner resumes from.
         if self.wal is not None:
             self.wal.note_view(engine, new_view)
-        for hook in self.view_hooks:
-            hook(engine, old_view, new_view, event)
 
     def retire_engine(self, engine: GroupEngine) -> None:
         """No local members remain in the group's current view."""

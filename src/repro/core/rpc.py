@@ -412,10 +412,12 @@ class GroupRpc:
     def send_reply(self, process: "IsisProcess", request: Message,
                    reply: Message, null: bool = False,
                    cc_gid: Optional[Address] = None) -> None:
-        """Answer a group RPC (Table I: 1 async CBCAST)."""
+        """Answer a group RPC (Table I: 1 async CBCAST).  A request the
+        WAL replayed (``_replay``) was answered before the restart: its
+        reply, and any cohort copy, is dropped."""
         session = request.get("_session")
         reply_to: Optional[Address] = request.get("_reply_to")
-        if session is None or reply_to is None:
+        if session is None or reply_to is None or request.get("_replay"):
             return
         # Null replies are control traffic, not logical multicasts.
         self.sim.trace.bump("mcast.null_reply" if null else "mcast.reply")

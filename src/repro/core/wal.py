@@ -785,14 +785,6 @@ class WalManager:
             return None
         return gw.position()
 
-    def alive_for(self, group_name: str) -> bool:
-        """Does this site currently host a live member of the named
-        group (armed log + running engine)?  Recovery polls use this to
-        route a contender toward joining rather than re-creating."""
-        gw = self._named(group_name)
-        return (gw is not None and gw.armed
-                and gw.gid in self.kernel.engines)
-
     def restore(self, process: "IsisProcess", group_name: str) -> Optional[int]:
         """Rebuild ``process`` from the named group's checkpoint + log.
 

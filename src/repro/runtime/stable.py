@@ -130,9 +130,6 @@ class StableStore:
         """All records of ``log`` in append order."""
         return list(self._logs.get(log, ()))
 
-    def log_length(self, log: str) -> int:
-        return len(self._logs.get(log, ()))
-
     def log_names(self, prefix: str = "") -> List[str]:
         return sorted(k for k in self._logs if k.startswith(prefix))
 

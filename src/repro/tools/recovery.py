@@ -12,12 +12,13 @@ Mechanics:
 * Applications **register** a (group name, program) pair at the sites
   where the service may be restarted; registrations persist on stable
   storage.
-* While a registered group runs, each member site **logs** its position.
-  With ``IsisConfig.durability`` on, the kernel WAL already records the
-  exact ``(view_id, deliveries)`` pair — the poll uses it directly, and
-  the winner rebuilds its service state from checkpoint + log before
-  re-creating the group.  Without the WAL, a small view-id blob written
-  from a view hook provides the coarse legacy position.
+* A site's **position** in a group is what its kernel write-ahead log
+  (``IsisConfig.durability``) recorded: the ``(view_id, deliveries)``
+  pair as recovered at boot.  The WAL is the one durable log; the
+  manager writes nothing to stable storage but its registrations.  The
+  winner of an election rebuilds the service from its checkpoint + log
+  before re-creating the group.  With durability off no site holds a
+  position, every site abstains, and the group restarts cold.
 * When a site (re)boots, its recovery manager waits for the site view to
   settle, then for each registration:
 
@@ -47,7 +48,6 @@ from ..msg.message import Message
 from ..sim.tasks import Promise, sleep
 
 _REG_PREFIX = "rm/prog/"
-_VIEW_PREFIX = "rm/views/"
 
 #: A vote in the restart election: (has_log, view, deliveries, alive).
 #: ``alive`` means the answering site currently hosts a live member —
@@ -71,17 +71,8 @@ class RecoveryManager:
         self._pending_polls: Dict[int, Tuple[Promise, Set[int],
                                              Dict[int, Vote]]] = {}
         self._next_poll = 1
-        # Freeze the legacy view blobs as recovered at boot: re-creating
-        # a group rewrites them (back to view 1), and a vote must not
-        # change under an election already in flight.
-        self._boot_views: Dict[str, Tuple[int, int]] = {}
-        for group in self.registered_groups():
-            pos = self._logged_view(group)
-            if pos is not None:
-                self._boot_views[group] = pos
         kernel.attach("rm.q", self._on_query)
         kernel.attach("rm.a", self._on_answer)
-        kernel.view_hooks.append(self._log_view)
         self._recover_registered()
 
     # ------------------------------------------------------------------
@@ -96,44 +87,13 @@ class RecoveryManager:
     def registered_groups(self) -> List[str]:
         return [k[len(_REG_PREFIX):] for k in self.site.stable.keys(_REG_PREFIX)]
 
-    # ------------------------------------------------------------------
-    # Position logging (the [Skeen] knowledge)
-    # ------------------------------------------------------------------
-    def _log_view(self, engine, old_view, new_view, event) -> None:
-        name = self._name_of(engine)
-        if name is None or self.site.stable.read(_REG_PREFIX + name) is None:
-            return
-        self.site.stable.write(
-            _VIEW_PREFIX + name, str(new_view.view_id).encode("utf-8"))
-
-    def _name_of(self, engine) -> Optional[str]:
-        if engine.name:
-            return engine.name
-        for name, gid in self.kernel.namespace.entries().items():
-            if gid.process() == engine.gid.process():
-                return name
-        return None
-
     def last_logged(self, group_name: str) -> Optional[Tuple[int, int]]:
         """This site's logged ``(view, deliveries)`` — or ``None`` when
-        it never logged the group.  ``None`` and ``(0-ish, 0)`` are very
-        different votes: only the former abstains from the election."""
+        it never logged the group, or runs without a WAL.  ``None`` and
+        ``(0-ish, 0)`` are very different votes: only the former
+        abstains from the election."""
         wal = self.kernel.wal
-        pos = wal.logged_position(group_name) if wal is not None else None
-        if pos is not None:
-            return pos
-        pos = self._boot_views.get(group_name)
-        if pos is not None:
-            return pos
-        return self._logged_view(group_name)
-
-    def _logged_view(self, group_name: str) -> Optional[Tuple[int, int]]:
-        """The legacy view blob's position, ``(view, 0)``, if it holds one."""
-        raw = self.site.stable.read(_VIEW_PREFIX + group_name)
-        try:
-            return (int(raw.decode("utf-8")), 0) if raw else None
-        except ValueError:
-            return None
+        return wal.logged_position(group_name) if wal is not None else None
 
     # ------------------------------------------------------------------
     # Recovery on boot
@@ -282,13 +242,16 @@ class RecoveryManager:
 
     def _group_alive(self, group_name: str) -> bool:
         """Is a member of the named group running at this site now?"""
-        if self.kernel.wal is not None and self.kernel.wal.alive_for(
-                group_name):
-            return True
-        for engine in self.kernel.engines.values():
-            if self._name_of(engine) == group_name:
-                return True
-        return False
+        return any(self._name_of(engine) == group_name
+                   for engine in self.kernel.engines.values())
+
+    def _name_of(self, engine) -> Optional[str]:
+        if engine.name:
+            return engine.name
+        for name, gid in self.kernel.namespace.entries().items():
+            if gid.process() == engine.gid.process():
+                return name
+        return None
 
 
 def install_recovery(system, settle_delay: float = 8.0) -> Dict[int, RecoveryManager]:

@@ -11,8 +11,11 @@ asynchronous or the caller holds mutual exclusion, **CBCAST** is used —
 Table I: update = "1 async CBCAST or 1 ABCAST"; read-only access by the
 manager costs nothing; reads by other clients cost a CBCAST + 1 reply.
 
-Optional **logging mode** (§3.6/§5 step 6) records updates on stable
-storage with periodic checkpoints, enabling reload after total failure.
+The paper's **logging mode** (§3.6/§5 step 6) is the kernel's write-ahead
+log (``IsisConfig.durability``): it logs every update the group delivers
+and checkpoints the replica's transfer segment, and the recovery manager
+replays both into a restarted manager after a total failure.  A replayed
+update is applied and never answered.
 """
 
 from __future__ import annotations
@@ -26,11 +29,7 @@ from ..msg.address import Address
 from ..msg.message import Message
 from ..sim.tasks import Promise
 from .entries import REPL_READ_ENTRY, REPL_UPDATE_ENTRY
-from .transfer import decode_state, encode_state, register_state
-
-#: Checkpoint when the log grows past this many records (§3.6: "create a
-#: checkpoint if the log gets long").
-DEFAULT_CHECKPOINT_EVERY = 64
+from .transfer import register_state
 
 
 class ReplicatedData:
@@ -44,8 +43,6 @@ class ReplicatedData:
         ordering: str = CBCAST,
         apply_update: Optional[Callable[[Dict[str, Any], Message], None]] = None,
         read_item: Optional[Callable[[Dict[str, Any], Message], Any]] = None,
-        logging: bool = False,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ):
         if ordering not in (CBCAST, ABCAST):
             raise IsisError(f"ordering must be cbcast or abcast, got {ordering}")
@@ -56,10 +53,6 @@ class ReplicatedData:
         self.items: Dict[str, Any] = {}
         self._apply_update = apply_update or self._default_apply
         self._read_item = read_item or self._default_read
-        self.logging = logging
-        self.checkpoint_every = checkpoint_every
-        self._log_name = f"repl/{name}"
-        self._applied = 0
         self._next_uid = 1
         self._early_applied: set = set()
         isis.process.bind(REPL_UPDATE_ENTRY, self._on_update)
@@ -145,10 +138,7 @@ class ReplicatedData:
             self._early_applied.discard(uid)  # applied at send time
         else:
             self._apply_update(self.items, msg)
-        self._applied += 1
-        if self.logging:
-            self.isis.process.spawn(self._log_record(msg), "repl.log")
-        if msg.get("ack"):
+        if msg.get("ack") and not msg.get("_replay"):
             self.isis.process.spawn(self._ack_update(msg), "repl.ack")
 
     def _ack_update(self, msg: Message):
@@ -160,6 +150,8 @@ class ReplicatedData:
 
     def _on_read(self, msg: Message) -> None:
         """Remote read: only the lowest-ranked local manager replies."""
+        if msg.get("_replay"):
+            return  # its caller was answered before the restart
         value = self._read_item(self.items, msg)
         self.isis.process.spawn(self._answer_read(msg, value), "repl.read")
 
@@ -189,39 +181,6 @@ class ReplicatedData:
     @staticmethod
     def _default_read(items: Dict[str, Any], msg: Message) -> Any:
         return items.get(msg["item"])
-
-    # ------------------------------------------------------------------
-    # Logging mode (§3.6): stable log + checkpoints
-    # ------------------------------------------------------------------
-    def _log_record(self, msg: Message):
-        store = self.isis.process.site.stable
-        record = msg.copy()
-        yield store.append(self._log_name, record.encode())
-        if store.log_length(self._log_name) >= self.checkpoint_every:
-            yield from self._checkpoint(store)
-
-    def _checkpoint(self, store):
-        self.isis.sim.trace.bump("tool.repl_checkpoints")
-        yield store.write(f"{self._log_name}/ckpt", encode_state(self.items))
-        store.truncate_log(self._log_name, keep_from=store.log_length(
-            self._log_name))
-
-    def recover_from_log(self) -> int:
-        """Reload state after a total failure (§5 step 6).
-
-        Applies the checkpoint then replays the log; returns the number
-        of replayed records.
-        """
-        store = self.isis.process.site.stable
-        ckpt = store.read(f"{self._log_name}/ckpt")
-        if ckpt is not None:
-            self._restore(decode_state(ckpt))
-        replayed = 0
-        for record in store.read_log(self._log_name):
-            self._apply_update(self.items, Message.decode(record))
-            replayed += 1
-        self.isis.sim.trace.bump("tool.repl_recoveries")
-        return replayed
 
     # ------------------------------------------------------------------
     # State transfer

@@ -16,8 +16,10 @@ This is the paper's *future work* item, implemented as an extension:
   ordering, so committed writes are totally ordered across transactions;
 * **nesting** in the [Moss] style: a child's writes and locks are
   inherited by its parent on commit, discarded on abort;
-* **stable storage**: enable the data tool's logging mode and committed
-  writes survive total failures.
+* **stable storage**: run with ``IsisConfig.durability`` and committed
+  writes survive total failures — the kernel's write-ahead log holds
+  every update the data tool delivered, and the recovery manager
+  replays it.
 
 All methods that can block are generators: ``yield from txn.read(k)``.
 """

@@ -3,7 +3,9 @@
 A forwarded multicast, a GBCAST, a join and a leave go to the group's
 coordinator and are sent again until their commit notice arrives; a
 retry of a request the group delivered is answered from the record every
-member writes at delivery, never executed twice.
+member writes at delivery, never executed twice.  A name-service request
+to the site-view coordinator is sent again when that site leaves the
+site view (``core/namespace.py``).
 """
 
 import importlib.util
@@ -43,6 +45,18 @@ def test_request_commits_once_whenever_the_coordinator_crashes(
         assert counts == [1, 1], f"crash at {delay * 1000:.0f} ms"
         duplicates += caught
     assert duplicates >= 1
+
+
+@pytest.mark.parametrize("kind", crash_sweep.NAME_KINDS)
+def test_a_name_service_call_resolves_whenever_the_coordinator_crashes(
+        kind):
+    """A ``pg_create`` or a ``pg_lookup`` of an absent name from site 3,
+    with site 0, the site-view coordinator, crashed at every 5 ms
+    instant in 0-200 ms: the call resolves, and the survivors' replicas
+    name the group alike."""
+    for delay in crash_sweep.DELAYS:
+        assert crash_sweep.run_name(kind, delay, seed=1), (
+            f"crash at {delay * 1000:.0f} ms")
 
 
 def _group_of_three(system, entry=16):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ALL, IsisCluster
+from repro import ALL, IsisCluster, IsisConfig
 from repro.core.engine import ABCAST
 from repro.sim import sleep
 from repro.errors import DeadlockDetected
@@ -175,11 +175,13 @@ class TestReplicatedData:
         assert late.read("k") == "v1"
 
     def test_logging_and_recovery(self):
-        system = IsisCluster(n_sites=2, seed=18)
+        """§3.6's logging mode is the kernel WAL: a restarted manager is
+        rebuilt from it after a total failure."""
+        system = IsisCluster(n_sites=2, seed=18,
+                             isis_config=IsisConfig(durability=True))
         gid, members, tools = build_service(
             system, [0],
-            tool_factory=lambda i, g: ReplicatedData(
-                i, g, name="kv", logging=True))
+            tool_factory=lambda i, g: ReplicatedData(i, g, name="kv"))
 
         def update_main():
             for i in range(5):
@@ -193,8 +195,8 @@ class TestReplicatedData:
         system.restart_site(0)
         system.run_for(5.0)
         proc, isis = system.spawn(0, "reborn")
-        recovered = ReplicatedData(isis, gid, name="kv", logging=True)
-        replayed = recovered.recover_from_log()
+        recovered = ReplicatedData(isis, gid, name="kv")
+        replayed = system.kernel(0).wal.restore(proc, "svc")
         assert replayed == 5
         assert recovered.read("k3") == 3
 

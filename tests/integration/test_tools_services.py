@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import IsisCluster
+from repro import IsisCluster, IsisConfig
 from repro.core.engine import ABCAST
 from repro.sim import sleep
 from repro.tools import (
@@ -163,6 +163,67 @@ class TestRecoveryManager:
         system.run_for(120.0)
         assert (1, "join") in actions
         assert system.sim.trace.value("tool.rm_rejoins") >= 1
+
+
+    def test_durable_replicated_data_restores_without_answering(self):
+        """A durable service whose acked updates (``nwant=1``, as the
+        transaction tool sends them) and remote read are replayed after
+        a total failure: the restore raises nothing and answers none of
+        the finished requests, and both restarted managers hold every
+        item."""
+        system = IsisCluster(n_sites=2, seed=5,
+                             isis_config=IsisConfig(durability=True))
+        managers = install_recovery(system, settle_delay=4.0)
+        tools = {}
+
+        def service_program(process, mode, group_name):
+            from repro.core.groups import Isis
+            isis = Isis(process)
+            # Built before its gid exists, as a service factory does.
+            tool = tools[process.site.site_id] = ReplicatedData(
+                isis, None, name="kv")
+
+            def main():
+                if mode == "create":
+                    tool.gid = yield isis.pg_create(group_name)
+                else:
+                    tool.gid = yield isis.pg_lookup(group_name)
+                    yield isis.pg_join(tool.gid)
+
+            process.spawn(main(), "svc.main")
+
+        system.cluster.programs.register("kv-svc", service_program)
+        for site in (0, 1):
+            managers[site].register("kv", "kv-svc")
+        system.run_for(2.0)
+        service_program(system.site(0).spawn_process("kv"), "create", "kv")
+        system.run_for(5.0)
+        service_program(system.site(1).spawn_process("kv"), "join", "kv")
+        system.run_for(20.0)
+        writer = tools[0]
+
+        def update_main():
+            for i in range(5):
+                yield writer.update(f"k{i}", nwant=1, value=i)
+            return (yield writer.remote_read("k4"))
+
+        task = writer.isis.process.spawn(update_main(), "update")
+        system.run_for(20.0)
+        assert task.done and task.value == 4
+        expected = {f"k{i}": i for i in range(5)}
+        trace = system.sim.trace
+        replies = lambda: [trace.value(f"mcast.{kind}")
+                           for kind in ("reply", "null_reply")]
+        before = replies()
+        for site in (0, 1):
+            system.crash_site(site)
+        system.run_for(10.0)
+        for site in (0, 1):
+            system.restart_site(site)
+        system.run_for(120.0)
+        assert trace.value("tool.rm_restored") == 1
+        assert replies() == before
+        assert [tools[site].items for site in (0, 1)] == [expected] * 2
 
 
 class TestTransactions:

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro import IsisCluster
+from repro import IsisCluster, IsisConfig
 from repro.apps.twenty_questions import (
     DEFAULT_DATABASE,
+    GROUP_NAME,
     NO,
+    UPDATE_ENTRY,
     SOMETIMES,
     YES,
     TwentyQuestionsClient,
@@ -15,6 +17,7 @@ from repro.apps.twenty_questions import (
     verdict,
 )
 from repro.errors import IsisError
+from repro.tools import install_recovery
 
 
 class TestQueryParsing:
@@ -57,28 +60,27 @@ class TestVerdicts:
         assert verdict(rows, "price", ">", 100) == NO
 
 
-def deploy_service(system, sites, nmembers=None, standby_sites=(),
-                   logging=False):
+def deploy_service(system, sites, nmembers=None, standby_sites=()):
     """Start the service with one member per site (+ optional standbys)."""
     nmembers = nmembers if nmembers is not None else len(sites)
     servers = []
     creator = TwentyQuestionsServer(
         system.site(sites[0]).spawn_process("tq0"),
-        nmembers=nmembers, logging=logging)
+        nmembers=nmembers)
     servers.append(creator)
     creator.process.spawn(creator.start(mode="create"), "start0")
     system.run_for(3.0)
     for i, site in enumerate(sites[1:], start=1):
         server = TwentyQuestionsServer(
             system.site(site).spawn_process(f"tq{i}"),
-            nmembers=nmembers, logging=logging)
+            nmembers=nmembers)
         servers.append(server)
         server.process.spawn(server.start(mode="join"), f"start{i}")
         system.run_for(25.0)
     for i, site in enumerate(standby_sites):
         standby = TwentyQuestionsServer(
             system.site(site).spawn_process(f"tq-sb{i}"),
-            nmembers=nmembers, standby=True, logging=logging)
+            nmembers=nmembers, standby=True)
         servers.append(standby)
         standby.process.spawn(standby.start(mode="join"), f"sb{i}")
         system.run_for(25.0)
@@ -219,8 +221,16 @@ class TestDynamicUpdates:
 
 class TestTotalFailureRecovery:
     def test_log_replay_restores_updates(self):
-        system = IsisCluster(n_sites=2, seed=48)
-        servers = deploy_service(system, [0], logging=True)
+        """§5 step 6 on the kernel WAL: after a total failure the
+        recovery manager restarts the service from the log, and the
+        restarted server holds the added row exactly once."""
+        system = IsisCluster(n_sites=2, seed=48,
+                             isis_config=IsisConfig(durability=True))
+        managers = install_recovery(system)
+        register_program(system.cluster, nmembers=1)
+        for site in (0, 1):
+            managers[site].register(GROUP_NAME, TwentyQuestionsServer.PROGRAM)
+        deploy_service(system, [0])
         proc, client = make_client(system, 1, nmembers=1)
 
         def main():
@@ -231,19 +241,28 @@ class TestTotalFailureRecovery:
         task = proc.spawn(main(), "main")
         system.run_for(60.0)
         assert task.done and not task.rejected
-        # Total failure of the only member's site.
-        system.crash_site(0)
+        trace = system.sim.trace
+        replies = lambda: [trace.value(f"mcast.{kind}")
+                           for kind in ("reply", "null_reply")]
+        before = replies()
+        # Total failure: both sites crash and restart.
+        for site in (0, 1):
+            system.crash_site(site)
         system.run_for(10.0)
-        system.restart_site(0)
-        system.run_for(10.0)
-        # Restart from the log (what the recovery manager would run).
-        reborn = TwentyQuestionsServer(
-            system.site(0).spawn_process("tq-reborn"), nmembers=1,
-            logging=True)
-        reborn.process.spawn(reborn.start(mode="recover", group_name="twenty2"),
-                             "restart")
-        system.run_for(20.0)
-        assert any(r["object"] == "boat" for r in reborn.database)
+        for site in (0, 1):
+            system.restart_site(site)
+        system.run_for(120.0)
+        assert trace.value("tool.rm_restored") == 1
+        assert replies() == before  # the replayed update is not answered
+        # The servers the recovery manager started, by their bound entry.
+        reborn = [process.entries.lookup(UPDATE_ENTRY).__self__
+                  for site in (0, 1)
+                  for process in system.site(site).processes.values()
+                  if process.entries.lookup(UPDATE_ENTRY) is not None]
+        assert reborn
+        for server in reborn:
+            assert len(server.database) == len(DEFAULT_DATABASE) + 1
+            assert [r["object"] for r in server.database].count("boat") == 1
 
 
 class TestLoadBalancing:

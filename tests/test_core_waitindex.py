@@ -442,10 +442,16 @@ class TestContextReadWhereItCanFail:
             return out
 
         monkeypatch.setattr(ContextEncoder, "encode", checked_encode)
-        # Read the table at every view install, as a send from a view
-        # hook would: only an invalidation after the install (a retire
+        # Read the table at every view install, as a send right after
+        # one would: only an invalidation after the install (a retire
         # comes after it) keeps the next send's context right.
-        kernel.view_hooks.append(lambda *_: kernel.causal_check.groups())
+        installed = kernel.on_view_installed
+
+        def install_then_read(*args):
+            installed(*args)
+            kernel.causal_check.groups()
+
+        monkeypatch.setattr(kernel, "on_view_installed", install_then_read)
 
         def run(site, step):
             members[site][0].spawn(step(members[site][1]), "step")
