@@ -67,7 +67,7 @@ class Deployment:
         members = genesis_members if genesis_members is not None else [
             (site.site_id, site.incarnation) for site in self.sites.values()]
         for site in self.sites.values():
-            site.kernel.genesis(members)
+            site.kernel.agent.genesis(members)
         self._genesis_done = True
 
     # -- access helpers --------------------------------------------------

@@ -172,7 +172,7 @@ class Joins:
         if kernel.wal is not None and wal_dlv is not None:
             self._hints[(gid.process(), joiner.process())] = (
                 wal_view or 0, wal_dlv)
-        engine.enqueue_reason(FlushReason(kind="join", joiner=joiner))
+        engine.flush.enqueue_reason(FlushReason(kind="join", joiner=joiner))
 
     def _on_join_refused(self, src_site: int, record: tuple) -> None:
         _, gid, _joiner = record
@@ -504,6 +504,6 @@ class Joins:
         msg, gid, member = record
         engine = self.kernel.coordinating_engine(gid, msg, src_site)
         if engine is not None:
-            engine.enqueue_reason(FlushReason(kind="remove",
-                                              removals=(member,)))
+            engine.flush.enqueue_reason(FlushReason(kind="remove",
+                                                    removals=(member,)))
 

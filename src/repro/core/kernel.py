@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..errors import CodecError, NoSuchGroup, SiteDown
 from ..fd.heartbeat import HeartbeatConfig, HeartbeatMonitor
@@ -39,11 +39,11 @@ from ..runtime.process import IsisProcess
 from ..runtime.site import KERNEL_LOCAL_ID, Site
 from ..sim.core import Timer
 from ..sim.tasks import Promise, all_of
+from . import stability
 from .cbcast import CausalCheck
 from .engine import GroupEngine
 from .join import Joins
 from .namespace import Namespace
-from .pipeline import STABILITY_INTERVAL
 from .rpc import GroupRpc
 from .vectorclock import parse_context_delta
 from .view import View
@@ -257,10 +257,6 @@ class ProtocolsProcess:
         """We were excluded from the site view while alive (§3.7)."""
         self.sim.trace.log("kernel.self_destruct", self.site_id)
         self.site.crash()
-
-    def genesis(self, members: List[Tuple[int, int]]) -> None:
-        """Install the initial site view (cluster bootstrap)."""
-        self.agent.genesis(members)
 
     @property
     def site_view(self) -> Optional[SiteView]:
@@ -671,7 +667,7 @@ class ProtocolsProcess:
         if not self.alive:
             return
         self._stability_timer = self.sim.call_after(
-            STABILITY_INTERVAL, self._stability_tick)
+            stability.STABILITY_INTERVAL, self._stability_tick)
 
     def _stability_tick(self) -> None:
         if not self.alive:
@@ -707,11 +703,11 @@ PROTOCOLS = protocols(context=parse_context_delta, view=View.from_wire)
 
 
 #: proto -> its handler, ``handler(src_site, record)``: a part's
-#: (``agent.``, ``namespace.``, ``rpc.``, ``joins.``), the group's
-#: engine's (``engine.``; the engine is made here on first word of its
-#: group) or the group's pipeline's one entry (``pipeline``, which takes
-#: the proto).  The toolkit's protocols (``wire.TOOLS``) are routed to
-#: the handler a tool attaches (:meth:`ProtocolsProcess.attach`).
+#: (``agent.``, ``namespace.``, ``rpc.``, ``joins.``), the group's flush's
+#: (``engine.flush.``, a path on the engine, which is made here on first
+#: word of its group) or the group's pipeline's one entry (``pipeline``,
+#: which takes the proto).  The toolkit's protocols (``wire.TOOLS``) are
+#: routed to the handler a tool attaches (:meth:`ProtocolsProcess.attach`).
 _HANDLERS = {
     **dict.fromkeys(("sv.join", "sv.suspect", "sv.propose", "sv.ack",
                      "sv.commit", "sv.probe"), "agent.handle"),
@@ -727,7 +723,7 @@ _HANDLERS = {
     "g.welcome": "joins._on_welcome",
     "g.leave": "joins._on_leave_request",
     "st.data": "joins._on_state_data", "st.chunk": "joins._on_state_chunk",
-    **{proto: "engine._on_flush_" + proto[5:] for proto in (
+    **{proto: "engine.flush._on_" + proto[5:] for proto in (
         "g.fl.begin", "g.fl.ok", "g.fl.expect", "g.fl.pull", "g.fl.data",
         "g.fl.filled", "g.fl.commit", "g.fl.okb")},
     **dict.fromkeys(PIPELINE, "pipeline"),
@@ -740,9 +736,9 @@ def _deliver(path: str):
         return lambda kernel, src_site, proto, record: kernel.engine_for(
             record[1], create=True).pipeline.receive(src_site, proto, record)
     if path.startswith("engine."):
-        method = getattr(GroupEngine, path[len("engine."):])
-        return lambda kernel, src_site, proto, record: method(
-            kernel.engine_for(record[1], create=True), src_site, record)
+        handler = attrgetter(path[len("engine."):])
+        return lambda kernel, src_site, proto, record: handler(
+            kernel.engine_for(record[1], create=True))(src_site, record)
     handler = attrgetter(path)
     return lambda kernel, src_site, proto, record: handler(kernel)(
         src_site, record)

@@ -20,10 +20,10 @@ and the book of what it delivered.
   *ahead* of the report.
 * **Flush-cut contribution** — ``pending_state()`` reports undelivered
   state as ``(priority, final?)`` entries, ``delivered`` what this view
-  delivered at which final, and the coordinator's union cut (finals
-  win; otherwise max proposal; refs unseen at some survivor are lifted
-  above every final) orders them identically at every survivor, which
-  ``force_order()`` applies.
+  delivered at which final, and :func:`cut_order`, run by the flush
+  coordinator over every report (finals win; otherwise max proposal;
+  refs unseen at some survivor are lifted above every final), orders
+  them identically at every survivor, which ``force_order()`` applies.
 * **Unstamped-tail rule** — refs the engine never ordered are reported
   with deterministic priorities above every assignable one
   (:data:`UNSTAMPED_BASE`), so the cut appends them in the same order
@@ -66,6 +66,86 @@ Drained = List[Tuple[Message, MsgRef, Priority]]
 #: prefix first and the unstamped tail after it, deterministically
 #: (``(UNSTAMPED_BASE + gseq, origin_site)`` is the same at every site).
 UNSTAMPED_BASE = 1 << 32
+
+
+#: An undelivered ABCAST in a flush report, as ``msg/wire.py`` parses a
+#: :meth:`OrderingEngine.pending_state` entry: ``(ref, priority, final?)``.
+Pending = Tuple[MsgRef, Priority, bool]
+#: One site's flush report of its ABCAST state: what it holds undelivered
+#: and the ``(ref, final)`` of what it delivered (``delivered``).
+Report = Tuple[List[Pending], List[Tuple[MsgRef, Priority]]]
+
+
+def cut_order(reports: List[Report]) -> List[List[List[int]]]:
+    """The flush's agreed ABCAST cut: final (ref, priority) list, sorted
+    by priority, from every reporting site's :data:`Report`.
+
+    For each undelivered ABCAST anywhere: if any site knows the true
+    final priority (delivered it, or holds it finalized), use that.
+    A ref finalized nowhere but *held* by every reporting site keeps
+    the maximum over the reported proposals: each holder's pending
+    proposal capped what it could deliver, so the maximum sorts
+    after everything any survivor delivered.  That argument breaks
+    for a ref some survivor never received — that site proposed
+    nothing, so it may have delivered messages above every reported
+    proposal, and ordering the ref by the reported maximum could
+    slot it *before* messages already delivered without it.  Such
+    refs are lifted above every final in the cut (reported
+    proposals order the lifted tail deterministically), mirroring
+    the sequencer mode's unstamped-tail rule.  Every survivor's
+    :meth:`OrderingEngine.force_order` applies the result.
+    """
+    finals: Dict[MsgRef, Priority] = {}
+    proposals: Dict[MsgRef, List[Priority]] = {}
+    delivered_everywhere: Set[MsgRef] = set()
+    for ab_pending, ab_delivered in reports:
+        for ref, prio in ab_delivered:
+            finals[ref] = prio
+        for ref, prio, final in ab_pending:
+            if final:
+                finals[ref] = prio
+            else:
+                proposals.setdefault(ref, []).append(prio)
+    # A ref pending nowhere and delivered somewhere needs no cut entry
+    # only if *every* site delivered it; otherwise it must be ordered.
+    pending_refs = set(proposals)
+    for ab_pending, _ in reports:
+        for ref, _, _ in ab_pending:
+            pending_refs.add(ref)
+    for ref in list(finals):
+        if ref not in pending_refs:
+            if all(
+                ref in dict(ab_delivered) for _, ab_delivered in reports
+            ):
+                delivered_everywhere.add(ref)
+    # The lift clears every *reported* priority — proposals included,
+    # not just finals — so a lifted priority can never collide with
+    # (or sort below) a non-lifted cut entry: priorities must stay
+    # globally unique for the drains to agree on tie-free order.
+    lift = max(
+        (prio[0] for prio in finals.values()),
+        default=0,
+    )
+    for plist in proposals.values():
+        for prio in plist:
+            if prio[0] > lift:
+                lift = prio[0]
+    reporters = len(reports)
+    order: List[Tuple[MsgRef, Priority]] = []
+    for ref in pending_refs | (set(finals) - delivered_everywhere):
+        prio = finals.get(ref)
+        if prio is None:
+            # Final nowhere: each report holding the ref contributed
+            # exactly one proposal, so the proposal count tells us
+            # whether every reporter held it.
+            best = max(proposals[ref])
+            if len(proposals[ref]) < reporters:
+                prio = (lift + best[0], best[1])
+            else:
+                prio = best
+        order.append((ref, prio))
+    order.sort(key=lambda item: item[1])
+    return [[list(ref), list(prio)] for ref, prio in order]
 
 
 class OrderingEngine:

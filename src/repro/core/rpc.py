@@ -375,7 +375,7 @@ class GroupRpc:
             self._tell_dispatched(engine, caller.site, session, engine.view,
                                   caller.site)
         else:
-            engine.enqueue_reason(FlushReason(
+            engine.flush.enqueue_reason(FlushReason(
                 kind="gbcast", payload=user.encode(), user_entry=entry))
 
     def _tell_dispatched(self, engine: GroupEngine, caller_site: int,

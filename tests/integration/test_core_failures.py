@@ -9,7 +9,7 @@ nowhere.
 import pytest
 
 from repro import ALL, IsisCluster, IsisConfig, LanConfig
-from repro.core import pipeline as pipeline_mod
+from repro.core import stability as stability_mod
 from repro.errors import BroadcastFailed
 
 
@@ -263,7 +263,7 @@ class TestBatchedVirtualSynchrony:
 
     @pytest.fixture(autouse=True)
     def _announce_every_eighth(self, monkeypatch):
-        monkeypatch.setattr(pipeline_mod, "STAB_ANNOUNCE_EVERY", 8)
+        monkeypatch.setattr(stability_mod, "STAB_ANNOUNCE_EVERY", 8)
 
     def _system(self, n_sites, seed):
         return IsisCluster(n_sites=n_sites, seed=seed,

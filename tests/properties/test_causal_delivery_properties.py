@@ -125,7 +125,7 @@ def _assert_conforms(deliveries, final_views, cross_group_tasks=()):
       *across* them — each send's context names the previous one.  Only
       a run without view changes promises this: a flush cut delivers a
       group's leftovers whatever other groups they wait on (see
-      ``GroupEngine._on_flush_commit``);
+      ``GroupEngine.apply_commit``);
     * two sites that end in the same view of a group delivered the same
       set in it (under loss the failure detector can split a group
       during set-up; each side is then a group of its own).

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IsisCluster, IsisConfig
-from repro.core.engine import GroupEngine
+from repro.core.flush import GroupFlush
 from repro.core.store import MessageStore
 
 ENTRY = 16
@@ -213,7 +213,7 @@ def test_refill_resends_the_bytes_recorded(monkeypatch):
     recorded = {}
     refilled = []
     real_record = MessageStore.record
-    real_send = GroupEngine._send_flush_msg
+    real_send = GroupFlush._send
 
     def key(env):
         return env["gid"].pack(), env["view"], env["origin"], env["gseq"]
@@ -226,13 +226,13 @@ def test_refill_resends_the_bytes_recorded(monkeypatch):
             assert store._messages[(origin, gseq)] is env.encode()
         return new
 
-    def send_flush_msg(engine, site, msg):
+    def send_flush_msg(flush, site, msg):
         if msg["_proto"] == "g.fl.data":
             refilled.extend(msg["msgs"])
-        real_send(engine, site, msg)
+        real_send(flush, site, msg)
 
     monkeypatch.setattr(MessageStore, "record", record)
-    monkeypatch.setattr(GroupEngine, "_send_flush_msg", send_flush_msg)
+    monkeypatch.setattr(GroupFlush, "_send", send_flush_msg)
     result = _churn_run("tree", 42, "two_phase", [("crash", 1)])
     _check_vs_invariants(result)
     assert refilled

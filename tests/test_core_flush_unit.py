@@ -1,8 +1,10 @@
-"""Unit tests for the flush coordinator bookkeeping (repro.core.flush)."""
+"""Unit tests for the flush coordinator bookkeeping (repro.core.flush)
+and the ABCAST cut it commits (repro.core.ordering.cut_order)."""
 
 import pytest
 
 from repro.core.flush import FlushCoordinator, FlushReason
+from repro.core.ordering import cut_order
 from repro.core.view import View
 from repro.msg import make_group_address, make_process_address
 
@@ -17,6 +19,12 @@ def make(reasons=None, participants=None):
     return FlushCoordinator(
         (4, 1, 0), VIEW, reasons or [],
         participants=participants or {0, 1, 2})
+
+
+def cut(fc):
+    """The ABCAST cut of the reports ``fc`` collected."""
+    return cut_order([(r.ab_pending, r.ab_delivered)
+                      for r in fc.reports.values()])
 
 
 class TestReports:
@@ -81,7 +89,7 @@ class TestCutOrder:
             ((0, 1), (5, 0), True),
             ((1, 1), (3, 1), False),
         ], [])
-        order = fc.abcast_cut_order()
+        order = cut(fc)
         refs = [tuple(r) for r, _ in order]
         # (1,1): final = max proposals = (3,1) < (5,0): delivered first.
         assert refs == [(1, 1), (0, 1)]
@@ -94,14 +102,14 @@ class TestCutOrder:
         fc.offer_report(1, {}, [
             ((0, 1), (1, 1), False),
         ], [])
-        order = fc.abcast_cut_order()
+        order = cut(fc)
         assert order == [[[0, 1], [9, 1]]]
 
     def test_fully_delivered_messages_excluded(self):
         fc = make(participants={0, 1})
         fc.offer_report(0, {}, [], [((0, 1), (4, 0))])
         fc.offer_report(1, {}, [], [((0, 1), (4, 0))])
-        assert fc.abcast_cut_order() == []
+        assert cut(fc) == []
 
 
 class TestNextView:
@@ -143,7 +151,7 @@ class TestCutOrderLift:
         fc.offer_report(1, {}, [
             ((0, 1), (5, 1), False),
         ], [])
-        order = fc.abcast_cut_order()
+        order = cut(fc)
         refs = [tuple(r) for r, _ in order]
         # The delivered final pins (0,1) first; the unheld (1,1) sorts
         # after it even though its reported proposal (2,0) is smaller.
@@ -160,7 +168,7 @@ class TestCutOrderLift:
         fc.offer_report(1, {}, [
             ((0, 1), (53, 0), False),
         ], [((2, 1), (50, 1))])
-        order = fc.abcast_cut_order()
+        order = cut(fc)
         prios = [tuple(p) for _, p in order]
         assert len(set(prios)) == len(prios), f"priority collision: {order}"
         refs = [tuple(r) for r, _ in order]

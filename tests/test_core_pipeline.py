@@ -5,8 +5,8 @@ import pytest
 import reference_causal as reference
 from reference_causal import VectorClock
 from repro import IsisCluster, IsisConfig, Message
-from repro.core import kernel as kernel_mod
 from repro.core import pipeline as pipeline_mod
+from repro.core import stability as stability_mod
 from repro.core.tree import SpanningTree
 from repro.core.vectorclock import ContextEncoder
 from repro.msg import make_group_address, make_process_address
@@ -187,9 +187,9 @@ class TestBatchingWireBehavior:
 
 class TestPiggybackedStability:
     def test_trim_advances_without_rounds(self, monkeypatch):
-        monkeypatch.setattr(pipeline_mod, "STAB_ANNOUNCE_EVERY", 8)
-        for module in (kernel_mod, pipeline_mod):   # rounds never fire
-            monkeypatch.setattr(module, "STABILITY_INTERVAL", 1e9)
+        monkeypatch.setattr(stability_mod, "STAB_ANNOUNCE_EVERY", 8)
+        # rounds never fire
+        monkeypatch.setattr(stability_mod, "STABILITY_INTERVAL", 1e9)
         config = IsisConfig(batch_window=0.010)
         system, members, _ = _two_member_group(config, n_sites=3)
         _burst(system, members, 0, 20)
@@ -204,7 +204,7 @@ class TestPiggybackedStability:
     def test_fallback_round_skipped_under_traffic(self, monkeypatch):
         """Flat, while piggybacks trim the wave's pushes are skipped; once
         the traffic stops the wave collects what they left behind."""
-        monkeypatch.setattr(pipeline_mod, "STAB_ANNOUNCE_EVERY", 8)
+        monkeypatch.setattr(stability_mod, "STAB_ANNOUNCE_EVERY", 8)
         config = IsisConfig(batch_window=0.010)
         system, members, _ = _two_member_group(config, n_sites=3)
 
@@ -228,7 +228,7 @@ class TestPiggybackedStability:
     def test_skipped_push_is_made_once_piggybacks_go_quiet(self, monkeypatch):
         """A leaf that piggybacks emptied has told the root nothing: its
         skipped push waits for the gate to open, not for more traffic."""
-        monkeypatch.setattr(pipeline_mod, "STAB_ANNOUNCE_EVERY", 10 ** 9)
+        monkeypatch.setattr(stability_mod, "STAB_ANNOUNCE_EVERY", 10 ** 9)
         system, members, _ = _two_member_group(IsisConfig(), n_sites=3)
         _burst(system, members, 0, 5)       # from the root, between ticks
         system.run_for(0.5)
@@ -348,7 +348,7 @@ class TestStabilityRidesOnData:
         proc.spawn(start(), "start")
         system.run_for(60.0)
         assert all(len(deliveries[s]) == total for s in range(4))
-        assert 0 < box["peak"] <= (2 * pipeline_mod.STAB_ANNOUNCE_EVERY
+        assert 0 < box["peak"] <= (2 * stability_mod.STAB_ANNOUNCE_EVERY
                                    + window)
         for site in range(4):
             assert system.kernel(site).stats()["buffered_messages"] == 0
@@ -521,8 +521,7 @@ def _quiet_wave_group(monkeypatch, dissemination, n_sites=4):
     buffered everywhere, and no ``g.stab.*`` note unless a test sends it.
     Returns the system, site 0's engine (the collection root) and the
     collection tree."""
-    for module in (kernel_mod, pipeline_mod):
-        monkeypatch.setattr(module, "STABILITY_INTERVAL", 1e9)
+    monkeypatch.setattr(stability_mod, "STABILITY_INTERVAL", 1e9)
     system, members, _ = _two_member_group(
         IsisConfig(piggyback_stability=False, dissemination=dissemination,
                    tree_fanout=2), n_sites=n_sites)
@@ -594,7 +593,7 @@ class TestStabilityRound:
             stab=encode_stab(view_id - 1, (0, 0), have)))
         assert engine.store.buffered_count == 20
         assert last not in stage._child_up
-        assert stage.peer_have_vectors() == {}
+        assert stage._peer_have == {}
         assert system.sim.trace.value("stability.stale_note") == 2
         # The same report about this view does complete the cut and trim.
         engine.kernel._dispatch(last, _up(engine, have, size))
@@ -698,7 +697,7 @@ class TestStabilityWireBudget:
         Off: the collection wave (``g.stab.up`` to the root, the cut).
         Either way a crash whose last sends reached only some survivors
         makes the flush send its union cut."""
-        monkeypatch.setattr(pipeline_mod, "STAB_ANNOUNCE_EVERY", 8)
+        monkeypatch.setattr(stability_mod, "STAB_ANNOUNCE_EVERY", 8)
         system, members, deliveries = _two_member_group(
             IsisConfig(piggyback_stability=piggyback), n_sites=4, field="n")
         sent = _tap_wire(system, 4)

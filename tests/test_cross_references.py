@@ -8,6 +8,7 @@ moves, leaves those names behind; these checks find them.
 
 import importlib
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,4 +66,20 @@ def test_named_source_paths_exist():
             if not (PACKAGE / match.group(1)).is_file():
                 missing.append(f"{path.relative_to(ROOT)}: {match.group(0)}")
     assert seen > 50
+    assert not missing, "\n".join(missing)
+
+
+def test_traced_entry_points_resolve():
+    """``bench/trace.py`` wraps each layer's entry points by name,
+    through ``vars(owner)[name]``: a method moved to another class, or
+    left only inherited, must fail here and not first in a traced
+    benchmark run."""
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from bench.trace import _entry_points
+
+    points = _entry_points()
+    assert len(points) > 20
+    missing = [f"{layer}: {getattr(owner, '__name__', owner)}.{name}"
+               for layer, owner, name in points if name not in vars(owner)]
     assert not missing, "\n".join(missing)

@@ -209,7 +209,7 @@ class TestCoordinatorFailure:
         # site 0; site 1 becomes acting coordinator with attempt 1.
         begin = Message(_proto="g.fl.begin", gid=gid, fid=[target, 9, 0])
         system.kernel(2)._dispatch(0, Message.decode(begin.encode()))
-        assert group_engine(system, 2)._participant_fid == (target, 9, 0)
+        assert group_engine(system, 2).flush._participant_fid == (target, 9, 0)
         system.crash_site(0)
         system.run_for(20.0)
         engine = group_engine(system, 2)
@@ -243,7 +243,7 @@ class TestMalformedReports:
             reports=[[1, good.encode()], [2, no_vector.encode()],
                      [3, good.encode()]])
         engine.kernel._dispatch(1, Message.decode(batch.encode()))
-        assert target not in engine._pre_reports
+        assert target not in engine.flush._pre_reports
         assert system.sim.trace.value("kernel.bad_message") == 1
 
     def test_bad_direct_reports_are_counted(self):
@@ -258,9 +258,9 @@ class TestMalformedReports:
                 bad.encode()
             engine.kernel._dispatch(1, bad)     # and still the reader's
         assert system.sim.trace.value("kernel.bad_message") == 4
-        assert target not in engine._pre_reports
+        assert target not in engine.flush._pre_reports
         engine.kernel._dispatch(1, Message.decode(good.encode()))
-        assert sorted(engine._pre_reports[target]) == [1]
+        assert sorted(engine.flush._pre_reports[target]) == [1]
 
 
 class TestDeliveredFinalsPruning:

@@ -60,7 +60,7 @@ def test_shutdown_mid_flush_cancels_every_timer(monkeypatch):
 
     def mid_flush() -> bool:
         return any(
-            engine.wedged or engine._active is not None
+            engine.wedged or engine.flush._active is not None
             for kernel in kernels for engine in kernel.engines.values())
 
     deadline = system.now + 120.0

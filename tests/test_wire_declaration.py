@@ -22,7 +22,7 @@ import pytest
 
 import reference_codec as reference
 from repro import IsisCluster, IsisConfig, Message
-from repro.core.engine import GroupEngine
+from repro.core.flush import GroupFlush
 from repro.core.join import Joins
 from repro.core.kernel import _HANDLERS, _ROUTES, PROTOCOLS
 from repro.core.namespace import Namespace
@@ -316,7 +316,7 @@ def test_every_routed_protocol_is_declared():
     assert not set(_HANDLERS) & set(TOOLS) and not set(_HANDLERS) & set(WAL)
     assert len(_HANDLERS) == 42 and len(TOOLS) == 6
     assert set(DeliveryPipeline.HANDLERS) == set(PIPELINE)
-    owners = {"engine": GroupEngine, "namespace": Namespace,
+    owners = {"engine.flush": GroupFlush, "namespace": Namespace,
               "joins": Joins, "rpc": GroupRpc}
     for proto, path in _HANDLERS.items():
         owner, _, name = path.rpartition(".")
