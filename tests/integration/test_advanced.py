@@ -3,32 +3,10 @@ cross-group causality, site recovery, stability GC, bulletin boards."""
 
 import pytest
 
+from conformance import deploy_group
 from repro import IsisCluster, IsisConfig
 from repro.sim import sleep
 from repro.tools import BulletinBoard, register_raw_state
-
-
-def deploy_pair(system, sites=(0, 1), name="adv", entry=16):
-    deliveries = {site: [] for site in sites}
-    members = []
-    for site in sites:
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(entry, lambda msg, s=site: deliveries[s].append(msg))
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create(name)
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i, site in enumerate(sites[1:], start=1):
-        def join(isis=members[i][1]):
-            gid = yield isis.pg_lookup(name)
-            yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"join{i}")
-        system.run_for(20.0)
-    return members, deliveries
 
 
 class TestProcessMigration:
@@ -37,7 +15,7 @@ class TestProcessMigration:
         process that will join the group and then arranging for some
         other member to drop out as soon as the transfer completes.'"""
         system = IsisCluster(n_sites=3, seed=61)
-        members, deliveries = deploy_pair(system, (0,))
+        members, deliveries = deploy_group(system, "adv", 1)
         old_proc, old_isis = members[0]
         state = {"counter": 41}
         register_raw_state(
@@ -74,7 +52,7 @@ class TestBulkStateTransfer:
         """§3.8: 'ISIS messages for small transfers and TCP channels for
         large ones.'"""
         system = IsisCluster(n_sites=2, seed=62)
-        members, _ = deploy_pair(system, (0,))
+        members, _ = deploy_group(system, "adv", 1)
         big = bytes(range(256)) * 1024  # 256 KB >> bulk threshold
         register_raw_state(members[0][1], "blob", lambda: big, lambda b: None)
         got = {}
@@ -96,7 +74,7 @@ class TestBulkStateTransfer:
 
     def test_transfer_restarts_when_source_dies(self):
         system = IsisCluster(n_sites=3, seed=63)
-        members, _ = deploy_pair(system, (0, 1))
+        members, _ = deploy_group(system, "adv", 2)
         payload = b"replica-state"
         for proc, isis in members:
             register_raw_state(isis, "blob", lambda: payload, lambda b: None)
@@ -124,7 +102,7 @@ class TestBulkStateTransfer:
         still outstanding, is sent again to the next coordinator, which
         streams it the whole state again."""
         system = IsisCluster(n_sites=3, seed=63)
-        members, _ = deploy_pair(system, (0, 1))
+        members, _ = deploy_group(system, "adv", 2)
         payload = bytes(range(200)) * 2000      # 400 KB: 7 chunks
         for proc, isis in members:
             register_raw_state(isis, "blob", lambda: payload, lambda b: None)
@@ -206,7 +184,7 @@ class TestSiteRecovery:
 
     def test_recovered_site_can_host_group_members(self):
         system = IsisCluster(n_sites=3, seed=66)
-        members, deliveries = deploy_pair(system, (0, 1))
+        members, deliveries = deploy_group(system, "adv", 2)
         system.crash_site(1)
         system.run_for(60.0)
         system.restart_site(1)
@@ -236,7 +214,7 @@ class TestSiteRecovery:
 class TestStabilityGC:
     def test_buffers_trimmed_after_stability_round(self):
         system = IsisCluster(n_sites=2, seed=67)
-        members, _ = deploy_pair(system, (0, 1))
+        members, _ = deploy_group(system, "adv", 2)
 
         def blast():
             gid = yield members[0][1].pg_lookup("adv")
@@ -253,7 +231,7 @@ class TestStabilityGC:
 
 class TestBulletinBoard:
     def _setup(self, system):
-        members, _ = deploy_pair(system, (0, 1), name="bb")
+        members, _ = deploy_group(system, "bb", 2)
         boards = []
         gid_box = {}
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conformance import deploy_group
 from repro import ALL, IsisCluster, Message
 from repro.errors import GroupError, NoSuchGroup
 
@@ -132,33 +133,9 @@ class TestGroupLifecycle:
 
 
 class TestMulticast:
-    def _group_of_three(self, system, entry=16):
-        """Three members on three sites, all binding ``entry``."""
-        deliveries = {0: [], 1: [], 2: []}
-        procs = []
-        for site in range(3):
-            proc, isis = system.spawn(site, f"m{site}")
-            proc.bind(entry, lambda msg, s=site: deliveries[s].append(msg))
-            procs.append((proc, isis))
-
-        def create_main():
-            yield procs[0][1].pg_create("g3")
-
-        procs[0][0].spawn(create_main(), "create")
-        system.run_for(3.0)
-
-        for site in (1, 2):
-            def join_main(isis=procs[site][1]):
-                gid = yield isis.pg_lookup("g3")
-                yield isis.pg_join(gid)
-
-            procs[site][0].spawn(join_main(), f"join{site}")
-            system.run_for(20.0)
-        return procs, deliveries
-
     def test_cbcast_reaches_all_members(self):
         system = make_system()
-        procs, deliveries = self._group_of_three(system)
+        procs, deliveries = deploy_group(system, "g3", 3)
 
         def send_main():
             gid = yield procs[0][1].pg_lookup("g3")
@@ -171,7 +148,7 @@ class TestMulticast:
 
     def test_cbcast_sender_order_preserved(self):
         system = make_system()
-        procs, deliveries = self._group_of_three(system)
+        procs, deliveries = deploy_group(system, "g3", 3)
 
         def send_main():
             gid = yield procs[0][1].pg_lookup("g3")
@@ -185,7 +162,7 @@ class TestMulticast:
 
     def test_abcast_total_order_across_concurrent_senders(self):
         system = make_system(seed=3)
-        procs, deliveries = self._group_of_three(system)
+        procs, deliveries = deploy_group(system, "g3", 3)
 
         def send_main(idx):
             gid = yield procs[idx][1].pg_lookup("g3")
@@ -201,7 +178,7 @@ class TestMulticast:
 
     def test_rpc_collects_requested_replies(self):
         system = make_system()
-        procs, _ = self._group_of_three(system)
+        procs, _ = deploy_group(system, "g3", 3)
         # Rebind: members answer queries.
         for site in range(3):
             proc, isis = procs[site]
@@ -228,7 +205,7 @@ class TestMulticast:
         stamp itself refuses a sender with no rank in the view."""
         from repro.core.rpc import CC_REPLY_ENTRY
         system = make_system()
-        procs, _ = self._group_of_three(system)
+        procs, _ = deploy_group(system, "g3", 3)
         copies = {0: [], 1: [], 2: []}
         for site, (proc, _) in enumerate(procs):
             proc.bind(CC_REPLY_ENTRY,
@@ -271,7 +248,7 @@ class TestMulticast:
 
     def test_null_replies_release_all_waiters(self):
         system = make_system()
-        procs, _ = self._group_of_three(system)
+        procs, _ = deploy_group(system, "g3", 3)
         for site in range(3):
             proc, isis = procs[site]
 
@@ -295,7 +272,7 @@ class TestMulticast:
 
     def test_gbcast_delivered_to_all(self):
         system = make_system()
-        procs, deliveries = self._group_of_three(system)
+        procs, deliveries = deploy_group(system, "g3", 3)
 
         def send_main():
             gid = yield procs[1][1].pg_lookup("g3")
@@ -308,7 +285,7 @@ class TestMulticast:
 
     def test_nonmember_client_rpc(self):
         system = make_system()
-        procs, _ = self._group_of_three(system)
+        procs, _ = deploy_group(system, "g3", 3)
         for site in range(3):
             proc, isis = procs[site]
 

@@ -8,39 +8,31 @@ nowhere.
 
 import pytest
 
+from conformance import Run, Task, check, deploy_group, one_group
 from repro import ALL, IsisCluster, IsisConfig, LanConfig
 from repro.core import stability as stability_mod
 from repro.errors import BroadcastFailed
 
 
-def build_group(system, sites, name="grp", entry=16):
-    """One member per listed site; returns [(process, isis)], deliveries."""
-    deliveries = {site: [] for site in sites}
-    procs = []
-    for site in sites:
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(entry, lambda msg, s=site: deliveries[s].append(msg))
-        procs.append((proc, isis))
-
-    def create_main():
-        yield procs[0][1].pg_create(name)
-
-    procs[0][0].spawn(create_main(), "create")
-    system.run_for(3.0)
-    for i, site in enumerate(sites[1:], start=1):
-        def join_main(isis=procs[i][1]):
-            gid = yield isis.pg_lookup(name)
-            yield isis.pg_join(gid)
-
-        procs[i][0].spawn(join_main(), f"join{site}")
-        system.run_for(20.0)
-    return procs, deliveries
+def _crash_mid_stream(seed, n_sites, kind, senders, count, crash_after,
+                      config=None):
+    """The members at ``senders`` stream ``count`` multicasts of ``kind``
+    to ``grp``; site 1 crashes ``crash_after`` s in.  The record, checked
+    (``conformance.check``: one ABCAST order, per-sender FIFO, the same
+    set per view)."""
+    record = Run(one_group(
+        "grp", n_sites, 20.0, seed=seed, config=config,
+        traffic=tuple(Task(f"blast{s}", f"m{s}", ("grp",), kind, count,
+                           f"s{s}." + "{i}") for s in senders),
+        faults=((crash_after, ("crash", 1)),))).play()
+    check(record)
+    return record
 
 
 class TestMemberFailure:
     def test_process_death_shrinks_view_everywhere(self):
         system = IsisCluster(n_sites=3, seed=1)
-        procs, _ = build_group(system, [0, 1, 2])
+        procs, _ = deploy_group(system, "grp", 3)
         views = []
 
         def watch():
@@ -56,7 +48,7 @@ class TestMemberFailure:
 
     def test_site_crash_removes_members_via_timeout(self):
         system = IsisCluster(n_sites=3, seed=2)
-        procs, _ = build_group(system, [0, 1, 2])
+        procs, _ = deploy_group(system, "grp", 3)
         views = []
 
         def watch():
@@ -72,7 +64,7 @@ class TestMemberFailure:
 
     def test_caller_gets_error_when_all_respondents_fail(self):
         system = IsisCluster(n_sites=3, seed=3)
-        procs, _ = build_group(system, [0, 1])
+        procs, _ = deploy_group(system, "grp", 2)
         # Members never reply at entry 20 (they just swallow the message).
         for proc, _ in procs:
             proc.bind(20, lambda msg: None)
@@ -95,7 +87,7 @@ class TestMemberFailure:
 
     def test_coordinator_crash_next_oldest_takes_over(self):
         system = IsisCluster(n_sites=3, seed=4)
-        procs, deliveries = build_group(system, [0, 1, 2])
+        procs, deliveries = deploy_group(system, "grp", 3)
         system.run_for(5.0)
         # Site 0 hosts the oldest member (group coordinator). Kill it.
         system.crash_site(0)
@@ -116,7 +108,7 @@ class TestMemberFailure:
         """A leave whose request dies with the coordinator's site is
         asked again of the next coordinator."""
         system = IsisCluster(n_sites=3, seed=5)
-        procs, _ = build_group(system, [0, 1, 2])
+        procs, _ = deploy_group(system, "grp", 3)
         left = []
 
         def leave_main():
@@ -133,7 +125,7 @@ class TestMemberFailure:
 
     def test_gbcast_survives_coordinator_crash(self):
         system = IsisCluster(n_sites=3, seed=5)
-        procs, deliveries = build_group(system, [0, 1, 2])
+        procs, deliveries = deploy_group(system, "grp", 3)
 
         def gbcast_main():
             isis = procs[2][1]
@@ -152,7 +144,7 @@ class TestMemberFailure:
         """A client outside the group multicasts through its contact,
         site 0, which crashes while the request is in flight."""
         system = IsisCluster(n_sites=4, seed=1)
-        procs, deliveries = build_group(system, [0, 1, 2])
+        procs, deliveries = deploy_group(system, "grp", 3)
         client, isis = system.spawn(3, "client")
 
         def send_main():
@@ -169,47 +161,14 @@ class TestMemberFailure:
 class TestViewSynchrony:
     def test_same_deliveries_between_same_views(self):
         """Survivors deliver identical message sets despite sender crash."""
-        system = IsisCluster(n_sites=4, seed=5)
-        procs, deliveries = build_group(system, [0, 1, 2, 3])
-        system.run_for(5.0)
-
-        def blast(idx, count):
-            gid = yield procs[idx][1].pg_lookup("grp")
-            for i in range(count):
-                yield procs[idx][1].cbcast(gid, 16, tag=f"s{idx}.{i}")
-
-        for idx in (1, 2, 3):
-            procs[idx][0].spawn(blast(idx, 10), f"blast{idx}")
-        # Crash the sender's site mid-stream.
-        system.run_for(0.5)
-        system.crash_site(1)
-        system.run_for(120.0)
-        tags2 = [m["tag"] for m in deliveries[2]]
-        tags3 = [m["tag"] for m in deliveries[3]]
-        assert set(tags2) == set(tags3), "survivors delivered different sets"
-        # Per-sender FIFO within the survivors' deliveries.
-        for sender in ("s2", "s3"):
-            seq2 = [t for t in tags2 if t.startswith(sender)]
-            assert seq2 == sorted(seq2, key=lambda t: int(t.split(".")[1]))
+        record = _crash_mid_stream(5, 4, "cbcast", (1, 2, 3), 10, 0.5)
+        assert set(record.tags("m2")) == set(record.tags("m3")), \
+            "survivors delivered different sets"
 
     def test_abcast_order_identical_despite_crash(self):
-        system = IsisCluster(n_sites=3, seed=6)
-        procs, deliveries = build_group(system, [0, 1, 2])
-        system.run_for(5.0)
-
-        def blast(idx):
-            gid = yield procs[idx][1].pg_lookup("grp")
-            for i in range(6):
-                yield procs[idx][1].abcast(gid, 16, tag=f"s{idx}.{i}")
-
-        procs[1][0].spawn(blast(1), "blast1")
-        procs[2][0].spawn(blast(2), "blast2")
-        system.run_for(0.4)
-        system.crash_site(1)
-        system.run_for(120.0)
-        tags0 = [m["tag"] for m in deliveries[0]]
-        tags2 = [m["tag"] for m in deliveries[2]]
-        assert tags0 == tags2, "ABCAST order diverged between survivors"
+        record = _crash_mid_stream(6, 3, "abcast", (1, 2), 6, 0.4)
+        assert record.tags("m0") == record.tags("m2"), \
+            "ABCAST order diverged between survivors"
 
     def test_excluded_live_site_self_destructs(self):
         """§3.7: a live site excluded from the view undergoes recovery."""
@@ -234,7 +193,7 @@ class TestPartitionStall:
         we verify the minority member makes no progress mid-partition.
         """
         system = IsisCluster(n_sites=3, seed=8)
-        procs, deliveries = build_group(system, [0, 1, 2])
+        procs, deliveries = deploy_group(system, "grp", 3)
         system.run_for(5.0)
         system.cluster.lan.partition([[0, 1], [2]])
 
@@ -270,57 +229,27 @@ class TestBatchedVirtualSynchrony:
                            isis_config=IsisConfig(**self.CONFIG))
 
     def test_same_deliveries_between_same_views(self):
-        """Gap-free delivery across a flush: survivors agree on the set."""
-        system = self._system(4, seed=105)
-        procs, deliveries = build_group(system, [0, 1, 2, 3])
-        system.run_for(5.0)
-
-        def blast(idx, count):
-            gid = yield procs[idx][1].pg_lookup("grp")
-            for i in range(count):
-                yield procs[idx][1].cbcast(gid, 16, tag=f"s{idx}.{i}")
-
-        for idx in (1, 2, 3):
-            procs[idx][0].spawn(blast(idx, 10), f"blast{idx}")
-        # Crash the sender's site mid-stream, with batches in flight.
-        system.run_for(0.5)
-        system.crash_site(1)
-        system.run_for(120.0)
-        assert system.sim.trace.value("batch.sent") > 0, \
+        """Gap-free delivery across a flush: survivors agree on the set,
+        each sender's order intact despite coalescing and refill."""
+        # The sender's site crashes mid-stream, with batches in flight.
+        record = _crash_mid_stream(105, 4, "cbcast", (1, 2, 3), 10, 0.5,
+                                   IsisConfig(**self.CONFIG))
+        assert record.trace.value("batch.sent") > 0, \
             "workload never exercised the batching path"
-        tags2 = [m["tag"] for m in deliveries[2]]
-        tags3 = [m["tag"] for m in deliveries[3]]
-        assert set(tags2) == set(tags3), "survivors delivered different sets"
-        # Causal order: per-sender FIFO despite coalescing and refill.
-        for site_tags in (tags2, tags3):
-            for sender in ("s2", "s3"):
-                seq = [t for t in site_tags if t.startswith(sender)]
-                assert seq == sorted(seq, key=lambda t: int(t.split(".")[1]))
+        assert set(record.tags("m2")) == set(record.tags("m3")), \
+            "survivors delivered different sets"
 
     def test_abcast_order_identical_despite_crash(self):
-        system = self._system(3, seed=106)
-        procs, deliveries = build_group(system, [0, 1, 2])
-        system.run_for(5.0)
-
-        def blast(idx):
-            gid = yield procs[idx][1].pg_lookup("grp")
-            for i in range(6):
-                yield procs[idx][1].abcast(gid, 16, tag=f"s{idx}.{i}")
-
-        procs[1][0].spawn(blast(1), "blast1")
-        procs[2][0].spawn(blast(2), "blast2")
-        system.run_for(0.4)
-        system.crash_site(1)
-        system.run_for(120.0)
-        tags0 = [m["tag"] for m in deliveries[0]]
-        tags2 = [m["tag"] for m in deliveries[2]]
-        assert tags0 == tags2, "ABCAST order diverged between survivors"
+        record = _crash_mid_stream(106, 3, "abcast", (1, 2), 6, 0.4,
+                                   IsisConfig(**self.CONFIG))
+        assert record.tags("m0") == record.tags("m2"), \
+            "ABCAST order diverged between survivors"
 
     def test_join_mid_stream_sees_consistent_cut(self):
         """A member joining under batched traffic misses nothing after
         its first view: the flush drains coalescing buffers at wedge."""
         system = self._system(3, seed=107)
-        procs, deliveries = build_group(system, [0, 1])
+        procs, deliveries = deploy_group(system, "grp", 2)
         system.run_for(5.0)
         stop = {"done": False}
 
@@ -364,7 +293,7 @@ class TestBatchedVirtualSynchrony:
     def test_stability_trims_without_fallback_rounds(self):
         """Piggybacked have-vectors GC the buffers while traffic flows."""
         system = self._system(3, seed=108)
-        procs, _ = build_group(system, [0, 1, 2])
+        procs, _ = deploy_group(system, "grp", 3)
         system.run_for(5.0)
 
         def blast(idx):
@@ -383,7 +312,7 @@ class TestBatchedVirtualSynchrony:
 class TestTotalGroupFailure:
     def test_all_members_fail_caller_unblocked(self):
         system = IsisCluster(n_sites=4, seed=9)
-        procs, _ = build_group(system, [0, 1])
+        procs, _ = deploy_group(system, "grp", 2)
         for proc, isis in procs:
             def slow_answer(msg, isis=isis):
                 yield isis.reply(msg, late=True)

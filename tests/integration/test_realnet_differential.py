@@ -3,11 +3,12 @@
 The same 4-site CBCAST+ABCAST workload runs once on the deterministic
 simulator (:class:`repro.core.bootstrap.IsisCluster`) and once on the
 asyncio/UDP driver (:class:`repro.runtime.asyncio_driver.AsyncioCluster`,
-real localhost sockets, wall-clock timers).  Virtual synchrony promises
-that the *sets* of delivered messages and the final views agree even
-though timing — and therefore delivery *order* of concurrent CBCASTs —
-legitimately differs (§2.4: only ABCAST imposes a total order, and only
-within each run).
+real localhost sockets, wall-clock timers).  Each run is checked by
+``conformance.check``, the same checker every simulated suite uses, and
+virtual synchrony promises that the *sets* of delivered messages and the
+final views agree across the drivers even though timing — and therefore
+delivery *order* of concurrent CBCASTs — legitimately differs (§2.4:
+only ABCAST imposes a total order, and only within each run).
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import socket
 
 import pytest
 
+from conformance import Recorder, Task, check
 from repro import IsisCluster
 from repro.runtime.asyncio_driver import AsyncioCluster
 
-SINK = 17
 N_SITES = 4
 PER_SENDER = 3  # CBCASTs and ABCASTs per member
 
@@ -44,12 +45,6 @@ class _SimDriver:
     def __init__(self, seed: int = 0):
         self.cluster = IsisCluster(n_sites=N_SITES, seed=seed)
 
-    def spawn(self, site_id: int, name: str):
-        return self.cluster.spawn(site_id, name)
-
-    def kernel(self, site_id: int):
-        return self.cluster.kernel(site_id)
-
     def wait_until(self, predicate, timeout: float) -> bool:
         deadline = self.cluster.now + timeout
         while not predicate() and self.cluster.now < deadline:
@@ -73,12 +68,6 @@ class _AsyncioDriver:
         self.cluster = AsyncioCluster(n_sites=N_SITES, seed=seed,
                                       udp_config=udp_config)
 
-    def spawn(self, site_id: int, name: str):
-        return self.cluster.spawn(site_id, name)
-
-    def kernel(self, site_id: int):
-        return self.cluster.kernel(site_id)
-
     def wait_until(self, predicate, timeout: float) -> bool:
         return self.cluster.run_until(
             predicate, timeout=max(5.0, timeout * self.TIME_SCALE))
@@ -93,90 +82,47 @@ class _AsyncioDriver:
 def run_workload(driver):
     """Create a group, join all sites, multicast from every member.
 
-    Returns ``(delivered, abcast_orders, final_views)``:
-    per-site delivered multisets, per-site ABCAST delivery order, and
-    per-site final view membership.
+    Returns the run's :class:`conformance.Record`.
     """
-    delivered = {sid: [] for sid in range(N_SITES)}
-    members = []
-
-    class Member:
-        def __init__(self, sid):
-            self.sid = sid
-            self.process, self.isis = driver.spawn(sid, f"m{sid}")
-            self.process.bind(SINK, self._on_sink)
-            self.gid = None
-
-        def _on_sink(self, msg):
-            delivered[self.sid].append((msg["origin"], msg["i"], msg["k"]))
-
-    creator = Member(0)
-    members.append(creator)
-
-    def create():
-        creator.gid = yield creator.isis.pg_create("diff")
-
-    task = creator.process.spawn(create(), "create")
+    recorder = Recorder(driver.cluster)
+    members = [recorder.spawn(sid, f"m{sid}") for sid in range(N_SITES)]
+    task = recorder.procs["m0"].spawn(
+        recorder.creating("m0", ("diff",)), "create")
     assert driver.wait_until(lambda: task.done, 10.0), "create stalled"
 
-    join_tasks = []
-    for sid in range(1, N_SITES):
-        member = Member(sid)
-        members.append(member)
-
-        def join(member=member):
-            gid = yield member.isis.pg_lookup("diff")
-            yield member.isis.pg_join(gid)
-            member.gid = gid
-
-        join_tasks.append(member.process.spawn(join(), f"join{sid}"))
+    join_tasks = [recorder.procs[name].spawn(
+        recorder.joining(name, ("diff",)), f"join{name}")
+        for name in members[1:]]
     assert driver.wait_until(lambda: all(t.done for t in join_tasks), 60.0), \
         "joins stalled"
 
-    gid = creator.gid
-    send_tasks = []
-    for member in members:
-        def send(member=member):
-            for i in range(PER_SENDER):
-                yield member.isis.cbcast(
-                    gid, SINK, nwant=0, origin=member.sid, i=i, k="c")
-            for i in range(PER_SENDER):
-                yield member.isis.abcast(
-                    gid, SINK, nwant=0, origin=member.sid, i=i, k="a")
-        send_tasks.append(member.process.spawn(send(), f"send{member.sid}"))
-
+    send_tasks = [recorder.start(Task(
+        f"send{sid}", f"m{sid}", ("diff",),
+        ("cbcast",) * PER_SENDER + ("abcast",) * PER_SENDER,
+        2 * PER_SENDER, f"{sid}:" + "{k}:{i}"))
+        for sid in range(N_SITES)]
     expected = N_SITES * PER_SENDER * 2
+
+    def delivered():
+        return [len(recorder.streams[name]) for name in members]
+
     done = driver.wait_until(
         lambda: (all(t.done for t in send_tasks)
-                 and all(len(delivered[s]) >= expected
-                         for s in range(N_SITES))),
+                 and all(n >= expected for n in delivered())),
         120.0)
-    assert done, f"deliveries stalled: {[len(delivered[s]) for s in range(N_SITES)]}"
+    assert done, f"deliveries stalled: {delivered()}"
     driver.settle(2.0)  # let stability/trailing traffic quiesce
-
-    abcast_orders = {
-        sid: [d for d in delivered[sid] if d[2] == "a"]
-        for sid in range(N_SITES)
-    }
-    final_views = {}
-    for sid in range(N_SITES):
-        engine = driver.kernel(sid).engines.get(gid.process())
-        assert engine is not None and engine.view is not None
-        final_views[sid] = sorted(str(m) for m in engine.view.members)
-    return delivered, abcast_orders, final_views
+    return recorder.record()
 
 
-def check_internal_consistency(delivered, abcast_orders, final_views):
-    """Per-driver VS invariants: same sets, same ABCAST order, same view."""
-    reference = sorted(delivered[0])
-    assert len(reference) == N_SITES * PER_SENDER * 2
-    for sid in range(1, N_SITES):
-        assert sorted(delivered[sid]) == reference, \
-            f"site {sid} delivered a different set"
-        assert abcast_orders[sid] == abcast_orders[0], \
-            f"site {sid} disagrees on ABCAST total order"
-        assert final_views[sid] == final_views[0], \
-            f"site {sid} ends in a different view"
+def check_run(record):
+    """One driver's run: it conforms, every member delivered all of it,
+    and every site ends in one view."""
+    check(record)
+    for name, stream in record.streams.items():
+        assert len(stream) == N_SITES * PER_SENDER * 2, \
+            f"{name} delivered {len(stream)}"
+    assert len(record.final_members()) == 1, "sites end in different views"
 
 
 @realnet
@@ -184,21 +130,22 @@ def test_sim_and_asyncio_drivers_agree():
     sim_driver = _SimDriver(seed=7)
     sim = run_workload(sim_driver)
     sim_driver.shutdown()
-    check_internal_consistency(*sim)
+    check_run(sim)
 
     net_driver = _AsyncioDriver(seed=7)
     try:
         net = run_workload(net_driver)
     finally:
         net_driver.shutdown()
-    check_internal_consistency(*net)
+    check_run(net)
 
     # Cross-driver agreement: identical delivered sets and final views.
     # (ABCAST order may differ BETWEEN runs — §2.4 requires agreement
     # within a run, not across executions with different timing.)
-    assert sorted(sim[0][0]) == sorted(net[0][0]), \
+    assert sorted(sim.tags("m0")) == sorted(net.tags("m0")), \
         "drivers delivered different message sets"
-    assert sim[2][0] == net[2][0], "drivers ended in different views"
+    assert sim.final_members() == net.final_members(), \
+        "drivers ended in different views"
 
 
 @realnet
@@ -217,8 +164,7 @@ def test_asyncio_driver_survives_lossy_links():
     driver = _AsyncioDriver(seed=11, udp_config=UdpConfig(
         loss_rate=0.03, dup_rate=0.02, reorder=0.02, fault_seed=4))
     try:
-        results = run_workload(driver)
-        check_internal_consistency(*results)
+        check_run(run_workload(driver))
         injected = {"faults_lost": 0, "faults_duped": 0,
                     "faults_reordered": 0}
         for site in driver.cluster.runtime.sites.values():

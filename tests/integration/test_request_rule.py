@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from conformance import deploy_group
 from repro import ALL, IsisCluster
 from repro.errors import NoSuchGroup
 from repro.msg.address import make_group_address
@@ -59,31 +60,11 @@ def test_a_name_service_call_resolves_whenever_the_coordinator_crashes(
             f"crash at {delay * 1000:.0f} ms")
 
 
-def _group_of_three(system, entry=16):
-    members, got = [], {site: [] for site in range(3)}
-    for site in range(3):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(entry, lambda msg, s=site: got[s].append(msg))
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create("g")
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for proc, isis in members[1:]:
-        def join(isis=isis):
-            yield isis.pg_join((yield isis.pg_lookup("g")))
-        proc.spawn(join(), "join")
-        system.run_for(5.0)
-    return members, got
-
-
 def test_gbcast_from_a_non_member_collects_every_reply():
     """The coordinator tells a caller outside the group the GBCAST's
     delivery view, so ``nwant=ALL`` knows whom to wait for."""
     system = IsisCluster(n_sites=4, seed=3)
-    members, _ = _group_of_three(system, entry=17)
+    members, _ = deploy_group(system, "g", 3, 5.0, entry=17)
     for site, (proc, isis) in enumerate(members):
         def answer(msg, isis=isis, site=site):
             yield isis.reply(msg, answer=site)
@@ -104,7 +85,7 @@ def test_gbcast_from_a_non_member_collects_every_reply():
 def test_a_request_to_a_group_no_site_hosts_fails(op):
     """Every live site naks it: the caller gets ``NoSuchGroup``."""
     system = IsisCluster(n_sites=3, seed=4)
-    _group_of_three(system)
+    deploy_group(system, "g", 3, 5.0)
     caller, isis = system.spawn(1, "caller")
     ghost = make_group_address(0, 77)
 
@@ -129,7 +110,7 @@ def test_the_record_stays_bounded():
     requests it had outstanding when it sent its latest, and go when
     its site leaves the site view."""
     system = IsisCluster(n_sites=4, seed=5)
-    members, got = _group_of_three(system)
+    members, got = deploy_group(system, "g", 3, 5.0)
     client, isis = system.spawn(3, "client")
     box = {}
 
@@ -163,7 +144,7 @@ def test_a_leave_then_a_death_leaves_no_request_behind():
     """A member asked to leave and then died: one removal request for it,
     settled by the view without it — nothing re-sent afterwards."""
     system = IsisCluster(n_sites=3, seed=6)
-    members, _ = _group_of_three(system)
+    members, _ = deploy_group(system, "g", 3, 5.0)
     kernel = system.kernel(2)
     (gid,) = kernel.engines
     sent = []

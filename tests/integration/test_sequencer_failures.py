@@ -6,133 +6,63 @@ stamped-but-undelivered ABCASTs (stamps in flight to some survivors) and
 unstamped ABCASTs (data disseminated, never reached the token or queued
 in its stamp batch).  The flush must settle both classes identically at
 every survivor: the stamped prefix from the reports, then the
-deterministic unstamped tail — no losses, no duplicates, no divergence.
+deterministic unstamped tail — no losses, no duplicates, no divergence
+(``conformance.check``, and every survivor's sends reach every survivor).
 """
 
 import pytest
 
-from repro import IsisCluster, IsisConfig
+from conformance import Run, Task, check, one_group
+from repro import IsisConfig
 
 
-def _build(seed, n_sites=4, batch_window=0.010, mode="sequencer"):
-    config = IsisConfig(abcast_mode=mode, batch_window=batch_window)
-    system = IsisCluster(n_sites=n_sites, seed=seed, isis_config=config)
-    deliveries = {s: [] for s in range(n_sites)}
-    members = []
-    for site in range(n_sites):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(16, lambda msg, s=site: deliveries[s].append(msg["tag"]))
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create("seq")
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i in range(1, n_sites):
-        def join(isis=members[i][1]):
-            gid = yield isis.pg_lookup("seq")
-            yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"join{i}")
-        system.run_for(20.0)
-    return system, members, deliveries
-
-
-def _stream_abcasts(members, sent, count=12):
-    for idx, (proc, isis) in enumerate(members):
-        def blast(isis=isis, idx=idx):
-            gid = yield isis.pg_lookup("seq")
-            for i in range(count):
-                yield isis.abcast(gid, 16, tag=f"{idx}:{i}")
-                sent[idx] += 1
-
-        proc.spawn(blast(), f"blast{idx}")
+def _run(seed, faults, batch_window=0.010, count=12, tail=300.0):
+    """Every member of four streams ``count`` ABCASTs to ``seq`` at once
+    while ``faults`` play; the survivors' delivery orders, each checked."""
+    record = Run(one_group(
+        "seq", 4, 20.0, seed=seed,
+        config=IsisConfig(abcast_mode="sequencer", batch_window=batch_window),
+        traffic=tuple(Task(f"blast{s}", f"m{s}", ("seq",), "abcast", count,
+                           f"{s}:" + "{i}") for s in range(4)),
+        faults=faults, tail=tail)).play()
+    check(record)
+    survivors = [s for s in range(4) if s in record.survivors]
+    orders = [record.tags(f"m{s}") for s in survivors]
+    # Identical delivery order at every survivor across the cut.
+    assert orders[0] == orders[1] == orders[2]
+    # No lost ABCASTs: everything a survivor sent was delivered at every
+    # survivor (the crashed site's in-flight sends may be dropped
+    # atomically — delivered nowhere — which is allowed).
+    tasks = {f"blast{s}" for s in survivors}
+    assert {tag for tag, send in record.sent.items()
+            if send.task in tasks} <= set(orders[0])
+    return record, orders
 
 
 class TestTokenSiteFailure:
     @pytest.mark.parametrize("crash_after", [0.3, 0.6, 1.2])
     def test_survivors_agree_after_token_kill(self, crash_after):
         """Kill the token mid-stream; survivors converge on one order."""
-        system, members, deliveries = _build(seed=7)
-        sent = {idx: 0 for idx in range(4)}
-        _stream_abcasts(members, sent)
-        system.run_for(crash_after)
         # The token is the lowest-ranked (oldest) member's site: site 0.
-        system.crash_site(0)
-        system.run_for(300.0)
-        survivors = [1, 2, 3]
-        orders = [deliveries[s] for s in survivors]
+        record, orders = _run(7, ((crash_after, ("crash", 0)),))
         # Mid-stream state actually existed (the crash hit live traffic).
         assert all(len(order) > 0 for order in orders)
-        # Identical delivery order at every survivor across the cut.
-        assert orders[0] == orders[1] == orders[2]
-        # No duplicated ABCASTs.
-        for order in orders:
-            assert len(order) == len(set(order))
-        # No lost ABCASTs: everything a survivor sent was delivered at
-        # every survivor (the token site's own in-flight sends may be
-        # dropped atomically — delivered nowhere — which is allowed).
-        survivor_sent = {f"{i}:{n}" for i in survivors
-                         for n in range(sent[i])}
-        for order in orders:
-            assert survivor_sent <= set(order)
         # The token moved to the new lowest-ranked member's site.
-        assert system.sim.trace.value("abcast.token_handoffs") == 1
+        assert record.trace.value("abcast.token_handoffs") == 1
 
     def test_token_kill_without_stamp_batching(self):
         """Same guarantees with one g.abs per ABCAST (no batching)."""
-        system, members, deliveries = _build(seed=11, batch_window=0.0)
-        sent = {idx: 0 for idx in range(4)}
-        _stream_abcasts(members, sent)
-        system.run_for(0.5)
-        system.crash_site(0)
-        system.run_for(300.0)
-        survivors = [1, 2, 3]
-        orders = [deliveries[s] for s in survivors]
-        assert orders[0] == orders[1] == orders[2]
-        survivor_sent = {f"{i}:{n}" for i in survivors
-                         for n in range(sent[i])}
-        for order in orders:
-            assert len(order) == len(set(order))
-            assert survivor_sent <= set(order)
+        _run(11, ((0.5, ("crash", 0)),), batch_window=0.0)
 
     def test_non_token_site_failure_keeps_streaming(self):
         """Losing a non-token member must not disturb the token's order."""
-        system, members, deliveries = _build(seed=13)
-        sent = {idx: 0 for idx in range(4)}
-        _stream_abcasts(members, sent)
-        system.run_for(0.5)
-        system.crash_site(2)
-        system.run_for(300.0)
-        survivors = [0, 1, 3]
-        orders = [deliveries[s] for s in survivors]
-        assert orders[0] == orders[1] == orders[2]
-        survivor_sent = {f"{i}:{n}" for i in survivors
-                         for n in range(sent[i])}
-        for order in orders:
-            assert len(order) == len(set(order))
-            assert survivor_sent <= set(order)
+        record, _ = _run(13, ((0.5, ("crash", 2)),))
         # Token never moved: site 0's oldest member survived.
-        assert system.sim.trace.value("abcast.token_handoffs") == 0
+        assert record.trace.value("abcast.token_handoffs") == 0
 
     def test_sequencer_group_rejoins_and_continues(self):
         """After the token dies, new ABCASTs still flow in the new view."""
-        system, members, deliveries = _build(seed=17)
-        sent = {idx: 0 for idx in range(4)}
-        _stream_abcasts(members, sent, count=5)
-        system.run_for(60.0)
-        system.crash_site(0)
-        system.run_for(60.0)
-
-        def late(isis=members[1][1]):
-            gid = yield isis.pg_lookup("seq")
-            for i in range(5):
-                yield isis.abcast(gid, 16, tag=f"late:{i}")
-
-        members[1][0].spawn(late(), "late")
-        system.run_for(120.0)
-        survivors = [1, 2, 3]
-        orders = [deliveries[s] for s in survivors]
-        assert orders[0] == orders[1] == orders[2]
+        late = Task("late", "m1", ("seq",), "abcast", 5, "late:{i}")
+        _, orders = _run(17, ((60.0, ("crash", 0)), (60.0, ("send", late))),
+                         count=5, tail=120.0)
         assert {f"late:{i}" for i in range(5)} <= set(orders[0])

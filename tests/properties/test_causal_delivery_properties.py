@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import reference_causal as reference
 from reference_causal import VectorClock, causal_fields
+from conformance import Run, Scenario, Task, check, one_group, two_groups
 from stub_engine import StubEngine
 from repro import IsisCluster, LanConfig
 from repro.core.cbcast import CausalReceiver, SenderChain
@@ -37,125 +38,21 @@ from repro.msg import (Address, Message, make_group_address,
 # ----------------------------------------------------------------------
 # System level: two fully overlapping groups
 # ----------------------------------------------------------------------
-def _run_workload(seed, plan, loss, crash_site=None, crash_after=None,
-                  n_sites=3):
-    """Returns per-site ordered deliveries ``(group, tag)``, the final
-    views (:func:`_final_views`), and whether the traffic ran without
-    any view change."""
-    system = IsisCluster(n_sites=n_sites, seed=seed,
-                         lan_config=LanConfig(loss_rate=loss))
-    deliveries = {s: [] for s in range(n_sites)}
-    members = []
-    for site in range(n_sites):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(16, lambda msg, s=site: deliveries[s].append(
-            (_group_key(msg["_group"]), msg["tag"])))
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create("da")
-        yield members[0][1].pg_create("db")
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i in range(1, n_sites):
-        if not members[i][0].alive:
-            continue    # loss can evict a site during set-up
-
-        def join(isis=members[i][1]):
-            for name in ("da", "db"):
-                gid = yield isis.pg_lookup(name)
-                yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"join{i}")
-        system.run_for(25.0)
-
-    for task_id, (sender_idx, group_pattern, kind, burst) in enumerate(plan):
-        proc, isis = members[sender_idx]
-        if not proc.alive:
-            continue
-
-        def blast(isis=isis, task_id=task_id, pattern=group_pattern,
-                  kind=kind, burst=burst):
-            ga = yield isis.pg_lookup("da")
-            gb = yield isis.pg_lookup("db")
-            groups = {"a": [ga], "b": [gb], "ab": [ga, gb]}[pattern]
-            for i in range(burst):
-                gid = groups[i % len(groups)]
-                yield isis.bcast(gid, 16, kind=kind,
-                                 tag=f"{kind[:2]}:{task_id}:{i}")
-
-        proc.spawn(blast(), f"blast{task_id}")
-    views_before = _final_views(system, members)
-    if crash_site is not None:
-        system.run_for(crash_after)
-        system.crash_site(crash_site)
-    system.run_for(251.0)
-    views = _final_views(system, members)
-    return deliveries, views, views == views_before
+PATTERNS = {"a": ("da",), "b": ("db",), "ab": ("da", "db")}
 
 
-def _group_key(gid):
-    return (gid.site, gid.local_id)
-
-
-def _final_views(system, members):
-    """``site -> {group: (view id, members)}`` over the groups its member
-    is in, for every site whose member process is alive (the others
-    crashed with their site or self-destructed, and hold a prefix) and
-    has been handed everything delivered so far (under loss a joiner's
-    state transfer can outlast the run; its deliveries stay queued)."""
-    return {
-        site: {_group_key(gid): (engine.view.view_id, engine.view.members)
-               for gid, engine in system.kernel(site).engines.items()
-               if engine.installed and engine.view.contains(proc.address)}
-        for site, (proc, _) in enumerate(members)
-        if proc.alive
-        and proc.address not in system.kernel(site).joins.gated}
-
-
-def _assert_conforms(deliveries, final_views, cross_group_tasks=()):
-    """What CBCAST/ABCAST promise, stated on the delivered streams:
-
-    * no message is delivered twice at a site;
-    * per-sender FIFO: one task's messages to one group arrive in send
-      order, at every site (a dead site holds a prefix of its stream);
-    * cross-group causal order, for ``cross_group_tasks``: a CBCAST task
-      alternating between the two groups is delivered in send order
-      *across* them — each send's context names the previous one.  Only
-      a run without view changes promises this: a flush cut delivers a
-      group's leftovers whatever other groups they wait on (see
-      ``GroupEngine.apply_commit``);
-    * two sites that end in the same view of a group delivered the same
-      set in it (under loss the failure detector can split a group
-      during set-up; each side is then a group of its own).
-    """
-    for site, stream in deliveries.items():
-        assert len(set(stream)) == len(stream), f"duplicate at site {site}"
-        last = {}
-        for group, tag in stream:
-            kind, task, index = tag.split(":")
-            keys = [(task, group)]
-            if task in cross_group_tasks:
-                keys.append((task, "both"))
-            for key in keys:
-                assert last.get(key, -1) < int(index), (
-                    f"site {site} delivered {tag} after #{last[key]} "
-                    f"of the same task")
-                last[key] = int(index)
-    for a, views in final_views.items():
-        for b in final_views:
-            for group, view in views.items():
-                if final_views[b].get(group) == view:
-                    assert ({d for d in deliveries[a] if d[0] == group}
-                            == {d for d in deliveries[b] if d[0] == group}), (
-                        f"sites {a} and {b} delivered different sets "
-                        f"in {group}")
-
-
-def _causal_tasks(plan):
-    return {str(task_id) for task_id, (_, pattern, kind, _) in enumerate(plan)
-            if pattern == "ab" and kind == "cbcast"}
+def _two_groups(seed, plan, loss, crash_site=None, crash_after=None):
+    """Member 0 creates ``da`` and ``db``, the others join both; then a
+    plan of ``(sender, group pattern, kind, burst)`` tasks."""
+    return two_groups(
+        "da", "db", 3, seed=seed, lan=LanConfig(loss_rate=loss),
+        traffic=tuple(
+            Task(f"blast{t}", f"m{site}", PATTERNS[pattern], kind, burst,
+                 "{k}:" + f"{t}:" + "{i}")
+            for t, (site, pattern, kind, burst) in enumerate(plan)),
+        faults=() if crash_site is None
+        else ((crash_after, ("crash", crash_site)),),
+        tail=251.0)
 
 
 @given(
@@ -171,13 +68,12 @@ def _causal_tasks(plan):
 )
 @settings(max_examples=10, deadline=None)
 def test_multi_group_workloads_conform(seed, loss, plan):
-    deliveries, final_views, steady = _run_workload(seed, plan, loss)
-    _assert_conforms(deliveries, final_views,
-                     _causal_tasks(plan) if steady else ())
+    record = Run(_two_groups(seed, plan, loss)).play()
+    check(record)
     if loss == 0.0:
-        assert steady
+        assert record.steady
         sent = sum(burst for _, _, _, burst in plan)
-        assert all(len(deliveries[s]) == sent for s in range(3))
+        assert all(len(record.streams[f"m{s}"]) == sent for s in range(3))
 
 
 @given(
@@ -188,130 +84,72 @@ def test_multi_group_workloads_conform(seed, loss, plan):
 @settings(max_examples=6, deadline=None)
 def test_workloads_conform_across_view_changes(seed, crash_site, crash_after):
     plan = [(i, "ab", "cbcast", 6) for i in range(3)]
-    deliveries, final_views, _ = _run_workload(
-        seed, plan, 0.05, crash_site=crash_site, crash_after=crash_after)
-    assert crash_site not in final_views and final_views
-    _assert_conforms(deliveries, final_views)
+    record = Run(_two_groups(seed, plan, 0.05, crash_site=crash_site,
+                             crash_after=crash_after)).play()
+    final = record.final
+    assert f"m{crash_site}" not in final and final
+    check(record)
     # Everything a survivor sent reaches every survivor it ends with.
-    for site, views in final_views.items():
-        for sender in final_views:
-            if len(views) == 2 and final_views[sender] == views:
-                assert sum(1 for _, tag in deliveries[site]
-                           if tag.startswith(f"cb:{sender}:")) == 6
+    views = {member: record.views[record.sites[member]] for member in final}
+    for member in final:
+        for sender in final:
+            if len(final[member]) == 2 and views[sender] == views[member]:
+                assert sum(1 for _, _, who, _ in record.streams[member]
+                           if who == sender) == 6
 
 
-def _digests(deliveries):
+def _digests(streams):
     return {site: hashlib.sha256(repr(stream).encode()).hexdigest()[:16]
-            for site, stream in deliveries.items()}
+            for site, stream in streams.items()}
 
 
 def test_deep_backlog_partition_heal_matches_recorded_scan_order():
     """Deterministic deep-buffer case: a partition builds a causal
     backlog, the heal floods it in.  The engine drains it in the order
     the scan engine did, and leaves no index state."""
-    system = IsisCluster(n_sites=4, seed=77,
-                         lan_config=LanConfig(loss_rate=0.02))
-    deliveries = {s: [] for s in range(4)}
-    members = []
+    record = Run(one_group(
+        "ph", 4, 20.0, "j", seed=77, lan=LanConfig(loss_rate=0.02),
+        traffic=tuple(Task(f"d{site}", f"m{site}", ("ph",), "cbcast", 25,
+                           f"d{site}:" + "{i}") for site in range(4)),
+        # Short split (below failure-detection timeouts): traffic queues.
+        faults=((0.3, ("partition", [[0, 1], [2, 3]])), (1.0, ("heal",))),
+    )).play()
     for site in range(4):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(16, lambda msg, s=site: deliveries[s].append(msg["tag"]))
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create("ph")
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i in range(1, 4):
-        def join(isis=members[i][1]):
-            gid = yield isis.pg_lookup("ph")
-            yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"j{i}")
-        system.run_for(20.0)
-    for idx in range(4):
-        proc, isis = members[idx]
-
-        def gen(isis=isis, idx=idx):
-            gid = yield isis.pg_lookup("ph")
-            for i in range(25):
-                yield isis.cbcast(gid, 16, tag=f"d{idx}:{i}")
-
-        proc.spawn(gen(), f"d{idx}")
-    system.run_for(0.3)
-    # Short split (below failure-detection timeouts): traffic queues.
-    system.cluster.lan.partition([[0, 1], [2, 3]])
-    system.run_for(1.0)
-    system.cluster.lan.heal()
-    system.run_for(120.0)
-    for site in range(4):
-        stats = system.kernel(site).stats()
+        stats = record.kernels[site].stats()
         assert stats["wait_index.size"] == 0
         assert stats["causal.pending"] == 0
         # Everyone got all 100 messages.
-        assert len(deliveries[site]) == 100
-    # The spec first (tags ``d<sender>:<i>`` in the checker's shape), the
-    # recorded order second: only a conforming order is worth freezing.
-    _assert_conforms(
-        {site: [("ph", "cb:" + tag[1:]) for tag in stream]
-         for site, stream in deliveries.items()},
-        _final_views(system, members))
-    assert _digests(deliveries) == DEEP_BACKLOG_DIGESTS
+        assert len(record.streams[f"m{site}"]) == 100
+    # The spec first, the recorded order second: only a conforming order
+    # is worth freezing.
+    check(record)
+    assert _digests({site: record.tags(f"m{site}") for site in range(4)}) \
+        == DEEP_BACKLOG_DIGESTS
 
 
 # ----------------------------------------------------------------------
 # System level: ring-overlapping groups of partial membership
 # ----------------------------------------------------------------------
-def _run_ring(seed, loss, burst, crash_site, crash_after, n_sites=4, span=3):
+def _ring(seed, loss, burst, crash_site, crash_after, n_sites=4, span=3):
     """Group *i* spans sites *i .. i+span-1* (mod n): every site sits in
     ``span`` groups, no two groups have the same members, and a sender's
     context names groups most of its receivers are not in."""
-    system = IsisCluster(n_sites=n_sites, seed=seed,
-                         lan_config=LanConfig(loss_rate=loss))
-    deliveries = {s: [] for s in range(n_sites)}
-    members = []
-    for site in range(n_sites):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(16, lambda msg, s=site: deliveries[s].append(
-            (_group_key(msg["_group"]), msg["tag"])))
-        members.append((proc, isis))
-    for site in range(n_sites):
-        def create(isis=members[site][1], name=f"ring{site}"):
-            yield isis.pg_create(name)
-
-        members[site][0].spawn(create(), f"create{site}")
-    system.run_for(3.0)
-    for hop in range(1, span):
-        for group in range(n_sites):
-            joiner = (group + hop) % n_sites
-            if not members[joiner][0].alive:
-                continue    # evicted by loss during set-up
-
-            def join(isis=members[joiner][1], name=f"ring{group}"):
-                gid = yield isis.pg_lookup(name)
-                yield isis.pg_join(gid)
-
-            members[joiner][0].spawn(join(), f"join{group}.{joiner}")
-        system.run_for(25.0)
-    for site in range(n_sites):
-        proc, isis = members[site]
-        if not proc.alive:
-            continue
-
-        def blast(isis=isis, site=site):
-            gids = []
-            for back in range(span):
-                gid = yield isis.pg_lookup(f"ring{(site - back) % n_sites}")
-                gids.append(gid)
-            for i in range(burst):
-                yield isis.cbcast(gids[i % span], 16, tag=f"cb:{site}:{i}")
-
-        proc.spawn(blast(), f"blast{site}")
-    system.run_for(crash_after)
-    system.crash_site(crash_site)
-    system.run_for(251.0)
-    return deliveries, _final_views(system, members)
+    return Run(Scenario(
+        n_sites=n_sites, seed=seed, lan=LanConfig(loss_rate=loss),
+        creates=tuple((site, (f"ring{site}",), f"create{site}")
+                      for site in range(n_sites)),
+        joins=tuple(
+            (25.0, tuple(((group + hop) % n_sites, (f"ring{group}",),
+                          f"join{group}.{(group + hop) % n_sites}")
+                         for group in range(n_sites)))
+            for hop in range(1, span)),
+        traffic=tuple(
+            Task(f"blast{site}", f"m{site}",
+                 tuple(f"ring{(site - back) % n_sites}"
+                       for back in range(span)),
+                 "cbcast", burst, f"cb:{site}:" + "{i}")
+            for site in range(n_sites)),
+        faults=((crash_after, ("crash", crash_site)),), tail=251.0)).play()
 
 
 @given(
@@ -324,19 +162,21 @@ def _run_ring(seed, loss, burst, crash_site, crash_after, n_sites=4, span=3):
 @settings(max_examples=8, deadline=None)
 def test_ring_overlapping_groups_conform(seed, loss, burst, crash_site,
                                          crash_after):
-    deliveries, final_views = _run_ring(seed, loss, burst, crash_site,
-                                        crash_after)
-    assert any(deliveries.values())
-    assert crash_site not in final_views
-    _assert_conforms(deliveries, final_views)
+    record = _ring(seed, loss, burst, crash_site, crash_after)
+    assert any(record.streams.values())
+    assert f"m{crash_site}" not in record.final
+    check(record)
 
 
 def test_ring_with_crash_matches_recorded_scan_order():
-    deliveries, final_views = _run_ring(seed=7, loss=0.03, burst=9,
-                                        crash_site=2, crash_after=0.8)
-    assert sorted(final_views) == [0, 1, 3]
-    _assert_conforms(deliveries, final_views)   # before any re-recording
-    assert _digests(deliveries) == RING_DIGESTS
+    record = _ring(seed=7, loss=0.03, burst=9, crash_site=2, crash_after=0.8)
+    assert sorted(record.final) == ["m0", "m1", "m3"]
+    check(record)   # before any re-recording
+    gid = {group: (addr.site, addr.local_id)
+           for group, addr in record.gids.items()}
+    assert _digests({site: [(gid[group], tag)
+                            for group, _, _, tag in record.streams[f"m{site}"]]
+                     for site in range(4)}) == RING_DIGESTS
 
 
 #: Per-site digests of the ordered delivery streams of the two fixed-seed
@@ -346,7 +186,7 @@ def test_ring_with_crash_matches_recorded_scan_order():
 #: Both LANs are lossy and CPU time is charged per byte, so a shorter
 #: ``g.cb`` moves which retransmission lands first; what moves is the
 #: interleaving of *concurrent* messages, never a sender's own order, and
-#: each new order passed ``_assert_conforms`` before it was frozen.
+#: each new order passed the conformance check before it was frozen.
 #:
 #: * When the stability piggyback shrank to one blob (21 bytes a ``g.cb``),
 #:   ``RING_DIGESTS[3]`` f6ecff9f2e21c60b -> afe7cd3e8878ed59: site 3 swapped

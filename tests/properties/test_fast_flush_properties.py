@@ -6,17 +6,16 @@ only view-change protocol, so there is no second engine to compare it
 with.  Three kinds of check replace the old differential:
 
 * **Conformance** (hypothesis-drawn churn: kills, site crashes, GBCASTs,
-  sub-timeout partitions, late joins; both ABCAST engines) — §2.4 holds:
-  one global ABCAST order, per-sender FIFO, one final view, and every
-  member that stayed to the end holds the same set of survivor-sent
-  messages (a survivor's sends are always in its own flush report, so no
-  cut may drop them).
+  sub-timeout partitions, late joins; both ABCAST engines) — the run
+  passes ``conformance.check`` (§2.4, stated once) and the surviving
+  sites end in one view.
 * **Frozen oracle** — for a fixed list of ``(seed, mode, script)`` cases
   and the lossy-LAN sweep, the final membership and a digest of the
-  survivor-sent tags must equal what the original 4-phase flush
-  delivered.  The values were recorded at commit f62874e with
-  ``fast_flush=False`` (the last commit that had that engine); the
-  default engine of f62874e gave the same values.
+  survivor-sent tags (``Record.survivor_sent``: a survivor's sends are
+  always in its own flush report, so no cut may drop them) must equal
+  what the original 4-phase flush delivered.  The values were recorded
+  at commit f62874e with ``fast_flush=False`` (the last commit that had
+  that engine); the default engine of f62874e gave the same values.
 * **Straggler fallback** — a pre-report that is lost or late lets the
   coordinator's grace expire; the explicit begin round must then commit
   the very cut the frozen oracle recorded.  That round is all that is
@@ -29,102 +28,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import IsisCluster, IsisConfig, LanConfig
-from repro.sim.tasks import sleep
+from conformance import Run, Task, check, churn, one_group
+from repro import IsisConfig, LanConfig
 
-ENTRY = 16
 N_SITES = 4
 
 
-def _churn_run(seed, mode, script, prereport_fate=None):
-    """One scripted churn workload.
+def _conforming(seed, mode, script, prereport_fate=None):
+    """The churn family (``conformance.churn``) run, checked and returned.
 
     ``prereport_fate`` (``"lost"`` / ``"late"``) intercepts the first
     unsolicited pre-report each surviving kernel receives: dropped, or
     handed over only after the coordinator's grace has expired.
     """
-    system = IsisCluster(n_sites=N_SITES, seed=seed,
-                         isis_config=IsisConfig(abcast_mode=mode))
-    deliveries = {s: [] for s in range(N_SITES)}
-    members = []
-    for site in range(N_SITES):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(ENTRY, lambda msg, s=site: deliveries[s].append(msg["tag"]))
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create("ff")
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i in range(1, N_SITES):
-        def join(isis=members[i][1]):
-            gid = yield isis.pg_lookup("ff")
-            yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"j{i}")
-        system.run_for(15.0)
-
-    if prereport_fate is not None:
+    def intercept(run):
         for site in range(N_SITES):
-            _intercept_first_prereport(system, site, prereport_fate)
+            _intercept_first_prereport(run.system, site, prereport_fate)
 
-    # Paced traffic from every original member.
-    for idx, (proc, isis) in enumerate(members):
-        def gen(isis=isis, idx=idx):
-            gid = yield isis.pg_lookup("ff")
-            for i in range(14):
-                kind = "abcast" if (idx + i) % 2 else "cbcast"
-                yield isis.bcast(gid, ENTRY, kind=kind,
-                                 tag=f"s{idx}:{kind[:2]}:{i}")
-                yield sleep(system.sim, 0.11)
-
-        proc.spawn(gen(), f"t{idx}")
-
-    crashed_sites = set()
-    for step, (kind, arg) in enumerate(script):
-        system.run_for(1.2)
-        if kind == "kill" and members[arg][0].alive:
-            members[arg][0].kill()
-        elif kind == "crash" and arg not in crashed_sites:
-            crashed_sites.add(arg)
-            system.crash_site(arg)
-        elif kind == "gbcast":
-            def gb(step=step):
-                gid = yield members[0][1].pg_lookup("ff")
-                yield members[0][1].gbcast(gid, ENTRY, tag=f"gb:{step}")
-
-            members[0][0].spawn(gb(), f"gb{step}")
-        elif kind == "partition":
-            system.cluster.lan.partition([[0, 1], [2, 3]])
-            system.run_for(0.8)  # below the failure-detection timeout
-            system.cluster.lan.heal()
-        elif kind == "join":
-            joiner, joiner_isis = system.spawn(arg, f"late{step}")
-            joiner.bind(ENTRY, lambda msg, s=arg: deliveries[s].append(
-                ("late", msg["tag"])))
-
-            def jn(joiner_isis=joiner_isis):
-                gid = yield joiner_isis.pg_lookup("ff")
-                yield joiner_isis.pg_join(gid)
-
-            joiner.spawn(jn(), f"late{step}")
-    system.run_for(120.0)
-
-    survivors = [s for s in range(N_SITES) if s not in crashed_sites]
-    views = {}
-    for s in survivors:
-        for engine in system.kernel(s).engines.values():
-            if engine.installed and engine.view is not None:
-                views[s] = tuple(sorted(str(m) for m in engine.view.members))
-    return {
-        "deliveries": deliveries,
-        "survivor_sites": survivors,
-        # Original members still running: in every view from start to end.
-        "stayed": [s for s in survivors if members[s][0].alive],
-        "views": views,
-        "trace": system.sim.trace,
-    }
+    record = Run(churn(seed, script, config=IsisConfig(abcast_mode=mode))
+                 ).play(intercept if prereport_fate is not None else None)
+    check(record)
+    assert len(record.final_members()) <= 1, "sites disagree on the final view"
+    return record
 
 
 def _intercept_first_prereport(system, site, fate):
@@ -144,75 +69,6 @@ def _intercept_first_prereport(system, site, fate):
     kernel._dispatch = intercepted
 
 
-def _check_vs_invariants(result):
-    """§2.4 invariants over the original (site-bound) members."""
-    deliveries = result["deliveries"]
-    member_sites = result["survivor_sites"]
-    # Everyone that survived to the end and stayed a member agrees on
-    # the ABCAST order; membership can differ only by kill timing, so
-    # compare sites present in the final view.
-    final_sites = [s for s in member_sites if s in result["views"]]
-    ab_orders = {}
-    for s in final_sites:
-        ab_orders[s] = [t for t in deliveries[s]
-                        if isinstance(t, str) and ":ab:" in t]
-    # ABCAST order equality holds over the common delivered suffix of
-    # any two members that were in the same views; with full quiescence
-    # at the end, the delivered *sets* per view agree, so whole-run
-    # sequences restricted to common tags must be order-compatible.
-    for a in final_sites:
-        for b in final_sites:
-            if a >= b:
-                continue
-            common = set(ab_orders[a]) & set(ab_orders[b])
-            seq_a = [t for t in ab_orders[a] if t in common]
-            seq_b = [t for t in ab_orders[b] if t in common]
-            assert seq_a == seq_b, (
-                f"ABCAST order diverged between sites {a} and {b}")
-    # Per-sender FIFO everywhere.
-    for s in member_sites:
-        for sender in range(N_SITES):
-            for kind in ("cb", "ab"):
-                seq = [int(t.split(":")[2]) for t in deliveries[s]
-                       if isinstance(t, str)
-                       and t.startswith(f"s{sender}:{kind}:")]
-                assert seq == sorted(seq), (
-                    f"FIFO violated at site {s} for sender {sender}")
-
-
-def _survivor_sent(result, tags):
-    """``tags`` restricted to GBCASTs and to senders on surviving sites
-    (their kernels' reports always cover their own sends)."""
-    out = set()
-    for t in tags:
-        if not isinstance(t, str):
-            continue  # a late joiner's record
-        if t.startswith("gb:") or (
-                int(t.split(":")[0][1:]) in result["survivor_sites"]):
-            out.add(t)
-    return out
-
-
-def _surviving_sender_tags(result):
-    """Survivor-sent tags delivered anywhere."""
-    return _survivor_sent(result, (
-        t for s in result["survivor_sites"] for t in result["deliveries"][s]))
-
-
-def _check_conformance(result):
-    _check_vs_invariants(result)
-    assert len(set(result["views"].values())) <= 1, (
-        "sites disagree on the final view")
-    held = {s: _survivor_sent(result, result["deliveries"][s])
-            for s in result["stayed"]}
-    assert len({frozenset(tags) for tags in held.values()}) <= 1, (
-        f"members that stayed hold different survivor-sent sets: {held}")
-
-
-def _digest(tags):
-    return hashlib.sha256("\n".join(sorted(tags)).encode()).hexdigest()[:16]
-
-
 SCRIPT_STEP = st.one_of(
     st.tuples(st.just("kill"), st.integers(1, 3)),
     st.tuples(st.just("gbcast"), st.just(0)),
@@ -228,7 +84,7 @@ SCRIPT_STEP = st.one_of(
 )
 @settings(max_examples=6, deadline=None)
 def test_churn_conforms(seed, mode, script):
-    _check_conformance(_churn_run(seed, mode, script))
+    _conforming(seed, mode, script)
 
 
 @given(
@@ -239,11 +95,42 @@ def test_churn_conforms(seed, mode, script):
 @settings(max_examples=4, deadline=None)
 def test_site_crash_conforms(seed, mode, crash_site):
     """A site crash mid-traffic: the case the pre-report path serves."""
-    result = _churn_run(
+    record = _conforming(
         seed, mode, [("gbcast", 0), ("crash", crash_site),
                      ("kill", crash_site)])
-    _check_conformance(result)
-    assert result["trace"].value("flush.prereports_sent") >= 1
+    assert record.trace.value("flush.prereports_sent") >= 1
+
+
+def _found(seed, mode, script, reason):
+    return pytest.param(
+        seed, mode, script, id=f"{seed}-{mode}-" + "+".join(
+            kind for kind, _ in script),
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                reason=reason))
+
+
+@pytest.mark.parametrize("seed,mode,script", [
+    _found(192, "sequencer",
+           [("partition", 0), ("crash", 0), ("partition", 0)],
+           "fd/siteview.py: site-view proposals sent into a partition are "
+           "acknowledged too late after the heal; the round's timeout "
+           "removes the live sites as silent, the acting coordinator "
+           "stalls alone and no site view is installed again, so the dead "
+           "site's multicasts are never flushed (same-view-set)"),
+    _found(175, "two_phase",
+           [("partition", 0), ("crash", 2), ("partition", 0)],
+           "core/ordering.py: the flush's ABCAST cut delivers s0:ab:11 "
+           "and s0:ab:13 before s0:ab:9 at both survivors (fifo)"),
+])
+def test_found_by_the_churn_sweep(seed, mode, script):
+    """The non-generator failures of two 300-draw sweeps over kill /
+    crash (any site) / GBCAST / partition / join steps; each fails the
+    parent's checker too."""
+    _conforming(seed, mode, script)
+
+
+def _digest(tags):
+    return hashlib.sha256("\n".join(sorted(tags)).encode()).hexdigest()[:16]
 
 
 def _case(seed, mode, script, members, digest):
@@ -286,10 +173,9 @@ RECORDED = [
 @pytest.mark.parametrize("seed,mode,script,members,digest", RECORDED)
 def test_churn_matches_recorded_four_phase_cut(seed, mode, script, members,
                                                digest):
-    result = _churn_run(seed, mode, script)
-    _check_conformance(result)
-    assert set(result["views"].values()) == {members}
-    assert _digest(_surviving_sender_tags(result)) == digest
+    record = _conforming(seed, mode, script)
+    assert record.final_members() == {members}
+    assert _digest(record.survivor_sent()) == digest
 
 
 @pytest.mark.parametrize("fate", ["lost", "late"])
@@ -303,53 +189,21 @@ def test_straggler_prereport_falls_back_to_begin_round(
     """The coordinator's grace expires on a missing pre-report; the
     explicit ``g.fl.begin`` round solicits the straggler and commits the
     cut the 4-phase flush (which always ran that round) recorded."""
-    result = _churn_run(seed, mode, script, prereport_fate=fate)
-    _check_conformance(result)
-    assert result["trace"].value("flush.grace_begins") >= 1
-    assert set(result["views"].values()) == {members}
-    assert _digest(_surviving_sender_tags(result)) == digest
+    record = _conforming(seed, mode, script, prereport_fate=fate)
+    assert record.trace.value("flush.grace_begins") >= 1
+    assert record.final_members() == {members}
+    assert _digest(record.survivor_sent()) == digest
 
 
-def _lossy_run(mode):
-    """Deterministic lossy-LAN churn; returns the per-site tag sets."""
-    system = IsisCluster(
-        n_sites=3, seed=99,
-        lan_config=LanConfig(loss_rate=0.05),
-        isis_config=IsisConfig(abcast_mode=mode),
-    )
-    deliveries = {s: [] for s in range(3)}
-    members = []
-    for site in range(3):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(ENTRY, lambda msg, s=site: deliveries[s].append(msg["tag"]))
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create("sw")
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i in (1, 2):
-        def join(isis=members[i][1]):
-            gid = yield isis.pg_lookup("sw")
-            yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"j{i}")
-        system.run_for(20.0)
-    for idx in range(3):
-        def gen(isis=members[idx][1], idx=idx):
-            gid = yield isis.pg_lookup("sw")
-            for i in range(10):
-                yield isis.bcast(
-                    gid, ENTRY,
-                    kind="abcast" if i % 2 else "cbcast",
-                    tag=f"s{idx}:{'ab' if i % 2 else 'cb'}:{i}")
-
-        members[idx][0].spawn(gen(), f"g{idx}")
-    system.run_for(2.0)
-    members[2][0].kill()
-    system.run_for(120.0)
-    return {s: set(deliveries[s]) for s in range(3)}
+def _lossy(mode):
+    """Deterministic lossy-LAN churn: three members, member 2 killed."""
+    return one_group(
+        "sw", 3, 20.0, "j", seed=99, lan=LanConfig(loss_rate=0.05),
+        config=IsisConfig(abcast_mode=mode),
+        traffic=tuple(Task(f"g{site}", f"m{site}", ("sw",),
+                           ("cbcast", "abcast"), 10, f"s{site}:" + "{k}:{i}")
+                      for site in range(3)),
+        faults=((2.0, ("kill", "m2")),))
 
 
 # mode -> digest of the tags delivered at site 0, recorded at f62874e
@@ -363,8 +217,11 @@ RECORDED_LOSSY = {
 def test_lossy_sweep_matches_recorded_four_phase_cut():
     """Deterministic lossy-LAN churn drains to agreement."""
     for mode, digest in RECORDED_LOSSY.items():
-        delivered = _lossy_run(mode)
+        record = Run(_lossy(mode)).play()
+        check(record)
+        delivered = {site: set(record.tags(f"m{site}")) for site in range(3)}
         assert delivered[0] == delivered[1], f"{mode}: survivors diverged"
         # Site 2's kernel survives (only the member died), so the flush
         # may drop nothing the 4-phase flush delivered.
         assert _digest(delivered[0]) == digest, mode
+

@@ -14,77 +14,45 @@ Two families of differential checks over the ordering/membership seams:
   historically lets both halves install reduced views; a healed
   minority self-destructs and rejoins through the ordinary state
   transfer path, converging on the survivors' state.
-"""
 
-import json
+Every run also passes ``conformance.check`` (under quorum, no two sites
+install different member lists for one view).
+"""
 
 import pytest
 
-from repro import IsisCluster, IsisConfig
+from conformance import Run, Task, check, replicas
+from repro import IsisConfig
 
 MODES = ["two_phase", "sequencer"]
 
 
-def attach(system, site_id, deliveries, name="app"):
-    """Spawn a member process with a JSON-list transfer segment."""
-    process, isis = system.spawn(site_id, f"{name}{site_id}")
-    log = deliveries.setdefault(site_id, [])
-    log.clear()
-    process.xfer_segments["log"] = (
-        lambda log=log: [json.dumps(log).encode()],
-        lambda blocks, log=log: (
-            log.clear(), log.extend(json.loads(blocks[0])),
-        ) if blocks else None,
-    )
-    process.bind(1, lambda msg, log=log: log.append(msg["body"]))
-    return process, isis
+def _turns(name, sites, count, tag):
+    """``count`` ABCASTs to ``grp`` from the members at ``sites`` in
+    turn, 1.2 s apart."""
+    return Task(name, tuple(f"app{s}" for s in sites), ("grp",), "abcast",
+                count, tag, gap=1.2)
 
 
-def build_group(system, handles, n_sites, deliveries, procs=None):
-    for site in range(n_sites):
-        proc, handles[site] = attach(system, site, deliveries)
-        if procs is not None:
-            procs[site] = proc
-    system.run_for(3.0)
-    box = {}
-    handles[0].pg_create("grp").add_done_callback(
-        lambda p: box.__setitem__("gid", p.value))
-    system.run_for(5.0)
-    for site in range(1, n_sites):
-        handles[site].pg_join(box["gid"])
-        system.run_for(5.0)
-    return box["gid"]
-
-
-def drive(system, handles, gid, start, count, kind="abcast", gap=1.2):
-    senders = sorted(handles)
-    for i in range(start, start + count):
-        handles[senders[i % len(senders)]].bcast(
-            gid, 1, 0, kind, body=f"m{i}")
-        system.run_for(gap)
+def _site_view(run, site):
+    view = run.system.kernel(site).agent.view
+    return view.view_id, view.members
 
 
 # ----------------------------------------------------------------------
 # Engine differential under churn
 # ----------------------------------------------------------------------
-def _churn_run(mode, seed):
-    system = IsisCluster(n_sites=4, seed=seed,
-                         isis_config=IsisConfig(abcast_mode=mode))
-    deliveries = {}
-    handles = {}
-    gid = build_group(system, handles, 4, deliveries)
-    drive(system, handles, gid, 0, 10)
-    system.run_for(15.0)
-
-    system.crash_site(3)
-    system.run_for(12.0)
-    survivors = {s: h for s, h in handles.items() if s != 3}
-    drive(system, survivors, gid, 10, 10)
-    system.run_for(25.0)
-
-    views = {s: system.kernel(s).agent.view for s in survivors}
-    return ({s: list(deliveries[s]) for s in survivors},
-            {s: (v.view_id, v.members) for s, v in views.items()})
+def _churn(mode, seed):
+    run = Run(replicas(
+        4, seed, IsisConfig(abcast_mode=mode),
+        traffic=(_turns("before", range(4), 10, "m{i}"),),
+        faults=((15.0, ("crash", 3)),
+                (12.0, ("send", _turns("after", range(3), 10, "n{i}")))),
+        tail=25.0))
+    record = run.play()
+    check(record)
+    return ({s: record.tags(f"app{s}") for s in range(3)},
+            {s: _site_view(run, s) for s in range(3)})
 
 
 @pytest.mark.parametrize("seed", [11, 47])
@@ -92,7 +60,7 @@ def test_engine_differential_under_churn(seed):
     sets_by_mode = {}
     views_by_mode = {}
     for mode in MODES:
-        deliveries, views = _churn_run(mode, seed)
+        deliveries, views = _churn(mode, seed)
         logs = list(deliveries.values())
         # Within a mode: every survivor delivered the identical order.
         assert all(log == logs[0] for log in logs), mode
@@ -108,89 +76,74 @@ def test_engine_differential_under_churn(seed):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_churn_deterministic_same_seed(mode):
-    assert _churn_run(mode, 23) == _churn_run(mode, 23)
+    assert _churn(mode, 23) == _churn(mode, 23)
 
 
 # ----------------------------------------------------------------------
 # Quorum membership: at most one committing component
 # ----------------------------------------------------------------------
+def _split(n_sites, seed, config, components, after, tail):
+    """Five ABCASTs from every member in turn, then ``components``
+    partitioned; ``after`` is sent 12 s into the split."""
+    return Run(replicas(
+        n_sites, seed, config,
+        traffic=(_turns("before", range(n_sites), 5, "m{i}"),),
+        faults=((15.0, ("partition", components)),
+                (12.0, ("send", after))),
+        tail=tail))
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_quorum_majority_commits_minority_wedges(mode):
-    system = IsisCluster(
-        n_sites=5, seed=77,
-        isis_config=IsisConfig(abcast_mode=mode, membership="quorum"))
-    deliveries = {}
-    handles = {}
-    gid = build_group(system, handles, 5, deliveries)
-    drive(system, handles, gid, 0, 5)
-    system.run_for(15.0)
-    baseline = len(deliveries[0])
-    assert baseline == 5
-
-    system.cluster.lan.partition([[0, 1, 2], [3, 4]])
-    system.run_for(12.0)
-    majority = {s: handles[s] for s in (0, 1, 2)}
-    drive(system, majority, gid, 100, 6)
-    system.run_for(30.0)
-
+    run = _split(5, 77, IsisConfig(abcast_mode=mode, membership="quorum"),
+                 [[0, 1, 2], [3, 4]], _turns("majority", (0, 1, 2), 6, "n{i}"),
+                 tail=30.0)
+    record = run.play()
+    check(record)
     # The majority removed the minority and kept delivering.
-    maj_view = system.kernel(0).agent.view
+    maj_view = run.system.kernel(0).agent.view
     assert {s for s, _ in maj_view.members} == {0, 1, 2}
-    assert len(deliveries[0]) == baseline + 6
-    assert deliveries[0] == deliveries[1] == deliveries[2]
+    assert len(record.tags("app0")) == 5 + 6
+    assert record.tags("app0") == record.tags("app1") == record.tags("app2")
     # The minority wedged: no new view, not one new delivery.
     for s in (3, 4):
-        min_view = system.kernel(s).agent.view
+        min_view = run.system.kernel(s).agent.view
         assert {m for m, _ in min_view.members} == {0, 1, 2, 3, 4}
-        assert len(deliveries[s]) == baseline
-        assert not system.kernel(s).membership_may_commit()
+        assert len(record.tags(f"app{s}")) == 5
+        assert not run.system.kernel(s).membership_may_commit()
 
 
 def test_quorum_even_split_wedges_both_sides():
     """A 2|2 split of 4 sites: no strict majority, nobody commits."""
-    system = IsisCluster(
-        n_sites=4, seed=31,
-        isis_config=IsisConfig(membership="quorum"))
-    deliveries = {}
-    handles = {}
-    gid = build_group(system, handles, 4, deliveries)
-    drive(system, handles, gid, 0, 4)
-    system.run_for(15.0)
-    baseline = len(deliveries[0])
-
-    system.cluster.lan.partition([[0, 1], [2, 3]])
-    system.run_for(10.0)
-    drive(system, {0: handles[0]}, gid, 100, 2)
-    drive(system, {2: handles[2]}, gid, 200, 2)
-    system.run_for(30.0)
-
+    run = Run(replicas(
+        4, 31, IsisConfig(membership="quorum"),
+        traffic=(_turns("before", range(4), 4, "m{i}"),),
+        faults=((15.0, ("partition", [[0, 1], [2, 3]])),
+                (10.0, ("send", _turns("left", (0,), 2, "l{i}"))),
+                (0.0, ("send", _turns("right", (2,), 2, "r{i}")))),
+        tail=30.0))
+    record = run.play()
+    check(record)
     for s in range(4):
-        view = system.kernel(s).agent.view
+        view = run.system.kernel(s).agent.view
         assert {m for m, _ in view.members} == {0, 1, 2, 3}, s
-        assert len(deliveries[s]) == baseline, s
-        assert not system.kernel(s).membership_may_commit()
+        assert len(record.tags(f"app{s}")) == 4, s
+        assert not run.system.kernel(s).membership_may_commit()
     # No component installed anything: both sides are waiting, not acting.
-    assert system.sim.trace.value("sv.installs") == 0 or all(
-        system.kernel(s).agent.view.view_id == 1 for s in range(4))
+    assert run.system.sim.trace.value("sv.installs") == 0 or all(
+        run.system.kernel(s).agent.view.view_id == 1 for s in range(4))
 
 
 def test_primary_even_split_installs_both_sides():
     """Contrast: the paper's primary-partition rule admits a 50/50
     split on both sides (half *of the previous view* suffices), which
     is exactly the split-brain quorum mode exists to rule out."""
-    system = IsisCluster(
-        n_sites=4, seed=31,
-        isis_config=IsisConfig(membership="primary"))
-    deliveries = {}
-    handles = {}
-    gid = build_group(system, handles, 4, deliveries)
-    system.run_for(10.0)
-
-    system.cluster.lan.partition([[0, 1], [2, 3]])
-    system.run_for(40.0)
-
-    left = system.kernel(0).agent.view
-    right = system.kernel(2).agent.view
+    run = Run(replicas(4, 31, IsisConfig(membership="primary"),
+                       faults=((10.0, ("partition", [[0, 1], [2, 3]])),),
+                       tail=40.0))
+    check(run.play())
+    left = run.system.kernel(0).agent.view
+    right = run.system.kernel(2).agent.view
     assert {s for s, _ in left.members} == {0, 1}
     assert {s for s, _ in right.members} == {2, 3}
 
@@ -199,69 +152,59 @@ def test_primary_even_split_installs_both_sides():
 # Quorum membership: healed minority rejoins and converges
 # ----------------------------------------------------------------------
 def test_quorum_minority_rejoins_after_heal():
-    system = IsisCluster(
-        n_sites=5, seed=77,
-        isis_config=IsisConfig(membership="quorum"))
-    deliveries = {}
-    handles = {}
-    gid = build_group(system, handles, 5, deliveries)
-    drive(system, handles, gid, 0, 5)
-    system.run_for(15.0)
-
-    system.cluster.lan.partition([[0, 1, 2], [3, 4]])
-    system.run_for(12.0)
-    majority = {s: handles[s] for s in (0, 1, 2)}
-    drive(system, majority, gid, 100, 4)
-    system.run_for(25.0)
+    run = _split(5, 77, IsisConfig(membership="quorum"), [[0, 1, 2], [3, 4]],
+                 _turns("majority", (0, 1, 2), 4, "n{i}"), tail=25.0)
+    run.play()
+    sites = run.system.cluster
 
     # Heal: the excluded minority learns of the majority's view chain
     # and self-destructs (agreed-view-excludes-me, §3.7).
-    system.cluster.lan.heal()
+    run.act(("heal",))
     for _ in range(12):
-        system.run_for(10.0)
-        if not any(system.cluster.site(s).up for s in (3, 4)):
+        run.system.run_for(10.0)
+        if not any(sites.site(s).up for s in (3, 4)):
             break
-    assert not system.cluster.site(3).up
-    assert not system.cluster.site(4).up
+    assert not sites.site(3).up
+    assert not sites.site(4).up
 
     # Restart and rejoin through the ordinary state-transfer path.
-    system.restart_site(3)
-    system.restart_site(4)
-    system.run_for(5.0)
+    run.act(("restart", 3))
+    run.act(("restart", 4))
+    run.system.run_for(5.0)
+    members = ["app0", "app1", "app2"]
     for s in (3, 4):
-        _, handles[s] = attach(system, s, deliveries)
-        handles[s].pg_join_by_name("grp")
-    system.run_for(40.0)
+        members.append(run.spawn(s, f"app{s}"))
+        run.isis[members[-1]].pg_join_by_name("grp")
+    run.system.run_for(40.0)
 
-    views = {s: system.kernel(s).agent.view for s in range(5)}
+    views = {s: run.system.kernel(s).agent.view for s in range(5)}
     assert len({(v.view_id, v.members) for v in views.values()}) == 1, views
     assert {s for s, _ in views[0].members} == {0, 1, 2, 3, 4}
 
-    drive(system, handles, gid, 200, 5)
-    system.run_for(25.0)
-    reference = deliveries[0]
+    run.send(Task("after", tuple(members), ("grp",), "abcast", 5, "p{i}",
+                  gap=1.2))
+    run.system.run_for(25.0)
+    record = run.record()
+    check(record)
+    reference = record.states["app0"]
     assert len(reference) == 14
-    for s in range(1, 5):
-        assert deliveries[s] == reference, (s, deliveries[s], reference)
+    for member in members[1:]:
+        assert record.states[member] == reference, (
+            member, record.states[member], reference)
 
 
 def test_primary_default_and_explicit_identical():
     """``membership='primary'`` must be byte-identical to the default:
     same deliveries, same view trajectory, same trace counters."""
-    def run(config):
-        system = IsisCluster(n_sites=4, seed=55, isis_config=config)
-        deliveries = {}
-        handles = {}
-        gid = build_group(system, handles, 4, deliveries)
-        drive(system, handles, gid, 0, 8)
-        system.run_for(15.0)
-        system.crash_site(3)
-        system.run_for(20.0)
-        views = {s: (system.kernel(s).agent.view.view_id,
-                     system.kernel(s).agent.view.members)
-                 for s in range(3)}
-        return deliveries, views, dict(system.sim.trace.counters)
+    def play(config):
+        run = Run(replicas(4, 55, config,
+                           traffic=(_turns("before", range(4), 8, "m{i}"),),
+                           faults=((15.0, ("crash", 3)),), tail=20.0))
+        record = run.play()
+        check(record)
+        return (record.streams, {s: _site_view(run, s) for s in range(3)},
+                dict(run.system.sim.trace.counters))
 
-    default = run(IsisConfig())
-    explicit = run(IsisConfig(membership="primary"))
+    default = play(IsisConfig())
+    explicit = play(IsisConfig(membership="primary"))
     assert default == explicit

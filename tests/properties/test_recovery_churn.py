@@ -16,14 +16,15 @@ Three families of checks, each run across both ABCAST engines:
   group, and its restored state must equal some crash-consistent prefix
   of the pre-crash delivery sequence (the WAL may lose the unsynced
   suffix, never the middle).
-"""
 
-import json
+Every run also passes ``conformance.check``, whose durable-replica rule
+is that prefix check for each member rebuilt from its site's log.
+"""
 
 import pytest
 
+from conformance import Run, Scenario, Task, check, replicas
 from repro.core import wal as wal_mod
-from repro.core.bootstrap import IsisCluster
 from repro.core.groups import Isis
 from repro.core.kernel import IsisConfig
 from repro.runtime.stable import StorageFaults
@@ -50,61 +51,42 @@ def trim_checkpoints_early(monkeypatch):
     monkeypatch.setattr(wal_mod, "WAL_TRIM_MIN", 6)
 
 
-def attach(system, site_id, deliveries, name="app"):
-    """Spawn a member process with a JSON-list transfer segment."""
-    process, isis = system.spawn(site_id, f"{name}{site_id}")
-    log = deliveries.setdefault(site_id, [])
-    log.clear()
-    process.xfer_segments["log"] = (
-        lambda log=log: [json.dumps(log).encode()],
-        lambda blocks, log=log: (
-            log.clear(), log.extend(json.loads(blocks[0])),
-        ) if blocks else None,
-    )
-    process.bind(1, lambda msg, log=log: log.append(msg["body"]))
-    return process, isis
+def _turns(name, members, kind, count, tag):
+    """``count`` multicasts to ``grp`` from ``members`` in turn, 1.5 s
+    apart."""
+    return Task(name, tuple(members), ("grp",), kind, count, tag, gap=1.5)
 
 
-def drive(system, handles, gid, start, count, mode, gap=1.5):
-    senders = sorted(handles)
-    for i in range(start, start + count):
-        handles[senders[i % len(senders)]].bcast(
-            gid, 1, 0, mode, body=f"m{i}")
-        system.run_for(gap)
+def _apps(n):
+    return [f"app{s}" for s in range(n)]
 
 
-def crash_consistent_prefix_of(replayed, reference):
-    """``replayed`` must be ``reference`` minus a (possibly empty)
-    unsynced suffix — the only data a crash is allowed to eat."""
-    return replayed == reference[:len(replayed)]
+def _rejoin(run, site):
+    """Restart ``site``, rebuild its member from the site's log, and
+    record it as restored from its predecessor; returns its name."""
+    run.act(("restart", site))
+    run.system.run_for(3.0)
+    name = run.spawn(site, f"app{site}")
+    replayed = run.system.kernel(site).wal.replay_to(run.gids["grp"],
+                                                     run.procs[name])
+    run.restored_from(name, f"app{site}")
+    return name, replayed
 
 
 @pytest.mark.parametrize("abcast_mode", ENGINE_GRID)
 @pytest.mark.parametrize("kind", ["cbcast", "abcast"])
 @pytest.mark.usefixtures("trim_checkpoints_early")
 def test_durability_is_trajectory_neutral(abcast_mode, kind):
-    def run(durable):
-        system = IsisCluster(
-            n_sites=3, seed=101,
-            isis_config=make_config(abcast_mode, durable))
-        deliveries = {}
-        handles = {}
-        for site in range(3):
-            _, handles[site] = attach(system, site, deliveries)
-        system.run_for(3.0)
-        box = {}
-        handles[0].pg_create("grp").add_done_callback(
-            lambda p: box.__setitem__("gid", p.value))
-        system.run_for(5.0)
-        for site in (1, 2):
-            handles[site].pg_join(box["gid"])
-            system.run_for(5.0)
-        drive(system, handles, box["gid"], 0, 18, kind)
-        system.run_for(25.0)
-        return deliveries
+    def play(durable):
+        record = Run(replicas(
+            3, 101, make_config(abcast_mode, durable),
+            traffic=(_turns("drive", _apps(3), kind, 18, "m{i}"),),
+            tail=25.0)).play()
+        check(record)
+        return record.states
 
-    with_wal = run(True)
-    without = run(False)
+    with_wal = play(True)
+    without = play(False)
     assert with_wal == without, (
         "enabling durability changed a delivery trajectory")
     assert all(len(log) == 18 for log in without.values())
@@ -113,152 +95,95 @@ def test_durability_is_trajectory_neutral(abcast_mode, kind):
 @pytest.mark.parametrize("abcast_mode", ENGINE_GRID)
 @pytest.mark.usefixtures("trim_checkpoints_early")
 def test_crash_replay_rejoin_converges(abcast_mode):
-    system = IsisCluster(
-        n_sites=4, seed=202,
-        isis_config=make_config(abcast_mode, True),
-        storage_faults=StorageFaults(torn_tail_prob=0.5, seed=5))
-    deliveries = {}
-    handles = {}
-    procs = {}
-    for site in range(4):
-        procs[site], handles[site] = attach(system, site, deliveries)
-    system.run_for(3.0)
-    box = {}
-    handles[0].pg_create("grp").add_done_callback(
-        lambda p: box.__setitem__("gid", p.value))
-    system.run_for(5.0)
-    gid = box["gid"]
-    for site in (1, 2, 3):
-        handles[site].pg_join(gid)
-        system.run_for(5.0)
-    drive(system, handles, gid, 0, 12, "cbcast")
-    system.run_for(15.0)
-    pre_crash = list(deliveries[3])
+    run = Run(replicas(
+        4, 202, make_config(abcast_mode, True),
+        storage_faults=StorageFaults(torn_tail_prob=0.5, seed=5),
+        traffic=(_turns("before", _apps(4), "cbcast", 12, "m{i}"),),
+        faults=((15.0, ("crash", 3)),
+                (10.0, ("send", _turns("during", _apps(3), "abcast", 12,
+                                       "n{i}")))),
+        tail=15.0))
+    run.play()
+    rejoined, replayed = _rejoin(run, 3)
+    run.isis[rejoined].pg_join_by_name("grp")
+    run.system.run_for(30.0)
+    run.send(_turns("after", _apps(3) + [rejoined], "cbcast", 6, "p{i}"))
+    run.system.run_for(25.0)
 
-    system.crash_site(3)
-    system.run_for(10.0)
-    survivors = {s: h for s, h in handles.items() if s != 3}
-    drive(system, survivors, gid, 12, 12, "abcast")
-    system.run_for(15.0)
-
-    system.restart_site(3)
-    system.run_for(3.0)
-    procs[3], handles[3] = attach(system, 3, deliveries)
-    replayed = system.kernel(3).wal.replay_to(gid, procs[3])
-    assert crash_consistent_prefix_of(deliveries[3], pre_crash), (
-        "replay resurrected deliveries out of order or from thin air")
-    handles[3].pg_join_by_name("grp")
-    system.run_for(30.0)
-    drive(system, handles, gid, 24, 6, "cbcast")
-    system.run_for(25.0)
-
-    reference = deliveries[0]
+    # The durable-replica rule: the replay resurrected no delivery out
+    # of order or from thin air.
+    record = run.record()
+    check(record)
+    reference = record.states["app0"]
     assert len(reference) == 30
-    assert deliveries[3] == reference, (
+    assert record.states[rejoined] == reference, (
         f"rejoined member diverged (replayed {replayed} from log): "
-        f"{deliveries[3]} != {reference}")
-    assert deliveries[1] == reference and deliveries[2] == reference
+        f"{record.states[rejoined]} != {reference}")
+    assert record.states["app1"] == reference
+    assert record.states["app2"] == reference
 
 
 def test_large_wal_suffix_arrives_as_chunks():
     """A rejoiner that missed more logged deliveries than one message
     may carry gets the suffix as an ``st.chunk`` stream, like a large
     snapshot, and replays to the survivors' state."""
-    system = IsisCluster(n_sites=3, seed=404,
-                         isis_config=IsisConfig(durability=True))
-    deliveries = {}
-    handles = {}
-    procs = {}
-    for site in range(3):
-        procs[site], handles[site] = attach(system, site, deliveries)
-    system.run_for(3.0)
-    box = {}
-    handles[0].pg_create("grp").add_done_callback(
-        lambda p: box.__setitem__("gid", p.value))
-    system.run_for(5.0)
-    gid = box["gid"]
-    for site in (1, 2):
-        handles[site].pg_join(gid)
-        system.run_for(5.0)
-    drive(system, handles, gid, 0, 4, "cbcast")
-    system.run_for(10.0)
-
-    system.crash_site(2)
-    system.run_for(10.0)
-    for i in range(14):  # ~70 KB of log the crashed site never saw
-        handles[i % 2].bcast(gid, 1, 0, "abcast", body=f"big{i}:" + "x" * 5000)
-        system.run_for(1.5)
-    system.run_for(10.0)
-
-    system.restart_site(2)
-    system.run_for(3.0)
-    procs[2], handles[2] = attach(system, 2, deliveries)
-    system.kernel(2).wal.replay_to(gid, procs[2])
-    trace = system.sim.trace
+    run = Run(replicas(
+        3, 404, IsisConfig(durability=True),
+        traffic=(_turns("before", _apps(3), "cbcast", 4, "m{i}"),),
+        # ~70 KB of log the crashed site never sees.
+        faults=((10.0, ("crash", 2)),
+                (10.0, ("send", _turns("big", _apps(2), "abcast", 14,
+                                       "big{i}:" + "x" * 5000)))),
+        tail=10.0))
+    run.play()
+    rejoined, _ = _rejoin(run, 2)
+    trace = run.system.sim.trace
     before = trace.snapshot("state_transfer.")
-    handles[2].pg_join_by_name("grp")
-    system.run_for(30.0)
+    run.isis[rejoined].pg_join_by_name("grp")
+    run.system.run_for(30.0)
 
+    record = run.record()
+    check(record)
     assert trace.value("transfer.log_assisted") == 1
     assert trace.value("transfer.suffix_bytes") > 70_000
     streamed = trace.delta(before, "state_transfer.")
     assert streamed.get("state_transfer.streams") == 1
     assert streamed.get("state_transfer.chunks") == 2
     assert streamed.get("state_transfer.stream_bytes") > 70_000
-    assert len(deliveries[0]) == 18
-    assert deliveries[2] == deliveries[0] == deliveries[1]
+    assert len(record.states["app0"]) == 18
+    assert record.states[rejoined] == record.states["app0"] \
+        == record.states["app1"]
 
 
 @pytest.mark.parametrize("abcast_mode", ENGINE_GRID)
 @pytest.mark.usefixtures("trim_checkpoints_early")
 def test_kill_all_restart_all_elects_one_restarter(abcast_mode):
-    system = IsisCluster(
-        n_sites=3, seed=303,
-        isis_config=make_config(abcast_mode, True),
-        storage_faults=StorageFaults(torn_tail_prob=0.3, seed=9))
+    run = Run(Scenario(
+        n_sites=3, seed=303, config=make_config(abcast_mode, True),
+        storage_faults=StorageFaults(torn_tail_prob=0.3, seed=9),
+        state=True))
+    system = run.system
     managers = install_recovery(system, settle_delay=4.0)
-    deliveries = {}
 
     def service_program(process, mode, group_name):
         isis = Isis(process)
-        log = deliveries.setdefault(process.site.site_id, [])
-        log.clear()
-        process.xfer_segments["log"] = (
-            lambda log=log: [json.dumps(log).encode()],
-            lambda blocks, log=log: (
-                log.clear(), log.extend(json.loads(blocks[0])),
-            ) if blocks else None,
-        )
-        process.bind(1, lambda msg, log=log: log.append(msg["body"]))
-
-        def main():
-            if mode == "create":
-                yield isis.pg_create(group_name)
-            else:
-                gid = yield isis.pg_lookup(group_name)
-                yield isis.pg_join(gid)
-
-        process.spawn(main(), "svc.main")
+        name = run.attach(process, f"svc{process.site.site_id}", isis)
+        body = run.creating if mode == "create" else run.joining
+        process.spawn(body(name, (group_name,)), "svc.main")
         return isis
 
     system.cluster.programs.register("svc", service_program)
     for site in (0, 1):
         managers[site].register("kv", "svc")
     system.run_for(2.0)
-    h0 = service_program(system.site(0).spawn_process("svc"), "create", "kv")
+    service_program(system.site(0).spawn_process("svc"), "create", "kv")
     system.run_for(5.0)
-    h1 = service_program(system.site(1).spawn_process("svc"), "join", "kv")
-    system.run_for(8.0)
-    box = {}
-    h0.pg_lookup("kv").add_done_callback(
-        lambda p: box.__setitem__("gid", p.value))
-    system.run_for(2.0)
-    for i in range(20):
-        (h0 if i % 2 else h1).bcast(box["gid"], 1, 0, "abcast", body=f"v{i}")
-        system.run_for(1.2)
+    service_program(system.site(1).spawn_process("svc"), "join", "kv")
+    system.run_for(10.0)
+    run.send(Task("drive", ("svc1", "svc0"), ("kv",), "abcast", 20, "v{i}",
+                  gap=1.2))
     system.run_for(20.0)
-    pre_crash = list(deliveries[0])
-    assert pre_crash == deliveries[1]
+    assert run.states["svc0"] == run.states["svc1"]
 
     system.crash_site(0)
     system.crash_site(1)
@@ -270,9 +195,11 @@ def test_kill_all_restart_all_elects_one_restarter(abcast_mode):
     assert system.sim.trace.value("tool.rm_restarts") == 1, (
         "the restart election split-brained (or nobody restarted)")
     assert system.sim.trace.value("recovery.total_restarts") >= 1
+    # The durable-replica rule: each site restored a prefix of the
+    # pre-crash state.
     for site in (0, 1):
-        assert crash_consistent_prefix_of(deliveries[site], pre_crash), (
-            f"site {site} restored a non-prefix of the pre-crash state")
-    assert deliveries[0] == deliveries[1], (
+        run.restored_from(f"svc{site}.1", f"svc{site}")
+    check(run.record())
+    assert run.states["svc0.1"] == run.states["svc1.1"], (
         "restarter and rejoiner disagree after recovery")
-    assert len(deliveries[0]) > 0, "recovery lost the entire log"
+    assert len(run.states["svc0.1"]) > 0, "recovery lost the entire log"

@@ -1,21 +1,21 @@
 """Property tests: the two total-order engines against each other.
 
 Under a fixed seed with no failures, both ordering engines (two-phase,
-sequencer) must give a *valid* virtually synchronous execution: every
-member delivers the same ABCAST sequence, per-task FIFO holds, and the
+sequencer) must give a *valid* virtually synchronous execution
+(``conformance.check``), every member delivers the same set, and the
 delivered message set is identical between the modes (the chosen
 interleavings may differ — priority order vs token-arrival order — but
 neither may lose, duplicate, or diverge).  The compact causal-context codec is also
 chain-checked here against randomly grown contexts.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_causal as reference
+from conformance import Run, bursts, check, one_group
 from reference_causal import VectorClock
-from repro import IsisCluster, IsisConfig
+from repro import IsisConfig
 from repro.core.vectorclock import (
     ChainContext,
     ContextEncoder,
@@ -26,40 +26,11 @@ from repro.core.vectorclock import (
 from repro.msg.address import make_group_address, make_process_address
 
 
-def _run_workload(seed, plan, mode, batch_window):
-    config = IsisConfig(abcast_mode=mode, batch_window=batch_window)
-    system = IsisCluster(n_sites=3, seed=seed, isis_config=config)
-    deliveries = {site: [] for site in range(3)}
-    members = []
-    for site in range(3):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(16, lambda msg, s=site: deliveries[s].append(msg["tag"]))
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create("modes")
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i in (1, 2):
-        def join(isis=members[i][1]):
-            gid = yield isis.pg_lookup("modes")
-            yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"join{i}")
-        system.run_for(20.0)
-    for task_id, (sender_idx, kind, burst) in enumerate(plan):
-        proc, isis = members[sender_idx]
-
-        def blast(isis=isis, kind=kind, burst=burst, task_id=task_id):
-            gid = yield isis.pg_lookup("modes")
-            for i in range(burst):
-                yield isis.bcast(gid, 16, kind=kind,
-                                 tag=f"{kind[:2]}:{task_id}:{i}")
-
-        proc.spawn(blast(), f"blast{task_id}")
-    system.run_for(200.0)
-    return deliveries
+def _play(seed, plan, mode):
+    return Run(one_group(
+        "modes", 3, 20.0, seed=seed, traffic=bursts(plan, "modes"),
+        tail=200.0,
+        config=IsisConfig(abcast_mode=mode, batch_window=0.010))).play()
 
 
 @given(
@@ -75,21 +46,12 @@ def _run_workload(seed, plan, mode, batch_window):
 def test_modes_agree_on_set_and_internal_order(seed, plan):
     by_mode = {}
     for mode in ("two_phase", "sequencer"):
-        deliveries = _run_workload(seed, plan, mode, batch_window=0.010)
-        # Every member of this mode delivered the identical ABCAST order.
-        ab = [[t for t in deliveries[s] if t.startswith("ab")]
-              for s in range(3)]
-        assert ab[0] == ab[1] == ab[2], mode
-        # Per-task FIFO at every member.
-        for site in range(3):
-            for task_id, (_, kind, _burst) in enumerate(plan):
-                seq = [int(t.split(":")[2]) for t in deliveries[site]
-                       if t.startswith(f"{kind[:2]}:{task_id}:")]
-                assert seq == sorted(seq), mode
+        record = _play(seed, plan, mode)
+        check(record)
         # All members delivered the same set.
-        sets = [set(deliveries[s]) for s in range(3)]
-        assert sets[0] == sets[1] == sets[2], mode
-        by_mode[mode] = sets[0]
+        sets = {frozenset(record.tags(f"m{s}")) for s in range(3)}
+        assert len(sets) == 1, mode
+        by_mode[mode] = sets.pop()
     # Both engines deliver exactly the same message set: the sequencer
     # changes the interleaving, never the membership of the execution.
     assert by_mode["two_phase"] == by_mode["sequencer"]
@@ -97,7 +59,7 @@ def test_modes_agree_on_set_and_internal_order(seed, plan):
 
 def test_sequencer_deterministic_same_seed():
     plan = [(0, "abcast", 3), (1, "abcast", 3), (2, "cbcast", 2)]
-    runs = [_run_workload(99, plan, "sequencer", 0.010) for _ in range(2)]
+    runs = [_play(99, plan, "sequencer").streams for _ in range(2)]
     assert runs[0] == runs[1]
 
 

@@ -7,9 +7,7 @@ preserve every virtual synchrony guarantee.  The two modes send
 different traffic, so arrival timing (and therefore the interleaving of
 concurrent multicasts) legitimately differs.  What must match:
 
-* each mode independently satisfies §2.4: one global ABCAST order
-  among final-view members, per-sender FIFO, survivors deliver the
-  same sets;
+* each mode independently satisfies §2.4 (``conformance.check``);
 * both modes converge to the same final membership for the same
   scripted churn, under both abcast modes;
 * messages from senders on surviving sites are delivered identically
@@ -22,123 +20,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import IsisCluster, IsisConfig
+from conformance import Run, check, churn
+from repro import IsisConfig
 from repro.core.flush import GroupFlush
 from repro.core.store import MessageStore
 
-ENTRY = 16
 N_SITES = 5
 
 
-def _churn_run(dissemination, seed, mode, script):
-    """One scripted churn workload; returns deliveries/views/trace."""
-    system = IsisCluster(
-        n_sites=N_SITES, seed=seed,
-        isis_config=IsisConfig(dissemination=dissemination, tree_fanout=2,
-                               abcast_mode=mode),
-    )
-    deliveries = {s: [] for s in range(N_SITES)}
-    members = []
-    for site in range(N_SITES):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(ENTRY, lambda msg, s=site: deliveries[s].append(msg["tag"]))
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create("td")
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i in range(1, N_SITES):
-        def join(isis=members[i][1]):
-            gid = yield isis.pg_lookup("td")
-            yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"j{i}")
-        system.run_for(15.0)
-
-    for idx, (proc, isis) in enumerate(members):
-        def gen(isis=isis, idx=idx):
-            from repro.sim.tasks import sleep
-            gid = yield isis.pg_lookup("td")
-            for i in range(12):
-                kind = "abcast" if (idx + i) % 2 else "cbcast"
-                yield isis.bcast(gid, ENTRY, kind=kind,
-                                 tag=f"s{idx}:{kind[:2]}:{i}")
-                yield sleep(system.sim, 0.11)
-
-        proc.spawn(gen(), f"t{idx}")
-
-    crashed_sites = set()
-    for step, (kind, arg) in enumerate(script):
-        system.run_for(1.2)
-        if kind == "kill" and members[arg][0].alive:
-            members[arg][0].kill()
-        elif kind == "crash" and arg not in crashed_sites:
-            crashed_sites.add(arg)
-            system.crash_site(arg)
-        elif kind == "gbcast":
-            def gb(step=step):
-                gid = yield members[0][1].pg_lookup("td")
-                yield members[0][1].gbcast(gid, ENTRY, tag=f"gb:{step}")
-
-            members[0][0].spawn(gb(), f"gb{step}")
-    system.run_for(120.0)
-
-    survivors = [s for s in range(N_SITES) if s not in crashed_sites]
-    views = {}
-    for s in survivors:
-        for engine in system.kernel(s).engines.values():
-            if engine.installed and engine.view is not None:
-                views[s] = tuple(sorted(str(m) for m in engine.view.members))
-    return {
-        "deliveries": deliveries,
-        "survivor_sites": survivors,
-        "views": views,
-        "trace": system.sim.trace,
-        "stats": {s: system.kernel(s).stats() for s in survivors},
-    }
-
-
-def _check_vs_invariants(result):
-    """Per-mode §2.4 invariants over the original (site-bound) members."""
-    deliveries = result["deliveries"]
-    member_sites = list(result["survivor_sites"])
-    final_sites = [s for s in member_sites if s in result["views"]]
-    ab_orders = {}
-    for s in final_sites:
-        ab_orders[s] = [t for t in deliveries[s]
-                        if isinstance(t, str) and ":ab:" in t]
-    for a in final_sites:
-        for b in final_sites:
-            if a >= b:
-                continue
-            common = set(ab_orders[a]) & set(ab_orders[b])
-            seq_a = [t for t in ab_orders[a] if t in common]
-            seq_b = [t for t in ab_orders[b] if t in common]
-            assert seq_a == seq_b, (
-                f"ABCAST order diverged between sites {a} and {b}")
-    for s in member_sites:
-        for sender in range(N_SITES):
-            for kind in ("cb", "ab"):
-                seq = [int(t.split(":")[2]) for t in deliveries[s]
-                       if isinstance(t, str)
-                       and t.startswith(f"s{sender}:{kind}:")]
-                assert seq == sorted(seq), (
-                    f"FIFO violated at site {s} for sender {sender}")
-
-
-def _surviving_sender_tags(result):
-    out = set()
-    for s in result["survivor_sites"]:
-        for t in result["deliveries"][s]:
-            if isinstance(t, str) and t.startswith("s"):
-                sender = int(t.split(":")[0][1:])
-                if sender in result["survivor_sites"]:
-                    out.add(t)
-            elif isinstance(t, str) and t.startswith("gb:"):
-                out.add(t)
-    return out
+def _conforming(dissemination, seed, mode, script):
+    """The churn family on five sites, fanout 2, checked and returned."""
+    record = Run(churn(
+        seed, script, n_sites=N_SITES, group="td", sends=12,
+        config=IsisConfig(dissemination=dissemination, tree_fanout=2,
+                          abcast_mode=mode))).play()
+    check(record)
+    return record
 
 
 SCRIPT_STEP = st.one_of(
@@ -155,19 +52,17 @@ SCRIPT_STEP = st.one_of(
 )
 @settings(max_examples=6, deadline=None)
 def test_tree_matches_flat_under_churn(seed, mode, script):
-    tree = _churn_run("tree", seed, mode, script)
-    flat = _churn_run("flat", seed, mode, script)
-    for result in (tree, flat):
-        _check_vs_invariants(result)
-    tree_views = set(tree["views"].values())
-    flat_views = set(flat["views"].values())
+    tree = _conforming("tree", seed, mode, script)
+    flat = _conforming("flat", seed, mode, script)
+    tree_views = tree.final_members()
+    flat_views = flat.final_members()
     assert len(tree_views) <= 1 and len(flat_views) <= 1, (
         "sites disagree on the final view within one mode")
     assert tree_views == flat_views, (
         f"final membership diverged: {tree_views} vs {flat_views}")
-    assert _surviving_sender_tags(tree) == _surviving_sender_tags(flat)
+    assert tree.survivor_sent() == flat.survivor_sent()
     # The tree actually carried traffic (not a silent flat fallback).
-    assert tree["trace"].value("tree.relayed") > 0
+    assert tree.trace.value("tree.relayed") > 0
 
 
 # The ids keep the "True-" of the retired flush-engine axis, so that the
@@ -185,22 +80,19 @@ def test_tree_ancestor_crash_mid_multicast(mode):
     survivor anyway, identically to flat mode.
     """
     script = [("crash", 1)]
-    tree = _churn_run("tree", 42, mode, script)
-    flat = _churn_run("flat", 42, mode, script)
-    for result in (tree, flat):
-        _check_vs_invariants(result)
-    assert set(tree["views"].values()) == set(flat["views"].values())
-    assert len(set(tree["views"].values())) == 1
-    tags = _surviving_sender_tags(tree)
-    assert tags == _surviving_sender_tags(flat)
+    tree = _conforming("tree", 42, mode, script)
+    flat = _conforming("flat", 42, mode, script)
+    assert tree.final_members() == flat.final_members()
+    assert len(tree.final_members()) == 1
+    tags = tree.survivor_sent()
+    assert tags == flat.survivor_sent()
     # Site 0 sent 12 messages and survived: subtree sites 3 and 4 must
     # have received all of them despite losing their relay.
     for i in range(12):
         kind = "ab" if i % 2 else "cb"
         assert f"s0:{kind}:{i}" in tags
     for s in (3, 4):
-        got = {t for t in tree["deliveries"][s]
-               if isinstance(t, str) and t.startswith("s0:")}
+        got = {t for t in tree.tags(f"m{s}") if t.startswith("s0:")}
         assert len(got) == 12, f"site {s} missed relayed traffic: {got}"
 
 
@@ -233,24 +125,24 @@ def test_refill_resends_the_bytes_recorded(monkeypatch):
 
     monkeypatch.setattr(MessageStore, "record", record)
     monkeypatch.setattr(GroupFlush, "_send", send_flush_msg)
-    result = _churn_run("tree", 42, "two_phase", [("crash", 1)])
-    _check_vs_invariants(result)
+    record = _conforming("tree", 42, "two_phase", [("crash", 1)])
     assert refilled
     for env in refilled:
         assert env.encode() == recorded[key(env)]
-    assert result["trace"].value("flush.refill_bytes") == \
+    assert record.trace.value("flush.refill_bytes") == \
         sum(len(env.encode()) for env in refilled)
 
 
 def test_tree_trims_buffers_and_counts():
     """Aggregated stability must actually reclaim buffers in tree mode,
     and the new observability counters must be live."""
-    result = _churn_run("tree", 11, "sequencer", [("gbcast", 0)])
-    trace = result["trace"]
+    record = _conforming("tree", 11, "sequencer", [("gbcast", 0)])
+    trace = record.trace
     assert trace.value("stab.up_sent") > 0
     assert trace.value("stab.dn_sent") > 0
     assert trace.value("tree.relayed") > 0
-    for s, stats in result["stats"].items():
+    for s, kernel in record.kernels.items():
+        stats = kernel.stats()
         assert stats["buffered_messages"] == 0, (
             f"site {s} still buffers {stats['buffered_messages']}")
         assert stats["kernel.peak_groups_per_shard"] >= 1

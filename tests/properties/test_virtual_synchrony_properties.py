@@ -1,44 +1,17 @@
 """Property-based tests of the virtual synchrony invariants.
 
 Random multicast workloads (mixed CBCAST/ABCAST, random sizes) with a
-random crash injected mid-stream.  The invariants checked are the
-paper's §2.4 guarantees:
-
-* ABCAST deliveries form one global order (every member's sequence is a
-  prefix-compatible subsequence of the same total order — here: equal);
-* per-sender FIFO holds for CBCAST at every member;
-* survivors deliver the same message *set* between the same views.
+random crash injected mid-stream, checked against the paper's §2.4
+guarantees as ``conformance.check`` states them (one ABCAST order,
+per-task FIFO, the same set per view among the processes that outlive
+it), and every member, or every survivor, ends with the same set.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import IsisCluster
-
-
-def build(seed, n_sites=3):
-    system = IsisCluster(n_sites=n_sites, seed=seed)
-    deliveries = {site: [] for site in range(n_sites)}
-    members = []
-    for site in range(n_sites):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(16, lambda msg, s=site: deliveries[s].append(msg["tag"]))
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create("prop")
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i in range(1, n_sites):
-        def join(isis=members[i][1]):
-            gid = yield isis.pg_lookup("prop")
-            yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"join{i}")
-        system.run_for(20.0)
-    return system, members, deliveries
+from conformance import Run, Task, bursts, check, one_group
+from repro import LanConfig
 
 
 @given(
@@ -52,34 +25,11 @@ def build(seed, n_sites=3):
 )
 @settings(max_examples=12, deadline=None)
 def test_abcast_total_order_and_cbcast_fifo(seed, plan):
-    system, members, deliveries = build(seed)
-    task_ids = []
-    for task_id, (sender_idx, kind, burst) in enumerate(plan):
-        proc, isis = members[sender_idx]
-        task_ids.append((task_id, kind))
-
-        def blast(isis=isis, kind=kind, burst=burst, task_id=task_id):
-            gid = yield isis.pg_lookup("prop")
-            for i in range(burst):
-                yield isis.bcast(gid, 16, kind=kind,
-                                 tag=f"{kind[:2]}:{task_id}:{i}")
-
-        proc.spawn(blast(), f"blast{task_id}")
-    system.run_for(200.0)
-    # Same ABCAST order everywhere.
-    ab_orders = [
-        [t for t in deliveries[s] if t.startswith("ab")] for s in range(3)
-    ]
-    assert ab_orders[0] == ab_orders[1] == ab_orders[2]
-    # FIFO per sending *task* everywhere (concurrent tasks of one process
-    # interleave at the kernel, so only intra-task order is defined).
-    for site in range(3):
-        for task_id, kind in task_ids:
-            seq = [int(t.split(":")[2]) for t in deliveries[site]
-                   if t.startswith(f"{kind[:2]}:{task_id}:")]
-            assert seq == sorted(seq)
+    record = Run(one_group("prop", 3, 20.0, seed=seed,
+                           traffic=bursts(plan, "prop"), tail=200.0)).play()
+    check(record)
     # Everyone delivered the same set.
-    assert set(deliveries[0]) == set(deliveries[1]) == set(deliveries[2])
+    assert len({frozenset(record.tags(f"m{s}")) for s in range(3)}) == 1
 
 
 @given(
@@ -89,88 +39,45 @@ def test_abcast_total_order_and_cbcast_fifo(seed, plan):
 )
 @settings(max_examples=10, deadline=None)
 def test_survivors_agree_despite_crash(seed, crash_site, crash_after):
-    system, members, deliveries = build(seed)
-    for sender_idx in range(3):
-        proc, isis = members[sender_idx]
+    record = Run(one_group(
+        "prop", 3, 20.0, seed=seed,
+        traffic=tuple(Task(f"blast{site}", f"m{site}", ("prop",),
+                           ("cbcast", "abcast"), 8, f"x:{site}:" + "{i}")
+                      for site in range(3)),
+        faults=((crash_after, ("crash", crash_site)),), tail=300.0)).play()
+    check(record)
+    a, b = (set(record.tags(f"m{s}")) for s in range(3) if s != crash_site)
+    assert a == b, f"survivors diverged: {a ^ b}"
 
-        def blast(isis=isis, sender_idx=sender_idx):
-            gid = yield isis.pg_lookup("prop")
-            for i in range(8):
-                yield isis.bcast(
-                    gid, 16,
-                    kind="abcast" if i % 2 else "cbcast",
-                    tag=f"x:{sender_idx}:{i}")
 
-        proc.spawn(blast(), f"blast{sender_idx}")
-    system.run_for(crash_after)
-    system.crash_site(crash_site)
-    system.run_for(300.0)
-    survivors = [s for s in range(3) if s != crash_site]
-    sets = [set(deliveries[s]) for s in survivors]
-    assert sets[0] == sets[1], (
-        f"survivors diverged: only-in-{survivors[0]}={sets[0] - sets[1]}, "
-        f"only-in-{survivors[1]}={sets[1] - sets[0]}"
-    )
-    # Survivors also agree on the ABCAST delivery order.
-    ab = [
-        [t for t in deliveries[s] if int(t.split(":")[2]) % 2 == 1]
-        for s in survivors
-    ]
-    assert ab[0] == ab[1]
+def _quick(seed, lan=None):
+    """Member 0 ABCASTs ten messages to a group of three."""
+    return Run(one_group(
+        "det", 3, 20.0, "j", seed=seed, lan=lan,
+        traffic=(Task("blast", "m0", ("det",), "abcast", 10, "t{i}"),),
+        tail=60.0))
 
 
 def test_same_seed_same_trace():
     """Determinism: identical seeds produce identical event traces."""
     digests = []
     for _ in range(2):
-        system = IsisCluster(n_sites=3, seed=12345)
-        system.sim.trace.enable("group.view", "sv.install", "flush.commit")
-        _, members, deliveries = _quick_workload(system)
-        digests.append(system.sim.trace.digest())
+        run = _quick(12345)
+        run.system.sim.trace.enable("group.view", "sv.install",
+                                    "flush.commit")
+        run.play()
+        digests.append(run.system.sim.trace.digest())
     assert digests[0] == digests[1]
 
 
 def test_different_seed_different_schedule():
     """Seeds actually influence the stochastic parts (loss draws etc.)."""
-    from repro import LanConfig
     outcomes = []
     for seed in (1, 2):
-        system = IsisCluster(n_sites=3, seed=seed,
-                             lan_config=LanConfig(loss_rate=0.2))
-        system.sim.trace.enable("*")
-        _quick_workload(system)
-        outcomes.append(system.sim.trace.digest())
+        run = _quick(seed, LanConfig(loss_rate=0.2))
+        run.system.sim.trace.enable("*")
+        run.play()
+        outcomes.append(run.system.sim.trace.digest())
     # Every traced event with its time, not one counter: two seeds can
     # lose the same number of frames, they cannot lose the same frames.
     assert outcomes[0] != outcomes[1]
-
-
-def _quick_workload(system):
-    deliveries = {s: [] for s in range(3)}
-    members = []
-    for site in range(3):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(16, lambda msg, s=site: deliveries[s].append(msg["tag"]))
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create("det")
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i in (1, 2):
-        def join(isis=members[i][1]):
-            gid = yield isis.pg_lookup("det")
-            yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"j{i}")
-        system.run_for(20.0)
-
-    def blast():
-        gid = yield members[0][1].pg_lookup("det")
-        for i in range(10):
-            yield members[0][1].abcast(gid, 16, tag=f"t{i}")
-
-    members[0][0].spawn(blast(), "blast")
-    system.run_for(60.0)
-    return None, members, deliveries

@@ -3,6 +3,7 @@
 import pytest
 
 import reference_causal as reference
+from conformance import deploy_group
 from reference_causal import VectorClock
 from repro import IsisCluster, IsisConfig, Message
 from repro.core import pipeline as pipeline_mod
@@ -17,26 +18,7 @@ from repro.sim.tasks import Promise
 
 def _two_member_group(config, n_sites=2, seed=31, field="tag"):
     system = IsisCluster(n_sites=n_sites, seed=seed, isis_config=config)
-    deliveries = {s: [] for s in range(n_sites)}
-    members = []
-    for site in range(n_sites):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(16, lambda msg, s=site: deliveries[s].append(msg[field]))
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create("pipe")
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i in range(1, n_sites):
-        def join(isis=members[i][1]):
-            gid = yield isis.pg_lookup("pipe")
-            yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"join{i}")
-        system.run_for(20.0)
-    return system, members, deliveries
+    return (system, *deploy_group(system, "pipe", n_sites, field=field))
 
 
 def _burst(system, members, idx, count, concurrency=4):

@@ -9,6 +9,7 @@ threshold on ``gid`` — and is woken only when that threshold crosses.
 
 import pytest
 
+from conformance import Run, Task, check, two_groups
 from repro import IsisCluster
 from repro.core.cbcast import WaitIndex
 from repro.core.vectorclock import (
@@ -104,65 +105,31 @@ class TestWaitIndex:
         assert len(wi) == 0 and wi.peak_size == 3
 
 
-def _two_group_cluster(n_sites=3, seed=21):
-    """Two fully overlapping groups; returns (system, members, deliveries)."""
-    system = IsisCluster(n_sites=n_sites, seed=seed)
-    deliveries = {s: [] for s in range(n_sites)}
-    members = []
-    for site in range(n_sites):
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(16, lambda msg, s=site: deliveries[s].append(msg["tag"]))
-        members.append((proc, isis))
+def _two_groups(*traffic, faults=(), tail=30.0):
+    """Members on three sites in the fully overlapping groups wia and
+    wib, sending ``traffic``."""
+    return Run(two_groups("wia", "wib", 3, seed=21, traffic=traffic,
+                          faults=faults, tail=tail))
 
-    def create():
-        yield members[0][1].pg_create("wia")
-        yield members[0][1].pg_create("wib")
 
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i in range(1, n_sites):
-        def join(isis=members[i][1]):
-            for name in ("wia", "wib"):
-                gid = yield isis.pg_lookup(name)
-                yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"join{i}")
-        system.run_for(25.0)
-    return system, members, deliveries
+def _chains(prefix, count, **run):
+    """Every member sends ``count`` CBCASTs to wib and wia in turn: each
+    send's context names the sender's previous one in the other group,
+    exactly the cross-group waits the index must track."""
+    return _two_groups(*(Task(f"{prefix}{s}", f"m{s}", ("wib", "wia"),
+                              "cbcast", count, f"{prefix}{s}:" + "{i}")
+                         for s in range(3)), **run).play()
 
 
 class TestCausalDeliveryKernel:
     def test_cross_group_chains_deliver_and_index_drains(self):
-        system, members, deliveries = _two_group_cluster()
-
-        def chain(idx):
-            proc, isis = members[idx]
-
-            def gen():
-                ga = yield isis.pg_lookup("wia")
-                gb = yield isis.pg_lookup("wib")
-                for i in range(6):
-                    # Alternate groups: each send's context spans both,
-                    # creating exactly the cross-group waits the index
-                    # must track.
-                    yield isis.cbcast(ga if i % 2 else gb, 16,
-                                      tag=f"c{idx}:{i}")
-
-            proc.spawn(gen(), f"chain{idx}")
-
-        for idx in range(3):
-            chain(idx)
-        system.run_for(30.0)
+        record = _chains("c", 6)
+        # In send order *across* the two groups (cross-group-causal).
+        assert record.steady
+        check(record)
         for site in range(3):
-            assert len(deliveries[site]) == 18
-            for idx in range(3):
-                # In send order *across* the two groups: each context
-                # names the sender's previous message in the other one.
-                seq = [int(t.split(":")[1]) for t in deliveries[site]
-                       if t.startswith(f"c{idx}:")]
-                assert seq == list(range(6))
-        for site in range(3):
-            stats = system.kernel(site).stats()
+            assert len(record.streams[f"m{site}"]) == 18
+            stats = record.kernels[site].stats()
             # All waits resolved; nothing leaked in the index.
             assert stats["wait_index.size"] == 0
             assert stats["causal.pending"] == 0
@@ -178,45 +145,25 @@ class TestCausalDeliveryKernel:
     def test_view_change_wakes_threshold_waiters(self):
         """A waiter blocked on a group's progress is released when that
         group installs a new view (old-view thresholds are satisfied)."""
-        system, members, deliveries = _two_group_cluster()
-        for idx in range(3):
-            proc, isis = members[idx]
-
-            def gen(isis=isis, idx=idx):
-                ga = yield isis.pg_lookup("wia")
-                gb = yield isis.pg_lookup("wib")
-                for i in range(4):
-                    yield isis.cbcast(ga if i % 2 else gb, 16,
-                                      tag=f"v{idx}:{i}")
-
-            proc.spawn(gen(), f"v{idx}")
-        system.run_for(0.2)
-        system.crash_site(2)
-        system.run_for(120.0)
-        survivors = [0, 1]
-        sets = [set(deliveries[s]) for s in survivors]
-        assert sets[0] == sets[1]
-        for site in survivors:
-            stats = system.kernel(site).stats()
+        record = _chains("v", 4, faults=((0.2, ("crash", 2)),), tail=120.0)
+        check(record)
+        assert set(record.tags("m0")) == set(record.tags("m1"))
+        for site in (0, 1):
+            stats = record.kernels[site].stats()
             assert stats["wait_index.size"] == 0
             assert stats["causal.pending"] == 0
 
     def test_ctx_caches_evicted_at_view_change(self):
-        system, members, deliveries = _two_group_cluster()
-        proc, isis = members[0]
-
-        def gen():
-            ga = yield isis.pg_lookup("wia")
-            for i in range(10):
-                yield isis.cbcast(ga, 16, tag=f"e:{i}")
-
-        proc.spawn(gen(), "e")
-        system.run_for(10.0)
-        assert system.kernel(1).stats()["causal.ctx_cache"] > 0
-        system.crash_site(2)  # forces a view change in both groups
-        system.run_for(60.0)
+        run = _two_groups()
+        run.deploy(run.scenario)
+        run.send(Task("e", "m0", ("wia",), "cbcast", 10, "e:{i}"))
+        run.system.run_for(10.0)
+        assert run.system.kernel(1).stats()["causal.ctx_cache"] > 0
+        run.act(("crash", 2))  # forces a view change in both groups
+        run.system.run_for(60.0)
+        check(run.record())
         for site in (0, 1):
-            kernel = system.kernel(site)
+            kernel = run.system.kernel(site)
             for engine in kernel.engines.values():
                 chain, cache = engine.causal.cache_sizes()
                 # Delta chains restarted with the view: entries for every
@@ -226,20 +173,9 @@ class TestCausalDeliveryKernel:
                 assert chain <= len(engine.view.members)
 
     def test_peak_pending_stat_tracks_depth(self):
-        system, members, deliveries = _two_group_cluster()
-        for idx in range(3):
-            proc, isis = members[idx]
-
-            def gen(isis=isis, idx=idx):
-                ga = yield isis.pg_lookup("wia")
-                gb = yield isis.pg_lookup("wib")
-                for i in range(8):
-                    yield isis.cbcast(ga if i % 2 else gb, 16,
-                                      tag=f"p{idx}:{i}")
-
-            proc.spawn(gen(), f"p{idx}")
-        system.run_for(30.0)
-        peaks = [system.kernel(s).stats()["causal.peak_pending"]
+        record = _chains("p", 8)
+        check(record)
+        peaks = [record.kernels[s].stats()["causal.peak_pending"]
                  for s in range(3)]
         assert max(peaks) >= 1  # some message waited on a predecessor
 
@@ -378,22 +314,17 @@ class TestContextReadWhereItCanFail:
     group table the kernel keeps current."""
 
     def test_own_copy_is_delivered_without_its_context(self):
-        system, members, deliveries = _two_group_cluster()
-        proc, isis = members[0]
-        sender = proc.address.process().pack()
+        run = _two_groups()
+        members = run.deploy(run.scenario)
+        system = run.system
+        sender = members[0][0].address.process().pack()
         before = [system.kernel(s).stats()["causal.ctx_delta_entries"]
                   for s in range(3)]
-
-        def gen():
-            ga = yield isis.pg_lookup("wia")
-            gb = yield isis.pg_lookup("wib")
-            for i in range(8):
-                yield isis.cbcast(ga if i % 2 else gb, 16, tag=f"o:{i}")
-
-        proc.spawn(gen(), "own")
+        run.send(Task("own", "m0", ("wib", "wia"), "cbcast", 8, "o:{i}"))
         system.run_for(20.0)
+        record = run.record()
         for site in range(3):
-            assert deliveries[site] == [f"o:{i}" for i in range(8)]
+            assert record.tags(f"m{site}") == [f"o:{i}" for i in range(8)]
         checked = [system.kernel(s).stats()["causal.ctx_delta_entries"]
                    - before[s] for s in range(3)]
         # The sender checked no context of its own; its receivers did.

@@ -9,6 +9,7 @@ state transfer (including a joiner dying mid-stream).
 
 import pytest
 
+from conformance import deploy_group
 from repro import IsisCluster, IsisConfig
 from repro.errors import CodecError
 from repro.msg import Message
@@ -21,28 +22,6 @@ from repro.msg.fields import (
 from repro.tools import register_raw_state
 
 ENTRY = 16
-
-
-def build_group(system, sites, name="ff"):
-    members = []
-    for site in sites:
-        proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(ENTRY, lambda msg: None)
-        members.append((proc, isis))
-
-    def create():
-        yield members[0][1].pg_create(name)
-
-    members[0][0].spawn(create(), "create")
-    system.run_for(3.0)
-    for i in range(1, len(sites)):
-        def join(isis=members[i][1]):
-            gid = yield isis.pg_lookup(name)
-            yield isis.pg_join(gid)
-
-        members[i][0].spawn(join(), f"j{i}")
-        system.run_for(15.0)
-    return members
 
 
 def group_engine(system, site, name="ff"):
@@ -78,7 +57,7 @@ class TestExactDiffCodec:
 class TestSingleRoundFastPath:
     def test_site_crash_commits_without_begin_round(self):
         system = IsisCluster(n_sites=3, seed=41)
-        build_group(system, [0, 1, 2])
+        deploy_group(system, "ff", 3, 15.0)
         system.run_for(5.0)
         trace = system.sim.trace
         before = trace.snapshot("flush.")
@@ -97,7 +76,7 @@ class TestSingleRoundFastPath:
         """Reason-driven flushes (no site-view trigger) keep the begin
         round but carry the base union for delta reports."""
         system = IsisCluster(n_sites=3, seed=42)
-        members = build_group(system, [0, 1, 2])
+        members, _ = deploy_group(system, "ff", 3, 15.0)
         system.run_for(5.0)
         trace = system.sim.trace
         before = trace.snapshot("flush.")
@@ -118,7 +97,7 @@ class TestSingleRoundFastPath:
 
     def test_wedged_seconds_accumulate(self):
         system = IsisCluster(n_sites=3, seed=43)
-        build_group(system, [0, 1, 2])
+        deploy_group(system, "ff", 3, 15.0)
         system.run_for(5.0)
         system.crash_site(2)
         system.run_for(15.0)
@@ -138,7 +117,7 @@ class TestRefillUnderPreReports:
         coordinator may schedule refills for a site that has since
         caught up)."""
         system = IsisCluster(n_sites=4, seed=3)
-        members = build_group(system, [0, 1, 2, 3])
+        members, _ = deploy_group(system, "ff", 4, 15.0)
         for idx in range(4):
             def gen(isis=members[idx][1], idx=idx):
                 from repro.sim.tasks import sleep
@@ -174,7 +153,7 @@ class TestCoordinatorFailure:
         round must, on becoming coordinator, re-solicit full reports
         rather than trust pre-reports addressed elsewhere."""
         system = IsisCluster(n_sites=3, seed=44)
-        build_group(system, [0, 1, 2])
+        deploy_group(system, "ff", 3, 15.0)
         system.run_for(5.0)
         engine1 = group_engine(system, 1)
         gid = engine1.gid
@@ -200,7 +179,7 @@ class TestCoordinatorFailure:
         begin can carry a *lower* fid than the dead coordinator's —
         participants must still serve it."""
         system = IsisCluster(n_sites=3, seed=45)
-        build_group(system, [0, 1, 2])
+        deploy_group(system, "ff", 3, 15.0)
         system.run_for(5.0)
         engine2 = group_engine(system, 2)
         gid = engine2.gid
@@ -222,7 +201,7 @@ class TestMalformedReports:
 
     def _setup(self):
         system = IsisCluster(n_sites=4, seed=49)
-        build_group(system, [0, 1, 2, 3])
+        deploy_group(system, "ff", 4, 15.0)
         engine = group_engine(system, 0)
         target = engine.view.view_id + 1
 
@@ -266,7 +245,7 @@ class TestMalformedReports:
 class TestDeliveredFinalsPruning:
     def _run(self):
         system = IsisCluster(n_sites=3, seed=46)
-        members = build_group(system, [0, 1, 2])
+        members, _ = deploy_group(system, "ff", 3, 15.0)
 
         def blast():
             gid = yield members[0][1].pg_lookup("ff")
@@ -292,7 +271,7 @@ class TestDeliveredFinalsPruning:
         long the view has lived."""
         system = IsisCluster(n_sites=4, seed=3,
                              isis_config=IsisConfig(abcast_mode=mode))
-        members = build_group(system, [0, 1, 2, 3])
+        members, _ = deploy_group(system, "ff", 4, 15.0)
 
         def held(site):
             stage = group_engine(system, site).total
@@ -369,7 +348,7 @@ class TestStreamingJoinTransfer:
         blob = bytes(range(256)) * 1024  # 256 KB
         system = IsisCluster(n_sites=4, seed=48)
         encodes = {"n": 0}
-        members = build_group(system, [0, 1], name="big")
+        members, _ = deploy_group(system, "big", 2, 15.0)
 
         def snapshot():
             encodes["n"] += 1
