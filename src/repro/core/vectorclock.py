@@ -58,16 +58,33 @@ from ..msg.fields import decode_uvarint, encode_uvarint
 #     delta (kind 1)  0x01  n  n x named  m  m x moved  r  r x gid8
 #
 #     named    gid8 view k  k x count
-#     moved    gpos k  k x (rank count)
+#     moved    word [gap] body
+#       word   4k + 2*prefix + adjacent       k >= 1 counters moved
+#       gap    gpos - previous - 2            when not adjacent
+#       body   k x count                      prefix: ranks 0 .. k-1
+#              k x (rank count)               otherwise
 #
 # A group the predecessor does not hold *in the same view* is **named**:
 # its whole vector, dense, one count per member of that view in rank
 # order (vectors reset per view).  A group it does hold in that view is
-# **moved**: ``gpos`` is the group's position in the predecessor, each
-# ``rank`` a member's rank in the view, ascending.  One view id names one
-# member list, so a vector never gains a member within a view.  Groups
-# the predecessor holds and this context does not are removed.  Named
-# and removed groups are listed in packed order.
+# **moved**: only the counters that changed, each by its member's
+# ``rank`` in the view.  One view id names one member list, so a vector
+# never gains a member within a view.  Groups the predecessor holds and
+# this context does not are removed.
+#
+# A moved entry stands for its group's position ``gpos`` in the
+# predecessor; entries ascend by it.  An entry right after the previous
+# one's (``previous`` is -1 before the first) is *adjacent* and spells
+# no position; any other carries the ``gap`` it skips.  An entry whose
+# moved ranks are exactly ``0 .. k-1`` is a *prefix* and sends its
+# counts alone; any other sends ascending ``(rank, count)`` pairs.  With
+# every counter of a small group moving — the steady case — an entry is
+# one byte plus a byte per member.  The form is canonical, one delta one
+# byte string, because a decoded message keeps its input as its
+# encoding: ``k`` is at least 1, a pair list that spells a prefix is
+# refused, a gap cannot name the adjacent position, named and removed
+# groups strictly ascend in packed order, and no varint is longer than
+# it needs to be.
 #
 # Both ends keep one absolute context per chain (:class:`ChainContext`)
 # and move it *in place*, in one canonical order — group positions are
@@ -76,8 +93,8 @@ from ..msg.fields import decode_uvarint, encode_uvarint
 # keeps its place with the new vector, a removal closes the gap.  The
 # sender diffs the live delivered vectors against it
 # (:class:`ContextEncoder`); the receiver parses a ``cb_ctx`` once on
-# arrival (:func:`parse_context_delta`: structure, positions and ranks
-# ascending, nothing trailing), checks its positions against the chain
+# arrival (:func:`parse_context_delta`: structure, the canonical form,
+# nothing trailing), checks its positions against the chain
 # when the predecessor has been delivered (:func:`check_delta_positions`)
 # and applies it at delivery (:func:`apply_context_delta`).  Nothing is
 # rebuilt per message — no position table either: a position is a list
@@ -224,7 +241,8 @@ class ContextDelta(NamedTuple):
 
 
 def parse_context_delta(data: bytes) -> ContextDelta:
-    """Decode a compact ``cb_ctx`` into its flat delta form."""
+    """Decode a compact ``cb_ctx`` into its flat delta form; anything
+    but the canonical form is :class:`CodecError`."""
     if not data:
         raise CodecError("empty compact context")
     kind = data[0]
@@ -236,13 +254,14 @@ def parse_context_delta(data: bytes) -> ContextDelta:
     # On the steady path (a delta that only moves counters) every varint
     # is one byte: those are read in line, a call apiece otherwise.
     try:
-        count = data[1]
-        offset = 2
-        if count >= 0x80:
-            count, offset = decode_uvarint(data, 1)
+        count, offset = _read_uvarint(data, 1)
+        last_gid = b""
         for _ in range(count):
             end = offset + ADDRESS_SIZE
             gid = data[offset:end]
+            if gid <= last_gid:
+                raise CodecError("named groups do not ascend")
+            last_gid = gid
             view_id, offset = _read_uvarint(data, end)
             n, offset = _read_uvarint(data, offset)
             counts: List[int] = []
@@ -251,51 +270,67 @@ def parse_context_delta(data: bytes) -> ContextDelta:
                 if value < 0x80:        # the common one-byte varint
                     offset += 1
                 else:
-                    value, offset = decode_uvarint(data, offset)
+                    value, offset = _read_uvarint(data, offset)
                 counts.append(value)
             named.append((gid, view_id, counts))
         if kind == _CTX_DELTA:
-            count = data[offset]
-            offset += 1
-            if count >= 0x80:
-                count, offset = decode_uvarint(data, offset - 1)
-            last_gpos = -1
+            count, offset = _read_uvarint(data, offset)
+            gpos = -1
             for _ in range(count):
-                gpos = data[offset]
-                n = data[offset + 1]
-                offset += 2
-                if gpos >= 0x80 or n >= 0x80:
-                    gpos, offset = decode_uvarint(data, offset - 2)
-                    n, offset = decode_uvarint(data, offset)
-                if gpos <= last_gpos:
-                    raise CodecError("group positions do not ascend")
-                last_gpos = gpos
+                word = data[offset]
+                offset += 1
+                if word >= 0x80:
+                    word, offset = _read_uvarint(data, offset - 1)
+                if word & 1:
+                    gpos += 1
+                else:
+                    gap = data[offset]
+                    offset += 1
+                    if gap >= 0x80:
+                        gap, offset = _read_uvarint(data, offset - 1)
+                    gpos += gap + 2
+                n = word >> 2
+                if not n:
+                    raise CodecError("a moved entry moves no counter")
                 counters: List[Tuple[int, int]] = []
-                last = -1
-                for _ in range(n):
-                    # Rank and count each on their own: a count past
-                    # 127 says nothing about the rank's size.
-                    rank = data[offset]
-                    if rank < 0x80:
-                        offset += 1
-                    else:
-                        rank, offset = decode_uvarint(data, offset)
-                    value = data[offset]
-                    if value < 0x80:
-                        offset += 1
-                    else:
-                        value, offset = decode_uvarint(data, offset)
-                    if rank <= last:
-                        raise CodecError("member ranks do not ascend")
-                    last = rank
-                    counters.append((rank, value))
+                if word & 2:
+                    for rank in range(n):
+                        value = data[offset]
+                        if value < 0x80:
+                            offset += 1
+                        else:
+                            value, offset = _read_uvarint(data, offset)
+                        counters.append((rank, value))
+                else:
+                    last = -1
+                    for _ in range(n):
+                        # Rank and count each on their own: a count past
+                        # 127 says nothing about the rank's size.
+                        rank = data[offset]
+                        if rank < 0x80:
+                            offset += 1
+                        else:
+                            rank, offset = _read_uvarint(data, offset)
+                        value = data[offset]
+                        if value < 0x80:
+                            offset += 1
+                        else:
+                            value, offset = _read_uvarint(data, offset)
+                        if rank <= last:
+                            raise CodecError("member ranks do not ascend")
+                        last = rank
+                        counters.append((rank, value))
+                    if last == n - 1:
+                        raise CodecError("a rank prefix spelled as pairs")
                 moved.append((gpos, counters))
-            count = data[offset]
-            offset += 1
-            if count >= 0x80:
-                count, offset = decode_uvarint(data, offset - 1)
+            count, offset = _read_uvarint(data, offset)
+            last_gid = b""
             for _ in range(count):
-                removed.append(data[offset:offset + ADDRESS_SIZE])
+                gid = data[offset:offset + ADDRESS_SIZE]
+                if gid <= last_gid:
+                    raise CodecError("removed groups do not ascend")
+                last_gid = gid
+                removed.append(gid)
                 offset += ADDRESS_SIZE
     except IndexError:
         raise CodecError("truncated compact context") from None
@@ -308,10 +343,15 @@ def parse_context_delta(data: bytes) -> ContextDelta:
 
 
 def _read_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
+    """A varint of a ``cb_ctx``: :class:`CodecError` if overlong (a last
+    byte of 0 spells the value a byte shorter too)."""
     value = data[offset]
     if value < 0x80:
         return value, offset + 1
-    return decode_uvarint(data, offset)
+    value, offset = decode_uvarint(data, offset)
+    if not data[offset - 1]:
+        raise CodecError(f"overlong uvarint {value} in compact context")
+    return value, offset
 
 
 def check_delta_positions(context: ChainContext, delta: ContextDelta) -> None:
@@ -419,10 +459,10 @@ class ContextEncoder:
         gone: List[bytes] = []
         moved = bytearray()
         n_moved = 0
-        counters = bytearray()
+        body = bytearray()
         gids, views, _, starts = base.layout
         counts = base.counts
-        gpos = -1
+        gpos = last = -1
         for gid in gids:
             gpos += 1
             row = groups.get(gid)
@@ -435,33 +475,41 @@ class ContextEncoder:
                 continue
             at = start = starts[gpos]
             n = 0
+            prefix = True
             for member in members:
                 value = live.get(member, 0)
                 if value != counts[at]:
                     counts[at] = value
-                    n += 1
-                    # Rank and count each on their own: a count past
-                    # 127 says nothing about the rank's size.
-                    if at - start < 0x80:
-                        counters.append(at - start)
-                    else:
-                        counters += encode_uvarint(at - start)
+                    rank = at - start
+                    if prefix and rank != n:
+                        # Not ranks 0 .. n-1 after all: what the body
+                        # holds so far becomes (rank, count) pairs.
+                        prefix = False
+                        body.clear()
+                        for was in range(n):
+                            body += _uvarint(was)
+                            body += _uvarint(counts[start + was])
+                    if not prefix:
+                        body += _uvarint(rank)
                     if value < 0x80:
-                        counters.append(value)
+                        body.append(value)      # the steady case
                     else:
-                        counters += encode_uvarint(value)
+                        body += encode_uvarint(value)
+                    n += 1
                 at += 1
             if not n:
                 continue
             n_moved += 1
-            if gpos < 0x80 and n < 0x80:
-                moved.append(gpos)      # the steady case, call-free
-                moved.append(n)
+            word = n << 2 | prefix << 1 | (gpos == last + 1)
+            if word < 0x80:
+                moved.append(word)
             else:
-                moved += _uvarint(gpos)
-                moved += _uvarint(n)
-            moved += counters
-            counters.clear()
+                moved += encode_uvarint(word)
+            if gpos != last + 1:
+                moved += _uvarint(gpos - last - 2)
+            last = gpos
+            moved += body
+            body.clear()
         if len(groups) > len(gids) - len(gone):
             held = set(gids)
             named.extend(gid for gid in groups if gid not in held)

@@ -18,7 +18,9 @@ obvious way, as what the differential tests hold the library to:
   The wire format is pinned to what this produces;
   :class:`~repro.core.vectorclock.ContextEncoder` and
   ``parse_context_delta`` + ``apply_context_delta`` are the in-place
-  ends that must match it byte for byte.
+  ends that must match it byte for byte.  :func:`encode_delta` writes a
+  parsed delta back field by field: every string the parser accepts
+  must come back from it unchanged (one delta, one spelling).
 * :func:`encode_context` — the nested-dict ``cb_ctx`` the system used
   before the binary form (hex-string keys, ~45 bytes per vector entry):
   the size baseline.
@@ -36,6 +38,7 @@ from __future__ import annotations
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
+from repro.core.vectorclock import ContextDelta
 from repro.errors import CodecError
 from repro.msg.address import Address
 from repro.msg.fields import decode_uvarint, encode_uvarint
@@ -190,11 +193,35 @@ def _packed(address: Address) -> bytes:
     return address.pack()
 
 
-def _named(gid: Address, view_id: int, counts: List[int]) -> bytes:
-    """A group's whole vector: a count per rank."""
-    return b"".join([gid.pack(), encode_uvarint(view_id),
-                     encode_uvarint(len(counts))]
-                    + [encode_uvarint(count) for count in counts])
+def encode_delta(delta) -> bytes:
+    """A parsed ``cb_ctx`` (a :class:`~repro.core.vectorclock
+    .ContextDelta`) back on the wire, field by field.
+
+    A moved entry is ``4k + 2*prefix + adjacent``, then ``gpos -
+    previous - 2`` unless adjacent, then its ``k`` counts if its ranks
+    are ``0 .. k-1``, else its ``(rank, count)`` pairs.  Positions the
+    delta lists out of order have no spelling: their gap is negative.
+    """
+    uv = encode_uvarint
+    parts = [bytes([0 if delta.full else 1]), uv(len(delta.named))]
+    for gid, view_id, counts in delta.named:
+        parts += [gid, uv(view_id), uv(len(counts))]
+        parts += [uv(count) for count in counts]
+    if delta.full:
+        return b"".join(parts)
+    parts.append(uv(len(delta.moved)))
+    previous = -1
+    for gpos, counters in delta.moved:
+        adjacent = gpos == previous + 1
+        prefix = [rank for rank, _ in counters] == list(range(len(counters)))
+        parts.append(uv(4 * len(counters) + 2 * prefix + adjacent))
+        if not adjacent:
+            parts.append(uv(gpos - previous - 2))
+        previous = gpos
+        for rank, count in counters:
+            parts += [uv(count)] if prefix else [uv(rank), uv(count)]
+    parts.append(uv(len(delta.removed)))
+    return b"".join(parts + list(delta.removed))
 
 
 def encode_context_compact(context: Context,
@@ -210,14 +237,12 @@ def encode_context_compact(context: Context,
     ``context`` does not are listed as removals.
     """
     now = ranked(context)
+    named = [(gid.pack(), *now[gid]) for gid in sorted(now, key=_packed)
+             if prev is None or gid not in prev
+             or prev[gid][0] != now[gid][0]]
     if prev is None:
-        return b"".join(
-            [b"\x00", encode_uvarint(len(now))]
-            + [_named(gid, *now[gid]) for gid in sorted(now, key=_packed)])
-    named, moved = [], []
-    for gid in sorted(now, key=_packed):
-        if gid not in prev or prev[gid][0] != now[gid][0]:
-            named.append(_named(gid, *now[gid]))
+        return encode_delta(ContextDelta(True, named, [], []))
+    moved = []
     for gid in prev:                        # positions ascend
         if gid not in now or prev[gid][0] != now[gid][0]:
             continue
@@ -226,15 +251,9 @@ def encode_context_compact(context: Context,
         counters = [(rank, count) for rank, (was, count)
                     in enumerate(zip(before, counts)) if was != count]
         if counters:
-            parts = [encode_uvarint(list(prev).index(gid)),
-                     encode_uvarint(len(counters))]
-            for rank, count in counters:
-                parts += [encode_uvarint(rank), encode_uvarint(count)]
-            moved.append(b"".join(parts))
+            moved.append((list(prev).index(gid), counters))
     removed = sorted(g.pack() for g in prev if g not in now)
-    return b"".join([b"\x01", encode_uvarint(len(named))] + named
-                    + [encode_uvarint(len(moved))] + moved
-                    + [encode_uvarint(len(removed))] + removed)
+    return encode_delta(ContextDelta(False, named, moved, removed))
 
 
 def decode_context_compact(data: bytes,
@@ -259,13 +278,19 @@ def decode_context_compact(data: bytes,
         named.append((gid, view_id, counts))
     if chained:
         count, offset = decode_uvarint(data, offset)
+        gpos = -1
         for _ in range(count):
-            gpos, offset = decode_uvarint(data, offset)
+            word, offset = decode_uvarint(data, offset)
+            if word & 1:
+                gpos += 1
+            else:
+                gap, offset = decode_uvarint(data, offset)
+                gpos += gap + 2
             gid = list(prev)[gpos]
             view_id, counts = prev[gid][0], list(prev[gid][1])
-            n, offset = decode_uvarint(data, offset)
-            for _ in range(n):
-                rank, offset = decode_uvarint(data, offset)
+            for rank in range(word >> 2):
+                if not word & 2:
+                    rank, offset = decode_uvarint(data, offset)
                 counts[rank], offset = decode_uvarint(data, offset)
             out[gid] = (view_id, counts)
     for gid, view_id, counts in named:

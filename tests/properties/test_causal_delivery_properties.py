@@ -245,8 +245,19 @@ def test_ring_with_crash_matches_recorded_scan_order():
 #:   site 2's ``d2:1`` before its own ``d3:2`` (places 8 and 9 swap), one
 #:   pair of concurrent deliveries; nothing else moves, and the ring kept
 #:   its digests.
-DEEP_BACKLOG_DIGESTS = {0: "e1637bf46ba22c34", 1: "e5a3346d62ef7274",
-                        2: "753590ddf659331f", 3: "c4af8aa94e7eeed1"}
+#: * When a moved ``cb_ctx`` entry dropped its position when adjacent and
+#:   its ranks when they are a prefix (an entry of k counters up to k + 1
+#:   bytes shorter), every deep-backlog site moved (before: e1637bf46ba22c34,
+#:   e5a3346d62ef7274, 753590ddf659331f, c4af8aa94e7eeed1): shorter frames
+#:   cost less CPU per byte, so the concurrent senders' copies reach each
+#:   site in another interleaving.  Site 0 flips 152 pairs (places 9-89
+#:   differ, first ``d2:2`` / ``d1:2``), site 1 126 (17-99, first ``d0:4``
+#:   now before ``d2:4``, ``d3:4`` and ``d1:5``), site 2 106 (13-98, first
+#:   ``d0:3`` / ``d1:3``), site 3 115 (9-96, first ``d0:2`` and ``d1:2``
+#:   before ``d2:2``).  No two messages of one sender flip, each site
+#:   delivers the same 100, and ``check`` passes; the ring kept its digests.
+DEEP_BACKLOG_DIGESTS = {0: "87f9ffc0e9ffe8b2", 1: "8fb52c6d9a9dbf9f",
+                        2: "3ec2682d9a016728", 3: "869571943f3f8171"}
 RING_DIGESTS = {0: "2ebece2e2512de68", 1: "c408df4f74afa027",
                 2: "1b74cc83a136f248", 3: "56edb8b4e39c7328"}
 
@@ -797,8 +808,8 @@ def test_group_installed_mid_chain_forces_one_full_walk():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("caller", ["offer", "recheck", "flush"])
 @pytest.mark.parametrize("bad_ctx", [
-    b"\x01\x00\x01\x01\x01\x00\x02\x00",    # group 1 of 1
-    b"\x01\x00\x01\x00\x01\x03\x02\x00",    # rank 3 of 3, in group 0
+    b"\x01\x00\x01\x06\x00\x02\x00",    # group 1 of 1 (a prefix, gap 0)
+    b"\x01\x00\x01\x05\x03\x02\x00",    # rank 3 of 3, in group 0
     # The group the head named, in the same view 1, whole: 2 or 4
     # counts for the receiver's view of 3 members.
     b"\x01\x01" + CTX_GROUPS[1].pack() + b"\x01\x02\x00\x00\x00\x00",

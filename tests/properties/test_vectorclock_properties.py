@@ -1,6 +1,7 @@
 """Property-based tests: vector clock lattice laws (hypothesis)."""
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_causal as reference
@@ -186,6 +187,9 @@ def test_in_place_chain_ends_match_the_absolute_codec(steps):
 # ----------------------------------------------------------------------
 # A damaged delta is refused: at parse, or at first candidacy
 # ----------------------------------------------------------------------
+_encode = reference.encode_delta
+
+
 def _refused(chain, data, views):
     """Is ``data`` refused — by the parser, by the position check
     against ``chain``, or by a named vector's size against ``views``
@@ -224,45 +228,155 @@ def test_damaged_deltas_are_refused_by_codec_error_only(steps):
         for i, (gpos, counters) in enumerate(delta.moved):
             size = chain.layout[2][gpos]
 
-            def damaged(gpos=gpos, counters=counters):
+            def damaged(counters=counters):
                 moved = list(delta.moved)
                 moved[i] = (gpos, counters)
                 return _encode(delta._replace(moved=moved))
 
-            # ... each position and rank bumped past its bound ...
-            assert _refused(chain, damaged(gpos=held + gpos), groups)
+            # ... each position from this one on moved past the last
+            # group held (they ascend, so a later one cannot stay) ...
+            moved = delta.moved[:i] + [(at + held, counters) for at, counters
+                                       in delta.moved[i:]]
+            assert _refused(chain, _encode(delta._replace(moved=moved)),
+                            groups), i
+            # ... each rank bumped past its bound ...
             for j, (rank, value) in enumerate(counters):
                 bumped = list(counters)
                 bumped[j] = (size + rank, value)
                 assert _refused(chain, damaged(counters=bumped), groups), \
                     (i, j)
-            # ... and each adjacent pair swapped.
+            # ... and each adjacent pair of ranks swapped.
             for j in range(len(counters) - 1):
                 swapped = list(counters)
                 swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
                 assert _refused(chain, damaged(counters=swapped), groups), \
                     (i, j)
+        # Two moved entries swapped have no spelling: the second's gap
+        # would be negative.
         for i in range(len(delta.moved) - 1):
             moved = list(delta.moved)
             moved[i], moved[i + 1] = moved[i + 1], moved[i]
-            assert _refused(chain, _encode(delta._replace(moved=moved)),
-                            groups), i
+            with pytest.raises(CodecError):
+                _encode(delta._replace(moved=moved))
         apply_context_delta(chain, delta, {})
 
 
-def _encode(delta):
-    """A parsed ``cb_ctx`` back on the wire, as it stands."""
+# ----------------------------------------------------------------------
+# One delta, one byte string
+# ----------------------------------------------------------------------
+@st.composite
+def _uvarints(draw, value):
+    """``value`` as a varint, now and then one byte longer than it needs
+    (a last byte of 0)."""
+    data = encode_uvarint(value)
+    if draw(st.integers(0, 63)) == 0:
+        data = data[:-1] + bytes([data[-1] | 0x80, 0])
+    return data
+
+
+@st.composite
+def context_spellings(draw):
+    """Byte strings in the ``cb_ctx`` grammar with every choice free:
+    groups in any order and repeated, a moved entry's size, prefix and
+    adjacent bits, gap and ranks whatever they say, varints overlong."""
+    def uv(value):
+        return draw(_uvarints(value))
+
+    small = st.integers(0, 4)
+    count = st.one_of(small, st.integers(120, 300))
+    gid = st.sampled_from([g.pack() for g in GROUPS])
+    full = draw(st.booleans())
+    named = draw(st.lists(st.tuples(gid, small, st.lists(count, max_size=3)),
+                          max_size=3))
+    if draw(st.booleans()):
+        named.sort()
+    parts = [bytes([0 if full else 1]), uv(len(named))]
+    for packed, view_id, counts in named:
+        parts += [packed, uv(view_id), uv(len(counts))]
+        parts += [uv(value) for value in counts]
+    if not full:
+        moved = draw(st.lists(st.tuples(
+            st.booleans(), st.booleans(), small, st.booleans(),
+            st.lists(small, min_size=1, max_size=4, unique=True)),
+            max_size=3))
+        parts.append(uv(len(moved)))
+        for prefix, adjacent, gap, ordered, ranks in moved:
+            n = len(ranks) if draw(st.integers(0, 15)) else 0
+            parts.append(uv(4 * n + 2 * prefix + adjacent))
+            if not adjacent:
+                parts.append(uv(gap))
+            for rank in sorted(ranks) if ordered else ranks:
+                if not prefix:
+                    parts.append(uv(rank))
+                parts.append(uv(draw(count)))
+        removed = draw(st.lists(gid, max_size=3))
+        if draw(st.booleans()):
+            removed.sort()
+        parts += [uv(len(removed))] + removed
+    return b"".join(parts)
+
+
+@given(context_spellings())
+@settings(max_examples=200)
+def test_every_accepted_context_is_the_one_spelling_of_its_delta(data):
+    """Whatever the parser accepts, the reference writes back unchanged:
+    no delta has a second spelling that reaches a chain."""
+    try:
+        delta = parse_context_delta(data)
+    except CodecError:
+        return
+    assert reference.encode_delta(delta) == data
+
+
+def _spell(delta, i, how):
+    """``delta`` with its ``i``-th moved entry spelled another way than
+    :func:`reference.encode_delta` does: ``"empty"`` (no counter moved),
+    ``"pairs"`` (its ranks as pairs, a prefix too) or ``"gap"`` (the
+    adjacent bit clear and the gap written as ``gpos - previous - 1``,
+    the spelling a writer off by one would give it)."""
     uv = encode_uvarint
-    parts = [bytes([0 if delta.full else 1]), uv(len(delta.named))]
-    for gid, view_id, counts in delta.named:
-        parts += [gid, uv(view_id), uv(len(counts))]
-        parts += [uv(count) for count in counts]
-    if delta.full:
-        return b"".join(parts)
-    parts.append(uv(len(delta.moved)))
-    for gpos, counters in delta.moved:
-        parts += [uv(gpos), uv(len(counters))]
+    parts = [reference.encode_delta(delta._replace(moved=[], removed=[]))[:-2],
+             uv(len(delta.moved))]
+    previous = -1
+    for j, (gpos, counters) in enumerate(delta.moved):
+        prefix = [rank for rank, _ in counters] == list(range(len(counters)))
+        adjacent, gap = gpos == previous + 1, gpos - previous - 2
+        if j == i:
+            counters = [] if how == "empty" else counters
+            prefix = prefix and how != "pairs"
+            if how == "gap":
+                adjacent, gap = False, gpos - previous - 1
+        parts.append(uv(4 * len(counters) + 2 * prefix + adjacent))
+        parts += [] if adjacent else [uv(gap)]
+        previous = gpos
         for rank, value in counters:
-            parts += [uv(rank), uv(value)]
+            parts += [uv(value)] if prefix else [uv(rank), uv(value)]
     parts.append(uv(len(delta.removed)))
     return b"".join(parts + delta.removed)
+
+
+@given(history_steps)
+def test_a_moved_entry_has_one_spelling(steps):
+    """An entry of no counters, a prefix spelled as pairs: refused, by
+    :class:`CodecError` alone.  An adjacent entry has no explicit gap to
+    spell it: the gap counts from the position after the next, so the
+    off-by-one spelling names another group, or none."""
+    encoder, chain = ContextEncoder({}), ChainContext()
+    for groups, _ in replay(steps):
+        data = encoder.encode(groups)
+        delta = parse_context_delta(data)
+        assert delta.full or _spell(delta, -1, None) == data
+        previous = -1
+        for i, (gpos, counters) in enumerate(delta.moved):
+            with pytest.raises(CodecError, match="moves no counter"):
+                parse_context_delta(_spell(delta, i, "empty"))
+            if [rank for rank, _ in counters] == list(range(len(counters))):
+                with pytest.raises(CodecError, match="prefix spelled as"):
+                    parse_context_delta(_spell(delta, i, "pairs"))
+            if gpos == previous + 1:
+                spelled = _spell(delta, i, "gap")
+                assert _refused(chain, spelled, groups) or \
+                    parse_context_delta(spelled).moved[i][0] == gpos + 1
+            previous = gpos
+        apply_context_delta(chain, delta, {})
+

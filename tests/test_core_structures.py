@@ -9,7 +9,7 @@ from repro.errors import CodecError, GroupError
 from repro.msg import Message, make_group_address, make_process_address
 from repro.core.cbcast import CausalReceiver
 from repro.core.store import MessageStore
-from repro.core.vectorclock import ContextEncoder
+from repro.core.vectorclock import ContextEncoder, parse_context_delta
 from repro.core.view import View
 
 GID = make_group_address(0, 1)
@@ -134,6 +134,61 @@ class TestVectorClock:
         decoded = reference.decode_context_compact(
             Message.decode(msg.encode())["ctx"])
         assert decoded == {GID: (3, [0, 4])}        # counts by rank
+
+
+#: Two groups' packed gids, in packed (= wire) order.
+LOW, HIGH = sorted(make_group_address(site, 1).pack() for site in (0, 1))
+
+
+def _named(gid):
+    """``gid`` named whole: view 1, one member, count 0."""
+    return gid + b"\x01\x01\x00"
+
+
+class TestContextForm:
+    """One delta, one byte string: named and removed groups strictly
+    ascend in packed order, and a steady delta costs a byte per counter
+    and one per group."""
+
+    def test_a_head_naming_a_group_twice_is_refused(self):
+        assert parse_context_delta(b"\x00\x02" + _named(LOW) + _named(HIGH))
+        with pytest.raises(CodecError, match="named groups do not ascend"):
+            parse_context_delta(b"\x00\x02" + _named(LOW) + _named(LOW))
+
+    def test_named_groups_out_of_order_are_refused(self):
+        ordered = b"\x01\x02" + _named(LOW) + _named(HIGH) + b"\x00\x00"
+        assert parse_context_delta(ordered).named[1][0] == HIGH
+        with pytest.raises(CodecError, match="named groups do not ascend"):
+            parse_context_delta(
+                b"\x01\x02" + _named(HIGH) + _named(LOW) + b"\x00\x00")
+
+    def test_removed_groups_out_of_order_are_refused(self):
+        assert parse_context_delta(b"\x01\x00\x00\x02" + LOW + HIGH).removed \
+            == [LOW, HIGH]
+        for removed in (HIGH + LOW, LOW + LOW):
+            with pytest.raises(CodecError,
+                               match="removed groups do not ascend"):
+                parse_context_delta(b"\x01\x00\x00\x02" + removed)
+
+    def test_a_steady_delta_of_32_groups_of_4_is_164_bytes(self):
+        """Every counter of every group moved: per group one byte that
+        says "4 counts, ranks 0-3, the next position", then the counts.
+        Kind, named, moved and removed counts make the other 4."""
+        members = tuple(make_process_address(site, 0, 1).pack()
+                        for site in range(4))
+        groups = dict(sorted((make_group_address(site, n).pack(),
+                              (1, members, {}))
+                             for site in range(8) for n in range(1, 5)))
+        encoder = ContextEncoder({})
+        encoder.encode(groups)
+        for _, _, live in groups.values():
+            live.update((member, 1 + rank)
+                        for rank, member in enumerate(members))
+        data = encoder.encode(groups)
+        assert len(data) == 164
+        delta = parse_context_delta(data)
+        assert delta.moved == [(gpos, [(0, 1), (1, 2), (2, 3), (3, 4)])
+                               for gpos in range(32)]
 
 
 class TestMessageStore:
@@ -295,10 +350,12 @@ class TestCausalReceiver:
             rx.offer(_cb(P0, 1, prev={}))       # seq 1 must head a chain
         assert rx.pending_count == 0
 
+    # A moved entry: 4k + 2*prefix + adjacent, a gap unless adjacent,
+    # then k counts (a prefix) or k (rank, count) pairs.
     @pytest.mark.parametrize("moved", [
-        b"\x01\x01\x00\x02",           # group 1 of 1
-        b"\x00\x01\x01\x02",           # rank 1 of 1, in group 0
-        b"\x00\x02\x00\x02\x03\x02",   # ranks 0 and 3 of 1
+        b"\x06\x00\x02",           # group 1 of 1: a prefix, gap 0
+        b"\x05\x01\x02",           # rank 1 of 1, in group 0
+        b"\x09\x00\x02\x03\x02",   # ranks 0 and 3 of 1
     ])
     def test_position_naming_nothing_is_refused_at_first_candidacy(
             self, moved):
@@ -356,7 +413,7 @@ class TestCausalReceiver:
     def test_in_order_arrival_naming_nothing_is_refused_at_once(self):
         rx, _ = _receiver()
         assert len(rx.offer(_cb(P0, 1, ctx=_after_p1(1)))) == 1
-        moved = b"\x01\x01\x00\x02"           # group 1 of 1
+        moved = b"\x06\x00\x02"           # group 1 of 1
         assert rx.offer(Message(cb_sender=P0, cb_seq=2,
                                 cb_ctx=b"\x01\x00\x01" + moved + b"\x00")) == []
         assert rx.refused == [1] and rx.pending_count == 0

@@ -254,10 +254,11 @@ def _next(moved, have):
     dict(_CB, cb_seq=0, have={}),
     dict(_CB, _proto="g.xx", have={}, via_batch=True),
     # A delta whose ranks do not ascend, or whose positions name nothing
-    # its predecessor holds: group 1 of 1, rank 1 of 1.
-    _next(b"\x00\x02\x01\x02\x00\x02", have={0: 1}),
-    _next(b"\x01\x01\x00\x02", have={0: 2}),
-    _next(b"\x00\x01\x01\x02", have={0: 2}),
+    # its predecessor holds: group 1 of 1, rank 1 of 1 (a moved entry is
+    # 4k + 2*prefix + adjacent, a gap unless adjacent, then its body).
+    _next(b"\x09\x01\x02\x00\x02", have={0: 1}),
+    _next(b"\x06\x00\x02", have={0: 2}),
+    _next(b"\x05\x01\x02", have={0: 2}),
     # A join request names its group and joiner by address, a state
     # transfer carries one form of state, a state chunk its place in the
     # stream by integers: parsed before any join state, stream buffer or
