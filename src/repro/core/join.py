@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.process import IsisProcess
     from .engine import GroupEngine
     from .kernel import ProtocolsProcess
+    from .store import SeqSet
     from .view import View
 
 #: Joiner state (snapshot or WAL suffix) up to this size rides one
@@ -87,9 +88,9 @@ class Joins:
         #: Joiner -> deliveries held until its state arrives.
         self.gated: Dict[Address, List[Message]] = {}
         self._validators: Dict[Address, List[Callable]] = {}
-        #: Rejoin positions piggybacked on ``g.join``, held at the
-        #: coordinator/source site until the admitting flush ships state.
-        self._hints: Dict[Tuple[Address, Address], Tuple[int, bytes]] = {}
+        #: Rejoin positions (view, delivered set) piggybacked on
+        #: ``g.join``, held at the source until the admitting flush.
+        self._hints: Dict[Tuple[Address, Address], Tuple[int, SeqSet]] = {}
         #: Outgoing join-snapshot streams: (gid, joiner process) -> state.
         self.streams: Dict[Tuple[Address, Address], Dict[str, Any]] = {}
         self._next_xfer_id = 1
@@ -171,7 +172,7 @@ class Joins:
                 return
         if kernel.wal is not None and wal_dlv is not None:
             self._hints[(gid.process(), joiner.process())] = (
-                wal_view or 0, wal_dlv)
+                wal_view, wal_dlv)
         engine.flush.enqueue_reason(FlushReason(kind="join", joiner=joiner))
 
     def _on_join_refused(self, src_site: int, record: tuple) -> None:

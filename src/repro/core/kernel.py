@@ -45,6 +45,7 @@ from .engine import GroupEngine
 from .join import Joins
 from .namespace import Namespace
 from .rpc import GroupRpc
+from .store import SeqSet
 from .vectorclock import parse_context_delta
 from .view import View
 from .wal import WalManager
@@ -699,7 +700,8 @@ class ProtocolsProcess:
 # ----------------------------------------------------------------------
 #: Every protocol ``_dispatch`` routes, the kernel's and the toolkit's,
 #: declared (``msg/wire.py``) with this package's codecs.
-PROTOCOLS = protocols(context=parse_context_delta, view=View.from_wire)
+PROTOCOLS = protocols(context=parse_context_delta, view=View.from_wire,
+                      delivered=SeqSet.from_entries)
 
 
 #: proto -> its handler, ``handler(src_site, record)``: a part's

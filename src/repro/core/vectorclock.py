@@ -254,7 +254,7 @@ def parse_context_delta(data: bytes) -> ContextDelta:
     # On the steady path (a delta that only moves counters) every varint
     # is one byte: those are read in line, a call apiece otherwise.
     try:
-        count, offset = _read_uvarint(data, 1)
+        count, offset = decode_uvarint(data, 1)
         last_gid = b""
         for _ in range(count):
             end = offset + ADDRESS_SIZE
@@ -262,32 +262,32 @@ def parse_context_delta(data: bytes) -> ContextDelta:
             if gid <= last_gid:
                 raise CodecError("named groups do not ascend")
             last_gid = gid
-            view_id, offset = _read_uvarint(data, end)
-            n, offset = _read_uvarint(data, offset)
+            view_id, offset = decode_uvarint(data, end)
+            n, offset = decode_uvarint(data, offset)
             counts: List[int] = []
             for _ in range(n):
                 value = data[offset]
                 if value < 0x80:        # the common one-byte varint
                     offset += 1
                 else:
-                    value, offset = _read_uvarint(data, offset)
+                    value, offset = decode_uvarint(data, offset)
                 counts.append(value)
             named.append((gid, view_id, counts))
         if kind == _CTX_DELTA:
-            count, offset = _read_uvarint(data, offset)
+            count, offset = decode_uvarint(data, offset)
             gpos = -1
             for _ in range(count):
                 word = data[offset]
                 offset += 1
                 if word >= 0x80:
-                    word, offset = _read_uvarint(data, offset - 1)
+                    word, offset = decode_uvarint(data, offset - 1)
                 if word & 1:
                     gpos += 1
                 else:
                     gap = data[offset]
                     offset += 1
                     if gap >= 0x80:
-                        gap, offset = _read_uvarint(data, offset - 1)
+                        gap, offset = decode_uvarint(data, offset - 1)
                     gpos += gap + 2
                 n = word >> 2
                 if not n:
@@ -299,7 +299,7 @@ def parse_context_delta(data: bytes) -> ContextDelta:
                         if value < 0x80:
                             offset += 1
                         else:
-                            value, offset = _read_uvarint(data, offset)
+                            value, offset = decode_uvarint(data, offset)
                         counters.append((rank, value))
                 else:
                     last = -1
@@ -310,12 +310,12 @@ def parse_context_delta(data: bytes) -> ContextDelta:
                         if rank < 0x80:
                             offset += 1
                         else:
-                            rank, offset = _read_uvarint(data, offset)
+                            rank, offset = decode_uvarint(data, offset)
                         value = data[offset]
                         if value < 0x80:
                             offset += 1
                         else:
-                            value, offset = _read_uvarint(data, offset)
+                            value, offset = decode_uvarint(data, offset)
                         if rank <= last:
                             raise CodecError("member ranks do not ascend")
                         last = rank
@@ -323,7 +323,7 @@ def parse_context_delta(data: bytes) -> ContextDelta:
                     if last == n - 1:
                         raise CodecError("a rank prefix spelled as pairs")
                 moved.append((gpos, counters))
-            count, offset = _read_uvarint(data, offset)
+            count, offset = decode_uvarint(data, offset)
             last_gid = b""
             for _ in range(count):
                 gid = data[offset:offset + ADDRESS_SIZE]
@@ -340,18 +340,6 @@ def parse_context_delta(data: bytes) -> ContextDelta:
         raise CodecError(f"{len(data) - offset} trailing bytes after "
                          "compact context")
     return ContextDelta(kind == _CTX_FULL, named, moved, removed)
-
-
-def _read_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
-    """A varint of a ``cb_ctx``: :class:`CodecError` if overlong (a last
-    byte of 0 spells the value a byte shorter too)."""
-    value = data[offset]
-    if value < 0x80:
-        return value, offset + 1
-    value, offset = decode_uvarint(data, offset)
-    if not data[offset - 1]:
-        raise CodecError(f"overlong uvarint {value} in compact context")
-    return value, offset
 
 
 def check_delta_positions(context: ChainContext, delta: ContextDelta) -> None:

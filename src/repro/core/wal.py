@@ -14,11 +14,11 @@ so a restarted site can rebuild exactly what it had delivered.  Three
 consumers:
 
 1. **Incarnation-bumped rejoin.**  At boot the manager replays each
-   group's log; ``pg_join`` then piggybacks the replayed position (last
-   installed view + per-origin delivered floors) on ``g.join``.  If the
-   transfer source's own log still reaches back to that position, it
-   ships only the *suffix* of records the joiner is missing instead of
-   a full snapshot — log-assisted state transfer.
+   group's log; ``pg_join`` then piggybacks the replayed
+   :class:`Position` (last installed view + its delivered ``SeqSet``) on
+   ``g.join``.  If the transfer source's base position is at or before
+   it, the source ships only the *suffix* of records the joiner is
+   missing instead of a full snapshot — log-assisted state transfer.
 2. **Total-failure recovery.**  The recovery manager's poll compares
    logged ``(view_id, deliveries)`` positions; the best survivor calls
    :meth:`WalManager.restore` to rebuild the service from its
@@ -33,9 +33,11 @@ consumers:
 
 A record, and a checkpoint, is a message of its row in ``msg/wire.py``
 (``wal.d``, ``wal.v``, ``wal.g``, ``wal.ck``), in that row's positional
-form.  Record framing is torn-tail honest: ``uvarint(len(body)) + body +
-crc32(body)``, so replay of a log whose final record was half-written
-by a crashing disk detects the damage and discards exactly that tail.
+form; a checkpoint whose delivered sets are not in their one spelling
+is refused at boot (``recovery.bad_checkpoints``).  Record framing is
+torn-tail honest: ``uvarint(len(body)) + body + crc32(body)``, so
+replay of a log whose final record was half-written by a crashing disk
+detects the damage and discards exactly that tail.
 
 A join-time *rebase* (the fresh state transfer supersedes any pre-crash
 log) switches to a new generation-numbered log and flips the checkpoint
@@ -53,13 +55,14 @@ churn property suite leans on).
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import CodecError
 from ..msg.address import Address
 from ..msg.fields import decode_uvarint, encode_uvarint
 from ..msg.message import Message
 from .join import apply_segments, capture_segments
+from .store import SeqSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.process import IsisProcess
@@ -92,7 +95,7 @@ def unframe_record(data: bytes) -> Optional[bytes]:
     """Body of a framed record, or ``None`` if torn/corrupt."""
     try:
         length, off = decode_uvarint(data, 0)
-    except Exception:
+    except CodecError:
         return None
     if len(data) < off + length + 4:
         return None
@@ -121,93 +124,39 @@ def read_record(framed: bytes) -> Optional[Message]:
                                         REC_GBCAST) else None
 
 
-# ----------------------------------------------------------------------
-# Delivered set: per-origin contiguous floor + sparse extras.  The two
-# ordered queues (causal, abcast) drain one shared gseq counter per
-# origin independently, so a plain per-origin max is NOT a safe floor —
-# the set must be exact.  On the wire and on disk it is the rows'
-# ``delivered`` kind: (origin, floor, extras) by origin.
-# ----------------------------------------------------------------------
-def delivered_entries(delivered: Dict[int, Tuple[int, Set[int]]]) -> list:
-    """A delivered set as its ``delivered`` field carries it."""
-    return [[origin, floor, sorted(extras)]
-            for origin, (floor, extras) in sorted(delivered.items())]
+class Position:
+    """A cut of a group's log: the last view installed, and the
+    deliveries of that view at or before it.  Record order in a log is
+    monotone in view (leftovers of the old view precede the record of
+    the next), so a position cuts the log at a well-defined point."""
 
+    __slots__ = ("view", "delivered")
 
-def delivered_set(entries: list) -> Dict[int, Tuple[int, Set[int]]]:
-    """Inverse of :func:`delivered_entries`."""
-    return {origin: (floor, set(extras)) for origin, floor, extras in entries}
+    def __init__(self, view: int = 0, delivered: Optional[SeqSet] = None):
+        self.view = view
+        self.delivered = SeqSet() if delivered is None else delivered
 
+    def covers(self, rec: Message) -> bool:
+        """Is ``rec`` at or before this position?"""
+        if rec["_proto"] == REC_DELIVER and rec["view"] == self.view:
+            return (rec["origin"], rec["gseq"]) in self.delivered
+        return rec["view"] <= self.view
 
-def _delivered_add(delivered: Dict[int, Tuple[int, Set[int]]],
-                   origin: int, gseq: int) -> None:
-    floor, extras = delivered.get(origin, (0, set()))
-    if gseq <= floor or gseq in extras:
-        return
-    extras.add(gseq)
-    while floor + 1 in extras:
-        floor += 1
-        extras.discard(floor)
-    delivered[origin] = (floor, extras)
+    def __le__(self, other: "Position") -> bool:
+        """Does ``other`` cover every record this position does?"""
+        return self.view < other.view or (
+            self.view == other.view and self.delivered <= other.delivered)
 
-
-def _delivered_covers(delivered: Dict[int, Tuple[int, Set[int]]],
-                      origin: int, gseq: int) -> bool:
-    entry = delivered.get(origin)
-    if entry is None:
-        return False
-    floor, extras = entry
-    return gseq <= floor or gseq in extras
-
-
-def _delivered_subset(small: Dict[int, Tuple[int, Set[int]]],
-                      big: Dict[int, Tuple[int, Set[int]]]) -> bool:
-    """Does ``big`` cover every gseq ``small`` does (per origin, 1 up
-    to the floor, and the extras)?  Exact for a set as decoded, whose
-    extras need not lie above its floor, at the cost of the extras: the
-    part of a floor past ``big``'s must be made of ``big``'s extras."""
-    for origin, (floor, extras) in small.items():
-        entry = big.get(origin)
-        if entry is None:
-            if floor >= 1 or extras:
-                return False
-            continue
-        big_floor, big_extras = entry
-        if floor > big_floor:
-            low = max(big_floor, 0)
-            if sum(1 for gseq in big_extras
-                   if low < gseq <= floor) != floor - low:
-                return False
-        for gseq in extras:
-            if gseq > big_floor and gseq not in big_extras:
-                return False
-    return True
-
-
-def _copy_delivered(
-        delivered: Dict[int, Tuple[int, Set[int]]],
-) -> Dict[int, Tuple[int, Set[int]]]:
-    return {o: (f, set(e)) for o, (f, e) in delivered.items()}
-
-
-def _covered_by(pos_view: int, pos_dlv: Dict[int, Tuple[int, Set[int]]],
-                rec: Message) -> bool:
-    """Is ``rec`` at or before the position (view, delivered-set)?
-
-    Record order in a log is monotone in view (leftovers of the old view
-    always precede the view record installing the next), so a position
-    cuts the log at a well-defined point.
-    """
-    if rec["_proto"] == REC_DELIVER:
-        if rec["view"] < pos_view:
-            return True
-        return (rec["view"] == pos_view
-                and _delivered_covers(pos_dlv, rec["origin"], rec["gseq"]))
-    return rec["view"] <= pos_view
+    def copy(self) -> "Position":
+        return Position(self.view, self.delivered.copy())
 
 
 class GroupWal:
-    """Per-group durable log state at one site."""
+    """Per-group durable log state at one site, with three positions in
+    its log: the tail (``live``), the checkpoint (``ck``: replay is its
+    segments and the records past it) and the base (``base``: what the
+    first record presumes).  Truncation cuts to the previous checkpoint,
+    so base trails ck: the retention window a rejoin is served from."""
 
     def __init__(self, key: str, gid: Address):
         self.key = key
@@ -217,30 +166,19 @@ class GroupWal:
         #: checkpoint blob names the generation it belongs to, making
         #: the ck-write the atomic switch between old and new log.
         self.gen = 0
-        #: Current view position of the *live* tail of the log.
-        self.view_id = 0
+        self.live, self.ck, self.base = Position(), Position(), Position()
         self.members: Tuple[Address, ...] = ()
-        self.delivered: Dict[int, Tuple[int, Set[int]]] = {}
         self.delivered_total = 0
         #: Framed records issued to the current-generation log.
         self.records: List[bytes] = []
         self.base_index = 0
         #: Index past the last append known committed on disk.
         self.committed_abs = 0
-        #: Checkpoint position: replay = segments(ck) + records past it.
-        self.ck_view = 0
-        self.ck_delivered: Dict[int, Tuple[int, Set[int]]] = {}
         self.ck_total = 0
         self.ck_has_state = False
         self.ck_segments: Dict[str, List[bytes]] = {}
         #: Absolute log index the checkpoint was taken at.
         self.ck_abs = 0
-        #: Log *base* position: everything the first record presumes.
-        #: Truncation is two-generation (cut to the previous checkpoint,
-        #: not the current one), so base trails ck — the retention
-        #: window that makes log-assisted rejoin useful.
-        self.base_view = 0
-        self.base_delivered: Dict[int, Tuple[int, Set[int]]] = {}
         #: Unarmed groups (mid-join) buffer records in memory until the
         #: transfer lands and a rebase makes the log self-contained.
         self.armed = False
@@ -258,13 +196,13 @@ class GroupWal:
 
     def position(self) -> Tuple[int, int]:
         """Election key: (last installed view, deliveries ever logged)."""
-        return (self.view_id, self.delivered_total)
+        return (self.live.view, self.delivered_total)
 
-    def covered_by_ck(self, rec: Message) -> bool:
-        return _covered_by(self.ck_view, self.ck_delivered, rec)
-
-    def covered_by_base(self, rec: Message) -> bool:
-        return _covered_by(self.base_view, self.base_delivered, rec)
+    def count_delivery(self, view: int, origin: int, gseq: int) -> None:
+        """Advance the live position by one delivery."""
+        if view == self.live.view or self.live.view == 0:
+            self.live.delivered.add(origin, gseq)
+        self.delivered_total += 1
 
 
 class WalManager:
@@ -330,10 +268,10 @@ class WalManager:
                     # after a damaged record is unordered garbage.
                     self.kernel.counters.bump("recovery.torn_tails")
                     break
-                if gw.covered_by_base(rec):
+                if gw.base.covers(rec):
                     continue  # pre-base leftovers carry no information
                 gw.records.append(framed)
-                if gw.covered_by_ck(rec):
+                if gw.ck.covers(rec):
                     gw.ck_abs = len(gw.records)
                     continue  # retained to serve rejoining peers; the
                     # checkpoint already captures its effect here
@@ -345,42 +283,38 @@ class WalManager:
                 # must line up for later truncations).
                 self.store.replace_log(gw.log_key(), gw.records)
             gw.committed_abs = len(gw.records)
-            gw.recovered = bool(gw.records) or gw.ck_view > 0
+            gw.recovered = bool(gw.records) or gw.ck.view > 0
             self.groups[key] = gw
             self._by_gid[gid] = key
-            if gw.name and gw.view_id > 0:
+            if gw.name and gw.live.view > 0:
                 self.boot_positions[gw.name] = gw.position()
 
     def _apply_ck_blob(self, gw: GroupWal, blob: bytes) -> None:
         try:
             ck = Message.decode(blob)
+            if ck.get("_proto") != "wal.ck":
+                raise CodecError("not a checkpoint")
+            at = Position(ck["view"], SeqSet.from_entries(ck["delivered"]))
+            base = Position(ck["base_view"],
+                            SeqSet.from_entries(ck["base_delivered"]))
         except CodecError:
-            ck = None
-        if ck is None or ck.get("_proto") != "wal.ck":
             self.sim.trace.bump("recovery.bad_checkpoints")
             return
+        gw.ck, gw.base, gw.live = at, base, at.copy()
         gw.gen = ck["gen"]
-        gw.ck_view = gw.view_id = ck["view"]
-        gw.ck_delivered = delivered_set(ck["delivered"])
         gw.ck_total = gw.delivered_total = ck["total"]
         gw.ck_has_state = ck["has_state"]
         gw.ck_segments = ck["segments"]
-        gw.base_view = ck["base_view"]
-        gw.base_delivered = delivered_set(ck["base_delivered"])
         gw.name = ck["name"]
         gw.members = tuple(ck["members"])
-        gw.delivered = delivered_set(ck["delivered"])
 
     def _track(self, gw: GroupWal, rec: Message) -> None:
         """Advance the live position by one record."""
         if rec["_proto"] == REC_VIEW:
-            gw.view_id = rec["view"]
+            gw.live = Position(rec["view"])
             gw.members = tuple(rec["members"])
-            gw.delivered = {}
         elif rec["_proto"] == REC_DELIVER:
-            if rec["view"] == gw.view_id or gw.view_id == 0:
-                _delivered_add(gw.delivered, rec["origin"], rec["gseq"])
-            gw.delivered_total += 1
+            gw.count_delivery(rec["view"], rec["origin"], rec["gseq"])
         # G records carry no position beyond their view.
 
     # ------------------------------------------------------------------
@@ -416,11 +350,8 @@ class WalManager:
                    old_gen: Optional[int]) -> None:
         """The log starts at ``view``: its boundary record, and a
         checkpoint of ``process``'s state there."""
-        gw.view_id = view.view_id
+        gw.live, gw.base = Position(view.view_id), Position(view.view_id)
         gw.members = view.members
-        gw.delivered = {}
-        gw.base_view = view.view_id
-        gw.base_delivered = {}
         self._append(gw, _record(REC_VIEW, view=view.view_id,
                                  members=view.members))
         self._write_checkpoint(gw, capture_segments(process),
@@ -473,9 +404,7 @@ class WalManager:
             gw.pending.append(framed)
             return
         self._append(gw, framed)
-        if env["view"] == gw.view_id or gw.view_id == 0:
-            _delivered_add(gw.delivered, env["origin"], env["gseq"])
-        gw.delivered_total += 1
+        gw.count_delivery(env["view"], env["origin"], env["gseq"])
         # NOTE: the periodic-checkpoint decision is NOT taken here —
         # the engine calls maybe_checkpoint() after it has submitted
         # this delivery to the CPU queue, so the snapshot task lands
@@ -496,9 +425,8 @@ class WalManager:
             return  # the arm point writes the boundary record itself
         self._append(gw, _record(REC_VIEW, view=view.view_id,
                                  members=view.members))
-        gw.view_id = view.view_id
+        gw.live = Position(view.view_id)
         gw.members = view.members
-        gw.delivered = {}
         if not gw.name:
             self._resolve_name(gw, engine)
 
@@ -556,17 +484,15 @@ class WalManager:
 
     def _pos_of(self, gw: GroupWal) -> dict:
         return {
-            "view": gw.view_id,
+            "at": gw.live.copy(),
             "members": gw.members,
-            "delivered": _copy_delivered(gw.delivered),
             "total": gw.delivered_total,
             "abs": gw.abs_next(),
             "gen": gw.gen,
             # The log base this checkpoint leaves behind once its
-            # truncation runs: the *previous* checkpoint's position.
-            "base_view": gw.ck_view if gw.ck_abs else gw.base_view,
-            "base_delivered": _copy_delivered(
-                gw.ck_delivered if gw.ck_abs else gw.base_delivered),
+            # truncation runs: the *previous* checkpoint's position (only
+            # ``live`` changes in place, so it alone is copied).
+            "base": gw.ck if gw.ck_abs else gw.base,
             "cut_abs": gw.ck_abs,
         }
 
@@ -605,12 +531,12 @@ class WalManager:
     def _write_checkpoint(self, gw: GroupWal,
                           segments: Dict[str, List[bytes]],
                           pos: dict, old_gen: Optional[int]) -> None:
+        at, base = pos["at"], pos["base"]
         data = Message(
-            _proto="wal.ck", gen=pos["gen"], view=pos["view"],
-            members=pos["members"],
-            delivered=delivered_entries(pos["delivered"]),
-            total=pos["total"], base_view=pos["base_view"],
-            base_delivered=delivered_entries(pos["base_delivered"]),
+            _proto="wal.ck", gen=pos["gen"], view=at.view,
+            members=pos["members"], delivered=at.delivered.entries(),
+            total=pos["total"], base_view=base.view,
+            base_delivered=base.delivered.entries(),
             has_state=bool(segments), name=gw.name, segments=segments,
         ).encode()
         self.kernel.counters.bump("checkpoint.writes")
@@ -631,8 +557,7 @@ class WalManager:
             self.store.delete_log(gw.log_key(old_gen))
         if pos["gen"] != gw.gen:
             return  # a later rebase superseded this checkpoint
-        gw.ck_view = pos["view"]
-        gw.ck_delivered = pos["delivered"]
+        gw.ck = pos["at"]
         gw.ck_total = pos["total"]
         gw.ck_has_state = bool(segments)
         gw.ck_segments = segments
@@ -651,8 +576,7 @@ class WalManager:
         self.store.truncate_log(gw.log_key(), drop)
         del gw.records[:drop]
         gw.base_index = cut
-        gw.base_view = pos["base_view"]
-        gw.base_delivered = pos["base_delivered"]
+        gw.base = pos["base"]
         self.kernel.counters.bump("wal.truncations")
 
     # ------------------------------------------------------------------
@@ -702,12 +626,12 @@ class WalManager:
         its pre-crash state locally and needs just the suffix.
         """
         gw = self.lookup(gid)
-        if gw is None or gw.view_id <= 0 or not gw.ck_has_state:
+        if gw is None or gw.live.view <= 0 or not gw.ck_has_state:
             return None
-        return (gw.view_id, delivered_entries(gw.delivered))
+        return (gw.live.view, gw.live.delivered.entries())
 
-    def build_suffix(self, gid: Address, hint_view: int,
-                     hint_dlv: list) -> Optional[List[bytes]]:
+    def build_suffix(self, gid: Address, view: int,
+                     delivered: SeqSet) -> Optional[List[bytes]]:
         """Records (unframed) this site holds past the joiner's position.
 
         ``None`` when our own log does not reach back far enough (its
@@ -717,19 +641,11 @@ class WalManager:
         gw = self.lookup(gid)
         if gw is None or not gw.armed:
             return None
-        joiner_dlv = delivered_set(hint_dlv)
-        if gw.base_view > hint_view:
+        joiner = Position(view, delivered)
+        if not gw.base <= joiner:
             return None
-        if gw.base_view == hint_view and not _delivered_subset(
-                gw.base_delivered, joiner_dlv):
-            return None
-        suffix: List[bytes] = []
-        for framed in gw.records:
-            rec = read_record(framed)
-            if rec is not None and not _covered_by(hint_view, joiner_dlv,
-                                                   rec):
-                suffix.append(rec.encode())
-        return suffix
+        return [rec.encode() for rec in map(read_record, gw.records)
+                if rec is not None and not joiner.covers(rec)]
 
     def replay_to(self, gid: Address, process: "IsisProcess") -> int:
         """Rebuild ``process`` from the local checkpoint + log."""
@@ -753,7 +669,7 @@ class WalManager:
         apply_segments(process, gw.ck_segments)
         # A retention-window record is skipped: the segments have it.
         return self._replay(process, map(read_record, gw.records),
-                            gw.covered_by_ck)
+                            gw.ck.covers)
 
     def _replay(self, process: "IsisProcess", records,
                 covered=lambda rec: False) -> int:
@@ -781,7 +697,7 @@ class WalManager:
         if pos is not None:
             return pos
         gw = self._named(group_name)
-        if gw is None or gw.view_id <= 0:
+        if gw is None or gw.live.view <= 0:
             return None
         return gw.position()
 

@@ -38,7 +38,9 @@ above, a ``fixed`` as its items in order, a ``list_of`` as a uvarint
 count and its items, a ``dict_of`` as a uvarint count and each key (a
 ``str``) and item, a ``record`` as a row (presence byte, fields), and a
 ``nullable`` as a byte 0 (None) or 1 and the value.  A uvarint is
-unsigned LEB128, at most 64 bits and without a trailing zero group.
+unsigned LEB128, at most 64 bits and without a trailing zero group;
+:func:`decode_uvarint` (and the have-vector run's loop, which reads the
+same form) refuses any other spelling, so every value has one.
 
 This table, the positional form, the have-vector format and the
 stability blob below are the wire specification; the codec that
@@ -114,21 +116,27 @@ def encode_uvarint(n: int) -> bytes:
 
 
 def decode_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
-    """Inverse of :func:`encode_uvarint`; returns (value, next_offset)."""
-    result = 0
-    shift = 0
+    """Inverse of :func:`encode_uvarint`; returns (value, next_offset).
+
+    The one reader of a lone uvarint: :class:`CodecError` if it is
+    truncated, overlong (a last byte of 0 after a continuation byte
+    spells the value a byte shorter too) or 64 bits or wider.
+    """
+    result = shift = 0
     try:
-        while True:
-            byte = data[offset]
-            offset += 1
-            if byte < 0x80:
-                return result | (byte << shift), offset
+        byte = data[offset]
+        while byte > 0x7F:
             result |= (byte & 0x7F) << shift
             shift += 7
             if shift > 63:
                 raise CodecError("uvarint exceeds 64 bits")
+            offset += 1
+            byte = data[offset]
     except IndexError:
         raise CodecError("truncated uvarint") from None
+    if shift and (not byte or (byte << shift) >> 64):
+        raise CodecError("overlong or wider than 64 bits: uvarint")
+    return result | (byte << shift), offset + 1
 
 
 def _have_vector_numbers(have: "dict[int, int]") -> "list[int]":
@@ -194,7 +202,9 @@ def _decode_uvarint_run(data: bytes,
 
     One loop over the bytes: the run is nothing but uvarints — the
     header values, the entry count, then a (site delta, top) pair per
-    entry.
+    entry.  Only the canonical run is read: each uvarint as
+    :func:`decode_uvarint` reads it, the sites ascending (a delta of 0
+    is the first entry's only).
     """
     head = [0] * header
     out: "dict[int, int]" = {}
@@ -207,6 +217,8 @@ def _decode_uvarint_run(data: bytes,
             if shift > 63:
                 raise CodecError("uvarint exceeds 64 bits")
             continue
+        if shift and (not byte or (byte << shift) >> 64):
+            raise CodecError("overlong or wider than 64 bits: uvarint")
         value = result | (byte << shift)
         result = shift = 0
         if delta is not None:
@@ -215,6 +227,8 @@ def _decode_uvarint_run(data: bytes,
             delta = None
             entries += 1
         elif count is not None:
+            if not value and entries:
+                raise CodecError(f"site {site} repeated in have-vector")
             delta = value
         elif filled < header:
             head[filled] = value

@@ -20,11 +20,12 @@ any of which refuses the whole message.
 
 The kinds are a closed set: ``int``, ``uint`` (an int >= 0), ``float``,
 ``bool``, ``address``, ``bytes``, ``str``, ``message``, ``any`` (a
-user-opaque value, in the symbol table's value form), ``list_of(k)``,
-``dict_of(k)`` (str keys), ``fixed(k, ...)`` (a list of exactly these
-kinds, read to a tuple), ``record((name, k), ...)`` (a dict with these
-fields, read to a tuple or what its ``make`` makes of one) and
-``blob(codec)`` (bytes the codec reads).  In a row or a record,
+user-opaque value, in the symbol table's value form), ``list_of(k)``
+(read to a list or what its ``make`` makes of one), ``dict_of(k)`` (str
+keys), ``fixed(k, ...)`` (a list of exactly these kinds, read to a
+tuple), ``record((name, k), ...)`` (a dict with these fields, read to a
+tuple or what its ``make`` makes of one) and ``blob(codec)`` (bytes the
+codec reads).  In a row or a record,
 ``name:kind?`` is a field that may be absent (``None``);
 ``nullable(k)`` is ``k`` or ``None``.
 
@@ -33,9 +34,9 @@ The toolkit's services (``tools/``) declare their protocols here too
 write-ahead log's records (:data:`WAL`), which ``core/wal.py`` writes to
 disk and ships in a log-assisted state transfer.
 
-Codecs that live in ``core/`` (the ``cb_ctx`` parser, the view
-constructor) are handed to :func:`protocols`: this package imports
-nothing from ``core/``.
+Codecs that live in ``core/`` (the ``cb_ctx`` parser, the view and
+delivered-set constructors) are handed to :func:`protocols`: this
+package imports nothing from ``core/``.
 """
 
 from __future__ import annotations
@@ -92,10 +93,7 @@ def _take_uint(data: bytes, offset: int, depth: int) -> Tuple[int, int]:
     value = data[offset]
     if value < 0x80:
         return value, offset + 1
-    value, offset = decode_uvarint(data, offset)
-    if data[offset - 1] == 0 or value >= _UVARINT_END:
-        raise CodecError(f"overlong or wider than 64 bits: uvarint {value}")
-    return value, offset
+    return decode_uvarint(data, offset)
 
 
 def _put_int(value: Any, buf: bytearray, depth: int) -> None:
@@ -200,8 +198,9 @@ def _maybe(left: Optional[Callable]) -> Optional[Callable]:
     return left and (lambda value: None if value is None else left(value))
 
 
-def list_of(item: Kind) -> Kind:
-    """A uvarint count, then the items."""
+def list_of(item: Kind, make: Optional[Callable[[list], Any]] = None) -> Kind:
+    """A uvarint count, then the items; read to what ``make`` makes of
+    the list as it travels, if given."""
     put_item, take_item, left_item = item.put, item.take, item.left
 
     def put(value: Any, buf: bytearray, depth: int) -> None:
@@ -218,7 +217,7 @@ def list_of(item: Kind) -> Kind:
             entry, offset = take_item(data, offset, depth)
             out.append(entry)
         return out, offset
-    return Kind("list", put, take, left_item and (
+    return Kind("list", put, take, make or left_item and (
         lambda value: [left_item(entry) for entry in value]), item)
 
 
@@ -441,8 +440,8 @@ WAL = ("wal.d", "wal.v", "wal.g", "wal.ck")
 
 
 def protocols(context: Callable[[bytes], Any],
-              view: Callable[[Address, int, list], Any]
-              ) -> Dict[str, Protocol]:
+              view: Callable[[Address, int, list], Any],
+              delivered: Callable[[list], Any]) -> Dict[str, Protocol]:
     """Every declared protocol, compiled: the :data:`PIPELINE`'s, the
     rest of the kernel's, the toolkit's (:data:`TOOLS`) and the log's
     (:data:`WAL`).  Each row's form is handed to the codec; a
@@ -450,8 +449,9 @@ def protocols(context: Callable[[bytes], Any],
 
     ``context`` parses a ``cb_ctx`` (its value has a ``full`` flag, a
     chain head's); ``view(gid, view_id, members)`` makes a group view
-    (its value has the ``members``).  Either refuses with
-    :class:`CodecError`.
+    (its value has the ``members``); ``delivered`` makes a delivered set
+    of its entries as read, and only of their one spelling.  Each
+    refuses with :class:`CodecError`.
     """
     pair = fixed(INT, INT)
     kinds = {
@@ -468,8 +468,8 @@ def protocols(context: Callable[[bytes], Any],
         "cut": list_of(fixed(pair, pair)),
         "maybe_int": nullable(INT), "maybe_address": nullable(ADDRESS),
         "values": list_of(ANY),
-        # A delivered set: (origin, floor, the gseqs above it) by origin.
-        "delivered": list_of(fixed(UINT, UINT, list_of(UINT))),
+        # A delivered set: (origin, floor, the gseqs above a gap) by origin.
+        "delivered": list_of(fixed(UINT, UINT, list_of(UINT)), delivered),
     }
     table: Dict[str, Protocol] = {}
 
@@ -519,8 +519,10 @@ def protocols(context: Callable[[bytes], Any],
     # core/join.py).
     declare("rpc.reply", "session:int responder:address m:message null:bool")
     declare("rpc.dispatched", "session:int members:addresses via:int")
-    declare("g.join", "gid:address joiner:address cred:any wal_view:int? "
-            "wal_dlv:delivered?")
+    declare("g.join", "gid:address joiner:address cred:any wal_view:uint? "
+            "wal_dlv:delivered?",
+            lambda r: "only one of wal_view and wal_dlv"
+            if (r[4] is None) != (r[5] is None) else None)
     declare("g.join.refused", "gid:address joiner:address")
     declare("g.welcome", "gid:address view:view transfer:bool",
             lambda r: None if r[2].members else "a view with no members")

@@ -245,12 +245,16 @@ def encode_have_vector(have: "dict[int, int]") -> bytes:
 
 
 def decode_have_vector(data: bytes) -> "dict[int, int]":
-    count, offset = decode_uvarint(data, 0)
+    """Only the form ``encode_have_vector`` writes: canonical uvarints,
+    sites strictly ascending."""
+    count, offset = _canonical_uvarint(data, 0)
     out: "dict[int, int]" = {}
     site = 0
     for _ in range(count):
-        delta, offset = decode_uvarint(data, offset)
-        top, offset = decode_uvarint(data, offset)
+        delta, offset = _canonical_uvarint(data, offset)
+        top, offset = _canonical_uvarint(data, offset)
+        if out and not delta:
+            raise CodecError(f"site {site} repeated")
         site += delta
         out[site] = top
     if offset != len(data):

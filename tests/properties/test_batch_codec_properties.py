@@ -4,6 +4,8 @@ The wire-level guarantees the delivery pipeline's batching relies on:
 
 * the ``stab`` blob (view id, delivery floor, have-vector) round-trips,
   and its decoder accepts an encoding and nothing shorter or longer;
+* a uvarint, a have-vector and a ``stab`` blob each have one spelling:
+  what the decoders accept re-encodes byte for byte;
 * ``pack_batch``/``unpack_batch`` round-trip arbitrary envelope lists and
   piggybacked blobs through the real binary codec;
 * splitting an envelope stream into consecutive batches (what the
@@ -24,7 +26,8 @@ from repro.msg import (
     pack_batch,
     unpack_batch,
 )
-from repro.msg.fields import decode_stab, encode_stab
+from repro.msg.fields import (decode_stab, decode_uvarint, encode_stab,
+                              encode_uvarint)
 
 addresses = st.builds(
     Address,
@@ -126,6 +129,79 @@ def test_stab_encoder_refuses_negative_header():
     for stab in ((-1, (0, 0), {}), (1, (-1, 0), {}), (1, (0, -1), {})):
         with pytest.raises(CodecError):
             encode_stab(*stab)
+
+
+# ----------------------------------------------------------------------
+# One spelling per uvarint, have-vector and stab blob
+# ----------------------------------------------------------------------
+def test_uvarint_refuses_an_overlong_form():
+    assert decode_uvarint(b"\x85\x01", 0) == (133, 2)
+    with pytest.raises(CodecError):
+        decode_uvarint(b"\x85\x00", 0)           # 5, one byte too long
+
+
+def test_uvarint_refuses_64_bits_or_more():
+    assert decode_uvarint(encode_uvarint(2**64 - 1), 0) == (2**64 - 1, 10)
+    for raw in (b"\xff" * 9 + b"\x02", b"\x80" * 9 + b"\x7f",
+                b"\x80" * 10 + b"\x01"):
+        with pytest.raises(CodecError):
+            decode_uvarint(raw, 0)
+
+
+def test_stab_refuses_an_overlong_uvarint():
+    assert decode_stab(bytes([1, 1, 0, 0])) == (1, (1, 0), {})
+    with pytest.raises(CodecError):
+        decode_stab(bytes([1, 0x81, 0, 0, 0]))     # the floor's 1, overlong
+
+
+def test_have_vector_refuses_a_top_of_64_bits():
+    assert decode_have_vector(bytes([1, 0]) + encode_uvarint(2**64 - 1)) == {
+        0: 2**64 - 1}
+    with pytest.raises(CodecError):
+        decode_have_vector(bytes([1, 0]) + b"\xff" * 9 + b"\x02")
+
+
+def test_have_vector_refuses_a_repeated_site():
+    assert decode_have_vector(bytes([2, 1, 5, 1, 7])) == {1: 5, 2: 7}
+    with pytest.raises(CodecError):
+        decode_have_vector(bytes([2, 1, 5, 0, 7]))  # site 1 again
+
+
+@st.composite
+def _uvarint_runs(draw):
+    """A have-vector's run (a count, then site delta / top pairs),
+    behind a stab blob's three header values or none, with a value or
+    two spelt a byte too long."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
+                          max_size=5))
+    numbers = draw(st.sampled_from([[], [1, 0, 0]])) + [len(pairs)] + [
+        n for pair in pairs for n in pair]
+    overlong = draw(st.sets(st.integers(0, len(numbers) - 1), max_size=2))
+    out = bytearray()
+    for at, value in enumerate(numbers):
+        raw = bytearray(encode_uvarint(value))
+        if at in overlong:
+            raw[-1] |= 0x80
+            raw.append(0)
+        out += raw
+    return bytes(out)
+
+
+@given(st.one_of(st.binary(max_size=24), _uvarint_runs()))
+@settings(max_examples=500)
+def test_what_the_decoders_accept_re_encodes_byte_for_byte(data):
+    try:
+        have = decode_have_vector(data)
+    except CodecError:
+        pass
+    else:
+        assert encode_have_vector(have) == data
+    try:
+        stab = decode_stab(data)
+    except CodecError:
+        pass
+    else:
+        assert encode_stab(*stab) == data
 
 
 # ----------------------------------------------------------------------

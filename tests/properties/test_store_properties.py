@@ -1,9 +1,12 @@
-"""Property-based tests for the per-group message store."""
+"""Property-based tests for the per-group message store and its
+received set (``SeqSet``)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.store import MessageStore
+from repro.core.store import MessageStore, SeqSet
+from repro.errors import CodecError
 from repro.msg import Message
 
 events = st.lists(
@@ -143,3 +146,90 @@ def test_trim_matches_the_filter_over_every_tag(script):
     store.reset()
     assert store.buffered_count == store.buffered_bytes == 0
     assert store.record(0, 1, Message()) and store.trim_stable({0: 1}) == 1
+
+
+# ----------------------------------------------------------------------
+# SeqSet against a plain set of tags, and its one spelling
+# ----------------------------------------------------------------------
+def _filled(tags):
+    seqs = SeqSet()
+    for origin, gseq in tags:
+        seqs.add(origin, gseq)
+    return seqs
+
+
+@given(events, events)
+@settings(max_examples=300)
+def test_seqset_is_the_set_of_its_adds(adds, other_adds):
+    """Adds in any order: membership, ``add``'s answer, ``<=`` and the
+    floors are what a plain set of the tags says, and the floors are
+    the store's have-vector."""
+    seqs, oracle, store = SeqSet(), set(), MessageStore()
+    for origin, gseq in adds:
+        assert seqs.add(origin, gseq) == ((origin, gseq) not in oracle)
+        oracle.add((origin, gseq))
+        store.record(origin, gseq, Message())
+    for origin in range(5):
+        for gseq in range(0, 15):
+            assert ((origin, gseq) in seqs) == (
+                gseq < 1 or (origin, gseq) in oracle)
+        floor = 0
+        while (origin, floor + 1) in oracle:
+            floor += 1
+        assert seqs.floors.get(origin, 0) == floor
+        assert origin in seqs.floors or not floor
+    assert seqs.floors == store.have_vector()
+    other = _filled(other_adds)
+    assert (seqs <= other) == oracle.issubset(other_adds)
+    assert (other <= seqs) == oracle.issuperset(other_adds)
+    copy = seqs.copy()
+    copy.add(9, 1)
+    assert (9, 1) not in seqs and seqs <= copy
+
+
+@given(events)
+def test_seqset_entries_are_its_one_spelling(adds):
+    """What ``entries`` writes ``from_entries`` reads back to the same
+    set, and whatever ``from_entries`` accepts ``entries`` returns
+    unchanged."""
+    seqs = _filled(adds)
+    entries = seqs.entries()
+    again = SeqSet.from_entries(entries)
+    assert again.entries() == entries
+    assert again <= seqs <= again
+
+
+_SPELLINGS = st.lists(st.tuples(
+    st.integers(0, 4), st.integers(0, 4),
+    st.lists(st.integers(0, 8), max_size=4)), max_size=4).map(
+        lambda entries: [[o, f, g] for o, f, g in entries])
+
+
+@given(_SPELLINGS)
+@settings(max_examples=500)
+def test_seqset_accepts_exactly_the_spelling_entries_writes(entries):
+    try:
+        seqs = SeqSet.from_entries(entries)
+    except CodecError:
+        tags = {(origin, gseq) for origin, floor, gapped in entries
+                for gseq in [*range(1, floor + 1), *gapped]}
+        assert _filled(tags).entries() != entries
+        return
+    assert seqs.entries() == entries
+
+
+@pytest.mark.parametrize("entries", [
+    [[0, 2, []], [0, 3, []]],               # an origin repeated
+    [[2, 1, []], [0, 1, []]],               # origins out of order
+    [[0, 0, []]],                           # an empty entry
+    [[0, 2, [3]]],                          # a gapped gseq at floor + 1
+    [[0, 2, [2]]],                          # ... at the floor
+    [[0, 0, [1]]],                          # ... at floor + 1 of none
+    [[0, 2, [5, 5]]],                       # gapped gseqs repeated
+    [[0, 2, [6, 4]]],                       # ... out of order
+], ids=["origin-repeated", "origins-unsorted", "empty-entry",
+        "gapped-at-floor+1", "gapped-at-floor", "gapped-1-over-0",
+        "gapped-repeated", "gapped-unsorted"])
+def test_seqset_refuses_every_other_spelling(entries):
+    with pytest.raises(CodecError):
+        SeqSet.from_entries(entries)

@@ -272,6 +272,15 @@ def _next(moved, have):
     dict(_proto="g.join", joiner=_SENDER, cred=None, wal_view="x"),
     dict(_proto="g.join"),                          # no joiner
     dict(_proto="g.join", joiner=7),
+    # A rejoin position has one spelling: a view (>= 0) and a delivered
+    # set in its canonical form, both or neither.
+    dict(_proto="g.join", joiner=_SENDER, cred=None, wal_view=-1, wal_dlv=[]),
+    dict(_proto="g.join", joiner=_SENDER, cred=None, wal_view=2),
+    dict(_proto="g.join", joiner=_SENDER, cred=None, wal_dlv=[[0, 2, []]]),
+    dict(_proto="g.join", joiner=_SENDER, cred=None, wal_view=2,
+         wal_dlv=[[0, 2, [3]]]),                    # 3 raises the floor
+    dict(_proto="g.join", joiner=_SENDER, cred=None, wal_view=2,
+         wal_dlv=[[1, 2, []], [0, 2, []]]),         # origins not sorted
     # Every other routed protocol, without the field its handler reads
     # first: each of these escaped ``run_for`` before the declaration.
     dict(_proto="rpc.reply"),                       # no session

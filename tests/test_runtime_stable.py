@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Message
-from repro.core.wal import (_delivered_subset, delivered_entries,
-                            delivered_set, frame_record, unframe_record)
-from repro.msg import make_process_address
+from repro import IsisCluster, IsisConfig, Message
+from repro.core.kernel import PROTOCOLS
+from repro.core.store import SeqSet
+from repro.core.wal import frame_record, unframe_record
+from repro.msg import make_group_address, make_process_address
 from repro.runtime import Cluster
 from repro.runtime.stable import StableStore, StorageFaults
 from repro.sim import Simulator
@@ -180,69 +181,102 @@ class TestWalFraming:
         framed[5] ^= 0xFF
         assert unframe_record(bytes(framed)) is None
 
+    def test_an_overlong_length_is_damage(self):
+        """The length is a uvarint of one spelling: a longer one is a
+        damaged record, not an exception and not the body."""
+        framed = frame_record(b"x")
+        assert unframe_record(framed) == b"x"
+        assert unframe_record(b"\x81\x00" + framed[1:]) is None
 
-#: A delivered set: origin -> (floor, extras).  Extras may lie at or
-#: below the floor and right above it, as a decoded set's may.
-_DELIVERED = st.dictionaries(
-    st.integers(0, 3),
-    st.tuples(st.integers(0, 12), st.sets(st.integers(0, 16), max_size=6)),
-    max_size=4)
+
+#: A set of (origin, gseq) tags, as a rejoining site's log holds it.
+_TAGS = st.sets(st.tuples(st.integers(0, 3), st.integers(1, 16)),
+                max_size=24)
 
 
 @st.composite
 def _delivered_pairs(draw):
-    """(small, big): ``small`` drawn on its own, or cut down from ``big``
-    (lower floors, fewer extras) with at most one gseq more."""
-    big = draw(_DELIVERED)
+    """(small, big) as tag sets: ``small`` drawn on its own, or cut down
+    from ``big`` with at most one tag more."""
+    big = draw(_TAGS)
     if draw(st.booleans()):
-        return draw(_DELIVERED), big
-    small = {}
-    for origin, (floor, extras) in big.items():
-        if draw(st.booleans()):
-            small[origin] = (draw(st.integers(0, floor)),
-                             {g for g in extras if draw(st.booleans())})
+        return draw(_TAGS), big
+    small = {tag for tag in big if draw(st.booleans())}
     if draw(st.booleans()):
-        origin = draw(st.integers(0, 3))
-        floor, extras = small.get(origin, (0, set()))
-        small[origin] = (floor, extras | {draw(st.integers(0, 16))})
+        small.add((draw(st.integers(0, 3)), draw(st.integers(1, 16))))
     return small, big
 
 
+def _seqset(tags):
+    out = SeqSet()
+    for origin, gseq in tags:
+        out.add(origin, gseq)
+    return out
+
+
 def _through_the_log(delivered):
-    """``delivered`` as a rejoin's ``g.join`` carries it, read back."""
+    """``delivered`` as a rejoin's ``g.join`` carries it, read back by
+    the row."""
     address = make_process_address(0, 0, 1)
     join = Message.decode(Message(
-        _proto="g.join", gid=address, joiner=address, cred=None,
-        wal_dlv=delivered_entries(delivered)).encode())
-    return delivered_set(join["wal_dlv"])
-
-
-def _covers(delivered, origin, gseq):
-    entry = delivered.get(origin)
-    return entry is not None and (gseq <= entry[0] or gseq in entry[1])
+        _proto="g.join", gid=address, joiner=address, cred=None, wal_view=1,
+        wal_dlv=delivered.entries()).encode())
+    return PROTOCOLS["g.join"].read(join)[5]
 
 
 class TestDeliveredSubset:
     @settings(max_examples=400, deadline=None)
     @given(_delivered_pairs())
     def test_matches_the_definition(self, pair):
-        """Every gseq ``small`` covers, 1 to its floor and its extras,
-        ``big`` covers: the brute-force reading."""
+        """Every tag ``small`` holds, ``big`` holds: the brute-force
+        reading."""
         small, big = pair
-        expected = all(_covers(big, origin, gseq)
-                       for origin, (floor, extras) in small.items()
-                       for gseq in [*range(1, floor + 1), *extras])
-        assert _delivered_subset(small, big) == expected
+        expected = all((origin, gseq) in big for origin, gseq in small)
+        assert (_seqset(small) <= _seqset(big)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(_delivered_pairs())
     def test_matches_the_definition_on_decoded_sets(self, pair):
-        """The same after the wire: extras kept at or above the floor
-        they were written with, not folded into it."""
-        small, big = (_through_the_log(
-            {o: (f, {g for g in e if g >= f}) for o, (f, e) in d.items()})
-            for d in pair)
-        expected = all(_covers(big, origin, gseq)
-                       for origin, (floor, extras) in small.items()
-                       for gseq in [*range(1, floor + 1), *extras])
-        assert _delivered_subset(small, big) == expected
+        """The same after the wire, which carries the one spelling."""
+        small, big = (_through_the_log(_seqset(tags)) for tags in pair)
+        expected = all((origin, gseq) in big for origin, gseq in pair[0])
+        assert (small <= big) == expected
+        assert small.entries() == _seqset(pair[0]).entries()
+
+
+class TestCheckpointSpelling:
+    """A checkpoint's delivered sets are read at boot in their one
+    spelling; any other makes it a bad checkpoint, and the site boots
+    without it."""
+
+    @pytest.mark.parametrize("delivered, bad", [
+        ([[0, 2, [4]], [2, 0, [3]]], False),
+        ([[0, 2, [3]]], True),                      # 3 raises the floor
+        ([[0, 2, [4, 4]]], True),                   # a gseq repeated
+        ([[0, 2, []], [0, 3, []]], True),           # an origin repeated
+        ([[1, 0, []]], True),                       # an empty entry
+    ])
+    def test_boot_reads_the_one_spelling(self, delivered, bad):
+        system = IsisCluster(n_sites=2, seed=3,
+                             isis_config=IsisConfig(durability=True))
+        system.run_for(1.0)
+        gid = make_group_address(0, 42)
+        ck = Message(_proto="wal.ck", gen=0, view=2, members=[],
+                     delivered=delivered, total=3, base_view=2,
+                     base_delivered=[], has_state=False, name="g",
+                     segments={})
+        system.site(1).stable.write("wal/ck/" + gid.pack().hex(), ck.encode())
+        system.run_for(1.0)
+        system.crash_site(1)
+        system.restart_site(1)
+        system.run_for(1.0)
+        kernel = system.kernel(1)
+        assert kernel.alive
+        assert system.sim.trace.value("recovery.bad_checkpoints") == bad
+        gw = kernel.wal.lookup(gid)
+        if bad:
+            assert gw.ck.view == 0 and gw.ck.delivered.entries() == []
+            assert kernel.wal.logged_position("g") is None
+        else:
+            assert gw.ck.delivered.entries() == delivered
+            assert kernel.wal.logged_position("g") == (2, 3)

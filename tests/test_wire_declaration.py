@@ -28,6 +28,7 @@ from repro.core.kernel import _HANDLERS, _ROUTES, PROTOCOLS
 from repro.core.namespace import Namespace
 from repro.core.pipeline import TREE_PROTO, DeliveryPipeline
 from repro.core.rpc import GroupRpc
+from repro.core.store import SeqSet
 from repro.core.view import View
 from repro.core.vectorclock import parse_context_delta
 from repro.errors import CodecError
@@ -47,6 +48,20 @@ _BLOBS = {
     decode_have_vector: encode_have_vector({0: 3}),
     parse_context_delta: b"\x00\x00",                # a chain head, empty
 }
+#: For a list a ``make`` reads (``wire.list_of``): a well-formed value,
+#: and spellings of one its ``make`` refuses although the kind carries
+#: them (a delivered set has one spelling).
+_MADE = {
+    SeqSet.from_entries: ([[0, 2, [4, 6]], [3, 0, [2]]], [
+        [[0, 2, [4]], [0, 1, []]],          # an origin repeated
+        [[3, 1, []], [0, 2, []]],           # origins out of order
+        [[0, 0, []]],                       # an empty entry
+        [[0, 2, [3]]],                      # a gapped gseq at floor + 1
+        [[0, 2, [1]]],                      # ... below the floor
+        [[0, 2, [6, 4]]],                   # gapped gseqs out of order
+        [[0, 2, [4, 4]]],                   # ... repeated
+    ]),
+}
 #: Values a cross-field rule constrains beyond their kind.
 _CONSTRAINED = {"op": "reg"}
 #: One value of each type a message can carry off the wire.
@@ -65,7 +80,8 @@ def _sample(kind, name=""):
     if kind.name == "message" and kind.of is not None:
         return _instance(next(iter(kind.of.values())))
     if kind.name == "list":
-        return [_sample(kind.of)]
+        return _MADE[kind.left][0] if kind.left in _MADE else [
+            _sample(kind.of)]
     if kind.name == "dict":
         return {"k": _sample(kind.of)}
     if kind.name == "fixed":
@@ -122,6 +138,7 @@ def _defects(kind, good):
     elif inner.name == "list":
         for item in _defects(inner.of, good[0]):
             yield [item]
+        yield from _MADE.get(inner.left, (None, ()))[1]
     elif inner.name == "fixed":
         for pos, item_kind in enumerate(inner.of):
             for item in _defects(item_kind, good[pos]):
@@ -256,9 +273,11 @@ def test_every_declared_wrong_shape_is_refused_once(config):
 
 def _plain(value):
     """``value`` with its types spelt out, every message as its fields
-    and a view as the record it was made of."""
+    and a view or a delivered set as what it was made of."""
     if isinstance(value, View):
         value = (value.gid, value.view_id, list(value.members))
+    if isinstance(value, SeqSet):
+        value = [tuple(entry) for entry in value.entries()]
     if isinstance(value, Message):
         return sorted((name, _plain(item)) for name, item in value.fields().items())
     if isinstance(value, (list, tuple)):
