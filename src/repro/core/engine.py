@@ -172,6 +172,7 @@ class GroupEngine:
         on_dispatched: Optional[Callable[[View], None]] = None,
         audited: bool = True,
         request: bool = False,
+        session: Optional[int] = None,
     ) -> None:
         """Multicast ``user_msg`` to the group (CBCAST or ABCAST).
 
@@ -180,25 +181,31 @@ class GroupEngine:
         delivered in the view in which they were sent" rule.  ``sender``
         need not be a member: one is chosen here.
 
+        ``sender`` is the caller, ``session`` its group-RPC session if
+        any.  The caller travels once: as the envelope's sender, with
+        the envelope's ``session``, or — sent under another member — as
+        the user message's ``_sender`` and ``_session``.
+
         ``audited=False`` suppresses the logical-multicast counter: used
         when this dissemination is part of an operation already counted
         (e.g. the group copy of a ``reply_cc``, which Table I costs as a
         single CBCAST with multiple destinations).
 
-        ``request`` marks a forwarded request: one this group delivered
-        already is answered (``on_dispatched``), not sent again.
+        ``request`` marks a forwarded request, which names its caller
+        already: one this group delivered is answered (``on_dispatched``),
+        not sent again.
         """
         if not self.installed or self.wedged:
             self._outbox.append(
                 lambda: self.mcast(kind, sender, user_msg, entry,
-                                   on_dispatched, audited, request))
+                                   on_dispatched, audited, request, session))
             return
         assert self.view is not None
         # It goes out under a member of the view, the identity a vector
         # has a rank for: a process outside the group sends as a member
         # at its site, and so does a send queued while wedged by a member
         # the flush then removed.
-        sender = sender.process()
+        caller = sender = sender.process()
         if sender not in self.view.members:
             local = self.local_members()
             if local:
@@ -208,6 +215,12 @@ class GroupEngine:
             assert on_dispatched is not None
             on_dispatched(self.view)
             return
+        if sender != caller and not request:
+            # Sent under another member: the user message names the caller.
+            user_msg["_sender"] = caller
+            if session is not None:
+                user_msg["_session"] = session
+            session = None
         if audited:
             self.sim.trace.bump(f"mcast.{kind}")
         env = Message(
@@ -219,6 +232,8 @@ class GroupEngine:
             m=user_msg,
             entry=entry,
         )
+        if session is not None:
+            env["session"] = session
         self.pipeline.submit(env, sender)
         if on_dispatched is not None:
             # Dispatch completes once the site CPU has accepted the
@@ -241,10 +256,12 @@ class GroupEngine:
         user = env["m"].copy()
         if "_floor" in user and not self.commit_request(user):
             return
-        if "_sender" not in user:
-            # Member sends stamp the true originator before dissemination;
-            # if absent, the disseminating member is the sender.
+        session = env.get("session")
+        if session is not None or "_sender" not in user:
+            # The caller is the envelope's sender (see :meth:`mcast`).
             user["_sender"] = env.get("cb_sender") or env.get("ab_sender")
+            if session is not None:
+                user["_session"] = session
         user["_group"] = self.gid
         user["_view_id"] = env["view"]
         user["_entry"] = env["entry"]

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from ..errors import GroupError, SiteDown
 from ..msg.address import Address
 from ..msg.message import BATCH_PROTO, Message, pack_batch
+from ..msg.wire import CBCAST_ROW, place
 from ..sim.core import Timer
 from ..sim.tasks import Promise
 from .cbcast import CausalFields, CausalReceiver
@@ -403,14 +404,18 @@ class CausalOrdering:
 # ----------------------------------------------------------------------
 # The pipeline
 # ----------------------------------------------------------------------
+_CB_SENDER, _CB_SEQ, _CB_CTX = (place(CBCAST_ROW, name)
+                                for name in ("cb_sender", "cb_seq", "cb_ctx"))
+
+
 def _causal(record: tuple) -> Optional[CausalFields]:
     """What a data envelope's record (``msg/wire.py``: ``g.cb`` /
     ``g.ab``) says of its place in causal order: a ``g.cb``'s pending
     key and parsed ``cb_ctx``; None for a ``g.ab``."""
-    if len(record) < 11:
+    if record[0]["_proto"] != "g.cb":
         return None
-    sender, seq, delta = record[8:]
-    return (sender.process().pack(), seq), delta
+    return ((record[_CB_SENDER].process().pack(), record[_CB_SEQ]),
+            record[_CB_CTX])
 
 
 class DeliveryPipeline:

@@ -84,6 +84,7 @@ class Session:
 
     def offer_reply(self, responder: Address, reply: Message,
                     null: bool) -> None:
+        """``reply`` arrives without its sender: it is ``responder``."""
         key = responder.process()
         if key in self.responded:
             return  # duplicate replies are discarded silently (§3.2)
@@ -91,6 +92,7 @@ class Session:
         if null:
             self.nulls.add(key)
         else:
+            reply["_sender"] = responder
             self.replies.append(reply)
 
     def note_failed(self, member: Address) -> None:
@@ -308,26 +310,17 @@ class GroupRpc:
         self.resend(naked)
 
     # -- multicast -------------------------------------------------------------
-    def _open_session(self, process: "IsisProcess", user: Message,
-                      nwant: int) -> Session:
-        """A session for ``process``'s multicast ``user``, which names it."""
-        caller = process.address.process()
-        session = self.sessions.create(caller, nwant)
-        user["_sender"] = caller
-        user["_session"] = session.id
-        user["_reply_to"] = caller
-        return session
-
     def group_mcast(self, process: "IsisProcess", gid: Address, kind: str,
                     user: Message, entry: int, nwant: int) -> Promise:
-        """CBCAST/ABCAST to a group, collecting ``nwant`` replies."""
-        session = self._open_session(process, user, nwant)
+        """CBCAST/ABCAST to a group, collecting ``nwant`` replies.  Sent
+        here, the engine names the caller (:meth:`GroupEngine.mcast`)."""
+        session = self.sessions.create(process.address.process(), nwant)
         engine = self.kernel.engines.get(gid.process())
         if engine is not None and engine.installed:
             def dispatched(view: "View") -> None:
                 self.sessions.on_dispatched(session.id, list(view.members))
             engine.mcast(kind, process.address, user, entry,
-                         on_dispatched=dispatched)
+                         on_dispatched=dispatched, session=session.id)
         else:
             self._forward(session, gid, kind, user, entry, nwant)
         return session.promise
@@ -339,12 +332,16 @@ class GroupRpc:
         The flush itself is the multicast (counted as ``flush.runs``), so
         no separate ``mcast.gbcast`` counter is bumped here.
         """
-        session = self._open_session(process, user, nwant)
+        session = self.sessions.create(process.address.process(), nwant)
         self._forward(session, gid, "gbcast", user, entry, nwant)
         return session.promise
 
     def _forward(self, session: Session, gid: Address, kind: str,
                  user: Message, entry: int, nwant: int) -> None:
+        """A request names its caller in ``user``: the member that sends
+        it, and every member that records it, is another process."""
+        user["_sender"] = session.caller
+        user["_session"] = session.id
         self.request(("g.fwd", session.id), gid, Message(
             _proto="g.fwd", gid=gid.process(), kind=kind, m=user,
             entry=entry, nwant=nwant,
@@ -415,22 +412,20 @@ class GroupRpc:
         """Answer a group RPC (Table I: 1 async CBCAST).  A request the
         WAL replayed (``_replay``) was answered before the restart: its
         reply, and any cohort copy, is dropped."""
-        session = request.get("_session")
-        reply_to: Optional[Address] = request.get("_reply_to")
-        if session is None or reply_to is None or request.get("_replay"):
+        session, caller = request.get("_session"), request.get("_sender")
+        if session is None or caller is None or request.get("_replay"):
             return
         # Null replies are control traffic, not logical multicasts.
         self.sim.trace.bump("mcast.null_reply" if null else "mcast.reply")
-        reply = reply.copy()
-        reply["_sender"] = process.address.process()
-        note = Message(
-            _proto="rpc.reply", session=session,
-            responder=process.address.process(), null=null, m=reply,
-        )
-        if reply_to.site == self.site_id:
-            self.sessions.on_reply(session, note["responder"], reply, null)
+        responder = process.address.process()
+        if caller.site == self.site_id:
+            self.sessions.on_reply(session, responder, reply.copy(), null)
         else:
-            self.kernel.send_to_site(reply_to.site, note)
+            # The note's responder is the reply's sender: it names it once.
+            self.kernel.send_to_site(caller.site, Message(
+                _proto="rpc.reply", session=session, responder=responder,
+                null=null, m=reply,
+            ))
         if cc_gid is not None and not null:
             engine = self.kernel.engines.get(cc_gid.process())
             if engine is not None and engine.installed:

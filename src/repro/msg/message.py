@@ -55,13 +55,14 @@ from .fields import (
     encode_stab,
 )
 
-# System field names.  Only kernel code should write these.
-F_SENDER = "_sender"      # Address: set at send time, unforgeable
+# System field names.  Only kernel code should write these.  A group
+# message is handed over with its _sender and _session; they travel in it
+# only when the envelope does not name the caller (core/engine.py, mcast).
+F_SENDER = "_sender"      # Address: the caller, unforgeable; replies go here
 F_DESTS = "_dests"        # list[Address]: destination list as given
 F_SESSION = "_session"    # int: matches replies to pending calls
 F_ENTRY = "_entry"        # int: destination entry point
 F_PROTO = "_proto"        # str: multicast protocol tag (cbcast/abcast/...)
-F_REPLY_TO = "_reply_to"  # Address: where replies should go
 F_VIEW_ID = "_view_id"    # int: view in which a group message is delivered
 F_GROUP = "_group"        # Address: group this message was addressed to
 

@@ -427,6 +427,23 @@ def _encoded(kind: Kind) -> Kind:
                 lambda value: left(Message.decode(value)), kind)
 
 
+#: The data envelopes' rows.  Both carry the caller's ``session`` when
+#: the caller is the envelope's sender (``cb_sender`` / ``ab_sender``),
+#: which then names it once; a ``g.cb`` adds its causal fields.
+DATA_ROW = ("gid:address view:int origin:int gseq:int entry:int m:message "
+            "stab:stab? session:uint?")
+CBCAST_ROW = DATA_ROW + " cb_sender:address cb_seq:int cb_ctx:ctx"
+
+
+def place(spec: str, name: str) -> int:
+    """Where field ``name`` of the row ``spec`` sits in its record (the
+    message itself is at 0)."""
+    return 1 + [field.split(":")[0] for field in spec.split()].index(name)
+
+
+_CB_SEQ, _CB_CTX = place(CBCAST_ROW, "cb_seq"), place(CBCAST_ROW, "cb_ctx")
+
+
 #: The protocols the delivery pipeline consumes, from the kernel or out
 #: of a ``g.tr`` wrapper (which wraps any of them but itself).
 PIPELINE = (BATCH_PROTO, "g.cb", "g.ab", "g.abp", "g.abf", "g.abs",
@@ -477,13 +494,11 @@ def protocols(context: Callable[[bytes], Any],
         table[proto] = Protocol(proto, _row(spec, kinds), check)
 
     # Data envelopes (g.cb / g.ab): alone, batched, wrapped or refilled.
-    data = "gid:address view:int origin:int gseq:int entry:int m:message " \
-           "stab:stab? "
-    declare("g.cb", data + "cb_sender:address cb_seq:int cb_ctx:ctx",
-            lambda r: "cb_seq is not a sequence number" if r[9] < 1 else
-            "a delta context with no predecessor"
-            if r[9] == 1 and not r[10].full else None)
-    declare("g.ab", data + "ab_sender:address")
+    declare("g.cb", CBCAST_ROW,
+            lambda r: "cb_seq is not a sequence number" if r[_CB_SEQ] < 1
+            else "a delta context with no predecessor"
+            if r[_CB_SEQ] == 1 and not r[_CB_CTX].full else None)
+    declare("g.ab", DATA_ROW + " ab_sender:address")
     kinds["envelope"] = _messages(
         {p: table[p] for p in ("g.cb", "g.ab")}, "a data envelope")
     kinds["envelopes"] = list_of(kinds["envelope"])

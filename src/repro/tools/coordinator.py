@@ -91,8 +91,8 @@ class CoordCohortTool:
         session = msg.get("_session")
         if session is None:
             raise ValueError("coord-cohort request carries no session")
-        reply_to = msg.get("_reply_to")
-        caller_site = reply_to.site if reply_to is not None else 0
+        caller = msg.sender
+        caller_site = caller.site if caller is not None else 0
         run = _Run(session, gid, [p.process() for p in plist], action,
                    got_reply, caller_site, msg)
         self._runs[session] = run

@@ -485,6 +485,17 @@ def one_group(group: str, n_sites: int, join_wait: float,
         **fields)
 
 
+def partition_heal(split: float, seed: int = 77) -> Scenario:
+    """Four members of ``ph`` each CBCAST 25 tagged messages on a LAN
+    that loses 2 % of its frames; 0.3 s into the traffic sites {0, 1}
+    and {2, 3} are split for ``split`` seconds."""
+    return one_group(
+        "ph", 4, 20.0, "j", seed=seed, lan=LanConfig(loss_rate=0.02),
+        traffic=tuple(Task(f"d{site}", f"m{site}", ("ph",), "cbcast", 25,
+                           f"d{site}:" + "{i}") for site in range(4)),
+        faults=((0.3, ("partition", [[0, 1], [2, 3]])), (split, ("heal",))))
+
+
 def two_groups(a: str, b: str, n_sites: int, **fields) -> Scenario:
     """Member 0 creates groups ``a`` and ``b``; the others join both
     (task ``join`` + site), 25 s apart."""
@@ -493,6 +504,21 @@ def two_groups(a: str, b: str, n_sites: int, **fields) -> Scenario:
         joins=tuple((25.0, ((site, (a, b), f"join{site}"),))
                     for site in range(1, n_sites)),
         **fields)
+
+
+def tap_wire(system, n_sites: int) -> List[Any]:
+    """Every message the kernels of sites ``0 .. n_sites - 1`` hand to
+    ``send_to_site`` from now on."""
+    sent = []
+    for site in range(n_sites):
+        kernel = system.kernel(site)
+
+        def tapped(dst_site, msg, send=kernel.send_to_site):
+            sent.append(msg)
+            return send(dst_site, msg)
+
+        kernel.send_to_site = tapped
+    return sent
 
 
 def deploy_group(system, group: str, n_sites: int, join_wait: float = 20.0,

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import reference_causal as reference
 from reference_causal import VectorClock, causal_fields
-from conformance import Run, Scenario, Task, check, one_group, two_groups
+from conformance import Run, Scenario, Task, check, partition_heal, two_groups
 from stub_engine import StubEngine
 from repro import IsisCluster, LanConfig
 from repro.core.cbcast import CausalReceiver, SenderChain
@@ -31,6 +31,7 @@ from repro.core.vectorclock import (
     apply_context_delta,
     parse_context_delta,
 )
+from repro.fd.heartbeat import HeartbeatConfig
 from repro.msg import (Address, Message, make_group_address,
                        make_process_address)
 
@@ -103,17 +104,22 @@ def _digests(streams):
             for site, stream in streams.items()}
 
 
+#: The deep backlog's split, short enough that no site is suspected
+#: whatever the heartbeats' phase and if one heartbeat is lost: the
+#: silence it leaves is at most the split and two heartbeat intervals.
+#: A 1.0 s split is not (``test_fast_flush_properties.py``,
+#: ``test_found_by_the_partition_heal_backlog``).
+SPLIT = 0.4
+assert SPLIT + 2 * HeartbeatConfig.interval < HeartbeatConfig.min_timeout
+
+
 def test_deep_backlog_partition_heal_matches_recorded_scan_order():
     """Deterministic deep-buffer case: a partition builds a causal
     backlog, the heal floods it in.  The engine drains it in the order
     the scan engine did, and leaves no index state."""
-    record = Run(one_group(
-        "ph", 4, 20.0, "j", seed=77, lan=LanConfig(loss_rate=0.02),
-        traffic=tuple(Task(f"d{site}", f"m{site}", ("ph",), "cbcast", 25,
-                           f"d{site}:" + "{i}") for site in range(4)),
-        # Short split (below failure-detection timeouts): traffic queues.
-        faults=((0.3, ("partition", [[0, 1], [2, 3]])), (1.0, ("heal",))),
-    )).play()
+    record = Run(partition_heal(SPLIT)).play()
+    # The split is below failure detection: traffic queues, no view moves.
+    assert record.trace.value("fd.suspicions") == 0
     for site in range(4):
         stats = record.kernels[site].stats()
         assert stats["wait_index.size"] == 0
@@ -256,8 +262,21 @@ def test_ring_with_crash_matches_recorded_scan_order():
 #:   ``d0:3`` / ``d1:3``), site 3 115 (9-96, first ``d0:2`` and ``d1:2``
 #:   before ``d2:2``).  No two messages of one sender flip, each site
 #:   delivers the same 100, and ``check`` passes; the ring kept its digests.
-DEEP_BACKLOG_DIGESTS = {0: "87f9ffc0e9ffe8b2", 1: "8fb52c6d9a9dbf9f",
-                        2: "3ec2682d9a016728", 3: "869571943f3f8171"}
+#: * When the deep backlog's split went from 1.0 s to ``SPLIT`` (0.4 s),
+#:   it became another run (before: 87f9ffc0e9ffe8b2, 8fb52c6d9a9dbf9f,
+#:   3ec2682d9a016728, 869571943f3f8171).  The 1.0 s split stayed below
+#:   failure detection only by the heartbeats' phase, and a shorter
+#:   ``g.cb`` moved that phase (``test_found_by_the_partition_heal_backlog``
+#:   in ``test_fast_flush_properties.py``).  With the caller in the user
+#:   message the 0.4 s split reads 74c424f251d20552, c1a9a6f1d645029b,
+#:   f9bf130c6927c811, f75fb1e6d40da0bc.  A member's ``g.cb`` naming its
+#:   caller once, in the envelope (57 bytes shorter), then moves every
+#:   site: sites 0-3 flip 18 / 96 / 46 / 32 pairs of concurrent
+#:   deliveries, and 30 / 35 / 32 / 46 of their 100 take another place.
+#:   No two messages of one sender flip, each site delivers the same 100,
+#:   and ``check`` passes; the ring kept its digests.
+DEEP_BACKLOG_DIGESTS = {0: "1d47dec2012546c7", 1: "77e10f56e5780671",
+                        2: "29a2bad9bc240d3d", 3: "edc7c161f12221a9"}
 RING_DIGESTS = {0: "2ebece2e2512de68", 1: "c408df4f74afa027",
                 2: "1b74cc83a136f248", 3: "56edb8b4e39c7328"}
 

@@ -3,7 +3,7 @@
 import pytest
 
 import reference_causal as reference
-from conformance import deploy_group
+from conformance import deploy_group, tap_wire
 from reference_causal import VectorClock
 from repro import IsisCluster, IsisConfig, Message
 from repro.core import pipeline as pipeline_mod
@@ -245,20 +245,6 @@ class TestPiggybackedStability:
             assert system.kernel(site).stats()["buffered_messages"] == 0
 
 
-def _tap_wire(system, n_sites):
-    """Every message a kernel hands to ``send_to_site`` from now on."""
-    sent = []
-    for site in range(n_sites):
-        kernel = system.kernel(site)
-
-        def tapped(dst_site, msg, send=kernel.send_to_site):
-            sent.append(msg)
-            return send(dst_site, msg)
-
-        kernel.send_to_site = tapped
-    return sent
-
-
 class TestStabilityRidesOnData:
     """The piggyback is one blob on data envelopes; the ordering notes
     an ABCAST waits for carry none, and nobody's buffers notice."""
@@ -267,15 +253,17 @@ class TestStabilityRidesOnData:
     #: as ``bench/harness.py`` sends it.  With ``stab`` / ``stab_view`` /
     #: ``stab_df`` on every message these read 483 / 169 / 169; in the
     #: symbol-table form (field names, 8-byte ints) 426 / 93 / 93; in the
-    #: positional form 315 / 16 / 16.
-    AB_BUDGET = 320
+    #: positional form 315 / 16 / 16; with the caller named once, in the
+    #: envelope (no ``_sender``, ``_session``, ``_reply_to`` in ``m``),
+    #: 259 / 16 / 16.
+    AB_BUDGET = 265
     NOTE_BUDGET = 20
 
     @pytest.mark.parametrize("mode", ["two_phase", "sequencer"])
     def test_abcast_wire_budget(self, mode):
         system, members, deliveries = _two_member_group(
             IsisConfig(abcast_mode=mode), n_sites=4, field="n")
-        sent = _tap_wire(system, 4)
+        sent = tap_wire(system, 4)
 
         def stream(isis, base):
             gid = yield isis.pg_lookup("pipe")
@@ -539,7 +527,7 @@ class TestStabilityRound:
         system, engine, tree = _quiet_wave_group(monkeypatch, dissemination)
         children = tree.children(0, 0)
         assert len(children) == (3 if dissemination == "flat" else 2)
-        sent = _tap_wire(system, 4)
+        sent = tap_wire(system, 4)
         first, *rest = children
         engine.kernel._dispatch(
             first, _up(engine, {0: 4}, tree.subtree_size(0, first)))
@@ -592,7 +580,7 @@ class TestStabilityRound:
         not refill it."""
         system, engine, tree = _quiet_wave_group(
             monkeypatch, dissemination, n_sites=8)
-        sent = _tap_wire(system, 8)
+        sent = tap_wire(system, 8)
         children = tree.children(0, 0)
         others = [s for s in tree.sites if s != 0 and s not in children]
         assert len(others) == (0 if dissemination == "flat" else 5)
@@ -682,7 +670,7 @@ class TestStabilityWireBudget:
         monkeypatch.setattr(stability_mod, "STAB_ANNOUNCE_EVERY", 8)
         system, members, deliveries = _two_member_group(
             IsisConfig(piggyback_stability=piggyback), n_sites=4, field="n")
-        sent = _tap_wire(system, 4)
+        sent = tap_wire(system, 4)
 
         def stream(isis, base, kind):
             gid = yield isis.pg_lookup("pipe")

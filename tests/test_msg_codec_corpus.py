@@ -23,9 +23,11 @@ from repro.core.vectorclock import (
     check_delta_positions,
     parse_context_delta,
 )
+from repro.core.kernel import PROTOCOLS
 from repro.errors import CodecError
 from repro.msg import Message, unpack_batch
 from repro.msg.fields import decode_stab
+from repro.msg.wire import DATA_ROW, place
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -42,7 +44,8 @@ def _load():
 
 CORPUS = _load()
 WIRE_TAGS = ["g.cb", "g.ab", "g.abp", "g.abf", "g.stab.a", "g.batch",
-             "g.fl.ok", "g.welcome", "g.fl.commit", "g.fl.data"]
+             "g.fl.ok", "g.welcome", "g.fl.commit", "g.fl.data",
+             "g.cb/member", "g.ab/member"]
 
 
 def _rebuilt(value):
@@ -67,7 +70,7 @@ def test_corpus_names_every_wire_tag():
 def test_golden_message_reencodes_to_identical_bytes(tag):
     raw = CORPUS[tag]
     msg = Message.decode(raw)
-    assert msg["_proto"] == tag
+    assert msg["_proto"] == tag.split("/")[0]
     assert msg.encode() is raw              # the input seeds the cache
     assert _rebuilt(msg).encode() == raw    # and the encoder agrees with it
 
@@ -96,6 +99,22 @@ def test_golden_contexts_parse_as_positions():
     assert chain.entries() == [(envelopes[0]["gid"].pack(), 3, [2])]
 
 
+@pytest.mark.parametrize("proto", ["g.cb", "g.ab"])
+def test_golden_member_envelope_names_its_caller_once(proto):
+    """A member's data envelope: the caller is its ``cb_sender`` /
+    ``ab_sender``, its session the envelope's, and the user message is
+    the application's fields alone; the record holds the session at its
+    declared place."""
+    env = Message.decode(CORPUS[proto + "/member"])
+    before = Message.decode(CORPUS[proto])["m"]
+    assert env["session"] == before["_session"]
+    assert env[proto[2:] + "_sender"] == before["_sender"]
+    assert list(env["m"]) == ["n", "p"]
+    record = PROTOCOLS[proto].read(env)
+    assert record[place(DATA_ROW, "session")] == before["_session"]
+    assert len(CORPUS[proto]) - len(CORPUS[proto + "/member"]) == 55
+
+
 def test_golden_announcement_is_one_stab_blob():
     note = Message.decode(CORPUS["g.stab.a"])
     assert list(note) == ["_proto", "gid", "stab"]
@@ -104,7 +123,7 @@ def test_golden_announcement_is_one_stab_blob():
 
 
 @pytest.mark.parametrize("tag", ["g.cb", "g.abp", "g.batch", "g.fl.ok",
-                                 "g.welcome", "g.fl.commit"])
+                                 "g.welcome", "g.fl.commit", "g.cb/member"])
 def test_a_declared_message_as_a_symbol_table_is_a_codec_error(tag):
     """A declared protocol has one form: the same fields written as a
     symbol table (the form they had before) are refused, not read."""
