@@ -10,7 +10,9 @@ policy: ABCASTs committed by each component *during* the partition,
 views installed, and whether the cluster reconverges after heal.  The
 quorum policy must keep the majority committing (availability retained)
 while wedging the minority; on the even split it must wedge *both*
-sides where the primary-partition rule historically split-brains.
+sides, where the primary-partition rule lets the side holding the
+previous view's oldest member go on (it split-brained while an exact
+half needed no tie-break).
 
 Results go to ``BENCH_ordering.json``.  Run under pytest-benchmark::
 
@@ -160,10 +162,12 @@ def ablation_workload() -> Dict:
 def test_ordering_ablation(benchmark):
     metrics = run_one(benchmark, ablation_workload)
     # The quorum majority commits *through* the partition; the minority
-    # commits nothing; an even split never split-brains under quorum.
+    # commits nothing; an even split never split-brains under quorum,
+    # and leaves one committing component under the primary rule.
     assert metrics["abl9:quorum_majority_committed"] > 0
     assert metrics["abl9:quorum_minority_committed"] == 0
     assert metrics["abl9:quorum_split_components"] == 0
+    assert metrics["abl9:primary_split_components"] == 1
 
 
 if __name__ == "__main__":

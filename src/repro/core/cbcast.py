@@ -546,9 +546,10 @@ class CausalCheck:
             if short is None or short:
                 failed[gid] = short
         # What the delta names by position: the group and its view are
-        # the chain's, a rank names a member of our view of that id.
+        # the chain's, a rank names a member of our view of that id, and
+        # a unit entry wants every member one past the base's count.
         # Tested in line — the steady path.
-        gids, views, _, _ = base.layout
+        gids, views, _, starts = base.layout
         for gpos, counters in delta.moved:
             gid = gids[gpos]
             row = rows.get(gid)
@@ -559,6 +560,15 @@ class CausalCheck:
                 continue
             if ours < views[gpos]:
                 failed[gid] = None
+                continue
+            if counters is None:
+                at = starts[gpos]
+                for member in members:
+                    count = base.counts[at] + 1
+                    if have.get(member, 0) < count:
+                        failed[gid] = (member, count)
+                        break
+                    at += 1
                 continue
             for rank, count in counters:
                 if have.get(members[rank], 0) < count:

@@ -231,6 +231,9 @@ class ProtocolsProcess:
         self.wal: Optional[WalManager] = (
             WalManager(self) if self.config.durability else None)
         self._stability_timer: Optional[Timer] = None
+        #: Stability notes by destination site while a tick or a bundle
+        #: runs (:meth:`_bundling`); None otherwise.
+        self._held_notes: Optional[Dict[int, List[Message]]] = None
         self._schedule_stability()
         self.heartbeat.start()
         if join_existing:
@@ -319,6 +322,37 @@ class ProtocolsProcess:
             promise = Promise(label="send-to-down-site")
             promise.reject(SiteDown(f"site {dst_site} down"))
             return promise
+
+    def send_note(self, dst_site: int, msg: Message) -> None:
+        """A ``g.stab.*`` note: sent now, or held for its site's bundle
+        while a stability tick or a received bundle runs."""
+        held = self._held_notes
+        if held is None:
+            self.send_to_site(dst_site, msg)
+        else:
+            held.setdefault(dst_site, []).append(msg)
+
+    def _bundling(self, run: Callable[[], None]) -> None:
+        """``run()``, holding the notes it sends; then each site's leave
+        as one ``k.notes`` message, a lone note as itself.  A tick and a
+        received message are events of their own: they never nest."""
+        self._held_notes = held = {}
+        try:
+            run()
+        finally:
+            self._held_notes = None
+        for site, notes in held.items():
+            self.send_to_site(site, notes[0] if len(notes) == 1 else Message(
+                _proto="k.notes", notes=[note.encode() for note in notes]))
+
+    def _on_notes(self, src_site: int, record: tuple) -> None:
+        """A ``k.notes`` bundle, each note read against its own row: each
+        is handled as if it came alone, and what they send is bundled."""
+        def run() -> None:
+            for note in record[1]:
+                proto = note[0]["_proto"]
+                self._routes[proto][1](self, src_site, proto, note)
+        self._bundling(run)
 
     def _on_transport_message(self, src_site: int, data: bytes) -> None:
         """A message or a bulk chunk landed: decode and dispatch it."""
@@ -673,6 +707,10 @@ class ProtocolsProcess:
     def _stability_tick(self) -> None:
         if not self.alive:
             return
+        self._bundling(self._tick_dirty_groups)
+        self._schedule_stability()
+
+    def _tick_dirty_groups(self) -> None:
         # Walk only the dirty groups, in the order they were created
         # here (as the causal drain does): a group is marked dirty when it
         # buffers a message, advances its delivery floor, or receives
@@ -692,7 +730,6 @@ class ProtocolsProcess:
         skipped = len(self.engines) - visited
         if skipped > 0:
             self.counters.bump("stab.idle_skipped", skipped)
-        self._schedule_stability()
 
 
 # ----------------------------------------------------------------------
@@ -729,6 +766,7 @@ _HANDLERS = {
         "g.fl.begin", "g.fl.ok", "g.fl.expect", "g.fl.pull", "g.fl.data",
         "g.fl.filled", "g.fl.commit", "g.fl.okb")},
     **dict.fromkeys(PIPELINE, "pipeline"),
+    "k.notes": "_on_notes",
 }
 
 

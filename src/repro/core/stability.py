@@ -6,7 +6,10 @@ member site that missed it.
 the ``stab`` blob of ``msg/fields.py`` (view id, ABCAST delivery floor,
 have-vector) — piggybacked on data envelopes and batches, never on the
 ordering notes an ABCAST waits for — and trims the store up to it.  The
-kernel's tick runs its collector every ``STABILITY_INTERVAL``.
+kernel's tick runs its collector every ``STABILITY_INTERVAL``.  Every
+note leaves through :meth:`ProtocolsProcess.send_note`: within the tick,
+and while a bundle of notes is handled, a kernel's notes to one site
+leave as one ``k.notes`` message.
 
 Wire protocol (each message's fields: its row in ``msg/wire.py``):
 
@@ -249,7 +252,8 @@ class StabilityStage:
         note = self._note("g.stab.a", floor,
                           engine.store.have_vector())
         engine.sim.trace.bump("stability.announcements")
-        self.pipeline.dissemination.to_peers(note)
+        for site in self.pipeline.dissemination.peers():
+            self.kernel.send_note(site, note)
 
     def on_announce(self, src_site: int, record: tuple) -> None:
         """A peer's ``g.stab.a``."""
@@ -355,7 +359,7 @@ class StabilityStage:
         if parent is None:
             return
         self.kernel.counters.bump("stab.up_sent")
-        self.kernel.send_to_site(
+        self.kernel.send_note(
             parent, self._note("g.stab.up", floor, agg, n=count))
 
     def on_up(self, src_site: int, record: tuple) -> None:
@@ -390,7 +394,7 @@ class StabilityStage:
         note = self._note("g.stab.dn", floor, stable)
         for site in sites:
             self.kernel.counters.bump("stab.dn_sent")
-            self.kernel.send_to_site(site, note)
+            self.kernel.send_note(site, note)
 
     def on_dn(self, src_site: int, record: tuple) -> None:
         """The stable cut: apply it and relay it to our children."""
@@ -401,7 +405,7 @@ class StabilityStage:
         for child in self._collection_tree().children(
                 self._stab_root(), self.engine.site_id):
             self.kernel.counters.bump("stab.dn_sent")
-            self.kernel.send_to_site(child, msg)
+            self.kernel.send_note(child, msg)
 
     def _apply_cut(self, stable: Dict[int, int],
                    floor: Tuple[int, int]) -> None:

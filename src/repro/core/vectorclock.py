@@ -59,10 +59,12 @@ from ..msg.fields import decode_uvarint, encode_uvarint
 #
 #     named    gid8 view k  k x count
 #     moved    word [gap] body
-#       word   4k + 2*prefix + adjacent       k >= 1 counters moved
+#       word   4k + 2*prefix + adjacent       k >= 1 counters moved, or
+#                                             k = 0 with prefix: a unit
 #       gap    gpos - previous - 2            when not adjacent
 #       body   k x count                      prefix: ranks 0 .. k-1
 #              k x (rank count)               otherwise
+#              nothing                        unit: every count plus one
 #
 # A group the predecessor does not hold *in the same view* is **named**:
 # its whole vector, dense, one count per member of that view in rank
@@ -77,14 +79,18 @@ from ..msg.fields import decode_uvarint, encode_uvarint
 # one's (``previous`` is -1 before the first) is *adjacent* and spells
 # no position; any other carries the ``gap`` it skips.  An entry whose
 # moved ranks are exactly ``0 .. k-1`` is a *prefix* and sends its
-# counts alone; any other sends ascending ``(rank, count)`` pairs.  With
-# every counter of a small group moving — the steady case — an entry is
-# one byte plus a byte per member.  The form is canonical, one delta one
-# byte string, because a decoded message keeps its input as its
-# encoding: ``k`` is at least 1, a pair list that spells a prefix is
-# refused, a gap cannot name the adjacent position, named and removed
-# groups strictly ascend in packed order, and no varint is longer than
-# it needs to be.
+# counts alone; any other sends ascending ``(rank, count)`` pairs.  An
+# entry whose every counter is its predecessor's plus one — the steady
+# case: each member of the group delivered one more since the sender's
+# last multicast — is a *unit* entry, ``k = 0`` with the prefix bit,
+# and sends no body: one byte when adjacent.  The form is canonical, one
+# delta one byte string, because a decoded message keeps its input as
+# its encoding: ``k = 0`` without the prefix bit is refused, a pair list
+# that spells a prefix is refused, a whole-vector prefix that spells a
+# unit entry is refused where the predecessor is known
+# (:func:`check_delta_positions`), a gap cannot name the adjacent
+# position, named and removed groups strictly ascend in packed order,
+# and no varint is longer than it needs to be.
 #
 # Both ends keep one absolute context per chain (:class:`ChainContext`)
 # and move it *in place*, in one canonical order — group positions are
@@ -235,8 +241,8 @@ class ContextDelta(NamedTuple):
     #: ``(gid, view id, counts in rank order)``: whole vectors.
     named: List[Tuple[bytes, int, List[int]]]
     #: ``(gpos, [(rank, count)])``: counters that moved in a group held
-    #: by position.
-    moved: List[Tuple[int, List[Tuple[int, int]]]]
+    #: by position; ``(gpos, None)`` a unit entry, every counter plus one.
+    moved: List[Tuple[int, Optional[List[Tuple[int, int]]]]]
     removed: List[bytes]
 
 
@@ -249,7 +255,7 @@ def parse_context_delta(data: bytes) -> ContextDelta:
     if kind not in (_CTX_FULL, _CTX_DELTA):
         raise CodecError(f"unknown compact-context kind {kind}")
     named: List[Tuple[bytes, int, List[int]]] = []
-    moved: List[Tuple[int, List[Tuple[int, int]]]] = []
+    moved: List[Tuple[int, Optional[List[Tuple[int, int]]]]] = []
     removed: List[bytes] = []
     # On the steady path (a delta that only moves counters) every varint
     # is one byte: those are read in line, a call apiece otherwise.
@@ -291,7 +297,10 @@ def parse_context_delta(data: bytes) -> ContextDelta:
                     gpos += gap + 2
                 n = word >> 2
                 if not n:
-                    raise CodecError("a moved entry moves no counter")
+                    if not word & 2:
+                        raise CodecError("a moved entry moves no counter")
+                    moved.append((gpos, None))      # a unit entry
+                    continue
                 counters: List[Tuple[int, int]] = []
                 if word & 2:
                     for rank in range(n):
@@ -349,16 +358,30 @@ def check_delta_positions(context: ChainContext, delta: ContextDelta) -> None:
     ``context`` must be the delta's predecessor, which a receiver has
     once the message is its sender's next.  Positions and ranks ascend
     (the parser saw to it), so the last of a run speaks for all of it.
+    Only here is the predecessor known, so only here is the one spelling
+    of a unit entry held: a whole vector whose counts are each one past
+    the predecessor's is refused, and so is a unit entry in a vector of
+    no member.
     """
-    sizes = context.layout[2]
+    _, _, sizes, starts = context.layout
     held = len(sizes)
     for gpos, counters in delta.moved:
         if gpos >= held:
             raise CodecError(f"context names group {gpos} of {held}")
-        if counters and counters[-1][0] >= sizes[gpos]:
+        size = sizes[gpos]
+        if counters is None:
+            if not size:
+                raise CodecError(f"a unit entry in group {gpos} of no member")
+            continue
+        if counters[-1][0] >= size:
             raise CodecError(
                 f"context names rank {counters[-1][0]} of "
-                f"{sizes[gpos]} in group {gpos}")
+                f"{size} in group {gpos}")
+        if len(counters) == size:
+            counts, start = context.counts, starts[gpos]
+            if all(value == counts[start + rank] + 1
+                   for rank, value in counters):
+                raise CodecError(f"group {gpos}'s unit entry spelled whole")
 
 
 def apply_context_delta(context: ChainContext, delta: ContextDelta,
@@ -375,10 +398,14 @@ def apply_context_delta(context: ChainContext, delta: ContextDelta,
         for row in delta.named:
             context.append(*row)
     else:
-        starts = context.layout[3]
+        _, _, sizes, starts = context.layout
         counts = context.counts
         for gpos, counters in delta.moved:
             start = starts[gpos]
+            if counters is None:
+                for at in range(start, start + sizes[gpos]):
+                    counts[at] += 1
+                continue
             for rank, value in counters:
                 counts[start + rank] = value
         if not (delta.named or delta.removed):
@@ -463,11 +490,14 @@ class ContextEncoder:
                 continue
             at = start = starts[gpos]
             n = 0
-            prefix = True
+            prefix = unit = True
             for member in members:
                 value = live.get(member, 0)
-                if value != counts[at]:
+                was = counts[at]
+                if value != was:
                     counts[at] = value
+                    if value != was + 1:
+                        unit = False
                     rank = at - start
                     if prefix and rank != n:
                         # Not ranks 0 .. n-1 after all: what the body
@@ -488,6 +518,10 @@ class ContextEncoder:
             if not n:
                 continue
             n_moved += 1
+            if unit and n == len(members):
+                # Every counter one past the base's: a unit entry.
+                n = 0
+                body.clear()
             word = n << 2 | prefix << 1 | (gpos == last + 1)
             if word < 0x80:
                 moved.append(word)

@@ -20,12 +20,18 @@ system does with them.  Two questions are delegated:
 Policies:
 
 ``primary`` — :class:`PrimaryPartitionPolicy`, the paper's rule (§2.1,
-§3.7): a component may install a view iff it contains **at least half
-of the previous view** (``2 * |survivors| >= |view|``).  Successive
-views overlap by construction, so at most one chain of primary views
-exists.  This is the default and is byte-identical to the behaviour
-before the seam existed: no wire fields are added and the arithmetic is
-the historical check verbatim.
+§3.7): a component may install a view iff it contains **more than half
+of the previous view**, or **exactly half including the previous
+view's oldest member** (its coordinator).  "At least half" alone does
+not make successive views overlap: the two halves of an even view are
+disjoint and would both install.  Only one half can hold the oldest
+member, so with the tie-break any two components entitled by one view
+share a site, and at most one chain of primary views exists.  The
+price is liveness: an exact half without the oldest member stalls also
+when the other half *crashed* (the two oldest of four sites, or the
+oldest of two), for a crash cannot be told from a partition.  The
+component judged is the one the proposer trusts (``trusted``), not the
+proposal's survivors.  No wire fields are added.
 
 ``quorum`` — :class:`QuorumPolicy`: a component may install a view (and
 commit) iff it holds a **strict weighted majority of the static
@@ -57,22 +63,21 @@ class MembershipPolicy:
     mode = "?"
 
     # -- install / commit entitlement --------------------------------------
-    def may_install(self, survivors: Sequence[SvMember],
-                    view_members: Sequence[SvMember],
+    def may_install(self, view_members: Sequence[SvMember],
                     trusted: Sequence[SvMember]) -> bool:
         """May a component install the successor of the view whose
         membership was ``view_members``?
 
-        ``survivors`` is the proposed membership minus this round's
-        removals — the historical primary-partition operand.  ``trusted``
-        additionally excludes sites the proposer *suspects* but has not
+        ``trusted`` is the proposed membership minus this round's
+        removals and minus the sites the proposer *suspects* but has not
         yet queued for removal: a stale coordinator taking over after a
         partition can hold suspicions that predate its coordinatorship
         (they were relayed to the old coordinator, not queued locally),
-        making ``survivors`` overstate its component.  Quorum mode must
-        judge ``trusted`` — the component the proposer can actually
-        reach — or a healed minority site could commit a view built on
-        members it cannot talk to and depose the live majority.
+        so the survivors of its removals alone would overstate its
+        component.  Both policies judge ``trusted`` — the component the
+        proposer can actually reach — or a healed minority site could
+        commit a view built on members it cannot talk to and depose the
+        live majority.
         """
         raise NotImplementedError
 
@@ -102,17 +107,17 @@ class MembershipPolicy:
 
 
 class PrimaryPartitionPolicy(MembershipPolicy):
-    """The paper's primary-partition rule, extracted verbatim."""
+    """The paper's primary-partition rule, an exact half broken by the
+    previous view's oldest member."""
 
     mode = "primary"
 
-    def may_install(self, survivors: Sequence[SvMember],
-                    view_members: Sequence[SvMember],
+    def may_install(self, view_members: Sequence[SvMember],
                     trusted: Sequence[SvMember]) -> bool:
-        # Historical check, inverted: the agent stalled when
-        # ``2 * len(survivors) < len(view.members)``.  ``trusted`` is
-        # deliberately ignored — byte-identical legacy behaviour.
-        return 2 * len(survivors) >= len(view_members)
+        twice = 2 * len(trusted)
+        if twice != len(view_members):
+            return twice > len(view_members)
+        return view_members[0] in trusted
 
 
 class QuorumPolicy(MembershipPolicy):
@@ -133,8 +138,7 @@ class QuorumPolicy(MembershipPolicy):
     def _is_quorum(self, sites: Iterable[int]) -> bool:
         return 2 * self._votes(sites) > self._votes(self.all_sites)
 
-    def may_install(self, survivors: Sequence[SvMember],
-                    view_members: Sequence[SvMember],
+    def may_install(self, view_members: Sequence[SvMember],
                     trusted: Sequence[SvMember]) -> bool:
         return self._is_quorum({s for s, _ in trusted})
 

@@ -292,12 +292,12 @@ class SiteViewAgent:
         )
         # Suspicions recorded before we became acting coordinator were
         # relayed away, not queued as removals; they still mark sites we
-        # cannot reach.  Quorum mode judges this trusted set.
+        # cannot reach.  Both policies judge this trusted set.
         trusted = tuple(
             m for m in survivors
             if m[0] == self.site_id or m[0] not in self._suspected
         )
-        if not self.policy.may_install(survivors, self.view.members, trusted):
+        if not self.policy.may_install(self.view.members, trusted):
             # We are on the losing side of a partition.  Primary mode:
             # §2.1 — partitions are not tolerated, a minority of the
             # previous view hangs (probing) until communication is

@@ -454,6 +454,9 @@ TOOLS = ("rm.q", "rm.a", "rt.ask", "rt.tell", "rx.spawn", "news.item")
 #: The write-ahead log's records (``core/wal.py``): a delivery, a view,
 #: a GBCAST payload and a checkpoint.  The kernel routes none of them.
 WAL = ("wal.d", "wal.v", "wal.g", "wal.ck")
+#: What a ``k.notes`` bundle carries: the stability notes one kernel
+#: sends another in one tick (``core/stability.py``).
+NOTES = ("g.stab.a", "g.stab.up", "g.stab.dn")
 
 
 def protocols(context: Callable[[bytes], Any],
@@ -595,6 +598,13 @@ def protocols(context: Callable[[bytes], Any],
     declare("rt.tell", "req:int master:float")
     declare("rx.spawn", "program:str args:values?")
     declare("news.item", "subject:str seq:int body:any? to:address")
+    # Stability notes to one site, bundled (core/kernel.py); last, so
+    # no other row's index moved when it came.  A lone note travels as
+    # itself, so a bundle of fewer than two is not its spelling.
+    kinds["notes"] = list_of(_encoded(_messages(
+        {p: table[p] for p in NOTES}, "a stability note")))
+    declare("k.notes", "notes:notes", lambda rec: None if len(rec[1]) > 1
+            else "a bundle of fewer than two notes")
     table = {proto: table[proto] for proto in PIPELINE + tuple(
         proto for proto in table if proto not in PIPELINE)}
     use_layouts([(proto, *declared.layout)

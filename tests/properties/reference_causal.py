@@ -199,8 +199,10 @@ def encode_delta(delta) -> bytes:
 
     A moved entry is ``4k + 2*prefix + adjacent``, then ``gpos -
     previous - 2`` unless adjacent, then its ``k`` counts if its ranks
-    are ``0 .. k-1``, else its ``(rank, count)`` pairs.  Positions the
-    delta lists out of order have no spelling: their gap is negative.
+    are ``0 .. k-1``, else its ``(rank, count)`` pairs.  A unit entry
+    (counters ``None``: every count plus one) is ``k = 0`` with the
+    prefix bit and nothing after its gap.  Positions the delta lists out
+    of order have no spelling: their gap is negative.
     """
     uv = encode_uvarint
     parts = [bytes([0 if delta.full else 1]), uv(len(delta.named))]
@@ -213,6 +215,7 @@ def encode_delta(delta) -> bytes:
     previous = -1
     for gpos, counters in delta.moved:
         adjacent = gpos == previous + 1
+        counters = [] if counters is None else counters
         prefix = [rank for rank, _ in counters] == list(range(len(counters)))
         parts.append(uv(4 * len(counters) + 2 * prefix + adjacent))
         if not adjacent:
@@ -232,7 +235,7 @@ def encode_context_compact(context: Context,
 
     A group ``prev`` holds in the same view is named by its position in
     ``prev``, and carries the counters that moved, each by its member's
-    rank.  A group that is new or whose view advanced is named by
+    rank, or nothing if every one moved by exactly one.  A group that is new or whose view advanced is named by
     address and carries its whole vector.  Groups ``prev`` holds and
     ``context`` does not are listed as removals.
     """
@@ -250,7 +253,9 @@ def encode_context_compact(context: Context,
         assert len(before) == len(counts), "one view, one member list"
         counters = [(rank, count) for rank, (was, count)
                     in enumerate(zip(before, counts)) if was != count]
-        if counters:
+        if counts and counts == [was + 1 for was in before]:
+            counters = None                 # a unit entry
+        if counters != []:
             moved.append((list(prev).index(gid), counters))
     removed = sorted(g.pack() for g in prev if g not in now)
     return encode_delta(ContextDelta(False, named, moved, removed))
@@ -288,6 +293,8 @@ def decode_context_compact(data: bytes,
                 gpos += gap + 2
             gid = list(prev)[gpos]
             view_id, counts = prev[gid][0], list(prev[gid][1])
+            if word >> 2 == 0:              # a unit entry
+                counts = [count + 1 for count in counts]
             for rank in range(word >> 2):
                 if not word & 2:
                     rank, offset = decode_uvarint(data, offset)

@@ -275,10 +275,22 @@ def test_ring_with_crash_matches_recorded_scan_order():
 #:   deliveries, and 30 / 35 / 32 / 46 of their 100 take another place.
 #:   No two messages of one sender flip, each site delivers the same 100,
 #:   and ``check`` passes; the ring kept its digests.
-DEEP_BACKLOG_DIGESTS = {0: "1d47dec2012546c7", 1: "77e10f56e5780671",
-                        2: "29a2bad9bc240d3d", 3: "edc7c161f12221a9"}
-RING_DIGESTS = {0: "2ebece2e2512de68", 1: "c408df4f74afa027",
-                2: "1b74cc83a136f248", 3: "56edb8b4e39c7328"}
+#: * When a moved ``cb_ctx`` entry whose every counter advanced by one
+#:   became a unit entry (one byte, where it was one plus a count per
+#:   member), every site of both workloads moved: the shorter copies
+#:   reach each site in another interleaving.  Deep backlog (before:
+#:   1d47dec2012546c7, 77e10f56e5780671, 29a2bad9bc240d3d,
+#:   edc7c161f12221a9): sites 0-3 flip 35 / 22 / 72 / 32 pairs of
+#:   concurrent deliveries, and 28 / 19 / 68 / 23 of their 100 take
+#:   another place.  Ring (before: 2ebece2e2512de68, c408df4f74afa027,
+#:   1b74cc83a136f248, 56edb8b4e39c7328): sites 0-3 flip 29 / 12 / 20 /
+#:   23 pairs, and 14 / 9 / 13 / 14 of their 27 take another place.  No
+#:   two messages of one sender flip, each site delivers the same
+#:   messages, and ``check`` passes.
+DEEP_BACKLOG_DIGESTS = {0: "d3dadc9ba6ac267e", 1: "194b822f4b74ba2d",
+                        2: "4e8d936c97ebfc9d", 3: "d17a452282dcfb23"}
+RING_DIGESTS = {0: "ea0b18090931d4ac", 1: "34552b657f7c4e64",
+                2: "06bf655fe288cce4", 3: "afd0b6628c6e7aed"}
 
 
 # ----------------------------------------------------------------------
@@ -707,11 +719,57 @@ context_st = st.dictionaries(
     min_size=1)
 
 
+def _drawn_move(data, context):
+    """The sender's state moves on: counters grow, views advance, groups
+    come and go."""
+    for gid, (view_id, counts) in data.draw(context_st).items():
+        before = context.get(gid)
+        if before is not None and before[0] >= view_id:
+            merged = dict(before[2].items())
+            for member, count in counts.items():
+                merged[member] = merged.get(member, 0) + count
+            context[gid] = (before[0], VIEW, VectorClock(merged))
+        else:
+            context[gid] = (view_id, VIEW, VectorClock(counts))
+    for gid in data.draw(st.sets(st.sampled_from(CTX_GROUPS),
+                                 max_size=1)):
+        if len(context) > 1:
+            context.pop(gid, None)
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_delta_only_check_matches_full_walk(data):
     """The kernel's one check — on the delta, or after a group install
     on the advanced chain taken as a head — against the reference walk."""
+    _check_chain_against_absolute(data, _drawn_move)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_unit_entries_check_and_apply_as_absolute_contexts(data):
+    """The steady case, drawn often: every member of a held group
+    delivered one more, which the delta carries as a unit entry.  Its
+    check wants each count one past the chain's, waits where the walk of
+    the absolute context waits, and its apply leaves the chain equal to
+    that context."""
+    def move(data, context):
+        if not context or data.draw(st.integers(0, 3)) == 0:
+            _drawn_move(data, context)
+        for gid in data.draw(st.sets(st.sampled_from(sorted(context)),
+                                     min_size=1)):
+            view_id, members, vc = context[gid]
+            context[gid] = (view_id, members, VectorClock(
+                {member: vc.get(member) + 1 for member in members}))
+    _check_chain_against_absolute(data, move)
+
+
+def _check_chain_against_absolute(data, move):
+    """Play one sender's chain, its state moved by ``move(data,
+    context)`` between sends, against a receiver kernel; each message is
+    checked both ways (:func:`_check_both_ways`) until deliverable, then
+    applied, and the chain must equal the absolute context rebuilt from
+    the same bytes."""
     system = IsisCluster(n_sites=1, seed=0)
     kernel = system.kernel(0)
     # The receiver: member of some groups, its view of each behind, level
@@ -725,21 +783,7 @@ def test_delta_only_check_matches_full_walk(data):
     rebuilt = None
     context = {}
     for _ in range(data.draw(st.integers(1, 5))):
-        # The sender's state moves on: counters grow, views advance,
-        # groups come and go.
-        for gid, (view_id, counts) in data.draw(context_st).items():
-            before = context.get(gid)
-            if before is not None and before[0] >= view_id:
-                merged = dict(before[2].items())
-                for member, count in counts.items():
-                    merged[member] = merged.get(member, 0) + count
-                context[gid] = (before[0], VIEW, VectorClock(merged))
-            else:
-                context[gid] = (view_id, VIEW, VectorClock(counts))
-        for gid in data.draw(st.sets(st.sampled_from(CTX_GROUPS),
-                                     max_size=1)):
-            if len(context) > 1:
-                context.pop(gid, None)
+        move(data, context)
         wire = reference.encode_context_compact(context, rebuilt)
         rebuilt = reference.decode_context_compact(wire, rebuilt)
         # The receiver evaluates, and re-evaluates as each registered
@@ -771,6 +815,8 @@ def test_delta_only_check_matches_full_walk(data):
             raise AssertionError("context never became satisfiable")
         assert chain.installs == kernel.causal_check.installs
         apply_context_delta(chain.context, delta, kernel.causal_check.layouts)
+        assert list(reference.unpacked_context(chain.context).items()) \
+            == list(rebuilt.items())
         if data.draw(st.booleans()):
             late = data.draw(st.sampled_from(CTX_GROUPS))
             if late not in kernel.engines:

@@ -129,18 +129,13 @@ def test_found_by_the_churn_sweep(seed, mode, script):
     _conforming(seed, mode, script)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "fd/siteview.py: the split plus one 0.5 s heartbeat phase reaches the "
-    "1.5 s min_timeout, so site 1 suspects site 3 just after the heal; "
-    "site 0's sv.propose to site 2 queues in the 0->2 channel behind the "
-    "frames lost in the split, which net/reliable.py recovers one per "
-    "retransmission probe; the round's 4 s ack_timeout removes the live "
-    "site 2, and both halves install a site view 2, {0, 1} and {2, 3}: "
-    "sites 0 and 1 deliver 78 of the 100 (same-view-set)"))
 def test_found_by_the_partition_heal_backlog():
     """The causal deep-backlog run (``conformance.partition_heal``, seed
     77, 2 % loss) with the 1.0 s split it had before it was restated
-    below failure detection: the 50/50 split under the primary rule."""
+    below failure detection: the 50/50 split under the primary rule.
+    Both halves installed a site view 2, {0, 1} and {2, 3}, while an
+    exact half needed no more than half of the previous view; it now
+    needs that view's oldest member too, which only {0, 1} holds."""
     check(Run(partition_heal(1.0)).play())
 
 

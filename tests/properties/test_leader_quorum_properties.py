@@ -134,10 +134,11 @@ def test_quorum_even_split_wedges_both_sides():
         run.system.kernel(s).agent.view.view_id == 1 for s in range(4))
 
 
-def test_primary_even_split_installs_both_sides():
-    """Contrast: the paper's primary-partition rule admits a 50/50
-    split on both sides (half *of the previous view* suffices), which
-    is exactly the split-brain quorum mode exists to rule out."""
+def test_primary_even_split_installs_one_side():
+    """Contrast: the paper's primary-partition rule on a 50/50 split.
+    Half of the previous view suffices only with that view's oldest
+    member, so the side holding site 0 installs and the other stalls in
+    the old view: one primary chain, where quorum mode wedges both."""
     run = Run(replicas(4, 31, IsisConfig(membership="primary"),
                        faults=((10.0, ("partition", [[0, 1], [2, 3]])),),
                        tail=40.0))
@@ -145,7 +146,8 @@ def test_primary_even_split_installs_both_sides():
     left = run.system.kernel(0).agent.view
     right = run.system.kernel(2).agent.view
     assert {s for s, _ in left.members} == {0, 1}
-    assert {s for s, _ in right.members} == {2, 3}
+    assert {s for s, _ in right.members} == {0, 1, 2, 3}
+    assert run.system.sim.trace.value("sv.stalls") >= 1
 
 
 # ----------------------------------------------------------------------

@@ -112,6 +112,7 @@ history_steps = st.lists(
     st.one_of(
         st.tuples(st.just("advance"), st.sampled_from(GROUPS),
                   st.integers(0, len(MEMBERS) - 1), st.integers(1, 200)),
+        st.tuples(st.just("tick"), st.sampled_from(GROUPS)),
         st.tuples(st.just("view"), st.sampled_from(GROUPS), view_members),
         st.tuples(st.just("join"), st.sampled_from(GROUPS), view_members),
         st.tuples(st.just("leave"), st.sampled_from(GROUPS)),
@@ -125,7 +126,8 @@ def replay(steps):
     """Yield ``(live groups for ContextEncoder, absolute snapshot)`` at
     every send of a multi-group history: groups appear, views advance
     (with other members), members send for the first time mid-view,
-    groups leave."""
+    every member of a group delivers one more (the steady case, a unit
+    entry), groups leave."""
     live = {}       # gid -> [view id, members, packed member -> count]
     left = {}       # gid -> the view it was left in
     for step in steps + [("send",)]:
@@ -144,6 +146,10 @@ def replay(steps):
             _, members, counts = live[step[1]]
             key = members[step[2] % len(members)].pack()
             counts[key] = counts.get(key, 0) + step[3]
+        elif kind == "tick" and step[1] in live:
+            _, members, counts = live[step[1]]
+            for member in members:
+                counts[member.pack()] = counts.get(member.pack(), 0) + 1
         elif kind == "send":
             snapshot = {
                 gid: (view_id, members, VectorClock(
@@ -239,6 +245,8 @@ def test_damaged_deltas_are_refused_by_codec_error_only(steps):
                                        in delta.moved[i:]]
             assert _refused(chain, _encode(delta._replace(moved=moved)),
                             groups), i
+            if counters is None:
+                continue    # a unit entry names no rank
             # ... each rank bumped past its bound ...
             for j, (rank, value) in enumerate(counters):
                 bumped = list(counters)
@@ -301,10 +309,12 @@ def context_spellings(draw):
             max_size=3))
         parts.append(uv(len(moved)))
         for prefix, adjacent, gap, ordered, ranks in moved:
-            n = len(ranks) if draw(st.integers(0, 15)) else 0
+            n = len(ranks) if draw(st.integers(0, 7)) else 0
             parts.append(uv(4 * n + 2 * prefix + adjacent))
             if not adjacent:
                 parts.append(uv(gap))
+            if not n and prefix:
+                continue        # a unit entry: no body
             for rank in sorted(ranks) if ordered else ranks:
                 if not prefix:
                     parts.append(uv(rank))
@@ -328,22 +338,32 @@ def test_every_accepted_context_is_the_one_spelling_of_its_delta(data):
     assert reference.encode_delta(delta) == data
 
 
-def _spell(delta, i, how):
+def _spell(delta, i, how, base=None):
     """``delta`` with its ``i``-th moved entry spelled another way than
-    :func:`reference.encode_delta` does: ``"empty"`` (no counter moved),
-    ``"pairs"`` (its ranks as pairs, a prefix too) or ``"gap"`` (the
-    adjacent bit clear and the gap written as ``gpos - previous - 1``,
-    the spelling a writer off by one would give it)."""
+    :func:`reference.encode_delta` does: ``"empty"`` (no counter moved,
+    the prefix bit clear), ``"pairs"`` (its ranks as pairs, a prefix
+    too), ``"whole"`` (a unit entry as the prefix of every count one past
+    the chain ``base``'s) or ``"gap"`` (the adjacent bit clear and the
+    gap written as ``gpos - previous - 1``, the spelling a writer off by
+    one would give it)."""
     uv = encode_uvarint
     parts = [reference.encode_delta(delta._replace(moved=[], removed=[]))[:-2],
              uv(len(delta.moved))]
     previous = -1
     for j, (gpos, counters) in enumerate(delta.moved):
-        prefix = [rank for rank, _ in counters] == list(range(len(counters)))
+        unit = counters is None
+        if unit and j == i and how == "whole":
+            start, size = base.layout[3][gpos], base.layout[2][gpos]
+            counters = [(rank, base.counts[start + rank] + 1)
+                        for rank in range(size)]
+            unit = False
+        counters = [] if counters is None else counters
+        prefix = unit or [rank for rank, _ in counters] == list(
+            range(len(counters)))
         adjacent, gap = gpos == previous + 1, gpos - previous - 2
         if j == i:
             counters = [] if how == "empty" else counters
-            prefix = prefix and how != "pairs"
+            prefix = prefix and how not in ("pairs", "empty")
             if how == "gap":
                 adjacent, gap = False, gpos - previous - 1
         parts.append(uv(4 * len(counters) + 2 * prefix + adjacent))
@@ -357,10 +377,13 @@ def _spell(delta, i, how):
 
 @given(history_steps)
 def test_a_moved_entry_has_one_spelling(steps):
-    """An entry of no counters, a prefix spelled as pairs: refused, by
-    :class:`CodecError` alone.  An adjacent entry has no explicit gap to
-    spell it: the gap counts from the position after the next, so the
-    off-by-one spelling names another group, or none."""
+    """An entry of no counters without the prefix bit, a prefix spelled
+    as pairs, a unit entry spelled as the whole vector of its counts:
+    refused, by :class:`CodecError` alone — the last where positions are
+    checked, the one place the predecessor is known.  An adjacent entry
+    has no explicit gap to spell it: the gap counts from the position
+    after the next, so the off-by-one spelling names another group, or
+    none."""
     encoder, chain = ContextEncoder({}), ChainContext()
     for groups, _ in replay(steps):
         data = encoder.encode(groups)
@@ -370,7 +393,13 @@ def test_a_moved_entry_has_one_spelling(steps):
         for i, (gpos, counters) in enumerate(delta.moved):
             with pytest.raises(CodecError, match="moves no counter"):
                 parse_context_delta(_spell(delta, i, "empty"))
-            if [rank for rank, _ in counters] == list(range(len(counters))):
+            if counters is None:
+                whole = parse_context_delta(_spell(delta, i, "whole", chain))
+                assert whole.moved[i][1] is not None
+                with pytest.raises(CodecError, match="spelled whole"):
+                    check_delta_positions(chain, whole)
+            elif [rank for rank, _ in counters] == list(
+                    range(len(counters))):
                 with pytest.raises(CodecError, match="prefix spelled as"):
                     parse_context_delta(_spell(delta, i, "pairs"))
             if gpos == previous + 1:

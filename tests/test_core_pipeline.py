@@ -651,6 +651,82 @@ class TestStabilityRound:
         assert engine.store.buffered_count == 0
 
 
+def _two_groups(monkeypatch, n_sites, quiet, tap=False):
+    """Groups ``pipe`` and ``pipe2`` on ``n_sites`` sites, the wave the
+    only collector, 20 messages from site 0 in each; ``quiet``: no tick
+    fires.  Returns the system, site 0's two engines (the root's) and,
+    with ``tap``, what the kernels sent once both groups were formed."""
+    if quiet:
+        monkeypatch.setattr(stability_mod, "STABILITY_INTERVAL", 1e9)
+    config = IsisConfig(piggyback_stability=False)
+    system, members, _ = _two_member_group(config, n_sites=n_sites)
+    more, _ = deploy_group(system, "pipe2", n_sites)
+    sent = tap_wire(system, n_sites) if tap else None
+    for group, procs in (("pipe", members), ("pipe2", more)):
+        def stream(isis=procs[0][1], group=group):
+            gid = yield isis.pg_lookup(group)
+            for i in range(20):
+                yield isis.cbcast(gid, 16, tag=i)
+        procs[0][0].spawn(stream(), group)
+    system.run_for(10.0)
+    return system, list(system.kernel(0).engines.values()), sent
+
+
+class TestStabilityNotesBundled:
+    """A kernel's stability notes to one site within a tick, or while a
+    bundle of them is handled, leave as one ``k.notes`` message."""
+
+    def test_a_ticks_notes_to_one_site_leave_together(self, monkeypatch):
+        system, engines, sent = _two_groups(monkeypatch, 3, quiet=False,
+                                            tap=True)
+        system.run_for(20.0)
+        bundles = [msg for msg in sent if msg["_proto"] == "k.notes"]
+        assert bundles
+        for bundle in bundles:
+            notes = [Message.decode(bytes(note)) for note in bundle["notes"]]
+            assert len(notes) > 1
+            assert all(note["_proto"].startswith("g.stab.")
+                       for note in notes)
+        for site in range(3):
+            assert system.kernel(site).stats()["buffered_messages"] == 0
+
+    def test_a_bundles_answers_leave_together(self, monkeypatch):
+        """Two reports in one bundle complete two cuts: their notes to
+        the one child leave as one bundle too."""
+        system, engines, _ = _two_groups(monkeypatch, 2, quiet=True)
+        kernel = engines[0].kernel
+        assert [e.store.buffered_count for e in engines] == [20, 20]
+        sent = tap_wire(system, 2)
+        kernel._dispatch(1, Message(_proto="k.notes", notes=[
+            _up(engine, engine.store.have_vector(), 1).encode()
+            for engine in engines]))
+        assert [e.store.buffered_count for e in engines] == [0, 0]
+        (bundle,) = sent
+        assert [Message.decode(bytes(note))["_proto"]
+                for note in bundle["notes"]] == ["g.stab.dn"] * 2
+
+    def test_a_bundle_with_another_item_is_dropped_whole(self, monkeypatch):
+        system, engines, _ = _two_groups(monkeypatch, 2, quiet=True)
+        kernel = engines[0].kernel
+        stale = _up(engines[0], {}, 1, engines[0].view.view_id - 1).encode()
+        other = Message(_proto="g.abp", gid=engines[1].gid,
+                        view=engines[1].view.view_id, ref=[0, 1],
+                        prio=[1, 0]).encode()
+        trace = system.sim.trace
+        kernel._dispatch(1, Message(_proto="k.notes", notes=[stale, other]))
+        assert trace.value("kernel.bad_message") == 1
+        assert trace.value("stability.stale_note") == 0
+        kernel._dispatch(1, Message(_proto="k.notes", notes=[stale, stale]))
+        assert trace.value("kernel.bad_message") == 1
+        assert trace.value("stability.stale_note") == 2
+        # A lone note travels as itself: a bundle of one or none is not
+        # its spelling.
+        for notes in ([stale], []):
+            kernel._dispatch(1, Message(_proto="k.notes", notes=notes))
+        assert trace.value("kernel.bad_message") == 3
+        assert trace.value("stability.stale_note") == 2
+
+
 class TestStabilityWireBudget:
     """A have-vector reaches the wire one way: every stability note and
     the flush's union cut are a few varints, whoever sends them."""
@@ -761,6 +837,11 @@ class TestCausalContextWireBudget:
         head, steady = self._chain(32, [5, 6, 7, 8])
         assert head <= 450                  # 1 474 with member addresses
         assert steady <= 330                # 356 with a gained-count byte
+
+    def test_every_member_of_32_groups_delivered_one(self):
+        """The steady case: every counter one past its predecessor's is a
+        unit entry, one byte a group."""
+        assert self._chain(32, [1, 1, 1, 1])[1] == 36      # was 164
 
     def test_one_counter_of_one_group_moved(self):
         assert self._chain(1, [0, 0, 1, 0])[1] <= 10        # was 22

@@ -170,10 +170,10 @@ class TestContextForm:
                                match="removed groups do not ascend"):
                 parse_context_delta(b"\x01\x00\x00\x02" + removed)
 
-    def test_a_steady_delta_of_32_groups_of_4_is_164_bytes(self):
-        """Every counter of every group moved: per group one byte that
-        says "4 counts, ranks 0-3, the next position", then the counts.
-        Kind, named, moved and removed counts make the other 4."""
+    @staticmethod
+    def _moved_32_groups_of_4(advance):
+        """The delta of a chain over 32 groups of 4 members once each
+        member of rank ``r`` has delivered ``advance(r)`` more."""
         members = tuple(make_process_address(site, 0, 1).pack()
                         for site in range(4))
         groups = dict(sorted((make_group_address(site, n).pack(),
@@ -182,9 +182,23 @@ class TestContextForm:
         encoder = ContextEncoder({})
         encoder.encode(groups)
         for _, _, live in groups.values():
-            live.update((member, 1 + rank)
+            live.update((member, advance(rank))
                         for rank, member in enumerate(members))
-        data = encoder.encode(groups)
+        return encoder.encode(groups)
+
+    def test_a_steady_delta_of_32_groups_of_4_is_36_bytes(self):
+        """Every member of every group delivered one more: per group one
+        byte that says "a unit entry, the next position", and no counts.
+        Kind, named, moved and removed counts make the other 4."""
+        data = self._moved_32_groups_of_4(lambda rank: 1)
+        assert len(data) == 36
+        assert parse_context_delta(data).moved == [(gpos, None)
+                                                   for gpos in range(32)]
+
+    def test_a_delta_of_32_groups_of_4_moved_unevenly_is_164_bytes(self):
+        """Every counter moved, by 1 to 4: per group one byte that says
+        "4 counts, ranks 0-3, the next position", then the counts."""
+        data = self._moved_32_groups_of_4(lambda rank: 1 + rank)
         assert len(data) == 164
         delta = parse_context_delta(data)
         assert delta.moved == [(gpos, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -351,11 +365,14 @@ class TestCausalReceiver:
         assert rx.pending_count == 0
 
     # A moved entry: 4k + 2*prefix + adjacent, a gap unless adjacent,
-    # then k counts (a prefix) or k (rank, count) pairs.
+    # then k counts (a prefix) or k (rank, count) pairs; k = 0 with the
+    # prefix bit is a unit entry, every count plus one, and has no body.
     @pytest.mark.parametrize("moved", [
         b"\x06\x00\x02",           # group 1 of 1: a prefix, gap 0
         b"\x05\x01\x02",           # rank 1 of 1, in group 0
         b"\x09\x00\x02\x03\x02",   # ranks 0 and 3 of 1
+        b"\x02\x00",               # a unit entry in group 1 of 1
+        b"\x07\x02",               # a unit entry spelled whole (1 + 1)
     ])
     def test_position_naming_nothing_is_refused_at_first_candidacy(
             self, moved):

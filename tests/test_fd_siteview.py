@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.kernel import PROTOCOLS
 from repro.fd import SiteView, SiteViewAgent, SiteViewConfig
+from repro.fd.membership import PrimaryPartitionPolicy
 from repro.msg import Message
 from repro.sim import Simulator
 
@@ -171,6 +172,35 @@ class TestQuorum:
         agents[0].suspect(1)
         sim.run(until=5.0)
         assert agents[0].view.sites() == (0,)
+
+    def test_an_exact_half_needs_the_oldest_member(self):
+        """2-2: both halves hold half of the view; only the one with the
+        previous view's oldest member may install, so the two cannot."""
+        policy = PrimaryPartitionPolicy()
+        view = [(0, 0), (1, 0), (2, 0), (3, 0)]
+        assert policy.may_install(view, view[:2])
+        assert not policy.may_install(view, view[2:])
+        assert policy.may_install(view, view[1:])
+        assert not policy.may_install(view, [view[0]])
+        # Of two sites, the younger alone stalls: it cannot tell the
+        # oldest's crash from a partition in which the oldest installs.
+        assert policy.may_install(view[:2], view[:1])
+        assert not policy.may_install(view[:2], view[1:2])
+
+    def test_a_two_two_split_installs_one_view(self):
+        sim = Simulator()
+        bus, agents, views, _ = make_agents(sim, n=4)
+        genesis_all(agents)
+        bus.cut = {(a, b) for a in (0, 1) for b in (2, 3)}
+        bus.cut |= {(b, a) for a, b in bus.cut}
+        for a in (0, 1):
+            for b in (2, 3):
+                agents[a].suspect(b)
+                agents[b].suspect(a)
+        sim.run(until=20.0)
+        assert [agents[i].view.sites() for i in range(4)] == \
+            [(0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 2, 3)]
+        assert sim.trace.value("sv.stalls") >= 1
 
 
 class TestJoin:

@@ -87,7 +87,8 @@ def test_golden_batch_unpacks_to_its_envelopes():
 def test_golden_contexts_parse_as_positions():
     """The ``cb_ctx`` of the golden ``g.cb`` is a delta that names its
     predecessor's one group by position, and two of its members by rank;
-    the batch is a chain from its head on, in a view of one member."""
+    the batch is a chain from its head on, in a view of one member, whose
+    two deltas are unit entries (its one count plus one)."""
     delta = parse_context_delta(bytes(Message.decode(CORPUS["g.cb"])["cb_ctx"]))
     assert delta == (False, [], [(0, [(0, 128), (1, 129)])], [])
     envelopes, _ = unpack_batch(Message.decode(CORPUS["g.batch"]))
@@ -95,6 +96,7 @@ def test_golden_contexts_parse_as_positions():
     for env in envelopes:
         delta = parse_context_delta(bytes(env["cb_ctx"]))
         check_delta_positions(chain, delta)
+        assert delta.full or delta.moved == [(0, None)]
         apply_context_delta(chain, delta, {})
     assert chain.entries() == [(envelopes[0]["gid"].pack(), 3, [2])]
 

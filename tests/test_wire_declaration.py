@@ -24,7 +24,7 @@ import reference_codec as reference
 from repro import IsisCluster, IsisConfig, Message
 from repro.core.flush import GroupFlush
 from repro.core.join import Joins
-from repro.core.kernel import _HANDLERS, _ROUTES, PROTOCOLS
+from repro.core.kernel import _HANDLERS, _ROUTES, PROTOCOLS, ProtocolsProcess
 from repro.core.namespace import Namespace
 from repro.core.pipeline import TREE_PROTO, DeliveryPipeline
 from repro.core.rpc import GroupRpc
@@ -64,6 +64,9 @@ _MADE = {
 }
 #: Values a cross-field rule constrains beyond their kind.
 _CONSTRAINED = {"op": "reg"}
+#: List lengths a cross-field rule constrains: a bundle of notes holds
+#: two or more (a lone note travels as itself).
+_LIST_LENGTH = {"notes": 2}
 #: One value of each type a message can carry off the wire.
 _WIRE_VALUES = (None, True, 7, -1, 1.5, "x", b"x", _ADDRESS,
                 Message(x=1), [], {})
@@ -81,7 +84,7 @@ def _sample(kind, name=""):
         return _instance(next(iter(kind.of.values())))
     if kind.name == "list":
         return _MADE[kind.left][0] if kind.left in _MADE else [
-            _sample(kind.of)]
+            _sample(kind.of)] * _LIST_LENGTH.get(name, 1)
     if kind.name == "dict":
         return {"k": _sample(kind.of)}
     if kind.name == "fixed":
@@ -333,10 +336,10 @@ def test_every_routed_protocol_is_declared():
     assert set(_ROUTES) == set(_HANDLERS)
     assert set(_HANDLERS) | set(TOOLS) | set(WAL) == set(PROTOCOLS)
     assert not set(_HANDLERS) & set(TOOLS) and not set(_HANDLERS) & set(WAL)
-    assert len(_HANDLERS) == 42 and len(TOOLS) == 6
+    assert len(_HANDLERS) == 43 and len(TOOLS) == 6
     assert set(DeliveryPipeline.HANDLERS) == set(PIPELINE)
     owners = {"engine.flush": GroupFlush, "namespace": Namespace,
-              "joins": Joins, "rpc": GroupRpc}
+              "joins": Joins, "rpc": GroupRpc, "": ProtocolsProcess}
     for proto, path in _HANDLERS.items():
         owner, _, name = path.rpartition(".")
         if proto.startswith("sv."):
