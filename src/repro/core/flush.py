@@ -295,11 +295,10 @@ class GroupFlush:
             return
         if not engine.is_coordinator_site():
             return
-        if not self.kernel.membership_may_commit():
-            # Quorum membership: a minority component must not commit
-            # views or GBCAST events — it wedges until it heals (and
-            # then rejoins via state transfer).  Primary-partition mode
-            # always answers True here.
+        if not self.kernel.agent.may_commit():
+            # Outside the primary component (§2.1) a group commits no
+            # view and no GBCAST: it hangs until the heal, then its
+            # sites self-destruct and rejoin by state transfer.
             self.sim.trace.bump("flush.membership_blocked")
             return
         # Taking over a flush another coordinator began (it died

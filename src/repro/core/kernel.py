@@ -30,7 +30,6 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..errors import CodecError, NoSuchGroup, SiteDown
 from ..fd.heartbeat import HeartbeatConfig, HeartbeatMonitor
-from ..fd.membership import make_membership_policy
 from ..fd.siteview import SiteView, SiteViewAgent, SiteViewConfig
 from ..msg.address import Address, make_group_address
 from ..msg.message import Message
@@ -117,19 +116,6 @@ class IsisConfig:
     #: messages per ABCAST in steady state.  Token handoff rides the
     #: flush, preserving virtual synchrony across view changes.
     abcast_mode: str = "two_phase"
-    #: Partition policy for site-view membership (see fd/membership.py).
-    #: ``"primary"`` (default) is the paper's rule: a component may
-    #: install the next view iff it holds at least half of the *previous
-    #: view*; the losing side stalls until the winner's commit excludes
-    #: it (§2.1/§3.7).
-    #: ``"quorum"`` requires a strict weighted majority of the *static
-    #: deployment*: the majority component keeps installing views and
-    #: committing group events through a partition, every minority
-    #: component wedges (site layer stalled + group flushes gated), and
-    #: healed minority sites rejoin via the ordinary state-transfer
-    #: path.  With ``durability`` on, votes are weighed by WAL position
-    #: (a site whose log holds data counts double).
-    membership: str = "primary"
     #: Dissemination topology.  ``"flat"`` (default) fans every multicast
     #: out to all member sites directly.  ``"tree"`` relays envelopes,
     #: sequencer stamps and stability traffic along a deterministic k-ary
@@ -188,15 +174,12 @@ class ProtocolsProcess:
             on_suspect=self._on_suspect,
             config=self.config.heartbeat,
         )
-        self.membership_policy = make_membership_policy(
-            self.config.membership, all_sites, own_weight=self._vote_weight)
         self.agent = SiteViewAgent(
             self.sim, self.site_id, site.incarnation, all_sites,
             send=self.send_to_site,
             on_view=self._on_site_view,
             self_destruct=self._self_destruct,
             config=self.config.siteview,
-            policy=self.membership_policy,
         )
         self.namespace = Namespace(self.sim, self.site_id, self.send_to_site)
         # Groups.
@@ -272,38 +255,6 @@ class ProtocolsProcess:
         if view is None:
             return set(self._all_sites)
         return set(view.sites())
-
-    def _vote_weight(self) -> int:
-        """This site's membership vote weight (quorum mode only).
-
-        With durability on, a site whose WAL holds any logged data
-        counts double — the analogue of the §5 recovery poll's log
-        ranking, so a thin majority of blank restarts cannot outvote
-        the component that actually holds the committed prefix.
-        """
-        if self.wal is not None:
-            for gw in self.wal.groups.values():
-                view_id, delivered = gw.position()
-                if delivered > 0 or view_id > 1:
-                    return 2
-        return 1
-
-    def membership_may_commit(self) -> bool:
-        """May group flushes on this kernel commit right now?
-
-        Primary-partition mode always says yes — the site-view install
-        rule is the only gate, exactly the pre-seam behaviour.  Quorum
-        mode additionally requires the sites this kernel currently
-        believes alive (current view minus heartbeat suspects) to hold
-        a weighted majority of the static deployment: without this, a
-        group wholly contained in the minority component would keep
-        committing GBCASTs even though the site layer is stalled.
-        """
-        view = self.agent.view
-        if view is None:
-            return True
-        return self.membership_policy.group_commit_allowed(
-            self.agent.unsuspected_members(), view.members)
 
     # ------------------------------------------------------------------
     # Transport plumbing
@@ -566,11 +517,10 @@ class ProtocolsProcess:
             for engine in list(self.engines.values()):
                 engine.on_sites_died(departed)
             self.rpc.resend(lambda req: req.site in departed)
-        if self.config.membership != "primary":
-            # Quorum mode: a view install clears suspicions, which may
-            # restore commit rights a gated flush was waiting on.
-            for engine in list(self.engines.values()):
-                engine.maybe_start_flush()
+        # A view install clears suspicions, which may restore the
+        # commit right a gated flush was waiting on (agent.may_commit).
+        for engine in list(self.engines.values()):
+            engine.maybe_start_flush()
         for hook in self.site_view_hooks:
             hook(view, departed, joined)
 

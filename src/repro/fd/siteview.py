@@ -23,6 +23,22 @@ Protocol (coordinator-driven two-phase):
 * After a **total** failure there is no coordinator; a restarting site
   that hears only join requests from higher-numbered sites for a full
   bootstrap window forms a singleton view and admits the rest.
+
+The partition rule (§2.1, §3.7) is one predicate, :func:`is_primary`:
+a component may go on iff it holds more than half of the previous view,
+or exactly half including that view's oldest member.  It answers both
+questions a partition asks.  *May it install the next site view?*  The
+coordinator judges the component it trusts.  *May its group flushes
+commit?*  A kernel judges the sites it does not suspect
+(:meth:`SiteViewAgent.may_commit`), so a group wholly inside a stalled
+minority commits no view and no GBCAST either.  Only one half of an
+even view holds its oldest member, so any two components the rule
+entitles share a site and at most one chain of views exists.  The
+other parts hang, probing, until communication is restored; the
+primary's commit then excludes them and they self-destruct and rejoin.
+The price is liveness after crashes: an exact half without the oldest
+member cannot tell the other half's crash from a partition, and stalls
+(the two oldest of four sites crash, or the oldest of two).
 """
 
 from __future__ import annotations
@@ -32,9 +48,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..msg.message import Message
 from ..sim.core import Simulator, Timer
-from .membership import MembershipPolicy, PrimaryPartitionPolicy
 
 SiteIncarnation = Tuple[int, int]
+
+
+def is_primary(previous: Sequence[SiteIncarnation],
+               component: Sequence[SiteIncarnation]) -> bool:
+    """May ``component`` go on from the view whose members were
+    ``previous``: more than half of them, or exactly half with the
+    oldest?  "At least half" alone would let both halves of an even
+    view install."""
+    twice = 2 * len(component)
+    if twice != len(previous):
+        return twice > len(previous)
+    return previous[0] in component
 
 
 @dataclass(frozen=True)
@@ -86,7 +113,6 @@ class SiteViewAgent:
         on_view: Callable[[SiteView, Set[int], Set[int]], None],
         self_destruct: Callable[[], None],
         config: Optional[SiteViewConfig] = None,
-        policy: Optional[MembershipPolicy] = None,
     ):
         self.sim = sim
         self.site_id = site_id
@@ -96,9 +122,6 @@ class SiteViewAgent:
         self.on_view = on_view
         self.self_destruct = self_destruct
         self.config = config or SiteViewConfig()
-        #: Who may install a view / commit (see fd/membership.py).  The
-        #: default reproduces the historical primary-partition check.
-        self.policy = policy or PrimaryPartitionPolicy()
         self.view: Optional[SiteView] = None
         self._suspected: Set[int] = set()
         self._pending_joins: Set[SiteIncarnation] = set()
@@ -153,18 +176,16 @@ class SiteViewAgent:
                 return False
         return False
 
-    def unsuspected_members(self) -> Tuple[SiteIncarnation, ...]:
-        """Current-view members this site does not currently suspect.
-
-        The kernel's quorum commit gate judges majorities over this set:
-        with all-to-all heartbeats, every site on the losing side of a
-        partition suspects the whole other side, so the set (and the
-        verdict) is computed locally yet agrees across the component.
-        """
+    def may_commit(self) -> bool:
+        """May this site's group flushes commit?  Only where the sites
+        it does not suspect are a primary component of the current
+        view.  With all-to-all heartbeats every site on the losing side
+        of a partition suspects the whole other side, so the verdict is
+        local yet agrees across the component."""
         if self.view is None:
-            return ()
-        return tuple(
-            m for m in self.view.members if m[0] not in self._suspected)
+            return True
+        return is_primary(self.view.members, tuple(
+            m for m in self.view.members if m[0] not in self._suspected))
 
     # ------------------------------------------------------------------
     # Inputs
@@ -292,19 +313,19 @@ class SiteViewAgent:
         )
         # Suspicions recorded before we became acting coordinator were
         # relayed away, not queued as removals; they still mark sites we
-        # cannot reach.  Both policies judge this trusted set.
+        # cannot reach.  The rule judges this trusted set, not the
+        # survivors, which a stale coordinator can overstate: a healed
+        # minority site could otherwise commit a view built on members
+        # it cannot talk to and depose the live primary.
         trusted = tuple(
             m for m in survivors
             if m[0] == self.site_id or m[0] not in self._suspected
         )
-        if not self.policy.may_install(self.view.members, trusted):
-            # We are on the losing side of a partition.  Primary mode:
-            # §2.1 — partitions are not tolerated, a minority of the
-            # previous view hangs (probing) until communication is
-            # restored, at which point the winning side's commit excludes
-            # us and we self-destruct into recovery (§3.7).  Quorum mode:
-            # the same stall, judged against a weighted majority of the
-            # static deployment instead of half the previous view.
+        if not is_primary(self.view.members, trusted):
+            # We are on the losing side of a partition (§2.1): hang,
+            # probing, until communication is restored; the primary's
+            # commit then excludes us and we self-destruct into
+            # recovery (§3.7).
             self._enter_stalled()
             return
         new_members = survivors + tuple(sorted(joins))
@@ -348,9 +369,7 @@ class SiteViewAgent:
         self._maybe_start_round()
 
     def _on_ack(self, src_site: int, record: tuple) -> None:
-        _, view_id, weight = record
-        if weight is not None:
-            self.policy.note_weight(src_site, weight)
+        view_id = record[1]
         if self._round is not None and view_id == self._round:
             self._round_acks.add(src_site)
             self._check_round_complete()
@@ -414,18 +433,11 @@ class SiteViewAgent:
             self.send(prober[0], self._commit_message(self.view))
 
     def _commit_message(self, view: SiteView) -> Message:
-        commit = Message(
+        return Message(
             _proto="sv.commit",
             view_id=view.view_id,
             members=[[s, i] for s, i in view.members],
         )
-        weights = self.policy.commit_weights()
-        if weights is not None:
-            # Quorum mode only: circulate the vote-weight table so every
-            # member judges majorities the same way.  Primary mode leaves
-            # the commit byte-identical to the pre-seam wire format.
-            commit["weights"] = weights
-        return commit
 
     # -- member side --------------------------------------------------------
     def _on_propose(self, src_site: int, record: tuple) -> None:
@@ -434,15 +446,10 @@ class SiteViewAgent:
         if view_id <= current:
             return
         self._last_acked_view = max(self._last_acked_view, view_id)
-        ack = Message(_proto="sv.ack", view_id=view_id)
-        weight = self.policy.ack_weight()
-        if weight is not None:
-            ack["w"] = weight
-        self.send(src_site, ack)
+        self.send(src_site, Message(_proto="sv.ack", view_id=view_id))
 
     def _on_commit(self, src_site: int, record: tuple) -> None:
-        _, view_id, members, weights = record
-        self.policy.ingest_weights(weights)
+        _, view_id, members = record
         view = SiteView(view_id=view_id, members=tuple(members))
         current = self.view.view_id if self.view is not None else 0
         if view.view_id <= current:

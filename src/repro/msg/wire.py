@@ -516,14 +516,13 @@ def protocols(context: Callable[[bytes], Any],
         ("transfer", optional(BOOL)), ("source", optional(ADDRESS)))
     kinds["segments"] = dict_of(kinds["blobs"])
     kinds["names"] = list_of(fixed(STR, ADDRESS, INT))
-    kinds["weights"] = list_of(fixed(INT, INT))
 
     # Site view (fd/siteview.py) and name service (core/namespace.py).
     declare("sv.join", "site:uint incarnation:uint")
     declare("sv.suspect", "suspect:uint")
     declare("sv.propose", "view_id:uint members:sites")
-    declare("sv.ack", "view_id:uint w:int?")
-    declare("sv.commit", "view_id:uint members:sites weights:weights?")
+    declare("sv.ack", "view_id:uint")
+    declare("sv.commit", "view_id:uint members:sites")
     declare("sv.probe", "site:uint incarnation:uint")
     declare("ns.reg", "name:str gid:address contact:int")
     declare("ns.unreg", "name:str")

@@ -36,8 +36,9 @@ record that breaks one is refused with the rule's name.
    delivered in send order across them, in a run with no view change
    once traffic started (a flush cut delivers a group's leftovers
    whatever other groups they wait on, ``GroupEngine.apply_commit``).
-7. ``quorum-views``: under ``membership="quorum"`` no two sites install
-   different member lists for one group view.
+7. ``one-view-per-id``: no two sites install different member lists
+   for one group view: only the primary component commits a view
+   (§2.1), so a split never yields two chains.
 8. ``durable-replica``: a process restored from its site's log holds a
    prefix of what its predecessor held when it crashed: a crash may eat
    an unsynced suffix, never the middle.
@@ -147,7 +148,6 @@ class Record:
     final: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: process -> its site.
     sites: Dict[str, int] = field(default_factory=dict)
-    membership: str = "primary"
     #: No view installed once traffic started.
     steady: bool = False
     #: process -> the tags it holds as state (a state transfer replaces it).
@@ -370,7 +370,6 @@ class Recorder:
             installed={s: list(rows) for s, rows in self.installed.items()},
             final=final,
             sites=dict(self.sites),
-            membership=self.cluster.config.membership,
             steady=(self._traffic_from is not None
                     and self._installs == self._traffic_from),
             states={n: list(s) for n, s in self.states.items()},
@@ -744,9 +743,7 @@ def _cross_group_causal(record):
                           else None)
 
 
-def _quorum_views(record):
-    if record.membership != "quorum":
-        return None
+def _one_view_per_id(record):
     seen = {}
     for site, rows in sorted(record.installed.items()):
         for group, view_id, members in rows:
@@ -774,6 +771,6 @@ RULES = (
     ("same-view-set", _same_view_set),
     ("gbcast-order", _gbcast_order),
     ("cross-group-causal", _cross_group_causal),
-    ("quorum-views", _quorum_views),
+    ("one-view-per-id", _one_view_per_id),
     ("durable-replica", _durable_replica),
 )

@@ -4,7 +4,7 @@
   record that breaks that rule and no other is refused with the rule's
   name, and its conforming twin passes.
 * **Every configuration** — a pairwise covering set of rows over the
-  seven ``IsisConfig`` axes that choose a protocol path: every pair of
+  six ``IsisConfig`` axes that choose a protocol path: every pair of
   settings of any two axes runs together in some row.  Each row runs
   one fixed churn script (``conformance.churn``) and must conform and
   end in one view.
@@ -73,10 +73,10 @@ CASES = {
         _record([("g", 1, "a", "y0"), ("h", 1, "a", "y1")],
                 [("g", 1, "a", "y0"), ("h", 1, "a", "y1")], steady=True,
                 final={"a": {"g": 1, "h": 1}, "b": {"g": 1, "h": 1}})),
-    "quorum-views": (
-        Record(streams={}, sent=SENT, membership="quorum",
+    "one-view-per-id": (
+        Record(streams={}, sent=SENT,
                installed={0: [("g", 2, ("a", "b"))], 1: [("g", 2, ("b",))]}),
-        Record(streams={}, sent=SENT, membership="quorum",
+        Record(streams={}, sent=SENT,
                installed={0: [("g", 2, ("a", "b"))],
                           1: [("g", 2, ("a", "b"))]})),
     "durable-replica": (
@@ -102,30 +102,31 @@ def test_checker_refuses_each_broken_rule_alone(rule):
 
 
 def test_views_of_one_id_on_two_sides_are_two_views():
-    """Under the primary rule both halves of a 2|2 split may install
-    view 2 (ARCHITECTURE.md "Membership policies"); they are different
-    views, so their sets are not compared, and only quorum refuses the
-    two lists."""
+    """Two sides of a split that both install view 2 of g hold two
+    views (an id and a member list each), so ``same-view-set`` does not
+    compare their sets; that split brain is ``one-view-per-id``'s, for
+    only the primary component may commit a view (ARCHITECTURE.md "The
+    partition rule")."""
     record = Record(
         streams={"a": [("g", 2, "a", "c0")], "b": [("g", 2, "b", "a1")]},
         sent=SENT, sites={"a": 0, "b": 1},
         installed={0: [("g", 1, ("a", "b")), ("g", 2, ("a",))],
                    1: [("g", 1, ("a", "b")), ("g", 2, ("b",))]},
         final={"a": {"g": 2}, "b": {"g": 2}})
-    check(record)
-    record.membership = "quorum"
-    with pytest.raises(AssertionError, match="^quorum-views: "):
+    broken = [name for name, predicate in RULES
+              if predicate(record) is not None]
+    assert broken == ["one-view-per-id"]
+    with pytest.raises(AssertionError, match="^one-view-per-id: "):
         check(record)
 
 
 # ----------------------------------------------------------------------
-# Every configuration: a pairwise covering set over the seven axes
+# Every configuration: a pairwise covering set over the six axes
 # ----------------------------------------------------------------------
 #: Each axis's default setting, then the other.
 AXES = {
     "abcast_mode": ("two_phase", "sequencer"),
     "dissemination": ("flat", "tree"),
-    "membership": ("primary", "quorum"),
     "batch_window": (0.0, 0.01),
     "durability": (False, True),
     "piggyback_stability": (True, False),
@@ -136,12 +137,12 @@ AXES = {
 #: of 1s, a row of 0s, and neither is inside the other: every pair of
 #: settings of every two axes meets.
 ROWS = [
-    (0, 0, 0, 0, 0, 0, 0),
-    (1, 1, 0, 0, 1, 1, 0),
-    (1, 0, 1, 0, 1, 0, 1),
-    (1, 0, 0, 1, 0, 1, 1),
-    (0, 1, 1, 1, 1, 0, 0),
-    (0, 1, 1, 1, 0, 1, 1),
+    (0, 0, 0, 0, 0, 0),
+    (1, 1, 0, 1, 1, 0),
+    (1, 0, 0, 1, 0, 1),
+    (1, 0, 1, 0, 1, 1),
+    (0, 1, 1, 1, 0, 0),
+    (0, 1, 1, 0, 1, 1),
 ]
 #: One churn script for every row: a GBCAST, a partition shorter than
 #: failure detection, a site crash, a late join and a killed member,

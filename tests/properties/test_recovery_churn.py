@@ -155,9 +155,10 @@ def test_large_wal_suffix_arrives_as_chunks():
         == record.states["app1"]
 
 
-@pytest.mark.parametrize("abcast_mode", ENGINE_GRID)
-@pytest.mark.usefixtures("trim_checkpoints_early")
-def test_kill_all_restart_all_elects_one_restarter(abcast_mode):
+def kv_service(abcast_mode):
+    """Members ``svc0`` and ``svc1`` of ``kv`` on sites 0 and 1 of three,
+    which their recovery managers may restart there, after 20 ABCASTs
+    between them; the run."""
     run = Run(Scenario(
         n_sites=3, seed=303, config=make_config(abcast_mode, True),
         storage_faults=StorageFaults(torn_tail_prob=0.3, seed=9),
@@ -184,7 +185,14 @@ def test_kill_all_restart_all_elects_one_restarter(abcast_mode):
                   gap=1.2))
     system.run_for(20.0)
     assert run.states["svc0"] == run.states["svc1"]
+    return run
 
+
+@pytest.mark.parametrize("abcast_mode", ENGINE_GRID)
+@pytest.mark.usefixtures("trim_checkpoints_early")
+def test_kill_all_restart_all_elects_one_restarter(abcast_mode):
+    run = kv_service(abcast_mode)
+    system = run.system
     system.crash_site(0)
     system.crash_site(1)
     system.run_for(20.0)

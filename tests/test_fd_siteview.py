@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.kernel import PROTOCOLS
 from repro.fd import SiteView, SiteViewAgent, SiteViewConfig
-from repro.fd.membership import PrimaryPartitionPolicy
+from repro.fd.siteview import is_primary
 from repro.msg import Message
 from repro.sim import Simulator
 
@@ -165,6 +165,21 @@ class TestQuorum:
         assert agents[2].view.view_id == 1  # never installed a new view
         assert sim.trace.value("sv.stalls") >= 1
 
+    def test_only_a_primary_component_may_commit(self):
+        """The rule that gates an install gates a group commit too,
+        judged over the sites this agent does not suspect."""
+        sim = Simulator()
+        bus, agents, views, _ = make_agents(sim, n=3)
+        genesis_all(agents)
+        bus.cut = {(2, 0), (0, 2), (2, 1), (1, 2)}
+        for a, b in ((0, 2), (1, 2), (2, 0), (2, 1)):
+            agents[a].suspect(b)
+        assert agents[0].may_commit() and agents[1].may_commit()
+        assert not agents[2].may_commit()
+        sim.run(until=20.0)
+        assert agents[0].view.sites() == (0, 1)
+        assert agents[0].may_commit() and not agents[2].may_commit()
+
     def test_half_of_two_may_proceed(self):
         sim = Simulator()
         bus, agents, views, _ = make_agents(sim, n=2)
@@ -176,16 +191,15 @@ class TestQuorum:
     def test_an_exact_half_needs_the_oldest_member(self):
         """2-2: both halves hold half of the view; only the one with the
         previous view's oldest member may install, so the two cannot."""
-        policy = PrimaryPartitionPolicy()
         view = [(0, 0), (1, 0), (2, 0), (3, 0)]
-        assert policy.may_install(view, view[:2])
-        assert not policy.may_install(view, view[2:])
-        assert policy.may_install(view, view[1:])
-        assert not policy.may_install(view, [view[0]])
+        assert is_primary(view, view[:2])
+        assert not is_primary(view, view[2:])
+        assert is_primary(view, view[1:])
+        assert not is_primary(view, [view[0]])
         # Of two sites, the younger alone stalls: it cannot tell the
         # oldest's crash from a partition in which the oldest installs.
-        assert policy.may_install(view[:2], view[:1])
-        assert not policy.may_install(view[:2], view[1:2])
+        assert is_primary(view[:2], view[:1])
+        assert not is_primary(view[:2], view[1:2])
 
     def test_a_two_two_split_installs_one_view(self):
         sim = Simulator()

@@ -22,8 +22,8 @@ from repro.net.udp import UdpConfig
 CONFIG_FIELDS = {
     IsisConfig: [
         "abcast_mode", "batch_window", "dissemination", "durability",
-        "gbcast_batching", "heartbeat", "membership", "piggyback_stability",
-        "siteview", "tree_fanout", "wal_checkpoint_every"],
+        "gbcast_batching", "heartbeat", "piggyback_stability", "siteview",
+        "tree_fanout", "wal_checkpoint_every"],
     HeartbeatConfig: [
         "interval", "max_timeout", "min_timeout", "nstddev",
         "tick_bucket_size"],
@@ -46,7 +46,7 @@ RETIRED = {
         "transfer_chunk_bytes", "bulk_threshold", "stability_interval",
         "join_retry", "transfer_retry", "fwd_retries", "fwd_timeout",
         "local_delivery_cpu", "batch_max_bytes", "stab_announce_every",
-        "wal_trim_min"],
+        "wal_trim_min", "membership"],
     LanConfig: ["hw_multicast", "ack_delay"],
     UdpConfig: ["ack_delay", "coalesce", "reorder_delay"],
 }
