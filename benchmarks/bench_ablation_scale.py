@@ -23,11 +23,10 @@ Workload per (n, mode) configuration — one group spanning all n sites:
 * **leave** — one member leaves (reason-driven flush, no detection
   delay): flush wire bytes for a full view change at size n.
 
-The failure detector runs damped (long timeouts) through the join
-phase and is muted before the measurement windows — probe traffic is
-O(n) per site per interval in both modes and nothing fails in this
-workload, so leaving it on would swamp the stability metric with
-heartbeat frames.  Results go to ``BENCH_scale.json``.
+The failure detector is stopped at every kernel when the cluster boots:
+probe traffic is O(n) per site per interval in both modes and nothing
+fails in this workload, so leaving it on would swamp the stability
+metric with heartbeat frames.  Results go to ``BENCH_scale.json``.
 
 Run standalone or under pytest-benchmark::
 
@@ -46,7 +45,6 @@ from typing import Dict, List
 import pytest
 
 from repro import IsisCluster, IsisConfig
-from repro.fd.heartbeat import HeartbeatConfig
 from repro.sim.tasks import sleep
 
 from harness import print_table, run_one
@@ -67,10 +65,6 @@ def _config(dissemination: str) -> IsisConfig:
         dissemination=dissemination,
         tree_fanout=8,
         abcast_mode="sequencer",   # the scale-friendly ordering mode
-        # Damp the failure detector: probe traffic out of the windows,
-        # and nothing dies in this workload.
-        heartbeat=HeartbeatConfig(interval=5.0, min_timeout=90.0,
-                                  max_timeout=180.0),
     )
 
 
@@ -83,6 +77,9 @@ def _peak_delta(lan, base: Dict[int, int], n: int) -> int:
 def scale_run(n: int, dissemination: str) -> Dict:
     system = IsisCluster(n_sites=n, seed=601,
                          isis_config=_config(dissemination))
+    # Nothing dies in this workload: no probe traffic in any window.
+    for site in range(n):
+        system.kernel(site).heartbeat.stop()
     members = []
     for site in range(n):
         proc, isis = system.spawn(site, f"m{site}")
@@ -110,14 +107,6 @@ def scale_run(n: int, dissemination: str) -> Dict:
         system.run_for(60.0)
         grace += 1
     assert len(joined) == n - 1, f"only {len(joined)}/{n - 1} joins done"
-
-    # Mute the failure detector for the measurement windows: probes are
-    # inherently O(n) per site per interval in *both* modes and nothing
-    # fails in this workload — without this the quiet window reads
-    # mostly heartbeat frames, not stability protocol traffic.  The
-    # HeartbeatConfig instance is shared by every kernel.
-    system.kernel(0).heartbeat.config.interval = 1e6
-    system.run_for(6.0)  # last already-armed sub-ticks drain
 
     lan = system.cluster.lan
     trace = system.sim.trace

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..net.bulk import BulkConfig
 from ..net.lan import LanConfig
 from ..runtime.driver import Scheduler
 from ..runtime.process import IsisProcess
@@ -106,7 +105,6 @@ class IsisCluster(Deployment):
         n_sites: int = 4,
         seed: int = 0,
         lan_config: Optional[LanConfig] = None,
-        bulk_config: Optional[BulkConfig] = None,
         isis_config: Optional[IsisConfig] = None,
         boot: bool = True,
         storage_faults: Optional[StorageFaults] = None,
@@ -114,7 +112,6 @@ class IsisCluster(Deployment):
         sim = Simulator(seed=seed)
         self.cluster = Cluster(sim, n_sites=n_sites,
                                lan_config=lan_config,
-                               bulk_config=bulk_config,
                                storage_faults=storage_faults)
         super().__init__(sim, self.cluster.sites, n_sites, isis_config, boot)
 

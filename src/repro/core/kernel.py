@@ -24,13 +24,13 @@ Every message is routed by one table: each declared protocol
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..errors import CodecError, NoSuchGroup, SiteDown
-from ..fd.heartbeat import HeartbeatConfig, HeartbeatMonitor
-from ..fd.siteview import SiteView, SiteViewAgent, SiteViewConfig
+from ..fd.heartbeat import HeartbeatMonitor
+from ..fd.siteview import SiteView, SiteViewAgent
 from ..msg.address import Address, make_group_address
 from ..msg.message import Message
 from ..msg.wire import PIPELINE, protocols
@@ -92,8 +92,6 @@ KERNEL_COUNTERS: Dict[str, str] = {
 class IsisConfig:
     """Kernel tunables."""
 
-    heartbeat: HeartbeatConfig = field(default_factory=HeartbeatConfig)
-    siteview: SiteViewConfig = field(default_factory=SiteViewConfig)
     #: Batch concurrent GBCAST payloads into one flush; turn off to
     #: reproduce the paper's per-update GBCAST costs.
     gbcast_batching: bool = True
@@ -172,14 +170,12 @@ class ProtocolsProcess:
             self.sim, self.site_id,
             send_probe=self._send_heartbeat,
             on_suspect=self._on_suspect,
-            config=self.config.heartbeat,
         )
         self.agent = SiteViewAgent(
             self.sim, self.site_id, site.incarnation, all_sites,
             send=self.send_to_site,
             on_view=self._on_site_view,
             self_destruct=self._self_destruct,
-            config=self.config.siteview,
         )
         self.namespace = Namespace(self.sim, self.site_id, self.send_to_site)
         # Groups.

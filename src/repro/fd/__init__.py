@@ -1,12 +1,10 @@
 """Failure detection: adaptive heartbeats and agreed site views."""
 
-from .heartbeat import HeartbeatConfig, HeartbeatMonitor
-from .siteview import SiteView, SiteViewAgent, SiteViewConfig
+from .heartbeat import HeartbeatMonitor
+from .siteview import SiteView, SiteViewAgent
 
 __all__ = [
-    "HeartbeatConfig",
     "HeartbeatMonitor",
     "SiteView",
     "SiteViewAgent",
-    "SiteViewConfig",
 ]

@@ -5,9 +5,9 @@ timeout"*, and §3.7: *"The ISIS failure detector adaptively adjusts the
 timeout interval to avoid treating an overloaded site as having failed."*
 
 Each site's kernel broadcasts an unreliable heartbeat datagram every
-``interval`` seconds and tracks, per monitored peer, a Jacobson-style
+``INTERVAL`` seconds and tracks, per monitored peer, a Jacobson-style
 estimate of the inter-arrival mean and deviation.  A peer is *suspected*
-when nothing has arrived for ``mean + nstddev·dev + interval`` seconds
+when nothing has arrived for ``mean + NSTDDEV·dev + INTERVAL`` seconds
 (clamped between a floor and a ceiling).  Because heartbeats queue behind
 real work on the sender's CPU, an overloaded site naturally stretches the
 observed interval — and the timeout stretches with it, which is exactly
@@ -16,27 +16,29 @@ the adaptivity the paper describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from ..sim.core import Simulator, Timer
 
 
-@dataclass
-class HeartbeatConfig:
-    interval: float = 0.5       # seconds between probes
-    min_timeout: float = 1.5    # never suspect faster than this
-    max_timeout: float = 15.0   # never wait longer than this
-    nstddev: float = 4.0        # deviation multiplier (Jacobson)
-    #: Peers per tick bucket.  With more peers than this, the monitor
-    #: staggers its work: peers hash into ``ceil(n/size)`` buckets and
-    #: each sub-tick (every ``interval / n_buckets`` seconds) probes and
-    #: timeout-checks one bucket.  Every peer is still probed and
-    #: checked exactly once per ``interval``, so detection-latency
-    #: bounds are unchanged (the timeout formula already absorbs one
-    #: interval of check skew) — but the per-tick CPU burst stops being
-    #: an O(n) scan at 256 sites.  ``0`` disables staggering.
-    tick_bucket_size: int = 32
+# What these must satisfy against the other layers' timers is one
+# table, ARCHITECTURE.md "Timing budget" (tests/test_timing_budget.py).
+#: Seconds between probes to a peer.
+INTERVAL = 0.5
+#: Never suspect faster than this, nor wait longer than that.
+MIN_TIMEOUT = 1.5
+MAX_TIMEOUT = 15.0
+#: Deviation multiplier (Jacobson).
+NSTDDEV = 4.0
+#: Peers per tick bucket.  With more peers than this, the monitor
+#: staggers its work: peers hash into ``ceil(n/size)`` buckets and each
+#: sub-tick (every ``INTERVAL / n_buckets`` seconds) probes and
+#: timeout-checks one bucket.  Every peer is still probed and checked
+#: exactly once per ``INTERVAL``, so detection-latency bounds are
+#: unchanged (the timeout formula already absorbs one interval of check
+#: skew) — but the per-tick CPU burst stops being an O(n) scan at 256
+#: sites.
+TICK_BUCKET_SIZE = 32
 
 
 class _PeerStats:
@@ -44,9 +46,9 @@ class _PeerStats:
 
     __slots__ = ("last_arrival", "mean", "dev")
 
-    def __init__(self, now: float, interval: float):
+    def __init__(self, now: float):
         self.last_arrival = now
-        self.mean = interval
+        self.mean = INTERVAL
         self.dev = 0.0
 
     def note_arrival(self, now: float) -> None:
@@ -56,9 +58,9 @@ class _PeerStats:
         self.mean += 0.125 * error
         self.dev += 0.25 * (abs(error) - self.dev)
 
-    def timeout(self, config: HeartbeatConfig) -> float:
-        raw = self.mean + config.nstddev * self.dev + config.interval
-        return min(config.max_timeout, max(config.min_timeout, raw))
+    def timeout(self) -> float:
+        raw = self.mean + NSTDDEV * self.dev + INTERVAL
+        return min(MAX_TIMEOUT, max(MIN_TIMEOUT, raw))
 
 
 class HeartbeatMonitor:
@@ -70,13 +72,11 @@ class HeartbeatMonitor:
         site_id: int,
         send_probe: Callable[[int], None],
         on_suspect: Callable[[int], None],
-        config: Optional[HeartbeatConfig] = None,
     ):
         self.sim = sim
         self.site_id = site_id
         self.send_probe = send_probe
         self.on_suspect = on_suspect
-        self.config = config or HeartbeatConfig()
         self._peers: Dict[int, _PeerStats] = {}
         self._suspected: Set[int] = set()
         self._timer: Optional[Timer] = None
@@ -111,15 +111,13 @@ class HeartbeatMonitor:
         self._suspected &= wanted
         now = self.sim.now
         for added in wanted - self._peers.keys():
-            self._peers[added] = _PeerStats(now, self.config.interval)
+            self._peers[added] = _PeerStats(now)
             self._suspected.discard(added)
         self._rebucket()
 
     def _rebucket(self) -> None:
         """Hash peers into tick buckets (stable: site id modulo count)."""
-        size = self.config.tick_bucket_size
-        n = len(self._peers)
-        n_buckets = 1 if size <= 0 or n <= size else -(-n // size)
+        n_buckets = max(1, -(-len(self._peers) // TICK_BUCKET_SIZE))
         self._buckets = [[] for _ in range(n_buckets)]
         for peer in self._peers:
             self._buckets[peer % n_buckets].append(peer)
@@ -131,10 +129,7 @@ class HeartbeatMonitor:
 
     def stats(self) -> Dict[str, int]:
         """Observability: bucket layout of the staggered tick."""
-        return {
-            "fd.tick_bucket_size": self.config.tick_bucket_size,
-            "fd.buckets": self.n_buckets(),
-        }
+        return {"fd.buckets": self.n_buckets()}
 
     @property
     def suspected(self) -> Set[int]:
@@ -152,7 +147,7 @@ class HeartbeatMonitor:
             return
         # One bucket per sub-tick: with few peers there is exactly one
         # bucket and this is the original whole-scan tick; at scale each
-        # sub-tick touches ~tick_bucket_size peers, spreading probe CPU
+        # sub-tick touches ~TICK_BUCKET_SIZE peers, spreading probe CPU
         # and timeout checks evenly across the interval.  Every peer is
         # still visited once per interval.
         n_buckets = self.n_buckets()
@@ -170,16 +165,17 @@ class HeartbeatMonitor:
         # any of them: correlated site deaths (a rack power-off, a
         # partition) then reach the membership agent as one burst, which
         # its settle window coalesces into a single view round — one
-        # merged-removal flush instead of N serial restarts.  (With
-        # staggered buckets, cross-bucket bursts merge in the membership
-        # agent's settle window instead — sub-ticks are closer together
-        # than the window at the scales where staggering engages.)
+        # merged-removal flush instead of N serial restarts.  With
+        # staggered buckets a burst arrives one bucket at a time,
+        # ``INTERVAL / n_buckets`` apart (250 ms at 64 sites), further
+        # apart than the settle window: the coordinator drops a round
+        # that still lists a newly suspected site and proposes again.
         burst = []
         for peer in bucket:
             stats = self._peers.get(peer)
             if stats is None or peer in self._suspected:
                 continue
-            if now - stats.last_arrival > stats.timeout(self.config):
+            if now - stats.last_arrival > stats.timeout():
                 self._suspected.add(peer)
                 self.sim.trace.bump("fd.suspicions")
                 self.sim.trace.log("fd.suspect", (self.site_id, peer))
@@ -190,4 +186,4 @@ class HeartbeatMonitor:
             if peer in self._peers:  # a callback may re-set the peer set
                 self.on_suspect(peer)
         self._timer = self.sim.call_after(
-            self.config.interval / n_buckets, self._tick)
+            INTERVAL / n_buckets, self._tick)

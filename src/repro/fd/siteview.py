@@ -51,6 +51,22 @@ from ..sim.core import Simulator, Timer
 
 SiteIncarnation = Tuple[int, int]
 
+# What these must satisfy against the other layers' timers is one
+# table, ARCHITECTURE.md "Timing budget" (tests/test_timing_budget.py).
+#: The coordinator proposes again if a round's acks don't all arrive.
+ACK_TIMEOUT = 4.0
+#: A booting (or stalled) site re-sends its join requests (probes).
+JOIN_RETRY = 1.0
+#: A lone restarter that heard no older site's join requests this long
+#: forms a singleton view.
+BOOTSTRAP_TIMEOUT = 6.0
+#: Settle window before the coordinator proposes a new view: near-
+#: simultaneous suspicions (correlated site deaths, a partition)
+#: coalesce into one round with merged removals instead of N serial
+#: view changes — and therefore one group flush instead of N flush
+#: restarts.
+SUSPICION_SETTLE = 0.05
+
 
 def is_primary(previous: Sequence[SiteIncarnation],
                component: Sequence[SiteIncarnation]) -> bool:
@@ -87,19 +103,6 @@ class SiteView:
         return None
 
 
-@dataclass
-class SiteViewConfig:
-    ack_timeout: float = 4.0        # re-propose if acks don't arrive
-    join_retry: float = 1.0         # booting site re-sends join requests
-    bootstrap_timeout: float = 6.0  # lone restarter forms a singleton view
-    #: Settle window before the coordinator proposes a new view: near-
-    #: simultaneous suspicions (correlated site deaths, a partition)
-    #: coalesce into one round with merged removals instead of N serial
-    #: view changes — and therefore one group flush instead of N flush
-    #: restarts.  ``0`` proposes immediately (the original behavior).
-    suspicion_settle: float = 0.05
-
-
 class SiteViewAgent:
     """One site's participant (and potential coordinator) in the protocol."""
 
@@ -112,7 +115,6 @@ class SiteViewAgent:
         send: Callable[[int, Message], None],
         on_view: Callable[[SiteView, Set[int], Set[int]], None],
         self_destruct: Callable[[], None],
-        config: Optional[SiteViewConfig] = None,
     ):
         self.sim = sim
         self.site_id = site_id
@@ -121,7 +123,6 @@ class SiteViewAgent:
         self.send = send
         self.on_view = on_view
         self.self_destruct = self_destruct
-        self.config = config or SiteViewConfig()
         self.view: Optional[SiteView] = None
         self._suspected: Set[int] = set()
         self._pending_joins: Set[SiteIncarnation] = set()
@@ -198,8 +199,7 @@ class SiteViewAgent:
             return
         self._suspected.add(site_id)
         if self.is_coordinator():
-            self._pending_removals.add(site_id)
-            self._maybe_start_round()
+            self._remove(site_id)
         else:
             # Tell the acting coordinator (it may not share our timeout).
             coordinator = self._acting_coordinator()
@@ -211,7 +211,7 @@ class SiteViewAgent:
         """Start the boot-time join loop (site is up but not in any view)."""
         if self._stopped:
             return
-        self._bootstrap_deadline = self.sim.now + self.config.bootstrap_timeout
+        self._bootstrap_deadline = self.sim.now + BOOTSTRAP_TIMEOUT
         self._joins_heard[self.site_id] = self.sim.now
         self._send_join_round()
 
@@ -228,7 +228,7 @@ class SiteViewAgent:
         if (self._bootstrap_deadline is not None
                 and self.sim.now >= self._bootstrap_deadline):
             heard = [s for s, t in self._joins_heard.items()
-                     if t >= self.sim.now - self.config.bootstrap_timeout]
+                     if t >= self.sim.now - BOOTSTRAP_TIMEOUT]
             if heard and min(heard) == self.site_id:
                 # Nobody older is out there: form a singleton view.
                 self.sim.trace.log("sv.bootstrap", self.site_id)
@@ -238,7 +238,7 @@ class SiteViewAgent:
                 ))
                 return
         self._join_timer = self.sim.call_after(
-            self.config.join_retry, self._send_join_round)
+            JOIN_RETRY, self._send_join_round)
 
     # ------------------------------------------------------------------
     # Message handling (proto "sv.*")
@@ -253,9 +253,7 @@ class SiteViewAgent:
         suspect = record[1]
         if self.is_coordinator() and self.view is not None \
                 and self.view.contains_site(suspect):
-            self._suspected.add(suspect)
-            self._pending_removals.add(suspect)
-            self._maybe_start_round()
+            self._remove(suspect)
 
     def _on_join(self, src_site: int, record: tuple) -> None:
         _, site, incarnation = record
@@ -288,6 +286,24 @@ class SiteViewAgent:
                 return site
         return None
 
+    def _remove(self, site_id: int) -> None:
+        """Queue the removal of ``site_id``, a member of the current
+        view.  An open round that still lists it would wait out
+        ``ACK_TIMEOUT`` for its ack, or install it dead: it is dropped
+        and proposed again, merged with the suspicions still to come."""
+        self._suspected.add(site_id)
+        self._pending_removals.add(site_id)
+        listed = (site_id, self.view.incarnation_of(site_id))
+        if self._round is not None and listed in self._round_members:
+            self._drop_round()
+        self._maybe_start_round()
+
+    def _drop_round(self) -> None:
+        self._round = None
+        if self._round_timer is not None:
+            self._round_timer.cancel()
+            self._round_timer = None
+
     def _maybe_start_round(self) -> None:
         if self._round is not None or self._stopped:
             return
@@ -295,12 +311,12 @@ class SiteViewAgent:
             return
         if not self.is_coordinator() or self.view is None:
             return
-        if self.config.suspicion_settle > 0 and not self._settle_done:
+        if not self._settle_done:
             # Let near-simultaneous suspicions and joins accumulate:
             # they merge into one proposed view.
             if self._settle_timer is None:
                 self._settle_timer = self.sim.call_after(
-                    self.config.suspicion_settle, self._settle_expired)
+                    SUSPICION_SETTLE, self._settle_expired)
             return
         self._settle_done = False
         removals = set(self._pending_removals)
@@ -347,7 +363,7 @@ class SiteViewAgent:
             else:
                 self.send(site, proposal)
         self._round_timer = self.sim.call_after(
-            self.config.ack_timeout, self._round_timed_out)
+            ACK_TIMEOUT, self._round_timed_out)
         self._check_round_complete()
 
     def _settle_expired(self) -> None:
@@ -361,8 +377,8 @@ class SiteViewAgent:
         if self._round is None:
             return
         silent = {s for s, _ in self._round_members} - self._round_acks
-        self._round = None
         self._round_timer = None
+        self._drop_round()
         for site in silent:
             self._suspected.add(site)
             self._pending_removals.add(site)
@@ -380,10 +396,7 @@ class SiteViewAgent:
         if self._round_acks != {s for s, _ in self._round_members}:
             return
         view = SiteView(view_id=self._round, members=self._round_members)
-        self._round = None
-        if self._round_timer is not None:
-            self._round_timer.cancel()
-            self._round_timer = None
+        self._drop_round()
         commit = self._commit_message(view)
         removed = set(self._round_removals)
         # Only consume what this round actually handled: suspicions and
@@ -421,7 +434,7 @@ class SiteViewAgent:
                     incarnation=self.incarnation,
                 ))
         self._probe_timer = self.sim.call_after(
-            self.config.join_retry, self._probe_round)
+            JOIN_RETRY, self._probe_round)
 
     def _on_probe(self, src_site: int, record: tuple) -> None:
         """A hung (excluded) site asks where it stands."""

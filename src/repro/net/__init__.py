@@ -1,6 +1,6 @@
 """Network substrate: LAN model, fragmentation, reliable transport, bulk."""
 
-from .bulk import BulkChannel, BulkConfig
+from .bulk import BulkChannel
 from .lan import Lan, LanConfig
 from .packet import FRAME_HEADER_BYTES, KIND_ACK, KIND_DATA, Frame, Reassembler, fragment
 from .reliable import ReliableEndpoint
@@ -8,7 +8,6 @@ from .transport import Transport
 
 __all__ = [
     "BulkChannel",
-    "BulkConfig",
     "Lan",
     "LanConfig",
     "Frame",

@@ -14,7 +14,6 @@ view-change flush).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..errors import SiteDown
@@ -24,23 +23,20 @@ from ..sim.tasks import Promise
 from .lan import Lan
 
 
-@dataclass
-class BulkConfig:
-    """TCP-channel cost model."""
-
-    bandwidth: float = 1_250_000.0   # bytes/second (10 Mbit Ethernet)
-    setup_latency: float = 0.050     # connection establishment
-    cpu_per_byte: float = 0.00000005  # copy cost, far below per-message path
+#: The TCP channel's cost model: bytes a second (10 Mbit Ethernet),
+#: connection establishment, and the copy cost a byte, far below the
+#: per-message path's.
+BANDWIDTH = 1_250_000.0
+SETUP_LATENCY = 0.050
+CPU_PER_BYTE = 0.00000005
 
 
 class BulkChannel:
     """Point-to-point bulk byte transfers between sites."""
 
-    def __init__(self, sim: Simulator, lan: Lan,
-                 config: Optional[BulkConfig] = None):
+    def __init__(self, sim: Simulator, lan: Lan):
         self.sim = sim
         self.lan = lan
-        self.config = config or BulkConfig()
 
     def stream(self, src_site: int, dst_site: int, src_cpu: Cpu, dst_cpu: Cpu,
                deliver: Optional[Callable[[int, bytes], None]] = None,
@@ -87,12 +83,12 @@ class BulkStream:
         it, rejects with :class:`SiteDown` if either endpoint is detached
         by the time the wire is done (TCP reset)."""
         channel, sim = self.channel, self.channel.sim
-        setup = 0.0 if self._established else channel.config.setup_latency
+        setup = 0.0 if self._established else SETUP_LATENCY
         self._established = True
         promise = Promise(label=f"bulk:{self.src_site}->{self.dst_site}")
         nbytes = len(data)
-        wire_time = setup + nbytes / channel.config.bandwidth
-        cpu_cost = channel.config.cpu_per_byte * nbytes
+        wire_time = setup + nbytes / BANDWIDTH
+        cpu_cost = CPU_PER_BYTE * nbytes
         sim.trace.bump("bulk.stream_chunks")
         sim.trace.bump("bulk.transfers")
         sim.trace.bump("bulk.bytes", nbytes)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import IsisError, SiteDown
-from ..net.bulk import BulkChannel, BulkConfig, BulkStream
+from ..net.bulk import BulkChannel, BulkStream
 from ..net.lan import Lan, LanConfig
 from ..net.transport import Transport
 from ..sim.core import Simulator
@@ -239,12 +239,11 @@ class Cluster:
         sim: Simulator,
         n_sites: int = 4,
         lan_config: Optional[LanConfig] = None,
-        bulk_config: Optional[BulkConfig] = None,
         storage_faults: Optional[StorageFaults] = None,
     ):
         self.sim = sim
         self.lan = Lan(sim, lan_config or LanConfig())
-        self.bulk = BulkChannel(sim, self.lan, bulk_config or BulkConfig())
+        self.bulk = BulkChannel(sim, self.lan)
         self.programs = ProgramRegistry()
         self.storage_faults = storage_faults
         self._stores: Dict[int, StableStore] = {}

@@ -158,6 +158,25 @@ class TestMemberFailure:
         assert [m["q"] for m in deliveries[2]] == ["fwd"]
 
 
+class TestCorrelatedCrashesPastOneTickBucket:
+    def test_two_crashes_cost_one_detection_not_an_ack_timeout(self):
+        """Past 32 sites the detector ticks one bucket at a time, so two
+        sites that crash together are reported 250 ms apart, beyond the
+        settle window.  The coordinator drops the round that still
+        lists the second and proposes again: the view installs about
+        2 s after the crash, not after a 4 s ack timeout (5.8 s)."""
+        system = IsisCluster(n_sites=40, seed=3)
+        system.run_for(5.0)
+        assert system.kernel(0).heartbeat.n_buckets() == 2
+        system.crash_site(38)   # one in each bucket (site id modulo 2)
+        system.crash_site(39)
+        system.run_for(3.0)
+        views = {system.kernel(s).site_view for s in range(38)}
+        assert len(views) == 1
+        view = views.pop()
+        assert view.view_id == 2 and view.sites() == tuple(range(38))
+
+
 class TestViewSynchrony:
     def test_same_deliveries_between_same_views(self):
         """Survivors deliver identical message sets despite sender crash."""

@@ -121,11 +121,31 @@ def _found(seed, mode, script, reason):
            [("partition", 0), ("crash", 2), ("partition", 0)],
            "core/ordering.py: the flush's ABCAST cut delivers s0:ab:11 "
            "and s0:ab:13 before s0:ab:9 at both survivors (fifo)"),
+    # scripts/churn_sweep.py's draws on seeds 1-600: the same two faults.
+    _found(178, "two_phase",
+           [("partition", 0), ("crash", 2), ("partition", 0)],
+           "core/ordering.py: the flush's ABCAST cut delivers s0:ab:9 "
+           "after s0:ab:13 (fifo), as seed 175"),
+    _found(202, "sequencer",
+           [("partition", 0), ("partition", 0), ("crash", 1)],
+           "fd/siteview.py: a site view stalls after the partitions, and "
+           "m0 and m2 end view 4 holding different sets (same-view-set), "
+           "as seed 192"),
+    _found(436, "sequencer", [("partition", 0), ("crash", 1)],
+           "fd/siteview.py: a site view stalls after the partition, and "
+           "m0 and m2 end view 4 holding different sets (same-view-set), "
+           "as seed 192"),
+    _found(523, "sequencer",
+           [("partition", 0), ("crash", 3), ("crash", 0)],
+           "fd/siteview.py: a site view stalls after the partition, and "
+           "m1 and m2 end view 4 holding different sets (same-view-set), "
+           "as seed 192"),
 ])
 def test_found_by_the_churn_sweep(seed, mode, script):
-    """The non-generator failures of two 300-draw sweeps over kill /
-    crash (any site) / GBCAST / partition / join steps; each fails the
-    parent's checker too."""
+    """The non-generator failures of the churn sweeps over kill /
+    crash (any site) / GBCAST / partition / join steps (two 300-draw
+    sweeps by hand, then ``scripts/churn_sweep.py``, whose ``KNOWN``
+    lists the last four); each fails the parent's checker too."""
     _conforming(seed, mode, script)
 
 

@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.fd import HeartbeatConfig, HeartbeatMonitor
+from repro.fd import HeartbeatMonitor
+from repro.fd.heartbeat import MIN_TIMEOUT
 from repro.sim import Simulator
 
 
 class Harness:
-    def __init__(self, sim, site_id=0, config=None):
+    def __init__(self, sim, site_id=0):
         self.probes = []
         self.suspects = []
         self.monitor = HeartbeatMonitor(
             sim, site_id,
             send_probe=self.probes.append,
             on_suspect=self.suspects.append,
-            config=config or HeartbeatConfig(),
         )
 
 
@@ -87,8 +87,7 @@ def test_readded_peer_forgiven():
 def test_jittery_peer_gets_longer_timeout():
     """§3.7 adaptivity: irregular arrivals stretch the timeout."""
     sim = Simulator()
-    config = HeartbeatConfig(min_timeout=1.5)
-    h = Harness(sim, config=config)
+    h = Harness(sim)
     h.monitor.set_peers([1])
     h.monitor.start()
     # Arrivals alternating fast/slow: mean ~1.25s, high deviation.
@@ -98,7 +97,7 @@ def test_jittery_peer_gets_longer_timeout():
         sim.call_at(t, h.monitor.note_heartbeat, 1)
     sim.run(until=t)
     stats = h.monitor._peers[1]
-    assert stats.timeout(config) > config.min_timeout
+    assert stats.timeout() > MIN_TIMEOUT
 
 
 def test_stop_cancels_ticks():
@@ -129,7 +128,7 @@ def test_removed_peer_not_probed():
 # -- staggered tick buckets (scale-out past 32 sites) ------------------------
 
 def test_few_peers_single_bucket_legacy_behavior():
-    """At or below tick_bucket_size the monitor is the original whole-scan
+    """At or below TICK_BUCKET_SIZE the monitor is the original whole-scan
     tick: one bucket, probes for every peer each interval."""
     sim = Simulator()
     h = Harness(sim)
@@ -148,17 +147,7 @@ def test_bucket_count_scales_ceil(n_peers, expected_buckets):
     h = Harness(sim)
     h.monitor.set_peers(range(1, n_peers + 1))
     assert h.monitor.n_buckets() == expected_buckets
-    assert h.monitor.stats() == {
-        "fd.tick_bucket_size": 32,
-        "fd.buckets": expected_buckets,
-    }
-
-
-def test_bucket_size_zero_disables_staggering():
-    sim = Simulator()
-    h = Harness(sim, config=HeartbeatConfig(tick_bucket_size=0))
-    h.monitor.set_peers(range(1, 101))
-    assert h.monitor.n_buckets() == 1
+    assert h.monitor.stats() == {"fd.buckets": expected_buckets}
 
 
 def test_staggered_every_peer_probed_once_per_interval():

@@ -7,7 +7,7 @@ with per-hop delay, isolating the protocol from the full transport stack.
 import pytest
 
 from repro.core.kernel import PROTOCOLS
-from repro.fd import SiteView, SiteViewAgent, SiteViewConfig
+from repro.fd import SiteView, SiteViewAgent
 from repro.fd.siteview import is_primary
 from repro.msg import Message
 from repro.sim import Simulator
@@ -36,7 +36,7 @@ class Bus:
         return send
 
 
-def make_agents(sim, n=3, config=None):
+def make_agents(sim, n=3):
     bus = Bus(sim)
     views = {i: [] for i in range(n)}
     destroyed = []
@@ -47,7 +47,6 @@ def make_agents(sim, n=3, config=None):
             send=bus.sender_for(i),
             on_view=lambda v, dep, joi, i=i: views[i].append((v, dep, joi)),
             self_destruct=lambda i=i: destroyed.append(i),
-            config=config or SiteViewConfig(),
         )
         bus.agents[i] = agents[i]
     return bus, agents, views, destroyed
@@ -138,18 +137,6 @@ class TestRemoval:
         assert agents[0].view.sites() == (0, 1)
         assert agents[0].view.view_id == 2  # exactly one view change
         assert sim.trace.value("sv.batched_removals") >= 1
-
-    def test_settle_zero_restores_immediate_rounds(self):
-        sim = Simulator()
-        config = SiteViewConfig(suspicion_settle=0.0)
-        bus, agents, views, _ = make_agents(sim, n=4, config=config)
-        genesis_all(agents)
-        agents[0].suspect(2)
-        sim.call_after(0.02, agents[0].suspect, 3)
-        sim.run(until=5.0)
-        # Two serial view changes (the original behavior).
-        assert agents[0].view.sites() == (0, 1)
-        assert agents[0].view.view_id == 3
 
 
 class TestQuorum:
@@ -244,8 +231,7 @@ class TestJoin:
 
     def test_lone_restarter_bootstraps_singleton(self):
         sim = Simulator()
-        config = SiteViewConfig(bootstrap_timeout=3.0)
-        bus, agents, views, _ = make_agents(sim, n=2, config=config)
+        bus, agents, views, _ = make_agents(sim, n=2)
         # Nobody has a view; site 0 starts its join loop alone.
         agents[0].request_join()
         sim.run(until=10.0)
@@ -254,8 +240,7 @@ class TestJoin:
 
     def test_higher_numbered_site_defers_to_lower(self):
         sim = Simulator()
-        config = SiteViewConfig(bootstrap_timeout=3.0)
-        bus, agents, views, _ = make_agents(sim, n=2, config=config)
+        bus, agents, views, _ = make_agents(sim, n=2)
         agents[0].request_join()
         agents[1].request_join()
         sim.run(until=20.0)

@@ -8,11 +8,8 @@ from repro import IsisCluster, IsisConfig, LanConfig, Message
 from repro.core.engine import GroupEngine
 from repro.core.kernel import PROTOCOLS
 from repro.errors import CodecError, GroupError, SiteDown
-from repro.fd.heartbeat import HeartbeatConfig
-from repro.fd.siteview import SiteViewConfig
 from repro.msg import make_group_address, make_process_address
 from repro.msg.fields import encode_stab
-from repro.net.bulk import BulkConfig
 from repro.net.packet import KIND_DATA, Frame
 from repro.net.udp import UdpConfig
 
@@ -22,13 +19,8 @@ from repro.net.udp import UdpConfig
 CONFIG_FIELDS = {
     IsisConfig: [
         "abcast_mode", "batch_window", "dissemination", "durability",
-        "gbcast_batching", "heartbeat", "piggyback_stability", "siteview",
-        "tree_fanout", "wal_checkpoint_every"],
-    HeartbeatConfig: [
-        "interval", "max_timeout", "min_timeout", "nstddev",
-        "tick_bucket_size"],
-    SiteViewConfig: [
-        "ack_timeout", "bootstrap_timeout", "join_retry", "suspicion_settle"],
+        "gbcast_batching", "piggyback_stability", "tree_fanout",
+        "wal_checkpoint_every"],
     LanConfig: [
         "ack_cpu", "inter_site_delay", "intra_site_delay", "loss_rate", "mtu",
         "recv_cpu_per_byte", "recv_cpu_per_frame", "rto", "send_cpu_per_byte",
@@ -36,7 +28,6 @@ CONFIG_FIELDS = {
     UdpConfig: [
         "dup_rate", "fault_seed", "loss_rate", "max_datagram", "max_rto",
         "mtu", "reorder", "rto", "window"],
-    BulkConfig: ["bandwidth", "cpu_per_byte", "setup_latency"],
 }
 #: Knobs no caller ever set: constants beside their readers now, or gone
 #: with the side path they selected.
@@ -46,7 +37,7 @@ RETIRED = {
         "transfer_chunk_bytes", "bulk_threshold", "stability_interval",
         "join_retry", "transfer_retry", "fwd_retries", "fwd_timeout",
         "local_delivery_cpu", "batch_max_bytes", "stab_announce_every",
-        "wal_trim_min", "membership"],
+        "wal_trim_min", "membership", "heartbeat", "siteview"],
     LanConfig: ["hw_multicast", "ack_delay"],
     UdpConfig: ["ack_delay", "coalesce", "reorder_delay"],
 }

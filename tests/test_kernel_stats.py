@@ -40,7 +40,7 @@ EVENTS = {
 GAUGES = {
     "batch_pending", "buffered_bytes", "buffered_messages",
     "causal.ctx_cache", "causal.peak_pending", "causal.pending",
-    "fd.buckets", "fd.tick_bucket_size", "groups",
+    "fd.buckets", "groups",
     "kernel.peak_groups_per_shard", "state_transfer.streams_active",
     "tree.depth", "tree.fanout", "wait_index.peak", "wait_index.size",
 } | {f"transport.{name}" for name in ReliableEndpoint.COUNTERS}

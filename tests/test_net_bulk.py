@@ -3,15 +3,15 @@
 import pytest
 
 from repro.errors import SiteDown
-from repro.net import BulkChannel, BulkConfig, Lan
+from repro.net import BulkChannel, Lan
 from repro.sim import Cpu, Simulator
 
 
-def setup_bulk(sim, bandwidth=1_250_000.0):
+def setup_bulk(sim):
     lan = Lan(sim)
     lan.attach(0, lambda f: None)
     lan.attach(1, lambda f: None)
-    bulk = BulkChannel(sim, lan, BulkConfig(bandwidth=bandwidth))
+    bulk = BulkChannel(sim, lan)
     return lan, bulk, Cpu(sim, "cpu0"), Cpu(sim, "cpu1")
 
 
@@ -26,8 +26,8 @@ def test_transfer_delivers_data():
 
 def test_transfer_time_is_bandwidth_bound():
     sim = Simulator()
-    _, bulk, cpu0, cpu1 = setup_bulk(sim, bandwidth=1_000_000.0)
-    data = b"x" * 1_000_000  # 1 MB at 1 MB/s ~ 1 second + setup
+    _, bulk, cpu0, cpu1 = setup_bulk(sim)
+    data = b"x" * 1_250_000  # 1.25 MB at 1.25 MB/s ~ 1 second + setup
     done_at = []
     promise = bulk.stream(0, 1, cpu0, cpu1).send(data)
     promise.add_done_callback(lambda p: done_at.append(sim.now))

@@ -1,0 +1,131 @@
+"""The timing the layers rely on, stated once.
+
+§2.1 and §3.7 detect a failure only by a timeout; the system is
+partially synchronous (SNIPPETS.md, "System Models"): delays are
+bounded, but only the timers' constants say by how much.  Each row
+below is one inequality between those constants that some code relies
+on, named with that code (its ``reader``).  Every row is asserted on
+both wires' defaults: the simulated LAN (``LanConfig``) and real UDP
+(``UdpConfig``).  A row that does not hold is a strict xfail naming
+the fault it causes.  ARCHITECTURE.md "Timing budget" is this table in
+prose.
+"""
+
+import inspect
+from typing import Callable, NamedTuple, Tuple
+
+import pytest
+
+import test_causal_delivery_properties as causal
+from repro.core.rpc import REQUEST_TIMEOUT, GroupRpc
+from repro.fd.heartbeat import INTERVAL, MIN_TIMEOUT, _PeerStats
+from repro.fd.siteview import (ACK_TIMEOUT, BOOTSTRAP_TIMEOUT, JOIN_RETRY,
+                               SUSPICION_SETTLE, SiteViewAgent)
+from repro.net.lan import Lan, LanConfig
+from repro.net.transport import Transport
+from repro.net.udp import REORDER_DELAY, UdpConfig
+from repro.sim import Cpu, Simulator
+
+WIRES = {"lan": LanConfig(), "udp": UdpConfig()}
+
+
+def delay(wire) -> float:
+    """The longest one datagram takes between two sites: the LAN's
+    inter-site hop; on UDP, a datagram the fault schedule holds back."""
+    if isinstance(wire, UdpConfig):
+        return REORDER_DELAY
+    return wire.inter_site_delay
+
+
+def max_rto(wire) -> float:
+    """The reliable channel's backoff ceiling on ``wire``: one probe of
+    a channel's backlog this long apart, as its transport sets it."""
+    if isinstance(wire, UdpConfig):
+        return wire.max_rto
+    sim = Simulator()
+    return Transport(sim, Lan(sim, wire), 0, 0, Cpu(sim, "cpu"),
+                     lambda *_: None).max_rto
+
+
+class Row(NamedTuple):
+    """``longer(wire) > shorter(wire)``, relied on by ``reader``, whose
+    source names each of ``uses``."""
+
+    reader: Callable
+    uses: Tuple[str, ...]
+    longer: Callable
+    shorter: Callable
+
+
+ROWS = {
+    # A peer that misses one heartbeat is not suspected: the floor
+    # outlasts the silence of one lost probe, checked one interval late.
+    "one-lost-heartbeat": Row(
+        _PeerStats.timeout, ("MIN_TIMEOUT", "INTERVAL"),
+        lambda wire: MIN_TIMEOUT,
+        lambda wire: 2 * INTERVAL + delay(wire)),
+    # The deep backlog's split is below failure detection whatever the
+    # heartbeats' phase, one lost heartbeat included.
+    "split-below-detection": Row(
+        causal.test_deep_backlog_partition_heal_matches_recorded_scan_order,
+        ("SPLIT",),
+        lambda wire: MIN_TIMEOUT,
+        lambda wire: causal.SPLIT + 2 * INTERVAL + delay(wire)),
+    # A restarter forms a singleton view only after a window in which
+    # an older site's join loop, one lost request included, is heard.
+    "bootstrap-hears-a-join": Row(
+        SiteViewAgent._send_join_round, ("BOOTSTRAP_TIMEOUT", "JOIN_RETRY"),
+        lambda wire: BOOTSTRAP_TIMEOUT,
+        lambda wire: 2 * JOIN_RETRY + delay(wire)),
+    # A request to a coordinator that crashed is sent again when the
+    # site view drops it; the timer's retry comes later, so it does not
+    # go to the dead site again first: detection, checked one interval
+    # late, the settle window, and a site-view round's three hops.
+    "request-outlasts-detection": Row(
+        GroupRpc._send, ("REQUEST_TIMEOUT",),
+        lambda wire: REQUEST_TIMEOUT,
+        lambda wire: (MIN_TIMEOUT + INTERVAL + SUSPICION_SETTLE
+                      + 3 * delay(wire))),
+    # A site-view round outlasts one detection plus a channel's backlog
+    # drain at the channel's backoff ceiling: a proposal queued behind
+    # a short split's backlog is acknowledged within the round.
+    "round-outlasts-backlog-drain": Row(
+        SiteViewAgent._maybe_start_round, ("ACK_TIMEOUT",),
+        lambda wire: ACK_TIMEOUT,
+        lambda wire: MIN_TIMEOUT + max_rto(wire)),
+}
+
+#: Rows that do not hold on a wire, and the fault that follows.
+BROKEN = {
+    ("round-outlasts-backlog-drain", "lan"):
+        "ROADMAP item 15b: on the sim LAN a site-view round (4.0 s) is "
+        "shorter than detection plus a backlog drain at max_rto "
+        "(1.5 + 3.2 s); a proposal sent into a short split is "
+        "acknowledged too late, and the round's timeout removes live "
+        "sites",
+}
+
+
+def _cases():
+    for row in ROWS:
+        for wire in WIRES:
+            reason = BROKEN.get((row, wire))
+            marks = () if reason is None else pytest.mark.xfail(
+                strict=True, raises=AssertionError, reason=reason)
+            yield pytest.param(row, wire, id=f"{row}-{wire}", marks=marks)
+
+
+@pytest.mark.parametrize("row,wire", list(_cases()))
+def test_timing_budget_row_holds(row, wire):
+    longer, shorter = ROWS[row].longer(WIRES[wire]), ROWS[row].shorter(
+        WIRES[wire])
+    assert longer > shorter, f"{row} on {wire}: {longer} <= {shorter}"
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+def test_timing_budget_row_names_its_reader(row):
+    """A row's reader is the code that relies on it: a reader that no
+    longer names the row's constants has moved, and so must the row."""
+    source = inspect.getsource(ROWS[row].reader)
+    for name in ROWS[row].uses:
+        assert name in source, f"{row}: {name} not read by its reader"
