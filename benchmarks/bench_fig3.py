@@ -21,6 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro import IsisCluster
+from repro.net.lan import INTER_SITE_DELAY, INTRA_SITE_DELAY
 
 from harness import deploy_group, print_table, run_one
 
@@ -50,9 +51,8 @@ def fig3_workload():
         (t - send_times[k]) * 1000 for t, k in deliveries if k in send_times
     )
     median = latencies[len(latencies) // 2]
-    lan = system.cluster.lan.config
-    intra_ms = 2 * lan.intra_site_delay * 1000
-    inter_ms = 3 * lan.inter_site_delay * 1000
+    intra_ms = 2 * INTRA_SITE_DELAY * 1000
+    inter_ms = 3 * INTER_SITE_DELAY * 1000
     cpu_ms = median - intra_ms - inter_ms
     rows = [
         ("intra-site hops (2 × 10 ms)", f"{intra_ms:.1f}"),

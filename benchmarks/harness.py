@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import IsisCluster, LanConfig
+from repro import IsisCluster
 from repro.core.groups import Isis
 from repro.runtime.process import IsisProcess
 

@@ -27,13 +27,13 @@ from __future__ import annotations
 import sys
 import traceback
 
-from repro import IsisCluster, IsisConfig, LanConfig
+from repro import IsisCluster, IsisConfig
 
 
-def scenario(seed, lan_config=None, restart=True, config=None,
+def scenario(seed, loss_rate=0.0, restart=True, config=None,
              state_bytes=0, settle=0.0):
     """Run one scenario; return its line's values."""
-    system = IsisCluster(n_sites=4, seed=seed, lan_config=lan_config,
+    system = IsisCluster(n_sites=4, seed=seed, loss_rate=loss_rate,
                          isis_config=config)
     system.sim.trace.enable("*")
     state = {s: [b"s" * state_bytes] for s in range(4)}
@@ -99,7 +99,7 @@ def scenario(seed, lan_config=None, restart=True, config=None,
 #: (arguments, groups per site at the end).
 SCENARIOS = (
     (dict(seed=12345, restart=False), [1, 1, 1, 0]),   # clean wire, one crash
-    (dict(seed=13, lan_config=LanConfig(loss_rate=0.05)),  # reliable channel
+    (dict(seed=13, loss_rate=0.05),  # reliable channel
      [1, 1, 1, 0]),
     (dict(seed=7, config=IsisConfig(dissemination="tree", tree_fanout=2,
                                     abcast_mode="sequencer",
@@ -109,7 +109,7 @@ SCENARIOS = (
     (dict(seed=21, state_bytes=200_000), [1, 1, 1, 0]),  # 3 streams
     (dict(seed=22, state_bytes=200_000, settle=30.0),    # + the rejoin's
      [1, 1, 1, 1]),
-    (dict(seed=23, lan_config=LanConfig(loss_rate=0.02), state_bytes=120_000,
+    (dict(seed=23, loss_rate=0.02, state_bytes=120_000,
           settle=30.0, config=IsisConfig(durability=True, batch_window=0.01)),
      [1, 1, 1, 1]),
 )

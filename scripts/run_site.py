@@ -26,7 +26,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from repro.core.kernel import IsisConfig  # noqa: E402
-from repro.net.udp import UdpConfig  # noqa: E402
+from repro.net.udp import UdpFaults  # noqa: E402
 from repro.runtime.asyncio_driver import AsyncioCluster  # noqa: E402
 from repro.sim.tasks import sleep as tasks_sleep  # noqa: E402
 
@@ -80,13 +80,12 @@ def parse_hosts(spec):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    udp_config = UdpConfig(loss_rate=args.loss_rate)
     isis_config = IsisConfig(abcast_mode=args.abcast_mode)
     cluster = AsyncioCluster(
         n_sites=args.n_sites,
         seed=args.seed,
         isis_config=isis_config,
-        udp_config=udp_config,
+        udp_faults=UdpFaults(loss_rate=args.loss_rate),
         host=args.host,
         base_port=args.base_port,
         hosts=parse_hosts(args.hosts),

@@ -41,7 +41,6 @@ from .errors import (
     StateTransferError,
 )
 from .msg import Address, Message
-from .net import LanConfig
 from .sim import Simulator
 
 __version__ = "1.0.0"
@@ -58,7 +57,6 @@ __all__ = [
     "GBCAST",
     "Address",
     "Message",
-    "LanConfig",
     "Simulator",
     "IsisError",
     "GroupError",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..net.lan import LanConfig
 from ..runtime.driver import Scheduler
 from ..runtime.process import IsisProcess
 from ..runtime.site import BaseSite, Cluster
@@ -104,14 +103,14 @@ class IsisCluster(Deployment):
         self,
         n_sites: int = 4,
         seed: int = 0,
-        lan_config: Optional[LanConfig] = None,
+        loss_rate: float = 0.0,
         isis_config: Optional[IsisConfig] = None,
         boot: bool = True,
         storage_faults: Optional[StorageFaults] = None,
     ):
         sim = Simulator(seed=seed)
         self.cluster = Cluster(sim, n_sites=n_sites,
-                               lan_config=lan_config,
+                               loss_rate=loss_rate,
                                storage_faults=storage_faults)
         super().__init__(sim, self.cluster.sites, n_sites, isis_config, boot)
 

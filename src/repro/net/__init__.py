@@ -1,7 +1,7 @@
 """Network substrate: LAN model, fragmentation, reliable transport, bulk."""
 
 from .bulk import BulkChannel
-from .lan import Lan, LanConfig
+from .lan import Lan
 from .packet import FRAME_HEADER_BYTES, KIND_ACK, KIND_DATA, Frame, Reassembler, fragment
 from .reliable import ReliableEndpoint
 from .transport import Transport
@@ -9,7 +9,6 @@ from .transport import Transport
 __all__ = [
     "BulkChannel",
     "Lan",
-    "LanConfig",
     "Frame",
     "Reassembler",
     "fragment",

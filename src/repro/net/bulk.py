@@ -80,8 +80,9 @@ class BulkStream:
 
     def send(self, data: bytes) -> Promise:
         """Ship one chunk; resolves with it once the receiver has taken
-        it, rejects with :class:`SiteDown` if either endpoint is detached
-        by the time the wire is done (TCP reset)."""
+        it, rejects with :class:`SiteDown` if either endpoint is detached,
+        or a partition separates them, by the time the wire is done (TCP
+        reset)."""
         channel, sim = self.channel, self.channel.sim
         setup = 0.0 if self._established else SETUP_LATENCY
         self._established = True
@@ -101,9 +102,10 @@ class BulkStream:
             promise.resolve(data)
 
         def finish() -> None:
-            if not (channel.lan.attached(self.src_site)
-                    and channel.lan.attached(self.dst_site)):
-                promise.reject(SiteDown(f"{promise.label} reset by crash"))
+            lan, src, dst = channel.lan, self.src_site, self.dst_site
+            if not (lan.attached(src) and lan.attached(dst)
+                    and lan.reachable(src, dst)):
+                promise.reject(SiteDown(f"{promise.label} reset"))
                 return
             self.dst_cpu.submit(cpu_cost, arrive)
 

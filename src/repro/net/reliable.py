@@ -79,16 +79,20 @@ class ReliableEndpoint:
         ``now``, ``call_after(delay, fn, *args)`` returning a handle with
         ``cancel()``, and ``trace.bump(name, amount)``: the simulator or
         the asyncio scheduler.
-    config:
-        Read live for ``mtu``, ``window`` and ``rto``
-        (:class:`~repro.net.lan.LanConfig` and
-        :class:`~repro.net.udp.UdpConfig` both carry them).
     on_message:
         ``on_message(src_site, data)`` invoked, in FIFO-per-source order,
         once a complete message has been reassembled.
-    max_rto:
-        Ceiling of the retransmission backoff.
+
+    An adapter class sets its wire's ``MTU`` (payload bytes a fragment),
+    ``RTO`` (the first retransmission timeout) and ``MAX_RTO`` (the
+    backoff's ceiling).
     """
+
+    MTU: int
+    RTO: float
+    MAX_RTO: float
+    #: Outstanding unacked frames a channel, on either wire.
+    WINDOW = 64
 
     #: Per-endpoint wire counters, the keys of :meth:`stats` (the global
     #: trace counters cannot attribute frames to a site; benchmarks and
@@ -102,14 +106,12 @@ class ReliableEndpoint:
         "acks_pure",         # stand-alone ACK frames sent
     )
 
-    def __init__(self, clock: Any, config: Any, site_id: int, epoch: int,
-                 on_message: Callable[[int, bytes], None], max_rto: float):
+    def __init__(self, clock: Any, site_id: int, epoch: int,
+                 on_message: Callable[[int, bytes], None]):
         self.clock = clock
-        self.config = config
         self.site_id = site_id
         self.epoch = epoch
         self.on_message = on_message
-        self.max_rto = max_rto
         #: Optional handler for unreliable datagrams (heartbeats).
         self.on_raw: Optional[Callable[[int, bytes], None]] = None
         self._send_channels: Dict[int, _SendChannel] = {}
@@ -136,11 +138,10 @@ class ReliableEndpoint:
             return promise
         channel = self._send_channels.get(dst_site)
         if channel is None:
-            channel = self._send_channels[dst_site] = _SendChannel(
-                self.config.rto)
+            channel = self._send_channels[dst_site] = _SendChannel(self.RTO)
         msg_id = self._next_msg_id
         self._next_msg_id += 1
-        chunks = fragment(data, self.config.mtu)
+        chunks = fragment(data, self.MTU)
         first = channel.next_seq
         frames = [
             Frame(kind=KIND_DATA, src_site=self.site_id, dst_site=dst_site,
@@ -157,7 +158,7 @@ class ReliableEndpoint:
         self.msgs_sent += 1
         self.bytes_sent += len(data)
         for frame in frames:
-            if len(channel.unacked) < self.config.window:
+            if len(channel.unacked) < self.WINDOW:
                 self._transmit(channel, frame)
             else:
                 channel.backlog.append(frame)
@@ -223,7 +224,7 @@ class ReliableEndpoint:
             return
         self.clock.trace.bump("transport.retransmits")
         self.retransmits += 1
-        channel.rto = min(channel.rto * 2, self.max_rto)
+        channel.rto = min(channel.rto * 2, self.MAX_RTO)
         channel.wire_times[oldest_seq] = self.clock.now
         self._wire_probe(channel.unacked[oldest_seq])
         self._arm_retransmit(channel, dst_site)
@@ -284,11 +285,11 @@ class ReliableEndpoint:
                 break
             del unacked[seq]
             channel.wire_times.pop(seq, None)  # None: acked unsent (bogus)
-            channel.rto = self.config.rto  # backoff resets on progress
+            channel.rto = self.RTO  # backoff resets on progress
         done = channel.msg_done
         while done and done[0][0] <= ack:
             done.popleft()[1].resolve(None)
-        while channel.backlog and len(unacked) < self.config.window:
+        while channel.backlog and len(unacked) < self.WINDOW:
             self._transmit(channel, channel.backlog.popleft())
         if channel.retx_timer is not None and not unacked:
             channel.retx_timer.cancel()
@@ -374,7 +375,7 @@ class ReliableEndpoint:
         channel.msg_done.clear()
         channel.wire_times.clear()
         channel.first_seq = channel.next_seq
-        channel.rto = self.config.rto
+        channel.rto = self.RTO
         for _, promise in abandoned:
             promise.reject(SiteDown(f"site {dst_site} declared down"))
 

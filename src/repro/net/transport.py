@@ -19,6 +19,14 @@ from .lan import Lan
 from .packet import KIND_ACK, KIND_DATA, KIND_RAW, Frame
 from .reliable import ReliableEndpoint, _SendChannel
 
+#: The cost model's CPU charges: on the sending site a frame and a
+#: payload byte, on the receiving site the same, and an ACK frame.
+SEND_CPU_PER_FRAME = 0.002
+SEND_CPU_PER_BYTE = 0.000008
+RECV_CPU_PER_FRAME = 0.002
+RECV_CPU_PER_BYTE = 0.000004
+ACK_CPU = 0.0005
+
 
 class Transport(ReliableEndpoint):
     """One site's attachment to the LAN: reliable ordered byte messages.
@@ -31,10 +39,16 @@ class Transport(ReliableEndpoint):
         cost paid.
     """
 
+    #: Fragmentation threshold (4 KB).
+    MTU = 4096
+    #: Sized so a burst of fragments queued behind a busy receiver's CPU
+    #: still gets acknowledged in time; backoff handles real loss.
+    RTO = 0.400
+    MAX_RTO = 8 * RTO
+
     def __init__(self, sim: Simulator, lan: Lan, site_id: int, epoch: int,
                  cpu: Cpu, on_message: Callable[[int, bytes], None]):
-        super().__init__(sim, lan.config, site_id, epoch, on_message,
-                         max_rto=8 * lan.config.rto)
+        super().__init__(sim, site_id, epoch, on_message)
         self.lan = lan
         self.cpu = cpu
         lan.attach(site_id, self._receive)
@@ -45,8 +59,7 @@ class Transport(ReliableEndpoint):
 
     # -- frames leaving ---------------------------------------------------
     def _emit(self, channel: _SendChannel, frame: Frame) -> None:
-        self.cpu.submit(self.lan.send_cpu_cost(frame),
-                        self._on_wire, channel, frame)
+        self.cpu.submit(_send_cpu(frame), self._on_wire, channel, frame)
 
     def _wire(self, frame: Frame) -> None:
         # ACK and raw frames bypass the CPU work queue.  For raw frames
@@ -62,7 +75,7 @@ class Transport(ReliableEndpoint):
 
     def _wire_probe(self, frame: Frame) -> None:
         self.frames_sent += 1
-        self.cpu.submit(self.lan.send_cpu_cost(frame), self.lan.send, frame)
+        self.cpu.submit(_send_cpu(frame), self.lan.send, frame)
 
     def _after_emitted(self, fn: Callable, *args) -> None:
         self.cpu.submit(0.0, fn, *args)  # behind the frames the CPU holds
@@ -76,8 +89,14 @@ class Transport(ReliableEndpoint):
             return
         self.frames_received += 1
         if frame.kind == KIND_ACK:
-            self.cpu.submit(self.config.ack_cpu, self._process_ack, frame)
+            self.cpu.submit(ACK_CPU, self._process_ack, frame)
         elif frame.kind != KIND_RAW:
-            self.cpu.submit(self.lan.recv_cpu_cost(frame), self._process_data, frame)
+            self.cpu.submit(
+                RECV_CPU_PER_FRAME + RECV_CPU_PER_BYTE * len(frame.payload),
+                self._process_data, frame)
         elif self.on_raw is not None:
             self.on_raw(frame.src_site, frame.payload)  # kernel priority: see _wire
+
+
+def _send_cpu(frame: Frame) -> float:
+    return SEND_CPU_PER_FRAME + SEND_CPU_PER_BYTE * len(frame.payload)

@@ -17,7 +17,7 @@ Two classes mirror the simulator's network substrate over real sockets:
 
 Syscall batching: frames queued to one destination within a single
 event-loop tick are bundled into as few datagrams as fit
-``max_datagram`` — one ``sendto`` per bundle instead of one per frame.
+``BUNDLE_BYTES`` — one ``sendto`` per bundle instead of one per frame.
 ACKs enter the same per-tick buffer, so they piggyback on data bundles
 for free.
 """
@@ -46,26 +46,23 @@ from .reliable import ReliableEndpoint
 
 
 @dataclass
-class UdpConfig:
-    """Tunables for the real-wire reliable channel (LAN-scale defaults)."""
+class UdpFaults:
+    """Packet fault injection on the real wire (localhost loses nothing,
+    so without it the retransmit path only exercises under overload).
 
-    mtu: int = 1200              # payload bytes per fragment (fits one datagram)
-    window: int = 64             # outstanding unacked frames per channel
-    rto: float = 0.05            # initial retransmission timeout
-    max_rto: float = 2.0         # backoff ceiling
-    max_datagram: int = 1400     # bundle size ceiling (stay under typical MTU)
-    # Packet fault injection (localhost loses nothing, so without these
-    # the retransmit path only exercises under overload).  Each outgoing
-    # datagram is independently dropped / duplicated / delayed past its
-    # successors with the given probabilities, from a per-site seeded
-    # schedule — deterministic for a fixed (fault_seed, site) pair.
+    Each outgoing datagram is independently dropped / duplicated /
+    delayed past its successors with the given probabilities, from a
+    per-site seeded schedule — deterministic for a fixed
+    ``(fault_seed, site)`` pair.
+    """
+
     loss_rate: float = 0.0       # drop the datagram entirely
     dup_rate: float = 0.0        # send it twice
     reorder: float = 0.0         # hold it so later datagrams overtake it
     fault_seed: int = 0          # deterministic fault schedule
 
 
-#: How long a datagram picked by ``UdpConfig.reorder`` is held back.
+#: How long a datagram picked by ``UdpFaults.reorder`` is held back.
 REORDER_DELAY = 0.02
 
 
@@ -92,22 +89,26 @@ class UdpTransport(ReliableEndpoint):
         "datagrams_sent", "datagrams_received", "datagram_bytes_sent",
         "send_errors", "faults_lost", "faults_duped", "faults_reordered")
 
+    #: Payload bytes a fragment: one fits a datagram.
+    MTU = 1200
+    RTO = 0.05
+    MAX_RTO = 2.0
+
     def __init__(self, scheduler: Any, site_id: int, epoch: int,
                  sock: socket.socket, peers: Mapping[int, Tuple[str, int]],
                  on_message: Callable[[int, bytes], None],
-                 config: Optional[UdpConfig] = None):
-        config = config or UdpConfig()
-        super().__init__(scheduler, config, site_id, epoch, on_message,
-                         max_rto=config.max_rto)
+                 faults: Optional[UdpFaults] = None):
+        super().__init__(scheduler, site_id, epoch, on_message)
         self.loop: asyncio.AbstractEventLoop = scheduler.loop
         self._sock = sock
         self._peers = peers
         #: Per-destination frames awaiting the end-of-tick bundle flush.
         self._out: Dict[int, List[Frame]] = {}
+        self.faults = faults = faults or UdpFaults()
         self._fault_rng: Optional[random.Random] = None
-        if config.loss_rate > 0 or config.dup_rate > 0 or config.reorder > 0:
+        if faults.loss_rate > 0 or faults.dup_rate > 0 or faults.reorder > 0:
             self._fault_rng = random.Random(
-                (config.fault_seed << 16) ^ (site_id * 2654435761))
+                (faults.fault_seed << 16) ^ (site_id * 2654435761))
         self.loop.add_reader(self._sock.fileno(), self._on_readable)
 
     # bench/trace.py wraps ``vars(UdpTransport)["send"]``: it must be
@@ -139,14 +140,11 @@ class UdpTransport(ReliableEndpoint):
         addr = self._peers.get(dst_site)
         if addr is None:
             return  # unknown peer: behaves like loss (retransmit retries)
-        budget = max(self.config.max_datagram,
-                     DATAGRAM_HEADER_BYTES + FRAME_WIRE_HEADER_BYTES
-                     + self.config.mtu)
         batch: List[Frame] = []
         size = DATAGRAM_HEADER_BYTES
         for frame in frames:
             frame_size = FRAME_WIRE_HEADER_BYTES + len(frame.payload)
-            if batch and (size + frame_size > budget
+            if batch and (size + frame_size > BUNDLE_BYTES
                           or len(batch) >= MAX_FRAMES_PER_DATAGRAM):
                 self._send_datagram(batch, addr)
                 batch = []
@@ -160,17 +158,17 @@ class UdpTransport(ReliableEndpoint):
         data = encode_datagram(frames)
         rng = self._fault_rng
         if rng is not None:
-            if rng.random() < self.config.loss_rate:
+            if rng.random() < self.faults.loss_rate:
                 self.faults_lost += 1
                 return  # vanished on the wire; retransmits recover
-            if rng.random() < self.config.reorder:
+            if rng.random() < self.faults.reorder:
                 # Held back while its successors go out: arrives late and
                 # out of order, exercising the receive-window reassembly.
                 self.faults_reordered += 1
                 self.clock.call_after(
                     REORDER_DELAY, self._raw_send, data, addr, len(frames))
                 return
-            if rng.random() < self.config.dup_rate:
+            if rng.random() < self.faults.dup_rate:
                 self.faults_duped += 1
                 self._raw_send(data, addr, len(frames))
         self._raw_send(data, addr, len(frames))
@@ -217,6 +215,12 @@ class UdpTransport(ReliableEndpoint):
             pass
         self._sock.close()
         self._out.clear()
+
+
+#: ``_flush_dst``'s bundle budget: 1 400 B keeps a datagram under a
+#: typical link MTU, and a whole fragment with its headers always fits.
+BUNDLE_BYTES = max(1400, DATAGRAM_HEADER_BYTES + FRAME_WIRE_HEADER_BYTES
+                   + UdpTransport.MTU)
 
 
 # ----------------------------------------------------------------------

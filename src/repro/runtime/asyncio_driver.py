@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.bootstrap import Deployment
 from ..core.kernel import IsisConfig
-from ..net.udp import TcpBulk, TcpBulkStream, UdpConfig, UdpTransport
+from ..net.udp import TcpBulk, TcpBulkStream, UdpFaults, UdpTransport
 from ..sim.rand import RngRegistry
 from ..sim.trace import Trace
 from .program import ProgramRegistry
@@ -183,7 +183,7 @@ class NetSite(BaseSite):
             sock=udp_sock,
             peers=self.runtime.udp_peers,
             on_message=self._on_transport_message,
-            config=self.runtime.udp_config,
+            faults=self.runtime.udp_faults,
         )
         self._bulk = TcpBulk(
             self.sim,
@@ -234,7 +234,7 @@ class AsyncioRuntime:
         host: str = "127.0.0.1",
         base_port: Optional[int] = None,
         hosts: Optional[Dict[int, str]] = None,
-        udp_config: Optional[UdpConfig] = None,
+        udp_faults: Optional[UdpFaults] = None,
         loop: Optional[asyncio.AbstractEventLoop] = None,
     ):
         self.n_sites = n_sites
@@ -244,7 +244,7 @@ class AsyncioRuntime:
         self.loop = loop or asyncio.new_event_loop()
         self.scheduler = AsyncioScheduler(self.loop, seed=seed)
         self.programs = ProgramRegistry()
-        self.udp_config = udp_config or UdpConfig()
+        self.udp_faults = udp_faults
         self.udp_peers: Dict[int, Tuple[str, int]] = {}
         self.bulk_peers: Dict[int, Tuple[str, int]] = {}
         if base_port is not None:
@@ -333,7 +333,7 @@ class AsyncioCluster(Deployment):
         n_sites: int = 4,
         seed: int = 0,
         isis_config: Optional[IsisConfig] = None,
-        udp_config: Optional[UdpConfig] = None,
+        udp_faults: Optional[UdpFaults] = None,
         host: str = "127.0.0.1",
         base_port: Optional[int] = None,
         hosts: Optional[Dict[int, str]] = None,
@@ -342,7 +342,7 @@ class AsyncioCluster(Deployment):
     ):
         self.runtime = AsyncioRuntime(
             n_sites=n_sites, local_sites=local_sites, seed=seed, host=host,
-            base_port=base_port, hosts=hosts, udp_config=udp_config)
+            base_port=base_port, hosts=hosts, udp_faults=udp_faults)
         super().__init__(self.runtime.scheduler, self.runtime.sites,
                          n_sites, isis_config, boot)
 

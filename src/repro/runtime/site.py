@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import IsisError, SiteDown
 from ..net.bulk import BulkChannel, BulkStream
-from ..net.lan import Lan, LanConfig
+from ..net.lan import INTRA_SITE_DELAY, Lan
 from ..net.transport import Transport
 from ..sim.core import Simulator
 from ..sim.cpu import Cpu
@@ -201,7 +201,7 @@ class Site(BaseSite):
     def __init__(self, cluster: "Cluster", site_id: int):
         super().__init__(site_id)
         self.cluster = cluster
-        self.local_hop_delay = cluster.lan.config.intra_site_delay
+        self.local_hop_delay = INTRA_SITE_DELAY
         self.sim: Simulator = cluster.sim
         self.cpu = Cpu(self.sim, name=f"cpu{site_id}")
         self.stable = cluster.stable_store(site_id)
@@ -238,11 +238,11 @@ class Cluster:
         self,
         sim: Simulator,
         n_sites: int = 4,
-        lan_config: Optional[LanConfig] = None,
+        loss_rate: float = 0.0,
         storage_faults: Optional[StorageFaults] = None,
     ):
         self.sim = sim
-        self.lan = Lan(sim, lan_config or LanConfig())
+        self.lan = Lan(sim, loss_rate)
         self.bulk = BulkChannel(sim, self.lan)
         self.programs = ProgramRegistry()
         self.storage_faults = storage_faults

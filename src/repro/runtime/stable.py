@@ -29,6 +29,9 @@ from typing import Dict, List, Optional
 from ..sim.core import Simulator
 from ..sim.tasks import Promise
 
+#: The simulated disk's latency for one write or append.
+WRITE_LATENCY = 0.020
+
 
 @dataclass
 class StorageFaults:
@@ -62,11 +65,9 @@ class StableStore:
     """Keyed blobs plus append-only logs, durable across site restarts."""
 
     def __init__(self, sim: Simulator, site_id: int,
-                 write_latency: float = 0.020,
                  faults: Optional[StorageFaults] = None):
         self.sim = sim
         self.site_id = site_id
-        self.write_latency = write_latency
         self.faults = faults
         self._blobs: Dict[str, bytes] = {}
         self._logs: Dict[str, List[bytes]] = {}
@@ -76,7 +77,7 @@ class StableStore:
 
     def _latency(self) -> float:
         extra = self.faults.fsync_latency if self.faults else 0.0
-        return self.write_latency + extra
+        return WRITE_LATENCY + extra
 
     # -- keyed blobs (checkpoints, registrations) ------------------------
     def write(self, key: str, data: bytes) -> Promise:

@@ -64,15 +64,17 @@ class SiteClock:
         return self.now() - self.sim.now
 
 
+#: How often a slave asks the master for its time.
+SYNC_INTERVAL = 5.0
+
+
 class ClockSync:
     """Cristian-style master/slave synchronization over the kernel."""
 
-    def __init__(self, kernel: ProtocolsProcess, clock: SiteClock,
-                 interval: float = 5.0):
+    def __init__(self, kernel: ProtocolsProcess, clock: SiteClock):
         self.kernel = kernel
         self.sim = kernel.sim
         self.clock = clock
-        self.interval = interval
         self._pending: Dict[int, float] = {}   # request id -> local send raw
         self._next_req = 1
         self._timer: Optional[Timer] = None
@@ -94,7 +96,7 @@ class ClockSync:
             self._pending[req] = self.clock.now()
             self.kernel.send_to_site(master, Message(
                 _proto="rt.ask", req=req, site=self.kernel.site_id))
-        self._timer = self.sim.call_after(self.interval, self._tick)
+        self._timer = self.sim.call_after(SYNC_INTERVAL, self._tick)
 
     def _on_ask(self, src_site: int, record: tuple) -> None:
         self.kernel.send_to_site(src_site, Message(
@@ -209,8 +211,7 @@ class RealTimeTool:
 
 
 def install_clocks(system, max_offset: float = 0.5,
-                   max_drift: float = 0.0001,
-                   sync_interval: float = 5.0) -> Dict[int, Tuple[SiteClock, ClockSync]]:
+                   max_drift: float = 0.0001) -> Dict[int, Tuple[SiteClock, ClockSync]]:
     """Give every site a skewed clock and a sync agent.
 
     Offsets/drifts are drawn deterministically from the simulator's
@@ -227,6 +228,5 @@ def install_clocks(system, max_offset: float = 0.5,
             offset=rng.uniform(-max_offset, max_offset),
             drift=rng.uniform(-max_drift, max_drift),
         )
-        out[site_id] = (clock, ClockSync(kernel, clock,
-                                         interval=sync_interval))
+        out[site_id] = (clock, ClockSync(kernel, clock))
     return out

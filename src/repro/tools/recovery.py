@@ -49,6 +49,16 @@ from ..sim.tasks import Promise, sleep
 
 _REG_PREFIX = "rm/prog/"
 
+#: How long a booting manager waits for the site view to settle before
+#: it looks for its registered groups.
+SETTLE_DELAY = 8.0
+#: How long a poll of the other managers waits for their votes.
+POLL_TIMEOUT = 3.0
+#: The pause before the next round of the election loop.
+RETRY_DELAY = 5.0
+#: Rounds a site that hears no vote retries before it restarts alone.
+LONELY_ROUNDS = 3
+
 #: A vote in the restart election: (has_log, view, deliveries, alive).
 #: ``alive`` means the answering site currently hosts a live member —
 #: the asker should rejoin, not contend.
@@ -58,16 +68,10 @@ Vote = Tuple[bool, int, int, bool]
 class RecoveryManager:
     """The per-site recovery service."""
 
-    def __init__(self, kernel: ProtocolsProcess, settle_delay: float = 8.0,
-                 poll_timeout: float = 3.0, retry_delay: float = 5.0,
-                 lonely_rounds: int = 3):
+    def __init__(self, kernel: ProtocolsProcess):
         self.kernel = kernel
         self.sim = kernel.sim
         self.site = kernel.site
-        self.settle_delay = settle_delay
-        self.poll_timeout = poll_timeout
-        self.retry_delay = retry_delay
-        self.lonely_rounds = lonely_rounds
         self._pending_polls: Dict[int, Tuple[Promise, Set[int],
                                              Dict[int, Vote]]] = {}
         self._next_poll = 1
@@ -106,7 +110,7 @@ class RecoveryManager:
                 self._recover(group_name, program), f"rm.{group_name}")
 
     def _recover(self, group_name: str, program: str):
-        yield sleep(self.sim, self.settle_delay)
+        yield sleep(self.sim, SETTLE_DELAY)
         lonely = 0
         while self.kernel.alive:
             # Partial failure? The group may be running elsewhere.
@@ -129,9 +133,9 @@ class RecoveryManager:
                 # Some site answered that it is hosting the group right
                 # now (it restarted it while our poll was in flight):
                 # back off and rejoin through the loop's lookup path.
-                yield sleep(self.sim, self.retry_delay)
+                yield sleep(self.sim, RETRY_DELAY)
                 continue
-            if len(votes) == 1 and lonely < self.lonely_rounds:
+            if len(votes) == 1 and lonely < LONELY_ROUNDS:
                 # Nobody answered — most likely this site has not yet
                 # rejoined the site view after its own restart.  Two
                 # freshly restarted sites would otherwise each see an
@@ -140,7 +144,7 @@ class RecoveryManager:
                 # conclude it really is the sole survivor.
                 lonely += 1
                 self.sim.trace.bump("tool.rm_lonely_polls")
-                yield sleep(self.sim, self.retry_delay)
+                yield sleep(self.sim, RETRY_DELAY)
                 continue
             lonely = 0
             if self._winner(votes) == self.site.site_id:
@@ -159,7 +163,7 @@ class RecoveryManager:
                 self._launch(program, "create", group_name)
                 return
             # Someone with later knowledge will restart it; wait and rejoin.
-            yield sleep(self.sim, self.retry_delay)
+            yield sleep(self.sim, RETRY_DELAY)
 
     def _winner(self, votes: Dict[int, Vote]) -> int:
         """The site that should restart the group, given the votes.
@@ -213,7 +217,7 @@ class RecoveryManager:
         # race the poll bookkeeping — whichever settles ``done`` first
         # wins and the other is a no-op, and either way the snapshot
         # below is taken only after settlement.
-        self.sim.call_after(self.poll_timeout, done.resolve, None)
+        self.sim.call_after(POLL_TIMEOUT, done.resolve, None)
         yield done
         self._pending_polls.pop(poll_id, None)
         return dict(results)
@@ -254,7 +258,7 @@ class RecoveryManager:
         return None
 
 
-def install_recovery(system, settle_delay: float = 8.0) -> Dict[int, RecoveryManager]:
+def install_recovery(system) -> Dict[int, RecoveryManager]:
     """Attach a recovery manager to every site (now and on future boots).
 
     Returns the (live-updated) mapping site_id → manager.
@@ -262,8 +266,7 @@ def install_recovery(system, settle_delay: float = 8.0) -> Dict[int, RecoveryMan
     managers: Dict[int, RecoveryManager] = {}
 
     def attach(site) -> None:
-        managers[site.site_id] = RecoveryManager(
-            site.kernel, settle_delay=settle_delay)
+        managers[site.site_id] = RecoveryManager(site.kernel)
 
     for site in system.cluster.sites.values():
         site.on_boot(attach)

@@ -43,23 +43,18 @@ class _SemState:
 class SemaphoreManager:
     """One manager's replica of the semaphore table."""
 
-    def __init__(self, isis: Isis, gid: Address,
-                 release_on_failure: bool = True,
-                 detect_deadlock: bool = True):
+    def __init__(self, isis: Isis, gid: Address):
         self.isis = isis
         self.gid = gid
-        self.release_on_failure = release_on_failure
-        self.detect_deadlock = detect_deadlock
         self._sems: Dict[str, _SemState] = {}
         #: requester -> semaphores currently held (for deadlock graph).
         self._held_by: Dict[Address, Set[str]] = {}
         self._monitoring = False
         isis.process.bind(SEM_ENTRY, self._on_op)
         register_state(isis, f"sem:{gid}", self._snapshot, self._restore)
-        if release_on_failure:
-            kernel = getattr(isis.process.site, "kernel", None)
-            if kernel is not None:
-                kernel.site_view_hooks.append(self._on_site_view)
+        kernel = getattr(isis.process.site, "kernel", None)
+        if kernel is not None:
+            kernel.site_view_hooks.append(self._on_site_view)
 
     # ------------------------------------------------------------------
     # Delivery (identical at every manager: ABCAST total order)
@@ -79,7 +74,7 @@ class SemaphoreManager:
 
     def _on_p(self, state: _SemState, name: str, requester: Address,
               msg: Message) -> None:
-        if self.detect_deadlock and self._would_deadlock(name, requester):
+        if self._would_deadlock(name, requester):
             self.isis.sim.trace.bump("tool.sem_deadlocks")
             if self._i_answer():
                 self.isis.process.spawn(

@@ -54,7 +54,6 @@ def register_state(
     segment: str,
     snapshot: Callable[[], Any],
     restore: Callable[[Any], None],
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> None:
     """Register application state for auto-transfer.
 
@@ -65,7 +64,7 @@ def register_state(
     """
 
     def encoder() -> List[bytes]:
-        return carve(encode_state(snapshot()), block_size)
+        return carve(encode_state(snapshot()))
 
     def decoder(blocks: List[bytes]) -> None:
         restore(decode_state(b"".join(blocks)))
@@ -78,12 +77,11 @@ def register_raw_state(
     segment: str,
     snapshot: Callable[[], bytes],
     restore: Callable[[bytes], None],
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> None:
     """Like :func:`register_state` but for raw byte states."""
 
     def encoder() -> List[bytes]:
-        return carve(snapshot(), block_size)
+        return carve(snapshot())
 
     def decoder(blocks: List[bytes]) -> None:
         restore(b"".join(blocks))

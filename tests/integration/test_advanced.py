@@ -72,6 +72,38 @@ class TestBulkStateTransfer:
         assert system.sim.trace.value("bulk.transfers") >= 2
         assert system.sim.trace.value("state_transfer.chunks") >= 2
 
+    def test_stream_does_not_cross_a_partition(self):
+        """A streamed snapshot rides the bulk channel, not the LAN's
+        frames, so only the channel can refuse it across a partition:
+        a chunk finishing into a split is a reset, like a crash."""
+        system = IsisCluster(n_sites=3, seed=5)
+        members, _ = deploy_group(system, "adv", 2)
+        payload = bytes(range(256)) * 8192      # 2 MB, many chunks
+        for proc, isis in members:
+            register_raw_state(isis, "blob", lambda: payload, lambda b: None)
+        joiner, joiner_isis = system.spawn(2, "joiner")
+        register_raw_state(joiner_isis, "blob", lambda: b"", lambda b: None)
+        site = system.cluster.site(2)
+        crossed = []
+        deliver = site.deliver_bulk
+        site.deliver_bulk = lambda src, chunk: (crossed.append(len(chunk)),
+                                                deliver(src, chunk))
+
+        def join():
+            gid = yield joiner_isis.pg_lookup("adv")
+            yield joiner_isis.pg_join(gid)
+
+        task = joiner.spawn(join(), "join")
+        trace = system.sim.trace
+        while trace.value("bulk.stream_chunks") < 1:
+            system.run_for(0.01)
+        system.cluster.lan.partition([[0, 1], [2]])
+        system.run_for(1.2)
+        assert trace.value("lan.dropped.partition") > 0
+        assert crossed == []
+        assert trace.value("state_transfer.streams_aborted") == 1
+        assert not task.done
+
     def test_transfer_restarts_when_source_dies(self):
         system = IsisCluster(n_sites=3, seed=63)
         members, _ = deploy_group(system, "adv", 2)

@@ -9,7 +9,7 @@ nowhere.
 import pytest
 
 from conformance import Run, Task, check, deploy_group, one_group
-from repro import ALL, IsisCluster, IsisConfig, LanConfig
+from repro import ALL, IsisCluster, IsisConfig
 from repro.core import stability as stability_mod
 from repro.errors import BroadcastFailed
 

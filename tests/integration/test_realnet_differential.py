@@ -64,9 +64,9 @@ class _AsyncioDriver:
     #: Wall timeouts are tighter than simulated ones: scale them down.
     TIME_SCALE = 0.2
 
-    def __init__(self, seed: int = 0, udp_config=None):
+    def __init__(self, seed: int = 0, udp_faults=None):
         self.cluster = AsyncioCluster(n_sites=N_SITES, seed=seed,
-                                      udp_config=udp_config)
+                                      udp_faults=udp_faults)
 
     def wait_until(self, predicate, timeout: float) -> bool:
         return self.cluster.run_until(
@@ -159,9 +159,9 @@ def test_asyncio_driver_survives_lossy_links():
     per-site schedules) — and the virtual synchrony invariants must
     come out exactly as on a clean wire.
     """
-    from repro.net.udp import UdpConfig
+    from repro.net.udp import UdpFaults
 
-    driver = _AsyncioDriver(seed=11, udp_config=UdpConfig(
+    driver = _AsyncioDriver(seed=11, udp_faults=UdpFaults(
         loss_rate=0.03, dup_rate=0.02, reorder=0.02, fault_seed=4))
     try:
         check_run(run_workload(driver))

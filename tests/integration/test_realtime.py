@@ -28,7 +28,7 @@ class TestSiteClock:
 class TestClockSync:
     def test_slaves_converge_to_master(self):
         system = IsisCluster(n_sites=3, seed=92)
-        clocks = install_clocks(system, max_offset=0.5, sync_interval=2.0)
+        clocks = install_clocks(system, max_offset=0.5)
         before = [abs(clocks[s][0].error() - clocks[0][0].error())
                   for s in (1, 2)]
         system.run_for(60.0)
@@ -41,7 +41,7 @@ class TestClockSync:
 
     def test_new_master_after_coordinator_crash(self):
         system = IsisCluster(n_sites=3, seed=93)
-        clocks = install_clocks(system, max_offset=0.4, sync_interval=2.0)
+        clocks = install_clocks(system, max_offset=0.4)
         system.run_for(30.0)
         system.crash_site(0)
         system.run_for(60.0)
@@ -54,7 +54,7 @@ class TestScheduling:
     def test_actions_fire_near_global_time_on_all_sites(self):
         """'scheduling actions at predetermined global times'."""
         system = IsisCluster(n_sites=3, seed=94)
-        clocks = install_clocks(system, max_offset=0.3, sync_interval=2.0)
+        clocks = install_clocks(system, max_offset=0.3)
         system.run_for(30.0)  # let the clocks discipline first
         fired = {}
         tools = {}
@@ -111,7 +111,7 @@ class TestSensorDatabase:
 
     def test_readings_replicate_with_timestamps(self):
         system = IsisCluster(n_sites=3, seed=96)
-        clocks = install_clocks(system, sync_interval=2.0)
+        clocks = install_clocks(system)
         tools = self._deploy(system, clocks)
 
         def post():
@@ -127,7 +127,7 @@ class TestSensorDatabase:
     def test_reconcile_takes_median(self):
         """'reconciliation of sensor readings' — robust to one outlier."""
         system = IsisCluster(n_sites=3, seed=97)
-        clocks = install_clocks(system, sync_interval=2.0)
+        clocks = install_clocks(system)
         tools = self._deploy(system, clocks)
 
         def post(idx, value):

@@ -85,7 +85,7 @@ class TestNewsService:
 class TestRecoveryManager:
     def test_total_failure_last_site_restarts(self):
         system = IsisCluster(n_sites=3, seed=33)
-        managers = install_recovery(system, settle_delay=4.0)
+        managers = install_recovery(system)
         restarted = []
 
         def service_program(process, mode, group_name):
@@ -128,7 +128,7 @@ class TestRecoveryManager:
 
     def test_partial_failure_rejoins_running_group(self):
         system = IsisCluster(n_sites=3, seed=34)
-        managers = install_recovery(system, settle_delay=4.0)
+        managers = install_recovery(system)
         actions = []
 
         def service_program(process, mode, group_name):
@@ -173,7 +173,7 @@ class TestRecoveryManager:
         item."""
         system = IsisCluster(n_sites=2, seed=5,
                              isis_config=IsisConfig(durability=True))
-        managers = install_recovery(system, settle_delay=4.0)
+        managers = install_recovery(system)
         tools = {}
 
         def service_program(process, mode, group_name):

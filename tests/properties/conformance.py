@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro import IsisCluster, IsisConfig, LanConfig
+from repro import IsisCluster, IsisConfig
 from repro.sim.tasks import sleep
 
 #: The entry every member binds its deliveries to.
@@ -116,7 +116,7 @@ class Scenario:
     n_sites: int
     seed: int = 0
     config: Optional[IsisConfig] = None
-    lan: Optional[LanConfig] = None
+    loss_rate: float = 0.0
     storage_faults: Any = None
     #: Each site's member process, formatted with ``site``.
     member: str = "m{site}"
@@ -393,7 +393,7 @@ class Run(Recorder):
         self.scenario = scenario
         self.system = IsisCluster(
             n_sites=scenario.n_sites, seed=scenario.seed,
-            lan_config=scenario.lan, isis_config=scenario.config,
+            loss_rate=scenario.loss_rate, isis_config=scenario.config,
             storage_faults=scenario.storage_faults)
         super().__init__(self.system, state=scenario.state)
         self.members = [scenario.member.format(site=site)
@@ -489,7 +489,7 @@ def partition_heal(split: float, seed: int = 77) -> Scenario:
     that loses 2 % of its frames; 0.3 s into the traffic sites {0, 1}
     and {2, 3} are split for ``split`` seconds."""
     return one_group(
-        "ph", 4, 20.0, "j", seed=seed, lan=LanConfig(loss_rate=0.02),
+        "ph", 4, 20.0, "j", seed=seed, loss_rate=0.02,
         traffic=tuple(Task(f"d{site}", f"m{site}", ("ph",), "cbcast", 25,
                            f"d{site}:" + "{i}") for site in range(4)),
         faults=((0.3, ("partition", [[0, 1], [2, 3]])), (split, ("heal",))))

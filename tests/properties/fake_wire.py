@@ -9,7 +9,6 @@ minutes of backoff runs in milliseconds, without a LAN, a CPU model or a
 cluster.
 """
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from repro.net.packet import Frame
@@ -18,15 +17,6 @@ from repro.net.reliable import ReliableEndpoint
 DELIVER, DROP, DUPLICATE = "deliver", "drop", "duplicate"
 # An int k >= 1 is a fate too: hold the frame back k extra latencies, so
 # frames sent up to k latencies after it overtake it.
-
-
-@dataclass
-class ChannelConfig:
-    """The three tunables the core reads, sized for fast tests."""
-
-    mtu: int = 8
-    window: int = 64
-    rto: float = 1.0
 
 
 class _Armed:
@@ -98,14 +88,21 @@ class FakeEndpoint(ReliableEndpoint):
     ``emit_delay > 0`` stands in for the simulator's CPU queue: a data
     frame reaches the wire that long after it was emitted, which is what
     exercises ``_after_emitted`` and a reset overtaking queued frames.
+    ``window`` replaces the core's ``WINDOW`` for this endpoint.
     """
 
+    #: Sized for fast tests: a message of 40 bytes is five fragments.
+    MTU = 8
+    RTO = 1.0
+    MAX_RTO = 8 * RTO
+
     def __init__(self, wire: FakeWire, site_id: int, epoch: int,
-                 config: ChannelConfig, emit_delay: float = 0.0):
+                 emit_delay: float = 0.0,
+                 window: int = ReliableEndpoint.WINDOW):
         self.inbox: List[Tuple[int, bytes]] = []
-        super().__init__(CountingClock(wire.sim), config, site_id, epoch,
-                         lambda src, data: self.inbox.append((src, data)),
-                         max_rto=8 * config.rto)
+        super().__init__(CountingClock(wire.sim), site_id, epoch,
+                         lambda src, data: self.inbox.append((src, data)))
+        self.WINDOW = window
         self.wire = wire
         self.emit_delay = emit_delay
         wire.endpoints[site_id] = self

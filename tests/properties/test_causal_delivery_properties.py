@@ -24,7 +24,7 @@ import reference_causal as reference
 from reference_causal import VectorClock, causal_fields
 from conformance import Run, Scenario, Task, check, partition_heal, two_groups
 from stub_engine import StubEngine
-from repro import IsisCluster, LanConfig
+from repro import IsisCluster
 from repro.core.cbcast import CausalReceiver, SenderChain
 from repro.core.vectorclock import (
     ContextEncoder,
@@ -45,7 +45,7 @@ def _two_groups(seed, plan, loss, crash_site=None, crash_after=None):
     """Member 0 creates ``da`` and ``db``, the others join both; then a
     plan of ``(sender, group pattern, kind, burst)`` tasks."""
     return two_groups(
-        "da", "db", 3, seed=seed, lan=LanConfig(loss_rate=loss),
+        "da", "db", 3, seed=seed, loss_rate=loss,
         traffic=tuple(
             Task(f"blast{t}", f"m{site}", PATTERNS[pattern], kind, burst,
                  "{k}:" + f"{t}:" + "{i}")
@@ -140,7 +140,7 @@ def _ring(seed, loss, burst, crash_site, crash_after, n_sites=4, span=3):
     ``span`` groups, no two groups have the same members, and a sender's
     context names groups most of its receivers are not in."""
     return Run(Scenario(
-        n_sites=n_sites, seed=seed, lan=LanConfig(loss_rate=loss),
+        n_sites=n_sites, seed=seed, loss_rate=loss,
         creates=tuple((site, (f"ring{site}",), f"create{site}")
                       for site in range(n_sites)),
         joins=tuple(

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conformance import Run, Task, check, churn, one_group, partition_heal
-from repro import IsisConfig, LanConfig
+from repro import IsisConfig
 
 N_SITES = 4
 
@@ -228,7 +228,7 @@ def test_straggler_prereport_falls_back_to_begin_round(
 def _lossy(mode):
     """Deterministic lossy-LAN churn: three members, member 2 killed."""
     return one_group(
-        "sw", 3, 20.0, "j", seed=99, lan=LanConfig(loss_rate=0.05),
+        "sw", 3, 20.0, "j", seed=99, loss_rate=0.05,
         config=IsisConfig(abcast_mode=mode),
         traffic=tuple(Task(f"g{site}", f"m{site}", ("sw",),
                            ("cbcast", "abcast"), 10, f"s{site}:" + "{k}:{i}")

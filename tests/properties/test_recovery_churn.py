@@ -164,7 +164,7 @@ def kv_service(abcast_mode):
         storage_faults=StorageFaults(torn_tail_prob=0.3, seed=9),
         state=True))
     system = run.system
-    managers = install_recovery(system, settle_delay=4.0)
+    managers = install_recovery(system)
 
     def service_program(process, mode, group_name):
         isis = Isis(process)

@@ -22,8 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fake_wire import (DELIVER, DROP, DUPLICATE, ChannelConfig, FakeEndpoint,
-                       FakeWire)
+from fake_wire import DELIVER, DROP, DUPLICATE, FakeEndpoint, FakeWire
 from repro.net.packet import KIND_RAW
 from repro.sim import Simulator
 
@@ -33,10 +32,11 @@ A, B = 0, 1
 class Harness:
     """Two sites, their successive incarnations, and the ground truth."""
 
-    def __init__(self, config, fates=(), emit_delay=0.0, first_epoch=0):
+    def __init__(self, fates=(), emit_delay=0.0, first_epoch=0,
+                 window=FakeEndpoint.WINDOW):
         self.sim = Simulator()
         self.wire = FakeWire(self.sim, fates)
-        self.config = config
+        self.window = window
         self.emit_delay = emit_delay
         self.first_epoch = first_epoch
         self.restarts = {A: 0, B: 0}
@@ -52,7 +52,7 @@ class Harness:
     def _boot(self, site):
         count = self.restarts[site]
         endpoint = FakeEndpoint(self.wire, site, (self.first_epoch + count) & 0xFF,
-                                self.config, self.emit_delay)
+                                self.emit_delay, self.window)
         receive = endpoint._receive
 
         def listening(frame):
@@ -104,7 +104,7 @@ class Harness:
     def settle(self):
         """Heal the wire and give every backoff time to run out."""
         self.wire.heal()
-        self.run(60 * self.config.rto)
+        self.run(60 * FakeEndpoint.RTO)
 
     # -- ground truth -----------------------------------------------------
     def delivered(self, site, count):
@@ -165,8 +165,7 @@ OPS = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_channel_promises_hold_under_faults_resets_and_restarts(
         window, emit_delay, first_epoch, fates, ops):
-    harness = Harness(ChannelConfig(window=window),
-                      fates, emit_delay, first_epoch)
+    harness = Harness(fates, emit_delay, first_epoch, window)
     for op, *args in ops:
         getattr(harness, op)(*args)
     harness.settle()
@@ -182,7 +181,7 @@ def test_channel_promises_hold_under_faults_resets_and_restarts(
 def test_any_size_arrives_intact_in_order(window, fates, sizes):
     """0 to 5x ``mtu`` bytes, empty messages included: with no reset in
     play what arrives is exactly what was sent."""
-    harness = Harness(ChannelConfig(window=window), fates)
+    harness = Harness(fates, window=window)
     rng = random.Random(len(fates))
     messages = [bytes(rng.randrange(256) for _ in range(n)) for n in sizes]
     promises = [harness.live[A].send(B, m) for m in messages]
@@ -197,7 +196,7 @@ def test_any_size_arrives_intact_in_order(window, fates, sizes):
 def _restart_under_traffic(b_had_spoken):
     """``A`` sends m0..m2 to ``B``; ``B`` restarts; ``A`` sends ``old``
     into the void and keeps probing; one probe reaches the new ``B``."""
-    harness = Harness(ChannelConfig())
+    harness = Harness()
     if b_had_spoken:
         harness.send(B)
     for _ in range(3):
@@ -241,7 +240,7 @@ def test_ack_from_a_restarted_peer_resets_the_channel():
 
 
 def test_late_ack_of_an_abandoned_numbering_acknowledges_nothing():
-    harness = Harness(ChannelConfig(), fates=[DELIVER, 8])   # hold the ACK back
+    harness = Harness(fates=[DELIVER, 8])   # hold the ACK back
     harness.send(A)
     harness.run(0.15)                   # delivered at B, its ACK in flight
     harness.reset(A)
@@ -257,6 +256,12 @@ def test_late_ack_of_an_abandoned_numbering_acknowledges_nothing():
 # ----------------------------------------------------------------------
 # The loss soft spot, characterised
 # ----------------------------------------------------------------------
+class _WholeFrameEndpoint(FakeEndpoint):
+    """A message of 64 bytes is one frame."""
+
+    MTU = 1200
+
+
 def loss_profile(loss, messages=2000, per_rto=20, seed=1):
     """One channel at a fixed offered load over a wire losing ``loss`` of
     all frames, either way.  Returns (time from the last send to the last
@@ -274,20 +279,20 @@ def loss_profile(loss, messages=2000, per_rto=20, seed=1):
         while True:
             yield DROP if rng.random() < loss else DELIVER
 
-    config = ChannelConfig(mtu=1200, window=64, rto=1.0)
     sim = Simulator()
     wire = FakeWire(sim, fates(), latency=0.01)
-    sender = FakeEndpoint(wire, A, 0, config)
-    FakeEndpoint(wire, B, 0, config)
+    sender = _WholeFrameEndpoint(wire, A, 0)
+    _WholeFrameEndpoint(wire, B, 0)
+    rto = _WholeFrameEndpoint.RTO
     peak = 0
     for _ in range(messages):
         sender.send(B, bytes(64))
         peak = max(peak, len(sender._send_channels[B].backlog))
-        sim.run(until=sim.now + config.rto / per_rto)
+        sim.run(until=sim.now + rto / per_rto)
     offered_until = sim.now
     while not sender.outbound_idle():
-        sim.run(until=sim.now + config.rto / per_rto)
-    return ((sim.now - offered_until) / config.rto,
+        sim.run(until=sim.now + rto / per_rto)
+    return ((sim.now - offered_until) / rto,
             sender.retransmits / messages, peak)
 
 

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import Lan, LanConfig, Transport
+from repro.net import Lan, Transport
 from repro.sim import Cpu, Simulator
 
 
@@ -15,7 +15,7 @@ from repro.sim import Cpu, Simulator
 @settings(max_examples=40, deadline=None)
 def test_lossy_link_delivers_everything_in_order_exactly_once(seed, loss, messages):
     sim = Simulator(seed=seed)
-    lan = Lan(sim, LanConfig(loss_rate=loss))
+    lan = Lan(sim, loss_rate=loss)
     got = []
     Transport(sim, lan, 1, 0, Cpu(sim), lambda src, data: got.append(data))
     sender = Transport(sim, lan, 0, 0, Cpu(sim), lambda src, data: None)
@@ -32,7 +32,7 @@ def test_lossy_link_delivers_everything_in_order_exactly_once(seed, loss, messag
 @settings(max_examples=30, deadline=None)
 def test_fragmentation_is_invisible_to_receiver(seed, sizes):
     sim = Simulator(seed=seed)
-    lan = Lan(sim, LanConfig(loss_rate=0.1))
+    lan = Lan(sim, loss_rate=0.1)
     rng = sim.rng("testdata")
     messages = [bytes(rng.randrange(256) for _ in range(n)) for n in sizes]
     got = []

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conformance import Run, Task, bursts, check, one_group
-from repro import LanConfig
 
 
 @given(
@@ -50,10 +49,10 @@ def test_survivors_agree_despite_crash(seed, crash_site, crash_after):
     assert a == b, f"survivors diverged: {a ^ b}"
 
 
-def _quick(seed, lan=None):
+def _quick(seed, loss_rate=0.0):
     """Member 0 ABCASTs ten messages to a group of three."""
     return Run(one_group(
-        "det", 3, 20.0, "j", seed=seed, lan=lan,
+        "det", 3, 20.0, "j", seed=seed, loss_rate=loss_rate,
         traffic=(Task("blast", "m0", ("det",), "abcast", 10, "t{i}"),),
         tail=60.0))
 
@@ -74,7 +73,7 @@ def test_different_seed_different_schedule():
     """Seeds actually influence the stochastic parts (loss draws etc.)."""
     outcomes = []
     for seed in (1, 2):
-        run = _quick(seed, LanConfig(loss_rate=0.2))
+        run = _quick(seed, loss_rate=0.2)
         run.system.sim.trace.enable("*")
         run.play()
         outcomes.append(run.system.sim.trace.digest())

@@ -1,17 +1,26 @@
 """Edge-case coverage for the kernel and toolkit stubs."""
 
 import dataclasses
+import inspect
+import pathlib
+import re
 
 import pytest
 
-from repro import IsisCluster, IsisConfig, LanConfig, Message
+from repro import IsisCluster, IsisConfig, Message
 from repro.core.engine import GroupEngine
 from repro.core.kernel import PROTOCOLS
 from repro.errors import CodecError, GroupError, SiteDown
 from repro.msg import make_group_address, make_process_address
 from repro.msg.fields import encode_stab
-from repro.net.packet import KIND_DATA, Frame
-from repro.net.udp import UdpConfig
+from repro.net.lan import Lan
+from repro.net.reliable import ReliableEndpoint
+from repro.net.udp import UdpFaults
+from repro.runtime.asyncio_driver import AsyncioCluster
+from repro.runtime.stable import StableStore, StorageFaults
+from repro.tools import (ClockSync, RecoveryManager, SemaphoreManager,
+                         install_clocks, install_recovery, register_raw_state,
+                         register_state)
 
 
 #: Every field multiplies the configurations tests and benchmarks must
@@ -21,16 +30,11 @@ CONFIG_FIELDS = {
         "abcast_mode", "batch_window", "dissemination", "durability",
         "gbcast_batching", "piggyback_stability", "tree_fanout",
         "wal_checkpoint_every"],
-    LanConfig: [
-        "ack_cpu", "inter_site_delay", "intra_site_delay", "loss_rate", "mtu",
-        "recv_cpu_per_byte", "recv_cpu_per_frame", "rto", "send_cpu_per_byte",
-        "send_cpu_per_frame", "window"],
-    UdpConfig: [
-        "dup_rate", "fault_seed", "loss_rate", "max_datagram", "max_rto",
-        "mtu", "reorder", "rto", "window"],
+    UdpFaults: ["dup_rate", "fault_seed", "loss_rate", "reorder"],
 }
-#: Knobs no caller ever set: constants beside their readers now, or gone
-#: with the side path they selected.
+#: Knobs no caller ever set, keyed on what replaced the class or took
+#: the keyword: constants beside their readers now, or gone with the
+#: side path they selected.
 RETIRED = {
     IsisConfig: [
         "fast_flush", "flush_prereport_grace", "flush_okb_window",
@@ -38,23 +42,73 @@ RETIRED = {
         "join_retry", "transfer_retry", "fwd_retries", "fwd_timeout",
         "local_delivery_cpu", "batch_max_bytes", "stab_announce_every",
         "wal_trim_min", "membership", "heartbeat", "siteview"],
-    LanConfig: ["hw_multicast", "ack_delay"],
-    UdpConfig: ["ack_delay", "coalesce", "reorder_delay"],
+    # ``LanConfig``'s cost model: ``net/lan.py`` and ``net/transport.py``.
+    Lan: [
+        "config", "ack_cpu", "inter_site_delay", "intra_site_delay", "mtu",
+        "recv_cpu_per_byte", "recv_cpu_per_frame", "rto",
+        "send_cpu_per_byte", "send_cpu_per_frame", "window",
+        "hw_multicast", "ack_delay"],
+    IsisCluster: ["lan_config"],
+    # ``UdpConfig``'s wire values: ``UdpTransport`` and ``net/udp.py``.
+    UdpFaults: ["max_datagram", "max_rto", "mtu", "rto", "window",
+                "ack_delay", "coalesce", "reorder_delay"],
+    AsyncioCluster: ["udp_config"],
+    ReliableEndpoint: ["config", "max_rto"],
+    SemaphoreManager: ["release_on_failure", "detect_deadlock"],
+    RecoveryManager: ["settle_delay", "poll_timeout", "retry_delay",
+                      "lonely_rounds"],
+    install_recovery: ["settle_delay"],
+    ClockSync: ["interval"],
+    install_clocks: ["sync_interval"],
+    register_state: ["block_size"],
+    register_raw_state: ["block_size"],
+    StableStore: ["write_latency"],
 }
+#: Inputs a test draws, not settings of the system: fault schedules, like
+#: the simulated clocks' skew.  Scripts inject them; nothing needs a
+#: second caller to justify one.
+FAULT_SCHEDULES = {
+    UdpFaults: "the real wire's datagram faults (scripts/run_site.py)",
+    StorageFaults: "the simulated disk's crash honesty",
+    "loss_rate": "the simulated LAN's frame loss (scripts/digest_scenarios.py)",
+}
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_isis_config_field_set_is_pinned():
     for cls, names in CONFIG_FIELDS.items():
         assert sorted(f.name for f in dataclasses.fields(cls)) == names, cls
-    for cls, names in RETIRED.items():
+    for target, names in RETIRED.items():
+        signature = inspect.signature(target)
         for retired in names:
             with pytest.raises(TypeError):
-                cls(**{retired: 1})
+                signature.bind_partial(**{retired: 1})
     # The third ordering engine is gone.
     system = IsisCluster(n_sites=1, seed=0,
                          isis_config=IsisConfig(abcast_mode="leader"))
     with pytest.raises(GroupError):
         GroupEngine(system.kernel(0), make_group_address(0, 1))
+
+
+def test_every_option_has_a_caller():
+    """ARCHITECTURE.md "Configuration": an option exists because a caller
+    that is not a test sets it.  Each field of an option class must be
+    passed as a keyword (``name=``) or a spec key (``"name":``) in some
+    file under ``src/``, ``bench/``, ``benchmarks/`` or ``scripts/``
+    besides the one declaring it."""
+    sources = {path: path.read_text()
+               for root in ("src", "bench", "benchmarks", "scripts")
+               for path in (REPO / root).rglob("*.py")}
+    for cls in CONFIG_FIELDS:
+        if cls in FAULT_SCHEDULES:
+            continue
+        declared = pathlib.Path(inspect.getsourcefile(cls)).resolve()
+        for field in dataclasses.fields(cls):
+            setting = re.compile(
+                rf'(?<![\w.]){field.name}=(?!=)|"{field.name}"\s*:')
+            callers = [path for path, text in sources.items()
+                       if path != declared and setting.search(text)]
+            assert callers, f"{cls.__name__}.{field.name} has no caller"
 
 
 def test_undecodable_transport_message_counted_not_fatal():

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.errors import SiteDown
-from repro.net import Frame, Lan, LanConfig, Transport
+from repro.net import Frame, Lan, Transport
 from repro.sim import Cpu, Simulator
 
 
-def make_pair(sim, config=None, sites=(0, 1)):
+def make_pair(sim, loss_rate=0.0, sites=(0, 1)):
     """Two sites wired through one LAN; returns (lan, transports, inboxes)."""
-    lan = Lan(sim, config or LanConfig())
+    lan = Lan(sim, loss_rate)
     transports = {}
     inboxes = {site: [] for site in sites}
 
@@ -71,7 +71,7 @@ class TestLan:
 
     def test_loss_rate_drops_some_frames(self):
         sim = Simulator(seed=1)
-        lan = Lan(sim, LanConfig(loss_rate=0.5))
+        lan = Lan(sim, loss_rate=0.5)
         got = []
         lan.attach(1, got.append)
         for _ in range(100):
@@ -116,8 +116,7 @@ class TestTransport:
 
     def test_reliable_over_lossy_link(self):
         sim = Simulator(seed=42)
-        config = LanConfig(loss_rate=0.3)
-        _, transports, inboxes = make_pair(sim, config)
+        _, transports, inboxes = make_pair(sim, loss_rate=0.3)
         for i in range(30):
             transports[0].send(1, f"m{i}".encode())
         # Probe-based recovery with exponential backoff needs headroom
@@ -128,16 +127,15 @@ class TestTransport:
 
     def test_no_duplicate_deliveries_despite_retransmits(self):
         sim = Simulator(seed=7)
-        config = LanConfig(loss_rate=0.4)
-        _, transports, inboxes = make_pair(sim, config)
+        _, transports, inboxes = make_pair(sim, loss_rate=0.4)
         transports[0].send(1, b"only-once")
         sim.run(until=30.0)
         assert inboxes[1] == [(0, b"only-once")]
 
-    def test_window_limits_outstanding_then_drains(self):
+    def test_window_limits_outstanding_then_drains(self, monkeypatch):
+        monkeypatch.setattr(Transport, "WINDOW", 2)
         sim = Simulator()
-        config = LanConfig(window=2)
-        _, transports, inboxes = make_pair(sim, config)
+        _, transports, inboxes = make_pair(sim)
         for i in range(10):
             transports[0].send(1, f"w{i}".encode())
         sim.run()
@@ -259,9 +257,10 @@ class TestCumulativeAcks:
         # One pure ACK frame per in-order data frame.
         assert transports[1].acks_pure == 5
 
-    def test_duplicate_frames_ack_immediately(self):
+    def test_duplicate_frames_ack_immediately(self, monkeypatch):
+        monkeypatch.setattr(Transport, "RTO", 0.2)
         sim = Simulator()
-        lan, transports, inboxes = make_pair(sim, LanConfig(rto=0.2))
+        lan, transports, inboxes = make_pair(sim)
         transports[0].send(1, b"hello")
         sim.run(until=0.010)        # the frame is on the wire
         lan.detach(0)               # its ACK will find nobody home

@@ -13,7 +13,8 @@ import pytest
 from repro.net.packet import (DATAGRAM_HEADER_BYTES, DATAGRAM_MAGIC, KIND_RAW,
                               MAX_FRAMES_PER_DATAGRAM, Frame, decode_datagram,
                               encode_datagram)
-from repro.net.udp import UdpConfig, UdpTransport
+from repro.net import udp
+from repro.net.udp import UdpTransport
 from repro.runtime.asyncio_driver import AsyncioScheduler
 from repro.runtime.driver import SiteTransport
 
@@ -35,7 +36,7 @@ class Loopback:
     """Site 0 is a `UdpTransport`; site 1 is a bare socket the test
     reads and writes, so every datagram can be looked at."""
 
-    def __init__(self, config: UdpConfig):
+    def __init__(self):
         self.loop = asyncio.new_event_loop()
         self.scheduler = AsyncioScheduler(self.loop)
         self.peer = _bound_socket()
@@ -45,7 +46,7 @@ class Loopback:
         self.messages, self.raws = [], []
         self.transport = UdpTransport(
             self.scheduler, 0, 0, sock, {1: self.peer.getsockname()},
-            lambda src, data: self.messages.append(data), config)
+            lambda src, data: self.messages.append(data))
         self.transport.on_raw = lambda src, data: self.raws.append(data)
 
     def run(self, seconds: float = 0.05) -> None:
@@ -66,9 +67,8 @@ class Loopback:
 
 
 @pytest.fixture
-def loopback(request):
-    config = getattr(request, "param", None) or UdpConfig()
-    net = Loopback(config)
+def loopback():
+    net = Loopback()
     yield net
     net.close()
 
@@ -77,9 +77,10 @@ def test_udp_transport_satisfies_the_seam(loopback):
     assert isinstance(loopback.transport, SiteTransport)
 
 
-@pytest.mark.parametrize(
-    "loopback", [UdpConfig(mtu=100, max_datagram=400, rto=5.0)], indirect=True)
-def test_bundle_splits_at_max_datagram(loopback):
+def test_bundle_splits_at_max_datagram(loopback, monkeypatch):
+    monkeypatch.setattr(UdpTransport, "MTU", 100)
+    monkeypatch.setattr(UdpTransport, "RTO", 5.0)
+    monkeypatch.setattr(udp, "BUNDLE_BYTES", 400)
     for i in range(10):
         loopback.transport.send(1, bytes([i]) * 100)   # one tick, one bundle
     loopback.run()
@@ -92,9 +93,8 @@ def test_bundle_splits_at_max_datagram(loopback):
     assert (stats["datagrams_sent"], stats["frames_sent"]) == (4, 10)
 
 
-@pytest.mark.parametrize(
-    "loopback", [UdpConfig(max_datagram=60000)], indirect=True)
-def test_bundle_splits_at_255_frames(loopback):
+def test_bundle_splits_at_255_frames(loopback, monkeypatch):
+    monkeypatch.setattr(udp, "BUNDLE_BYTES", 60000)
     for _ in range(300):
         loopback.transport.send_raw(1, b"")
     loopback.run()
@@ -119,9 +119,8 @@ def test_malformed_datagram_is_counted_and_reading_goes_on(loopback):
     assert loopback.transport.alive
 
 
-@pytest.mark.parametrize(
-    "loopback", [UdpConfig(rto=5.0)], indirect=True)
-def test_shutdown_leaves_no_reader_or_timer(loopback):
+def test_shutdown_leaves_no_reader_or_timer(loopback, monkeypatch):
+    monkeypatch.setattr(UdpTransport, "RTO", 5.0)
     transport = loopback.transport
     doomed = transport.send(1, b"never acknowledged")      # arms the probe
     loopback.peer.sendto(encode_datagram([Frame(

@@ -11,7 +11,7 @@ from repro.core.bootstrap import Deployment, IsisCluster
 from repro.core.kernel import ProtocolsProcess
 from repro.errors import IsisError, SiteDown, TaskKilled
 from repro.msg import Message
-from repro.net.lan import LanConfig
+from repro.net.lan import INTRA_SITE_DELAY
 from repro.net.transport import Transport
 from repro.net.udp import UdpTransport
 from repro.runtime import Cluster, Site
@@ -22,6 +22,7 @@ from repro.runtime.asyncio_driver import (
 )
 from repro.runtime.driver import CpuLike, SiteLike, SiteTransport
 from repro.runtime.site import BaseSite
+from repro.runtime.stable import WRITE_LATENCY
 from repro.sim import Simulator, sleep
 
 
@@ -237,7 +238,7 @@ class TestStableStore:
         done = []
         store.write("k", b"v").add_done_callback(lambda p: done.append(sim.now))
         sim.run()
-        assert done[0] == pytest.approx(store.write_latency)
+        assert done[0] == pytest.approx(WRITE_LATENCY)
 
     def test_keys_prefix_listing(self):
         sim, cluster = make_cluster()
@@ -254,13 +255,12 @@ class TestDriverSeam:
     every member, ``local_hop_delay`` included, and no argument more."""
 
     def test_sim_site_satisfies_the_seam(self):
-        cluster = Cluster(Simulator(), n_sites=1,
-                          lan_config=LanConfig(intra_site_delay=0.004))
+        cluster = Cluster(Simulator(), n_sites=1)
         cluster.boot_all()
         site = cluster.site(0)
         assert isinstance(site, SiteLike)
         assert isinstance(site.transport, SiteTransport)
-        assert site.local_hop_delay == 0.004
+        assert site.local_hop_delay == INTRA_SITE_DELAY
 
     def test_net_site_satisfies_the_seam(self):
         runtime = AsyncioRuntime(n_sites=1)   # not booted: no socket yet

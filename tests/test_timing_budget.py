@@ -5,10 +5,10 @@ partially synchronous (SNIPPETS.md, "System Models"): delays are
 bounded, but only the timers' constants say by how much.  Each row
 below is one inequality between those constants that some code relies
 on, named with that code (its ``reader``).  Every row is asserted on
-both wires' defaults: the simulated LAN (``LanConfig``) and real UDP
-(``UdpConfig``).  A row that does not hold is a strict xfail naming
-the fault it causes.  ARCHITECTURE.md "Timing budget" is this table in
-prose.
+both wires: the simulated LAN (``net/lan.py``, ``Transport``) and real
+UDP (``UdpTransport``).  A row that does not hold is a strict xfail
+naming the fault it causes.  ARCHITECTURE.md "Timing budget" is this
+table in prose.
 """
 
 import inspect
@@ -21,30 +21,32 @@ from repro.core.rpc import REQUEST_TIMEOUT, GroupRpc
 from repro.fd.heartbeat import INTERVAL, MIN_TIMEOUT, _PeerStats
 from repro.fd.siteview import (ACK_TIMEOUT, BOOTSTRAP_TIMEOUT, JOIN_RETRY,
                                SUSPICION_SETTLE, SiteViewAgent)
-from repro.net.lan import Lan, LanConfig
+from repro.net.lan import INTER_SITE_DELAY, Lan
+from repro.net.reliable import ReliableEndpoint
 from repro.net.transport import Transport
-from repro.net.udp import REORDER_DELAY, UdpConfig
-from repro.sim import Cpu, Simulator
-
-WIRES = {"lan": LanConfig(), "udp": UdpConfig()}
+from repro.net.udp import REORDER_DELAY, UdpTransport
 
 
-def delay(wire) -> float:
-    """The longest one datagram takes between two sites: the LAN's
-    inter-site hop; on UDP, a datagram the fault schedule holds back."""
-    if isinstance(wire, UdpConfig):
-        return REORDER_DELAY
-    return wire.inter_site_delay
+class Wire(NamedTuple):
+    """What a row reads of a wire.  ``delay`` is the longest one
+    datagram takes between two sites: the LAN's inter-site hop; on UDP,
+    a datagram the fault schedule holds back.  ``max_rto`` is the
+    reliable channel's backoff ceiling: one probe of a channel's backlog
+    this long apart."""
+
+    delay: float
+    max_rto: float
 
 
-def max_rto(wire) -> float:
-    """The reliable channel's backoff ceiling on ``wire``: one probe of
-    a channel's backlog this long apart, as its transport sets it."""
-    if isinstance(wire, UdpConfig):
-        return wire.max_rto
-    sim = Simulator()
-    return Transport(sim, Lan(sim, wire), 0, 0, Cpu(sim, "cpu"),
-                     lambda *_: None).max_rto
+WIRES = {"lan": Wire(INTER_SITE_DELAY, Transport.MAX_RTO),
+         "udp": Wire(REORDER_DELAY, UdpTransport.MAX_RTO)}
+
+#: Each wire constant, and the code that reads it.
+WIRE_READERS = {
+    "INTER_SITE_DELAY": Lan.send,
+    "REORDER_DELAY": UdpTransport._send_datagram,
+    "MAX_RTO": ReliableEndpoint._retransmit,
+}
 
 
 class Row(NamedTuple):
@@ -63,20 +65,20 @@ ROWS = {
     "one-lost-heartbeat": Row(
         _PeerStats.timeout, ("MIN_TIMEOUT", "INTERVAL"),
         lambda wire: MIN_TIMEOUT,
-        lambda wire: 2 * INTERVAL + delay(wire)),
+        lambda wire: 2 * INTERVAL + wire.delay),
     # The deep backlog's split is below failure detection whatever the
     # heartbeats' phase, one lost heartbeat included.
     "split-below-detection": Row(
         causal.test_deep_backlog_partition_heal_matches_recorded_scan_order,
         ("SPLIT",),
         lambda wire: MIN_TIMEOUT,
-        lambda wire: causal.SPLIT + 2 * INTERVAL + delay(wire)),
+        lambda wire: causal.SPLIT + 2 * INTERVAL + wire.delay),
     # A restarter forms a singleton view only after a window in which
     # an older site's join loop, one lost request included, is heard.
     "bootstrap-hears-a-join": Row(
         SiteViewAgent._send_join_round, ("BOOTSTRAP_TIMEOUT", "JOIN_RETRY"),
         lambda wire: BOOTSTRAP_TIMEOUT,
-        lambda wire: 2 * JOIN_RETRY + delay(wire)),
+        lambda wire: 2 * JOIN_RETRY + wire.delay),
     # A request to a coordinator that crashed is sent again when the
     # site view drops it; the timer's retry comes later, so it does not
     # go to the dead site again first: detection, checked one interval
@@ -85,14 +87,14 @@ ROWS = {
         GroupRpc._send, ("REQUEST_TIMEOUT",),
         lambda wire: REQUEST_TIMEOUT,
         lambda wire: (MIN_TIMEOUT + INTERVAL + SUSPICION_SETTLE
-                      + 3 * delay(wire))),
+                      + 3 * wire.delay)),
     # A site-view round outlasts one detection plus a channel's backlog
     # drain at the channel's backoff ceiling: a proposal queued behind
     # a short split's backlog is acknowledged within the round.
     "round-outlasts-backlog-drain": Row(
         SiteViewAgent._maybe_start_round, ("ACK_TIMEOUT",),
         lambda wire: ACK_TIMEOUT,
-        lambda wire: MIN_TIMEOUT + max_rto(wire)),
+        lambda wire: MIN_TIMEOUT + wire.max_rto),
 }
 
 #: Rows that do not hold on a wire, and the fault that follows.
@@ -129,3 +131,10 @@ def test_timing_budget_row_names_its_reader(row):
     source = inspect.getsource(ROWS[row].reader)
     for name in ROWS[row].uses:
         assert name in source, f"{row}: {name} not read by its reader"
+
+
+@pytest.mark.parametrize("name", list(WIRE_READERS))
+def test_wire_constant_names_its_reader(name):
+    """The rows read the wires' constants directly: the code that uses
+    each one must still name it."""
+    assert name in inspect.getsource(WIRE_READERS[name])
