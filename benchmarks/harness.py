@@ -9,11 +9,9 @@ of running the simulation itself; the reproduction numbers live in
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro import IsisCluster
-from repro.core.groups import Isis
-from repro.runtime.process import IsisProcess
 
 ECHO_ENTRY = 16
 SINK_ENTRY = 17

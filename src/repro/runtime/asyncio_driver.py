@@ -11,8 +11,11 @@ applications are byte-for-byte the same code.
 
 Pieces:
 
+* :func:`new_event_loop` — the one loop the driver builds: an epoll
+  loop whose timed waits end when they are due, not at the next whole
+  millisecond (:class:`PreciseEpollSelector`).
 * :class:`AsyncioScheduler` — adapts ``loop.time`` / ``loop.call_soon``
-  (work due now) / ``loop.call_later`` (timers) to the
+  (work due now) / ``loop.call_at`` (timers) to the
   :class:`~repro.runtime.driver.Scheduler` protocol, with a
   :class:`~repro.sim.trace.Trace` and seeded RNG streams.  It tracks
   outstanding handles so teardown tests can assert none leak.
@@ -36,6 +39,8 @@ only through these explicit entry points (and ``scripts/run_site.py``).
 from __future__ import annotations
 
 import asyncio
+import select
+import selectors
 import socket
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -47,6 +52,45 @@ from ..sim.trace import Trace
 from .program import ProgramRegistry
 from .site import BaseSite
 from .stable import StableStore
+
+
+class PreciseEpollSelector(selectors.EpollSelector):
+    """An epoll selector whose timed waits end when they are due.
+
+    ``EpollSelector.select`` rounds a positive timeout up to a whole
+    millisecond, the unit of ``epoll_wait``, so every timer on such a
+    loop fires up to 1 ms late.  Here a positive timeout is waited in
+    ``select.select`` on the epoll fd itself, which is readable once any
+    registered fd is ready: microsecond resolution, one fd however many
+    sockets are registered.  The events are then harvested with a
+    non-blocking ``epoll_wait``.  A zero or ``None`` timeout is the
+    parent's single ``epoll_wait``.
+    """
+
+    def select(self, timeout: Optional[float] = None):
+        if timeout is not None and timeout > 0:
+            select.select((self.fileno(),), (), (), timeout)
+            timeout = 0
+        return super().select(timeout)
+
+
+def new_event_loop() -> asyncio.AbstractEventLoop:
+    """The event loop the runtime runs on: epoll with precise waits.
+
+    Without epoll the platform's default loop (kqueue already waits on a
+    timespec).  ``select.select`` refuses an fd at or above
+    ``FD_SETSIZE``, so an epoll fd created that high (a process already
+    holding about a thousand fds) keeps the default loop too.
+    """
+    if not hasattr(selectors, "EpollSelector"):
+        return asyncio.new_event_loop()
+    selector = PreciseEpollSelector()
+    try:
+        select.select((selector.fileno(),), (), (), 0)
+    except ValueError:  # beyond FD_SETSIZE
+        selector.close()
+        return asyncio.new_event_loop()
+    return asyncio.SelectorEventLoop(selector)
 
 
 class AsyncioTimer:
@@ -82,16 +126,16 @@ class AsyncioScheduler:
 
     ``now`` is monotonic seconds since scheduler creation (the kernel
     only compares and subtracts ``now`` values, so the origin is free).
-    Work due now (a delay of zero or less) goes on the loop's FIFO ready
-    queue with ``loop.call_soon``; only a positive delay is a
-    ``loop.call_later`` timer on the loop's heap.  Every live handle of
-    either kind is tracked so shutdown audits can assert nothing was
-    left armed.
+    Work due now (a deadline at or before ``now``) goes on the loop's
+    FIFO ready queue with ``loop.call_soon``; only a future deadline is a
+    ``loop.call_at`` timer on the loop's heap, armed at its absolute loop
+    time.  Every live handle of either kind is tracked so shutdown
+    audits can assert nothing was left armed.
     """
 
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None,
                  seed: int = 0):
-        self.loop = loop or asyncio.new_event_loop()
+        self.loop = loop or new_event_loop()
         self._t0 = self.loop.time()
         self.seed = seed
         self._rngs = RngRegistry(seed)
@@ -105,26 +149,30 @@ class AsyncioScheduler:
         return self.loop.time() - self._t0
 
     # -- scheduling ------------------------------------------------------
-    def _schedule(self, delay: float, fn: Callable, args: tuple) -> AsyncioTimer:
+    def _schedule(self, at: Optional[float], fn: Callable,
+                  args: tuple) -> AsyncioTimer:
+        """Arm ``fn(*args)`` at loop time ``at``; ``None`` is due now."""
         timer = AsyncioTimer(self, fn, args)
-        if delay > 0.0:
-            timer._handle = self.loop.call_later(delay, timer._fire)
-        else:
+        if at is None:
             timer._handle = self.loop.call_soon(timer._fire)
+        else:
+            timer._handle = self.loop.call_at(at, timer._fire)
         self._outstanding.add(timer)
         return timer
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> AsyncioTimer:
         """Schedule ``fn(*args)`` at absolute scheduler time ``when``."""
-        return self._schedule(when - self.now, fn, args)
+        return self._schedule(self._t0 + when if when > self.now else None,
+                              fn, args)
 
     def call_after(self, delay: float, fn: Callable, *args: Any) -> AsyncioTimer:
         """Schedule ``fn(*args)`` after ``delay`` seconds."""
-        return self._schedule(delay, fn, args)
+        return self._schedule(self.loop.time() + delay if delay > 0.0
+                              else None, fn, args)
 
     def call_soon(self, fn: Callable, *args: Any) -> AsyncioTimer:
         """Schedule ``fn(*args)`` on the next loop tick."""
-        return self._schedule(0.0, fn, args)
+        return self._schedule(None, fn, args)
 
     def rng(self, stream: str):
         """Deterministic named RNG substream (same derivation as the sim)."""
@@ -241,7 +289,7 @@ class AsyncioRuntime:
         self.host = host
         self.base_port = base_port
         self.hosts = dict(hosts or {})
-        self.loop = loop or asyncio.new_event_loop()
+        self.loop = loop or new_event_loop()
         self.scheduler = AsyncioScheduler(self.loop, seed=seed)
         self.programs = ProgramRegistry()
         self.udp_faults = udp_faults

@@ -18,9 +18,8 @@ so any one of them can detect a cycle; the designated manager replies
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.engine import ABCAST, CBCAST
 from ..core.groups import Isis
 from ..errors import DeadlockDetected, SemaphoreError
 from ..msg.address import Address

@@ -1,20 +1,33 @@
-"""`AsyncioScheduler`: work due now runs from the loop's ready queue.
+"""`AsyncioScheduler` and the loop it runs on.
 
 A callback with no delay left goes on the event loop's FIFO ready queue
-(``loop.call_soon``); only a positive delay is a timer on the loop's
-heap.  Both kinds are one handle type under one teardown audit.
+(``loop.call_soon``); only a future deadline is a timer on the loop's
+heap, armed at its absolute loop time.  Both kinds are one handle type
+under one teardown audit.  The loop (``new_event_loop``) waits a timed
+select to the microsecond instead of rounding it up to a millisecond.
 """
 
 import asyncio
+import gc
+import os
+import select
+import selectors
+import socket
+import warnings
 
 import pytest
 
-from repro.runtime.asyncio_driver import AsyncioScheduler, RealCpu
+from repro.runtime.asyncio_driver import (AsyncioScheduler,
+                                          PreciseEpollSelector, RealCpu,
+                                          new_event_loop)
+
+epoll_only = pytest.mark.skipif(not hasattr(selectors, "EpollSelector"),
+                                reason="the precise selector is epoll's")
 
 
 @pytest.fixture
 def scheduler():
-    loop = asyncio.new_event_loop()
+    loop = new_event_loop()
     yield AsyncioScheduler(loop)
     loop.close()
 
@@ -79,3 +92,105 @@ def test_zero_delay_work_never_enters_the_timer_heap(scheduler):
     timer.cancel()
     _run(scheduler)
     assert scheduler.outstanding_timers() == 0
+
+
+def test_call_at_arms_the_loops_absolute_time(scheduler):
+    when = scheduler.now + 30.0
+    timer = scheduler.call_at(when, lambda: None)
+    (handle,) = scheduler.loop._scheduled
+    assert handle.when() == scheduler._t0 + when
+    timer.cancel()
+    _run(scheduler)
+    assert scheduler.outstanding_timers() == 0
+
+
+# -- the loop --------------------------------------------------------------
+@pytest.fixture
+def selector():
+    chosen = PreciseEpollSelector()
+    yield chosen
+    chosen.close()
+
+
+def _record_select_timeouts(monkeypatch):
+    waits = []
+    real = select.select
+
+    def recording(rlist, wlist, xlist, timeout=None):
+        waits.append(timeout)
+        return real(rlist, wlist, xlist, timeout)
+
+    monkeypatch.setattr(select, "select", recording)
+    return waits
+
+
+@epoll_only
+def test_a_positive_timeout_is_waited_to_the_microsecond(selector,
+                                                         monkeypatch):
+    waits = _record_select_timeouts(monkeypatch)
+    assert selector.select(0.0003) == []
+    assert waits == [0.0003]  # not the parent's 0.001
+
+
+@epoll_only
+def test_zero_and_none_timeouts_stay_one_epoll_wait(selector, monkeypatch):
+    left, right = socket.socketpair()
+    try:
+        selector.register(left, selectors.EVENT_READ)
+        right.send(b"x")  # so that ``select(None)`` returns
+        waits = _record_select_timeouts(monkeypatch)
+        assert len(selector.select(0)) == 1
+        assert len(selector.select(None)) == 1
+        assert waits == []
+    finally:
+        left.close()
+        right.close()
+
+
+@epoll_only
+def test_a_ready_socket_comes_back_from_a_timed_select(selector):
+    left, right = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
+    try:
+        key = selector.register(left, selectors.EVENT_READ)
+        assert selector.select(0.0005) == []
+        right.send(b"datagram")
+        assert selector.select(5.0) == [(key, selectors.EVENT_READ)]
+        assert left.recv(64) == b"datagram"
+    finally:
+        left.close()
+        right.close()
+
+
+@epoll_only
+def test_the_runtime_loop_is_precise_and_closing_it_closes_the_epoll_fd():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        loop = new_event_loop()
+        assert isinstance(loop._selector, PreciseEpollSelector)
+        epoll = loop._selector._selector
+        loop.close()
+        del loop
+        gc.collect()
+    assert epoll.closed
+
+
+@epoll_only
+def test_an_epoll_fd_beyond_fd_setsize_keeps_the_default_loop():
+    read_end, write_end = os.pipe()
+    held = []
+    try:
+        try:  # take every free fd below select()'s FD_SETSIZE (1024 on Linux)
+            while not held or held[-1] < 1023:
+                held.append(os.dup(read_end))
+        except OSError:
+            pytest.skip("the fd limit is below FD_SETSIZE")
+        loop = new_event_loop()
+    finally:
+        for fd in held + [read_end, write_end]:
+            os.close(fd)
+    try:
+        assert loop._selector.fileno() >= 1024
+        assert type(loop._selector) is selectors.EpollSelector
+        assert loop.run_until_complete(asyncio.sleep(0.001, "ran")) == "ran"
+    finally:
+        loop.close()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SiteDown
 from repro.net import Frame, Lan, Transport
+from repro.net.packet import KIND_ACK, KIND_DATA
 from repro.sim import Cpu, Simulator
 
 
@@ -135,11 +136,30 @@ class TestTransport:
     def test_window_limits_outstanding_then_drains(self, monkeypatch):
         monkeypatch.setattr(Transport, "WINDOW", 2)
         sim = Simulator()
-        _, transports, inboxes = make_pair(sim)
+        lan, transports, inboxes = make_pair(sim)
+        # Seen on the wire: a data frame from site 0 is unacked until a
+        # cumulative ACK naming its seq reaches site 0.
+        acked, outstanding = [-1], []
+        send, receive = lan.send, transports[0]._receive
+
+        def on_send(frame):
+            if frame.kind == KIND_DATA and frame.src_site == 0:
+                outstanding.append(frame.seq - acked[0])
+            send(frame)
+
+        def on_arrive(frame):
+            if frame.kind == KIND_ACK:
+                acked[0] = max(acked[0], frame.ack)
+            receive(frame)
+
+        monkeypatch.setattr(lan, "send", on_send)
+        lan.attach(0, on_arrive)
         for i in range(10):
             transports[0].send(1, f"w{i}".encode())
         sim.run()
         assert len(inboxes[1]) == 10
+        assert len(outstanding) == 10  # no loss: no retransmit
+        assert max(outstanding) == 2
 
     def test_local_delivery_uses_intra_site_path(self):
         sim = Simulator()

@@ -15,7 +15,7 @@ from repro.net.packet import (DATAGRAM_HEADER_BYTES, DATAGRAM_MAGIC, KIND_RAW,
                               encode_datagram)
 from repro.net import udp
 from repro.net.udp import UdpTransport
-from repro.runtime.asyncio_driver import AsyncioScheduler
+from repro.runtime.asyncio_driver import AsyncioScheduler, new_event_loop
 from repro.runtime.driver import SiteTransport
 
 
@@ -37,7 +37,7 @@ class Loopback:
     reads and writes, so every datagram can be looked at."""
 
     def __init__(self):
-        self.loop = asyncio.new_event_loop()
+        self.loop = new_event_loop()
         self.scheduler = AsyncioScheduler(self.loop)
         self.peer = _bound_socket()
         sock = _bound_socket()
