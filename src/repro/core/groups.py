@@ -65,8 +65,7 @@ class Isis:
             else:
                 out.resolve(result)
 
-        site.cpu.submit(_STUB_CPU, self.sim.call_after,
-                        site.local_hop_delay, run)
+        site.cpu.submit(_STUB_CPU, self.sim.post, site.local_hop_delay, run)
         return out
 
     # ------------------------------------------------------------------

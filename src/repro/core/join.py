@@ -230,8 +230,8 @@ class Joins:
             if engine is not None:
                 wal.arm_member(engine, state.process)
         self._release_gate(state.process.address, deliver=True)
-        self.sim.call_after(self.kernel.site.local_hop_delay,
-                            state.promise.resolve, view)
+        self.sim.post(self.kernel.site.local_hop_delay,
+                      state.promise.resolve, view)
 
     def _release_gate(self, member: Address, deliver: bool) -> None:
         queued = self.gated.pop(member.process(), [])

@@ -260,7 +260,8 @@ class ProtocolsProcess:
         if dst_site == self.site_id:
             promise = Promise(label="loopback")
             data = msg.encode()  # loopbacks still pay encoding fidelity
-            self.sim.call_soon(self._dispatch, self.site_id, Message.decode(data))
+            self.sim.post(0.0, self._dispatch, self.site_id,
+                          Message.decode(data))
             promise.resolve(None)
             return promise
         try:
@@ -438,7 +439,7 @@ class ProtocolsProcess:
         every hand-off already queued on the CPU, ahead of any later one."""
         self.site.cpu.submit(
             LOCAL_DELIVERY_CPU,
-            self.sim.call_after, self.site.local_hop_delay, fn, *args)
+            self.sim.post, self.site.local_hop_delay, fn, *args)
 
     def on_view_installed(self, engine: GroupEngine, old_view: View,
                           new_view: View, event: tuple) -> None:

@@ -183,7 +183,7 @@ class SessionTable:
                 replies=session.replies,
             )
         if self.resolve_delay > 0:
-            self.sim.call_after(self.resolve_delay, settle, outcome)
+            self.sim.post(self.resolve_delay, settle, outcome)
         else:
             settle(outcome)
 

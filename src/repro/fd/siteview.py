@@ -250,8 +250,12 @@ class SiteViewAgent:
             getattr(self, "_on_" + record[0]["_proto"][3:])(src_site, record)
 
     def _on_suspect(self, src_site: int, record: tuple) -> None:
+        """A member's suspicion, relayed to the acting coordinator.  A
+        site this view already excluded is not heard: it has not yet
+        learnt that it left, and its silence is no evidence."""
         suspect = record[1]
         if self.is_coordinator() and self.view is not None \
+                and self.view.contains_site(src_site) \
                 and self.view.contains_site(suspect):
             self._remove(suspect)
 

@@ -110,7 +110,7 @@ class BulkStream:
             self.dst_cpu.submit(cpu_cost, arrive)
 
         # Sender pays its copy cost, then the stream occupies the wire.
-        self.src_cpu.submit(cpu_cost, sim.call_after, wire_time, finish)
+        self.src_cpu.submit(cpu_cost, sim.post, wire_time, finish)
         return promise
 
     def close(self) -> None:

@@ -73,23 +73,23 @@ class Lan:
     # -- frame delivery ------------------------------------------------------
     def send(self, frame: Frame) -> None:
         """Put one frame on the wire from its src to its dst site."""
-        self.sim.trace.bump("lan.frames")
-        self.sim.trace.bump("lan.bytes", frame.wire_size)
-        src = frame.src_site
+        bump = self.sim.trace.bump
+        bump("lan.frames")
+        bump("lan.bytes", frame.wire_size)
+        src, dst = frame.src_site, frame.dst_site
         self.frames_by_site[src] = self.frames_by_site.get(src, 0) + 1
-        inter_site = frame.src_site != frame.dst_site
-        if inter_site:
-            self.sim.trace.bump("lan.frames.inter")
-            if not self.reachable(frame.src_site, frame.dst_site):
-                self.sim.trace.bump("lan.dropped.partition")
+        if src != dst:
+            bump("lan.frames.inter")
+            if self._partition_of and not self.reachable(src, dst):
+                bump("lan.dropped.partition")
                 return
             if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
-                self.sim.trace.bump("lan.dropped.loss")
+                bump("lan.dropped.loss")
                 return
             delay = INTER_SITE_DELAY
         else:
             delay = INTRA_SITE_DELAY
-        self.sim.call_after(delay, self._arrive, frame)
+        self.sim.post(delay, self._arrive, frame)
 
     def _arrive(self, frame: Frame) -> None:
         endpoint = self._endpoints.get(frame.dst_site)

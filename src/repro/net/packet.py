@@ -163,8 +163,8 @@ def fragment(data: bytes, mtu: int) -> List[bytes]:
     """Split ``data`` into MTU-sized chunks (at least one, even if empty)."""
     if mtu <= 0:
         raise NetworkError(f"mtu must be positive, got {mtu}")
-    if not data:
-        return [b""]
+    if len(data) <= mtu:
+        return [data]
     return [data[i:i + mtu] for i in range(0, len(data), mtu)]
 
 

@@ -142,22 +142,21 @@ class ReliableEndpoint:
         msg_id = self._next_msg_id
         self._next_msg_id += 1
         chunks = fragment(data, self.MTU)
+        total = len(chunks)
         first = channel.next_seq
-        frames = [
-            Frame(kind=KIND_DATA, src_site=self.site_id, dst_site=dst_site,
-                  epoch=self.epoch, seq=first + index, msg_id=msg_id,
-                  frag_index=index, frag_total=len(chunks), payload=chunk,
-                  syn=first + index == channel.first_seq)
-            for index, chunk in enumerate(chunks)
-        ]
-        channel.next_seq += len(chunks)
+        channel.next_seq = first + total
         promise = Promise(label=f"send:{self.site_id}->{dst_site}:{msg_id}")
-        channel.msg_done.append((frames[-1].seq, promise))
-        self.clock.trace.bump("transport.messages")
-        self.clock.trace.bump("transport.bytes", len(data))
+        channel.msg_done.append((first + total - 1, promise))
+        bump = self.clock.trace.bump
+        bump("transport.messages")
+        bump("transport.bytes", len(data))
         self.msgs_sent += 1
         self.bytes_sent += len(data)
-        for frame in frames:
+        site_id, epoch, syn_seq = self.site_id, self.epoch, channel.first_seq
+        for index, chunk in enumerate(chunks):
+            seq = first + index
+            frame = Frame(KIND_DATA, site_id, dst_site, epoch, seq, -1, 0,
+                          msg_id, index, total, chunk, seq == syn_seq)
             if len(channel.unacked) < self.WINDOW:
                 self._transmit(channel, frame)
             else:
@@ -170,9 +169,8 @@ class ReliableEndpoint:
         silence rather than be masked by the reliable channel.
         """
         if self._alive:
-            self._wire(Frame(kind=KIND_RAW, src_site=self.site_id,
-                             dst_site=dst_site, epoch=self.epoch,
-                             payload=payload))
+            self._wire(Frame(KIND_RAW, self.site_id, dst_site, self.epoch,
+                             0, -1, 0, 0, 0, 1, payload))
 
     def _transmit(self, channel: _SendChannel, frame: Frame) -> None:
         channel.unacked[frame.seq] = frame
@@ -190,7 +188,8 @@ class ReliableEndpoint:
             return  # the channel was reset (or we went down) meanwhile
         self._wire(frame)
         channel.wire_times.setdefault(frame.seq, self.clock.now)
-        self._arm_retransmit(channel, frame.dst_site)
+        if channel.retx_timer is None:
+            self._arm_retransmit(channel, frame.dst_site)
 
     def _arm_retransmit(self, channel: _SendChannel, dst_site: int) -> None:
         if channel.retx_timer is None and channel.unacked:
@@ -340,9 +339,8 @@ class ReliableEndpoint:
         """Tell ``dst_site`` how far its frames have been delivered."""
         if not self._alive:
             return  # a CPU-queued frame processed post-crash: stay silent
-        self._wire(Frame(kind=KIND_ACK, src_site=self.site_id,
-                         dst_site=dst_site, epoch=self.epoch, ack=cumulative,
-                         ack_epoch=self._peer_epoch.get(dst_site, 0)))
+        self._wire(Frame(KIND_ACK, self.site_id, dst_site, self.epoch, 0,
+                         cumulative, self._peer_epoch.get(dst_site, 0)))
 
     # -- Statistics and lifecycle --------------------------------------
     def stats(self) -> Dict[str, int]:

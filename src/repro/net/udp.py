@@ -165,7 +165,7 @@ class UdpTransport(ReliableEndpoint):
                 # Held back while its successors go out: arrives late and
                 # out of order, exercising the receive-window reassembly.
                 self.faults_reordered += 1
-                self.clock.call_after(
+                self.clock.post(
                     REORDER_DELAY, self._raw_send, data, addr, len(frames))
                 return
             if rng.random() < self.faults.dup_rate:

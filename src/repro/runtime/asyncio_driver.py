@@ -18,9 +18,10 @@ Pieces:
   (work due now) / ``loop.call_at`` (timers) to the
   :class:`~repro.runtime.driver.Scheduler` protocol, with a
   :class:`~repro.sim.trace.Trace` and seeded RNG streams.  It tracks
-  outstanding handles so teardown tests can assert none leak.
-* :class:`RealCpu` — ``submit`` on real hardware: the work runs on the
-  next loop tick (its cost is what it costs).
+  outstanding handles so teardown tests can assert none leak; a
+  ``post`` is the loop's own entry, with no handle to track.
+* :class:`RealCpu` — ``submit`` on real hardware: the work goes straight
+  on the loop's ready queue (its cost is what it costs).
 * :class:`NetSite` — :class:`repro.runtime.site.BaseSite` whose wire is
   a UDP socket plus a TCP bulk endpoint.
 * :class:`AsyncioRuntime` — per-OS-process driver state: the loop, the
@@ -130,7 +131,10 @@ class AsyncioScheduler:
     FIFO ready queue with ``loop.call_soon``; only a future deadline is a
     ``loop.call_at`` timer on the loop's heap, armed at its absolute loop
     time.  Every live handle of either kind is tracked so shutdown
-    audits can assert nothing was left armed.
+    audits can assert nothing was left armed.  ``post`` arms the same
+    two kinds of loop entry with no handle and nothing to audit: it
+    cannot be cancelled, so it is counted in ``timers.fired`` when it is
+    posted.
     """
 
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None,
@@ -174,6 +178,14 @@ class AsyncioScheduler:
         """Schedule ``fn(*args)`` on the next loop tick."""
         return self._schedule(None, fn, args)
 
+    def post(self, delay: float, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` seconds; no handle."""
+        self._fired += 1
+        if delay > 0.0:
+            self.loop.call_at(self.loop.time() + delay, fn, *args)
+        else:
+            self.loop.call_soon(fn, *args)
+
     def rng(self, stream: str):
         """Deterministic named RNG substream (same derivation as the sim)."""
         return self._rngs.stream(stream)
@@ -196,6 +208,7 @@ class RealCpu:
     On real hardware the modeled per-frame costs are advisory: ``submit``
     runs the work on the next loop tick regardless of ``cost`` (charging
     fake delays would double-count the real CPU the work already burns).
+    It is a ``post`` with no delay, written out: one ready-queue entry.
     """
 
     def __init__(self, scheduler: AsyncioScheduler):
@@ -205,7 +218,9 @@ class RealCpu:
                *args: Any) -> None:
         """Run ``fn(*args)`` on the next tick."""
         if fn is not None:
-            self.scheduler.call_soon(fn, *args)
+            scheduler = self.scheduler
+            scheduler._fired += 1
+            scheduler.loop.call_soon(fn, *args)
 
 
 class NetSite(BaseSite):

@@ -3,10 +3,11 @@
 The protocols process (:mod:`repro.core.kernel`) is written against a
 small, duck-typed surface rather than against the simulator: a *clock /
 scheduler* (``now``, ``call_at``/``call_after``/``call_soon`` returning
-cancellable handles, a :class:`~repro.sim.trace.Trace`, named RNG
-streams) and a *site* (process hosting, reliable FIFO byte messages,
-unreliable raw datagrams, a bulk channel for large transfers, and the
-delay of the hop between a local process and the kernel).
+cancellable handles, ``post`` for a callback nobody cancels, returning
+none, a :class:`~repro.sim.trace.Trace`, named RNG streams) and a *site*
+(process hosting, reliable FIFO byte messages, unreliable raw datagrams,
+a bulk channel for large transfers, and the delay of the hop between a
+local process and the kernel).
 
 Two drivers satisfy this surface:
 
@@ -36,7 +37,8 @@ from typing import Any, Callable, Dict, Optional, Protocol, runtime_checkable
 
 @runtime_checkable
 class TimerHandle(Protocol):
-    """Handle returned by scheduling calls; cancellation is idempotent."""
+    """Handle returned by the ``call_*`` scheduling calls; cancellation
+    is idempotent."""
 
     def cancel(self) -> None: ...
 
@@ -49,6 +51,12 @@ class Scheduler(Protocol):
     driver's is monotonic wall-clock seconds since driver start.  Kernel
     code only ever compares and subtracts ``now`` values, so the origin
     does not matter.
+
+    The rule for the two verbs: a caller that keeps the handle (to
+    cancel a timeout, a retry, a window) uses ``call_*``; every other
+    callback is ``post``-ed, with no handle to build or audit.  Both
+    verbs are one queue, so callbacks due at one instant run in the
+    order they were scheduled, whichever verb armed them.
     """
 
     @property
@@ -59,6 +67,8 @@ class Scheduler(Protocol):
     def call_after(self, delay: float, fn: Callable, *args: Any) -> TimerHandle: ...
 
     def call_soon(self, fn: Callable, *args: Any) -> TimerHandle: ...
+
+    def post(self, delay: float, fn: Callable, *args: Any) -> None: ...
 
     def rng(self, stream: str) -> Any: ...
 

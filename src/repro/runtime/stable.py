@@ -95,7 +95,7 @@ class StableStore:
             self.sim.trace.bump("stable.writes")
             promise.resolve(None)
 
-        self.sim.call_after(self._latency(), commit)
+        self.sim.post(self._latency(), commit)
         return promise
 
     def read(self, key: str) -> Optional[bytes]:
@@ -124,7 +124,7 @@ class StableStore:
             self.sim.trace.bump("stable.appends")
             promise.resolve(None)
 
-        self.sim.call_after(self._latency(), commit)
+        self.sim.post(self._latency(), commit)
         return promise
 
     def read_log(self, log: str) -> List[bytes]:

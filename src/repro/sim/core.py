@@ -6,6 +6,13 @@ same program with the same seed produce byte-identical event orders.  All
 of isis-vs (network links, CPU costs, heartbeat timers, protocol timeouts,
 lightweight tasks) is scheduled through this one heap.
 
+Two verbs put an event on it.  ``call_at`` / ``call_after`` / ``call_soon``
+return a :class:`Timer` the caller may cancel; ``post`` / ``post_at``
+return nothing and push ``fn`` and ``args`` as they are — CPU work, frames
+in flight, hops inside a site, which nobody ever cancels.  Both draw their
+``seq`` from the one counter, so ties break in schedule order whichever
+verb armed them.
+
 Simulated time is a float in **seconds**.  Nothing in the kernel sleeps in
 wall-clock time; :meth:`Simulator.run` simply drains the heap.
 """
@@ -20,12 +27,17 @@ from .rand import RngRegistry
 from .trace import Trace
 
 
+#: ``until`` of a run with no horizon.
+_FOREVER = float("inf")
+
+
 class Timer:
     """Handle for a scheduled callback; supports cancellation.
 
-    The simulator's heap holds ``(time, seq, timer)`` tuples, so ordering
-    is decided on the first two items (``seq`` is unique) and timers
-    themselves are never compared.
+    The simulator's heap holds ``(time, seq, fn, args)`` tuples, ordered
+    on the first two items (``seq`` is unique); a timer's entry is
+    ``(time, seq, timer, None)``, and the callback is read off the timer
+    when the entry comes due.
 
     Cancellation is lazy: the heap entry stays in place and is discarded
     when popped.  This keeps :meth:`cancel` O(1).  The simulator counts
@@ -79,7 +91,9 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         self._now: float = 0.0
-        self._heap: list[tuple[float, int, Timer]] = []
+        #: ``(time, seq, fn, args)``; a :class:`Timer`'s entry is
+        #: ``(time, seq, timer, None)``.
+        self._heap: list[tuple] = []
         self._seq: int = 0
         self._running = False
         self._rngs = RngRegistry(seed)
@@ -103,7 +117,8 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def call_at(self, time: float, fn: Callable, *args: Any) -> Timer:
-        """Schedule ``fn(*args)`` at absolute simulated ``time``.
+        """Schedule ``fn(*args)`` at absolute simulated ``time``; returns
+        the handle that cancels it.
 
         Scheduling in the past is an error — it would silently reorder
         history and break determinism.
@@ -115,16 +130,19 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         timer = Timer(time, seq, fn, args, sim=self)
-        heapq.heappush(self._heap, (time, seq, timer))
+        heapq.heappush(self._heap, (time, seq, timer, None))
         return timer
 
     def _note_cancelled(self) -> None:
         """A heap-resident timer was cancelled; compact when >50% dead."""
         self._cancelled += 1
-        if (len(self._heap) >= self.COMPACT_MIN_HEAP
-                and self._cancelled * 2 > len(self._heap)):
-            self._heap = [e for e in self._heap if not e[2].cancelled]
-            heapq.heapify(self._heap)
+        heap = self._heap
+        if (len(heap) >= self.COMPACT_MIN_HEAP
+                and self._cancelled * 2 > len(heap)):
+            # In place: a running dispatch loop holds this list.
+            heap[:] = [e for e in heap if e[3] is not None
+                       or not e[2].cancelled]
+            heapq.heapify(heap)
             self._cancelled = 0
             self._compactions += 1
 
@@ -138,23 +156,57 @@ class Simulator:
         """Schedule ``fn(*args)`` at the current time, after pending events."""
         return self.call_at(self._now, fn, *args)
 
+    def post_at(self, time: float, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute ``time``; it cannot be cancelled."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={time:.6f}, now is t={self._now:.6f}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, fn, args))
+
+    def post(self, delay: float, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` seconds (>= 0); it cannot be
+        cancelled."""
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (self._now + delay, seq, fn, args))
+
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run the single next event.  Returns False if the heap is empty."""
-        while self._heap:
-            timer = heapq.heappop(self._heap)[2]
-            timer._sim = None  # out of the heap: cancels no longer counted
-            if timer.cancelled:
+    def _dispatch(self, until: float, max_events: int) -> int:
+        """Run events due at or before ``until``, at most ``max_events``
+        of them (``-1``: no limit); returns how many ran."""
+        heap, pop = self._heap, heapq.heappop
+        executed = 0
+        while heap and executed != max_events:
+            time, _seq, fn, args = heap[0]
+            if args is None and fn.cancelled:  # a dead timer's entry
+                pop(heap)
+                fn._sim = None
                 self._cancelled -= 1
                 continue
-            self._now = timer.time
-            fn, args = timer.fn, timer.args
-            timer.cancel()  # release references
+            if time > until:
+                break
+            pop(heap)
+            if args is None:  # a timer's entry: ``fn`` is the Timer
+                timer = fn
+                fn, args = timer.fn, timer.args
+                # Out of the heap: a late cancel is a no-op, not counted.
+                timer._sim, timer.cancelled = None, True
+                timer.fn, timer.args = None, ()  # release references
+            self._now = time
             fn(*args)
-            return True
-        return False
+            executed += 1
+        return executed
+
+    def step(self) -> bool:
+        """Run the single next event.  Returns False if the heap is empty."""
+        return self._dispatch(_FOREVER, 1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Drain the event heap.
@@ -172,21 +224,10 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() re-entered")
         self._running = True
-        executed = 0
         try:
-            while self._heap:
-                if max_events is not None and executed >= max_events:
-                    break
-                head = self._heap[0][2]
-                if head.cancelled:
-                    heapq.heappop(self._heap)
-                    head._sim = None
-                    self._cancelled -= 1
-                    continue
-                if until is not None and head.time > until:
-                    break
-                self.step()
-                executed += 1
+            executed = self._dispatch(
+                _FOREVER if until is None else until,
+                -1 if max_events is None else max_events)
             if until is not None and self._now < until:
                 self._now = until
         finally:

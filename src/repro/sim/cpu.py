@@ -57,11 +57,12 @@ class Cpu:
         submission without ``fn`` still holds the CPU until its work
         drains.
         """
-        start = max(self.sim.now, self._ready_at)
+        sim = self.sim
+        start = max(sim._now, self._ready_at)
         end = start + cost
         self._ready_at = end
         self._accum += cost
-        self.sim.call_at(end, _idle if fn is None else fn, *args)
+        sim.post_at(end, _idle if fn is None else fn, *args)
 
     def busy_before(self, t: float) -> float:
         """Cumulative busy seconds up to time ``t`` (t must be >= now)."""

@@ -125,7 +125,7 @@ class Task(Promise):
         self._waiting_on: Optional[Promise] = None
         self._killed = False
         self._stepping = False
-        sim.call_soon(self._step, None, None)
+        sim.post(0.0, self._step, None, None)
 
     # -- driving the generator -----------------------------------------
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
@@ -159,16 +159,17 @@ class Task(Promise):
 
     def _handle_yield(self, yielded: Any) -> None:
         if self._killed:
-            self.sim.call_soon(self._step, None, TaskKilled(self.name))
+            self.sim.post(0.0, self._step, None, TaskKilled(self.name))
             return
         if yielded is None:
-            self.sim.call_soon(self._step, None, None)
+            self.sim.post(0.0, self._step, None, None)
             return
         if isinstance(yielded, Promise):
             self._waiting_on = yielded
             yielded.add_done_callback(self._resume_from)
             return
-        self.sim.call_soon(
+        self.sim.post(
+            0.0,
             self._step,
             None,
             SimulationError(f"task {self.name!r} yielded {yielded!r}"),
@@ -179,9 +180,9 @@ class Task(Promise):
             return
         self._waiting_on = None
         if promise.rejected:
-            self.sim.call_soon(self._step, None, promise.exception)
+            self.sim.post(0.0, self._step, None, promise.exception)
         else:
-            self.sim.call_soon(self._step, promise._value, None)
+            self.sim.post(0.0, self._step, promise._value, None)
 
     # -- lifecycle -------------------------------------------------------
     def kill(self) -> None:
@@ -194,7 +195,7 @@ class Task(Promise):
             waiting.remove_done_callback(self._resume_from)
             self._waiting_on = None
         if not self._stepping:
-            self.sim.call_soon(self._step, None, TaskKilled(self.name))
+            self.sim.post(0.0, self._step, None, TaskKilled(self.name))
         # If currently stepping, _handle_yield notices _killed afterwards.
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -212,7 +213,7 @@ def spawn(sim: Simulator, gen: Generator, name: str = "task") -> Task:
 def sleep(sim: Simulator, delay: float) -> Promise:
     """Promise that resolves after ``delay`` simulated seconds."""
     promise = Promise(label=f"sleep({delay})")
-    sim.call_after(delay, promise.resolve, None)
+    sim.post(delay, promise.resolve, None)
     return promise
 
 

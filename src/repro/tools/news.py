@@ -34,8 +34,7 @@ def _hand_to_subscriber(kernel, record: tuple) -> None:
     if process is not None and process.alive:
         copy = msg.copy()
         copy["_entry"] = NEWS_DELIVERY_ENTRY
-        kernel.sim.call_after(kernel.site.local_hop_delay,
-                              process.deliver, copy)
+        kernel.sim.post(kernel.site.local_hop_delay, process.deliver, copy)
 
 
 class NewsServer:

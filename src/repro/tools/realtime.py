@@ -160,7 +160,7 @@ class RealTimeTool:
                 return
             # Sleep most of the remaining (local) time, then re-check:
             # the clock may be disciplined while we wait.
-            self.sim.call_after(max(remaining * 0.5, 0.001), poll)
+            self.sim.post(max(remaining * 0.5, 0.001), poll)
 
         poll()
         return done

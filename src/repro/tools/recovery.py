@@ -217,7 +217,7 @@ class RecoveryManager:
         # race the poll bookkeeping — whichever settles ``done`` first
         # wins and the other is a no-op, and either way the snapshot
         # below is taken only after settlement.
-        self.sim.call_after(POLL_TIMEOUT, done.resolve, None)
+        self.sim.post(POLL_TIMEOUT, done.resolve, None)
         yield done
         self._pending_polls.pop(poll_id, None)
         return dict(results)

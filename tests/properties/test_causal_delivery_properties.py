@@ -173,19 +173,15 @@ def test_ring_overlapping_groups_conform(seed, loss, burst, crash_site,
     check(record)
 
 
-@pytest.mark.parametrize("seed,loss", [pytest.param(
-    472, 0.06, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="fd/siteview.py _on_suspect: the coordinator removes live "
-               "site 1 on the word of site 2, which the site view had "
-               "already excluded; core/flush.py: site 3 then commits its "
-               "own view 4 of ring1, ['m2', 'm3'], beside site 1's "
-               "['m1', 'm3'] (one-view-per-id)"))])
+@pytest.mark.parametrize("seed,loss", [(472, 0.06)])
 def test_found_by_the_ring_search(seed, loss):
     """The one draw of ``test_ring_overlapping_groups_conform`` in seeds
-    0-500 at 6 % loss that fails.  The fault comes during the joins,
-    before any traffic and before the crash, so burst, crashed site and
-    crash time are any of the strategy's."""
+    0-500 at 6 % loss that failed: during the joins, before any traffic
+    and before the crash, the site-view coordinator removed live site 1
+    on the word of site 2, which the site view had already excluded, and
+    site 3 then committed its own view 4 of ring1 beside site 1's.  A
+    suspicion now counts only from a member (``fd/siteview.py``
+    ``_on_suspect``)."""
     check(_ring(seed, loss, burst=5, crash_site=0, crash_after=0.5))
 
 

@@ -3,7 +3,8 @@
 A callback with no delay left goes on the event loop's FIFO ready queue
 (``loop.call_soon``); only a future deadline is a timer on the loop's
 heap, armed at its absolute loop time.  Both kinds are one handle type
-under one teardown audit.  The loop (``new_event_loop``) waits a timed
+under one teardown audit; a ``post`` (and ``RealCpu.submit``) is the
+loop's own entry, with no handle, counted in ``timers.fired`` alone.  The loop (``new_event_loop``) waits a timed
 select to the microsecond instead of rounding it up to a millisecond.
 """
 
@@ -69,6 +70,32 @@ def test_fired_counts_both_kinds(scheduler):
     _run(scheduler, 0.02)
     assert ran == [1, 2]
     assert scheduler.stats() == {"timers.outstanding": 0, "timers.fired": 2}
+
+
+def test_a_post_keeps_fifo_order_with_call_soon(scheduler):
+    ran = []
+    scheduler.call_soon(ran.append, "a")
+    scheduler.post(0.0, ran.append, "b")
+    scheduler.call_after(0.0, ran.append, "c")
+    scheduler.post(-1.0, ran.append, "d")
+    scheduler.post(0.005, ran.append, "later")
+    scheduler.call_soon(ran.append, "e")
+    _run(scheduler, 0.02)
+    assert ran == ["a", "b", "c", "d", "e", "later"]
+
+
+def test_posts_and_cpu_work_hold_no_handle_and_count_as_fired(scheduler):
+    ran = []
+    cpu = RealCpu(scheduler)
+    cpu.submit(0.5, ran.append, "cpu")
+    cpu.submit(0.5)  # no work: nothing to run, nothing counted
+    scheduler.post(0.0, ran.append, "now")
+    scheduler.post(0.005, ran.append, "later")
+    assert scheduler.outstanding_timers() == 0
+    assert len(scheduler.loop._scheduled) == 1  # the delayed post
+    _run(scheduler, 0.02)
+    assert ran == ["cpu", "now", "later"]
+    assert scheduler.stats() == {"timers.outstanding": 0, "timers.fired": 3}
 
 
 def test_call_at_in_the_past_runs(scheduler):

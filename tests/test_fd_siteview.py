@@ -114,6 +114,25 @@ class TestRemoval:
         # Agent 2 is alive and receives the commit excluding it.
         assert destroyed == [2]
 
+    def test_a_suspicion_from_an_excluded_site_removes_nobody(self):
+        """Site 3 has left the site view without hearing so (the commit
+        to it is lost).  Its suspicion of live site 1 still reaches the
+        coordinator, which must not act on the word of a non-member."""
+        sim = Simulator()
+        bus, agents, views, destroyed = make_agents(sim, n=4)
+        genesis_all(agents)
+        bus.cut.add((0, 3))
+        agents[0].suspect(3)
+        sim.run(until=5.0)
+        assert agents[0].view.sites() == (0, 1, 2)
+        assert agents[3].view.view_id == 1  # still in the view it knew
+        agents[3].suspect(1)  # relayed to site 0, its acting coordinator
+        sim.run(until=10.0)
+        for i in (0, 1, 2):
+            assert agents[i].view.sites() == (0, 1, 2)
+            assert agents[i].view.view_id == 2
+        assert destroyed == []
+
     def test_batched_suspicions_one_view_change(self):
         sim = Simulator()
         bus, agents, views, _ = make_agents(sim, n=4)

@@ -17,10 +17,6 @@ from repro.core import rpc as rpc_mod
 SINK = 9
 
 
-def _armed_timers(sim):
-    return [t for _time, _seq, t in sim._heap if not t.cancelled]
-
-
 def _deploy_three(system):
     """3-site group; returns (gid, member0's process and isis handle)."""
     gid_box = {}
@@ -93,8 +89,10 @@ def test_shutdown_mid_flush_cancels_every_timer(monkeypatch):
     # still be armed; they fire once and vanish.  Anything periodic that
     # survived shutdown would keep re-arming and fail this.
     system.run_for(5.0)
-    leaked = _armed_timers(system.sim)
-    assert leaked == [], f"timers left armed after shutdown: {leaked!r}"
+    # ``pending_events`` counts armed timers and posts alike.
+    sim = system.sim
+    assert sim.pending_events == 0, (
+        f"events left armed after shutdown: {sim._heap!r}")
 
 
 def test_shutdown_rejects_batched_and_joining_promises():

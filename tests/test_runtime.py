@@ -1,5 +1,6 @@
 """Unit tests for sites, processes, programs and stable storage."""
 
+import ast
 import inspect
 import pathlib
 import re
@@ -20,7 +21,7 @@ from repro.runtime.asyncio_driver import (
     AsyncioRuntime,
     NetSite,
 )
-from repro.runtime.driver import CpuLike, SiteLike, SiteTransport
+from repro.runtime.driver import CpuLike, Scheduler, SiteLike, SiteTransport
 from repro.runtime.site import BaseSite
 from repro.runtime.stable import WRITE_LATENCY
 from repro.sim import Simulator, sleep
@@ -319,6 +320,66 @@ class TestDriverSeam:
                 assert hasattr(site.cluster, "programs")
         finally:
             runtime.shutdown()
+
+    def test_both_schedulers_offer_both_verbs(self):
+        runtime = AsyncioRuntime(n_sites=1)
+        try:
+            for scheduler in (Simulator(), runtime.scheduler):
+                assert isinstance(scheduler, Scheduler)
+        finally:
+            runtime.loop.close()
+
+    #: The scheduling calls that return a handle.
+    HANDLE_VERBS = {"call_at", "call_after", "call_soon"}
+
+    @staticmethod
+    def _dropped_handles(tree: ast.AST):
+        """``(line, verb)`` of every handle-returning call whose handle
+        nobody keeps: called as a bare statement, or named without a call
+        (handed on as a callback).  The asyncio loop's own methods (on a
+        receiver named ``loop``) are what the driver adapts, not the
+        seam's verbs."""
+        verbs = TestDriverSeam.HANDLE_VERBS
+
+        def on_loop(node: ast.expr) -> bool:
+            return (isinstance(node, ast.Name) and node.id == "loop") or (
+                isinstance(node, ast.Attribute) and node.attr == "loop")
+
+        called = {id(node.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)}
+        dropped = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                func = node.value.func
+                if (isinstance(func, ast.Attribute) and func.attr in verbs
+                        and not on_loop(func.value)):
+                    dropped.append((node.lineno, func.attr))
+            elif (isinstance(node, ast.Attribute) and node.attr in verbs
+                  and id(node) not in called and not on_loop(node.value)):
+                dropped.append((node.lineno, node.attr))
+        return sorted(dropped)
+
+    def test_every_handle_is_kept_and_every_other_callback_posted(self):
+        """``runtime/driver.py``'s rule: a ``call_*`` caller keeps the
+        handle to cancel it; a callback nobody cancels is a ``post``."""
+        package = pathlib.Path(repro.__file__).parent
+        dropped = {}
+        for path in sorted(package.rglob("*.py")):
+            found = self._dropped_handles(ast.parse(path.read_text()))
+            if found:
+                dropped[str(path.relative_to(package))] = found
+        assert dropped == {}
+
+    def test_the_handle_rule_sees_both_ways_of_dropping_one(self):
+        source = """
+sim.call_after(1.0, fn)                  # dropped: a bare statement
+cpu.submit(0.0, sim.call_soon, fn)       # dropped: handed on
+timer = sim.call_at(2.0, fn)             # kept
+self.loop.call_soon(fn)                  # the asyncio loop's own
+sim.post(0.0, fn)
+"""
+        assert self._dropped_handles(ast.parse(source)) == [
+            (2, "call_after"), (3, "call_soon")]
 
     def test_the_lifecycle_and_the_bootstrap_exist_once(self):
         for name in ("boot", "crash", "send_bytes", "send_raw", "run_program"):

@@ -213,3 +213,79 @@ class TestTimerHeapCompaction:
                 keep.append(i)
         sim.run()
         assert fired == keep
+
+
+class TestPosts:
+    """``post`` / ``post_at``: events without a handle, on the one heap."""
+
+    @pytest.mark.parametrize("post_first", [True, False])
+    def test_a_post_and_a_timer_due_together_run_in_schedule_order(
+            self, post_first):
+        sim = Simulator()
+        seen = []
+        arm = [lambda: sim.post(1.0, seen.append, "post"),
+               lambda: sim.call_at(1.0, seen.append, "timer")]
+        for schedule in (arm if post_first else arm[::-1]):
+            schedule()
+        sim.post_at(1.0, seen.append, "post_at")
+        sim.run()
+        first, second = ("post", "timer") if post_first else ("timer", "post")
+        assert seen == [first, second, "post_at"]
+        assert sim.now == 1.0
+
+    def test_posts_are_scheduled_and_pending_but_never_cancelled(self):
+        sim = Simulator()
+        n = Simulator.COMPACT_MIN_HEAP * 2
+        for i in range(n):
+            sim.post(10.0 + i, lambda: None)
+        timers = [sim.call_after(5.0, lambda: None) for _ in range(4)]
+        for timer in timers:
+            timer.cancel()
+        stats = sim.stats()
+        assert stats["timers.scheduled"] == n + 4
+        assert sim.pending_events == n
+        # Four dead entries among 2n + 4 are no majority: no compaction,
+        # and the posts never counted as dead.
+        assert stats["timers.cancelled_pending"] == 4
+        assert stats["timers.compactions"] == 0
+        assert sim.run() == n
+        assert sim.stats()["timers.cancelled_pending"] == 0
+        assert sim.pending_events == 0
+
+    def test_compaction_keeps_every_post(self):
+        sim = Simulator()
+        fired = []
+        n = Simulator.COMPACT_MIN_HEAP * 2
+        timers = [sim.call_after(1.0, fired.append, "timer")
+                  for _ in range(n)]
+        for i in range(3):
+            sim.post(2.0, fired.append, i)
+        for timer in timers:
+            timer.cancel()
+        assert sim.stats()["timers.compactions"] >= 1
+        assert sim.pending_events == 3
+        sim.run()
+        assert fired == [0, 1, 2]
+
+    def test_post_refuses_the_past(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.post(-0.1, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.post_at(0.5, lambda: None)
+
+    def test_step_and_max_events_count_posts_and_timers_alike(self):
+        sim = Simulator()
+        seen = []
+        sim.post(1.0, seen.append, 1)
+        sim.call_after(2.0, seen.append, 2)
+        sim.post(3.0, seen.append, 3)
+        assert sim.step()
+        assert seen == [1]
+        assert sim.run(max_events=1) == 1
+        assert seen == [1, 2]
+        assert sim.run(until=2.5) == 0
+        assert sim.now == 2.5
+        assert sim.step() and not sim.step()
+        assert seen == [1, 2, 3]
