@@ -92,18 +92,22 @@ DATAGRAM_HEADER_BYTES = _DGRAM_STRUCT.size
 MAX_FRAMES_PER_DATAGRAM = 255
 
 
-def encode_frame(frame: Frame) -> bytes:
-    """Serialize one frame (header + payload) for the real wire."""
+def _frame_header(frame: Frame) -> bytes:
+    """The wire header of one frame (its payload follows it)."""
     code = _KIND_TO_CODE.get(frame.kind)
     if code is None:
         raise NetworkError(f"unknown frame kind {frame.kind!r}")
-    header = _FRAME_STRUCT.pack(
+    return _FRAME_STRUCT.pack(
         code, _FLAG_SYN if frame.syn else 0, frame.src_site, frame.dst_site,
         frame.epoch | frame.ack_epoch << 8,
         frame.seq, frame.ack, frame.msg_id, frame.frag_index,
         frame.frag_total, len(frame.payload),
     )
-    return header + frame.payload
+
+
+def encode_frame(frame: Frame) -> bytes:
+    """Serialize one frame (header + payload) for the real wire."""
+    return _frame_header(frame) + frame.payload
 
 
 def decode_frame(buf: bytes, offset: int = 0) -> Tuple[Frame, int]:
@@ -118,15 +122,13 @@ def decode_frame(buf: bytes, offset: int = 0) -> Tuple[Frame, int]:
         raise NetworkError(f"unknown frame kind code {code}")
     if flags & ~_FLAG_SYN:
         raise NetworkError(f"reserved frame flag bits set: 0x{flags:02x}")
-    if end + payload_len > len(buf):
+    next_offset = end + payload_len
+    if next_offset > len(buf):
         raise NetworkError("truncated frame payload")
-    payload = bytes(buf[end:end + payload_len])
-    frame = Frame(
-        kind=kind, src_site=src, dst_site=dst, epoch=epoch & 0xFF, seq=seq,
-        ack=ack, ack_epoch=epoch >> 8, msg_id=msg_id, frag_index=frag_index,
-        frag_total=frag_total, payload=payload, syn=bool(flags & _FLAG_SYN),
-    )
-    return frame, end + payload_len
+    # Positional, in field order: no keyword matching per frame.
+    return Frame(kind, src, dst, epoch & 0xFF, seq, ack, epoch >> 8, msg_id,
+                 frag_index, frag_total, bytes(buf[end:next_offset]),
+                 flags == _FLAG_SYN), next_offset
 
 
 def encode_datagram(frames: List[Frame]) -> bytes:
@@ -136,7 +138,10 @@ def encode_datagram(frames: List[Frame]) -> bytes:
     if len(frames) > MAX_FRAMES_PER_DATAGRAM:
         raise NetworkError(f"too many frames for one datagram: {len(frames)}")
     parts = [_DGRAM_STRUCT.pack(DATAGRAM_MAGIC, DATAGRAM_VERSION, len(frames))]
-    parts.extend(encode_frame(frame) for frame in frames)
+    append = parts.append
+    for frame in frames:  # one join for every header and payload
+        append(_frame_header(frame))
+        append(frame.payload)
     return b"".join(parts)
 
 

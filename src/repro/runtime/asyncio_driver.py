@@ -14,14 +14,15 @@ Pieces:
 * :func:`new_event_loop` — the one loop the driver builds: an epoll
   loop whose timed waits end when they are due, not at the next whole
   millisecond (:class:`PreciseEpollSelector`).
-* :class:`AsyncioScheduler` — adapts ``loop.time`` / ``loop.call_soon``
-  (work due now) / ``loop.call_at`` (timers) to the
-  :class:`~repro.runtime.driver.Scheduler` protocol, with a
-  :class:`~repro.sim.trace.Trace` and seeded RNG streams.  It tracks
+* :class:`AsyncioScheduler` — adapts ``loop.time`` / ``loop.call_at``
+  (timers) to the :class:`~repro.runtime.driver.Scheduler` protocol,
+  with a :class:`~repro.sim.trace.Trace` and seeded RNG streams.  Work
+  due now goes on the scheduler's own FIFO, which one loop callback
+  drains to empty, as the simulator runs one instant.  It tracks
   outstanding handles so teardown tests can assert none leak; a
-  ``post`` is the loop's own entry, with no handle to track.
+  ``post`` is a FIFO entry with no handle to track.
 * :class:`RealCpu` — ``submit`` on real hardware: the work goes straight
-  on the loop's ready queue (its cost is what it costs).
+  on the scheduler's FIFO (its cost is what it costs).
 * :class:`NetSite` — :class:`repro.runtime.site.BaseSite` whose wire is
   a UDP socket plus a TCP bulk endpoint.
 * :class:`AsyncioRuntime` — per-OS-process driver state: the loop, the
@@ -43,6 +44,7 @@ import asyncio
 import select
 import selectors
 import socket
+from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.bootstrap import Deployment
@@ -95,8 +97,8 @@ def new_event_loop() -> asyncio.AbstractEventLoop:
 
 
 class AsyncioTimer:
-    """Cancellable handle over an asyncio callback: a ready-queue entry
-    for work due now, a timer-heap entry for work due later."""
+    """Cancellable handle over a callback: an entry on the scheduler's
+    FIFO for work due now, a loop timer-heap entry for work due later."""
 
     __slots__ = ("_handle", "_scheduler", "_fn", "_args", "cancelled")
 
@@ -105,10 +107,12 @@ class AsyncioTimer:
         self._scheduler = scheduler
         self._fn = fn
         self._args = args
-        self._handle: Optional[asyncio.Handle] = None
+        self._handle: Optional[asyncio.TimerHandle] = None  # due later only
         self.cancelled = False
 
     def _fire(self) -> None:
+        if self.cancelled:  # a due-now entry cancelled in the FIFO
+            return
         scheduler = self._scheduler
         scheduler._outstanding.discard(self)
         scheduler._fired += 1
@@ -118,7 +122,8 @@ class AsyncioTimer:
         """Prevent the callback from running (idempotent)."""
         if not self.cancelled:
             self.cancelled = True
-            self._handle.cancel()
+            if self._handle is not None:
+                self._handle.cancel()
             self._scheduler._outstanding.discard(self)
 
 
@@ -127,14 +132,27 @@ class AsyncioScheduler:
 
     ``now`` is monotonic seconds since scheduler creation (the kernel
     only compares and subtracts ``now`` values, so the origin is free).
-    Work due now (a deadline at or before ``now``) goes on the loop's
-    FIFO ready queue with ``loop.call_soon``; only a future deadline is a
-    ``loop.call_at`` timer on the loop's heap, armed at its absolute loop
-    time.  Every live handle of either kind is tracked so shutdown
-    audits can assert nothing was left armed.  ``post`` arms the same
-    two kinds of loop entry with no handle and nothing to audit: it
-    cannot be cancelled, so it is counted in ``timers.fired`` when it is
-    posted.
+
+    Work due now (``post`` or a ``call_*`` with no delay left, and
+    :meth:`RealCpu.submit`) goes on one FIFO of ``(fn, args)`` entries.
+    The first entry into an empty FIFO arms a single ``loop.call_soon``
+    of :meth:`_drain`, which runs entries in order until the FIFO is
+    empty, the entries that work adds while it runs included.  That is
+    how :meth:`repro.sim.core.Simulator._dispatch` runs one instant:
+    everything due now, in schedule order, before the loop polls its
+    sockets again, with no loop iteration between one hop and the next.
+    A callback that posted itself for now without end would starve the
+    sockets, as it would stop the simulator's clock.  None in this
+    package does: a task that went on ``yield None`` for ever would, and
+    the only ``yield None`` is in :mod:`repro.sim.tasks`' docstring.
+
+    Only a future deadline is a ``loop.call_at`` timer on the loop's
+    heap, armed at its absolute loop time.  Every live handle of either
+    kind is tracked so shutdown audits can assert nothing was left
+    armed; a cancelled due-now handle stays in the FIFO and is skipped.
+    ``post`` enters the same FIFO or heap with no handle and nothing to
+    audit: it cannot be cancelled, so it is counted in ``timers.fired``
+    when it is posted.
     """
 
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None,
@@ -146,6 +164,8 @@ class AsyncioScheduler:
         self.trace = Trace(self)  # Trace only reads ._sim.now
         self._outstanding: Set[AsyncioTimer] = set()
         self._fired = 0
+        #: Work due now; non-empty exactly while a drain is armed or running.
+        self._due: deque = deque()
 
     @property
     def now(self) -> float:
@@ -153,12 +173,41 @@ class AsyncioScheduler:
         return self.loop.time() - self._t0
 
     # -- scheduling ------------------------------------------------------
+    def _soon(self, fn: Callable, args: tuple) -> None:
+        """Append ``fn(*args)`` to the FIFO, arming a drain if it was empty."""
+        due = self._due
+        if not due:
+            self.loop.call_soon(self._drain)
+        due.append((fn, args))
+
+    def _drain(self) -> None:
+        """Run the FIFO to empty.  An entry leaves it only after it ran,
+        so work it adds finds the FIFO non-empty and arms no second drain.
+        An entry that raises goes to the loop's exception handler, as a
+        loop callback's would, and the next entry runs."""
+        due = self._due
+        while due:
+            fn, args = due[0]
+            try:
+                fn(*args)
+            except (SystemExit, KeyboardInterrupt):
+                due.popleft()
+                if due:
+                    self.loop.call_soon(self._drain)
+                raise
+            except BaseException as exc:
+                self.loop.call_exception_handler({
+                    "message": f"Exception in callback {fn!r}",
+                    "exception": exc,
+                })
+            due.popleft()
+
     def _schedule(self, at: Optional[float], fn: Callable,
                   args: tuple) -> AsyncioTimer:
         """Arm ``fn(*args)`` at loop time ``at``; ``None`` is due now."""
         timer = AsyncioTimer(self, fn, args)
         if at is None:
-            timer._handle = self.loop.call_soon(timer._fire)
+            self._soon(timer._fire, ())
         else:
             timer._handle = self.loop.call_at(at, timer._fire)
         self._outstanding.add(timer)
@@ -175,7 +224,7 @@ class AsyncioScheduler:
                               else None, fn, args)
 
     def call_soon(self, fn: Callable, *args: Any) -> AsyncioTimer:
-        """Schedule ``fn(*args)`` on the next loop tick."""
+        """Schedule ``fn(*args)`` in this instant's drain."""
         return self._schedule(None, fn, args)
 
     def post(self, delay: float, fn: Callable, *args: Any) -> None:
@@ -184,7 +233,7 @@ class AsyncioScheduler:
         if delay > 0.0:
             self.loop.call_at(self.loop.time() + delay, fn, *args)
         else:
-            self.loop.call_soon(fn, *args)
+            self._soon(fn, args)
 
     def rng(self, stream: str):
         """Deterministic named RNG substream (same derivation as the sim)."""
@@ -206,9 +255,10 @@ class RealCpu:
     """The real host's CPU behind :class:`~repro.runtime.driver.CpuLike`.
 
     On real hardware the modeled per-frame costs are advisory: ``submit``
-    runs the work on the next loop tick regardless of ``cost`` (charging
-    fake delays would double-count the real CPU the work already burns).
-    It is a ``post`` with no delay, written out: one ready-queue entry.
+    runs the work in this instant's drain regardless of ``cost``
+    (charging fake delays would double-count the real CPU the work
+    already burns).  It is a ``post`` with no delay, written out: one
+    entry on the scheduler's FIFO.
     """
 
     def __init__(self, scheduler: AsyncioScheduler):
@@ -216,11 +266,11 @@ class RealCpu:
 
     def submit(self, cost: float, fn: Optional[Callable] = None,
                *args: Any) -> None:
-        """Run ``fn(*args)`` on the next tick."""
+        """Run ``fn(*args)`` in this instant's drain."""
         if fn is not None:
             scheduler = self.scheduler
             scheduler._fired += 1
-            scheduler.loop.call_soon(fn, *args)
+            scheduler._soon(fn, args)
 
 
 class NetSite(BaseSite):

@@ -1,11 +1,15 @@
 """`AsyncioScheduler` and the loop it runs on.
 
-A callback with no delay left goes on the event loop's FIFO ready queue
-(``loop.call_soon``); only a future deadline is a timer on the loop's
-heap, armed at its absolute loop time.  Both kinds are one handle type
-under one teardown audit; a ``post`` (and ``RealCpu.submit``) is the
-loop's own entry, with no handle, counted in ``timers.fired`` alone.  The loop (``new_event_loop``) waits a timed
-select to the microsecond instead of rounding it up to a millisecond.
+Work due now (``post`` or a ``call_*`` with no delay left, and
+``RealCpu.submit``) goes on the scheduler's own FIFO, and one loop
+callback drains it to empty, the work that the drained entries add
+included: one instant, run the way the simulator runs it.  Only a
+future deadline is a timer on the loop's heap, armed at its absolute
+loop time.  A ``call_*`` returns a handle under one teardown audit
+whichever way it went; a ``post`` (and ``RealCpu.submit``) holds none
+and is counted in ``timers.fired`` alone.  The loop
+(``new_event_loop``) waits a timed select to the microsecond instead of
+rounding it up to a millisecond.
 """
 
 import asyncio
@@ -119,6 +123,89 @@ def test_zero_delay_work_never_enters_the_timer_heap(scheduler):
     timer.cancel()
     _run(scheduler)
     assert scheduler.outstanding_timers() == 0
+
+
+@pytest.mark.parametrize("verb", ["post", "submit", "call_soon"])
+def test_work_a_drained_entry_schedules_for_now_runs_in_the_same_drain(
+        scheduler, verb):
+    ran = []
+    cpu = RealCpu(scheduler)
+    schedule = {
+        "post": lambda: scheduler.post(0.0, ran.append, "nested"),
+        "submit": lambda: cpu.submit(0.5, ran.append, "nested"),
+        "call_soon": lambda: scheduler.call_soon(ran.append, "nested"),
+    }[verb]
+
+    def first():
+        ran.append("first")
+        schedule()
+
+    scheduler.post(0.0, first)
+    scheduler.loop.call_soon(ran.append, "raw")  # queued after ``first``
+    _run(scheduler)
+    assert ran == ["first", "nested", "raw"]
+    assert scheduler.outstanding_timers() == 0
+
+
+def test_a_hundred_due_now_entries_cost_one_loop_handle(scheduler):
+    ran = []
+    cpu = RealCpu(scheduler)
+    for i in range(0, 100, 4):
+        scheduler.post(0.0, ran.append, i)
+        cpu.submit(0.5, ran.append, i + 1)
+        scheduler.call_soon(ran.append, i + 2)
+        scheduler.call_after(0.0, ran.append, i + 3)
+    # ``_ready`` is the base event loop's ready queue.
+    assert len(scheduler.loop._ready) == 1
+    _run(scheduler)
+    assert ran == list(range(100))
+    assert scheduler.stats() == {"timers.outstanding": 0, "timers.fired": 100}
+
+
+def test_a_due_now_handle_cancelled_before_the_drain_never_runs(scheduler):
+    ran = []
+    later = []
+    doomed = scheduler.call_soon(ran.append, "doomed")
+    scheduler.post(0.0, lambda: later[0].cancel())  # from inside the drain
+    scheduler.post(0.0, ran.append, "kept")
+    later.append(scheduler.call_soon(ran.append, "later"))
+    doomed.cancel()
+    assert scheduler.outstanding_timers() == 1  # ``later``
+    # A cancelled entry is skipped by the drain, not taken out of the FIFO.
+    assert len(scheduler.loop._ready) == 1
+    _run(scheduler)
+    assert ran == ["kept"]
+    assert scheduler.stats() == {"timers.outstanding": 0, "timers.fired": 2}
+
+
+def test_an_entry_that_raises_reaches_the_handler_and_the_drain_goes_on(
+        scheduler):
+    ran, seen = [], []
+    loop = scheduler.loop
+    loop.set_exception_handler(lambda _loop, context: seen.append(context))
+    failure = ValueError("boom")
+
+    def boom():
+        scheduler.post(0.0, ran.append, "nested")
+        raise failure
+
+    scheduler.post(0.0, boom)
+    scheduler.post(0.0, ran.append, "after")
+    loop.call_soon(ran.append, "raw")
+    _run(scheduler)
+    assert ran == ["after", "nested", "raw"]
+    assert [context["exception"] for context in seen] == [failure]
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    scheduler.post(0.0, interrupt)
+    scheduler.post(0.0, ran.append, "resumed")
+    with pytest.raises(KeyboardInterrupt):  # not the handler's
+        _run(scheduler)
+    _run(scheduler)  # what the interrupted drain left still runs
+    assert ran[3:] == ["resumed"]
+    assert len(seen) == 1
 
 
 def test_call_at_arms_the_loops_absolute_time(scheduler):
