@@ -2,14 +2,14 @@
 
 ``IsisConfig.dissemination = "tree"`` attacks the scale-out wall past 32
 sites: with flat dissemination every multicast origin pays O(n) wire
-sends, every site's stability announcements broadcast to all n-1 peers,
-and flush pre-reports converge on one coordinator — so per-site wire
-load grows linearly with the view and the busiest site (origin or
-sequencer) becomes the bottleneck.  Tree mode relays envelopes,
-sequencer stamps, and stability traffic along a deterministic k-ary
-spanning tree of the view: every site's dissemination cost is bounded
-by ``tree_fanout``, stability aggregates up the tree (O(fanout) frames
-per site per round), and flush pre-reports coalesce at interior nodes.
+sends and every site's stability announcements broadcast to all n-1
+peers, so per-site wire load grows linearly with the view and the
+busiest site (origin or sequencer) becomes the bottleneck.  Tree mode
+relays envelopes, sequencer stamps, and stability traffic along a
+deterministic k-ary spanning tree of the view: every site's
+dissemination cost is bounded by ``tree_fanout`` and stability
+aggregates up the tree (O(fanout) frames per site per round).  The
+flush stays flat in both modes.
 
 Workload per (n, mode) configuration — one group spanning all n sites:
 

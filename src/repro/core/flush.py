@@ -26,13 +26,12 @@ Wire protocol (each message's fields: its row in ``msg/wire.py``):
 ``g.fl.data``           holder→needy: the messages themselves
 ``g.fl.filled``         needy→coordinator: I hold the union now
 ``g.fl.commit``         the cut order + the event (view / payload)
-``g.fl.okb``            tree mode: pre-reports aggregated up the tree
 ======================= ======================================================
 
 After a site death every survivor saw the same site-view change, so
-each pushes a *pre-report* to the predicted coordinator, and the begin
-round runs only for stragglers; in tree mode pre-reports coalesce up the
-coordinator-rooted spanning tree as ``g.fl.okb``.  Every path feeds
+each pushes a *pre-report* straight to the predicted coordinator, and
+the begin round runs only for stragglers.  Every message goes straight
+to its site in either dissemination topology; every report feeds
 :meth:`FlushCoordinator.offer_report`, which holds one attempt's
 bookkeeping; :class:`GroupFlush` (``engine.flush``) runs both sides at a
 site.  The cut is :func:`repro.core.ordering.cut_order`'s; applying a
@@ -66,10 +65,6 @@ FlushId = Tuple[int, int, int]
 #: triggers before it falls back to an explicit ``g.fl.begin`` round for
 #: the stragglers.  Sized at a few inter-site round trips.
 PREREPORT_GRACE = 0.25
-#: Tree mode: how long an interior site coalesces pre-reports before it
-#: forwards them one hop rootward as a ``g.fl.okb`` batch.  A few of
-#: these fit well inside :data:`PREREPORT_GRACE`.
-OKB_WINDOW = 0.06
 
 
 @dataclass
@@ -245,19 +240,12 @@ class GroupFlush:
         #: target view -> site -> (have, ab_pending, ab_delivered).
         self._pre_reports: Dict[int, Dict[int, Tuple]] = {}
         self._grace_timer: Optional[Timer] = None
-        #: Tree mode: pre-reports riding up the tree, coalescing here.
-        #: root (coordinator site) -> [[reporter site, encoded report]].
-        self._okb_buf: Dict[int, List[List]] = {}
-        self._okb_timer: Optional[Timer] = None
         #: The ``g.fl.commit`` that installed our view.
         self._last_commit: Optional[Message] = None
 
     def shutdown(self) -> None:
-        """Disarm the flush-grace and okb-batch timers."""
+        """Disarm the flush-grace timer."""
         self._cancel_grace()
-        if self._okb_timer is not None:
-            self._okb_timer.cancel()
-            self._okb_timer = None
 
     # ------------------------------------------------------------------
     # Coordinator side
@@ -426,8 +414,8 @@ class GroupFlush:
         self.engine.maybe_start_flush()
 
     def _on_ok(self, src_site: int, record: tuple) -> None:
-        """One report, direct, our own or out of a ``g.fl.okb``: taken
-        if solicited, stashed if a pre-report, else stale.
+        """One report, a peer's or our own: taken if solicited, stashed
+        if a pre-report, else stale.
 
         ``have_b`` is a full vector (pre-reports and full rounds),
         ``have_d`` an exact diff against the base union that the active
@@ -588,64 +576,7 @@ class GroupFlush:
             report["have_b"] = encode_have_vector(have)
         if pre:
             report["pre"] = True
-        if (pre and to_site != self.site_id
-                and self.kernel.config.dissemination == "tree"):
-            # Pre-reports aggregate up the coordinator-rooted tree so
-            # the coordinator's fan-in is O(fanout) batches, not n-1
-            # individual reports.  Solicited reports (a begin response)
-            # always go direct: the begin round IS the fallback when
-            # relayed pre-reports are lost, so it must not depend on
-            # relays itself.
-            self._okb_enqueue(to_site, self.site_id, report.encode())
-        else:
-            self._send(to_site, report)
-
-    # -- tree-aggregated pre-reports (dissemination == "tree") -------------
-    def _okb_enqueue(self, root: int, src_site: int, raw) -> None:
-        self._okb_buf.setdefault(root, []).append([src_site, raw])
-        if self._okb_timer is None:
-            self._okb_timer = self.sim.call_after(
-                OKB_WINDOW, self._okb_flush)
-
-    def _okb_flush(self) -> None:
-        """Forward coalesced pre-reports one hop rootward."""
-        self._okb_timer = None
-        buf, self._okb_buf = self._okb_buf, {}
-        if not buf or not self.kernel.alive:
-            return
-        tree = self.engine.pipeline.dissemination.tree()
-        for root, reports in buf.items():
-            parent = None
-            if tree is not None and root in tree and self.site_id in tree:
-                parent = tree.parent(root, self.site_id)
-            if parent is None:
-                # We are the root ourselves (coordinator duties moved to
-                # us mid-wave) or the tree is unknown: finish direct.
-                for src, raw in reports:
-                    report = Message.decode(raw)
-                    if root == self.site_id:
-                        self.kernel._dispatch(src, report)
-                    else:
-                        self._send(root, report)
-                continue
-            batch = Message(_proto="g.fl.okb", gid=self.gid, root=root,
-                            reports=reports)
-            self.sim.trace.bump("flush.okb_sent")
-            self._send(parent, batch)
-
-    def _on_okb(self, src_site: int, record: tuple) -> None:
-        """Aggregated pre-reports arrived: take them at the root, else
-        relay them as they came."""
-        _, _, root, reports = record
-        if root == self.site_id:
-            for src, report in reports:
-                self._on_ok(src, report)
-            return
-        # Interior relay: coalesce with whatever we are already holding
-        # (our own pre-report typically rides the same batch upward).
-        self.sim.trace.bump("flush.okb_relayed")
-        for src, report in reports:
-            self._okb_enqueue(root, src, report[0].encode())
+        self._send(to_site, report)
 
     def _on_expect(self, src_site: int, record: tuple) -> None:
         _, _, fid, union = record
@@ -719,12 +650,6 @@ class GroupFlush:
     def on_new_view(self) -> None:
         """A view installed: what the flush kept for it is done."""
         self._pre_reported = None
-        # In-flight aggregated pre-reports target the view just
-        # committed; the commit supersedes them.
-        self._okb_buf.clear()
-        if self._okb_timer is not None:
-            self._okb_timer.cancel()
-            self._okb_timer = None
         if self._pre_reports:
             view = self.engine.view
             view_id = view.view_id if view is not None else 0

@@ -120,11 +120,12 @@ class IsisConfig:
     #: spanning tree computed from the view (each origin roots its own
     #: rotation of the same tree), cutting per-site wire cost from O(n)
     #: to O(fanout) per multicast; stability likewise aggregates up the
-    #: token site's tree instead of every site telling every other.  Flushes
-    #: always fall back to flat sends (commits must not depend on
-    #: relays), so virtual synchrony guarantees are unchanged — a dead
-    #: relay's subtree hole is repaired by the very view-change flush
-    #: that removes it.  Cluster-wide setting: all kernels must agree.
+    #: token site's tree instead of every site telling every other.  The
+    #: flush is flat in either mode: every flush message, a pre-report
+    #: included, goes straight to its site, so no view change depends on
+    #: a relay — a dead relay's subtree hole is repaired by the very
+    #: view-change flush that removes it.  Cluster-wide setting: all
+    #: kernels must agree.
     dissemination: str = "flat"
     #: Branching factor of the dissemination/aggregation spanning tree.
     tree_fanout: int = 4
@@ -711,7 +712,7 @@ _HANDLERS = {
     "st.data": "joins._on_state_data", "st.chunk": "joins._on_state_chunk",
     **{proto: "engine.flush._on_" + proto[5:] for proto in (
         "g.fl.begin", "g.fl.ok", "g.fl.expect", "g.fl.pull", "g.fl.data",
-        "g.fl.filled", "g.fl.commit", "g.fl.okb")},
+        "g.fl.filled", "g.fl.commit")},
     **dict.fromkeys(PIPELINE, "pipeline"),
     "k.notes": "_on_notes",
 }

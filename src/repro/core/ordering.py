@@ -22,8 +22,9 @@ and the book of what it delivered.
   state as ``(priority, final?)`` entries, ``delivered`` what this view
   delivered at which final, and :func:`cut_order`, run by the flush
   coordinator over every report (finals win; otherwise max proposal;
-  refs unseen at some survivor are lifted above every final), orders
-  them identically at every survivor, which ``force_order()`` applies.
+  refs unseen at some survivor, and a sender's refs out of its order,
+  are lifted above every final), orders them identically at every
+  survivor, which ``force_order()`` applies.
 * **Unstamped-tail rule** — refs the engine never ordered are reported
   with deterministic priorities above every assignable one
   (:data:`UNSTAMPED_BASE`), so the cut appends them in the same order
@@ -92,7 +93,9 @@ def cut_order(reports: List[Report]) -> List[List[List[int]]]:
     slot it *before* messages already delivered without it.  Such
     refs are lifted above every final in the cut (reported
     proposals order the lifted tail deterministically), mirroring
-    the sequencer mode's unstamped-tail rule.  Every survivor's
+    the sequencer mode's unstamped-tail rule.  Each sender's refs no
+    survivor delivered then keep their gseq order
+    (:func:`_keep_sender_order`).  Every survivor's
     :meth:`OrderingEngine.force_order` applies the result.
     """
     finals: Dict[MsgRef, Priority] = {}
@@ -131,7 +134,7 @@ def cut_order(reports: List[Report]) -> List[List[List[int]]]:
             if prio[0] > lift:
                 lift = prio[0]
     reporters = len(reports)
-    order: List[Tuple[MsgRef, Priority]] = []
+    cut: Dict[MsgRef, Priority] = {}
     for ref in pending_refs | (set(finals) - delivered_everywhere):
         prio = finals.get(ref)
         if prio is None:
@@ -143,9 +146,45 @@ def cut_order(reports: List[Report]) -> List[List[List[int]]]:
                 prio = (lift + best[0], best[1])
             else:
                 prio = best
-        order.append((ref, prio))
-    order.sort(key=lambda item: item[1])
+        cut[ref] = prio
+    _keep_sender_order(cut, lift, {
+        ref for _, ab_delivered in reports for ref, _ in ab_delivered})
+    order = sorted(cut.items(), key=lambda item: item[1])
     return [[list(ref), list(prio)] for ref, prio in order]
+
+
+def _keep_sender_order(cut: Dict[MsgRef, Priority], lift: int,
+                       delivered: Set[MsgRef]) -> None:
+    """Reorder ``cut`` so each sender's refs no site delivered yet come
+    out in gseq order.
+
+    Finals need not follow their sender's order: one completed without
+    a dead site's proposal can sort below the final of an earlier
+    ABCAST that counted it.  Walking a sender's refs in gseq order, the
+    first undelivered one that sorts below an earlier ref, or is lifted
+    already, and every undelivered ref after it are lifted; the
+    sender's lifted refs then take their own priorities, sorted, in
+    gseq order.  The set of priorities is unchanged, so they stay
+    unique, and a ref no site delivered may go anywhere after what
+    every site delivered.  Only a lifted priority's counter exceeds
+    ``lift``, every reported counter's maximum.
+    """
+    by_sender: Dict[int, List[MsgRef]] = {}
+    for ref in sorted(cut):
+        by_sender.setdefault(ref[0], []).append(ref)
+    for refs in by_sender.values():
+        tail: List[MsgRef] = []
+        highest: Priority = (0, 0)
+        for ref in refs:
+            prio = cut[ref]
+            if ref not in delivered and (
+                    tail or prio[0] > lift or prio < highest):
+                if prio[0] <= lift:
+                    prio = cut[ref] = (lift + prio[0], prio[1])
+                tail.append(ref)
+            highest = max(highest, prio)
+        for ref, prio in zip(tail, sorted(cut[ref] for ref in tail)):
+            cut[ref] = prio
 
 
 class OrderingEngine:

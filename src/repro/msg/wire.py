@@ -563,20 +563,17 @@ def protocols(context: Callable[[bytes], Any],
             lambda r: "not exactly one of segments and wal_suffix"
             if (r[2] is None) == (r[3] is None) else None)
     declare("st.chunk", "gid:address xid:uint idx:uint n:uint data:bytes")
-    # The flush (core/engine.py).
+    # The flush (core/flush.py).
     declare("g.fl.begin", "gid:address fid:fid base_b:have?")
     declare("g.fl.ok", "gid:address fid:fid abp:pending abd:cut have_b:have? "
             "have_d:have? pre:bool?",
             lambda r: "neither have_b nor have_d"
             if r[5] is None and r[6] is None else None)
-    kinds["reports"] = list_of(fixed(INT, _encoded(_messages(
-        {"g.fl.ok": table["g.fl.ok"]}, "a flush report"))))
     declare("g.fl.expect", "gid:address fid:fid union_b:have")
     declare("g.fl.pull", "gid:address fid:fid sends:triples")
     declare("g.fl.data", "gid:address fid:fid msgs:envelopes")
     declare("g.fl.filled", "gid:address fid:fid")
     declare("g.fl.commit", "gid:address fid:fid ab_order:cut event:event")
-    declare("g.fl.okb", "gid:address root:int reports:reports")
     # The delivery pipeline (core/pipeline.py, core/ordering.py).
     declare(BATCH_PROTO, "gid:address envs:encoded_envelopes stab:stab?")
     declare("g.abp", "gid:address view:uint ref:pair prio:pair")

@@ -223,10 +223,6 @@ class AsyncioScheduler:
         return self._schedule(self.loop.time() + delay if delay > 0.0
                               else None, fn, args)
 
-    def call_soon(self, fn: Callable, *args: Any) -> AsyncioTimer:
-        """Schedule ``fn(*args)`` in this instant's drain."""
-        return self._schedule(None, fn, args)
-
     def post(self, delay: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` seconds; no handle."""
         self._fired += 1

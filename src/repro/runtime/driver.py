@@ -2,9 +2,9 @@
 
 The protocols process (:mod:`repro.core.kernel`) is written against a
 small, duck-typed surface rather than against the simulator: a *clock /
-scheduler* (``now``, ``call_at``/``call_after``/``call_soon`` returning
-cancellable handles, ``post`` for a callback nobody cancels, returning
-none, a :class:`~repro.sim.trace.Trace`, named RNG streams) and a *site*
+scheduler* (``now``, ``call_at``/``call_after`` returning cancellable
+handles, ``post`` for a callback nobody cancels, returning none, a
+:class:`~repro.sim.trace.Trace`, named RNG streams) and a *site*
 (process hosting, reliable FIFO byte messages, unreliable raw datagrams,
 a bulk channel for large transfers, and the delay of the hop between a
 local process and the kernel).
@@ -65,8 +65,6 @@ class Scheduler(Protocol):
     def call_at(self, time: float, fn: Callable, *args: Any) -> TimerHandle: ...
 
     def call_after(self, delay: float, fn: Callable, *args: Any) -> TimerHandle: ...
-
-    def call_soon(self, fn: Callable, *args: Any) -> TimerHandle: ...
 
     def post(self, delay: float, fn: Callable, *args: Any) -> None: ...
 

@@ -6,10 +6,10 @@ same program with the same seed produce byte-identical event orders.  All
 of isis-vs (network links, CPU costs, heartbeat timers, protocol timeouts,
 lightweight tasks) is scheduled through this one heap.
 
-Two verbs put an event on it.  ``call_at`` / ``call_after`` / ``call_soon``
-return a :class:`Timer` the caller may cancel; ``post`` / ``post_at``
-return nothing and push ``fn`` and ``args`` as they are — CPU work, frames
-in flight, hops inside a site, which nobody ever cancels.  Both draw their
+Two verbs put an event on it.  ``call_at`` / ``call_after`` return a
+:class:`Timer` the caller may cancel; ``post`` / ``post_at`` return
+nothing and push ``fn`` and ``args`` as they are — CPU work, frames in
+flight, hops inside a site, which nobody ever cancels.  Both draw their
 ``seq`` from the one counter, so ties break in schedule order whichever
 verb armed them.
 
@@ -151,10 +151,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         return self.call_at(self._now + delay, fn, *args)
-
-    def call_soon(self, fn: Callable, *args: Any) -> Timer:
-        """Schedule ``fn(*args)`` at the current time, after pending events."""
-        return self.call_at(self._now, fn, *args)
 
     def post_at(self, time: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` at absolute ``time``; it cannot be cancelled."""

@@ -150,25 +150,6 @@ def test_stability_dn_roundtrip(gid, view, stable, floor):
     assert decode_stab(bytes(decoded["stab"])) == (view, floor, stable)
 
 
-@given(gid=addresses, root=st.integers(0, 0xFFFF),
-       reports=st.lists(
-           st.tuples(st.integers(0, 0xFFFF), inner_fields), max_size=5))
-def test_flush_okb_roundtrip(gid, root, reports):
-    """``g.fl.okb``: batched pre-reports, each an encoded Message."""
-    raw_reports = [(src, _message(fields).encode())
-                   for src, fields in reports]
-    batch = Message(_proto="g.fl.okb", gid=gid, root=root,
-                    reports=raw_reports)
-    decoded = Message.decode(batch.encode())
-    assert decoded["_proto"] == "g.fl.okb"
-    assert decoded["root"] == root
-    assert len(decoded["reports"]) == len(reports)
-    for (src, fields), got in zip(reports, decoded["reports"]):
-        assert got[0] == src
-        report = Message.decode(bytes(got[1]))
-        assert report.fields() == _normalize(_message(fields).fields())
-
-
 # ----------------------------------------------------------------------
 # Binary frame codec (the asyncio/UDP driver's wire format).
 # ----------------------------------------------------------------------

@@ -43,9 +43,9 @@ def _run(scheduler: AsyncioScheduler, seconds: float = 0.0) -> None:
 
 def test_zero_delay_callbacks_run_in_call_order(scheduler):
     ran = []
-    scheduler.call_soon(ran.append, "a")
+    scheduler.call_at(scheduler.now, ran.append, "a")
     scheduler.call_after(0.0, ran.append, "b")
-    scheduler.call_soon(ran.append, "c")
+    scheduler.call_after(0.0, ran.append, "c")
     scheduler.call_after(-1.0, ran.append, "d")
     RealCpu(scheduler).submit(0.5, ran.append, "e")
     _run(scheduler)
@@ -55,7 +55,7 @@ def test_zero_delay_callbacks_run_in_call_order(scheduler):
 
 def test_cancelled_callback_never_runs_and_leaves_the_audit(scheduler):
     ran = []
-    soon = scheduler.call_soon(ran.append, "soon")
+    soon = scheduler.call_after(0.0, ran.append, "soon")
     later = scheduler.call_after(0.01, ran.append, "later")
     assert scheduler.outstanding_timers() == 2
     soon.cancel()
@@ -69,21 +69,21 @@ def test_cancelled_callback_never_runs_and_leaves_the_audit(scheduler):
 
 def test_fired_counts_both_kinds(scheduler):
     ran = []
-    scheduler.call_soon(ran.append, 1)
+    scheduler.call_after(0.0, ran.append, 1)
     scheduler.call_after(0.005, ran.append, 2)
     _run(scheduler, 0.02)
     assert ran == [1, 2]
     assert scheduler.stats() == {"timers.outstanding": 0, "timers.fired": 2}
 
 
-def test_a_post_keeps_fifo_order_with_call_soon(scheduler):
+def test_a_post_keeps_fifo_order_with_a_due_now_timer(scheduler):
     ran = []
-    scheduler.call_soon(ran.append, "a")
+    scheduler.call_after(0.0, ran.append, "a")
     scheduler.post(0.0, ran.append, "b")
     scheduler.call_after(0.0, ran.append, "c")
     scheduler.post(-1.0, ran.append, "d")
     scheduler.post(0.005, ran.append, "later")
-    scheduler.call_soon(ran.append, "e")
+    scheduler.call_after(0.0, ran.append, "e")
     _run(scheduler, 0.02)
     assert ran == ["a", "b", "c", "d", "e", "later"]
 
@@ -113,7 +113,7 @@ def test_zero_delay_work_never_enters_the_timer_heap(scheduler):
     loop = scheduler.loop
     # ``_scheduled`` is the base event loop's timer heap.
     heap = loop._scheduled
-    scheduler.call_soon(lambda: None)
+    scheduler.call_after(0.0, lambda: None)
     scheduler.call_after(0.0, lambda: None)
     scheduler.call_at(scheduler.now - 1.0, lambda: None)
     RealCpu(scheduler).submit(0.0, lambda: None)
@@ -125,7 +125,7 @@ def test_zero_delay_work_never_enters_the_timer_heap(scheduler):
     assert scheduler.outstanding_timers() == 0
 
 
-@pytest.mark.parametrize("verb", ["post", "submit", "call_soon"])
+@pytest.mark.parametrize("verb", ["post", "submit", "call_after"])
 def test_work_a_drained_entry_schedules_for_now_runs_in_the_same_drain(
         scheduler, verb):
     ran = []
@@ -133,7 +133,7 @@ def test_work_a_drained_entry_schedules_for_now_runs_in_the_same_drain(
     schedule = {
         "post": lambda: scheduler.post(0.0, ran.append, "nested"),
         "submit": lambda: cpu.submit(0.5, ran.append, "nested"),
-        "call_soon": lambda: scheduler.call_soon(ran.append, "nested"),
+        "call_after": lambda: scheduler.call_after(0.0, ran.append, "nested"),
     }[verb]
 
     def first():
@@ -153,7 +153,7 @@ def test_a_hundred_due_now_entries_cost_one_loop_handle(scheduler):
     for i in range(0, 100, 4):
         scheduler.post(0.0, ran.append, i)
         cpu.submit(0.5, ran.append, i + 1)
-        scheduler.call_soon(ran.append, i + 2)
+        scheduler.call_after(0.0, ran.append, i + 2)
         scheduler.call_after(0.0, ran.append, i + 3)
     # ``_ready`` is the base event loop's ready queue.
     assert len(scheduler.loop._ready) == 1
@@ -165,10 +165,10 @@ def test_a_hundred_due_now_entries_cost_one_loop_handle(scheduler):
 def test_a_due_now_handle_cancelled_before_the_drain_never_runs(scheduler):
     ran = []
     later = []
-    doomed = scheduler.call_soon(ran.append, "doomed")
+    doomed = scheduler.call_after(0.0, ran.append, "doomed")
     scheduler.post(0.0, lambda: later[0].cancel())  # from inside the drain
     scheduler.post(0.0, ran.append, "kept")
-    later.append(scheduler.call_soon(ran.append, "later"))
+    later.append(scheduler.call_after(0.0, ran.append, "later"))
     doomed.cancel()
     assert scheduler.outstanding_timers() == 1  # ``later``
     # A cancelled entry is skipped by the drain, not taken out of the FIFO.

@@ -173,3 +173,44 @@ class TestCutOrderLift:
         assert len(set(prios)) == len(prios), f"priority collision: {order}"
         refs = [tuple(r) for r, _ in order]
         assert refs.index((0, 1)) < refs.index((1, 1))
+
+
+class TestCutOrderSenderOrder:
+    """The cut hands out each sender's undelivered ABCASTs in gseq
+    order, whatever order their finals are in."""
+
+    @staticmethod
+    def _refs(order):
+        return [tuple(ref) for ref, _ in order]
+
+    def test_inverted_finals_of_one_sender_keep_its_order(self):
+        """Seed 175's cut: s0 issued finals (24,3), (21,1), (23,1) for
+        its gseqs 10, 12 and 14, and both survivors hold all three."""
+        held = [((0, 10), (24, 3), True), ((0, 12), (21, 1), True),
+                ((0, 14), (23, 1), True), ((1, 5), (22, 2), True)]
+        order = cut_order([(held, []), (held, [])])
+        refs = self._refs(order)
+        assert refs == [(1, 5), (0, 10), (0, 12), (0, 14)]
+        prios = [tuple(prio) for _, prio in order]
+        # (0,12) sorts below (0,10): it and (0,14) after it are lifted
+        # above every reported priority (24), in gseq order.
+        assert prios == [(22, 2), (24, 3), (24 + 21, 1), (24 + 23, 1)]
+
+    def test_an_unheld_ref_lifts_the_senders_later_refs(self):
+        fc = make(participants={0, 1})
+        # Site 1 never received (0,1); (0,2) is final everywhere, below
+        # the lifted (0,1).
+        fc.offer_report(0, {}, [((0, 1), (2, 0), False),
+                                ((0, 2), (5, 1), True)], [])
+        fc.offer_report(1, {}, [((0, 2), (5, 1), True)], [])
+        assert self._refs(cut(fc)) == [(0, 1), (0, 2)]
+
+    def test_a_ref_delivered_somewhere_keeps_its_final(self):
+        fc = make(participants={0, 1})
+        # Site 0 delivered (0,1) at (9,1); (0,2)'s final sorts below it.
+        fc.offer_report(0, {}, [((0, 2), (4, 0), True)], [((0, 1), (9, 1))])
+        fc.offer_report(1, {}, [((0, 1), (9, 1), True),
+                                ((0, 2), (4, 0), True)], [])
+        order = cut(fc)
+        assert order[0] == [[0, 1], [9, 1]]
+        assert self._refs(order) == [(0, 1), (0, 2)]

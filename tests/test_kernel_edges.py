@@ -12,7 +12,7 @@ from repro.core.engine import GroupEngine
 from repro.core.kernel import PROTOCOLS
 from repro.errors import CodecError, GroupError, SiteDown
 from repro.msg import make_group_address, make_process_address
-from repro.msg.fields import encode_stab
+from repro.msg.fields import encode_have_vector, encode_stab
 from repro.net.lan import Lan
 from repro.net.reliable import ReliableEndpoint
 from repro.net.udp import UdpFaults
@@ -138,6 +138,24 @@ def test_unknown_protocol_counted_not_fatal():
     system.kernel(0).send_to_site(1, Message(_proto="zz.unknown", x=1))
     system.run_for(2.0)
     assert system.sim.trace.value("kernel.unknown_proto") == 1
+
+
+def test_a_relayed_flush_batch_is_an_unknown_protocol():
+    """Flush pre-reports go straight to the coordinator; a ``g.fl.okb``
+    bundle of them, as an older kernel relayed them up the tree, names
+    no protocol: counted and dropped, its reports untaken."""
+    system = IsisCluster(n_sites=2, seed=101)
+    system.run_for(1.0)
+    gid = make_group_address(0, 42)
+    report = Message(_proto="g.fl.ok", gid=gid, fid=[2, 0, 1], pre=True,
+                     have_b=encode_have_vector({0: 3}), abp=[], abd=[])
+    system.kernel(0).send_to_site(1, Message(
+        _proto="g.fl.okb", gid=gid, root=1, reports=[[0, report.encode()]]))
+    system.run_for(2.0)
+    assert system.sim.trace.value("kernel.unknown_proto") == 1
+    assert system.sim.trace.value("kernel.bad_message") == 0
+    assert gid.process() not in system.kernel(1).engines
+    assert system.kernel(1).alive
 
 
 def test_send_to_down_site_rejects_promise():
@@ -341,7 +359,7 @@ def _next(moved, have):
     dict(_proto="g.watch", without="gid"),
     dict(_proto="g.fl.commit", fid=[2, 1, 0]),      # no event
     dict(_proto="g.fl.pull", fid=[2, 1, 0]),        # no sends
-    dict(_proto="g.fl.okb"),                        # no root
+    dict(_proto="g.fl.filled"),                     # no fid
     dict(_proto="g.fl.data", fid=[2, 1, 0], msgs=7),
     dict(_proto="sv.join"),                         # no site
     dict(_proto="sv.probe"),

@@ -2,7 +2,7 @@
 
 ``ProtocolsProcess.shutdown()`` (run via the site crash hook) must
 cancel everything the kernel armed — heartbeats, the stability tick,
-batch-coalescing and sequencer stamp timers, flush grace/okb timers and
+batch-coalescing and sequencer stamp timers, the flush grace timer and
 request retry timers — and close outbound state-transfer streams.
 A leaked periodic timer keeps re-arming forever, so the observable
 contract is simple: after every site is down, the event heap drains and

@@ -330,7 +330,7 @@ class TestDriverSeam:
             runtime.loop.close()
 
     #: The scheduling calls that return a handle.
-    HANDLE_VERBS = {"call_at", "call_after", "call_soon"}
+    HANDLE_VERBS = {"call_at", "call_after"}
 
     @staticmethod
     def _dropped_handles(tree: ast.AST):
@@ -373,13 +373,13 @@ class TestDriverSeam:
     def test_the_handle_rule_sees_both_ways_of_dropping_one(self):
         source = """
 sim.call_after(1.0, fn)                  # dropped: a bare statement
-cpu.submit(0.0, sim.call_soon, fn)       # dropped: handed on
+cpu.submit(0.0, sim.call_at, 1.0, fn)    # dropped: handed on
 timer = sim.call_at(2.0, fn)             # kept
 self.loop.call_soon(fn)                  # the asyncio loop's own
 sim.post(0.0, fn)
 """
         assert self._dropped_handles(ast.parse(source)) == [
-            (2, "call_after"), (3, "call_soon")]
+            (2, "call_after"), (3, "call_at")]
 
     def test_the_lifecycle_and_the_bootstrap_exist_once(self):
         for name in ("boot", "crash", "send_bytes", "send_raw", "run_program"):

@@ -31,10 +31,11 @@ def test_ties_break_by_schedule_order():
     assert seen == ["first", "second", "third"]
 
 
-def test_call_soon_runs_at_current_time():
+def test_a_zero_delay_call_runs_at_current_time():
     sim = Simulator()
     times = []
-    sim.call_after(5.0, lambda: sim.call_soon(lambda: times.append(sim.now)))
+    sim.call_after(5.0, lambda: sim.call_after(
+        0.0, lambda: times.append(sim.now)))
     sim.run()
     assert times == [5.0]
 

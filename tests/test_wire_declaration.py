@@ -336,7 +336,7 @@ def test_every_routed_protocol_is_declared():
     assert set(_ROUTES) == set(_HANDLERS)
     assert set(_HANDLERS) | set(TOOLS) | set(WAL) == set(PROTOCOLS)
     assert not set(_HANDLERS) & set(TOOLS) and not set(_HANDLERS) & set(WAL)
-    assert len(_HANDLERS) == 43 and len(TOOLS) == 6
+    assert len(_HANDLERS) == 42 and len(TOOLS) == 6
     assert set(DeliveryPipeline.HANDLERS) == set(PIPELINE)
     owners = {"engine.flush": GroupFlush, "namespace": Namespace,
               "joins": Joins, "rpc": GroupRpc, "": ProtocolsProcess}
