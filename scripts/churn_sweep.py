@@ -34,9 +34,10 @@ from repro import IsisConfig  # noqa: E402
 
 MODES = ["two_phase", "sequencer"]
 STEPS = ["kill", "crash", "gbcast", "partition", "join"]
-_STALL = ("same-view-set", "15b: the site view stalls after a partition")
-#: seed -> the rule its run breaks, and why (ROADMAP item 15).
-KNOWN = {202: _STALL, 436: _STALL, 523: _STALL}
+#: seed -> the rule its run breaks, and why (ROADMAP item 17a).
+KNOWN = {523: ("same-view-set", "17a: after crashes of 3 and 0, acting "
+               "coordinator 1 holds an exact half without the oldest "
+               "and stalls")}
 
 
 def draw(seed: int) -> Tuple[str, List[Tuple[str, int]]]:

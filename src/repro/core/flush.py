@@ -63,7 +63,7 @@ FlushId = Tuple[int, int, int]
 
 #: How long a coordinator waits for the pre-reports a site death
 #: triggers before it falls back to an explicit ``g.fl.begin`` round for
-#: the stragglers.  Sized at a few inter-site round trips.
+#: the stragglers, from when its CPU has drained: a few round trips.
 PREREPORT_GRACE = 0.25
 
 
@@ -337,11 +337,11 @@ class GroupFlush:
         if stragglers:
             if not takeover and any(r.site_death for r in reasons):
                 # Survivors observed the same site-view change and are
-                # pushing pre-reports right now: wait briefly instead
-                # of paying the begin round.  The window scales with the
-                # fan-in — N reports serialize through our receive CPU.
+                # pushing pre-reports right now: wait for them, from when
+                # our CPU has drained (the silence rule, ARCHITECTURE.md
+                # "Timing budget"), instead of paying the begin round.
                 self._grace_timer = self.sim.call_after(
-                    PREREPORT_GRACE + 0.01 * len(participants),
+                    PREREPORT_GRACE + self.kernel.site.cpu.backlog,
                     self._begin_stragglers, flush_id)
             else:
                 self._send_begins(stragglers, flush_id)

@@ -173,7 +173,7 @@ class ProtocolsProcess:
             on_suspect=self._on_suspect,
         )
         self.agent = SiteViewAgent(
-            self.sim, self.site_id, site.incarnation, all_sites,
+            self.sim, site.cpu, self.site_id, site.incarnation, all_sites,
             send=self.send_to_site,
             on_view=self._on_site_view,
             self_destruct=self._self_destruct,

@@ -345,6 +345,8 @@ class TotalOrdering(OrderingEngine):
         #: Send side: ref -> (sites we still expect proposals from,
         #: the proposals so far).
         self._collecting: Dict[MsgRef, Tuple[Set[int], List[Priority]]] = {}
+        #: Send side: the highest final this site disseminated.
+        self._last_final: Priority = (0, 0)
 
     def stamp(self, env: Message, sender: Address) -> None:
         """Send side: open a proposal collection for this envelope."""
@@ -410,7 +412,11 @@ class TotalOrdering(OrderingEngine):
                 waiting.discard(site)
                 if not waiting and proposals:
                     del self._collecting[ref]
-                    self.disseminate_final(ref, max(proposals))
+                    final = max(proposals)  # without the dead site's
+                    if final < self._last_final:    # keep sender order
+                        final = (max(self._counter, self._last_final[0]) + 1,
+                                 self.engine.site_id)
+                    self.disseminate_final(ref, final)
 
     def disseminate_final(self, ref: MsgRef, final: Priority) -> None:
         if self.engine.view is None:
@@ -421,6 +427,7 @@ class TotalOrdering(OrderingEngine):
         sent = len(self.pipeline.dissemination.to_peers(note))
         if sent:
             self.engine.kernel.counters.bump("abcast.finals", sent)
+        self._last_final = max(self._last_final, final)
         self.apply_final(ref, final)
 
     def on_final(self, src_site: int, note: tuple) -> None:

@@ -48,7 +48,7 @@ ALL = -1
 #: Entry number for coordinator-cohort reply copies (GENERIC_CC_REPLY, §6).
 CC_REPLY_ENTRY = 3
 #: A request is sent again if its commit notice is not heard this long
-#: after it was sent.
+#: after it left this site's CPU.
 REQUEST_TIMEOUT = 5.0
 
 
@@ -265,7 +265,8 @@ class GroupRpc:
                                  if key[0] == "g.fwd")
             req.msg["m"] = user     # the nested change re-encodes
         self.kernel.send_to_site(site, req.msg)
-        req.timer = self.sim.call_after(REQUEST_TIMEOUT, self._send, req)
+        req.timer = self.sim.call_after(
+            REQUEST_TIMEOUT + self.kernel.site.cpu.backlog, self._send, req)
 
     def _target(self, req: _Request) -> Optional[int]:
         """The coordinator's site if the group is installed here, else

@@ -8,10 +8,11 @@ Each site's kernel broadcasts an unreliable heartbeat datagram every
 ``INTERVAL`` seconds and tracks, per monitored peer, a Jacobson-style
 estimate of the inter-arrival mean and deviation.  A peer is *suspected*
 when nothing has arrived for ``mean + NSTDDEV·dev + INTERVAL`` seconds
-(clamped between a floor and a ceiling).  Because heartbeats queue behind
-real work on the sender's CPU, an overloaded site naturally stretches the
-observed interval — and the timeout stretches with it, which is exactly
-the adaptivity the paper describes.
+(clamped between a floor and a ceiling).  Late heartbeats stretch the
+observed interval and the timeout with it: the paper's adaptivity.  In
+the simulator a raw frame skips the CPU queue on send and on receive
+(``net/transport.py`` ``_wire``, ``_receive``), so load delays none; on
+the socket driver heartbeats share the one loop and its due-now FIFO.
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..msg.message import Message
+from ..runtime.driver import CpuLike
 from ..sim.core import Simulator, Timer
 
 SiteIncarnation = Tuple[int, int]
@@ -109,6 +110,7 @@ class SiteViewAgent:
     def __init__(
         self,
         sim: Simulator,
+        cpu: CpuLike,
         site_id: int,
         incarnation: int,
         all_sites: Sequence[int],
@@ -117,6 +119,7 @@ class SiteViewAgent:
         self_destruct: Callable[[], None],
     ):
         self.sim = sim
+        self.cpu = cpu
         self.site_id = site_id
         self.incarnation = incarnation
         self.all_sites = list(all_sites)
@@ -367,7 +370,7 @@ class SiteViewAgent:
             else:
                 self.send(site, proposal)
         self._round_timer = self.sim.call_after(
-            ACK_TIMEOUT, self._round_timed_out)
+            ACK_TIMEOUT + self.cpu.backlog, self._round_timed_out)
         self._check_round_complete()
 
     def _settle_expired(self) -> None:
@@ -383,9 +386,8 @@ class SiteViewAgent:
         silent = {s for s, _ in self._round_members} - self._round_acks
         self._round_timer = None
         self._drop_round()
-        for site in silent:
-            self._suspected.add(site)
-            self._pending_removals.add(site)
+        # Silence is no verdict: only the detector removes a site.
+        self._pending_removals |= silent & self._suspected
         self._maybe_start_round()
 
     def _on_ack(self, src_site: int, record: tuple) -> None:

@@ -254,8 +254,12 @@ class RealCpu:
     runs the work in this instant's drain regardless of ``cost``
     (charging fake delays would double-count the real CPU the work
     already burns).  It is a ``post`` with no delay, written out: one
-    entry on the scheduler's FIFO.
+    entry on the scheduler's FIFO.  Its ``backlog`` is ``0.0``: a loop
+    timer cannot fire inside a drain of that FIFO, and one armed now
+    starts behind the work ``submit`` queued.
     """
+
+    backlog = 0.0
 
     def __init__(self, scheduler: AsyncioScheduler):
         self.scheduler = scheduler

@@ -102,8 +102,13 @@ class CpuLike(Protocol):
     """The site's CPU: ``fn(*args)`` runs after ``cost`` seconds of it.
 
     No caller reads what ``submit`` returns: work that must hand on a
-    result passes it to a callback ``fn`` schedules.
+    result passes it to a callback ``fn`` schedules.  A timer that judges
+    a peer by its silence arms at its constant plus ``backlog``, the
+    seconds of work the CPU still holds (this site's sends among it).
     """
+
+    @property
+    def backlog(self) -> float: ...
 
     def submit(self, cost: float, fn: Optional[Callable] = None,
                *args: Any) -> None: ...

@@ -110,13 +110,11 @@ def _found(seed, mode, script, reason):
 
 
 @pytest.mark.parametrize("seed,mode,script", [
-    _found(192, "sequencer",
-           [("partition", 0), ("crash", 0), ("partition", 0)],
-           "fd/siteview.py: site-view proposals sent into a partition are "
-           "acknowledged too late after the heal; the round's timeout "
-           "removes the live sites as silent, the acting coordinator "
-           "stalls alone and no site view is installed again, so the dead "
-           "site's multicasts are never flushed (same-view-set)"),
+    # A round whose acks a short split delays times out and proposes
+    # again; it removes no live site (fd/siteview.py).
+    pytest.param(192, "sequencer",
+                 [("partition", 0), ("crash", 0), ("partition", 0)],
+                 id="192-sequencer-partition+crash+partition"),
     # s0's own finals sort its gseqs 10, 12 and 14 out of order: the
     # cut must still hand out s0:ab:9, :11 and :13 in that order (fifo).
     pytest.param(175, "two_phase",
@@ -126,26 +124,24 @@ def _found(seed, mode, script, reason):
     pytest.param(178, "two_phase",
                  [("partition", 0), ("crash", 2), ("partition", 0)],
                  id="178-two_phase-partition+crash+partition"),
-    _found(202, "sequencer",
-           [("partition", 0), ("partition", 0), ("crash", 1)],
-           "fd/siteview.py: a site view stalls after the partitions, and "
-           "m0 and m2 end view 4 holding different sets (same-view-set), "
-           "as seed 192"),
-    _found(436, "sequencer", [("partition", 0), ("crash", 1)],
-           "fd/siteview.py: a site view stalls after the partition, and "
-           "m0 and m2 end view 4 holding different sets (same-view-set), "
-           "as seed 192"),
+    pytest.param(202, "sequencer",
+                 [("partition", 0), ("partition", 0), ("crash", 1)],
+                 id="202-sequencer-partition+partition+crash"),
+    pytest.param(436, "sequencer", [("partition", 0), ("crash", 1)],
+                 id="436-sequencer-partition+crash"),
     _found(523, "sequencer",
            [("partition", 0), ("crash", 3), ("crash", 0)],
-           "fd/siteview.py: a site view stalls after the partition, and "
-           "m1 and m2 end view 4 holding different sets (same-view-set), "
-           "as seed 192"),
+           "ROADMAP item 17a: after site 3 and then site 0 crash, acting "
+           "coordinator 1 holds {1, 2}, an exact half of the view without "
+           "its oldest member, and stalls (fd/siteview.py "
+           "_enter_stalled); m1 and m2 end view 4 holding different sets "
+           "(same-view-set)"),
 ])
 def test_found_by_the_churn_sweep(seed, mode, script):
     """The non-generator failures of the churn sweeps over kill /
     crash (any site) / GBCAST / partition / join steps (two 300-draw
     sweeps by hand, then ``scripts/churn_sweep.py``, whose ``KNOWN``
-    lists the last three); each failed the checker when it was found,
+    lists the last one); each failed the checker when it was found,
     and each still marked strict xfail fails it now."""
     _conforming(seed, mode, script)
 

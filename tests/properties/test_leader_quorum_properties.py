@@ -176,7 +176,7 @@ def test_a_split_without_a_primary_component_hangs_everywhere():
     """2|2|1 of 5: no component holds half of the view, so none installs
     or delivers, and none may commit.  Only safety is asserted: after a
     heal every site is stalled, and a stalled site ignores the others'
-    probes (ROADMAP item 15b), so the run stops before one."""
+    probes (ROADMAP item 17b), so the run stops before one."""
     components = [[0, 1], [2, 3], [4]]
     run = _split(5, 61, components, _turns("during", range(5), 10, "n{i}"))
     record = run.play()

@@ -274,16 +274,13 @@ class TestMalformedReports:
         assert sorted(engine.flush._pre_reports[target]) == [1]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "core/ordering.py: TotalOrdering.on_sites_died completes m2's final "
-    "without the dead site's proposal, below m1's final that counted "
-    "one; site 0 delivers m2 before m1 before its flush wedges it, and "
-    "the cut keeps that order at the other survivors (fifo)"))
 def test_a_final_completed_by_a_site_death_keeps_sender_order():
     """Site 3 multicasts x1 and x2 just after site 0 sends m1, m2, m3:
     site 3 proposes high for m1 and dies before its proposal for m2
     reaches site 0, which then finishes m2's collection with the
-    survivors' lower proposals alone."""
+    survivors' lower proposals alone.  That maximum sorts below m1's
+    final, so site 0 gives m2 a fresh priority above it
+    (``TotalOrdering.on_sites_died``)."""
     system = IsisCluster(n_sites=4, seed=1, isis_config=IsisConfig(
         abcast_mode="two_phase"))
     members, handed = deploy_group(system, "ff", 4, 15.0, field="tag")

@@ -8,9 +8,15 @@ import pytest
 
 from repro.core.kernel import PROTOCOLS
 from repro.fd import SiteView, SiteViewAgent
-from repro.fd.siteview import is_primary
+from repro.fd.siteview import ACK_TIMEOUT, is_primary
 from repro.msg import Message
 from repro.sim import Simulator
+
+
+class StubCpu:
+    """The agents' CPU: all they read of it is its backlog."""
+
+    backlog = 0.0
 
 
 class Bus:
@@ -21,6 +27,7 @@ class Bus:
         self.delay = delay
         self.agents = {}
         self.cut = set()  # (src, dst) pairs that drop messages
+        self.cpu = StubCpu()
 
     def sender_for(self, src):
         def send(dst, msg):
@@ -43,7 +50,7 @@ def make_agents(sim, n=3):
     agents = {}
     for i in range(n):
         agents[i] = SiteViewAgent(
-            sim, i, incarnation=0, all_sites=list(range(n)),
+            sim, bus.cpu, i, incarnation=0, all_sites=list(range(n)),
             send=bus.sender_for(i),
             on_view=lambda v, dep, joi, i=i: views[i].append((v, dep, joi)),
             self_destruct=lambda i=i: destroyed.append(i),
@@ -156,6 +163,42 @@ class TestRemoval:
         assert agents[0].view.sites() == (0, 1)
         assert agents[0].view.view_id == 2  # exactly one view change
         assert sim.trace.value("sv.batched_removals") >= 1
+
+
+class TestSilentRound:
+    """Only the detector removes a site: a round whose member stays
+    silent times out and proposes the same view again."""
+
+    def _silent_member(self, backlog):
+        """Site 0 removes site 2; site 1's acks to it are lost."""
+        sim = Simulator()
+        sim.trace.enable("sv.propose")
+        bus, agents, views, destroyed = make_agents(sim)
+        bus.cpu.backlog = backlog
+        genesis_all(agents)
+        bus.cut.add((1, 0))
+        agents[0].suspect(2)
+        return sim, bus, agents, destroyed, sim.trace.events
+
+    def test_a_silent_member_is_proposed_again_and_kept(self):
+        sim, bus, agents, destroyed, events = self._silent_member(0.0)
+        sim.run(until=ACK_TIMEOUT + 1.0)
+        assert len(events("sv.propose")) == 2    # timed out, proposed again
+        assert agents[0].view.view_id == 1
+        bus.cut.clear()
+        sim.run(until=3 * ACK_TIMEOUT)
+        for i in (0, 1):
+            assert agents[i].view.sites() == (0, 1)
+            assert agents[i].view.view_id == 2
+        assert 1 not in agents[0]._suspected
+        assert destroyed == [2]
+
+    def test_a_round_times_out_only_after_the_cpu_has_drained(self):
+        sim, bus, agents, destroyed, events = self._silent_member(3.0)
+        sim.run(until=ACK_TIMEOUT + 1.0)
+        assert len(events("sv.propose")) == 1    # 3 s of backlog: waiting
+        sim.run(until=ACK_TIMEOUT + 3.5)
+        assert len(events("sv.propose")) == 2
 
 
 class TestQuorum:

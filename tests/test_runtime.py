@@ -20,6 +20,7 @@ from repro.runtime.asyncio_driver import (
     AsyncioCluster,
     AsyncioRuntime,
     NetSite,
+    RealCpu,
 )
 from repro.runtime.driver import CpuLike, Scheduler, SiteLike, SiteTransport
 from repro.runtime.site import BaseSite
@@ -320,6 +321,17 @@ class TestDriverSeam:
                 assert hasattr(site.cluster, "programs")
         finally:
             runtime.shutdown()
+
+    def test_a_cpu_reports_its_backlog_and_a_real_one_holds_none(self):
+        """The silence rule reads ``cpu.backlog``: the seam declares it,
+        and the socket driver's CPU, which runs its work in the drain
+        that queued it, never holds any."""
+        assert "backlog" in vars(CpuLike)
+        runtime = AsyncioRuntime(n_sites=1)
+        try:
+            assert RealCpu(runtime.scheduler).backlog == 0.0
+        finally:
+            runtime.loop.close()
 
     def test_both_schedulers_offer_both_verbs(self):
         runtime = AsyncioRuntime(n_sites=1)

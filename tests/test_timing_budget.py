@@ -9,6 +9,14 @@ both wires: the simulated LAN (``net/lan.py``, ``Transport``) and real
 UDP (``UdpTransport``).  A row that does not hold is a strict xfail
 naming the fault it causes.  ARCHITECTURE.md "Timing budget" is this
 table in prose.
+
+One silence rule sets where each timeout starts: a timer that judges a
+peer by its silence (a site-view round, the flush's pre-report grace, a
+request's retry) arms at its constant plus this site's ``cpu.backlog``,
+so it runs from when what the site queued, its own sends among them,
+has left the CPU; the reliable channel's RTO runs from the wire.  The
+rows compare the constants alone.  Only the failure detector judges a
+site dead.
 """
 
 import inspect
@@ -22,30 +30,23 @@ from repro.fd.heartbeat import INTERVAL, MIN_TIMEOUT, _PeerStats
 from repro.fd.siteview import (ACK_TIMEOUT, BOOTSTRAP_TIMEOUT, JOIN_RETRY,
                                SUSPICION_SETTLE, SiteViewAgent)
 from repro.net.lan import INTER_SITE_DELAY, Lan
-from repro.net.reliable import ReliableEndpoint
-from repro.net.transport import Transport
 from repro.net.udp import REORDER_DELAY, UdpTransport
 
 
 class Wire(NamedTuple):
     """What a row reads of a wire.  ``delay`` is the longest one
     datagram takes between two sites: the LAN's inter-site hop; on UDP,
-    a datagram the fault schedule holds back.  ``max_rto`` is the
-    reliable channel's backoff ceiling: one probe of a channel's backlog
-    this long apart."""
+    a datagram the fault schedule holds back."""
 
     delay: float
-    max_rto: float
 
 
-WIRES = {"lan": Wire(INTER_SITE_DELAY, Transport.MAX_RTO),
-         "udp": Wire(REORDER_DELAY, UdpTransport.MAX_RTO)}
+WIRES = {"lan": Wire(INTER_SITE_DELAY), "udp": Wire(REORDER_DELAY)}
 
 #: Each wire constant, and the code that reads it.
 WIRE_READERS = {
     "INTER_SITE_DELAY": Lan.send,
     "REORDER_DELAY": UdpTransport._send_datagram,
-    "MAX_RTO": ReliableEndpoint._retransmit,
 }
 
 
@@ -88,24 +89,20 @@ ROWS = {
         lambda wire: REQUEST_TIMEOUT,
         lambda wire: (MIN_TIMEOUT + INTERVAL + SUSPICION_SETTLE
                       + 3 * wire.delay)),
-    # A site-view round outlasts one detection plus a channel's backlog
-    # drain at the channel's backoff ceiling: a proposal queued behind
-    # a short split's backlog is acknowledged within the round.
-    "round-outlasts-backlog-drain": Row(
+    # A timed-out site-view round only proposes again, and removes no
+    # one the detector does not suspect.  A member that dies in a round
+    # is suspected, checked one interval late, and relayed to the
+    # coordinator, whose removal drops the round, before the round
+    # times out: a round does not wait on a dead member it could have
+    # left out.
+    "round-outlasts-detection": Row(
         SiteViewAgent._maybe_start_round, ("ACK_TIMEOUT",),
         lambda wire: ACK_TIMEOUT,
-        lambda wire: MIN_TIMEOUT + wire.max_rto),
+        lambda wire: MIN_TIMEOUT + INTERVAL + wire.delay),
 }
 
 #: Rows that do not hold on a wire, and the fault that follows.
-BROKEN = {
-    ("round-outlasts-backlog-drain", "lan"):
-        "ROADMAP item 15b: on the sim LAN a site-view round (4.0 s) is "
-        "shorter than detection plus a backlog drain at max_rto "
-        "(1.5 + 3.2 s); a proposal sent into a short split is "
-        "acknowledged too late, and the round's timeout removes live "
-        "sites",
-}
+BROKEN = {}
 
 
 def _cases():
