@@ -337,12 +337,13 @@ class GroupFlush:
         if stragglers:
             if not takeover and any(r.site_death for r in reasons):
                 # Survivors observed the same site-view change and are
-                # pushing pre-reports right now: wait for them, from when
-                # our CPU has drained (the silence rule, ARCHITECTURE.md
-                # "Timing budget"), instead of paying the begin round.
+                # pushing pre-reports right now: instead of a begin round,
+                # wait from when our CPU has drained and judge once it has
+                # taken in what reached us (ARCHITECTURE.md "Timing budget").
+                cpu = self.kernel.site.cpu
                 self._grace_timer = self.sim.call_after(
-                    PREREPORT_GRACE + self.kernel.site.cpu.backlog,
-                    self._begin_stragglers, flush_id)
+                    PREREPORT_GRACE + cpu.backlog,
+                    cpu.submit, 0.0, self._begin_stragglers, flush_id)
             else:
                 self._send_begins(stragglers, flush_id)
         self._send_ok(self.site_id, flush_id)

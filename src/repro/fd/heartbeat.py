@@ -9,10 +9,9 @@ Each site's kernel broadcasts an unreliable heartbeat datagram every
 estimate of the inter-arrival mean and deviation.  A peer is *suspected*
 when nothing has arrived for ``mean + NSTDDEV·dev + INTERVAL`` seconds
 (clamped between a floor and a ceiling).  Late heartbeats stretch the
-observed interval and the timeout with it: the paper's adaptivity.  In
-the simulator a raw frame skips the CPU queue on send and on receive
-(``net/transport.py`` ``_wire``, ``_receive``), so load delays none; on
-the socket driver heartbeats share the one loop and its due-now FIFO.
+observed interval and the timeout with it, the paper's adaptivity.  A
+simulated raw frame skips the CPU queue both ways (``net/transport.py``
+``_wire``, ``_receive``); on the socket driver heartbeats share the loop.
 """
 
 from __future__ import annotations

@@ -254,9 +254,9 @@ class RealCpu:
     runs the work in this instant's drain regardless of ``cost``
     (charging fake delays would double-count the real CPU the work
     already burns).  It is a ``post`` with no delay, written out: one
-    entry on the scheduler's FIFO.  Its ``backlog`` is ``0.0``: a loop
-    timer cannot fire inside a drain of that FIFO, and one armed now
-    starts behind the work ``submit`` queued.
+    entry on the scheduler's FIFO.  Its ``backlog`` is fixed at ``0.0``,
+    so the silence rule is not applied: a loop timer counts from when it
+    is armed, and a long drain of that FIFO still uses up its timeout.
     """
 
     backlog = 0.0

@@ -1,10 +1,13 @@
 """Unit tests for group RPC reply collection (repro.core.rpc)."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.rpc import ALL, Session, SessionTable
+from repro.core.rpc import (
+    ALL, REQUEST_TIMEOUT, GroupRpc, Session, SessionTable)
 from repro.errors import BroadcastFailed
-from repro.msg import Message, make_process_address
+from repro.msg import Message, make_group_address, make_process_address
 from repro.sim import Simulator
 
 CALLER = make_process_address(0, 0, 1)
@@ -130,3 +133,46 @@ class TestSession:
         assert table.open_count == 1
         table.on_reply(session.id, M1, Message(), null=False)
         assert table.open_count == 0
+
+
+class StubKernel:
+    """All a ``GroupRpc`` reads of its kernel: site 0, whose CPU holds
+    ``backlog`` seconds of work, with site 1 alive and no group here."""
+
+    def __init__(self, sim, backlog):
+        self.sim = sim
+        self.site_id = 0
+        self.site = SimpleNamespace(local_hop_delay=0.0,
+                                    cpu=SimpleNamespace(backlog=backlog))
+        self.engines = {}
+        self.contact_cache = {}
+        self.sent = []
+
+    def alive_sites(self):
+        return {0, 1}
+
+    def send_to_site(self, site, msg):
+        self.sent.append((self.sim.now, site))
+
+
+class TestRequestTimer:
+    """A request is sent again once its notice has been silent for
+    ``REQUEST_TIMEOUT`` after this site's CPU has drained."""
+
+    def _sends(self, backlog, until):
+        sim = Simulator()
+        kernel = StubKernel(sim, backlog)
+        gid = make_group_address(1, 1)
+        GroupRpc(kernel).request(("g.join", gid), gid,
+                                 Message(_proto="g.join"), pytest.fail)
+        sim.run(until=until)
+        return kernel.sent
+
+    def test_an_unanswered_request_is_sent_again(self):
+        assert self._sends(0.0, REQUEST_TIMEOUT + 1.0) == [
+            (0.0, 1), (REQUEST_TIMEOUT, 1)]
+
+    def test_a_request_waits_out_the_cpu_backlog_before_resending(self):
+        assert self._sends(3.0, REQUEST_TIMEOUT + 1.0) == [(0.0, 1)]
+        assert self._sends(3.0, REQUEST_TIMEOUT + 3.5) == [
+            (0.0, 1), (REQUEST_TIMEOUT + 3.0, 1)]

@@ -11,6 +11,7 @@ import pytest
 
 from conformance import deploy_group
 from repro import IsisCluster, IsisConfig
+from repro.core.flush import PREREPORT_GRACE
 from repro.errors import CodecError
 from repro.msg import Message
 from repro.msg.fields import (
@@ -105,6 +106,30 @@ class TestSingleRoundFastPath:
         assert delta.get("flush.grace_begins", 0) == 0
         for site in (0, 2, n - 1):
             assert len(group_engine(system, site).view.members) == n - 1
+
+    def test_a_report_queued_on_the_cpu_when_the_grace_ends_counts(self):
+        """The grace is judged once the coordinator's CPU has taken in
+        what reached it: site 1's pre-report, queued behind a second of
+        work submitted after the grace was armed, is not a straggler."""
+        system = IsisCluster(n_sites=3, seed=41)
+        deploy_group(system, "ff", 3, 15.0)
+        system.run_for(5.0)
+        trace = system.sim.trace
+        before = trace.snapshot("flush.")
+        system.crash_site(2)
+        flush, cpu = group_engine(system, 0).flush, system.kernel(0).site.cpu
+        deadline = system.sim.now + 15.0
+        while flush._grace_timer is None and system.sim.now < deadline:
+            system.run_for(0.001)
+        assert flush._grace_timer is not None
+        assert flush._grace_timer.time == pytest.approx(
+            system.sim.now + PREREPORT_GRACE + cpu.backlog, abs=1e-9)
+        cpu.submit(1.0)
+        system.run_for(15.0)
+        delta = trace.delta(before, "flush.")
+        assert delta.get("flush.fast_path", 0) == 1
+        assert delta.get("flush.grace_begins", 0) == 0
+        assert len(group_engine(system, 0).view.members) == 2
 
     def test_leave_flush_uses_explicit_begin_with_base(self):
         """Reason-driven flushes (no site-view trigger) keep the begin

@@ -14,9 +14,11 @@ One silence rule sets where each timeout starts: a timer that judges a
 peer by its silence (a site-view round, the flush's pre-report grace, a
 request's retry) arms at its constant plus this site's ``cpu.backlog``,
 so it runs from when what the site queued, its own sends among them,
-has left the CPU; the reliable channel's RTO runs from the wire.  The
-rows compare the constants alone.  Only the failure detector judges a
-site dead.
+has left the CPU, and the grace's verdict waits behind what the CPU
+holds when it expires; the reliable channel's RTO runs from the wire.
+The socket driver's backlog is fixed at 0.0, so there the rule is not
+applied.  The rows compare the constants alone.  Only the failure
+detector judges a site dead.
 """
 
 import inspect
@@ -90,15 +92,17 @@ ROWS = {
         lambda wire: (MIN_TIMEOUT + INTERVAL + SUSPICION_SETTLE
                       + 3 * wire.delay)),
     # A timed-out site-view round only proposes again, and removes no
-    # one the detector does not suspect.  A member that dies in a round
-    # is suspected, checked one interval late, and relayed to the
-    # coordinator, whose removal drops the round, before the round
-    # times out: a round does not wait on a dead member it could have
-    # left out.
+    # one the detector does not suspect.  At the detector's floor, a
+    # member that dies in a round is suspected, checked one interval
+    # late, and the suspicion relayed to the coordinator (one hop),
+    # whose removal drops the round, before the round times out.  The
+    # row bounds latency, not safety: the adaptive timeout climbs to
+    # MAX_TIMEOUT, above ACK_TIMEOUT, and a round that times out first
+    # is only proposed again.
     "round-outlasts-detection": Row(
         SiteViewAgent._maybe_start_round, ("ACK_TIMEOUT",),
         lambda wire: ACK_TIMEOUT,
-        lambda wire: MIN_TIMEOUT + INTERVAL + wire.delay),
+        lambda wire: MIN_TIMEOUT + INTERVAL + 2 * wire.delay),
 }
 
 #: Rows that do not hold on a wire, and the fault that follows.
