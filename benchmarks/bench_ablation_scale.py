@@ -167,7 +167,6 @@ def scale_run(n: int, dissemination: str) -> Dict:
         "stab_up_sent": trace.value("stab.up_sent"),
         "stab_dn_sent": trace.value("stab.dn_sent"),
         "peak_groups_per_shard": stats["kernel.peak_groups_per_shard"],
-        "fd_buckets": stats["fd.buckets"],
         "total_frames": trace.value("lan.frames"),
     }
 

@@ -37,7 +37,10 @@ STEPS = ["kill", "crash", "gbcast", "partition", "join"]
 #: seed -> the rule its run breaks, and why (ROADMAP item 17a).
 KNOWN = {523: ("same-view-set", "17a: after crashes of 3 and 0, acting "
                "coordinator 1 holds an exact half without the oldest "
-               "and stalls")}
+               "and stalls"),
+         1381: ("same-view-set", "17a: after crashes of 2 and 0, acting "
+                "coordinator 1 holds an exact half without the oldest "
+                "and stalls")}
 
 
 def draw(seed: int) -> Tuple[str, List[Tuple[str, int]]]:

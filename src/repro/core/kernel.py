@@ -322,14 +322,14 @@ class ProtocolsProcess:
         if self.alive:
             self.site.send_raw(dst_site, _HEARTBEAT_PAYLOAD)
 
-    def _on_suspect(self, site_id: int) -> None:
-        self.agent.suspect(site_id)
+    def _on_suspect(self, sites: List[int]) -> None:
+        self.agent.suspect(sites)
         # Unblock waiting callers immediately: a suspected site's members
         # count as failed respondents (§2.2 — "the caller should be
         # informed if all members fail"; detection is by timeout, §2.1).
         # If the suspicion was false the site recovers anyway (§3.7), so
         # treating its replies as lost is sound.
-        self.rpc.note_sites_failed({site_id})
+        self.rpc.note_sites_failed(set(sites))
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -637,7 +637,6 @@ class ProtocolsProcess:
                 [e.pipeline.dissemination.tree_depth() for e in engines],
                 default=0),
         })
-        out.update(self.heartbeat.stats())
         if self.wal is not None:
             out["wal.groups"] = len(self.wal.groups)
         if self.site.transport is not None:

@@ -9,9 +9,13 @@ property comes from everyone installing the same sequence of site views.
 Protocol (coordinator-driven two-phase):
 
 * The **coordinator** is the oldest member of the current view.  It
-  batches suspicions (from the heartbeat detector) and join requests
+  batches suspicions (from the heartbeat detector: its own, and those
+  a member relays, one message per detector tick) and join requests
   (from booting sites) into a proposal ``view_id+1``, collects acks from
-  every member of the *new* view, then commits.
+  every member of the *new* view, then commits.  Every member it
+  suspects is a removal.  A suspicion is of one (site, incarnation)
+  and lapses once a view no longer lists that pair.  Silence in a
+  round is no verdict: a round that times out proposes again.
 * Members ack proposals at most once per view id; a commit installs the
   view and reports joined/departed sites to the kernel.
 * If the coordinator itself dies, the next-oldest member that suspects
@@ -28,7 +32,8 @@ The partition rule (§2.1, §3.7) is one predicate, :func:`is_primary`:
 a component may go on iff it holds more than half of the previous view,
 or exactly half including that view's oldest member.  It answers both
 questions a partition asks.  *May it install the next site view?*  The
-coordinator judges the component it trusts.  *May its group flushes
+coordinator judges the survivors, the members it does not suspect.
+*May its group flushes
 commit?*  A kernel judges the sites it does not suspect
 (:meth:`SiteViewAgent.may_commit`), so a group wholly inside a stalled
 minority commits no view and no GBCAST either.  Only one half of an
@@ -129,7 +134,6 @@ class SiteViewAgent:
         self.view: Optional[SiteView] = None
         self._suspected: Set[int] = set()
         self._pending_joins: Set[SiteIncarnation] = set()
-        self._pending_removals: Set[int] = set()
         self._last_acked_view = 0
         self._round: Optional[int] = None          # view_id being proposed
         self._round_members: Tuple[SiteIncarnation, ...] = ()
@@ -194,21 +198,22 @@ class SiteViewAgent:
     # ------------------------------------------------------------------
     # Inputs
     # ------------------------------------------------------------------
-    def suspect(self, site_id: int) -> None:
-        """A peer went silent (from the heartbeat monitor)."""
+    def suspect(self, sites: Sequence[int]) -> None:
+        """Peers that went silent in one detector tick."""
         if self._stopped or self.view is None:
             return
-        if not self.view.contains_site(site_id):
+        burst = [site for site in sites if self.view.contains_site(site)]
+        if not burst:
             return
-        self._suspected.add(site_id)
+        self._suspected.update(burst)
         if self.is_coordinator():
-            self._remove(site_id)
+            self._remove()
         else:
             # Tell the acting coordinator (it may not share our timeout).
             coordinator = self._acting_coordinator()
             if coordinator is not None and coordinator != self.site_id:
                 self.send(coordinator, Message(
-                    _proto="sv.suspect", suspect=site_id))
+                    _proto="sv.suspect", suspects=burst))
 
     def request_join(self) -> None:
         """Start the boot-time join loop (site is up but not in any view)."""
@@ -253,14 +258,14 @@ class SiteViewAgent:
             getattr(self, "_on_" + record[0]["_proto"][3:])(src_site, record)
 
     def _on_suspect(self, src_site: int, record: tuple) -> None:
-        """A member's suspicion, relayed to the acting coordinator.  A
-        site this view already excluded is not heard: it has not yet
-        learnt that it left, and its silence is no evidence."""
-        suspect = record[1]
-        if self.is_coordinator() and self.view is not None \
-                and self.view.contains_site(src_site) \
-                and self.view.contains_site(suspect):
-            self._remove(suspect)
+        """A member's suspicions of one tick, relayed to the acting
+        coordinator.  A site this view already excluded is not heard: it
+        has not yet learnt that it left, and its silence is no evidence."""
+        if self.is_coordinator() and self.view.contains_site(src_site):
+            burst = [s for s in record[1] if self.view.contains_site(s)]
+            if burst:
+                self._suspected.update(burst)
+                self._remove()
 
     def _on_join(self, src_site: int, record: tuple) -> None:
         _, site, incarnation = record
@@ -274,9 +279,6 @@ class SiteViewAgent:
                 self.send(site, self._commit_message(self.view))
                 return
             self._pending_joins.add((site, incarnation))
-            if current_inc is not None:
-                # An older incarnation is still listed: remove it first.
-                self._pending_removals.add(site)
             self._maybe_start_round()
         else:
             coordinator = self._acting_coordinator()
@@ -293,17 +295,27 @@ class SiteViewAgent:
                 return site
         return None
 
-    def _remove(self, site_id: int) -> None:
-        """Queue the removal of ``site_id``, a member of the current
-        view.  An open round that still lists it would wait out
-        ``ACK_TIMEOUT`` for its ack, or install it dead: it is dropped
-        and proposed again, merged with the suspicions still to come."""
-        self._suspected.add(site_id)
-        self._pending_removals.add(site_id)
-        listed = (site_id, self.view.incarnation_of(site_id))
-        if self._round is not None and listed in self._round_members:
+    def _remove(self) -> None:
+        """Remove every member this site suspects.  An open round that
+        still lists one would wait out ``ACK_TIMEOUT`` for its ack, or
+        install it dead: it is dropped and proposed again, merged with
+        the suspicions still to come."""
+        suspected = {m for m in self.view.members if m[0] in self._suspected}
+        if self._round is not None \
+                and not suspected.isdisjoint(self._round_members):
             self._drop_round()
         self._maybe_start_round()
+
+    def _changes(self) -> Tuple[Set[int], Set[SiteIncarnation]]:
+        """What the next round changes: it removes every member this
+        site suspects and every member a pending join brings back under
+        a new incarnation, and adds the pending joins."""
+        members = self.view.members
+        joins = {j for j in self._pending_joins if j not in members}
+        rejoining = {site for site, _ in joins}
+        removals = {site for site, _ in members
+                    if site in self._suspected or site in rejoining}
+        return removals, joins
 
     def _drop_round(self) -> None:
         self._round = None
@@ -314,9 +326,10 @@ class SiteViewAgent:
     def _maybe_start_round(self) -> None:
         if self._round is not None or self._stopped:
             return
-        if not (self._pending_joins or self._pending_removals):
+        if not self.is_coordinator():
             return
-        if not self.is_coordinator() or self.view is None:
+        removals, joins = self._changes()
+        if not (removals or joins):
             return
         if not self._settle_done:
             # Let near-simultaneous suspicions and joins accumulate:
@@ -326,25 +339,10 @@ class SiteViewAgent:
                     SUSPICION_SETTLE, self._settle_expired)
             return
         self._settle_done = False
-        removals = set(self._pending_removals)
-        joins = {
-            (site, inc) for site, inc in self._pending_joins
-            if site not in {s for s, _ in self.view.members} or site in removals
-        }
         survivors = tuple(
             m for m in self.view.members if m[0] not in removals
         )
-        # Suspicions recorded before we became acting coordinator were
-        # relayed away, not queued as removals; they still mark sites we
-        # cannot reach.  The rule judges this trusted set, not the
-        # survivors, which a stale coordinator can overstate: a healed
-        # minority site could otherwise commit a view built on members
-        # it cannot talk to and depose the live primary.
-        trusted = tuple(
-            m for m in survivors
-            if m[0] == self.site_id or m[0] not in self._suspected
-        )
-        if not is_primary(self.view.members, trusted):
+        if not is_primary(self.view.members, survivors):
             # We are on the losing side of a partition (§2.1): hang,
             # probing, until communication is restored; the primary's
             # commit then excludes us and we self-destruct into
@@ -376,18 +374,16 @@ class SiteViewAgent:
     def _settle_expired(self) -> None:
         self._settle_timer = None
         self._settle_done = True
-        if len(self._pending_removals) > 1:
+        if len(self._changes()[0]) > 1:
             self.sim.trace.bump("sv.batched_removals")
         self._maybe_start_round()
 
     def _round_timed_out(self) -> None:
         if self._round is None:
             return
-        silent = {s for s, _ in self._round_members} - self._round_acks
+        # Silence is no verdict: only the detector removes a site.
         self._round_timer = None
         self._drop_round()
-        # Silence is no verdict: only the detector removes a site.
-        self._pending_removals |= silent & self._suspected
         self._maybe_start_round()
 
     def _on_ack(self, src_site: int, record: tuple) -> None:
@@ -405,13 +401,12 @@ class SiteViewAgent:
         self._drop_round()
         commit = self._commit_message(view)
         removed = set(self._round_removals)
-        # Only consume what this round actually handled: suspicions and
-        # joins that arrived mid-round stay pending for the next one.
+        # Only consume the joins this round handled: joins that arrived
+        # mid-round stay pending for the next one.
         self._pending_joins -= self._round_joins
         self._pending_joins = {
             j for j in self._pending_joins if j not in set(view.members)
         }
-        self._pending_removals -= self._round_removals
         for site, _ in view.members:
             if site != self.site_id:
                 self.send(site, commit)
@@ -484,11 +479,14 @@ class SiteViewAgent:
         self._install(view)
 
     def _install(self, view: SiteView) -> None:
-        old_sites = set(self.view.sites()) if self.view is not None else set()
+        old = self.view
+        old_sites = set(old.sites()) if old is not None else set()
+        # A suspicion is of one incarnation: it lapses when that leaves.
+        self._suspected = {site for site in self._suspected
+                           if (site, old.incarnation_of(site)) in view.members}
         self.view = view
         self._last_acked_view = max(self._last_acked_view, view.view_id)
         new_sites = set(view.sites())
-        self._suspected &= new_sites
         self._stalled = False
         if self._probe_timer is not None:
             self._probe_timer.cancel()

@@ -483,6 +483,7 @@ def protocols(context: Callable[[bytes], Any],
         "view": record(("gid", ADDRESS), ("view_id", UINT),
                        ("members", list_of(ADDRESS)), make=view),
         "addresses": list_of(ADDRESS), "blobs": list_of(BYTES),
+        "uints": list_of(UINT),
         "sites": list_of(fixed(UINT, UINT)),
         "triples": list_of(fixed(INT, INT, INT)),
         "cut": list_of(fixed(pair, pair)),
@@ -519,7 +520,7 @@ def protocols(context: Callable[[bytes], Any],
 
     # Site view (fd/siteview.py) and name service (core/namespace.py).
     declare("sv.join", "site:uint incarnation:uint")
-    declare("sv.suspect", "suspect:uint")
+    declare("sv.suspect", "suspects:uints")
     declare("sv.propose", "view_id:uint members:sites")
     declare("sv.ack", "view_id:uint")
     declare("sv.commit", "view_id:uint members:sites")

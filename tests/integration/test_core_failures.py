@@ -158,23 +158,50 @@ class TestMemberFailure:
         assert [m["q"] for m in deliveries[2]] == ["fwd"]
 
 
-class TestCorrelatedCrashesPastOneTickBucket:
-    def test_two_crashes_cost_one_detection_not_an_ack_timeout(self):
-        """Past 32 sites the detector ticks one bucket at a time, so two
-        sites that crash together are reported 250 ms apart, beyond the
-        settle window.  The coordinator drops the round that still
-        lists the second and proposes again: the view installs about
-        2 s after the crash, not after a 4 s ack timeout (5.8 s)."""
-        system = IsisCluster(n_sites=40, seed=3)
-        system.run_for(5.0)
-        assert system.kernel(0).heartbeat.n_buckets() == 2
-        system.crash_site(38)   # one in each bucket (site id modulo 2)
-        system.crash_site(39)
-        system.run_for(3.0)
-        views = {system.kernel(s).site_view for s in range(38)}
-        assert len(views) == 1
-        view = views.pop()
-        assert view.view_id == 2 and view.sites() == tuple(range(38))
+def _next_site_view(n_sites, crashes, horizon=10.0):
+    """Run ``n_sites`` for 5 s, crash each ``(site, after)`` ``after``
+    seconds later (seed 3), and return the site-view proposals made
+    since, and the seconds from the last crash until the coordinator
+    installs the view of exactly the survivors (None: not within
+    ``horizon``)."""
+    system = IsisCluster(n_sites=n_sites, seed=3)
+    system.sim.trace.enable("sv.propose", "sv.install")
+    system.run_for(5.0)
+    start = system.sim.now
+    for site, after in crashes:
+        system.sim.call_after(after, system.crash_site, site)
+    system.run_for(horizon)
+    dead = {site for site, _ in crashes}
+    survivors = tuple(s for s in range(n_sites) if s not in dead)
+    events = system.sim.trace.events
+    installs = [t for t, _, (_, _, members) in events("sv.install")
+                if t > start and tuple(s for s, _ in members) == survivors]
+    proposals = [e for e in events("sv.propose") if e[0] > start]
+    last = start + max(after for _, after in crashes)
+    return proposals, installs[0] - last if installs else None
+
+
+class TestCorrelatedCrashes:
+    def test_four_crashes_of_sixty_four_cost_one_proposal(self):
+        """Sites that crash together fall silent in the same detector
+        tick, wherever their ids are: every survivor reports all four at
+        once, and the coordinator proposes the next view once."""
+        proposals, done = _next_site_view(64, [(0, 0.0), (1, 0.0),
+                                               (40, 0.0), (41, 0.0)])
+        assert len(proposals) == 1
+        assert done is not None and done <= 2.5
+
+    @pytest.mark.parametrize("n_sites,first", [(5, 3), (8, 3), (8, 5)])
+    @pytest.mark.parametrize("gap", [0.6, 1.0])
+    def test_a_takeover_removes_what_it_suspected_before(
+            self, n_sites, first, gap):
+        """Site ``first`` crashes, then coordinator 0 ``gap`` s later.
+        The survivors had relayed their suspicion of ``first`` to site 0;
+        the next-oldest site takes over and removes both at once rather
+        than proposing ``first`` again and waiting out its ack."""
+        proposals, done = _next_site_view(n_sites, [(first, 0.0), (0, gap)])
+        assert len(proposals) == 1
+        assert done is not None and done <= 2.1
 
 
 class TestViewSynchrony:

@@ -136,6 +136,14 @@ def _found(seed, mode, script, reason):
            "its oldest member, and stalls (fd/siteview.py "
            "_enter_stalled); m1 and m2 end view 4 holding different sets "
            "(same-view-set)"),
+    # Found past the CI range (churn_sweep.py --seeds 601-1500).
+    _found(1381, "two_phase",
+           [("partition", 0), ("crash", 2), ("crash", 0)],
+           "ROADMAP item 17a, 523's two_phase twin: after site 2 and then "
+           "site 0 crash, acting coordinator 1 holds {1, 3}, an exact half "
+           "of the view without its oldest member, and stalls "
+           "(fd/siteview.py _enter_stalled); m1 and m3 end view 4 holding "
+           "different sets (same-view-set)"),
 ])
 def test_found_by_the_churn_sweep(seed, mode, script):
     """The non-generator failures of the churn sweeps over kill /

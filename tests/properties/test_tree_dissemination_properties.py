@@ -148,4 +148,3 @@ def test_tree_trims_buffers_and_counts():
         assert stats["kernel.peak_groups_per_shard"] >= 1
         assert stats["tree.fanout"] == 2
         assert stats["tree.depth"] >= 1
-        assert stats["fd.buckets"] >= 1

@@ -1,7 +1,5 @@
 """Unit tests for the adaptive heartbeat failure detector."""
 
-import pytest
-
 from repro.fd import HeartbeatMonitor
 from repro.fd.heartbeat import MIN_TIMEOUT
 from repro.sim import Simulator
@@ -44,7 +42,7 @@ def test_silent_peer_suspected_after_min_timeout():
     h.monitor.set_peers([1])
     h.monitor.start()
     sim.run(until=5.0)
-    assert h.suspects == [1]
+    assert h.suspects == [[1]]
     assert h.monitor.suspected == {1}
 
 
@@ -69,7 +67,7 @@ def test_suspicion_fires_once():
     h.monitor.set_peers([1])
     h.monitor.start()
     sim.run(until=30.0)
-    assert h.suspects == [1]
+    assert h.suspects == [[1]]
 
 
 def test_readded_peer_forgiven():
@@ -125,56 +123,34 @@ def test_removed_peer_not_probed():
     assert set(h.probes) == {2}
 
 
-# -- staggered tick buckets (scale-out past 32 sites) ------------------------
+# -- one tick checks every peer ------------------------------------------------
 
-def test_few_peers_single_bucket_legacy_behavior():
-    """At or below TICK_BUCKET_SIZE the monitor is the original whole-scan
-    tick: one bucket, probes for every peer each interval."""
-    sim = Simulator()
-    h = Harness(sim)
-    h.monitor.set_peers(range(1, 33))  # exactly 32 peers
-    assert h.monitor.n_buckets() == 1
-    h.monitor.start()
-    sim.run(until=0.4)  # one tick at t=0
-    assert sorted(h.probes) == list(range(1, 33))
-
-
-@pytest.mark.parametrize("n_peers,expected_buckets", [
-    (33, 2), (64, 2), (65, 3), (256, 8),
-])
-def test_bucket_count_scales_ceil(n_peers, expected_buckets):
-    sim = Simulator()
-    h = Harness(sim)
-    h.monitor.set_peers(range(1, n_peers + 1))
-    assert h.monitor.n_buckets() == expected_buckets
-    assert h.monitor.stats() == {"fd.buckets": expected_buckets}
-
-
-def test_staggered_every_peer_probed_once_per_interval():
-    """With 64 peers in 2 buckets, sub-ticks alternate buckets but each
-    full interval still probes every peer exactly once."""
+def test_one_tick_probes_every_peer():
+    """However many peers there are, each tick probes all of them."""
     sim = Simulator()
     h = Harness(sim)
     h.monitor.set_peers(range(1, 65))
     h.monitor.start()
-    sim.run(until=0.49)  # sub-ticks at t=0 and t=0.25: one full interval
+    sim.run(until=0.1)  # one tick, at t=0
     assert sorted(h.probes) == list(range(1, 65))
-    # Sub-ticks must not probe everyone at once (the burst is halved).
-    first_subtick = h.probes[:32]
-    assert len(set(p % 2 for p in first_subtick)) == 1
 
 
-def test_staggered_silent_peer_still_suspected():
+def test_a_correlated_silence_is_reported_as_one_list():
+    """Peers that fall silent together reach ``on_suspect`` in one call,
+    and the peers that keep talking are not in it."""
     sim = Simulator()
     h = Harness(sim)
     h.monitor.set_peers(range(1, 65))
     h.monitor.start()
+    silent = [1, 2, 33, 64]
 
-    def feed_all_but_one():
-        for peer in range(2, 65):
-            h.monitor.note_heartbeat(peer)
+    def feed_the_rest():
+        for peer in range(1, 65):
+            if peer not in silent:
+                h.monitor.note_heartbeat(peer)
 
     for t in range(1, 40):
-        sim.call_at(t * 0.5, feed_all_but_one)
+        sim.call_at(t * 0.5, feed_the_rest)
     sim.run(until=10.0)
-    assert h.suspects == [1]
+    assert h.suspects == [silent]
+    assert sim.trace.value("fd.suspicion_bursts") == 1

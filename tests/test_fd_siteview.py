@@ -88,7 +88,7 @@ class TestRemoval:
         sim = Simulator()
         bus, agents, views, _ = make_agents(sim)
         genesis_all(agents)
-        agents[0].suspect(2)
+        agents[0].suspect([2])
         sim.run(until=5.0)
         for i in (0, 1):
             assert agents[i].view.sites() == (0, 1)
@@ -98,7 +98,7 @@ class TestRemoval:
         sim = Simulator()
         bus, agents, views, _ = make_agents(sim)
         genesis_all(agents)
-        agents[1].suspect(2)  # site 1 is not the coordinator
+        agents[1].suspect([2])  # site 1 is not the coordinator
         sim.run(until=5.0)
         assert agents[0].view.sites() == (0, 1)
 
@@ -107,7 +107,7 @@ class TestRemoval:
         bus, agents, views, _ = make_agents(sim)
         genesis_all(agents)
         # Site 1 believes 0 is dead (and only site 1 acts).
-        agents[1].suspect(0)
+        agents[1].suspect([0])
         sim.run(until=10.0)
         assert agents[1].view.sites() == (1, 2)
         assert agents[1].is_coordinator()
@@ -116,7 +116,7 @@ class TestRemoval:
         sim = Simulator()
         bus, agents, views, destroyed = make_agents(sim)
         genesis_all(agents)
-        agents[0].suspect(2)
+        agents[0].suspect([2])
         sim.run(until=5.0)
         # Agent 2 is alive and receives the commit excluding it.
         assert destroyed == [2]
@@ -129,11 +129,11 @@ class TestRemoval:
         bus, agents, views, destroyed = make_agents(sim, n=4)
         genesis_all(agents)
         bus.cut.add((0, 3))
-        agents[0].suspect(3)
+        agents[0].suspect([3])
         sim.run(until=5.0)
         assert agents[0].view.sites() == (0, 1, 2)
         assert agents[3].view.view_id == 1  # still in the view it knew
-        agents[3].suspect(1)  # relayed to site 0, its acting coordinator
+        agents[3].suspect([1])  # relayed to site 0, its acting coordinator
         sim.run(until=10.0)
         for i in (0, 1, 2):
             assert agents[i].view.sites() == (0, 1, 2)
@@ -144,12 +144,10 @@ class TestRemoval:
         sim = Simulator()
         bus, agents, views, _ = make_agents(sim, n=4)
         genesis_all(agents)
-        agents[0].suspect(2)
-        agents[0].suspect(3)
+        agents[0].suspect([2, 3])   # one detector tick
         sim.run(until=5.0)
         assert agents[0].view.sites() == (0, 1)
-        # One batched change, not two: view id went 1 -> 2 (or at most 3).
-        assert agents[0].view.view_id <= 3
+        assert agents[0].view.view_id == 2  # one change, not two
 
     def test_staggered_suspicions_coalesce_within_settle(self):
         """Correlated deaths arriving a few ms apart merge into ONE
@@ -157,12 +155,70 @@ class TestRemoval:
         sim = Simulator()
         bus, agents, views, _ = make_agents(sim, n=4)
         genesis_all(agents)
-        agents[0].suspect(2)
-        sim.call_after(0.02, agents[0].suspect, 3)  # inside the window
+        agents[0].suspect([2])
+        sim.call_after(0.02, agents[0].suspect, [3])  # inside the window
         sim.run(until=5.0)
         assert agents[0].view.sites() == (0, 1)
         assert agents[0].view.view_id == 2  # exactly one view change
         assert sim.trace.value("sv.batched_removals") >= 1
+
+
+    def test_a_member_relays_one_tick_in_one_message(self):
+        sim = Simulator()
+        sim.trace.enable("sv.propose")
+        bus, agents, views, _ = make_agents(sim, n=4)
+        genesis_all(agents)
+        sent = []
+        send = agents[1].send
+        agents[1].send = lambda dst, msg: (sent.append(msg), send(dst, msg))
+        agents[1].suspect([2, 3])
+        sim.run(until=5.0)
+        assert [m["suspects"] for m in sent if m["_proto"] == "sv.suspect"] \
+            == [[2, 3]]
+        assert agents[0].view.sites() == (0, 1)
+        assert len(sim.trace.events("sv.propose")) == 1
+
+    def test_a_takeover_removes_what_it_relayed_away(self):
+        """Site 1 relays its suspicion of site 3 to coordinator 0, which
+        has crashed too; once site 1 suspects 0 it coordinates, and its
+        first proposal leaves out both sites instead of waiting out
+        ``ACK_TIMEOUT`` for site 3's ack."""
+        sim = Simulator()
+        sim.trace.enable("sv.propose")
+        bus, agents, views, _ = make_agents(sim, n=5)
+        genesis_all(agents)
+        agents[0].stop()
+        agents[3].stop()
+        agents[1].suspect([3])      # relayed to site 0, which is gone
+        sim.run(until=0.5)
+        agents[1].suspect([0])
+        sim.run(until=1.5)
+        proposals = sim.trace.events("sv.propose")
+        assert [detail[2] for _, _, detail in proposals] == \
+            [((1, 0), (2, 0), (4, 0))]
+        for i in (1, 2, 4):
+            assert agents[i].view.sites() == (1, 2, 4)
+            assert agents[i].view.view_id == 2
+
+    def test_a_suspicion_lapses_with_its_incarnation(self):
+        """Site 2 restarts as incarnation 1 as the coordinator suspects
+        incarnation 0: one round swaps the two, and the suspicion, which
+        was of incarnation 0, does not remove the new one."""
+        sim = Simulator()
+        bus, agents, views, destroyed = make_agents(sim, n=3)
+        genesis_all(agents)
+        agents[2].stop()
+        agents[2] = bus.agents[2] = SiteViewAgent(
+            sim, bus.cpu, 2, incarnation=1, all_sites=[0, 1, 2],
+            send=bus.sender_for(2), on_view=lambda *_: None,
+            self_destruct=lambda: destroyed.append(2))
+        agents[2].request_join()
+        agents[0].suspect([2])
+        sim.run(until=10.0)
+        for i in (0, 1, 2):
+            assert agents[i].view.view_id == 2
+            assert agents[i].view.members == ((0, 0), (1, 0), (2, 1))
+        assert not agents[0]._suspected and destroyed == []
 
 
 class TestSilentRound:
@@ -177,7 +233,7 @@ class TestSilentRound:
         bus.cpu.backlog = backlog
         genesis_all(agents)
         bus.cut.add((1, 0))
-        agents[0].suspect(2)
+        agents[0].suspect([2])
         return sim, bus, agents, destroyed, sim.trace.events
 
     def test_a_silent_member_is_proposed_again_and_kept(self):
@@ -208,8 +264,8 @@ class TestQuorum:
         genesis_all(agents)
         # Site 2 is partitioned away and suspects both others.
         bus.cut = {(2, 0), (0, 2), (2, 1), (1, 2)}
-        agents[2].suspect(0)
-        agents[2].suspect(1)
+        agents[2].suspect([0])
+        agents[2].suspect([1])
         sim.run(until=20.0)
         assert agents[2].view.view_id == 1  # never installed a new view
         assert sim.trace.value("sv.stalls") >= 1
@@ -222,7 +278,7 @@ class TestQuorum:
         genesis_all(agents)
         bus.cut = {(2, 0), (0, 2), (2, 1), (1, 2)}
         for a, b in ((0, 2), (1, 2), (2, 0), (2, 1)):
-            agents[a].suspect(b)
+            agents[a].suspect([b])
         assert agents[0].may_commit() and agents[1].may_commit()
         assert not agents[2].may_commit()
         sim.run(until=20.0)
@@ -233,7 +289,7 @@ class TestQuorum:
         sim = Simulator()
         bus, agents, views, _ = make_agents(sim, n=2)
         genesis_all(agents)
-        agents[0].suspect(1)
+        agents[0].suspect([1])
         sim.run(until=5.0)
         assert agents[0].view.sites() == (0,)
 
@@ -258,8 +314,8 @@ class TestQuorum:
         bus.cut |= {(b, a) for a, b in bus.cut}
         for a in (0, 1):
             for b in (2, 3):
-                agents[a].suspect(b)
-                agents[b].suspect(a)
+                agents[a].suspect([b])
+                agents[b].suspect([a])
         sim.run(until=20.0)
         assert [agents[i].view.sites() for i in range(4)] == \
             [(0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 2, 3)]
