@@ -502,7 +502,7 @@ class ProtocolsProcess:
     # ------------------------------------------------------------------
     def _on_site_view(self, view: SiteView, departed: Set[int],
                       joined: Set[int]) -> None:
-        self.heartbeat.set_peers(view.sites())
+        self.heartbeat.set_peers(view.members)
         is_ns_coordinator = view.coordinator_site() == self.site_id
         self.namespace.set_role(is_ns_coordinator, list(view.sites()))
         if is_ns_coordinator and joined:

@@ -19,7 +19,7 @@ simulated raw frame skips the CPU queue both ways (``net/transport.py``
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..sim.core import Simulator, Timer
 
@@ -36,11 +36,12 @@ NSTDDEV = 4.0
 
 
 class _PeerStats:
-    """Inter-arrival estimator for one monitored peer."""
+    """Inter-arrival estimator for one monitored peer incarnation."""
 
-    __slots__ = ("last_arrival", "mean", "dev")
+    __slots__ = ("incarnation", "last_arrival", "mean", "dev")
 
-    def __init__(self, now: float):
+    def __init__(self, incarnation: int, now: float):
+        self.incarnation = incarnation
         self.last_arrival = now
         self.mean = INTERVAL
         self.dev = 0.0
@@ -90,20 +91,25 @@ class HeartbeatMonitor:
             self._timer = None
 
     # -- peer set ----------------------------------------------------------
-    def set_peers(self, peers: Iterable[int]) -> None:
-        """Monitor exactly ``peers`` (self is excluded automatically).
+    def set_peers(self, members: Iterable[Tuple[int, int]]) -> None:
+        """Monitor exactly the (site, incarnation) ``members`` (self is
+        excluded automatically).
 
-        Newly added peers start with a fresh estimator; a re-added peer
-        loses its 'suspected' status (it re-joined the view).
+        A peer that is new, or listed under a new incarnation, starts
+        with a fresh estimator and unsuspected: a suspicion is of one
+        incarnation, and a site that rejoined is watched anew.
         """
-        wanted = {p for p in peers if p != self.site_id}
-        for gone in [p for p in self._peers if p not in wanted]:
-            del self._peers[gone]
-        self._suspected &= wanted
+        wanted = {site: inc for site, inc in members if site != self.site_id}
         now = self.sim.now
-        for added in wanted - self._peers.keys():
-            self._peers[added] = _PeerStats(now)
-            self._suspected.discard(added)
+        for site in list(self._peers):
+            if site not in wanted:
+                del self._peers[site]
+        for site, inc in wanted.items():
+            stats = self._peers.get(site)
+            if stats is None or stats.incarnation != inc:
+                self._peers[site] = _PeerStats(inc, now)
+                self._suspected.discard(site)
+        self._suspected &= wanted.keys()
 
     @property
     def suspected(self) -> Set[int]:

@@ -6,6 +6,9 @@ failures — and a multicast is delivered in the view it was sent in, or
 nowhere.
 """
 
+import importlib.util
+import os
+
 import pytest
 
 from conformance import Run, Task, check, deploy_group, one_group
@@ -158,27 +161,18 @@ class TestMemberFailure:
         assert [m["q"] for m in deliveries[2]] == ["fwd"]
 
 
-def _next_site_view(n_sites, crashes, horizon=10.0):
-    """Run ``n_sites`` for 5 s, crash each ``(site, after)`` ``after``
-    seconds later (seed 3), and return the site-view proposals made
-    since, and the seconds from the last crash until the coordinator
-    installs the view of exactly the survivors (None: not within
-    ``horizon``)."""
-    system = IsisCluster(n_sites=n_sites, seed=3)
-    system.sim.trace.enable("sv.propose", "sv.install")
-    system.run_for(5.0)
-    start = system.sim.now
-    for site, after in crashes:
-        system.sim.call_after(after, system.crash_site, site)
-    system.run_for(horizon)
-    dead = {site for site, _ in crashes}
-    survivors = tuple(s for s in range(n_sites) if s not in dead)
-    events = system.sim.trace.events
-    installs = [t for t, _, (_, _, members) in events("sv.install")
-                if t > start and tuple(s for s, _ in members) == survivors]
-    proposals = [e for e in events("sv.propose") if e[0] > start]
-    last = start + max(after for _, after in crashes)
-    return proposals, installs[0] - last if installs else None
+_SCALE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                      "scripts", "siteview_scale.py")
+
+
+def _siteview_scale():
+    spec = importlib.util.spec_from_file_location("siteview_scale", _SCALE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+siteview_scale = _siteview_scale()
 
 
 class TestCorrelatedCrashes:
@@ -186,9 +180,9 @@ class TestCorrelatedCrashes:
         """Sites that crash together fall silent in the same detector
         tick, wherever their ids are: every survivor reports all four at
         once, and the coordinator proposes the next view once."""
-        proposals, done = _next_site_view(64, [(0, 0.0), (1, 0.0),
-                                               (40, 0.0), (41, 0.0)])
-        assert len(proposals) == 1
+        proposals, done, _ = siteview_scale.run(
+            64, [(site, 5.0) for site in (0, 1, 40, 41)])
+        assert proposals == 1
         assert done is not None and done <= 2.5
 
     @pytest.mark.parametrize("n_sites,first", [(5, 3), (8, 3), (8, 5)])
@@ -199,9 +193,32 @@ class TestCorrelatedCrashes:
         The survivors had relayed their suspicion of ``first`` to site 0;
         the next-oldest site takes over and removes both at once rather
         than proposing ``first`` again and waiting out its ack."""
-        proposals, done = _next_site_view(n_sites, [(first, 0.0), (0, gap)])
-        assert len(proposals) == 1
+        proposals, done, _ = siteview_scale.run(
+            n_sites, [(first, 5.0), (0, 5.0 + gap)])
+        assert proposals == 1
         assert done is not None and done <= 2.1
+
+    def test_a_site_swapped_in_one_round_is_removed_when_it_crashes_again(
+            self):
+        """Site 4 restarts 2 s after its crash: the survivors suspect its
+        old incarnation as its join arrives, and one round swaps the two.
+        Their suspicion was of the old incarnation, so when the new one
+        crashes too, they report it and it is removed."""
+        system = IsisCluster(n_sites=5, seed=3)
+        system.sim.trace.enable("sv.install")
+        system.run_for(5.0)
+        system.crash_site(4)
+        system.run_for(2.0)
+        system.restart_site(4)
+        system.run_for(6.0)
+        installs = [members for t, _, (site, _, members)
+                    in system.sim.trace.events("sv.install")
+                    if site == 0 and t > 5.0]
+        assert installs == [((0, 0), (1, 0), (2, 0), (3, 0), (4, 1))]
+        system.crash_site(4)
+        system.run_for(10.0)
+        for site in range(4):
+            assert system.kernel(site).agent.view.sites() == (0, 1, 2, 3)
 
 
 class TestViewSynchrony:

@@ -19,7 +19,7 @@ class Harness:
 def test_probes_sent_to_all_peers_each_interval():
     sim = Simulator()
     h = Harness(sim)
-    h.monitor.set_peers([1, 2])
+    h.monitor.set_peers([(1, 0), (2, 0)])
     h.monitor.start()
     sim.run(until=1.9)
     # 4 ticks (t=0, .5, 1.0, 1.5) x 2 peers
@@ -30,7 +30,7 @@ def test_probes_sent_to_all_peers_each_interval():
 def test_self_excluded_from_peers():
     sim = Simulator()
     h = Harness(sim, site_id=3)
-    h.monitor.set_peers([3, 1])
+    h.monitor.set_peers([(3, 0), (1, 0)])
     h.monitor.start()
     sim.run(until=0.1)
     assert set(h.probes) == {1}
@@ -39,7 +39,7 @@ def test_self_excluded_from_peers():
 def test_silent_peer_suspected_after_min_timeout():
     sim = Simulator()
     h = Harness(sim)
-    h.monitor.set_peers([1])
+    h.monitor.set_peers([(1, 0)])
     h.monitor.start()
     sim.run(until=5.0)
     assert h.suspects == [[1]]
@@ -49,7 +49,7 @@ def test_silent_peer_suspected_after_min_timeout():
 def test_heartbeats_prevent_suspicion():
     sim = Simulator()
     h = Harness(sim)
-    h.monitor.set_peers([1])
+    h.monitor.set_peers([(1, 0)])
     h.monitor.start()
 
     def feed():
@@ -64,7 +64,7 @@ def test_heartbeats_prevent_suspicion():
 def test_suspicion_fires_once():
     sim = Simulator()
     h = Harness(sim)
-    h.monitor.set_peers([1])
+    h.monitor.set_peers([(1, 0)])
     h.monitor.start()
     sim.run(until=30.0)
     assert h.suspects == [[1]]
@@ -73,20 +73,36 @@ def test_suspicion_fires_once():
 def test_readded_peer_forgiven():
     sim = Simulator()
     h = Harness(sim)
-    h.monitor.set_peers([1])
+    h.monitor.set_peers([(1, 0)])
     h.monitor.start()
     sim.run(until=5.0)
     assert h.monitor.suspected == {1}
-    h.monitor.set_peers([2])     # view excludes site 1 ...
-    h.monitor.set_peers([1, 2])  # ... then re-admits it after recovery
+    h.monitor.set_peers([(2, 0)])          # view excludes site 1 ...
+    h.monitor.set_peers([(1, 0), (2, 0)])  # ... then re-admits it
     assert h.monitor.suspected == set()
+
+
+def test_a_suspicion_lapses_with_its_incarnation():
+    """A peer listed under a new incarnation, with no view between that
+    drops it, is unsuspected and watched afresh: if that incarnation
+    falls silent too, it is reported again."""
+    sim = Simulator()
+    h = Harness(sim)
+    h.monitor.set_peers([(1, 0)])
+    h.monitor.start()
+    sim.run(until=5.0)
+    assert h.suspects == [[1]]
+    h.monitor.set_peers([(1, 1)])
+    assert h.monitor.suspected == set()
+    sim.run(until=10.0)
+    assert h.suspects == [[1], [1]]
 
 
 def test_jittery_peer_gets_longer_timeout():
     """§3.7 adaptivity: irregular arrivals stretch the timeout."""
     sim = Simulator()
     h = Harness(sim)
-    h.monitor.set_peers([1])
+    h.monitor.set_peers([(1, 0)])
     h.monitor.start()
     # Arrivals alternating fast/slow: mean ~1.25s, high deviation.
     t = 0.0
@@ -101,7 +117,7 @@ def test_jittery_peer_gets_longer_timeout():
 def test_stop_cancels_ticks():
     sim = Simulator()
     h = Harness(sim)
-    h.monitor.set_peers([1])
+    h.monitor.set_peers([(1, 0)])
     h.monitor.start()
     sim.run(until=1.0)
     count = len(h.probes)
@@ -114,10 +130,10 @@ def test_stop_cancels_ticks():
 def test_removed_peer_not_probed():
     sim = Simulator()
     h = Harness(sim)
-    h.monitor.set_peers([1, 2])
+    h.monitor.set_peers([(1, 0), (2, 0)])
     h.monitor.start()
     sim.run(until=0.1)
-    h.monitor.set_peers([2])
+    h.monitor.set_peers([(2, 0)])
     h.probes.clear()
     sim.run(until=1.2)
     assert set(h.probes) == {2}
@@ -129,7 +145,7 @@ def test_one_tick_probes_every_peer():
     """However many peers there are, each tick probes all of them."""
     sim = Simulator()
     h = Harness(sim)
-    h.monitor.set_peers(range(1, 65))
+    h.monitor.set_peers([(p, 0) for p in range(1, 65)])
     h.monitor.start()
     sim.run(until=0.1)  # one tick, at t=0
     assert sorted(h.probes) == list(range(1, 65))
@@ -140,7 +156,7 @@ def test_a_correlated_silence_is_reported_as_one_list():
     and the peers that keep talking are not in it."""
     sim = Simulator()
     h = Harness(sim)
-    h.monitor.set_peers(range(1, 65))
+    h.monitor.set_peers([(p, 0) for p in range(1, 65)])
     h.monitor.start()
     silent = [1, 2, 33, 64]
 
